@@ -19,12 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import heops
-from repro.core.results import InferenceResult, stages_from_trace
-from repro.graph import executor as graph_executor
+from repro.core.base import GraphPipeline
 from repro.errors import PipelineError
-from repro.faults import run_with_kernel_degradation
-from repro.he import kernels
 from repro.he.context import Context
 from repro.he.decryptor import Decryptor
 from repro.he.encoders import ScalarEncoder
@@ -37,7 +33,7 @@ from repro.obs import Tracer
 from repro.sgx.clock import SimClock
 
 
-class CryptonetsPipeline:
+class CryptonetsPipeline(GraphPipeline):
     """Pure-HE inference (the paper's ``Encrypted`` comparison scheme).
 
     The pipeline plays both user (encrypt/decrypt) and server (evaluate)
@@ -53,6 +49,10 @@ class CryptonetsPipeline:
     """
 
     scheme = "Encrypted"
+    graph_kind = "cryptonets"
+    # Bound on this class too, not just inherited: benchmarks/e2e/spans.py
+    # (read-only) wraps ``vars(CryptonetsPipeline)["infer"]``.
+    infer = GraphPipeline.infer
 
     def __init__(
         self,
@@ -85,41 +85,4 @@ class CryptonetsPipeline:
         self.encoder = ScalarEncoder(self.context)
         self.encryptor = Encryptor(self.context, self._keys.public, rng)
         self.decryptor = Decryptor(self.context, self._keys.secret)
-        # Weight encoding happens once, ahead of service (Section IV-B).
-        encoded = heops.encode_model_weights(self.evaluator, self.encoder, quantized)
-        self.conv_weights = encoded.conv
-        self.dense_weights = encoded.dense
-
-    def encrypt_images(self, images: np.ndarray):
-        """User side: one ciphertext per pixel (the paper's non-SIMD encoding)."""
-        pixels = self.quantized.quantize_images(images)
-        return self.encryptor.encrypt(self.encoder.encode(pixels))
-
-    def infer(self, images: np.ndarray) -> InferenceResult:
-        """One inference; degrades FUSED -> REFERENCE kernels and retries
-        once if the runtime equivalence guard trips (identical logits)."""
-        return run_with_kernel_degradation(
-            self.tracer, self.scheme, lambda: self._infer_once(images)
-        )
-
-    def _infer_once(self, images: np.ndarray) -> InferenceResult:
-        graph, report = graph_executor.compiled_for(self, "cryptonets")
-        self.graph_report = report
-        with self.tracer.span(
-            self.scheme,
-            kind="pipeline",
-            kernel_mode=kernels.active().mode_name,
-            graph_opt=report.label,
-            batch=int(images.shape[0]),
-        ) as trace:
-            logits, budget, logits_ct = graph_executor.run(self, graph, images)
-
-        return InferenceResult(
-            logits=logits,
-            stages=stages_from_trace(trace),
-            scheme=self.scheme,
-            noise_budget_bits=budget,
-            op_counts=dict(self.counter.counts),
-            trace=trace,
-            logits_ct=logits_ct,
-        )
+        self._bind(relin_keys=self._relin_keys)

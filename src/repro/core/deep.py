@@ -16,27 +16,14 @@ hypothetical pure-HE evaluation of the same depth.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import heops
-from repro.core.enclave_service import InferenceEnclave
-from repro.core.keyflow import establish_user_keys
-from repro.core.results import InferenceResult, stages_from_trace
-from repro.errors import PipelineError
-from repro.faults import EnclaveSupervisor, run_with_kernel_degradation
-from repro.he import kernels
-from repro.he.context import Context
-from repro.he.decryptor import Decryptor, decrypt_scalar_values
-from repro.he.encoders import ScalarEncoder
-from repro.he.encryptor import Encryptor
-from repro.he.evaluator import Evaluator, OperationCounter
+from repro.core.base import EnclavePipeline
 from repro.he.params import EncryptionParams
 from repro.nn.deep import DeepQuantizedCNN
-from repro.sgx.attestation import AttestationVerificationService, QuotingService
 from repro.sgx.enclave import SgxPlatform
 
 
-class DeepHybridPipeline:
+class DeepHybridPipeline(EnclavePipeline):
     """Hybrid HE+SGX inference over multi-block quantized CNNs.
 
     Args:
@@ -47,6 +34,7 @@ class DeepHybridPipeline:
     """
 
     scheme = "DeepEncryptSGX"
+    graph_kind = "deep"
 
     def __init__(
         self,
@@ -55,105 +43,23 @@ class DeepHybridPipeline:
         platform: SgxPlatform | None = None,
         seed: int | None = None,
     ) -> None:
-        if not quantized.fits_plain_modulus(params.plain_modulus):
-            raise PipelineError(
-                f"plain_modulus {params.plain_modulus} cannot hold the "
-                f"intermediates (need >= {quantized.required_plain_modulus()})"
-            )
-        self.quantized = quantized
-        self.params = params
-        self.platform = platform if platform is not None else SgxPlatform()
-        self.clock = self.platform.clock
-        self.tracer = self.platform.tracer
-        self.context = Context(params)
-        self.enclave = EnclaveSupervisor(self.platform, InferenceEnclave, params, seed)
-        self.enclave.ecall("generate_keys")
-        self.quoting = QuotingService(self.platform)
-        self.verifier = AttestationVerificationService()
-        self.verifier.register_platform(self.quoting)
-        user_keys = establish_user_keys(
-            self.platform, self.enclave, self.quoting, self.verifier, params,
-            np.random.default_rng(seed).bytes(32),
-        )
-        self.counter = OperationCounter()
-        self.evaluator = Evaluator(self.context, self.counter)
-        self.encoder = ScalarEncoder(self.context)
-        self.encryptor = Encryptor(self.context, user_keys.public, np.random.default_rng(seed))
-        self.decryptor = Decryptor(self.context, user_keys.secret)
-        self.block_weights = [
-            heops.encode_conv_weights(
+        super().__init__(quantized, params, platform, seed)
+        self.span_attrs = {"blocks": len(quantized.blocks)}
+
+    def _encode_weights(self) -> dict:
+        weights = {
+            f"conv_{i}": heops.encode_conv_weights(
                 self.evaluator, self.encoder, block.weight, block.bias, block.stride
             )
-            for block in quantized.blocks
-        ]
-        self.dense_weights = heops.encode_dense_weights(
-            self.evaluator, self.encoder, quantized.dense_weight, quantized.dense_bias
+            for i, block in enumerate(self.quantized.blocks)
+        }
+        weights["fc"] = heops.encode_dense_weights(
+            self.evaluator,
+            self.encoder,
+            self.quantized.dense_weight,
+            self.quantized.dense_bias,
         )
-
-    def encrypt_images(self, images: np.ndarray):
-        pixels = self.quantized.quantize_images(images)
-        return self.encryptor.encrypt(self.encoder.encode(pixels))
-
-    def _stage(self, name: str):
-        return self.tracer.stage(
-            name, counter=self.counter, side_channel=self.enclave.side_channel
-        )
-
-    def infer(self, images: np.ndarray) -> InferenceResult:
-        """One inference; degrades FUSED -> REFERENCE kernels and retries
-        once if the runtime equivalence guard trips (identical logits)."""
-        return run_with_kernel_degradation(
-            self.tracer, self.scheme, lambda: self._infer_once(images)
-        )
-
-    def _infer_once(self, images: np.ndarray) -> InferenceResult:
-        with self.tracer.span(
-            self.scheme,
-            kind="pipeline",
-            counter=self.counter,
-            side_channel=self.enclave.side_channel,
-            kernel_mode=kernels.active().mode_name,
-            batch=int(images.shape[0]),
-            blocks=len(self.quantized.blocks),
-        ) as trace:
-            with self._stage("encrypt"):
-                ct = self.encrypt_images(images)
-
-            for i, (block, weights) in enumerate(
-                zip(self.quantized.blocks, self.block_weights)
-            ):
-                with self._stage(f"conv_{i}"):
-                    conv = heops.he_conv2d(self.evaluator, self.encoder, ct, weights)
-                in_scale = self.quantized.block_input_scale(i) * block.weight_scale
-                with self._stage(f"sgx_block_{i}"):
-                    ct = self.enclave.ecall(
-                        "activation_pool",
-                        conv,
-                        in_scale,
-                        block.act_scale,
-                        block.pool_window,
-                        block.activation,
-                        block.pool,
-                    )
-
-            with self._stage("fc"):
-                logits_ct = heops.he_dense(
-                    self.evaluator, self.encoder, ct, self.dense_weights
-                )
-
-            budget = self.decryptor.invariant_noise_budget(logits_ct)
-            with self._stage("decrypt"):
-                logits = decrypt_scalar_values(self.decryptor, self.encoder, logits_ct)
-
-        return InferenceResult(
-            logits=logits,
-            stages=stages_from_trace(trace),
-            scheme=self.scheme,
-            noise_budget_bits=budget,
-            op_counts=dict(self.counter.counts),
-            enclave_crossings=trace.crossings,
-            trace=trace,
-        )
+        return weights
 
 
 def pure_he_modulus_bits_for_depth(

@@ -23,24 +23,10 @@ Three execution modes mirror the paper's Fig. 8 schemes:
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core import heops
-from repro.core.enclave_service import InferenceEnclave
-from repro.graph import executor as graph_executor
-from repro.core.keyflow import establish_user_keys
-from repro.core.results import InferenceResult, stages_from_trace
+from repro.core.base import EnclavePipeline
 from repro.errors import PipelineError
-from repro.faults import EnclaveSupervisor, run_with_kernel_degradation
-from repro.he import kernels
-from repro.he.context import Ciphertext, Context
-from repro.he.decryptor import Decryptor
-from repro.he.encoders import ScalarEncoder
-from repro.he.encryptor import Encryptor
-from repro.he.evaluator import Evaluator, OperationCounter
 from repro.he.params import EncryptionParams
 from repro.nn.quantize import QuantizedCNN
-from repro.sgx.attestation import AttestationVerificationService, QuotingService
 from repro.sgx.enclave import SgxPlatform
 
 MODES = ("batched", "per_pixel", "fake")
@@ -52,7 +38,7 @@ _SCHEME_NAMES = {
 }
 
 
-class HybridPipeline:
+class HybridPipeline(EnclavePipeline):
     """Hybrid privacy-preserving inference on one simulated edge server.
 
     Args:
@@ -64,6 +50,8 @@ class HybridPipeline:
         mode: ``batched`` | ``per_pixel`` | ``fake`` (see module docstring).
         seed: reproducible randomness.
     """
+
+    graph_kind = "hybrid"
 
     def __init__(
         self,
@@ -87,127 +75,12 @@ class HybridPipeline:
                 "the per-pixel control reproduces the paper's sigmoid + "
                 "mean-pool configuration only"
             )
-        if not quantized.fits_plain_modulus(params.plain_modulus):
-            raise PipelineError(
-                f"plain_modulus {params.plain_modulus} cannot hold the conv "
-                f"intermediates (need >= {quantized.required_plain_modulus()})"
-            )
-        self.quantized = quantized
-        self.params = params
         self.mode = mode
         self.scheme = _SCHEME_NAMES[mode]
         self.activation = quantized.activation
-        self.platform = platform if platform is not None else SgxPlatform()
-        self.clock = self.platform.clock
-        self.tracer = self.platform.tracer
-        self.context = Context(params)
-
-        # Load the trusted service under crash supervision; "fake" runs the
-        # same code (and the same recovery path) with no enclave.
-        self.enclave = EnclaveSupervisor(
-            self.platform, InferenceEnclave, params, seed, trusted=(mode != "fake")
+        # "fake" runs the same code (and the same recovery path) with no
+        # enclave.
+        super().__init__(
+            quantized, params, platform, seed, trusted=(mode != "fake"), mode=mode
         )
-        self.enclave.ecall("generate_keys")
-
-        # Full Fig. 2 key delivery: the simulated user attests the enclave
-        # and receives the key pair over the secure channel.
-        self.quoting = QuotingService(self.platform)
-        self.verifier = AttestationVerificationService()
-        self.verifier.register_platform(self.quoting)
-        entropy = np.random.default_rng(seed).bytes(32)
-        user_keys = establish_user_keys(
-            self.platform, self.enclave, self.quoting, self.verifier, params, entropy
-        )
-
-        self.counter = OperationCounter()
-        self.evaluator = Evaluator(self.context, self.counter)
-        self.encoder = ScalarEncoder(self.context)
-        self.encryptor = Encryptor(
-            self.context, user_keys.public, np.random.default_rng(seed)
-        )
-        self.decryptor = Decryptor(self.context, user_keys.secret)
-
-        # Weights are encoded once and stay outside the enclave (Section IV-B).
-        encoded = heops.encode_model_weights(self.evaluator, self.encoder, quantized)
-        self.conv_weights = encoded.conv
-        self.dense_weights = encoded.dense
-
-    # ------------------------------------------------------------------
-    def encrypt_images(self, images: np.ndarray) -> Ciphertext:
-        pixels = self.quantized.quantize_images(images)
-        return self.encryptor.encrypt(self.encoder.encode(pixels))
-
-    def _activation_pool(self, conv: Ciphertext) -> Ciphertext:
-        scale = self.quantized.conv_output_scale
-        out_scale = self.quantized.act_scale
-        window = self.quantized.pool_window
-        if self.mode != "per_pixel":
-            return self.enclave.ecall(
-                "activation_pool",
-                conv,
-                scale,
-                out_scale,
-                window,
-                self.activation,
-                self.quantized.pool,
-            )
-        # EncryptSGX (single): every feature value crosses the boundary alone.
-        b, c, h, w = conv.batch_shape
-        pieces = np.empty((b, c, h, w), dtype=object)
-        for bi in range(b):
-            for ci in range(c):
-                for i in range(h):
-                    for j in range(w):
-                        one = conv[bi : bi + 1, ci : ci + 1, i : i + 1, j : j + 1]
-                        pieces[bi, ci, i, j] = self.enclave.ecall(
-                            "sigmoid", one, scale, out_scale
-                        )
-        stacked = np.stack(
-            [
-                [
-                    [[pieces[bi, ci, i, j].data[0, 0, 0, 0] for j in range(w)] for i in range(h)]
-                    for ci in range(c)
-                ]
-                for bi in range(b)
-            ]
-        )
-        activated = Ciphertext(self.context, stacked, is_ntt=True)
-        return self.enclave.ecall("mean_pool", activated, self.quantized.pool_window)
-
-    def _stage(self, name: str):
-        return self.tracer.stage(
-            name, counter=self.counter, side_channel=self.enclave.side_channel
-        )
-
-    def infer(self, images: np.ndarray) -> InferenceResult:
-        """One inference; degrades FUSED -> REFERENCE kernels and retries
-        once if the runtime equivalence guard trips (identical logits)."""
-        return run_with_kernel_degradation(
-            self.tracer, self.scheme, lambda: self._infer_once(images)
-        )
-
-    def _infer_once(self, images: np.ndarray) -> InferenceResult:
-        graph, report = graph_executor.compiled_for(self, "hybrid", mode=self.mode)
-        self.graph_report = report
-        with self.tracer.span(
-            self.scheme,
-            kind="pipeline",
-            counter=self.counter,
-            side_channel=self.enclave.side_channel,
-            mode=self.mode,
-            kernel_mode=kernels.active().mode_name,
-            graph_opt=report.label,
-            batch=int(images.shape[0]),
-        ) as trace:
-            logits, budget, logits_ct = graph_executor.run(self, graph, images)
-
-        return InferenceResult(
-            logits=logits,
-            stages=stages_from_trace(trace),
-            scheme=self.scheme,
-            noise_budget_bits=budget,
-            op_counts=dict(self.counter.counts),
-            enclave_crossings=trace.crossings,
-            trace=trace,
-            logits_ct=logits_ct,
-        )
+        self.span_attrs = {"mode": mode}

@@ -23,7 +23,6 @@ from enum import Enum
 from repro.errors import PipelineError
 from repro.he.context import Ciphertext
 from repro.he.evaluator import Evaluator
-from repro.sgx.clock import ClockWindow
 from repro.sgx.enclave import EnclaveHandle
 
 
@@ -100,10 +99,10 @@ def measure_placement(
     the trade Fig. 6 plots.
     """
     clock = enclave.platform.clock
-    probe = ClockWindow(clock)
+    start = clock.now_s
     pool_with_strategy(evaluator, enclave, ct, window, PoolStrategy.SGX_POOL)
-    sgx_pool_s = probe.elapsed_s
-    probe.restart()
+    sgx_pool_s = clock.now_s - start
+    start = clock.now_s
     pool_with_strategy(evaluator, enclave, ct, window, PoolStrategy.SGX_DIV)
-    sgx_div_s = probe.elapsed_s
+    sgx_div_s = clock.now_s - start
     return MeasuredChoice(window=window, sgx_pool_s=sgx_pool_s, sgx_div_s=sgx_div_s)

@@ -22,7 +22,6 @@ from repro.errors import PipelineError
 from repro.he.context import Ciphertext
 from repro.he.evaluator import Evaluator
 from repro.he.keys import RelinKeys
-from repro.sgx.clock import ClockWindow
 from repro.sgx.enclave import EnclaveHandle
 
 
@@ -36,6 +35,15 @@ class RefreshOutcome:
     per_item_s: float
 
 
+def _outcome(out: Ciphertext, method: str, elapsed_s: float, ct: Ciphertext) -> RefreshOutcome:
+    return RefreshOutcome(
+        ciphertext=out,
+        method=method,
+        elapsed_s=elapsed_s,
+        per_item_s=elapsed_s / max(1, ct.batch_count),
+    )
+
+
 def relinearize_refresh(
     evaluator: Evaluator,
     ct: Ciphertext,
@@ -43,15 +51,10 @@ def relinearize_refresh(
     clock,
 ) -> RefreshOutcome:
     """The pure-HE route: relinearize with evaluation keys."""
-    window = ClockWindow(clock)
+    start = clock.now_s
     with clock.measure_real():
         out = evaluator.relinearize(ct, relin_keys)
-    return RefreshOutcome(
-        ciphertext=out,
-        method="relinearization",
-        elapsed_s=window.elapsed_s,
-        per_item_s=window.elapsed_s / max(1, ct.batch_count),
-    )
+    return _outcome(out, "relinearization", clock.now_s - start, ct)
 
 
 def sgx_refresh(
@@ -60,14 +63,9 @@ def sgx_refresh(
 ) -> RefreshOutcome:
     """The enclave route: one crossing, decrypt/re-encrypt inside."""
     clock = enclave.platform.clock
-    window = ClockWindow(clock)
+    start = clock.now_s
     out = enclave.ecall("refresh", ct)
-    return RefreshOutcome(
-        ciphertext=out,
-        method="sgx_refresh",
-        elapsed_s=window.elapsed_s,
-        per_item_s=window.elapsed_s / max(1, ct.batch_count),
-    )
+    return _outcome(out, "sgx_refresh", clock.now_s - start, ct)
 
 
 def sgx_refresh_one_by_one(
@@ -79,7 +77,7 @@ def sgx_refresh_one_by_one(
     if not ct.batch_shape:
         return sgx_refresh(enclave, ct)
     clock = enclave.platform.clock
-    window = ClockWindow(clock)
+    start = clock.now_s
     flat = ct.reshape(-1)
     pieces = [
         enclave.ecall("refresh", flat[i : i + 1]) for i in range(flat.batch_shape[0])
@@ -88,12 +86,7 @@ def sgx_refresh_one_by_one(
     # Refreshed ciphertexts are size 2 even when the input was size 3.
     out = Ciphertext(ct.context, data.reshape(*ct.batch_shape, *pieces[0].data.shape[-3:]),
                      is_ntt=pieces[0].is_ntt)
-    return RefreshOutcome(
-        ciphertext=out,
-        method="sgx_refresh_single",
-        elapsed_s=window.elapsed_s,
-        per_item_s=window.elapsed_s / max(1, ct.batch_count),
-    )
+    return _outcome(out, "sgx_refresh_single", clock.now_s - start, ct)
 
 
 @dataclass(frozen=True)

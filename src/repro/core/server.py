@@ -18,13 +18,13 @@ This is the API a downstream integrator would embed::
     response = server.infer(request)
     predictions = session.decrypt(response)
 
-The canonical request form is one frozen
-:class:`~repro.serve.api.InferenceRequest`; the historical keyword soup
-(``infer(name, ct, pack=..., deadline_ms=...)``) still works behind a
-``DeprecationWarning``.  ``fleet_size > 1`` runs N enclave replicas behind
-one facade (see :class:`~repro.faults.FleetManager`): replica 0 generates
-the HE key pair, the rest join via quote-verified sealed-key migration, and
-packed flushes fail over to a surviving replica on replica loss.  Load
+A request is one frozen :class:`~repro.serve.api.InferenceRequest`; both
+the direct and the packed path execute as walks of the model's compiled
+inference graph (:mod:`repro.graph`, kinds ``served`` and ``packed``).
+``fleet_size > 1`` runs N enclave replicas behind one facade (see
+:class:`~repro.faults.FleetManager`): replica 0 generates the HE key pair,
+the rest join via quote-verified sealed-key migration, and packed flushes
+fail over to a surviving replica on replica loss.  Load
 generators drive the scheduler directly via ``server.scheduler.submit`` /
 ``pump`` / ``drain`` (see ``examples/multi_user_service.py`` for the full
 runnable flow), or the event-driven :class:`~repro.serve.ServingLoop`.
@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import json
 import struct
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,8 +43,9 @@ from repro.core import heops
 from repro.core.enclave_service import InferenceEnclave
 from repro.core.keyflow import SgxKeyDistribution, UserClient
 from repro.core.results import InferenceResult, stages_from_trace
-from repro.errors import PipelineError, SealingError, UnknownModelError
+from repro.errors import PipelineError, UnknownModelError
 from repro.faults import EnclaveSupervisor, FleetManager, run_with_kernel_degradation
+from repro.graph import executor as graph_executor
 from repro.he import serialize as he_serialize
 from repro.he.context import Ciphertext, Context
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
@@ -100,6 +100,9 @@ class UserSession:
 # ``repro.serve.api``; ``ServedResult`` stays as a pure alias so every
 # existing constructor call and isinstance check keeps working unchanged.
 ServedResult = _ServeResult
+
+#: Scheme label stamped on direct (unpacked) serving traces and results.
+SERVED_SCHEME = "EdgeServer/EncryptSGX"
 
 
 def _pack_model_payload(name: str, quantized: QuantizedCNN) -> bytes:
@@ -189,6 +192,8 @@ class EdgeServer:
         self.encoder = ScalarEncoder(self.context)
         self._models: dict[str, QuantizedCNN] = {}
         self._encoded: dict[str, heops.EncodedModel] = {}
+        self._resources: dict[str, graph_executor.Resources] = {}
+        self._plans: dict[tuple[str, str], graph_executor.GraphPlan] = {}
         self._serve_config = serve_config
         self._scheduler: "RequestScheduler | None" = None
 
@@ -241,9 +246,18 @@ class EdgeServer:
                 f"model {name!r} needs t >= {quantized.required_plain_modulus()}"
             )
         self._models[name] = quantized
-        self._encoded[name] = heops.encode_model_weights(
-            self.evaluator, self.encoder, quantized
+        encoded = heops.encode_model_weights(self.evaluator, self.encoder, quantized)
+        self._encoded[name] = encoded
+        self._resources[name] = graph_executor.Resources(
+            tracer=self.platform.tracer,
+            evaluator=self.evaluator,
+            encoder=self.encoder,
+            weights={"conv": encoded.conv, "fc": encoded.dense},
         )
+        for kind in ("served", "packed"):
+            self._plans[name, kind] = graph_executor.GraphPlan(
+                kind, quantized, self.params
+            )
         self.fleet.register_model(name)
         registry = metrics.registry()
         if registry.enabled:
@@ -277,11 +291,7 @@ class EdgeServer:
             SealingError: the blob belongs to a different enclave/platform
                 or was tampered with.
         """
-        try:
-            payload = self.enclave.unseal(blob)
-        except SealingError:
-            raise
-        name, quantized = _unpack_model_payload(payload)
+        name, quantized = _unpack_model_payload(self.enclave.unseal(blob))
         self.provision_model(name, quantized)
         return name
 
@@ -374,18 +384,10 @@ class EdgeServer:
             self._scheduler = RequestScheduler(self, self._serve_config)
         return self._scheduler
 
-    def infer(
-        self,
-        request: "InferenceRequest | str",
-        ct: Ciphertext | None = None,
-        *,
-        pack: bool | None = None,
-        deadline_ms: float | None = None,
-    ) -> ServedResult:
+    def infer(self, request: InferenceRequest) -> ServedResult:
         """Run the hybrid pipeline on encrypted pixels; logits stay encrypted.
 
-        The canonical form takes one frozen, validated
-        :class:`~repro.serve.api.InferenceRequest`::
+        Takes one frozen, validated :class:`~repro.serve.api.InferenceRequest`::
 
             server.infer(InferenceRequest(model="digits", ciphertext=ct))
             server.infer(InferenceRequest(model="digits", ciphertext=ct,
@@ -396,33 +398,9 @@ class EdgeServer:
         did not already fill a batch), so concurrent callers that submitted
         earlier ride the same flush and share its HE cost.  ``deadline_ms``
         is the packed path's coalescing deadline in simulated milliseconds.
-
-        The historical keyword soup -- ``infer(name, ct, pack=...,
-        deadline_ms=...)`` -- still works but emits a
-        :class:`DeprecationWarning`; it is normalized into the same
-        ``InferenceRequest`` (and therefore the same validation) internally.
         """
-        if isinstance(request, InferenceRequest):
-            if ct is not None or pack is not None or deadline_ms is not None:
-                raise PipelineError(
-                    "infer(InferenceRequest) takes no extra arguments; put "
-                    "the serving policy on the request itself"
-                )
-        else:
-            warnings.warn(
-                "EdgeServer.infer(model_name, ct, pack=..., deadline_ms=...) "
-                "is deprecated; pass a single InferenceRequest instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if deadline_ms is not None and not pack:
-                raise PipelineError("deadline_ms is only meaningful with pack=True")
-            request = InferenceRequest(
-                model=request,
-                ciphertext=ct,
-                pack=bool(pack),
-                deadline_ms=deadline_ms,
-            )
+        if not isinstance(request, InferenceRequest):
+            raise PipelineError("EdgeServer.infer takes one InferenceRequest")
         if request.pack:
             response = self.scheduler.submit(
                 request.model,
@@ -433,77 +411,82 @@ class EdgeServer:
             if not response.done():
                 self.scheduler.drain(request.model)
             return response.result()
-
         return run_with_kernel_degradation(
-            self.platform.tracer,
-            "EdgeServer/EncryptSGX",
-            lambda: self._infer_direct(
-                request.model, request.ciphertext, context=request.context
-            ),
+            self.platform.tracer, SERVED_SCHEME, lambda: self._serve(request)
         )
 
-    def _infer_direct(
-        self,
-        model_name: str,
-        ct: Ciphertext,
-        context: "TraceContext | None" = None,
-    ) -> ServedResult:
-        quantized = self._require_model(model_name)
-        encoded = self._encoded[model_name]
-        tracer = self.platform.tracer
-
-        def stage(name: str):
-            return tracer.stage(
-                name, counter=self.counter, side_channel=self.enclave.side_channel
-            )
-
-        trace_attrs: dict = {}
-        if context is not None:
-            trace_attrs["trace_id"] = context.trace_id
-            if context.parent_id:
-                trace_attrs["trace_parent"] = context.parent_id
-        with obs_context.activate(context), tracer.span(
-            "EdgeServer/EncryptSGX",
-            kind="pipeline",
-            counter=self.counter,
-            side_channel=self.enclave.side_channel,
-            model=model_name,
-            batch=int(ct.batch_shape[0]),
-            **trace_attrs,
-        ) as trace:
-            with stage("conv"):
-                conv = heops.he_conv2d(self.evaluator, self.encoder, ct, encoded.conv)
-
-            with stage("sgx_activation_pool"):
-                hidden = self.enclave.ecall(
-                    "activation_pool",
-                    conv,
-                    quantized.conv_output_scale,
-                    quantized.act_scale,
-                    quantized.pool_window,
-                    quantized.activation,
-                    quantized.pool,
-                )
-
-            with stage("fc"):
-                logits_ct = heops.he_dense(
-                    self.evaluator, self.encoder, hidden, encoded.dense
-                )
-
-        timing = InferenceResult(
-            logits=np.zeros((ct.batch_shape[0], encoded.dense.out_features)),
-            stages=stages_from_trace(trace),
-            scheme="EdgeServer/EncryptSGX",
-            op_counts=dict(self.counter.counts),
-            enclave_crossings=trace.crossings,
-            trace=trace,
+    def _serve(self, request: InferenceRequest) -> ServedResult:
+        enclave = self.enclave
+        # The request's context is ambient while the pipeline span opens,
+        # so the tracer stamps trace_id / trace_parent on it.
+        logits_ct, timing = self.run_graph(
+            "served",
+            SERVED_SCHEME,
+            request.model,
+            request.ciphertext,
+            enclave=enclave,
+            contexts=(request.context,),
         )
         return ServedResult(
             logits_ct=logits_ct,
             timing=timing,
-            replica=self.enclave.replica,
-            context=context,
+            replica=enclave.replica,
+            context=request.context,
         )
+
+    def run_graph(
+        self,
+        kind: str,
+        scheme: str,
+        model_name: str,
+        ct: Ciphertext,
+        *,
+        enclave: EnclaveSupervisor,
+        contexts=(),
+        before_close=None,
+        **span_attrs,
+    ) -> tuple[Ciphertext, InferenceResult]:
+        """Walk ``model_name``'s compiled ``kind`` graph over ``ct`` on
+        ``enclave`` under one ``scheme`` pipeline span.
+
+        The shared body of the direct path and the scheduler's packed
+        flush.  ``before_close`` runs inside the pipeline span after the
+        walk (the flush hangs its ``serve/request`` spans there).  Returns
+        the result ciphertext and the run's timing record (logits zeroed:
+        only the user can decrypt).
+        """
+        self._require_model(model_name)
+        graph, report = self._plans[model_name, kind].compiled()
+        env = replace(self._resources[model_name], enclave=enclave)
+        batch = int(ct.batch_shape[0])
+        with obs_context.activate(*contexts), self.platform.tracer.span(
+            scheme,
+            kind="pipeline",
+            counter=self.counter,
+            side_channel=enclave.side_channel,
+            model=model_name,
+            batch=batch,
+            graph_opt=report.label,
+            **span_attrs,
+        ) as trace:
+            _, _, logits_ct = graph_executor.run(graph, env, ciphertext=ct)
+            if before_close is not None:
+                before_close()
+        timing = InferenceResult(
+            logits=np.zeros((batch, env.weights["fc"].out_features)),
+            stages=stages_from_trace(trace),
+            scheme=scheme,
+            op_counts=dict(self.counter.counts),
+            enclave_crossings=trace.crossings,
+            trace=trace,
+        )
+        return logits_ct, timing
+
+    def graph_report(self, model_name: str, kind: str):
+        """The :class:`~repro.graph.CompileReport` of ``model_name``'s last
+        ``kind`` (``served`` / ``packed``) compile; None before first use."""
+        self._require_model(model_name)
+        return self._plans[model_name, kind].report
 
     def _require_model(self, name: str) -> QuantizedCNN:
         quantized = self._models.get(name)

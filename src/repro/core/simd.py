@@ -19,22 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import heops
-from repro.core.enclave_service import InferenceEnclave
-from repro.core.keyflow import establish_user_keys
-from repro.core.results import InferenceResult, stages_from_trace
+from repro.core.base import EnclavePipeline
 from repro.errors import PipelineError
-from repro.faults import EnclaveSupervisor, run_with_kernel_degradation
-from repro.he import kernels
 from repro.he.batching import BatchEncoder
 from repro.he.context import Ciphertext, Context
-from repro.he.decryptor import Decryptor
-from repro.he.encoders import ScalarEncoder
-from repro.he.encryptor import Encryptor
-from repro.he.evaluator import Evaluator, OperationCounter
 from repro.he.params import EncryptionParams
 from repro.nn.quantize import QuantizedCNN
-from repro.sgx.attestation import AttestationVerificationService, QuotingService
 from repro.sgx.enclave import SgxPlatform
 
 
@@ -66,12 +56,8 @@ class SlotCodec:
     def decode(self, plain, batch: int) -> np.ndarray:
         return self.encoder.decode_batch_axis(plain, batch)
 
-    def decode_flat(self, plain, batch: int) -> np.ndarray:
-        """Decode a ``(1, D)``-batched plaintext into ``(B, D)`` values."""
-        return self.encoder.decode_batch_axis(plain, batch)
 
-
-class SimdHybridPipeline:
+class SimdHybridPipeline(EnclavePipeline):
     """Hybrid HE+SGX inference with slot-packed user batches.
 
     Functionally identical to :class:`~repro.core.hybrid.HybridPipeline` in
@@ -81,6 +67,7 @@ class SimdHybridPipeline:
     """
 
     scheme = "EncryptSGX-SIMD"
+    graph_kind = "simd"
 
     def __init__(
         self,
@@ -96,37 +83,10 @@ class SimdHybridPipeline:
                 "SIMD packing needs a batching plaintext modulus; build the "
                 "parameters with parameters_for_pipeline(..., batching=True)"
             )
-        if not quantized.fits_plain_modulus(params.plain_modulus):
-            raise PipelineError(
-                f"plain_modulus {params.plain_modulus} cannot hold the conv "
-                f"intermediates (need >= {quantized.required_plain_modulus()})"
-            )
-        self.quantized = quantized
-        self.params = params
-        self.platform = platform if platform is not None else SgxPlatform()
-        self.clock = self.platform.clock
-        self.tracer = self.platform.tracer
-        self.context = Context(params)
+        super().__init__(quantized, params, platform, seed)
         self.codec = SlotCodec(self.context)
-
-        self.enclave = EnclaveSupervisor(self.platform, InferenceEnclave, params, seed)
-        self.enclave.ecall("generate_keys")
-        self.quoting = QuotingService(self.platform)
-        self.verifier = AttestationVerificationService()
-        self.verifier.register_platform(self.quoting)
-        entropy = np.random.default_rng(seed).bytes(32)
-        user_keys = establish_user_keys(
-            self.platform, self.enclave, self.quoting, self.verifier, params, entropy
-        )
-
-        self.counter = OperationCounter()
-        self.evaluator = Evaluator(self.context, self.counter)
-        self.encoder = ScalarEncoder(self.context)
-        self.encryptor = Encryptor(self.context, user_keys.public, np.random.default_rng(seed))
-        self.decryptor = Decryptor(self.context, user_keys.secret)
-        encoded = heops.encode_model_weights(self.evaluator, self.encoder, quantized)
-        self.conv_weights = encoded.conv
-        self.dense_weights = encoded.dense
+        self.resources.codec = self.codec
+        self.span_attrs = {"slot_count": self.slot_count}
 
     @property
     def slot_count(self) -> int:
@@ -135,66 +95,3 @@ class SimdHybridPipeline:
     def encrypt_images(self, images: np.ndarray) -> Ciphertext:
         pixels = self.quantized.quantize_images(images)
         return self.encryptor.encrypt(self.codec.encode(pixels))
-
-    def _stage(self, name: str):
-        return self.tracer.stage(
-            name, counter=self.counter, side_channel=self.enclave.side_channel
-        )
-
-    def infer(self, images: np.ndarray) -> InferenceResult:
-        """One inference; degrades FUSED -> REFERENCE kernels and retries
-        once if the runtime equivalence guard trips (identical logits)."""
-        return run_with_kernel_degradation(
-            self.tracer, self.scheme, lambda: self._infer_once(images)
-        )
-
-    def _infer_once(self, images: np.ndarray) -> InferenceResult:
-        batch = images.shape[0]
-        with self.tracer.span(
-            self.scheme,
-            kind="pipeline",
-            counter=self.counter,
-            side_channel=self.enclave.side_channel,
-            kernel_mode=kernels.active().mode_name,
-            batch=int(batch),
-            slot_count=self.slot_count,
-        ) as trace:
-            with self._stage("encrypt"):
-                ct = self.encrypt_images(images)
-
-            with self._stage("conv"):
-                conv = heops.he_conv2d(
-                    self.evaluator, self.encoder, ct, self.conv_weights
-                )
-
-            with self._stage("sgx_activation_pool"):
-                hidden = self.enclave.ecall(
-                    "activation_pool_simd",
-                    conv,
-                    self.quantized.conv_output_scale,
-                    self.quantized.act_scale,
-                    self.quantized.pool_window,
-                    self.quantized.activation,
-                    self.quantized.pool,
-                )
-
-            with self._stage("fc"):
-                logits_ct = heops.he_dense(
-                    self.evaluator, self.encoder, hidden, self.dense_weights
-                )
-
-            budget = self.decryptor.invariant_noise_budget(logits_ct)
-            with self._stage("decrypt"):
-                logits = self.codec.decode_flat(
-                    self.decryptor.decrypt(logits_ct), batch
-                )
-
-        return InferenceResult(
-            logits=logits,
-            stages=stages_from_trace(trace),
-            scheme=self.scheme,
-            noise_budget_bits=budget,
-            op_counts=dict(self.counter.counts),
-            enclave_crossings=trace.crossings,
-            trace=trace,
-        )

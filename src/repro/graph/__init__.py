@@ -1,8 +1,9 @@
-"""Graph-level HE optimizer (nGraph-HE2 direction).
+"""The one executor, and the graph-level HE optimizer in front of it.
 
-``repro.graph`` compiles the paper's fixed layer-by-layer pipelines into a
-small inference-graph IR annotated with multiplicative levels and noise
-budgets from :class:`repro.he.noise.NoiseEstimator`, rewrites the graph
+``repro.graph`` compiles every HE chain in the repository (the four
+encrypted pipelines, ``EdgeServer.infer``, the scheduler's packed flush)
+into a small inference-graph IR annotated with multiplicative levels and
+noise budgets from :class:`repro.he.noise.NoiseEstimator`, rewrites the graph
 through a pass pipeline (plaintext bypass of zero operands, bias folding
 into the fused contractions, enclave-crossing coefficient packing, shared
 NTT hoisting, scalar-encoding encrypt, depth-aware FV parameter advice),
@@ -10,18 +11,25 @@ and executes the compiled graph bit-identically to the unoptimized
 reference — the same contract the FUSED/REFERENCE kernel split enforces.
 
 Modules:
-    ir: the :class:`InferenceGraph` IR and the hybrid/CryptoNets builders.
+    ir: the :class:`InferenceGraph` IR and one builder per chain kind.
     passes: the rewrite passes and their refusal conditions.
     optimizer: level configuration (off/safe/aggressive, ``REPRO_GRAPH_OPT``),
         the compiler with fault-site degradation, and compile reports.
-    executor: runs a compiled graph on a live pipeline object.
+    executor: walks a compiled graph over an explicit ``Resources`` value
+        through one op table.
 """
 
 from repro.graph.ir import (
+    BUILDERS,
     GraphNode,
     InferenceGraph,
     build_cryptonets_graph,
+    build_deep_graph,
+    build_graph,
     build_hybrid_graph,
+    build_packed_graph,
+    build_served_graph,
+    build_simd_graph,
 )
 from repro.graph.optimizer import (
     LEVELS,
@@ -34,10 +42,16 @@ from repro.graph.optimizer import (
 )
 
 __all__ = [
+    "BUILDERS",
     "GraphNode",
     "InferenceGraph",
     "build_cryptonets_graph",
+    "build_deep_graph",
+    "build_graph",
     "build_hybrid_graph",
+    "build_packed_graph",
+    "build_served_graph",
+    "build_simd_graph",
     "LEVELS",
     "PASS_PORTFOLIO",
     "CompileReport",

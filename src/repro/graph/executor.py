@@ -1,11 +1,21 @@
-"""Execute a compiled inference graph on a live pipeline object.
+"""Execute a compiled inference graph: the one place an HE chain runs.
 
-The executor walks the linear node chain and emits exactly the stage
-spans the pre-IR pipelines emitted, so traces, metrics, and op tallies
-stay comparable across optimizer levels.  Every rewrite the passes may
-have applied has a reference fallback here, and the reference ("off")
-walk reproduces the original layer-by-layer execution op for op — that
-is what makes the differential equivalence suite meaningful.
+Every pipeline (hybrid, CryptoNets, SIMD, deep), ``EdgeServer.infer`` and
+the scheduler's packed flush hand :func:`run` a compiled graph plus a
+:class:`Resources` value naming exactly what the walk may touch, and get
+back the result ciphertext (and, when the graph ends in a decrypt node,
+the logits and the measured noise budget).  The walk looks each node's
+opcode up in :data:`OPS` and emits the node's stage span stamped with its
+graph identity, so traces, metrics, op tallies and the node profiler see
+every chain the same way.  The reference (``off``) walk of each graph kind
+performs the HE ops, ECALLs and RNG draws of the hand-written chain it
+replaced, in the same order — that is what makes the differential
+equivalence suite meaningful.
+
+Handlers reach ``heops.he_conv2d`` / ``heops.he_dense`` through the module
+and ``pack_coefficients`` through this module's global at call time, never
+through a reference captured in the table, so tooling that wraps those
+names (``benchmarks/e2e/spans.py``) sees every call.
 
 Bit-identity notes per rewrite:
 
@@ -28,6 +38,8 @@ Bit-identity notes per rewrite:
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -40,22 +52,92 @@ from repro.he.decryptor import decrypt_scalar_values
 from repro.he.evaluator import Evaluator
 
 
-def compiled_for(pipe, kind: str, mode: str = "batched"):
-    """Return (graph, report) for ``pipe``, cached until the optimizer
-    configuration changes."""
-    key = optimizer.cache_key()
-    cached = getattr(pipe, "_graph_cache", None)
-    if cached is not None and cached[0] == key:
-        return cached[1], cached[2]
-    if kind == "hybrid":
-        graph = ir.build_hybrid_graph(pipe.quantized, pipe.context.params, mode=mode)
-    elif kind == "cryptonets":
-        graph = ir.build_cryptonets_graph(pipe.quantized, pipe.context.params)
-    else:
-        raise PipelineError(f"unknown graph kind {kind!r}")
-    compiled, report = optimizer.compile_graph(graph)
-    pipe._graph_cache = (key, compiled, report)
-    return compiled, report
+@dataclass
+class Resources:
+    """Everything one graph walk may touch, handed in by the graph's owner.
+
+    Attributes:
+        tracer: emits the stage spans (with ``evaluator.counter`` and the
+            enclave's side-channel log bound, so spans carry op and
+            crossing deltas).
+        evaluator / encoder: the untrusted side's HE endpoints.
+        weights: encoded weights by contraction stage name (``conv``,
+            ``fc``, ``conv_0`` ...).
+        enclave: handle the crossing / pack / unpack nodes ECALL into.
+        encryptor / decryptor / quantize: the user role, for graphs that
+            start at raw images and end at logits.
+        relin_keys: CryptoNets' evaluation keys.
+        codec: the :class:`~repro.core.simd.SlotCodec` of slot-layout
+            graphs.
+        pack_operands: ``hoist_ntt``'s memo of packing monomial operands,
+            shared by every walk of this owner.
+    """
+
+    tracer: Any
+    evaluator: Evaluator
+    encoder: Any
+    weights: Mapping[str, Any]
+    enclave: Any = None
+    encryptor: Any = None
+    decryptor: Any = None
+    quantize: Callable[[np.ndarray], np.ndarray] | None = None
+    relin_keys: Any = None
+    codec: Any = None
+    pack_operands: dict = field(default_factory=dict)
+
+    def stage(self, name: str):
+        return self.tracer.stage(
+            name,
+            counter=self.evaluator.counter,
+            side_channel=getattr(self.enclave, "side_channel", None),
+        )
+
+
+class GraphPlan:
+    """One owner's graph of one kind, compiled on first use and again
+    whenever the optimizer configuration changes."""
+
+    def __init__(self, kind: str, quantized, params, **options) -> None:
+        self._build = lambda: ir.build_graph(kind, quantized, params, **options)
+        self._key = None
+        self._graph: ir.InferenceGraph | None = None
+        self.report: optimizer.CompileReport | None = None
+
+    def compiled(self) -> tuple[ir.InferenceGraph, optimizer.CompileReport]:
+        key = optimizer.cache_key()
+        if self._graph is None or self._key != key:
+            self._graph, self.report = optimizer.compile_graph(self._build())
+            self._key = key
+        return self._graph, self.report
+
+
+@dataclass
+class _Walk:
+    """Per-run state the handlers share: how many images (or stacked
+    requests) ride this walk, and what a decrypt node produced."""
+
+    batch: int
+    logits: np.ndarray | None = None
+    budget: float | None = None
+
+
+@contextmanager
+def _node_stage(env: Resources, node: ir.GraphNode):
+    """Open the node's stage span and stamp its graph identity onto it.
+
+    The stamped attrs are what :mod:`repro.obs.profile` keys measured
+    costs by: the full node signature (op + stage + level + noise
+    annotations + rewrite knobs), so two optimizer configurations of the
+    same stage profile as distinct nodes.  The stage span measures host
+    wall time *exclusively*, so slicing/reassembly around ECALLs is charged
+    here without double-counting the in-enclave compute.
+    """
+    with env.stage(node.stage) as span:
+        span.attrs["node_signature"] = str(node.signature())
+        span.attrs["node_op"] = node.op
+        span.attrs["node_level"] = node.level
+        span.attrs["node_headroom_bits"] = float(node.budget_bits)
+        yield span
 
 
 def _layer_plan(node: ir.GraphNode) -> heops.LayerPlan | None:
@@ -66,39 +148,60 @@ def _layer_plan(node: ir.GraphNode) -> heops.LayerPlan | None:
     return heops.LayerPlan(keep_taps=keep, fold_bias=fold)
 
 
-def _encrypt(pipe, node: ir.GraphNode, images: np.ndarray):
-    pixels = pipe.quantized.quantize_images(images)
-    plain = pipe.encoder.encode(pixels)
-    if node.attrs.get("scalar_encrypt"):
-        return pipe.encryptor.encrypt_scalar(plain)
-    return pipe.encryptor.encrypt(plain)
+def _enclave_args(node: ir.GraphNode) -> tuple:
+    attrs = node.attrs
+    return (
+        attrs["input_scale"],
+        attrs["output_scale"],
+        attrs["window"],
+        attrs["activation"],
+        attrs["pool"],
+    )
 
 
-def _crossing(pipe, node: ir.GraphNode, conv):
-    q = pipe.quantized
-    shape = conv.batch_shape
-    total = int(np.prod(shape)) if shape else 0
-    cap = int(node.attrs.get("pack_max_batch", 0))
-    if not node.attrs.get("packed") or cap < 2 or total < 2:
-        return pipe._activation_pool(conv)
+# ----------------------------------------------------------------------
+# op handlers: (env, node, value, walk) -> value
+# ----------------------------------------------------------------------
+def _encrypt(env, node, images, walk):
+    with _node_stage(env, node):
+        plain = env.encoder.encode(env.quantize(images))
+        if node.attrs.get("scalar_encrypt"):
+            return env.encryptor.encrypt_scalar(plain)
+        return env.encryptor.encrypt(plain)
+
+
+def _encrypt_slots(env, node, images, walk):
+    with _node_stage(env, node):
+        return env.encryptor.encrypt(env.codec.encode(env.quantize(images)))
+
+
+def _conv(env, node, value, walk):
+    with _node_stage(env, node):
+        return heops.he_conv2d(
+            env.evaluator, env.encoder, value, env.weights[node.stage],
+            plan=_layer_plan(node),
+        )
+
+
+def _fc(env, node, value, walk):
+    with _node_stage(env, node):
+        return heops.he_dense(
+            env.evaluator, env.encoder, value, env.weights[node.stage],
+            plan=_layer_plan(node),
+        )
+
+
+def _packed_payload(env, node, conv: Ciphertext, total: int) -> tuple[Ciphertext, int]:
+    """Flatten the whole feature-map tensor and fold runs of ``chunk``
+    values into single ciphertexts' coefficients: ciphertext ``j`` carries
+    flat values ``j * chunk ..`` (tail ciphertext shorter)."""
     # Physical packing work is accounted by the simulated clock, not the
-    # logical op tally (same convention as the SIMD scheduler's packing).
-    pack_evaluator = getattr(pipe, "_graph_pack_evaluator", None)
-    if pack_evaluator is None:
-        pack_evaluator = Evaluator(pipe.context)
-        pipe._graph_pack_evaluator = pack_evaluator
-    cache = None
-    if node.attrs.get("hoist_pack_operand"):
-        cache = getattr(pipe, "_graph_pack_cache", None)
-        if cache is None:
-            cache = {}
-            pipe._graph_pack_cache = cache
-    # Flatten the whole feature-map tensor and fold runs of ``chunk``
-    # values into single ciphertexts' coefficients: ciphertext ``j``
-    # carries flat values ``j * chunk ..`` (tail ciphertext shorter).
+    # logical op tally (same convention as the serving flush's packing).
+    pack_evaluator = Evaluator(conv.context)
+    cache = env.pack_operands if node.attrs.get("hoist_pack_operand") else None
     tail = conv.data.shape[-3:]
     flat = conv.data.reshape(total, *tail)
-    chunk = min(cap, conv.context.poly_degree, total)
+    chunk = min(int(node.attrs["pack_max_batch"]), conv.context.poly_degree, total)
     full, remainder = divmod(total, chunk)
     parts = []
     if full:
@@ -118,97 +221,148 @@ def _crossing(pipe, node: ir.GraphNode, conv):
             operand_cache=cache,
         )
         parts.append(packed.data.reshape(1, *tail))
-    payload = Ciphertext(
-        conv.context,
-        parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0),
-        is_ntt=True,
-    )
-    return pipe.enclave.ecall(
-        "activation_pool_packed",
-        payload,
-        tuple(int(s) for s in shape),
-        chunk,
-        q.conv_output_scale,
-        q.act_scale,
-        q.pool_window,
-        pipe.activation,
-        q.pool,
-    )
+    data = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+    return Ciphertext(conv.context, data, is_ntt=True), chunk
 
 
-@contextmanager
-def _node_stage(stage, node: ir.GraphNode):
-    """Open the node's stage span and stamp its graph identity onto it.
+def _crossing(env, node, conv, walk):
+    with _node_stage(env, node):
+        shape = conv.batch_shape
+        total = int(np.prod(shape)) if shape else 0
+        if not node.attrs["packed"] or node.attrs["pack_max_batch"] < 2 or total < 2:
+            return env.enclave.ecall("activation_pool", conv, *_enclave_args(node))
+        payload, chunk = _packed_payload(env, node, conv, total)
+        return env.enclave.ecall(
+            "activation_pool_packed",
+            payload,
+            tuple(int(s) for s in shape),
+            chunk,
+            *_enclave_args(node),
+        )
 
-    The stamped attrs are what :mod:`repro.obs.profile` keys measured
-    costs by: the full node signature (op + stage + level + noise
-    annotations + rewrite knobs), so two optimizer configurations of the
-    same stage profile as distinct nodes.
-    """
-    with stage(node.stage) as span:
-        span.attrs["node_signature"] = str(node.signature())
-        span.attrs["node_op"] = node.op
-        span.attrs["node_level"] = node.level
-        span.attrs["node_headroom_bits"] = float(node.budget_bits)
-        yield span
+
+def _crossing_simd(env, node, conv, walk):
+    with _node_stage(env, node):
+        return env.enclave.ecall("activation_pool_simd", conv, *_enclave_args(node))
 
 
-def run(pipe, graph: ir.InferenceGraph, images: np.ndarray):
-    """Walk ``graph`` on ``pipe``; returns ``(logits, budget, logits_ct)``."""
-    stage = pipe._stage if hasattr(pipe, "_stage") else pipe.tracer.stage
-    value = None
-    logits = None
-    logits_ct = None
-    budget = None
+def _crossing_per_pixel(env, node, conv, walk):
+    """EncryptSGX (single): every feature value crosses the boundary alone."""
+    scale, out_scale, window = _enclave_args(node)[:3]
+    with _node_stage(env, node):
+        b, c, h, w = conv.batch_shape
+        pieces = np.empty((b, c, h, w), dtype=object)
+        for bi in range(b):
+            for ci in range(c):
+                for i in range(h):
+                    for j in range(w):
+                        one = conv[bi : bi + 1, ci : ci + 1, i : i + 1, j : j + 1]
+                        pieces[bi, ci, i, j] = env.enclave.ecall(
+                            "sigmoid", one, scale, out_scale
+                        )
+        stacked = np.stack(
+            [
+                [
+                    [[pieces[bi, ci, i, j].data[0, 0, 0, 0] for j in range(w)] for i in range(h)]
+                    for ci in range(c)
+                ]
+                for bi in range(b)
+            ]
+        )
+        activated = Ciphertext(conv.context, stacked, is_ntt=True)
+        return env.enclave.ecall("mean_pool", activated, window)
+
+
+def _square(env, node, value, walk):
+    with _node_stage(env, node):
+        if node.attrs.get("hoist_coeff"):
+            hoisted = value.to_coeff()
+            return env.evaluator.multiply(hoisted, hoisted)
+        return heops.he_square(env.evaluator, value)
+
+
+def _relinearize(env, node, value, walk):
+    with _node_stage(env, node):
+        return env.evaluator.relinearize(value, env.relin_keys)
+
+
+def _pool(env, node, value, walk):
+    with _node_stage(env, node):
+        return heops.he_scaled_mean_pool(env.evaluator, value, node.attrs["window"])
+
+
+def _pack(env, node, stacked, walk):
+    with _node_stage(env, node):
+        # Host side: fold the B stacked requests into polynomial
+        # coefficients homomorphically, so the enclave decrypts one
+        # ciphertext per pixel position instead of B.
+        folded = pack_coefficients(env.evaluator, stacked)
+        return env.enclave.ecall("pack_slots", folded, walk.batch)
+
+
+def _unpack(env, node, value, walk):
+    with _node_stage(env, node):
+        return env.enclave.ecall("unpack_slots", value, walk.batch)
+
+
+def _decrypt_with(decode):
+    def handler(env, node, value, walk):
+        # The budget probe is the caller's diagnostic, not part of the
+        # user's decrypt: it runs outside the stage's measured window.
+        walk.budget = env.decryptor.invariant_noise_budget(value)
+        with _node_stage(env, node) as span:
+            span.attrs["noise_budget_bits"] = float(walk.budget)
+            walk.logits = decode(env, value, walk)
+        return value
+
+    return handler
+
+
+#: The registered-op table: opcode -> handler.  A graph naming any other
+#: opcode is rejected by :func:`run`.
+OPS: dict[str, Callable] = {
+    "encrypt": _encrypt,
+    "encrypt_slots": _encrypt_slots,
+    "conv": _conv,
+    "crossing": _crossing,
+    "crossing_simd": _crossing_simd,
+    "crossing_per_pixel": _crossing_per_pixel,
+    "square": _square,
+    "relinearize": _relinearize,
+    "pool": _pool,
+    "fc": _fc,
+    "pack": _pack,
+    "unpack": _unpack,
+    "decrypt": _decrypt_with(
+        lambda env, ct, walk: decrypt_scalar_values(env.decryptor, env.encoder, ct)
+    ),
+    "decrypt_slots": _decrypt_with(
+        lambda env, ct, walk: env.codec.decode(env.decryptor.decrypt(ct), walk.batch)
+    ),
+}
+
+
+def run(
+    graph: ir.InferenceGraph,
+    env: Resources,
+    *,
+    images: np.ndarray | None = None,
+    ciphertext: Ciphertext | None = None,
+):
+    """Walk ``graph`` over ``env`` from raw ``images`` or from an already
+    encrypted ``ciphertext`` (exactly one); returns ``(logits, budget,
+    result_ct)`` with ``logits`` / ``budget`` None unless the graph ends in
+    a decrypt node."""
+    if (images is None) == (ciphertext is None):
+        raise PipelineError("graph executor takes exactly one of images / ciphertext")
+    if images is not None:
+        value, batch = images, images.shape[0]
+    else:
+        value, batch = ciphertext, ciphertext.batch_shape[0]
+    walk = _Walk(batch=int(batch))
     for node in graph.nodes:
-        if node.op == "encrypt":
-            with _node_stage(stage, node):
-                value = _encrypt(pipe, node, images)
-        elif node.op == "conv":
-            with _node_stage(stage, node):
-                value = heops.he_conv2d(
-                    pipe.evaluator,
-                    pipe.encoder,
-                    value,
-                    pipe.conv_weights,
-                    plan=_layer_plan(node),
-                )
-        elif node.op == "crossing":
-            # The stage span measures host wall time *exclusively*, so the
-            # per-pixel mode's slicing/reassembly around its ECALLs is
-            # charged here without double-counting the in-enclave compute.
-            with _node_stage(stage, node):
-                value = _crossing(pipe, node, value)
-        elif node.op == "square":
-            with _node_stage(stage, node):
-                if node.attrs.get("hoist_coeff"):
-                    hoisted = value.to_coeff()
-                    value = pipe.evaluator.multiply(hoisted, hoisted)
-                else:
-                    value = heops.he_square(pipe.evaluator, value)
-        elif node.op == "relinearize":
-            with _node_stage(stage, node):
-                value = pipe.evaluator.relinearize(value, pipe._relin_keys)
-        elif node.op == "pool":
-            with _node_stage(stage, node):
-                value = heops.he_scaled_mean_pool(
-                    pipe.evaluator, value, pipe.quantized.pool_window
-                )
-        elif node.op == "fc":
-            with _node_stage(stage, node):
-                value = heops.he_dense(
-                    pipe.evaluator,
-                    pipe.encoder,
-                    value,
-                    pipe.dense_weights,
-                    plan=_layer_plan(node),
-                )
-            logits_ct = value
-        elif node.op == "decrypt":
-            budget = pipe.decryptor.invariant_noise_budget(logits_ct)
-            with _node_stage(stage, node) as span:
-                span.attrs["noise_budget_bits"] = float(budget)
-                logits = decrypt_scalar_values(pipe.decryptor, pipe.encoder, logits_ct)
-        else:
-            raise PipelineError(f"graph executor cannot run node {node.op!r}")
-    return logits, budget, logits_ct
+        handler = OPS.get(node.op)
+        if handler is None:
+            raise PipelineError(f"graph executor has no handler for op {node.op!r}")
+        value = handler(env, node, value, walk)
+    return walk.logits, walk.budget, value

@@ -1,15 +1,23 @@
 """Inference-graph IR over ``repro.core.heops``.
 
-The paper's pipelines are short linear chains, so the IR is deliberately
-small: a list of :class:`GraphNode` objects (encrypt, conv, enclave
-crossing, square/relinearize/pool, fc, decrypt) plus a ``meta`` dict
-holding the model-derived constants every pass needs (tap matrices, weight
-norms, the plaintext bound, the largest coefficient prime).  Edges are
-implicit — node ``i`` feeds node ``i + 1`` — and each node carries the
+Every HE chain in the repository is a short linear one, so the IR is
+deliberately small: a list of :class:`GraphNode` objects (encrypt, conv,
+enclave crossing, square/relinearize/pool, fc, decrypt, and the serving
+flush's pack/unpack) plus a ``meta`` dict holding the model-derived
+constants the passes need (each contraction's integer weight matrix, the
+plaintext bound, the largest coefficient prime).  Edges are implicit —
+node ``i`` feeds node ``i + 1`` — and each node carries the
 multiplicative level plus noise annotations (:func:`annotate`) derived
 from :class:`repro.he.noise.NoiseEstimator`, which is what lets passes
 reason about headroom (e.g. how many coefficients a packed crossing may
 fold) without touching ciphertexts.
+
+One builder per graph kind (:data:`BUILDERS`): ``hybrid``, ``cryptonets``,
+``simd``, ``deep``, ``served`` (``EdgeServer.infer``: no encrypt/decrypt
+node) and ``packed`` (the scheduler flush).  Slot-layout work has its own
+ops (``encrypt_slots``, ``crossing_simd``, ``decrypt_slots``) rather than
+flags on the scalar ones, so a pass that rewrites ``encrypt`` or
+``crossing`` simply finds no such node on a slot-layout graph and refuses.
 """
 
 from __future__ import annotations
@@ -24,13 +32,24 @@ from repro.he.noise import NoiseEstimator
 from repro.he.params import EncryptionParams
 
 
+#: Ops whose output is a fresh encryption (the user's, or the enclave's
+#: re-encrypt on the trusted side of a crossing): the noise budget resets.
+REFRESH_OPS = frozenset(
+    {"encrypt", "encrypt_slots", "crossing", "crossing_simd", "crossing_per_pixel",
+     "pack", "unpack"}
+)
+
+#: Ops that contract against a weight matrix in ``meta["layers"]``.
+CONTRACTION_OPS = frozenset({"conv", "fc"})
+
+
 @dataclass
 class GraphNode:
     """One operation in the linear inference chain.
 
     Attributes:
-        op: semantic opcode (``encrypt``/``conv``/``crossing``/``square``/
-            ``relinearize``/``pool``/``fc``/``decrypt``).
+        op: semantic opcode; the executor's op table has one handler per
+            opcode (``repro.graph.executor.OPS``).
         stage: trace stage name the executor emits for this node (kept
             equal to the pre-IR pipelines so traces stay comparable).
         attrs: pass-owned rewrite knobs; every knob defaults to the
@@ -120,25 +139,18 @@ def node_noise_cost(node: GraphNode, graph: InferenceGraph, estimator: NoiseEsti
     a contraction costs one plaintext multiply at the layer's weight norm
     plus the additions over its (surviving) fan-in.
     """
-    meta = graph.meta
-    if node.op == "conv":
+    if node.op in CONTRACTION_OPS:
+        matrix = graph.meta["layers"][node.stage]
         keep = node.attrs.get("keep_taps")
-        terms = len(keep) if keep is not None else meta["conv_taps"]
-        return estimator.plain_multiply_cost(meta["conv_norm"]) + estimator.add_cost(
-            max(1, terms)
-        )
-    if node.op == "fc":
-        keep = node.attrs.get("keep_taps")
-        terms = len(keep) if keep is not None else meta["fc_terms"]
-        return estimator.plain_multiply_cost(meta["fc_norm"]) + estimator.add_cost(
-            max(1, terms)
-        )
+        terms = len(keep) if keep is not None else matrix.shape[1]
+        norm = float(max(1, np.abs(matrix).max()))
+        return estimator.plain_multiply_cost(norm) + estimator.add_cost(max(1, terms))
     if node.op == "square":
         return estimator.multiply_cost()
     if node.op == "relinearize":
         return estimator.relinearize_cost()
     if node.op == "pool":
-        return estimator.add_cost(meta["pool_window"] ** 2)
+        return estimator.add_cost(node.attrs["window"] ** 2)
     return 0.0
 
 
@@ -154,12 +166,8 @@ def annotate(graph: InferenceGraph) -> InferenceGraph:
     budget = fresh
     level = 0
     for node in graph.nodes:
-        if node.op in ("encrypt", "crossing"):
-            # A fresh encryption -- and the enclave's re-encrypt on the
-            # trusted side of the crossing -- resets the noise budget.
+        if node.op in REFRESH_OPS:
             budget = fresh
-            node.noise_cost_bits = 0.0
-        elif node.op == "decrypt":
             node.noise_cost_bits = 0.0
         else:
             cost = node_noise_cost(node, graph, estimator)
@@ -172,57 +180,163 @@ def annotate(graph: InferenceGraph) -> InferenceGraph:
     return graph
 
 
-def _model_meta(quantized, params: EncryptionParams) -> dict[str, Any]:
-    conv = np.asarray(quantized.conv_weight, dtype=np.int64)
-    dense = np.asarray(quantized.dense_weight, dtype=np.int64)
-    filters = conv.shape[0]
-    tap_matrix = conv.reshape(filters, -1)
-    return {
-        "activation": quantized.activation,
-        "pool": quantized.pool,
-        "pool_window": int(quantized.pool_window),
-        "conv_tap_matrix": tap_matrix,
-        "fc_matrix": dense,
-        "conv_taps": int(tap_matrix.shape[1]),
-        "fc_terms": int(dense.shape[0]),
-        "conv_norm": float(max(1, np.abs(conv).max())),
-        "fc_norm": float(max(1, np.abs(dense).max())),
+def _contraction(op: str, stage: str) -> GraphNode:
+    return GraphNode(op, stage, {"keep_taps": None, "fold_bias": False})
+
+
+def _crossing(op: str, stage: str, input_scale, output_scale, window, activation, pool):
+    """An enclave activation + pool node carrying its own scales, so one
+    handler serves the single-block models and every deep block alike."""
+    attrs = {
+        "input_scale": input_scale,
+        "output_scale": output_scale,
+        "window": window,
+        "activation": activation,
+        "pool": pool,
+    }
+    if op == "crossing":
+        attrs.update(packed=False, pack_max_batch=0, hoist_pack_operand=False)
+    return GraphNode(op, stage, attrs)
+
+
+def _graph(kind, quantized, params, nodes, layers, mode="batched") -> InferenceGraph:
+    """``layers`` maps each contraction's stage name to its integer weight
+    matrix, outputs x fan-in terms (conv: ``(F, C*k*k)``; fc: ``(O, D)``)."""
+    meta = {
+        "layers": layers,
+        "mode": mode,
         "p_max": int(max(params.coeff_primes)),
         "plain_bound": int(quantized.required_plain_modulus()),
-        "pure_he": quantized.activation == "square",
+        "pure_he": getattr(quantized, "activation", None) == "square",
         "parameter_advice": None,
     }
+    return annotate(InferenceGraph(kind, params, nodes, meta))
+
+
+def _single_block(kind, quantized, params, head, between, tail, mode="batched"):
+    """``head -> conv -> between -> fc -> tail`` over one QuantizedCNN."""
+    conv = np.asarray(quantized.conv_weight, dtype=np.int64)
+    nodes = [
+        *head,
+        _contraction("conv", "conv"),
+        *between,
+        _contraction("fc", "fc"),
+        *tail,
+    ]
+    layers = {
+        "conv": conv.reshape(conv.shape[0], -1),
+        "fc": np.asarray(quantized.dense_weight, dtype=np.int64).T,
+    }
+    return _graph(kind, quantized, params, nodes, layers, mode)
+
+
+def _enclave_stage(op: str, quantized) -> GraphNode:
+    return _crossing(
+        op,
+        "sgx_activation_pool",
+        quantized.conv_output_scale,
+        quantized.act_scale,
+        quantized.pool_window,
+        quantized.activation,
+        quantized.pool,
+    )
+
+
+def _encrypt() -> GraphNode:
+    return GraphNode("encrypt", "encrypt", {"scalar_encrypt": False})
 
 
 def build_hybrid_graph(quantized, params: EncryptionParams, mode: str = "batched") -> InferenceGraph:
     """IR for the paper's EncryptSGX pipeline (conv -> enclave -> fc)."""
-    meta = _model_meta(quantized, params)
-    meta["mode"] = mode
-    nodes = [
-        GraphNode("encrypt", "encrypt", {"scalar_encrypt": False}),
-        GraphNode("conv", "conv", {"keep_taps": None, "fold_bias": False}),
-        GraphNode(
-            "crossing",
-            "sgx_activation_pool",
-            {"packed": False, "pack_max_batch": 0, "hoist_pack_operand": False},
-        ),
-        GraphNode("fc", "fc", {"keep_taps": None, "fold_bias": False}),
-        GraphNode("decrypt", "decrypt"),
-    ]
-    return annotate(InferenceGraph("hybrid", params, nodes, meta))
+    crossing = "crossing_per_pixel" if mode == "per_pixel" else "crossing"
+    return _single_block(
+        "hybrid", quantized, params,
+        [_encrypt()], [_enclave_stage(crossing, quantized)],
+        [GraphNode("decrypt", "decrypt")], mode,
+    )
 
 
 def build_cryptonets_graph(quantized, params: EncryptionParams) -> InferenceGraph:
     """IR for the pure-HE CryptoNets pipeline (square activation)."""
-    meta = _model_meta(quantized, params)
-    meta["mode"] = "batched"
-    nodes = [
-        GraphNode("encrypt", "encrypt", {"scalar_encrypt": False}),
-        GraphNode("conv", "conv", {"keep_taps": None, "fold_bias": False}),
+    between = [
         GraphNode("square", "square", {"hoist_coeff": False}),
         GraphNode("relinearize", "relinearize"),
-        GraphNode("pool", "pool"),
-        GraphNode("fc", "fc", {"keep_taps": None, "fold_bias": False}),
-        GraphNode("decrypt", "decrypt"),
+        GraphNode("pool", "pool", {"window": int(quantized.pool_window)}),
     ]
-    return annotate(InferenceGraph("cryptonets", params, nodes, meta))
+    return _single_block(
+        "cryptonets", quantized, params,
+        [_encrypt()], between, [GraphNode("decrypt", "decrypt")],
+    )
+
+
+def build_simd_graph(quantized, params: EncryptionParams) -> InferenceGraph:
+    """IR for the slot-packed hybrid: the user batch rides the CRT slots of
+    one ``(1, C, H, W)`` ciphertext through the same three middle stages."""
+    return _single_block(
+        "simd", quantized, params,
+        [GraphNode("encrypt_slots", "encrypt")],
+        [_enclave_stage("crossing_simd", quantized)],
+        [GraphNode("decrypt_slots", "decrypt")],
+    )
+
+
+def build_served_graph(quantized, params: EncryptionParams) -> InferenceGraph:
+    """IR for ``EdgeServer.infer``: the hybrid's server half, on an input
+    the user already encrypted and a result only the user can decrypt."""
+    return _single_block(
+        "served", quantized, params, [], [_enclave_stage("crossing", quantized)], []
+    )
+
+
+def build_packed_graph(quantized, params: EncryptionParams) -> InferenceGraph:
+    """IR for the serving flush: stacked scalar requests are folded into
+    slots inside the enclave, served as one SIMD pass, and split again."""
+    return _single_block(
+        "packed", quantized, params,
+        [GraphNode("pack", "pack")],
+        [_enclave_stage("crossing_simd", quantized)],
+        [GraphNode("unpack", "unpack")],
+    )
+
+
+def build_deep_graph(quantized, params: EncryptionParams) -> InferenceGraph:
+    """IR for a multi-block model: one ``conv_i -> sgx_block_i`` pair per
+    block, each crossing re-encrypting at its own block's scales."""
+    nodes = [_encrypt()]
+    layers = {}
+    for i, block in enumerate(quantized.blocks):
+        weight = np.asarray(block.weight, dtype=np.int64)
+        layers[f"conv_{i}"] = weight.reshape(weight.shape[0], -1)
+        nodes.append(_contraction("conv", f"conv_{i}"))
+        nodes.append(
+            _crossing(
+                "crossing",
+                f"sgx_block_{i}",
+                quantized.block_input_scale(i) * block.weight_scale,
+                block.act_scale,
+                block.pool_window,
+                block.activation,
+                block.pool,
+            )
+        )
+    layers["fc"] = np.asarray(quantized.dense_weight, dtype=np.int64).T
+    nodes += [_contraction("fc", "fc"), GraphNode("decrypt", "decrypt")]
+    return _graph("deep", quantized, params, nodes, layers)
+
+
+#: Graph kind -> builder; every HE chain in the repository is one of these.
+BUILDERS = {
+    "hybrid": build_hybrid_graph,
+    "cryptonets": build_cryptonets_graph,
+    "simd": build_simd_graph,
+    "deep": build_deep_graph,
+    "served": build_served_graph,
+    "packed": build_packed_graph,
+}
+
+
+def build_graph(kind: str, quantized, params: EncryptionParams, **options) -> InferenceGraph:
+    builder = BUILDERS.get(kind)
+    if builder is None:
+        raise PipelineError(f"unknown graph kind {kind!r}; expected one of {sorted(BUILDERS)}")
+    return builder(quantized, params, **options)

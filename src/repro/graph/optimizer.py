@@ -237,16 +237,13 @@ def compile_graph(
             graph_pass = graph_passes.build(name, margin_bits=margin)
             faults.inject(FAULT_SITE, GraphPassError, name=name)
             reason = graph_pass.run(optimized)
+            # A refusal is the normal, static outcome of a pass on a graph
+            # shape it cannot rewrite exactly; it belongs in the report, not
+            # in the flight ring of operational events.
             if reason is None:
                 applied.append(name)
             else:
                 refused.append((name, reason))
-                recorder.record(
-                    "graph.pass_refused",
-                    graph_pass=name,
-                    level=resolved_level,
-                    reason=reason,
-                )
     except Exception as exc:  # degrade: reference graph, bit-identical
         _record_degradation(current)
         recorder.record(

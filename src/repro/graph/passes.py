@@ -54,6 +54,10 @@ class GraphPass:
         raise NotImplementedError
 
 
+def _contractions(graph: ir.InferenceGraph) -> list[ir.GraphNode]:
+    return [node for node in graph.nodes if node.op in ir.CONTRACTION_OPS]
+
+
 def _fold_slack_ok(weights: np.ndarray, p_max: int) -> bool:
     """Mirror of ``repro.core.heops._scalar_tap_bound_ok`` with ``slack=1``:
     can the deferred-reduction accumulator absorb one extra canonical
@@ -80,18 +84,12 @@ class ZeroTapBypass(GraphPass):
 
     def run(self, graph: ir.InferenceGraph) -> str | None:
         fired = False
-        conv = graph.node("conv")
-        taps = graph.meta["conv_tap_matrix"]
-        keep = tuple(int(t) for t in range(taps.shape[1]) if np.any(taps[:, t]))
-        if len(keep) < taps.shape[1]:
-            conv.attrs["keep_taps"] = keep
-            fired = True
-        fc = graph.node("fc")
-        fc_matrix = graph.meta["fc_matrix"]
-        keep_fc = tuple(int(d) for d in range(fc_matrix.shape[0]) if np.any(fc_matrix[d]))
-        if len(keep_fc) < fc_matrix.shape[0]:
-            fc.attrs["keep_taps"] = keep_fc
-            fired = True
+        for node in _contractions(graph):
+            matrix = graph.meta["layers"][node.stage]
+            keep = tuple(int(t) for t in range(matrix.shape[1]) if np.any(matrix[:, t]))
+            if len(keep) < matrix.shape[1]:
+                node.attrs["keep_taps"] = keep
+                fired = True
         if not fired:
             return "no zero-weight conv taps or FC input dims to bypass"
         ir.annotate(graph)
@@ -114,27 +112,17 @@ class FoldBias(GraphPass):
 
     def run(self, graph: ir.InferenceGraph) -> str | None:
         p_max = graph.meta["p_max"]
-        fired = False
         refused = []
-        conv = graph.node("conv")
-        taps = graph.meta["conv_tap_matrix"]
-        keep = conv.attrs.get("keep_taps")
-        cols = taps[:, list(keep)] if keep is not None else taps
-        if _fold_slack_ok(cols, p_max):
-            conv.attrs["fold_bias"] = True
-            fired = True
-        else:
-            refused.append("conv")
-        fc = graph.node("fc")
-        fc_matrix = graph.meta["fc_matrix"]
-        keep_fc = fc.attrs.get("keep_taps")
-        rows = fc_matrix[list(keep_fc), :] if keep_fc is not None else fc_matrix
-        if _fold_slack_ok(rows.T, p_max):
-            fc.attrs["fold_bias"] = True
-            fired = True
-        else:
-            refused.append("fc")
-        if not fired:
+        nodes = _contractions(graph)
+        for node in nodes:
+            matrix = graph.meta["layers"][node.stage]
+            keep = node.attrs.get("keep_taps")
+            surviving = matrix[:, list(keep)] if keep is not None else matrix
+            if _fold_slack_ok(surviving, p_max):
+                node.attrs["fold_bias"] = True
+            else:
+                refused.append(node.stage)
+        if len(refused) == len(nodes):
             return (
                 "int64 deferred-reduction slack excludes bias folding "
                 f"({', '.join(refused)})"
@@ -153,19 +141,31 @@ class PackCrossing(GraphPass):
     shift-and-sum), so the pass caps ``chunk`` at what the conv layer's
     remaining budget can absorb above ``margin_bits`` (and at the ring
     degree) and refuses when even ``chunk = 2`` does not fit.  Also refuses
-    for pure-HE graphs (no crossing) and the per-pixel negative control
-    (each crossing carries a single value; there is nothing to fold).
+    for graphs with no scalar-layout crossing (pure-HE; the slot-layout
+    ``crossing_simd`` of the SIMD and packed-flush graphs), for the
+    per-pixel negative control (each crossing carries a single value;
+    there is nothing to fold) and for multi-block graphs.
     """
 
     name = "pack_crossing"
 
     def run(self, graph: ir.InferenceGraph) -> str | None:
-        if not graph.has_node("crossing"):
-            return "no enclave crossing to pack in a pure-HE graph"
         if graph.meta.get("mode") == "per_pixel":
             return "per-pixel crossings carry one value each; nothing to fold"
-        conv = graph.node("conv")
-        crossing = graph.node("crossing")
+        crossings = [i for i, node in enumerate(graph.nodes) if node.op == "crossing"]
+        if not crossings:
+            return (
+                "no scalar-layout enclave crossing to pack (a pure-HE graph "
+                "never crosses; a slot-layout crossing already carries one "
+                "ciphertext per position)"
+            )
+        if len(crossings) > 1:
+            return (
+                f"{len(crossings)} crossings: per-block packing caps are not "
+                "modelled, so a multi-block graph keeps its unpacked crossings"
+            )
+        crossing = graph.nodes[crossings[0]]
+        conv = graph.nodes[crossings[0] - 1]
         headroom = conv.budget_bits - self.margin_bits
         cap = int(min(graph.params.poly_degree, 2.0 ** min(max(headroom, 0.0), 30.0)))
         if cap < 2:
@@ -197,10 +197,10 @@ class HoistNtt(GraphPass):
         if graph.has_node("square"):
             graph.node("square").attrs["hoist_coeff"] = True
             return None
-        crossing = graph.node("crossing")
-        if not crossing.attrs.get("packed"):
+        packed = [n for n in graph.nodes if n.op == "crossing" and n.attrs["packed"]]
+        if not packed:
             return "pack_crossing did not fire; no shared packing transform to hoist"
-        crossing.attrs["hoist_pack_operand"] = True
+        packed[0].attrs["hoist_pack_operand"] = True
         return None
 
 
@@ -217,6 +217,11 @@ class ScalarEncrypt(GraphPass):
     name = "scalar_encrypt"
 
     def run(self, graph: ir.InferenceGraph) -> str | None:
+        if not graph.has_node("encrypt"):
+            return (
+                "no scalar-encoded encrypt node (the input arrives encrypted, "
+                "or is slot-encoded with every coefficient populated)"
+            )
         graph.node("encrypt").attrs["scalar_encrypt"] = True
         return None
 
@@ -280,7 +285,7 @@ def _graph_fits(graph: ir.InferenceGraph, estimator: NoiseEstimator, margin: flo
     worst = 0.0
     segment = 0.0
     for node in graph.nodes:
-        if node.op in ("encrypt", "crossing"):
+        if node.op in ir.REFRESH_OPS:
             # Fresh encryption on either side of the crossing resets noise,
             # so each HE segment must fit on its own.
             worst = max(worst, segment)

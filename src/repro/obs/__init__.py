@@ -1,6 +1,6 @@
 """Observability: structured tracing + metrics over the simulated clock.
 
-``repro.obs`` replaces the ad-hoc ``ClockWindow`` + ``StageTiming``
+``repro.obs`` replaces the ad-hoc clock-delta + ``StageTiming``
 bookkeeping the pipelines used to hand-roll.  A :class:`Tracer` bound to a
 :class:`~repro.sgx.clock.SimClock` emits nested :class:`Span` records
 (pipeline -> stage -> ecall) capturing real seconds, modeled SGX overhead by
@@ -56,6 +56,7 @@ from repro.obs.profile import (
     profile_from_trace,
     profile_from_traces,
     render_timeline,
+    spans_without_node,
 )
 # NOTE: the ``recorder()`` accessor is deliberately *not* re-exported here:
 # binding that name in the package namespace would shadow the
@@ -95,6 +96,7 @@ __all__ = [
     "samples_from_trace",
     "set_registry",
     "spans_without_context",
+    "spans_without_node",
     "stamp",
     "trace_from_dict",
     "trace_from_json",

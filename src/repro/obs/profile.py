@@ -274,7 +274,7 @@ class ProfileReport:
         if top is not None:
             rows = rows[:top]
         header = (
-            f"{'op':<12} {'stage':<24} {'n':>4} {'real_ms':>10} "
+            f"{'op':<18} {'stage':<24} {'n':>4} {'real_ms':>10} "
             f"{'ovh_ms':>10} {'elapsed_ms':>11} {'ecalls':>6} "
             f"{'kB':>8} {'headroom':>9}"
         )
@@ -286,7 +286,7 @@ class ProfileReport:
                 else f"{(node.noise_budget_bits if node.noise_budget_bits is not None else node.headroom_bits):.1f}"
             )
             lines.append(
-                f"{node.op:<12.12} {node.stage:<24.24} {node.count:>4} "
+                f"{node.op:<18.18} {node.stage:<24.24} {node.count:>4} "
                 f"{node.real_s * 1e3:>10.3f} {node.overhead_s * 1e3:>10.3f} "
                 f"{node.elapsed_s * 1e3:>11.3f} {node.ecalls:>6} "
                 f"{node.ecall_bytes / 1024:>8.1f} {headroom:>9}"
@@ -308,6 +308,17 @@ def profile_from_trace(root: "Span") -> ProfileReport:
 def profile_from_traces(roots: Iterable["Span"]) -> ProfileReport:
     """Merged :class:`ProfileReport` across many pipeline traces."""
     return ProfileReport.from_traces(roots)
+
+
+def spans_without_node(root: "Span") -> list["Span"]:
+    """Stage spans the graph executor did not stamp a node on (CI asserts
+    empty for every serving trace: a stage without ``node_signature`` is
+    an HE chain running outside :mod:`repro.graph`)."""
+    return [
+        span
+        for span in root.walk()
+        if span.kind == "stage" and "node_signature" not in span.attrs
+    ]
 
 
 #: Span attrs surfaced on timeline lines, in render order.
@@ -356,4 +367,5 @@ __all__ = [
     "profile_from_trace",
     "profile_from_traces",
     "render_timeline",
+    "spans_without_node",
 ]

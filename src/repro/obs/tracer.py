@@ -16,7 +16,7 @@ Because spans read the same clock the cost model charges, the timing
 invariant *sum of a span's real+overhead == the clock delta across it* holds
 by construction, and the per-stage decomposition the paper's Tables I-V and
 Fig. 8 report becomes an enforceable property instead of hand-rolled
-``ClockWindow`` bookkeeping (see ``tests/obs/test_trace_reconciliation.py``).
+clock-delta bookkeeping (see ``tests/obs/test_trace_reconciliation.py``).
 
 Stages opened with :meth:`Tracer.stage` additionally time the block's
 host-side wall clock through

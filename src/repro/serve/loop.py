@@ -359,15 +359,10 @@ class ServingLoop:
     # ------------------------------------------------------------------
     # fleet awareness
     # ------------------------------------------------------------------
-    def _fleet(self):
-        return getattr(self.server, "fleet", None)
-
     def _fleet_size(self) -> int:
-        """Live replicas available for concurrent flushes (1 without a
-        fleet -- the loop then behaves exactly like its single-slot
-        ancestor)."""
-        fleet = self._fleet()
-        return max(1, fleet.size) if fleet is not None else 1
+        """Live replicas available for concurrent flushes (at size 1 the
+        loop behaves exactly like its single-slot ancestor)."""
+        return max(1, self.server.fleet.size)
 
     def _busy_replicas(self) -> set:
         return {
@@ -375,10 +370,7 @@ class ServingLoop:
         }
 
     def _has_free_replica(self) -> bool:
-        fleet = self._fleet()
-        if fleet is None:
-            return not self._inflight
-        live = fleet.live_replicas()
+        live = self.server.fleet.live_replicas()
         if not live:
             # Every replica retired: let one flush attempt through so its
             # requests resolve with typed failures instead of hanging.
@@ -765,18 +757,11 @@ class ServingLoop:
                 )
 
     def _start_flush(self, model: str) -> None:
-        fleet = self._fleet()
-        replica: int | None = None
-        if fleet is None:
-            if self._inflight:
-                return
-        else:
-            replica = fleet.route(model, busy=self._busy_replicas())
-            if replica is None and fleet.live_replicas():
-                # Every live replica already has a flush in flight.
-                return
-            if self._inflight and replica is None:
-                return
+        fleet = self.server.fleet
+        replica = fleet.route(model, busy=self._busy_replicas())
+        if replica is None and (fleet.live_replicas() or self._inflight):
+            # Every live replica already has a flush in flight.
+            return
         selected = self._select_group(model)
         if not selected:
             return

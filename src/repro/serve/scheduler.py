@@ -40,11 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro import faults
-from repro.core import heops
-from repro.core.results import InferenceResult, stages_from_trace
 from repro.errors import (
     BatchTooLargeError,
     EnclaveNotInitialized,
@@ -57,7 +53,9 @@ from repro.errors import (
 )
 from repro.faults import run_with_kernel_degradation
 from repro.he import parallel
-from repro.he.batching import pack_coefficients
+# Unused here since the flush runs through repro.graph; stays bound because
+# benchmarks/e2e/spans.py (read-only) wraps this module attribute by name.
+from repro.he.batching import pack_coefficients  # noqa: F401
 from repro.he.context import Ciphertext
 from repro.obs import metrics, recorder
 from repro.obs import context as obs_context
@@ -493,14 +491,14 @@ class RequestScheduler:
         """
         tracer = self.server.platform.tracer
         clock = self.server.platform.clock
-        fleet = getattr(self.server, "fleet", None)
-        if fleet is not None and replica is None:
+        fleet = self.server.fleet
+        if replica is None:
             replica = fleet.route(model_name)
         flush_start = clock.now_s
         images = sum(r.batch for r in requests)
         tried: list[int] = []
         while True:
-            if fleet is not None and replica is not None:
+            if replica is not None:
                 event = faults.poll(
                     "serve.fleet.replica", name=str(replica), model=model_name
                 )
@@ -522,12 +520,12 @@ class RequestScheduler:
                 break
             except (EnclaveNotInitialized, RecoveryExhausted) as exc:
                 survivor = None
-                if fleet is not None and replica is not None:
+                if replica is not None:
                     survivor = fleet.route(model_name, exclude=(*tried, replica))
                 if survivor is None:
                     return self._isolate(
-                        model_name, requests, exc,
-                        flushed_at=flushed_at, replica=replica,
+                        model_name, requests, exc, flushed_at=flushed_at,
+                        replica=replica, generation=generation,
                     )
                 fleet.retire(replica, exc)
                 tried.append(replica)
@@ -564,7 +562,8 @@ class RequestScheduler:
                 replica = survivor
             except Exception as exc:  # noqa: BLE001 - isolation boundary
                 return self._isolate(
-                    model_name, requests, exc, flushed_at=flushed_at, replica=replica
+                    model_name, requests, exc, flushed_at=flushed_at,
+                    replica=replica, generation=generation,
                 )
         compute_s = clock.now_s - flush_start
         self.stats.flushes += 1
@@ -592,6 +591,7 @@ class RequestScheduler:
         *,
         flushed_at: float | None = None,
         replica: int | None = None,
+        generation: int | None = None,
     ) -> "list[tuple[_QueuedRequest, ServedResult | BaseException]]":
         """Recover from a dead packed flush by re-running each request as
         its own single-request pass; requests that still fail map to a typed
@@ -614,6 +614,7 @@ class RequestScheduler:
             model=model_name,
             requests=len(requests),
             error=type(exc).__name__,
+            generation=generation,
         )
         outcomes: "list[tuple[_QueuedRequest, ServedResult | BaseException]]" = []
         with tracer.span(
@@ -632,7 +633,7 @@ class RequestScheduler:
                     try:
                         served = self._run_packed(
                             model_name, [request], flushed_at=flushed_at,
-                            replica=replica,
+                            replica=replica, generation=generation,
                         )[0]
                         outcomes.append((request, served))
                         self.stats.isolated_requests += 1
@@ -668,6 +669,7 @@ class RequestScheduler:
                     model=model_name,
                     request_id=request.request_id,
                     error=type(cause).__name__,
+                    generation=generation,
                 )
         return outcomes
 
@@ -699,15 +701,8 @@ class RequestScheduler:
         from repro.core.server import ServedResult
 
         server = self.server
-        quantized = server.model(model_name)
-        encoded = server.encoded_model(model_name)
         tracer = server.platform.tracer
-        clock = server.platform.clock
-        fleet = getattr(server, "fleet", None)
-        if fleet is not None:
-            enclave = fleet.replica(replica)
-        else:
-            enclave = server.enclave
+        enclave = server.fleet.replica(replica)
         total = sum(r.batch for r in requests)
         # Requests share the enclave's key pair, so their ciphertexts stack
         # into one scalar-encoded (total, C, H, W) batch.  The batch is
@@ -721,12 +716,7 @@ class RequestScheduler:
             is_ntt=True,
         )
         if flushed_at is None:
-            flushed_at = clock.now_s
-
-        def stage(name: str):
-            return tracer.stage(
-                name, counter=server.counter, side_channel=enclave.side_channel
-            )
+            flushed_at = server.platform.clock.now_s
 
         contexts = [r.context for r in requests]
         trace_attrs: dict = {}
@@ -735,45 +725,8 @@ class RequestScheduler:
             trace_attrs["trace_ids"] = trace_ids
         if generation is not None:
             trace_attrs["generation"] = generation
-        with obs_context.activate(*contexts), tracer.span(
-            PACKED_SCHEME,
-            kind="pipeline",
-            counter=server.counter,
-            side_channel=enclave.side_channel,
-            model=model_name,
-            requests=len(requests),
-            batch=total,
-            slot_count=self.slot_count,
-            replica=getattr(enclave, "replica", None),
-            workers=parallel.active_workers(),
-            **trace_attrs,
-        ) as trace:
-            with stage("pack"):
-                # Host side: fold the B stacked requests into polynomial
-                # coefficients homomorphically, so the enclave decrypts
-                # one ciphertext per pixel position instead of B.
-                folded = pack_coefficients(server.evaluator, stacked)
-                packed = enclave.ecall("pack_slots", folded, total)
-            with stage("conv"):
-                conv = heops.he_conv2d(
-                    server.evaluator, server.encoder, packed, encoded.conv
-                )
-            with stage("sgx_activation_pool"):
-                hidden = enclave.ecall(
-                    "activation_pool_simd",
-                    conv,
-                    quantized.conv_output_scale,
-                    quantized.act_scale,
-                    quantized.pool_window,
-                    quantized.activation,
-                    quantized.pool,
-                )
-            with stage("fc"):
-                logits_packed = heops.he_dense(
-                    server.evaluator, server.encoder, hidden, encoded.dense
-                )
-            with stage("unpack"):
-                logits_ct = enclave.ecall("unpack_slots", logits_packed, total)
+
+        def request_spans() -> None:
             for r in requests:
                 request_attrs = {}
                 if r.context is not None:
@@ -789,18 +742,24 @@ class RequestScheduler:
                     queue_wait_s=flushed_at - r.enqueued_at,
                     queue_depth_at_submit=r.queue_depth_at_submit,
                     batch=r.batch,
-                    replica=getattr(enclave, "replica", None),
+                    replica=enclave.replica,
                     **request_attrs,
                 ):
                     pass
 
-        timing = InferenceResult(
-            logits=np.zeros((total, encoded.dense.out_features)),
-            stages=stages_from_trace(trace),
-            scheme=PACKED_SCHEME,
-            op_counts=dict(server.counter.counts),
-            enclave_crossings=trace.crossings,
-            trace=trace,
+        logits_ct, timing = server.run_graph(
+            "packed",
+            PACKED_SCHEME,
+            model_name,
+            stacked,
+            enclave=enclave,
+            contexts=contexts,
+            before_close=request_spans,
+            requests=len(requests),
+            slot_count=self.slot_count,
+            replica=enclave.replica,
+            workers=parallel.active_workers(),
+            **trace_attrs,
         )
         results = []
         offset = 0
@@ -812,7 +771,7 @@ class RequestScheduler:
                     request_id=r.request_id,
                     packed_batch=total,
                     queue_wait_s=flushed_at - r.enqueued_at,
-                    replica=getattr(enclave, "replica", None),
+                    replica=enclave.replica,
                     context=r.context,
                 )
             )

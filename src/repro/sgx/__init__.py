@@ -31,7 +31,7 @@ from repro.sgx.attestation import (
     Report,
     VerifiedReport,
 )
-from repro.sgx.clock import ClockWindow, SimClock
+from repro.sgx.clock import SimClock
 from repro.sgx.costmodel import (
     DEFAULT_EPC_BYTES,
     PAGE_SIZE,
@@ -48,7 +48,6 @@ from repro.sgx.sidechannel import ObservedEvent, SideChannelLog
 
 __all__ = [
     "AttestationVerificationService",
-    "ClockWindow",
     "DEFAULT_EPC_BYTES",
     "Enclave",
     "EnclaveHandle",

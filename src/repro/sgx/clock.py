@@ -77,31 +77,3 @@ class SimClock:
         self.real_s = 0.0
         self.overhead_s = 0.0
         self.by_category.clear()
-
-
-@dataclass
-class ClockWindow:
-    """Delta-reader over a :class:`SimClock` for scoped measurements."""
-
-    clock: SimClock
-    _start_real: float = 0.0
-    _start_overhead: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.restart()
-
-    def restart(self) -> None:
-        self._start_real = self.clock.real_s
-        self._start_overhead = self.clock.overhead_s
-
-    @property
-    def real_s(self) -> float:
-        return self.clock.real_s - self._start_real
-
-    @property
-    def overhead_s(self) -> float:
-        return self.clock.overhead_s - self._start_overhead
-
-    @property
-    def elapsed_s(self) -> float:
-        return self.real_s + self.overhead_s

@@ -7,7 +7,12 @@ import pytest
 
 from repro.core import EdgeServer, PlaintextPipeline
 from repro.errors import PipelineError, SealingError
+from repro.serve import InferenceRequest
 from repro.sgx import AttestationVerificationService, SgxPlatform
+
+
+def _infer(server, model, ct, **policy):
+    return server.infer(InferenceRequest(model=model, ciphertext=ct, **policy))
 
 
 @pytest.fixture()
@@ -55,7 +60,7 @@ class TestProvisioning:
     def test_unknown_model_rejected(self, server, session, models):
         ct = session.encrypt("digits", models.dataset.test_images[:1])
         with pytest.raises(PipelineError):
-            server.infer("faces", ct)
+            _infer(server, "faces", ct)
 
 
 class TestSealedModels:
@@ -87,27 +92,27 @@ class TestServing:
     def test_end_to_end_matches_plaintext(self, server, session, q_sigmoid, models):
         images = models.dataset.test_images[:3]
         ct = session.encrypt("digits", images)
-        result = server.infer("digits", ct)
+        result = _infer(server, "digits", ct)
         logits = session.decrypt_logits(result)
         expected = PlaintextPipeline(q_sigmoid).infer(images)
         assert np.array_equal(logits, expected.logits)
 
     def test_decrypt_returns_predictions(self, server, session, q_sigmoid, models):
         images = models.dataset.test_images[:3]
-        result = server.infer("digits", session.encrypt("digits", images))
+        result = _infer(server, "digits", session.encrypt("digits", images))
         predictions = session.decrypt(result)
         expected = PlaintextPipeline(q_sigmoid).infer(images)
         assert np.array_equal(predictions, expected.predictions)
 
     def test_server_never_sees_plaintext(self, server, session, models):
         """The returned logits are a ciphertext; only the session decrypts."""
-        result = server.infer("digits", session.encrypt("digits", models.dataset.test_images[:1]))
+        result = _infer(server, "digits", session.encrypt("digits", models.dataset.test_images[:1]))
         from repro.he import Ciphertext
 
         assert isinstance(result.logits_ct, Ciphertext)
 
     def test_timing_stages_present(self, server, session, models):
-        result = server.infer("digits", session.encrypt("digits", models.dataset.test_images[:1]))
+        result = _infer(server, "digits", session.encrypt("digits", models.dataset.test_images[:1]))
         names = [s.name for s in result.timing.stages]
         assert names == ["conv", "sgx_activation_pool", "fc"]
         assert result.timing.stage("sgx_activation_pool").overhead_s > 0
@@ -118,7 +123,7 @@ class TestServing:
         a = server.enroll_user(entropy=b"\x01" * 32, verifier=verifier_for(server))
         b = server.enroll_user(entropy=b"\x02" * 32, verifier=verifier_for(server))
         images = models.dataset.test_images[:1]
-        result = server.infer("digits", a.encrypt("digits", images))
+        result = _infer(server, "digits", a.encrypt("digits", images))
         # User B can decrypt user A's result under this deployment model.
         assert b.decrypt(result).shape == (1,)
 

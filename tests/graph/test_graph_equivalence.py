@@ -11,14 +11,19 @@ recorder pattern at the pipeline level.
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import CryptonetsPipeline, HybridPipeline
-from repro.graph import ir, optimizer
+from repro.errors import PipelineError
+from repro.graph import executor, ir, optimizer
 from repro.graph.optimizer import PASS_PORTFOLIO, compile_graph
 from repro.he.serialize import serialize_ciphertext
+
+from .kinds import KINDS, STAGES, run_kind
 
 PASS_NAMES = PASS_PORTFOLIO["safe"]
 
@@ -104,6 +109,25 @@ class TestHybridEquivalence:
             )
         assert res.enclave_crossings == 1
 
+    def test_per_pixel_control_bit_identical_across_levels(
+        self, q_hybrid, hybrid_params, images
+    ):
+        """The negative control (one value per ECALL) walks the same
+        executor: ``safe`` must reproduce ``off`` and refuse to pack."""
+        runs = {}
+        for level in ("off", "safe"):
+            with optimizer.use(level):
+                runs[level] = _run(
+                    lambda: HybridPipeline(
+                        q_hybrid, hybrid_params, mode="per_pixel", seed=7
+                    ),
+                    images[:1],
+                )
+        _assert_bit_identical(runs["off"], runs["safe"])
+        pipe, res, _ = runs["safe"]
+        assert res.enclave_crossings > 1
+        assert "one value" in pipe.graph_report.refusal("pack_crossing")
+
     def test_per_pixel_pack_refused(self, q_hybrid, hybrid_params):
         graph = ir.build_hybrid_graph(q_hybrid, hybrid_params, mode="per_pixel")
         _, report = compile_graph(graph, level="safe")
@@ -145,6 +169,62 @@ class TestCryptonetsEquivalence:
             "fc",
             "decrypt",
         ]
+
+
+#: What the parent commit's hand-written chains produced for the same
+#: seeds (``kinds.py`` run under ``off`` at commit 4765829).
+PARENT_RECORDING = json.loads(
+    Path(__file__).with_name("parent_recording.json").read_text()
+)
+
+#: Passes that are not provably exact on a kind's graph shape and must
+#: therefore show up as refused-with-reason, never applied.
+MUST_REFUSE = {
+    "simd": {"pack_crossing", "hoist_ntt", "scalar_encrypt"},
+    "deep": {"pack_crossing", "hoist_ntt"},
+    "served": {"scalar_encrypt"},
+    "packed": {"pack_crossing", "hoist_ntt", "scalar_encrypt"},
+}
+
+
+class TestNewGraphKinds:
+    """SIMD, deep, ``EdgeServer.infer`` and the packed flush run through
+    the executor: ``off`` reproduces the deleted chains byte for byte, and
+    every level reproduces ``off`` (logits, result-ciphertext bytes, op
+    tallies, encryptor RNG position, stage names)."""
+
+    @pytest.mark.parametrize("level", optimizer.LEVELS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bit_identical_to_parent_chain(self, kind, level):
+        with optimizer.use(level):
+            fingerprint, report = run_kind(kind)
+        assert fingerprint["stages"] == STAGES[kind]
+        assert fingerprint == PARENT_RECORDING[kind]
+        assert report.level == level and not report.degraded
+        if level == "off":
+            assert report.applied == () and report.refused == ()
+            return
+        assert "zero_tap" in report.applied  # the optimizer does reach this path
+        assert not MUST_REFUSE[kind] & set(report.applied)
+        for name in MUST_REFUSE[kind]:
+            assert report.refusal(name), f"{name} must refuse with a reason on {kind}"
+
+    def test_unregistered_op_is_rejected(self, q_hybrid, hybrid_params):
+        graph = ir.build_served_graph(q_hybrid, hybrid_params)
+        graph.nodes.insert(0, ir.GraphNode("teleport", "teleport"))
+        env = executor.Resources(tracer=None, evaluator=None, encoder=None, weights={})
+        with pytest.raises(PipelineError, match="teleport"):
+            executor.run(graph, env, images=np.zeros((1, 1)))
+
+    def test_unknown_graph_kind_is_rejected(self, q_hybrid, hybrid_params):
+        with pytest.raises(PipelineError, match="unknown graph kind"):
+            ir.build_graph("quantum", q_hybrid, hybrid_params)
+
+    def test_run_takes_exactly_one_input(self, q_hybrid, hybrid_params):
+        graph = ir.build_served_graph(q_hybrid, hybrid_params)
+        env = executor.Resources(tracer=None, evaluator=None, encoder=None, weights={})
+        with pytest.raises(PipelineError, match="exactly one"):
+            executor.run(graph, env)
 
 
 class TestReportSurface:

@@ -11,7 +11,7 @@ batched/per_pixel/fake, SIMD, EdgeServer, Deep, Plaintext) we assert:
 * the span tree satisfies :func:`repro.obs.reconcile` (children never
   exceed their parent).
 
-These are exactly the properties the old hand-rolled ``ClockWindow``
+These are exactly the properties the old hand-rolled clock-delta
 bookkeeping could silently violate (the per_pixel host reassembly loop did,
 under-reporting the negative control's dominant cost).
 """
@@ -149,6 +149,7 @@ class TestSimd:
 class TestEdgeServer:
     def test_reconciles(self, q_sigmoid, hybrid_params, test_images):
         from repro.core import EdgeServer
+        from repro.serve import InferenceRequest
         from repro.sgx import AttestationVerificationService
 
         server = EdgeServer(hybrid_params, seed=5)
@@ -161,7 +162,7 @@ class TestEdgeServer:
         clock = server.platform.clock
         r0, o0 = clock.real_s, clock.overhead_s
         before = server.enclave.side_channel.count("ecall")
-        served = server.infer("digits", ct)
+        served = server.infer(InferenceRequest(model="digits", ciphertext=ct))
         assert_reconciles(
             served.timing, clock, r0, o0, server.enclave.side_channel, before
         )

@@ -1,6 +1,6 @@
 """The canonical serving API surface: frozen InferenceRequest validation,
-the InferenceResult alias, and the pinned deprecation shims on
-``EdgeServer.infer``."""
+the InferenceResult alias, and ``EdgeServer.infer`` taking exactly one
+request."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import EdgeServer, PlaintextPipeline
+from repro.core import PlaintextPipeline
 from repro.core.server import ServedResult
 from repro.errors import PipelineError, ServeError
 from repro.serve import InferenceRequest, InferenceResult
@@ -65,45 +65,11 @@ class TestCanonicalInfer:
     def test_request_form_rejects_extra_arguments(self, server, session, models):
         ct = session.encrypt("digits", models.dataset.test_images[:1])
         request = InferenceRequest(model="digits", ciphertext=ct)
-        with pytest.raises(PipelineError):
+        with pytest.raises(TypeError):
             server.infer(request, ct)
-        with pytest.raises(PipelineError):
+        with pytest.raises(TypeError):
             server.infer(request, pack=True)
-        with pytest.raises(PipelineError):
-            server.infer(request, deadline_ms=5.0)
-
-
-class TestDeprecatedInfer:
-    def test_legacy_positional_form_warns_and_works(
-        self, server, session, models, q_sigmoid
-    ):
-        images = models.dataset.test_images[:2]
-        ct = session.encrypt("digits", images)
-        with pytest.warns(DeprecationWarning, match="InferenceRequest"):
-            result = server.infer("digits", ct)
-        expected = PlaintextPipeline(q_sigmoid).infer(images).logits
-        assert np.array_equal(session.decrypt_logits(result), expected)
-
-    def test_legacy_pack_form_warns_and_works(
-        self, batching_params, q_sigmoid, session_for, models
-    ):
-        from repro.serve import ServeConfig
-
-        srv = EdgeServer(
-            batching_params, seed=13, serve_config=ServeConfig(max_batch=4)
-        )
-        srv.provision_model("digits", q_sigmoid)
-        session = session_for(srv)
-        images = models.dataset.test_images[:1]
-        ct = session.encrypt("digits", images)
-        with pytest.warns(DeprecationWarning, match="InferenceRequest"):
-            result = srv.infer("digits", ct, pack=True, deadline_ms=5.0)
-        expected = PlaintextPipeline(q_sigmoid).infer(images).logits
-        assert np.array_equal(session.decrypt_logits(result), expected)
-        assert result.request_id is not None
-
-    def test_legacy_deadline_without_pack_is_refused(self, server, session, models):
-        ct = session.encrypt("digits", models.dataset.test_images[:1])
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(PipelineError):
-                server.infer("digits", ct, deadline_ms=5.0)
+        # The keyword form removed in PR 13 is refused with a typed error,
+        # not an AttributeError deep inside the serving path.
+        with pytest.raises(PipelineError, match="InferenceRequest"):
+            server.infer("digits")

@@ -343,3 +343,53 @@ class TestDeterminismAndReporting:
         assert 0.0 < report["occupancy_mean"] <= 1.0
         assert report["p50_queue_wait_s"] <= report["p99_queue_wait_s"]
         assert report["images_per_s"] > 0
+
+
+class TestFlushGenerationAttribution:
+    def test_isolated_reruns_keep_the_flush_generation(
+        self, batching_params, q_sigmoid, session_for, models
+    ):
+        """One poisoned request sends a loop flush through per-request
+        isolation; every span and recorder event of that flush -- the dead
+        packed pass, the isolated re-runs, the failure -- must carry the
+        loop's flush generation (PR 13 bugfix: ``_isolate`` dropped it)."""
+        from repro import faults
+        from repro.faults import FaultPlan, FaultRule
+        from repro.obs.recorder import use_recorder
+        from repro.serve import PACKED_SCHEME
+
+        loop, session = make_loop(
+            batching_params, q_sigmoid, session_for, max_batch=4, window_s=0.01
+        )
+        images = models.dataset.test_images[:3]
+        tickets = [
+            loop.submit("digits", session.encrypt("digits", images[i : i + 1]), at_s=0.0)
+            for i in range(3)
+        ]
+        # Fire 1 kills the packed flush; fire 2 kills the first request's
+        # isolated re-run; the other re-runs see a spent rule.
+        plan = FaultPlan(11, rules=[FaultRule(site="he.noise.decrypt", max_fires=2)])
+        with use_recorder() as rec, faults.armed(plan):
+            loop.run()
+        assert [t.served for t in tickets] == [False, True, True]
+        assert loop.stats.flushes == 1
+
+        flush_kinds = (
+            "serve.flush_start", "serve.isolation", "serve.request_failed",
+            "serve.flush_done",
+        )
+        events = [e for e in rec.events() if e.kind in flush_kinds]
+        assert [e.kind for e in events] == list(flush_kinds)
+        assert [e.fields["generation"] for e in events] == [1, 1, 1, 1]
+
+        spans = [
+            span
+            for trace in loop.server.platform.tracer.traces
+            for span in trace.walk()
+            if span.name in (PACKED_SCHEME, "serve/request")
+        ]
+        # The dead packed pass, three isolated re-runs (one dead), and the
+        # two survivors' request spans.
+        assert [s.name for s in spans].count(PACKED_SCHEME) == 4
+        assert [s.name for s in spans].count("serve/request") == 2
+        assert [s.attrs.get("generation") for s in spans] == [1] * len(spans)

@@ -15,7 +15,11 @@ from repro.errors import (
     UnknownModelError,
 )
 from repro.obs import reconcile
-from repro.serve import PACKED_SCHEME, RequestScheduler, ServeConfig
+from repro.serve import PACKED_SCHEME, InferenceRequest, RequestScheduler, ServeConfig
+
+
+def _infer(server, model, ct, **policy):
+    return server.infer(InferenceRequest(model=model, ciphertext=ct, **policy))
 
 
 class TestPackingCorrectness:
@@ -29,7 +33,7 @@ class TestPackingCorrectness:
         sequential = np.concatenate(
             [
                 session.decrypt_logits(
-                    server.infer("digits", session.encrypt("digits", images[i : i + 1]))
+                    _infer(server, "digits", session.encrypt("digits", images[i : i + 1]))
                 )
                 for i in range(len(images))
             ]
@@ -172,7 +176,7 @@ class TestRejectionPaths:
         """Typed serve errors stay inside the library's existing hierarchy."""
         ct = session.encrypt("digits", models.dataset.test_images[:1])
         with pytest.raises(PipelineError):
-            server.infer("faces", ct)
+            _infer(server, "faces", ct)
 
     def test_oversized_batch(self, batching_params, q_sigmoid, session_for, models):
         srv = EdgeServer(
@@ -201,9 +205,7 @@ class TestRejectionPaths:
 class TestServerFacade:
     def test_infer_pack_kwarg(self, server, session, q_sigmoid, models):
         images = models.dataset.test_images[:1]
-        result = server.infer(
-            "digits", session.encrypt("digits", images), pack=True
-        )
+        result = _infer(server, "digits", session.encrypt("digits", images), pack=True)
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits
         assert np.array_equal(session.decrypt_logits(result), expected)
         assert result.packed_batch == 1
@@ -218,8 +220,8 @@ class TestServerFacade:
             server.scheduler.submit("digits", session.encrypt("digits", images[i : i + 1]))
             for i in range(2)
         ]
-        result = server.infer(
-            "digits", session.encrypt("digits", images[2:3]), pack=True
+        result = _infer(
+            server, "digits", session.encrypt("digits", images[2:3]), pack=True
         )
         assert result.packed_batch == 3
         assert all(r.done() for r in early)
@@ -228,13 +230,7 @@ class TestServerFacade:
     def test_deadline_without_pack_rejected(self, server, session, models):
         ct = session.encrypt("digits", models.dataset.test_images[:1])
         with pytest.raises(PipelineError):
-            server.infer("digits", ct, deadline_ms=5.0)
-
-    def test_legacy_positional_call_still_works(self, server, session, q_sigmoid, models):
-        images = models.dataset.test_images[:1]
-        result = server.infer("digits", session.encrypt("digits", images))
-        expected = PlaintextPipeline(q_sigmoid).infer(images).logits
-        assert np.array_equal(session.decrypt_logits(result), expected)
+            _infer(server, "digits", ct, deadline_ms=5.0)
 
 
 class TestObservability:

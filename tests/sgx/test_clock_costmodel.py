@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.sgx import SgxCostModel, bare_metal_cost_model, paper_cost_model
-from repro.sgx.clock import ClockWindow, SimClock
+from repro.sgx.clock import SimClock
 from repro.sgx.costmodel import PAGE_SIZE
 
 
@@ -58,25 +58,6 @@ class TestSimClock:
         clock.reset()
         assert clock.now_s == 0.0
         assert clock.snapshot() == {}
-
-
-class TestClockWindow:
-    def test_measures_delta_only(self):
-        clock = SimClock()
-        clock.charge(5.0, "before")
-        window = ClockWindow(clock)
-        clock.charge(1.0, "during")
-        clock.elapse_real(0.5)
-        assert window.overhead_s == pytest.approx(1.0)
-        assert window.real_s == pytest.approx(0.5)
-        assert window.elapsed_s == pytest.approx(1.5)
-
-    def test_restart(self):
-        clock = SimClock()
-        window = ClockWindow(clock)
-        clock.charge(1.0, "x")
-        window.restart()
-        assert window.elapsed_s == 0.0
 
 
 class TestCostModel:

@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Benchmark regression gate: compare fresh bench runs against baselines.
 
-The two benchmark scripts (``benchmarks/bench_hotpath_kernels.py`` and
-``benchmarks/bench_serving_throughput.py``) emit JSON reports; this tool
-compares a fresh pair against the checked-in reports under
-``benchmarks/baselines/`` and exits non-zero when a gated metric regressed
-beyond tolerance.  Because the reports mix *ratio* metrics (speedups --
+Six benchmark scripts emit JSON reports (``bench_hotpath_kernels``,
+``bench_serving_throughput``, ``bench_serving_slo``, ``bench_fleet_scaling``,
+``bench_parallel_scaling``, ``bench_graph_optimizer``; selected with
+``--bench hotpath|serving|slo|fleet|parallel|graph``); this tool compares
+fresh reports against the checked-in ones under ``benchmarks/baselines/``
+and exits non-zero when a gated metric regressed beyond tolerance.  Because the reports mix *ratio* metrics (speedups --
 stable across machines, the real regression signal) with *timing* metrics
 (absolute seconds -- machine-dependent), the two classes carry separate
 tolerances:

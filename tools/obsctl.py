@@ -12,8 +12,10 @@ array -- both shapes are accepted) and renders or checks them:
   virtual-time offsets (``--trace-id`` filters to traces carrying that
   request's context).
 * ``check``    -- telemetry invariants: every span in every trace must
-  resolve a trace id (own attr or inherited), per-node attributed cost
-  must reconcile against pipeline wall clock, and -- when ``--flight``
+  resolve a trace id (own attr or inherited), every stage span of a
+  serving (``EdgeServer/...``) trace must carry a graph node, per-node
+  attributed cost must reconcile against pipeline wall clock, and -- when
+  ``--flight``
   is given -- the flight dump must parse with strictly increasing
   sequence numbers and known severities.  Exits non-zero on violation.
 
@@ -38,6 +40,7 @@ from repro.obs import (  # noqa: E402
     render_timeline,
     resolve_trace_ids,
     spans_without_context,
+    spans_without_node,
     trace_from_dict,
 )
 from repro.obs.recorder import SEVERITIES  # noqa: E402
@@ -111,6 +114,12 @@ def _cmd_check(args) -> int:
                 f"trace[{index}] {trace.name!r}: span {span.name!r} "
                 "resolves no trace id"
             )
+        if trace.name.startswith("EdgeServer/"):
+            for span in spans_without_node(trace):
+                problems.append(
+                    f"trace[{index}] {trace.name!r}: stage {span.name!r} "
+                    "carries no graph node"
+                )
     pipelines = [t for t in traces if t.kind == "pipeline"]
     if pipelines:
         try:
@@ -126,7 +135,7 @@ def _cmd_check(args) -> int:
     flight_note = " + flight dump" if args.flight is not None else ""
     print(
         f"OK: {len(traces)} trace(s), {len(pipelines)} pipeline(s), "
-        f"context + profile reconciliation{flight_note} checks passed"
+        f"context + graph-node + profile reconciliation{flight_note} checks passed"
     )
     return 0
 
