@@ -9,11 +9,16 @@ reference profile (per-prime ``NttPlan`` loops, full ``%`` everywhere,
 per-tap Python loops), then under the fused profile, and reports:
 
 * an NTT microbenchmark (stacked vs per-prime transforms, both domains);
+* the two packed-flush kernels on the flush's own ``(16, 288)`` shape:
+  ``decrypt_poly`` (full-polynomial decrypt of a slot-packed batch: Python-int
+  CRT lift + rounding vs the int64 Garner lift + int64 rounding) and
+  ``pack_fold`` (``multiply_plain`` + ``sum_batch`` vs the fused, chunked
+  ``multiply_plain_sum``, with the ``tracemalloc`` peak of each);
 * a fig8-style end-to-end hybrid (``EncryptSGX``) inference comparison on
   the simulated clock (real compute + modeled SGX overhead);
-* a bit-identity audit -- encrypted input, conv output, FC logits and
-  decrypted values must match the reference *bytes*, and the operation
-  tallies must be identical.
+* a bit-identity audit -- encrypted input, conv output, FC logits, the
+  decrypted polynomials and the folded ciphertext must match the reference
+  *bytes*, and the operation tallies must be identical.
 
 Emits ``BENCH_hotpath.json`` and exits nonzero if any bit-identity check
 fails or the end-to-end speedup falls below ``--min-speedup`` (default 3x).
@@ -27,11 +32,22 @@ import argparse
 import json
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
 from repro.core import HybridPipeline, heops, parameters_for_pipeline, train_paper_models
 from repro.he import kernels
+from repro.he.batching import BatchEncoder, pack_coefficients
+from repro.he.context import Context
+from repro.he.decryptor import Decryptor
+from repro.he.encoders import ScalarEncoder
+from repro.he.encryptor import SymmetricEncryptor
+from repro.he.evaluator import Evaluator, OperationCounter, PlainOperand
+from repro.he.keys import KeyGenerator
+
+#: Requests x tensor positions of one full serving flush (``packed_waves``).
+FLUSH_SHAPE = (16, 288)
 
 
 def _time_ntt(ring, batch: tuple[int, ...], reps: int, rng) -> dict:
@@ -56,6 +72,91 @@ def _time_ntt(ring, batch: tuple[int, ...], reps: int, rng) -> dict:
     out["forward_speedup"] = out["reference"]["forward_s"] / out["fused"]["forward_s"]
     out["inverse_speedup"] = out["reference"]["inverse_s"] / out["fused"]["inverse_s"]
     return out
+
+
+def _median_seconds(fn, reps: int) -> tuple[float, object]:
+    """Median wall seconds of ``fn()`` after one warm call, and its result."""
+    result = fn()
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times)), result
+
+
+def _peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _time_flush_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
+    """The packed flush's decrypt and fold, reference vs fused.
+
+    Returns the ``decrypt_poly`` row, the ``pack_fold`` row and their
+    bit-identity flags.
+    """
+    context = Context(params)
+    keys = KeyGenerator(context, rng).generate()
+    encryptor = SymmetricEncryptor(context, keys.secret, rng)
+    decryptor = Decryptor(context, keys.secret)
+    codec = BatchEncoder(context)
+    half_t = params.plain_modulus // 2
+    rows = rng.integers(-half_t, half_t + 1, size=FLUSH_SHAPE)
+
+    # decrypt_poly: what pack_slots / activation_pool_simd / unpack_slots pay.
+    slot_ct = encryptor.encrypt(codec.encode_batch_axis(rows))
+    with kernels.reference_kernels():
+        ref_s, ref_plain = _median_seconds(lambda: decryptor.decrypt(slot_ct), reps)
+    with kernels.fused_kernels():
+        fus_s, fus_plain = _median_seconds(lambda: decryptor.decrypt(slot_ct), reps)
+        decoded = codec.decode_batch_axis(fus_plain, FLUSH_SHAPE[0])
+    decrypt_row = {
+        "shape": [1, FLUSH_SHAPE[1]],
+        "reference_s": ref_s,
+        "fused_s": fus_s,
+        "speedup": ref_s / fus_s,
+    }
+
+    # pack_fold: the host-side fold of the stacked requests into coefficients.
+    stacked = encryptor.encrypt(ScalarEncoder(context).encode(rows))
+    composed_eval = Evaluator(context, OperationCounter())
+    fused_eval = Evaluator(context, OperationCounter())
+    cache: dict = {}
+
+    def fused():
+        return pack_coefficients(fused_eval, stacked, cache)
+
+    def composed():
+        # The same x^b operand the fused fold memoized, as the old two calls.
+        operand = PlainOperand(context, cache[FLUSH_SHAPE[0]].ntt_data[:, None])
+        return composed_eval.sum_batch(composed_eval.multiply_plain(stacked, operand), axis=0)
+
+    fused_s, fused_ct = _median_seconds(fused, reps)
+    composed_s, composed_ct = _median_seconds(composed, reps)
+    composed_peak, fused_peak = _peak_mib(composed), _peak_mib(fused)
+    fold_row = {
+        "shape": list(FLUSH_SHAPE),
+        "reference_s": composed_s,
+        "fused_s": fused_s,
+        "speedup": composed_s / fused_s,
+        "reference_peak_mib": composed_peak,
+        "fused_peak_mib": fused_peak,
+        "peak_ratio": composed_peak / fused_peak,
+    }
+    identity = {
+        "decrypt_poly": bool(
+            np.array_equal(ref_plain.coeffs, fus_plain.coeffs)
+            and np.array_equal(decoded, rows)
+        ),
+        "pack_fold": bool(np.array_equal(composed_ct.data, fused_ct.data)),
+        "pack_fold_tallies": composed_eval.counter.counts == fused_eval.counter.counts,
+    }
+    return decrypt_row, fold_row, identity
 
 
 def _run_pipeline(profile, quantized, params, images, reps: int):
@@ -121,12 +222,17 @@ def run(argv: list[str] | None = None) -> int:
     params = parameters_for_pipeline(quantized, poly_degree)
     images = models.dataset.test_images[: args.batch]
 
-    from repro.he.context import Context
-
     ring = Context(params).ring
     rng = np.random.default_rng(99)
     print("NTT microbenchmark...")
     ntt_report = _time_ntt(ring, (512,), reps=max(3, args.reps), rng=rng)
+
+    print("packed-flush kernels (full-polynomial decrypt, coefficient fold)...")
+    decrypt_report, fold_report, flush_identity = _time_flush_kernels(
+        parameters_for_pipeline(quantized, poly_degree, batching=True),
+        reps=max(3, args.reps),
+        rng=rng,
+    )
 
     print("end-to-end hybrid inference, reference kernels (pre-change baseline)...")
     ref = _run_pipeline(kernels.REFERENCE, quantized, params, images, args.reps)
@@ -142,6 +248,7 @@ def run(argv: list[str] | None = None) -> int:
             np.array_equal(ref["conv_ct"].data, fus["conv_ct"].data)
         ),
         "op_tallies": ref["counts"] == fus["counts"],
+        **flush_identity,
     }
     bit_identical = all(identity.values())
     speedup = ref["median_s"] / fus["median_s"]
@@ -157,6 +264,8 @@ def run(argv: list[str] | None = None) -> int:
             "min_speedup": args.min_speedup,
         },
         "ntt": ntt_report,
+        "decrypt_poly": decrypt_report,
+        "pack_fold": fold_report,
         "baseline_reference": {
             "simulated_s": ref["median_s"],
             "stages_s": ref["stage_s"],
@@ -174,6 +283,11 @@ def run(argv: list[str] | None = None) -> int:
     print(
         f"NTT forward {ntt_report['forward_speedup']:.2f}x, "
         f"inverse {ntt_report['inverse_speedup']:.2f}x (batch {ntt_report['batch']})"
+    )
+    print(
+        f"decrypt_poly {decrypt_report['speedup']:.2f}x, "
+        f"pack_fold {fold_report['speedup']:.2f}x in time and "
+        f"{fold_report['peak_ratio']:.2f}x in peak memory (shape {fold_report['shape']})"
     )
     print(f"reference: {ref['median_s']:.3f} simulated s/inference")
     print(f"fused:     {fus['median_s']:.3f} simulated s/inference")

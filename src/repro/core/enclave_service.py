@@ -26,6 +26,7 @@ import numpy as np
 from repro.core import securechannel
 from repro.errors import EncodingError, PipelineError
 from repro.he import kernels
+from repro.he.batching import BatchEncoder
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.decryptor import Decryptor
 from repro.he.encryptor import SymmetricEncryptor
@@ -67,6 +68,8 @@ class InferenceEnclave(Enclave):
         self._keys = None
         self._decryptor: Decryptor | None = None
         self._encryptor: SymmetricEncryptor | None = None
+        # Slot codec of the SIMD / packed crossings, built on first use.
+        self._slot_codec: BatchEncoder | None = None
 
     # ------------------------------------------------------------------
     # key authority
@@ -329,10 +332,7 @@ class InferenceEnclave(Enclave):
         share slots.  The re-layout happens entirely inside trusted code --
         nothing is exposed to the host in the clear.
         """
-        if batch < 1 or batch > self._context.poly_degree:
-            raise PipelineError(
-                f"batch must be in [1, {self._context.poly_degree}], got {batch}"
-            )
+        self._check_batch(batch)
         self._load_crypto_state()
         plain = self._decryptor.decrypt(ct)
         values = np.moveaxis(plain.signed_coeffs()[..., :batch], -1, 0)
@@ -343,17 +343,22 @@ class InferenceEnclave(Enclave):
         """Inverse of :meth:`pack_slots`: split a slot-packed ``(1, ...)``
         ciphertext back into a scalar-encoded ``(batch, ...)`` ciphertext so
         each request's encrypted logits can be returned individually."""
+        self._check_batch(batch)
         self._load_crypto_state()
         plain = self._decryptor.decrypt(ct)
         values = self._batch_encoder().decode_batch_axis(plain, batch)
         return self._encrypt_values(values)
 
-    def _batch_encoder(self):
-        if getattr(self, "_batch_encoder_cache", None) is None:
-            from repro.he.batching import BatchEncoder
+    def _batch_encoder(self) -> BatchEncoder:
+        if self._slot_codec is None:
+            self._slot_codec = BatchEncoder(self._context)
+        return self._slot_codec
 
-            self._batch_encoder_cache = BatchEncoder(self._context)
-        return self._batch_encoder_cache
+    def _check_batch(self, batch: int) -> None:
+        if batch < 1 or batch > self._context.poly_degree:
+            raise PipelineError(
+                f"batch must be in [1, {self._context.poly_degree}], got {batch}"
+            )
 
     # ------------------------------------------------------------------
     # noise refresh (Section IV-E)

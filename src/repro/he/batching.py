@@ -18,8 +18,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import EncodingError
+from repro.he import kernels
 from repro.he.context import Ciphertext, Context, Plaintext
-from repro.he.ntt import NttPlan
+from repro.he.ntt import NttPlan, StackedNttPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.he.evaluator import Evaluator
@@ -41,6 +42,21 @@ class BatchEncoder:
             )
         self.context = context
         self._plan = NttPlan(context.poly_degree, context.plain_modulus)
+        # The same tables as a one-prime stacked plan: lazy reduction pays one
+        # ``%`` per butterfly stage where NttPlan pays three.
+        self._stacked = StackedNttPlan(
+            context.poly_degree, [context.plain_modulus], plans=[self._plan]
+        )
+
+    def _to_coeffs(self, slots: np.ndarray) -> np.ndarray:
+        if kernels.active().stacked_ntt:
+            return self._stacked.inverse(slots[..., None, :])[..., 0, :]
+        return self._plan.inverse(slots)
+
+    def _to_slots(self, coeffs: np.ndarray) -> np.ndarray:
+        if kernels.active().stacked_ntt:
+            return self._stacked.forward(coeffs[..., None, :])[..., 0, :]
+        return self._plan.forward(coeffs)
 
     @property
     def slot_count(self) -> int:
@@ -61,13 +77,13 @@ class BatchEncoder:
         t = self.context.plain_modulus
         slots = np.zeros((*values.shape[:-1], n), dtype=np.int64)
         slots[..., : values.shape[-1]] = values % t
-        coeffs = self._plan.inverse(slots)
+        coeffs = self._to_coeffs(slots)
         return Plaintext(self.context, coeffs)
 
     def decode(self, plain: Plaintext) -> np.ndarray:
         """Recover all ``n`` slot values, centered into ``(-t/2, t/2]``."""
         self.context.check_same(plain.context)
-        slots = self._plan.forward(plain.coeffs)
+        slots = self._to_slots(plain.coeffs)
         t = self.context.plain_modulus
         return np.where(slots > t // 2, slots - t, slots)
 
@@ -147,5 +163,4 @@ def pack_coefficients(
     ntt = operand.ntt_data.reshape(
         b, *([1] * (len(ct.batch_shape) - 1)), *operand.ntt_data.shape[-2:]
     )
-    shifted = evaluator.multiply_plain(ct, type(operand)(ct.context, ntt))
-    return evaluator.sum_batch(shifted, axis=0)
+    return evaluator.multiply_plain_sum(ct, type(operand)(ct.context, ntt), axis=0)

@@ -19,6 +19,11 @@ from repro.errors import EncodingError, NoiseBudgetExhausted
 from repro.he import kernels
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.keys import SecretKey
+from repro.he.polyring import SCALE_ROUND_MAX_NUMER
+
+
+#: Budgets below this many bits count as overflowed (see ``is_decryptable``).
+_DECRYPTABLE_MARGIN_BITS = 0.5
 
 
 class Decryptor:
@@ -47,15 +52,36 @@ class Decryptor:
                 s_power = ring.pointwise_mul(s_power, self.secret_key.s_ntt)
         return acc
 
-    def _dot_with_secret(self, ct: Ciphertext) -> np.ndarray:
-        """``[sum_i c_i s^i]_q`` as centered bigint coefficients."""
-        ring = self.context.ring
-        coeff = ring.intt(self._dot_ntt(ct))
-        if kernels.active().fast_decrypt and ring.q_fits_int64:
-            # Same integers, lifted with the int64 Garner kernel instead of
-            # the object-dtype CRT sum.
-            return ring.to_int64_centered(coeff).astype(object)
-        return ring.to_bigint_centered(coeff)
+    def _use_int64(self) -> bool:
+        """Whether decrypt arithmetic stays in machine words: fused profile,
+        ``q < 2^62`` (Garner lift) and ``t < 2^50`` (rounding kernel)."""
+        params = self.context.params
+        return (
+            kernels.active().fast_decrypt
+            and self.context.ring.q_fits_int64
+            and params.plain_modulus < SCALE_ROUND_MAX_NUMER
+        )
+
+    def _round_to_plain(self, centered: np.ndarray) -> np.ndarray:
+        """FV rounding ``[round(t/q * v)]_t`` of centered coefficients, as
+        int64 in ``[0, t)``.
+
+        The int64 path takes :meth:`PolyContext.scale_round_int64`; otherwise
+        the object-dtype formula runs in Python ints, exact for any ``q`` and
+        ``t`` -- the oracle the kernel is tested against.
+        """
+        params = self.context.params
+        t, q = params.plain_modulus, params.coeff_modulus
+        if self._use_int64():
+            rounded = self.context.ring.scale_round_int64(centered, t)
+            rounded %= t
+            return rounded
+        scaled = centered.astype(object) * t
+        half = q // 2
+        rounded = np.where(
+            scaled >= 0, (scaled + half) // q, -((-scaled + half) // q)
+        )
+        return (rounded % t).astype(np.int64)
 
     def decrypt_constants(self, ct: Ciphertext) -> np.ndarray:
         """Fast decrypt of *scalar-encoded* ciphertexts: centered int64
@@ -83,7 +109,6 @@ class Decryptor:
                 "he.noise.decrypt", NoiseBudgetExhausted, name="decrypt_constants"
             )
         ring = self.context.ring
-        params = self.context.params
         acc = self._dot_ntt(ct)
         probes = [0, 1, ring.n // 2] if ring.n > 1 else [0]
         weights = np.stack(
@@ -94,15 +119,8 @@ class Decryptor:
             prod[..., i, :, :] %= int(p)
         residues = np.add.reduce(prod, axis=-1) % ring.primes[:, None]
         centered = ring.to_int64_centered(residues)  # (..., len(probes))
-        # Exact FV rounding round(t * v / q) mod t on the tiny probe array
-        # (a few values per ciphertext, so object arithmetic is negligible).
-        t, q = params.plain_modulus, params.coeff_modulus
-        scaled = centered.astype(object) * t
-        half = q // 2
-        rounded = np.where(
-            scaled >= 0, (scaled + half) // q, -((-scaled + half) // q)
-        )
-        coeffs = (rounded % t).astype(np.int64)
+        coeffs = self._round_to_plain(centered)
+        t = self.context.params.plain_modulus
         if coeffs[..., 1:].any():
             raise EncodingError(
                 "plaintext has non-constant coefficients; it was not produced "
@@ -121,22 +139,21 @@ class Decryptor:
         """
         if faults.is_armed():
             faults.inject("he.noise.decrypt", NoiseBudgetExhausted, name="decrypt")
-        if check_noise and not self.is_decryptable(ct):
+        ring = self.context.ring
+        coeff = ring.intt(self._dot_ntt(ct))  # [ct(s)]_q, feeds both uses
+        if check_noise and self._noise_budget(coeff) < _DECRYPTABLE_MARGIN_BITS:
             raise NoiseBudgetExhausted(
                 "ciphertext noise exceeds the decryptable threshold"
             )
-        params = self.context.params
-        raw = self._dot_with_secret(ct)
-        scaled = raw * params.plain_modulus
-        q = params.coeff_modulus
-        half = q // 2
-        rounded = np.where(
-            scaled >= 0, (scaled + half) // q, -((-scaled + half) // q)
-        )
-        coeffs = (rounded % params.plain_modulus).astype(np.int64)
-        return Plaintext(self.context, coeffs)
+        if self._use_int64():
+            centered = ring.to_int64_centered(coeff)
+        else:
+            centered = ring.to_bigint_centered(coeff)
+        return Plaintext(self.context, self._round_to_plain(centered))
 
-    def is_decryptable(self, ct: Ciphertext, margin_bits: float = 0.5) -> bool:
+    def is_decryptable(
+        self, ct: Ciphertext, margin_bits: float = _DECRYPTABLE_MARGIN_BITS
+    ) -> bool:
         """Statistical correctness test.
 
         Once noise overflows, the measured residue is uniform and lands
@@ -147,21 +164,31 @@ class Decryptor:
         """
         return self.invariant_noise_budget(ct) >= margin_bits
 
-    def _worst_noise(self, ct: Ciphertext) -> int:
+    def _worst_noise(self, coeff: np.ndarray) -> int:
+        """``max |[t * ct(s)]_q|`` from coefficient-domain ``[ct(s)]_q``."""
         params = self.context.params
         q = params.coeff_modulus
         ring = self.context.ring
-        if kernels.active().fast_decrypt and ring.q_fits_int64:
+        if self._use_int64():
             # [t * ct(s)]_q computed in RNS (scalar multiply per prime) and
             # lifted with the int64 Garner kernel: identical to the object
             # path's (raw * t) % q, without any bigint arithmetic.
-            scaled = ring.mul_scalar(self._dot_ntt(ct), params.plain_modulus)
-            centered = ring.to_int64_centered(ring.intt(scaled))
+            centered = ring.to_int64_centered(
+                ring.mul_scalar(coeff, params.plain_modulus)
+            )
             return int(np.abs(centered).max()) if centered.size else 0
-        raw = self._dot_with_secret(ct)
+        raw = ring.to_bigint_centered(coeff)
         residue = (raw * params.plain_modulus) % q
         centered = np.where(residue > q // 2, residue - q, residue)
         return int(np.abs(centered).max()) if centered.size else 0
+
+    def _noise_budget(self, coeff: np.ndarray) -> float:
+        q = self.context.params.coeff_modulus
+        worst = self._worst_noise(coeff)
+        if worst == 0:
+            return float(q.bit_length() - 1)
+        budget = math.log2(q) - math.log2(worst) - 1.0
+        return max(0.0, budget)
 
     def invariant_noise_budget(self, ct: Ciphertext) -> float:
         """Remaining noise budget in bits (0 when decryption would fail).
@@ -169,12 +196,7 @@ class Decryptor:
         For batched ciphertexts the *minimum* budget over the batch is
         returned, since one overflowing element already corrupts results.
         """
-        q = self.context.params.coeff_modulus
-        worst = self._worst_noise(ct)
-        if worst == 0:
-            return float(q.bit_length() - 1)
-        budget = math.log2(q) - math.log2(worst) - 1.0
-        return max(0.0, budget)
+        return self._noise_budget(self.context.ring.intt(self._dot_ntt(ct)))
 
 
 def decrypt_scalar_values(decryptor: Decryptor, encoder, ct: Ciphertext) -> np.ndarray:

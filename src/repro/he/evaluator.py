@@ -226,6 +226,40 @@ class Evaluator:
         self._record("ct_plain_mul", result)
         return result
 
+    def multiply_plain_sum(
+        self, ct: Ciphertext, plain: PlainOperand, axis: int = 0
+    ) -> Ciphertext:
+        """Fused ``sum_batch(multiply_plain(ct, plain), axis)``.
+
+        Same ciphertext and the same ``ct_plain_mul`` / ``ct_add`` tallies as
+        the composed calls, but the batch product is never materialized:
+        :meth:`PolyContext.pointwise_mul_sum` multiplies and folds it in
+        bounded chunks along ``axis``.
+        """
+        self._check(ct, plain)
+        if not ct.batch_shape:
+            raise ParameterError("multiply_plain_sum requires a batched ciphertext")
+        axis = axis % len(ct.batch_shape)
+        ct = ct.to_ntt()
+        operand = plain.ntt_data
+        if plain.batch_shape:
+            operand = operand[..., None, :, :]  # broadcast over ct components
+        if operand.ndim > ct.data.ndim:
+            raise ParameterError(
+                "multiply_plain_sum operand has more batch axes than the ciphertext"
+            )
+        result = Ciphertext(
+            self.context,
+            self.context.ring.pointwise_mul_sum(ct.data, operand, axis=axis),
+            is_ntt=True,
+        )
+        if self.counter is not None:
+            terms = np.broadcast_shapes(ct.data.shape, operand.shape)[axis]
+            lanes = max(1, result.batch_count)
+            self.counter.record("ct_plain_mul", terms * lanes)
+            self.counter.record("ct_add", (terms - 1) * lanes)
+        return result
+
     def multiply_scalar(self, ct: Ciphertext, value: int) -> Ciphertext:
         """Multiply by a small integer constant (no noise-polynomial growth
         beyond the scalar factor).

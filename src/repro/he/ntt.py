@@ -136,7 +136,8 @@ class StackedNttPlan:
     * the forward butterfly reduces the twiddle product mod p, so both
       outputs stay below ``B + p_max`` -- ``B`` grows by ``p_max`` per stage;
     * the inverse butterfly defers both halves: ``u + v < 2B`` and
-      ``(u - v + off) * s`` requires ``2B + p_max <= MULT_SAFE`` first;
+      ``(u - v + off) * s`` requires ``2B + p <= MULT_SAFE`` first (``B``
+      tracked per prime there, so a freshly reduced row counts as ``< p``);
     * before any multiplication by a twiddle/scalar ``s < p_max`` the operand
       must be below ``MULT_SAFE = (2^63 - 1) // (p_max - 1)`` (>= 2^32 for
       31-bit primes, ~2^33 for the 30-bit default), which is when the
@@ -222,21 +223,24 @@ class StackedNttPlan:
         per prime."""
         x, batch = self._prime_front(values)
         b = x.shape[1]
-        bound = self._p_max
+        # Tracked per prime: after a reduction pass row i is below p_i, not
+        # just below p_max, and with 31-bit primes only that tighter bound
+        # keeps the lifted difference under MULT_SAFE.
+        bound = self.primes.copy()
         t = 1
         m = self.n
         while m > 1:
             h = m // 2
-            if 2 * bound + self._p_max > self._mult_safe:
+            if int((2 * bound + self.primes).max()) > self._mult_safe:
                 self._reduce_rows(x)
-                bound = self._p_max
+                bound = self.primes.copy()
             # Per-prime multiple of p lifting u - v (> -bound) to >= 0.
             off = (-(-bound // self.primes) * self.primes).reshape(self.k, 1, 1, 1)
             view = x.reshape(self.k, b, h, 2, t)
             u = view[..., 0, :]
             v = view[..., 1, :]
             d = u - v
-            d += off  # d in [0, bound + off) subset [0, 2*bound + p_max)
+            d += off  # d in [0, bound + off) subset [0, 2*bound + p)
             d *= self._psi_inv_rev[:, None, h : 2 * h, None]
             for i, p in enumerate(self._prime_list):
                 d[i] %= p
@@ -246,7 +250,7 @@ class StackedNttPlan:
             bound *= 2
             t *= 2
             m = h
-        if bound > self._mult_safe:
+        if int(bound.max()) > self._mult_safe:
             self._reduce_rows(x)
         for i, p in enumerate(self._prime_list):
             x[i] *= self._n_inv[i]

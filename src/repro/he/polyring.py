@@ -18,8 +18,15 @@ from repro.errors import ParameterError
 from repro.he import kernels, modmath
 from repro.he.ntt import NttPlan, StackedNttPlan, negacyclic_convolve_exact
 
-#: Elementwise cap on chunked fused multiply-reduce intermediates (~256 MB).
-_MUL_SUM_CHUNK_ELEMS = 1 << 25
+#: Elementwise cap on the product chunk of the fused multiply-reduce (16 MiB of
+#: int64): small enough that the serving flush's 16 x 288 ciphertext fold never
+#: materializes the whole batch product, large enough that the conv/dense tap
+#: stacks still run as a handful of numpy calls.
+_MUL_SUM_CHUNK_ELEMS = 1 << 21
+
+#: Exclusive numerator bound of :meth:`PolyContext.scale_round_int64`: below
+#: it the float64 quotient estimate is provably within one of the true value.
+SCALE_ROUND_MAX_NUMER = 1 << 50
 
 
 class PolyContext:
@@ -230,9 +237,11 @@ class PolyContext:
         chunk's products are reduced mod p (products of two residues can
         reach ~2^62, so they cannot be accumulated lazily) and the reduced
         terms -- each < p_max < 2^31 -- are summed exactly in int64 with one
-        trailing ``%`` per prime.  This is the conv/dense tap-batch kernel:
-        one multiply pass + one reduction instead of a Python loop of
-        ``multiply_plain`` / ``add`` allocations.
+        trailing ``%`` per prime.  This is the conv/dense tap-batch kernel
+        and the serving flush's coefficient fold: one multiply pass + one
+        reduction instead of a Python loop of ``multiply_plain`` / ``add``
+        allocations, peaking at one product chunk (``_MUL_SUM_CHUNK_ELEMS``)
+        plus two output-sized arrays.
         """
         a = np.asarray(a)
         b = np.asarray(b)
@@ -258,15 +267,26 @@ class PolyContext:
         b_full = np.broadcast_to(b, out_shape)
         index: list = [slice(None)] * len(out_shape)
         acc: np.ndarray | None = None
+        prod: np.ndarray | None = None
         for start in range(0, terms, chunk):
             index[axis] = slice(start, start + chunk)
-            prod = a_full[tuple(index)] * b_full[tuple(index)]
+            lhs, rhs = a_full[tuple(index)], b_full[tuple(index)]
+            if prod is not None and prod.shape == lhs.shape:
+                # Reuse the chunk-sized scratch: allocating the next product
+                # while the last is still bound would double the peak.
+                np.multiply(lhs, rhs, out=prod)
+            else:
+                prod = lhs * rhs
             for i, p in enumerate(self._prime_list):
                 prod[..., i, :] %= p
-            partial = np.add.reduce(prod, axis=axis)
-            acc = partial if acc is None else acc + partial
+            if acc is None:
+                acc = np.add.reduce(prod, axis=axis)
+            else:
+                acc += np.add.reduce(prod, axis=axis)
         assert acc is not None  # terms >= 1 always holds for layer kernels
-        return acc % self._p_col
+        for i, p in enumerate(self._prime_list):
+            acc[..., i, :] %= p
+        return acc
 
     # ------------------------------------------------------------------
     # domain conversion
@@ -330,6 +350,64 @@ class PolyContext:
             d %= p
             acc += self._garner_prods[i] * d
         return np.where(acc > self.q // 2, acc - self.q, acc)
+
+    def scale_round_int64(self, centered: np.ndarray, numer: int) -> np.ndarray:
+        """Exact ``round(numer * v / q)`` of centered int64 coefficients,
+        without leaving machine words.
+
+        Same integers as :meth:`scale_and_round`'s rule (nearest, halves away
+        from zero) for ``|v| <= q/2``.  ``numer * |v|`` overflows int64, so
+        the quotient is *estimated* in float64 and then made exact: the
+        remainder ``|v| * numer + q//2 - est * q`` is evaluated in wrapping
+        64-bit arithmetic, which yields its true value whenever the estimate
+        is within one of the quotient (the true remainder then lies in
+        ``[-q, 2q)``, inside int64 for ``q < 2^62``), and one conditional
+        step moves it into ``[0, q)``.
+
+        Bound argument: four float64 roundings enter the estimate (the
+        conversion of ``|v|``, the correctly rounded ``numer / q``, their
+        product, the ``+ 0.5``), each relative ``2^-53`` on a value of at
+        most ``numer/2 + 1``; for ``numer < 2^50`` the estimate is therefore
+        within ``1/4`` of the real quotient and its floor within one of the
+        true one.  The post-condition ``0 <= rem < q`` is nevertheless
+        *checked*: an input outside the proven range raises instead of
+        yielding a wrong coefficient.
+
+        Raises:
+            ParameterError: ``q >= 2^62``, ``numer`` outside ``[1, 2^50)``,
+                a coefficient beyond ``q/2``, or a failed remainder check.
+        """
+        if not self.q_fits_int64:
+            raise ParameterError(
+                f"q has {self.q.bit_length()} bits; int64 rounding requires "
+                "q < 2^62 (use scale_and_round)"
+            )
+        if not 0 < numer < SCALE_ROUND_MAX_NUMER:
+            raise ParameterError(
+                f"int64 rounding requires 0 < numer < 2^50, got {numer}"
+            )
+        centered = np.asarray(centered, dtype=np.int64)
+        negative = centered.ravel() < 0
+        # uint64 views of 1-d arrays: products wrap silently mod 2^64, and one
+        # unsigned compare checks both ends of a signed range.
+        q, half = np.uint64(self.q), np.uint64(self.q // 2)
+        mag = np.abs(centered).ravel().view(np.uint64)
+        if (mag > half).any():
+            raise ParameterError("int64 rounding expects coefficients in [-q/2, q/2]")
+        est = np.floor(mag * (numer / self.q) + 0.5).astype(np.int64)
+        rem = (mag * np.uint64(numer) + half - est.view(np.uint64) * q).view(np.int64)
+        step = (rem >= self.q).astype(np.int64)
+        step -= rem < 0
+        est += step
+        step *= self.q
+        rem -= step
+        if (rem.view(np.uint64) >= q).any():
+            raise ParameterError(
+                "int64 rounding remainder left [0, q): quotient estimate off "
+                "by more than one"
+            )
+        np.negative(est, out=est, where=negative)
+        return est.reshape(centered.shape)
 
     def convolve_exact(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact signed negacyclic convolution of centered bigint coefficient

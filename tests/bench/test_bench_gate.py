@@ -15,12 +15,17 @@ def _hotpath_report(speedup=3.0, fused_s=0.2, bit_identical=True):
     return {
         "config": {"mode": "smoke"},
         "ntt": {"forward_speedup": 2.0, "inverse_speedup": 2.0},
+        "decrypt_poly": {"speedup": 4.0},
+        "pack_fold": {"peak_ratio": 1.7, "fused_s": 0.03},
         "fused": {"simulated_s": fused_s},
         "speedup": speedup,
         "bit_identical": {
             "logits": bit_identical,
             "encrypted_input": bit_identical,
             "op_tallies": bit_identical,
+            "decrypt_poly": bit_identical,
+            "pack_fold": bit_identical,
+            "pack_fold_tallies": bit_identical,
         },
     }
 

@@ -176,3 +176,44 @@ class TestValueGuards:
         ct = userland["encryptor"].encrypt(encoder.encode(12345))
         with pytest.raises(PipelineError):
             enclave.ecall("divide", ct, 2)
+
+
+class TestSlotCrossings:
+    """``pack_slots`` / ``unpack_slots``: the packed flush's layout ECALLs."""
+
+    @pytest.fixture()
+    def slot_deployment(self, platform, q_sigmoid):
+        from repro.core import parameters_for_pipeline
+        from repro.he.context import Plaintext
+        from repro.he.keys import PublicKey
+
+        params = parameters_for_pipeline(q_sigmoid, 256, batching=True)
+        handle = platform.load_enclave(InferenceEnclave, params, 5)
+        handle.ecall("generate_keys")
+        context = Context(params)
+        public = handle.ecall("get_public_key")
+        encryptor = Encryptor(
+            context,
+            PublicKey(context, public.p0_ntt, public.p1_ntt),
+            np.random.default_rng(8),
+        )
+        rows = np.arange(-6, 6).reshape(4, 3)  # 4 requests, 3 tensor positions
+        coeffs = np.zeros((3, params.poly_degree), dtype=np.int64)
+        coeffs[:, :4] = rows.T % params.plain_modulus
+        return handle, encryptor.encrypt(Plaintext(context, coeffs)), rows
+
+    def test_pack_then_unpack_restores_rows(self, slot_deployment):
+        handle, folded, rows = slot_deployment
+        packed = handle.ecall("pack_slots", folded, 4)
+        assert packed.batch_shape == (1, 3)
+        unpacked = handle.ecall("unpack_slots", packed, 4)
+        assert unpacked.batch_shape == (4, 3)
+        plain = handle._instance._decryptor.decrypt(unpacked)
+        assert np.array_equal(plain.signed_coeffs()[..., 0], rows)
+
+    @pytest.mark.parametrize("name", ["pack_slots", "unpack_slots"])
+    @pytest.mark.parametrize("batch", [0, -1, 257])
+    def test_bad_batch_is_a_typed_pipeline_error(self, slot_deployment, name, batch):
+        handle, folded, _rows = slot_deployment
+        with pytest.raises(PipelineError, match=r"batch must be in \[1, 256\]"):
+            handle.ecall(name, folded, batch)

@@ -3,28 +3,37 @@
 Everything the fused profile changes must be *bit-identical* to the
 reference kernels: the stacked NTT against per-prime :class:`NttPlan`, the
 lazy conditional-subtract arithmetic against full ``%``, the Garner int64
-CRT lift against the object-dtype sum, the probe-based constant decrypt
-against full decrypt + decode, and the fused multiply-reduce against the
-composed primitives.  The overflow-bound regression pins the deferred
-reduction's safety margin at the largest supported configuration.
+CRT lift against the object-dtype sum, the int64 FV rounding against the
+object-dtype formula, the probe-based constant decrypt against full decrypt +
+decode, the fused multiply-reduce (and the coefficient fold built on it)
+against the composed primitives, and the stacked slot codec against
+``NttPlan``.  The overflow-bound regression pins the deferred reduction's
+safety margin at the largest supported configuration.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.errors import EncodingError, ParameterError
 from repro.he import kernels, modmath
-from repro.he.context import Context
+from repro.he.batching import BatchEncoder, pack_coefficients
+from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
 from repro.he.encoders import ScalarEncoder
 from repro.he.encryptor import Encryptor, SymmetricEncryptor
-from repro.he.evaluator import Evaluator
+from repro.he.evaluator import Evaluator, OperationCounter, PlainOperand
 from repro.he.keys import KeyGenerator
 from repro.he.ntt import NttPlan, StackedNttPlan
-from repro.he.params import small_parameter_options
-from repro.he.polyring import PolyContext
+from repro.he.params import (
+    EncryptionParams,
+    default_parameter_options,
+    small_parameter_options,
+)
+from repro.he.polyring import SCALE_ROUND_MAX_NUMER, PolyContext
 
 N = 64
 PRIMES = modmath.ntt_primes(28, N, 2)
@@ -139,6 +148,18 @@ class TestOverflowBounds:
         p_max = max(primes)
         assert plan._mult_safe == ((1 << 63) - 1) // (p_max - 1)
         assert plan._mult_safe >= 1 << 32
+
+    def test_stacked_inverse_exact_at_31_bit_primes(self, rng):
+        """Distinct 31-bit primes leave the inverse butterfly no slack: the
+        lifted difference stays multiply-safe only against each row's own
+        prime (a shared ``p_max`` bound overflowed int64 here)."""
+        wide = PolyContext(N, modmath.ntt_primes(31, N, 3))
+        x = wide.sample_uniform(rng, 5)
+        expected = np.empty_like(x)
+        for i, plan in enumerate(wide.plans):
+            expected[..., i, :] = plan.inverse(x[..., i, :])
+        assert np.array_equal(wide.stacked.inverse(x), expected)
+        assert np.array_equal(wide.stacked.inverse(wide.stacked.forward(x)), x)
 
     def test_reduce_sum_rejects_overflowing_axis(self, ring):
         terms = ring.max_sum_terms + 1
@@ -257,6 +278,85 @@ class TestPointwiseMulSum:
             ring.pointwise_mul_sum(a, a, axis=-1)
 
 
+class TestPackFold:
+    """``pack_coefficients`` runs one fused multiply-and-fold; it must equal
+    the composed ``multiply_plain`` + ``sum_batch`` in data and tallies."""
+
+    @staticmethod
+    def _random_ct(context, rng, *batch):
+        data = context.ring.sample_uniform(rng, *batch, 2)
+        return Ciphertext(context, data, is_ntt=True)
+
+    @staticmethod
+    def _monomials(evaluator, context, count, rest_ndim):
+        coeffs = np.zeros((count, context.poly_degree), dtype=np.int64)
+        coeffs[np.arange(count), np.arange(count)] = 1
+        operand = evaluator.transform_plain(Plaintext(context, coeffs))
+        shape = (count, *([1] * rest_ndim), *operand.ntt_data.shape[-2:])
+        return PlainOperand(context, operand.ntt_data.reshape(shape))
+
+    @pytest.mark.parametrize("batch", [(5,), (16, 9), (3, 2, 4)])
+    def test_fused_matches_composed_data_and_tallies(self, rng, batch):
+        context = Context(small_parameter_options()[256])
+        ct = self._random_ct(context, rng, *batch)
+        fused_counter, composed_counter = OperationCounter(), OperationCounter()
+        fused_out = pack_coefficients(Evaluator(context, fused_counter), ct)
+        composed = Evaluator(context, composed_counter)
+        operand = self._monomials(composed, context, batch[0], len(batch) - 1)
+        composed_out = composed.sum_batch(composed.multiply_plain(ct, operand), axis=0)
+        assert fused_out.is_ntt and fused_out.batch_shape == batch[1:]
+        assert np.array_equal(fused_out.data, composed_out.data)
+        assert fused_counter.counts == composed_counter.counts
+        lanes = int(np.prod(batch[1:], dtype=np.int64))
+        assert fused_counter.counts == {
+            "ct_plain_mul": batch[0] * lanes,
+            "ct_add": (batch[0] - 1) * lanes,
+        }
+
+    def test_multiply_plain_sum_inner_axis(self, rng):
+        context = Context(small_parameter_options()[256])
+        evaluator = Evaluator(context)
+        ct = self._random_ct(context, rng, 3, 6)
+        operand = PlainOperand(context, context.ring.sample_uniform(rng, 6))
+        fused_out = evaluator.multiply_plain_sum(ct, operand, axis=-1)
+        composed_out = evaluator.sum_batch(evaluator.multiply_plain(ct, operand), axis=1)
+        assert np.array_equal(fused_out.data, composed_out.data)
+
+    def test_multiply_plain_sum_rejects_bad_operands(self, rng):
+        context = Context(small_parameter_options()[256])
+        evaluator = Evaluator(context)
+        operand = self._monomials(evaluator, context, 4, 1)
+        with pytest.raises(ParameterError, match="batched ciphertext"):
+            evaluator.multiply_plain_sum(self._random_ct(context, rng), operand)
+        with pytest.raises(ParameterError, match="more batch axes"):
+            evaluator.multiply_plain_sum(self._random_ct(context, rng, 4), operand)
+
+    def test_flush_sized_fold_stays_bounded(self, rng):
+        """The serving flush folds a (16, 288) batch at n = 1024, k = 2; the
+        composed form materialized the whole 151 MB product, the fused fold
+        must peak well below that."""
+        params = EncryptionParams(
+            poly_degree=1024,
+            coeff_primes=tuple(modmath.ntt_primes(30, 1024, 2)),
+            plain_modulus=modmath.ntt_primes(21, 1024, 1)[0],
+        )
+        context = Context(params)
+        evaluator = Evaluator(context)
+        cache: dict = {}
+        pack_coefficients(evaluator, self._random_ct(context, rng, 16, 1), cache)
+        ct = self._random_ct(context, rng, 16, 288)
+        assert ct.data.nbytes == 16 * 288 * 4 * 1024 * 8  # the old temporary
+        tracemalloc.start()
+        try:
+            out = pack_coefficients(evaluator, ct, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.batch_shape == (288,)
+        # One 9 MiB product chunk plus two output-sized arrays, not 144 MiB.
+        assert peak < 40 * 2**20
+
+
 class TestGarnerLift:
     def test_matches_bigint_centered(self, ring, rng):
         a = ring.sample_uniform(rng, 8)
@@ -271,6 +371,110 @@ class TestGarnerLift:
         assert not wide.q_fits_int64
         with pytest.raises(ParameterError, match="int64 CRT lift"):
             wide.to_int64_centered(wide.zeros(1))
+
+
+def _round_oracle(values: np.ndarray, numer: int, denom: int) -> np.ndarray:
+    """The object-dtype FV rounding formula (nearest, halves away from zero)."""
+    scaled = values.astype(object) * numer
+    half = denom // 2
+    return np.where(
+        scaled >= 0, (scaled + half) // denom, -((-scaled + half) // denom)
+    )
+
+
+#: Every preset whose q the int64 Garner lift accepts (q < 2^62).
+INT64_PRESETS = [
+    params
+    for params in (
+        *small_parameter_options().values(),
+        *default_parameter_options().values(),
+    )
+    if params.coeff_modulus < 1 << 62
+]
+
+
+class TestScaleRoundInt64:
+    """int64 ``round(t * v / q)`` == the object-dtype formula, exactly."""
+
+    @pytest.fixture(params=INT64_PRESETS, ids=lambda params: params.name)
+    def preset(self, request):
+        params = request.param
+        return PolyContext(params.poly_degree, params.coeff_primes), params.plain_modulus
+
+    def test_presets_cover_every_liftable_q(self):
+        assert {p.name for p in INT64_PRESETS} == {"test_256", "test_512", "paper_1024"}
+
+    def test_random_centered_values(self, preset, rng):
+        ring, t = preset
+        half = ring.q // 2
+        values = rng.integers(-half, half + 1, size=(7, 512))
+        got = ring.scale_round_int64(values, t)
+        assert got.dtype == np.int64 and got.shape == values.shape
+        assert np.array_equal(got.astype(object), _round_oracle(values, t, ring.q))
+
+    @pytest.mark.parametrize("numer", ["t", SCALE_ROUND_MAX_NUMER - 1])
+    def test_half_way_points_both_signs(self, preset, rng, numer):
+        """``v = ((2j+1) q) / (2 numer) + {-1, 0, 1}`` straddles every rounding
+        boundary -- where a quotient estimate off by one would show."""
+        ring, t = preset
+        numer = t if numer == "t" else numer
+        q, half = ring.q, ring.q // 2
+        js = np.unique(
+            np.concatenate(
+                [np.arange(min(numer // 2, 512)), rng.integers(0, numer // 2, size=512)]
+            )
+        )
+        points = [0, 1, -1, half, -half]
+        for j in js:
+            boundary = (2 * int(j) + 1) * q // (2 * numer)
+            points += [
+                sign * (boundary + delta)
+                for delta in (-1, 0, 1)
+                for sign in (1, -1)
+                if boundary + delta <= half
+            ]
+        values = np.array(points, dtype=np.int64)
+        got = ring.scale_round_int64(values, numer)
+        assert np.array_equal(got.astype(object), _round_oracle(values, numer, q))
+
+    def test_rejects_wide_modulus(self):
+        wide = PolyContext(64, modmath.ntt_primes(31, 64, 3))  # 93-bit q
+        assert wide.q >= 1 << 62
+        with pytest.raises(ParameterError, match="q < 2\\^62"):
+            wide.scale_round_int64(np.zeros(4, dtype=np.int64), 17)
+
+    def test_rejects_out_of_range_inputs(self, ring):
+        half = ring.q // 2
+        for numer in (0, -3, SCALE_ROUND_MAX_NUMER):
+            with pytest.raises(ParameterError, match="numer"):
+                ring.scale_round_int64(np.zeros(4, dtype=np.int64), numer)
+        for bad in (half + 1, -half - 1, np.iinfo(np.int64).min):
+            with pytest.raises(ParameterError, match="coefficients in"):
+                ring.scale_round_int64(np.array([0, bad]), 17)
+
+    def test_postcondition_raises_rather_than_returning_wrong_values(
+        self, ring, rng, monkeypatch
+    ):
+        """With the numerator precondition lifted the float estimate drifts
+        past one; the checked remainder must then raise, never mis-round."""
+        import repro.he.polyring as polyring_mod
+
+        monkeypatch.setattr(polyring_mod, "SCALE_ROUND_MAX_NUMER", 1 << 62)
+        half = ring.q // 2
+        values = rng.integers(-half, half + 1, size=4096)
+        tripped = False
+        for bits in range(50, 60):
+            numer = (1 << bits) + 12345
+            try:
+                got = ring.scale_round_int64(values, numer)
+            except ParameterError as exc:
+                assert "remainder" in str(exc)
+                tripped = True
+            else:
+                assert np.array_equal(
+                    got.astype(object), _round_oracle(values, numer, ring.q)
+                )
+        assert tripped
 
 
 class TestFastDecrypt:
@@ -310,8 +514,6 @@ class TestFastDecrypt:
         context = deployment["context"]
         coeffs = np.zeros((context.poly_degree,), dtype=np.int64)
         coeffs[0], coeffs[1] = 5, 9  # non-constant polynomial
-        from repro.he.context import Plaintext
-
         ct = deployment["encryptor"].encrypt(Plaintext(context, coeffs))
         with pytest.raises(EncodingError, match="non-constant"):
             deployment["decryptor"].decrypt_constants(ct)
@@ -324,6 +526,117 @@ class TestFastDecrypt:
         with kernels.use(kernels.REFERENCE):
             slow = deployment["decryptor"].invariant_noise_budget(ct)
         assert fast == slow
+
+
+class TestFullDecryptBitIdentity:
+    """``Decryptor.decrypt`` of full polynomials: int64 lift + int64 rounding
+    under the fused profile, Python ints under the reference one."""
+
+    @staticmethod
+    def _deploy(params, seed):
+        context = Context(params)
+        keys = KeyGenerator(context, np.random.default_rng(seed)).generate()
+        encryptor = Encryptor(context, keys.public, np.random.default_rng(seed + 1))
+        return context, encryptor, Decryptor(context, keys.secret)
+
+    @staticmethod
+    def _both_profiles(decryptor, ct):
+        with kernels.fused_kernels():
+            fast = decryptor.decrypt(ct)
+            fast_budget = decryptor.invariant_noise_budget(ct)
+        with kernels.reference_kernels():
+            slow = decryptor.decrypt(ct)
+            slow_budget = decryptor.invariant_noise_budget(ct)
+        assert fast.coeffs.dtype == slow.coeffs.dtype == np.int64
+        assert np.array_equal(fast.coeffs, slow.coeffs)
+        assert fast_budget == slow_budget
+        return fast
+
+    @pytest.mark.parametrize("params", INT64_PRESETS, ids=lambda params: params.name)
+    def test_size_2(self, params, rng):
+        context, encryptor, decryptor = self._deploy(params, 21)
+        coeffs = rng.integers(0, params.plain_modulus, size=(3, params.poly_degree))
+        plain = self._both_profiles(decryptor, encryptor.encrypt(Plaintext(context, coeffs)))
+        assert np.array_equal(plain.coeffs, coeffs)
+
+    def test_size_3(self, rng):
+        params = small_parameter_options()[256]
+        context, encryptor, decryptor = self._deploy(params, 23)
+        encoder = ScalarEncoder(context)
+        a = encryptor.encrypt(encoder.encode(np.array([3, -7, 11])))
+        b = encryptor.encrypt(encoder.encode(np.array([5, 9, -4])))
+        product = Evaluator(context).multiply(a, b)
+        assert product.size == 3
+        plain = self._both_profiles(decryptor, product)
+        assert np.array_equal(encoder.decode(plain), [15, -63, -44])
+
+    def test_wide_q_falls_back_to_object_path(self, rng, monkeypatch):
+        params = EncryptionParams(
+            poly_degree=64,
+            coeff_primes=tuple(modmath.ntt_primes(31, 64, 3)),  # 93-bit q
+            plain_modulus=257,
+        )
+        context, encryptor, decryptor = self._deploy(params, 27)
+        assert not context.ring.q_fits_int64
+
+        def refuse(*_args):
+            raise AssertionError("int64 rounding must not run for q >= 2^62")
+
+        monkeypatch.setattr(PolyContext, "scale_round_int64", refuse)
+        coeffs = rng.integers(0, 257, size=(2, 64))
+        plain = self._both_profiles(decryptor, encryptor.encrypt(Plaintext(context, coeffs)))
+        assert np.array_equal(plain.coeffs, coeffs)
+
+    def test_check_noise_evaluates_ct_of_s_once(self, rng, monkeypatch):
+        params = small_parameter_options()[256]
+        context, encryptor, decryptor = self._deploy(params, 29)
+        coeffs = rng.integers(0, params.plain_modulus, size=(2, params.poly_degree))
+        ct = encryptor.encrypt(Plaintext(context, coeffs))
+        calls = []
+        dot_ntt = decryptor._dot_ntt
+        monkeypatch.setattr(
+            decryptor, "_dot_ntt", lambda c: calls.append(1) or dot_ntt(c)
+        )
+        for profile in (kernels.FUSED, kernels.REFERENCE):
+            with kernels.use(profile):
+                calls.clear()
+                checked = decryptor.decrypt(ct, check_noise=True)
+                assert len(calls) == 1
+                assert np.array_equal(checked.coeffs, coeffs)
+
+
+class TestSlotCodec:
+    """``BatchEncoder`` through the one-prime stacked plan == ``NttPlan``."""
+
+    @pytest.mark.parametrize("degree", [256, 512])
+    def test_encode_decode_identical_both_profiles(self, rng, degree):
+        context = Context(small_parameter_options()[degree])
+        codec = BatchEncoder(context)
+        t = context.plain_modulus
+        values = rng.integers(-(t // 2), t // 2 + 1, size=(1, 3, 5, degree))
+        with kernels.fused_kernels():
+            fast_plain = codec.encode(values)
+            fast_slots = codec.decode(fast_plain)
+        with kernels.reference_kernels():
+            slow_plain = codec.encode(values)
+            slow_slots = codec.decode(slow_plain)
+        assert np.array_equal(fast_plain.coeffs, slow_plain.coeffs)
+        assert np.array_equal(fast_slots, slow_slots)
+        assert np.array_equal(fast_slots, values)
+        plan = NttPlan(degree, t)
+        assert np.array_equal(fast_plain.coeffs, plan.inverse(values % t))
+
+    def test_batch_axis_roundtrip_matches_reference(self, rng):
+        context = Context(small_parameter_options()[256])
+        codec = BatchEncoder(context)
+        rows = rng.integers(-500, 500, size=(16, 2, 3))
+        with kernels.fused_kernels():
+            fast = codec.encode_batch_axis(rows)
+        with kernels.reference_kernels():
+            slow = codec.encode_batch_axis(rows)
+            decoded = codec.decode_batch_axis(fast, 16)
+        assert np.array_equal(fast.coeffs, slow.coeffs)
+        assert np.array_equal(decoded, rows)
 
 
 class TestEncryptorBitIdentity:

@@ -6,10 +6,10 @@ Six benchmark scripts emit JSON reports (``bench_hotpath_kernels``,
 ``bench_parallel_scaling``, ``bench_graph_optimizer``; selected with
 ``--bench hotpath|serving|slo|fleet|parallel|graph``); this tool compares
 fresh reports against the checked-in ones under ``benchmarks/baselines/``
-and exits non-zero when a gated metric regressed beyond tolerance.  Because the reports mix *ratio* metrics (speedups --
-stable across machines, the real regression signal) with *timing* metrics
-(absolute seconds -- machine-dependent), the two classes carry separate
-tolerances:
+and exits non-zero when a gated metric regressed beyond tolerance.  Because
+the reports mix *ratio* metrics (speedups -- stable across machines, the real
+regression signal) with *timing* metrics (absolute seconds --
+machine-dependent), the two classes carry separate tolerances:
 
 * ratio metrics fail when ``current < baseline * (1 - tolerance)``
   (higher is better) -- default tolerance 0.35;
@@ -76,10 +76,16 @@ BENCHES: dict[str, dict] = {
             MetricSpec("speedup", "ratio"),
             MetricSpec("ntt.forward_speedup", "ratio"),
             MetricSpec("ntt.inverse_speedup", "ratio"),
+            MetricSpec("decrypt_poly.speedup", "ratio"),
+            MetricSpec("pack_fold.peak_ratio", "ratio"),
             MetricSpec("fused.simulated_s", "timing"),
+            MetricSpec("pack_fold.fused_s", "timing"),
             MetricSpec("bit_identical.logits", "invariant"),
             MetricSpec("bit_identical.encrypted_input", "invariant"),
             MetricSpec("bit_identical.op_tallies", "invariant"),
+            MetricSpec("bit_identical.decrypt_poly", "invariant"),
+            MetricSpec("bit_identical.pack_fold", "invariant"),
+            MetricSpec("bit_identical.pack_fold_tallies", "invariant"),
         ),
     },
     "serving": {
