@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Serving SLOs under open-loop traffic: the event-driven loop vs pump().
+"""Serving SLOs under open-loop traffic: the event-driven loop vs a windowed baseline.
 
 ``bench_serving_throughput.py`` measures one closed batch of concurrent
 requests; this bench asks the deployment question the paper's edge-serving
@@ -13,8 +13,8 @@ virtual timeline:
 
 * ``continuous.*`` -- p50/p99 queue wait, images/sec, mean slot occupancy,
   shed rate for the continuous-batching loop;
-* ``windowed.*`` -- the same trace pushed through a pure simulation of the
-  old pump-style discipline (fresh coalescing window per group, no
+* ``windowed.*`` -- the same trace pushed through a pure simulation of a
+  windowed discipline (fresh coalescing window per group, no
   admission control) with the identical :class:`~repro.serve.
   ServiceTimeModel`, as the comparison baseline;
 * ``throughput_ratio`` -- continuous vs windowed images per *busy* second
@@ -65,7 +65,7 @@ from repro.sgx import AttestationVerificationService
 
 
 def simulate_windowed(trace, service_model, capacity, window_s):
-    """Pure-virtual replay of the pump-style coalescing discipline.
+    """Pure-virtual replay of a fresh-window-per-group coalescing discipline.
 
     Groups form FIFO: a group opens at its first arrival and closes when it
     fills to ``capacity`` images or an arrival lands after its coalescing

@@ -64,14 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sgx.attestation import AttestationVerificationService
 
 
-def _m_transitions():
-    return metrics.registry().counter(
-        "repro_client_transitions_total",
-        "Client session state-machine transitions, by destination state.",
-        ("state",),
-    )
-
-
 class SessionState(str, enum.Enum):
     """Where an :class:`AttestedClient` stands in its trust establishment."""
 
@@ -147,7 +139,7 @@ class AttestedClient:
 
     def _transition(self, to: SessionState) -> None:
         self.state = to
-        _m_transitions().labels(state=to.value).inc()
+        metrics.family("repro_client_transitions_total").labels(state=to.value).inc()
 
     def _fail(self, error: Exception) -> Exception:
         self._transition(SessionState.FAILED)
@@ -307,9 +299,6 @@ class AttestedClient:
         images: np.ndarray,
         *,
         pack: bool = False,
-        deadline_ms: float | None = None,
-        priority: int = 1,
-        slo_deadline_ms: float | None = None,
         context: TraceContext | None = None,
     ) -> InferenceRequest:
         """Encrypt and wrap ``images`` as a canonical
@@ -328,24 +317,14 @@ class AttestedClient:
             model=model,
             ciphertext=self.encrypt(model, images),
             pack=pack,
-            deadline_ms=deadline_ms,
-            priority=priority,
-            slo_deadline_ms=slo_deadline_ms,
             context=context,
         )
 
     def infer(
-        self,
-        model: str,
-        images: np.ndarray,
-        *,
-        pack: bool = False,
-        deadline_ms: float | None = None,
+        self, model: str, images: np.ndarray, *, pack: bool = False
     ) -> "ServedResult":
         """Encrypt, serve, and return the (still encrypted) result."""
-        return self.server.infer(
-            self.request(model, images, pack=pack, deadline_ms=deadline_ms)
-        )
+        return self.server.infer(self.request(model, images, pack=pack))
 
     def decrypt_logits(self, result: "ServedResult") -> np.ndarray:
         self._require(SessionState.READY, "decrypt_logits")
@@ -357,13 +336,8 @@ class AttestedClient:
         return self.session.decrypt(result)
 
     def predict(
-        self,
-        model: str,
-        images: np.ndarray,
-        *,
-        pack: bool = False,
-        deadline_ms: float | None = None,
+        self, model: str, images: np.ndarray, *, pack: bool = False
     ) -> np.ndarray:
         """End-to-end: encrypted inference, decrypted argmax predictions."""
-        result = self.infer(model, images, pack=pack, deadline_ms=deadline_ms)
+        result = self.infer(model, images, pack=pack)
         return self.decrypt_logits(result).argmax(axis=1)

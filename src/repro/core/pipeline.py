@@ -123,7 +123,7 @@ class PipelineSpec:
             Optimized execution is bit-identical to ``"off"`` -- same
             logits, same serialized ciphertext bytes, same op tallies.
         fleet_size: enclave replicas for ``EdgeServer.from_spec`` (>= 1).
-        max_queue_depth / max_batch / window_s: scheduler queue bounds; any
+        max_queue_depth / max_batch: scheduler queue bounds; any
             set value flows into the server's
             :class:`~repro.serve.ServeConfig`.
         options: extra scheme-specific constructor options (``mode``,
@@ -141,7 +141,6 @@ class PipelineSpec:
     fleet_size: int = 1
     max_queue_depth: int | None = None
     max_batch: int | None = None
-    window_s: float | None = None
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -169,8 +168,6 @@ class PipelineSpec:
             raise PipelineError("max_queue_depth must be >= 1")
         if self.max_batch is not None and self.max_batch < 1:
             raise PipelineError("max_batch must be >= 1")
-        if self.window_s is not None and self.window_s < 0:
-            raise PipelineError("window_s must be >= 0")
 
     def wants_batching(self) -> bool:
         """Whether auto-sized parameters should support CRT slot packing."""
@@ -180,7 +177,6 @@ class PipelineSpec:
             self.fleet_size > 1
             or self.max_queue_depth is not None
             or self.max_batch is not None
-            or self.window_s is not None
         )
         return self.scheme == "simd" or serving
 
@@ -227,11 +223,7 @@ class PipelineSpec:
     def serve_config(self) -> "ServeConfig | None":
         """A :class:`~repro.serve.ServeConfig` from the spec's queue bounds
         (None when no bound is set, letting server defaults apply)."""
-        if (
-            self.max_queue_depth is None
-            and self.max_batch is None
-            and self.window_s is None
-        ):
+        if self.max_queue_depth is None and self.max_batch is None:
             return None
         from repro.serve.scheduler import ServeConfig
 
@@ -240,8 +232,6 @@ class PipelineSpec:
             kwargs["max_queue_depth"] = self.max_queue_depth
         if self.max_batch is not None:
             kwargs["max_batch"] = self.max_batch
-        if self.window_s is not None:
-            kwargs["window_s"] = self.window_s
         return ServeConfig(**kwargs)
 
     def build(self, quantized, **opts) -> InferencePipeline:

@@ -26,8 +26,9 @@ inference graph (:mod:`repro.graph`, kinds ``served`` and ``packed``).
 the rest join via quote-verified sealed-key migration, and packed flushes
 fail over to a surviving replica on replica loss.  Load
 generators drive the scheduler directly via ``server.scheduler.submit`` /
-``pump`` / ``drain`` (see ``examples/multi_user_service.py`` for the full
-runnable flow), or the event-driven :class:`~repro.serve.ServingLoop`.
+``drain`` (see ``examples/multi_user_service.py`` for the full runnable
+flow), or the event-driven :class:`~repro.serve.ServingLoop`, which owns
+every time-based policy (coalescing window, priorities, SLO deadlines).
 """
 
 from __future__ import annotations
@@ -390,23 +391,18 @@ class EdgeServer:
         Takes one frozen, validated :class:`~repro.serve.api.InferenceRequest`::
 
             server.infer(InferenceRequest(model="digits", ciphertext=ct))
-            server.infer(InferenceRequest(model="digits", ciphertext=ct,
-                                          pack=True, deadline_ms=5.0))
+            server.infer(InferenceRequest(model="digits", ciphertext=ct, pack=True))
 
         ``pack=True`` routes through the slot-packing scheduler; the call
         stays synchronous (it drains the model's bucket if the submission
         did not already fill a batch), so concurrent callers that submitted
-        earlier ride the same flush and share its HE cost.  ``deadline_ms``
-        is the packed path's coalescing deadline in simulated milliseconds.
+        earlier ride the same flush and share its HE cost.
         """
         if not isinstance(request, InferenceRequest):
             raise PipelineError("EdgeServer.infer takes one InferenceRequest")
         if request.pack:
             response = self.scheduler.submit(
-                request.model,
-                request.ciphertext,
-                deadline_s=request.deadline_s,
-                context=request.context,
+                request.model, request.ciphertext, context=request.context
             )
             if not response.done():
                 self.scheduler.drain(request.model)

@@ -64,63 +64,6 @@ _ENV_WORKERS = "REPRO_WORKERS"
 
 
 # ----------------------------------------------------------------------
-# pool metrics (repro.obs registry families)
-# ----------------------------------------------------------------------
-def _m_units():
-    return metrics.registry().counter(
-        "repro_parallel_units_total",
-        "Work units dispatched to the shared-memory worker pool.",
-        ("kind",),
-    )
-
-
-def _m_steals():
-    return metrics.registry().counter(
-        "repro_parallel_steals_total",
-        "Units completed by a worker other than the dispatch-preferred one.",
-    )
-
-
-def _m_deaths():
-    return metrics.registry().counter(
-        "repro_parallel_worker_deaths_total",
-        "Workers found dead mid-flush (pool retired and respawned).",
-    )
-
-
-def _m_replayed():
-    return metrics.registry().counter(
-        "repro_parallel_replayed_units_total",
-        "Units replayed in-process after a worker death (bit-identical).",
-    )
-
-
-def _m_unit_latency():
-    return metrics.registry().histogram(
-        "repro_parallel_unit_seconds",
-        "Per-unit real execution latency inside pool workers.",
-        ("kind",),
-        buckets=metrics.LATENCY_BUCKETS,
-    )
-
-
-def _m_busy():
-    return metrics.registry().counter(
-        "repro_parallel_worker_busy_seconds_total",
-        "Real seconds each worker spent executing units (utilization "
-        "numerator; flush wall time is the denominator).",
-        ("worker",),
-    )
-
-
-def _m_workers():
-    return metrics.registry().gauge(
-        "repro_parallel_workers",
-        "Configured worker count (1 = in-process fallback).",
-    )
-
-
-# ----------------------------------------------------------------------
 # configuration (mirrors repro.he.kernels)
 # ----------------------------------------------------------------------
 _configured: int | None = None
@@ -156,7 +99,7 @@ def configure(workers: int | None) -> int | None:
     _configured = workers
     if active_workers() != before:
         shutdown()
-    _m_workers().set(active_workers())
+    metrics.family("repro_parallel_workers").set(active_workers())
     return previous
 
 
@@ -470,7 +413,7 @@ class WorkerPool:
     # dispatch / collection
     # ------------------------------------------------------------------
     def _run_units(self, tasks: list[dict]) -> None:
-        units = _m_units()
+        units = metrics.family("repro_parallel_units_total")
         preferred: dict[int, int] = {}
         armed = faults.is_armed()
         killed: list[int] = []
@@ -494,7 +437,7 @@ class WorkerPool:
         if killed:
             self._recover(killed, pending)
             return
-        latency = _m_unit_latency()
+        latency = metrics.family("repro_parallel_unit_seconds")
         deadline = time.monotonic() + RUN_TIMEOUT_S
         while pending:
             if self._poll_results(0.05):
@@ -503,10 +446,12 @@ class WorkerPool:
                 if task is None:
                     continue  # stale ack from a superseded generation
                 latency.labels(kind=task["kind"]).observe(elapsed)
-                _m_busy().labels(worker=str(wid)).inc(elapsed)
+                metrics.family("repro_parallel_worker_busy_seconds_total").labels(
+                    worker=str(wid)
+                ).inc(elapsed)
                 if wid != preferred[unit]:
                     self.stolen_units += 1
-                    _m_steals().inc()
+                    metrics.family("repro_parallel_steals_total").inc()
                 self._annotate_unit(task, wid, elapsed)
                 continue
             dead = [w for w, proc in self._procs.items() if not proc.is_alive()]
@@ -575,7 +520,7 @@ class WorkerPool:
         output by the determinism contract.
         """
         self.deaths += len(dead)
-        _m_deaths().inc(len(dead))
+        metrics.family("repro_parallel_worker_deaths_total").inc(len(dead))
         recorder.record(
             "parallel.worker_death",
             severity="error",
@@ -583,7 +528,7 @@ class WorkerPool:
             pending_units=sorted(pending),
         )
         self._teardown_procs()
-        replay = _m_replayed()
+        replay = metrics.family("repro_parallel_replayed_units_total")
         for unit in sorted(pending):
             _execute_unit(pending[unit], self.arena.buffer)
             self.replayed_units += 1

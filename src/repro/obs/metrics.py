@@ -569,6 +569,90 @@ def set_registry(reg: MetricsRegistry) -> MetricsRegistry:
     return previous
 
 
+#: The instrumented families of ``repro.serve``, ``repro.he.parallel`` and
+#: ``repro.client``, fetched by the sites with :func:`family`:
+#: name -> (kind, label names, histogram buckets or None for
+#: :data:`LATENCY_BUCKETS`, help).
+FAMILIES: dict[str, tuple[str, tuple[str, ...], tuple[float, ...] | None, str]] = {
+    "repro_serve_requests_total": (
+        "counter", ("model",), None,
+        "Requests accepted into the scheduler queue."),
+    "repro_serve_rejected_total": (
+        "counter", ("reason",), None,
+        "Requests rejected at submit (queue_full is the backpressure signal)."),
+    "repro_serve_requests_failed_total": (
+        "counter", ("model",), None,
+        "Requests resolved with RequestFailedError after a dead flush."),
+    "repro_serve_request_latency_seconds": (
+        "histogram", ("model", "phase"), None,
+        "Per-request simulated latency, split into queue wait vs compute."),
+    "repro_serve_batch_occupancy_ratio": (
+        "histogram", ("model",), RATIO_BUCKETS,
+        "Images per packed flush as a fraction of slot-packing capacity."),
+    "repro_serve_queue_depth": (
+        "gauge", (), None,
+        "Queued (unflushed) requests across all models."),
+    "repro_fleet_retried_requests_total": (
+        "counter", ("model",), None,
+        "Requests re-dispatched to a surviving replica during whole-batch "
+        "failover (one increment per request per retry attempt)."),
+    "repro_fleet_failovers_total": (
+        "counter", ("model",), None,
+        "Packed flushes re-dispatched to a surviving replica after replica loss."),
+    "repro_serve_admitted_total": (
+        "counter", ("model", "priority"), None,
+        "Requests admitted by the serving loop, by priority class."),
+    "repro_serve_shed_total": (
+        "counter", ("model", "reason"), None,
+        "Requests shed at admission (overload = wait estimate past the SLO)."),
+    "repro_serve_evicted_total": (
+        "counter", ("model", "priority"), None,
+        "Queued requests evicted (hopeless SLO deadline or displaced)."),
+    "repro_serve_loop_events_total": (
+        "counter", ("kind",), None,
+        "Events dispatched by the serving loop, by kind."),
+    "repro_serve_loop_recovered_completions_total": (
+        "counter", (), None,
+        "Flush completions delivered by the watchdog after the completion "
+        "event was lost."),
+    "repro_serve_queue_wait_estimate_seconds": (
+        "histogram", ("model",), None,
+        "Admission-control queue-wait estimate at each arrival."),
+    "repro_parallel_units_total": (
+        "counter", ("kind",), None,
+        "Work units dispatched to the shared-memory worker pool."),
+    "repro_parallel_steals_total": (
+        "counter", (), None,
+        "Units completed by a worker other than the dispatch-preferred one."),
+    "repro_parallel_worker_deaths_total": (
+        "counter", (), None,
+        "Workers found dead mid-flush (pool retired and respawned)."),
+    "repro_parallel_replayed_units_total": (
+        "counter", (), None,
+        "Units replayed in-process after a worker death (bit-identical)."),
+    "repro_parallel_unit_seconds": (
+        "histogram", ("kind",), None,
+        "Per-unit real execution latency inside pool workers."),
+    "repro_parallel_worker_busy_seconds_total": (
+        "counter", ("worker",), None,
+        "Real seconds each worker spent executing units (utilization "
+        "numerator; flush wall time is the denominator)."),
+    "repro_parallel_workers": (
+        "gauge", (), None,
+        "Configured worker count (1 = in-process fallback)."),
+    "repro_client_transitions_total": (
+        "counter", ("state",), None,
+        "Client session state-machine transitions, by destination state."),
+}
+
+
+def family(name: str) -> MetricFamily | _NullMetric:
+    """The :data:`FAMILIES` entry ``name`` in the process-wide registry
+    (get-or-create, so a registry swapped in by a test sees it too)."""
+    kind, labelnames, buckets, help_text = FAMILIES[name]
+    return _registry._family(name, help_text, kind, labelnames, buckets)
+
+
 class use_registry:
     """Context manager: swap the process registry for a block.
 

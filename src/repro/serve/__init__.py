@@ -1,18 +1,21 @@
 """Serving layer: slot-packed scheduling of concurrent encrypted requests.
 
-Two front ends over the same packed-flush machinery:
+Two front ends over one queued-request record and one packed-flush
+executor (``RequestScheduler.run_batch``):
 
-* :mod:`repro.serve.scheduler` -- the synchronous, manually-cranked
-  coalescing scheduler (``submit``/``pump``/``drain``): requests for the
-  same model coalesce into one CRT-slot-packed hybrid pipeline pass (legal
-  because the enclave is the key authority, so every enrolled user shares
-  its key pair), with bounded-queue backpressure and typed rejections.
+* :mod:`repro.serve.scheduler` -- the synchronous capacity-only intake
+  (``submit``/``drain``): requests for the same model coalesce into one
+  CRT-slot-packed hybrid pipeline pass (legal because the enclave is the
+  key authority, so every enrolled user shares its key pair), with
+  bounded-queue backpressure and typed rejections.  It has no notion of
+  time.
 * :mod:`repro.serve.loop` -- the event-driven continuous-batching serving
-  loop: a deterministic virtual-time event queue that admits open-loop
-  traffic into in-flight slot groups, sheds load off a queue-wait estimate,
-  honors priority classes, and evicts requests whose hard SLO deadlines
-  became hopeless.  :mod:`repro.serve.traffic` generates the seeded
-  open-loop traces (Poisson + bursty) that drive it.
+  loop, sole owner of every time-based policy: a deterministic
+  virtual-time event queue that admits open-loop traffic into in-flight
+  slot groups under one coalescing window, sheds load off a queue-wait
+  estimate, honors priority classes, and evicts requests whose hard SLO
+  deadlines became hopeless.  :mod:`repro.serve.traffic` generates the
+  seeded open-loop traces (Poisson + bursty) that drive it.
 """
 
 from repro.serve.api import InferenceRequest, InferenceResult

@@ -1,15 +1,15 @@
 """The serving request/response API: one frozen request, one result type.
 
-``EdgeServer.infer`` grew a keyword soup over six PRs -- ``pack=``,
-``deadline_ms=``, plus the loop-only knobs (priority, SLO deadline) that
-could not be expressed through the facade at all.  This module collapses
-that surface into two types:
+The serving surface is two types:
 
 * :class:`InferenceRequest` -- a frozen, validated description of one
-  encrypted inference: which model, which ciphertext, and the serving
-  policy riding along (packing, coalescing deadline, priority class, hard
-  SLO deadline).  Frozen so a request can be routed, retried across
-  replicas, or re-dispatched after a failover without aliasing surprises.
+  encrypted inference: which model, which ciphertext, whether to ride the
+  slot-packing scheduler, and the trace context naming it.  Frozen so a
+  request can be routed, retried across replicas, or re-dispatched after a
+  failover without aliasing surprises.  Time-based policy (coalescing
+  window, priority class, hard SLO deadline) belongs to the
+  :class:`~repro.serve.loop.ServingLoop` alone and is given to its
+  ``submit``, not carried here.
 * :class:`InferenceResult` -- what the server hands back: *encrypted*
   logits plus timing and serving metadata (request id, packed batch size,
   queue wait, and the fleet replica that executed the flush).  This is the
@@ -17,9 +17,9 @@ that surface into two types:
   as an alias in :mod:`repro.core.server` so existing callers and
   ``isinstance`` checks keep working.
 
-Both the synchronous facade (``EdgeServer.infer(request)``), the serving
-loop (``ServingLoop.submit_request``) and the client SDK
-(:mod:`repro.client`) speak these types.
+The synchronous facade (``EdgeServer.infer(request)``) and the client SDK
+(:mod:`repro.client`) speak these types; the scheduler and the serving
+loop resolve their tickets with :class:`InferenceResult`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class InferenceRequest:
-    """One encrypted inference request, with its serving policy.
+    """One encrypted inference request.
 
     Attributes:
         model: a provisioned model name.
@@ -45,14 +45,6 @@ class InferenceRequest:
             the user's session (``UserSession.encrypt`` or the client SDK).
         pack: route through the slot-packing scheduler (the synchronous
             facade drains the bucket, so the call still returns a result).
-        deadline_ms: coalescing deadline in simulated milliseconds for the
-            packed path (requires ``pack=True``; the scheduler's
-            ``window_s`` applies when None).
-        priority: class ``0`` (interactive) .. ``priority_classes - 1``;
-            only meaningful to the event-driven serving loop.
-        slo_deadline_ms: optional hard deadline (milliseconds after
-            arrival) past which the result is worthless; loop-only -- such
-            requests become evictable once no future flush can make it.
         context: optional :class:`~repro.obs.context.TraceContext` naming
             this request in the process-wide trace tree (the client SDK
             injects one; serving front ends derive a deterministic
@@ -62,9 +54,6 @@ class InferenceRequest:
     model: str
     ciphertext: "Ciphertext"
     pack: bool = False
-    deadline_ms: float | None = None
-    priority: int = 1
-    slo_deadline_ms: float | None = None
     context: TraceContext | None = None
 
     def __post_init__(self) -> None:
@@ -72,22 +61,6 @@ class InferenceRequest:
             raise ServeError("InferenceRequest.model must be a non-empty string")
         if self.context is not None and not isinstance(self.context, TraceContext):
             raise ServeError("InferenceRequest.context must be a TraceContext")
-        if self.deadline_ms is not None and not self.pack:
-            raise ServeError("deadline_ms is only meaningful with pack=True")
-        if self.deadline_ms is not None and self.deadline_ms < 0:
-            raise ServeError("deadline_ms must be >= 0")
-        if self.priority < 0:
-            raise ServeError("priority must be >= 0")
-        if self.slo_deadline_ms is not None and self.slo_deadline_ms <= 0:
-            raise ServeError("slo_deadline_ms must be > 0")
-
-    @property
-    def deadline_s(self) -> float | None:
-        return None if self.deadline_ms is None else self.deadline_ms / 1000.0
-
-    @property
-    def slo_deadline_s(self) -> float | None:
-        return None if self.slo_deadline_ms is None else self.slo_deadline_ms / 1000.0
 
 
 @dataclass

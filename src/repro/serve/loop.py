@@ -1,11 +1,12 @@
 """Event-driven continuous-batching serving loop for the edge server.
 
-:class:`~repro.serve.scheduler.RequestScheduler` gave the edge server slot
-packing, but it is *manually cranked*: somebody must call ``pump()`` for
-deadlines to mean anything, there is no admission control, and nothing
-answers "what p99 queue wait do a thousand open-loop users see?".  This
-module is the missing front end -- a deterministic discrete-event serving
-loop that owns the full request lifecycle:
+:class:`~repro.serve.scheduler.RequestScheduler` gives the edge server slot
+packing, but its synchronous intake flushes on capacity or ``drain()``
+only: it has no notion of time, no admission control, and nothing answers
+"what p99 queue wait do a thousand open-loop users see?".  This module is
+the one owner of every *time-based* serving policy -- the coalescing
+window, priority classes, SLO deadlines -- as a deterministic
+discrete-event serving loop over the full request lifecycle:
 
 * **Event queue.**  Arrivals, per-request deadline timers, flush
   completions and completion watchdogs live in one heap ordered by
@@ -19,8 +20,8 @@ loop that owns the full request lifecycle:
 * **Continuous batching.**  While one packed flush is in flight, arrivals
   keep admitting into the next slot group; the moment a flush completes,
   any group that is full -- or whose oldest coalescing deadline has
-  expired -- flushes immediately, with no external ``pump()`` and no
-  fresh coalescing window imposed on requests that already waited.
+  expired -- flushes immediately, with no external crank and no fresh
+  coalescing window imposed on requests that already waited.
 * **Admission control.**  Every arrival gets a queue-wait *estimate*
   (in-flight remainder plus backlog flushes ahead of it, via the
   :class:`ServiceTimeModel`), not just a depth check.  Estimates past the
@@ -28,7 +29,7 @@ loop that owns the full request lifecycle:
   :class:`~repro.errors.OverloadedError` before its wait can poison the
   tail; the bounded queue sheds with
   :class:`~repro.errors.QueueFullError`.
-* **Priorities and eviction.**  Three default classes (0 = interactive
+* **Priorities and eviction.**  Three classes (0 = interactive
   .. 2 = batch).  Interactive requests are never wait-shed -- under a
   full queue they evict the lowest-priority, latest-deadline queued
   request instead.  Requests carrying a hard ``slo_deadline_s`` are
@@ -40,7 +41,8 @@ loop that owns the full request lifecycle:
   finished flush's results).  Both compose with the scheduler-level
   isolation chaos from DESIGN.md §11.
 
-The actual HE work rides the scheduler's shared
+The loop queues the scheduler's own ``_QueuedRequest`` record and hands the
+selected slot group straight to the shared
 :meth:`~repro.serve.scheduler.RequestScheduler.run_batch` flush path, so
 everything the chaos suite proves about packed flushes -- per-request
 isolation, kernel degradation, typed failure of poisoned requests -- holds
@@ -57,7 +59,6 @@ from typing import TYPE_CHECKING
 
 from repro import faults
 from repro.errors import (
-    BatchTooLargeError,
     DeadlineEvictedError,
     OverloadedError,
     QueueFullError,
@@ -76,53 +77,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Spurious timer events injected per ``serve.loop.timer`` fault fire.
 TIMER_STORM_SIZE = 8
 
-
-def _m_admitted():
-    return metrics.registry().counter(
-        "repro_serve_admitted_total",
-        "Requests admitted by the serving loop, by priority class.",
-        ("model", "priority"),
-    )
-
-
-def _m_shed():
-    return metrics.registry().counter(
-        "repro_serve_shed_total",
-        "Requests shed at admission (overload = wait estimate past the SLO).",
-        ("model", "reason"),
-    )
-
-
-def _m_evicted():
-    return metrics.registry().counter(
-        "repro_serve_evicted_total",
-        "Queued requests evicted (hopeless SLO deadline or displaced).",
-        ("model", "priority"),
-    )
-
-
-def _m_events():
-    return metrics.registry().counter(
-        "repro_serve_loop_events_total",
-        "Events dispatched by the serving loop, by kind.",
-        ("kind",),
-    )
-
-
-def _m_recovered():
-    return metrics.registry().counter(
-        "repro_serve_loop_recovered_completions_total",
-        "Flush completions delivered by the watchdog after the completion "
-        "event was lost.",
-    )
-
-
-def _m_wait_estimate():
-    return metrics.registry().histogram(
-        "repro_serve_queue_wait_estimate_seconds",
-        "Admission-control queue-wait estimate at each arrival.",
-        ("model",),
-    )
+#: Priority classes: 0 = interactive (never wait-shed) .. 2 = batch.
+PRIORITY_CLASSES = 3
 
 
 @dataclass(frozen=True)
@@ -183,9 +139,6 @@ class LoopConfig:
         admit_wait_slo_s: admission SLO -- arrivals whose queue-wait
             estimate exceeds it are shed with ``OverloadedError`` (the
             interactive class 0 is exempt).
-        priority_classes: number of priority classes (0 is highest).
-        evict_on_deadline: evict queued requests whose hard SLO deadline
-            can no longer be met.
         watchdog_grace_s: extra virtual seconds past a flush's modeled
             completion before the watchdog re-delivers its results.
         service_model: the flush-duration model for the virtual timeline.
@@ -194,8 +147,6 @@ class LoopConfig:
     window_s: float = 0.010
     max_queue_depth: int = 256
     admit_wait_slo_s: float = 0.25
-    priority_classes: int = 3
-    evict_on_deadline: bool = True
     watchdog_grace_s: float = 0.005
     service_model: ServiceTimeModel = field(default_factory=ServiceTimeModel)
 
@@ -206,8 +157,6 @@ class LoopConfig:
             raise ServeError("max_queue_depth must be >= 1")
         if self.admit_wait_slo_s <= 0:
             raise ServeError("admit_wait_slo_s must be > 0")
-        if self.priority_classes < 1:
-            raise ServeError("priority_classes must be >= 1")
         if self.watchdog_grace_s <= 0:
             raise ServeError("watchdog_grace_s must be > 0")
 
@@ -277,24 +226,6 @@ class LoopTicket(PendingResponse):
 
 
 @dataclass
-class _Admitted:
-    """One admitted request waiting in a model's slot group."""
-
-    ticket: LoopTicket
-    ct: "Ciphertext"
-    images: int
-    admitted_at: float
-    flush_by: float
-    slo_deadline_at: float | None
-    depth_at_entry: int
-    context: "TraceContext | None" = None
-
-    def sort_key(self) -> tuple:
-        # Priority class first, then FIFO within a class.
-        return (self.ticket.priority, self.ticket.request_id)
-
-
-@dataclass
 class _Inflight:
     """One flush whose results await (virtual-time) delivery."""
 
@@ -336,7 +267,7 @@ class ServingLoop:
         self.flush_log: list[dict] = []
         self._events: list[tuple[float, int, str, tuple]] = []
         self._event_seq = 0
-        self._queues: dict[str, list[_Admitted]] = {}
+        self._queues: dict[str, list[_QueuedRequest]] = {}
         # One entry per flush in flight, keyed by generation.  With an
         # enclave fleet, up to one flush per live replica runs concurrently;
         # without one the dict holds at most a single entry, reproducing the
@@ -354,7 +285,7 @@ class ServingLoop:
         return sum(len(bucket) for bucket in self._queues.values())
 
     def pending_images(self, model: str) -> int:
-        return sum(r.images for r in self._queues.get(model, ()))
+        return sum(r.batch for r in self._queues.get(model, ()))
 
     # ------------------------------------------------------------------
     # fleet awareness
@@ -387,7 +318,6 @@ class ServingLoop:
         priority: int = 1,
         user_id: int | None = None,
         image_index: int | None = None,
-        deadline_s: float | None = None,
         slo_deadline_s: float | None = None,
         context: "TraceContext | None" = None,
     ) -> LoopTicket:
@@ -397,9 +327,7 @@ class ServingLoop:
             at_s: arrival time in loop seconds (clamped to now; default
                 now) -- the admission decision happens when the arrival
                 *dispatches*, against the queue state of that instant.
-            priority: class ``0`` (interactive) .. ``priority_classes-1``.
-            deadline_s: coalescing window override (config ``window_s``
-                when None).
+            priority: class ``0`` (interactive) .. ``PRIORITY_CLASSES - 1``.
             slo_deadline_s: optional hard deadline after which the result
                 is worthless; such requests are evictable once hopeless.
             context: trace context naming the request in the process-wide
@@ -408,18 +336,15 @@ class ServingLoop:
                 model name and loop request id.
 
         Raises:
-            ServeError: ``priority`` is out of range or a deadline is
-                negative (caller bugs fail fast; *traffic* conditions --
+            ServeError: ``priority`` is out of range or the SLO deadline is
+                not positive (caller bugs fail fast; *traffic* conditions --
                 overload, malformed ciphertexts -- resolve the returned
                 ticket with a typed error instead of raising here).
         """
-        if not 0 <= priority < self.config.priority_classes:
+        if not 0 <= priority < PRIORITY_CLASSES:
             raise ServeError(
-                f"priority {priority} out of range "
-                f"[0, {self.config.priority_classes})"
+                f"priority {priority} out of range [0, {PRIORITY_CLASSES})"
             )
-        if deadline_s is not None and deadline_s < 0:
-            raise ServeError("deadline_s must be >= 0")
         if slo_deadline_s is not None and slo_deadline_s <= 0:
             raise ServeError("slo_deadline_s must be > 0")
         arrival_s = self.now_s if at_s is None else max(float(at_s), self.now_s)
@@ -438,9 +363,7 @@ class ServingLoop:
             )
         self._next_request_id += 1
         self.tickets.append(ticket)
-        self._push(
-            arrival_s, "arrival", (ticket, ct, deadline_s, slo_deadline_s, context)
-        )
+        self._push(arrival_s, "arrival", (ticket, ct, slo_deadline_s, context))
         return ticket
 
     def offer(self, arrival: "Arrival", ct: "Ciphertext") -> LoopTicket:
@@ -470,7 +393,7 @@ class ServingLoop:
         completely, which resolves every outstanding ticket.
         """
         dispatched = 0
-        events_metric = _m_events()
+        events_metric = metrics.family("repro_serve_loop_events_total")
         while self._events:
             if until_s is not None and self._events[0][0] > until_s:
                 break
@@ -533,7 +456,9 @@ class ServingLoop:
             self.stats.shed_overload += 1
         else:
             self.stats.shed_queue_full += 1
-        _m_shed().labels(model=ticket.model, reason=reason).inc()
+        metrics.family("repro_serve_shed_total").labels(
+            model=ticket.model, reason=reason
+        ).inc()
         recorder.record(
             "serve.shed",
             severity="warn",
@@ -543,58 +468,51 @@ class ServingLoop:
             reason=reason,
         )
 
-    def _evict(self, record: _Admitted, why: str) -> None:
-        self._queues[record.ticket.model].remove(record)
-        record.ticket._fail(
+    def _evict(self, record: _QueuedRequest, why: str) -> None:
+        self._queues[record.model].remove(record)
+        record.response._fail(
             DeadlineEvictedError(
-                f"request {record.ticket.request_id} "
-                f"({record.ticket.model!r}) evicted: {why}"
+                f"request {record.request_id} ({record.model!r}) evicted: {why}"
             )
         )
         self.stats.evicted += 1
-        _m_evicted().labels(
-            model=record.ticket.model, priority=record.ticket.priority
+        metrics.family("repro_serve_evicted_total").labels(
+            model=record.model, priority=record.response.priority
         ).inc()
         recorder.record(
             "serve.evict",
             severity="warn",
             t_s=self.now_s,
-            model=record.ticket.model,
-            request_id=record.ticket.request_id,
+            model=record.model,
+            request_id=record.request_id,
             why=why,
         )
 
-    def _eviction_candidate(self) -> _Admitted | None:
+    def _eviction_candidate(self) -> _QueuedRequest | None:
         """Lowest-priority, latest-deadline queued request (never class 0)."""
         candidates = [
             r
             for bucket in self._queues.values()
             for r in bucket
-            if r.ticket.priority > 0
+            if r.response.priority > 0
         ]
         if not candidates:
             return None
         return max(
             candidates,
-            key=lambda r: (r.ticket.priority, r.flush_by, r.ticket.request_id),
+            key=lambda r: (r.response.priority, r.flush_by, r.request_id),
         )
 
     def _on_arrival(
         self,
         ticket: LoopTicket,
         ct: "Ciphertext",
-        deadline_s: float | None,
         slo_deadline_s: float | None,
         context: "TraceContext | None" = None,
     ) -> None:
         self.stats.arrivals += 1
         try:
             images = self.scheduler.validate_request(ticket.model, ct)
-            if images > self.capacity:
-                raise BatchTooLargeError(
-                    f"request of {images} images exceeds the loop's slot "
-                    f"group capacity {self.capacity}"
-                )
         except ServeError as exc:
             self.stats.rejected += 1
             ticket.shed_reason = "rejected"
@@ -602,7 +520,9 @@ class ServingLoop:
             return
         ticket.images = images
         estimate = self.queue_wait_estimate(ticket.model, images)
-        _m_wait_estimate().labels(model=ticket.model).observe(estimate)
+        metrics.family("repro_serve_queue_wait_estimate_seconds").labels(
+            model=ticket.model
+        ).observe(estimate)
         if self.queue_depth >= self.config.max_queue_depth:
             victim = self._eviction_candidate() if ticket.priority == 0 else None
             if victim is None:
@@ -627,24 +547,27 @@ class ServingLoop:
                 ),
             )
             return
-        window = self.config.window_s if deadline_s is None else deadline_s
-        record = _Admitted(
-            ticket=ticket,
+        record = _QueuedRequest(
+            request_id=ticket.request_id,
+            model=ticket.model,
             ct=ct,
-            images=images,
-            admitted_at=self.now_s,
-            flush_by=self.now_s + window,
+            batch=images,
+            enqueued_at=self.now_s,
+            queue_depth_at_submit=self.queue_depth,
+            response=ticket,
+            context=context,
+            flush_by=self.now_s + self.config.window_s,
             slo_deadline_at=(
                 None if slo_deadline_s is None else self.now_s + slo_deadline_s
             ),
-            depth_at_entry=self.queue_depth,
-            context=context,
         )
         self._queues.setdefault(ticket.model, []).append(record)
         ticket.admitted = True
         self.stats.admitted += 1
         self.stats.peak_queue_depth = max(self.stats.peak_queue_depth, self.queue_depth)
-        _m_admitted().labels(model=ticket.model, priority=ticket.priority).inc()
+        metrics.family("repro_serve_admitted_total").labels(
+            model=ticket.model, priority=ticket.priority
+        ).inc()
         recorder.record(
             "serve.admit",
             t_s=self.now_s,
@@ -674,17 +597,17 @@ class ServingLoop:
     # ------------------------------------------------------------------
     # timers and watchdogs
     # ------------------------------------------------------------------
-    def _arm_timer(self, record: _Admitted) -> None:
+    def _arm_timer(self, record: _QueuedRequest) -> None:
         self._push(record.flush_by, "timer", (record,))
-        event = faults.poll("serve.loop.timer", name=record.ticket.model)
+        event = faults.poll("serve.loop.timer", name=record.model)
         if event is not None:
             # Timer storm: the site duplicates this deadline timer; the
             # dispatch path must treat every duplicate as a no-op.
             for _ in range(TIMER_STORM_SIZE):
                 self._push(record.flush_by, "timer", (record,))
 
-    def _on_timer(self, record: _Admitted) -> None:
-        bucket = self._queues.get(record.ticket.model, [])
+    def _on_timer(self, record: _QueuedRequest) -> None:
+        bucket = self._queues.get(record.model, [])
         if record not in bucket:
             # Already flushed, evicted, or a storm duplicate: idempotent.
             self.stats.stale_events += 1
@@ -693,7 +616,7 @@ class ServingLoop:
             # Every replica is busy; the completion handler flushes overdue
             # groups the moment one frees up.
             return
-        self._start_flush(record.ticket.model)
+        self._start_flush(record.model)
 
     def _on_watchdog(self, generation: int) -> None:
         fl = self._inflight.get(generation)
@@ -703,7 +626,7 @@ class ServingLoop:
         # The completion event for this flush never arrived (lost to a
         # fault): deliver its results now, late but never never.
         self.stats.recovered_completions += 1
-        _m_recovered().inc()
+        metrics.family("repro_serve_loop_recovered_completions_total").inc()
         recorder.record(
             "serve.watchdog_recovered",
             severity="warn",
@@ -716,18 +639,19 @@ class ServingLoop:
     # ------------------------------------------------------------------
     # flushing
     # ------------------------------------------------------------------
-    def _select_group(self, model: str) -> list[_Admitted]:
+    def _select_group(self, model: str) -> list[_QueuedRequest]:
         """Pop the next slot group: priority order, capacity-bounded."""
         bucket = self._queues.get(model, [])
-        bucket.sort(key=_Admitted.sort_key)
-        selected: list[_Admitted] = []
+        # Priority class first, then FIFO within a class.
+        bucket.sort(key=lambda r: (r.response.priority, r.request_id))
+        selected: list[_QueuedRequest] = []
         images = 0
         for record in list(bucket):
-            if images + record.images > self.capacity:
+            if images + record.batch > self.capacity:
                 continue
             selected.append(record)
             bucket.remove(record)
-            images += record.images
+            images += record.batch
             if images >= self.capacity:
                 break
         return selected
@@ -736,10 +660,8 @@ class ServingLoop:
         """Evict queued requests whose hard SLO deadline no future flush
         can meet (earliest completion = this flush's end plus one more
         modeled flush)."""
-        if not self.config.evict_on_deadline:
-            return
         bucket = self._queues.get(model, [])
-        pending = sum(r.images for r in bucket)
+        pending = sum(r.batch for r in bucket)
         next_flush_s = self.config.service_model.flush_s(
             min(max(pending, 1), self.capacity)
         )
@@ -762,27 +684,13 @@ class ServingLoop:
         if replica is None and (fleet.live_replicas() or self._inflight):
             # Every live replica already has a flush in flight.
             return
-        selected = self._select_group(model)
-        if not selected:
+        requests = self._select_group(model)
+        if not requests:
             return
         started_at = self.now_s
-        images = sum(r.images for r in selected)
-        requests = [
-            _QueuedRequest(
-                request_id=r.ticket.request_id,
-                model=model,
-                ct=r.ct,
-                batch=r.images,
-                enqueued_at=r.admitted_at,
-                deadline_at=r.flush_by,
-                queue_depth_at_submit=r.depth_at_entry,
-                response=r.ticket,
-                context=r.context,
-            )
-            for r in selected
-        ]
-        for r in selected:
-            r.ticket.queue_wait_s = started_at - r.admitted_at
+        images = sum(r.batch for r in requests)
+        for r in requests:
+            r.response.queue_wait_s = started_at - r.enqueued_at
         self._generation += 1
         generation = self._generation
         recorder.record(
@@ -804,13 +712,10 @@ class ServingLoop:
             model, requests, flushed_at=started_at, replica=replica,
             generation=generation,
         )
-        effective = replica
-        for _, outcome in outcomes:
-            if not isinstance(outcome, BaseException):
-                served_on = getattr(outcome, "replica", None)
-                if served_on is not None:
-                    effective = served_on
-                break
+        effective = next(
+            (o.replica for _, o in outcomes if not isinstance(o, BaseException)),
+            replica,
+        )
         service_s = self.config.service_model.flush_s(images)
         done_at = started_at + service_s
         self._inflight[generation] = _Inflight(

@@ -11,9 +11,12 @@ This scheduler turns that lever into a serving discipline:
 
 * **Coalescing.**  Concurrent requests for the same model accumulate in a
   per-model bucket and are flushed as ONE slot-packed pipeline pass when the
-  bucket reaches slot capacity, when the oldest request's deadline expires
-  (:meth:`RequestScheduler.pump`), or on explicit
-  :meth:`~RequestScheduler.drain`.
+  bucket reaches slot capacity or on explicit
+  :meth:`~RequestScheduler.drain`.  This synchronous intake is
+  capacity-only: *time-based* coalescing (windows, priorities, SLO
+  deadlines) is owned by :class:`~repro.serve.loop.ServingLoop`, which
+  queues the same :class:`_QueuedRequest` record and executes through the
+  same :meth:`~RequestScheduler.run_batch`.
 * **Legality.**  Cross-user packing is sound in this deployment because the
   enclave is the HE key authority (Section IV-A): every enrolled user holds
   the same key pair, so their ciphertexts are mutually compatible.  The
@@ -30,20 +33,20 @@ This scheduler turns that lever into a serving discipline:
   the queue depth it observed at submit, all on the platform's
   :class:`~repro.obs.Tracer`.
 
-Timing is in *simulated* seconds (:class:`~repro.sgx.clock.SimClock`), the
-repository's timing currency -- deadlines are therefore deterministic and
-testable without real sleeps.
+Queue waits on this path are in *simulated* seconds
+(:class:`~repro.sgx.clock.SimClock`), the repository's timing currency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro import faults
 from repro.errors import (
     BatchTooLargeError,
     EnclaveNotInitialized,
+    KeyMismatchError,
     QueueFullError,
     RecoveryExhausted,
     RequestFailedError,
@@ -68,63 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PACKED_SCHEME = "EdgeServer/PackedServe"
 
 
-def _m_requests():
-    return metrics.registry().counter(
-        "repro_serve_requests_total",
-        "Requests accepted into the scheduler queue.",
-        ("model",),
-    )
-
-
-def _m_rejected():
-    return metrics.registry().counter(
-        "repro_serve_rejected_total",
-        "Requests rejected at submit (queue_full is the backpressure signal).",
-        ("reason",),
-    )
-
-
-def _m_failed():
-    return metrics.registry().counter(
-        "repro_serve_requests_failed_total",
-        "Requests resolved with RequestFailedError after a dead flush.",
-        ("model",),
-    )
-
-
-def _m_latency():
-    return metrics.registry().histogram(
-        "repro_serve_request_latency_seconds",
-        "Per-request simulated latency, split into queue wait vs compute.",
-        ("model", "phase"),
-    )
-
-
-def _m_retried():
-    return metrics.registry().counter(
-        "repro_fleet_retried_requests_total",
-        "Requests re-dispatched to a surviving replica during whole-batch "
-        "failover (one increment per request per retry attempt).",
-        ("model",),
-    )
-
-
-def _m_occupancy():
-    return metrics.registry().histogram(
-        "repro_serve_batch_occupancy_ratio",
-        "Images per packed flush as a fraction of slot-packing capacity.",
-        ("model",),
-        buckets=metrics.RATIO_BUCKETS,
-    )
-
-
-def _m_queue_depth():
-    return metrics.registry().gauge(
-        "repro_serve_queue_depth",
-        "Queued (unflushed) requests across all models.",
-    )
-
-
 @dataclass
 class ServeConfig:
     """Scheduler policy knobs.
@@ -135,21 +81,16 @@ class ServeConfig:
             :class:`~repro.errors.QueueFullError`.
         max_batch: images per packed flush; ``None`` means the full CRT slot
             capacity (the parameter set's polynomial degree).
-        window_s: default coalescing deadline in simulated seconds for
-            requests that do not specify one.
     """
 
     max_queue_depth: int = 64
     max_batch: int | None = None
-    window_s: float = 0.025
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
             raise ServeError("max_queue_depth must be >= 1")
         if self.max_batch is not None and self.max_batch < 1:
             raise ServeError("max_batch must be >= 1 (or None for slot capacity)")
-        if self.window_s < 0:
-            raise ServeError("window_s must be >= 0")
 
 
 @dataclass
@@ -192,15 +133,16 @@ class PendingResponse:
         """The served result.
 
         Raises:
-            ResponseNotReady: the batch has not been flushed yet -- advance
-                the scheduler with ``pump()`` or force it with ``drain()``.
+            ResponseNotReady: the batch has not been flushed yet -- force
+                it with ``drain()`` (or ``run()`` the serving loop).
         """
         if self._error is not None:
             raise self._error
         if self._result is None:
             raise ResponseNotReady(
                 f"request {self.request_id} ({self.model!r}) is still queued; "
-                "call pump() or drain() to flush its batch"
+                "drain() the scheduler (or run() the serving loop) to flush "
+                "its batch"
             )
         return self._result
 
@@ -213,15 +155,25 @@ class PendingResponse:
 
 @dataclass
 class _QueuedRequest:
+    """One queued request, from admission to its ``serve/request`` span.
+
+    Both front ends queue this record and hand it to :meth:`RequestScheduler.
+    run_batch` unchanged.  ``enqueued_at`` is in the owner's timing currency
+    (SimClock seconds here, virtual seconds under the loop); ``flush_by`` /
+    ``slo_deadline_at`` are the loop's coalescing and hard-SLO deadlines and
+    stay None on the synchronous path, which has no time-based policy.
+    """
+
     request_id: int
     model: str
     ct: Ciphertext
     batch: int
     enqueued_at: float
-    deadline_at: float
     queue_depth_at_submit: int
     response: PendingResponse
     context: TraceContext | None = None
+    flush_by: float | None = None
+    slo_deadline_at: float | None = None
 
 
 class RequestScheduler:
@@ -287,52 +239,58 @@ class RequestScheduler:
         Raises:
             UnknownModelError: ``model_name`` was never provisioned.
             ServeError: the ciphertext is not a non-empty 4-D pixel batch
-                with this model's channel count (``malformed``).
+                with this model's channel count, or was encrypted under
+                different parameters (``malformed``).
             BatchTooLargeError: the request alone exceeds the capacity.
         """
         if model_name not in self.server.models():
             self.stats.rejected_unknown_model += 1
-            _m_rejected().labels(reason="unknown_model").inc()
+            self._count_rejection("unknown_model")
             raise UnknownModelError(
                 f"unknown model {model_name!r}; provisioned: {self.server.models()}"
             )
-        self.server.context.check_same(ct.context)
+        try:
+            self.server.context.check_same(ct.context)
+        except KeyMismatchError as exc:
+            # A ValueError, not a ServeError: left unmapped it escapes the
+            # serving loop's typed-rejection handler and strands the ticket.
+            raise self._malformed(
+                f"request ciphertext was encrypted under foreign parameters: {exc}"
+            ) from exc
         if len(ct.batch_shape) != 4:
-            self.stats.rejected_malformed += 1
-            _m_rejected().labels(reason="malformed").inc()
-            raise ServeError(
+            raise self._malformed(
                 f"requests must be (B, C, H, W) pixel ciphertexts, got batch "
                 f"shape {ct.batch_shape}"
             )
         channels = self.server.encoded_model(model_name).conv.operands.shape[1]
         if ct.batch_shape[1] != channels:
-            self.stats.rejected_malformed += 1
-            _m_rejected().labels(reason="malformed").inc()
-            raise ServeError(
+            raise self._malformed(
                 f"request has {ct.batch_shape[1]} channels, model "
                 f"{model_name!r} expects {channels}"
             )
         batch = int(ct.batch_shape[0])
         if batch < 1:
-            self.stats.rejected_malformed += 1
-            _m_rejected().labels(reason="malformed").inc()
-            raise ServeError("request ciphertext has an empty batch")
+            raise self._malformed("request ciphertext has an empty batch")
         if batch > self.capacity:
             self.stats.rejected_oversized += 1
-            _m_rejected().labels(reason="oversized").inc()
+            self._count_rejection("oversized")
             raise BatchTooLargeError(
                 f"request of {batch} images exceeds the packing capacity "
                 f"{self.capacity} (slots: {self.slot_count})"
             )
         return batch
 
+    @staticmethod
+    def _count_rejection(reason: str) -> None:
+        metrics.family("repro_serve_rejected_total").labels(reason=reason).inc()
+
+    def _malformed(self, message: str) -> ServeError:
+        self.stats.rejected_malformed += 1
+        self._count_rejection("malformed")
+        return ServeError(message)
+
     def submit(
-        self,
-        model_name: str,
-        ct: Ciphertext,
-        *,
-        deadline_s: float | None = None,
-        context: TraceContext | None = None,
+        self, model_name: str, ct: Ciphertext, *, context: TraceContext | None = None
     ) -> PendingResponse:
         """Enqueue one encrypted request; flushes immediately if it fills
         the model's packing capacity.
@@ -341,9 +299,6 @@ class RequestScheduler:
             model_name: a provisioned model.
             ct: scalar-encoded ``(B, C, H, W)`` ciphertext (the same shape
                 :meth:`EdgeServer.infer` takes); usually ``B == 1``.
-            deadline_s: per-request coalescing deadline in simulated seconds
-                (the config's ``window_s`` if None); ``pump()`` flushes the
-                batch once it expires.
             context: trace context naming the request in the process-wide
                 trace tree; when None a deterministic fallback is derived
                 from the request id, so every flush span is attributable.
@@ -362,7 +317,7 @@ class RequestScheduler:
         depth_at_entry = self.queue_depth
         if depth_at_entry >= self.config.max_queue_depth:
             self.stats.rejected_queue_full += 1
-            _m_rejected().labels(reason="queue_full").inc()
+            self._count_rejection("queue_full")
             raise QueueFullError(
                 f"queue is at its bound of {self.config.max_queue_depth} "
                 "requests; drain or retry later"
@@ -373,8 +328,6 @@ class RequestScheduler:
         if self.pending_images(model_name) + batch > self.capacity:
             self._flush_model(model_name)
 
-        clock = self.server.platform.clock
-        window = self.config.window_s if deadline_s is None else deadline_s
         response = PendingResponse(self._next_id, model_name)
         if context is None:
             context = TraceContext.derive(
@@ -386,8 +339,7 @@ class RequestScheduler:
             model=model_name,
             ct=ct,
             batch=batch,
-            enqueued_at=clock.now_s,
-            deadline_at=clock.now_s + window,
+            enqueued_at=self.server.platform.clock.now_s,
             queue_depth_at_submit=depth_at_entry,
             response=response,
             context=context,
@@ -396,8 +348,8 @@ class RequestScheduler:
         self._queues.setdefault(model_name, []).append(request)
         self.stats.submitted += 1
         self.stats.peak_queue_depth = max(self.stats.peak_queue_depth, self.queue_depth)
-        _m_requests().labels(model=model_name).inc()
-        _m_queue_depth().set(self.queue_depth)
+        metrics.family("repro_serve_requests_total").labels(model=model_name).inc()
+        metrics.family("repro_serve_queue_depth").set(self.queue_depth)
         if self.pending_images(model_name) >= self.capacity:
             self._flush_model(model_name)
         return response
@@ -405,20 +357,9 @@ class RequestScheduler:
     # ------------------------------------------------------------------
     # flushing
     # ------------------------------------------------------------------
-    def pump(self) -> int:
-        """Flush every bucket whose oldest deadline has expired on the
-        simulated clock; returns the number of requests served."""
-        now = self.server.platform.clock.now_s
-        served = 0
-        for model_name in list(self._queues):
-            bucket = self._queues.get(model_name)
-            if bucket and min(r.deadline_at for r in bucket) <= now + 1e-12:
-                served += self._flush_model(model_name)
-        return served
-
     def drain(self, model_name: str | None = None) -> int:
-        """Flush everything queued (or one model's bucket) regardless of
-        deadlines; returns the number of requests served."""
+        """Flush everything queued (or one model's bucket); returns the
+        number of requests served."""
         served = 0
         targets = [model_name] if model_name is not None else list(self._queues)
         for name in targets:
@@ -447,7 +388,7 @@ class RequestScheduler:
             else:
                 request.response._resolve(outcome)
                 served += 1
-        _m_queue_depth().set(self.queue_depth)
+        metrics.family("repro_serve_queue_depth").set(self.queue_depth)
         return served
 
     def run_batch(
@@ -538,17 +479,16 @@ class RequestScheduler:
                     requests=len(requests),
                     error=str(exc),
                 ):
-                    metrics.registry().counter(
-                        "repro_fleet_failovers_total",
-                        "Packed flushes re-dispatched to a surviving replica "
-                        "after replica loss.",
-                        ("model",),
-                    ).labels(model=model_name).inc()
-                # Satellite fix: retries are accounted under their own
-                # counter -- the latency histogram below observes each
-                # resolved request exactly once, never once per attempt.
+                    metrics.family("repro_fleet_failovers_total").labels(
+                        model=model_name
+                    ).inc()
+                # Retries are accounted under their own counter: the
+                # latency histogram observes each resolved request exactly
+                # once (_account_served), never once per attempt.
                 self.stats.retried_requests += len(requests)
-                _m_retried().labels(model=model_name).inc(len(requests))
+                metrics.family("repro_fleet_retried_requests_total").labels(
+                    model=model_name
+                ).inc(len(requests))
                 recorder.record(
                     "fleet.failover",
                     severity="warn",
@@ -565,23 +505,31 @@ class RequestScheduler:
                     model_name, requests, exc, flushed_at=flushed_at,
                     replica=replica, generation=generation,
                 )
-        compute_s = clock.now_s - flush_start
         self.stats.flushes += 1
-        self.stats.served += len(requests)
+        self._account_served(model_name, results, clock.now_s - flush_start, images)
+        return list(zip(requests, results))
+
+    def _account_served(
+        self, model_name: str, results: "list[ServedResult]", compute_s: float,
+        images: int,
+    ) -> None:
+        """Account one successful packed pass (a flush or an isolated
+        re-run): exactly one latency sample per resolved request and phase --
+        failover attempts retry the whole batch without observing anything,
+        so the sample covers every attempt's compute without duplicating the
+        request -- and one occupancy sample per pass."""
+        self.stats.served += len(results)
         self.stats.packed_images += images
-        latency = _m_latency()
+        latency = metrics.family("repro_serve_request_latency_seconds")
         for served in results:
-            # Exactly one latency sample per resolved request, per phase --
-            # failover attempts above retry the whole batch without
-            # observing anything, so the end-to-end sample covers every
-            # attempt's compute without duplicating the request.
             latency.labels(model=model_name, phase="queue").observe(served.queue_wait_s)
             latency.labels(model=model_name, phase="compute").observe(compute_s)
             latency.labels(model=model_name, phase="e2e").observe(
                 served.queue_wait_s + compute_s
             )
-        _m_occupancy().labels(model=model_name).observe(images / self.capacity)
-        return list(zip(requests, results))
+        metrics.family("repro_serve_batch_occupancy_ratio").labels(
+            model=model_name
+        ).observe(images / self.capacity)
 
     def _isolate(
         self,
@@ -605,7 +553,6 @@ class RequestScheduler:
         """
         tracer = self.server.platform.tracer
         clock = self.server.platform.clock
-        latency = _m_latency()
         self.stats.isolations += 1
         recorder.record(
             "serve.isolation",
@@ -637,19 +584,9 @@ class RequestScheduler:
                         )[0]
                         outcomes.append((request, served))
                         self.stats.isolated_requests += 1
-                        self.stats.served += 1
-                        self.stats.packed_images += request.batch
-                        latency.labels(model=model_name, phase="queue").observe(
-                            served.queue_wait_s
-                        )
-                        latency.labels(model=model_name, phase="compute").observe(
-                            clock.now_s - rerun_start
-                        )
-                        latency.labels(model=model_name, phase="e2e").observe(
-                            served.queue_wait_s + (clock.now_s - rerun_start)
-                        )
-                        _m_occupancy().labels(model=model_name).observe(
-                            request.batch / self.capacity
+                        self._account_served(
+                            model_name, [served], clock.now_s - rerun_start,
+                            request.batch,
                         )
                         continue
                     except Exception as single_exc:  # noqa: BLE001
@@ -661,7 +598,9 @@ class RequestScheduler:
                 failure.__cause__ = cause
                 outcomes.append((request, failure))
                 self.stats.failed += 1
-                _m_failed().labels(model=model_name).inc()
+                metrics.family("repro_serve_requests_failed_total").labels(
+                    model=model_name
+                ).inc()
                 recorder.record(
                     "serve.request_failed",
                     severity="error",

@@ -9,9 +9,17 @@ clock.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import EdgeServer, parameters_for_pipeline, train_paper_models
+from repro.he import (
+    Context,
+    KeyGenerator,
+    ScalarEncoder,
+    SymmetricEncryptor,
+    small_parameter_options,
+)
 from repro.sgx import AttestationVerificationService
 
 
@@ -63,3 +71,15 @@ def session_for(verifier_for):
         return srv.enroll_user(entropy=b"\x42" * 32, verifier=verifier_for(srv))
 
     return make
+
+
+@pytest.fixture()
+def foreign_ct(models):
+    """A right-shaped ``(1, C, H, W)`` pixel ciphertext encrypted under a
+    parameter set (and key) the serving deployment never saw."""
+    context = Context(small_parameter_options()[256])
+    rng = np.random.default_rng(5)
+    keys = KeyGenerator(context, rng).generate()
+    shape = models.dataset.test_images[:1].shape
+    plain = ScalarEncoder(context).encode(np.zeros(shape, dtype=np.int64))
+    return SymmetricEncryptor(context, keys.secret, rng).encrypt(plain)

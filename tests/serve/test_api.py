@@ -27,22 +27,14 @@ class TestInferenceRequest:
         with pytest.raises(ServeError):
             InferenceRequest(model="", ciphertext=ct)
         with pytest.raises(ServeError):
-            InferenceRequest(model="digits", ciphertext=ct, deadline_ms=5.0)
-        with pytest.raises(ServeError):
-            InferenceRequest(model="digits", ciphertext=ct, pack=True, deadline_ms=-1)
-        with pytest.raises(ServeError):
-            InferenceRequest(model="digits", ciphertext=ct, priority=-1)
-        with pytest.raises(ServeError):
-            InferenceRequest(model="digits", ciphertext=ct, slo_deadline_ms=0.0)
+            InferenceRequest(model="digits", ciphertext=ct, context="not-a-context")
 
-    def test_unit_conversions(self, session, models):
-        ct = session.encrypt("digits", models.dataset.test_images[:1])
-        request = InferenceRequest(
-            model="digits", ciphertext=ct, pack=True, deadline_ms=5.0,
-            slo_deadline_ms=40.0,
-        )
-        assert request.deadline_s == pytest.approx(0.005)
-        assert request.slo_deadline_s == pytest.approx(0.040)
+    def test_fields_are_exactly_the_ones_something_reads(self):
+        """Time-based policy lives on ``ServingLoop.submit``; a request
+        carries nothing the facade and the scheduler do not consume."""
+        assert {f.name for f in dataclasses.fields(InferenceRequest)} == {
+            "model", "ciphertext", "pack", "context",
+        }
 
     def test_served_result_is_the_inference_result(self):
         assert ServedResult is InferenceResult

@@ -9,6 +9,7 @@ import pytest
 from repro.core import EdgeServer, PlaintextPipeline
 from repro.errors import (
     DeadlineEvictedError,
+    KeyMismatchError,
     OverloadedError,
     QueueFullError,
     ServeError,
@@ -42,7 +43,7 @@ class TestContinuousBatching:
     ):
         """A full group flushes at t=0; arrivals landing while it is in
         flight coalesce and flush the instant the server frees up -- no
-        fresh window, no pump()."""
+        fresh window, no external crank."""
         loop, session = make_loop(
             batching_params, q_sigmoid, session_for, max_batch=4, window_s=0.05
         )
@@ -219,6 +220,28 @@ class TestAdmissionControl:
         assert loop.stats.rejected == 1
         assert loop.scheduler.stats.rejected_malformed == 1
 
+    def test_foreign_parameter_ciphertext_resolves_typed_and_loop_survives(
+        self, batching_params, q_sigmoid, session_for, models, foreign_ct
+    ):
+        """A right-shaped ciphertext under different parameters used to
+        raise KeyMismatchError (not a ServeError) out of ``run()`` with the
+        arrival already popped, stranding its ticket forever.  It must
+        reject typed like any malformed request, and a good request offered
+        after it must still be served bit-exactly."""
+        loop, session = make_loop(batching_params, q_sigmoid, session_for)
+        image = models.dataset.test_images[:1]
+        bad = loop.submit("digits", foreign_ct, at_s=0.0)
+        good = loop.submit("digits", session.encrypt("digits", image), at_s=0.001)
+        loop.run()
+        assert isinstance(bad.error, ServeError)
+        assert isinstance(bad.error.__cause__, KeyMismatchError)
+        assert bad.shed_reason == "rejected"
+        assert loop.stats.rejected == 1
+        assert loop.scheduler.stats.rejected_malformed == 1
+        assert all(t.done() for t in loop.tickets)
+        expected = PlaintextPipeline(q_sigmoid).infer(image).logits
+        assert np.array_equal(session.decrypt_logits(good.result()), expected)
+
     def test_submit_validates_caller_bugs_eagerly(
         self, batching_params, q_sigmoid, session_for, models
     ):
@@ -226,8 +249,6 @@ class TestAdmissionControl:
         ct = session.encrypt("digits", models.dataset.test_images[:1])
         with pytest.raises(ServeError):
             loop.submit("digits", ct, priority=3)
-        with pytest.raises(ServeError):
-            loop.submit("digits", ct, deadline_s=-1.0)
         with pytest.raises(ServeError):
             loop.submit("digits", ct, slo_deadline_s=0.0)
 
@@ -343,6 +364,61 @@ class TestDeterminismAndReporting:
         assert 0.0 < report["occupancy_mean"] <= 1.0
         assert report["p50_queue_wait_s"] <= report["p99_queue_wait_s"]
         assert report["images_per_s"] > 0
+
+
+class TestOneQueuedRecord:
+    def test_loop_and_sync_intake_serve_the_same_record(
+        self, batching_params, q_sigmoid, session_for, models
+    ):
+        """Both front ends queue the scheduler's one request record and hand
+        it to ``run_batch`` unchanged: the same three ciphertexts produce
+        byte-equal encrypted logits and the same ``serve/request`` span
+        attributes through ``submit``/``drain`` and through the loop."""
+        from repro.he.serialize import serialize_ciphertext
+        from repro.serve import PACKED_SCHEME
+
+        images = models.dataset.test_images[:3]
+
+        def request_attrs(srv):
+            (trace,) = [t for t in srv.platform.tracer.traces if t.name == PACKED_SCHEME]
+            return [
+                {k: c.attrs[k] for k in ("request_id", "batch", "queue_depth_at_submit")}
+                for c in trace.children
+                if c.name == "serve/request"
+            ]
+
+        loop, loop_session = make_loop(
+            batching_params, q_sigmoid, session_for, max_batch=4, window_s=0.01
+        )
+        tickets = [
+            loop.submit(
+                "digits", loop_session.encrypt("digits", images[i : i + 1]), at_s=0.0
+            )
+            for i in range(3)
+        ]
+        loop.run()
+
+        srv = EdgeServer(batching_params, seed=13, serve_config=ServeConfig(max_batch=4))
+        srv.provision_model("digits", q_sigmoid)
+        session = session_for(srv)
+        responses = [
+            srv.scheduler.submit("digits", session.encrypt("digits", images[i : i + 1]))
+            for i in range(3)
+        ]
+        assert srv.scheduler.drain() == 3
+
+        for ticket, response in zip(tickets, responses):
+            assert serialize_ciphertext(ticket.result().logits_ct) == (
+                serialize_ciphertext(response.result().logits_ct)
+            )
+        assert np.array_equal(
+            session.decrypt_logits(responses[1].result()),
+            PlaintextPipeline(q_sigmoid).infer(images[1:2]).logits,
+        )
+        assert request_attrs(loop.server) == request_attrs(srv)
+        assert request_attrs(srv) == [
+            {"request_id": i, "batch": 1, "queue_depth_at_submit": i} for i in range(3)
+        ]
 
 
 class TestFlushGenerationAttribution:

@@ -8,6 +8,7 @@ import pytest
 from repro.core import EdgeServer, PlaintextPipeline, parameters_for_pipeline
 from repro.errors import (
     BatchTooLargeError,
+    KeyMismatchError,
     PipelineError,
     QueueFullError,
     ResponseNotReady,
@@ -109,7 +110,7 @@ class TestQueueDiscipline:
 
     def test_flush_on_capacity(self, batching_params, q_sigmoid, session_for, models):
         """The bucket flushes itself the moment it reaches packing capacity,
-        without pump() or drain()."""
+        without drain()."""
         srv = EdgeServer(
             batching_params, seed=13, serve_config=ServeConfig(max_batch=3)
         )
@@ -140,29 +141,6 @@ class TestQueueDiscipline:
         assert not late.done()
         srv.scheduler.drain()
         assert late.result().packed_batch == 2
-
-    def test_flush_on_deadline_under_simulated_clock(self, server, session, models):
-        ct = session.encrypt("digits", models.dataset.test_images[:1])
-        response = server.scheduler.submit("digits", ct, deadline_s=0.5)
-        clock = server.platform.clock
-        clock.elapse_real(0.4)
-        assert server.scheduler.pump() == 0
-        assert not response.done()
-        clock.elapse_real(0.2)
-        assert server.scheduler.pump() == 1
-        assert response.done()
-
-    def test_default_window_drives_pump(self, batching_params, q_sigmoid, session_for, models):
-        srv = EdgeServer(
-            batching_params, seed=13, serve_config=ServeConfig(window_s=0.01)
-        )
-        srv.provision_model("digits", q_sigmoid)
-        session = session_for(srv)
-        srv.scheduler.submit(
-            "digits", session.encrypt("digits", models.dataset.test_images[:1])
-        )
-        srv.platform.clock.elapse_real(0.02)
-        assert srv.scheduler.pump() == 1
 
 
 class TestRejectionPaths:
@@ -201,6 +179,17 @@ class TestRejectionPaths:
         with pytest.raises(ServeError):
             server.scheduler.submit("digits", ct[0, :, :, :])
 
+    def test_foreign_parameter_ciphertext_rejected_typed(self, server, foreign_ct):
+        """A right-shaped ciphertext under different parameters is a typed,
+        counted ``malformed`` rejection chaining the KeyMismatchError -- not
+        a bare ValueError escaping the serve error hierarchy."""
+        assert len(foreign_ct.batch_shape) == 4
+        with pytest.raises(ServeError) as excinfo:
+            server.scheduler.submit("digits", foreign_ct)
+        assert isinstance(excinfo.value.__cause__, KeyMismatchError)
+        assert server.scheduler.stats.rejected_malformed == 1
+        assert server.scheduler.queue_depth == 0
+
 
 class TestServerFacade:
     def test_infer_pack_kwarg(self, server, session, q_sigmoid, models):
@@ -226,11 +215,6 @@ class TestServerFacade:
         assert result.packed_batch == 3
         assert all(r.done() for r in early)
         assert np.array_equal(session.decrypt_logits(early[0].result()), expected[:1])
-
-    def test_deadline_without_pack_rejected(self, server, session, models):
-        ct = session.encrypt("digits", models.dataset.test_images[:1])
-        with pytest.raises(PipelineError):
-            _infer(server, "digits", ct, deadline_ms=5.0)
 
 
 class TestObservability:
@@ -292,8 +276,6 @@ class TestSchedulerConstruction:
             ServeConfig(max_queue_depth=0)
         with pytest.raises(ServeError):
             ServeConfig(max_batch=0)
-        with pytest.raises(ServeError):
-            ServeConfig(window_s=-1.0)
 
 
 class TestAccountingBugfixes:
@@ -304,12 +286,7 @@ class TestAccountingBugfixes:
     def _rejected_malformed_metric(self):
         from repro.obs import metrics
 
-        family = metrics.registry().counter(
-            "repro_serve_rejected_total",
-            "Requests rejected before queueing, by reason.",
-            ("reason",),
-        )
-        return family.labels(reason="malformed")
+        return metrics.family("repro_serve_rejected_total").labels(reason="malformed")
 
     def test_malformed_rejections_are_counted(self, server, session, models):
         """Every malformed shape rejection lands in ServeStats and the
@@ -371,16 +348,12 @@ class TestAccountingBugfixes:
         from repro.faults import FaultPlan, FaultRule
         from repro.obs import metrics
 
-        latency = metrics.registry().histogram(
-            "repro_serve_request_latency_seconds",
-            "Per-request serving latency by phase.",
-            ("model", "phase"),
-        ).labels(model="digits", phase="queue")
-        occupancy = metrics.registry().histogram(
-            "repro_serve_batch_occupancy_ratio",
-            "Packed-flush slot occupancy.",
-            ("model",),
-        ).labels(model="digits")
+        latency = metrics.family("repro_serve_request_latency_seconds").labels(
+            model="digits", phase="queue"
+        )
+        occupancy = metrics.family("repro_serve_batch_occupancy_ratio").labels(
+            model="digits"
+        )
         lat_before, occ_before = latency.count, occupancy.count
         images = models.dataset.test_images[:3]
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits
