@@ -31,59 +31,45 @@ Options:
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 import numpy as np
 
-def _parse(argv: list[str]) -> tuple[dict[str, object], int | None]:
-    opts: dict[str, object] = {
-        "paper": False,
-        "smoke": False,
-        "trace_json": None,
-        "metrics": False,
-        "metrics_json": None,
-        "serve_demo": False,
-        "fleet": 1,
-        "flight_dump": None,
-    }
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--fleet":
-            if not args or not args[0].isdigit() or int(args[0]) < 1:
-                print(__doc__)
-                return opts, 2
-            opts["fleet"] = int(args.pop(0))
-        elif arg == "--trace-json":
-            if not args:
-                print(__doc__)
-                return opts, 2
-            opts["trace_json"] = args.pop(0)
-        elif arg == "--metrics":
-            opts["metrics"] = True
-        elif arg == "--metrics-json":
-            if not args:
-                print(__doc__)
-                return opts, 2
-            opts["metrics_json"] = args.pop(0)
-        elif arg == "--flight-dump":
-            if not args:
-                print(__doc__)
-                return opts, 2
-            opts["flight_dump"] = args.pop(0)
-        elif arg == "--serve-demo":
-            opts["serve_demo"] = True
-        elif arg == "--paper":
-            opts["paper"] = True
-        elif arg == "--smoke":
-            opts["smoke"] = True
-        else:
-            print(__doc__)
-            return opts, 0 if arg in {"-h", "--help"} else 2
-    if opts["paper"] and opts["smoke"]:
-        print(__doc__)
-        return opts, 2
-    return opts, None
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    size = parser.add_mutually_exclusive_group()
+    size.add_argument("--paper", action="store_true")
+    size.add_argument("--smoke", action="store_true")
+    parser.add_argument("--trace-json", metavar="PATH")
+    parser.add_argument("--metrics", action="store_true")
+    parser.add_argument("--metrics-json", metavar="PATH")
+    parser.add_argument("--serve-demo", action="store_true")
+    parser.add_argument("--fleet", type=_positive_int, default=1, metavar="N")
+    parser.add_argument("--flight-dump", metavar="PATH")
+    return parser.parse_args(argv)
+
+
+def _emit(text: str, path: str, what: str) -> None:
+    """Write ``text`` to ``path`` (``-`` is stdout)."""
+    if path == "-":
+        print(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    print(f"{what} written to {path}")
 
 
 def _metrics_demo(models, quantized) -> None:
@@ -220,39 +206,29 @@ def _serve_demo(
 
         from repro.obs import trace_to_dict
 
-        text = json.dumps(
-            [trace_to_dict(t) for t in server.platform.tracer.traces], indent=2
+        traces = server.platform.tracer.traces
+        _emit(
+            json.dumps([trace_to_dict(t) for t in traces], indent=2),
+            trace_json,
+            f"{len(traces)} serving trace(s)",
         )
-        if trace_json == "-":
-            print(text)
-        else:
-            with open(str(trace_json), "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            print(f"{len(server.platform.tracer.traces)} serving trace(s) "
-                  f"written to {trace_json}")
     return 0 if resolved and exact else 1
 
 
 def main(argv: list[str]) -> int:
-    opts, early = _parse(argv)
-    if early is not None:
-        return early
-    for opt_name, flag in (
-        ("trace_json", "--trace-json"),
-        ("metrics_json", "--metrics-json"),
-        ("flight_dump", "--flight-dump"),
-    ):
-        path = opts[opt_name]
+    opts = _parse(argv)  # argparse exits 0 after --help, 2 on a flag error
+    for flag in ("trace_json", "metrics_json", "flight_dump"):
+        path = getattr(opts, flag)
         if path is not None and path != "-":
             # Fail before the training run, not after it.
             try:
-                with open(str(path), "a", encoding="utf-8"):
+                with open(path, "a", encoding="utf-8"):
                     pass
             except OSError as exc:
-                print(f"error: cannot write {flag} path {path}: {exc}")
+                print(f"error: cannot write --{flag.replace('_', '-')} path {path}: {exc}")
                 return 2
 
-    if opts["flight_dump"] is None:
+    if opts.flight_dump is None:
         return _run(opts)
     from repro.obs import recorder as flight
 
@@ -260,17 +236,11 @@ def main(argv: list[str]) -> int:
     try:
         return _run(opts)
     finally:
-        text = flight.recorder().dump_json()
-        if opts["flight_dump"] == "-":
-            print(text)
-        else:
-            with open(str(opts["flight_dump"]), "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            print(f"flight recorder dump written to {opts['flight_dump']}")
+        _emit(flight.recorder().dump_json(), opts.flight_dump, "flight recorder dump")
         flight.disable()
 
 
-def _run(opts: dict[str, object]) -> int:
+def _run(opts: argparse.Namespace) -> int:
     from repro.bench import format_trace
     from repro.core import (
         HybridPipeline,
@@ -280,19 +250,17 @@ def _run(opts: dict[str, object]) -> int:
     )
     from repro.obs import reconcile, trace_to_json
 
-    if opts["paper"]:
+    if opts.paper:
         dims = dict(image_size=28, channels=6, kernel_size=5)
         training = dict(train_size=600, test_size=150, epochs=6)
-    elif opts["smoke"]:
+    elif opts.smoke:
         dims = dict(image_size=10, channels=2, kernel_size=3)
         training = dict(train_size=200, test_size=40, epochs=2)
     else:
         dims = dict(image_size=12, channels=2, kernel_size=3)
         training = dict(train_size=600, test_size=150, epochs=6)
-    if opts["serve_demo"]:
-        return _serve_demo(
-            training, dims, int(opts["fleet"]), trace_json=opts["trace_json"]
-        )
+    if opts.serve_demo:
+        return _serve_demo(training, dims, opts.fleet, trace_json=opts.trace_json)
     print("repro: Privacy-Preserving NN Inference via HE + SGX (ICDCS 2021)")
     print(f"dimensions: {dims}\n")
     models = train_paper_models(**training, **dims)
@@ -308,14 +276,8 @@ def _run(opts: dict[str, object]) -> int:
     print()
     print(format_trace(result.trace))
 
-    if opts["trace_json"] is not None:
-        text = trace_to_json(result.trace)
-        if opts["trace_json"] == "-":
-            print(text)
-        else:
-            with open(str(opts["trace_json"]), "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            print(f"\ntrace written to {opts['trace_json']}")
+    if opts.trace_json is not None:
+        _emit(trace_to_json(result.trace), opts.trace_json, "\ntrace")
 
     plain = PlaintextPipeline(quantized).infer(images)
     exact = np.array_equal(result.logits, plain.logits)
@@ -323,22 +285,20 @@ def _run(opts: dict[str, object]) -> int:
     print(f"predictions: {result.predictions.tolist()} "
           f"(labels: {models.dataset.test_labels[:4].tolist()})")
 
-    if opts["metrics"] or opts["metrics_json"] is not None:
+    if opts.metrics or opts.metrics_json is not None:
         from repro.obs import metrics
 
         print()
         _metrics_demo(models, quantized)
-        if opts["metrics"]:
+        if opts.metrics:
             print("\n== metrics (Prometheus exposition) ==")
             print(metrics.registry().render_prometheus())
-        if opts["metrics_json"] is not None:
-            text = metrics.registry().collect().to_json()
-            if opts["metrics_json"] == "-":
-                print(text)
-            else:
-                with open(str(opts["metrics_json"]), "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-                print(f"metrics snapshot written to {opts['metrics_json']}")
+        if opts.metrics_json is not None:
+            _emit(
+                metrics.registry().collect().to_json(),
+                opts.metrics_json,
+                "metrics snapshot",
+            )
     return 0 if exact else 1
 
 

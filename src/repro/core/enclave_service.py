@@ -174,16 +174,10 @@ class InferenceEnclave(Enclave):
         ``mean`` or ``max`` -- max-pooling is only computable here
         (Section VI-D).
         """
-        values = self._decrypt_values(ct).astype(np.float64) / input_scale
-        activated = self._apply_activation(values, activation)
-        if pool == "max":
-            pooled = _max_pool(activated, window)
-        elif pool == "mean":
-            pooled = _mean_pool(activated, window)
-        else:
-            raise PipelineError(f"unsupported enclave pool {pool!r}")
-        requantized = np.rint(pooled * output_scale).astype(np.int64)
-        return self._encrypt_values(requantized)
+        values = self._decrypt_values(ct)
+        return self._encrypt_values(
+            _activate_pool(values, input_scale, output_scale, window, activation, pool)
+        )
 
     @ecall
     def sigmoid(self, ct: Ciphertext, input_scale: float, output_scale: int) -> Ciphertext:
@@ -216,10 +210,7 @@ class InferenceEnclave(Enclave):
         """Max pooling -- impossible under HE, trivial in the enclave
         (Section VI-D: "we obviously can only use SGX to perform
         max-pooling in our scenario")."""
-        values = self._decrypt_values(ct)
-        b, c, h, w = values.shape
-        windows = values.reshape(b, c, h // window, window, w // window, window)
-        return self._encrypt_values(windows.max(axis=(3, 5)))
+        return self._encrypt_values(_max_pool(self._decrypt_values(ct), window))
 
     @ecall
     def activation_pool_simd(
@@ -244,15 +235,10 @@ class InferenceEnclave(Enclave):
         codec = self._batch_encoder()
         plain = self._decryptor.decrypt(ct)
         # (n, C, H, W): every slot is one user's feature map.
-        values = codec.decode_batch_axis(plain, codec.slot_count).astype(np.float64)
-        activated = self._apply_activation(values / input_scale, activation)
-        if pool == "max":
-            pooled = _max_pool(activated, window)
-        elif pool == "mean":
-            pooled = _mean_pool(activated, window)
-        else:
-            raise PipelineError(f"unsupported enclave pool {pool!r}")
-        requantized = np.rint(pooled * output_scale).astype(np.int64)
+        values = codec.decode_batch_axis(plain, codec.slot_count)
+        requantized = _activate_pool(
+            values, input_scale, output_scale, window, activation, pool
+        )
         return self._encryptor.encrypt(codec.encode_batch_axis(requantized))
 
     @ecall
@@ -303,16 +289,9 @@ class InferenceEnclave(Enclave):
         if remainder:
             parts.append(coeffs[full, :remainder])
         values = np.concatenate(parts).reshape(shape)
-        scaled = values.astype(np.float64) / input_scale
-        activated = self._apply_activation(scaled, activation)
-        if pool == "max":
-            pooled = _max_pool(activated, window)
-        elif pool == "mean":
-            pooled = _mean_pool(activated, window)
-        else:
-            raise PipelineError(f"unsupported enclave pool {pool!r}")
-        requantized = np.rint(pooled * output_scale).astype(np.int64)
-        return self._encrypt_values(requantized)
+        return self._encrypt_values(
+            _activate_pool(values, input_scale, output_scale, window, activation, pool)
+        )
 
     @ecall
     def pack_slots(self, ct: Ciphertext, batch: int) -> Ciphertext:
@@ -433,15 +412,6 @@ class InferenceEnclave(Enclave):
         coeffs[..., 0] = values % t
         return self._encryptor.encrypt(Plaintext(self._context, coeffs))
 
-    @staticmethod
-    def _apply_activation(values: np.ndarray, name: str) -> np.ndarray:
-        fn = ACTIVATIONS.get(name)
-        if fn is None:
-            raise PipelineError(
-                f"unsupported activation {name!r}; available: {sorted(ACTIVATIONS)}"
-            )
-        return fn(values)
-
 
 def _pool_windows(values: np.ndarray, window: int) -> np.ndarray:
     if values.ndim != 4:
@@ -458,6 +428,31 @@ def _mean_pool(values: np.ndarray, window: int) -> np.ndarray:
 
 def _max_pool(values: np.ndarray, window: int) -> np.ndarray:
     return _pool_windows(values, window).max(axis=(3, 5))
+
+
+def _activate_pool(
+    values: np.ndarray,
+    input_scale: float,
+    output_scale: int,
+    window: int,
+    activation: str,
+    pool: str,
+) -> np.ndarray:
+    """Dequantize, exact activation, ``mean``/``max`` pooling, requantize:
+    the plaintext step every ``activation_pool*`` crossing shares."""
+    fn = ACTIVATIONS.get(activation)
+    if fn is None:
+        raise PipelineError(
+            f"unsupported activation {activation!r}; available: {sorted(ACTIVATIONS)}"
+        )
+    activated = fn(values.astype(np.float64) / input_scale)
+    if pool == "max":
+        pooled = _max_pool(activated, window)
+    elif pool == "mean":
+        pooled = _mean_pool(activated, window)
+    else:
+        raise PipelineError(f"unsupported enclave pool {pool!r}")
+    return np.rint(pooled * output_scale).astype(np.int64)
 
 
 def _pack_key_pair(public_bytes: bytes, secret_bytes: bytes) -> bytes:

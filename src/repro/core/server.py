@@ -264,12 +264,7 @@ class EdgeServer:
         if registry.enabled:
             from repro.he.noise import NoiseEstimator
 
-            headroom_gauge = registry.gauge(
-                "repro_he_noise_budget_bits",
-                "Estimated remaining invariant-noise budget per encrypted "
-                "layer (SGX refresh resets each layer to fresh noise).",
-                ("layer", "model"),
-            )
+            headroom_gauge = metrics.family("repro_he_noise_budget_bits")
             estimator = NoiseEstimator(self.params)
             for layer, bits in estimator.layer_headroom(quantized).items():
                 headroom_gauge.labels(model=name, layer=layer).set(bits)

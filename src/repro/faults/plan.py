@@ -182,11 +182,7 @@ class FaultPlan:
             # gets here, preserving the zero-overhead property.
             from repro.obs import metrics
 
-            metrics.registry().counter(
-                "repro_fault_fires_total",
-                "Injected faults fired from the armed plan, by site.",
-                ("site",),
-            ).labels(site=site).inc()
+            metrics.family("repro_fault_fires_total").labels(site=site).inc()
             from repro.obs import recorder
 
             recorder.record(

@@ -97,11 +97,9 @@ def run_with_kernel_degradation(tracer, scheme: str, fn):
             "recovery/kernel_degrade", kind="span", scheme=scheme, error=str(trip)
         ):
             kernels.degrade_to_reference()
-            metrics.registry().counter(
-                "repro_recovery_kernel_degradations_total",
-                "FUSED -> REFERENCE kernel profile degradations.",
-                ("scheme",),
-            ).labels(scheme=scheme).inc()
+            metrics.family("repro_recovery_kernel_degradations_total").labels(
+                scheme=scheme
+            ).inc()
         return fn()
 
 
@@ -277,23 +275,16 @@ class EnclaveSupervisor:
         ):
             from repro.obs import metrics
 
-            registry = metrics.registry()
             # Both families carry the replica label: in a fleet, restarts of
             # different replicas must never alias into one series (the delta
             # a dashboard or delta-sync reads off a single series would
             # otherwise mix independent replicas' backoff budgets).
-            registry.counter(
-                "repro_recovery_enclave_restarts_total",
-                "Enclave restarts performed by the supervisor, by failed "
-                "ECALL and fleet replica.",
-                ("ecall", "replica"),
-            ).labels(ecall=ecall_name, replica=str(self.replica)).inc()
-            registry.counter(
-                "repro_recovery_backoff_seconds_total",
-                "Simulated seconds charged as restart backoff, by fleet "
-                "replica.",
-                ("replica",),
-            ).labels(replica=str(self.replica)).inc(self.policy.delay_s(restart))
+            metrics.family("repro_recovery_enclave_restarts_total").labels(
+                ecall=ecall_name, replica=str(self.replica)
+            ).inc()
+            metrics.family("repro_recovery_backoff_seconds_total").labels(
+                replica=str(self.replica)
+            ).inc(self.policy.delay_s(restart))
             recorder.record(
                 "recovery.enclave_restart",
                 severity="warn",
@@ -541,11 +532,7 @@ class FleetManager:
         self.joins += 1
         from repro.obs import metrics
 
-        metrics.registry().counter(
-            "repro_fleet_joins_total",
-            "Replicas joined via quote-verified sealed-key migration.",
-            ("replica",),
-        ).labels(replica=str(replica_id)).inc()
+        metrics.family("repro_fleet_joins_total").labels(replica=str(replica_id)).inc()
         return replica_id
 
     def _verify_join(self, supervisor: EnclaveSupervisor, nonce: bytes) -> None:
@@ -624,11 +611,9 @@ class FleetManager:
         self._dispatched_images[replica_id] += int(images)
         from repro.obs import metrics
 
-        metrics.registry().counter(
-            "repro_fleet_dispatch_images_total",
-            "Images dispatched to each fleet replica, by model.",
-            ("model", "replica"),
-        ).labels(model=model, replica=str(replica_id)).inc(int(images))
+        metrics.family("repro_fleet_dispatch_images_total").labels(
+            model=model, replica=str(replica_id)
+        ).inc(int(images))
 
     def dispatched_images(self) -> dict[int, int]:
         """Cumulative images dispatched per live replica (the load signal
@@ -655,11 +640,9 @@ class FleetManager:
         self._sync_gauge()
         from repro.obs import metrics
 
-        metrics.registry().counter(
-            "repro_fleet_retirements_total",
-            "Replicas retired from rotation after unrecoverable failures.",
-            ("replica",),
-        ).labels(replica=str(replica_id)).inc()
+        metrics.family("repro_fleet_retirements_total").labels(
+            replica=str(replica_id)
+        ).inc()
         recorder.record(
             "fleet.retire",
             severity="error",
@@ -677,9 +660,4 @@ class FleetManager:
     def _sync_gauge(self) -> None:
         from repro.obs import metrics
 
-        registry = metrics.registry()
-        if registry.enabled:
-            registry.gauge(
-                "repro_fleet_replicas",
-                "Live enclave replicas in the serving fleet.",
-            ).set(len(self._supervisors))
+        metrics.family("repro_fleet_replicas").set(len(self._supervisors))

@@ -120,14 +120,7 @@ def record_active_level() -> None:
     """One-hot gauge of the active level (matches the kernel-profile gauge)."""
     from repro.obs import metrics
 
-    registry = metrics.registry()
-    if not registry.enabled:
-        return
-    gauge = registry.gauge(
-        "repro_graph_opt_level",
-        "Active graph-optimizer level (one-hot).",
-        ("level",),
-    )
+    gauge = metrics.family("repro_graph_opt_level")
     current = active_level()
     for level in LEVELS:
         gauge.labels(level=level).set(1.0 if level == current else 0.0)
@@ -136,15 +129,9 @@ def record_active_level() -> None:
 def _record_degradation(pass_name: str | None) -> None:
     from repro.obs import metrics
 
-    registry = metrics.registry()
-    if not registry.enabled:
-        return
-    registry.counter(
-        "repro_graph_degradations_total",
-        "Graph compilations degraded to the unoptimized reference graph "
-        "after a pass failure.",
-        ("graph_pass",),
-    ).labels(graph_pass=pass_name or "unknown").inc()
+    metrics.family("repro_graph_degradations_total").labels(
+        graph_pass=pass_name or "unknown"
+    ).inc()
 
 
 @dataclass(frozen=True)

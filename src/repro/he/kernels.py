@@ -99,14 +99,7 @@ def record_active_profile() -> None:
     """
     from repro.obs import metrics
 
-    registry = metrics.registry()
-    if not registry.enabled:
-        return
-    gauge = registry.gauge(
-        "repro_he_kernel_profile",
-        "Active hot-path kernel profile (one-hot over modes).",
-        ("mode",),
-    )
+    gauge = metrics.family("repro_he_kernel_profile")
     for mode in ("fused", "reference", "custom"):
         gauge.labels(mode=mode).set(1.0 if mode == _active.mode_name else 0.0)
 

@@ -31,13 +31,11 @@ from repro.obs.context import (
 )
 from repro.obs.export import (
     metrics_from_trace,
-    render_prometheus,
     samples_from_trace,
     trace_from_dict,
     trace_from_json,
     trace_to_dict,
     trace_to_json,
-    validate_histograms,
 )
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
@@ -90,7 +88,6 @@ __all__ = [
     "profile_from_traces",
     "reconcile",
     "registry",
-    "render_prometheus",
     "render_timeline",
     "resolve_trace_ids",
     "samples_from_trace",
@@ -103,5 +100,4 @@ __all__ = [
     "trace_to_dict",
     "trace_to_json",
     "use_recorder",
-    "validate_histograms",
 ]

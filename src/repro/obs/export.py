@@ -7,9 +7,8 @@ Two consumers, two shapes:
   smoke path;
 * :func:`metrics_from_trace` -- a flat ``{metric_name: value}`` dict using
   Prometheus exposition-style names with ``{label="value"}`` selectors, the
-  form the benchmark tables and a scrape endpoint would consume directly.
-  :func:`render_prometheus` turns that dict into exposition text (with
-  ``# HELP``/``# TYPE`` metadata per family).
+  form the benchmark tables consume directly.  Exposition text comes from
+  :meth:`repro.obs.metrics.MetricsRegistry.render_prometheus`.
 
 Both flat views are built from one structured intermediate,
 :func:`samples_from_trace`, which
@@ -21,11 +20,9 @@ aggregate registry reconciled sample-for-sample.
 from __future__ import annotations
 
 import json
-import math
-import re
 
-from repro.errors import MetricsError, TraceFormatError
-from repro.obs.metrics import escape_help, format_labels
+from repro.errors import TraceFormatError
+from repro.obs.metrics import format_labels
 from repro.obs.tracer import SPAN_KINDS, Span
 
 #: Exposition metadata for the trace-derived families (unprefixed names).
@@ -40,9 +37,6 @@ TRACE_FAMILY_HELP = {
     "ecall_count": "ECALL invocations by entry point.",
     "ecall_bytes_total": "Bytes marshalled across the boundary by entry point.",
 }
-
-#: All trace-derived families accumulate monotonically across traces.
-TRACE_FAMILY_TYPES = {name: "counter" for name in TRACE_FAMILY_HELP}
 
 
 def trace_to_dict(span: Span) -> dict:
@@ -90,12 +84,6 @@ def trace_from_dict(doc: dict) -> Span:
 def trace_from_json(text: str) -> Span:
     """Rebuild a span tree from a :func:`trace_to_json` document."""
     return trace_from_dict(json.loads(text))
-
-
-def _labels(**labels: str) -> str:
-    """Exposition label selector; values are escaped (backslash, quote,
-    newline), so hostile span or model names cannot break the line format."""
-    return format_labels(labels)
 
 
 def samples_from_trace(
@@ -169,89 +157,3 @@ def metrics_from_trace(span: Span, prefix: str = "repro") -> dict[str, float]:
         f"{family}{format_labels(labels)}": value
         for family, labels, value in samples_from_trace(span, prefix)
     }
-
-
-def _family_of(sample_key: str) -> str:
-    return sample_key.split("{", 1)[0]
-
-
-def _family_metadata(family: str) -> tuple[str, str]:
-    """(help, type) for one family name, prefix-insensitively."""
-    for known, help_text in TRACE_FAMILY_HELP.items():
-        if family.endswith(known):
-            return help_text, TRACE_FAMILY_TYPES[known]
-    inferred = "counter" if family.endswith(("_total", "_count")) else "gauge"
-    return family, inferred
-
-
-_BUCKET_KEY = re.compile(r"^(?P<family>.+)_bucket\{(?P<labels>.*)\}$")
-_LE_LABEL = re.compile(r'(?:^|,)le="(?P<le>[^"]*)"')
-
-
-def validate_histograms(metrics: dict[str, float]) -> None:
-    """Consistency pass over flattened histogram samples.
-
-    For every ``<family>_bucket{...,le=...}`` series in ``metrics``:
-    cumulative bucket counts must be monotone non-decreasing in bound
-    order, and when the matching ``<family>_count{...}`` sample is present
-    it must equal the top (``+Inf``) bucket.  A violation means the
-    exporter (or a hand-edited snapshot) would publish a histogram no
-    Prometheus query could interpret, so it raises
-    :class:`~repro.errors.MetricsError` instead of rendering garbage.
-    """
-    series: dict[tuple[str, str], list[tuple[float, str, float]]] = {}
-    for key, value in metrics.items():
-        match = _BUCKET_KEY.match(key)
-        if match is None:
-            continue
-        labels = match.group("labels")
-        le_match = _LE_LABEL.search(labels)
-        if le_match is None:
-            raise MetricsError(f"histogram bucket sample without le label: {key}")
-        le_text = le_match.group("le")
-        bound = math.inf if le_text == "+Inf" else float(le_text)
-        bare = _LE_LABEL.sub("", labels).strip(",")
-        series.setdefault((match.group("family"), bare), []).append(
-            (bound, le_text, value)
-        )
-    for (family, bare), buckets in series.items():
-        buckets.sort(key=lambda b: b[0])
-        previous = -math.inf
-        for bound, le_text, count in buckets:
-            if count < previous:
-                raise MetricsError(
-                    f"histogram {family}{{{bare}}}: bucket le={le_text} count "
-                    f"{count:g} below preceding bucket {previous:g} (not monotone)"
-                )
-            previous = count
-        selector = f"{{{bare}}}" if bare else ""
-        total = metrics.get(f"{family}_count{selector}")
-        if total is not None and buckets and buckets[-1][2] != total:
-            raise MetricsError(
-                f"histogram {family}{{{bare}}}: _count {total:g} != top bucket "
-                f"{buckets[-1][2]:g}"
-            )
-
-
-def render_prometheus(metrics: dict[str, float]) -> str:
-    """Metrics dict as Prometheus exposition text.
-
-    Emits ``# HELP`` and ``# TYPE`` metadata once per family (samples of
-    one family are grouped, first-seen family order preserved) followed by
-    one sample line per entry.  Family types come from
-    :data:`TRACE_FAMILY_TYPES` when known and the ``_total``/``_count``
-    suffix heuristic otherwise.  Histogram samples are validated first
-    (:func:`validate_histograms`).
-    """
-    validate_histograms(metrics)
-    by_family: dict[str, list[tuple[str, float]]] = {}
-    for key, value in metrics.items():
-        by_family.setdefault(_family_of(key), []).append((key, value))
-    lines: list[str] = []
-    for family, samples in by_family.items():
-        help_text, family_type = _family_metadata(family)
-        lines.append(f"# HELP {family} {escape_help(help_text)}")
-        lines.append(f"# TYPE {family} {family_type}")
-        for key, value in samples:
-            lines.append(f"{key} {value:.9g}")
-    return "\n".join(lines)

@@ -569,8 +569,8 @@ def set_registry(reg: MetricsRegistry) -> MetricsRegistry:
     return previous
 
 
-#: The instrumented families of ``repro.serve``, ``repro.he.parallel`` and
-#: ``repro.client``, fetched by the sites with :func:`family`:
+#: Every instrumented family outside the trace bridge, fetched by the
+#: sites with :func:`family`:
 #: name -> (kind, label names, histogram buckets or None for
 #: :data:`LATENCY_BUCKETS`, help).
 FAMILIES: dict[str, tuple[str, tuple[str, ...], tuple[float, ...] | None, str]] = {
@@ -643,6 +643,60 @@ FAMILIES: dict[str, tuple[str, tuple[str, ...], tuple[float, ...] | None, str]] 
     "repro_client_transitions_total": (
         "counter", ("state",), None,
         "Client session state-machine transitions, by destination state."),
+    "repro_recovery_kernel_degradations_total": (
+        "counter", ("scheme",), None,
+        "FUSED -> REFERENCE kernel profile degradations."),
+    "repro_recovery_enclave_restarts_total": (
+        "counter", ("ecall", "replica"), None,
+        "Enclave restarts performed by the supervisor, by failed "
+        "ECALL and fleet replica."),
+    "repro_recovery_backoff_seconds_total": (
+        "counter", ("replica",), None,
+        "Simulated seconds charged as restart backoff, by fleet replica."),
+    "repro_fleet_joins_total": (
+        "counter", ("replica",), None,
+        "Replicas joined via quote-verified sealed-key migration."),
+    "repro_fleet_dispatch_images_total": (
+        "counter", ("model", "replica"), None,
+        "Images dispatched to each fleet replica, by model."),
+    "repro_fleet_retirements_total": (
+        "counter", ("replica",), None,
+        "Replicas retired from rotation after unrecoverable failures."),
+    "repro_fleet_replicas": (
+        "gauge", (), None,
+        "Live enclave replicas in the serving fleet."),
+    "repro_fault_fires_total": (
+        "counter", ("site",), None,
+        "Injected faults fired from the armed plan, by site."),
+    "repro_sgx_ecall_total": (
+        "counter", ("ecall",), None,
+        "ECALL invocations at the trusted boundary, by entry point."),
+    "repro_sgx_ecall_bytes_total": (
+        "counter", ("direction", "ecall"), None,
+        "Bytes marshalled across the boundary, by entry point and direction."),
+    "repro_sgx_epc_evictions_total": (
+        "counter", (), None,
+        "EPC pages encrypted and evicted to untrusted memory (EWB)."),
+    "repro_sgx_epc_loads_total": (
+        "counter", (), None,
+        "EPC pages decrypted and reloaded on demand (ELD)."),
+    "repro_sgx_epc_faults_total": (
+        "counter", (), None,
+        "EPC page faults observed by the untrusted OS."),
+    "repro_graph_opt_level": (
+        "gauge", ("level",), None,
+        "Active graph-optimizer level (one-hot)."),
+    "repro_graph_degradations_total": (
+        "counter", ("graph_pass",), None,
+        "Graph compilations degraded to the unoptimized reference graph "
+        "after a pass failure."),
+    "repro_he_kernel_profile": (
+        "gauge", ("mode",), None,
+        "Active hot-path kernel profile (one-hot over modes)."),
+    "repro_he_noise_budget_bits": (
+        "gauge", ("layer", "model"), None,
+        "Estimated remaining invariant-noise budget per encrypted "
+        "layer (SGX refresh resets each layer to fresh noise)."),
 }
 
 

@@ -91,40 +91,21 @@ class ServiceTimeModel:
     setup plus the pack/activation/unpack enclave crossings) plus a
     per-image slope (the marginal slot's share of the HE arithmetic).  The
     defaults are on the scale the paper's cost model charges a packed
-    smoke-config flush; all knobs are plain fields, so benches can
-    calibrate them against a measured profile without losing determinism.
-
-    ``workers`` models multicore flush execution (``repro.he.parallel``):
-    the per-image HE arithmetic -- the part the pool's work units split --
-    divides across workers, while ``base_s`` (enclave crossings, pack/
-    unpack, Python dispatch) stays serial, plus a small per-extra-worker
-    dispatch cost (``dispatch_s``): Amdahl on the virtual timeline.  With
-    ``workers <= 1`` the formula reduces exactly to the historical
-    single-process model, keeping every existing trace bit-identical.
+    smoke-config flush, which the wall-clock benchmark measures at tens of
+    times that (``serve.loop.model_flush_ratio``): the timeline pins the
+    admission *policy*, it does not predict throughput.
     """
 
     base_s: float = 4e-3
     per_image_s: float = 5e-4
-    workers: int = 1
-    dispatch_s: float = 1.5e-4
 
     def __post_init__(self) -> None:
         if self.base_s <= 0 or self.per_image_s < 0:
             raise ServeError("service model needs base_s > 0 and per_image_s >= 0")
-        if self.workers < 1:
-            raise ServeError("service model needs workers >= 1")
-        if self.dispatch_s < 0:
-            raise ServeError("service model needs dispatch_s >= 0")
 
     def flush_s(self, images: int) -> float:
         """Modeled duration of one packed flush of ``images`` images."""
-        if self.workers <= 1:
-            return self.base_s + self.per_image_s * images
-        return (
-            self.base_s
-            + self.per_image_s * images / self.workers
-            + self.dispatch_s * (self.workers - 1)
-        )
+        return self.base_s + self.per_image_s * images
 
 
 @dataclass
@@ -832,7 +813,6 @@ class ServingLoop:
         ]
         first_arrival = min((t.arrival_s for t in self.tickets), default=0.0)
         makespan = max(completions, default=0.0) - first_arrival
-        busy_s = sum(f["done_at_s"] - f["started_at_s"] for f in self.flush_log)
         shed = self.stats.shed_overload + self.stats.shed_queue_full
         return {
             "arrivals": self.stats.arrivals,
@@ -845,13 +825,8 @@ class ServingLoop:
             "flushes": self.stats.flushes,
             "served_images": served_images,
             "makespan_s": makespan,
-            "busy_s": busy_s,
             "images_per_s": served_images / makespan if makespan > 0 else 0.0,
-            "images_per_busy_s": (
-                self.stats.packed_images / busy_s if busy_s > 0 else 0.0
-            ),
             "replicas": self._fleet_size(),
-            "workers": self.config.service_model.workers,
             "occupancy_mean": float(np.mean(occupancies)) if occupancies else 0.0,
             "p50_queue_wait_s": float(np.percentile(waits, 50)) if waits else 0.0,
             "p99_queue_wait_s": float(np.percentile(waits, 99)) if waits else 0.0,

@@ -208,17 +208,8 @@ class EnclaveHandle:
             self.side_channel.record(
                 "ecall", name, bytes_in=bytes_in, bytes_out=bytes_out
             )
-            registry = metrics.registry()
-            registry.counter(
-                "repro_sgx_ecall_total",
-                "ECALL invocations at the trusted boundary, by entry point.",
-                ("ecall",),
-            ).labels(ecall=name).inc()
-            ecall_bytes = registry.counter(
-                "repro_sgx_ecall_bytes_total",
-                "Bytes marshalled across the boundary, by entry point and direction.",
-                ("direction", "ecall"),
-            )
+            metrics.family("repro_sgx_ecall_total").labels(ecall=name).inc()
+            ecall_bytes = metrics.family("repro_sgx_ecall_bytes_total")
             ecall_bytes.labels(ecall=name, direction="in").inc(bytes_in)
             ecall_bytes.labels(ecall=name, direction="out").inc(bytes_out)
         return result

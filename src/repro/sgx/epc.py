@@ -69,8 +69,7 @@ class EpcManager:
         current = (self.stats.evictions, self.stats.loads, self.stats.faults)
         if current == self._published:
             return  # hot path: nothing paged since the last publish
-        registry = metrics.registry()
-        if not registry.enabled:
+        if not metrics.registry().enabled:
             return
         previous = self._published
         if any(now < before for now, before in zip(current, previous)):
@@ -80,14 +79,9 @@ class EpcManager:
             "repro_sgx_epc_loads_total",
             "repro_sgx_epc_faults_total",
         )
-        helps = (
-            "EPC pages encrypted and evicted to untrusted memory (EWB).",
-            "EPC pages decrypted and reloaded on demand (ELD).",
-            "EPC page faults observed by the untrusted OS.",
-        )
-        for name, help_text, now, before in zip(names, helps, current, previous):
+        for name, now, before in zip(names, current, previous):
             if now > before:
-                registry.counter(name, help_text).inc(now - before)
+                metrics.family(name).inc(now - before)
         self._published = current
 
     @property

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 GATE = REPO_ROOT / "tools" / "bench_gate.py"
 
@@ -30,65 +32,48 @@ def _hotpath_report(speedup=3.0, fused_s=0.2, bit_identical=True):
     }
 
 
-def _serving_report(speedup=2.0, mode="smoke"):
-    return {
+def _serving_report(speedup=2.0, mode="smoke", overrides=None):
+    """A passing serving report, with ``overrides`` ({dotted path: value})
+    written over it."""
+    report = {
         "config": {"mode": mode},
-        "packed": {"images_per_s": 40.0 * speedup, "simulated_s": 0.4 / speedup},
-        "speedup": speedup,
-        "predictions_match": True,
-    }
-
-
-def _slo_report(ratio=1.05, p99_bounded=True, shed_bounded=True):
-    return {
-        "config": {"mode": "smoke"},
-        "continuous": {
-            "images_per_s": 580.0 * ratio,
+        "packing": {
+            "packed": {"images_per_s": 40.0 * speedup, "simulated_s": 0.4 / speedup},
+            "speedup": speedup,
+            "predictions_match": True,
+        },
+        "loop": {
+            "images_per_s": 590.0,
             "occupancy_mean": 0.8,
             "p99_queue_wait_s": 0.06,
+            "slo": {
+                "p99_bounded": True,
+                "shed_rate_bounded": True,
+                "all_tickets_resolved": True,
+            },
+            "bit_identical": True,
         },
-        "throughput_ratio": ratio,
-        "slo": {
-            "p99_bounded": p99_bounded,
-            "shed_rate_bounded": shed_bounded,
-            "all_tickets_resolved": True,
-        },
-        "bit_identical": {"logits": True},
-    }
-
-
-def _fleet_report(ratio_4x=3.5, bit_identical=True):
-    return {
-        "config": {"mode": "smoke"},
-        "fleets": {
-            "4": {"images_per_s": 900.0 * ratio_4x / 3.5, "p99_queue_wait_s": 0.05},
-        },
-        "scaling": {"ratio_2x": 1.9, "ratio_4x": ratio_4x},
-        "invariants": {
-            "bit_identical": bit_identical,
+        "fleet": {
+            "bit_identical": True,
             "all_tickets_resolved": True,
             "failover_resolved": True,
-            "failover_bit_identical": bit_identical,
+            "failover_bit_identical": True,
         },
-    }
-
-
-def _parallel_report(ratio_4x=1.8, byte_identical=True):
-    return {
-        "config": {"mode": "smoke"},
-        "runs": {
-            "4": {"images_per_s": 2400.0 * ratio_4x / 1.8, "p99_queue_wait_s": 0.11},
-        },
-        "scaling": {"ratio_2x": 1.45, "ratio_4x": ratio_4x},
-        "invariants": {
-            "speedup_floor": ratio_4x >= 1.5,
-            "byte_identical": byte_identical,
-            "bit_identical": byte_identical,
+        "workers": {
+            "byte_identical": True,
+            "bit_identical": True,
             "all_tickets_resolved": True,
             "chaos_recovered": True,
-            "chaos_byte_identical": byte_identical,
+            "chaos_byte_identical": True,
         },
     }
+    for path, value in (overrides or {}).items():
+        *parents, leaf = path.split(".")
+        node = report
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+    return report
 
 
 def _graph_report(speedup_safe=1.8, bit_identical=True):
@@ -108,26 +93,11 @@ def _graph_report(speedup_safe=1.8, bit_identical=True):
 
 
 def _write_pair(
-    directory: Path,
-    hotpath: dict,
-    serving: dict,
-    slo: dict | None = None,
-    fleet: dict | None = None,
-    parallel: dict | None = None,
-    graph: dict | None = None,
+    directory: Path, hotpath: dict, serving: dict, graph: dict | None = None
 ) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "BENCH_hotpath.json").write_text(json.dumps(hotpath))
     (directory / "BENCH_serving.json").write_text(json.dumps(serving))
-    (directory / "BENCH_slo.json").write_text(
-        json.dumps(slo if slo is not None else _slo_report())
-    )
-    (directory / "BENCH_fleet.json").write_text(
-        json.dumps(fleet if fleet is not None else _fleet_report())
-    )
-    (directory / "BENCH_parallel.json").write_text(
-        json.dumps(parallel if parallel is not None else _parallel_report())
-    )
     (directory / "BENCH_graph.json").write_text(
         json.dumps(graph if graph is not None else _graph_report())
     )
@@ -212,64 +182,57 @@ class TestBenchGate:
         _gate(tmp_path / "base", tmp_path / "cur", "--report", str(report))
         doc = json.loads(report.read_text())
         assert doc["ok"] is True
-        assert set(doc["benches"]) == {
-            "hotpath", "serving", "slo", "fleet", "parallel", "graph"
-        }
+        assert set(doc["benches"]) == {"hotpath", "serving", "graph"}
 
     def test_slo_invariant_violation_fails(self, tmp_path):
-        _write_pair(tmp_path / "base", _hotpath_report(), _serving_report())
-        _write_pair(
-            tmp_path / "cur", _hotpath_report(), _serving_report(),
-            slo=_slo_report(p99_bounded=False),
-        )
-        proc = _gate(tmp_path / "base", tmp_path / "cur")
-        assert proc.returncode == 1
-        assert "slo.p99_bounded" in proc.stdout
+        self._assert_serving_violation(tmp_path, "loop.slo.p99_bounded")
 
     def test_fleet_invariant_violation_fails(self, tmp_path):
-        _write_pair(tmp_path / "base", _hotpath_report(), _serving_report())
-        _write_pair(
-            tmp_path / "cur", _hotpath_report(), _serving_report(),
-            fleet=_fleet_report(bit_identical=False),
-        )
-        proc = _gate(tmp_path / "base", tmp_path / "cur")
-        assert proc.returncode == 1
-        assert "invariants.bit_identical" in proc.stdout
-
-    def test_fleet_scaling_regression_fails(self, tmp_path):
-        _write_pair(
-            tmp_path / "base", _hotpath_report(), _serving_report(),
-            fleet=_fleet_report(ratio_4x=3.5),
-        )
-        _write_pair(
-            tmp_path / "cur", _hotpath_report(), _serving_report(),
-            fleet=_fleet_report(ratio_4x=1.0),
-        )
-        proc = _gate(tmp_path / "base", tmp_path / "cur")
-        assert proc.returncode == 1
-        assert "scaling.ratio_4x" in proc.stdout
+        self._assert_serving_violation(tmp_path, "fleet.bit_identical")
 
     def test_parallel_byte_identity_violation_fails(self, tmp_path):
-        _write_pair(tmp_path / "base", _hotpath_report(), _serving_report())
-        _write_pair(
-            tmp_path / "cur", _hotpath_report(), _serving_report(),
-            parallel=_parallel_report(byte_identical=False),
-        )
-        proc = _gate(tmp_path / "base", tmp_path / "cur")
-        assert proc.returncode == 1
-        assert "invariants.byte_identical" in proc.stdout
+        self._assert_serving_violation(tmp_path, "workers.byte_identical")
 
-    def test_parallel_speedup_floor_violation_fails(self, tmp_path):
-        """The 1.5x floor is a hard invariant: a current run below it fails
-        even when the ratio drop is inside --tolerance."""
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "packing.predictions_match",
+            "loop.slo.shed_rate_bounded",
+            "loop.slo.all_tickets_resolved",
+            "loop.bit_identical",
+            "fleet.all_tickets_resolved",
+            "fleet.failover_resolved",
+            "fleet.failover_bit_identical",
+            "workers.bit_identical",
+            "workers.all_tickets_resolved",
+            "workers.chaos_recovered",
+            "workers.chaos_byte_identical",
+        ],
+    )
+    def test_serving_invariant_violation_fails(self, tmp_path, path):
+        self._assert_serving_violation(tmp_path, path)
+
+    def _assert_serving_violation(self, tmp_path, path):
         _write_pair(tmp_path / "base", _hotpath_report(), _serving_report())
         _write_pair(
-            tmp_path / "cur", _hotpath_report(), _serving_report(),
-            parallel=_parallel_report(ratio_4x=1.4),
+            tmp_path / "cur", _hotpath_report(),
+            _serving_report(overrides={path: False}),
         )
         proc = _gate(tmp_path / "base", tmp_path / "cur")
         assert proc.returncode == 1
-        assert "invariants.speedup_floor" in proc.stdout
+        assert f"FAIL {path}" in proc.stdout
+
+    def test_loop_policy_pin_regression_fails(self, tmp_path):
+        """The loop's virtual-timeline pins are deterministic: a drop past
+        tolerance means the admission policy changed."""
+        _write_pair(tmp_path / "base", _hotpath_report(), _serving_report())
+        _write_pair(
+            tmp_path / "cur", _hotpath_report(),
+            _serving_report(overrides={"loop.occupancy_mean": 0.4}),
+        )
+        proc = _gate(tmp_path / "base", tmp_path / "cur")
+        assert proc.returncode == 1
+        assert "FAIL loop.occupancy_mean" in proc.stdout
 
     def test_graph_bit_identity_violation_fails(self, tmp_path):
         _write_pair(tmp_path / "base", _hotpath_report(), _serving_report())
@@ -294,22 +257,22 @@ class TestBenchGate:
         assert "invariants.speedup_floor" in proc.stdout
 
     def test_bench_selection_scopes_the_gate(self, tmp_path):
-        """--bench gates only the named benches: a broken slo report is
-        invisible to a hotpath+serving-scoped run and fatal to an
-        slo-scoped one."""
+        """--bench gates only the named benches: a broken serving report is
+        invisible to a hotpath+graph-scoped run and fatal to a
+        serving-scoped one."""
         _write_pair(tmp_path / "base", _hotpath_report(), _serving_report())
         _write_pair(
-            tmp_path / "cur", _hotpath_report(), _serving_report(),
-            slo=_slo_report(shed_bounded=False),
+            tmp_path / "cur", _hotpath_report(),
+            _serving_report(overrides={"loop.slo.shed_rate_bounded": False}),
         )
         scoped = _gate(
             tmp_path / "base", tmp_path / "cur",
-            "--bench", "hotpath", "--bench", "serving",
+            "--bench", "hotpath", "--bench", "graph",
         )
         assert scoped.returncode == 0, scoped.stdout + scoped.stderr
-        slo_only = _gate(tmp_path / "base", tmp_path / "cur", "--bench", "slo")
-        assert slo_only.returncode == 1
-        assert "slo.shed_rate_bounded" in slo_only.stdout
+        serving_only = _gate(tmp_path / "base", tmp_path / "cur", "--bench", "serving")
+        assert serving_only.returncode == 1
+        assert "loop.slo.shed_rate_bounded" in serving_only.stdout
 
     def test_checked_in_baselines_self_compare(self):
         """The shipped baselines must pass against themselves."""

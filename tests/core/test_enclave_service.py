@@ -141,6 +141,14 @@ class TestPoolingEcalls:
         with pytest.raises(PipelineError):
             enclave.ecall("mean_pool", encrypt_values(userland, values), 2)
 
+    @pytest.mark.parametrize("shape", [(1, 1, 3, 3), (1, 4, 4)])
+    def test_max_pool_bad_shape_is_typed(self, enclave, userland, shape):
+        """A non-divisible map or a non-4-D batch fails like ``mean_pool``
+        does, not with numpy's bare reshape ``ValueError``."""
+        values = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(PipelineError):
+            enclave.ecall("max_pool", encrypt_values(userland, values), 2)
+
 
 class TestRefresh:
     def test_restores_noise_budget(self, enclave, userland, hybrid_params):

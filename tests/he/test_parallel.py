@@ -11,11 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ParallelError, PipelineError, ServeError
+from repro.errors import ParallelError, PipelineError
 from repro.he import parallel
 from repro.he.arena import Arena
 from repro.he.parallel import WorkerPool, _execute_unit, _unit_ranges
-from repro.serve import ServiceTimeModel
 
 PRIMES = [1032193, 1030151]
 
@@ -232,28 +231,3 @@ class TestPipelineSpecWiring:
         parallel.configure(3)
         PipelineSpec(scheme="hybrid").apply_workers()
         assert parallel.active_workers() == 3
-
-
-class TestServiceTimeModelWorkers:
-    def test_single_worker_is_exact_legacy_formula(self):
-        model = ServiceTimeModel(base_s=4e-3, per_image_s=5e-4)
-        assert model.flush_s(16) == 4e-3 + 5e-4 * 16
-
-    def test_amdahl_split(self):
-        model = ServiceTimeModel(
-            base_s=4e-3, per_image_s=5e-4, workers=4, dispatch_s=1e-4
-        )
-        assert model.flush_s(16) == pytest.approx(4e-3 + 5e-4 * 16 / 4 + 3e-4)
-
-    def test_more_workers_never_slower_at_scale(self):
-        kwargs = dict(base_s=4e-3, per_image_s=5e-4, dispatch_s=1.5e-4)
-        times = [
-            ServiceTimeModel(workers=w, **kwargs).flush_s(16) for w in (1, 2, 4)
-        ]
-        assert times[0] > times[1] > times[2]
-
-    def test_validation(self):
-        with pytest.raises(ServeError):
-            ServiceTimeModel(workers=0)
-        with pytest.raises(ServeError):
-            ServiceTimeModel(dispatch_s=-1.0)

@@ -1,4 +1,5 @@
-"""Trace export tests: JSON schema roundtrip and the flat metrics dict."""
+"""Trace export tests: JSON schema roundtrip, the flat metrics dict, and its
+exposition through the registry."""
 
 from __future__ import annotations
 
@@ -7,9 +8,9 @@ import json
 import pytest
 
 from repro.obs import (
+    MetricsRegistry,
     Span,
     metrics_from_trace,
-    render_prometheus,
     trace_from_json,
     trace_to_dict,
     trace_to_json,
@@ -105,21 +106,30 @@ class TestMetrics:
         m = metrics_from_trace(trace, prefix="edge")
         assert any(k.startswith("edge_pipeline_real_seconds") for k in m)
 
+    @staticmethod
+    def _exposition(trace):
+        registry = MetricsRegistry()
+        registry.record_trace(trace)
+        return registry.render_prometheus()
+
     def test_render_prometheus_lines(self, trace):
-        metrics = metrics_from_trace(trace)
-        text = render_prometheus(metrics)
-        lines = text.splitlines()
+        """The registry's exposition of a recorded trace carries one sample
+        line per entry of the flat view."""
+        lines = self._exposition(trace).splitlines()
         samples = [l for l in lines if not l.startswith("#")]
-        assert len(samples) == len(metrics)
+        assert len(samples) == len(metrics_from_trace(trace))
         sample = next(l for l in lines if l.startswith("repro_pipeline_real_seconds"))
         assert sample.endswith(" 1")
 
     def test_render_prometheus_metadata(self, trace):
-        text = render_prometheus(metrics_from_trace(trace))
+        text = self._exposition(trace)
         lines = text.splitlines()
         # One HELP and one TYPE line per family, HELP immediately before TYPE,
         # TYPE immediately before the family's first sample.
-        assert "# HELP repro_pipeline_real_seconds " in text
+        assert (
+            "# HELP repro_pipeline_real_seconds "
+            "Measured compute seconds per pipeline trace." in lines
+        )
         type_idx = lines.index("# TYPE repro_pipeline_real_seconds counter")
         assert lines[type_idx - 1].startswith("# HELP repro_pipeline_real_seconds")
         assert lines[type_idx + 1].startswith("repro_pipeline_real_seconds{")
@@ -127,13 +137,12 @@ class TestMetrics:
         assert text.count("# TYPE repro_stage_real_seconds counter") == 1
 
     def test_render_prometheus_escapes_label_values(self):
-        rendered = render_prometheus({'m{name="tricky"}': 1.0})
-        assert rendered.splitlines()[-1] == 'm{name="tricky"} 1'
-        from repro.obs.export import _labels
-
-        formatted = _labels(name='evil"} 1\nfake_metric 2')
-        assert formatted == '{name="evil\\"} 1\\nfake_metric 2"}'
-        assert "\n" not in formatted
+        """A hostile span name cannot break the line format or smuggle in a
+        sample of its own."""
+        hostile = Span(name='evil"} 1\nfake_metric 2', kind="pipeline", real_s=1.0)
+        lines = self._exposition(hostile).splitlines()
+        assert 'repro_pipeline_real_seconds{pipeline="evil\\"} 1\\nfake_metric 2"} 1' in lines
+        assert not any(l.startswith("fake_metric") for l in lines)
 
 
 class TestTraceFromDictValidation:

@@ -1,59 +1,42 @@
-"""Histogram validation pass: both render paths refuse corrupt samples."""
+"""Histogram validation pass: the exposition refuses corrupt samples."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import MetricsError
-from repro.obs import MetricsRegistry, render_prometheus, validate_histograms
+from repro.obs import MetricsRegistry
+from repro.obs.metrics import validate_histogram_sample
 
 
-def _flat_histogram(counts=(1.0, 3.0, 4.0), total=4.0, labels='model="digits",'):
+def _sample(counts=(1, 3, 4), total=4, labels=(("model", "digits"),)):
+    """One collected histogram sample, the form ``MetricsSnapshot`` carries."""
     return {
-        f'repro_latency_bucket{{le="0.1",{labels.rstrip(",")}}}'.replace(",}", "}"): counts[0],
-        f'repro_latency_bucket{{le="1",{labels.rstrip(",")}}}'.replace(",}", "}"): counts[1],
-        f'repro_latency_bucket{{le="+Inf",{labels.rstrip(",")}}}'.replace(",}", "}"): counts[2],
-        f'repro_latency_count{{{labels.rstrip(",")}}}': total,
-        f'repro_latency_sum{{{labels.rstrip(",")}}}': 2.5,
+        "labels": dict(labels),
+        "buckets": dict(zip(("0.1", "1", "+Inf"), counts)),
+        "sum": 2.5,
+        "count": total,
     }
 
 
 class TestFlatValidation:
+    """``validate_histogram_sample`` on a plain sample dict, no registry."""
+
     def test_valid_passes_and_renders(self):
-        metrics = _flat_histogram()
-        validate_histograms(metrics)
-        text = render_prometheus(metrics)
-        assert 'repro_latency_bucket{le="+Inf",model="digits"} 4' in text
+        validate_histogram_sample("repro_latency", _sample())
 
     def test_non_monotone_buckets_rejected(self):
-        metrics = _flat_histogram(counts=(3.0, 1.0, 4.0))
         with pytest.raises(MetricsError, match="not monotone"):
-            validate_histograms(metrics)
-        with pytest.raises(MetricsError, match="not monotone"):
-            render_prometheus(metrics)
+            validate_histogram_sample("repro_latency", _sample(counts=(3, 1, 4)))
 
     def test_count_mismatch_rejected(self):
-        metrics = _flat_histogram(total=7.0)
         with pytest.raises(MetricsError, match="top bucket"):
-            render_prometheus(metrics)
-
-    def test_bucket_without_le_rejected(self):
-        with pytest.raises(MetricsError, match="without le"):
-            validate_histograms({'repro_latency_bucket{model="digits"}': 1.0})
+            validate_histogram_sample("repro_latency", _sample(total=7))
 
     def test_unlabeled_histogram_checked(self):
-        metrics = {
-            'repro_wait_bucket{le="1"}': 2.0,
-            'repro_wait_bucket{le="+Inf"}': 2.0,
-            "repro_wait_count": 2.0,
-        }
-        validate_histograms(metrics)
-        metrics["repro_wait_count"] = 9.0
-        with pytest.raises(MetricsError, match="top bucket"):
-            validate_histograms(metrics)
-
-    def test_non_histogram_families_ignored(self):
-        validate_histograms({"repro_requests_total": 5.0, "repro_gauge": 1.0})
+        validate_histogram_sample("repro_wait", _sample(labels=()))
+        with pytest.raises(MetricsError, match="repro_wait: _count 9 != top bucket 4"):
+            validate_histogram_sample("repro_wait", _sample(total=9, labels=()))
 
 
 class TestRegistryValidation:

@@ -3,6 +3,8 @@ eviction, determinism, and bit-identity through the shared flush path."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,23 @@ def make_loop(batching_params, q_sigmoid, session_for, *, max_batch=4, **cfg):
     cfg.setdefault("service_model", MODEL)
     loop = ServingLoop(srv, LoopConfig(**cfg))
     return loop, session
+
+
+class TestServiceTimeModel:
+    def test_two_fields_and_the_linear_formula(self):
+        """The model is a fixed cost plus a per-image slope and nothing
+        else: the benchmark's ``model_flush_ratio`` divides by exactly this."""
+        assert [f.name for f in dataclasses.fields(ServiceTimeModel)] == [
+            "base_s", "per_image_s",
+        ]
+        for k in (1, 8, 16):
+            assert MODEL.flush_s(k) == 4e-3 + k * 5e-4
+
+    def test_validation(self):
+        with pytest.raises(ServeError):
+            ServiceTimeModel(base_s=0.0)
+        with pytest.raises(ServeError):
+            ServiceTimeModel(per_image_s=-1e-4)
 
 
 class TestContinuousBatching:

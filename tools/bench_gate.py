@@ -1,15 +1,14 @@
 #!/usr/bin/env python
 """Benchmark regression gate: compare fresh bench runs against baselines.
 
-Six benchmark scripts emit JSON reports (``bench_hotpath_kernels``,
-``bench_serving_throughput``, ``bench_serving_slo``, ``bench_fleet_scaling``,
-``bench_parallel_scaling``, ``bench_graph_optimizer``; selected with
-``--bench hotpath|serving|slo|fleet|parallel|graph``); this tool compares
-fresh reports against the checked-in ones under ``benchmarks/baselines/``
-and exits non-zero when a gated metric regressed beyond tolerance.  Because
-the reports mix *ratio* metrics (speedups -- stable across machines, the real
-regression signal) with *timing* metrics (absolute seconds --
-machine-dependent), the two classes carry separate tolerances:
+Three benchmark scripts emit JSON reports (``bench_hotpath_kernels``,
+``bench_serving``, ``bench_graph_optimizer``; selected with
+``--bench hotpath|serving|graph``); this tool compares fresh reports against
+the checked-in ones under ``benchmarks/baselines/`` and exits non-zero when
+a gated metric regressed beyond tolerance.  Because the reports mix *ratio*
+metrics (speedups -- stable across machines, the real regression signal)
+with *timing* metrics (absolute seconds -- machine-dependent), the two
+classes carry separate tolerances:
 
 * ratio metrics fail when ``current < baseline * (1 - tolerance)``
   (higher is better) -- default tolerance 0.35;
@@ -19,25 +18,24 @@ machine-dependent), the two classes carry separate tolerances:
 * boolean invariants (``bit_identical``, ``predictions_match``) are hard:
   any ``False`` fails regardless of tolerance.
 
+A gated number is either produced by a clock (host wall time, or the
+``SimClock``'s measured compute plus SGX cost model) or is a deterministic
+pin of a policy (the ``loop.*`` rows: the serving loop's virtual timeline).
+Ratios that only restate ``ServiceTimeModel`` constants are not gated.
+
 Usage::
 
     python tools/bench_gate.py --current-dir .            # compare existing
     python tools/bench_gate.py --run --smoke              # run benches first
     python tools/bench_gate.py --run --smoke --report gate_report.json
-    python tools/bench_gate.py --run --smoke --bench slo  # one bench only
+    python tools/bench_gate.py --run --smoke --bench serving  # one bench only
 
 Refreshing baselines (after an intentional performance change)::
 
     python benchmarks/bench_hotpath_kernels.py --smoke \
         --out benchmarks/baselines/BENCH_hotpath.json
-    python benchmarks/bench_serving_throughput.py --smoke --min-speedup 1.0 \
+    python benchmarks/bench_serving.py --smoke --min-speedup 1.0 \
         --out benchmarks/baselines/BENCH_serving.json
-    python benchmarks/bench_serving_slo.py --smoke --min-speedup 1.0 \
-        --out benchmarks/baselines/BENCH_slo.json
-    python benchmarks/bench_fleet_scaling.py --smoke --min-speedup 1.0 \
-        --out benchmarks/baselines/BENCH_fleet.json
-    python benchmarks/bench_parallel_scaling.py --smoke --min-speedup 1.0 \
-        --out benchmarks/baselines/BENCH_parallel.json
     python benchmarks/bench_graph_optimizer.py --smoke --min-speedup 1.0 \
         --out benchmarks/baselines/BENCH_graph.json
 """
@@ -90,56 +88,30 @@ BENCHES: dict[str, dict] = {
     },
     "serving": {
         "file": "BENCH_serving.json",
-        "script": "benchmarks/bench_serving_throughput.py",
+        "script": "benchmarks/bench_serving.py",
         "metrics": (
-            MetricSpec("speedup", "ratio"),
-            MetricSpec("packed.images_per_s", "ratio"),
-            MetricSpec("packed.simulated_s", "timing"),
-            MetricSpec("predictions_match", "invariant"),
-        ),
-    },
-    "slo": {
-        "file": "BENCH_slo.json",
-        "script": "benchmarks/bench_serving_slo.py",
-        "metrics": (
-            MetricSpec("throughput_ratio", "ratio"),
-            MetricSpec("continuous.images_per_s", "ratio"),
-            MetricSpec("continuous.occupancy_mean", "ratio"),
-            MetricSpec("continuous.p99_queue_wait_s", "timing"),
-            MetricSpec("slo.p99_bounded", "invariant"),
-            MetricSpec("slo.shed_rate_bounded", "invariant"),
-            MetricSpec("slo.all_tickets_resolved", "invariant"),
-            MetricSpec("bit_identical.logits", "invariant"),
-        ),
-    },
-    "fleet": {
-        "file": "BENCH_fleet.json",
-        "script": "benchmarks/bench_fleet_scaling.py",
-        "metrics": (
-            MetricSpec("scaling.ratio_2x", "ratio"),
-            MetricSpec("scaling.ratio_4x", "ratio"),
-            MetricSpec("fleets.4.images_per_s", "ratio"),
-            MetricSpec("fleets.4.p99_queue_wait_s", "timing"),
-            MetricSpec("invariants.bit_identical", "invariant"),
-            MetricSpec("invariants.all_tickets_resolved", "invariant"),
-            MetricSpec("invariants.failover_resolved", "invariant"),
-            MetricSpec("invariants.failover_bit_identical", "invariant"),
-        ),
-    },
-    "parallel": {
-        "file": "BENCH_parallel.json",
-        "script": "benchmarks/bench_parallel_scaling.py",
-        "metrics": (
-            MetricSpec("scaling.ratio_2x", "ratio"),
-            MetricSpec("scaling.ratio_4x", "ratio"),
-            MetricSpec("runs.4.images_per_s", "ratio"),
-            MetricSpec("runs.4.p99_queue_wait_s", "timing"),
-            MetricSpec("invariants.speedup_floor", "invariant"),
-            MetricSpec("invariants.byte_identical", "invariant"),
-            MetricSpec("invariants.bit_identical", "invariant"),
-            MetricSpec("invariants.all_tickets_resolved", "invariant"),
-            MetricSpec("invariants.chaos_recovered", "invariant"),
-            MetricSpec("invariants.chaos_byte_identical", "invariant"),
+            # packing: the SimClock measures these (real compute + SGX model).
+            MetricSpec("packing.speedup", "ratio"),
+            MetricSpec("packing.packed.images_per_s", "ratio"),
+            MetricSpec("packing.packed.simulated_s", "timing"),
+            MetricSpec("packing.predictions_match", "invariant"),
+            # loop: deterministic virtual-timeline pins of the admission policy.
+            MetricSpec("loop.images_per_s", "ratio"),
+            MetricSpec("loop.occupancy_mean", "ratio"),
+            MetricSpec("loop.p99_queue_wait_s", "timing"),
+            MetricSpec("loop.slo.p99_bounded", "invariant"),
+            MetricSpec("loop.slo.shed_rate_bounded", "invariant"),
+            MetricSpec("loop.slo.all_tickets_resolved", "invariant"),
+            MetricSpec("loop.bit_identical", "invariant"),
+            MetricSpec("fleet.bit_identical", "invariant"),
+            MetricSpec("fleet.all_tickets_resolved", "invariant"),
+            MetricSpec("fleet.failover_resolved", "invariant"),
+            MetricSpec("fleet.failover_bit_identical", "invariant"),
+            MetricSpec("workers.byte_identical", "invariant"),
+            MetricSpec("workers.bit_identical", "invariant"),
+            MetricSpec("workers.all_tickets_resolved", "invariant"),
+            MetricSpec("workers.chaos_recovered", "invariant"),
+            MetricSpec("workers.chaos_byte_identical", "invariant"),
         ),
     },
     "graph": {
