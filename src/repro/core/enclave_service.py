@@ -25,10 +25,10 @@ import numpy as np
 
 from repro.core import securechannel
 from repro.errors import EncodingError, PipelineError
-from repro.he import kernels
 from repro.he.batching import BatchEncoder
 from repro.he.context import Ciphertext, Context, Plaintext
-from repro.he.decryptor import Decryptor
+from repro.he.decryptor import Decryptor, decrypt_scalar_values
+from repro.he.encoders import ScalarEncoder
 from repro.he.encryptor import SymmetricEncryptor
 from repro.he.keys import KeyGenerator, KeyPair, PublicKey, RelinKeys
 from repro.he.params import EncryptionParams
@@ -379,27 +379,15 @@ class InferenceEnclave(Enclave):
 
     def _decrypt_values(self, ct: Ciphertext) -> np.ndarray:
         self._load_crypto_state()
-        ring = self._context.ring
-        if kernels.active().fast_decrypt and ring.q_fits_int64:
-            # O(n)-per-value constant-coefficient decrypt: same centered
-            # values, probe-coefficient overflow check instead of scanning
-            # all n - 1 upper coefficients.
-            try:
-                return self._decryptor.decrypt_constants(ct)
-            except EncodingError as exc:
-                raise PipelineError(
-                    "ciphertext does not hold scalar-encoded values; the "
-                    "outside computation overflowed or used a different encoder"
-                ) from exc
-        plain = self._decryptor.decrypt(ct)
-        t = self._context.plain_modulus
-        constants = plain.coeffs[..., 0]
-        if plain.coeffs[..., 1:].any():
+        try:
+            return decrypt_scalar_values(
+                self._decryptor, ScalarEncoder(self._context), ct
+            )
+        except EncodingError as exc:
             raise PipelineError(
                 "ciphertext does not hold scalar-encoded values; the outside "
                 "computation overflowed or used a different encoder"
-            )
-        return np.where(constants > t // 2, constants - t, constants)
+            ) from exc
 
     def _encrypt_values(self, values: np.ndarray) -> Ciphertext:
         t = self._context.plain_modulus

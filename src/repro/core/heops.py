@@ -19,15 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.he import kernels, parallel
+from repro.he import contraction, kernels, parallel
 from repro.he.context import Ciphertext
 from repro.he.encoders import ScalarEncoder
 from repro.he.evaluator import Evaluator, PlainOperand
 
 #: Elementwise cap on the gathered tap-window stack (~128 MB of int64).
 _TAP_CHUNK_ELEMS = 1 << 24
-
-_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -44,92 +42,54 @@ class LayerPlan:
             modular accumulator is exactly zero.
         fold_bias: add the encoded bias residues into the still-unreduced
             int64 accumulator instead of a separate ``add_plain_operand``
-            pass; only honored on the scalar fast path, whose overflow
-            bound is checked with one extra canonical-residue term of slack.
+            pass; the overflow bound is checked with one extra
+            canonical-residue term of slack.
 
-    The plan is advisory: paths that cannot apply a rewrite exactly (the
-    pooled multicore dispatch, generic NTT operands, the non-fused
-    reference loop) ignore it and produce the same bytes the slow way.
-    Recorded op tallies always reflect the *reference* op structure (full
-    tap counts), keeping tallies comparable across optimizer levels.
+    Both are arguments of the one scalar-contraction kernel
+    (:mod:`repro.he.contraction`), so they apply wherever it runs --
+    in-process, on the worker pool, in death-replay.  A layer that runs the
+    per-tap reference loop instead (``REFERENCE`` profile, or weights past
+    the int64 bound) produces the same bytes without them.  Recorded op
+    tallies always reflect the *reference* op structure (full tap counts),
+    keeping tallies comparable across optimizer levels.
     """
 
     keep_taps: tuple[int, ...] | None = None
     fold_bias: bool = False
 
 
-def _recover_slot_constants(ntt_data: np.ndarray, prime_list: list[int]) -> np.ndarray | None:
-    """Recover the integer scalars behind slot-constant NTT operands.
-
-    ``ScalarEncoder`` encodes a weight ``w`` as the constant polynomial
-    ``[w]_t``, whose NTT evaluation is the same residue in every slot; a
-    ``ct_plain_mul`` by such an operand is therefore multiplication by one
-    integer.  Given stacked operand data ``(..., k, n)`` this returns the
-    ``(...,)`` int64 values (centered at the first prime, verified consistent
-    across all primes), or ``None`` if any operand is not slot-constant --
-    the fused layers then keep the generic modular tap path.
-    """
-    if not (ntt_data == ntt_data[..., :1]).all():
-        return None
-    residues = ntt_data[..., 0]  # (..., k)
-    p0 = prime_list[0]
-    values = np.where(
-        residues[..., 0] <= p0 // 2, residues[..., 0], residues[..., 0] - p0
-    ).astype(np.int64)
-    for i, p in enumerate(prime_list):
-        if not (values % p == residues[..., i]).all():
-            return None
-    return values
+def _signed_weights(encoder: ScalarEncoder, weight: np.ndarray) -> np.ndarray:
+    """The signed integers ``transform_plain(encoder.encode(weight))``
+    multiplies by: ``weight`` itself, except that for even ``t`` the edge
+    value ``-t/2`` encodes as ``+t/2`` (the centered range is
+    ``(-t/2, t/2]``)."""
+    t = encoder.context.plain_modulus
+    residues = np.asarray(weight, dtype=np.int64) % t
+    return np.where(residues > t // 2, residues - t, residues)
 
 
-def _scalar_tap_bound_ok(
-    values: np.ndarray, terms: int, p_max: int, slack: int = 0
-) -> bool:
-    """True when ``sum_{terms}(w * x)`` with ``|w| <= max|values|`` and
-    ``0 <= x < p_max`` cannot overflow int64 -- the fused layers' deferred
-    single-reduction contract.  ``slack`` budgets extra weight-1 residue
-    terms (the graph optimizer's folded bias adds one)."""
-    if values.size == 0:
-        return False
-    w_max = int(np.abs(values).max())
-    return (terms * w_max + slack) * (p_max - 1) <= _INT64_MAX
-
-
+@dataclass(eq=False)
 class EncodedConvWeights:
     """NTT-precomputed conv weights + integer bias.
 
     Attributes:
-        operands: object array ``(F, C, k, k)`` of :class:`PlainOperand`.
+        operands: object array ``(F, C, k, k)`` of :class:`PlainOperand`
+            (what the per-tap reference loop multiplies by).
         bias: int64 array ``(F,)`` at conv-output scale.
-        tap_stack: int64 array ``(F, T, k_rns, n)`` stacking every tap
-            operand's NTT data in reference-loop order (``T = C * k * k``,
-            row-major over ``(C, i, j)``) -- the fused kernel's operand.
+        stride: the convolution stride.
         bias_operand: broadcastable ``(F, 1, 1)``-batched ``Delta * bias``
-            :class:`PlainOperand` precomputed at encode time (``None`` when
-            constructed without an evaluator; the fused bias path then falls
-            back to per-call encoding).
+            :class:`PlainOperand` precomputed at encode time.
+        weight_taps: int64 array ``(F, T)`` of the signed integer weights
+            (``T = C * k * k``, row-major over ``(C, i, j)``, the reference
+            loop's order), kept from encode time -- the fused kernel's
+            operand.
     """
 
-    def __init__(
-        self,
-        operands: np.ndarray,
-        bias: np.ndarray,
-        stride: int,
-        bias_operand: PlainOperand | None = None,
-    ) -> None:
-        self.operands = operands
-        self.bias = bias
-        self.stride = stride
-        self.bias_operand = bias_operand
-        f = operands.shape[0]
-        self.tap_stack = np.stack(
-            [np.stack([op.ntt_data for op in operands[fi].ravel()]) for fi in range(f)]
-        )
-        # (F, T) signed integer weights behind the slot-constant operands;
-        # None when any tap is not a scalar encoding.
-        self.weight_taps = _recover_slot_constants(
-            self.tap_stack, [int(p) for p in operands.flat[0].context.ring.primes]
-        )
+    operands: np.ndarray
+    bias: np.ndarray
+    stride: int
+    bias_operand: PlainOperand
+    weight_taps: np.ndarray
 
     @property
     def out_channels(self) -> int:
@@ -140,6 +100,7 @@ class EncodedConvWeights:
         return self.operands.shape[-1]
 
 
+@dataclass(eq=False)
 class EncodedDenseWeights:
     """NTT-precomputed FC weights + integer bias.
 
@@ -147,32 +108,24 @@ class EncodedDenseWeights:
         operands: list of ``(D,)``-batched :class:`PlainOperand`, one per
             output class (row-major over the flattened input).
         bias: int64 array ``(O,)`` at logit scale.
-        class_stack: int64 array ``(O, D, k_rns, n)`` stacking every class
-            operand -- the fused kernel computes all classes in one pass.
         bias_operand: ``(O,)``-batched ``Delta * bias`` operand precomputed
-            at encode time (``None`` without an evaluator).
+            at encode time.
+        weight_matrix: int64 array ``(O, D)`` of the signed integer weights
+            kept from encode time -- the fused kernel computes all classes
+            in one pass over it.
     """
 
-    def __init__(
-        self,
-        operands: list[PlainOperand],
-        bias: np.ndarray,
-        bias_operand: PlainOperand | None = None,
-    ) -> None:
-        self.operands = operands
-        self.bias = bias
-        self.bias_operand = bias_operand
-        self.class_stack = np.stack([op.ntt_data for op in operands])
-        # (O, D) signed integer weights behind the slot-constant operands.
-        self.weight_matrix = _recover_slot_constants(
-            self.class_stack, [int(p) for p in operands[0].context.ring.primes]
-        )
+    operands: list[PlainOperand]
+    bias: np.ndarray
+    bias_operand: PlainOperand
+    weight_matrix: np.ndarray
 
     @property
     def out_features(self) -> int:
         return len(self.operands)
 
 
+@dataclass(eq=False)
 class EncodedModel:
     """A quantized CNN's full NTT-precomputed operand set.
 
@@ -181,9 +134,8 @@ class EncodedModel:
     across inferences.
     """
 
-    def __init__(self, conv: EncodedConvWeights, dense: EncodedDenseWeights) -> None:
-        self.conv = conv
-        self.dense = dense
+    conv: EncodedConvWeights
+    dense: EncodedDenseWeights
 
 
 def encode_model_weights(
@@ -229,7 +181,8 @@ def encode_conv_weights(
     bias_operand = evaluator.transform_plain_delta(
         encoder.encode(bias.reshape(f, 1, 1))
     )
-    return EncodedConvWeights(operands, bias, stride, bias_operand=bias_operand)
+    weight_taps = _signed_weights(encoder, weight).reshape(f, -1)
+    return EncodedConvWeights(operands, bias, stride, bias_operand, weight_taps)
 
 
 def encode_dense_weights(
@@ -245,7 +198,32 @@ def encode_dense_weights(
     ]
     bias = np.asarray(bias, dtype=np.int64)
     bias_operand = evaluator.transform_plain_delta(encoder.encode(bias))
-    return EncodedDenseWeights(operands, bias, bias_operand=bias_operand)
+    weight_matrix = np.ascontiguousarray(_signed_weights(encoder, weight).T)
+    return EncodedDenseWeights(operands, bias, bias_operand, weight_matrix)
+
+
+def _runs_fused(values: np.ndarray, plan: LayerPlan, ct: Ciphertext) -> bool:
+    """Whether a layer takes the fused kernel: the active profile asks for
+    it and the surviving weights (plus a folded bias term) keep the whole
+    contraction inside int64.  Otherwise the per-tap reference loop runs."""
+    if not kernels.active().fused_layers:
+        return False
+    if plan.keep_taps is not None:
+        values = values[:, list(plan.keep_taps)]
+    p_max = int(ct.context.ring.primes.max())
+    return contraction.bound_ok(values, p_max, slack=int(plan.fold_bias))
+
+
+def _add_bias(
+    evaluator: Evaluator, out: Ciphertext, bias_operand: PlainOperand, folded: bool
+) -> Ciphertext:
+    """The layer's ``plain_add``: a separate pass over ``out``, or only its
+    tally when the kernel already folded the bias into the accumulator."""
+    if not folded:
+        return evaluator.add_plain_operand(out, bias_operand)
+    if evaluator.counter is not None:
+        evaluator.counter.record("plain_add", max(1, out.batch_count))
+    return out
 
 
 def he_conv2d(
@@ -261,8 +239,7 @@ def he_conv2d(
     batch axes) is multiplied by the encoded scalar weight and accumulated,
     i.e. ``k*k*C`` C x P and C + C operations per output map -- the exact op
     structure Fig. 4 measures.  ``plan`` carries graph-optimizer rewrites
-    (see :class:`LayerPlan`); honored on the fused scalar path, ignored
-    (bit-identically) elsewhere.
+    (see :class:`LayerPlan`).
     """
     if len(ct.batch_shape) != 4:
         raise PipelineError(
@@ -275,10 +252,13 @@ def he_conv2d(
         )
     k = weights.kernel_size
     s = weights.stride
+    if h < k or w < k:
+        raise PipelineError(f"{h}x{w} input is smaller than the {k}x{k} kernel")
     oh = (h - k) // s + 1
     ow = (w - k) // s + 1
-    if kernels.active().fused_layers and weights.bias_operand is not None:
-        return _he_conv2d_fused(evaluator, ct, weights, oh, ow, plan=plan)
+    plan = plan or LayerPlan()
+    if _runs_fused(weights.weight_taps, plan, ct):
+        return _he_conv2d_fused(evaluator, ct, weights, oh, ow, plan)
     per_channel: list[Ciphertext] = []
     for fi in range(weights.out_channels):
         acc: Ciphertext | None = None
@@ -302,125 +282,38 @@ def _he_conv2d_fused(
     weights: EncodedConvWeights,
     oh: int,
     ow: int,
-    plan: LayerPlan | None = None,
+    plan: LayerPlan,
 ) -> Ciphertext:
-    """Tap-batched convolution: every ``F * C * k * k`` tap window stacked
-    along one batch axis, each output map one fused multiply + deferred
-    single-reduction sum.
-
-    When every tap operand is a slot-constant scalar encoding (the normal
-    quantized-CNN case) the whole tap sum is one signed int64 matmul over
-    the raw weights -- ``sum |w| * p`` is bounds-checked against int64 --
-    followed by a single mod-p pass.  Otherwise the generic modular path
-    multiplies the stacked NTT operands with per-chunk reductions.  Both are
-    bit-identical to the per-tap reference loop (mod-p sums are associative
-    and every partial stays exact); the window gather is chunked so the
-    stacked intermediate is memory-bounded at production scale.  The
-    recorded op tallies match the reference loop exactly.
+    """Tap-batched convolution: the whole ``F * C * k * k`` tap sum is one
+    signed int64 matmul over the raw weights (:func:`_runs_fused` checked
+    ``sum |w| * p`` against int64) followed by a single mod-p pass --
+    :func:`repro.he.contraction.conv_rows`, run over the whole output
+    in-process or over the worker pool's units.  Bit-identical to the
+    per-tap reference loop (mod-p sums are associative and every partial
+    stays exact), with the reference loop's op tallies.
     """
-    ring = ct.context.ring
-    b, c, h, w = ct.batch_shape
-    k = weights.kernel_size
-    s = weights.stride
     ct = ct.to_ntt()
     data = ct.data  # (B, C, H, W, size, k_rns, n)
-    taps = weights.tap_stack  # (F, T, k_rns, n)
-    f, t = taps.shape[:2]
-    tail = data.shape[-3:]
-    tap_index = [
-        (ci, i, j) for ci in range(c) for i in range(k) for j in range(k)
-    ]
-    slice_elems = b * oh * ow * int(np.prod(tail))
-    chunk = max(1, _TAP_CHUNK_ELEMS // max(1, slice_elems))
-    p_max = int(ring.primes.max())
-    wtaps = weights.weight_taps
-    keep = (
-        list(plan.keep_taps)
-        if plan is not None and plan.keep_taps is not None
-        else None
+    f, t = weights.weight_taps.shape
+    lanes = data.shape[0] * oh * ow
+    out = parallel.dispatch_conv(
+        data,
+        weights.weight_taps,
+        k=weights.kernel_size,
+        s=weights.stride,
+        oh=oh,
+        ow=ow,
+        primes=[int(p) for p in ct.context.ring.primes],
+        chunk=max(1, _TAP_CHUNK_ELEMS // max(1, lanes * int(np.prod(data.shape[-3:])))),
+        keep=plan.keep_taps,
+        bias=weights.bias_operand.ntt_data if plan.fold_bias else None,
     )
-    fold = plan is not None and plan.fold_bias and weights.bias_operand is not None
-    eff_wtaps = wtaps[:, keep] if (wtaps is not None and keep is not None) else wtaps
-    t_eff = len(keep) if keep is not None else t
-    scalar_full = wtaps is not None and _scalar_tap_bound_ok(wtaps, t, p_max)
-    scalar_path = eff_wtaps is not None and _scalar_tap_bound_ok(
-        eff_wtaps, t_eff, p_max, slack=1 if fold else 0
-    )
-    if scalar_full:
-        # Multicore path: the scalar contraction's work units (batch rows,
-        # or conv output rows for a packed B == 1 flush) dispatch to the
-        # shared-memory pool; byte-identical to the in-process loop below
-        # (exact int64 adds, same chunk order per element).  None means no
-        # pool (workers <= 1) or nothing to split -- fall through.
-        pooled = parallel.dispatch_conv(
-            data,
-            wtaps,
-            k=k,
-            s=s,
-            oh=oh,
-            ow=ow,
-            primes=[int(p) for p in ring.primes],
-            chunk=chunk,
-        )
-        if pooled is not None:
-            if evaluator.counter is not None:
-                lanes = b * oh * ow
-                evaluator.counter.record("ct_plain_mul", f * t * lanes)
-                if t > 1:
-                    evaluator.counter.record("ct_add", f * (t - 1) * lanes)
-            out = Ciphertext(ct.context, pooled, is_ntt=True)
-            return evaluator.add_plain_operand(out, weights.bias_operand)
-    # Plan rewrites apply only to the in-process scalar contraction: a
-    # zero-weight tap contributes exactly zero, so skipping it leaves every
-    # modular sum unchanged, and the folded bias lands in the accumulator
-    # before the single reduction pass.
-    run_index = [tap_index[x] for x in keep] if (scalar_path and keep is not None) else tap_index
-    run_w = eff_wtaps if scalar_path else wtaps
-    t_run = len(run_index)
-    acc = np.zeros((f, b, oh, ow, *tail), dtype=np.int64)
-    for start in range(0, t_run, chunk):
-        block = run_index[start : start + chunk]
-        win = np.empty((len(block), b, oh, ow, *tail), dtype=np.int64)
-        for off, (ci, i, j) in enumerate(block):
-            win[off] = data[:, ci, i : i + oh * s : s, j : j + ow * s : s]
-        if scalar_path:
-            # Signed MAC over the raw integer weights: the full tap sum
-            # stays below int64 by the bound check, so no intermediate
-            # reductions at all -- one matmul per chunk.
-            acc += (
-                run_w[:, start : start + chunk] @ win.reshape(len(block), -1)
-            ).reshape(acc.shape)
-        else:
-            # (F, Tc, B, OH, OW, size, k_rns, n) product, reduced over taps.
-            acc += ring.pointwise_mul_sum(
-                win[None],
-                taps[:, start : start + chunk, None, None, None, None, :, :],
-                axis=1,
-            )
-    folded = False
-    if scalar_path:
-        if fold:
-            acc[..., 0, :, :] += weights.bias_operand.ntt_data.reshape(
-                f, 1, 1, 1, *tail[-2:]
-            )
-            folded = True
-        for i, p in enumerate(ring.primes):
-            acc[..., i, :] %= int(p)  # floor mod: exact also for negatives
-    elif t_run > chunk:  # partial sums per chunk are each reduced; fold them
-        acc %= ring.primes.reshape(-1, 1)
     if evaluator.counter is not None:
-        lanes = b * oh * ow
         evaluator.counter.record("ct_plain_mul", f * t * lanes)
         if t > 1:  # the reference loop issues no add() for a single tap
             evaluator.counter.record("ct_add", f * (t - 1) * lanes)
-    out = Ciphertext(
-        ct.context, np.ascontiguousarray(np.moveaxis(acc, 0, 1)), is_ntt=True
-    )
-    if folded:
-        if evaluator.counter is not None:
-            evaluator.counter.record("plain_add", max(1, out.batch_count))
-        return out
-    return evaluator.add_plain_operand(out, weights.bias_operand)
+    out = Ciphertext(ct.context, out, is_ntt=True)
+    return _add_bias(evaluator, out, weights.bias_operand, plan.fold_bias)
 
 
 def he_square(evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
@@ -481,8 +374,9 @@ def he_dense(
                 f"dense operand {oi} covers {operand.batch_shape} inputs, "
                 f"ciphertext provides {d}"
             )
-    if kernels.active().fused_layers and weights.bias_operand is not None:
-        return _he_dense_fused(evaluator, flat, weights, plan=plan)
+    plan = plan or LayerPlan()
+    if _runs_fused(weights.weight_matrix, plan, ct):
+        return _he_dense_fused(evaluator, flat, weights, plan)
     outputs: list[Ciphertext] = []
     for oi, operand in enumerate(weights.operands):
         products = evaluator.multiply_plain(flat, operand)
@@ -497,74 +391,25 @@ def _he_dense_fused(
     evaluator: Evaluator,
     flat: Ciphertext,
     weights: EncodedDenseWeights,
-    plan: LayerPlan | None = None,
+    plan: LayerPlan,
 ) -> Ciphertext:
-    """All-classes FC kernel: one fused multiply + deferred-reduction sum
-    over the stacked ``(O, D, k, n)`` operand computes every output class at
-    once; bit-identical to the per-class loop, with matching op tallies.
-    Slot-constant scalar weights take the signed int64 matmul shortcut (one
-    mod-p pass after the whole contraction).  Plan rewrites (zero-dim
-    bypass, bias folding) apply only to that in-process shortcut; every
-    other path ignores the plan bit-identically."""
-    ring = flat.context.ring
+    """All-classes FC kernel: one signed int64 matmul over the ``(O, D)``
+    integer weights computes every output class at once, one mod-p pass
+    after the whole contraction -- :func:`repro.he.contraction.dense_rows`,
+    in-process or over the pool's units; bit-identical to the per-class
+    loop, with matching op tallies."""
     flat = flat.to_ntt()
     b, d = flat.batch_shape
     o = weights.out_features
-    wmat = weights.weight_matrix
-    p_max = int(ring.primes.max())
-    keep = (
-        list(plan.keep_taps)
-        if plan is not None and plan.keep_taps is not None
-        else None
+    out = parallel.dispatch_dense(
+        flat.data,
+        weights.weight_matrix,
+        primes=[int(p) for p in flat.context.ring.primes],
+        keep=plan.keep_taps,
+        bias=weights.bias_operand.ntt_data if plan.fold_bias else None,
     )
-    fold = plan is not None and plan.fold_bias and weights.bias_operand is not None
-    eff_wmat = wmat[:, keep] if (wmat is not None and keep is not None) else wmat
-    d_eff = len(keep) if keep is not None else d
-    folded = False
-    if wmat is not None and _scalar_tap_bound_ok(wmat, d, p_max):
-        # Multicore path: batch rows (or output classes for B == 1) as
-        # shared-memory pool units, byte-identical to the matmul below.
-        pooled = parallel.dispatch_dense(
-            flat.data, wmat, primes=[int(p) for p in ring.primes]
-        )
-        if pooled is not None:
-            if evaluator.counter is not None:
-                evaluator.counter.record("ct_plain_mul", o * b * d)
-                evaluator.counter.record("ct_add", o * (d - 1) * b)
-            out = Ciphertext(flat.context, pooled, is_ntt=True)
-            return evaluator.add_plain_operand(out, weights.bias_operand)
-    if eff_wmat is not None and _scalar_tap_bound_ok(
-        eff_wmat, d_eff, p_max, slack=1 if fold else 0
-    ):
-        fd = flat.data  # (B, D, size, k_rns, n)
-        moved = np.ascontiguousarray(np.moveaxis(fd, 1, 0)).reshape(d, -1)
-        if keep is not None:
-            # Dropped input dims have a zero weight in every class: their
-            # contribution to each modular sum is exactly zero.
-            moved = moved[keep]
-        summed = (eff_wmat @ moved).reshape(o, b, *fd.shape[2:])
-        if fold:
-            summed[..., 0, :, :] += weights.bias_operand.ntt_data.reshape(
-                o, 1, *fd.shape[-2:]
-            )
-            folded = True
-        for i, p in enumerate(ring.primes):
-            summed[..., i, :] %= int(p)
-    else:
-        # (O, B, D, size, k_rns, n) product, reduced over D -> (O, B, ...).
-        summed = ring.pointwise_mul_sum(
-            flat.data[None],
-            weights.class_stack[:, None, :, None, :, :],
-            axis=2,
-        )
     if evaluator.counter is not None:
         evaluator.counter.record("ct_plain_mul", o * b * d)
         evaluator.counter.record("ct_add", o * (d - 1) * b)
-    out = Ciphertext(
-        flat.context, np.ascontiguousarray(np.moveaxis(summed, 0, 1)), is_ntt=True
-    )
-    if folded:
-        if evaluator.counter is not None:
-            evaluator.counter.record("plain_add", max(1, out.batch_count))
-        return out
-    return evaluator.add_plain_operand(out, weights.bias_operand)
+    out = Ciphertext(flat.context, out, is_ntt=True)
+    return _add_bias(evaluator, out, weights.bias_operand, plan.fold_bias)

@@ -20,8 +20,9 @@ names (``benchmarks/e2e/spans.py``) sees every call.
 Bit-identity notes per rewrite:
 
 * ``keep_taps`` / ``fold_bias`` ride into :mod:`repro.core.heops` via
-  :class:`repro.core.heops.LayerPlan`; the fused kernels apply them only
-  where they are exact (see heops).
+  :class:`repro.core.heops.LayerPlan` as arguments of the one scalar
+  contraction kernel, so they apply wherever it runs -- in-process, on the
+  worker pool, in death-replay (see heops).
 * ``packed`` crossings flatten the whole feature-map tensor and fold
   runs of ``chunk`` values into polynomial coefficients
   (:func:`repro.he.batching.pack_coefficients`, RNG-free) before one

@@ -7,7 +7,7 @@ Every pass follows the same contract:
   not hold.  Refusing is the normal path, not an error — e.g.
   ``fold_bias`` refuses whenever the int64 deferred-reduction slack of the
   fused scalar contraction cannot absorb one extra residue term, because
-  firing would silently push the runtime off the fast path.
+  firing would silently push the layer onto the per-tap reference loop.
 * Passes only rewrite ``attrs`` (and re-run :func:`repro.graph.ir.annotate`
   when a rewrite changes noise behaviour); the executor owns the actual
   ciphertext work.  Each rewrite is exact — the optimized execution must
@@ -30,11 +30,10 @@ import numpy as np
 
 from repro.errors import GraphPassError, ParameterError
 from repro.graph import ir
-from repro.he import modmath
+from repro.he import contraction, modmath
 from repro.he.noise import NoiseEstimator
 from repro.he.params import EncryptionParams
 
-_INT64_MAX = np.iinfo(np.int64).max
 _PRIME_BITS = 30
 _SELECT_DEGREES = (256, 512, 1024, 2048, 4096)
 _SELECT_MARGIN_BITS = 8.0
@@ -56,17 +55,6 @@ class GraphPass:
 
 def _contractions(graph: ir.InferenceGraph) -> list[ir.GraphNode]:
     return [node for node in graph.nodes if node.op in ir.CONTRACTION_OPS]
-
-
-def _fold_slack_ok(weights: np.ndarray, p_max: int) -> bool:
-    """Mirror of ``repro.core.heops._scalar_tap_bound_ok`` with ``slack=1``:
-    can the deferred-reduction accumulator absorb one extra canonical
-    residue term (the folded bias) without overflowing int64?"""
-    if weights.size == 0:
-        return False
-    terms = weights.shape[-1]
-    w_max = int(np.abs(weights).max())
-    return (terms * w_max + 1) * (p_max - 1) <= _INT64_MAX
 
 
 class ZeroTapBypass(GraphPass):
@@ -104,8 +92,9 @@ class FoldBias(GraphPass):
     NTT residues into the still-unreduced int64 accumulator instead,
     saving one full pass over the ciphertext.  Exact because
     ``(acc + bias) mod p == (acc mod p + bias) mod p``; refuses when the
-    int64 slack bound cannot absorb the extra canonical residue term,
-    since firing would push the runtime off the scalar fast path.
+    kernel's int64 bound (:func:`repro.he.contraction.bound_ok`) cannot
+    absorb the extra canonical residue term, since firing would push the
+    layer off the fused kernel.
     """
 
     name = "fold_bias"
@@ -118,7 +107,9 @@ class FoldBias(GraphPass):
             matrix = graph.meta["layers"][node.stage]
             keep = node.attrs.get("keep_taps")
             surviving = matrix[:, list(keep)] if keep is not None else matrix
-            if _fold_slack_ok(surviving, p_max):
+            # One extra canonical residue term (the bias) in the kernel's
+            # deferred-reduction accumulator.
+            if contraction.bound_ok(surviving, p_max, slack=1):
                 node.attrs["fold_bias"] = True
             else:
                 refused.append(node.stage)

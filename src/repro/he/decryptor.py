@@ -205,8 +205,10 @@ def decrypt_scalar_values(decryptor: Decryptor, encoder, ct: Ciphertext) -> np.n
     Under the fused profile (and an int64-liftable ``q``) this takes the
     O(n)-per-value :meth:`Decryptor.decrypt_constants` shortcut; otherwise it
     runs the reference ``encoder.decode(decryptor.decrypt(ct))`` path.  Both
-    return the same centered int64 values -- the pipelines' decrypt stages
-    dispatch here so the kernel benchmark can compare them in one process.
+    return the same centered int64 values (and raise
+    :class:`~repro.errors.EncodingError` for a non-constant plaintext) --
+    the pipelines' decrypt stages and the enclave's trusted decrypt both
+    dispatch here, so the choice is made once.
     """
     ring = decryptor.context.ring
     if kernels.active().fast_decrypt and ring.q_fits_int64:

@@ -18,6 +18,15 @@ from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.keys import PublicKey, SecretKey
 
 
+def _transform_sampled(ring, *polys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Forward-transform freshly sampled polynomials: one stacked butterfly
+    pass under the stacked-NTT profile instead of one transform each -- same
+    values, amortized stage overhead."""
+    if kernels.active().stacked_ntt:
+        return tuple(ring.ntt(np.stack(polys)))
+    return tuple(ring.ntt(poly) for poly in polys)
+
+
 class Encryptor:
     """Encrypts plaintexts under a public key.
 
@@ -48,15 +57,7 @@ class Encryptor:
         e1 = ring.sample_noise(self.rng, params.noise_stddev, *batch)
         e2 = ring.sample_noise(self.rng, params.noise_stddev, *batch)
         delta_m = ring.mul_scalar(ring.from_int_coeffs(plain.coeffs), params.delta)
-        if kernels.active().stacked_ntt:
-            # One stacked butterfly pass over [u, e1 + Delta m, e2] instead
-            # of three transforms -- same values, amortized stage overhead.
-            fx = ring.ntt(np.stack([ternary, ring.add(e1, delta_m), e2]))
-            u, t1, t2 = fx[0], fx[1], fx[2]
-        else:
-            u = ring.ntt(ternary)
-            t1 = ring.ntt(ring.add(e1, delta_m))
-            t2 = ring.ntt(e2)
+        u, t1, t2 = _transform_sampled(ring, ternary, ring.add(e1, delta_m), e2)
         c0 = ring.add(ring.pointwise_mul(self.public_key.p0_ntt, u), t1)
         c1 = ring.add(ring.pointwise_mul(self.public_key.p1_ntt, u), t2)
         data = np.stack([c0, c1], axis=-3)
@@ -87,13 +88,7 @@ class Encryptor:
         const = plain.coeffs[..., :1][..., None, :] % p_col
         delta_m0 = (const * ring.scalar_residues(params.delta)) % p_col
         e1[..., :1] = ring.add(e1[..., :1], delta_m0)
-        if kernels.active().stacked_ntt:
-            fx = ring.ntt(np.stack([ternary, e1, e2]))
-            u, t1, t2 = fx[0], fx[1], fx[2]
-        else:
-            u = ring.ntt(ternary)
-            t1 = ring.ntt(e1)
-            t2 = ring.ntt(e2)
+        u, t1, t2 = _transform_sampled(ring, ternary, e1, e2)
         c0 = ring.add(ring.pointwise_mul(self.public_key.p0_ntt, u), t1)
         c1 = ring.add(ring.pointwise_mul(self.public_key.p1_ntt, u), t2)
         data = np.stack([c0, c1], axis=-3)
@@ -135,12 +130,7 @@ class SymmetricEncryptor:
         uniform = ring.sample_uniform(self.rng, *batch)
         e = ring.sample_noise(self.rng, params.noise_stddev, *batch)
         delta_m = ring.mul_scalar(ring.from_int_coeffs(plain.coeffs), params.delta)
-        if kernels.active().stacked_ntt:
-            fx = ring.ntt(np.stack([uniform, ring.add(delta_m, e)]))
-            a, masked = fx[0], fx[1]
-        else:
-            a = ring.ntt(uniform)
-            masked = ring.ntt(ring.add(delta_m, e))
+        a, masked = _transform_sampled(ring, uniform, ring.add(delta_m, e))
         body = ring.sub(masked, ring.pointwise_mul(a, self.secret_key.s_ntt))
         data = np.stack([body, a], axis=-3)
         return Ciphertext(self.context, data, is_ntt=True)

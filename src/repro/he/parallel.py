@@ -1,17 +1,17 @@
 """Multicore flush execution: a worker pool over the shared ciphertext arena.
 
-Everything below PR 3's FUSED kernels is one Python process; this module
-dispatches the kernels' embarrassingly-parallel halves -- the signed-int64
-matmul contractions of the fused conv and dense layers -- to a pool of
-forked worker processes over a shared-memory :class:`~repro.he.arena.Arena`.
+This module owns *distribution* and no arithmetic: it carves a fused conv
+or dense layer's scalar contraction (:mod:`repro.he.contraction`) into work
+units, runs them on a pool of forked worker processes over a shared-memory
+:class:`~repro.he.arena.Arena`, and replays them when a worker dies.
 
 **Determinism contract.**  Work units are contiguous index ranges over one
 axis of the output (batch rows when the batch is stacked, conv output rows
-or FC classes for a slot-packed ``B == 1`` flush).  Each unit's arithmetic
-is the *same* exact int64 chunk-ordered contraction the in-process kernel
-runs for those indices -- integer adds are associative and every partial is
-bounds-checked against int64 by the caller -- so the assembled output is
-byte-identical to the single-process path regardless of worker count,
+or FC classes for a slot-packed ``B == 1`` flush).  Every unit runs the one
+row-range kernel of its layer kind (``KERNELS``) -- the same function the
+in-process run calls once over the whole range -- and integer adds are
+associative with every partial bounds-checked against int64 by the caller,
+so the assembled output is byte-identical regardless of worker count,
 scheduling, or completion order.  Workers write results straight into
 disjoint slices of the shared output block; assembly is positional, never
 order-of-arrival.
@@ -20,21 +20,22 @@ order-of-arrival.
 id) SIGKILLs a worker at dispatch.  Recovery retires the *whole* pool --
 a killed worker can die holding a queue lock, and a surviving writer from
 a torn-down generation must never touch a reused arena -- then replays
-every unacknowledged unit in-process through the identical unit executor
+every unacknowledged unit in the parent through the same kernel
 (bit-identical by the contract above) and respawns fresh workers for the
 next flush.
 
 **Configuration.**  ``configure(workers)`` / ``use(workers)`` mirror
 ``repro.he.kernels``; ``REPRO_WORKERS`` is the environment default and
 ``PipelineSpec(workers=...)`` / ``build_pipeline(...)`` route here.  With
-``workers <= 1`` no pool exists and every kernel runs its original
-in-process path -- the graceful fallback, and the authoritative
-implementation the pool is verified against.
+``workers <= 1`` (or a layer with nothing to split) no pool is involved and
+:func:`dispatch_conv` / :func:`dispatch_dense` run one whole-range unit in
+the calling process.
 """
 
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import signal
 import time
@@ -44,6 +45,7 @@ import numpy as np
 
 from repro import faults
 from repro.errors import ParallelError
+from repro.he import contraction
 from repro.he.arena import Arena
 from repro.obs import context as obs_context
 from repro.obs import metrics, recorder
@@ -126,7 +128,7 @@ atexit.register(shutdown)
 
 def active_pool() -> "WorkerPool | None":
     """The lazily-built pool for the active worker count (None when <= 1:
-    the in-process fallback stays authoritative)."""
+    every contraction is one in-process whole-range unit)."""
     global _pool
     workers = active_workers()
     if workers <= 1:
@@ -138,88 +140,51 @@ def active_pool() -> "WorkerPool | None":
 
 
 # ----------------------------------------------------------------------
-# unit executors (shared verbatim by workers and in-process replay)
+# work units (the same kernels in workers, in replay and in-process)
 # ----------------------------------------------------------------------
-def _conv_unit(task: dict, buf: np.ndarray) -> None:
-    """One conv work unit: the fused scalar tap contraction for a row range.
+#: The row-range kernel of each layer kind -- the only arithmetic a unit runs.
+KERNELS = {"conv": contraction.conv_rows, "dense": contraction.dense_rows}
 
-    Identical chunk-ordered arithmetic to ``heops._he_conv2d_fused``'s
-    scalar path, restricted to ``rows`` of the split axis; exact int64
-    adds are associative, so any row split is byte-identical to the full
-    contraction.
-    """
-    in_off, in_shape = task["in_off"], task["in_shape"]
-    w_off, w_shape = task["w_off"], task["w_shape"]
-    out_off, out_shape = task["out_off"], task["out_shape"]
-    data = buf[in_off : in_off + _size(in_shape)].reshape(in_shape)
-    wtaps = buf[w_off : w_off + _size(w_shape)].reshape(w_shape)
-    out = buf[out_off : out_off + _size(out_shape)].reshape(out_shape)
-    k, s, oh, ow = task["k"], task["s"], task["oh"], task["ow"]
-    chunk, primes = task["chunk"], task["primes"]
-    r0, r1 = task["rows"]
-    if task["axis"] == "batch":
-        data = data[r0:r1]
-        oh0, oh1 = 0, oh
-    else:  # conv output rows (the slot-packed B == 1 flush)
-        oh0, oh1 = r0, r1
-    b, c = data.shape[0], data.shape[1]
-    tail = data.shape[-3:]
-    f, t = wtaps.shape
-    tap_index = [(ci, i, j) for ci in range(c) for i in range(k) for j in range(k)]
-    acc = np.zeros((f, b, oh1 - oh0, ow, *tail), dtype=np.int64)
-    for start in range(0, t, chunk):
-        block = tap_index[start : start + chunk]
-        win = np.empty((len(block), *acc.shape[1:]), dtype=np.int64)
-        for off, (ci, i, j) in enumerate(block):
-            win[off] = data[:, ci, i : i + oh * s : s, j : j + ow * s : s][:, oh0:oh1]
-        acc += (
-            wtaps[:, start : start + chunk] @ win.reshape(len(block), -1)
-        ).reshape(acc.shape)
-    for idx, p in enumerate(primes):
-        acc[..., idx, :] %= p
-    if task["axis"] == "batch":
-        out[r0:r1] = np.moveaxis(acc, 0, 1)
-    else:
-        out[:, :, r0:r1] = np.moveaxis(acc, 0, 1)
-
-
-def _dense_unit(task: dict, buf: np.ndarray) -> None:
-    """One dense work unit: the all-classes FC matmul for a row range
-    (batch rows, or output classes when the packed batch is 1)."""
-    in_off, in_shape = task["in_off"], task["in_shape"]
-    w_off, w_shape = task["w_off"], task["w_shape"]
-    out_off, out_shape = task["out_off"], task["out_shape"]
-    fd = buf[in_off : in_off + _size(in_shape)].reshape(in_shape)
-    wmat = buf[w_off : w_off + _size(w_shape)].reshape(w_shape)
-    out = buf[out_off : out_off + _size(out_shape)].reshape(out_shape)
-    primes = task["primes"]
-    r0, r1 = task["rows"]
-    d = fd.shape[1]
-    if task["axis"] == "batch":
-        fd = fd[r0:r1]
-        wmat_rows = wmat
-    else:  # output classes
-        wmat_rows = wmat[r0:r1]
-    b = fd.shape[0]
-    moved = np.ascontiguousarray(np.moveaxis(fd, 1, 0)).reshape(d, -1)
-    summed = (wmat_rows @ moved).reshape(wmat_rows.shape[0], b, *fd.shape[2:])
-    for idx, p in enumerate(primes):
-        summed[..., idx, :] %= p
-    if task["axis"] == "batch":
-        out[r0:r1] = np.moveaxis(summed, 0, 1)
-    else:
-        out[:, r0:r1] = np.moveaxis(summed, 0, 1)
-
-
-_EXECUTORS = {"conv": _conv_unit, "dense": _dense_unit}
-
-
-def _size(shape: tuple[int, ...]) -> int:
-    return int(np.prod(shape, dtype=np.int64)) if shape else 1
+#: Task keys that describe the unit to the pool, not to its kernel.
+_POOL_KEYS = ("unit", "trace", "shm")
 
 
 def _execute_unit(task: dict, buf: np.ndarray) -> None:
-    _EXECUTORS[task["kind"]](task, buf)
+    """Run one work unit over the arena buffer ``buf``: re-derive its
+    ``(offset, shape)`` views and hand every other task key to the kernel."""
+    args = {key: value for key, value in task.items() if key not in _POOL_KEYS}
+
+    def view(name: str) -> np.ndarray:
+        off, shape = args.pop(f"{name}_off"), args.pop(f"{name}_shape")
+        return buf[off : off + math.prod(shape)].reshape(shape)
+
+    kernel = KERNELS[args.pop("kind")]
+    bias = view("bias") if "bias_off" in args else None
+    kernel(view("in"), view("w"), view("out"), bias=bias, **args)
+
+
+def _layout(
+    kind: str, data: np.ndarray, weights: np.ndarray, args: dict
+) -> tuple[tuple[int, ...], str, int]:
+    """Output shape, split axis and axis length of one contraction: batch
+    rows when the batch is stacked, else conv output rows / FC classes."""
+    b, f = data.shape[0], weights.shape[0]
+    if kind == "conv":
+        shape = (b, f, args["oh"], args["ow"], *data.shape[-3:])
+        inner = ("rows", args["oh"])
+    else:
+        shape, inner = (b, f, *data.shape[2:]), ("classes", f)
+    return (shape, "batch", b) if b > 1 else (shape, *inner)
+
+
+def _run_whole(
+    kind: str, data: np.ndarray, weights: np.ndarray, args: dict
+) -> np.ndarray:
+    """The in-process run: one unit spanning the whole split axis."""
+    out_shape, axis, length = _layout(kind, data, weights, args)
+    out = np.empty(out_shape, dtype=np.int64)
+    KERNELS[kind](data, weights, out, axis=axis, rows=(0, length), **args)
+    return out
 
 
 def _worker_main(worker_id: int, tasks, results) -> None:  # pragma: no cover
@@ -239,25 +204,36 @@ def _worker_main(worker_id: int, tasks, results) -> None:  # pragma: no cover
         started = time.perf_counter()
         _execute_unit(task, _attach_buffer(task["shm"], attached))
         results.put((worker_id, task["unit"], time.perf_counter() - started))
-    while attached:
-        shm, arr = attached.popitem()[1]
-        del arr  # drop the frombuffer export before closing the mapping
-        try:
-            shm.close()
-        except BufferError:
-            pass
+    _detach_all(attached)
     os._exit(0)
 
 
-def _attach_buffer(name: str, cache: dict) -> np.ndarray:  # pragma: no cover
+def _attach_buffer(name: str, cache: dict) -> np.ndarray:
+    """The int64 view of segment ``name``, mapping it on first use.
+
+    ``cache`` holds the one segment the current task names: when the
+    parent's arena grew (new segment, old one unlinked) the replaced
+    mapping is closed here rather than kept until the worker exits.
+    """
     if name not in cache:
         from multiprocessing import shared_memory
 
+        _detach_all(cache)
         # The parent owns the segment's lifetime (its unlink clears the
         # resource tracker entry); the child only maps it.
         shm = shared_memory.SharedMemory(name=name)
         cache[name] = (shm, np.frombuffer(shm.buf, dtype=np.int64))
     return cache[name][1]
+
+
+def _detach_all(cache: dict) -> None:
+    while cache:
+        shm, arr = cache.popitem()[1]
+        del arr  # drop the frombuffer export before closing the mapping
+        try:
+            shm.close()
+        except BufferError:  # pragma: no cover - caller-held view
+            pass
 
 
 def _unit_ranges(length: int, units: int) -> list[tuple[int, int]]:
@@ -345,69 +321,58 @@ class WorkerPool:
         ow: int,
         primes: list[int],
         chunk: int,
+        keep: tuple[int, ...] | None = None,
+        bias: np.ndarray | None = None,
     ) -> np.ndarray | None:
         """Fused scalar conv over the pool; returns ``(B, F, OH, OW, *tail)``
         or None when there is nothing to split (single row on both axes)."""
-        b = data.shape[0]
-        axis, length = ("batch", b) if b > 1 else ("rows", oh)
-        if length < 2:
-            return None
-        f = wtaps.shape[0]
-        out_shape = (b, f, oh, ow, *data.shape[-3:])
-        common = {"k": k, "s": s, "oh": oh, "ow": ow, "chunk": chunk}
-        return self._run_kernel("conv", data, wtaps, out_shape, axis, length, common, primes)
+        args = dict(k=k, s=s, oh=oh, ow=ow, chunk=chunk, primes=primes, keep=keep)
+        return self._run_kernel("conv", data, wtaps, bias, args)
 
     def run_dense(
-        self, fd: np.ndarray, wmat: np.ndarray, *, primes: list[int]
+        self,
+        fd: np.ndarray,
+        wmat: np.ndarray,
+        *,
+        primes: list[int],
+        keep: tuple[int, ...] | None = None,
+        bias: np.ndarray | None = None,
     ) -> np.ndarray | None:
         """Fused scalar dense over the pool; returns ``(B, O, *tail)`` or
         None when there is nothing to split."""
-        b, o = fd.shape[0], wmat.shape[0]
-        axis, length = ("batch", b) if b > 1 else ("classes", o)
-        if length < 2:
-            return None
-        out_shape = (b, o, *fd.shape[2:])
-        return self._run_kernel("dense", fd, wmat, out_shape, axis, length, {}, primes)
+        return self._run_kernel("dense", fd, wmat, bias, dict(primes=primes, keep=keep))
 
     def _run_kernel(
         self,
         kind: str,
         data: np.ndarray,
         weights: np.ndarray,
-        out_shape: tuple[int, ...],
-        axis: str,
-        length: int,
-        common: dict,
-        primes: list[int],
-    ) -> np.ndarray:
+        bias: np.ndarray | None,
+        args: dict,
+    ) -> np.ndarray | None:
+        out_shape, axis, length = _layout(kind, data, weights, args)
+        if length < 2:
+            return None
         self.arena.reset()
-        in_view = self.arena.place(data)
-        w_view = self.arena.place(weights)
-        out_view = self.arena.alloc(out_shape)
+        views = {"in": self.arena.place(data), "w": self.arena.place(weights)}
+        if bias is not None:
+            views["bias"] = self.arena.place(bias)
+        views["out"] = self.arena.alloc(out_shape)
+        common = {
+            **args,
+            "trace": obs_context.wire_current(),
+            "kind": kind,
+            "shm": self.arena.name,
+            "axis": axis,
+        }
+        for name, view in views.items():
+            common[f"{name}_off"], common[f"{name}_shape"] = view.offset, view.shape
         tasks = []
-        trace_header = obs_context.wire_current()
-        for r0, r1 in _unit_ranges(length, self.workers * UNITS_PER_WORKER):
-            tasks.append(
-                {
-                    "unit": self._unit_seq,
-                    "trace": trace_header,
-                    "kind": kind,
-                    "shm": self.arena.name,
-                    "in_off": in_view.offset,
-                    "in_shape": in_view.shape,
-                    "w_off": w_view.offset,
-                    "w_shape": w_view.shape,
-                    "out_off": out_view.offset,
-                    "out_shape": out_view.shape,
-                    "axis": axis,
-                    "rows": (r0, r1),
-                    "primes": tuple(int(p) for p in primes),
-                    **common,
-                }
-            )
+        for rows in _unit_ranges(length, self.workers * UNITS_PER_WORKER):
+            tasks.append({**common, "unit": self._unit_seq, "rows": rows})
             self._unit_seq += 1
         self._run_units(tasks)
-        return out_view.array.copy()
+        return views["out"].array.copy()
 
     # ------------------------------------------------------------------
     # dispatch / collection
@@ -515,9 +480,9 @@ class WorkerPool:
         The whole generation goes, not just the dead worker: a SIGKILLed
         worker can die holding a queue lock, and a surviving worker still
         executing a unit from this flush must never write into the arena
-        after it is reused.  Replay runs the identical unit executor over
-        the parent's own mapping, in ascending unit order -- bit-identical
-        output by the determinism contract.
+        after it is reused.  Replay runs the same kernel over the parent's
+        own mapping, in ascending unit order -- bit-identical output by the
+        determinism contract.
         """
         self.deaths += len(dead)
         metrics.family("repro_parallel_worker_deaths_total").inc(len(dead))
@@ -543,36 +508,23 @@ class WorkerPool:
 
 
 # ----------------------------------------------------------------------
-# kernel-facing dispatch helpers (None -> caller runs in-process)
+# kernel-facing entry points
 # ----------------------------------------------------------------------
-def dispatch_conv(
-    data: np.ndarray,
-    wtaps: np.ndarray,
-    *,
-    k: int,
-    s: int,
-    oh: int,
-    ow: int,
-    primes: list[int],
-    chunk: int,
-) -> np.ndarray | None:
-    """Pool-dispatch the fused scalar conv contraction, or None to fall
-    back in-process (workers <= 1, or nothing to split)."""
+def dispatch_conv(data: np.ndarray, wtaps: np.ndarray, **args) -> np.ndarray:
+    """The fused scalar conv contraction (keywords of
+    :meth:`WorkerPool.run_conv`): the pool's units when one is configured
+    and the layer splits, else one whole-range unit in this process."""
     pool = active_pool()
-    if pool is None:
-        return None
-    return pool.run_conv(data, wtaps, k=k, s=s, oh=oh, ow=ow, primes=primes, chunk=chunk)
+    out = pool.run_conv(data, wtaps, **args) if pool is not None else None
+    return out if out is not None else _run_whole("conv", data, wtaps, args)
 
 
-def dispatch_dense(
-    fd: np.ndarray, wmat: np.ndarray, *, primes: list[int]
-) -> np.ndarray | None:
-    """Pool-dispatch the fused scalar dense contraction, or None to fall
-    back in-process."""
+def dispatch_dense(fd: np.ndarray, wmat: np.ndarray, **args) -> np.ndarray:
+    """The fused scalar dense contraction (keywords of
+    :meth:`WorkerPool.run_dense`), pooled or in-process as above."""
     pool = active_pool()
-    if pool is None:
-        return None
-    return pool.run_dense(fd, wmat, primes=primes)
+    out = pool.run_dense(fd, wmat, **args) if pool is not None else None
+    return out if out is not None else _run_whole("dense", fd, wmat, args)
 
 
 # ----------------------------------------------------------------------

@@ -239,7 +239,8 @@ class RequestScheduler:
         Raises:
             UnknownModelError: ``model_name`` was never provisioned.
             ServeError: the ciphertext is not a non-empty 4-D pixel batch
-                with this model's channel count, or was encrypted under
+                with this model's channel count and an image size its
+                conv -> pool -> fc chain consumes, or was encrypted under
                 different parameters (``malformed``).
             BatchTooLargeError: the request alone exceeds the capacity.
         """
@@ -262,11 +263,30 @@ class RequestScheduler:
                 f"requests must be (B, C, H, W) pixel ciphertexts, got batch "
                 f"shape {ct.batch_shape}"
             )
-        channels = self.server.encoded_model(model_name).conv.operands.shape[1]
+        model = self.server.model(model_name)
+        filters, channels, k, _ = model.conv_weight.shape
         if ct.batch_shape[1] != channels:
             raise self._malformed(
                 f"request has {ct.batch_shape[1]} channels, model "
                 f"{model_name!r} expects {channels}"
+            )
+        # The image must walk the whole chain: a conv output of at least
+        # 1x1 that the pool window tiles and the FC layer's fan-in matches.
+        # Admitted unchecked it dies mid-flush and isolates its batch-mates.
+        h, w = ct.batch_shape[2:]
+        oh, ow = (h - k) // model.stride + 1, (w - k) // model.stride + 1
+        win = model.pool_window
+        if (
+            h < k
+            or w < k
+            or oh % win
+            or ow % win
+            or filters * (oh // win) * (ow // win) != model.dense_weight.shape[0]
+        ):
+            raise self._malformed(
+                f"request images are {h}x{w}, which model {model_name!r} "
+                f"(kernel {k}, stride {model.stride}, pool {win}, fc fan-in "
+                f"{model.dense_weight.shape[0]}) cannot consume"
             )
         batch = int(ct.batch_shape[0])
         if batch < 1:

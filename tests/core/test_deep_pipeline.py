@@ -97,6 +97,17 @@ class TestDeepHybridPipeline:
         result = pipeline.infer(images)
         assert np.array_equal(result.logits, quantized.forward_int(images))
 
+    def test_encoded_weights_keep_their_integers(self, pipeline, deep_setup):
+        """Every block's fused operand is the integer array handed to the
+        encoder (negatives included), not a value recovered from residues."""
+        _, quantized, _, _ = deep_setup
+        weights = pipeline.resources.weights
+        for i, block in enumerate(quantized.blocks):
+            assert (block.weight < 0).any()
+            taps = weights[f"conv_{i}"].weight_taps
+            assert np.array_equal(taps, block.weight.reshape(len(block.weight), -1))
+        assert np.array_equal(weights["fc"].weight_matrix, quantized.dense_weight.T)
+
     def test_one_crossing_per_block(self, pipeline, deep_setup):
         _, quantized, _, test_images = deep_setup
         result = pipeline.infer(test_images[:1])

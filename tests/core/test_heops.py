@@ -15,6 +15,7 @@ from repro.he import (
     KeyGenerator,
     OperationCounter,
     ScalarEncoder,
+    kernels,
 )
 
 
@@ -95,6 +96,21 @@ class TestHeConv2d:
             np.ones((1, 1, 2, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
         )
         with pytest.raises(PipelineError):
+            heops.he_conv2d(rig["evaluator"], rig["encoder"], ct, weights)
+
+
+    @pytest.mark.parametrize("profile", [kernels.FUSED, kernels.REFERENCE])
+    def test_rejects_input_smaller_than_kernel(self, rig, profile):
+        """A 2x2 input under a 3x3 kernel used to come back as a 0x0
+        feature map under both kernel profiles."""
+        ct = rig["encryptor"].encrypt(
+            rig["encoder"].encode(np.zeros((1, 1, 2, 2), dtype=np.int64))
+        )
+        weights = heops.encode_conv_weights(
+            rig["evaluator"], rig["encoder"],
+            np.ones((1, 1, 3, 3), dtype=np.int64), np.zeros(1, dtype=np.int64),
+        )
+        with kernels.use(profile), pytest.raises(PipelineError, match="smaller"):
             heops.he_conv2d(rig["evaluator"], rig["encoder"], ct, weights)
 
 

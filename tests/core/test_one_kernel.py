@@ -1,0 +1,266 @@
+"""One scalar-contraction kernel for conv and fc (DESIGN.md §10, §15).
+
+``repro.he.contraction`` holds the only definition of the fused int64
+contraction; the in-process run, the pool's workers and death-replay all
+execute it, so the graph optimizer's exact rewrites (``LayerPlan``) apply on
+every path, the encoded weights keep the integers they were built from, and
+the per-tap ``REFERENCE`` loop is the only fallback.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import faults
+from repro.core import heops
+from repro.core.heops import LayerPlan
+from repro.faults import FaultPlan, FaultRule
+from repro.he import (
+    Context,
+    Encryptor,
+    Evaluator,
+    KeyGenerator,
+    OperationCounter,
+    ScalarEncoder,
+    contraction,
+    kernels,
+    modmath,
+    parallel,
+)
+from repro.he.params import EncryptionParams
+
+DEGREE = 64
+
+
+@pytest.fixture(autouse=True)
+def pristine_parallel_state():
+    parallel.configure(None)
+    parallel.shutdown()
+    yield
+    parallel.configure(None)
+    parallel.shutdown()
+
+
+def make_rig(plain_bits: int) -> dict:
+    params = EncryptionParams(
+        poly_degree=DEGREE,
+        coeff_primes=tuple(modmath.ntt_primes(30, DEGREE, 2)),
+        plain_modulus=1 << plain_bits,
+        name=f"one_kernel_t{plain_bits}",
+    )
+    context = Context(params)
+    rng = np.random.default_rng(17)
+    keys = KeyGenerator(context, rng).generate()
+    return {
+        "context": context,
+        "encoder": ScalarEncoder(context),
+        "encryptor": Encryptor(context, keys.public, rng),
+        "p_max": int(context.ring.primes.max()),
+    }
+
+
+@pytest.fixture(scope="module")
+def rig():
+    return make_rig(20)
+
+
+@pytest.fixture(scope="module")
+def wide_rig():
+    """A 30-bit ``t``: weights near ``2^28`` break the int64 bound."""
+    return make_rig(30)
+
+
+def encrypt(rig, values):
+    return rig["encryptor"].encrypt(rig["encoder"].encode(values))
+
+
+def run_layer(rig, layer, ct, weights, plan=None):
+    """One layer call on a fresh counter: (ciphertext bytes, op tallies)."""
+    counter = OperationCounter()
+    out = layer(Evaluator(rig["context"], counter), rig["encoder"], ct, weights, plan=plan)
+    assert out.is_ntt
+    return out.data.tobytes(), dict(counter.counts)
+
+
+def planted_conv(rig, rng):
+    """Conv weights whose taps 1, 4 and 13 are zero in every filter."""
+    w = rng.integers(-9, 10, size=(3, 2, 3, 3))
+    w[w == 0] = 1
+    flat = w.reshape(3, -1)
+    flat[:, [1, 4, 13]] = 0
+    keep = tuple(i for i in range(flat.shape[1]) if i not in (1, 4, 13))
+    evaluator = Evaluator(rig["context"])
+    weights = heops.encode_conv_weights(
+        evaluator, rig["encoder"], w, rng.integers(-50, 50, size=3), 1
+    )
+    return weights, LayerPlan(keep_taps=keep, fold_bias=True)
+
+
+def planted_dense(rig, rng):
+    w = rng.integers(-9, 10, size=(12, 5))
+    w[w == 0] = 1
+    w[[0, 7], :] = 0
+    keep = tuple(i for i in range(12) if i not in (0, 7))
+    weights = heops.encode_dense_weights(
+        Evaluator(rig["context"]), rig["encoder"], w, rng.integers(-50, 50, size=5)
+    )
+    return weights, LayerPlan(keep_taps=keep, fold_bias=True)
+
+
+class TestRewritesReachEveryPath:
+    """``keep_taps`` / ``fold_bias`` are kernel arguments: same bytes and
+    tallies with and without a plan, in-process and on the pool, and the
+    folded bias never takes the separate ``add_plain_operand`` pass."""
+
+    @pytest.fixture()
+    def bias_passes(self, monkeypatch):
+        calls = []
+        original = Evaluator.add_plain_operand
+
+        def spy(self, ct, operand):
+            calls.append(ct.batch_shape)
+            return original(self, ct, operand)
+
+        monkeypatch.setattr(Evaluator, "add_plain_operand", spy)
+        return calls
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize(
+        "layer,planted,image",
+        [(heops.he_conv2d, planted_conv, (2, 6, 6)), (heops.he_dense, planted_dense, (3, 2, 2))],
+        ids=["conv", "dense"],
+    )
+    def test_plan_on_the_pool(self, rig, bias_passes, layer, planted, image, batch):
+        rng = np.random.default_rng(batch)
+        weights, plan = planted(rig, rng)
+        ct = encrypt(rig, rng.integers(-20, 20, size=(batch, *image)))
+        with parallel.use(1):
+            expected = run_layer(rig, layer, ct, weights)
+            assert len(bias_passes) == 1
+            assert run_layer(rig, layer, ct, weights, plan) == expected
+        with parallel.use(2):
+            assert run_layer(rig, layer, ct, weights) == expected
+            del bias_passes[:]
+            assert run_layer(rig, layer, ct, weights, plan) == expected
+            assert parallel.active_pool().dispatched_units > 0
+        assert bias_passes == []
+
+
+class TestOneKernelEverywhere:
+    def test_workers_replay_and_in_process_run_the_same_function(
+        self, rig, monkeypatch
+    ):
+        """The pool's kernel table holds ``contraction``'s two functions,
+        and both the in-process layer call and a killed flush's replay go
+        through that table in the parent."""
+        assert parallel.KERNELS == {
+            "conv": contraction.conv_rows, "dense": contraction.dense_rows
+        }
+        ran = []
+        for kind, kernel in list(parallel.KERNELS.items()):
+            assert kernel is getattr(contraction, f"{kind}_rows")
+
+            def spy(*args, _kind=kind, _kernel=kernel, **kwargs):
+                ran.append((_kind, kwargs["axis"], kwargs["rows"]))
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setitem(parallel.KERNELS, kind, spy)
+
+        rng = np.random.default_rng(2)
+        weights, plan = planted_conv(rig, rng)
+        ct = encrypt(rig, rng.integers(-20, 20, size=(4, 2, 6, 6)))
+        with parallel.use(1):
+            expected = run_layer(rig, heops.he_conv2d, ct, weights, plan)
+        assert ran == [("conv", "batch", (0, 4))]
+
+        del ran[:]
+        kill = FaultPlan(3, rules=[FaultRule(site="parallel.worker", name="0")])
+        with parallel.use(2):
+            with faults.armed(kill):
+                replayed = run_layer(rig, heops.he_conv2d, ct, weights, plan)
+            assert parallel.active_pool().deaths == 1
+        assert replayed == expected
+        # Worker 0 dies at the first dispatch: every unit replays here.
+        assert [r for _, _, r in ran] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+    def test_he_substrate_does_not_import_core(self):
+        import pathlib
+
+        import repro.he
+
+        for path in pathlib.Path(repro.he.__file__).parent.glob("*.py"):
+            source = path.read_text()
+            assert "from repro.core" not in source, path.name
+            assert "import repro.core" not in source, path.name
+
+
+class TestWeightsKeepTheirIntegers:
+    def test_single_block_model(self, rig, q_sigmoid):
+        encoded = heops.encode_model_weights(
+            Evaluator(rig["context"]), rig["encoder"], q_sigmoid
+        )
+        f = q_sigmoid.conv_weight.shape[0]
+        assert (q_sigmoid.conv_weight < 0).any() and (q_sigmoid.dense_weight < 0).any()
+        assert encoded.conv.weight_taps.dtype == np.int64
+        assert np.array_equal(
+            encoded.conv.weight_taps, q_sigmoid.conv_weight.reshape(f, -1)
+        )
+        assert np.array_equal(encoded.dense.weight_matrix, q_sigmoid.dense_weight.T)
+
+    def test_edge_value_encodes_like_the_reference_operand(self, rig):
+        """``-t/2`` is stored as the ``+t/2`` the encoder's constant lifts
+        to, so FUSED stays byte-identical to REFERENCE even there."""
+        half = rig["context"].plain_modulus // 2
+        w = np.array([[[[-half, 3], [-2, half]]]], dtype=np.int64)
+        weights = heops.encode_conv_weights(
+            Evaluator(rig["context"]), rig["encoder"], w, np.array([1]), 1
+        )
+        assert weights.weight_taps.tolist() == [[half, 3, -2, half]]
+        ct = encrypt(rig, np.arange(9).reshape(1, 1, 3, 3))
+        with kernels.use(kernels.REFERENCE):
+            reference = run_layer(rig, heops.he_conv2d, ct, weights)
+        assert run_layer(rig, heops.he_conv2d, ct, weights) == reference
+
+
+class TestPastTheBoundRunsTheReferenceLoop:
+    """``T * max|w| * (p_max - 1) > 2^63 - 1``: the fused profile has no
+    generic path left, the layer runs the per-tap oracle itself."""
+
+    @pytest.fixture()
+    def no_kernel(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the scalar kernel ran past its int64 bound")
+
+        monkeypatch.setattr(parallel, "dispatch_conv", fail)
+        monkeypatch.setattr(parallel, "dispatch_dense", fail)
+
+    def test_conv(self, wide_rig, no_kernel):
+        rng = np.random.default_rng(8)
+        w = rng.integers(-(1 << 28), 1 << 28, size=(2, 4, 4, 4))
+        w[0, 0, 0, 0] = 1 << 28
+        weights = heops.encode_conv_weights(
+            Evaluator(wide_rig["context"]), wide_rig["encoder"], w, np.array([5, -7]), 1
+        )
+        assert weights.weight_taps.shape == (2, 64)
+        assert not contraction.bound_ok(weights.weight_taps, wide_rig["p_max"])
+        ct = encrypt(wide_rig, rng.integers(-20, 20, size=(2, 4, 5, 5)))
+        with kernels.use(kernels.REFERENCE):
+            reference = run_layer(wide_rig, heops.he_conv2d, ct, weights)
+        with parallel.use(2):
+            plan = LayerPlan(fold_bias=True)
+            assert run_layer(wide_rig, heops.he_conv2d, ct, weights) == reference
+            assert run_layer(wide_rig, heops.he_conv2d, ct, weights, plan) == reference
+
+    def test_dense(self, wide_rig, no_kernel):
+        rng = np.random.default_rng(9)
+        w = rng.integers(-(1 << 28), 1 << 28, size=(64, 3))
+        w[0, 0] = -(1 << 28)
+        weights = heops.encode_dense_weights(
+            Evaluator(wide_rig["context"]), wide_rig["encoder"], w, np.array([1, 2, 3])
+        )
+        assert not contraction.bound_ok(weights.weight_matrix, wide_rig["p_max"])
+        ct = encrypt(wide_rig, rng.integers(-20, 20, size=(2, 64)))
+        with kernels.use(kernels.REFERENCE):
+            reference = run_layer(wide_rig, heops.he_dense, ct, weights)
+        assert run_layer(wide_rig, heops.he_dense, ct, weights) == reference

@@ -171,8 +171,20 @@ class TestConfiguration:
         assert parallel.active_pool() is None
 
     def test_dispatch_falls_back_in_process(self, rng):
-        parallel.configure(1)
-        assert parallel.dispatch_dense(*dense_case(rng, 4), primes=PRIMES) is None
+        """No pool below two workers: the dispatch runs one whole-range unit
+        in this process and returns the bytes the pool assembles."""
+        fd, wmat = dense_case(rng, 4)
+        conv_data, wtaps, common = conv_case(rng, 4)
+        with parallel.use(1):
+            dense_1 = parallel.dispatch_dense(fd, wmat, primes=PRIMES)
+            conv_1 = parallel.dispatch_conv(conv_data, wtaps, **common)
+            assert parallel.active_pool() is None
+        with parallel.use(2):
+            dense_2 = parallel.dispatch_dense(fd, wmat, primes=PRIMES)
+            conv_2 = parallel.dispatch_conv(conv_data, wtaps, **common)
+            assert parallel.active_pool().dispatched_units > 0
+        assert dense_1.tobytes() == dense_2.tobytes()
+        assert conv_1.tobytes() == conv_2.tobytes()
 
     def test_dispatch_uses_pool_when_configured(self, rng):
         fd, wmat = dense_case(rng, 4)
@@ -193,6 +205,36 @@ class TestConfiguration:
                 second = parallel.active_pool()
                 assert second is not first
                 assert second.workers == 3
+
+
+class TestAttachBuffer:
+    def test_second_segment_drops_the_first(self):
+        """A worker maps only the segment its current task names: when the
+        parent's arena grows, the replaced mapping is closed at the next
+        attach instead of staying mapped until the worker exits."""
+        from multiprocessing import shared_memory
+
+        segments = [shared_memory.SharedMemory(create=True, size=64) for _ in range(2)]
+        cache: dict = {}
+        try:
+            for index, segment in enumerate(segments):
+                np.frombuffer(segment.buf, dtype=np.int64)[:] = index + 1
+            first = parallel._attach_buffer(segments[0].name, cache)
+            assert first.tolist() == [1] * 8
+            assert parallel._attach_buffer(segments[0].name, cache) is first
+            first_mapping = cache[segments[0].name][0]
+            del first
+            second = parallel._attach_buffer(segments[1].name, cache)
+            assert second.tolist() == [2] * 8
+            assert list(cache) == [segments[1].name]
+            assert first_mapping.buf is None  # closed, not merely forgotten
+            del second
+            parallel._detach_all(cache)
+            assert cache == {}
+        finally:
+            for segment in segments:
+                segment.close()
+                segment.unlink()
 
 
 class TestStageBatch:

@@ -239,6 +239,32 @@ class TestAdmissionControl:
         assert loop.stats.rejected == 1
         assert loop.scheduler.stats.rejected_malformed == 1
 
+    def test_wrong_sized_image_rejected_and_batch_mates_share_one_flush(
+        self, batching_params, q_sigmoid, session_for, models
+    ):
+        """A wrong-sized image is rejected at admission through the loop
+        too: its ticket resolves typed, and the requests either side of it
+        ride one flush with no isolation re-runs."""
+        loop, session = make_loop(batching_params, q_sigmoid, session_for)
+        images = models.dataset.test_images[:3]
+        cts = [
+            session.encrypt("digits", images[:1]),
+            session.encrypt("digits", images[1:2, :, :8, :8]),
+            session.encrypt("digits", images[2:3]),
+        ]
+        first, bad, last = (
+            loop.submit("digits", ct, at_s=0.0001 * i) for i, ct in enumerate(cts)
+        )
+        loop.run()
+        assert isinstance(bad.error, ServeError)
+        assert bad.shed_reason == "rejected"
+        assert loop.scheduler.stats.rejected_malformed == 1
+        assert loop.scheduler.stats.isolations == 0
+        assert loop.stats.flushes == 1
+        expected = PlaintextPipeline(q_sigmoid).infer(images).logits
+        assert np.array_equal(session.decrypt_logits(first.result()), expected[:1])
+        assert np.array_equal(session.decrypt_logits(last.result()), expected[2:3])
+
     def test_foreign_parameter_ciphertext_resolves_typed_and_loop_survives(
         self, batching_params, q_sigmoid, session_for, models, foreign_ct
     ):

@@ -310,6 +310,40 @@ class TestAccountingBugfixes:
             server.scheduler.submit("nope", ct)
         assert metric.value - before_metric == 3
 
+    def test_wrong_sized_image_rejected_before_it_poisons_the_flush(
+        self, server, session, q_sigmoid, models
+    ):
+        """An 8x8 image against the 10x10 model used to be admitted, die at
+        ``fc`` mid-flush and force every batch-mate to re-run alone.  It is a
+        ``malformed`` rejection at submit; its neighbours share one flush."""
+        metric = self._rejected_malformed_metric()
+        before_metric = metric.value
+        images = models.dataset.test_images[:3]
+        first = server.scheduler.submit("digits", session.encrypt("digits", images[:1]))
+        with pytest.raises(ServeError, match="8x8"):
+            server.scheduler.submit(
+                "digits", session.encrypt("digits", images[1:2, :, :8, :8])
+            )
+        last = server.scheduler.submit("digits", session.encrypt("digits", images[2:3]))
+        assert server.scheduler.drain() == 2
+        stats = server.scheduler.stats
+        assert stats.rejected_malformed == 1
+        assert metric.value - before_metric == 1
+        assert stats.flushes == 1 and stats.isolations == 0
+        expected = PlaintextPipeline(q_sigmoid).infer(images).logits
+        assert np.array_equal(session.decrypt_logits(first.result()), expected[:1])
+        assert np.array_equal(session.decrypt_logits(last.result()), expected[2:3])
+
+    @pytest.mark.parametrize("side", [2, 9, 12])
+    def test_image_sizes_the_chain_cannot_consume(self, server, session, models, side):
+        """Smaller than the kernel, not tiled by the pool window, and a
+        feature map that misses the FC fan-in: all ``malformed``."""
+        image = np.resize(models.dataset.test_images[:1], (1, 1, side, side))
+        with pytest.raises(ServeError, match="cannot consume"):
+            server.scheduler.submit("digits", session.encrypt("digits", image))
+        assert server.scheduler.stats.rejected_malformed == 1
+        assert server.scheduler.queue_depth == 0
+
     def test_queue_depth_sampled_at_entry_not_after_overflow_flush(
         self, batching_params, q_sigmoid, session_for, models
     ):
