@@ -2,11 +2,12 @@
 """Graph-optimizer end-to-end benchmark: images/sec at off / safe / aggressive.
 
 The graph optimizer (``repro.graph``) compiles each pipeline's inference
-chain and rewrites it — zero-tap bypass, bias folding into the fused
-contraction, batch packing at the enclave crossing, NTT hoisting, the
-scalar-encrypt fast path — under a hard contract: the optimized execution
-is *bit-identical* to the unoptimized reference.  This bench asks the two
-questions that make that shippable:
+chain and applies its one rewrite — coefficient packing of the
+scalar-layout enclave crossing — under a hard contract: the optimized
+execution is *bit-identical* to the unoptimized reference.  Only the hybrid
+pipeline is timed: no pass applies to a CryptoNets graph, so its levels run
+the same program.  This bench asks the two questions that make the rewrite
+shippable:
 
 * *Is it faster?*  The hybrid pipeline runs the same seeded batch at every
   level on the simulated clock; ``hybrid.speedup_safe`` must clear the
@@ -30,17 +31,9 @@ import sys
 
 import numpy as np
 
-from repro.core import (
-    CryptonetsPipeline,
-    HybridPipeline,
-    parameters_for_pipeline,
-    train_paper_models,
-)
+from repro.core import HybridPipeline, parameters_for_pipeline, train_paper_models
 from repro.graph import optimizer
 from repro.he import serialize as ser
-
-HYBRID_LEVELS = ("off", "safe", "aggressive")
-CRYPTONETS_LEVELS = ("off", "safe")
 
 
 def run_level(factory, level, images, reps):
@@ -111,20 +104,12 @@ def main(argv=None) -> int:
         reps = args.reps or 5
 
     q_sigmoid = models.quantized_sigmoid()
-    q_square = models.quantized_square()
     hybrid_params = parameters_for_pipeline(q_sigmoid, 256)
-    he_params = parameters_for_pipeline(q_square, 256)
     images = models.dataset.test_images[:batch]
 
-    hybrid_rows, hybrid_identical = bench_scheme(
+    hybrid_rows, bit_identical = bench_scheme(
         lambda: HybridPipeline(q_sigmoid, hybrid_params, seed=args.seed),
-        HYBRID_LEVELS,
-        images,
-        reps,
-    )
-    he_rows, he_identical = bench_scheme(
-        lambda: CryptonetsPipeline(q_square, he_params, seed=args.seed),
-        CRYPTONETS_LEVELS,
+        optimizer.LEVELS,
         images,
         reps,
     )
@@ -132,10 +117,7 @@ def main(argv=None) -> int:
     off_s = hybrid_rows["off"]["simulated_s"]
     safe_s = hybrid_rows["safe"]["simulated_s"]
     aggressive_s = hybrid_rows["aggressive"]["simulated_s"]
-    he_off_s = he_rows["off"]["simulated_s"]
-    he_safe_s = he_rows["safe"]["simulated_s"]
     speedup_safe = off_s / safe_s
-    bit_identical = hybrid_identical and he_identical
 
     report = {
         "config": {
@@ -154,12 +136,6 @@ def main(argv=None) -> int:
             "images_per_s_safe": batch / safe_s,
             "applied_safe": hybrid_rows["safe"]["applied"],
         },
-        "cryptonets": {
-            "off_simulated_s": he_off_s,
-            "safe_simulated_s": he_safe_s,
-            "speedup_safe": he_off_s / he_safe_s,
-            "applied_safe": he_rows["safe"]["applied"],
-        },
         "invariants": {
             "bit_identical": bit_identical,
             "speedup_floor": speedup_safe >= args.min_speedup,
@@ -174,10 +150,6 @@ def main(argv=None) -> int:
         f"hybrid: off {off_s:.3f}s  safe {safe_s:.3f}s "
         f"({speedup_safe:.2f}x)  aggressive {aggressive_s:.3f}s "
         f"({off_s / aggressive_s:.2f}x)"
-    )
-    print(
-        f"cryptonets: off {he_off_s:.3f}s  safe {he_safe_s:.3f}s "
-        f"({he_off_s / he_safe_s:.2f}x)"
     )
     print(f"bit identical across levels: {bit_identical}")
 

@@ -405,6 +405,8 @@ def _pool_windows(values: np.ndarray, window: int) -> np.ndarray:
     if values.ndim != 4:
         raise PipelineError("pooling expects (B, C, H, W) values")
     b, c, h, w = values.shape
+    if window < 1:
+        raise PipelineError(f"pooling window must be >= 1, got {window}")
     if h % window or w % window:
         raise PipelineError(f"map {h}x{w} not divisible by window {window}")
     return values.reshape(b, c, h // window, window, w // window, window)

@@ -8,8 +8,18 @@ batch axes mirror the tensor layout ``(B, C, H, W)``, one ciphertext per
 pixel, exactly the paper's non-SIMD encoding.
 
 Weights are pre-encoded once (Section IV-B / Fig. 3) via
-:func:`encode_weights`; the returned operand table is reused across every
-inference.
+:func:`encode_model_weights`; the returned operand table is reused across
+every inference.  Encoding is also where the two exact facts about a weight
+operand are worked out, once (:func:`_plan_contraction`): which fan-in terms
+are zero in every output (skipped -- an exactly-zero contribution) and
+whether the bias fits the fused kernel's int64 slack (folded into the
+accumulator instead of a separate pass).  Both ride on the encoded weights
+into the one scalar-contraction kernel (:mod:`repro.he.contraction`), so
+they apply wherever it runs -- in-process, on the worker pool, in
+death-replay.  A layer that runs the per-tap reference loop instead
+(``REFERENCE`` profile, or weights past the int64 bound) produces the same
+bytes without them, and recorded op tallies always reflect the *reference*
+op structure (full tap counts).
 """
 
 from __future__ import annotations
@@ -20,42 +30,12 @@ import numpy as np
 
 from repro.errors import PipelineError
 from repro.he import contraction, kernels, parallel
-from repro.he.context import Ciphertext
+from repro.he.context import Ciphertext, Context
 from repro.he.encoders import ScalarEncoder
 from repro.he.evaluator import Evaluator, PlainOperand
 
 #: Elementwise cap on the gathered tap-window stack (~128 MB of int64).
 _TAP_CHUNK_ELEMS = 1 << 24
-
-
-@dataclass(frozen=True)
-class LayerPlan:
-    """Graph-optimizer rewrites for one fused contraction.
-
-    Produced by ``repro.graph`` passes; every rewrite is exact, so a layer
-    executed with a plan is bit-identical to one executed without it:
-
-    Attributes:
-        keep_taps: surviving tap indices (conv: row-major ``(C, i, j)``
-            positions; dense: flattened input dims).  Dropped taps have a
-            zero weight in every filter/class, so their contribution to the
-            modular accumulator is exactly zero.
-        fold_bias: add the encoded bias residues into the still-unreduced
-            int64 accumulator instead of a separate ``add_plain_operand``
-            pass; the overflow bound is checked with one extra
-            canonical-residue term of slack.
-
-    Both are arguments of the one scalar-contraction kernel
-    (:mod:`repro.he.contraction`), so they apply wherever it runs --
-    in-process, on the worker pool, in death-replay.  A layer that runs the
-    per-tap reference loop instead (``REFERENCE`` profile, or weights past
-    the int64 bound) produces the same bytes without them.  Recorded op
-    tallies always reflect the *reference* op structure (full tap counts),
-    keeping tallies comparable across optimizer levels.
-    """
-
-    keep_taps: tuple[int, ...] | None = None
-    fold_bias: bool = False
 
 
 def _signed_weights(encoder: ScalarEncoder, weight: np.ndarray) -> np.ndarray:
@@ -83,6 +63,7 @@ class EncodedConvWeights:
             (``T = C * k * k``, row-major over ``(C, i, j)``, the reference
             loop's order), kept from encode time -- the fused kernel's
             operand.
+        keep / fold_bias / fused: see :func:`_plan_contraction`.
     """
 
     operands: np.ndarray
@@ -90,6 +71,9 @@ class EncodedConvWeights:
     stride: int
     bias_operand: PlainOperand
     weight_taps: np.ndarray
+    keep: tuple[int, ...] | None
+    fold_bias: bool
+    fused: bool
 
     @property
     def out_channels(self) -> int:
@@ -113,12 +97,16 @@ class EncodedDenseWeights:
         weight_matrix: int64 array ``(O, D)`` of the signed integer weights
             kept from encode time -- the fused kernel computes all classes
             in one pass over it.
+        keep / fold_bias / fused: see :func:`_plan_contraction`.
     """
 
     operands: list[PlainOperand]
     bias: np.ndarray
     bias_operand: PlainOperand
     weight_matrix: np.ndarray
+    keep: tuple[int, ...] | None
+    fold_bias: bool
+    fused: bool
 
     @property
     def out_features(self) -> int:
@@ -182,7 +170,10 @@ def encode_conv_weights(
         encoder.encode(bias.reshape(f, 1, 1))
     )
     weight_taps = _signed_weights(encoder, weight).reshape(f, -1)
-    return EncodedConvWeights(operands, bias, stride, bias_operand, weight_taps)
+    return EncodedConvWeights(
+        operands, bias, stride, bias_operand, weight_taps,
+        *_plan_contraction(weight_taps, evaluator.context),
+    )
 
 
 def encode_dense_weights(
@@ -199,19 +190,38 @@ def encode_dense_weights(
     bias = np.asarray(bias, dtype=np.int64)
     bias_operand = evaluator.transform_plain_delta(encoder.encode(bias))
     weight_matrix = np.ascontiguousarray(_signed_weights(encoder, weight).T)
-    return EncodedDenseWeights(operands, bias, bias_operand, weight_matrix)
+    return EncodedDenseWeights(
+        operands, bias, bias_operand, weight_matrix,
+        *_plan_contraction(weight_matrix, evaluator.context),
+    )
 
 
-def _runs_fused(values: np.ndarray, plan: LayerPlan, ct: Ciphertext) -> bool:
+def _plan_contraction(
+    values: np.ndarray, context: Context
+) -> tuple[tuple[int, ...] | None, bool, bool]:
+    """``(keep, fold_bias, fused)`` for an ``(outputs, terms)`` weight matrix.
+
+    ``keep``: the terms (conv: row-major ``(C, i, j)`` taps; dense:
+    flattened input dims) with a non-zero weight in some output, or None
+    when every term survives.  ``fold_bias``: the surviving weights leave
+    the int64 accumulator room for one more canonical residue term, so the
+    kernel adds the bias before its single mod-p pass -- exact because
+    ``(acc + bias) mod p == (acc mod p + bias) mod p``.  ``fused``: the
+    surviving weights keep the contraction inside int64 at all; otherwise
+    the layer runs the per-tap reference loop.
+    """
+    nonzero = np.flatnonzero(values.any(axis=0))
+    keep = None if nonzero.size == values.shape[1] else tuple(int(t) for t in nonzero)
+    surviving = values[:, nonzero]
+    p_max = int(context.ring.primes.max())
+    fold_bias = contraction.bound_ok(surviving, p_max, slack=1)
+    return keep, fold_bias, fold_bias or contraction.bound_ok(surviving, p_max)
+
+
+def _runs_fused(weights: EncodedConvWeights | EncodedDenseWeights) -> bool:
     """Whether a layer takes the fused kernel: the active profile asks for
-    it and the surviving weights (plus a folded bias term) keep the whole
-    contraction inside int64.  Otherwise the per-tap reference loop runs."""
-    if not kernels.active().fused_layers:
-        return False
-    if plan.keep_taps is not None:
-        values = values[:, list(plan.keep_taps)]
-    p_max = int(ct.context.ring.primes.max())
-    return contraction.bound_ok(values, p_max, slack=int(plan.fold_bias))
+    it and the weights fit it.  Otherwise the per-tap reference loop runs."""
+    return kernels.active().fused_layers and weights.fused
 
 
 def _add_bias(
@@ -231,15 +241,13 @@ def he_conv2d(
     encoder: ScalarEncoder,
     ct: Ciphertext,
     weights: EncodedConvWeights,
-    plan: LayerPlan | None = None,
 ) -> Ciphertext:
     """Homomorphic convolution over a ``(B, C, H, W)`` ciphertext batch.
 
     For each kernel tap the input window slice (a strided view over the
     batch axes) is multiplied by the encoded scalar weight and accumulated,
     i.e. ``k*k*C`` C x P and C + C operations per output map -- the exact op
-    structure Fig. 4 measures.  ``plan`` carries graph-optimizer rewrites
-    (see :class:`LayerPlan`).
+    structure Fig. 4 measures.
     """
     if len(ct.batch_shape) != 4:
         raise PipelineError(
@@ -256,9 +264,8 @@ def he_conv2d(
         raise PipelineError(f"{h}x{w} input is smaller than the {k}x{k} kernel")
     oh = (h - k) // s + 1
     ow = (w - k) // s + 1
-    plan = plan or LayerPlan()
-    if _runs_fused(weights.weight_taps, plan, ct):
-        return _he_conv2d_fused(evaluator, ct, weights, oh, ow, plan)
+    if _runs_fused(weights):
+        return _he_conv2d_fused(evaluator, ct, weights, oh, ow)
     per_channel: list[Ciphertext] = []
     for fi in range(weights.out_channels):
         acc: Ciphertext | None = None
@@ -282,11 +289,10 @@ def _he_conv2d_fused(
     weights: EncodedConvWeights,
     oh: int,
     ow: int,
-    plan: LayerPlan,
 ) -> Ciphertext:
     """Tap-batched convolution: the whole ``F * C * k * k`` tap sum is one
-    signed int64 matmul over the raw weights (:func:`_runs_fused` checked
-    ``sum |w| * p`` against int64) followed by a single mod-p pass --
+    signed int64 matmul over the raw weights (:func:`_plan_contraction`
+    checked ``sum |w| * p`` against int64) followed by a single mod-p pass --
     :func:`repro.he.contraction.conv_rows`, run over the whole output
     in-process or over the worker pool's units.  Bit-identical to the
     per-tap reference loop (mod-p sums are associative and every partial
@@ -305,15 +311,15 @@ def _he_conv2d_fused(
         ow=ow,
         primes=[int(p) for p in ct.context.ring.primes],
         chunk=max(1, _TAP_CHUNK_ELEMS // max(1, lanes * int(np.prod(data.shape[-3:])))),
-        keep=plan.keep_taps,
-        bias=weights.bias_operand.ntt_data if plan.fold_bias else None,
+        keep=weights.keep,
+        bias=weights.bias_operand.ntt_data if weights.fold_bias else None,
     )
     if evaluator.counter is not None:
         evaluator.counter.record("ct_plain_mul", f * t * lanes)
         if t > 1:  # the reference loop issues no add() for a single tap
             evaluator.counter.record("ct_add", f * (t - 1) * lanes)
     out = Ciphertext(ct.context, out, is_ntt=True)
-    return _add_bias(evaluator, out, weights.bias_operand, plan.fold_bias)
+    return _add_bias(evaluator, out, weights.bias_operand, weights.fold_bias)
 
 
 def he_square(evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
@@ -328,6 +334,8 @@ def he_scaled_mean_pool(
     if len(ct.batch_shape) != 4:
         raise PipelineError("he_scaled_mean_pool expects a (B, C, H, W) batch")
     _, _, h, w = ct.batch_shape
+    if window < 1:
+        raise PipelineError(f"pooling window must be >= 1, got {window}")
     if h % window or w % window:
         raise PipelineError(f"feature map {h}x{w} not divisible by window {window}")
     if kernels.active().fused_layers:
@@ -356,14 +364,12 @@ def he_dense(
     encoder: ScalarEncoder,
     ct: Ciphertext,
     weights: EncodedDenseWeights,
-    plan: LayerPlan | None = None,
 ) -> Ciphertext:
     """Homomorphic fully connected layer over a flattened ciphertext batch.
 
     Produces a ``(B, O)`` ciphertext of scaled logits: for every output
     class the flattened input batch is multiplied slot-wise by that class's
-    weight vector and folded with a batched C + C reduction.  ``plan``
-    carries graph-optimizer rewrites (see :class:`LayerPlan`).
+    weight vector and folded with a batched C + C reduction.
     """
     b = ct.batch_shape[0]
     flat = ct.reshape(b, -1)
@@ -374,9 +380,8 @@ def he_dense(
                 f"dense operand {oi} covers {operand.batch_shape} inputs, "
                 f"ciphertext provides {d}"
             )
-    plan = plan or LayerPlan()
-    if _runs_fused(weights.weight_matrix, plan, ct):
-        return _he_dense_fused(evaluator, flat, weights, plan)
+    if _runs_fused(weights):
+        return _he_dense_fused(evaluator, flat, weights)
     outputs: list[Ciphertext] = []
     for oi, operand in enumerate(weights.operands):
         products = evaluator.multiply_plain(flat, operand)
@@ -391,7 +396,6 @@ def _he_dense_fused(
     evaluator: Evaluator,
     flat: Ciphertext,
     weights: EncodedDenseWeights,
-    plan: LayerPlan,
 ) -> Ciphertext:
     """All-classes FC kernel: one signed int64 matmul over the ``(O, D)``
     integer weights computes every output class at once, one mod-p pass
@@ -405,11 +409,11 @@ def _he_dense_fused(
         flat.data,
         weights.weight_matrix,
         primes=[int(p) for p in flat.context.ring.primes],
-        keep=plan.keep_taps,
-        bias=weights.bias_operand.ntt_data if plan.fold_bias else None,
+        keep=weights.keep,
+        bias=weights.bias_operand.ntt_data if weights.fold_bias else None,
     )
     if evaluator.counter is not None:
         evaluator.counter.record("ct_plain_mul", o * b * d)
         evaluator.counter.record("ct_add", o * (d - 1) * b)
     out = Ciphertext(flat.context, out, is_ntt=True)
-    return _add_bias(evaluator, out, weights.bias_operand, plan.fold_bias)
+    return _add_bias(evaluator, out, weights.bias_operand, weights.fold_bias)

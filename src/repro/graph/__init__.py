@@ -3,16 +3,20 @@
 ``repro.graph`` compiles every HE chain in the repository (the four
 encrypted pipelines, ``EdgeServer.infer``, the scheduler's packed flush)
 into a small inference-graph IR annotated with multiplicative levels and
-noise budgets from :class:`repro.he.noise.NoiseEstimator`, rewrites the graph
-through a pass pipeline (plaintext bypass of zero operands, bias folding
-into the fused contractions, enclave-crossing coefficient packing, shared
-NTT hoisting, scalar-encoding encrypt, depth-aware FV parameter advice),
-and executes the compiled graph bit-identically to the unoptimized
-reference — the same contract the FUSED/REFERENCE kernel split enforces.
+noise budgets from :class:`repro.he.noise.NoiseEstimator`, applies the one
+rewrite that changes the graph -- budget-gated coefficient packing of a
+scalar-layout enclave crossing (plus advisory FV parameter selection at
+``aggressive``) -- and executes the compiled graph bit-identically to the
+unoptimized reference, the same contract the FUSED/REFERENCE kernel split
+enforces.  Exact rewrites that are facts about a single operand are not
+graph passes: they run unconditionally where the operand is built
+(``heops.encode_*_weights``, ``Encryptor.encrypt``, ``Evaluator.square``,
+``pack_coefficients``).
 
 Modules:
     ir: the :class:`InferenceGraph` IR and one builder per chain kind.
-    passes: the rewrite passes and their refusal conditions.
+    passes: ``pack_crossing`` / ``select_parameters`` and their refusal
+        conditions.
     optimizer: level configuration (off/safe/aggressive, ``REPRO_GRAPH_OPT``),
         the compiler with fault-site degradation, and compile reports.
     executor: walks a compiled graph over an explicit ``Resources`` value

@@ -17,29 +17,22 @@ and ``pack_coefficients`` through this module's global at call time, never
 through a reference captured in the table, so tooling that wraps those
 names (``benchmarks/e2e/spans.py``) sees every call.
 
-Bit-identity notes per rewrite:
-
-* ``keep_taps`` / ``fold_bias`` ride into :mod:`repro.core.heops` via
-  :class:`repro.core.heops.LayerPlan` as arguments of the one scalar
-  contraction kernel, so they apply wherever it runs -- in-process, on the
-  worker pool, in death-replay (see heops).
-* ``packed`` crossings flatten the whole feature-map tensor and fold
-  runs of ``chunk`` values into polynomial coefficients
-  (:func:`repro.he.batching.pack_coefficients`, RNG-free) before one
-  ``activation_pool_packed`` ECALL whose trusted side re-encrypts the
-  same values with the same per-element RNG draws as the unpacked ECALL,
-  so the post-crossing ciphertext bytes are identical.
-* ``hoist_coeff`` squares via one shared coefficient-domain transform
-  (``Ciphertext.to_coeff`` returns the argument when already
-  transformed), saving an INTT without changing a single residue.
-* ``scalar_encrypt`` uses :meth:`repro.he.encryptor.Encryptor.encrypt_scalar`
-  (same RNG draws, same arithmetic on scalar encodings).
+The one graph rewrite the walk honours is a ``packed`` crossing: it
+flattens the whole feature-map tensor and folds runs of ``chunk`` values
+into polynomial coefficients (:func:`repro.he.batching.pack_coefficients`,
+RNG-free) before one ``activation_pool_packed`` ECALL whose trusted side
+re-encrypts the same values with the same per-element RNG draws as the
+unpacked ECALL, so the post-crossing ciphertext bytes are identical.
+Everything else that is exact and operand-local (zero-column skip and bias
+fold in ``heops``, the encryptor's constant-coefficient path,
+``Evaluator.square``, the packing-monomial memo) happens inside the calls
+below at every level.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -70,8 +63,6 @@ class Resources:
         relin_keys: CryptoNets' evaluation keys.
         codec: the :class:`~repro.core.simd.SlotCodec` of slot-layout
             graphs.
-        pack_operands: ``hoist_ntt``'s memo of packing monomial operands,
-            shared by every walk of this owner.
     """
 
     tracer: Any
@@ -84,7 +75,6 @@ class Resources:
     quantize: Callable[[np.ndarray], np.ndarray] | None = None
     relin_keys: Any = None
     codec: Any = None
-    pack_operands: dict = field(default_factory=dict)
 
     def stage(self, name: str):
         return self.tracer.stage(
@@ -96,19 +86,19 @@ class Resources:
 
 class GraphPlan:
     """One owner's graph of one kind, compiled on first use and again
-    whenever the optimizer configuration changes."""
+    whenever the optimizer level changes."""
 
     def __init__(self, kind: str, quantized, params, **options) -> None:
         self._build = lambda: ir.build_graph(kind, quantized, params, **options)
-        self._key = None
+        self._level: str | None = None
         self._graph: ir.InferenceGraph | None = None
         self.report: optimizer.CompileReport | None = None
 
     def compiled(self) -> tuple[ir.InferenceGraph, optimizer.CompileReport]:
-        key = optimizer.cache_key()
-        if self._graph is None or self._key != key:
-            self._graph, self.report = optimizer.compile_graph(self._build())
-            self._key = key
+        level = optimizer.active_level()
+        if self._graph is None or self._level != level:
+            self._graph, self.report = optimizer.compile_graph(self._build(), level)
+            self._level = level
         return self._graph, self.report
 
 
@@ -128,7 +118,7 @@ def _node_stage(env: Resources, node: ir.GraphNode):
 
     The stamped attrs are what :mod:`repro.obs.profile` keys measured
     costs by: the full node signature (op + stage + level + noise
-    annotations + rewrite knobs), so two optimizer configurations of the
+    annotations + attrs), so two optimizer configurations of the
     same stage profile as distinct nodes.  The stage span measures host
     wall time *exclusively*, so slicing/reassembly around ECALLs is charged
     here without double-counting the in-enclave compute.
@@ -139,14 +129,6 @@ def _node_stage(env: Resources, node: ir.GraphNode):
         span.attrs["node_level"] = node.level
         span.attrs["node_headroom_bits"] = float(node.budget_bits)
         yield span
-
-
-def _layer_plan(node: ir.GraphNode) -> heops.LayerPlan | None:
-    keep = node.attrs.get("keep_taps")
-    fold = bool(node.attrs.get("fold_bias"))
-    if keep is None and not fold:
-        return None
-    return heops.LayerPlan(keep_taps=keep, fold_bias=fold)
 
 
 def _enclave_args(node: ir.GraphNode) -> tuple:
@@ -165,10 +147,7 @@ def _enclave_args(node: ir.GraphNode) -> tuple:
 # ----------------------------------------------------------------------
 def _encrypt(env, node, images, walk):
     with _node_stage(env, node):
-        plain = env.encoder.encode(env.quantize(images))
-        if node.attrs.get("scalar_encrypt"):
-            return env.encryptor.encrypt_scalar(plain)
-        return env.encryptor.encrypt(plain)
+        return env.encryptor.encrypt(env.encoder.encode(env.quantize(images)))
 
 
 def _encrypt_slots(env, node, images, walk):
@@ -179,27 +158,24 @@ def _encrypt_slots(env, node, images, walk):
 def _conv(env, node, value, walk):
     with _node_stage(env, node):
         return heops.he_conv2d(
-            env.evaluator, env.encoder, value, env.weights[node.stage],
-            plan=_layer_plan(node),
+            env.evaluator, env.encoder, value, env.weights[node.stage]
         )
 
 
 def _fc(env, node, value, walk):
     with _node_stage(env, node):
         return heops.he_dense(
-            env.evaluator, env.encoder, value, env.weights[node.stage],
-            plan=_layer_plan(node),
+            env.evaluator, env.encoder, value, env.weights[node.stage]
         )
 
 
-def _packed_payload(env, node, conv: Ciphertext, total: int) -> tuple[Ciphertext, int]:
+def _packed_payload(node, conv: Ciphertext, total: int) -> tuple[Ciphertext, int]:
     """Flatten the whole feature-map tensor and fold runs of ``chunk``
     values into single ciphertexts' coefficients: ciphertext ``j`` carries
     flat values ``j * chunk ..`` (tail ciphertext shorter)."""
     # Physical packing work is accounted by the simulated clock, not the
     # logical op tally (same convention as the serving flush's packing).
     pack_evaluator = Evaluator(conv.context)
-    cache = env.pack_operands if node.attrs.get("hoist_pack_operand") else None
     tail = conv.data.shape[-3:]
     flat = conv.data.reshape(total, *tail)
     chunk = min(int(node.attrs["pack_max_batch"]), conv.context.poly_degree, total)
@@ -210,16 +186,12 @@ def _packed_payload(env, node, conv: Ciphertext, total: int) -> tuple[Ciphertext
             np.moveaxis(flat[: full * chunk].reshape(full, chunk, *tail), 1, 0)
         )
         packed = pack_coefficients(
-            pack_evaluator,
-            Ciphertext(conv.context, main, is_ntt=True),
-            operand_cache=cache,
+            pack_evaluator, Ciphertext(conv.context, main, is_ntt=True)
         )
         parts.append(packed.data)
     if remainder:
         packed = pack_coefficients(
-            pack_evaluator,
-            Ciphertext(conv.context, flat[full * chunk :], is_ntt=True),
-            operand_cache=cache,
+            pack_evaluator, Ciphertext(conv.context, flat[full * chunk :], is_ntt=True)
         )
         parts.append(packed.data.reshape(1, *tail))
     data = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
@@ -232,7 +204,7 @@ def _crossing(env, node, conv, walk):
         total = int(np.prod(shape)) if shape else 0
         if not node.attrs["packed"] or node.attrs["pack_max_batch"] < 2 or total < 2:
             return env.enclave.ecall("activation_pool", conv, *_enclave_args(node))
-        payload, chunk = _packed_payload(env, node, conv, total)
+        payload, chunk = _packed_payload(node, conv, total)
         return env.enclave.ecall(
             "activation_pool_packed",
             payload,
@@ -276,9 +248,6 @@ def _crossing_per_pixel(env, node, conv, walk):
 
 def _square(env, node, value, walk):
     with _node_stage(env, node):
-        if node.attrs.get("hoist_coeff"):
-            hoisted = value.to_coeff()
-            return env.evaluator.multiply(hoisted, hoisted)
         return heops.he_square(env.evaluator, value)
 
 

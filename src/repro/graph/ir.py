@@ -5,7 +5,7 @@ deliberately small: a list of :class:`GraphNode` objects (encrypt, conv,
 enclave crossing, square/relinearize/pool, fc, decrypt, and the serving
 flush's pack/unpack) plus a ``meta`` dict holding the model-derived
 constants the passes need (each contraction's integer weight matrix, the
-plaintext bound, the largest coefficient prime).  Edges are implicit —
+plaintext bound).  Edges are implicit —
 node ``i`` feeds node ``i + 1`` — and each node carries the
 multiplicative level plus noise annotations (:func:`annotate`) derived
 from :class:`repro.he.noise.NoiseEstimator`, which is what lets passes
@@ -16,8 +16,8 @@ One builder per graph kind (:data:`BUILDERS`): ``hybrid``, ``cryptonets``,
 ``simd``, ``deep``, ``served`` (``EdgeServer.infer``: no encrypt/decrypt
 node) and ``packed`` (the scheduler flush).  Slot-layout work has its own
 ops (``encrypt_slots``, ``crossing_simd``, ``decrypt_slots``) rather than
-flags on the scalar ones, so a pass that rewrites ``encrypt`` or
-``crossing`` simply finds no such node on a slot-layout graph and refuses.
+flags on the scalar ones, so the pass that rewrites ``crossing`` simply
+finds no such node on a slot-layout graph and refuses.
 """
 
 from __future__ import annotations
@@ -52,8 +52,10 @@ class GraphNode:
             opcode (``repro.graph.executor.OPS``).
         stage: trace stage name the executor emits for this node (kept
             equal to the pre-IR pipelines so traces stay comparable).
-        attrs: pass-owned rewrite knobs; every knob defaults to the
-            reference (do-nothing) behaviour.
+        attrs: the node's own parameters (a crossing's scales, activation
+            and pool; a pool's window) plus, on a scalar-layout crossing,
+            ``packed`` / ``pack_max_batch`` -- the one thing a pass rewrites,
+            defaulting to the unpacked reference behaviour.
         level: multiplicative depth entering the *output* of this node.
         budget_bits: estimated invariant-noise budget after this node.
         noise_cost_bits: estimated budget this node consumes.
@@ -111,9 +113,6 @@ class InferenceGraph:
                 return node
         raise PipelineError(f"graph has no {op!r} node")
 
-    def has_node(self, op: str) -> bool:
-        return any(node.op == op for node in self.nodes)
-
     @property
     def node_count(self) -> int:
         return len(self.nodes)
@@ -133,16 +132,16 @@ class InferenceGraph:
 
 
 def node_noise_cost(node: GraphNode, graph: InferenceGraph, estimator: NoiseEstimator) -> float:
-    """Estimated budget cost of one node, honouring pass rewrites.
+    """Estimated budget cost of one node.
 
     Matches :meth:`NoiseEstimator.layer_headroom`'s per-layer convention:
     a contraction costs one plaintext multiply at the layer's weight norm
-    plus the additions over its (surviving) fan-in.
+    plus the additions over its fan-in -- the terms with a non-zero weight,
+    the only ones the layer adds (:func:`repro.core.heops._plan_contraction`).
     """
     if node.op in CONTRACTION_OPS:
         matrix = graph.meta["layers"][node.stage]
-        keep = node.attrs.get("keep_taps")
-        terms = len(keep) if keep is not None else matrix.shape[1]
+        terms = int(np.count_nonzero(matrix.any(axis=0)))
         norm = float(max(1, np.abs(matrix).max()))
         return estimator.plain_multiply_cost(norm) + estimator.add_cost(max(1, terms))
     if node.op == "square":
@@ -157,9 +156,7 @@ def node_noise_cost(node: GraphNode, graph: InferenceGraph, estimator: NoiseEsti
 def annotate(graph: InferenceGraph) -> InferenceGraph:
     """(Re)derive level and noise annotations for every node.
 
-    Deterministic in the node attrs + meta, so passes call this after a
-    rewrite instead of hand-patching budgets; running it twice is a no-op,
-    which is what makes pass idempotence cheap to guarantee.
+    Deterministic in the nodes + meta; running it twice is a no-op.
     """
     estimator = NoiseEstimator(graph.params)
     fresh = estimator.fresh_budget()
@@ -180,10 +177,6 @@ def annotate(graph: InferenceGraph) -> InferenceGraph:
     return graph
 
 
-def _contraction(op: str, stage: str) -> GraphNode:
-    return GraphNode(op, stage, {"keep_taps": None, "fold_bias": False})
-
-
 def _crossing(op: str, stage: str, input_scale, output_scale, window, activation, pool):
     """An enclave activation + pool node carrying its own scales, so one
     handler serves the single-block models and every deep block alike."""
@@ -195,7 +188,7 @@ def _crossing(op: str, stage: str, input_scale, output_scale, window, activation
         "pool": pool,
     }
     if op == "crossing":
-        attrs.update(packed=False, pack_max_batch=0, hoist_pack_operand=False)
+        attrs.update(packed=False, pack_max_batch=0)
     return GraphNode(op, stage, attrs)
 
 
@@ -205,7 +198,6 @@ def _graph(kind, quantized, params, nodes, layers, mode="batched") -> InferenceG
     meta = {
         "layers": layers,
         "mode": mode,
-        "p_max": int(max(params.coeff_primes)),
         "plain_bound": int(quantized.required_plain_modulus()),
         "pure_he": getattr(quantized, "activation", None) == "square",
         "parameter_advice": None,
@@ -218,9 +210,9 @@ def _single_block(kind, quantized, params, head, between, tail, mode="batched"):
     conv = np.asarray(quantized.conv_weight, dtype=np.int64)
     nodes = [
         *head,
-        _contraction("conv", "conv"),
+        GraphNode("conv", "conv"),
         *between,
-        _contraction("fc", "fc"),
+        GraphNode("fc", "fc"),
         *tail,
     ]
     layers = {
@@ -242,16 +234,12 @@ def _enclave_stage(op: str, quantized) -> GraphNode:
     )
 
 
-def _encrypt() -> GraphNode:
-    return GraphNode("encrypt", "encrypt", {"scalar_encrypt": False})
-
-
 def build_hybrid_graph(quantized, params: EncryptionParams, mode: str = "batched") -> InferenceGraph:
     """IR for the paper's EncryptSGX pipeline (conv -> enclave -> fc)."""
     crossing = "crossing_per_pixel" if mode == "per_pixel" else "crossing"
     return _single_block(
         "hybrid", quantized, params,
-        [_encrypt()], [_enclave_stage(crossing, quantized)],
+        [GraphNode("encrypt", "encrypt")], [_enclave_stage(crossing, quantized)],
         [GraphNode("decrypt", "decrypt")], mode,
     )
 
@@ -259,13 +247,13 @@ def build_hybrid_graph(quantized, params: EncryptionParams, mode: str = "batched
 def build_cryptonets_graph(quantized, params: EncryptionParams) -> InferenceGraph:
     """IR for the pure-HE CryptoNets pipeline (square activation)."""
     between = [
-        GraphNode("square", "square", {"hoist_coeff": False}),
+        GraphNode("square", "square"),
         GraphNode("relinearize", "relinearize"),
         GraphNode("pool", "pool", {"window": int(quantized.pool_window)}),
     ]
     return _single_block(
         "cryptonets", quantized, params,
-        [_encrypt()], between, [GraphNode("decrypt", "decrypt")],
+        [GraphNode("encrypt", "encrypt")], between, [GraphNode("decrypt", "decrypt")],
     )
 
 
@@ -302,12 +290,12 @@ def build_packed_graph(quantized, params: EncryptionParams) -> InferenceGraph:
 def build_deep_graph(quantized, params: EncryptionParams) -> InferenceGraph:
     """IR for a multi-block model: one ``conv_i -> sgx_block_i`` pair per
     block, each crossing re-encrypting at its own block's scales."""
-    nodes = [_encrypt()]
+    nodes = [GraphNode("encrypt", "encrypt")]
     layers = {}
     for i, block in enumerate(quantized.blocks):
         weight = np.asarray(block.weight, dtype=np.int64)
         layers[f"conv_{i}"] = weight.reshape(weight.shape[0], -1)
-        nodes.append(_contraction("conv", f"conv_{i}"))
+        nodes.append(GraphNode("conv", f"conv_{i}"))
         nodes.append(
             _crossing(
                 "crossing",
@@ -320,7 +308,7 @@ def build_deep_graph(quantized, params: EncryptionParams) -> InferenceGraph:
             )
         )
     layers["fc"] = np.asarray(quantized.dense_weight, dtype=np.int64).T
-    nodes += [_contraction("fc", "fc"), GraphNode("decrypt", "decrypt")]
+    nodes += [GraphNode("fc", "fc"), GraphNode("decrypt", "decrypt")]
     return _graph("deep", quantized, params, nodes, layers)
 
 

@@ -11,12 +11,16 @@ falls back to the unoptimized reference graph, counted by the
 compile is bit-identical to the optimized one, because every pass is
 bit-exact by contract.
 
+The level is the whole configuration: it fixes which passes run
+(:data:`PASS_PORTFOLIO`) and their noise margin.  The operand-local exact
+rewrites run at every level, ``off`` included, because the code that builds
+each operand applies them (DESIGN.md §16).
+
 Levels:
     off: no passes; the compiled graph is the reference graph.
-    safe: zero_tap, fold_bias, pack_crossing, hoist_ntt, scalar_encrypt
-        with an 8-bit noise margin on budget-sensitive rewrites.
-    aggressive: safe's passes at a 0-bit margin (packing folds larger
-        batches) plus advisory select_parameters.
+    safe: pack_crossing, keeping an 8-bit noise margin.
+    aggressive: pack_crossing at a 0-bit margin (folds larger batches)
+        plus advisory select_parameters.
 """
 
 from __future__ import annotations
@@ -34,15 +38,8 @@ LEVELS: tuple[str, ...] = ("off", "safe", "aggressive")
 
 PASS_PORTFOLIO: dict[str, tuple[str, ...]] = {
     "off": (),
-    "safe": ("zero_tap", "fold_bias", "pack_crossing", "hoist_ntt", "scalar_encrypt"),
-    "aggressive": (
-        "zero_tap",
-        "fold_bias",
-        "pack_crossing",
-        "hoist_ntt",
-        "scalar_encrypt",
-        "select_parameters",
-    ),
+    "safe": ("pack_crossing",),
+    "aggressive": ("pack_crossing", "select_parameters"),
 }
 
 FAULT_SITE = "graph.pass"
@@ -50,70 +47,53 @@ FAULT_SITE = "graph.pass"
 _ENV_LEVEL = "REPRO_GRAPH_OPT"
 
 _active_level: str | None = None
-_active_passes: tuple[str, ...] | None = None
+
+
+def _check_level(level: str, source: str = "graph optimizer level") -> str:
+    if level not in LEVELS:
+        raise PipelineError(f"{source} must be one of {LEVELS}, got {level!r}")
+    return level
 
 
 def default_level() -> str:
-    """Level implied by ``REPRO_GRAPH_OPT`` (off when unset or invalid)."""
+    """Level named by ``REPRO_GRAPH_OPT`` (``off`` when unset or empty).
+
+    Raises:
+        PipelineError: the variable holds anything else -- a mistyped CI
+            switch must not silently test the default configuration.
+    """
     raw = os.environ.get(_ENV_LEVEL, "").strip().lower()
-    return raw if raw in LEVELS else "off"
+    return _check_level(raw, _ENV_LEVEL) if raw else "off"
 
 
 def active_level() -> str:
     return _active_level if _active_level is not None else default_level()
 
 
-def active_passes() -> tuple[str, ...]:
-    if _active_passes is not None:
-        return _active_passes
-    return PASS_PORTFOLIO[active_level()]
-
-
 def margin_bits_for(level: str) -> float:
     return 0.0 if level == "aggressive" else 8.0
 
 
-def configure(
-    level: str | None, passes: tuple[str, ...] | None = None
-) -> tuple[str | None, tuple[str, ...] | None]:
-    """Install a level (and optionally an explicit pass selection)
-    process-wide; ``None`` restores the env-derived default.  Returns the
-    previous ``(level, passes)`` pair for restoring."""
-    global _active_level, _active_passes
-    if level is not None and level not in LEVELS:
-        raise PipelineError(
-            f"graph optimizer level must be one of {LEVELS}, got {level!r}"
-        )
-    if passes is not None:
-        unknown = sorted(set(passes) - set(graph_passes.PASSES))
-        if unknown:
-            raise PipelineError(f"unknown graph passes {unknown}")
-    previous = (_active_level, _active_passes)
+def configure(level: str | None) -> str | None:
+    """Install a level process-wide; ``None`` restores the env-derived
+    default.  Returns the previous setting for restoring."""
+    global _active_level
+    if level is not None:
+        _check_level(level)
+    previous = _active_level
     _active_level = level
-    _active_passes = tuple(passes) if passes is not None else None
     record_active_level()
     return previous
 
 
-def _restore(previous: tuple[str | None, tuple[str, ...] | None]) -> None:
-    global _active_level, _active_passes
-    _active_level, _active_passes = previous
-    record_active_level()
-
-
 @contextmanager
-def use(level: str | None, passes: tuple[str, ...] | None = None):
-    """Temporarily install a level / pass selection (tests, benches)."""
-    previous = configure(level, passes)
+def use(level: str | None):
+    """Temporarily install a level (tests, benches)."""
+    previous = configure(level)
     try:
         yield
     finally:
-        _restore(previous)
-
-
-def cache_key() -> tuple[str, tuple[str, ...]]:
-    """Key pipelines use to invalidate their compiled-graph cache."""
-    return (active_level(), active_passes())
+        configure(previous)
 
 
 def record_active_level() -> None:
@@ -181,39 +161,22 @@ class CompileReport:
 
 
 def compile_graph(
-    graph: ir.InferenceGraph,
-    level: str | None = None,
-    passes: tuple[str, ...] | None = None,
+    graph: ir.InferenceGraph, level: str | None = None
 ) -> tuple[ir.InferenceGraph, CompileReport]:
-    """Compile ``graph``: clone, run the selected passes, report.
+    """Compile ``graph``: clone, run the level's passes, report.
 
-    The input graph is never mutated.  The selection (explicit ``passes``
-    or the level's portfolio) picks *which* passes run; sequencing always
-    follows :data:`repro.graph.passes.PASS_ORDER` so compilation is
-    order-independent and idempotent.  Any exception from a pass degrades
-    the compile to the reference graph.
+    The input graph is never mutated.  ``level`` defaults to the active
+    one; its passes run in :data:`PASS_PORTFOLIO` order.  Any exception
+    from a pass degrades the compile to the reference graph.
     """
-    resolved_level = active_level() if level is None else level
-    if resolved_level not in LEVELS:
-        raise PipelineError(
-            f"graph optimizer level must be one of {LEVELS}, got {resolved_level!r}"
-        )
-    if passes is not None:
-        selected = set(passes)
-    elif level is None:
-        selected = set(active_passes())
-    else:
-        selected = set(PASS_PORTFOLIO[resolved_level])
-    unknown = sorted(selected - set(graph_passes.PASSES))
-    if unknown:
-        raise PipelineError(f"unknown graph passes {unknown}")
-    names = tuple(sorted(selected, key=graph_passes.PASS_ORDER.index))
+    level = _check_level(active_level() if level is None else level)
+    names = PASS_PORTFOLIO[level]
     if not names:
-        return graph.clone(), CompileReport(level=resolved_level, requested=())
+        return graph.clone(), CompileReport(level=level, requested=())
 
     from repro import faults
 
-    margin = margin_bits_for(resolved_level)
+    margin = margin_bits_for(level)
     optimized = graph.clone()
     applied: list[str] = []
     refused: list[tuple[str, str]] = []
@@ -237,17 +200,17 @@ def compile_graph(
             "graph.degraded",
             severity="error",
             graph_pass=current,
-            level=resolved_level,
+            level=level,
             error=str(exc),
         )
         return graph.clone(), CompileReport(
-            level=resolved_level,
+            level=level,
             requested=names,
             degraded=True,
             failure=f"{current}: {exc}",
         )
     return optimized, CompileReport(
-        level=resolved_level,
+        level=level,
         requested=names,
         applied=tuple(applied),
         refused=tuple(refused),

@@ -1,17 +1,20 @@
-"""Rewrite passes for the inference-graph IR.
+"""The two passes of the inference-graph compiler.
+
+``pack_crossing`` is the one rewrite that changes the graph; the exact
+rewrites that only restate a fact about one operand (zero weight columns,
+a bias that fits the accumulator's slack, a constant-polynomial plaintext,
+a squared operand, the packing monomials) are not passes: the code that
+builds the operand applies them unconditionally (DESIGN.md §16).
 
 Every pass follows the same contract:
 
 * ``run(graph)`` mutates the graph in place and returns ``None`` when it
   fired, or a human-readable *refusal reason* when its preconditions do
   not hold.  Refusing is the normal path, not an error — e.g.
-  ``fold_bias`` refuses whenever the int64 deferred-reduction slack of the
-  fused scalar contraction cannot absorb one extra residue term, because
-  firing would silently push the layer onto the per-tap reference loop.
-* Passes only rewrite ``attrs`` (and re-run :func:`repro.graph.ir.annotate`
-  when a rewrite changes noise behaviour); the executor owns the actual
-  ciphertext work.  Each rewrite is exact — the optimized execution must
-  stay bit-identical to the reference graph — so a pass that can only
+  ``pack_crossing`` refuses on a graph with no scalar-layout crossing.
+* Passes only rewrite ``attrs``; the executor owns the actual ciphertext
+  work.  Each rewrite is exact — the optimized execution must stay
+  bit-identical to the reference graph — so a pass that can only
   *approximately* preserve results must refuse instead.
 * Passes are idempotent: running one twice leaves the graph unchanged.
 
@@ -26,11 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import GraphPassError, ParameterError
 from repro.graph import ir
-from repro.he import contraction, modmath
+from repro.he import modmath
 from repro.he.noise import NoiseEstimator
 from repro.he.params import EncryptionParams
 
@@ -51,74 +52,6 @@ class GraphPass:
 
     def run(self, graph: ir.InferenceGraph) -> str | None:
         raise NotImplementedError
-
-
-def _contractions(graph: ir.InferenceGraph) -> list[ir.GraphNode]:
-    return [node for node in graph.nodes if node.op in ir.CONTRACTION_OPS]
-
-
-class ZeroTapBypass(GraphPass):
-    """Plaintext bypass for known-zero operands.
-
-    Drops conv taps whose weight column is zero across every filter and FC
-    input dimensions whose weight row is zero across every class: a
-    zero-weight plaintext multiply contributes exactly zero to the fused
-    accumulator, so skipping it is exact.  (The identity-operand case is
-    degenerate here — a tap of weight 1 is already a single fused int64
-    multiply-accumulate, so there is nothing cheaper to rewrite it to.)
-    """
-
-    name = "zero_tap"
-
-    def run(self, graph: ir.InferenceGraph) -> str | None:
-        fired = False
-        for node in _contractions(graph):
-            matrix = graph.meta["layers"][node.stage]
-            keep = tuple(int(t) for t in range(matrix.shape[1]) if np.any(matrix[:, t]))
-            if len(keep) < matrix.shape[1]:
-                node.attrs["keep_taps"] = keep
-                fired = True
-        if not fired:
-            return "no zero-weight conv taps or FC input dims to bypass"
-        ir.annotate(graph)
-        return None
-
-
-class FoldBias(GraphPass):
-    """Fold the encoded bias operand into the fused contraction.
-
-    The reference path runs the contraction, reduces mod each prime, then
-    performs a separate ``add_plain_operand``.  Folding adds the bias's
-    NTT residues into the still-unreduced int64 accumulator instead,
-    saving one full pass over the ciphertext.  Exact because
-    ``(acc + bias) mod p == (acc mod p + bias) mod p``; refuses when the
-    kernel's int64 bound (:func:`repro.he.contraction.bound_ok`) cannot
-    absorb the extra canonical residue term, since firing would push the
-    layer off the fused kernel.
-    """
-
-    name = "fold_bias"
-
-    def run(self, graph: ir.InferenceGraph) -> str | None:
-        p_max = graph.meta["p_max"]
-        refused = []
-        nodes = _contractions(graph)
-        for node in nodes:
-            matrix = graph.meta["layers"][node.stage]
-            keep = node.attrs.get("keep_taps")
-            surviving = matrix[:, list(keep)] if keep is not None else matrix
-            # One extra canonical residue term (the bias) in the kernel's
-            # deferred-reduction accumulator.
-            if contraction.bound_ok(surviving, p_max, slack=1):
-                node.attrs["fold_bias"] = True
-            else:
-                refused.append(node.stage)
-        if len(refused) == len(nodes):
-            return (
-                "int64 deferred-reduction slack excludes bias folding "
-                f"({', '.join(refused)})"
-            )
-        return None
 
 
 class PackCrossing(GraphPass):
@@ -166,54 +99,6 @@ class PackCrossing(GraphPass):
             )
         crossing.attrs["packed"] = True
         crossing.attrs["pack_max_batch"] = cap
-        return None
-
-
-class HoistNtt(GraphPass):
-    """Hoist shared NTT-domain transforms out of repeated work.
-
-    CryptoNets: ``square`` multiplies a ciphertext by itself, and the
-    evaluator INTTs each operand independently — hoisting the coefficient
-    transform computes it once and feeds both operand slots (exact: the
-    transform of the same data is the same data).  Hybrid: the packed
-    crossing rebuilds the same monomial packing operand (an NTT of a
-    constant matrix) every inference — hoisting caches the transformed
-    operand across calls; refuses when ``pack_crossing`` did not fire
-    because the unpacked crossing performs no shared transform.
-    """
-
-    name = "hoist_ntt"
-
-    def run(self, graph: ir.InferenceGraph) -> str | None:
-        if graph.has_node("square"):
-            graph.node("square").attrs["hoist_coeff"] = True
-            return None
-        packed = [n for n in graph.nodes if n.op == "crossing" and n.attrs["packed"]]
-        if not packed:
-            return "pack_crossing did not fire; no shared packing transform to hoist"
-        packed[0].attrs["hoist_pack_operand"] = True
-        return None
-
-
-class ScalarEncrypt(GraphPass):
-    """Use the scalar-encoding encrypt fast path.
-
-    Both pipelines scalar-encode inputs (only the constant coefficient is
-    populated), so ``Delta * m`` touches one residue column instead of all
-    ``n`` — same RNG draws, same arithmetic, bit-identical ciphertexts.
-    The runtime re-checks the encoding and falls back to the full path for
-    any plaintext with higher-degree coefficients.
-    """
-
-    name = "scalar_encrypt"
-
-    def run(self, graph: ir.InferenceGraph) -> str | None:
-        if not graph.has_node("encrypt"):
-            return (
-                "no scalar-encoded encrypt node (the input arrives encrypted, "
-                "or is slot-encoded with every coefficient populated)"
-            )
-        graph.node("encrypt").attrs["scalar_encrypt"] = True
         return None
 
 
@@ -288,26 +173,9 @@ def _graph_fits(graph: ir.InferenceGraph, estimator: NoiseEstimator, margin: flo
 
 
 PASSES: dict[str, type[GraphPass]] = {
-    ZeroTapBypass.name: ZeroTapBypass,
-    FoldBias.name: FoldBias,
     PackCrossing.name: PackCrossing,
-    HoistNtt.name: HoistNtt,
-    ScalarEncrypt.name: ScalarEncrypt,
     SelectParameters.name: SelectParameters,
 }
-
-# Canonical execution order: selection only picks *which* passes run; the
-# compiler always sequences them in dependency order (hoist_ntt reads
-# pack_crossing's rewrite, fold_bias reads zero_tap's surviving taps) so
-# that compilation is order-independent and idempotent.
-PASS_ORDER: tuple[str, ...] = (
-    ZeroTapBypass.name,
-    FoldBias.name,
-    PackCrossing.name,
-    HoistNtt.name,
-    ScalarEncrypt.name,
-    SelectParameters.name,
-)
 
 
 def build(name: str, margin_bits: float) -> GraphPass:

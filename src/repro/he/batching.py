@@ -13,17 +13,13 @@ The slot isomorphism is realized by the negacyclic NTT modulo ``t``:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.errors import EncodingError
 from repro.he import kernels
 from repro.he.context import Ciphertext, Context, Plaintext
+from repro.he.evaluator import Evaluator, PlainOperand
 from repro.he.ntt import NttPlan, StackedNttPlan
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.he.evaluator import Evaluator
 
 
 class BatchEncoder:
@@ -120,9 +116,25 @@ class BatchEncoder:
         return np.moveaxis(slots[0], -1, 0)[:batch]
 
 
-def pack_coefficients(
-    evaluator: "Evaluator", ct: Ciphertext, operand_cache: dict | None = None
-) -> Ciphertext:
+def _monomial_rows(context: Context, count: int) -> np.ndarray:
+    """NTT residues ``(count, k_rns, n)`` of ``x^0 .. x^(count-1)``, read from
+    the context's prefix memo: row ``b`` is ``NTT(x^b)`` whatever ``count``
+    is, so the memo only ever grows to the largest ``count`` seen -- at most
+    ``n`` rows, ``pack_coefficients``' own limit -- and a repeat or smaller
+    request transforms nothing."""
+    memo = context._monomial_ntt
+    have = 0 if memo is None else memo.shape[0]
+    if count > have:
+        fresh = np.zeros((count - have, context.poly_degree), dtype=np.int64)
+        fresh[np.arange(count - have), np.arange(have, count)] = 1
+        rows = context.ring.ntt(context.ring.from_signed_small(fresh))
+        memo = rows if memo is None else np.concatenate([memo, rows])
+        memo.flags.writeable = False  # every fold reads views of it
+        context._monomial_ntt = memo
+    return memo[:count]
+
+
+def pack_coefficients(evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
     """Fold a ciphertext's leading batch axis into polynomial *coefficients*.
 
     Given scalar-encoded ciphertexts stacked along axis 0 (``(B, *rest)``,
@@ -138,11 +150,6 @@ def pack_coefficients(
     ``log2(B)`` bits (monomial coefficients are 1), which a fresh encryption
     easily absorbs.
 
-    ``operand_cache`` (optional) memoizes the transformed monomial operand
-    across calls keyed by ``B`` -- the transform is a deterministic NTT of
-    a constant matrix, so reuse is bit-identical (the graph optimizer's
-    ``hoist_ntt`` pass threads a per-pipeline dict through here).
-
     Raises:
         EncodingError: no batch axis, or ``B`` exceeds the ring degree.
     """
@@ -152,15 +159,7 @@ def pack_coefficients(
     n = ct.context.poly_degree
     if b > n:
         raise EncodingError(f"batch of {b} exceeds the ring degree {n}")
-    operand = operand_cache.get(b) if operand_cache is not None else None
-    if operand is None:
-        monomials = np.zeros((b, n), dtype=np.int64)
-        monomials[np.arange(b), np.arange(b)] = 1
-        operand = evaluator.transform_plain(Plaintext(ct.context, monomials))
-        if operand_cache is not None:
-            operand_cache[b] = operand
     # Broadcast the (B,)-batched monomial operand over the remaining axes.
-    ntt = operand.ntt_data.reshape(
-        b, *([1] * (len(ct.batch_shape) - 1)), *operand.ntt_data.shape[-2:]
-    )
-    return evaluator.multiply_plain_sum(ct, type(operand)(ct.context, ntt), axis=0)
+    rows = _monomial_rows(ct.context, b)
+    operand = rows.reshape(b, *([1] * (len(ct.batch_shape) - 1)), *rows.shape[-2:])
+    return evaluator.multiply_plain_sum(ct, PlainOperand(ct.context, operand), axis=0)

@@ -27,6 +27,9 @@ class Context:
     def __init__(self, params: EncryptionParams) -> None:
         self.params = params
         self.ring = PolyContext(params.poly_degree, params.coeff_primes)
+        # NTT rows of x^0, x^1, ... grown on demand (at most poly_degree of
+        # them) by :func:`repro.he.batching.pack_coefficients`.
+        self._monomial_ntt: np.ndarray | None = None
 
     @property
     def poly_degree(self) -> int:

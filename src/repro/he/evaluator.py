@@ -308,8 +308,11 @@ class Evaluator:
         return result
 
     def square(self, ct: Ciphertext) -> Ciphertext:
-        """Homomorphic squaring (CryptoNets' activation substitute)."""
-        return self.multiply(ct, ct)
+        """Homomorphic squaring (CryptoNets' activation substitute): both
+        factors of :meth:`multiply` are the one coefficient-domain transform
+        of ``ct``."""
+        coeff = ct.to_coeff()
+        return self.multiply(coeff, coeff)
 
     def relinearize(self, ct: Ciphertext, relin_keys: RelinKeys) -> Ciphertext:
         """Reduce a size-3 ciphertext back to size 2 using evaluation keys."""

@@ -73,12 +73,22 @@ _pool: "WorkerPool | None" = None
 
 
 def default_workers() -> int:
-    """The ``REPRO_WORKERS`` environment default (1 when unset/garbage)."""
+    """The ``REPRO_WORKERS`` environment default (1 when unset or empty).
+
+    Raises:
+        ParallelError: the variable holds anything but an integer >= 1 -- a
+            mistyped CI switch must not silently test the default width.
+    """
     raw = os.environ.get(_ENV_WORKERS, "").strip()
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
+    if not raw:
         return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ParallelError(f"{_ENV_WORKERS} must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def active_workers() -> int:

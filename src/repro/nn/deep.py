@@ -27,7 +27,7 @@ from repro.nn.layers import (
     conv2d_forward,
 )
 from repro.nn.model import Sequential
-from repro.nn.quantize import _quantize_array
+from repro.nn.quantize import _enclave_stage, _quantize_array
 
 
 @dataclass
@@ -59,13 +59,10 @@ class QuantizedConvBlock:
 
     def enclave_stage(self, conv_int: np.ndarray, input_scale: float) -> np.ndarray:
         """Exact activation + pool + requantize (trusted side of the block)."""
-        x = conv_int.astype(np.float64) / (input_scale * self.weight_scale)
-        activated = Tanh.apply(x) if self.activation == "tanh" else Sigmoid.apply(x)
-        k = self.pool_window
-        b, c, h, w = activated.shape
-        windows = activated.reshape(b, c, h // k, k, w // k, k)
-        pooled = windows.max(axis=(3, 5)) if self.pool == "max" else windows.mean(axis=(3, 5))
-        return np.rint(pooled * self.act_scale).astype(np.int64)
+        return _enclave_stage(
+            conv_int, input_scale * self.weight_scale, self.activation, self.pool,
+            self.pool_window, self.act_scale,
+        )
 
     def conv_bound(self, input_bound: int) -> int:
         """Worst-case magnitude of the block's conv output."""

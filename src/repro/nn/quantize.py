@@ -58,6 +58,25 @@ def _quantize_array(values: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
     return np.rint(values * scale).astype(np.int64), scale
 
 
+def _enclave_stage(
+    conv_int: np.ndarray,
+    conv_scale: float,
+    activation: str,
+    pool: str,
+    window: int,
+    act_scale: int,
+) -> np.ndarray:
+    """Plaintext reference of one enclave crossing: dequantize at
+    ``conv_scale``, exact ``tanh``/``sigmoid``, ``max``/``mean`` pool over
+    ``window``, requantize to ``act_scale`` levels."""
+    x = conv_int.astype(np.float64) / conv_scale
+    activated = Tanh.apply(x) if activation == "tanh" else Sigmoid.apply(x)
+    b, c, h, w = activated.shape
+    windows = activated.reshape(b, c, h // window, window, w // window, window)
+    pooled = windows.max(axis=(3, 5)) if pool == "max" else windows.mean(axis=(3, 5))
+    return np.rint(pooled * act_scale).astype(np.int64)
+
+
 @dataclass
 class QuantizedCNN:
     """Integer twin of the paper's 4-layer CNN.
@@ -191,13 +210,10 @@ class QuantizedCNN:
         """
         if self.activation == "square":
             raise ModelError("enclave_stage belongs to the exact-activation pipelines")
-        x = conv_int.astype(np.float64) / self.conv_output_scale
-        activated = Tanh.apply(x) if self.activation == "tanh" else Sigmoid.apply(x)
-        k = self.pool_window
-        b, c, h, w = activated.shape
-        windows = activated.reshape(b, c, h // k, k, w // k, k)
-        pooled = windows.max(axis=(3, 5)) if self.pool == "max" else windows.mean(axis=(3, 5))
-        return np.rint(pooled * self.act_scale).astype(np.int64)
+        return _enclave_stage(
+            conv_int, self.conv_output_scale, self.activation, self.pool,
+            self.pool_window, self.act_scale,
+        )
 
     def square_stage(self, conv_int: np.ndarray) -> np.ndarray:
         """CryptoNets activation: elementwise integer square."""

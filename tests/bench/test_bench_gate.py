@@ -84,7 +84,6 @@ def _graph_report(speedup_safe=1.8, bit_identical=True):
             "speedup_aggressive": speedup_safe * 1.05,
             "safe_simulated_s": 0.17 / speedup_safe,
         },
-        "cryptonets": {"speedup_safe": 1.0},
         "invariants": {
             "bit_identical": bit_identical,
             "speedup_floor": speedup_safe >= 1.3,

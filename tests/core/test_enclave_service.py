@@ -149,6 +149,22 @@ class TestPoolingEcalls:
         with pytest.raises(PipelineError):
             enclave.ecall("max_pool", encrypt_values(userland, values), 2)
 
+    @pytest.mark.parametrize("window", [0, -2])
+    @pytest.mark.parametrize(
+        "entry,args",
+        [
+            ("mean_pool", ()),
+            ("max_pool", ()),
+            ("activation_pool", (10.0, 15)),
+        ],
+    )
+    def test_window_below_one_is_typed(self, enclave, userland, entry, args, window):
+        """The window arrives from the untrusted host: 0 must not divide by
+        zero, a negative one must not reach numpy's reshape."""
+        ct = encrypt_values(userland, np.zeros((1, 1, 4, 4), dtype=np.int64))
+        with pytest.raises(PipelineError, match="window must be >= 1"):
+            enclave.ecall(entry, ct, *args, window)
+
 
 class TestRefresh:
     def test_restores_noise_budget(self, enclave, userland, hybrid_params):

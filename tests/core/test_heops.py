@@ -140,6 +140,13 @@ class TestHeSquareAndPool:
         with pytest.raises(PipelineError):
             heops.he_scaled_mean_pool(rig["evaluator"], ct, 2)
 
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_pool_rejects_window_below_one(self, rig, window):
+        values = np.zeros((1, 1, 4, 4), dtype=np.int64)
+        ct = rig["encryptor"].encrypt(rig["encoder"].encode(values))
+        with pytest.raises(PipelineError, match="window must be >= 1"):
+            heops.he_scaled_mean_pool(rig["evaluator"], ct, window)
+
 
 class TestHeDense:
     def test_matches_integer_fc(self, rig, q_sigmoid, models):

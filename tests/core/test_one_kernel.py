@@ -2,9 +2,11 @@
 
 ``repro.he.contraction`` holds the only definition of the fused int64
 contraction; the in-process run, the pool's workers and death-replay all
-execute it, so the graph optimizer's exact rewrites (``LayerPlan``) apply on
-every path, the encoded weights keep the integers they were built from, and
-the per-tap ``REFERENCE`` loop is the only fallback.
+execute it.  The two exact facts about a weight operand -- its all-zero
+columns and whether the bias fits the accumulator's slack -- are worked out
+once at encode time and ride on the encoded weights, so they apply on every
+path at every optimizer level; the encoded weights keep the integers they
+were built from, and the per-tap ``REFERENCE`` loop is the only fallback.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.core import heops
-from repro.core.heops import LayerPlan
+from repro.core import HybridPipeline, heops, parameters_for_pipeline
 from repro.faults import FaultPlan, FaultRule
+from repro.graph import optimizer
 from repro.he import (
     Context,
     Encryptor,
@@ -29,6 +31,7 @@ from repro.he import (
     parallel,
 )
 from repro.he.params import EncryptionParams
+from tests.graph.kinds import images_for, single_block_model
 
 DEGREE = 64
 
@@ -75,16 +78,17 @@ def encrypt(rig, values):
     return rig["encryptor"].encrypt(rig["encoder"].encode(values))
 
 
-def run_layer(rig, layer, ct, weights, plan=None):
+def run_layer(rig, layer, ct, weights):
     """One layer call on a fresh counter: (ciphertext bytes, op tallies)."""
     counter = OperationCounter()
-    out = layer(Evaluator(rig["context"], counter), rig["encoder"], ct, weights, plan=plan)
+    out = layer(Evaluator(rig["context"], counter), rig["encoder"], ct, weights)
     assert out.is_ntt
     return out.data.tobytes(), dict(counter.counts)
 
 
 def planted_conv(rig, rng):
-    """Conv weights whose taps 1, 4 and 13 are zero in every filter."""
+    """Conv weights whose taps 1, 4 and 13 are zero in every filter, and
+    the taps that survive."""
     w = rng.integers(-9, 10, size=(3, 2, 3, 3))
     w[w == 0] = 1
     flat = w.reshape(3, -1)
@@ -94,7 +98,7 @@ def planted_conv(rig, rng):
     weights = heops.encode_conv_weights(
         evaluator, rig["encoder"], w, rng.integers(-50, 50, size=3), 1
     )
-    return weights, LayerPlan(keep_taps=keep, fold_bias=True)
+    return weights, keep
 
 
 def planted_dense(rig, rng):
@@ -105,25 +109,58 @@ def planted_dense(rig, rng):
     weights = heops.encode_dense_weights(
         Evaluator(rig["context"]), rig["encoder"], w, rng.integers(-50, 50, size=5)
     )
-    return weights, LayerPlan(keep_taps=keep, fold_bias=True)
+    return weights, keep
+
+
+@pytest.fixture()
+def bias_passes(monkeypatch):
+    """Batch shapes of every separate ``add_plain_operand`` bias pass."""
+    calls = []
+    original = Evaluator.add_plain_operand
+
+    def spy(self, ct, operand):
+        calls.append(ct.batch_shape)
+        return original(self, ct, operand)
+
+    monkeypatch.setattr(Evaluator, "add_plain_operand", spy)
+    return calls
+
+
+@pytest.fixture()
+def kernel_runs(monkeypatch):
+    """``(kind, rows, keep, bias folded)`` of every kernel run in this
+    process: the in-process whole-range unit and death-replay."""
+    ran = []
+    for kind, kernel in list(parallel.KERNELS.items()):
+        assert kernel is getattr(contraction, f"{kind}_rows")
+
+        def spy(*args, _kind=kind, _kernel=kernel, **kwargs):
+            ran.append((_kind, kwargs["rows"], kwargs["keep"], kwargs["bias"] is not None))
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setitem(parallel.KERNELS, kind, spy)
+    return ran
+
+
+@pytest.fixture()
+def pool_tasks(monkeypatch):
+    """``(kind, keep, bias folded)`` of every unit handed to the pool."""
+    sent = []
+    original = parallel.WorkerPool._run_units
+
+    def spy(self, tasks):
+        sent.extend((t["kind"], t["keep"], "bias_off" in t) for t in tasks)
+        return original(self, tasks)
+
+    monkeypatch.setattr(parallel.WorkerPool, "_run_units", spy)
+    return sent
 
 
 class TestRewritesReachEveryPath:
-    """``keep_taps`` / ``fold_bias`` are kernel arguments: same bytes and
-    tallies with and without a plan, in-process and on the pool, and the
-    folded bias never takes the separate ``add_plain_operand`` pass."""
-
-    @pytest.fixture()
-    def bias_passes(self, monkeypatch):
-        calls = []
-        original = Evaluator.add_plain_operand
-
-        def spy(self, ct, operand):
-            calls.append(ct.batch_shape)
-            return original(self, ct, operand)
-
-        monkeypatch.setattr(Evaluator, "add_plain_operand", spy)
-        return calls
+    """The surviving taps and the bias fold are decided at encode time and
+    are arguments of the kernel: every path skips the zero columns and folds
+    the bias, byte-identical to the per-tap oracle, and the folded bias
+    never takes the separate ``add_plain_operand`` pass."""
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize(
@@ -131,58 +168,128 @@ class TestRewritesReachEveryPath:
         [(heops.he_conv2d, planted_conv, (2, 6, 6)), (heops.he_dense, planted_dense, (3, 2, 2))],
         ids=["conv", "dense"],
     )
-    def test_plan_on_the_pool(self, rig, bias_passes, layer, planted, image, batch):
+    def test_plan_on_the_pool(
+        self, rig, bias_passes, kernel_runs, pool_tasks, layer, planted, image, batch
+    ):
         rng = np.random.default_rng(batch)
-        weights, plan = planted(rig, rng)
+        weights, keep = planted(rig, rng)
+        assert (weights.keep, weights.fold_bias, weights.fused) == (keep, True, True)
         ct = encrypt(rig, rng.integers(-20, 20, size=(batch, *image)))
-        with parallel.use(1):
+        with kernels.use(kernels.REFERENCE):
             expected = run_layer(rig, layer, ct, weights)
-            assert len(bias_passes) == 1
-            assert run_layer(rig, layer, ct, weights, plan) == expected
+        assert kernel_runs == []
+        with parallel.use(1):
+            assert run_layer(rig, layer, ct, weights) == expected
+        assert [(k, f) for _, _, k, f in kernel_runs] == [(keep, True)]
         with parallel.use(2):
             assert run_layer(rig, layer, ct, weights) == expected
-            del bias_passes[:]
-            assert run_layer(rig, layer, ct, weights, plan) == expected
-            assert parallel.active_pool().dispatched_units > 0
+            assert parallel.active_pool().dispatched_units == len(pool_tasks) > 0
+        assert {(k, f) for _, k, f in pool_tasks} == {(keep, True)}
         assert bias_passes == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_optimizer_off_still_skips_and_folds(
+        self, bias_passes, kernel_runs, pool_tasks, workers
+    ):
+        """The benchmark's setting: optimizer level ``off`` on the
+        planted-zero model runs conv and fc without their zero columns and
+        with the bias folded -- in-process, on the pool, and when the
+        flush's worker is killed and its units replay here."""
+        model = single_block_model()
+        assert not model.conv_weight[:, 0, 0, 0].any()
+        assert not model.dense_weight[:2].any()
+        conv = model.conv_weight.reshape(model.conv_weight.shape[0], -1)
+        keeps = {
+            "conv": tuple(np.flatnonzero(conv.any(axis=0))),
+            "dense": tuple(np.flatnonzero(model.dense_weight.any(axis=1))),
+        }
+        assert 0 not in keeps["conv"] and not {0, 1} & set(keeps["dense"])
+        images = images_for("served")[:3]
+        with optimizer.use("off"), parallel.use(workers):
+            pipe = HybridPipeline(model, parameters_for_pipeline(model, 256), seed=7)
+            healthy = pipe.infer(images).logits
+            assert pipe.graph_report.applied == ()
+            if workers == 1:
+                seen = [(kind, k, f) for kind, _, k, f in kernel_runs]
+            else:
+                assert kernel_runs == []
+                seen = pool_tasks
+            assert set(seen) == {(kind, keep, True) for kind, keep in keeps.items()}
+            if workers == 2:
+                kill = FaultPlan(3, rules=[FaultRule(site="parallel.worker", name="0")])
+                with faults.armed(kill):
+                    replayed = pipe.infer(images).logits
+                assert parallel.active_pool().deaths == 1
+                assert np.array_equal(replayed, healthy)
+                assert kernel_runs and all(
+                    (k, f) == (keeps[kind], True) for kind, _, k, f in kernel_runs
+                )
+        assert bias_passes == []
+
+    @pytest.mark.parametrize("kind", ["conv", "dense"])
+    def test_bias_stays_unfolded_at_the_int64_edge(
+        self, wide_rig, bias_passes, kernel_runs, kind
+    ):
+        """``T * max|w| * (p - 1)`` fits int64 exactly but one more residue
+        term does not: the layer still runs fused, with the bias as its own
+        pass, byte-identical to the oracle."""
+        rng = np.random.default_rng(10)
+        p_max = wide_rig["p_max"]
+        terms = 32
+        w_max, left = divmod(((1 << 63) - 1) // (p_max - 1), terms)
+        assert left == 0 and w_max <= wide_rig["context"].plain_modulus // 2
+        evaluator = Evaluator(wide_rig["context"])
+        if kind == "conv":
+            w = rng.integers(1, 1 << 20, size=(2, 2, 4, 4))
+            w[1, 0, 2, 3] = -w_max
+            weights = heops.encode_conv_weights(
+                evaluator, wide_rig["encoder"], w, np.array([5, -7]), 1
+            )
+            values, layer = weights.weight_taps, heops.he_conv2d
+            ct = encrypt(wide_rig, rng.integers(-20, 20, size=(2, 2, 5, 5)))
+        else:
+            w = rng.integers(1, 1 << 20, size=(terms, 3))
+            w[4, 1] = w_max
+            weights = heops.encode_dense_weights(
+                evaluator, wide_rig["encoder"], w, np.array([1, 2, 3])
+            )
+            values, layer = weights.weight_matrix, heops.he_dense
+            ct = encrypt(wide_rig, rng.integers(-20, 20, size=(2, terms)))
+        assert contraction.bound_ok(values, p_max)
+        assert not contraction.bound_ok(values, p_max, slack=1)
+        assert (weights.keep, weights.fold_bias, weights.fused) == (None, False, True)
+        with kernels.use(kernels.REFERENCE):
+            reference = run_layer(wide_rig, layer, ct, weights)
+        with parallel.use(1):  # the spy sees the in-process unit
+            assert run_layer(wide_rig, layer, ct, weights) == reference
+        assert [(k, f) for _, _, k, f in kernel_runs] == [(None, False)]
+        assert len(bias_passes) == 1
 
 
 class TestOneKernelEverywhere:
     def test_workers_replay_and_in_process_run_the_same_function(
-        self, rig, monkeypatch
+        self, rig, kernel_runs
     ):
-        """The pool's kernel table holds ``contraction``'s two functions,
-        and both the in-process layer call and a killed flush's replay go
-        through that table in the parent."""
-        assert parallel.KERNELS == {
-            "conv": contraction.conv_rows, "dense": contraction.dense_rows
-        }
-        ran = []
-        for kind, kernel in list(parallel.KERNELS.items()):
-            assert kernel is getattr(contraction, f"{kind}_rows")
-
-            def spy(*args, _kind=kind, _kernel=kernel, **kwargs):
-                ran.append((_kind, kwargs["axis"], kwargs["rows"]))
-                return _kernel(*args, **kwargs)
-
-            monkeypatch.setitem(parallel.KERNELS, kind, spy)
-
+        """The pool's kernel table holds ``contraction``'s two functions
+        (``kernel_runs`` checks identity before wrapping them), and both the
+        in-process layer call and a killed flush's replay go through that
+        table in the parent."""
         rng = np.random.default_rng(2)
-        weights, plan = planted_conv(rig, rng)
+        weights, _ = planted_conv(rig, rng)
         ct = encrypt(rig, rng.integers(-20, 20, size=(4, 2, 6, 6)))
         with parallel.use(1):
-            expected = run_layer(rig, heops.he_conv2d, ct, weights, plan)
-        assert ran == [("conv", "batch", (0, 4))]
+            expected = run_layer(rig, heops.he_conv2d, ct, weights)
+        assert [(kind, rows) for kind, rows, _, _ in kernel_runs] == [("conv", (0, 4))]
 
-        del ran[:]
+        del kernel_runs[:]
         kill = FaultPlan(3, rules=[FaultRule(site="parallel.worker", name="0")])
         with parallel.use(2):
             with faults.armed(kill):
-                replayed = run_layer(rig, heops.he_conv2d, ct, weights, plan)
+                replayed = run_layer(rig, heops.he_conv2d, ct, weights)
             assert parallel.active_pool().deaths == 1
         assert replayed == expected
         # Worker 0 dies at the first dispatch: every unit replays here.
-        assert [r for _, _, r in ran] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert [rows for _, rows, _, _ in kernel_runs] == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
     def test_he_substrate_does_not_import_core(self):
         import pathlib
@@ -247,10 +354,9 @@ class TestPastTheBoundRunsTheReferenceLoop:
         ct = encrypt(wide_rig, rng.integers(-20, 20, size=(2, 4, 5, 5)))
         with kernels.use(kernels.REFERENCE):
             reference = run_layer(wide_rig, heops.he_conv2d, ct, weights)
+        assert not weights.fused and not weights.fold_bias
         with parallel.use(2):
-            plan = LayerPlan(fold_bias=True)
             assert run_layer(wide_rig, heops.he_conv2d, ct, weights) == reference
-            assert run_layer(wide_rig, heops.he_conv2d, ct, weights, plan) == reference
 
     def test_dense(self, wide_rig, no_kernel):
         rng = np.random.default_rng(9)

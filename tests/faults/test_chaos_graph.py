@@ -43,8 +43,8 @@ class TestGraphPassChaos:
         assert plan.fires("graph.pass") == 1
         report = pipe.graph_report
         assert report.degraded
-        # Canonical sequencing makes the first (faulted) pass deterministic.
-        assert report.failure.startswith("zero_tap")
+        # Fixed sequencing makes the first (faulted) pass deterministic.
+        assert report.failure.startswith("pack_crossing")
         assert report.label == "safe:degraded"
         assert res.trace.attrs["graph_opt"] == "safe:degraded"
 
@@ -53,7 +53,7 @@ class TestGraphPassChaos:
             res.logits_ct
         )
         assert dict(pipe.counter.counts) == ref_counts
-        assert flat['repro_graph_degradations_total{graph_pass="zero_tap"}'] == 1.0
+        assert flat['repro_graph_degradations_total{graph_pass="pack_crossing"}'] == 1.0
 
     @pytest.mark.parametrize("seed", chaos_seeds())
     def test_compile_recovers_after_fault_exhausted(
@@ -70,23 +70,24 @@ class TestGraphPassChaos:
                 second = healthy.infer(test_images)
         assert degraded.graph_report.degraded
         assert not healthy.graph_report.degraded
-        assert "scalar_encrypt" in healthy.graph_report.applied
+        assert "pack_crossing" in healthy.graph_report.applied
         assert np.array_equal(first.logits, second.logits)
 
     def test_named_rule_targets_one_pass(self, q_sigmoid, hybrid_params, test_images):
         """A rule named after a later pass lets earlier passes run and
         still degrades the whole compile (partial rewrites are discarded)."""
         plan = FaultPlan(
-            11, rules=[FaultRule(site="graph.pass", name="scalar_encrypt", max_fires=1)]
+            11,
+            rules=[FaultRule(site="graph.pass", name="select_parameters", max_fires=1)],
         )
-        with optimizer.use("safe"):
+        with optimizer.use("aggressive"):
             pipe = HybridPipeline(q_sigmoid, hybrid_params, seed=17)
             with faults.armed(plan):
                 res = pipe.infer(test_images)
         assert plan.fires("graph.pass") == 1
         report = pipe.graph_report
         assert report.degraded
-        assert report.failure.startswith("scalar_encrypt")
+        assert report.failure.startswith("select_parameters")
         # Degradation discards everything, including passes that succeeded.
         assert report.applied == ()
-        assert res.trace.attrs["graph_opt"] == "safe:degraded"
+        assert res.trace.attrs["graph_opt"] == "aggressive:degraded"

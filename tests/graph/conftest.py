@@ -2,7 +2,7 @@
 
 The trained tiny models are shared session-wide; each gets a planted
 all-zero conv tap column and a few all-zero FC input rows so the
-``zero_tap`` bypass has something real to fire on (the stock trained
+encode-time zero-column skip has something real to drop (the stock trained
 weights are dense).  Every test starts and ends with the process-wide
 optimizer configuration restored to the environment default.
 """

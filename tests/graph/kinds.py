@@ -42,7 +42,7 @@ STAGES = {
 
 def single_block_model() -> QuantizedCNN:
     """8x8x1 -> conv3 (2 filters) -> sigmoid + mean-pool 2 -> 3 classes,
-    with one all-zero conv tap and two all-zero FC rows for ``zero_tap``."""
+    with one all-zero conv tap and two all-zero FC rows for the layers to skip."""
     rng = np.random.default_rng(2113)
     conv = rng.integers(-4, 5, size=(2, 1, 3, 3))
     conv[:, 0, 0, 0] = 0

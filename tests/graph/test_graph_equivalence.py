@@ -1,16 +1,14 @@
 """Differential equivalence harness for the graph optimizer.
 
-The contract under test (DESIGN.md §16): for every pass, every pair-wise
-pass composition, and both full portfolios, optimized execution is
-*bit-identical* to the unoptimized reference — same logits, same
-serialized ciphertext bytes for the encrypted logits, same homomorphic
-op tallies.  Mirrors ``tests/core/test_kernel_equivalence.py``'s
+The contract under test (DESIGN.md §16): at every optimizer level,
+execution is *bit-identical* to the unoptimized reference — same logits,
+same serialized ciphertext bytes for the encrypted logits, same
+homomorphic op tallies.  Mirrors ``tests/core/test_kernel_equivalence.py``'s
 recorder pattern at the pipeline level.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 
@@ -20,19 +18,13 @@ import pytest
 from repro.core import CryptonetsPipeline, HybridPipeline
 from repro.errors import PipelineError
 from repro.graph import executor, ir, optimizer
-from repro.graph.optimizer import PASS_PORTFOLIO, compile_graph
+from repro.graph.optimizer import compile_graph
 from repro.he.serialize import serialize_ciphertext
 
-from .kinds import KINDS, STAGES, run_kind
+from .kinds import KINDS, STAGES, deep_model, run_kind, single_block_model
 
-PASS_NAMES = PASS_PORTFOLIO["safe"]
-
-#: Every single pass, every pair-wise composition, both full portfolios.
-CONFIGS = (
-    [("safe", (name,)) for name in PASS_NAMES]
-    + [("safe", pair) for pair in itertools.combinations(PASS_NAMES, 2)]
-    + [("safe", None), ("aggressive", None)]
-)
+#: The level is the whole optimizer configuration.
+CONFIGS = optimizer.LEVELS
 
 
 def _run(factory, images):
@@ -64,11 +56,11 @@ def _assert_bit_identical(reference, candidate):
 
 
 class TestHybridEquivalence:
-    @pytest.mark.parametrize("level,passes", CONFIGS)
+    @pytest.mark.parametrize("level", CONFIGS)
     def test_bit_identical_to_reference(
-        self, level, passes, hybrid_reference, q_hybrid, hybrid_params, images
+        self, level, hybrid_reference, q_hybrid, hybrid_params, images
     ):
-        with optimizer.use(level, passes):
+        with optimizer.use(level):
             candidate = _run(
                 lambda: HybridPipeline(q_hybrid, hybrid_params, seed=7), images
             )
@@ -80,12 +72,7 @@ class TestHybridEquivalence:
                 lambda: HybridPipeline(q_hybrid, hybrid_params, seed=7), images
             )
         report = pipe.graph_report
-        assert set(report.applied) >= {
-            "zero_tap",
-            "pack_crossing",
-            "hoist_ntt",
-            "scalar_encrypt",
-        }
+        assert set(report.applied) == {"pack_crossing"}
         assert not report.degraded
         assert res.trace.attrs["graph_opt"] == "safe"
 
@@ -136,11 +123,11 @@ class TestHybridEquivalence:
 
 
 class TestCryptonetsEquivalence:
-    @pytest.mark.parametrize("level,passes", CONFIGS)
+    @pytest.mark.parametrize("level", CONFIGS)
     def test_bit_identical_to_reference(
-        self, level, passes, he_reference, q_he, he_params, images
+        self, level, he_reference, q_he, he_params, images
     ):
-        with optimizer.use(level, passes):
+        with optimizer.use(level):
             candidate = _run(
                 lambda: CryptonetsPipeline(q_he, he_params, seed=7), images
             )
@@ -153,7 +140,7 @@ class TestCryptonetsEquivalence:
             )
         report = pipe.graph_report
         assert "pure-HE" in report.refusal("pack_crossing")
-        assert "hoist_ntt" in report.applied  # the square INTT hoist still fires
+        assert report.applied == ()
 
     def test_stage_names_unchanged(self, q_he, he_params, images):
         with optimizer.use("safe"):
@@ -177,13 +164,12 @@ PARENT_RECORDING = json.loads(
     Path(__file__).with_name("parent_recording.json").read_text()
 )
 
-#: Passes that are not provably exact on a kind's graph shape and must
-#: therefore show up as refused-with-reason, never applied.
+#: Kinds whose graph shape ``pack_crossing`` is not provably exact on
+#: (slot-layout crossing, multi-block): refused-with-reason, never applied.
 MUST_REFUSE = {
-    "simd": {"pack_crossing", "hoist_ntt", "scalar_encrypt"},
-    "deep": {"pack_crossing", "hoist_ntt"},
-    "served": {"scalar_encrypt"},
-    "packed": {"pack_crossing", "hoist_ntt", "scalar_encrypt"},
+    "simd": {"pack_crossing"},
+    "deep": {"pack_crossing"},
+    "packed": {"pack_crossing"},
 }
 
 
@@ -204,9 +190,10 @@ class TestNewGraphKinds:
         if level == "off":
             assert report.applied == () and report.refused == ()
             return
-        assert "zero_tap" in report.applied  # the optimizer does reach this path
-        assert not MUST_REFUSE[kind] & set(report.applied)
-        for name in MUST_REFUSE[kind]:
+        must_refuse = MUST_REFUSE.get(kind, set())  # served packs its crossing
+        rewrites = set(report.applied) - {"select_parameters"}  # advisory only
+        assert rewrites == {"pack_crossing"} - must_refuse
+        for name in must_refuse:
             assert report.refusal(name), f"{name} must refuse with a reason on {kind}"
 
     def test_unregistered_op_is_rejected(self, q_hybrid, hybrid_params):
@@ -234,6 +221,69 @@ class TestReportSurface:
         assert report.level == "off"
         assert report.label == "off"
         assert compiled.signature() == graph.signature()
+
+    @pytest.mark.parametrize("level", ["safe", "aggressive"])
+    def test_only_a_scalar_layout_crossing_is_rewritten(self, level, q_he, he_params):
+        """Four kinds compile to the graph that was built (the one pass
+        refuses, with a reason); ``hybrid`` and ``served`` differ from it in
+        the crossing's ``packed`` / ``pack_max_batch`` and nothing else."""
+        from repro.core import parameters_for_pipeline
+
+        single, deep = single_block_model(), deep_model()
+        slot_params = parameters_for_pipeline(single, 256, batching=True)
+        built = {
+            "cryptonets": ir.build_graph("cryptonets", q_he, he_params),
+            "deep": ir.build_graph("deep", deep, parameters_for_pipeline(deep, 256)),
+            **{
+                kind: ir.build_graph(kind, single, slot_params)
+                for kind in ("simd", "packed", "hybrid", "served")
+            },
+            "fake": ir.build_graph("hybrid", single, slot_params, mode="fake"),
+        }
+        for kind, graph in built.items():
+            compiled, report = compile_graph(graph, level=level)
+            changed = [
+                (before, after)
+                for before, after in zip(graph.nodes, compiled.nodes)
+                if before.signature() != after.signature()
+            ]
+            assert compiled.node_count == graph.node_count
+            if kind in ("hybrid", "fake", "served"):
+                assert report.applied[:1] == ("pack_crossing",)
+                ((before, after),) = changed
+                assert before.op == after.op == "crossing"
+                assert after.attrs == {
+                    **before.attrs,
+                    "packed": True,
+                    "pack_max_batch": after.attrs["pack_max_batch"],
+                }
+            else:
+                assert changed == [] and report.refusal("pack_crossing")
+
+    def test_level_is_the_whole_configuration(self):
+        import inspect
+
+        from repro.graph import passes
+
+        assert sorted(passes.PASSES) == ["pack_crossing", "select_parameters"]
+        for entry in (optimizer.use, optimizer.configure, compile_graph):
+            assert "passes" not in inspect.signature(entry).parameters
+
+    def test_env_level_is_read_strictly(self, monkeypatch):
+        """``REPRO_GRAPH_OPT`` reruns of tier-1 must not go green at ``off``
+        on a typo: unset / empty is the default, anything unrecognised is a
+        typed error naming the variable and the accepted values."""
+        monkeypatch.delenv("REPRO_GRAPH_OPT", raising=False)
+        assert optimizer.default_level() == "off"
+        monkeypatch.setenv("REPRO_GRAPH_OPT", " ")
+        assert optimizer.default_level() == "off"
+        monkeypatch.setenv("REPRO_GRAPH_OPT", " Safe ")
+        assert optimizer.default_level() == optimizer.active_level() == "safe"
+        monkeypatch.setenv("REPRO_GRAPH_OPT", "saef")
+        with pytest.raises(PipelineError, match="REPRO_GRAPH_OPT.*'off', 'safe'"):
+            optimizer.default_level()
+        with pytest.raises(PipelineError, match="REPRO_GRAPH_OPT"):
+            optimizer.active_level()
 
     def test_aggressive_emits_parameter_advice(self, q_hybrid, hybrid_params):
         graph = ir.build_hybrid_graph(q_hybrid, hybrid_params)

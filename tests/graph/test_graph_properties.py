@@ -1,10 +1,10 @@
 """Property-style tests over seeded random graphs.
 
 Pure compiler-level checks (no ciphertexts): random tiny quantized models
-— including planted zero / identity / constant operands — and random pass
-selections in random orderings must give an idempotent, order-independent
-compiler that never grows the graph or its estimated noise consumption,
-and whose parameter advice always leaves positive per-layer headroom.
+— including planted zero / identity / constant operands — at a random
+optimizer level must give an idempotent compiler whose passes commute,
+that never grows the graph or its estimated noise consumption, and whose
+parameter advice always leaves positive per-layer headroom.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import pytest
 from repro.core import parameters_for_pipeline
 from repro.errors import ParameterError
 from repro.graph import ir
-from repro.graph.optimizer import PASS_PORTFOLIO, compile_graph
-from repro.graph.passes import PASS_ORDER, select_parameters
+from repro.graph import passes as graph_passes
+from repro.graph.optimizer import PASS_PORTFOLIO, compile_graph, margin_bits_for
+from repro.graph.passes import select_parameters
 from repro.he.noise import NoiseEstimator
 from repro.nn.quantize import QuantizedCNN
 
@@ -39,7 +40,7 @@ def _random_model(rng: np.random.Generator) -> QuantizedCNN:
     if structure == 1:  # planted zero operands
         conv[:, 0, 0, 0] = 0
         dense[: max(1, flat_dim // 4), :] = 0
-    elif structure == 2:  # identity-ish taps (degenerate for zero_tap)
+    elif structure == 2:  # identity-ish taps (all but one column zero)
         conv[...] = 0
         conv[:, 0, 0, 0] = 1
     elif structure == 3:  # constant operands
@@ -73,34 +74,30 @@ def _random_graph(seed: int):
         mode = str(rng.choice(["batched", "per_pixel", "fake"]))
         graph = ir.build_hybrid_graph(quantized, params, mode=mode)
     level = str(rng.choice(["safe", "aggressive"]))
-    pool = PASS_PORTFOLIO[level]
-    size = int(rng.integers(1, len(pool) + 1))
-    passes = tuple(rng.permutation(pool)[:size])
-    return quantized, graph, level, passes, rng
+    return quantized, graph, level
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 class TestCompilerProperties:
     def test_idempotent(self, seed):
-        _, graph, level, passes, _ = _random_graph(seed)
-        once, _ = compile_graph(graph, level=level, passes=passes)
-        twice, _ = compile_graph(once, level=level, passes=passes)
+        _, graph, level = _random_graph(seed)
+        once, _ = compile_graph(graph, level=level)
+        twice, _ = compile_graph(once, level=level)
         assert once.signature() == twice.signature()
 
     def test_order_independent(self, seed):
-        _, graph, level, passes, rng = _random_graph(seed)
-        shuffled = tuple(rng.permutation(passes))
-        a, report_a = compile_graph(graph, level=level, passes=passes)
-        b, report_b = compile_graph(graph, level=level, passes=shuffled)
-        assert a.signature() == b.signature()
-        assert report_a.applied == report_b.applied
-        assert list(report_a.applied) == sorted(
-            report_a.applied, key=PASS_ORDER.index
-        )
+        """The compiler's sequence is fixed; what keeps that choice
+        arbitrary is that the level's passes commute on every graph."""
+        _, graph, level = _random_graph(seed)
+        compiled, _ = compile_graph(graph, level=level)
+        backwards = graph.clone()
+        for name in reversed(PASS_PORTFOLIO[level]):
+            graph_passes.build(name, margin_bits_for(level)).run(backwards)
+        assert backwards.signature() == compiled.signature()
 
     def test_never_grows(self, seed):
-        _, graph, level, passes, _ = _random_graph(seed)
-        compiled, _ = compile_graph(graph, level=level, passes=passes)
+        _, graph, level = _random_graph(seed)
+        compiled, _ = compile_graph(graph, level=level)
         assert compiled.node_count <= graph.node_count
         assert (
             compiled.he_noise_consumption()
@@ -108,14 +105,14 @@ class TestCompilerProperties:
         )
 
     def test_input_graph_not_mutated(self, seed):
-        _, graph, level, passes, _ = _random_graph(seed)
+        _, graph, level = _random_graph(seed)
         before = graph.signature()
-        compile_graph(graph, level=level, passes=passes)
+        compile_graph(graph, level=level)
         assert graph.signature() == before
 
     def test_packing_respects_margin(self, seed):
-        _, graph, level, passes, _ = _random_graph(seed)
-        compiled, report = compile_graph(graph, level=level, passes=passes)
+        _, graph, level = _random_graph(seed)
+        compiled, report = compile_graph(graph, level=level)
         if "pack_crossing" not in report.applied:
             return
         crossing = compiled.node("crossing")
@@ -128,7 +125,7 @@ class TestCompilerProperties:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_parameter_advice_leaves_headroom(seed):
-    quantized, graph, _, _, _ = _random_graph(seed)
+    quantized, graph, _ = _random_graph(seed)
     advice = select_parameters(graph)
     if advice is None:
         pytest.skip("no candidate fits this random graph")

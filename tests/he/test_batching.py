@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from repro.errors import EncodingError
 from repro.he import (
     BatchEncoder,
+    Ciphertext,
     Context,
     Decryptor,
     Encryptor,
     Evaluator,
     KeyGenerator,
+    modmath,
     small_parameter_options,
 )
+from repro.he.batching import pack_coefficients
 from repro.he.params import EncryptionParams
 
 
@@ -107,3 +110,48 @@ class TestSlotwiseHomomorphism:
         assert np.array_equal(
             batch_encoder.decode(decryptor.decrypt(doubled)), values * 2
         )
+
+
+class TestPackingMonomialMemo:
+    """``pack_coefficients`` reads ``NTT(x^b)`` from a prefix memo on the
+    context: a repeat or smaller ``B`` transforms nothing, and the memo never
+    outgrows the ring degree."""
+
+    def test_repeat_and_smaller_batches_transform_nothing(self, monkeypatch):
+        degree = 16
+        context = Context(
+            EncryptionParams(
+                poly_degree=degree,
+                coeff_primes=tuple(modmath.ntt_primes(30, degree, 2)),
+                plain_modulus=257,
+            )
+        )
+        evaluator = Evaluator(context)
+        rng = np.random.default_rng(4)
+        forward = []
+        original = context.ring.ntt
+        monkeypatch.setattr(
+            context.ring, "ntt", lambda a: forward.append(a.shape[0]) or original(a)
+        )
+
+        def fold(batch):
+            data = context.ring.sample_uniform(rng, batch, 3, 2)
+            return pack_coefficients(evaluator, Ciphertext(context, data, is_ntt=True))
+
+        stacked = Ciphertext(context, context.ring.sample_uniform(rng, 6, 3, 2), is_ntt=True)
+        first = pack_coefficients(evaluator, stacked)
+        assert forward == [6]  # rows x^0 .. x^5, once
+        again = pack_coefficients(evaluator, stacked)
+        assert again.data.tobytes() == first.data.tobytes()
+        fold(4)
+        assert forward == [6]
+        fold(9)
+        assert forward == [6, 3]  # only the rows it lacked
+        for batch in (*range(1, degree + 1), *range(degree, 0, -1)):
+            fold(batch)
+        assert sum(forward) == degree == context._monomial_ntt.shape[0]
+        eye = np.eye(degree, dtype=np.int64)
+        assert np.array_equal(context._monomial_ntt, original(context.ring.from_signed_small(eye)))
+        with pytest.raises(EncodingError, match="exceeds the ring degree"):
+            fold(degree + 1)
+        assert context._monomial_ntt.shape[0] == degree

@@ -15,8 +15,11 @@ from repro.he import (
     KeyGenerator,
     Plaintext,
     ScalarEncoder,
+    SymmetricEncryptor,
+    kernels,
     small_parameter_options,
 )
+from repro.he.polyring import PolyContext
 
 
 class TestRoundTrip:
@@ -74,6 +77,89 @@ class TestSymmetric:
         a = sym_encryptor.encrypt(encoder.encode(1))
         b = sym_encryptor.encrypt(encoder.encode(1))
         assert not np.array_equal(a.data, b.data)
+
+
+def _public_formula(context, keys, rng, plain):
+    """``Encryptor.encrypt`` written out with the full ``Delta * m`` array."""
+    ring, params, batch = context.ring, context.params, plain.batch_shape
+    u = ring.ntt(ring.sample_ternary(rng, *batch))
+    e1 = ring.sample_noise(rng, params.noise_stddev, *batch)
+    e2 = ring.sample_noise(rng, params.noise_stddev, *batch)
+    delta_m = ring.mul_scalar(ring.from_int_coeffs(plain.coeffs), params.delta)
+    c0 = ring.add(ring.pointwise_mul(keys.public.p0_ntt, u), ring.ntt(ring.add(e1, delta_m)))
+    c1 = ring.add(ring.pointwise_mul(keys.public.p1_ntt, u), ring.ntt(e2))
+    return np.stack([c0, c1], axis=-3)
+
+
+def _symmetric_formula(context, keys, rng, plain):
+    ring, params, batch = context.ring, context.params, plain.batch_shape
+    a = ring.ntt(ring.sample_uniform(rng, *batch))
+    e = ring.sample_noise(rng, params.noise_stddev, *batch)
+    delta_m = ring.mul_scalar(ring.from_int_coeffs(plain.coeffs), params.delta)
+    body = ring.sub(ring.ntt(ring.add(delta_m, e)), ring.pointwise_mul(a, keys.secret.s_ntt))
+    return np.stack([body, a], axis=-3)
+
+
+SCHEMES = {
+    "public": (lambda ctx, keys, rng: Encryptor(ctx, keys.public, rng), _public_formula),
+    "symmetric": (
+        lambda ctx, keys, rng: SymmetricEncryptor(ctx, keys.secret, rng),
+        _symmetric_formula,
+    ),
+}
+
+
+class TestConstantCoefficientPath:
+    """``encrypt`` adds ``Delta * m`` to the constant column alone when the
+    plaintext is a constant polynomial, and as the full array otherwise --
+    the same bytes and the same RNG draws as the written-out formula."""
+
+    @pytest.fixture()
+    def full_products(self, monkeypatch):
+        """Batch shapes ``from_int_coeffs`` lifted to ``(..., k_rns, n)``."""
+        calls = []
+        original = PolyContext.from_int_coeffs
+
+        def spy(self, coeffs):
+            calls.append(np.shape(coeffs)[:-1])
+            return original(self, coeffs)
+
+        monkeypatch.setattr(PolyContext, "from_int_coeffs", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "profile", [kernels.FUSED, kernels.REFERENCE], ids=["fused", "reference"]
+    )
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_matches_the_full_array_formula(
+        self, context, keypair, encoder, full_products, scheme, profile
+    ):
+        build, formula = SCHEMES[scheme]
+        values = np.random.default_rng(3).integers(-500, 500, size=(3, 4))
+        scalar = encoder.encode(values)
+        assert not scalar.coeffs[..., 1:].any()
+        general = Plaintext(context, scalar.coeffs.copy())
+        general.coeffs[1, 2, 5] = 7
+        with kernels.use(profile):
+            for plain, lifted in ((scalar, []), (general, [(3, 4)])):
+                expected_rng = np.random.default_rng(99)
+                expected = formula(context, keypair, expected_rng, plain)
+                del full_products[:]
+                rng = np.random.default_rng(99)
+                ct = build(context, keypair, rng).encrypt(plain)
+                assert full_products == lifted
+                assert ct.is_ntt and ct.data.tobytes() == expected.tobytes()
+                assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_unbatched_plaintext(self, context, keypair, encoder, decryptor, full_products):
+        ct = Encryptor(context, keypair.public, np.random.default_rng(5)).encrypt(
+            encoder.encode(-321)
+        )
+        assert full_products == [] and ct.batch_shape == ()
+        assert encoder.decode(decryptor.decrypt(ct)) == -321
+
+    def test_encrypt_scalar_is_encrypt(self):
+        assert vars(Encryptor)["encrypt_scalar"] is vars(Encryptor)["encrypt"]
 
 
 class TestNoiseBudget:

@@ -132,6 +132,20 @@ class TestMultiplicative:
         ct = evaluator.square(encryptor.encrypt(encoder.encode(-13)))
         assert encoder.decode(decryptor.decrypt(ct)) == 169
 
+    def test_square_transforms_its_operand_once(
+        self, context, encryptor, encoder, evaluator, rng, monkeypatch
+    ):
+        ct = encryptor.encrypt(encoder.encode(rng.integers(-50, 50, size=(2, 3))))
+        product = evaluator.multiply(ct, ct)
+        inverse_transforms = []
+        original = context.ring.intt
+        monkeypatch.setattr(
+            context.ring, "intt", lambda a: inverse_transforms.append(a.shape) or original(a)
+        )
+        squared = evaluator.square(ct)
+        assert inverse_transforms == [ct.data.shape]
+        assert not squared.is_ntt and squared.data.tobytes() == product.data.tobytes()
+
     def test_multiply_batched(self, encryptor, decryptor, encoder, evaluator, rng):
         a = rng.integers(-30, 30, size=5)
         b = rng.integers(-30, 30, size=5)

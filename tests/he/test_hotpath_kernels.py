@@ -342,13 +342,12 @@ class TestPackFold:
         )
         context = Context(params)
         evaluator = Evaluator(context)
-        cache: dict = {}
-        pack_coefficients(evaluator, self._random_ct(context, rng, 16, 1), cache)
+        pack_coefficients(evaluator, self._random_ct(context, rng, 16, 1))  # warm the x^b memo
         ct = self._random_ct(context, rng, 16, 288)
         assert ct.data.nbytes == 16 * 288 * 4 * 1024 * 8  # the old temporary
         tracemalloc.start()
         try:
-            out = pack_coefficients(evaluator, ct, cache)
+            out = pack_coefficients(evaluator, ct)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -144,10 +144,13 @@ class TestConfiguration:
         monkeypatch.setenv("REPRO_WORKERS", "4")
         assert parallel.default_workers() == 4
         assert parallel.active_workers() == 4
-        monkeypatch.setenv("REPRO_WORKERS", "0")
+        monkeypatch.setenv("REPRO_WORKERS", " ")
         assert parallel.default_workers() == 1
-        monkeypatch.setenv("REPRO_WORKERS", "garbage")
-        assert parallel.default_workers() == 1
+        # A mistyped CI switch must not go green at the default width.
+        for bad in ("0", "garbage", "-2", "2.0"):
+            monkeypatch.setenv("REPRO_WORKERS", bad)
+            with pytest.raises(ParallelError, match="REPRO_WORKERS.*>= 1"):
+                parallel.default_workers()
 
     def test_configure_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "4")

@@ -120,7 +120,6 @@ BENCHES: dict[str, dict] = {
         "metrics": (
             MetricSpec("hybrid.speedup_safe", "ratio"),
             MetricSpec("hybrid.speedup_aggressive", "ratio"),
-            MetricSpec("cryptonets.speedup_safe", "ratio"),
             MetricSpec("hybrid.safe_simulated_s", "timing"),
             MetricSpec("invariants.bit_identical", "invariant"),
             MetricSpec("invariants.speedup_floor", "invariant"),
