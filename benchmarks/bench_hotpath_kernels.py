@@ -14,11 +14,17 @@ per-tap Python loops), then under the fused profile, and reports:
   CRT lift + rounding vs the int64 Garner lift + int64 rounding) and
   ``pack_fold`` (``multiply_plain`` + ``sum_batch`` vs the fused, chunked
   ``multiply_plain_sum``, with the ``tracemalloc`` peak of each);
+* the pure-HE activation on the ``cryptonets_direct`` workload's own
+  ``(1, 2, 8, 8)`` batch: ``ct_multiply`` (``Evaluator.square``: Python-int
+  tensor product vs the int64 RNS kernel) and ``relinearize`` (digits off the
+  Python-int lift vs limb arithmetic on mixed-radix digits), with the
+  ``tracemalloc`` peak of each;
 * a fig8-style end-to-end hybrid (``EncryptSGX``) inference comparison on
   the simulated clock (real compute + modeled SGX overhead);
 * a bit-identity audit -- encrypted input, conv output, FC logits, the
-  decrypted polynomials and the folded ciphertext must match the reference
-  *bytes*, and the operation tallies must be identical.
+  decrypted polynomials, the folded ciphertext, the size-3 product and the
+  relinearized ciphertext must match the reference *bytes*, and the
+  operation tallies must be identical.
 
 Emits ``BENCH_hotpath.json`` and exits nonzero if any bit-identity check
 fails or the end-to-end speedup falls below ``--min-speedup`` (default 3x).
@@ -42,12 +48,14 @@ from repro.he.batching import BatchEncoder, pack_coefficients
 from repro.he.context import Context, Plaintext
 from repro.he.decryptor import Decryptor
 from repro.he.encoders import ScalarEncoder
-from repro.he.encryptor import SymmetricEncryptor
+from repro.he.encryptor import Encryptor, SymmetricEncryptor
 from repro.he.evaluator import Evaluator, OperationCounter, PlainOperand
 from repro.he.keys import KeyGenerator
 
 #: Requests x tensor positions of one full serving flush (``packed_waves``).
 FLUSH_SHAPE = (16, 288)
+#: The conv output ``cryptonets_direct`` squares and relinearizes per image.
+ACTIVATION_SHAPE = (1, 2, 8, 8)
 
 
 def _time_ntt(ring, batch: tuple[int, ...], reps: int, rng) -> dict:
@@ -160,6 +168,50 @@ def _time_flush_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
     return decrypt_row, fold_row, identity
 
 
+def _reference_vs_fused(context, fn, reps: int) -> tuple[dict, dict, dict]:
+    """Time and ``tracemalloc`` ``fn(evaluator)`` under both profiles; returns
+    the row, the last result per profile and the op tallies per profile."""
+    row: dict = {"shape": list(ACTIVATION_SHAPE)}
+    results, tallies = {}, {}
+    for name, profile in (("reference", kernels.REFERENCE), ("fused", kernels.FUSED)):
+        evaluator = Evaluator(context, OperationCounter())
+        with kernels.use(profile):
+            row[f"{name}_s"], results[name] = _median_seconds(lambda: fn(evaluator), reps)
+            row[f"{name}_peak_mib"] = _peak_mib(lambda: fn(evaluator))
+        tallies[name] = dict(evaluator.counter.counts)
+    row["speedup"] = row["reference_s"] / row["fused_s"]
+    return row, results, tallies
+
+
+def _time_ct_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
+    """The pure-HE activation's two halves, reference vs fused.
+
+    Returns the ``ct_multiply`` row, the ``relinearize`` row and their
+    bit-identity flags.
+    """
+    context = Context(params)
+    keygen = KeyGenerator(context, rng)
+    keys = keygen.generate()
+    relin_keys = keygen.relin_keys(keys.secret)
+    values = rng.integers(-1000, 1000, size=ACTIVATION_SHAPE)
+    ct = Encryptor(context, keys.public, rng).encrypt(ScalarEncoder(context).encode(values))
+    multiply_row, products, multiply_tallies = _reference_vs_fused(
+        context, lambda evaluator: evaluator.square(ct), reps
+    )
+    relin_row, relined, relin_tallies = _reference_vs_fused(
+        context, lambda evaluator: evaluator.relinearize(products["fused"], relin_keys), reps
+    )
+    identity = {
+        "ct_multiply": products["reference"].data.tobytes() == products["fused"].data.tobytes(),
+        "relinearize": relined["reference"].data.tobytes() == relined["fused"].data.tobytes(),
+        "ct_multiply_tallies": (
+            multiply_tallies["reference"] == multiply_tallies["fused"]
+            and relin_tallies["reference"] == relin_tallies["fused"]
+        ),
+    }
+    return multiply_row, relin_row, identity
+
+
 def _run_pipeline(profile, quantized, params, images, reps: int):
     """Fig8-style hybrid inference under one kernel profile.
 
@@ -235,6 +287,13 @@ def run(argv: list[str] | None = None) -> int:
         rng=rng,
     )
 
+    print("pure-HE activation kernels (ciphertext multiply, relinearize)...")
+    multiply_report, relin_report, ct_identity = _time_ct_kernels(
+        parameters_for_pipeline(models.quantized_square(), poly_degree),
+        reps=max(3, args.reps),
+        rng=rng,
+    )
+
     print("end-to-end hybrid inference, reference kernels (pre-change baseline)...")
     ref = _run_pipeline(kernels.REFERENCE, quantized, params, images, args.reps)
     print("end-to-end hybrid inference, fused kernels...")
@@ -250,6 +309,7 @@ def run(argv: list[str] | None = None) -> int:
         ),
         "op_tallies": ref["counts"] == fus["counts"],
         **flush_identity,
+        **ct_identity,
     }
     bit_identical = all(identity.values())
     speedup = ref["median_s"] / fus["median_s"]
@@ -267,6 +327,8 @@ def run(argv: list[str] | None = None) -> int:
         "ntt": ntt_report,
         "decrypt_poly": decrypt_report,
         "pack_fold": fold_report,
+        "ct_multiply": multiply_report,
+        "relinearize": relin_report,
         "baseline_reference": {
             "simulated_s": ref["median_s"],
             "stages_s": ref["stage_s"],
@@ -289,6 +351,12 @@ def run(argv: list[str] | None = None) -> int:
         f"decrypt_poly {decrypt_report['speedup']:.2f}x, "
         f"pack_fold {fold_report['speedup']:.2f}x in time and "
         f"{fold_report['peak_ratio']:.2f}x in peak memory (shape {fold_report['shape']})"
+    )
+    print(
+        f"ct_multiply {multiply_report['speedup']:.2f}x "
+        f"({multiply_report['reference_s']:.3f} -> {multiply_report['fused_s']:.3f} s, peak "
+        f"{multiply_report['reference_peak_mib']:.0f} -> {multiply_report['fused_peak_mib']:.0f} MiB), "
+        f"relinearize {relin_report['speedup']:.2f}x (shape {multiply_report['shape']})"
     )
     print(f"reference: {ref['median_s']:.3f} simulated s/inference")
     print(f"fused:     {fus['median_s']:.3f} simulated s/inference")

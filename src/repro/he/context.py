@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import KeyMismatchError, ParameterError
 from repro.he.params import EncryptionParams
-from repro.he.polyring import PolyContext
+from repro.he.polyring import AuxBasis, PolyContext, aux_primes
 
 
 class Context:
@@ -30,6 +30,21 @@ class Context:
         # NTT rows of x^0, x^1, ... grown on demand (at most poly_degree of
         # them) by :func:`repro.he.batching.pack_coefficients`.
         self._monomial_ntt: np.ndarray | None = None
+        # Built by the first ciphertext-ciphertext multiply, never here: the
+        # hybrid pipelines do not multiply and must not pay for it.
+        self._aux_basis: AuxBasis | None = None
+
+    @property
+    def aux_basis(self) -> AuxBasis:
+        """The auxiliary RNS basis of :meth:`Evaluator.multiply`."""
+        if self._aux_basis is None:
+            params = self.params
+            self._aux_basis = AuxBasis(
+                self.ring,
+                params.plain_modulus,
+                aux_primes(params.poly_degree, params.coeff_primes, params.plain_modulus),
+            )
+        return self._aux_basis
 
     @property
     def poly_degree(self) -> int:

@@ -5,10 +5,12 @@ The library carries two implementations of its hottest code paths:
 * **reference** -- the original, per-prime / per-tap formulation:
   :class:`~repro.he.ntt.NttPlan` looped over RNS primes, full ``%`` after
   every butterfly, one ``multiply_plain`` + ``add`` per convolution tap,
-  the object-array CRT decrypt.  Simple, single-prime, authoritative.
+  the object-array CRT decrypt, the Python-int ciphertext tensor product.
+  Simple, single-prime, authoritative.
 * **fused** -- the vectorized kernel layer: prime-stacked NTT butterflies
   with lazy (deferred) modular reduction, tap-batched conv/dense layer
-  kernels, and the int64 Garner/constant-coefficient decrypt shortcut.
+  kernels, the int64 Garner/constant-coefficient decrypt shortcut, and the
+  int64 RNS ciphertext multiply / relinearize.
 
 Both produce **bit-identical** ciphertexts and plaintexts -- every fused
 kernel is an exact algebraic rewrite mod each prime, not an approximation --
@@ -45,7 +47,9 @@ class KernelProfile:
         lazy_reduction: use conditional-subtract / deferred reduction in
             ``PolyContext.add``/``sub`` instead of a full ``%`` pass.
         fused_layers: use the tap-batched conv/dense/pool kernels in
-            :mod:`repro.core.heops` instead of the per-tap Python loops.
+            :mod:`repro.core.heops` instead of the per-tap Python loops, and
+            the int64 RNS kernels of ``Evaluator.multiply`` / ``relinearize``
+            instead of the Python-int tensor product and digit lift.
         fast_decrypt: use the int64 Garner CRT lift and the O(n)
             constant-coefficient decrypt shortcut where applicable.
     """

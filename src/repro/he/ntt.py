@@ -9,6 +9,14 @@ needed.
 All transforms are vectorized with numpy over arbitrary leading axes: an
 array of shape ``(..., n)`` is transformed along its last axis in one call.
 Primes are restricted to < 2^31 so every intermediate product fits in int64.
+
+:class:`StackedNttPlan` is the engine of every timed transform: the ring's
+own primes, the one-prime slot codec, and the auxiliary basis of the RNS
+ciphertext multiply (:class:`repro.he.polyring.AuxBasis`).
+:func:`negacyclic_convolve_exact` -- object-dtype inputs, one
+:class:`NttPlan` per auxiliary prime, a Python-int CRT sum -- is the
+reference-profile tensor product, kept as the oracle the RNS kernel is held
+to; nothing under the fused profile calls it.
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ shape ``(..., k, n)`` where ``k = len(primes)``; leading axes batch many
 polynomials so whole ciphertext images can be processed in single numpy
 calls.  Elements exist in either *coefficient* or *NTT (evaluation)* domain;
 the domain is tracked by the caller (see :class:`repro.he.context.Ciphertext`).
+
+:class:`MixedRadix` and :class:`AuxBasis` are the exact int64 base
+conversion behind the fused ciphertext multiply and relinearize; the
+``to_bigint*`` / ``convolve_exact`` / ``scale_and_round`` bridge to Python
+ints remains for the reference profile and for decrypting at ``q >= 2^62``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,220 @@ _MUL_SUM_CHUNK_ELEMS = 1 << 21
 #: Exclusive numerator bound of :meth:`PolyContext.scale_round_int64`: below
 #: it the float64 quotient estimate is provably within one of the true value.
 SCALE_ROUND_MAX_NUMER = 1 << 50
+
+
+def _residue_column(value: int, primes: Sequence[int]) -> np.ndarray:
+    """``value`` modulo each prime, as a ``(len(primes), 1)`` int64 column."""
+    return np.array([value % int(p) for p in primes], dtype=np.int64).reshape(-1, 1)
+
+
+def _dot_mod(values, weights, modulus, value_bound: int) -> np.ndarray:
+    """``sum_i values[i] * weights[i] mod modulus`` with as few ``%`` passes
+    as int64 allows (a ``%`` costs several multiply-adds).
+
+    ``values[i]`` lie in ``[0, value_bound)`` and ``weights[i]`` in ``[0,
+    modulus)`` elementwise; ``modulus`` is a scalar or a column of primes.
+    A reduced accumulator plus ``per_pass`` products stays below ``2^63``:
+    two products for 31-bit primes, seven for 30-bit ones.
+    """
+    top = modulus if isinstance(modulus, int) else int(modulus.max())
+    per_pass = ((1 << 63) - 1 - top) // ((value_bound - 1) * (top - 1))
+    acc = values[0] * weights[0]
+    for i in range(1, len(values)):
+        if i % per_pass == 0:
+            acc %= modulus
+        acc += values[i] * weights[i]
+    acc %= modulus
+    return acc
+
+
+class MixedRadix:
+    """Exact machine-word base conversion out of one list of RNS primes.
+
+    An integer ``x`` in ``[0, P)``, ``P = p_0 ... p_{k-1}``, given by its
+    residues has unique mixed-radix digits ``x = d_0 + d_1 p_0 + d_2 p_0 p_1
+    + ...`` with ``0 <= d_i < p_i`` (Garner).  The digits are machine words
+    however wide ``P`` is, and both consumers read ``x`` off them without
+    ever forming it: :meth:`convert_centered` evaluates them modulo the
+    ``targets`` primes, :meth:`limbs` yields base-``2^w`` digits.  Every
+    prime is below ``2^31``, so a product of two residues is below ``2^62``
+    and :func:`_dot_mod` keeps every sum of them inside int64.
+
+    Arrays are ``(..., k, n)`` like every RNS tensor of this package.
+    """
+
+    def __init__(self, primes: Sequence[int], targets: Sequence[int] = ()) -> None:
+        self.primes = [int(p) for p in primes]
+        self.k = len(self.primes)
+        self.half = (modmath.product(self.primes) - 1) // 2
+        self._bound = max(self.primes)
+        self._p_col = np.array(self.primes, dtype=np.int64).reshape(self.k, 1)
+        self._half_col = _residue_column(self.half, self.primes)
+        # Place values 1, p_0, p_0 p_1, ...
+        self.places = places = [modmath.product(self.primes[:j]) for j in range(self.k)]
+        # d_j = (r_j - sum_{i<j} d_i place_i) / place_j mod p_j, written as one
+        # dot product of (r_j, d_0, ..., d_{j-1}) with non-negative weights.
+        self._garner: list[list[int]] = []
+        for j, p in enumerate(self.primes):
+            inv = modmath.invert_mod(places[j], p)
+            self._garner.append([inv] + [-places[i] * inv % p for i in range(j)])
+        self._targets = np.array(targets, dtype=np.int64).reshape(-1, 1)
+        self._place_cols = [_residue_column(place, targets) for place in places]
+        self._half_target = _residue_column(self.half, targets)
+
+    def digits(self, residues: np.ndarray) -> np.ndarray:
+        """Mixed-radix digits ``(..., k, n)`` of reduced residues ``(..., k, n)``."""
+        x = np.empty(residues.shape, dtype=np.int64)
+        x[..., 0, :] = residues[..., 0, :]
+        for j in range(1, self.k):
+            rows = [residues[..., j, :]] + [x[..., i, :] for i in range(j)]
+            x[..., j, :] = _dot_mod(rows, self._garner[j], self.primes[j], self._bound)
+        return x
+
+    def convert_centered(self, residues: np.ndarray) -> np.ndarray:
+        """Residues modulo the ``targets`` primes, ``(..., T, n)``, of the
+        *centered* representative in ``[-(P-1)/2, (P-1)/2]`` of the value
+        with the given residues.
+
+        ``[x + (P-1)/2]_P`` lies in ``[0, P)``, converts exactly, and the
+        offset is subtracted again on the target side -- no comparison
+        against ``P/2`` is needed.
+        """
+        shifted = residues + self._half_col
+        shifted -= self._p_col
+        shifted += (shifted >> 63) & self._p_col
+        digits = self.digits(shifted)
+        out = _dot_mod(
+            [digits[..., i : i + 1, :] for i in range(self.k)],
+            self._place_cols,
+            self._targets,
+            self._bound,
+        )
+        out -= self._half_target
+        out += (out >> 63) & self._targets
+        return out
+
+    def limb_widths(self, bits: int) -> list[int]:
+        """Widths the limb arithmetic splits one ``bits``-wide digit into.
+
+        A limb is ``sum_i d_i * limb(place_i) + carry`` with ``d_i <= p_max -
+        1``, ``limb <= 2^width - 1`` and (by induction) ``carry <= k (p_max -
+        1)``, so it is at most ``k (p_max - 1) 2^width``; the widest ``width
+        <= bits`` keeping that below ``2^63`` is used -- ``[bits]`` itself
+        whenever it fits (``w = 16`` at any ``k``, ``w = 30`` up to four
+        primes), ``[29, 1]`` for ``w = 30`` beyond.
+        """
+        width = min(bits, 63 - (self.k * (self._bound - 1)).bit_length())
+        whole, rest = divmod(bits, width)
+        return [width] * whole + ([rest] if rest else [])
+
+    def limbs(self, digits: np.ndarray, bits: int, count: int):
+        """Yield the ``count`` low base-``2^bits`` digits, least significant
+        first and each ``(..., n)`` int64, of the value with mixed-radix
+        ``digits`` -- ``(x >> bits * j) & (2^bits - 1)`` without forming ``x``.
+        """
+        widths = self.limb_widths(bits)
+        carry = np.zeros(digits.shape[:-2] + digits.shape[-1:], dtype=np.int64)
+        offset = 0
+        for _ in range(count):
+            out, shift = 0, 0
+            for width in widths:
+                mask = (1 << width) - 1
+                for i, place in enumerate(self.places):
+                    limb = (place >> offset) & mask
+                    if limb:
+                        carry += digits[..., i, :] * limb
+                out = out + ((carry & mask) << shift)
+                carry >>= width
+                shift += width
+                offset += width
+            yield out
+
+
+def aux_primes(n: int, coeff_primes: Sequence[int], plain_modulus: int) -> list[int]:
+    """Auxiliary NTT primes for the RNS tensor product of ``(n, q, t)``.
+
+    30-bit NTT-friendly primes for degree ``n``, **disjoint from q's** (a
+    base conversion between overlapping bases is not a conversion), whose
+    product exceeds ``t * n * q + 3``, followed by one redundant check prime.
+    The bound is the worst case for *any* centered operands, well formed or
+    not: a tensor coefficient is at most ``2 n ((q-1)/2)^2`` in magnitude, so
+    ``|round(t d / q)| <= t n q / 2 + 1`` and a centered lift from the base
+    is exact.
+    """
+    taken = {int(p) for p in coeff_primes}
+    floor = plain_modulus * n * modmath.product(taken) + 4
+    # Every 30-bit prime exceeds 2^29, so this many cover the bound, the
+    # check prime and every candidate that q already uses.
+    count = floor.bit_length() // 29 + 2 + len(taken)
+    pool = [p for p in modmath.ntt_primes(30, n, count) if p not in taken]
+    base: list[int] = []
+    while modmath.product(base) < floor:
+        base.append(pool.pop(0))
+    return [*base, pool[0]]
+
+
+class AuxBasis:
+    """The auxiliary RNS basis of one ``(ring, t)``: exact ``round(t d / q)``
+    of FV tensor-product coefficients in int64.
+
+    ``primes`` is a base ``B`` followed by one check prime (see
+    :func:`aux_primes`).  :meth:`lift` carries centered ring elements into
+    the basis, the caller multiplies pointwise per prime over ``q``, ``B``
+    and the check prime (:attr:`plan` transforms the auxiliary rows), and
+    :meth:`scale_round` divides: with ``rho`` the centered remainder of
+    ``t d`` modulo ``q``, ``r = (t d - rho) / q`` is an exact division, so it
+    can be done modulo every auxiliary prime by multiplying with ``q^-1``.
+    ``q`` is odd, hence ``t d / q`` is never half-way between two integers
+    and ``|rho| < q/2`` makes ``r`` the nearest one for either sign -- the
+    integer :meth:`PolyContext.scale_and_round` (nearest, halves away from
+    zero) returns.
+    """
+
+    def __init__(self, ring: "PolyContext", plain_modulus: int, primes: Sequence[int]) -> None:
+        self.ring = ring
+        self.primes = [int(p) for p in primes]
+        self.plan = StackedNttPlan(ring.n, self.primes)
+        self._col = np.array(self.primes, dtype=np.int64).reshape(-1, 1)
+        self._to_aux = MixedRadix(ring.primes, self.primes)
+        self._to_ring = MixedRadix(self.primes[:-1], [*ring.primes, self.primes[-1]])
+        self._t_ring = ring.scalar_residues(plain_modulus)
+        # r = (t d - rho) / q as a dot product of (d, p - rho) with (t/q, 1/q).
+        q_inv = [modmath.invert_mod(ring.q, p) for p in self.primes]
+        self._divide = [
+            np.array(
+                [plain_modulus * inv % p for inv, p in zip(q_inv, self.primes)],
+                dtype=np.int64,
+            ).reshape(-1, 1),
+            np.array(q_inv, dtype=np.int64).reshape(-1, 1),
+        ]
+
+    def lift(self, coeff: np.ndarray) -> np.ndarray:
+        """Auxiliary residues ``(..., len(primes), n)`` of the centered value
+        of coefficient-domain ring elements ``(..., k, n)``."""
+        return self._to_aux.convert_centered(coeff)
+
+    def scale_round(self, d_ring: np.ndarray, d_aux: np.ndarray) -> np.ndarray:
+        """Ring residues of ``round(t d / q)`` for integers ``d`` known
+        modulo q's primes (``d_ring``) and the auxiliary primes (``d_aux``).
+
+        Raises:
+            ParameterError: the result does not fit the base.  The lift back
+                to ``q`` also evaluates the result modulo the check prime,
+                where it was carried exactly all along; any disagreement
+                means ``|r| > (prod B - 1)/2`` and no coefficient is returned.
+        """
+        rho = self._to_aux.convert_centered(
+            self.ring._reduce_product(d_ring * self._t_ring)
+        )
+        r = _dot_mod([d_aux, self._col - rho], self._divide, self._col, max(self.primes) + 1)
+        back = self._to_ring.convert_centered(r[..., :-1, :])
+        if not np.array_equal(back[..., -1, :], r[..., -1, :]):
+            raise ParameterError(
+                "RNS tensor product left the auxiliary basis: the rounded "
+                "coefficient disagrees with its check-prime residue"
+            )
+        return back[..., :-1, :]
 
 
 class PolyContext:
@@ -66,24 +285,10 @@ class PolyContext:
             ],
             dtype=object,
         )
-        # Garner (mixed-radix) lift constants for the int64 CRT fast path:
-        # x = r_0 + p_0 * t_1 + p_0 p_1 * t_2 + ...; every intermediate stays
-        # below q, so the lift is exact in int64 whenever q < 2^62.
+        # Mixed-radix digits of a value below q are machine words at any
+        # width of q; their int64 sum (to_int64_centered) needs q < 2^62.
         self.q_fits_int64 = self.q < (1 << 62)
-        if self.q_fits_int64:
-            prods: list[int] = [1]
-            invs: list[int] = [0]
-            partial = 1
-            for i in range(1, self.k):
-                partial *= self._prime_list[i - 1]
-                prods.append(partial)
-                invs.append(
-                    modmath.invert_mod(
-                        partial % self._prime_list[i], self._prime_list[i]
-                    )
-                )
-            self._garner_prods = prods
-            self._garner_invs = invs
+        self.radix = MixedRadix(self._prime_list)
 
     # ------------------------------------------------------------------
     # construction / sampling
@@ -312,7 +517,8 @@ class PolyContext:
         return self.intt(self.pointwise_mul(self.ntt(a), self.ntt(b)))
 
     # ------------------------------------------------------------------
-    # big-integer bridge (decrypt, tensor product, relinearization digits)
+    # big-integer bridge (wide-q decrypt; the reference tensor product and
+    # relinearization digits)
     # ------------------------------------------------------------------
     def to_bigint(self, a: np.ndarray) -> np.ndarray:
         """CRT-lift RNS residues to object-array coefficients in ``[0, q)``.
@@ -332,23 +538,20 @@ class PolyContext:
     def to_int64_centered(self, a: np.ndarray) -> np.ndarray:
         """Exact centered CRT lift as int64 (requires ``q < 2^62``).
 
-        Garner's mixed-radix reconstruction: every intermediate stays below
-        ``q``, so for ``q < 2^62`` the whole lift runs in int64 -- no
-        object-dtype arithmetic.  Bit-identical (after ``astype(object)``)
-        to :meth:`to_bigint_centered`.
+        The sum of :class:`MixedRadix` digits times their place values:
+        every partial sum stays below ``q``, so for ``q < 2^62`` the whole
+        lift runs in int64 -- no object-dtype arithmetic.  Bit-identical
+        (after ``astype(object)``) to :meth:`to_bigint_centered`.
         """
         if not self.q_fits_int64:
             raise ParameterError(
                 f"q has {self.q.bit_length()} bits; the int64 CRT lift "
                 "requires q < 2^62 (use to_bigint_centered)"
             )
-        acc = a[..., 0, :].astype(np.int64, copy=True)
+        digits = self.radix.digits(a)
+        acc = digits[..., 0, :]
         for i in range(1, self.k):
-            p = self._prime_list[i]
-            d = (a[..., i, :] - acc) % p
-            d *= self._garner_invs[i]
-            d %= p
-            acc += self._garner_prods[i] * d
+            acc += self.radix.places[i] * digits[..., i, :]
         return np.where(acc > self.q // 2, acc - self.q, acc)
 
     def scale_round_int64(self, centered: np.ndarray, numer: int) -> np.ndarray:

@@ -19,6 +19,7 @@ def _hotpath_report(speedup=3.0, fused_s=0.2, bit_identical=True):
         "ntt": {"forward_speedup": 2.0, "inverse_speedup": 2.0},
         "decrypt_poly": {"speedup": 4.0},
         "pack_fold": {"peak_ratio": 1.7, "fused_s": 0.03},
+        "ct_multiply": {"speedup": 3.5, "fused_s": 0.2},
         "fused": {"simulated_s": fused_s},
         "speedup": speedup,
         "bit_identical": {
@@ -28,6 +29,9 @@ def _hotpath_report(speedup=3.0, fused_s=0.2, bit_identical=True):
             "decrypt_poly": bit_identical,
             "pack_fold": bit_identical,
             "pack_fold_tallies": bit_identical,
+            "ct_multiply": bit_identical,
+            "relinearize": bit_identical,
+            "ct_multiply_tallies": bit_identical,
         },
     }
 

@@ -103,6 +103,21 @@ class TestRecoverableChaos:
         assert kernels.active().mode_name == "reference"
         assert "recovery/kernel_degrade" in all_span_names(pipeline.tracer)
 
+    def test_degrading_between_multiply_and_relinearize_keeps_the_bytes(
+        self, make_pipeline, test_images
+    ):
+        """A guard trip can land between the two halves of the activation: a
+        FUSED (int64 RNS) multiply followed by a REFERENCE (Python-int)
+        relinearize of the same ciphertext equals the all-REFERENCE bytes."""
+        pipeline = make_pipeline("encrypted")
+        ct = pipeline.encrypt_images(test_images[:1])[:, :, :2, :2]
+        evaluator, relin_keys = pipeline.evaluator, pipeline._relin_keys
+        fused_product = evaluator.square(ct)
+        kernels.degrade_to_reference()
+        mixed = evaluator.relinearize(fused_product, relin_keys)
+        reference = evaluator.relinearize(evaluator.square(ct), relin_keys)
+        assert mixed.data.tobytes() == reference.data.tobytes()
+
     @pytest.mark.parametrize("seed", chaos_seeds())
     def test_eviction_storm_only_costs_time(
         self, make_pipeline, baseline_logits, test_images, seed

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ParameterError
+from repro.errors import KeyMismatchError, ParameterError
 from repro.he import (
     Context,
     Decryptor,
@@ -16,7 +16,13 @@ from repro.he import (
     KeyGenerator,
     OperationCounter,
     ScalarEncoder,
+    kernels,
     small_parameter_options,
+)
+from repro.he.keys import RelinKeys
+
+PROFILES = pytest.mark.parametrize(
+    "profile", [kernels.FUSED, kernels.REFERENCE], ids=lambda p: p.mode_name
 )
 
 small_ints = st.integers(min_value=-100, max_value=100)
@@ -135,16 +141,53 @@ class TestMultiplicative:
     def test_square_transforms_its_operand_once(
         self, context, encryptor, encoder, evaluator, rng, monkeypatch
     ):
+        """One inverse transform and one lift of the operand per ``square``
+        (the product passes through ``intt`` too: three polynomials, not two)."""
         ct = encryptor.encrypt(encoder.encode(rng.integers(-50, 50, size=(2, 3))))
         product = evaluator.multiply(ct, ct)
-        inverse_transforms = []
-        original = context.ring.intt
+        operand_shape = (ct.batch_count, *ct.data.shape[-3:])
+        inverse_transforms, lifts = [], []
+        intt, lift = context.ring.intt, context.aux_basis.lift
         monkeypatch.setattr(
-            context.ring, "intt", lambda a: inverse_transforms.append(a.shape) or original(a)
+            context.ring, "intt", lambda a: inverse_transforms.append(a.shape) or intt(a)
+        )
+        monkeypatch.setattr(
+            context.aux_basis, "lift", lambda a: lifts.append(a.shape) or lift(a)
         )
         squared = evaluator.square(ct)
-        assert inverse_transforms == [ct.data.shape]
+        assert [shape for shape in inverse_transforms if shape[-3] == 2] == [operand_shape]
+        assert lifts == [operand_shape]
         assert not squared.is_ntt and squared.data.tobytes() == product.data.tobytes()
+        del inverse_transforms[:]
+        with kernels.use(kernels.REFERENCE):  # the oracle: one transform in all
+            assert evaluator.square(ct).data.tobytes() == product.data.tobytes()
+        assert inverse_transforms == [ct.data.shape]
+
+    @PROFILES
+    def test_mismatched_batches_are_a_typed_error(
+        self, encryptor, encoder, evaluator, profile
+    ):
+        five = encryptor.encrypt(encoder.encode(np.arange(5)))
+        three = encryptor.encrypt(encoder.encode(np.arange(3)))
+        with kernels.use(profile):
+            for op in (evaluator.multiply, evaluator.add):
+                with pytest.raises(ParameterError, match=r"\(5,\) and \(3,\)"):
+                    op(five, three)
+
+    def test_broadcast_batch_multiplies_under_both_profiles(
+        self, encryptor, decryptor, encoder, evaluator, relin_keys, rng
+    ):
+        values = rng.integers(-30, 30, size=5)
+        many = encryptor.encrypt(encoder.encode(values))
+        one = encryptor.encrypt(encoder.encode(-7))
+        outputs = {}
+        for profile in (kernels.FUSED, kernels.REFERENCE):
+            with kernels.use(profile):
+                relined = evaluator.relinearize(evaluator.multiply(many, one), relin_keys)
+            assert relined.batch_shape == (5,)
+            assert np.array_equal(encoder.decode(decryptor.decrypt(relined)), values * -7)
+            outputs[profile.mode_name] = relined.data.tobytes()
+        assert outputs["fused"] == outputs["reference"]
 
     def test_multiply_batched(self, encryptor, decryptor, encoder, evaluator, rng):
         a = rng.integers(-30, 30, size=5)
@@ -220,6 +263,24 @@ class TestRelinearization:
         ct4 = evaluator.multiply(relined, encryptor.encrypt(encoder.encode(2)))
         assert decryptor.invariant_noise_budget(ct4) > 0
         assert encoder.decode(decryptor.decrypt(ct4)) == 18
+
+    @PROFILES
+    def test_truncated_keys_are_rejected(
+        self, context, encryptor, encoder, evaluator, relin_keys, profile
+    ):
+        """Keys for 2 of the 4 digit positions used to be accepted and the
+        result decrypted to garbage."""
+        assert relin_keys.count == context.params.decomposition_count == 4
+        truncated = RelinKeys(
+            context,
+            relin_keys.key0_ntt[:2],
+            relin_keys.key1_ntt[:2],
+            relin_keys.decomposition_bits,
+        )
+        ct = evaluator.square(encryptor.encrypt(encoder.encode(15)))
+        with kernels.use(profile):
+            with pytest.raises(KeyMismatchError, match="2 digit positions"):
+                evaluator.relinearize(ct, truncated)
 
     def test_size_two_is_noop(self, encryptor, encoder, evaluator, relin_keys):
         ct = encryptor.encrypt(encoder.encode(5))

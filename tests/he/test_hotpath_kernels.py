@@ -7,12 +7,15 @@ CRT lift against the object-dtype sum, the int64 FV rounding against the
 object-dtype formula, the probe-based constant decrypt against full decrypt +
 decode, the fused multiply-reduce (and the coefficient fold built on it)
 against the composed primitives, and the stacked slot codec against
-``NttPlan``.  The overflow-bound regression pins the deferred reduction's
-safety margin at the largest supported configuration.
+``NttPlan``, and the RNS ciphertext multiply / relinearize against the
+Python-int tensor product and digit code.  The overflow-bound regression
+pins the deferred reduction's safety margin at the largest supported
+configuration.
 """
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -33,7 +36,7 @@ from repro.he.params import (
     default_parameter_options,
     small_parameter_options,
 )
-from repro.he.polyring import SCALE_ROUND_MAX_NUMER, PolyContext
+from repro.he.polyring import SCALE_ROUND_MAX_NUMER, AuxBasis, MixedRadix, PolyContext
 
 N = 64
 PRIMES = modmath.ntt_primes(28, N, 2)
@@ -693,3 +696,312 @@ class TestEvaluatorAddMany:
             slow = Evaluator(context).add_many(cts)
         assert np.array_equal(fast.data, slow.data)
         assert np.array_equal(encoder.decode(decryptor.decrypt(fast)), np.full((3,), 10))
+
+
+def _custom_params(prime_bits, count, plain_modulus, degree=256, **kwargs):
+    return EncryptionParams(
+        poly_degree=degree,
+        coeff_primes=tuple(modmath.ntt_primes(prime_bits, degree, count)),
+        plain_modulus=plain_modulus,
+        **kwargs,
+    )
+
+
+#: Parameter sets the RNS kernel is held to the oracle on: every preset, the
+#: pure-HE workload's shape (five 30-bit primes, t = 2^31), 31-bit primes
+#: under a t beyond 2^31, and w = 2^30 on both sides of the limb bound.
+RNS_PARAMS = [
+    *small_parameter_options().values(),
+    *default_parameter_options().values(),
+    _custom_params(30, 5, 1 << 31, name="workload_shape"),
+    _custom_params(31, 3, (1 << 41) - 21, name="wide_t_31bit"),
+    _custom_params(31, 4, 1 << 20, decomposition_bits=30, name="w30_whole_limb"),
+    _custom_params(31, 5, 1 << 20, decomposition_bits=30, name="w30_split_limb"),
+]
+
+
+@pytest.fixture(scope="module")
+def square_model():
+    from repro.core import train_paper_models
+
+    models = train_paper_models(
+        train_size=200, test_size=40, epochs=2, image_size=10, channels=2, kernel_size=3
+    )
+    return models.quantized_square(), models.quantized_sigmoid(), models.dataset.test_images
+
+
+class TestRnsMultiply:
+    """``multiply`` / ``square`` / ``relinearize`` under FUSED (int64 RNS)
+    return the REFERENCE (Python-int) bytes and tallies."""
+
+    @staticmethod
+    def _uniform_ct(context, rng, *batch):
+        """Uniform residues: worst-case centered magnitudes, not a well-formed
+        encryption -- the kernel's bound must not depend on that."""
+        return Ciphertext(context, context.ring.sample_uniform(rng, *batch, 2), is_ntt=True)
+
+    @staticmethod
+    def _both(fn):
+        """``fn(counter)`` -> ciphertexts, under each profile; returns
+        ``{mode: [(is_ntt, bytes)]}`` and ``{mode: tallies}``."""
+        outputs, tallies = {}, {}
+        for profile in (kernels.FUSED, kernels.REFERENCE):
+            counter = OperationCounter()
+            with kernels.use(profile):
+                cts = fn(counter)
+            outputs[profile.mode_name] = [(ct.is_ntt, ct.data.tobytes()) for ct in cts]
+            tallies[profile.mode_name] = dict(counter.counts)
+        return outputs, tallies
+
+    @pytest.mark.parametrize("params", RNS_PARAMS, ids=lambda p: p.name)
+    def test_bytes_and_tallies_match_the_oracle(self, params, rng):
+        """Distinct operands, a square, either input domain, and a second
+        multiplicative level, on uniform ciphertexts."""
+        context = Context(params)
+        relin_keys = KeyGenerator(context, rng).relin_keys(
+            KeyGenerator(context, rng).secret_key()
+        )
+        batch = (3,) if params.poly_degree <= 1024 else (1,)
+        a, b = self._uniform_ct(context, rng, *batch), self._uniform_ct(context, rng, *batch)
+
+        def run(counter):
+            evaluator = Evaluator(context, counter)
+            product = evaluator.multiply(a, b)
+            mixed = evaluator.multiply(a.to_coeff(), b)
+            squared = evaluator.square(a)
+            squared_coeff = evaluator.square(a.to_coeff())
+            relined = evaluator.relinearize(product, relin_keys)
+            second = evaluator.relinearize(evaluator.multiply(relined, b), relin_keys)
+            return product, mixed, squared, squared_coeff, relined, second
+
+        outputs, tallies = self._both(run)
+        assert outputs["fused"] == outputs["reference"]
+        assert tallies["fused"] == tallies["reference"]
+        assert tallies["fused"] == {"ct_mul": 5 * batch[0], "relinearize": 2 * batch[0]}
+
+    def test_pure_he_pipeline_parameters(self, square_model, rng):
+        from repro.core import parameters_for_pipeline
+
+        params = parameters_for_pipeline(square_model[0], 256)
+        assert len(params.coeff_primes) >= 4 and params.plain_modulus >= 1 << 30
+        context = Context(params)
+        keygen = KeyGenerator(context, rng)
+        keys = keygen.generate()
+        relin_keys = keygen.relin_keys(keys.secret)
+        encoder = ScalarEncoder(context)
+        values = rng.integers(-1000, 1000, size=(2, 3))
+        ct = Encryptor(context, keys.public, rng).encrypt(encoder.encode(values))
+
+        def run(counter):
+            evaluator = Evaluator(context, counter)
+            return [evaluator.relinearize(evaluator.square(ct), relin_keys)]
+
+        outputs, tallies = self._both(run)
+        assert outputs["fused"] == outputs["reference"]
+        assert tallies["fused"] == tallies["reference"]
+        with kernels.use(kernels.FUSED):
+            relined = Evaluator(context).relinearize(Evaluator(context).square(ct), relin_keys)
+        decoded = encoder.decode(Decryptor(context, keys.secret).decrypt(relined))
+        assert np.array_equal(decoded, values**2)
+
+    @pytest.mark.parametrize("count", [37, 16, 5, 0])
+    def test_chunked_batches(self, rng, count):
+        """16 ciphertexts make one chunk at n = 256: more than one chunk and no
+        multiple of it, exactly one, less than one, and an empty batch."""
+        context = Context(small_parameter_options()[256])
+        a, b = self._uniform_ct(context, rng, count), self._uniform_ct(context, rng, count)
+        outputs, _ = self._both(
+            lambda counter: [
+                Evaluator(context, counter).multiply(a, b),
+                Evaluator(context, counter).square(a.reshape(count, 1)),
+            ]
+        )
+        assert outputs["fused"] == outputs["reference"]
+
+    @pytest.mark.parametrize("params", RNS_PARAMS, ids=lambda p: p.name)
+    def test_rounding_half_way_points_both_signs(self, params, rng):
+        """Tensor coefficients ``d = floor((2j+1) q / (2t)) + {-1, 0, 1}``
+        straddle every rounding boundary of ``t d / q``; ``q`` is odd, so
+        none is a tie and nearest == the oracle's halves-away-from-zero."""
+        context = Context(params)
+        ring, basis = context.ring, context.aux_basis
+        t, q, n = params.plain_modulus, ring.q, ring.n
+        largest = 2 * n * (q // 2) ** 2  # any centered operands stay within
+        js = [*range(8), *(int(j) for j in rng.integers(0, 1 << 62, size=120))]
+        js += [largest * t // q - 1 - j for j in range(4)]
+        points = [0, 1, -1, largest, -largest]
+        for j in js:
+            boundary = (2 * j + 1) * q // (2 * t)
+            points += [
+                sign * (boundary + delta)
+                for delta in (-1, 0, 1)
+                for sign in (1, -1)
+                if boundary + delta <= largest
+            ]
+        points += [0] * (-len(points) % n)
+        d = np.array(points, dtype=object).reshape(-1, n)
+        d_aux = np.stack([(d % p).astype(np.int64) for p in basis.primes], axis=-2)
+        got = basis.scale_round(ring.from_int_coeffs(d), d_aux)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ring.scale_and_round(d, t, q))
+
+    def test_truncated_basis_trips_the_check_prime(self, rng):
+        """Two base primes short of the bound, the rounded coefficient wraps
+        modulo the base; its check-prime residue does not, and no wrong
+        coefficient comes back."""
+        context = Context(small_parameter_options()[256])
+        *base, check = context.aux_basis.primes
+        a, b = self._uniform_ct(context, rng, 2), self._uniform_ct(context, rng, 2)
+        expected = Evaluator(context).multiply(a, b).data
+        context._aux_basis = AuxBasis(context.ring, context.plain_modulus, [*base[:-2], check])
+        with pytest.raises(ParameterError, match="check-prime"):
+            Evaluator(context).multiply(a, b)
+
+    def test_check_prime_passes_a_result_inside_a_shorter_base(self, rng):
+        """The bound is a worst case: operands 17 bits below ``q/2`` round to
+        coefficients 34 bits below it, which a base one 30-bit prime short
+        still holds -- the check prime agrees and the bytes are the oracle's."""
+        context = Context(small_parameter_options()[256])
+        ring = context.ring
+        *base, check = context.aux_basis.primes
+        small = ring.q >> 18
+        a, b = (
+            Ciphertext(
+                context,
+                ring.from_int_coeffs(rng.integers(-small, small, (2, ring.n))),
+                is_ntt=False,
+            )
+            for _ in range(2)
+        )
+        with kernels.use(kernels.REFERENCE):
+            expected = Evaluator(context).multiply(a, b).data
+        assert expected.any()
+        context._aux_basis = AuxBasis(ring, context.plain_modulus, [*base[:-1], check])
+        assert np.array_equal(Evaluator(context).multiply(a, b).data, expected)
+
+    def test_basis_is_lazy_disjoint_and_wide_enough(self):
+        for params in RNS_PARAMS:
+            context = Context(params)
+            assert context._aux_basis is None
+            *base, check = context.aux_basis.primes
+            assert context.aux_basis is context._aux_basis
+            assert not {*base, check} & set(params.coeff_primes)
+            assert len({*base, check}) == len(base) + 1
+            assert all(p < 1 << 30 and (p - 1) % (2 * params.poly_degree) == 0 for p in base)
+            worst = params.plain_modulus * params.poly_degree * params.coeff_modulus // 2 + 1
+            assert modmath.product(base) >= 2 * worst + 1
+            assert modmath.product(base[:-1]) < 2 * worst + 1  # and no wider
+        counts = {p.name: len(Context(p).aux_basis.primes) for p in RNS_PARAMS}
+        assert counts["test_256"] == 3 + 1 and counts["workload_shape"] == 7 + 1
+
+    def test_hybrid_inference_never_builds_the_basis(self, square_model):
+        from repro.core import HybridPipeline, parameters_for_pipeline
+
+        _, sigmoid, images = square_model
+        pipeline = HybridPipeline(sigmoid, parameters_for_pipeline(sigmoid, 256), seed=3)
+        pipeline.infer(images[:1])
+        assert pipeline.context._aux_basis is None
+
+    def test_limb_split_is_computed_from_k_and_w(self):
+        """``k (p_max - 1) 2^w`` must stay below ``2^63``: w = 16 fits at any
+        k, w = 30 up to four primes -- beyond that the limb is split."""
+        for k in (1, 3, 12):
+            assert MixedRadix(modmath.ntt_primes(31, 64, k)).limb_widths(16) == [16]
+        assert MixedRadix(modmath.ntt_primes(31, 64, 4)).limb_widths(30) == [30]
+        assert MixedRadix(modmath.ntt_primes(31, 64, 5)).limb_widths(30) == [29, 1]
+        assert MixedRadix(modmath.ntt_primes(30, 64, 9)).limb_widths(30) == [29, 1]
+        for params in RNS_PARAMS:
+            whole = params.name != "w30_split_limb"
+            widths = Context(params).ring.radix.limb_widths(params.decomposition_bits)
+            assert (widths == [params.decomposition_bits]) == whole
+
+    @pytest.mark.parametrize("bits", [1, 7, 16, 29, 30])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_limbs_match_bigint_shifts(self, rng, k, bits):
+        ring = PolyContext(N, modmath.ntt_primes(31, N, k))
+        x = ring.sample_uniform(rng, 3)
+        big = ring.to_bigint(x)
+        count = -(-ring.q.bit_length() // bits)
+        limbs = list(ring.radix.limbs(ring.radix.digits(x), bits, count))
+        assert len(limbs) == count
+        for i, limb in enumerate(limbs):
+            assert limb.dtype == np.int64
+            assert np.array_equal(limb, (big >> (bits * i)) & ((1 << bits) - 1))
+
+    def test_fused_inference_never_touches_python_ints(self, square_model, monkeypatch):
+        """A ``CryptonetsPipeline.infer`` under FUSED calls none of the oracle's
+        bridges and leaves no object-dtype array in any frame of
+        ``multiply`` / ``square`` / ``relinearize``."""
+        from repro.core import CryptonetsPipeline, parameters_for_pipeline
+
+        square, _, images = square_model
+        pipeline = CryptonetsPipeline(square, parameters_for_pipeline(square, 256), seed=5)
+        with kernels.use(kernels.REFERENCE):
+            expected = pipeline.infer(images[:1]).logits
+
+        bridge_calls, object_arrays, watched = [], [], []
+
+        def bridge(name):
+            # The wide-q decrypt still lifts to Python ints, outside the
+            # watched calls; only a call from inside one is recorded.
+            original = getattr(PolyContext, name)
+
+            def wrapper(self, *args, **kwargs):
+                if sys.getprofile() is profiler:
+                    bridge_calls.append(name)
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(PolyContext, name, wrapper)
+
+        def is_object_array(value):
+            return isinstance(value, np.ndarray) and value.dtype == object
+
+        def profiler(frame, event, arg):
+            if event != "return" or "/repro/he/" not in frame.f_code.co_filename:
+                return
+            if is_object_array(arg) or any(map(is_object_array, frame.f_locals.values())):
+                object_arrays.append(frame.f_code.co_qualname)
+
+        def watch(name):
+            original = getattr(Evaluator, name)
+
+            def wrapper(self, *args, **kwargs):
+                watched.append(name)
+                previous = sys.getprofile()
+                sys.setprofile(profiler)
+                try:
+                    return original(self, *args, **kwargs)
+                finally:
+                    sys.setprofile(previous)
+
+            monkeypatch.setattr(Evaluator, name, wrapper)
+
+        for name in ("to_bigint", "to_bigint_centered", "convolve_exact", "scale_and_round"):
+            bridge(name)
+        for name in ("multiply", "square", "relinearize"):
+            watch(name)
+        with kernels.use(kernels.FUSED):
+            logits = pipeline.infer(images[:1]).logits
+        assert np.array_equal(logits, expected)
+        assert {"square", "multiply", "relinearize"} <= set(watched)
+        assert bridge_calls == [] and object_arrays == []
+
+    def test_workload_batch_stays_bounded(self, rng):
+        """The pure-HE workload squares and relinearizes a (1, 2, 8, 8) batch
+        at five primes, a 3.75 MiB result: 14 MiB at the peak in 16-ciphertext
+        chunks, 54 MiB with the 13-prime product of the whole batch in flight."""
+        context = Context(_custom_params(30, 5, 1 << 31))
+        relin_keys = KeyGenerator(context, rng).relin_keys(
+            KeyGenerator(context, rng).secret_key()
+        )
+        ct = self._uniform_ct(context, rng, 1, 2, 8, 8)
+        evaluator = Evaluator(context)
+        evaluator.square(ct[:, :1, :1, :1])  # build the basis outside the measurement
+        tracemalloc.start()
+        try:
+            relined = evaluator.relinearize(evaluator.square(ct), relin_keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert relined.batch_shape == (1, 2, 8, 8)
+        assert peak < 24 * 2**20

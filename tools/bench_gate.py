@@ -76,14 +76,19 @@ BENCHES: dict[str, dict] = {
             MetricSpec("ntt.inverse_speedup", "ratio"),
             MetricSpec("decrypt_poly.speedup", "ratio"),
             MetricSpec("pack_fold.peak_ratio", "ratio"),
+            MetricSpec("ct_multiply.speedup", "ratio"),
             MetricSpec("fused.simulated_s", "timing"),
             MetricSpec("pack_fold.fused_s", "timing"),
+            MetricSpec("ct_multiply.fused_s", "timing"),
             MetricSpec("bit_identical.logits", "invariant"),
             MetricSpec("bit_identical.encrypted_input", "invariant"),
             MetricSpec("bit_identical.op_tallies", "invariant"),
             MetricSpec("bit_identical.decrypt_poly", "invariant"),
             MetricSpec("bit_identical.pack_fold", "invariant"),
             MetricSpec("bit_identical.pack_fold_tallies", "invariant"),
+            MetricSpec("bit_identical.ct_multiply", "invariant"),
+            MetricSpec("bit_identical.relinearize", "invariant"),
+            MetricSpec("bit_identical.ct_multiply_tallies", "invariant"),
         ),
     },
     "serving": {
