@@ -2,13 +2,17 @@
 """Fused hot-path kernels vs the reference kernels, in one process.
 
 The kernel layer (:mod:`repro.he.kernels`) routes every pipeline through
-prime-stacked NTTs, lazy/deferred reduction, tap-batched conv/dense
+prime-stacked GEMM NTTs, lazy/deferred reduction, tap-batched conv/dense
 contractions and the probe-based constant decrypt.  This benchmark records
 the *pre-change* behaviour by running the same deployment under the
 reference profile (per-prime ``NttPlan`` loops, full ``%`` everywhere,
 per-tap Python loops), then under the fused profile, and reports:
 
-* an NTT microbenchmark (stacked vs per-prime transforms, both domains);
+* an NTT microbenchmark (the stacked GEMM transform vs per-prime butterfly
+  transforms, both domains, with the ``tracemalloc`` peak of each) on this
+  run's ring and on the two shapes the e2e workloads transform: the
+  ``(3, 144, 2, 1024)`` encrypt stack of ``direct_closed`` and a
+  ``(16, 2, 8, 256)`` auxiliary-basis chunk of ``cryptonets_direct``;
 * the two packed-flush kernels on the flush's own ``(16, 288)`` shape:
   ``decrypt_poly`` (full-polynomial decrypt of a slot-packed batch: Python-int
   CRT lift + rounding vs the int64 Garner lift + int64 rounding) and
@@ -43,7 +47,7 @@ import tracemalloc
 import numpy as np
 
 from repro.core import HybridPipeline, heops, parameters_for_pipeline, train_paper_models
-from repro.he import kernels
+from repro.he import kernels, modmath
 from repro.he.batching import BatchEncoder, pack_coefficients
 from repro.he.context import Context, Plaintext
 from repro.he.decryptor import Decryptor
@@ -51,20 +55,30 @@ from repro.he.encoders import ScalarEncoder
 from repro.he.encryptor import Encryptor, SymmetricEncryptor
 from repro.he.evaluator import Evaluator, OperationCounter, PlainOperand
 from repro.he.keys import KeyGenerator
+from repro.he.polyring import PolyContext
 
 #: Requests x tensor positions of one full serving flush (``packed_waves``).
 FLUSH_SHAPE = (16, 288)
 #: The conv output ``cryptonets_direct`` squares and relinearizes per image.
 ACTIVATION_SHAPE = (1, 2, 8, 8)
+#: ``direct_closed``'s client encrypt: ``u``, ``e1 + Delta*m``, ``e2`` of a
+#: 12 x 12 image stacked into one transform at n = 1024 over two 30-bit primes.
+ENCRYPT_DEGREE = 1024
+ENCRYPT_BATCH = (3, 144)
+#: One ``_TENSOR_CHUNK_COEFFS`` chunk of ``cryptonets_direct``'s multiply
+#: lifted to the auxiliary basis: 16 size-2 ciphertexts at n = 256.
+AUX_DEGREE = 256
+AUX_BATCH = (16, 2)
 
 
 def _time_ntt(ring, batch: tuple[int, ...], reps: int, rng) -> dict:
-    """Median seconds per forward/inverse transform, both kernel modes."""
+    """Median seconds and ``tracemalloc`` peak per forward/inverse transform
+    of a ``(*batch, k, n)`` residue tensor, both kernel modes."""
     x = ring.sample_uniform(rng, *batch)
-    out: dict = {"batch": list(batch)}
+    out: dict = {"batch": list(batch), "shape": list(x.shape)}
     for name, profile in (("reference", kernels.REFERENCE), ("fused", kernels.FUSED)):
         with kernels.use(profile):
-            ring.ntt(x)  # warm
+            ring.intt(ring.ntt(x))  # warm: both directions' tables
             fwd, inv = [], []
             for _ in range(reps):
                 t0 = time.perf_counter()
@@ -73,9 +87,11 @@ def _time_ntt(ring, batch: tuple[int, ...], reps: int, rng) -> dict:
                 t0 = time.perf_counter()
                 ring.intt(y)
                 inv.append(time.perf_counter() - t0)
+            peak = _peak_mib(lambda: ring.ntt(x))
         out[name] = {
             "forward_s": float(np.median(fwd)),
             "inverse_s": float(np.median(inv)),
+            "forward_peak_mib": peak,
         }
     out["forward_speedup"] = out["reference"]["forward_s"] / out["fused"]["forward_s"]
     out["inverse_speedup"] = out["reference"]["inverse_s"] / out["fused"]["inverse_s"]
@@ -279,6 +295,17 @@ def run(argv: list[str] | None = None) -> int:
     rng = np.random.default_rng(99)
     print("NTT microbenchmark...")
     ntt_report = _time_ntt(ring, (512,), reps=max(3, args.reps), rng=rng)
+    # The shapes the e2e workloads transform, whatever this run's model size.
+    encrypt_primes = modmath.ntt_primes(30, ENCRYPT_DEGREE, 2)
+    aux_primes = Context(
+        parameters_for_pipeline(models.quantized_square(), AUX_DEGREE)
+    ).aux_basis.primes
+    for row, workload_ring, batch in (
+        ("encrypt_stack", PolyContext(ENCRYPT_DEGREE, encrypt_primes), ENCRYPT_BATCH),
+        ("cryptonets_aux", PolyContext(AUX_DEGREE, aux_primes), AUX_BATCH),
+    ):
+        ntt_report[row] = _time_ntt(workload_ring, batch, reps=max(3, args.reps), rng=rng)
+    ntt_report["fused_forward_s"] = ntt_report["encrypt_stack"]["fused"]["forward_s"]
 
     print("packed-flush kernels (full-polynomial decrypt, coefficient fold)...")
     decrypt_report, fold_report, flush_identity = _time_flush_kernels(
@@ -343,10 +370,15 @@ def run(argv: list[str] | None = None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
 
-    print(
-        f"NTT forward {ntt_report['forward_speedup']:.2f}x, "
-        f"inverse {ntt_report['inverse_speedup']:.2f}x (batch {ntt_report['batch']})"
-    )
+    for row in (ntt_report, ntt_report["encrypt_stack"], ntt_report["cryptonets_aux"]):
+        print(
+            f"NTT {row['shape']}: forward {row['forward_speedup']:.2f}x "
+            f"({row['reference']['forward_s'] * 1e3:.2f} -> "
+            f"{row['fused']['forward_s'] * 1e3:.2f} ms, peak "
+            f"{row['reference']['forward_peak_mib']:.1f} -> "
+            f"{row['fused']['forward_peak_mib']:.1f} MiB), "
+            f"inverse {row['inverse_speedup']:.2f}x"
+        )
     print(
         f"decrypt_poly {decrypt_report['speedup']:.2f}x, "
         f"pack_fold {fold_report['speedup']:.2f}x in time and "

@@ -34,8 +34,14 @@ from repro.he.context import Ciphertext, Context
 from repro.he.encoders import ScalarEncoder
 from repro.he.evaluator import Evaluator, PlainOperand
 
-#: Elementwise cap on the gathered tap-window stack (~128 MB of int64).
-_TAP_CHUNK_ELEMS = 1 << 24
+#: Elementwise cap on the gathered tap-window stack (16 MiB of int64, the
+#: cap ``polyring._MUL_SUM_CHUNK_ELEMS`` uses).  The gather is the conv's
+#: largest transient and, on a non-trimming heap, sets the process's
+#: high-water mark once nothing else leaves a hole that size.  Any chunk
+#: gives the same bytes (exact int64 adds); every extra chunk costs one more
+#: pass over the output (direct_closed conv: 14.0 ms unchunked, 15.1 at
+#: 2^21, 19.1 at 2^20).
+_TAP_CHUNK_ELEMS = 1 << 21
 
 
 def _signed_weights(encoder: ScalarEncoder, weight: np.ndarray) -> np.ndarray:

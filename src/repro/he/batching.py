@@ -38,8 +38,9 @@ class BatchEncoder:
             )
         self.context = context
         self._plan = NttPlan(context.poly_degree, context.plain_modulus)
-        # The same tables as a one-prime stacked plan: lazy reduction pays one
-        # ``%`` per butterfly stage where NttPlan pays three.
+        # The same transform as a one-prime stacked plan: two small GEMMs
+        # where NttPlan runs log n butterfly stages (a t of up to 20 bits
+        # needs one limb).
         self._stacked = StackedNttPlan(
             context.poly_degree, [context.plain_modulus], plans=[self._plan]
         )

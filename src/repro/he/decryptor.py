@@ -87,8 +87,8 @@ class Decryptor:
         """Fast decrypt of *scalar-encoded* ciphertexts: centered int64
         constant coefficients, one O(n) reduction per value.
 
-        Instead of a full inverse NTT (``log n`` butterfly stages) this
-        computes only coefficients ``{0, 1, n/2}`` of ``[ct(s)]_q`` as
+        Instead of a full inverse NTT (all ``n`` coefficients) this computes
+        only coefficients ``{0, 1, n/2}`` of ``[ct(s)]_q`` as
         weighted sums over the NTT slots
         (:meth:`~repro.he.ntt.StackedNttPlan.inverse_coeff_weights`), lifts
         them with the int64 Garner CRT and applies the exact FV rounding.

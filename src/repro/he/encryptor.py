@@ -19,9 +19,9 @@ from repro.he.keys import PublicKey, SecretKey
 
 
 def _transform_sampled(ring, *polys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Forward-transform freshly sampled polynomials: one stacked butterfly
-    pass under the stacked-NTT profile instead of one transform each -- same
-    values, amortized stage overhead."""
+    """Forward-transform freshly sampled polynomials: one stacked transform
+    under the stacked-NTT profile instead of one each -- same values, fuller
+    row blocks."""
     if kernels.active().stacked_ntt:
         return tuple(ring.ntt(np.stack(polys)))
     return tuple(ring.ntt(poly) for poly in polys)

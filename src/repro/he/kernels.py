@@ -7,10 +7,10 @@ The library carries two implementations of its hottest code paths:
   every butterfly, one ``multiply_plain`` + ``add`` per convolution tap,
   the object-array CRT decrypt, the Python-int ciphertext tensor product.
   Simple, single-prime, authoritative.
-* **fused** -- the vectorized kernel layer: prime-stacked NTT butterflies
-  with lazy (deferred) modular reduction, tap-batched conv/dense layer
-  kernels, the int64 Garner/constant-coefficient decrypt shortcut, and the
-  int64 RNS ciphertext multiply / relinearize.
+* **fused** -- the vectorized kernel layer: the prime-stacked NTT as exact
+  float64 matrix products, lazy (deferred) modular reduction, tap-batched
+  conv/dense layer kernels, the int64 Garner/constant-coefficient decrypt
+  shortcut, and the int64 RNS ciphertext multiply / relinearize.
 
 Both produce **bit-identical** ciphertexts and plaintexts -- every fused
 kernel is an exact algebraic rewrite mod each prime, not an approximation --
@@ -42,8 +42,9 @@ class KernelProfile:
 
     Attributes:
         stacked_ntt: route ``PolyContext.ntt/intt`` through the prime-stacked
-            :class:`~repro.he.ntt.StackedNttPlan` (one butterfly loop over
-            all ``k`` residues) instead of ``k`` per-prime ``NttPlan`` passes.
+            :class:`~repro.he.ntt.StackedNttPlan` (the four-step GEMM
+            transform over all ``k`` residues) instead of ``k`` per-prime
+            ``NttPlan`` butterfly passes.
         lazy_reduction: use conditional-subtract / deferred reduction in
             ``PolyContext.add``/``sub`` instead of a full ``%`` pass.
         fused_layers: use the tap-batched conv/dense/pool kernels in

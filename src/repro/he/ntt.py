@@ -10,9 +10,14 @@ All transforms are vectorized with numpy over arbitrary leading axes: an
 array of shape ``(..., n)`` is transformed along its last axis in one call.
 Primes are restricted to < 2^31 so every intermediate product fits in int64.
 
-:class:`StackedNttPlan` is the engine of every timed transform: the ring's
-own primes, the one-prime slot codec, and the auxiliary basis of the RNS
-ciphertext multiply (:class:`repro.he.polyring.AuxBasis`).
+:class:`NttPlan` is that butterfly loop for one prime: the single-prime
+oracle and the engine of the reference profile.  :class:`StackedNttPlan`
+computes the same transform of a whole ``(..., k, n)`` residue tensor as a
+four-step factorisation whose two steps are exact float64 matrix products
+(limb-split so every GEMM sum stays below 2^53), and is the engine of every
+timed transform: the ring's own primes, the one-prime slot codec, and the
+auxiliary basis of the RNS ciphertext multiply
+(:class:`repro.he.polyring.AuxBasis`).
 :func:`negacyclic_convolve_exact` -- object-dtype inputs, one
 :class:`NttPlan` per auxiliary prime, a Python-int CRT sum -- is the
 reference-profile tensor product, kept as the oracle the RNS kernel is held
@@ -20,6 +25,8 @@ to; nothing under the fused profile calls it.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -126,35 +133,195 @@ class NttPlan:
         return values.astype(np.int64, copy=True)
 
 
+#: Residues transformed per block: 32 rows at ``n = 1024``, i.e. four
+#: 256 KiB float64 scratch arrays that stay cache-resident next to one
+#: prime's tables.  Measured on the ``(432, 2, 1024)`` encrypt stack: 2^13 ->
+#: 14.6, 2^14 -> 12.7, **2^15 -> 12.7**, 2^16 -> 12.8 ms (butterfly loop:
+#: 61 ms); at ``n = 4096`` 2^14 -> 4.2, 2^15 -> 3.0 ms.
+_BLOCK_ELEMS = 1 << 15
+
+#: Integers below 2^53 -- and sums of them that stay below it -- are exact in
+#: float64 whatever the order of summation.
+_EXACT_LIMIT = 1 << 53
+
+
+def _index_split(n: int) -> tuple[int, int]:
+    """``(n1, n0)`` with ``n = n1 * n0`` and ``n1 = 2^ceil(log2(n)/2)``."""
+    n1 = 1 << (n.bit_length() // 2)
+    return n1, n // n1
+
+
+def _limb_split(n1: int, p_max: int) -> tuple[int, int]:
+    """Fewest limbs ``(count, width)`` of the matrix entries for which every
+    GEMM sum and every recombined value of :class:`StackedNttPlan` stays
+    below 2^53 (the bound is derived in the class docstring).
+
+    Raises:
+        ParameterError: if no split does -- nothing inexact is ever returned.
+    """
+    bits = p_max.bit_length()
+    lazy = 2 * p_max - 1  # largest value a GEMM is fed: residues in [0, 2p)
+    for count in range(1, bits + 1):
+        width = -(-bits // count)
+        worst = n1 * lazy * ((1 << width) - 1)
+        if count > 1:
+            worst += lazy << width
+        if worst < _EXACT_LIMIT:
+            return count, width
+    raise ParameterError(
+        f"no limb split keeps a {n1}-term float64 GEMM exact for primes up "
+        f"to {p_max}"
+    )
+
+
+class _PrimeTables:
+    """One prime's weighted-limb float64 matrices for one direction: ``lead``
+    of shape ``(limbs, 1, n1, n1)`` and ``tail`` of shape ``(limbs, n1, n0,
+    n0)`` (see :class:`StackedNttPlan`)."""
+
+    __slots__ = ("lead", "tail", "__weakref__")
+
+    def __init__(self, lead: np.ndarray, tail: np.ndarray) -> None:
+        self.lead = lead
+        self.tail = tail
+
+
+#: Tables are a pure function of their key, so plans over the same primes --
+#: the client's, the server's and the enclave's contexts, every replica --
+#: share one read-only copy for as long as any of them is alive.  Besides the
+#: memory, that keeps a new context from planting long-lived blocks in the
+#: middle of a request's transients (loop_trace: 494 -> 460 MiB peak RSS).
+_SHARED_TABLES: "weakref.WeakValueDictionary[tuple, _PrimeTables]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _prime_tables(n: int, p: int, limbs: int, width: int, inverse: bool) -> _PrimeTables:
+    """Fetch or build the tables of prime ``p`` (vectorized: ~1 ms at
+    ``n = 1024``)."""
+    key = (n, p, limbs, width, inverse)
+    tables = _SHARED_TABLES.get(key)
+    if tables is not None:
+        return tables
+    n1, n0 = _index_split(n)
+    r1 = bit_reverse_indices(n1)
+    r = r1[:, None, None] + n1 * bit_reverse_indices(n0)
+    lead_exp = (2 * r1[:, None] + 1) * n0 * np.arange(n1)  # [j1, i1]
+    tail_exp = (2 * r + 1) * np.arange(n0)[:, None]  # [j1, i0, j0]
+    if inverse:  # the transposed matrices of psi^-1
+        lead_exp, tail_exp = -lead_exp.T, -tail_exp.transpose(0, 2, 1)
+    # psi^0 .. psi^(2n-1) by doubling: log2(2n) vectorized products.
+    powers = np.ones(2 * n, dtype=np.int64)
+    step = modmath.root_of_unity(2 * n, p)
+    have = 1
+    while have < 2 * n:
+        powers[have : 2 * have] = powers[:have] * step % p
+        step = step * step % p
+        have *= 2
+    lead = powers[lead_exp % (2 * n)]
+    if inverse:
+        lead = lead * modmath.invert_mod(n, p) % p
+    tail = powers[tail_exp % (2 * n)]
+
+    def weighted_limbs(matrix: np.ndarray) -> np.ndarray:
+        """``(limbs, *matrix.shape)`` float64, C order whatever the
+        exponents' was; limb ``l`` keeps its weight ``2^(l*width)``, so the
+        limbs of an entry sum to it."""
+        shifts = (width * np.arange(limbs)).reshape(-1, *(1,) * matrix.ndim)
+        return (matrix & (((1 << width) - 1) << shifts)).astype(np.float64, order="C")
+
+    tables = _PrimeTables(weighted_limbs(lead[None]), weighted_limbs(tail))
+    _SHARED_TABLES[key] = tables
+    return tables
+
+
+def _reduce(x: np.ndarray, q: np.ndarray, p: float, inv: float, out: np.ndarray) -> None:
+    """``out = x - floor(x * inv) * p`` with ``q`` as scratch: four float64
+    passes, no ``%``.  See :class:`StackedNttPlan` for the error argument."""
+    np.multiply(x, inv, out=q)
+    np.floor(q, out=q)
+    np.multiply(q, p, out=q)
+    np.subtract(x, q, out=out)
+
+
 class StackedNttPlan:
-    """Prime-stacked negacyclic NTT over a whole RNS residue tensor.
+    """Negacyclic NTT of a whole ``(..., k, n)`` RNS residue tensor as exact
+    float64 matrix products.
 
-    Where :class:`NttPlan` transforms one prime's residues at a time, this
-    plan stacks the ``k`` per-prime twiddle tables into ``(k, n)`` arrays and
-    runs a **single** butterfly loop of ``log n`` numpy stages over the whole
-    ``(..., k, n)`` tensor, with *lazy reduction*: butterflies add/subtract
-    without reducing, a per-prime offset keeps values nonnegative, and a full
-    ``%`` pass runs only when the tracked bound would make the next twiddle
-    multiplication overflow int64.
+    Where :class:`NttPlan` runs ``log n`` butterfly stages over one prime's
+    residues, this plan factors the same transform four-step (Bailey) style,
+    ``n = n1 * n0`` with ``n1 = 2^ceil(log2(n)/2)``, and hands both steps to
+    BLAS.  Write the input index ``i = n0*i1 + i0`` and the output slot
+    ``j = n0*j1 + j0``; slot ``j`` holds the evaluation at ``psi^(2r+1)``
+    with ``r = bitrev_n(j) = r1 + n1*r0``, ``r1 = bitrev_n1(j1)``,
+    ``r0 = bitrev_n0(j0)``.  Because ``psi^(2n) = 1``,
 
-    Value-range invariants (``p_max`` = largest prime, all primes < 2^31):
+        ``psi^((2r+1)*i) = psi^((2*r1+1)*n0*i1) * psi^((2r+1)*i0)``
 
-    * residues enter every stage below a tracked bound ``B`` (initially
-      ``p_max``);
-    * the forward butterfly reduces the twiddle product mod p, so both
-      outputs stay below ``B + p_max`` -- ``B`` grows by ``p_max`` per stage;
-    * the inverse butterfly defers both halves: ``u + v < 2B`` and
-      ``(u - v + off) * s`` requires ``2B + p <= MULT_SAFE`` first (``B``
-      tracked per prime there, so a freshly reduced row counts as ``< p``);
-    * before any multiplication by a twiddle/scalar ``s < p_max`` the operand
-      must be below ``MULT_SAFE = (2^63 - 1) // (p_max - 1)`` (>= 2^32 for
-      31-bit primes, ~2^33 for the 30-bit default), which is when the
-      deferred ``%`` pass runs -- once every few stages instead of three
-      times per stage.
+    so with the residue row viewed as an ``(n1, n0)`` matrix ``A``
 
-    Outputs are fully reduced to ``[0, p)`` and **bit-identical** to running
-    the per-prime :class:`NttPlan` (which remains the single-prime reference
-    implementation) over each residue row.
+    * **lead**: ``Y = lead @ A``, ``lead[j1, i1] = psi^((2*r1+1)*n0*i1)`` --
+      one ``(n1, n1)`` matrix per prime;
+    * **tail**: ``X[j1, :] = Y[j1, :] @ tail[j1]``,
+      ``tail[j1][i0, j0] = psi^((2r+1)*i0)`` -- one ``(n0, n0)`` matrix per
+      ``j1``, which carries the inter-step twiddle, so there is no
+      elementwise twiddle pass.
+
+    The bit-reversed output order is the column order of the tables and the
+    negacyclic twist is in the exponents, so there is no permutation or
+    twist pass either.  The inverse is the transpose: the ``tail`` step with
+    ``psi^(-(2r+1)*i0)`` first, then ``lead[i1, j1] = n^-1 *
+    psi^(-(2*r1+1)*n0*i1)``.  Tables come from the same
+    ``modmath.root_of_unity(2n, p)`` :class:`NttPlan` uses, are built when a
+    direction first runs, are shared between plans over the same prime, and
+    cost ``limbs * n * n0`` float64 per prime per direction: 512 KiB at
+    ``n = 1024``, 4 MiB at ``n = 4096`` with two limbs.
+
+    Exactness (``P`` = largest prime, all primes < 2^31).  Inputs are
+    canonical residues ``[0, p)`` -- every caller's are.  A matrix entry
+    ``m`` in ``[0, p)`` is split into ``limbs`` limbs of ``w`` bits, each
+    stored *with* its weight, ``m = sum_l T_l``, ``T_l = 2^(l*w) * m_l``,
+    and each limb gets its own GEMM.  Then:
+
+    * a limb sum is ``2^(l*w) * U`` with ``U <= terms * x_max * (2^w - 1)``
+      an integer, ``terms <= n1`` and ``x_max <= 2P - 1`` (the second step
+      is fed lazily reduced values); while ``U < 2^53`` every partial sum is
+      an integer (times a power of two) below 2^53, so float64 accumulates
+      it exactly in any order, with or without FMA, on any thread count;
+    * limbs are recombined from the top: the running value ``2^((l+1)*w) *
+      V`` is reduced modulo ``2^((l+1)*w) * p`` to ``2^((l+1)*w) * h`` with
+      ``h`` in ``[0, 2p)`` and added to the next limb sum, giving
+      ``2^(l*w) * (U + 2^w * h)``; this is exact while ``U + 2^w * (2P - 1)
+      < 2^53``, which is the bound :func:`_limb_split` evaluates **once, in
+      the constructor** (worst case ``terms = n1``, ``x_max = 2P - 1``),
+      picking the fewest limbs that satisfy it and raising
+      :class:`ParameterError` if none does.  Worst cases: 2^42.0 at
+      ``paper_1024`` (24-bit primes), 2^51.0 at the 30-bit ``n = 1024``
+      pipeline presets, 2^52.0 at ``functional_2048`` / ``functional_4096``,
+      all with two limbs; 31-bit primes take three limbs from ``n = 512`` up
+      (2^50.0 at ``n = 8192``); a slot-codec prime of up to 20 bits takes
+      one (2^44.0 at ``t = 520193``);
+    * the reduction is ``V - floor(V * inv) * p`` with ``inv = fl(1/p)``
+      scaled *down* by ``1 - 2^-50``: the computed quotient is never above
+      ``V / p`` and short of it by less than ``V/p * 2^-48 < 1``, so the
+      floor is ``floor(V/p)`` or one less, ``floor * p <= V < 2^53`` is
+      exact, and the result lies in ``[0, 2p)`` -- never negative;
+    * the final pass is the same reduction with ``inv`` scaled *up* by
+      ``1 + 2^-50``: on integers in ``[0, 2p)`` the computed quotient is
+      ``>= 1`` exactly when ``V >= p`` and stays below 2, so the floor is
+      exact and the output canonical.
+
+    Exact arithmetic mod ``p`` has one answer in ``[0, p)``, so outputs are
+    **bit-identical** to the per-prime :class:`NttPlan` (the single-prime
+    reference implementation) for any BLAS, summation order or thread count.
+
+    Rows are processed prime by prime in blocks of ``_BLOCK_ELEMS`` residues
+    through one block of scratch per call (reused with ``out=`` by every
+    block; ~1 MiB next to the result, where the butterfly loop held three
+    copies of the tensor), which keeps one prime's tables and the block
+    cache-resident and every GEMM at ``n1 x n1 x n0`` or smaller -- below
+    the size at which OpenBLAS hands work to a second thread, which on a
+    two-vCPU host costs milliseconds per hand-off.
     """
 
     def __init__(self, n: int, primes, plans: list[NttPlan] | None = None) -> None:
@@ -164,106 +331,79 @@ class StackedNttPlan:
         self.k = len(plans)
         self.primes = np.array([plan.prime for plan in plans], dtype=np.int64)
         self._prime_list = [plan.prime for plan in plans]
-        self._p_max = max(self._prime_list)
-        # Largest safe multiplicand for v * s with s < p_max (int64 ceiling).
-        self._mult_safe = ((1 << 63) - 1) // (self._p_max - 1)
-        assert self._mult_safe >= 1 << 32, "primes must be < 2^31"
-        self._p_off = self.primes.reshape(self.k, 1, 1, 1)
-        self._psi_rev = np.stack([plan._psi_rev for plan in plans])
-        self._psi_inv_rev = np.stack([plan._psi_inv_rev for plan in plans])
+        self._n1, self._n0 = _index_split(n)
+        self._limbs, self._limb_bits = _limb_split(self._n1, max(self._prime_list))
         self._n_inv = [plan._n_inv for plan in plans]
+        self._tables: dict[bool, list[_PrimeTables]] = {}
         self._coeff_weight_cache: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
-    def _prime_front(self, values: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Copy ``(..., k, n)`` into prime-major ``(k, B, n)`` layout so the
-        deferred per-prime ``%`` passes run on contiguous rows with a scalar
-        modulus (numpy's fast path) while butterflies span all primes."""
+    def _fold(self, sums, q, out, p: float, inv: float) -> None:
+        """Recombine weighted limb sums ``(limbs, ...)`` into ``out``, the
+        value mod ``p`` in ``[0, 2p)``; ``sums`` is consumed."""
+        acc = sums[-1]
+        for l in range(self._limbs - 2, -1, -1):
+            weight = float(1 << ((l + 1) * self._limb_bits))
+            _reduce(acc, q, p * weight, inv / weight, out=acc)
+            np.add(sums[l], acc, out=sums[l])
+            acc = sums[l]
+        _reduce(acc, q, p, inv, out=out)
+
+    def _transform(self, values: np.ndarray, inverse: bool) -> np.ndarray:
         values = np.asarray(values)
-        if values.ndim < 2 or values.shape[-1] != self.n or values.shape[-2] != self.k:
+        k, n, n1, n0 = self.k, self.n, self._n1, self._n0
+        if values.ndim < 2 or values.shape[-2:] != (k, n):
             raise ParameterError(
-                f"expected trailing shape (k={self.k}, n={self.n}), "
-                f"got {values.shape}"
+                f"expected trailing shape (k={k}, n={n}), got {values.shape}"
             )
-        batch = values.shape[:-2]
-        x = np.moveaxis(values, -2, 0).astype(np.int64, order="C", copy=True)
-        return x.reshape(self.k, -1, self.n), batch
-
-    def _restore(self, x: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
-        out = np.moveaxis(x.reshape(self.k, *batch, self.n), 0, -2)
-        return np.ascontiguousarray(out)
-
-    def _reduce_rows(self, x: np.ndarray) -> None:
-        for i, p in enumerate(self._prime_list):
-            x[i] %= p
+        # Tables before the result: what outlives the call sits below what
+        # does not.
+        tables = self._tables.get(inverse)
+        if tables is None:
+            tables = self._tables[inverse] = [
+                _prime_tables(n, p, self._limbs, self._limb_bits, inverse)
+                for p in self._prime_list
+            ]
+        out = np.empty(values.shape, dtype=np.int64)
+        batch = out.size // (k * n)
+        src = values.reshape(batch, k, n1, n0)
+        dst = out.reshape(batch, k, n1, n0)
+        block = max(1, _BLOCK_ELEMS // n)
+        scratch = np.empty((self._limbs + 2, min(block, batch), n1, n0))
+        for i, prime in enumerate(self._prime_list):
+            p = float(prime)
+            inv_down = 1.0 / p * (1.0 - 2.0**-50)
+            inv_up = 1.0 / p * (1.0 + 2.0**-50)
+            lead, tail = tables[i].lead, tables[i].tail
+            for start in range(0, batch, block):
+                stop = min(start + block, batch)
+                rows = scratch[:, : stop - start]
+                a, q, sums = rows[0], rows[1], rows[2:]
+                by_j1 = sums.transpose(0, 2, 1, 3)  # (limbs, n1, rows, n0)
+                np.copyto(a, src[start:stop, i], casting="unsafe")
+                if inverse:
+                    np.matmul(a.transpose(1, 0, 2), tail, out=by_j1)
+                    self._fold(sums, q, a, p, inv_down)
+                    np.matmul(lead, a, out=sums)
+                else:
+                    np.matmul(lead, a, out=sums)
+                    self._fold(sums, q, a, p, inv_down)
+                    np.matmul(a.transpose(1, 0, 2), tail, out=by_j1)
+                self._fold(sums, q, a, p, inv_down)
+                _reduce(a, q, p, inv_up, out=a)
+                np.copyto(dst[start:stop, i], a, casting="unsafe")
+        return out
 
     # ------------------------------------------------------------------
     def forward(self, values: np.ndarray) -> np.ndarray:
-        """Negacyclic NTT of every residue row of a ``(..., k, n)`` tensor;
-        bit-identical to ``NttPlan.forward`` per prime."""
-        x, batch = self._prime_front(values)
-        b = x.shape[1]
-        bound = self._p_max  # exclusive bound on every element
-        t = self.n
-        m = 1
-        while m < self.n:
-            t //= 2
-            if bound > self._mult_safe:
-                self._reduce_rows(x)
-                bound = self._p_max
-            view = x.reshape(self.k, b, m, 2, t)
-            u = view[..., 0, :]
-            w = view[..., 1, :] * self._psi_rev[:, None, m : 2 * m, None]
-            for i, p in enumerate(self._prime_list):
-                w[i] %= p  # w < p; the stage's one reduction pass
-            hi = u - w  # > -p_max, lazily fixed up below
-            hi += self._p_off  # hi in [0, bound + p), same class mod p
-            w += u  # lo in [0, bound + p_max)
-            view[..., 0, :] = w
-            view[..., 1, :] = hi
-            bound += self._p_max
-            m *= 2
-        self._reduce_rows(x)
-        return self._restore(x, batch)
+        """Negacyclic NTT of every residue row of a ``(..., k, n)`` tensor of
+        canonical residues; bit-identical to ``NttPlan.forward`` per prime."""
+        return self._transform(values, inverse=False)
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward`; bit-identical to ``NttPlan.inverse``
         per prime."""
-        x, batch = self._prime_front(values)
-        b = x.shape[1]
-        # Tracked per prime: after a reduction pass row i is below p_i, not
-        # just below p_max, and with 31-bit primes only that tighter bound
-        # keeps the lifted difference under MULT_SAFE.
-        bound = self.primes.copy()
-        t = 1
-        m = self.n
-        while m > 1:
-            h = m // 2
-            if int((2 * bound + self.primes).max()) > self._mult_safe:
-                self._reduce_rows(x)
-                bound = self.primes.copy()
-            # Per-prime multiple of p lifting u - v (> -bound) to >= 0.
-            off = (-(-bound // self.primes) * self.primes).reshape(self.k, 1, 1, 1)
-            view = x.reshape(self.k, b, h, 2, t)
-            u = view[..., 0, :]
-            v = view[..., 1, :]
-            d = u - v
-            d += off  # d in [0, bound + off) subset [0, 2*bound + p)
-            d *= self._psi_inv_rev[:, None, h : 2 * h, None]
-            for i, p in enumerate(self._prime_list):
-                d[i] %= p
-            lo = u + v  # < 2 * bound, deferred
-            view[..., 0, :] = lo
-            view[..., 1, :] = d
-            bound *= 2
-            t *= 2
-            m = h
-        if int(bound.max()) > self._mult_safe:
-            self._reduce_rows(x)
-        for i, p in enumerate(self._prime_list):
-            x[i] *= self._n_inv[i]
-            x[i] %= p
-        return self._restore(x, batch)
+        return self._transform(values, inverse=True)
 
     # ------------------------------------------------------------------
     def inverse_coeff_weights(self, index: int) -> np.ndarray:
@@ -273,8 +413,8 @@ class StackedNttPlan:
         The forward transform stores the evaluation at ``psi^(2*bitrev(i)+1)``
         in slot ``i``, so one inverse-NTT output coefficient is a single
         weighted reduction over the ``n`` slots -- the basis of the O(n)
-        constant-coefficient decrypt shortcut (the full ``inverse`` costs
-        ``log n`` butterfly stages).
+        constant-coefficient decrypt shortcut (the full ``inverse`` computes
+        all ``n`` coefficients).
         """
         if not 0 <= index < self.n:
             raise ParameterError(f"coefficient index {index} out of range [0, {self.n})")

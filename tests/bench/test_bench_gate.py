@@ -13,10 +13,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 GATE = REPO_ROOT / "tools" / "bench_gate.py"
 
 
-def _hotpath_report(speedup=3.0, fused_s=0.2, bit_identical=True):
+def _hotpath_report(speedup=3.0, fused_s=0.2, bit_identical=True, ntt_s=0.012):
     return {
         "config": {"mode": "smoke"},
-        "ntt": {"forward_speedup": 2.0, "inverse_speedup": 2.0},
+        "ntt": {"forward_speedup": 2.0, "inverse_speedup": 2.0, "fused_forward_s": ntt_s},
         "decrypt_poly": {"speedup": 4.0},
         "pack_fold": {"peak_ratio": 1.7, "fused_s": 0.03},
         "ct_multiply": {"speedup": 3.5, "fused_s": 0.2},
@@ -152,6 +152,15 @@ class TestBenchGate:
         proc = _gate(tmp_path / "base", tmp_path / "cur")
         assert proc.returncode == 1
         assert "fused.simulated_s" in proc.stdout
+
+    def test_transform_timing_is_gated(self, tmp_path):
+        """The workload-shaped forward NTT is a gated timing of its own: the
+        end-to-end figure runs at the bench's model size, not the e2e one."""
+        _write_pair(tmp_path / "base", _hotpath_report(), _serving_report())
+        _write_pair(tmp_path / "cur", _hotpath_report(ntt_s=0.065), _serving_report())
+        proc = _gate(tmp_path / "base", tmp_path / "cur")
+        assert proc.returncode == 1
+        assert "ntt.fused_forward_s" in proc.stdout
 
     def test_invariant_violation_fails_regardless_of_tolerance(self, tmp_path):
         _write_pair(tmp_path / "base", _hotpath_report(), _serving_report())

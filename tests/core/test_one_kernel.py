@@ -291,6 +291,38 @@ class TestOneKernelEverywhere:
         # Worker 0 dies at the first dispatch: every unit replays here.
         assert [rows for _, rows, _, _ in kernel_runs] == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
+    @pytest.mark.parametrize("taps_per_chunk", [6, 4], ids=["multiple", "ragged"])
+    def test_tap_chunking_keeps_the_reference_bytes(
+        self, rig, monkeypatch, taps_per_chunk
+    ):
+        """The window gather is capped at ``_TAP_CHUNK_ELEMS``: an 18-tap
+        conv split into three whole chunks, or four and a remainder, adds
+        the same exact int64 terms as the per-tap loop."""
+        rng = np.random.default_rng(5)
+        w = rng.integers(-9, 10, size=(3, 2, 3, 3))
+        w[w == 0] = 1
+        weights = heops.encode_conv_weights(
+            Evaluator(rig["context"]), rig["encoder"], w, rng.integers(-50, 50, size=3), 1
+        )
+        assert weights.keep is None and weights.weight_taps.shape[1] == 18
+        ct = encrypt(rig, rng.integers(-20, 20, size=(2, 2, 6, 6)))
+        lanes = 2 * 4 * 4
+        monkeypatch.setattr(
+            heops, "_TAP_CHUNK_ELEMS", taps_per_chunk * lanes * ct.data[0, 0, 0, 0].size
+        )
+        chunks = []
+        conv_rows = parallel.KERNELS["conv"]
+        monkeypatch.setitem(
+            parallel.KERNELS,
+            "conv",
+            lambda *a, **kw: (chunks.append(kw["chunk"]), conv_rows(*a, **kw))[1],
+        )
+        with kernels.use(kernels.REFERENCE):
+            reference = run_layer(rig, heops.he_conv2d, ct, weights)
+        with parallel.use(1):  # the spy sees the in-process unit
+            assert run_layer(rig, heops.he_conv2d, ct, weights) == reference
+        assert chunks == [taps_per_chunk]
+
     def test_he_substrate_does_not_import_core(self):
         import pathlib
 

@@ -8,18 +8,25 @@ object-dtype formula, the probe-based constant decrypt against full decrypt +
 decode, the fused multiply-reduce (and the coefficient fold built on it)
 against the composed primitives, and the stacked slot codec against
 ``NttPlan``, and the RNS ciphertext multiply / relinearize against the
-Python-int tensor product and digit code.  The overflow-bound regression
-pins the deferred reduction's safety margin at the largest supported
+Python-int tensor product and digit code.  The overflow-bound regressions
+pin the two exactness margins -- the GEMM transform's ``< 2^53`` limb split
+and the deferred reductions' int64 term counts -- at the largest supported
 configuration.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import EncodingError, ParameterError
 from repro.he import kernels, modmath
@@ -30,7 +37,8 @@ from repro.he.encoders import ScalarEncoder
 from repro.he.encryptor import Encryptor, SymmetricEncryptor
 from repro.he.evaluator import Evaluator, OperationCounter, PlainOperand
 from repro.he.keys import KeyGenerator
-from repro.he.ntt import NttPlan, StackedNttPlan
+from repro.he import ntt as ntt_module
+from repro.he.ntt import NttPlan, StackedNttPlan, _limb_split
 from repro.he.params import (
     EncryptionParams,
     default_parameter_options,
@@ -139,30 +147,209 @@ class TestStackedNttEquivalence:
             assert np.array_equal(coeff, full[..., index])
 
 
-class TestOverflowBounds:
-    """Regression-pin the deferred-reduction safety analysis."""
+def _assert_matches_per_prime(plan: StackedNttPlan, x: np.ndarray) -> None:
+    """``forward`` / ``inverse`` of ``x`` equal ``NttPlan`` per prime, and
+    round-trip."""
+    forward, inverse = plan.forward(x), plan.inverse(x)
+    for i, p in enumerate(plan.primes):
+        reference = NttPlan(plan.n, int(p))
+        assert np.array_equal(forward[..., i, :], reference.forward(x[..., i, :]))
+        assert np.array_equal(inverse[..., i, :], reference.inverse(x[..., i, :]))
+    assert np.array_equal(plan.inverse(forward), x)
 
-    def test_largest_supported_config(self):
-        """31-bit primes at n=8192: the stacked plan's multiply-safe bound
-        must still admit at least one full butterfly stage (>= 2^32 lanes)."""
+
+def _ntt_prime_pool(n: int) -> list[int]:
+    """NTT primes of 20-31 bits for length ``n`` (one, two and three limbs),
+    plus the one-prime slot codec's ``t`` where it supports ``n``."""
+    pool = [p for bits in (20, 24, 28, 30, 31) for p in modmath.ntt_primes(bits, n, 2)]
+    if (520193 - 1) % (2 * n) == 0:
+        pool.append(520193)
+    return sorted(set(pool))
+
+
+@st.composite
+def _stacked_cases(draw):
+    n = draw(st.sampled_from([2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]))
+    pool = _ntt_prime_pool(n)
+    primes = draw(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True)
+    )
+    block = max(1, ntt_module._BLOCK_ELEMS // n)
+    batch = draw(
+        st.sampled_from([(), (0, 3), (block - 1,), (block,), (block + 1,)])
+    )
+    fill = draw(st.sampled_from(["zero", "one", "p-1", "p//2", "random"]))
+    sliced = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, primes, batch, fill, sliced, seed
+
+
+class TestStackedNttProperty:
+    """The GEMM transform against the butterfly oracle across sizes, prime
+    widths, limb counts, block edges and memory layouts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_stacked_cases())
+    def test_matches_ntt_plan(self, case):
+        n, primes, batch, fill, sliced, seed = case
+        p_col = np.array(primes, dtype=np.int64)[:, None]
+        shape = (*batch, len(primes), n)
+        if fill == "random":
+            x = np.random.default_rng(seed).integers(0, p_col, size=shape)
+        else:
+            fills = {"zero": 0 * p_col, "one": 0 * p_col + 1, "p-1": p_col - 1, "p//2": p_col // 2}
+            x = np.broadcast_to(fills[fill], shape).copy()
+        if sliced:  # every other coefficient of a twice-as-long buffer
+            wide = np.zeros((*shape[:-1], 2 * n), dtype=np.int64)
+            wide[..., ::2] = x
+            x = wide[..., ::2]
+            assert not x.flags.c_contiguous or x.size == 0
+        _assert_matches_per_prime(StackedNttPlan(n, primes), x)
+
+    def test_cryptonets_auxiliary_basis(self, square_model, rng):
+        """The widest stack a workload transforms: the eight 30-bit auxiliary
+        primes of the pure-HE pipeline at n = 256."""
+        from repro.core import parameters_for_pipeline
+
+        basis = Context(parameters_for_pipeline(square_model[0], 256)).aux_basis
+        p_col = basis.plan.primes[:, None]
+        x = rng.integers(0, p_col, size=(33, basis.plan.k, 256))
+        x[0] = p_col - 1
+        _assert_matches_per_prime(basis.plan, x)
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        """Exact sums have one value: a one-thread BLAS in a fresh process
+        hashes ``forward`` to the same bytes as this process's default."""
+        primes = modmath.ntt_primes(30, 1024, 2)
+        x = np.random.default_rng(7).integers(
+            0, np.array(primes)[:, None], size=(40, 2, 1024)
+        )
+        here = hashlib.sha256(StackedNttPlan(1024, primes).forward(x).tobytes())
+        script = (
+            "import hashlib, numpy as np\n"
+            "from repro.he import modmath\n"
+            "from repro.he.ntt import StackedNttPlan\n"
+            "primes = modmath.ntt_primes(30, 1024, 2)\n"
+            "x = np.random.default_rng(7).integers(\n"
+            "    0, np.array(primes)[:, None], size=(40, 2, 1024))\n"
+            "out = StackedNttPlan(1024, primes).forward(x)\n"
+            "print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+        )
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="1",
+            PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+        )
+        single = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert single.stdout.strip() == here.hexdigest()
+
+    def test_forward_peaks_at_its_result_plus_one_block(self, rng):
+        """One block of scratch is reused by every block: a warm ``forward``
+        of the workload's encrypt stack peaks at its output plus ~1 MiB (the
+        butterfly loop held three copies of the tensor)."""
+        primes = modmath.ntt_primes(30, 1024, 2)
+        plan = StackedNttPlan(1024, primes)
+        x = rng.integers(0, np.array(primes)[:, None], size=(432, 2, 1024))
+        plan.forward(x[:1])  # build the tables
+        tracemalloc.start()
+        try:
+            out = plan.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * out.nbytes
+
+    def test_tables_are_built_per_direction_on_first_use(self, rng):
+        primes = modmath.ntt_primes(30, N, 2)
+        plan = StackedNttPlan(N, primes)
+        assert plan._tables == {}
+        x = rng.integers(0, np.array(primes)[:, None], size=(2, N))
+        plan.forward(x)
+        assert set(plan._tables) == {False}
+        plan.inverse(x)
+        assert set(plan._tables) == {False, True}
+
+
+    def test_plans_over_one_prime_share_tables_while_alive(self, rng):
+        """Client, server and enclave contexts use the same primes: one copy
+        of each prime's tables, dropped with the last plan that holds it."""
+        primes = modmath.ntt_primes(30, 128, 2)
+        first, second = StackedNttPlan(128, primes), StackedNttPlan(128, primes[::-1])
+        x = rng.integers(0, np.array(primes)[:, None], size=(2, 128))
+        first.forward(x)
+        second.forward(x[::-1])
+        assert first._tables[False][0] is second._tables[False][1]
+        keys = [key for key in ntt_module._SHARED_TABLES if key[0] == 128]
+        assert len(keys) == 2
+        del first, second
+        assert not any(key in ntt_module._SHARED_TABLES for key in keys)
+
+
+class TestOverflowBounds:
+    """Regression-pin the exactness analyses: float64 GEMM sums below 2^53,
+    deferred int64 reductions below 2^63."""
+
+    def test_largest_supported_config(self, rng):
+        """31-bit primes at n=8192: the float64 GEMMs take the limb split the
+        bound asks for and all-``p-1``, all-zero and random rows transform
+        bit-identically to ``NttPlan`` -- exact, not refused."""
         n = 8192
         primes = modmath.ntt_primes(31, n, 3)
         plan = StackedNttPlan(n, np.array(primes, dtype=np.int64))
-        p_max = max(primes)
-        assert plan._mult_safe == ((1 << 63) - 1) // (p_max - 1)
-        assert plan._mult_safe >= 1 << 32
+        x = np.stack([rng.integers(0, p, size=(3, n)) for p in primes], axis=1)
+        x[0] = np.array(primes)[:, None] - 1
+        x[1] = 0
+        _assert_matches_per_prime(plan, x)
 
     def test_stacked_inverse_exact_at_31_bit_primes(self, rng):
-        """Distinct 31-bit primes leave the inverse butterfly no slack: the
-        lifted difference stays multiply-safe only against each row's own
-        prime (a shared ``p_max`` bound overflowed int64 here)."""
-        wide = PolyContext(N, modmath.ntt_primes(31, N, 3))
-        x = wide.sample_uniform(rng, 5)
-        expected = np.empty_like(x)
-        for i, plan in enumerate(wide.plans):
-            expected[..., i, :] = plan.inverse(x[..., i, :])
-        assert np.array_equal(wide.stacked.inverse(x), expected)
-        assert np.array_equal(wide.stacked.inverse(wide.stacked.forward(x)), x)
+        """Distinct 31-bit primes leave the least slack below 2^53: at
+        n=2048 a two-limb split with a lifted second operand overran it in
+        the inverse's last GEMM and returned wrong residues."""
+        for n in (N, 2048):
+            wide = PolyContext(n, modmath.ntt_primes(31, n, 3))
+            x = wide.sample_uniform(rng, 5)
+            x[0] = wide.primes[:, None] - 1
+            expected = np.empty_like(x)
+            for i, plan in enumerate(wide.plans):
+                expected[..., i, :] = plan.inverse(x[..., i, :])
+            assert np.array_equal(wide.stacked.inverse(x), expected)
+            assert np.array_equal(wide.stacked.inverse(wide.stacked.forward(x)), x)
+
+    def test_inexact_configuration_is_refused_at_construction(self):
+        """The < 2^53 bound is evaluated once, in the constructor: a modulus
+        no limb split can make exact raises instead of returning wrong
+        residues (unreachable through ``NttPlan``, whose primes are < 2^31)."""
+        with pytest.raises(ParameterError, match="limb split"):
+            _limb_split(32, (1 << 52) + 1)
+        too_wide = types.SimpleNamespace(prime=(1 << 52) + 1, _n_inv=1)
+        with pytest.raises(ParameterError, match="limb split"):
+            StackedNttPlan(1024, [too_wide.prime], plans=[too_wide])
+
+    @pytest.mark.parametrize(
+        "n1, p_max, expected",
+        [
+            (32, 520193, (1, 19)),  # the slot codec's prime: one GEMM per step
+            (32, (1 << 30) - 1, (2, 15)),  # the pipeline presets
+            (64, (1 << 30) - 1, (2, 15)),  # functional_2048 / functional_4096
+            (32, (1 << 31) - 1, (3, 11)),  # 31-bit: two limbs overrun at n=1024
+            (128, (1 << 31) - 1, (3, 11)),  # the largest supported config
+        ],
+    )
+    def test_limb_split_is_the_fewest_limbs_below_2_53(self, n1, p_max, expected):
+        count, width = _limb_split(n1, p_max)
+        assert (count, width) == expected
+        lazy = 2 * p_max - 1
+
+        def worst(count, width):
+            return n1 * lazy * ((1 << width) - 1) + (lazy << width if count > 1 else 0)
+
+        assert worst(count, width) < 1 << 53
+        if count > 1:
+            fewer = count - 1
+            assert worst(fewer, -(-p_max.bit_length() // fewer)) >= 1 << 53
 
     def test_reduce_sum_rejects_overflowing_axis(self, ring):
         terms = ring.max_sum_terms + 1

@@ -78,6 +78,7 @@ BENCHES: dict[str, dict] = {
             MetricSpec("pack_fold.peak_ratio", "ratio"),
             MetricSpec("ct_multiply.speedup", "ratio"),
             MetricSpec("fused.simulated_s", "timing"),
+            MetricSpec("ntt.fused_forward_s", "timing"),
             MetricSpec("pack_fold.fused_s", "timing"),
             MetricSpec("ct_multiply.fused_s", "timing"),
             MetricSpec("bit_identical.logits", "invariant"),
