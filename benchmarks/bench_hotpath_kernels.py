@@ -16,8 +16,9 @@ per-tap Python loops), then under the fused profile, and reports:
 * the two packed-flush kernels on the flush's own ``(16, 288)`` shape:
   ``decrypt_poly`` (full-polynomial decrypt of a slot-packed batch: Python-int
   CRT lift + rounding vs the int64 Garner lift + int64 rounding) and
-  ``pack_fold`` (``multiply_plain`` + ``sum_batch`` vs the fused, chunked
-  ``multiply_plain_sum``, with the ``tracemalloc`` peak of each);
+  ``pack_fold`` (``multiply_plain`` + ``sum_batch`` over the stacked batch
+  vs ``pack_coefficients``' deferred-reduction multiply-accumulate over the
+  16 un-stacked requests, with the ``tracemalloc`` peak of each);
 * the pure-HE activation on the ``cryptonets_direct`` workload's own
   ``(1, 2, 8, 8)`` batch: ``ct_multiply`` (``Evaluator.square``: Python-int
   tensor product vs the int64 RNS kernel) and ``relinearize`` (digits off the
@@ -146,15 +147,16 @@ def _time_flush_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
         "speedup": ref_s / fus_s,
     }
 
-    # pack_fold: the host-side fold of the stacked requests into coefficients.
+    # pack_fold: the host-side fold of the flush's requests into coefficients.
     stacked = encryptor.encrypt(ScalarEncoder(context).encode(rows))
+    requests = [stacked[b : b + 1].copy() for b in range(FLUSH_SHAPE[0])]
     composed_eval = Evaluator(context, OperationCounter())
     fused_eval = Evaluator(context, OperationCounter())
     monomials = np.eye(FLUSH_SHAPE[0], context.poly_degree, dtype=np.int64)
     x_powers = composed_eval.transform_plain(Plaintext(context, monomials)).ntt_data
 
     def fused():
-        return pack_coefficients(fused_eval, stacked)
+        return pack_coefficients(fused_eval, requests)  # as the flush does
 
     def composed():
         # The same x^b operand the fused fold reads, as the old two calls.

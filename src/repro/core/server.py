@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -430,14 +430,15 @@ class EdgeServer:
         kind: str,
         scheme: str,
         model_name: str,
-        ct: Ciphertext,
+        ct: Ciphertext | Sequence[Ciphertext],
         *,
         enclave: EnclaveSupervisor,
         contexts=(),
         before_close=None,
         **span_attrs,
     ) -> tuple[Ciphertext, InferenceResult]:
-        """Walk ``model_name``'s compiled ``kind`` graph over ``ct`` on
+        """Walk ``model_name``'s compiled ``kind`` graph over ``ct`` (for
+        ``packed``, the flush's request ciphertexts un-stacked) on
         ``enclave`` under one ``scheme`` pipeline span.
 
         The shared body of the direct path and the scheduler's packed
@@ -449,7 +450,7 @@ class EdgeServer:
         self._require_model(model_name)
         graph, report = self._plans[model_name, kind].compiled()
         env = replace(self._resources[model_name], enclave=enclave)
-        batch = int(ct.batch_shape[0])
+        batch = graph_executor.leading_batch(ct)
         with obs_context.activate(*contexts), self.platform.tracer.span(
             scheme,
             kind="pipeline",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -182,9 +182,9 @@ def _packed_payload(node, conv: Ciphertext, total: int) -> tuple[Ciphertext, int
     full, remainder = divmod(total, chunk)
     parts = []
     if full:
-        main = np.ascontiguousarray(
-            np.moveaxis(flat[: full * chunk].reshape(full, chunk, *tail), 1, 0)
-        )
+        # The fold reads its rows where they lie: run j of every chunk is a
+        # strided view, never a payload-sized copy.
+        main = np.moveaxis(flat[: full * chunk].reshape(full, chunk, *tail), 1, 0)
         packed = pack_coefficients(
             pack_evaluator, Ciphertext(conv.context, main, is_ntt=True)
         )
@@ -261,12 +261,13 @@ def _pool(env, node, value, walk):
         return heops.he_scaled_mean_pool(env.evaluator, value, node.attrs["window"])
 
 
-def _pack(env, node, stacked, walk):
+def _pack(env, node, requests, walk):
     with _node_stage(env, node):
-        # Host side: fold the B stacked requests into polynomial
-        # coefficients homomorphically, so the enclave decrypts one
-        # ciphertext per pixel position instead of B.
-        folded = pack_coefficients(env.evaluator, stacked)
+        # Host side: fold the B requests (one ciphertext, or the flush's
+        # request ciphertexts un-stacked) into polynomial coefficients
+        # homomorphically, so the enclave decrypts one ciphertext per pixel
+        # position instead of B.
+        folded = pack_coefficients(env.evaluator, requests)
         return env.enclave.ecall("pack_slots", folded, walk.batch)
 
 
@@ -312,23 +313,31 @@ OPS: dict[str, Callable] = {
 }
 
 
+def leading_batch(ciphertext: Ciphertext | Sequence[Ciphertext]) -> int:
+    """Images riding one walk: the leading axis of a ciphertext, or of a
+    packed flush's un-stacked request ciphertexts together."""
+    parts = [ciphertext] if isinstance(ciphertext, Ciphertext) else ciphertext
+    return sum(int(part.batch_shape[0]) for part in parts)
+
+
 def run(
     graph: ir.InferenceGraph,
     env: Resources,
     *,
     images: np.ndarray | None = None,
-    ciphertext: Ciphertext | None = None,
+    ciphertext: Ciphertext | Sequence[Ciphertext] | None = None,
 ):
     """Walk ``graph`` over ``env`` from raw ``images`` or from an already
-    encrypted ``ciphertext`` (exactly one); returns ``(logits, budget,
-    result_ct)`` with ``logits`` / ``budget`` None unless the graph ends in
-    a decrypt node."""
+    encrypted ``ciphertext`` (exactly one; a ``packed`` graph also takes the
+    flush's request ciphertexts as a sequence, which its ``pack`` node folds
+    un-stacked); returns ``(logits, budget, result_ct)`` with ``logits`` /
+    ``budget`` None unless the graph ends in a decrypt node."""
     if (images is None) == (ciphertext is None):
         raise PipelineError("graph executor takes exactly one of images / ciphertext")
     if images is not None:
         value, batch = images, images.shape[0]
     else:
-        value, batch = ciphertext, ciphertext.batch_shape[0]
+        value, batch = ciphertext, leading_batch(ciphertext)
     walk = _Walk(batch=int(batch))
     for node in graph.nodes:
         handler = OPS.get(node.op)

@@ -213,36 +213,6 @@ class Arena:
         np.copyto(view.array, array)
         return view
 
-    def concat(self, arrays: list[np.ndarray], axis: int = 0) -> ArenaView:
-        """Concatenate ``arrays`` along ``axis`` directly into one block.
-
-        The arena equivalent of ``np.concatenate`` for batch staging: each
-        source is copied exactly once into its slice of the block, and the
-        result is a view (serializable as one buffer slice).
-        """
-        if not arrays:
-            raise ArenaError("concat requires at least one array")
-        first = np.asarray(arrays[0])
-        if axis != 0:
-            raise ArenaError("arena concat supports axis=0 staging only")
-        tail = first.shape[1:]
-        total = 0
-        for arr in arrays:
-            arr = np.asarray(arr)
-            if arr.shape[1:] != tail:
-                raise ArenaError(
-                    f"concat shape mismatch: {arr.shape[1:]} vs {tail}"
-                )
-            total += arr.shape[0]
-        view = self.alloc((total, *tail))
-        out = view.array
-        offset = 0
-        for arr in arrays:
-            arr = np.asarray(arr)
-            np.copyto(out[offset : offset + arr.shape[0]], arr)
-            offset += arr.shape[0]
-        return view
-
     def free(self, view: ArenaView) -> None:
         """Mark a view's block dead (reclaimed by :meth:`compact`)."""
         if view._arena is not self:
@@ -307,9 +277,9 @@ def stacked_view(arrays: list[np.ndarray]) -> np.ndarray | None:
 
     When every array in ``arrays`` is a same-shape/same-stride view into
     one base buffer and consecutive members sit a constant byte offset
-    apart (adjacent arena blocks, rows of one stacked ciphertext, slices
-    of a staged batch), the stack *already exists* in memory: this returns
-    an ``as_strided`` view with one extra leading axis.  Returns ``None``
+    apart (adjacent arena blocks, rows of one stacked ciphertext), the
+    stack *already exists* in memory: this returns an ``as_strided`` view
+    with one extra leading axis.  Returns ``None``
     when the arrays do not alias one buffer that way -- callers fall back
     to a materializing ``np.stack``.
     """

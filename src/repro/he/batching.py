@@ -13,12 +13,14 @@ The slot isomorphism is realized by the negacyclic NTT modulo ``t``:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.errors import EncodingError
+from repro.errors import EncodingError, KeyMismatchError
 from repro.he import kernels
 from repro.he.context import Ciphertext, Context, Plaintext
-from repro.he.evaluator import Evaluator, PlainOperand
+from repro.he.evaluator import Evaluator
 from repro.he.ntt import NttPlan, StackedNttPlan
 
 
@@ -135,14 +137,19 @@ def _monomial_rows(context: Context, count: int) -> np.ndarray:
     return memo[:count]
 
 
-def pack_coefficients(evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
-    """Fold a ciphertext's leading batch axis into polynomial *coefficients*.
+def pack_coefficients(
+    evaluator: Evaluator, ct: Ciphertext | Sequence[Ciphertext]
+) -> Ciphertext:
+    """Fold leading batch axes into polynomial *coefficients*.
 
-    Given scalar-encoded ciphertexts stacked along axis 0 (``(B, *rest)``,
-    value in the constant coefficient), homomorphically computes
-    ``sum_b ct[b] * x^b`` -- a ``(*rest,)`` ciphertext whose underlying
-    plaintext carries value ``b`` in coefficient ``b``.  Pure host-side
-    ``C x P`` / ``C + C`` work: no key material, no decryption.
+    Given scalar-encoded ciphertexts ``(B, *rest)`` (value in the constant
+    coefficient) -- one ciphertext, or a sequence of parts ``(B_i, *rest)``
+    standing for their concatenation along axis 0, which is never built --
+    homomorphically computes ``sum_b ct[b] * x^b``: a ``(*rest,)``
+    ciphertext whose underlying plaintext carries value ``b`` in coefficient
+    ``b``.  Pure host-side ``C x P`` / ``C + C`` work: no key material, no
+    decryption, and the parts are read where they lie (views, strided and
+    read-only data included) by one :meth:`Evaluator.sum_products`.
 
     This is the cheap half of scalar->SIMD conversion: it shrinks the
     payload an enclave must decrypt for slot packing by the factor ``B``
@@ -152,15 +159,38 @@ def pack_coefficients(evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
     easily absorbs.
 
     Raises:
-        EncodingError: no batch axis, or ``B`` exceeds the ring degree.
+        EncodingError: no parts; a part (named by its index) with no batch
+            axis, of a foreign context, in coefficient domain or with a
+            trailing shape unlike part 0's; or ``B`` beyond the ring degree.
     """
-    if not ct.batch_shape:
-        raise EncodingError("pack_coefficients expects a leading batch axis")
-    b = ct.batch_shape[0]
-    n = ct.context.poly_degree
-    if b > n:
-        raise EncodingError(f"batch of {b} exceeds the ring degree {n}")
-    # Broadcast the (B,)-batched monomial operand over the remaining axes.
-    rows = _monomial_rows(ct.context, b)
-    operand = rows.reshape(b, *([1] * (len(ct.batch_shape) - 1)), *rows.shape[-2:])
-    return evaluator.multiply_plain_sum(ct, PlainOperand(ct.context, operand), axis=0)
+    parts = [ct] if isinstance(ct, Ciphertext) else list(ct)
+    if not parts:
+        raise EncodingError("pack_coefficients expects at least one ciphertext")
+    context = evaluator.context
+    rows: list[np.ndarray] = []
+    for i, part in enumerate(parts):
+        if not part.batch_shape:
+            raise EncodingError(
+                f"pack_coefficients expects a leading batch axis (part {i} has none)"
+            )
+        try:
+            context.check_same(part.context)
+        except KeyMismatchError as exc:
+            raise EncodingError(f"pack_coefficients part {i}: {exc}") from exc
+        if not part.is_ntt:
+            raise EncodingError(
+                f"pack_coefficients part {i} is in coefficient domain; fold "
+                "NTT-domain ciphertexts (to_ntt())"
+            )
+        if part.data.shape[1:] != parts[0].data.shape[1:]:
+            raise EncodingError(
+                f"pack_coefficients part {i} has trailing shape "
+                f"{part.data.shape[1:]}, part 0 has {parts[0].data.shape[1:]}"
+            )
+        rows.extend(part.data)
+    if len(rows) > context.poly_degree:
+        raise EncodingError(
+            f"batch of {len(rows)} exceeds the ring degree {context.poly_degree}"
+        )
+    # Row b is NTT(x^b), broadcast over the remaining axes and components.
+    return evaluator.sum_products(rows, _monomial_rows(context, len(rows)))

@@ -35,6 +35,7 @@ from repro.errors import KeyMismatchError, ParameterError
 from repro.he import arena, kernels
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.keys import RelinKeys
+from repro.he.polyring import _reduce_planes
 
 #: Coefficients (ciphertexts x n) per chunk of the RNS tensor product: 16
 #: ciphertexts at n = 256, one at n = 4096.  Large enough to amortise the
@@ -187,8 +188,8 @@ class Evaluator:
             # One stacked reduction (and one trailing %) instead of a
             # sequential O(len) fold of add() allocations; the op tally
             # matches the fold exactly.  Arena-backed siblings (adjacent
-            # blocks, or slices of one staged batch) stack as a strided
-            # view -- no materialized intermediate at all.
+            # blocks, or rows of one ciphertext) stack as a strided view --
+            # no materialized intermediate at all.
             self._check(*cts)
             parts = [ct.to_ntt().data for ct in cts]
             stacked = arena.stacked_view(parts)
@@ -247,8 +248,7 @@ class Evaluator:
 
         Same ciphertext and the same ``ct_plain_mul`` / ``ct_add`` tallies as
         the composed calls, but the batch product is never materialized:
-        :meth:`PolyContext.pointwise_mul_sum` multiplies and folds it in
-        bounded chunks along ``axis``.
+        the slices along ``axis`` are the terms of one :meth:`sum_products`.
         """
         self._check(ct, plain)
         if not ct.batch_shape:
@@ -262,16 +262,24 @@ class Evaluator:
             raise ParameterError(
                 "multiply_plain_sum operand has more batch axes than the ciphertext"
             )
-        result = Ciphertext(
-            self.context,
-            self.context.ring.pointwise_mul_sum(ct.data, operand, axis=axis),
-            is_ntt=True,
+        shape = np.broadcast_shapes(ct.data.shape, operand.shape)
+        return self.sum_products(
+            np.moveaxis(np.broadcast_to(ct.data, shape), axis, 0),
+            np.moveaxis(np.broadcast_to(operand, shape), axis, 0),
         )
+
+    def sum_products(self, rows, operands) -> Ciphertext:
+        """``sum_i rows[i] x operands[i]``: NTT-domain ciphertext data rows
+        times NTT-domain plaintext rows, folded by
+        :meth:`PolyContext.pointwise_mul_sum` where the rows lie (they need
+        not share a buffer) and tallied as the ``C x P`` products and
+        ``C + C`` additions it replaces."""
+        data = self.context.ring.pointwise_mul_sum(rows, operands)
+        result = Ciphertext(self.context, data, is_ntt=True)
         if self.counter is not None:
-            terms = np.broadcast_shapes(ct.data.shape, operand.shape)[axis]
             lanes = max(1, result.batch_count)
-            self.counter.record("ct_plain_mul", terms * lanes)
-            self.counter.record("ct_add", (terms - 1) * lanes)
+            self.counter.record("ct_plain_mul", len(rows) * lanes)
+            self.counter.record("ct_add", (len(rows) - 1) * lanes)
         return result
 
     def multiply_scalar(self, ct: Ciphertext, value: int) -> Ciphertext:
@@ -390,15 +398,17 @@ class Evaluator:
             )
         ring = self.context.ring
         coeff = ct.to_coeff().data
-        acc0 = ring.ntt(coeff[..., 0, :, :])
-        acc1 = ring.ntt(coeff[..., 1, :, :])
-        # One digit at a time: stacking the digit transforms is no faster and
-        # multiplies the transient by their count.
-        for i, digits in enumerate(self._relin_digits(coeff[..., 2, :, :])):
-            d_ntt = ring.ntt(ring.from_signed_small(digits))
-            acc0 = ring.add(acc0, ring.pointwise_mul(relin_keys.key0_ntt[i], d_ntt))
-            acc1 = ring.add(acc1, ring.pointwise_mul(relin_keys.key1_ntt[i], d_ntt))
-        data = np.stack([acc0, acc1], axis=-3)
+        # The digit x key inner product is one multiply-accumulate over both
+        # key components.  The digits are transformed one at a time as it
+        # consumes them: stacking the transforms is no faster and multiplies
+        # the transient by their count.
+        keys = np.stack([relin_keys.key0_ntt, relin_keys.key1_ntt], axis=1)
+        digits = (
+            ring.ntt(ring.from_signed_small(d))[..., None, :, :]
+            for d in self._relin_digits(coeff[..., 2, :, :])
+        )
+        data = ring.pointwise_mul_sum(digits, keys)
+        data = ring.add(data, ring.ntt(coeff[..., :2, :, :]))
         result = Ciphertext(self.context, data, is_ntt=True)
         self._record("relinearize", result)
         return result
@@ -436,6 +446,4 @@ def _tensor_product(x: np.ndarray, y: np.ndarray, primes) -> np.ndarray:
     np.multiply(x[:, 0], y[:, 1], out=out[:, 1])
     out[:, 1] += x[:, 1] * y[:, 0]
     np.multiply(x[:, 1], y[:, 1], out=out[:, 2])
-    for i, p in enumerate(primes):
-        out[..., i, :] %= int(p)
-    return out
+    return _reduce_planes(out, primes)

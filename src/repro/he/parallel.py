@@ -535,23 +535,3 @@ def dispatch_dense(fd: np.ndarray, wmat: np.ndarray, **args) -> np.ndarray:
     pool = active_pool()
     out = pool.run_dense(fd, wmat, **args) if pool is not None else None
     return out if out is not None else _run_whole("dense", fd, wmat, args)
-
-
-# ----------------------------------------------------------------------
-# flush batch staging
-# ----------------------------------------------------------------------
-_stage_arena: Arena | None = None
-
-
-def stage_batch(arrays: list[np.ndarray]) -> np.ndarray:
-    """Concatenate a flush's request ciphertext data along axis 0 into the
-    process staging arena (one reused block per flush: no per-flush
-    allocation, and the stacked batch serializes as one buffer slice).
-    The view is valid until the next flush stages."""
-    global _stage_arena
-    if len(arrays) == 1:
-        return arrays[0]
-    if _stage_arena is None:
-        _stage_arena = Arena(1 << 14, shared=False, auto_grow=True)
-    _stage_arena.reset()
-    return _stage_arena.concat(arrays, axis=0).array

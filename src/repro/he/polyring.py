@@ -23,12 +23,6 @@ from repro.errors import ParameterError
 from repro.he import kernels, modmath
 from repro.he.ntt import NttPlan, StackedNttPlan, negacyclic_convolve_exact
 
-#: Elementwise cap on the product chunk of the fused multiply-reduce (16 MiB of
-#: int64): small enough that the serving flush's 16 x 288 ciphertext fold never
-#: materializes the whole batch product, large enough that the conv/dense tap
-#: stacks still run as a handful of numpy calls.
-_MUL_SUM_CHUNK_ELEMS = 1 << 21
-
 #: Exclusive numerator bound of :meth:`PolyContext.scale_round_int64`: below
 #: it the float64 quotient estimate is provably within one of the true value.
 SCALE_ROUND_MAX_NUMER = 1 << 50
@@ -39,17 +33,38 @@ def _residue_column(value: int, primes: Sequence[int]) -> np.ndarray:
     return np.array([value % int(p) for p in primes], dtype=np.int64).reshape(-1, 1)
 
 
+def _products_per_pass(top: int, value_bound: int) -> int:
+    """How many unreduced products an int64 multiply-accumulate may add
+    between two ``%`` passes (a ``%`` costs several multiply-adds, so the
+    sum is normalised once per run of products, not once per product).
+
+    One factor of each product lies in ``[0, value_bound)``, the other in
+    ``[0, top)``, and the accumulator enters a run reduced, i.e. below
+    ``top``: ``top - 1 + per_pass (value_bound - 1)(top - 1) <= 2^63 - 1``.
+    Every modulus of this package is below ``2^31``, so at least two
+    products fit (31-bit primes) and eight for primes just under ``2^30``.
+    """
+    return ((1 << 63) - 1 - top) // ((value_bound - 1) * (top - 1))
+
+
+def _reduce_planes(data: np.ndarray, primes) -> np.ndarray:
+    """Reduce a ``(..., k, n)`` int64 tensor modulo its per-plane primes, in
+    place: one scalar-modulus ``%=`` per plane, measurably faster than one
+    broadcast array ``%``.  Same values either way."""
+    for i, p in enumerate(primes):
+        data[..., i, :] %= int(p)
+    return data
+
+
 def _dot_mod(values, weights, modulus, value_bound: int) -> np.ndarray:
-    """``sum_i values[i] * weights[i] mod modulus`` with as few ``%`` passes
-    as int64 allows (a ``%`` costs several multiply-adds).
+    """``sum_i values[i] * weights[i] mod modulus`` under the
+    :func:`_products_per_pass` rule.
 
     ``values[i]`` lie in ``[0, value_bound)`` and ``weights[i]`` in ``[0,
     modulus)`` elementwise; ``modulus`` is a scalar or a column of primes.
-    A reduced accumulator plus ``per_pass`` products stays below ``2^63``:
-    two products for 31-bit primes, seven for 30-bit ones.
     """
     top = modulus if isinstance(modulus, int) else int(modulus.max())
-    per_pass = ((1 << 63) - 1 - top) // ((value_bound - 1) * (top - 1))
+    per_pass = _products_per_pass(top, value_bound)
     acc = values[0] * weights[0]
     for i in range(1, len(values)):
         if i % per_pass == 0:
@@ -271,8 +286,9 @@ class PolyContext:
         self._p_max = max(self._prime_list)
         # Deferred-reduction overflow bound: a sum of fully reduced residues
         # (each < p_max < 2^31) stays int64-exact for up to this many terms;
-        # reduce_sum / pointwise_mul_sum enforce it.
+        # reduce_sum enforces it.
         self.max_sum_terms = ((1 << 63) - 1) // (self._p_max - 1)
+        self._per_pass = _products_per_pass(self._p_max, self._p_max)
         # Per-value scalar residue cache (mul_scalar / from_scalar): weights,
         # Delta and bias constants recur across every inference.
         self._scalar_cache: dict[int, np.ndarray] = {}
@@ -404,15 +420,12 @@ class PolyContext:
     def _reduce_product(self, prod: np.ndarray) -> np.ndarray:
         """Reduce a freshly materialized ``(..., k, n)`` product in place.
 
-        Under lazy-reduction kernels each prime's plane is reduced with a
-        scalar modulus (measurably faster than one broadcast array ``%``);
-        the reference profile keeps the broadcast form.  Same values either
+        Under lazy-reduction kernels :func:`_reduce_planes` does it; the
+        reference profile keeps the broadcast form.  Same values either
         way."""
         if not kernels.active().lazy_reduction:
             return prod % self._p_col
-        for i, p in enumerate(self._prime_list):
-            prod[..., i, :] %= p
-        return prod
+        return _reduce_planes(prod, self._prime_list)
 
     def reduce_sum(self, a: np.ndarray, axis: int) -> np.ndarray:
         """Sum a batch of ring elements along one leading (batch) axis.
@@ -433,65 +446,56 @@ class PolyContext:
                 f"deferred reduction overflow: summing {a.shape[axis]} residues "
                 f"< {self._p_max} exceeds int64 (max {self.max_sum_terms} terms)"
             )
-        return np.add.reduce(a, axis=axis) % self._p_col
+        return _reduce_planes(np.add.reduce(a, axis=axis), self._prime_list)
 
-    def pointwise_mul_sum(self, a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
-        """Fused ``reduce_sum(pointwise_mul(a, b), axis)`` with bounded memory.
+    def pointwise_mul_sum(self, a, b) -> np.ndarray:
+        """``sum_i a[i] * b[i]`` modulo each prime, as one exact
+        multiply-accumulate with deferred reduction.
 
-        The broadcast product is materialized in chunks along ``axis``; each
-        chunk's products are reduced mod p (products of two residues can
-        reach ~2^62, so they cannot be accumulated lazily) and the reduced
-        terms -- each < p_max < 2^31 -- are summed exactly in int64 with one
-        trailing ``%`` per prime.  This is the conv/dense tap-batch kernel
-        and the serving flush's coefficient fold: one multiply pass + one
-        reduction instead of a Python loop of ``multiply_plain`` / ``add``
-        allocations, peaking at one product chunk (``_MUL_SUM_CHUNK_ELEMS``)
-        plus two output-sized arrays.
+        ``a`` and ``b`` yield the terms pairwise: any two iterables of
+        reduced ``(..., k, n)`` arrays (an array is the sequence of its
+        leading-axis rows; views, broadcast and read-only rows are read
+        where they lie) whose products all broadcast to one shape.  One
+        accumulator and one product scratch of that *output* shape are the
+        only allocations; :func:`_products_per_pass` products are added
+        unreduced between ``%`` passes and the result is canonical ``[0,
+        p)`` -- the integers of folding :meth:`add` over
+        :meth:`pointwise_mul`.  This is the serving flush's coefficient
+        fold and the relinearization's digit x key inner product.
+
+        Raises:
+            ParameterError: no terms, terms that are not ``(..., k, n)`` ring
+                elements, or a product that does not broadcast into the
+                first one's shape.
         """
-        a = np.asarray(a)
-        b = np.asarray(b)
-        out_shape = np.broadcast_shapes(a.shape, b.shape)
-        axis = axis % len(out_shape)
-        if axis >= len(out_shape) - 2:
-            raise ParameterError(
-                "pointwise_mul_sum reduces a batch axis; the trailing two "
-                "axes are the RNS residue and coefficient dimensions"
-            )
-        terms = out_shape[axis]
-        if terms > self.max_sum_terms:
-            raise ParameterError(
-                f"deferred reduction overflow: summing {terms} residues "
-                f"< {self._p_max} exceeds int64 (max {self.max_sum_terms} terms)"
-            )
-        slice_elems = 1
-        for i, dim in enumerate(out_shape):
-            if i != axis:
-                slice_elems *= dim
-        chunk = max(1, _MUL_SUM_CHUNK_ELEMS // max(1, slice_elems))
-        a_full = np.broadcast_to(a, out_shape)
-        b_full = np.broadcast_to(b, out_shape)
-        index: list = [slice(None)] * len(out_shape)
-        acc: np.ndarray | None = None
-        prod: np.ndarray | None = None
-        for start in range(0, terms, chunk):
-            index[axis] = slice(start, start + chunk)
-            lhs, rhs = a_full[tuple(index)], b_full[tuple(index)]
-            if prod is not None and prod.shape == lhs.shape:
-                # Reuse the chunk-sized scratch: allocating the next product
-                # while the last is still bound would double the peak.
-                np.multiply(lhs, rhs, out=prod)
+        acc = prod = None
+        for i, (x, y) in enumerate(zip(a, b, strict=True)):
+            if i and i % self._per_pass == 0:
+                _reduce_planes(acc, self._prime_list)
+            if i == 1:
+                prod = np.empty_like(acc)
+            try:
+                # out=None (the first term) allocates, so the accumulator
+                # never aliases an operand.
+                term = np.multiply(x, y, out=prod)
+            except ValueError:
+                raise ParameterError(
+                    f"pointwise_mul_sum term {i}: {np.shape(x)} x {np.shape(y)} does "
+                    f"not broadcast into {None if acc is None else acc.shape}"
+                ) from None
+            if i:
+                acc += term
+            elif term.shape[-2:] == (self.k, self.n):
+                acc = term
             else:
-                prod = lhs * rhs
-            for i, p in enumerate(self._prime_list):
-                prod[..., i, :] %= p
-            if acc is None:
-                acc = np.add.reduce(prod, axis=axis)
-            else:
-                acc += np.add.reduce(prod, axis=axis)
-        assert acc is not None  # terms >= 1 always holds for layer kernels
-        for i, p in enumerate(self._prime_list):
-            acc[..., i, :] %= p
-        return acc
+                raise ParameterError(
+                    f"pointwise_mul_sum folds (..., {self.k}, {self.n}) ring elements, "
+                    f"got terms of shape {term.shape}: the trailing two axes are "
+                    "the RNS residue and coefficient dimensions"
+                )
+        if acc is None:
+            raise ParameterError("pointwise_mul_sum needs at least one term")
+        return _reduce_planes(acc, self._prime_list)
 
     # ------------------------------------------------------------------
     # domain conversion

@@ -663,17 +663,11 @@ class RequestScheduler:
         tracer = server.platform.tracer
         enclave = server.fleet.replica(replica)
         total = sum(r.batch for r in requests)
-        # Requests share the enclave's key pair, so their ciphertexts stack
-        # into one scalar-encoded (total, C, H, W) batch.  The batch is
-        # staged in the flush arena: one reused contiguous block per flush
-        # (each request copied exactly once), and the stacked data is a
-        # zero-copy view the fused kernels can hand to the worker pool as
-        # index ranges.
-        stacked = Ciphertext(
-            server.context,
-            parallel.stage_batch([r.ct.to_ntt().data for r in requests]),
-            is_ntt=True,
-        )
+        # Requests share the enclave's key pair, so their ciphertexts fold as
+        # one scalar-encoded (total, C, H, W) batch -- which is never built:
+        # the pack node reads each request where it lies, so nothing
+        # flush-sized is copied between submit and the pack_slots ECALL.
+        parts = [r.ct.to_ntt() for r in requests]
         if flushed_at is None:
             flushed_at = server.platform.clock.now_s
 
@@ -710,7 +704,7 @@ class RequestScheduler:
             "packed",
             PACKED_SCHEME,
             model_name,
-            stacked,
+            parts,
             enclave=enclave,
             contexts=contexts,
             before_close=request_spans,

@@ -67,7 +67,6 @@ class TestTrainPaperModels:
         assert abs(q2.conv_weight).max() <= 3
         assert q2.input_scale == 7
 
-    @pytest.mark.slow
     def test_full_size_paper_model(self):
         models = train_paper_models(train_size=200, test_size=50, epochs=2)
         assert models.sigmoid.layer_shapes[0] == (1, 28, 28)

@@ -168,7 +168,6 @@ class TestCryptonetsPipeline:
 
 
 class TestHeadlineComparison:
-    @pytest.mark.slow
     def test_hybrid_beats_pure_he(
         self, q_sigmoid, q_square, hybrid_params, pure_he_params, test_images
     ):

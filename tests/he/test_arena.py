@@ -169,29 +169,6 @@ class TestGrowth:
         assert not np.shares_memory(stale, view.array)
 
 
-class TestConcat:
-    def test_concat_matches_numpy(self, rng):
-        arena = Arena(1 << 10)
-        parts = [
-            rng.integers(0, 1 << 30, size=(n, 3, 2), dtype=np.int64)
-            for n in (1, 4, 2)
-        ]
-        view = arena.concat(parts)
-        assert np.array_equal(view.array, np.concatenate(parts, axis=0))
-
-    def test_concat_rejects_mismatched_tails(self, rng):
-        arena = Arena(1 << 10)
-        with pytest.raises(ArenaError):
-            arena.concat([np.zeros((2, 3), np.int64), np.zeros((2, 4), np.int64)])
-
-    def test_concat_rejects_other_axes_and_empty(self):
-        arena = Arena(64)
-        with pytest.raises(ArenaError):
-            arena.concat([np.zeros((2, 2), np.int64)], axis=1)
-        with pytest.raises(ArenaError):
-            arena.concat([])
-
-
 class TestSharedArena:
     def test_named_segment_attaches_with_same_content(self, rng):
         from multiprocessing import shared_memory

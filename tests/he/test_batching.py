@@ -112,6 +112,35 @@ class TestSlotwiseHomomorphism:
         )
 
 
+class TestCoefficientFold:
+    """``pack_coefficients`` over a flush's requests, un-stacked: request
+    image ``b`` lands in coefficient ``b`` of every tensor position."""
+
+    def test_unstacked_requests_land_in_their_coefficients(
+        self, context, encoder, encryptor, decryptor, evaluator, rng
+    ):
+        values = [rng.integers(-50, 50, size=(b, 4)) for b in (1, 3, 2, 1)]
+        parts = [encryptor.encrypt(encoder.encode(v)) for v in values]
+        folded = pack_coefficients(evaluator, parts)
+        assert folded.batch_shape == (4,)
+        coeffs = decryptor.decrypt(folded).signed_coeffs()
+        assert np.array_equal(coeffs[:, :7].T, np.concatenate(values))
+        assert not coeffs[:, 7:].any()
+        whole = encryptor.encrypt(encoder.encode(np.concatenate(values)))
+        stacked = decryptor.decrypt(pack_coefficients(evaluator, whole)).signed_coeffs()
+        assert np.array_equal(stacked, coeffs)
+
+    def test_a_bad_part_is_an_encoding_error_not_a_broadcast_error(
+        self, context, encoder, encryptor, evaluator
+    ):
+        good = encryptor.encrypt(encoder.encode(np.zeros((2, 4), dtype=np.int64)))
+        odd = encryptor.encrypt(encoder.encode(np.zeros((2, 5), dtype=np.int64)))
+        with pytest.raises(EncodingError, match="part 1 has trailing shape"):
+            pack_coefficients(evaluator, [good, odd])
+        with pytest.raises(EncodingError, match="part 1 is in coefficient domain"):
+            pack_coefficients(evaluator, [good, good.to_coeff()])
+
+
 class TestPackingMonomialMemo:
     """``pack_coefficients`` reads ``NTT(x^b)`` from a prefix memo on the
     context: a repeat or smaller ``B`` transforms nothing, and the memo never

@@ -282,6 +282,43 @@ class TestRelinearization:
             with pytest.raises(KeyMismatchError, match="2 digit positions"):
                 evaluator.relinearize(ct, truncated)
 
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_inner_product_matches_the_per_digit_fold(self, k):
+        """The digit x key inner product is one multiply-accumulate; per
+        digit ``pointwise_mul`` + ``add`` on Python-int digits is the oracle.
+        k = 5 (ten digits, 30-bit primes) crosses a reduction boundary."""
+        from repro.he import Ciphertext, modmath
+        from repro.he.params import EncryptionParams
+
+        params = EncryptionParams(
+            poly_degree=256,
+            coeff_primes=tuple(modmath.ntt_primes(30, 256, k)),
+            plain_modulus=257,
+        )
+        context = Context(params)
+        ring = context.ring
+        rng = np.random.default_rng(k)
+        keygen = KeyGenerator(context, rng)
+        relin_keys = keygen.relin_keys(keygen.secret_key())
+        assert relin_keys.count == params.decomposition_count >= 2 * k - 1
+        ct = Ciphertext(context, ring.sample_uniform(rng, 3, 3), is_ntt=False)
+
+        acc = [ring.ntt(ct.data[:, 0]), ring.ntt(ct.data[:, 1])]
+        c2 = ring.to_bigint(ct.data[:, 2])
+        for i in range(relin_keys.count):
+            digit = (c2 >> (params.decomposition_bits * i)) & (params.decomposition_base - 1)
+            d_ntt = ring.ntt(ring.from_signed_small(digit.astype(np.int64)))
+            for j, key in enumerate((relin_keys.key0_ntt, relin_keys.key1_ntt)):
+                acc[j] = ring.add(acc[j], ring.pointwise_mul(key[i], d_ntt))
+        expected = np.stack(acc, axis=-3).tobytes()
+
+        for profile in (kernels.FUSED, kernels.REFERENCE):
+            counter = OperationCounter()
+            with kernels.use(profile):
+                relined = Evaluator(context, counter).relinearize(ct, relin_keys)
+            assert relined.is_ntt and relined.data.tobytes() == expected
+            assert counter.counts == {"relinearize": 3}
+
     def test_size_two_is_noop(self, encryptor, encoder, evaluator, relin_keys):
         ct = encryptor.encrypt(encoder.encode(5))
         assert evaluator.relinearize(ct, relin_keys) is ct

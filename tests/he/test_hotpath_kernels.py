@@ -361,15 +361,24 @@ class TestOverflowBounds:
         with pytest.raises(ParameterError, match="deferred reduction overflow"):
             ring.reduce_sum(fake, axis=0)
 
-    def test_pointwise_mul_sum_rejects_overflowing_axis(self, ring):
-        terms = ring.max_sum_terms + 1
-        fake = np.lib.stride_tricks.as_strided(
-            np.zeros((1, ring.k, ring.n), dtype=np.int64),
-            shape=(terms, ring.k, ring.n),
-            strides=(0, ring.n * 8, 8),
-        )
-        with pytest.raises(ParameterError, match="deferred reduction overflow"):
-            ring.pointwise_mul_sum(fake, fake, axis=0)
+    @pytest.mark.parametrize("bits, per_pass", [(30, 8), (31, 2)])
+    def test_pointwise_mul_sum_exact_at_the_int64_margin(self, bits, per_pass):
+        """All-``(p - 1)`` operands are the worst case of the deferred
+        reduction: the accumulator enters every run at most ``p - 1`` and
+        adds ``per_pass`` products of ``(p - 1)^2``.  The term counts sit on
+        both sides of every pass boundary; the oracle is Python ints."""
+        n = 16
+        wide = PolyContext(n, modmath.ntt_primes(bits, n, 2))
+        top = int(wide.primes.max())
+        assert wide._per_pass == per_pass
+        assert top - 1 + per_pass * (top - 1) ** 2 <= (1 << 63) - 1
+        assert top - 1 + (per_pass + 1) * (top - 1) ** 2 > (1 << 63) - 1
+        worst = np.broadcast_to((wide.primes - 1).reshape(wide.k, 1), (wide.k, n))
+        assert not worst.flags.writeable
+        for terms in (1, 2, per_pass, per_pass + 1, 17, 64):
+            out = wide.pointwise_mul_sum([worst] * terms, [worst] * terms)
+            expected = [[terms * (p - 1) ** 2 % p] * n for p in wide.primes.tolist()]
+            assert out.tolist() == expected, terms
 
     def test_max_sum_terms_large_enough_for_layers(self, ring):
         # Any realistic conv/dense tap count is tiny next to the bound.
@@ -445,27 +454,63 @@ class TestScalarCache:
 
 
 class TestPointwiseMulSum:
+    """The deferred-reduction multiply-accumulate against the composed
+    ``pointwise_mul`` + ``add`` fold it replaces, term by term."""
+
+    @staticmethod
+    def _composed(ring, a, b):
+        acc = ring.pointwise_mul(a[0], b[0])
+        for x, y in zip(a[1:], b[1:]):
+            acc = ring.add(acc, ring.pointwise_mul(x, y))
+        return acc
+
     def test_matches_composed_primitives(self, ring, rng):
         a = ring.sample_uniform(rng, 4, 9)
         b = ring.sample_uniform(rng, 9)
-        fused_out = ring.pointwise_mul_sum(a, b, axis=1)
+        fused_out = ring.pointwise_mul_sum(np.moveaxis(a, 1, 0), b)
         composed = ring.reduce_sum(ring.pointwise_mul(a, b), axis=1)
         assert np.array_equal(fused_out, composed)
 
-    def test_chunked_path_matches(self, ring, rng, monkeypatch):
-        import repro.he.polyring as polyring_mod
+    @pytest.mark.parametrize("bits", [30, 31])
+    @pytest.mark.parametrize("terms", [1, 2, 3, 8, 9, 17, 64])
+    def test_multi_pass_matches_composed(self, rng, bits, terms):
+        wide = PolyContext(N, modmath.ntt_primes(bits, N, 2))
+        a = wide.sample_uniform(rng, terms, 3)
+        b = wide.sample_uniform(rng, terms, 3)
+        out = wide.pointwise_mul_sum(a, b)
+        assert np.array_equal(out, self._composed(wide, a, b))
+        assert out.min() >= 0 and (out < wide.primes.reshape(-1, 1)).all()
 
-        a = ring.sample_uniform(rng, 3, 17)
-        b = ring.sample_uniform(rng, 17)
-        expected = ring.pointwise_mul_sum(a, b, axis=1)
-        monkeypatch.setattr(polyring_mod, "_MUL_SUM_CHUNK_ELEMS", 1)
-        chunked = ring.pointwise_mul_sum(a, b, axis=1)
-        assert np.array_equal(chunked, expected)
+    def test_reads_rows_where_they_lie(self, ring, rng):
+        """Separately allocated, strided, broadcast and read-only rows, and
+        a generator of them: same bytes as the stacked array, operands
+        untouched and never aliased by the result."""
+        a = ring.sample_uniform(rng, 5, 3, 4)
+        b = ring.sample_uniform(rng, 5)
+        expected = self._composed(ring, a, b[:, None, None])
+        rows = [np.array(a[0]), a[:, ::-1][1, ::-1], a[2], a[3].copy(), a[4]]
+        rows[3].flags.writeable = False
+        weights = [np.broadcast_to(w, (3, 4, ring.k, ring.n)) for w in b]
+        before = [row.copy() for row in rows]
+        out = ring.pointwise_mul_sum(rows, weights)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(ring.pointwise_mul_sum(iter(rows), (w for w in b)), expected)
+        assert all(np.array_equal(x, y) for x, y in zip(rows, before))
+        assert not any(np.shares_memory(out, row) for row in rows)
+        single = ring.pointwise_mul_sum(rows[3:4], b[3:4])
+        assert not np.shares_memory(single, rows[3]) and single.flags.writeable
 
     def test_rejects_residue_axes(self, ring, rng):
         a = ring.sample_uniform(rng, 3)
-        with pytest.raises(ParameterError, match="batch axis"):
-            ring.pointwise_mul_sum(a, a, axis=-1)
+        with pytest.raises(ParameterError, match="residue and coefficient"):
+            ring.pointwise_mul_sum(a[0], a[0])  # rows of one element: (n,)
+
+    def test_rejects_empty_and_unbroadcastable_terms(self, ring, rng):
+        a = ring.sample_uniform(rng, 2, 3)
+        with pytest.raises(ParameterError, match="at least one term"):
+            ring.pointwise_mul_sum([], [])
+        with pytest.raises(ParameterError, match="term 1.*does not broadcast"):
+            ring.pointwise_mul_sum([a[0, :2], a[1]], [a[0, :2], a[1]])
 
 
 class TestPackFold:
@@ -521,10 +566,55 @@ class TestPackFold:
         with pytest.raises(ParameterError, match="more batch axes"):
             evaluator.multiply_plain_sum(self._random_ct(context, rng, 4), operand)
 
+    @pytest.mark.parametrize("rest", [(), (3,), (2, 4)])
+    def test_unstacked_parts_fold_to_the_stacked_bytes(self, rng, rest):
+        """A flush's requests -- here batches (1, 3, 2, 1), one of them a
+        non-contiguous view and one read-only -- fold where they lie to the
+        bytes and tallies of their concatenation, which is never built."""
+        context = Context(small_parameter_options()[256])
+        whole = self._random_ct(context, rng, 7, *rest)
+        backing = np.repeat(whole.data[1:4], 2, axis=0)
+        datas = [whole.data[:1].copy(), backing[::2], whole.data[4:6].copy(), whole.data[6:]]
+        datas[2].flags.writeable = False
+        assert not datas[1].flags.c_contiguous
+        before = [d.copy() for d in datas]
+        parts = [Ciphertext(context, d, is_ntt=True) for d in datas]
+        stacked_counter, parts_counter = OperationCounter(), OperationCounter()
+        stacked_out = pack_coefficients(Evaluator(context, stacked_counter), whole)
+        parts_out = pack_coefficients(Evaluator(context, parts_counter), parts)
+        assert parts_out.batch_shape == rest
+        assert parts_out.data.tobytes() == stacked_out.data.tobytes()
+        assert parts_counter.counts == stacked_counter.counts
+        assert all(np.array_equal(d, b) for d, b in zip(datas, before))
+        assert not any(np.shares_memory(parts_out.data, d) for d in datas)
+        # The single-request flush runs the same body and copies nothing in.
+        alone = pack_coefficients(Evaluator(context), [parts[2]])
+        assert alone.data.tobytes() == pack_coefficients(Evaluator(context), parts[2]).data.tobytes()
+        assert not np.shares_memory(alone.data, datas[2])
+
+    def test_bad_parts_are_named(self, rng):
+        context = Context(small_parameter_options()[256])
+        evaluator = Evaluator(context)
+        good = self._random_ct(context, rng, 2, 3)
+        foreign = Context(small_parameter_options()[512])
+        cases = {
+            "at least one": [],
+            "part 1 has none": [good, self._random_ct(context, rng)],
+            "part 1 has trailing shape": [good, self._random_ct(context, rng, 2, 4)],
+            "part 2: objects belong to different": [
+                good, good, self._random_ct(foreign, rng, 2, 3)
+            ],
+            "part 1 is in coefficient domain": [good, good.to_coeff()],
+            "batch of 258 exceeds the ring degree 256": [good] * 129,
+        }
+        for message, parts in cases.items():
+            with pytest.raises(EncodingError, match=message):
+                pack_coefficients(evaluator, parts)
+
     def test_flush_sized_fold_stays_bounded(self, rng):
-        """The serving flush folds a (16, 288) batch at n = 1024, k = 2; the
-        composed form materialized the whole 151 MB product, the fused fold
-        must peak well below that."""
+        """The serving flush folds 16 requests of 288 ciphertexts at n =
+        1024, k = 2 (151 MB together); the fold allocates its accumulator
+        and one product scratch, each of *output* size, and nothing else."""
         params = EncryptionParams(
             poly_degree=1024,
             coeff_primes=tuple(modmath.ntt_primes(30, 1024, 2)),
@@ -533,17 +623,16 @@ class TestPackFold:
         context = Context(params)
         evaluator = Evaluator(context)
         pack_coefficients(evaluator, self._random_ct(context, rng, 16, 1))  # warm the x^b memo
-        ct = self._random_ct(context, rng, 16, 288)
-        assert ct.data.nbytes == 16 * 288 * 4 * 1024 * 8  # the old temporary
+        parts = [self._random_ct(context, rng, 1, 288) for _ in range(16)]
         tracemalloc.start()
         try:
-            out = pack_coefficients(evaluator, ct)
+            out = pack_coefficients(evaluator, parts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert out.batch_shape == (288,)
-        # One 9 MiB product chunk plus two output-sized arrays, not 144 MiB.
-        assert peak < 40 * 2**20
+        assert out.data.nbytes == 288 * 4 * 1024 * 8  # 9 MiB
+        assert 2 * out.data.nbytes <= peak < 2.25 * out.data.nbytes
 
 
 class TestGarnerLift:

@@ -240,23 +240,6 @@ class TestAttachBuffer:
                 segment.unlink()
 
 
-class TestStageBatch:
-    def test_single_array_passes_through(self, rng):
-        arr = rng.integers(0, 10, size=(1, 3), dtype=np.int64)
-        assert parallel.stage_batch([arr]) is arr
-
-    def test_matches_concatenate(self, rng):
-        parts = [
-            rng.integers(0, 1 << 30, size=(n, 2, 3), dtype=np.int64)
-            for n in (1, 2, 1)
-        ]
-        staged = parallel.stage_batch(parts)
-        assert np.array_equal(staged, np.concatenate(parts, axis=0))
-        # The staging arena is reused: the next flush overwrites the view.
-        again = parallel.stage_batch(parts)
-        assert np.array_equal(again, np.concatenate(parts, axis=0))
-
-
 class TestPipelineSpecWiring:
     def test_spec_rejects_zero_workers(self):
         from repro.core.pipeline import PipelineSpec

@@ -131,7 +131,6 @@ class TestTraining:
         assert report.final_accuracy > 0.95
         assert report.losses[-1] < report.losses[0]
 
-    @pytest.mark.slow
     def test_paper_cnn_learns_synthetic_digits(self):
         data = synthetic_mnist(train_size=600, test_size=150, seed=3)
         model = paper_cnn(np.random.default_rng(0))

@@ -82,6 +82,48 @@ class TestPackingCorrectness:
         assert r_triple.result().packed_batch == 5
 
 
+    def test_flush_folds_the_requests_where_they_lie(
+        self, server, session, models, monkeypatch
+    ):
+        """A 16-request flush hands the pack fold the very arrays the users
+        submitted: between ``submit`` and the fold nothing of even one
+        request's size is allocated, and the fold itself allocates its two
+        output-sized arrays -- never the stacked batch."""
+        import tracemalloc
+
+        from repro.graph import executor
+
+        cts = [
+            session.encrypt("digits", models.dataset.test_images[i : i + 1])
+            for i in range(16)
+        ]
+        seen = {}
+        fold = executor.pack_coefficients
+
+        def spy(evaluator, parts):
+            seen["parts"] = parts
+            seen["at_entry"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fold(evaluator, parts)
+            seen["fold_peak"] = tracemalloc.get_traced_memory()[1] - seen["at_entry"]
+            return out
+
+        monkeypatch.setattr(executor, "pack_coefficients", spy)
+        tracemalloc.start()
+        try:
+            at_submit = tracemalloc.get_traced_memory()[0]
+            responses = [server.scheduler.submit("digits", ct) for ct in cts]
+            assert server.scheduler.drain() == 16
+        finally:
+            tracemalloc.stop()
+        assert len(seen["parts"]) == 16
+        assert all(part.data is ct.data for part, ct in zip(seen["parts"], cts))
+        one_request = cts[0].data.nbytes
+        assert seen["at_entry"] - at_submit < one_request
+        assert 2 * one_request <= seen["fold_peak"] < 3 * one_request
+        assert all(r.result().packed_batch == 16 for r in responses)
+
+
 class TestQueueDiscipline:
     def test_result_before_flush_raises(self, server, session, models):
         response = server.scheduler.submit(

@@ -9,7 +9,6 @@ each step.  If this test passes, the repository's pieces compose.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import (
     CryptonetsPipeline,
@@ -22,7 +21,6 @@ from repro.core import (
 from repro.nn import agreement_rate
 
 
-@pytest.mark.slow
 def test_full_story():
     # 1. Train both model variants on the synthetic dataset.
     models = train_paper_models(
