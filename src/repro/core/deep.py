@@ -10,8 +10,8 @@ multi-block CNNs (see :mod:`repro.nn.deep`) block by block:
 
     HE conv (outside) -> enclave activation+pool -> HE conv -> ... -> HE FC
 
-``benchmarks/bench_ablation_depth.py`` quantifies the asymmetry against a
-hypothetical pure-HE evaluation of the same depth.
+The ``ablation_depth`` row of ``benchmarks/bench_paper.py`` quantifies the
+asymmetry against a hypothetical pure-HE evaluation of the same depth.
 """
 
 from __future__ import annotations

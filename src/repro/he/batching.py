@@ -4,7 +4,8 @@ When the plaintext modulus ``t`` is a prime with ``t ≡ 1 (mod 2n)``, the
 plaintext ring factors as ``R_t ≅ Z_t^n`` (Chinese Remainder Theorem), so one
 ciphertext carries ``n`` independent *slots*; homomorphic add / multiply act
 slot-wise.  The paper notes that with ``n = 1024`` this buys up to 1024x the
-throughput; ``benchmarks/bench_ablation_simd.py`` measures exactly that.
+throughput; the ``ablation_simd`` row of ``benchmarks/bench_paper.py``
+measures exactly that.
 
 The slot isomorphism is realized by the negacyclic NTT modulo ``t``:
 ``encode`` applies the inverse transform (slot values -> coefficients) and

@@ -241,33 +241,6 @@ class Evaluator:
         self._record("ct_plain_mul", result)
         return result
 
-    def multiply_plain_sum(
-        self, ct: Ciphertext, plain: PlainOperand, axis: int = 0
-    ) -> Ciphertext:
-        """Fused ``sum_batch(multiply_plain(ct, plain), axis)``.
-
-        Same ciphertext and the same ``ct_plain_mul`` / ``ct_add`` tallies as
-        the composed calls, but the batch product is never materialized:
-        the slices along ``axis`` are the terms of one :meth:`sum_products`.
-        """
-        self._check(ct, plain)
-        if not ct.batch_shape:
-            raise ParameterError("multiply_plain_sum requires a batched ciphertext")
-        axis = axis % len(ct.batch_shape)
-        ct = ct.to_ntt()
-        operand = plain.ntt_data
-        if plain.batch_shape:
-            operand = operand[..., None, :, :]  # broadcast over ct components
-        if operand.ndim > ct.data.ndim:
-            raise ParameterError(
-                "multiply_plain_sum operand has more batch axes than the ciphertext"
-            )
-        shape = np.broadcast_shapes(ct.data.shape, operand.shape)
-        return self.sum_products(
-            np.moveaxis(np.broadcast_to(ct.data, shape), axis, 0),
-            np.moveaxis(np.broadcast_to(operand, shape), axis, 0),
-        )
-
     def sum_products(self, rows, operands) -> Ciphertext:
         """``sum_i rows[i] x operands[i]``: NTT-domain ciphertext data rows
         times NTT-domain plaintext rows, folded by

@@ -548,24 +548,6 @@ class TestPackFold:
             "ct_add": (batch[0] - 1) * lanes,
         }
 
-    def test_multiply_plain_sum_inner_axis(self, rng):
-        context = Context(small_parameter_options()[256])
-        evaluator = Evaluator(context)
-        ct = self._random_ct(context, rng, 3, 6)
-        operand = PlainOperand(context, context.ring.sample_uniform(rng, 6))
-        fused_out = evaluator.multiply_plain_sum(ct, operand, axis=-1)
-        composed_out = evaluator.sum_batch(evaluator.multiply_plain(ct, operand), axis=1)
-        assert np.array_equal(fused_out.data, composed_out.data)
-
-    def test_multiply_plain_sum_rejects_bad_operands(self, rng):
-        context = Context(small_parameter_options()[256])
-        evaluator = Evaluator(context)
-        operand = self._monomials(evaluator, context, 4, 1)
-        with pytest.raises(ParameterError, match="batched ciphertext"):
-            evaluator.multiply_plain_sum(self._random_ct(context, rng), operand)
-        with pytest.raises(ParameterError, match="more batch axes"):
-            evaluator.multiply_plain_sum(self._random_ct(context, rng, 4), operand)
-
     @pytest.mark.parametrize("rest", [(), (3,), (2, 4)])
     def test_unstacked_parts_fold_to_the_stacked_bytes(self, rng, rest):
         """A flush's requests -- here batches (1, 3, 2, 1), one of them a
