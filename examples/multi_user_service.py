@@ -15,8 +15,8 @@ Puts the whole reproduction together the way an integrator would:
 3. requests are served one-user-at-a-time through the EdgeServer facade
    (a frozen :class:`~repro.serve.InferenceRequest` per call), then
    *concurrently* through the request scheduler, which coalesces the
-   users' requests into one slot-packed pipeline pass (paper Section
-   VIII) -- cross-user packing is legal because the enclave fleet is the
+   users' requests into one packed pipeline pass (paper Section VIII:
+   the batch rides polynomial coefficients) -- legal because the fleet is the
    key authority, so every enrolled user shares its key pair;
 4. a replica is lost mid-service: the fleet retires it, the client
    reconnects against its pinned fingerprint, and the survivor's logits
@@ -108,7 +108,7 @@ def main() -> None:
         print(f"   user {i}: prediction={prediction} "
               f"(shared a batch of {result.packed_batch}, "
               f"matches plaintext: {prediction == plain.predictions[i]})")
-    print(f"   slot capacity: {server.scheduler.capacity} images per flush")
+    print(f"   packing capacity: {server.scheduler.capacity} images per flush")
 
     print("\n== Replica loss: failover keeps sessions and logits intact ==")
     victim = clients[0]

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core import securechannel
 from repro.errors import EncodingError, PipelineError
-from repro.he.batching import BatchEncoder
+from repro.he.batching import BatchEncoder, read_lanes, write_lanes
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
 from repro.he.encoders import ScalarEncoder
@@ -68,7 +68,7 @@ class InferenceEnclave(Enclave):
         self._keys = None
         self._decryptor: Decryptor | None = None
         self._encryptor: SymmetricEncryptor | None = None
-        # Slot codec of the SIMD / packed crossings, built on first use.
+        # Slot codec of the SIMD crossing, built on first use.
         self._slot_codec: BatchEncoder | None = None
 
     # ------------------------------------------------------------------
@@ -232,7 +232,7 @@ class InferenceEnclave(Enclave):
         if output_scale > self._context.plain_modulus // 2:
             raise PipelineError("output_scale exceeds the plaintext range")
         self._load_crypto_state()
-        codec = self._batch_encoder()
+        codec = self._slot_codec = self._slot_codec or BatchEncoder(self._context)
         plain = self._decryptor.decrypt(ct)
         # (n, C, H, W): every slot is one user's feature map.
         values = codec.decode_batch_axis(plain, codec.slot_count)
@@ -256,17 +256,14 @@ class InferenceEnclave(Enclave):
         """Coefficient-packed variant of :meth:`activation_pool`.
 
         The host flattens the whole ``shape``-d feature-map tensor and
-        folds runs of ``chunk`` values into the polynomial *coefficients*
-        of single ciphertexts (:func:`~repro.he.batching.pack_coefficients`),
-        so the payload this call marshals and decrypts shrinks from one
-        ciphertext per value to ``ceil(N / chunk)`` ciphertexts total.
-        Ciphertext ``j`` carries flat values ``j * chunk ..`` in its
-        coefficients (a possibly-shorter tail ciphertext carries the
-        remainder).  The trusted side re-reads the coefficients, restores
-        ``shape``, applies the exact activation + pooling to every element,
-        and re-encrypts one scalar-encoded ciphertext per element -- the
-        same values through the same :meth:`_encrypt_values` RNG draws as
-        the unpacked crossing, so the output bytes are identical.
+        folds runs of ``chunk`` values into the *coefficients* of single
+        ciphertexts (:func:`~repro.he.batching.pack_coefficients`), so this
+        call marshals and decrypts ``ceil(N / chunk)`` ciphertexts instead
+        of ``N``: ciphertext ``j`` carries flat values ``j * chunk ..`` (the
+        tail one may be shorter).  The trusted side restores ``shape`` and
+        re-encrypts one scalar ciphertext per element through the same
+        :meth:`_encrypt_values` RNG draws as the unpacked crossing, so the
+        output bytes are identical.
         """
         if chunk < 1 or chunk > self._context.poly_degree:
             raise PipelineError(
@@ -294,50 +291,32 @@ class InferenceEnclave(Enclave):
         )
 
     @ecall
-    def pack_slots(self, ct: Ciphertext, batch: int) -> Ciphertext:
-        """Convert a *coefficient-packed* ciphertext into a slot-packed
-        ``(1, ...)`` ciphertext with request row ``b`` in CRT slot ``b``.
-
-        The host pre-folds the ``batch`` stacked requests into polynomial
-        coefficients homomorphically
-        (:func:`~repro.he.batching.pack_coefficients`), so only one
-        ciphertext per tensor position crosses the boundary and is decrypted
-        here -- the trusted side merely re-reads coefficients ``0..batch-1``
-        and re-encodes them into slots.
-
-        This is the serving scheduler's batch-formation step: because the
-        enclave is the key authority, every enrolled user's ciphertext is
-        under the same key pair, so requests from different users may legally
-        share slots.  The re-layout happens entirely inside trusted code --
-        nothing is exposed to the host in the clear.
-        """
-        self._check_batch(batch)
-        self._load_crypto_state()
-        plain = self._decryptor.decrypt(ct)
-        values = np.moveaxis(plain.signed_coeffs()[..., :batch], -1, 0)
-        return self._encryptor.encrypt(self._batch_encoder().encode_batch_axis(values))
+    def activation_pool_lanes(
+        self,
+        ct: Ciphertext,
+        batch: int,
+        input_scale: float,
+        output_scale: int,
+        window: int,
+        activation: str = "sigmoid",
+        pool: str = "mean",
+    ) -> Ciphertext:
+        """The packed flush's :meth:`activation_pool`: ``ct`` is ``(1, C, H,
+        W)`` with request ``b`` in polynomial coefficient ``b`` (a *lane*),
+        as the host's :func:`~repro.he.batching.pack_coefficients` folded it.
+        The enclave is the key authority, so all users' ciphertexts share one
+        key pair and may share a polynomial; the ``batch`` lanes come back
+        activated, pooled and re-encrypted in the same layout."""
+        values = self._decrypt_values(ct, batch)
+        return self._encrypt_values(
+            _activate_pool(values, input_scale, output_scale, window, activation, pool),
+            lanes=True,
+        )
 
     @ecall
-    def unpack_slots(self, ct: Ciphertext, batch: int) -> Ciphertext:
-        """Inverse of :meth:`pack_slots`: split a slot-packed ``(1, ...)``
-        ciphertext back into a scalar-encoded ``(batch, ...)`` ciphertext so
-        each request's encrypted logits can be returned individually."""
-        self._check_batch(batch)
-        self._load_crypto_state()
-        plain = self._decryptor.decrypt(ct)
-        values = self._batch_encoder().decode_batch_axis(plain, batch)
-        return self._encrypt_values(values)
-
-    def _batch_encoder(self) -> BatchEncoder:
-        if self._slot_codec is None:
-            self._slot_codec = BatchEncoder(self._context)
-        return self._slot_codec
-
-    def _check_batch(self, batch: int) -> None:
-        if batch < 1 or batch > self._context.poly_degree:
-            raise PipelineError(
-                f"batch must be in [1, {self._context.poly_degree}], got {batch}"
-            )
+    def unpack_lanes(self, ct: Ciphertext, batch: int) -> Ciphertext:
+        """Split a lane-packed ``(1, ...)`` ciphertext into ``batch`` scalar-encoded ones."""
+        return self._encrypt_values(self._decrypt_values(ct, batch))
 
     # ------------------------------------------------------------------
     # noise refresh (Section IV-E)
@@ -377,25 +356,32 @@ class InferenceEnclave(Enclave):
         self._require_keys()
         self.touch_working_set(self._crypto_state_bytes())
 
-    def _decrypt_values(self, ct: Ciphertext) -> np.ndarray:
+    def _decrypt_values(self, ct: Ciphertext, lanes: int | None = None) -> np.ndarray:
+        """The scalar-encoded values of ``ct``, or the ``(lanes, *rest)``
+        values of a lane-packed ``(1, *rest)`` one; zero probes checked."""
         self._load_crypto_state()
         try:
+            if lanes is not None:
+                return read_lanes(self._decryptor.decrypt(ct), lanes)
             return decrypt_scalar_values(
                 self._decryptor, ScalarEncoder(self._context), ct
             )
         except EncodingError as exc:
             raise PipelineError(
-                "ciphertext does not hold scalar-encoded values; the outside "
-                "computation overflowed or used a different encoder"
+                f"ciphertext does not hold the expected values ({exc}): the outside "
+                "computation overflowed, used another encoder or mis-stated the batch"
             ) from exc
 
-    def _encrypt_values(self, values: np.ndarray) -> Ciphertext:
+    def _encrypt_values(self, values: np.ndarray, lanes: bool = False) -> Ciphertext:
+        """One scalar ciphertext per value, or axis 0 in the lanes of a ``(1, ...)`` one."""
         t = self._context.plain_modulus
         limit = t // 2
         if (np.abs(values) > limit).any():
             raise PipelineError(
                 f"re-encryption values exceed the plaintext range +-{limit}"
             )
+        if lanes:
+            return self._encryptor.encrypt(write_lanes(self._context, values))
         coeffs = np.zeros((*values.shape, self._context.poly_degree), dtype=np.int64)
         coeffs[..., 0] = values % t
         return self._encryptor.encrypt(Plaintext(self._context, coeffs))

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.errors import PipelineError
 from repro.he import contraction, kernels, parallel
+from repro.he.batching import lane_operand, lane_plain
 from repro.he.context import Ciphertext, Context
 from repro.he.encoders import ScalarEncoder
 from repro.he.evaluator import Evaluator, PlainOperand
@@ -247,13 +248,16 @@ def he_conv2d(
     encoder: ScalarEncoder,
     ct: Ciphertext,
     weights: EncodedConvWeights,
+    lanes: int = 1,
 ) -> Ciphertext:
     """Homomorphic convolution over a ``(B, C, H, W)`` ciphertext batch.
 
     For each kernel tap the input window slice (a strided view over the
     batch axes) is multiplied by the encoded scalar weight and accumulated,
     i.e. ``k*k*C`` C x P and C + C operations per output map -- the exact op
-    structure Fig. 4 measures.
+    structure Fig. 4 measures.  A scalar weight acts on every coefficient
+    alike, so values riding coefficients ``0..lanes-1`` (the packed flush's
+    fold) take the same contraction, the bias spread over the lanes.
     """
     if len(ct.batch_shape) != 4:
         raise PipelineError(
@@ -271,7 +275,7 @@ def he_conv2d(
     oh = (h - k) // s + 1
     ow = (w - k) // s + 1
     if _runs_fused(weights):
-        return _he_conv2d_fused(evaluator, ct, weights, oh, ow)
+        return _he_conv2d_fused(evaluator, ct, weights, oh, ow, lanes)
     per_channel: list[Ciphertext] = []
     for fi in range(weights.out_channels):
         acc: Ciphertext | None = None
@@ -284,7 +288,7 @@ def he_conv2d(
         bias_plain = encoder.encode(
             np.full((b, oh, ow), int(weights.bias[fi]), dtype=np.int64)
         )
-        per_channel.append(evaluator.add_plain(acc, bias_plain))
+        per_channel.append(evaluator.add_plain(acc, lane_plain(bias_plain, lanes)))
     data = np.stack([m.data for m in per_channel], axis=1)
     return Ciphertext(ct.context, data, is_ntt=per_channel[0].is_ntt)
 
@@ -295,6 +299,7 @@ def _he_conv2d_fused(
     weights: EncodedConvWeights,
     oh: int,
     ow: int,
+    lanes: int,
 ) -> Ciphertext:
     """Tap-batched convolution: the whole ``F * C * k * k`` tap sum is one
     signed int64 matmul over the raw weights (:func:`_plan_contraction`
@@ -307,7 +312,8 @@ def _he_conv2d_fused(
     ct = ct.to_ntt()
     data = ct.data  # (B, C, H, W, size, k_rns, n)
     f, t = weights.weight_taps.shape
-    lanes = data.shape[0] * oh * ow
+    outputs = data.shape[0] * oh * ow
+    bias_operand = lane_operand(weights.bias_operand, lanes)
     out = parallel.dispatch_conv(
         data,
         weights.weight_taps,
@@ -316,16 +322,16 @@ def _he_conv2d_fused(
         oh=oh,
         ow=ow,
         primes=[int(p) for p in ct.context.ring.primes],
-        chunk=max(1, _TAP_CHUNK_ELEMS // max(1, lanes * int(np.prod(data.shape[-3:])))),
+        chunk=max(1, _TAP_CHUNK_ELEMS // max(1, outputs * int(np.prod(data.shape[-3:])))),
         keep=weights.keep,
-        bias=weights.bias_operand.ntt_data if weights.fold_bias else None,
+        bias=bias_operand.ntt_data if weights.fold_bias else None,
     )
     if evaluator.counter is not None:
-        evaluator.counter.record("ct_plain_mul", f * t * lanes)
+        evaluator.counter.record("ct_plain_mul", f * t * outputs)
         if t > 1:  # the reference loop issues no add() for a single tap
-            evaluator.counter.record("ct_add", f * (t - 1) * lanes)
+            evaluator.counter.record("ct_add", f * (t - 1) * outputs)
     out = Ciphertext(ct.context, out, is_ntt=True)
-    return _add_bias(evaluator, out, weights.bias_operand, weights.fold_bias)
+    return _add_bias(evaluator, out, bias_operand, weights.fold_bias)
 
 
 def he_square(evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
@@ -370,12 +376,13 @@ def he_dense(
     encoder: ScalarEncoder,
     ct: Ciphertext,
     weights: EncodedDenseWeights,
+    lanes: int = 1,
 ) -> Ciphertext:
     """Homomorphic fully connected layer over a flattened ciphertext batch.
 
     Produces a ``(B, O)`` ciphertext of scaled logits: for every output
     class the flattened input batch is multiplied slot-wise by that class's
-    weight vector and folded with a batched C + C reduction.
+    weight vector and folded with a batched C + C reduction (``lanes``: as conv).
     """
     b = ct.batch_shape[0]
     flat = ct.reshape(b, -1)
@@ -387,13 +394,13 @@ def he_dense(
                 f"ciphertext provides {d}"
             )
     if _runs_fused(weights):
-        return _he_dense_fused(evaluator, flat, weights)
+        return _he_dense_fused(evaluator, flat, weights, lanes)
     outputs: list[Ciphertext] = []
     for oi, operand in enumerate(weights.operands):
         products = evaluator.multiply_plain(flat, operand)
         summed = evaluator.sum_batch(products, axis=1)
         bias_plain = encoder.encode(np.full((b,), int(weights.bias[oi]), dtype=np.int64))
-        outputs.append(evaluator.add_plain(summed, bias_plain))
+        outputs.append(evaluator.add_plain(summed, lane_plain(bias_plain, lanes)))
     data = np.stack([o.data for o in outputs], axis=1)
     return Ciphertext(ct.context, data, is_ntt=outputs[0].is_ntt)
 
@@ -402,6 +409,7 @@ def _he_dense_fused(
     evaluator: Evaluator,
     flat: Ciphertext,
     weights: EncodedDenseWeights,
+    lanes: int,
 ) -> Ciphertext:
     """All-classes FC kernel: one signed int64 matmul over the ``(O, D)``
     integer weights computes every output class at once, one mod-p pass
@@ -411,15 +419,16 @@ def _he_dense_fused(
     flat = flat.to_ntt()
     b, d = flat.batch_shape
     o = weights.out_features
+    bias_operand = lane_operand(weights.bias_operand, lanes)
     out = parallel.dispatch_dense(
         flat.data,
         weights.weight_matrix,
         primes=[int(p) for p in flat.context.ring.primes],
         keep=weights.keep,
-        bias=weights.bias_operand.ntt_data if weights.fold_bias else None,
+        bias=bias_operand.ntt_data if weights.fold_bias else None,
     )
     if evaluator.counter is not None:
         evaluator.counter.record("ct_plain_mul", o * b * d)
         evaluator.counter.record("ct_add", o * (d - 1) * b)
     out = Ciphertext(flat.context, out, is_ntt=True)
-    return _add_bias(evaluator, out, weights.bias_operand, weights.fold_bias)
+    return _add_bias(evaluator, out, bias_operand, weights.fold_bias)

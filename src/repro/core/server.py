@@ -6,8 +6,8 @@ that is simultaneously key authority and plaintext co-processor; quantized
 models are provisioned once (optionally persisted as *sealed* blobs so a
 restarted enclave of the same identity can recover them from untrusted
 storage); users enroll via remote attestation; and inference requests are
-routed to the hybrid pipeline -- slot-packed when the parameters allow it
-and the caller asks for throughput.
+routed to the hybrid pipeline -- packed into shared ciphertexts when the
+caller asks for throughput.
 
 This is the API a downstream integrator would embed::
 
@@ -47,6 +47,7 @@ from repro.core.results import InferenceResult, stages_from_trace
 from repro.errors import PipelineError, UnknownModelError
 from repro.faults import EnclaveSupervisor, FleetManager, run_with_kernel_degradation
 from repro.graph import executor as graph_executor
+from repro.graph import ir as graph_ir
 from repro.he import serialize as he_serialize
 from repro.he.context import Ciphertext, Context
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
@@ -60,13 +61,13 @@ from repro.obs import context as obs_context
 from repro.obs.context import TraceContext
 from repro.serve.api import InferenceRequest
 from repro.serve.api import InferenceResult as _ServeResult
+from repro.serve.scheduler import RequestScheduler, ServeConfig
 from repro.sgx.attestation import AttestationVerificationService, QuotingService
 from repro.sgx.enclave import SgxPlatform
 from repro.sgx.sealing import SealedBlob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import PipelineSpec
-    from repro.serve import RequestScheduler, ServeConfig
 
 
 @dataclass
@@ -175,7 +176,7 @@ class EdgeServer:
         params: EncryptionParams,
         platform: SgxPlatform | None = None,
         seed: int | None = None,
-        serve_config: "ServeConfig | None" = None,
+        serve_config: ServeConfig | None = None,
         *,
         fleet_size: int = 1,
     ) -> None:
@@ -192,11 +193,10 @@ class EdgeServer:
         self.evaluator = Evaluator(self.context, self.counter)
         self.encoder = ScalarEncoder(self.context)
         self._models: dict[str, QuantizedCNN] = {}
-        self._encoded: dict[str, heops.EncodedModel] = {}
         self._resources: dict[str, graph_executor.Resources] = {}
         self._plans: dict[tuple[str, str], graph_executor.GraphPlan] = {}
-        self._serve_config = serve_config
-        self._scheduler: "RequestScheduler | None" = None
+        self._serve_config = serve_config if serve_config is not None else ServeConfig()
+        self._scheduler: RequestScheduler | None = None
 
     @classmethod
     def from_spec(
@@ -246,28 +246,28 @@ class EdgeServer:
             raise PipelineError(
                 f"model {name!r} needs t >= {quantized.required_plain_modulus()}"
             )
+        # A flush folds `lanes` requests per ciphertext before conv: budget it.
+        lanes = self._serve_config.capacity(self.params.poly_degree)
+        packed = graph_ir.build_graph("packed", quantized, self.params, lanes=lanes)
+        graph_ir.require_headroom(packed)
         self._models[name] = quantized
         encoded = heops.encode_model_weights(self.evaluator, self.encoder, quantized)
-        self._encoded[name] = encoded
         self._resources[name] = graph_executor.Resources(
             tracer=self.platform.tracer,
             evaluator=self.evaluator,
             encoder=self.encoder,
             weights={"conv": encoded.conv, "fc": encoded.dense},
         )
-        for kind in ("served", "packed"):
+        for kind, options in (("served", {}), ("packed", {"lanes": lanes})):
             self._plans[name, kind] = graph_executor.GraphPlan(
-                kind, quantized, self.params
+                kind, quantized, self.params, **options
             )
         self.fleet.register_model(name)
-        registry = metrics.registry()
-        if registry.enabled:
-            from repro.he.noise import NoiseEstimator
-
-            headroom_gauge = metrics.family("repro_he_noise_budget_bits")
-            estimator = NoiseEstimator(self.params)
-            for layer, bits in estimator.layer_headroom(quantized).items():
-                headroom_gauge.labels(model=name, layer=layer).set(bits)
+        if metrics.registry().enabled:
+            # The flush's estimate, the tighter one: conv also pays the fold.
+            gauge = metrics.family("repro_he_noise_budget_bits")
+            for layer in ("conv", "fc"):
+                gauge.labels(model=name, layer=layer).set(packed.node(layer).budget_bits)
 
     def seal_model(self, name: str) -> SealedBlob:
         """Persist a provisioned model as a sealed blob for untrusted storage.
@@ -297,11 +297,6 @@ class EdgeServer:
     def model(self, name: str) -> QuantizedCNN:
         """The provisioned quantized model, or :class:`UnknownModelError`."""
         return self._require_model(name)
-
-    def encoded_model(self, name: str) -> heops.EncodedModel:
-        """The pre-encoded HE weights for a provisioned model."""
-        self._require_model(name)
-        return self._encoded[name]
 
     # ------------------------------------------------------------------
     # user enrollment (Fig. 2 key delivery)
@@ -371,12 +366,10 @@ class EdgeServer:
     # serving
     # ------------------------------------------------------------------
     @property
-    def scheduler(self) -> "RequestScheduler":
-        """The server's packing scheduler (created lazily; requires a
-        batching-capable parameter set)."""
+    def scheduler(self) -> RequestScheduler:
+        """The packing scheduler.  Created on first use: it refers back to the
+        server, and one that never packs should not need the cycle collector."""
         if self._scheduler is None:
-            from repro.serve import RequestScheduler
-
             self._scheduler = RequestScheduler(self, self._serve_config)
         return self._scheduler
 
@@ -388,7 +381,7 @@ class EdgeServer:
             server.infer(InferenceRequest(model="digits", ciphertext=ct))
             server.infer(InferenceRequest(model="digits", ciphertext=ct, pack=True))
 
-        ``pack=True`` routes through the slot-packing scheduler; the call
+        ``pack=True`` routes through the packing scheduler; the call
         stays synchronous (it drains the model's bucket if the submission
         did not already fill a batch), so concurrent callers that submitted
         earlier ride the same flush and share its HE cost.

@@ -17,16 +17,12 @@ and ``pack_coefficients`` through this module's global at call time, never
 through a reference captured in the table, so tooling that wraps those
 names (``benchmarks/e2e/spans.py``) sees every call.
 
-The one graph rewrite the walk honours is a ``packed`` crossing: it
-flattens the whole feature-map tensor and folds runs of ``chunk`` values
-into polynomial coefficients (:func:`repro.he.batching.pack_coefficients`,
-RNG-free) before one ``activation_pool_packed`` ECALL whose trusted side
-re-encrypts the same values with the same per-element RNG draws as the
-unpacked ECALL, so the post-crossing ciphertext bytes are identical.
-Everything else that is exact and operand-local (zero-column skip and bias
-fold in ``heops``, the encryptor's constant-coefficient path,
-``Evaluator.square``, the packing-monomial memo) happens inside the calls
-below at every level.
+The one graph rewrite the walk honours is a ``packed`` crossing
+(:func:`_packed_payload` + one ``activation_pool_packed`` ECALL, whose
+post-crossing ciphertext bytes equal the unpacked ECALL's).  Everything
+else that is exact and operand-local (zero-column skip and bias fold in
+``heops``, the encryptor's constant-coefficient path, ``Evaluator.square``,
+the packing-monomial memo) happens inside the calls below at every level.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ class Resources:
         evaluator / encoder: the untrusted side's HE endpoints.
         weights: encoded weights by contraction stage name (``conv``,
             ``fc``, ``conv_0`` ...).
-        enclave: handle the crossing / pack / unpack nodes ECALL into.
+        enclave: handle the crossing / unpack nodes ECALL into.
         encryptor / decryptor / quantize: the user role, for graphs that
             start at raw images and end at logits.
         relin_keys: CryptoNets' evaluation keys.
@@ -105,9 +101,11 @@ class GraphPlan:
 @dataclass
 class _Walk:
     """Per-run state the handlers share: how many images (or stacked
-    requests) ride this walk, and what a decrypt node produced."""
+    requests) ride this walk, the coefficient lanes they occupy (1 = scalar
+    encoding, the batch after a ``fold``), and what a decrypt node produced."""
 
     batch: int
+    lanes: int = 1
     logits: np.ndarray | None = None
     budget: float | None = None
 
@@ -158,14 +156,14 @@ def _encrypt_slots(env, node, images, walk):
 def _conv(env, node, value, walk):
     with _node_stage(env, node):
         return heops.he_conv2d(
-            env.evaluator, env.encoder, value, env.weights[node.stage]
+            env.evaluator, env.encoder, value, env.weights[node.stage], walk.lanes
         )
 
 
 def _fc(env, node, value, walk):
     with _node_stage(env, node):
         return heops.he_dense(
-            env.evaluator, env.encoder, value, env.weights[node.stage]
+            env.evaluator, env.encoder, value, env.weights[node.stage], walk.lanes
         )
 
 
@@ -219,6 +217,12 @@ def _crossing_simd(env, node, conv, walk):
         return env.enclave.ecall("activation_pool_simd", conv, *_enclave_args(node))
 
 
+def _crossing_lanes(env, node, conv, walk):
+    with _node_stage(env, node):
+        args = _enclave_args(node)
+        return env.enclave.ecall("activation_pool_lanes", conv, walk.lanes, *args)
+
+
 def _crossing_per_pixel(env, node, conv, walk):
     """EncryptSGX (single): every feature value crosses the boundary alone."""
     scale, out_scale, window = _enclave_args(node)[:3]
@@ -261,19 +265,19 @@ def _pool(env, node, value, walk):
         return heops.he_scaled_mean_pool(env.evaluator, value, node.attrs["window"])
 
 
-def _pack(env, node, requests, walk):
+def _fold(env, node, requests, walk):
     with _node_stage(env, node):
-        # Host side: fold the B requests (one ciphertext, or the flush's
-        # request ciphertexts un-stacked) into polynomial coefficients
-        # homomorphically, so the enclave decrypts one ciphertext per pixel
-        # position instead of B.
+        # Host side, no ECALL: fold the B requests (one ciphertext, or the
+        # flush's request ciphertexts un-stacked) into coefficient lanes.
+        # Scalar weights act on every lane alike, so conv and fc take it as is.
         folded = pack_coefficients(env.evaluator, requests)
-        return env.enclave.ecall("pack_slots", folded, walk.batch)
+        walk.lanes = walk.batch
+        return folded.reshape(1, *folded.batch_shape)
 
 
 def _unpack(env, node, value, walk):
     with _node_stage(env, node):
-        return env.enclave.ecall("unpack_slots", value, walk.batch)
+        return env.enclave.ecall("unpack_lanes", value, walk.lanes)
 
 
 def _decrypt_with(decode):
@@ -297,12 +301,13 @@ OPS: dict[str, Callable] = {
     "conv": _conv,
     "crossing": _crossing,
     "crossing_simd": _crossing_simd,
+    "crossing_lanes": _crossing_lanes,
     "crossing_per_pixel": _crossing_per_pixel,
     "square": _square,
     "relinearize": _relinearize,
     "pool": _pool,
     "fc": _fc,
-    "pack": _pack,
+    "fold": _fold,
     "unpack": _unpack,
     "decrypt": _decrypt_with(
         lambda env, ct, walk: decrypt_scalar_values(env.decryptor, env.encoder, ct)
@@ -329,7 +334,7 @@ def run(
 ):
     """Walk ``graph`` over ``env`` from raw ``images`` or from an already
     encrypted ``ciphertext`` (exactly one; a ``packed`` graph also takes the
-    flush's request ciphertexts as a sequence, which its ``pack`` node folds
+    flush's request ciphertexts as a sequence, which its ``fold`` node folds
     un-stacked); returns ``(logits, budget, result_ct)`` with ``logits`` /
     ``budget`` None unless the graph ends in a decrypt node."""
     if (images is None) == (ciphertext is None):

@@ -3,21 +3,21 @@
 Every HE chain in the repository is a short linear one, so the IR is
 deliberately small: a list of :class:`GraphNode` objects (encrypt, conv,
 enclave crossing, square/relinearize/pool, fc, decrypt, and the serving
-flush's pack/unpack) plus a ``meta`` dict holding the model-derived
+flush's fold/unpack) plus a ``meta`` dict holding the model-derived
 constants the passes need (each contraction's integer weight matrix, the
-plaintext bound).  Edges are implicit —
-node ``i`` feeds node ``i + 1`` — and each node carries the
-multiplicative level plus noise annotations (:func:`annotate`) derived
-from :class:`repro.he.noise.NoiseEstimator`, which is what lets passes
-reason about headroom (e.g. how many coefficients a packed crossing may
-fold) without touching ciphertexts.
+plaintext bound).  Edges are implicit — node ``i`` feeds node ``i + 1`` —
+and each node carries the multiplicative level plus noise annotations
+(:func:`annotate`) derived from :class:`repro.he.noise.NoiseEstimator`,
+which is what lets passes reason about headroom (e.g. how many coefficients
+a packed crossing may fold) without touching ciphertexts.
 
 One builder per graph kind (:data:`BUILDERS`): ``hybrid``, ``cryptonets``,
 ``simd``, ``deep``, ``served`` (``EdgeServer.infer``: no encrypt/decrypt
-node) and ``packed`` (the scheduler flush).  Slot-layout work has its own
-ops (``encrypt_slots``, ``crossing_simd``, ``decrypt_slots``) rather than
-flags on the scalar ones, so the pass that rewrites ``crossing`` simply
-finds no such node on a slot-layout graph and refuses.
+node) and ``packed`` (the scheduler flush).  Slot-layout work
+(``encrypt_slots``, ``crossing_simd``, ``decrypt_slots``) and the flush's
+coefficient lanes (``fold``, ``crossing_lanes``, ``unpack``) have their own
+ops, not flags on the scalar ones, so the pass that rewrites ``crossing``
+simply finds no such node on those graphs and refuses.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import PipelineError
+from repro.errors import ParameterError, PipelineError
 from repro.he.noise import NoiseEstimator
 from repro.he.params import EncryptionParams
 
@@ -35,8 +35,8 @@ from repro.he.params import EncryptionParams
 #: Ops whose output is a fresh encryption (the user's, or the enclave's
 #: re-encrypt on the trusted side of a crossing): the noise budget resets.
 REFRESH_OPS = frozenset(
-    {"encrypt", "encrypt_slots", "crossing", "crossing_simd", "crossing_per_pixel",
-     "pack", "unpack"}
+    {"encrypt", "encrypt_slots", "crossing", "crossing_simd", "crossing_lanes",
+     "crossing_per_pixel", "unpack"}
 )
 
 #: Ops that contract against a weight matrix in ``meta["layers"]``.
@@ -134,10 +134,10 @@ class InferenceGraph:
 def node_noise_cost(node: GraphNode, graph: InferenceGraph, estimator: NoiseEstimator) -> float:
     """Estimated budget cost of one node.
 
-    Matches :meth:`NoiseEstimator.layer_headroom`'s per-layer convention:
-    a contraction costs one plaintext multiply at the layer's weight norm
-    plus the additions over its fan-in -- the terms with a non-zero weight,
-    the only ones the layer adds (:func:`repro.core.heops._plan_contraction`).
+    The per-layer convention ``parameters_for_pipeline`` sizes for: a refresh
+    resets the budget to fresh, and a contraction costs one plaintext multiply
+    at the layer's weight norm plus the additions over its fan-in -- the terms
+    with a non-zero weight (:func:`repro.core.heops._plan_contraction`).
     """
     if node.op in CONTRACTION_OPS:
         matrix = graph.meta["layers"][node.stage]
@@ -150,6 +150,8 @@ def node_noise_cost(node: GraphNode, graph: InferenceGraph, estimator: NoiseEsti
         return estimator.relinearize_cost()
     if node.op == "pool":
         return estimator.add_cost(node.attrs["window"] ** 2)
+    if node.op == "fold":
+        return estimator.add_cost(node.attrs["lanes"])
     return 0.0
 
 
@@ -175,6 +177,17 @@ def annotate(graph: InferenceGraph) -> InferenceGraph:
         node.budget_bits = budget
         node.level = level
     return graph
+
+
+def require_headroom(graph: InferenceGraph) -> None:
+    """:class:`ParameterError` naming a contraction estimated to end with no budget."""
+    for node in graph.nodes:
+        if node.op in CONTRACTION_OPS and node.budget_bits <= 0.0:
+            raise ParameterError(
+                f"{graph.kind} graph leaves layer {node.stage!r} {node.budget_bits:.1f} "
+                f"bits of noise budget under {graph.params.name!r}: widen the "
+                "coefficient modulus (or, for a packed flush, lower max_batch)"
+            )
 
 
 def _crossing(op: str, stage: str, input_scale, output_scale, window, activation, pool):
@@ -276,13 +289,14 @@ def build_served_graph(quantized, params: EncryptionParams) -> InferenceGraph:
     )
 
 
-def build_packed_graph(quantized, params: EncryptionParams) -> InferenceGraph:
-    """IR for the serving flush: stacked scalar requests are folded into
-    slots inside the enclave, served as one SIMD pass, and split again."""
+def build_packed_graph(quantized, params: EncryptionParams, lanes: int = 0) -> InferenceGraph:
+    """IR for the serving flush: the host folds up to ``lanes`` requests (the
+    scheduler's capacity; 0 = ring degree) into coefficients -- additions, not
+    a refresh, so they come out of ``conv``'s budget; the enclave splits them."""
     return _single_block(
         "packed", quantized, params,
-        [GraphNode("pack", "pack")],
-        [_enclave_stage("crossing_simd", quantized)],
+        [GraphNode("fold", "pack", {"lanes": int(lanes) or params.poly_degree})],
+        [_enclave_stage("crossing_lanes", quantized)],
         [GraphNode("unpack", "unpack")],
     )
 

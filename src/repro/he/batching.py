@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import EncodingError, KeyMismatchError
 from repro.he import kernels
 from repro.he.context import Ciphertext, Context, Plaintext
-from repro.he.evaluator import Evaluator
+from repro.he.evaluator import Evaluator, PlainOperand
 from repro.he.ntt import NttPlan, StackedNttPlan
 
 
@@ -152,12 +152,11 @@ def pack_coefficients(
     decryption, and the parts are read where they lie (views, strided and
     read-only data included) by one :meth:`Evaluator.sum_products`.
 
-    This is the cheap half of scalar->SIMD conversion: it shrinks the
-    payload an enclave must decrypt for slot packing by the factor ``B``
-    (both bytes crossed and ciphertexts decrypted), leaving the trusted side
-    only one ciphertext per tensor position.  Noise grows by at most
-    ``log2(B)`` bits (monomial coefficients are 1), which a fresh encryption
-    easily absorbs.
+    This is the whole scalar->batched conversion of the serving flush: a
+    scalar weight acts on every coefficient alike, so the fold already is a
+    batch-axis ciphertext, request ``b`` in *lane* ``b`` (:func:`lane_operand`,
+    :func:`read_lanes`).  Noise grows by at most ``log2(B)`` bits (monomial
+    coefficients are 1), which a fresh encryption easily absorbs.
 
     Raises:
         EncodingError: no parts; a part (named by its index) with no batch
@@ -195,3 +194,44 @@ def pack_coefficients(
         )
     # Row b is NTT(x^b), broadcast over the remaining axes and components.
     return evaluator.sum_products(rows, _monomial_rows(context, len(rows)))
+
+
+def lane_operand(operand: PlainOperand, lanes: int) -> PlainOperand:
+    """``Delta * b * (1 + x + ... + x^(lanes-1))`` from a layer bias' scalar
+    ``Delta * b`` operand: the bias of a ciphertext whose batch rides
+    coefficients ``0..lanes-1``; the coefficients past them stay zero."""
+    if lanes == 1:  # scalar encoding
+        return operand
+    ring = operand.context.ring
+    ones = ring.reduce_sum(_monomial_rows(operand.context, lanes), axis=0)
+    return PlainOperand(operand.context, ring.pointwise_mul(operand.ntt_data, ones))
+
+
+def lane_plain(plain: Plaintext, lanes: int) -> Plaintext:
+    """:func:`lane_operand` for the per-tap reference loop's bias plaintext."""
+    coeffs = plain.coeffs.copy()
+    coeffs[..., :lanes] = coeffs[..., :1]
+    return Plaintext(plain.context, coeffs)
+
+
+def read_lanes(plain: Plaintext, lanes: int) -> np.ndarray:
+    """Signed values ``(lanes, *rest)`` from coefficients ``0..lanes-1`` of a
+    ``(1, *rest)`` plaintext batch; :class:`EncodingError` unless every
+    coefficient past them is zero (the scalar decode's probes, ``n - lanes``)."""
+    n = plain.context.poly_degree
+    if not 1 <= lanes <= n:
+        raise EncodingError(f"batch must be in [1, {n}], got {lanes}")
+    if plain.batch_shape[:1] != (1,) or plain.coeffs[..., lanes:].any():
+        raise EncodingError(
+            f"plaintext batch {plain.batch_shape} is not lane-encoded as "
+            f"(1, *rest) for a batch of {lanes}"
+        )
+    return np.moveaxis(plain.signed_coeffs()[0, ..., :lanes], -1, 0)
+
+
+def write_lanes(context: Context, values: np.ndarray) -> Plaintext:
+    """Inverse of :func:`read_lanes`: row ``b`` of ``(B, *rest)`` values goes
+    to coefficient ``b`` of a ``(1, *rest)`` plaintext batch."""
+    coeffs = np.zeros((1, *values.shape[1:], context.poly_degree), dtype=np.int64)
+    coeffs[0, ..., : values.shape[0]] = np.moveaxis(values, 0, -1)
+    return Plaintext(context, coeffs)  # reduces mod t

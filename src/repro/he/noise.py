@@ -98,34 +98,6 @@ class NoiseEstimator:
             budget -= self.add_cost(additions)
         return budget
 
-    def layer_headroom(self, quantized) -> dict[str, float]:
-        """Per-HE-layer remaining budget, in bits, for the hybrid pipeline.
-
-        Each SGX refresh resets the ciphertext to fresh-encryption noise, so
-        every encrypted linear layer starts from :meth:`fresh_budget` and
-        only pays for its own plain multiplies and additions.  Returns a
-        mapping of layer name to estimated remaining bits -- the values the
-        serving layer publishes as ``repro_he_noise_budget_bits``.
-        """
-        import numpy as np
-
-        # Per-slot noise depth, matching parameters_for_pipeline's sizing
-        # convention: each output coefficient sees ONE plain multiply per
-        # layer, then log-additive growth over the summed taps/terms.
-        k = quantized.conv_weight.shape[-1]
-        conv_taps = k * k * quantized.conv_weight.shape[1]
-        conv_norm = float(max(1, np.abs(quantized.conv_weight).max()))
-        fc_terms = quantized.dense_weight.shape[0]
-        fc_norm = float(max(1, np.abs(quantized.dense_weight).max()))
-        return {
-            "conv": self.budget_after(
-                plain_multiplies=1, plain_norm=conv_norm, additions=conv_taps
-            ),
-            "fc": self.budget_after(
-                plain_multiplies=1, plain_norm=fc_norm, additions=fc_terms
-            ),
-        }
-
     def supports_circuit(
         self,
         multiplies: int = 0,

@@ -274,8 +274,8 @@ class QuantizedCNN:
     def noise_profile(self) -> tuple[bool, float, int]:
         """``(pure_he, plain_norm, additions)`` for parameter sizing.
 
-        The additions term follows the per-layer convention of
-        ``NoiseEstimator.layer_headroom``: the hybrid pipeline's enclave
+        The additions term follows the per-layer convention of the graph
+        IR (``repro.graph.ir.node_noise_cost``): the hybrid pipeline's enclave
         refresh resets noise between the conv and FC layers, so only the
         widest single layer counts, while the pure-HE pipeline carries the
         conv fan-in through the window sum into every FC term within one

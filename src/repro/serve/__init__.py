@@ -1,11 +1,11 @@
-"""Serving layer: slot-packed scheduling of concurrent encrypted requests.
+"""Serving layer: packed scheduling of concurrent encrypted requests.
 
 Two front ends over one queued-request record and one packed-flush
 executor (``RequestScheduler.run_batch``):
 
 * :mod:`repro.serve.scheduler` -- the synchronous capacity-only intake
   (``submit``/``drain``): requests for the same model coalesce into one
-  CRT-slot-packed hybrid pipeline pass (legal because the enclave is the
+  coefficient-packed hybrid pipeline pass (legal because the enclave is the
   key authority, so every enrolled user shares its key pair), with
   bounded-queue backpressure and typed rejections.  It has no notion of
   time.

@@ -1,17 +1,18 @@
-"""Slot-packed request scheduling: the edge server's serving layer.
+"""Packed request scheduling: the edge server's serving layer.
 
 The paper's deployment story (Sections IV + VII) is one SGX edge node
-serving many enrolled users, yet a naive facade runs one hybrid pipeline
-pass per request -- every single-image inference pays the full per-pixel
-HE cost.  CRT slot packing (Section VIII) is the throughput lever: up to
-``n`` images can ride the slots of each pixel-position ciphertext, making
-the encrypted CNN's cost independent of how many requests share the batch.
+serving many enrolled users, yet a naive facade pays the full per-pixel HE
+cost once per request.  Packing (Section VIII) is the throughput lever: up
+to ``n`` images share each pixel-position ciphertext.  The model's *scalar*
+weights act on ``n`` polynomial coefficients exactly as on ``n`` CRT slots,
+so the flush packs into coefficients ("lanes"): any plaintext modulus
+serves, and packing is host-side homomorphic work, not an enclave crossing.
 
 This scheduler turns that lever into a serving discipline:
 
 * **Coalescing.**  Concurrent requests for the same model accumulate in a
-  per-model bucket and are flushed as ONE slot-packed pipeline pass when the
-  bucket reaches slot capacity or on explicit
+  per-model bucket and are flushed as ONE packed pipeline pass when the
+  bucket reaches lane capacity or on explicit
   :meth:`~RequestScheduler.drain`.  This synchronous intake is
   capacity-only: *time-based* coalescing (windows, priorities, SLO
   deadlines) is owned by :class:`~repro.serve.loop.ServingLoop`, which
@@ -20,9 +21,9 @@ This scheduler turns that lever into a serving discipline:
 * **Legality.**  Cross-user packing is sound in this deployment because the
   enclave is the HE key authority (Section IV-A): every enrolled user holds
   the same key pair, so their ciphertexts are mutually compatible.  The
-  actual re-layout (scalar batch -> slots, and back) happens inside the
-  enclave (:meth:`InferenceEnclave.pack_slots` / ``unpack_slots``) -- the
-  host never sees a pixel or logit in the clear.
+  host folds them homomorphically; only the activation crossing and the
+  final split (:meth:`InferenceEnclave.activation_pool_lanes` /
+  ``unpack_lanes``) see a pixel or logit in the clear, inside the enclave.
 * **Backpressure.**  The queue is bounded; a full queue rejects new work
   with :class:`~repro.errors.QueueFullError` instead of buffering without
   limit.  Unknown models and requests larger than the packing capacity are
@@ -79,7 +80,7 @@ class ServeConfig:
         max_queue_depth: bound on queued (unflushed) requests across all
             models; submissions beyond it raise
             :class:`~repro.errors.QueueFullError`.
-        max_batch: images per packed flush; ``None`` means the full CRT slot
+        max_batch: images per packed flush; ``None`` means the full lane
             capacity (the parameter set's polynomial degree).
     """
 
@@ -90,7 +91,11 @@ class ServeConfig:
         if self.max_queue_depth < 1:
             raise ServeError("max_queue_depth must be >= 1")
         if self.max_batch is not None and self.max_batch < 1:
-            raise ServeError("max_batch must be >= 1 (or None for slot capacity)")
+            raise ServeError("max_batch must be >= 1 (or None for lane capacity)")
+
+    def capacity(self, lanes: int) -> int:
+        """Images per flush on a ring of ``lanes`` coefficients."""
+        return min(self.max_batch or lanes, lanes)
 
 
 @dataclass
@@ -177,34 +182,19 @@ class _QueuedRequest:
 
 
 class RequestScheduler:
-    """Coalesces encrypted requests into slot-packed hybrid pipeline passes.
+    """Coalesces encrypted requests into packed hybrid pipeline passes.
 
     Args:
         server: the :class:`~repro.core.server.EdgeServer` whose models,
-            evaluator and enclave serve the batches.  Its parameter set must
-            support CRT batching
-            (``parameters_for_pipeline(..., batching=True)``).
+            evaluator and enclave serve the batches.
         config: scheduling policy (a default :class:`ServeConfig` if None).
-
-    Raises:
-        ServeError: the server's plaintext modulus cannot batch.
     """
 
     def __init__(self, server: "EdgeServer", config: ServeConfig | None = None) -> None:
-        if not server.params.supports_batching():
-            raise ServeError(
-                "slot-packed serving needs a batching plaintext modulus; build "
-                "the server's parameters with "
-                "parameters_for_pipeline(..., batching=True)"
-            )
         self.server = server
         self.config = config if config is not None else ServeConfig()
         self.slot_count = server.params.poly_degree
-        self.capacity = (
-            self.slot_count
-            if self.config.max_batch is None
-            else min(self.config.max_batch, self.slot_count)
-        )
+        self.capacity = self.config.capacity(self.slot_count)
         self.stats = ServeStats()
         self._queues: dict[str, list[_QueuedRequest]] = {}
         self._next_id = 0
@@ -388,7 +378,7 @@ class RequestScheduler:
         return served
 
     def _flush_model(self, model_name: str) -> int:
-        """Run one slot-packed hybrid pass over a model's queued requests
+        """Run one packed hybrid pass over a model's queued requests
         and resolve each request with its slice of the encrypted logits.
 
         Never raises and never leaves a request queued: the bucket is popped
@@ -641,7 +631,7 @@ class RequestScheduler:
         replica: int | None = None,
         generation: int | None = None,
     ) -> "list[ServedResult]":
-        """One slot-packed pipeline pass; returns one result per request.
+        """One packed pipeline pass; returns one result per request.
 
         Pure with respect to scheduler state -- no queue or stats mutation,
         no response resolution -- so callers may retry it safely.
@@ -665,8 +655,8 @@ class RequestScheduler:
         total = sum(r.batch for r in requests)
         # Requests share the enclave's key pair, so their ciphertexts fold as
         # one scalar-encoded (total, C, H, W) batch -- which is never built:
-        # the pack node reads each request where it lies, so nothing
-        # flush-sized is copied between submit and the pack_slots ECALL.
+        # the fold node reads each request where it lies, so nothing
+        # flush-sized is copied between submit and the fold.
         parts = [r.ct.to_ntt() for r in requests]
         if flushed_at is None:
             flushed_at = server.platform.clock.now_s

@@ -203,41 +203,76 @@ class TestValueGuards:
 
 
 class TestSlotCrossings:
-    """``pack_slots`` / ``unpack_slots``: the packed flush's layout ECALLs."""
+    """``activation_pool_lanes`` / ``unpack_lanes``: the packed flush's two
+    ECALLs, on a batch riding polynomial coefficients ``0..B-1`` (the class
+    keeps the name it had when the flush crossed in CRT slots)."""
+
+    IDENTITY = (1.0, 1, 1, "relu", "mean")  # scales, window, activation, pool
 
     @pytest.fixture()
-    def slot_deployment(self, platform, q_sigmoid):
-        from repro.core import parameters_for_pipeline
-        from repro.he.context import Plaintext
+    def lane_deployment(self, platform, hybrid_params):
+        from repro.he.batching import write_lanes
         from repro.he.keys import PublicKey
 
-        params = parameters_for_pipeline(q_sigmoid, 256, batching=True)
-        handle = platform.load_enclave(InferenceEnclave, params, 5)
+        handle = platform.load_enclave(InferenceEnclave, hybrid_params, 5)
         handle.ecall("generate_keys")
-        context = Context(params)
+        context = Context(hybrid_params)
         public = handle.ecall("get_public_key")
         encryptor = Encryptor(
             context,
             PublicKey(context, public.p0_ntt, public.p1_ntt),
             np.random.default_rng(8),
         )
-        rows = np.arange(-6, 6).reshape(4, 3)  # 4 requests, 3 tensor positions
-        coeffs = np.zeros((3, params.poly_degree), dtype=np.int64)
-        coeffs[:, :4] = rows.T % params.plain_modulus
-        return handle, encryptor.encrypt(Plaintext(context, coeffs)), rows
+        rows = np.arange(-24, 24).reshape(4, 3, 2, 2)  # 4 requests of (3, 2, 2)
+        return handle, encryptor.encrypt(write_lanes(context, rows)), rows
 
-    def test_pack_then_unpack_restores_rows(self, slot_deployment):
-        handle, folded, rows = slot_deployment
-        packed = handle.ecall("pack_slots", folded, 4)
-        assert packed.batch_shape == (1, 3)
-        unpacked = handle.ecall("unpack_slots", packed, 4)
-        assert unpacked.batch_shape == (4, 3)
+    def test_crossing_then_unpack_restores_rows(self, lane_deployment):
+        handle, folded, rows = lane_deployment
+        crossed = handle.ecall("activation_pool_lanes", folded, 4, *self.IDENTITY)
+        assert crossed.batch_shape == (1, 3, 2, 2)
+        unpacked = handle.ecall("unpack_lanes", crossed, 4)
+        assert unpacked.batch_shape == (4, 3, 2, 2)
         plain = handle._instance._decryptor.decrypt(unpacked)
+        assert np.array_equal(plain.signed_coeffs()[..., 0], np.maximum(rows, 0))
+        assert not plain.coeffs[..., 1:].any()
+
+    def test_pack_then_unpack_restores_rows(self, lane_deployment):
+        handle, folded, rows = lane_deployment
+        plain = handle._instance._decryptor.decrypt(handle.ecall("unpack_lanes", folded, 4))
         assert np.array_equal(plain.signed_coeffs()[..., 0], rows)
 
-    @pytest.mark.parametrize("name", ["pack_slots", "unpack_slots"])
+    def test_crossing_activates_and_pools_every_lane(self, lane_deployment):
+        handle, folded, rows = lane_deployment
+        crossed = handle.ecall(
+            "activation_pool_lanes", folded, 4, 8.0, 100, 2, "sigmoid", "mean"
+        )
+        assert crossed.batch_shape == (1, 3, 1, 1)
+        pooled = Sigmoid.apply(rows / 8.0).reshape(4, 3, -1).mean(axis=-1)
+        got = handle._instance._decryptor.decrypt(crossed).signed_coeffs()
+        assert np.array_equal(got[0, :, 0, 0, :4].T, np.rint(pooled * 100))
+        assert not got[..., 4:].any()
+
+    @pytest.mark.parametrize("name", ["activation_pool_lanes", "unpack_lanes"])
     @pytest.mark.parametrize("batch", [0, -1, 257])
-    def test_bad_batch_is_a_typed_pipeline_error(self, slot_deployment, name, batch):
-        handle, folded, _rows = slot_deployment
+    def test_bad_batch_is_a_typed_pipeline_error(self, lane_deployment, name, batch):
+        handle, folded, _rows = lane_deployment
+        args = self.IDENTITY if name == "activation_pool_lanes" else ()
         with pytest.raises(PipelineError, match=r"batch must be in \[1, 256\]"):
-            handle.ecall(name, folded, batch)
+            handle.ecall(name, folded, batch, *args)
+
+    @pytest.mark.parametrize("name", ["activation_pool_lanes", "unpack_lanes"])
+    def test_too_small_batch_is_a_typed_pipeline_error(self, lane_deployment, name):
+        """A host that under-reports the batch leaves non-zero coefficients
+        past the lanes: typed, never a silently truncated flush."""
+        handle, folded, _rows = lane_deployment
+        args = self.IDENTITY if name == "activation_pool_lanes" else ()
+        with pytest.raises(PipelineError, match="not lane-encoded"):
+            handle.ecall(name, folded, 3, *args)
+
+    def test_out_of_range_values_rejected(self, lane_deployment, hybrid_params):
+        handle, folded, _rows = lane_deployment
+        with pytest.raises(PipelineError, match="plaintext range"):
+            handle.ecall(
+                "activation_pool_lanes", folded, 4,
+                1.0, hybrid_params.plain_modulus, 1, "relu", "mean",
+            )

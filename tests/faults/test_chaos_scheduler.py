@@ -76,7 +76,7 @@ class TestPoisonedFlushIsolation:
         responses = submit_singles(server, session, images)
         plan = FaultPlan(
             seed,
-            rules=[FaultRule(site="sgx.ecall", name="unpack_slots", max_fires=None)],
+            rules=[FaultRule(site="sgx.ecall", name="unpack_lanes", max_fires=None)],
         )
         with faults.armed(plan):
             served = server.scheduler.drain()

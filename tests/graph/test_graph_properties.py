@@ -18,7 +18,6 @@ from repro.graph import ir
 from repro.graph import passes as graph_passes
 from repro.graph.optimizer import PASS_PORTFOLIO, compile_graph, margin_bits_for
 from repro.graph.passes import select_parameters
-from repro.he.noise import NoiseEstimator
 from repro.nn.quantize import QuantizedCNN
 
 SEEDS = range(12)
@@ -129,6 +128,5 @@ def test_parameter_advice_leaves_headroom(seed):
     advice = select_parameters(graph)
     if advice is None:
         pytest.skip("no candidate fits this random graph")
-    headroom = NoiseEstimator(advice).layer_headroom(quantized)
-    assert all(v > 0 for v in headroom.values()), headroom
+    ir.require_headroom(ir.build_graph(graph.kind, quantized, advice))
     assert advice.plain_modulus >= quantized.required_plain_modulus()

@@ -1,0 +1,89 @@
+"""IR noise estimates against measured budgets on the packed flush (the
+first instance of ROADMAP item 5(a)): the fold is a host-side sum, not a
+refresh, so ``conv`` starts below fresh, and a model the configured
+``max_batch`` leaves no budget is refused when it is provisioned."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core import EdgeServer, heops, parameters_for_pipeline
+from repro.errors import ParameterError
+from repro.graph import ir
+from repro.he import EncryptionParams
+from repro.he.noise import NoiseEstimator
+from repro.serve import ServeConfig
+from repro.sgx import AttestationVerificationService
+
+from .kinds import single_block_model
+
+
+def test_fold_is_priced_not_a_refresh():
+    model = single_block_model()
+    params = parameters_for_pipeline(model, 256, batching=True)
+    fresh = NoiseEstimator(params).fresh_budget()
+    served = ir.build_graph("served", model, params)
+    assert "fold" not in ir.REFRESH_OPS
+    assert ir.build_graph("packed", model, params).node("fold").attrs["lanes"] == 256
+    for lanes in (1, 2, 16, 256):
+        packed = ir.build_graph("packed", model, params, lanes=lanes)
+        fold, conv = packed.node("fold"), packed.node("conv")
+        assert fold.noise_cost_bits == pytest.approx(np.log2(lanes))
+        assert fold.budget_bits == pytest.approx(fresh - np.log2(lanes))
+        assert conv.budget_bits == pytest.approx(
+            served.node("conv").budget_bits - np.log2(lanes)
+        )
+        # The crossing refreshes: fc does not pay for the fold.
+        assert packed.node("fc").budget_bits == served.node("fc").budget_bits
+
+
+@pytest.mark.parametrize("batch", [1, 2, 16, 256])
+def test_ir_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
+    model = single_block_model()
+    params = parameters_for_pipeline(model, 256, batching=True)
+    server = EdgeServer(params, seed=13, serve_config=ServeConfig(max_batch=batch))
+    server.provision_model("m", model)
+    verifier = AttestationVerificationService()
+    verifier.register_platform(server.quoting)
+    session = server.enroll_user(entropy=b"\x42" * 32, verifier=verifier)
+    measured = {}
+    for stage, name in (("conv", "he_conv2d"), ("fc", "he_dense")):
+        layer = getattr(heops, name)
+
+        def spy(*args, _layer=layer, _stage=stage):
+            out = _layer(*args)
+            measured[_stage] = session.decryptor.invariant_noise_budget(out)
+            return out
+
+        monkeypatch.setattr(heops, name, spy)
+    images = np.random.default_rng(2116).random((batch, 1, 8, 8))
+    response = server.scheduler.submit("m", session.encrypt("m", images))
+    assert response.done() and response.result().packed_batch == batch
+    graph = ir.build_graph("packed", model, params, lanes=batch)
+    for stage in ("conv", "fc"):
+        estimated = graph.node(stage).budget_bits
+        assert 0.0 < estimated <= measured[stage], (stage, estimated, measured[stage])
+
+
+def test_provisioning_refuses_a_flush_with_no_headroom():
+    model = single_block_model()
+    sized = parameters_for_pipeline(model, 256, batching=True)
+    # One 30-bit prime leaves under 3 bits of fresh budget: conv alone
+    # costs 5, and the 256-lane fold 8 more.
+    tight = EncryptionParams(
+        poly_degree=256,
+        coeff_primes=sized.coeff_primes[:1],
+        plain_modulus=sized.plain_modulus,
+        name="tight",
+    )
+    with pytest.raises(ParameterError, match=r"packed graph leaves layer 'conv'"):
+        EdgeServer(tight, seed=13).provision_model("m", model)
+    server = EdgeServer(sized, seed=13)
+    server.provision_model("m", model)
+    assert server.models() == ["m"]
+    # The refusal is about the configured capacity: the same model and
+    # parameters pass at 16 lanes and fail at a fold that eats the budget.
+    ir.require_headroom(ir.build_graph("packed", model, sized, lanes=16))
+    with pytest.raises(ParameterError, match="lower max_batch"):
+        ir.require_headroom(ir.build_graph("packed", model, sized, lanes=1 << 30))

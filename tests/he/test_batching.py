@@ -19,7 +19,14 @@ from repro.he import (
     modmath,
     small_parameter_options,
 )
-from repro.he.batching import pack_coefficients
+from repro.he.batching import (
+    lane_operand,
+    lane_plain,
+    pack_coefficients,
+    read_lanes,
+    write_lanes,
+)
+from repro.he.context import Plaintext
 from repro.he.params import EncryptionParams
 
 
@@ -139,6 +146,61 @@ class TestCoefficientFold:
             pack_coefficients(evaluator, [good, odd])
         with pytest.raises(EncodingError, match="part 1 is in coefficient domain"):
             pack_coefficients(evaluator, [good, good.to_coeff()])
+
+
+class TestLanes:
+    """The folded ciphertext *is* the batch-axis ciphertext: scalar layers
+    act lane-wise, a bias is spread over the lanes, values are read from and
+    written to coefficients ``0..B-1``."""
+
+    def test_scalar_layer_on_the_fold_is_the_layer_on_every_request(
+        self, context, encoder, encryptor, decryptor, evaluator, rng
+    ):
+        values = rng.integers(-20, 20, size=(5, 3))
+        folded = pack_coefficients(evaluator, encryptor.encrypt(encoder.encode(values)))
+        weight = evaluator.transform_plain(encoder.encode(-7))
+        bias = evaluator.transform_plain_delta(encoder.encode(np.array([4, -9, 0])))
+        out = evaluator.add_plain_operand(
+            evaluator.multiply_plain(folded, weight), lane_operand(bias, 5)
+        )
+        lanes = read_lanes(decryptor.decrypt(out.reshape(1, 3)), 5)
+        assert np.array_equal(lanes, values * -7 + np.array([4, -9, 0]))
+
+    @pytest.mark.parametrize("lanes", [1, 2, 7])
+    def test_lane_operand_is_the_transformed_lane_plaintext(
+        self, context, encoder, evaluator, lanes
+    ):
+        plain = encoder.encode(np.array([[3], [-5]]))
+        spread = lane_plain(plain, lanes)
+        assert np.array_equal(spread.signed_coeffs()[..., :lanes], [[[3] * lanes], [[-5] * lanes]])
+        assert not spread.coeffs[..., lanes:].any()
+        operand = evaluator.transform_plain_delta(plain)
+        assert np.array_equal(
+            lane_operand(operand, lanes).ntt_data,
+            evaluator.transform_plain_delta(spread).ntt_data,
+        )
+        if lanes == 1:  # scalar encoding: nothing is built
+            assert lane_operand(operand, 1) is operand
+            assert np.array_equal(spread.coeffs, plain.coeffs)
+
+    def test_write_then_read_round_trips_signed_values(self, context, rng):
+        t = context.plain_modulus
+        values = rng.integers(-(t // 2), t // 2 + 1, size=(6, 2, 3))
+        plain = write_lanes(context, values)
+        assert plain.batch_shape == (1, 2, 3)
+        assert np.array_equal(read_lanes(plain, 6), values)
+        assert np.array_equal(read_lanes(plain, 9)[:6], values)  # zero lanes are legal
+
+    def test_read_refuses_what_is_not_lane_encoded(self, context, rng):
+        plain = write_lanes(context, rng.integers(1, 9, size=(6, 2)))
+        with pytest.raises(EncodingError, match=r"not lane-encoded .* for a batch of 5"):
+            read_lanes(plain, 5)
+        stacked = Plaintext(context, np.zeros((2, context.poly_degree), dtype=np.int64))
+        with pytest.raises(EncodingError, match=r"\(2,\) is not lane-encoded as \(1, \*rest\)"):
+            read_lanes(stacked, 1)
+        for lanes in (0, -1, context.poly_degree + 1):
+            with pytest.raises(EncodingError, match="batch must be in"):
+                read_lanes(plain, lanes)
 
 
 class TestPackingMonomialMemo:

@@ -139,7 +139,7 @@ class TestNoiseProfileAccounting:
     profile under-counted the conv fan-in (it read only one spatial axis)
     and ignored the dense weights entirely, so parameter sizing could
     hand out too little budget.  Pins the corrected convention against
-    ``NoiseEstimator.layer_headroom`` and the graph IR annotations."""
+    the written-out per-layer headroom and the graph IR annotations."""
 
     def test_hybrid_counts_widest_single_layer(self):
         q = _toy_model("sigmoid")
@@ -161,16 +161,17 @@ class TestNoiseProfileAccounting:
 
     def test_profile_matches_layer_headroom_convention(self):
         """The hybrid profile must describe the same worst layer the
-        estimator's per-layer headroom uses, so ``parameters_for_pipeline``
+        graph IR's per-layer headroom uses, so ``parameters_for_pipeline``
         sizes for exactly that layer."""
         from repro.core import parameters_for_pipeline
+        from repro.graph import ir
 
         q = _toy_model("sigmoid")
         params = parameters_for_pipeline(q, 256)
         estimator = NoiseEstimator(params)
         _, norm, additions = q.noise_profile()
-        headroom = estimator.layer_headroom(q)
-        worst = min(headroom.values())
+        graph = ir.build_served_graph(q, params)
+        worst = min(graph.node(layer).budget_bits for layer in ("conv", "fc"))
         sized = estimator.budget_after(
             plain_multiplies=1, plain_norm=norm, additions=additions
         )
@@ -184,6 +185,21 @@ class TestNoiseProfileAccounting:
         q = _toy_model("sigmoid")
         params = parameters_for_pipeline(q, 256)
         graph = ir.build_hybrid_graph(q, params)
-        headroom = NoiseEstimator(params).layer_headroom(q)
+        # Each refresh resets to fresh; a layer pays one plain multiply at
+        # its weight norm plus log-additive growth over its fan-in.
+        estimator = NoiseEstimator(params)
+        k = q.conv_weight.shape[-1]
+        headroom = {
+            "conv": estimator.budget_after(
+                plain_multiplies=1,
+                plain_norm=float(np.abs(q.conv_weight).max()),
+                additions=k * k * q.conv_weight.shape[1],
+            ),
+            "fc": estimator.budget_after(
+                plain_multiplies=1,
+                plain_norm=float(np.abs(q.dense_weight).max()),
+                additions=q.dense_weight.shape[0],
+            ),
+        }
         assert graph.node("conv").budget_bits == pytest.approx(headroom["conv"])
         assert graph.node("fc").budget_bits == pytest.approx(headroom["fc"])

@@ -1,0 +1,232 @@
+"""The packed flush rides polynomial coefficients ("lanes") from the host
+fold to the last crossing: typed lane checks, equivalence with the unpacked
+``served`` graph across batch sizes / kernel profiles / worker counts /
+recovery, and DESIGN.md §6's claims on the serving path."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import faults
+from repro.core import EdgeServer, heops
+from repro.errors import PipelineError, RecoveryExhausted, RequestFailedError
+from repro.faults import EnclaveSupervisor, FaultPlan, FaultRule
+from repro.he import kernels, parallel
+from repro.he.context import Ciphertext
+from repro.he.serialize import serialize_ciphertext, serialize_secret_key
+from repro.serve import InferenceRequest, ServeConfig
+
+LANE_ECALLS = ["activation_pool_lanes", "unpack_lanes"]
+
+
+def submit_singles(server, session, images):
+    return [
+        server.scheduler.submit("digits", session.encrypt("digits", images[i : i + 1]))
+        for i in range(len(images))
+    ]
+
+
+def fresh_deployment(params, model, session_for, **config):
+    srv = EdgeServer(params, seed=13, serve_config=ServeConfig(**config))
+    srv.provision_model("digits", model)
+    session = session_for(srv)
+    session.encryptor.rng = np.random.default_rng(5)  # pin client HE noise
+    return srv, session
+
+
+def assert_every_ticket_failed_typed(server, responses, match):
+    assert server.scheduler.queue_depth == 0
+    for response in responses:
+        assert response.done()
+        with pytest.raises(RequestFailedError) as excinfo:
+            response.result()
+        assert isinstance(excinfo.value.__cause__, PipelineError)
+        assert match in str(excinfo.value.__cause__)
+    assert server.scheduler.stats.served == 0
+    assert server.scheduler.stats.failed == len(responses)
+
+
+class TestTypedLaneCheck:
+    """Coefficients at or past ``batch`` must decrypt to zero in both lane
+    ECALLs: whatever breaks the layout outside the enclave fails the flush
+    typed and resolves every ticket -- never silently wrong logits."""
+
+    def test_host_passing_a_too_small_batch(self, server, session, models, monkeypatch):
+        original = EnclaveSupervisor.ecall
+
+        def under_report(self, name, *args, **kwargs):
+            if name in LANE_ECALLS:
+                args = (args[0], args[1] - 1, *args[2:])
+            return original(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(EnclaveSupervisor, "ecall", under_report)
+        responses = submit_singles(server, session, models.dataset.test_images[:3])
+        server.scheduler.drain()
+        # The flush dies on the lane check; each B = 1 re-run then reports
+        # batch 0, which is out of range.
+        assert_every_ticket_failed_typed(server, responses, "batch must be in")
+        assert server.scheduler.stats.isolations == 1
+
+    def test_bias_spread_past_the_batch(self, server, session, models, monkeypatch):
+        """A host that adds the bias to more lanes than the flush holds
+        (here: always the full capacity) leaves non-zero lanes past it."""
+        spread = heops.lane_operand
+        capacity = server.scheduler.capacity
+        monkeypatch.setattr(
+            heops, "lane_operand", lambda operand, lanes: spread(operand, capacity)
+        )
+        responses = submit_singles(server, session, models.dataset.test_images[:3])
+        server.scheduler.drain()
+        assert_every_ticket_failed_typed(server, responses, "not lane-encoded")
+
+    def test_noise_exhausted_ciphertext(self, server, session, models, monkeypatch):
+        conv = heops.he_conv2d
+        seen = []
+
+        def exhaust(evaluator, encoder, ct, weights, lanes=1):
+            out = conv(evaluator, encoder, ct, weights, lanes)
+            data = out.data
+            for _ in range(3):  # x 2^60: past any budget of this 60-bit q
+                data = out.context.ring.mul_scalar(data, 1 << 20)
+            seen.append(Ciphertext(out.context, data, is_ntt=True))
+            return seen[-1]
+
+        monkeypatch.setattr(heops, "he_conv2d", exhaust)
+        responses = submit_singles(server, session, models.dataset.test_images[:2])
+        server.scheduler.drain()
+        assert not session.decryptor.is_decryptable(seen[0])
+        assert_every_ticket_failed_typed(server, responses, "overflowed")
+
+
+class TestFlushEquivalence:
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    def test_logits_equal_the_served_graph(self, server, session, models, batch):
+        images = models.dataset.test_images[:batch]
+        cts = [session.encrypt("digits", images[i : i + 1]) for i in range(batch)]
+        responses = [server.scheduler.submit("digits", ct) for ct in cts]
+        server.scheduler.drain()
+        for ct, response in zip(cts, responses):
+            served = server.infer(InferenceRequest(model="digits", ciphertext=ct))
+            assert np.array_equal(
+                session.decrypt_logits(response.result()),
+                session.decrypt_logits(served),
+            )
+            assert response.result().packed_batch == batch
+
+    def _flush_bytes(self, params, model, images, session_for):
+        srv, session = fresh_deployment(params, model, session_for, max_batch=8)
+        responses = submit_singles(srv, session, images)
+        srv.scheduler.drain()
+        return [bytes(serialize_ciphertext(r.result().logits_ct)) for r in responses]
+
+    def test_result_bytes_identical_across_profiles_and_workers(
+        self, batching_params, q_sigmoid, models, session_for
+    ):
+        images = models.dataset.test_images[:5]
+        reference = self._flush_bytes(batching_params, q_sigmoid, images, session_for)
+        with kernels.reference_kernels():
+            assert reference == self._flush_bytes(
+                batching_params, q_sigmoid, images, session_for
+            )
+        for workers in (1, 2):
+            with parallel.use(workers):
+                assert reference == self._flush_bytes(
+                    batching_params, q_sigmoid, images, session_for
+                )
+
+    def test_isolation_rerun_resolves_survivors_bit_identically(
+        self, batching_params, q_sigmoid, models, session_for
+    ):
+        """An ``unpack_lanes`` crash that outlasts the supervisor's retries
+        kills the flush; each request's B = 1 re-run equals what a lone
+        ``pack=True`` request produces, byte for byte."""
+        images = models.dataset.test_images[:3]
+        clean, clean_session = fresh_deployment(batching_params, q_sigmoid, session_for)
+        alone = [
+            clean.infer(
+                InferenceRequest(
+                    model="digits",
+                    ciphertext=clean_session.encrypt("digits", images[i : i + 1]),
+                    pack=True,
+                )
+            )
+            for i in range(3)
+        ]
+        srv, session = fresh_deployment(batching_params, q_sigmoid, session_for)
+        responses = submit_singles(srv, session, images)
+        plan = FaultPlan(
+            0, rules=[FaultRule(site="sgx.ecall", name="unpack_lanes", max_fires=3)]
+        )
+        with faults.armed(plan):
+            srv.scheduler.drain()
+        assert plan.fires("sgx.ecall") == 3
+        stats = srv.scheduler.stats
+        assert (stats.isolations, stats.isolated_requests, stats.failed) == (1, 3, 0)
+        for i, (response, lone) in enumerate(zip(responses, alone)):
+            result = response.result()
+            assert result.packed_batch == 1
+            assert np.array_equal(
+                session.decrypt_logits(result), clean_session.decrypt_logits(lone)
+            ), i
+
+    def test_unrecoverable_unpack_fails_typed(self, server, session, models):
+        responses = submit_singles(server, session, models.dataset.test_images[:2])
+        plan = FaultPlan(
+            0, rules=[FaultRule(site="sgx.ecall", name="unpack_lanes", max_fires=None)]
+        )
+        with faults.armed(plan):
+            assert server.scheduler.drain() == 0
+        for response in responses:
+            with pytest.raises(RequestFailedError) as excinfo:
+                response.result()
+            assert isinstance(excinfo.value.__cause__, RecoveryExhausted)
+
+
+class TestThreatModelOnTheServingPath:
+    """DESIGN.md §6 on a packed flush: the host observes exactly two ECALLs
+    whose sizes depend on the public shapes ``(C, H, W, B)`` only, and no
+    ECALL hands plaintext or key material back."""
+
+    def _flush(self, server, session, images, monkeypatch):
+        returned = []
+        original = EnclaveSupervisor.ecall
+
+        def spy(self, name, *args, **kwargs):
+            returned.append((name, original(self, name, *args, **kwargs)))
+            return returned[-1][1]
+
+        server.enclave.side_channel.reset()
+        with monkeypatch.context() as patch:
+            patch.setattr(EnclaveSupervisor, "ecall", spy)
+            responses = submit_singles(server, session, images)
+            server.scheduler.drain()
+        assert all(r.done() for r in responses)
+        return server.enclave.side_channel.trace_signature(), returned
+
+    def test_two_crossings_of_public_size_and_ciphertext_only_returns(
+        self, server, session, models, monkeypatch
+    ):
+        images = models.dataset.test_images
+        first, returned = self._flush(server, session, images[:4], monkeypatch)
+        second, _ = self._flush(server, session, images[4:8], monkeypatch)
+        wider, _ = self._flush(server, session, images[:5], monkeypatch)
+        assert [(kind, name) for kind, name, _, _ in first] == [
+            ("ecall", "activation_pool_lanes"),
+            ("ecall", "unpack_lanes"),
+        ]
+        assert first == second  # other images, same shapes: same observation
+        # B moves only what B sizes: the per-request result ciphertexts.
+        assert [event[:3] for event in wider] == [event[:3] for event in first]
+        assert wider[0] == first[0]
+        assert wider[1][3] * 4 == first[1][3] * 5
+
+        secret = bytes(serialize_secret_key(session.decryptor.secret_key))
+        assert [name for name, _ in returned] == LANE_ECALLS
+        for _name, value in returned:
+            assert isinstance(value, Ciphertext)
+            # A real encryption at every position: no transparent (c1 = 0)
+            # ciphertext carrying Delta * m in the clear, no key bytes.
+            c1 = value.data[..., 1, :, :]
+            assert c1.reshape(-1, *c1.shape[-2:]).any(axis=(1, 2)).all()
+            assert secret[16:48] not in bytes(serialize_ciphertext(value))

@@ -51,6 +51,32 @@ class TestPackingCorrectness:
         assert np.array_equal(packed, sequential)
         assert np.array_equal(packed, expected)
 
+    def test_power_of_two_modulus_serves_packed(
+        self, q_sigmoid, models, session_for
+    ):
+        """The flush packs into coefficients, not CRT slots, so a server
+        built with ``batching=False`` serves ``pack=True`` and a 16-request
+        flush with the logits of its own unpacked path."""
+        params = parameters_for_pipeline(q_sigmoid, 256)  # power-of-two t
+        assert not params.supports_batching()
+        srv = EdgeServer(params, seed=13, serve_config=ServeConfig(max_batch=16))
+        srv.provision_model("digits", q_sigmoid)
+        session = session_for(srv)
+        images = models.dataset.test_images[:16]
+        cts = [session.encrypt("digits", images[i : i + 1]) for i in range(16)]
+        direct = np.concatenate(
+            [session.decrypt_logits(_infer(srv, "digits", ct, pack=False)) for ct in cts]
+        )
+        alone = _infer(srv, "digits", cts[0], pack=True)
+        assert alone.packed_batch == 1
+        assert np.array_equal(session.decrypt_logits(alone), direct[:1])
+        responses = [srv.scheduler.submit("digits", ct) for ct in cts]
+        assert all(r.done() for r in responses)  # the 16th submit flushed
+        assert srv.scheduler.stats.flushes == 2
+        packed = np.concatenate([session.decrypt_logits(r.result()) for r in responses])
+        assert np.array_equal(packed, direct)
+        assert np.array_equal(packed, PlaintextPipeline(q_sigmoid).infer(images).logits)
+
     def test_responses_keep_submit_order_per_request(
         self, server, session, q_sigmoid, models
     ):
@@ -208,13 +234,6 @@ class TestRejectionPaths:
         with pytest.raises(BatchTooLargeError):
             srv.scheduler.submit("digits", ct)
         assert srv.scheduler.stats.rejected_oversized == 1
-
-    def test_non_batching_params_rejected(self, q_sigmoid):
-        params = parameters_for_pipeline(q_sigmoid, 256)  # power-of-two t
-        srv = EdgeServer(params, seed=13)
-        srv.provision_model("digits", q_sigmoid)
-        with pytest.raises(ServeError):
-            srv.scheduler  # noqa: B018 - the property builds the scheduler
 
     def test_malformed_request_shape(self, server, session, models):
         ct = session.encrypt("digits", models.dataset.test_images[:1])
