@@ -134,7 +134,8 @@ def _time_flush_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
     rows = rng.integers(-half_t, half_t + 1, size=FLUSH_SHAPE)
 
     # decrypt_poly: the full-polynomial decrypt the flush's lane crossings
-    # (activation_pool_lanes / unpack_lanes) and activation_pool_simd pay.
+    # (activation_pool_lanes / unpack_lanes), the client's read of a served
+    # result (logits in coefficients) and activation_pool_simd pay.
     slot_ct = encryptor.encrypt(codec.encode_batch_axis(rows))
     with kernels.reference_kernels():
         ref_s, ref_plain = _median_seconds(lambda: decryptor.decrypt(slot_ct), reps)

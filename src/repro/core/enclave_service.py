@@ -20,6 +20,7 @@ key-exchange payload; a test asserts this boundary.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -263,15 +264,15 @@ class InferenceEnclave(Enclave):
         tail one may be shorter).  The trusted side restores ``shape`` and
         re-encrypts one scalar ciphertext per element through the same
         :meth:`_encrypt_values` RNG draws as the unpacked crossing, so the
-        output bytes are identical.
+        output bytes are identical.  Every coefficient past a run must
+        decrypt to zero: a payload folded at another ``chunk``, or one whose
+        noise overflowed, is a :class:`PipelineError`.
         """
-        if chunk < 1 or chunk > self._context.poly_degree:
-            raise PipelineError(
-                f"chunk must be in [1, {self._context.poly_degree}], got {chunk}"
-            )
+        n = self._context.poly_degree
+        if chunk < 1 or chunk > n:
+            raise PipelineError(f"chunk must be in [1, {n}], got {chunk}")
         self._load_crypto_state()
-        plain = self._decryptor.decrypt(ct)
-        coeffs = plain.signed_coeffs().reshape(-1, self._context.poly_degree)
+        coeffs = self._decryptor.decrypt(ct).coeffs.reshape(-1, n)
         total = int(np.prod(shape))
         full, remainder = divmod(total, chunk)
         expected = full + (1 if remainder else 0)
@@ -280,11 +281,16 @@ class InferenceEnclave(Enclave):
                 f"packed payload carries {coeffs.shape[0]} ciphertexts; "
                 f"shape {tuple(shape)} at chunk {chunk} needs {expected}"
             )
+        # Run j rides the lanes of ciphertext j, so read_lanes probes the
+        # n - chunk coefficients past it (n - remainder on the tail).
         parts = []
-        if full:
-            parts.append(coeffs[:full, :chunk].reshape(-1))
-        if remainder:
-            parts.append(coeffs[full, :remainder])
+        with _typed_read():
+            if full:
+                runs = Plaintext(self._context, coeffs[None, :full])
+                parts.append(read_lanes(runs, chunk).T.reshape(-1))
+            if remainder:
+                tail = Plaintext(self._context, coeffs[None, full:])
+                parts.append(read_lanes(tail, remainder).reshape(-1))
         values = np.concatenate(parts).reshape(shape)
         return self._encrypt_values(
             _activate_pool(values, input_scale, output_scale, window, activation, pool)
@@ -315,8 +321,16 @@ class InferenceEnclave(Enclave):
 
     @ecall
     def unpack_lanes(self, ct: Ciphertext, batch: int) -> Ciphertext:
-        """Split a lane-packed ``(1, ...)`` ciphertext into ``batch`` scalar-encoded ones."""
-        return self._encrypt_values(self._decrypt_values(ct, batch))
+        """Re-encrypt the flush's lane-packed ``(1, classes)`` logits as
+        ``batch`` served results: one ciphertext per request, class ``c`` in
+        coefficient ``c`` (the lanes along the class axis), every coefficient
+        past ``classes`` zero."""
+        logits = self._decrypt_values(ct, batch)
+        if logits.ndim != 2:
+            raise PipelineError(
+                f"unpack_lanes takes (1, classes) logits, got batch shape {ct.batch_shape}"
+            )
+        return self._encrypt_values(logits.T, lanes=True).reshape(batch)
 
     # ------------------------------------------------------------------
     # noise refresh (Section IV-E)
@@ -360,17 +374,12 @@ class InferenceEnclave(Enclave):
         """The scalar-encoded values of ``ct``, or the ``(lanes, *rest)``
         values of a lane-packed ``(1, *rest)`` one; zero probes checked."""
         self._load_crypto_state()
-        try:
+        with _typed_read():
             if lanes is not None:
                 return read_lanes(self._decryptor.decrypt(ct), lanes)
             return decrypt_scalar_values(
                 self._decryptor, ScalarEncoder(self._context), ct
             )
-        except EncodingError as exc:
-            raise PipelineError(
-                f"ciphertext does not hold the expected values ({exc}): the outside "
-                "computation overflowed, used another encoder or mis-stated the batch"
-            ) from exc
 
     def _encrypt_values(self, values: np.ndarray, lanes: bool = False) -> Ciphertext:
         """One scalar ciphertext per value, or axis 0 in the lanes of a ``(1, ...)`` one."""
@@ -385,6 +394,19 @@ class InferenceEnclave(Enclave):
         coeffs = np.zeros((*values.shape, self._context.poly_degree), dtype=np.int64)
         coeffs[..., 0] = values % t
         return self._encryptor.encrypt(Plaintext(self._context, coeffs))
+
+
+@contextmanager
+def _typed_read():
+    """A decrypted payload that does not decode as expected is the host's
+    fault: :class:`PipelineError`, never a silently wrong value."""
+    try:
+        yield
+    except EncodingError as exc:
+        raise PipelineError(
+            f"ciphertext does not hold the expected values ({exc}): the outside "
+            "computation overflowed, used another encoder or mis-stated the batch"
+        ) from exc
 
 
 def _pool_windows(values: np.ndarray, window: int) -> np.ndarray:

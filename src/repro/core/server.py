@@ -49,8 +49,9 @@ from repro.faults import EnclaveSupervisor, FleetManager, run_with_kernel_degrad
 from repro.graph import executor as graph_executor
 from repro.graph import ir as graph_ir
 from repro.he import serialize as he_serialize
+from repro.he.batching import read_lanes
 from repro.he.context import Ciphertext, Context
-from repro.he.decryptor import Decryptor, decrypt_scalar_values
+from repro.he.decryptor import Decryptor
 from repro.he.encoders import ScalarEncoder
 from repro.he.encryptor import Encryptor
 from repro.he.evaluator import Evaluator, OperationCounter
@@ -89,7 +90,14 @@ class UserSession:
         return self.decrypt_logits(result).argmax(axis=1)
 
     def decrypt_logits(self, result: "ServedResult") -> np.ndarray:
-        return decrypt_scalar_values(self.decryptor, self.encoder, result.logits_ct)
+        """``(B, classes)`` logits from a result's ``(B,)`` ciphertexts: one
+        full decrypt, then :func:`~repro.he.batching.read_lanes` along the
+        class axis, which raises :class:`~repro.errors.EncodingError` unless
+        every coefficient past the model's classes is zero (an overflowed
+        result, or one not laid out for this model)."""
+        classes = self._quantized(result.model).dense_weight.shape[1]
+        plain = self.decryptor.decrypt(result.logits_ct.reshape(1, -1))
+        return read_lanes(plain, classes).T
 
     def _quantized(self, model_name: str) -> QuantizedCNN:
         quantized = self.quantized_by_model.get(model_name)
@@ -246,10 +254,12 @@ class EdgeServer:
             raise PipelineError(
                 f"model {name!r} needs t >= {quantized.required_plain_modulus()}"
             )
-        # A flush folds `lanes` requests per ciphertext before conv: budget it.
+        # A flush folds `lanes` requests per ciphertext before conv, the
+        # direct path each image's logits after fc: budget both folds.
         lanes = self._serve_config.capacity(self.params.poly_degree)
         packed = graph_ir.build_graph("packed", quantized, self.params, lanes=lanes)
         graph_ir.require_headroom(packed)
+        graph_ir.require_headroom(graph_ir.build_graph("served", quantized, self.params))
         self._models[name] = quantized
         encoded = heops.encode_model_weights(self.evaluator, self.encoder, quantized)
         self._resources[name] = graph_executor.Resources(
@@ -414,6 +424,7 @@ class EdgeServer:
         return ServedResult(
             logits_ct=logits_ct,
             timing=timing,
+            model=request.model,
             replica=enclave.replica,
             context=request.context,
         )
@@ -437,8 +448,9 @@ class EdgeServer:
         The shared body of the direct path and the scheduler's packed
         flush.  ``before_close`` runs inside the pipeline span after the
         walk (the flush hangs its ``serve/request`` spans there).  Returns
-        the result ciphertext and the run's timing record (logits zeroed:
-        only the user can decrypt).
+        the ``(B,)`` result ciphertexts, one per image with its logits in
+        coefficients ``0..classes-1``, and the run's timing record (logits
+        zeroed: only the user can decrypt).
         """
         self._require_model(model_name)
         graph, report = self._plans[model_name, kind].compiled()

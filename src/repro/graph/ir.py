@@ -2,10 +2,10 @@
 
 Every HE chain in the repository is a short linear one, so the IR is
 deliberately small: a list of :class:`GraphNode` objects (encrypt, conv,
-enclave crossing, square/relinearize/pool, fc, decrypt, and the serving
-flush's fold/unpack) plus a ``meta`` dict holding the model-derived
-constants the passes need (each contraction's integer weight matrix, the
-plaintext bound).  Edges are implicit — node ``i`` feeds node ``i + 1`` —
+enclave crossing, square/relinearize/pool, fc, decrypt, the serving
+flush's fold/unpack and the served result's class fold) plus a ``meta``
+dict holding the model-derived constants the passes need (each
+contraction's integer weight matrix, the plaintext bound).  Edges are implicit — node ``i`` feeds node ``i + 1`` —
 and each node carries the multiplicative level plus noise annotations
 (:func:`annotate`) derived from :class:`repro.he.noise.NoiseEstimator`,
 which is what lets passes reason about headroom (e.g. how many coefficients
@@ -13,11 +13,12 @@ a packed crossing may fold) without touching ciphertexts.
 
 One builder per graph kind (:data:`BUILDERS`): ``hybrid``, ``cryptonets``,
 ``simd``, ``deep``, ``served`` (``EdgeServer.infer``: no encrypt/decrypt
-node) and ``packed`` (the scheduler flush).  Slot-layout work
-(``encrypt_slots``, ``crossing_simd``, ``decrypt_slots``) and the flush's
-coefficient lanes (``fold``, ``crossing_lanes``, ``unpack``) have their own
-ops, not flags on the scalar ones, so the pass that rewrites ``crossing``
-simply finds no such node on those graphs and refuses.
+node; ends in ``fold_classes``, one result ciphertext per image) and
+``packed`` (the scheduler flush).  Slot-layout work (``encrypt_slots``,
+``crossing_simd``, ``decrypt_slots``) and coefficient lanes (``fold``,
+``crossing_lanes``, ``unpack``, ``fold_classes``) have their own ops, not
+flags on the scalar ones, so the pass that rewrites ``crossing`` simply
+finds no such node on the slot and flush graphs and refuses.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def node_noise_cost(node: GraphNode, graph: InferenceGraph, estimator: NoiseEsti
         return estimator.relinearize_cost()
     if node.op == "pool":
         return estimator.add_cost(node.attrs["window"] ** 2)
-    if node.op == "fold":
+    if node.op in ("fold", "fold_classes"):
         return estimator.add_cost(node.attrs["lanes"])
     return 0.0
 
@@ -180,14 +181,16 @@ def annotate(graph: InferenceGraph) -> InferenceGraph:
 
 
 def require_headroom(graph: InferenceGraph) -> None:
-    """:class:`ParameterError` naming a contraction estimated to end with no budget."""
-    for node in graph.nodes:
-        if node.op in CONTRACTION_OPS and node.budget_bits <= 0.0:
-            raise ParameterError(
-                f"{graph.kind} graph leaves layer {node.stage!r} {node.budget_bits:.1f} "
-                f"bits of noise budget under {graph.params.name!r}: widen the "
-                "coefficient modulus (or, for a packed flush, lower max_batch)"
-            )
+    """:class:`ParameterError` naming the node estimated to end with the least
+    budget, when that is none: every node that does not refresh is checked."""
+    spent = [node for node in graph.nodes if node.op not in REFRESH_OPS]
+    node = min(spent, key=lambda node: node.budget_bits, default=None)
+    if node is not None and node.budget_bits <= 0.0:
+        raise ParameterError(
+            f"{graph.kind} graph leaves layer {node.stage!r} {node.budget_bits:.1f} "
+            f"bits of noise budget under {graph.params.name!r}: widen the "
+            "coefficient modulus (or, for a packed flush, lower max_batch)"
+        )
 
 
 def _crossing(op: str, stage: str, input_scale, output_scale, window, activation, pool):
@@ -283,9 +286,13 @@ def build_simd_graph(quantized, params: EncryptionParams) -> InferenceGraph:
 
 def build_served_graph(quantized, params: EncryptionParams) -> InferenceGraph:
     """IR for ``EdgeServer.infer``: the hybrid's server half, on an input
-    the user already encrypted and a result only the user can decrypt."""
+    the user already encrypted and a result only the user can decrypt --
+    the host folds each image's logits into one ciphertext's coefficients,
+    additions that come out of ``fc``'s budget."""
+    classes = int(np.shape(quantized.dense_weight)[1])
     return _single_block(
-        "served", quantized, params, [], [_enclave_stage("crossing", quantized)], []
+        "served", quantized, params, [], [_enclave_stage("crossing", quantized)],
+        [GraphNode("fold_classes", "pack_logits", {"lanes": classes})],
     )
 
 

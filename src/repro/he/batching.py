@@ -155,7 +155,9 @@ def pack_coefficients(
     This is the whole scalar->batched conversion of the serving flush: a
     scalar weight acts on every coefficient alike, so the fold already is a
     batch-axis ciphertext, request ``b`` in *lane* ``b`` (:func:`lane_operand`,
-    :func:`read_lanes`).  Noise grows by at most ``log2(B)`` bits (monomial
+    :func:`read_lanes`).  Folded along the class axis instead, it turns the
+    direct path's ``(B, classes)`` logits into the served-result format, one
+    ciphertext per image.  Noise grows by at most ``log2(B)`` bits (monomial
     coefficients are 1), which a fresh encryption easily absorbs.
 
     Raises:
@@ -217,7 +219,12 @@ def lane_plain(plain: Plaintext, lanes: int) -> Plaintext:
 def read_lanes(plain: Plaintext, lanes: int) -> np.ndarray:
     """Signed values ``(lanes, *rest)`` from coefficients ``0..lanes-1`` of a
     ``(1, *rest)`` plaintext batch; :class:`EncodingError` unless every
-    coefficient past them is zero (the scalar decode's probes, ``n - lanes``)."""
+    coefficient past them is zero (the scalar decode's probes, ``n - lanes``).
+
+    Two layouts use it: the packed flush's ``(1, C, H, W)`` ciphertext,
+    request ``b`` in lane ``b``, and a served result -- ``(B,)`` ciphertexts,
+    one per image, whose ``(1, B)`` reshape holds the logits along the class
+    axis: class ``c`` of image ``b`` in coefficient ``c``."""
     n = plain.context.poly_degree
     if not 1 <= lanes <= n:
         raise EncodingError(f"batch must be in [1, {n}], got {lanes}")
@@ -232,6 +239,10 @@ def read_lanes(plain: Plaintext, lanes: int) -> np.ndarray:
 def write_lanes(context: Context, values: np.ndarray) -> Plaintext:
     """Inverse of :func:`read_lanes`: row ``b`` of ``(B, *rest)`` values goes
     to coefficient ``b`` of a ``(1, *rest)`` plaintext batch."""
+    if values.shape[0] > context.poly_degree:
+        raise EncodingError(
+            f"{values.shape[0]} lanes exceed the ring degree {context.poly_degree}"
+        )
     coeffs = np.zeros((1, *values.shape[1:], context.poly_degree), dtype=np.int64)
     coeffs[0, ..., : values.shape[0]] = np.moveaxis(values, 0, -1)
     return Plaintext(context, coeffs)  # reduces mod t

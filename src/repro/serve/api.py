@@ -11,11 +11,12 @@ The serving surface is two types:
   :class:`~repro.serve.loop.ServingLoop` alone and is given to its
   ``submit``, not carried here.
 * :class:`InferenceResult` -- what the server hands back: *encrypted*
-  logits plus timing and serving metadata (request id, packed batch size,
-  queue wait, and the fleet replica that executed the flush).  This is the
-  same object the pre-fleet code called ``ServedResult``; that name remains
-  as an alias in :mod:`repro.core.server` so existing callers and
-  ``isinstance`` checks keep working.
+  logits, one ciphertext per image, plus timing and serving metadata (the
+  model, request id, packed batch size, queue wait, and the fleet replica
+  that executed the flush).  This is the same object the pre-fleet code
+  called ``ServedResult``; that name remains as an alias in
+  :mod:`repro.core.server` so existing callers and ``isinstance`` checks
+  keep working.
 
 The synchronous facade (``EdgeServer.infer(request)``) and the client SDK
 (:mod:`repro.client`) speak these types; the scheduler and the serving
@@ -67,15 +68,24 @@ class InferenceRequest:
 class InferenceResult:
     """What the server returns: *encrypted* logits plus serving metadata.
 
+    ``logits_ct`` is a ``(B,)`` ciphertext, one per image of the request:
+    class ``c`` of ``model``'s output rides coefficient ``c``, and every
+    coefficient past the model's classes is zero, which the client checks
+    when it decrypts (``UserSession.decrypt_logits``).  The format is
+    :func:`~repro.he.batching.write_lanes` / ``read_lanes`` along the class
+    axis; the direct path folds it on the host, a packed flush's enclave
+    re-encrypts it.
+
     Requests served through the packing scheduler additionally carry their
     serving metadata: ``request_id``, the total ``packed_batch`` they
-    shared slots with, the simulated seconds spent coalescing
+    shared a flush with, the simulated seconds spent coalescing
     (``queue_wait_s``), and the fleet ``replica`` whose enclave executed
     the flush.  Direct ``infer`` calls leave these at defaults.
     """
 
     logits_ct: "Ciphertext"
     timing: "TimingResult"
+    model: str
     request_id: int | None = None
     packed_batch: int = 0
     queue_wait_s: float = 0.0

@@ -22,8 +22,9 @@ This scheduler turns that lever into a serving discipline:
   enclave is the HE key authority (Section IV-A): every enrolled user holds
   the same key pair, so their ciphertexts are mutually compatible.  The
   host folds them homomorphically; only the activation crossing and the
-  final split (:meth:`InferenceEnclave.activation_pool_lanes` /
-  ``unpack_lanes``) see a pixel or logit in the clear, inside the enclave.
+  final re-encryption into one result ciphertext per request
+  (:meth:`InferenceEnclave.activation_pool_lanes` / ``unpack_lanes``) see
+  a pixel or logit in the clear, inside the enclave.
 * **Backpressure.**  The queue is bounded; a full queue rejects new work
   with :class:`~repro.errors.QueueFullError` instead of buffering without
   limit.  Unknown models and requests larger than the packing capacity are
@@ -711,6 +712,7 @@ class RequestScheduler:
                 ServedResult(
                     logits_ct=logits_ct[offset : offset + r.batch],
                     timing=timing,
+                    model=model_name,
                     request_id=r.request_id,
                     packed_batch=total,
                     queue_wait_s=flushed_at - r.enqueued_at,

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import InferenceEnclave
 from repro.errors import EnclaveError, PipelineError
-from repro.he import Context, Decryptor, Encryptor, Evaluator, ScalarEncoder
+from repro.he import Ciphertext, Context, Decryptor, Encryptor, Evaluator, ScalarEncoder
 from repro.nn.layers import Sigmoid
 from repro.sgx import SgxPlatform
 
@@ -166,6 +166,49 @@ class TestPoolingEcalls:
             enclave.ecall(entry, ct, *args, window)
 
 
+class TestPackedCrossingProbes:
+    """``activation_pool_packed`` (the optimizer's scalar-crossing fold)
+    reads runs of ``chunk`` coefficients: everything past a run must
+    decrypt to zero, or the ECALL fails typed instead of activating the
+    wrong values."""
+
+    ARGS = (1.0, 1, 1, "relu", "mean")  # scales, window, activation, pool
+
+    @pytest.fixture()
+    def values(self):
+        return np.arange(-8, 8, dtype=np.int64).reshape(1, 1, 4, 4)
+
+    def folded_at_8(self, userland, values):
+        """Two ciphertexts, run ``j`` of 8 flat values in the lanes of ``j``."""
+        from repro.he.batching import write_lanes
+
+        runs = write_lanes(userland["context"], values.reshape(2, 8).T)
+        return userland["encryptor"].encrypt(runs)
+
+    def test_payload_read_at_its_chunk(self, enclave, userland, values):
+        payload = self.folded_at_8(userland, values)
+        out = enclave.ecall("activation_pool_packed", payload, values.shape, 8, *self.ARGS)
+        got = decrypt_with_enclave(enclave, userland, out)
+        assert np.array_equal(got, np.maximum(values, 0))
+
+    def test_payload_declared_at_a_smaller_chunk_is_typed(self, enclave, userland, values):
+        """Folded at 8, declared as 4 over a shape that needs the same two
+        ciphertexts: coefficients 4..7 of each are not zero."""
+        payload = self.folded_at_8(userland, values)
+        with pytest.raises(PipelineError, match="not lane-encoded"):
+            enclave.ecall("activation_pool_packed", payload, (1, 1, 2, 4), 4, *self.ARGS)
+
+    def test_noise_exhausted_payload_is_typed(self, enclave, userland, values):
+        payload = self.folded_at_8(userland, values)
+        data = payload.data
+        for _ in range(3):  # x 2^60: past any budget of this 60-bit q
+            data = payload.context.ring.mul_scalar(data, 1 << 20)
+        exhausted = Ciphertext(payload.context, data, is_ntt=True)
+        assert not enclave._instance._decryptor.is_decryptable(exhausted)
+        with pytest.raises(PipelineError, match="overflowed"):
+            enclave.ecall("activation_pool_packed", exhausted, values.shape, 8, *self.ARGS)
+
+
 class TestRefresh:
     def test_restores_noise_budget(self, enclave, userland, hybrid_params):
         evaluator = userland["evaluator"]
@@ -226,20 +269,31 @@ class TestSlotCrossings:
         rows = np.arange(-24, 24).reshape(4, 3, 2, 2)  # 4 requests of (3, 2, 2)
         return handle, encryptor.encrypt(write_lanes(context, rows)), rows
 
+    @staticmethod
+    def unpack(handle, folded):
+        """``unpack_lanes`` on the fold's ``(1, 12)`` reshape: 12 "classes"
+        per request, one result ciphertext each, class ``c`` in coefficient
+        ``c`` and nothing past the classes."""
+        results = handle.ecall("unpack_lanes", folded.reshape(1, 12), 4)
+        assert results.batch_shape == (4,)
+        plain = handle._instance._decryptor.decrypt(results)
+        assert not plain.coeffs[:, 12:].any()
+        return plain.signed_coeffs()[:, :12].reshape(4, 3, 2, 2)
+
     def test_crossing_then_unpack_restores_rows(self, lane_deployment):
         handle, folded, rows = lane_deployment
         crossed = handle.ecall("activation_pool_lanes", folded, 4, *self.IDENTITY)
         assert crossed.batch_shape == (1, 3, 2, 2)
-        unpacked = handle.ecall("unpack_lanes", crossed, 4)
-        assert unpacked.batch_shape == (4, 3, 2, 2)
-        plain = handle._instance._decryptor.decrypt(unpacked)
-        assert np.array_equal(plain.signed_coeffs()[..., 0], np.maximum(rows, 0))
-        assert not plain.coeffs[..., 1:].any()
+        assert np.array_equal(self.unpack(handle, crossed), np.maximum(rows, 0))
 
     def test_pack_then_unpack_restores_rows(self, lane_deployment):
         handle, folded, rows = lane_deployment
-        plain = handle._instance._decryptor.decrypt(handle.ecall("unpack_lanes", folded, 4))
-        assert np.array_equal(plain.signed_coeffs()[..., 0], rows)
+        assert np.array_equal(self.unpack(handle, folded), rows)
+
+    def test_unpack_refuses_what_is_not_a_logit_batch(self, lane_deployment):
+        handle, folded, _rows = lane_deployment
+        with pytest.raises(PipelineError, match=r"\(1, classes\) logits"):
+            handle.ecall("unpack_lanes", folded, 4)
 
     def test_crossing_activates_and_pools_every_lane(self, lane_deployment):
         handle, folded, rows = lane_deployment

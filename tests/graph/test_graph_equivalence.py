@@ -159,7 +159,9 @@ class TestCryptonetsEquivalence:
 
 
 #: What the parent commit's hand-written chains produced for the same
-#: seeds (``kinds.py`` run under ``off`` at commit 4765829).
+#: seeds (``kinds.py`` run under ``off`` at commit 4765829).  The ``packed``
+#: and ``served`` rows are re-recorded whenever their result ciphertexts
+#: change layout; their ``logits`` hashes never change.
 PARENT_RECORDING = json.loads(
     Path(__file__).with_name("parent_recording.json").read_text()
 )

@@ -1,7 +1,8 @@
-"""IR noise estimates against measured budgets on the packed flush (the
-first instance of ROADMAP item 5(a)): the fold is a host-side sum, not a
-refresh, so ``conv`` starts below fresh, and a model the configured
-``max_batch`` leaves no budget is refused when it is provisioned."""
+"""IR noise estimates against measured budgets on the packed flush and the
+direct path's result (the first instances of ROADMAP item 5(a)): each fold
+is a host-side sum, not a refresh -- the flush's makes ``conv`` start below
+fresh, the class fold ends ``served`` below ``fc`` -- and a model either
+leaves no budget is refused when it is provisioned."""
 
 from __future__ import annotations
 
@@ -10,10 +11,10 @@ import pytest
 
 from repro.core import EdgeServer, heops, parameters_for_pipeline
 from repro.errors import ParameterError
-from repro.graph import ir
-from repro.he import EncryptionParams
+from repro.graph import ir, optimizer
+from repro.he import EncryptionParams, modmath
 from repro.he.noise import NoiseEstimator
-from repro.serve import ServeConfig
+from repro.serve import InferenceRequest, ServeConfig
 from repro.sgx import AttestationVerificationService
 
 from .kinds import single_block_model
@@ -64,6 +65,50 @@ def test_ir_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
     for stage in ("conv", "fc"):
         estimated = graph.node(stage).budget_bits
         assert 0.0 < estimated <= measured[stage], (stage, estimated, measured[stage])
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_class_fold_headroom_lower_bounds_the_result_budget(batch):
+    """The direct path's result is fc's logits folded along the class axis
+    on the host: the fold is priced ``log2(classes)`` and the IR headroom
+    after it lower-bounds what the client's result ciphertext measures."""
+    model = single_block_model()
+    params = parameters_for_pipeline(model, 256, batching=True)
+    server = EdgeServer(params, seed=13)
+    server.provision_model("m", model)
+    verifier = AttestationVerificationService()
+    verifier.register_platform(server.quoting)
+    session = server.enroll_user(entropy=b"\x42" * 32, verifier=verifier)
+    images = np.random.default_rng(2117).random((batch, 1, 8, 8))
+    request = InferenceRequest(model="m", ciphertext=session.encrypt("m", images))
+    with optimizer.use("off"):
+        result = server.infer(request)
+    graph = ir.build_graph("served", model, params)
+    fold, fc = graph.node("fold_classes"), graph.node("fc")
+    classes = model.dense_weight.shape[1]
+    assert fold.attrs["lanes"] == classes and "fold_classes" not in ir.REFRESH_OPS
+    assert fold.noise_cost_bits == pytest.approx(np.log2(classes))
+    assert fold.budget_bits == pytest.approx(fc.budget_bits - np.log2(classes))
+    measured = session.decryptor.invariant_noise_budget(result.logits_ct)
+    assert 0.0 < fold.budget_bits <= measured, (fold.budget_bits, measured)
+
+
+def test_provisioning_refuses_a_class_fold_with_no_headroom():
+    """Two 17-bit primes leave fc under one bit, which a one-lane flush
+    survives (its enclave re-encrypts after fc) and the direct path's class
+    fold does not: provisioning checks the ``served`` graph too."""
+    model = single_block_model()
+    sized = parameters_for_pipeline(model, 256, batching=True)
+    edge = EncryptionParams(
+        poly_degree=256,
+        coeff_primes=tuple(modmath.ntt_primes(17, 256, 2)),
+        plain_modulus=sized.plain_modulus,
+        name="edge",
+    )
+    ir.require_headroom(ir.build_graph("packed", model, edge, lanes=1))
+    with pytest.raises(ParameterError, match=r"served graph leaves layer 'pack_logits'"):
+        server = EdgeServer(edge, seed=13, serve_config=ServeConfig(max_batch=1))
+        server.provision_model("m", model)
 
 
 def test_provisioning_refuses_a_flush_with_no_headroom():

@@ -190,6 +190,9 @@ class TestLanes:
         assert plain.batch_shape == (1, 2, 3)
         assert np.array_equal(read_lanes(plain, 6), values)
         assert np.array_equal(read_lanes(plain, 9)[:6], values)  # zero lanes are legal
+        too_many = np.zeros((context.poly_degree + 1, 2), dtype=np.int64)
+        with pytest.raises(EncodingError, match="exceed the ring degree"):
+            write_lanes(context, too_many)
 
     def test_read_refuses_what_is_not_lane_encoded(self, context, rng):
         plain = write_lanes(context, rng.integers(1, 9, size=(6, 2)))

@@ -1,19 +1,22 @@
 """The packed flush rides polynomial coefficients ("lanes") from the host
 fold to the last crossing: typed lane checks, equivalence with the unpacked
 ``served`` graph across batch sizes / kernel profiles / worker counts /
-recovery, and DESIGN.md §6's claims on the serving path."""
+recovery, the one-ciphertext-per-image result both paths return, and
+DESIGN.md §6's claims on the serving path."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro import faults
-from repro.core import EdgeServer, heops
-from repro.errors import PipelineError, RecoveryExhausted, RequestFailedError
+from repro.core import EdgeServer, PlaintextPipeline, heops
+from repro.errors import EncodingError, PipelineError, RecoveryExhausted, RequestFailedError
 from repro.faults import EnclaveSupervisor, FaultPlan, FaultRule
-from repro.he import kernels, parallel
-from repro.he.context import Ciphertext
+from repro.he import Evaluator, kernels, parallel
+from repro.he.context import Ciphertext, Plaintext
 from repro.he.serialize import serialize_ciphertext, serialize_secret_key
 from repro.serve import InferenceRequest, ServeConfig
 
@@ -114,24 +117,28 @@ class TestFlushEquivalence:
             )
             assert response.result().packed_batch == batch
 
-    def _flush_bytes(self, params, model, images, session_for):
+    def _result_bytes(self, params, model, images, session_for):
+        """A flush's per-request results, then one direct two-image result."""
         srv, session = fresh_deployment(params, model, session_for, max_batch=8)
         responses = submit_singles(srv, session, images)
         srv.scheduler.drain()
-        return [bytes(serialize_ciphertext(r.result().logits_ct)) for r in responses]
+        results = [r.result() for r in responses]
+        direct = session.encrypt("digits", images[:2])
+        results.append(srv.infer(InferenceRequest(model="digits", ciphertext=direct)))
+        return [bytes(serialize_ciphertext(r.logits_ct)) for r in results]
 
     def test_result_bytes_identical_across_profiles_and_workers(
         self, batching_params, q_sigmoid, models, session_for
     ):
         images = models.dataset.test_images[:5]
-        reference = self._flush_bytes(batching_params, q_sigmoid, images, session_for)
+        reference = self._result_bytes(batching_params, q_sigmoid, images, session_for)
         with kernels.reference_kernels():
-            assert reference == self._flush_bytes(
+            assert reference == self._result_bytes(
                 batching_params, q_sigmoid, images, session_for
             )
         for workers in (1, 2):
             with parallel.use(workers):
-                assert reference == self._flush_bytes(
+                assert reference == self._result_bytes(
                     batching_params, q_sigmoid, images, session_for
                 )
 
@@ -165,7 +172,7 @@ class TestFlushEquivalence:
         assert (stats.isolations, stats.isolated_requests, stats.failed) == (1, 3, 0)
         for i, (response, lone) in enumerate(zip(responses, alone)):
             result = response.result()
-            assert result.packed_batch == 1
+            assert result.packed_batch == 1 and result.logits_ct.batch_shape == (1,)
             assert np.array_equal(
                 session.decrypt_logits(result), clean_session.decrypt_logits(lone)
             ), i
@@ -181,6 +188,63 @@ class TestFlushEquivalence:
             with pytest.raises(RequestFailedError) as excinfo:
                 response.result()
             assert isinstance(excinfo.value.__cause__, RecoveryExhausted)
+
+
+class TestResultFormat:
+    """A served result is one ciphertext per image -- class ``c`` in
+    coefficient ``c``, nothing past the classes -- whether the direct path
+    folds it on the host or a flush's ``unpack_lanes`` re-encrypts it; the
+    client refuses anything else typed, never with wrong logits."""
+
+    @pytest.mark.parametrize(
+        "path,batch",
+        [("direct", 1), ("direct", 2), ("packed", 1), ("packed", 3), ("packed", 16)],
+    )
+    def test_one_ciphertext_per_image_decrypting_to_the_reference(
+        self, server, session, q_sigmoid, models, path, batch
+    ):
+        images = models.dataset.test_images[:batch]
+        if path == "direct":
+            ct = session.encrypt("digits", images)
+            results = [server.infer(InferenceRequest(model="digits", ciphertext=ct))]
+        else:
+            responses = submit_singles(server, session, images)
+            server.scheduler.drain()
+            results = [response.result() for response in responses]
+        for result in results:
+            (count,) = result.logits_ct.batch_shape
+            # What a fresh encryption of `count` images weighs on the wire.
+            fresh = session.encryptor.encrypt_zero(count)
+            assert len(serialize_ciphertext(result.logits_ct)) == len(
+                serialize_ciphertext(fresh)
+            )
+        logits = np.concatenate([session.decrypt_logits(r) for r in results])
+        assert np.array_equal(logits, PlaintextPipeline(q_sigmoid).infer(images).logits)
+
+    @pytest.fixture()
+    def result(self, server, session, models):
+        ct = session.encrypt("digits", models.dataset.test_images[:2])
+        return server.infer(InferenceRequest(model="digits", ciphertext=ct))
+
+    def test_client_refuses_a_coefficient_past_the_classes(
+        self, session, q_sigmoid, result
+    ):
+        stray = np.zeros((2, session.context.poly_degree), dtype=np.int64)
+        stray[1, q_sigmoid.dense_weight.shape[1]] = 1
+        tampered = Evaluator(session.context).add_plain(
+            result.logits_ct, Plaintext(session.context, stray)
+        )
+        with pytest.raises(EncodingError, match="not lane-encoded"):
+            session.decrypt_logits(dataclasses.replace(result, logits_ct=tampered))
+
+    def test_client_refuses_a_noise_exhausted_result(self, session, result):
+        data = result.logits_ct.data
+        for _ in range(3):  # x 2^60: past any budget of this 60-bit q
+            data = session.context.ring.mul_scalar(data, 1 << 20)
+        exhausted = Ciphertext(session.context, data, is_ntt=True)
+        assert not session.decryptor.is_decryptable(exhausted)
+        with pytest.raises(EncodingError, match="not lane-encoded"):
+            session.decrypt_logits(dataclasses.replace(result, logits_ct=exhausted))
 
 
 class TestThreatModelOnTheServingPath:
