@@ -14,7 +14,7 @@ per-tap Python loops), then under the fused profile, and reports:
   ``(3, 144, 2, 1024)`` encrypt stack of ``direct_closed`` and a
   ``(16, 2, 8, 256)`` auxiliary-basis chunk of ``cryptonets_direct``;
 * the two packed-flush kernels on the flush's own ``(16, 288)`` shape:
-  ``decrypt_poly`` (full-polynomial decrypt of a slot-packed batch: Python-int
+  ``decrypt_poly`` (full-polynomial decrypt of a lane-packed batch: Python-int
   CRT lift + rounding vs the int64 Garner lift + int64 rounding) and
   ``pack_fold`` (``multiply_plain`` + ``sum_batch`` over the stacked batch
   vs ``pack_coefficients``' deferred-reduction multiply-accumulate over the
@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.core import HybridPipeline, heops, parameters_for_pipeline, train_paper_models
 from repro.he import kernels, modmath
-from repro.he.batching import BatchEncoder, pack_coefficients
+from repro.he.batching import pack_coefficients, read_lanes, write_lanes
 from repro.he.context import Context, Plaintext
 from repro.he.decryptor import Decryptor
 from repro.he.encoders import ScalarEncoder
@@ -129,19 +129,18 @@ def _time_flush_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
     keys = KeyGenerator(context, rng).generate()
     encryptor = SymmetricEncryptor(context, keys.secret, rng)
     decryptor = Decryptor(context, keys.secret)
-    codec = BatchEncoder(context)
     half_t = params.plain_modulus // 2
     rows = rng.integers(-half_t, half_t + 1, size=FLUSH_SHAPE)
 
-    # decrypt_poly: the full-polynomial decrypt the flush's lane crossings
-    # (activation_pool_lanes / unpack_lanes), the client's read of a served
-    # result (logits in coefficients) and activation_pool_simd pay.
-    slot_ct = encryptor.encrypt(codec.encode_batch_axis(rows))
+    # decrypt_poly: the full-polynomial decrypt the lane crossings
+    # (activation_pool_lanes / unpack_lanes) and the client's read of a
+    # served result (logits in coefficients) pay.
+    lane_ct = encryptor.encrypt(write_lanes(context, rows))
     with kernels.reference_kernels():
-        ref_s, ref_plain = _median_seconds(lambda: decryptor.decrypt(slot_ct), reps)
+        ref_s, ref_plain = _median_seconds(lambda: decryptor.decrypt(lane_ct), reps)
     with kernels.fused_kernels():
-        fus_s, fus_plain = _median_seconds(lambda: decryptor.decrypt(slot_ct), reps)
-        decoded = codec.decode_batch_axis(fus_plain, FLUSH_SHAPE[0])
+        fus_s, fus_plain = _median_seconds(lambda: decryptor.decrypt(lane_ct), reps)
+        decoded = read_lanes(fus_plain, FLUSH_SHAPE[0])
     decrypt_row = {
         "shape": [1, FLUSH_SHAPE[1]],
         "reference_s": ref_s,

@@ -25,7 +25,6 @@ goes red when a claim flips, not when a timing wobbles.
 
 from __future__ import annotations
 
-import math
 import pathlib
 import traceback
 from dataclasses import dataclass
@@ -67,7 +66,8 @@ from repro.core import (
     sgx_refresh_one_by_one,
 )
 from repro.errors import ReproError
-from repro.he import BatchEncoder, Encryptor, Evaluator, OperationCounter, ScalarEncoder
+from repro.he import Encryptor, Evaluator, OperationCounter, ScalarEncoder
+from repro.he.batching import read_lanes, write_lanes
 from repro.nn import (
     DeepQuantizedCNN,
     accuracy,
@@ -756,35 +756,28 @@ def render_accuracy(m: dict) -> str:
 
 def measure_simd(rig: Rig, scale: BenchScale) -> dict:
     n = scale.poly_degree
-    # Sized for slot-packed operands: the margin is what one multiply_plain by
-    # a full-norm slot plaintext (n coefficients up to t/2) costs, on top of
-    # the model circuit parameters_for_pipeline budgets for.
-    t_bits = rig.q_sigmoid.required_plain_modulus().bit_length() + 1
-    side = Side(
-        parameters_for_pipeline(
-            rig.q_sigmoid, n, margin_bits=math.log2(n) + t_bits, batching=True, name="simd_ablation"
-        )
-    )
-    slots, evaluator = BatchEncoder(side.context), side.evaluator
+    # Value b rides coefficient b (a lane), and one scalar weight -- shared
+    # across users, as every inference layer's is -- multiplies all n lanes.
+    side = Side(rig.hybrid.params)
+    evaluator = side.evaluator
     reps = max(3, scale.repeats // 2)
     values = side.rng.integers(-100, 100, size=n)
-    weights = side.rng.integers(-5, 5, size=n)
-    one_value, one_weight = side.encrypt(7), evaluator.transform_plain(side.encoder.encode(3))
-    packed = side.encryptor.encrypt(slots.encode(values))
-    packed_weight = evaluator.transform_plain(slots.encode(weights))
-    product = evaluator.multiply_plain(packed, packed_weight)
+    weight = evaluator.transform_plain(side.encoder.encode(3))
+    one_value = side.encrypt(7)
+    packed = side.encryptor.encrypt(write_lanes(side.context, values))
+    product = evaluator.multiply_plain(packed, weight)
     # check_noise: an exhausted budget is a typed NoiseBudgetExhausted (the
     # row fails), never a wrong product compared with ==.
-    decoded = slots.decode(side.decryptor.decrypt(product, check_noise=True))
+    decoded = read_lanes(side.decryptor.decrypt(product, check_noise=True), n)
     return {
         "n": n,
         "q_bits": side.params.coeff_modulus.bit_length(),
         "t": side.params.plain_modulus,
-        "single_s": best(lambda: evaluator.multiply_plain(one_value, one_weight), reps),
-        "simd_s": best(lambda: evaluator.multiply_plain(packed, packed_weight), reps),
+        "single_s": best(lambda: evaluator.multiply_plain(one_value, weight), reps),
+        "simd_s": best(lambda: evaluator.multiply_plain(packed, weight), reps),
         "budget_fresh": side.decryptor.invariant_noise_budget(packed),
         "budget_after": side.decryptor.invariant_noise_budget(product),
-        "products_exact": bool(np.array_equal(decoded, values * weights)),
+        "products_exact": bool(np.array_equal(decoded, values * 3)),
     }
 
 
@@ -794,7 +787,7 @@ def render_simd(m: dict) -> str:
         ["encoding", "values/ciphertext", "op time (ms)", "values/sec"],
         [
             ["one-per-ciphertext", "1", f"{m['single_s'] * 1e3:.3f}", f"{single_tp:,.0f}"],
-            ["SIMD slot-packed", str(n), f"{m['simd_s'] * 1e3:.3f}", f"{simd_tp:,.0f}"],
+            ["SIMD lane-packed", str(n), f"{m['simd_s'] * 1e3:.3f}", f"{simd_tp:,.0f}"],
         ],
         title=(
             f"Section VIII ablation: plaintext-multiply throughput (min of N), n={n}, "
@@ -802,18 +795,17 @@ def render_simd(m: dict) -> str:
             f"(paper prediction: SIMD buys up to {n}x)"
         ),
     ) + (
-        f"\nSIMD throughput gain: {simd_tp / single_tp:,.0f}x (slots: {n})"
+        f"\nSIMD throughput gain: {simd_tp / single_tp:,.0f}x (lanes: {n})"
         f"\nnoise budget: fresh {m['budget_fresh']:.1f} bits, after one multiply_plain of "
-        f"two full-norm slot plaintexts {m['budget_after']:.1f} bits"
-        f"\nall {n} slot products decrypt exactly (check_noise=True): {m['products_exact']}"
+        f"{n} lanes by a scalar weight {m['budget_after']:.1f} bits"
+        f"\nall {n} lane products decrypt exactly (check_noise=True): {m['products_exact']}"
     )
 
 
 def measure_simd_pipeline(rig: Rig, scale: BenchScale) -> dict:
-    simd_params = parameters_for_pipeline(
-        rig.q_sigmoid, scale.poly_degree, batching=True, name="simd_pipeline"
-    )
-    simd = SimdHybridPipeline(rig.q_sigmoid, simd_params, seed=71)
+    # Lanes pack under the hybrid's own (power-of-two) plaintext modulus, so
+    # both sides run on one parameter set.
+    simd = SimdHybridPipeline(rig.q_sigmoid, rig.hybrid.params, seed=71)
     unpacked = HybridPipeline(rig.q_sigmoid, rig.hybrid.params, seed=71)
     images = rig.models.dataset.test_images
     batches = [1, 2, 4, 8]
@@ -824,7 +816,6 @@ def measure_simd_pipeline(rig: Rig, scale: BenchScale) -> dict:
     plain = PlaintextPipeline(rig.q_sigmoid).infer(images[:4]).logits
     return {
         "n": scale.poly_degree,
-        "slots": simd.slot_count,
         "batches": batches,
         "simd": [per_image(simd, b) for b in batches],
         "unpacked": [per_image(unpacked, b) for b in batches],
@@ -838,12 +829,12 @@ def render_simd_pipeline(m: dict) -> str:
         m["batches"],
         {"simd_s_per_image": m["simd"], "unpacked_s_per_image": m["unpacked"]},
         title=(
-            f"Section VIII realized: per-image hybrid inference time (min of N), slot-packed "
-            f"vs one-value-per-ciphertext, n={m['n']} ({m['slots']} slots), scale={m['scale']}"
+            f"Section VIII realized: per-image hybrid inference time (min of N), lane-packed "
+            f"vs one-value-per-ciphertext, n={m['n']} ({m['n']} lanes), scale={m['scale']}"
         ),
     ) + (
         f"\nspeedup at batch {m['batches'][-1]}: {m['unpacked'][-1] / m['simd'][-1]:.1f}x "
-        f"(asymptotically -> slot count {m['slots']})"
+        f"(asymptotically -> lane count {m['n']})"
         f"\npacked logits == plaintext logits: {m['logits_exact']}"
     )
 
@@ -1155,22 +1146,22 @@ EXPERIMENTS = (
     )),
     Experiment("ablation_simd", measure_simd, render_simd, claims=(
         Claim(
-            "slot packing buys at least n/4 of plaintext-multiply throughput (paper: up to n)",
+            "lane packing buys at least n/4 of plaintext-multiply throughput (paper: up to n)",
             lambda m: m["n"] * m["single_s"] / m["simd_s"] > m["n"] / 4,
         ),
         Claim(
-            "the slot-wise products decrypt exactly, with noise budget to spare",
+            "the lane-wise products decrypt exactly, with noise budget to spare",
             lambda m: m["products_exact"] and m["budget_after"] > 0,
             exact=True,
         ),
     )),
     Experiment("ablation_simd_pipeline", measure_simd_pipeline, render_simd_pipeline, claims=(
         Claim(
-            "slot-packed per-image cost falls at least 2x from batch 1 to batch 8",
+            "lane-packed per-image cost falls at least 2x from batch 1 to batch 8",
             lambda m: m["simd"][0] > 2 * m["simd"][-1],
         ),
         Claim(
-            "at batch 8 slot packing beats one-value-per-ciphertext by at least 2x",
+            "at batch 8 lane packing beats one-value-per-ciphertext by at least 2x",
             lambda m: m["unpacked"][-1] > 2 * m["simd"][-1],
         ),
         exact("packed logits == plaintext logits", "logits_exact"),

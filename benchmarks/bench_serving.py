@@ -1,14 +1,14 @@
 #!/usr/bin/env python
 """Serving on the simulated timeline: one deployment recipe, four segments.
 
-The paper's Section VIII predicts that slot packing multiplies throughput;
+The paper's Section VIII predicts that packing multiplies throughput;
 :mod:`repro.serve` turns that into a serving stack (packed flushes, an
 event-driven admission loop, an enclave fleet, a flush worker pool).  This
 bench trains one model and drives that stack through four segments, writing
 one ``BENCH_serving.json``:
 
 * ``packing`` -- 16 single-image requests served one pipeline pass each,
-  then slot-packed into one flush.  ``packing.speedup`` is the one ratio
+  then lane-packed into one flush.  ``packing.speedup`` is the one ratio
   here a clock produces (the :class:`~repro.sgx.clock.SimClock`: measured
   compute plus the SGX cost model); ``--min-speedup`` applies to it alone.
 * ``loop`` -- a seeded Poisson phase then a 4x on/off burst through

@@ -52,7 +52,7 @@ def main() -> None:
                         fleet_size=2)
     server = EdgeServer.from_spec(spec, seed=21, sizing_model=quantized)
     print(f"   {server.params.describe()} "
-          f"(batching: {server.params.supports_batching()})")
+          f"(lanes per ciphertext: {server.params.poly_degree})")
     server.provision_model("digits", quantized)
     sealed = server.seal_model("digits")
     desc = server.descriptor()

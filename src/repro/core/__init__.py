@@ -72,7 +72,7 @@ from repro.core.refresh import (
 )
 from repro.core.results import InferenceResult, StageTiming, stages_from_trace
 from repro.core.server import EdgeServer, ServedResult, UserSession
-from repro.core.simd import SimdHybridPipeline, SlotCodec
+from repro.core.simd import SimdHybridPipeline
 
 __all__ = [
     "ACTIVATIONS",
@@ -102,7 +102,6 @@ __all__ = [
     "SgxKeyDistribution",
     "UserSession",
     "SimdHybridPipeline",
-    "SlotCodec",
     "StageTiming",
     "TrainedModels",
     "TrustedThirdParty",

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core import securechannel
 from repro.errors import EncodingError, PipelineError
-from repro.he.batching import BatchEncoder, read_lanes, write_lanes
+from repro.he.batching import read_lanes, write_lanes
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
 from repro.he.encoders import ScalarEncoder
@@ -69,8 +69,6 @@ class InferenceEnclave(Enclave):
         self._keys = None
         self._decryptor: Decryptor | None = None
         self._encryptor: SymmetricEncryptor | None = None
-        # Slot codec of the SIMD crossing, built on first use.
-        self._slot_codec: BatchEncoder | None = None
 
     # ------------------------------------------------------------------
     # key authority
@@ -214,35 +212,6 @@ class InferenceEnclave(Enclave):
         return self._encrypt_values(_max_pool(self._decrypt_values(ct), window))
 
     @ecall
-    def activation_pool_simd(
-        self,
-        ct: Ciphertext,
-        input_scale: float,
-        output_scale: int,
-        window: int,
-        activation: str = "sigmoid",
-        pool: str = "mean",
-    ) -> Ciphertext:
-        """Slot-packed variant of :meth:`activation_pool` (Section VIII).
-
-        The ciphertext batch is ``(1, C, H, W)`` with user images in the CRT
-        slots; the enclave decrypts, *decodes the slots*, applies the exact
-        activation + pooling to every user simultaneously, re-packs and
-        re-encrypts.
-        """
-        if output_scale > self._context.plain_modulus // 2:
-            raise PipelineError("output_scale exceeds the plaintext range")
-        self._load_crypto_state()
-        codec = self._slot_codec = self._slot_codec or BatchEncoder(self._context)
-        plain = self._decryptor.decrypt(ct)
-        # (n, C, H, W): every slot is one user's feature map.
-        values = codec.decode_batch_axis(plain, codec.slot_count)
-        requantized = _activate_pool(
-            values, input_scale, output_scale, window, activation, pool
-        )
-        return self._encryptor.encrypt(codec.encode_batch_axis(requantized))
-
-    @ecall
     def activation_pool_packed(
         self,
         ct: Ciphertext,
@@ -260,40 +229,34 @@ class InferenceEnclave(Enclave):
         folds runs of ``chunk`` values into the *coefficients* of single
         ciphertexts (:func:`~repro.he.batching.pack_coefficients`), so this
         call marshals and decrypts ``ceil(N / chunk)`` ciphertexts instead
-        of ``N``: ciphertext ``j`` carries flat values ``j * chunk ..`` (the
-        tail one may be shorter).  The trusted side restores ``shape`` and
-        re-encrypts one scalar ciphertext per element through the same
-        :meth:`_encrypt_values` RNG draws as the unpacked crossing, so the
-        output bytes are identical.  Every coefficient past a run must
-        decrypt to zero: a payload folded at another ``chunk``, or one whose
-        noise overflowed, is a :class:`PipelineError`.
+        of ``N``: ciphertext ``j`` carries flat values ``j * chunk ..`` in
+        its lanes (the tail one may use fewer).  The trusted side restores
+        ``shape`` and re-encrypts one scalar ciphertext per element through
+        the same :meth:`_encrypt_values` RNG draws as the unpacked crossing,
+        so the output bytes are identical.  The payload decodes as the
+        ``chunk`` lanes of its ``(1, runs)`` reshape, so every coefficient
+        past a run must decrypt to zero, and so must the tail's unused lanes:
+        a payload folded at another ``chunk``, or one whose noise overflowed,
+        is a :class:`PipelineError`.
         """
-        n = self._context.poly_degree
-        if chunk < 1 or chunk > n:
-            raise PipelineError(f"chunk must be in [1, {n}], got {chunk}")
-        self._load_crypto_state()
-        coeffs = self._decryptor.decrypt(ct).coeffs.reshape(-1, n)
+        flat = self._decrypt_values(ct.reshape(1, -1), chunk).T.reshape(-1)
         total = int(np.prod(shape))
-        full, remainder = divmod(total, chunk)
-        expected = full + (1 if remainder else 0)
-        if coeffs.shape[0] != expected:
+        runs, expected = flat.size // chunk, -(-total // chunk)
+        if runs != expected:
             raise PipelineError(
-                f"packed payload carries {coeffs.shape[0]} ciphertexts; "
+                f"packed payload carries {runs} ciphertexts; "
                 f"shape {tuple(shape)} at chunk {chunk} needs {expected}"
             )
-        # Run j rides the lanes of ciphertext j, so read_lanes probes the
-        # n - chunk coefficients past it (n - remainder on the tail).
-        parts = []
-        with _typed_read():
-            if full:
-                runs = Plaintext(self._context, coeffs[None, :full])
-                parts.append(read_lanes(runs, chunk).T.reshape(-1))
-            if remainder:
-                tail = Plaintext(self._context, coeffs[None, full:])
-                parts.append(read_lanes(tail, remainder).reshape(-1))
-        values = np.concatenate(parts).reshape(shape)
+        if flat[total:].any():
+            raise PipelineError(
+                f"packed payload is not lane-encoded as {total} values at chunk "
+                f"{chunk}: its tail lanes past them are not zero"
+            )
         return self._encrypt_values(
-            _activate_pool(values, input_scale, output_scale, window, activation, pool)
+            _activate_pool(
+                flat[:total].reshape(shape),
+                input_scale, output_scale, window, activation, pool,
+            )
         )
 
     @ecall

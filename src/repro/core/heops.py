@@ -381,7 +381,7 @@ def he_dense(
     """Homomorphic fully connected layer over a flattened ciphertext batch.
 
     Produces a ``(B, O)`` ciphertext of scaled logits: for every output
-    class the flattened input batch is multiplied slot-wise by that class's
+    class the flattened input batch is multiplied element-wise by that class's
     weight vector and folded with a batched C + C reduction (``lanes``: as conv).
     """
     b = ct.batch_shape[0]

@@ -1,7 +1,7 @@
 """The unified pipeline API: one protocol, one factory.
 
 The five inference pipelines (plaintext reference, pure-HE CryptoNets
-baseline, hybrid HE+SGX, slot-packed SIMD hybrid, multi-block deep hybrid)
+baseline, hybrid HE+SGX, lane-packed SIMD hybrid, multi-block deep hybrid)
 grew the same surface by convention -- a ``scheme`` label, ``infer(images)``
 returning an :class:`~repro.core.results.InferenceResult`, and
 ``encrypt_images``.  :class:`InferencePipeline` makes that contract explicit
@@ -105,9 +105,9 @@ class PipelineSpec:
         params: exact FV parameters; when None they are auto-sized from the
             quantized model at build time.
         poly_degree: degree for auto-sizing (ignored when ``params`` given).
-        batching: force a batching-capable plaintext modulus when
-            auto-sizing; None picks the scheme default (on for ``simd`` and
-            whenever a serving knob -- fleet size or queue bound -- is set).
+        batching: auto-size a prime plaintext modulus (``batching=True`` of
+            :func:`~repro.core.config.parameters_for_pipeline`) instead of a
+            power of two.  Lanes pack under either.
         kernel_profile: ``"fused"`` or ``"reference"`` to install that
             hot-path profile at build time; None leaves the process profile
             untouched.
@@ -134,7 +134,7 @@ class PipelineSpec:
     scheme: str = "hybrid"
     params: "EncryptionParams | None" = None
     poly_degree: int = 1024
-    batching: bool | None = None
+    batching: bool = False
     kernel_profile: str | None = None
     workers: int | None = None
     graph_optimizer: str | None = None
@@ -169,17 +169,6 @@ class PipelineSpec:
         if self.max_batch is not None and self.max_batch < 1:
             raise PipelineError("max_batch must be >= 1")
 
-    def wants_batching(self) -> bool:
-        """Whether auto-sized parameters should support CRT slot packing."""
-        if self.batching is not None:
-            return self.batching
-        serving = (
-            self.fleet_size > 1
-            or self.max_queue_depth is not None
-            or self.max_batch is not None
-        )
-        return self.scheme == "simd" or serving
-
     def resolve_params(self, quantized=None) -> "EncryptionParams":
         """The spec's exact parameters, or auto-sized ones for ``quantized``."""
         if self.params is not None:
@@ -190,7 +179,7 @@ class PipelineSpec:
                 "model to size parameters against"
             )
         return parameters_for_pipeline(
-            quantized, self.poly_degree, batching=self.wants_batching()
+            quantized, self.poly_degree, batching=self.batching
         )
 
     def apply_kernel_profile(self) -> None:
@@ -254,15 +243,14 @@ def build_pipeline(
             :data:`SCHEME_ALIASES` -- ``plaintext``, ``cryptonets`` /
             ``encrypted``, ``hybrid`` / ``encryptsgx``, ``simd``, ``deep``
             -- or a declarative :class:`PipelineSpec`, whose parameters,
-            kernel profile, batching choice and stored ``options`` all
+            kernel profile, ``batching`` choice and stored ``options`` all
             apply (explicit ``params`` / ``**opts`` here still win).
         quantized: the integer model (a
             :class:`~repro.nn.quantize.QuantizedCNN`, or a
             :class:`~repro.nn.deep.DeepQuantizedCNN` for ``deep``).
         params: FV parameters; when omitted, auto-sized with
             :func:`~repro.core.config.parameters_for_pipeline` at
-            ``poly_degree`` (with a batching-capable plaintext modulus for
-            ``simd``).
+            ``poly_degree``.
         poly_degree: degree used for auto-sizing (ignored when ``params`` is
             given).
         **opts: scheme-specific options -- ``mode`` (hybrid), ``platform``
@@ -281,7 +269,7 @@ def build_pipeline(
         spec.apply_workers()
         spec.apply_graph_optimizer()
         canonical = spec.scheme
-        batching = spec.wants_batching()
+        batching = spec.batching
         poly_degree = spec.poly_degree
         if params is None:
             params = spec.params
@@ -290,7 +278,7 @@ def build_pipeline(
         opts = merged
     else:
         canonical = resolve_scheme(scheme)
-        batching = canonical == "simd"
+        batching = False
     workers = opts.pop("workers", None)
     graph_level = opts.pop("graph_optimizer", None)
     if workers is not None or graph_level is not None:

@@ -1,18 +1,17 @@
-"""SIMD-packed hybrid inference -- the paper's Section VIII extension.
+"""Lane-packed hybrid inference -- the paper's Section VIII extension.
 
-The paper encodes one value per ciphertext and predicts that CRT batching
-would buy "1024 times the throughput".  This module implements that
-extension for the hybrid framework: up to ``n`` user images ride in the
-CRT *slots* of each pixel-position ciphertext, so the whole encrypted CNN
-costs one ciphertext operation per pixel *position* -- independent of how
-many users share the batch.
+The paper encodes one value per ciphertext and predicts that packing would
+buy "1024 times the throughput".  This module implements that extension for
+the hybrid framework on the serving flush's layout: up to ``n`` user images
+ride the polynomial coefficients (*lanes*) of each pixel-position
+ciphertext (:func:`~repro.he.batching.write_lanes`), so the whole encrypted
+CNN costs one ciphertext operation per pixel *position* -- independent of
+how many users share the batch.  Every layer multiplies by scalar weights,
+which act on all lanes alike, so any plaintext modulus serves.
 
-Requires a batching-capable plaintext modulus (prime ``t ≡ 1 mod 2n``);
-use ``parameters_for_pipeline(..., batching=True)``.
-
-All slot traffic is still end-to-end encrypted: the enclave decodes the
-slot packing only after decrypting inside trusted code
-(:meth:`InferenceEnclave.activation_pool_simd`).
+All lane traffic is still end-to-end encrypted: the enclave reads the lanes
+only after decrypting inside trusted code
+(:meth:`InferenceEnclave.activation_pool_lanes`).
 """
 
 from __future__ import annotations
@@ -21,49 +20,20 @@ import numpy as np
 
 from repro.core.base import EnclavePipeline
 from repro.errors import PipelineError
-from repro.he.batching import BatchEncoder
-from repro.he.context import Ciphertext, Context
+from repro.he.batching import write_lanes
+from repro.he.context import Ciphertext
 from repro.he.params import EncryptionParams
 from repro.nn.quantize import QuantizedCNN
 from repro.sgx.enclave import SgxPlatform
 
 
-class SlotCodec:
-    """Packs an image batch into CRT slots, one ciphertext per pixel position.
-
-    Layout: a tensor of integers with shape ``(B, C, H, W)`` becomes a
-    plaintext batch of shape ``(1, C, H, W)`` whose slot ``b`` carries image
-    ``b``'s value at that position.
-    """
-
-    def __init__(self, context: Context) -> None:
-        self.encoder = BatchEncoder(context)
-
-    @property
-    def slot_count(self) -> int:
-        return self.encoder.slot_count
-
-    def encode(self, values: np.ndarray):
-        if values.ndim != 4:
-            raise PipelineError("SlotCodec expects (B, C, H, W) integer values")
-        if values.shape[0] > self.slot_count:
-            raise PipelineError(
-                f"batch of {values.shape[0]} exceeds the {self.slot_count} "
-                "available slots"
-            )
-        return self.encoder.encode_batch_axis(values)
-
-    def decode(self, plain, batch: int) -> np.ndarray:
-        return self.encoder.decode_batch_axis(plain, batch)
-
-
 class SimdHybridPipeline(EnclavePipeline):
-    """Hybrid HE+SGX inference with slot-packed user batches.
+    """Hybrid HE+SGX inference with lane-packed user batches.
 
     Functionally identical to :class:`~repro.core.hybrid.HybridPipeline` in
     ``batched`` mode -- same partition, same enclave, bit-exact against the
     plaintext reference -- but an entire user batch shares each ciphertext,
-    collapsing the per-image cost by up to the slot count.
+    collapsing the per-image cost by up to the ring degree.
     """
 
     scheme = "EncryptSGX-SIMD"
@@ -78,20 +48,9 @@ class SimdHybridPipeline(EnclavePipeline):
     ) -> None:
         if quantized.activation == "square":
             raise PipelineError("the SIMD hybrid serves exact-activation models only")
-        if not params.supports_batching():
-            raise PipelineError(
-                "SIMD packing needs a batching plaintext modulus; build the "
-                "parameters with parameters_for_pipeline(..., batching=True)"
-            )
         super().__init__(quantized, params, platform, seed)
-        self.codec = SlotCodec(self.context)
-        self.resources.codec = self.codec
-        self.span_attrs = {"slot_count": self.slot_count}
-
-    @property
-    def slot_count(self) -> int:
-        return self.codec.slot_count
 
     def encrypt_images(self, images: np.ndarray) -> Ciphertext:
+        """User side: image ``b`` in lane ``b`` of one ``(1, C, H, W)`` batch."""
         pixels = self.quantized.quantize_images(images)
-        return self.encryptor.encrypt(self.codec.encode(pixels))
+        return self.encryptor.encrypt(write_lanes(self.context, pixels))

@@ -140,7 +140,7 @@ class QueueFullError(ServeError):
 
 
 class BatchTooLargeError(ServeError):
-    """A single request exceeds the scheduler's slot-packing capacity."""
+    """A single request exceeds the scheduler's lane-packing capacity."""
 
 
 class ResponseNotReady(ServeError):

@@ -36,7 +36,7 @@ import numpy as np
 from repro.core import heops
 from repro.errors import PipelineError
 from repro.graph import ir, optimizer
-from repro.he.batching import pack_coefficients
+from repro.he.batching import pack_coefficients, read_lanes, write_lanes
 from repro.he.context import Ciphertext
 from repro.he.decryptor import decrypt_scalar_values
 from repro.he.evaluator import Evaluator
@@ -57,8 +57,6 @@ class Resources:
         encryptor / decryptor / quantize: the user role, for graphs that
             start at raw images and end at logits.
         relin_keys: CryptoNets' evaluation keys.
-        codec: the :class:`~repro.core.simd.SlotCodec` of slot-layout
-            graphs.
     """
 
     tracer: Any
@@ -70,7 +68,6 @@ class Resources:
     decryptor: Any = None
     quantize: Callable[[np.ndarray], np.ndarray] | None = None
     relin_keys: Any = None
-    codec: Any = None
 
     def stage(self, name: str):
         return self.tracer.stage(
@@ -148,9 +145,12 @@ def _encrypt(env, node, images, walk):
         return env.encryptor.encrypt(env.encoder.encode(env.quantize(images)))
 
 
-def _encrypt_slots(env, node, images, walk):
+def _encrypt_lanes(env, node, images, walk):
     with _node_stage(env, node):
-        return env.encryptor.encrypt(env.codec.encode(env.quantize(images)))
+        # Image b rides lane b of one (1, C, H, W) ciphertext.
+        pixels = write_lanes(env.evaluator.context, env.quantize(images))
+        walk.lanes = walk.batch
+        return env.encryptor.encrypt(pixels)
 
 
 def _conv(env, node, value, walk):
@@ -210,11 +210,6 @@ def _crossing(env, node, conv, walk):
             chunk,
             *_enclave_args(node),
         )
-
-
-def _crossing_simd(env, node, conv, walk):
-    with _node_stage(env, node):
-        return env.enclave.ecall("activation_pool_simd", conv, *_enclave_args(node))
 
 
 def _crossing_lanes(env, node, conv, walk):
@@ -308,10 +303,9 @@ def _decrypt_with(decode):
 #: opcode is rejected by :func:`run`.
 OPS: dict[str, Callable] = {
     "encrypt": _encrypt,
-    "encrypt_slots": _encrypt_slots,
+    "encrypt_lanes": _encrypt_lanes,
     "conv": _conv,
     "crossing": _crossing,
-    "crossing_simd": _crossing_simd,
     "crossing_lanes": _crossing_lanes,
     "crossing_per_pixel": _crossing_per_pixel,
     "square": _square,
@@ -324,8 +318,8 @@ OPS: dict[str, Callable] = {
     "decrypt": _decrypt_with(
         lambda env, ct, walk: decrypt_scalar_values(env.decryptor, env.encoder, ct)
     ),
-    "decrypt_slots": _decrypt_with(
-        lambda env, ct, walk: env.codec.decode(env.decryptor.decrypt(ct), walk.batch)
+    "decrypt_lanes": _decrypt_with(
+        lambda env, ct, walk: read_lanes(env.decryptor.decrypt(ct), walk.lanes)
     ),
 }
 

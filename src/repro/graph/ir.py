@@ -14,11 +14,11 @@ a packed crossing may fold) without touching ciphertexts.
 One builder per graph kind (:data:`BUILDERS`): ``hybrid``, ``cryptonets``,
 ``simd``, ``deep``, ``served`` (``EdgeServer.infer``: no encrypt/decrypt
 node; ends in ``fold_classes``, one result ciphertext per image) and
-``packed`` (the scheduler flush).  Slot-layout work (``encrypt_slots``,
-``crossing_simd``, ``decrypt_slots``) and coefficient lanes (``fold``,
-``crossing_lanes``, ``unpack``, ``fold_classes``) have their own ops, not
-flags on the scalar ones, so the pass that rewrites ``crossing`` simply
-finds no such node on the slot and flush graphs and refuses.
+``packed`` (the scheduler flush).  Work on coefficient lanes
+(``encrypt_lanes``, ``fold``, ``crossing_lanes``, ``decrypt_lanes``,
+``unpack``, ``fold_classes``) has its own ops, not flags on the scalar ones,
+so the pass that rewrites ``crossing`` simply finds no such node on the
+``simd`` and flush graphs and refuses.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from repro.he.params import EncryptionParams
 #: Ops whose output is a fresh encryption (the user's, or the enclave's
 #: re-encrypt on the trusted side of a crossing): the noise budget resets.
 REFRESH_OPS = frozenset(
-    {"encrypt", "encrypt_slots", "crossing", "crossing_simd", "crossing_lanes",
-     "crossing_per_pixel", "unpack"}
+    {"encrypt", "encrypt_lanes", "crossing", "crossing_lanes", "crossing_per_pixel",
+     "unpack"}
 )
 
 #: Ops that contract against a weight matrix in ``meta["layers"]``.
@@ -274,13 +274,14 @@ def build_cryptonets_graph(quantized, params: EncryptionParams) -> InferenceGrap
 
 
 def build_simd_graph(quantized, params: EncryptionParams) -> InferenceGraph:
-    """IR for the slot-packed hybrid: the user batch rides the CRT slots of
-    one ``(1, C, H, W)`` ciphertext through the same three middle stages."""
+    """IR for the lane-packed hybrid: the user batch rides the coefficient
+    lanes of one ``(1, C, H, W)`` ciphertext, as a flush's fold leaves it,
+    through the same three middle stages (the flush's lane crossing)."""
     return _single_block(
         "simd", quantized, params,
-        [GraphNode("encrypt_slots", "encrypt")],
-        [_enclave_stage("crossing_simd", quantized)],
-        [GraphNode("decrypt_slots", "decrypt")],
+        [GraphNode("encrypt_lanes", "encrypt")],
+        [_enclave_stage("crossing_lanes", quantized)],
+        [GraphNode("decrypt_lanes", "decrypt")],
     )
 
 

@@ -65,8 +65,8 @@ class PackCrossing(GraphPass):
     shift-and-sum), so the pass caps ``chunk`` at what the conv layer's
     remaining budget can absorb above ``margin_bits`` (and at the ring
     degree) and refuses when even ``chunk = 2`` does not fit.  Also refuses
-    for graphs with no scalar-layout crossing (pure-HE; the slot-layout
-    ``crossing_simd``; the flush's ``crossing_lanes``, already folded), for the
+    for graphs with no scalar-layout crossing (pure-HE; the ``simd`` and
+    flush graphs' ``crossing_lanes``, already packed), for the
     per-pixel negative control (each crossing carries a single value;
     there is nothing to fold) and for multi-block graphs.
     """
@@ -80,7 +80,7 @@ class PackCrossing(GraphPass):
         if not crossings:
             return (
                 "no scalar-layout enclave crossing to pack (a pure-HE graph "
-                "never crosses; a slot- or lane-layout crossing already "
+                "never crosses; a lane-layout crossing already "
                 "carries one ciphertext per position)"
             )
         if len(crossings) > 1:

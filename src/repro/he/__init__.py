@@ -3,7 +3,8 @@
 The HE substrate of the reproduction: RNS polynomial arithmetic over
 NTT-friendly primes, the seven algorithms of the paper's Section II-B
 (SecretKeyGen, PublicKeyGen, Encrypt, Decrypt, Add, Multiply,
-EvaluationKeyGen + relinearization), SEAL-style encoders, and CRT batching.
+EvaluationKeyGen + relinearization), SEAL-style encoders, and coefficient
+lanes (:mod:`repro.he.batching`).
 
 Typical usage::
 
@@ -23,7 +24,6 @@ Typical usage::
 """
 
 from repro.he.arena import Arena, ArenaView, stacked_view
-from repro.he.batching import BatchEncoder
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
 from repro.he.encoders import FractionalEncoder, IntegerEncoder, ScalarEncoder
@@ -50,7 +50,6 @@ from repro.he.params import (
 __all__ = [
     "Arena",
     "ArenaView",
-    "BatchEncoder",
     "Ciphertext",
     "Context",
     "Decryptor",

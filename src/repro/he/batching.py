@@ -1,15 +1,17 @@
-"""CRT (SIMD) batching encoder -- the paper's Section VIII extension.
+"""Coefficient lanes -- the one packing layout (the paper's Section VIII).
 
-When the plaintext modulus ``t`` is a prime with ``t ≡ 1 (mod 2n)``, the
-plaintext ring factors as ``R_t ≅ Z_t^n`` (Chinese Remainder Theorem), so one
-ciphertext carries ``n`` independent *slots*; homomorphic add / multiply act
-slot-wise.  The paper notes that with ``n = 1024`` this buys up to 1024x the
-throughput; the ``ablation_simd`` row of ``benchmarks/bench_paper.py``
-measures exactly that.
+The paper predicts that packing ``n`` values per ciphertext buys up to
+``n``x the throughput.  Every HE layer here multiplies by *scalar* plaintexts
+(weights shared across users), and a scalar acts on all ``n`` polynomial
+coefficients alike, so value ``b`` of a batch rides coefficient ``b`` -- a
+*lane* -- under any plaintext modulus: no CRT slot transform, no batching
+prime.  The ``ablation_simd`` rows of ``benchmarks/bench_paper.py`` measure
+that throughput.  What lanes drop is a per-lane *distinct* multiplier (and
+with it a lane-wise ciphertext product); no inference layer uses one.
 
-The slot isomorphism is realized by the negacyclic NTT modulo ``t``:
-``encode`` applies the inverse transform (slot values -> coefficients) and
-``decode`` the forward transform.
+:func:`write_lanes` / :func:`read_lanes` lay values out and read them back
+(with zero probes past the lanes); :func:`pack_coefficients` folds scalar
+ciphertexts into lanes homomorphically, on the host.
 """
 
 from __future__ import annotations
@@ -19,105 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import EncodingError, KeyMismatchError
-from repro.he import kernels
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.evaluator import Evaluator, PlainOperand
-from repro.he.ntt import NttPlan, StackedNttPlan
-
-
-class BatchEncoder:
-    """Packs up to ``n`` integers into the slots of a single plaintext.
-
-    Raises:
-        EncodingError: if the context's plaintext modulus does not support
-            batching (see :meth:`EncryptionParams.supports_batching`).
-    """
-
-    def __init__(self, context: Context) -> None:
-        if not context.params.supports_batching():
-            raise EncodingError(
-                f"plain_modulus {context.plain_modulus} is not a batching prime "
-                f"(needs prime t ≡ 1 mod {2 * context.poly_degree})"
-            )
-        self.context = context
-        self._plan = NttPlan(context.poly_degree, context.plain_modulus)
-        # The same transform as a one-prime stacked plan: two small GEMMs
-        # where NttPlan runs log n butterfly stages (a t of up to 20 bits
-        # needs one limb).
-        self._stacked = StackedNttPlan(
-            context.poly_degree, [context.plain_modulus], plans=[self._plan]
-        )
-
-    def _to_coeffs(self, slots: np.ndarray) -> np.ndarray:
-        if kernels.active().stacked_ntt:
-            return self._stacked.inverse(slots[..., None, :])[..., 0, :]
-        return self._plan.inverse(slots)
-
-    def _to_slots(self, coeffs: np.ndarray) -> np.ndarray:
-        if kernels.active().stacked_ntt:
-            return self._stacked.forward(coeffs[..., None, :])[..., 0, :]
-        return self._plan.forward(coeffs)
-
-    @property
-    def slot_count(self) -> int:
-        return self.context.poly_degree
-
-    def encode(self, values: np.ndarray) -> Plaintext:
-        """Encode slot values (shape ``(..., m)`` with ``m <= n``).
-
-        Shorter vectors are zero-padded; values may be signed and are reduced
-        mod ``t``.
-        """
-        values = np.asarray(values, dtype=np.int64)
-        n = self.slot_count
-        if values.shape[-1] > n:
-            raise EncodingError(
-                f"{values.shape[-1]} values exceed the {n} available slots"
-            )
-        t = self.context.plain_modulus
-        slots = np.zeros((*values.shape[:-1], n), dtype=np.int64)
-        slots[..., : values.shape[-1]] = values % t
-        coeffs = self._to_coeffs(slots)
-        return Plaintext(self.context, coeffs)
-
-    def decode(self, plain: Plaintext) -> np.ndarray:
-        """Recover all ``n`` slot values, centered into ``(-t/2, t/2]``."""
-        self.context.check_same(plain.context)
-        slots = self._to_slots(plain.coeffs)
-        t = self.context.plain_modulus
-        return np.where(slots > t // 2, slots - t, slots)
-
-    def encode_batch_axis(self, values: np.ndarray) -> Plaintext:
-        """Pack axis 0 into the slots: ``(B, *rest)`` values become a
-        ``(1, *rest)`` plaintext batch whose slot ``b`` carries row ``b``.
-
-        This is the canonical cross-user packing layout: every pipeline
-        position costs one plaintext/ciphertext regardless of ``B``.
-        """
-        values = np.asarray(values, dtype=np.int64)
-        if values.ndim < 1:
-            raise EncodingError("encode_batch_axis expects a leading batch axis")
-        if values.shape[0] > self.slot_count:
-            raise EncodingError(
-                f"batch of {values.shape[0]} exceeds the {self.slot_count} "
-                "available slots"
-            )
-        return self.encode(np.moveaxis(values, 0, -1)[None, ...])
-
-    def decode_batch_axis(self, plain: Plaintext, batch: int) -> np.ndarray:
-        """Inverse of :meth:`encode_batch_axis`: recover the leading ``batch``
-        rows from a ``(1, *rest)`` slot-packed plaintext batch."""
-        if batch < 1 or batch > self.slot_count:
-            raise EncodingError(
-                f"batch must be in [1, {self.slot_count}], got {batch}"
-            )
-        slots = self.decode(plain)  # (1, *rest, n)
-        if slots.shape[0] != 1:
-            raise EncodingError(
-                "decode_batch_axis expects a (1, *rest) slot-packed plaintext "
-                f"batch, got leading axis {slots.shape[0]}"
-            )
-        return np.moveaxis(slots[0], -1, 0)[:batch]
 
 
 def _monomial_rows(context: Context, count: int) -> np.ndarray:

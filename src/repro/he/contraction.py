@@ -11,7 +11,7 @@ split of the output is byte-identical to the whole-range run.
 
 Shared arguments: the kernel writes ``rows`` of ``axis`` of the full output
 block ``out`` (``"batch"`` rows, else conv output rows / FC classes for the
-slot-packed ``B == 1`` flush); ``keep`` names the surviving taps (at least
+lane-packed ``B == 1`` flush); ``keep`` names the surviving taps (at least
 one) when every dropped weight column is zero, an exactly-zero
 contribution; ``bias`` is the ``(F|O, ..., k_rns, n)`` canonical residues
 of ``Delta * bias``, folded into the still-unreduced accumulator.

@@ -15,8 +15,8 @@ oracle and the engine of the reference profile.  :class:`StackedNttPlan`
 computes the same transform of a whole ``(..., k, n)`` residue tensor as a
 four-step factorisation whose two steps are exact float64 matrix products
 (limb-split so every GEMM sum stays below 2^53), and is the engine of every
-timed transform: the ring's own primes, the one-prime slot codec, and the
-auxiliary basis of the RNS ciphertext multiply
+timed transform: the ring's own primes and the auxiliary basis of the RNS
+ciphertext multiply
 (:class:`repro.he.polyring.AuxBasis`).
 :func:`negacyclic_convolve_exact` -- object-dtype inputs, one
 :class:`NttPlan` per auxiliary prime, a Python-int CRT sum -- is the
@@ -299,8 +299,7 @@ class StackedNttPlan:
       ``paper_1024`` (24-bit primes), 2^51.0 at the 30-bit ``n = 1024``
       pipeline presets, 2^52.0 at ``functional_2048`` / ``functional_4096``,
       all with two limbs; 31-bit primes take three limbs from ``n = 512`` up
-      (2^50.0 at ``n = 8192``); a slot-codec prime of up to 20 bits takes
-      one (2^44.0 at ``t = 520193``);
+      (2^50.0 at ``n = 8192``);
     * the reduction is ``V - floor(V * inv) * p`` with ``inv = fl(1/p)``
       scaled *down* by ``1 - 2^-50``: the computed quotient is never above
       ``V / p`` and short of it by less than ``V/p * 2^-48 < 1``, so the

@@ -98,13 +98,6 @@ class EncryptionParams:
         bits = self.coeff_modulus.bit_length()
         return -(-bits // self.decomposition_bits)
 
-    def supports_batching(self) -> bool:
-        """True when the plaintext modulus admits CRT (SIMD) batching."""
-        return (
-            modmath.is_prime(self.plain_modulus)
-            and (self.plain_modulus - 1) % (2 * self.poly_degree) == 0
-        )
-
     def estimated_security_bits(self) -> int:
         """Advisory security estimate (128 if within the standard table,
         proportionally less as log2(q) grows beyond it)."""

@@ -588,7 +588,7 @@ FAMILIES: dict[str, tuple[str, tuple[str, ...], tuple[float, ...] | None, str]] 
         "Per-request simulated latency, split into queue wait vs compute."),
     "repro_serve_batch_occupancy_ratio": (
         "histogram", ("model",), RATIO_BUCKETS,
-        "Images per packed flush as a fraction of slot-packing capacity."),
+        "Images per packed flush as a fraction of lane-packing capacity."),
     "repro_serve_queue_depth": (
         "gauge", (), None,
         "Queued (unflushed) requests across all models."),

@@ -4,9 +4,9 @@ The paper's deployment story (Sections IV + VII) is one SGX edge node
 serving many enrolled users, yet a naive facade pays the full per-pixel HE
 cost once per request.  Packing (Section VIII) is the throughput lever: up
 to ``n`` images share each pixel-position ciphertext.  The model's *scalar*
-weights act on ``n`` polynomial coefficients exactly as on ``n`` CRT slots,
-so the flush packs into coefficients ("lanes"): any plaintext modulus
-serves, and packing is host-side homomorphic work, not an enclave crossing.
+weights act on all ``n`` polynomial coefficients alike, so the flush packs
+into coefficients ("lanes"): any plaintext modulus serves, and packing is
+host-side homomorphic work, not an enclave crossing.
 
 This scheduler turns that lever into a serving discipline:
 
@@ -194,8 +194,7 @@ class RequestScheduler:
     def __init__(self, server: "EdgeServer", config: ServeConfig | None = None) -> None:
         self.server = server
         self.config = config if config is not None else ServeConfig()
-        self.slot_count = server.params.poly_degree
-        self.capacity = self.config.capacity(self.slot_count)
+        self.capacity = self.config.capacity(server.params.poly_degree)
         self.stats = ServeStats()
         self._queues: dict[str, list[_QueuedRequest]] = {}
         self._next_id = 0
@@ -287,7 +286,7 @@ class RequestScheduler:
             self._count_rejection("oversized")
             raise BatchTooLargeError(
                 f"request of {batch} images exceeds the packing capacity "
-                f"{self.capacity} (slots: {self.slot_count})"
+                f"{self.capacity} (lanes: {self.server.params.poly_degree})"
             )
         return batch
 
@@ -700,7 +699,7 @@ class RequestScheduler:
             contexts=contexts,
             before_close=request_spans,
             requests=len(requests),
-            slot_count=self.slot_count,
+            lanes=self.server.params.poly_degree,
             replica=enclave.replica,
             workers=parallel.active_workers(),
             **trace_attrs,

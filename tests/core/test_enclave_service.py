@@ -198,6 +198,18 @@ class TestPackedCrossingProbes:
         with pytest.raises(PipelineError, match="not lane-encoded"):
             enclave.ecall("activation_pool_packed", payload, (1, 1, 2, 4), 4, *self.ARGS)
 
+    def test_payload_with_live_tail_lanes_is_typed(self, enclave, userland, values):
+        """Declared as 12 values at chunk 8: the same two ciphertexts, but
+        lanes 4..7 of the tail one must then be zero."""
+        payload = self.folded_at_8(userland, values)
+        with pytest.raises(PipelineError, match="tail lanes past them are not zero"):
+            enclave.ecall("activation_pool_packed", payload, (1, 1, 3, 4), 8, *self.ARGS)
+
+    def test_payload_with_the_wrong_ciphertext_count_is_typed(self, enclave, userland, values):
+        payload = self.folded_at_8(userland, values)
+        with pytest.raises(PipelineError, match="carries 2 ciphertexts.* needs 1"):
+            enclave.ecall("activation_pool_packed", payload, (1, 1, 2, 4), 8, *self.ARGS)
+
     def test_noise_exhausted_payload_is_typed(self, enclave, userland, values):
         payload = self.folded_at_8(userland, values)
         data = payload.data

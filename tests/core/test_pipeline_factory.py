@@ -13,6 +13,7 @@ from repro.core import (
     SCHEME_ALIASES,
     SimdHybridPipeline,
     build_pipeline,
+    parameters_for_pipeline,
     resolve_scheme,
 )
 from repro.errors import PipelineError
@@ -67,10 +68,14 @@ class TestFactory:
         pipeline = build_pipeline("encrypted", q_square, pure_he_params, seed=7)
         assert isinstance(pipeline, CryptonetsPipeline)
 
-    def test_simd_auto_params_support_batching(self, q_sigmoid):
+    def test_simd_auto_params_support_batching(self, q_sigmoid, models):
+        """Lanes batch under the default power-of-two modulus: the factory
+        sizes the SIMD pipeline like any other, no batching prime."""
         pipeline = build_pipeline("simd", q_sigmoid, poly_degree=256, seed=7)
         assert isinstance(pipeline, SimdHybridPipeline)
-        assert pipeline.params.supports_batching()
+        assert pipeline.params == parameters_for_pipeline(q_sigmoid, 256)
+        images = models.dataset.test_images[:3]
+        assert pipeline.encrypt_images(images).batch_shape == (1, *images.shape[1:])
 
     def test_hybrid_auto_params(self, q_sigmoid):
         pipeline = build_pipeline("hybrid", q_sigmoid, poly_degree=256, seed=7)

@@ -1,4 +1,4 @@
-"""SIMD-packed hybrid pipeline: slot packing, exactness, throughput shape."""
+"""SIMD hybrid pipeline: lane packing, exactness, throughput shape."""
 
 from __future__ import annotations
 
@@ -9,11 +9,10 @@ from repro.core import (
     HybridPipeline,
     PlaintextPipeline,
     SimdHybridPipeline,
-    SlotCodec,
     parameters_for_pipeline,
 )
-from repro.errors import PipelineError
-from repro.he import Context
+from repro.errors import EncodingError, PipelineError
+from repro.he import modmath
 
 
 @pytest.fixture(scope="module")
@@ -26,27 +25,44 @@ def simd_pipeline(q_sigmoid, simd_params):
     return SimdHybridPipeline(q_sigmoid, simd_params, seed=5)
 
 
-class TestSlotCodec:
-    def test_roundtrip(self, simd_params, rng):
-        codec = SlotCodec(Context(simd_params))
-        values = rng.integers(-100, 100, size=(5, 2, 4, 4))
-        plain = codec.encode(values)
-        assert plain.batch_shape == (1, 2, 4, 4)
-        assert np.array_equal(codec.decode(plain, 5), values)
+@pytest.fixture(scope="module")
+def pipelines(simd_pipeline, q_sigmoid, hybrid_params):
+    """One pipeline per plaintext modulus: lanes need no batching prime."""
+    return {
+        "prime": simd_pipeline,
+        "power_of_two": SimdHybridPipeline(q_sigmoid, hybrid_params, seed=5),
+    }
 
-    def test_rejects_oversized_batch(self, simd_params, rng):
-        codec = SlotCodec(Context(simd_params))
-        too_many = codec.slot_count + 1
-        with pytest.raises(PipelineError):
-            codec.encode(np.zeros((too_many, 1, 2, 2), dtype=np.int64))
 
-    def test_rejects_wrong_rank(self, simd_params):
-        codec = SlotCodec(Context(simd_params))
-        with pytest.raises(PipelineError):
-            codec.encode(np.zeros((4, 4), dtype=np.int64))
+def _images(models, batch):
+    """``batch`` test images, the set repeated to reach a full ring."""
+    images = models.dataset.test_images
+    return np.resize(images, (batch, *images.shape[1:]))
 
 
 class TestSimdHybrid:
+    @pytest.mark.parametrize(
+        "modulus, batch",
+        # (prime, 5) is test_matches_plaintext_exactly.
+        [("prime", 1), ("prime", 256), ("power_of_two", 1), ("power_of_two", 5),
+         ("power_of_two", 256)],
+    )
+    def test_logits_match_plaintext(self, pipelines, q_sigmoid, models, modulus, batch):
+        pipeline = pipelines[modulus]
+        assert batch <= pipeline.params.poly_degree == 256
+        images = _images(models, batch)
+        plain = PlaintextPipeline(q_sigmoid).infer(images)
+        assert np.array_equal(pipeline.infer(images).logits, plain.logits)
+
+    def test_batch_beyond_the_ring_degree_fails_typed(self, pipelines, models):
+        pipeline = pipelines["power_of_two"]
+        with pytest.raises(EncodingError, match="exceed the ring degree"):
+            pipeline.infer(_images(models, pipeline.params.poly_degree + 1))
+
+    def test_rejects_wrong_rank(self, pipelines):
+        with pytest.raises(PipelineError, match=r"\(B, C, H, W\)"):
+            pipelines["power_of_two"].infer(np.zeros((4, 4)))
+
     def test_matches_plaintext_exactly(self, simd_pipeline, q_sigmoid, models):
         images = models.dataset.test_images[:5]
         plain = PlaintextPipeline(q_sigmoid).infer(images)
@@ -79,10 +95,6 @@ class TestSimdHybrid:
         result = simd_pipeline.infer(models.dataset.test_images[:2])
         assert result.noise_budget_bits > 0
 
-    def test_rejects_non_batching_modulus(self, q_sigmoid, hybrid_params):
-        with pytest.raises(PipelineError):
-            SimdHybridPipeline(q_sigmoid, hybrid_params)
-
     def test_rejects_square_model(self, q_square, simd_params):
         with pytest.raises(PipelineError):
             SimdHybridPipeline(q_square, simd_params)
@@ -106,7 +118,8 @@ class TestSimdHybrid:
 class TestBatchingParameterOption:
     def test_prime_and_congruent(self, q_sigmoid):
         params = parameters_for_pipeline(q_sigmoid, 256, batching=True)
-        assert params.supports_batching()
+        t = params.plain_modulus
+        assert modmath.is_prime(t) and (t - 1) % (2 * 256) == 0
         assert params.plain_modulus >= q_sigmoid.required_plain_modulus()
 
     def test_oversized_bound_rejected(self, q_square):

@@ -159,15 +159,15 @@ class TestCryptonetsEquivalence:
 
 
 #: What the parent commit's hand-written chains produced for the same
-#: seeds (``kinds.py`` run under ``off`` at commit 4765829).  The ``packed``
-#: and ``served`` rows are re-recorded whenever their result ciphertexts
-#: change layout; their ``logits`` hashes never change.
+#: seeds (``kinds.py`` run under ``off`` at commit 4765829).  The ``packed``,
+#: ``served`` and ``simd`` rows are re-recorded whenever their result
+#: ciphertexts change layout; their ``logits`` hashes never change.
 PARENT_RECORDING = json.loads(
     Path(__file__).with_name("parent_recording.json").read_text()
 )
 
 #: Kinds whose graph shape ``pack_crossing`` is not provably exact on
-#: (slot-layout crossing, multi-block): refused-with-reason, never applied.
+#: (lane-layout crossing, multi-block): refused-with-reason, never applied.
 MUST_REFUSE = {
     "simd": {"pack_crossing"},
     "deep": {"pack_crossing"},
@@ -232,15 +232,15 @@ class TestReportSurface:
         from repro.core import parameters_for_pipeline
 
         single, deep = single_block_model(), deep_model()
-        slot_params = parameters_for_pipeline(single, 256, batching=True)
+        params = parameters_for_pipeline(single, 256, batching=True)
         built = {
             "cryptonets": ir.build_graph("cryptonets", q_he, he_params),
             "deep": ir.build_graph("deep", deep, parameters_for_pipeline(deep, 256)),
             **{
-                kind: ir.build_graph(kind, single, slot_params)
+                kind: ir.build_graph(kind, single, params)
                 for kind in ("simd", "packed", "hybrid", "served")
             },
-            "fake": ir.build_graph("hybrid", single, slot_params, mode="fake"),
+            "fake": ir.build_graph("hybrid", single, params, mode="fake"),
         }
         for kind, graph in built.items():
             compiled, report = compile_graph(graph, level=level)

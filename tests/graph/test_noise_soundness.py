@@ -1,15 +1,16 @@
-"""IR noise estimates against measured budgets on the packed flush and the
-direct path's result (the first instances of ROADMAP item 5(a)): each fold
-is a host-side sum, not a refresh -- the flush's makes ``conv`` start below
-fresh, the class fold ends ``served`` below ``fc`` -- and a model either
-leaves no budget is refused when it is provisioned."""
+"""IR noise estimates against measured budgets on the packed flush, the
+direct path's result and the ``simd`` kind: each fold is a host-side sum,
+not a refresh -- the flush's makes ``conv`` start below fresh, the class
+fold ends ``served`` below ``fc`` -- the ``simd`` kind's lanes are written
+by one fresh encryption, and a model either leaves no budget is refused
+when it is provisioned."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import EdgeServer, heops, parameters_for_pipeline
+from repro.core import EdgeServer, SimdHybridPipeline, heops, parameters_for_pipeline
 from repro.errors import ParameterError
 from repro.graph import ir, optimizer
 from repro.he import EncryptionParams, modmath
@@ -39,6 +40,27 @@ def test_fold_is_priced_not_a_refresh():
         assert packed.node("fc").budget_bits == served.node("fc").budget_bits
 
 
+def _spy_budgets(monkeypatch, decryptor) -> dict:
+    """The measured budget of every ``conv`` / ``fc`` output, by stage."""
+    measured = {}
+    for stage, name in (("conv", "he_conv2d"), ("fc", "he_dense")):
+        layer = getattr(heops, name)
+
+        def spy(*args, _layer=layer, _stage=stage):
+            out = _layer(*args)
+            measured[_stage] = decryptor.invariant_noise_budget(out)
+            return out
+
+        monkeypatch.setattr(heops, name, spy)
+    return measured
+
+
+def _assert_lower_bounds(graph, measured) -> None:
+    for stage in ("conv", "fc"):
+        estimated = graph.node(stage).budget_bits
+        assert 0.0 < estimated <= measured[stage], (stage, estimated, measured[stage])
+
+
 @pytest.mark.parametrize("batch", [1, 2, 16, 256])
 def test_ir_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
     model = single_block_model()
@@ -48,23 +70,27 @@ def test_ir_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
     verifier = AttestationVerificationService()
     verifier.register_platform(server.quoting)
     session = server.enroll_user(entropy=b"\x42" * 32, verifier=verifier)
-    measured = {}
-    for stage, name in (("conv", "he_conv2d"), ("fc", "he_dense")):
-        layer = getattr(heops, name)
-
-        def spy(*args, _layer=layer, _stage=stage):
-            out = _layer(*args)
-            measured[_stage] = session.decryptor.invariant_noise_budget(out)
-            return out
-
-        monkeypatch.setattr(heops, name, spy)
+    measured = _spy_budgets(monkeypatch, session.decryptor)
     images = np.random.default_rng(2116).random((batch, 1, 8, 8))
     response = server.scheduler.submit("m", session.encrypt("m", images))
     assert response.done() and response.result().packed_batch == batch
-    graph = ir.build_graph("packed", model, params, lanes=batch)
-    for stage in ("conv", "fc"):
-        estimated = graph.node(stage).budget_bits
-        assert 0.0 < estimated <= measured[stage], (stage, estimated, measured[stage])
+    _assert_lower_bounds(ir.build_graph("packed", model, params, lanes=batch), measured)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 16, 256])
+def test_simd_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
+    """The ``simd`` kind writes its ``batch`` lanes in one fresh encryption,
+    so, unlike the flush, no fold is priced before ``conv``."""
+    model = single_block_model()
+    params = parameters_for_pipeline(model, 256, batching=True)
+    pipeline = SimdHybridPipeline(model, params, seed=7)
+    measured = _spy_budgets(monkeypatch, pipeline.decryptor)
+    images = np.random.default_rng(2118).random((batch, 1, 8, 8))
+    with optimizer.use("off"):
+        pipeline.infer(images)
+    graph = ir.build_graph("simd", model, params)
+    assert graph.node("encrypt_lanes").op in ir.REFRESH_OPS
+    _assert_lower_bounds(graph, measured)
 
 
 @pytest.mark.parametrize("batch", [1, 2])

@@ -1,24 +1,12 @@
-"""SIMD batching: slot packing and slot-wise homomorphic semantics."""
+"""Coefficient lanes: the fold, the lane layout and lane-wise semantics."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import EncodingError
-from repro.he import (
-    BatchEncoder,
-    Ciphertext,
-    Context,
-    Decryptor,
-    Encryptor,
-    Evaluator,
-    KeyGenerator,
-    modmath,
-    small_parameter_options,
-)
+from repro.he import Ciphertext, Context, Evaluator, modmath
 from repro.he.batching import (
     lane_operand,
     lane_plain,
@@ -28,95 +16,6 @@ from repro.he.batching import (
 )
 from repro.he.context import Plaintext
 from repro.he.params import EncryptionParams
-
-
-@pytest.fixture(scope="module")
-def batch_encoder(context):
-    return BatchEncoder(context)
-
-
-class TestSlotCodec:
-    def test_slot_count(self, batch_encoder, context):
-        assert batch_encoder.slot_count == context.poly_degree
-
-    def test_full_roundtrip(self, batch_encoder, context, rng):
-        t = context.plain_modulus
-        values = rng.integers(-(t // 2), t // 2, size=batch_encoder.slot_count)
-        assert np.array_equal(batch_encoder.decode(batch_encoder.encode(values)), values)
-
-    def test_partial_vector_zero_pads(self, batch_encoder):
-        decoded = batch_encoder.decode(batch_encoder.encode(np.array([1, 2, 3])))
-        assert decoded[:3].tolist() == [1, 2, 3]
-        assert not decoded[3:].any()
-
-    def test_rejects_oversized_vector(self, batch_encoder):
-        with pytest.raises(EncodingError):
-            batch_encoder.encode(np.zeros(batch_encoder.slot_count + 1))
-
-    def test_rejects_non_batching_modulus(self):
-        params = small_parameter_options()[256]
-        bad = EncryptionParams(
-            poly_degree=params.poly_degree,
-            coeff_primes=params.coeff_primes,
-            plain_modulus=257,  # prime but 256 !≡ 0 mod 512
-        )
-        with pytest.raises(EncodingError):
-            BatchEncoder(Context(bad))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(min_value=-100, max_value=100), min_size=1, max_size=64))
-    def test_roundtrip_property(self, context, values):
-        encoder = BatchEncoder(context)
-        decoded = encoder.decode(encoder.encode(np.array(values)))
-        assert decoded[: len(values)].tolist() == values
-
-
-class TestSlotwiseHomomorphism:
-    def test_add_is_slotwise(
-        self, batch_encoder, encryptor, decryptor, evaluator, rng
-    ):
-        a = rng.integers(-100, 100, size=16)
-        b = rng.integers(-100, 100, size=16)
-        ct = evaluator.add(
-            encryptor.encrypt(batch_encoder.encode(a)),
-            encryptor.encrypt(batch_encoder.encode(b)),
-        )
-        decoded = batch_encoder.decode(decryptor.decrypt(ct))
-        assert np.array_equal(decoded[:16], a + b)
-
-    def test_multiply_is_slotwise(
-        self, batch_encoder, encryptor, decryptor, evaluator, rng
-    ):
-        a = rng.integers(-50, 50, size=16)
-        b = rng.integers(-50, 50, size=16)
-        ct = evaluator.multiply(
-            encryptor.encrypt(batch_encoder.encode(a)),
-            encryptor.encrypt(batch_encoder.encode(b)),
-        )
-        decoded = batch_encoder.decode(decryptor.decrypt(ct))
-        assert np.array_equal(decoded[:16], a * b)
-
-    def test_plain_multiply_is_slotwise(
-        self, batch_encoder, encryptor, decryptor, evaluator, rng
-    ):
-        a = rng.integers(-50, 50, size=16)
-        w = rng.integers(-50, 50, size=16)
-        ct = evaluator.multiply_plain(
-            encryptor.encrypt(batch_encoder.encode(a)), batch_encoder.encode(w)
-        )
-        decoded = batch_encoder.decode(decryptor.decrypt(ct))
-        assert np.array_equal(decoded[:16], a * w)
-
-    def test_throughput_amplification(self, batch_encoder, encryptor, decryptor, evaluator):
-        """One ciphertext carries slot_count independent values -- the paper's
-        Section VIII claim that SIMD multiplies throughput by n."""
-        n = batch_encoder.slot_count
-        values = np.arange(n) % 97 - 48
-        ct = encryptor.encrypt(batch_encoder.encode(values))
-        doubled = evaluator.add(ct, ct)
-        assert np.array_equal(
-            batch_encoder.decode(decryptor.decrypt(doubled)), values * 2
-        )
 
 
 class TestCoefficientFold:
@@ -193,6 +92,25 @@ class TestLanes:
         too_many = np.zeros((context.poly_degree + 1, 2), dtype=np.int64)
         with pytest.raises(EncodingError, match="exceed the ring degree"):
             write_lanes(context, too_many)
+
+    def test_add_is_lanewise(self, context, encryptor, decryptor, evaluator, rng):
+        a = rng.integers(-100, 100, size=(16, 2))
+        b = rng.integers(-100, 100, size=(16, 2))
+        ct = evaluator.add(
+            encryptor.encrypt(write_lanes(context, a)),
+            encryptor.encrypt(write_lanes(context, b)),
+        )
+        assert np.array_equal(read_lanes(decryptor.decrypt(ct), 16), a + b)
+
+    def test_throughput_amplification(self, context, encoder, encryptor, decryptor, evaluator):
+        """One ciphertext carries ``n`` independent values and one scalar
+        multiply acts on all of them -- the paper's Section VIII claim that
+        packing multiplies throughput by ``n``."""
+        n = context.poly_degree
+        values = np.arange(n) % 97 - 48
+        ct = encryptor.encrypt(write_lanes(context, values))
+        tripled = evaluator.multiply_plain(ct, evaluator.transform_plain(encoder.encode(3)))
+        assert np.array_equal(read_lanes(decryptor.decrypt(tripled), n), values * 3)
 
     def test_read_refuses_what_is_not_lane_encoded(self, context, rng):
         plain = write_lanes(context, rng.integers(1, 9, size=(6, 2)))

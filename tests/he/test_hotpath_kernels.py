@@ -6,8 +6,7 @@ lazy conditional-subtract arithmetic against full ``%``, the Garner int64
 CRT lift against the object-dtype sum, the int64 FV rounding against the
 object-dtype formula, the probe-based constant decrypt against full decrypt +
 decode, the fused multiply-reduce (and the coefficient fold built on it)
-against the composed primitives, and the stacked slot codec against
-``NttPlan``, and the RNS ciphertext multiply / relinearize against the
+against the composed primitives, and the RNS ciphertext multiply / relinearize against the
 Python-int tensor product and digit code.  The overflow-bound regressions
 pin the two exactness margins -- the GEMM transform's ``< 2^53`` limb split
 and the deferred reductions' int64 term counts -- at the largest supported
@@ -30,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.errors import EncodingError, ParameterError
 from repro.he import kernels, modmath
-from repro.he.batching import BatchEncoder, pack_coefficients
+from repro.he.batching import pack_coefficients
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
 from repro.he.encoders import ScalarEncoder
@@ -160,7 +159,7 @@ def _assert_matches_per_prime(plan: StackedNttPlan, x: np.ndarray) -> None:
 
 def _ntt_prime_pool(n: int) -> list[int]:
     """NTT primes of 20-31 bits for length ``n`` (one, two and three limbs),
-    plus the one-prime slot codec's ``t`` where it supports ``n``."""
+    plus the 20-bit prime ``520193`` where it supports ``n``."""
     pool = [p for bits in (20, 24, 28, 30, 31) for p in modmath.ntt_primes(bits, n, 2)]
     if (520193 - 1) % (2 * n) == 0:
         pool.append(520193)
@@ -331,7 +330,7 @@ class TestOverflowBounds:
     @pytest.mark.parametrize(
         "n1, p_max, expected",
         [
-            (32, 520193, (1, 19)),  # the slot codec's prime: one GEMM per step
+            (32, 520193, (1, 19)),  # a 20-bit prime: one GEMM per step
             (32, (1 << 30) - 1, (2, 15)),  # the pipeline presets
             (64, (1 << 30) - 1, (2, 15)),  # functional_2048 / functional_4096
             (32, (1 << 31) - 1, (3, 11)),  # 31-bit: two limbs overrun at n=1024
@@ -863,40 +862,6 @@ class TestFullDecryptBitIdentity:
                 checked = decryptor.decrypt(ct, check_noise=True)
                 assert len(calls) == 1
                 assert np.array_equal(checked.coeffs, coeffs)
-
-
-class TestSlotCodec:
-    """``BatchEncoder`` through the one-prime stacked plan == ``NttPlan``."""
-
-    @pytest.mark.parametrize("degree", [256, 512])
-    def test_encode_decode_identical_both_profiles(self, rng, degree):
-        context = Context(small_parameter_options()[degree])
-        codec = BatchEncoder(context)
-        t = context.plain_modulus
-        values = rng.integers(-(t // 2), t // 2 + 1, size=(1, 3, 5, degree))
-        with kernels.fused_kernels():
-            fast_plain = codec.encode(values)
-            fast_slots = codec.decode(fast_plain)
-        with kernels.reference_kernels():
-            slow_plain = codec.encode(values)
-            slow_slots = codec.decode(slow_plain)
-        assert np.array_equal(fast_plain.coeffs, slow_plain.coeffs)
-        assert np.array_equal(fast_slots, slow_slots)
-        assert np.array_equal(fast_slots, values)
-        plan = NttPlan(degree, t)
-        assert np.array_equal(fast_plain.coeffs, plan.inverse(values % t))
-
-    def test_batch_axis_roundtrip_matches_reference(self, rng):
-        context = Context(small_parameter_options()[256])
-        codec = BatchEncoder(context)
-        rows = rng.integers(-500, 500, size=(16, 2, 3))
-        with kernels.fused_kernels():
-            fast = codec.encode_batch_axis(rows)
-        with kernels.reference_kernels():
-            slow = codec.encode_batch_axis(rows)
-            decoded = codec.decode_batch_axis(fast, 16)
-        assert np.array_equal(fast.coeffs, slow.coeffs)
-        assert np.array_equal(decoded, rows)
 
 
 class TestEncryptorBitIdentity:

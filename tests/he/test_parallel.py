@@ -3,7 +3,7 @@
 The determinism contract (DESIGN.md §15): the pool's assembled output is
 byte-identical to the in-process unit executor run serially over the same
 arena, for every worker count and both split axes (batch rows when B > 1,
-conv output rows / FC classes for the slot-packed B == 1 flush).
+conv output rows / FC classes for the lane-packed B == 1 flush).
 """
 
 from __future__ import annotations

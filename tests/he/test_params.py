@@ -83,12 +83,6 @@ class TestDerivedQuantities:
         w = params.decomposition_base
         assert w ** params.decomposition_count > params.coeff_modulus
 
-    def test_supports_batching_true(self):
-        assert make(plain_modulus=65537).supports_batching()  # 65537 ≡ 1 mod 512
-
-    def test_supports_batching_false_for_composite(self):
-        assert not make(plain_modulus=512 * 9 + 1 + 1).supports_batching()
-
     def test_describe_mentions_name(self):
         assert "custom" in make().describe()
 
@@ -105,11 +99,6 @@ class TestPresets:
         options = default_parameter_options()
         for degree, preset in options.items():
             assert preset.poly_degree == degree
-
-    def test_functional_presets_support_batching(self):
-        options = default_parameter_options()
-        assert options[2048].supports_batching()
-        assert options[4096].supports_batching()
 
     def test_functional_parameters_picks_wide_enough_t(self):
         params = functional_parameters(plain_bits=18)

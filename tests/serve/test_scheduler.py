@@ -29,7 +29,7 @@ class TestPackingCorrectness:
     ):
         """One packed flush must be bit-exact with one-request-at-a-time
         serving and with the plaintext integer reference -- FV arithmetic is
-        exact, so slot packing may not change a single logit."""
+        exact, so lane packing may not change a single logit."""
         images = models.dataset.test_images[:5]
         sequential = np.concatenate(
             [
@@ -58,7 +58,7 @@ class TestPackingCorrectness:
         built with ``batching=False`` serves ``pack=True`` and a 16-request
         flush with the logits of its own unpacked path."""
         params = parameters_for_pipeline(q_sigmoid, 256)  # power-of-two t
-        assert not params.supports_batching()
+        assert params.plain_modulus & (params.plain_modulus - 1) == 0
         srv = EdgeServer(params, seed=13, serve_config=ServeConfig(max_batch=16))
         srv.provision_model("digits", q_sigmoid)
         session = session_for(srv)
@@ -231,7 +231,8 @@ class TestRejectionPaths:
         srv.provision_model("digits", q_sigmoid)
         session = session_for(srv)
         ct = session.encrypt("digits", models.dataset.test_images[:3])
-        with pytest.raises(BatchTooLargeError):
+        lanes = batching_params.poly_degree
+        with pytest.raises(BatchTooLargeError, match=rf"capacity 2 \(lanes: {lanes}\)"):
             srv.scheduler.submit("digits", ct)
         assert srv.scheduler.stats.rejected_oversized == 1
 
@@ -297,6 +298,7 @@ class TestObservability:
             assert span.attrs["queue_wait_s"] >= 0.0
             assert span.attrs["queue_depth_at_submit"] >= 0
         assert trace.attrs["batch"] == 3
+        assert trace.attrs["lanes"] == server.params.poly_degree
 
     def test_served_result_carries_serving_metadata(self, server, session, models):
         response = server.scheduler.submit(
@@ -325,8 +327,8 @@ class TestObservability:
 class TestSchedulerConstruction:
     def test_standalone_construction(self, server):
         scheduler = RequestScheduler(server, ServeConfig(max_batch=8))
-        assert scheduler.capacity == 8
-        assert scheduler.slot_count == server.params.poly_degree
+        lanes = server.params.poly_degree
+        assert scheduler.capacity == ServeConfig(max_batch=8).capacity(lanes) == 8
 
     def test_capacity_clamped_to_slots(self, server):
         scheduler = RequestScheduler(server, ServeConfig(max_batch=10**6))
