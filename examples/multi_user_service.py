@@ -16,8 +16,9 @@ Puts the whole reproduction together the way an integrator would:
    (a frozen :class:`~repro.serve.InferenceRequest` per call), then
    *concurrently* through the request scheduler, which coalesces the
    users' requests into one packed pipeline pass (paper Section VIII:
-   the batch rides polynomial coefficients) -- legal because the fleet is the
-   key authority, so every enrolled user shares its key pair;
+   each request is one image in one polynomial, several of which the host
+   stacks per ciphertext) -- legal because the fleet is the key authority,
+   so every enrolled user shares its key pair;
 4. a replica is lost mid-service: the fleet retires it, the client
    reconnects against its pinned fingerprint, and the survivor's logits
    are bit-identical.
@@ -51,8 +52,10 @@ def main() -> None:
     spec = PipelineSpec(scheme="hybrid", poly_degree=1024, batching=True,
                         fleet_size=2)
     server = EdgeServer.from_spec(spec, seed=21, sizing_model=quantized)
-    print(f"   {server.params.describe()} "
-          f"(lanes per ciphertext: {server.params.poly_degree})")
+    _, side, _ = quantized.input_shape
+    print(f"   {server.params.describe()} (one {side}x{side} image per "
+          f"request ciphertext, {server.params.poly_degree // side**2} per "
+          "flush ciphertext)")
     server.provision_model("digits", quantized)
     sealed = server.seal_model("digits")
     desc = server.descriptor()

@@ -62,6 +62,12 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _serving_degree(side: int) -> int:
+    """Ring degree of the demos' edge servers: 256, or the smallest power
+    of two a served ``side x side`` image (one per polynomial) fits."""
+    return max(256, 1 << (side * side - 1).bit_length())
+
+
 def _emit(text: str, path: str, what: str) -> None:
     """Write ``text`` to ``path`` (``-`` is stdout)."""
     if path == "-":
@@ -87,7 +93,8 @@ def _metrics_demo(models, quantized) -> None:
     from repro.errors import EnclaveCrashed
     from repro.sgx import AttestationVerificationService
 
-    spec = PipelineSpec(scheme="hybrid", poly_degree=256, batching=True)
+    side = models.dataset.test_images.shape[-1]
+    spec = PipelineSpec(scheme="hybrid", poly_degree=_serving_degree(side), batching=True)
     plan = faults.FaultPlan(
         seed=5,
         rules=[
@@ -146,8 +153,8 @@ def _serve_demo(
     models = train_paper_models(**training, **dims)
     quantized = models.quantized_sigmoid()
     spec = PipelineSpec(
-        scheme="hybrid", poly_degree=256, batching=True,
-        fleet_size=fleet, max_batch=8,
+        scheme="hybrid", poly_degree=_serving_degree(dims["image_size"]),
+        batching=True, fleet_size=fleet, max_batch=8,
     )
     server = EdgeServer.from_spec(spec, seed=13, sizing_model=quantized)
     server.provision_model("digits", quantized)

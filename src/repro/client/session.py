@@ -52,7 +52,6 @@ from repro.errors import (
 from repro.he import serialize as he_serialize
 from repro.he.context import Context
 from repro.he.decryptor import Decryptor
-from repro.he.encoders import ScalarEncoder
 from repro.he.encryptor import Encryptor
 from repro.obs import metrics
 from repro.obs.context import TraceContext
@@ -237,7 +236,6 @@ class AttestedClient:
         context = Context(self.server.params)
         self.session = UserSession(
             context=context,
-            encoder=ScalarEncoder(context),
             encryptor=Encryptor(context, self._keys.public),
             decryptor=Decryptor(context, self._keys.secret),
             quantized_by_model={

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core import securechannel
 from repro.errors import EncodingError, PipelineError
-from repro.he.batching import read_lanes, write_lanes
+from repro.he.batching import ImageLayout, read_image, read_lanes, write_lanes
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
 from repro.he.encoders import ScalarEncoder
@@ -165,15 +165,19 @@ class InferenceEnclave(Enclave):
         window: int,
         activation: str = "sigmoid",
         pool: str = "mean",
+        image: ImageLayout | None = None,
     ) -> Ciphertext:
         """Decrypt, apply the exact activation + pooling, re-encrypt.
 
         This is the paper's batched ``EncryptSGX`` step: one enclave crossing
         per feature-map batch instead of one per pixel.  ``pool`` may be
         ``mean`` or ``max`` -- max-pooling is only computable here
-        (Section VI-D).
+        (Section VI-D).  ``ct`` is scalar-encoded ``(B, F, OH, OW)``, or,
+        with ``image``, the served request format's ``(B, F)`` conv outputs,
+        one image per ciphertext (:func:`~repro.he.batching.read_image`);
+        either way one scalar ciphertext per pooled value comes back.
         """
-        values = self._decrypt_values(ct)
+        values = self._decrypt_values(ct, image=image)
         return self._encrypt_values(
             _activate_pool(values, input_scale, output_scale, window, activation, pool)
         )
@@ -269,14 +273,17 @@ class InferenceEnclave(Enclave):
         window: int,
         activation: str = "sigmoid",
         pool: str = "mean",
+        image: ImageLayout | None = None,
     ) -> Ciphertext:
-        """The packed flush's :meth:`activation_pool`: ``ct`` is ``(1, C, H,
-        W)`` with request ``b`` in polynomial coefficient ``b`` (a *lane*),
-        as the host's :func:`~repro.he.batching.pack_coefficients` folded it.
-        The enclave is the key authority, so all users' ciphertexts share one
-        key pair and may share a polynomial; the ``batch`` lanes come back
-        activated, pooled and re-encrypted in the same layout."""
-        values = self._decrypt_values(ct, batch)
+        """The lane-packed :meth:`activation_pool`: the ``batch`` images come
+        back activated, pooled and re-encrypted as one ``(1, F, PH, PW)``
+        ciphertext with image ``b`` in polynomial coefficient ``b`` (a
+        *lane*).  ``ct`` holds them in lanes already (the SIMD kind), or,
+        with ``image``, as the packed flush's fold left them: ``(ceil(batch
+        / P), F)`` conv outputs, image ``b`` in block ``b % P`` of row ``b //
+        P``.  The enclave is the key authority, so all users' ciphertexts
+        share one key pair and may share a polynomial."""
+        values = self._decrypt_values(ct, batch, image)
         return self._encrypt_values(
             _activate_pool(values, input_scale, output_scale, window, activation, pool),
             lanes=True,
@@ -333,11 +340,22 @@ class InferenceEnclave(Enclave):
         self._require_keys()
         self.touch_working_set(self._crypto_state_bytes())
 
-    def _decrypt_values(self, ct: Ciphertext, lanes: int | None = None) -> np.ndarray:
-        """The scalar-encoded values of ``ct``, or the ``(lanes, *rest)``
-        values of a lane-packed ``(1, *rest)`` one; zero probes checked."""
+    def _decrypt_values(
+        self, ct: Ciphertext, lanes: int | None = None, image: ImageLayout | None = None
+    ) -> np.ndarray:
+        """The crossings' one decode: the scalar-encoded values of ``ct``,
+        the ``(lanes, *rest)`` values of a lane-packed ``(1, *rest)`` one, or,
+        with ``image``, the conv outputs of image-encoded ``(rows, F)``
+        ciphertexts -- one image per row, or ``lanes`` images ``P`` per row.
+        Zero probes checked (and, for images, the conv bound)."""
         self._load_crypto_state()
         with _typed_read():
+            if image is not None:
+                plain = self._decryptor.decrypt(ct)
+                if lanes is None:
+                    return read_image(plain, image)
+                per = image.per_ciphertext(self._context.poly_degree)
+                return read_image(plain, image, lanes, per)
             if lanes is not None:
                 return read_lanes(self._decryptor.decrypt(ct), lanes)
             return decrypt_scalar_values(

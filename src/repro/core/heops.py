@@ -5,7 +5,9 @@ enclave (Section IV-C): convolution and the fully connected layer decompose
 into ciphertext-plaintext multiplications (``C x P``) and ciphertext
 additions (``C + C``).  These helpers operate on *batched* ciphertexts whose
 batch axes mirror the tensor layout ``(B, C, H, W)``, one ciphertext per
-pixel, exactly the paper's non-SIMD encoding.
+pixel, exactly the paper's non-SIMD encoding -- except the served request
+format's convolution (:func:`encode_image_conv`), whose ``(B, C)``
+ciphertexts carry one image each in their coefficients.
 
 Weights are pre-encoded once (Section IV-B / Fig. 3) via
 :func:`encode_model_weights`; the returned operand table is reused across
@@ -30,8 +32,8 @@ import numpy as np
 
 from repro.errors import PipelineError
 from repro.he import contraction, kernels, parallel
-from repro.he.batching import lane_operand, lane_plain
-from repro.he.context import Ciphertext, Context
+from repro.he.batching import ImageLayout, lane_operand, lane_plain, stride_monomials
+from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.encoders import ScalarEncoder
 from repro.he.evaluator import Evaluator, PlainOperand
 
@@ -89,6 +91,54 @@ class EncodedConvWeights:
     @property
     def kernel_size(self) -> int:
         return self.operands.shape[-1]
+
+
+@dataclass(eq=False)
+class ImageConvWeights:
+    """The served request format's conv operands, encoded once at
+    provisioning.
+
+    Attributes:
+        layout: where images and conv outputs sit in a polynomial.
+        kernels: ``(F, C)`` NTT operand of ``K_{f,c}(x) = sum_{u,v} w[f, c,
+            u, v] x^((k-1-u)W + (k-1-v))``.
+        bias: ``(P, F)`` NTT operand of ``Delta * bias_f`` at the conv
+            outputs of blocks ``0..m-1`` in row ``m - 1``: a ciphertext with
+            ``m`` occupied blocks takes row ``m - 1``, so the coefficients of
+            unused blocks stay zero.
+    """
+
+    layout: ImageLayout
+    kernels: PlainOperand
+    bias: PlainOperand
+
+
+def encode_image_conv(
+    evaluator: Evaluator, quantized, layout: ImageLayout
+) -> ImageConvWeights:
+    """Encode ``quantized``'s conv layer for images laid out by ``layout``
+    (:func:`repro.graph.ir.image_layout`)."""
+    context = evaluator.context
+    n = context.poly_degree
+    weight = np.asarray(quantized.conv_weight, dtype=np.int64)
+    f, c, k, _ = weight.shape
+    taps = np.zeros((f, c, n), dtype=np.int64)
+    taps[..., layout.kernel_offsets().ravel()] = weight.reshape(f, c, k * k)
+    block = np.zeros((f, n), dtype=np.int64)
+    block[:, layout.output_offsets().ravel()] = np.asarray(quantized.conv_bias)[:, None]
+    # Block 0's bias shifted onto each block by the fold's own monomials
+    # (built here, at provisioning, not by a request), then prefix-summed.
+    ring = context.ring
+    first = evaluator.transform_plain_delta(Plaintext(context, block)).ntt_data
+    shifted = ring.pointwise_mul(first, stride_monomials(context, layout.pixels)[:, None])
+    rows = [shifted[0]]
+    for term in shifted[1:]:
+        rows.append(ring.add(rows[-1], term))
+    return ImageConvWeights(
+        layout,
+        evaluator.transform_plain(Plaintext(context, taps)),
+        PlainOperand(context, np.stack(rows)),
+    )
 
 
 @dataclass(eq=False)
@@ -247,7 +297,7 @@ def he_conv2d(
     evaluator: Evaluator,
     encoder: ScalarEncoder,
     ct: Ciphertext,
-    weights: EncodedConvWeights,
+    weights: EncodedConvWeights | ImageConvWeights,
     lanes: int = 1,
 ) -> Ciphertext:
     """Homomorphic convolution over a ``(B, C, H, W)`` ciphertext batch.
@@ -256,9 +306,15 @@ def he_conv2d(
     batch axes) is multiplied by the encoded scalar weight and accumulated,
     i.e. ``k*k*C`` C x P and C + C operations per output map -- the exact op
     structure Fig. 4 measures.  A scalar weight acts on every coefficient
-    alike, so values riding coefficients ``0..lanes-1`` (the packed flush's
-    fold) take the same contraction, the bias spread over the lanes.
+    alike, so values riding coefficients ``0..lanes-1`` (the SIMD kind's
+    lanes) take the same contraction, the bias spread over the lanes.
+
+    With :class:`ImageConvWeights` the input is the served request format
+    instead (:func:`_he_conv2d_image`), ``lanes`` the images of a packed
+    flush's fold.
     """
+    if isinstance(weights, ImageConvWeights):
+        return _he_conv2d_image(evaluator, ct, weights, lanes)
     if len(ct.batch_shape) != 4:
         raise PipelineError(
             f"he_conv2d expects a (B, C, H, W) ciphertext batch, got {ct.batch_shape}"
@@ -332,6 +388,39 @@ def _he_conv2d_fused(
             evaluator.counter.record("ct_add", f * (t - 1) * outputs)
     out = Ciphertext(ct.context, out, is_ntt=True)
     return _add_bias(evaluator, out, bias_operand, weights.fold_bias)
+
+
+def _he_conv2d_image(
+    evaluator: Evaluator, ct: Ciphertext, weights: ImageConvWeights, lanes: int
+) -> Ciphertext:
+    """Convolution of image-encoded ``(rows, C)`` ciphertexts: ``out[r, f] =
+    sum_c ct[r, c] * K_{f,c}``, one NTT-domain product per (filter, channel)
+    -- ``(rows, F)`` ciphertexts holding every output (and partial sums
+    between them) where :class:`ImageLayout` says.  Each row holds one image
+    (``lanes == 1``: the direct path, or a one-image flush) or the flush's
+    ``lanes`` images ``P`` per row; the bias lands on occupied blocks only."""
+    operands = weights.kernels.ntt_data  # (F, C, k_rns, n)
+    if len(ct.batch_shape) != 2 or ct.batch_shape[1] != operands.shape[1]:
+        raise PipelineError(
+            f"image conv expects (B, {operands.shape[1]}) ciphertexts, got "
+            f"{ct.batch_shape}"
+        )
+    rows = ct.batch_shape[0]
+    occupied = np.ones(rows, dtype=np.int64)
+    if lanes > 1:
+        per = weights.layout.per_ciphertext(ct.context.poly_degree)
+        if -(-lanes // per) != rows:
+            raise PipelineError(
+                f"{rows} ciphertexts cannot hold {lanes} images at {per} each"
+            )
+        occupied = np.minimum(per, lanes - per * np.arange(rows))
+    data = ct.to_ntt().data  # (rows, C, size, k_rns, n)
+    out = evaluator.sum_products(
+        [data[:, c, None] for c in range(operands.shape[1])],
+        [operands[:, c, None] for c in range(operands.shape[1])],
+    )
+    bias = PlainOperand(ct.context, weights.bias.ntt_data[occupied - 1])
+    return evaluator.add_plain_operand(out, bias)
 
 
 def he_square(evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:

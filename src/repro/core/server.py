@@ -44,12 +44,12 @@ from repro.core import heops
 from repro.core.enclave_service import InferenceEnclave
 from repro.core.keyflow import SgxKeyDistribution, UserClient
 from repro.core.results import InferenceResult, stages_from_trace
-from repro.errors import PipelineError, UnknownModelError
+from repro.errors import EncodingError, PipelineError, UnknownModelError
 from repro.faults import EnclaveSupervisor, FleetManager, run_with_kernel_degradation
 from repro.graph import executor as graph_executor
 from repro.graph import ir as graph_ir
 from repro.he import serialize as he_serialize
-from repro.he.batching import read_lanes
+from repro.he.batching import read_lanes, write_image
 from repro.he.context import Ciphertext, Context
 from repro.he.decryptor import Decryptor
 from repro.he.encoders import ScalarEncoder
@@ -76,15 +76,28 @@ class UserSession:
     """A user's view after successful enrollment: their own crypto endpoints."""
 
     context: Context
-    encoder: ScalarEncoder
     encryptor: Encryptor
     decryptor: Decryptor
     quantized_by_model: dict
 
     def encrypt(self, model_name: str, images: np.ndarray) -> Ciphertext:
+        """The served request format: ``(B, C)`` ciphertexts, one per image
+        channel, pixel ``(i, j)`` in coefficient ``i*W + j``
+        (:func:`~repro.he.batching.write_image`).
+
+        Raises:
+            EncodingError: the images are not ``(B, C, H, W)`` with the
+                model's ``(C, H, W)``, or ``H*W`` exceeds the ring degree.
+        """
         quantized = self._quantized(model_name)
         pixels = quantized.quantize_images(images)
-        return self.encryptor.encrypt(self.encoder.encode(pixels))
+        c, h, w = quantized.input_shape
+        if pixels.shape[1:] != (c, h, w):
+            raise EncodingError(
+                f"model {model_name!r} consumes (B, {c}, {h}, {w}) images, "
+                f"got {pixels.shape}"
+            )
+        return self.encryptor.encrypt(write_image(self.context, pixels))
 
     def decrypt(self, result: "ServedResult") -> np.ndarray:
         return self.decrypt_logits(result).argmax(axis=1)
@@ -254,19 +267,26 @@ class EdgeServer:
             raise PipelineError(
                 f"model {name!r} needs t >= {quantized.required_plain_modulus()}"
             )
-        # A flush folds `lanes` requests per ciphertext before conv, the
+        # Requests are one image per polynomial (ParameterError if one does
+        # not fit).  A flush folds them P per ciphertext before conv, the
         # direct path each image's logits after fc: budget both folds.
+        layout = graph_ir.image_layout(quantized, self.params)
         lanes = self._serve_config.capacity(self.params.poly_degree)
         packed = graph_ir.build_graph("packed", quantized, self.params, lanes=lanes)
         graph_ir.require_headroom(packed)
         graph_ir.require_headroom(graph_ir.build_graph("served", quantized, self.params))
         self._models[name] = quantized
-        encoded = heops.encode_model_weights(self.evaluator, self.encoder, quantized)
         self._resources[name] = graph_executor.Resources(
             tracer=self.platform.tracer,
             evaluator=self.evaluator,
             encoder=self.encoder,
-            weights={"conv": encoded.conv, "fc": encoded.dense},
+            weights={
+                "conv": heops.encode_image_conv(self.evaluator, quantized, layout),
+                "fc": heops.encode_dense_weights(
+                    self.evaluator, self.encoder, quantized.dense_weight,
+                    quantized.dense_bias,
+                ),
+            },
         )
         for kind, options in (("served", {}), ("packed", {"lanes": lanes})):
             self._plans[name, kind] = graph_executor.GraphPlan(
@@ -366,7 +386,6 @@ class EdgeServer:
         context = Context(self.params)
         return UserSession(
             context=context,
-            encoder=ScalarEncoder(context),
             encryptor=Encryptor(context, keys.public),
             decryptor=Decryptor(context, keys.secret),
             quantized_by_model=dict(self._models),

@@ -212,10 +212,21 @@ def _crossing(env, node, conv, walk):
         )
 
 
+def _crossing_image(env, node, conv, walk):
+    with _node_stage(env, node):
+        # One image per conv-output ciphertext; scalar values come back.
+        args = _enclave_args(node)
+        return env.enclave.ecall("activation_pool", conv, *args, image=node.attrs["image"])
+
+
 def _crossing_lanes(env, node, conv, walk):
     with _node_stage(env, node):
+        # The flush's conv output holds its fold's images (``image``), the
+        # simd kind's holds lanes already; both come back as lanes.
         args = _enclave_args(node)
-        return env.enclave.ecall("activation_pool_lanes", conv, walk.lanes, *args)
+        return env.enclave.ecall(
+            "activation_pool_lanes", conv, walk.lanes, *args, image=node.attrs.get("image")
+        )
 
 
 def _crossing_per_pixel(env, node, conv, walk):
@@ -262,12 +273,11 @@ def _pool(env, node, value, walk):
 
 def _fold(env, node, requests, walk):
     with _node_stage(env, node):
-        # Host side, no ECALL: fold the B requests (one ciphertext, or the
-        # flush's request ciphertexts un-stacked) into coefficient lanes.
-        # Scalar weights act on every lane alike, so conv and fc take it as is.
-        folded = pack_coefficients(env.evaluator, requests)
+        # Host side, no ECALL: fold the B image-encoded requests (one
+        # ciphertext, or the flush's request ciphertexts un-stacked) into
+        # ceil(B / P) ciphertexts, image b in block b % P of row b // P.
         walk.lanes = walk.batch
-        return folded.reshape(1, *folded.batch_shape)
+        return pack_coefficients(env.evaluator, requests, stride=node.attrs["stride"])
 
 
 def _fold_classes(env, node, logits, walk):
@@ -306,6 +316,7 @@ OPS: dict[str, Callable] = {
     "encrypt_lanes": _encrypt_lanes,
     "conv": _conv,
     "crossing": _crossing,
+    "crossing_image": _crossing_image,
     "crossing_lanes": _crossing_lanes,
     "crossing_per_pixel": _crossing_per_pixel,
     "square": _square,

@@ -14,11 +14,13 @@ a packed crossing may fold) without touching ciphertexts.
 One builder per graph kind (:data:`BUILDERS`): ``hybrid``, ``cryptonets``,
 ``simd``, ``deep``, ``served`` (``EdgeServer.infer``: no encrypt/decrypt
 node; ends in ``fold_classes``, one result ciphertext per image) and
-``packed`` (the scheduler flush).  Work on coefficient lanes
-(``encrypt_lanes``, ``fold``, ``crossing_lanes``, ``decrypt_lanes``,
-``unpack``, ``fold_classes``) has its own ops, not flags on the scalar ones,
-so the pass that rewrites ``crossing`` simply finds no such node on the
-``simd`` and flush graphs and refuses.
+``packed`` (the scheduler flush).  The two serving kinds take the served
+request format, one image per polynomial (:func:`image_layout`); their
+crossings carry that layout as an ``image`` attribute.  Work on coefficients
+(``encrypt_lanes``, ``fold``, ``crossing_image``, ``crossing_lanes``,
+``decrypt_lanes``, ``unpack``, ``fold_classes``) has its own ops, not flags
+on the scalar ones, so the pass that rewrites ``crossing`` simply finds no
+such node on the ``simd`` and serving graphs and refuses.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ParameterError, PipelineError
+from repro.he.batching import ImageLayout
 from repro.he.noise import NoiseEstimator
 from repro.he.params import EncryptionParams
 
@@ -36,8 +39,8 @@ from repro.he.params import EncryptionParams
 #: Ops whose output is a fresh encryption (the user's, or the enclave's
 #: re-encrypt on the trusted side of a crossing): the noise budget resets.
 REFRESH_OPS = frozenset(
-    {"encrypt", "encrypt_lanes", "crossing", "crossing_lanes", "crossing_per_pixel",
-     "unpack"}
+    {"encrypt", "encrypt_lanes", "crossing", "crossing_image", "crossing_lanes",
+     "crossing_per_pixel", "unpack"}
 )
 
 #: Ops that contract against a weight matrix in ``meta["layers"]``.
@@ -151,7 +154,10 @@ def node_noise_cost(node: GraphNode, graph: InferenceGraph, estimator: NoiseEsti
         return estimator.relinearize_cost()
     if node.op == "pool":
         return estimator.add_cost(node.attrs["window"] ** 2)
-    if node.op in ("fold", "fold_classes"):
+    if node.op == "fold":
+        per = graph.params.poly_degree // node.attrs["stride"]
+        return estimator.add_cost(min(node.attrs["lanes"], per))
+    if node.op == "fold_classes":
         return estimator.add_cost(node.attrs["lanes"])
     return 0.0
 
@@ -285,26 +291,59 @@ def build_simd_graph(quantized, params: EncryptionParams) -> InferenceGraph:
     )
 
 
+def image_layout(quantized, params: EncryptionParams) -> ImageLayout:
+    """The served request format of ``quantized`` under ``params``: its
+    geometry is the model's (:attr:`QuantizedCNN.input_shape`), one image
+    per ``n``-coefficient polynomial.
+
+    Raises:
+        ParameterError: an image of the model does not fit the ring.
+    """
+    _, height, width = quantized.input_shape
+    if height * width > params.poly_degree:
+        raise ParameterError(
+            f"the model's {height}x{width} images do not fit the "
+            f"{params.poly_degree} coefficients of {params.name!r}"
+        )
+    return ImageLayout(
+        height, width, int(np.shape(quantized.conv_weight)[-1]), int(quantized.stride),
+        int(quantized.conv_bound),
+    )
+
+
+def _image_stage(op: str, quantized, layout: ImageLayout) -> GraphNode:
+    node = _enclave_stage(op, quantized)
+    node.attrs["image"] = layout
+    return node
+
+
 def build_served_graph(quantized, params: EncryptionParams) -> InferenceGraph:
-    """IR for ``EdgeServer.infer``: the hybrid's server half, on an input
-    the user already encrypted and a result only the user can decrypt --
-    the host folds each image's logits into one ciphertext's coefficients,
-    additions that come out of ``fc``'s budget."""
+    """IR for ``EdgeServer.infer``: the hybrid's server half, on images the
+    user already encrypted one per polynomial and a result only the user can
+    decrypt -- conv is one plaintext-polynomial product per filter, the
+    crossing re-encrypts scalar values for ``fc``, and the host folds each
+    image's logits into one ciphertext's coefficients, additions that come
+    out of ``fc``'s budget."""
     classes = int(np.shape(quantized.dense_weight)[1])
+    layout = image_layout(quantized, params)
     return _single_block(
-        "served", quantized, params, [], [_enclave_stage("crossing", quantized)],
+        "served", quantized, params, [],
+        [_image_stage("crossing_image", quantized, layout)],
         [GraphNode("fold_classes", "pack_logits", {"lanes": classes})],
     )
 
 
 def build_packed_graph(quantized, params: EncryptionParams, lanes: int = 0) -> InferenceGraph:
     """IR for the serving flush: the host folds up to ``lanes`` requests (the
-    scheduler's capacity; 0 = ring degree) into coefficients -- additions, not
-    a refresh, so they come out of ``conv``'s budget; the enclave splits them."""
+    scheduler's capacity; 0 = ring degree) ``n // (H*W)`` images per
+    ciphertext -- additions, not a refresh, so they come out of ``conv``'s
+    budget; the enclave splits them into coefficient lanes for ``fc``."""
+    layout = image_layout(quantized, params)
+    fold = {"lanes": int(lanes) or params.poly_degree, "stride": layout.pixels}
     return _single_block(
         "packed", quantized, params,
-        [GraphNode("fold", "pack", {"lanes": int(lanes) or params.poly_degree})],
-        [_enclave_stage("crossing_lanes", quantized)],
+        [GraphNode("fold", "pack", fold)],
+        [_image_stage("crossing_lanes", quantized, layout)],
         [GraphNode("unpack", "unpack")],
     )
 

@@ -66,9 +66,10 @@ class PackCrossing(GraphPass):
     remaining budget can absorb above ``margin_bits`` (and at the ring
     degree) and refuses when even ``chunk = 2`` does not fit.  Also refuses
     for graphs with no scalar-layout crossing (pure-HE; the ``simd`` and
-    flush graphs' ``crossing_lanes``, already packed), for the
-    per-pixel negative control (each crossing carries a single value;
-    there is nothing to fold) and for multi-block graphs.
+    flush graphs' ``crossing_lanes`` and the ``served`` graph's
+    ``crossing_image``, already packed), for the per-pixel negative control
+    (each crossing carries a single value; there is nothing to fold) and
+    for multi-block graphs.
     """
 
     name = "pack_crossing"
@@ -80,8 +81,8 @@ class PackCrossing(GraphPass):
         if not crossings:
             return (
                 "no scalar-layout enclave crossing to pack (a pure-HE graph "
-                "never crosses; a lane-layout crossing already "
-                "carries one ciphertext per position)"
+                "never crosses; a lane- or image-layout crossing already "
+                "carries many values per ciphertext)"
             )
         if len(crossings) > 1:
             return (

@@ -1,4 +1,5 @@
-"""Coefficient lanes -- the one packing layout (the paper's Section VIII).
+"""Polynomial coefficients as the one packing layout (the paper's Section
+VIII): lanes, and the served request format's images.
 
 The paper predicts that packing ``n`` values per ciphertext buys up to
 ``n``x the throughput.  Every HE layer here multiplies by *scalar* plaintexts
@@ -12,10 +13,18 @@ with it a lane-wise ciphertext product); no inference layer uses one.
 :func:`write_lanes` / :func:`read_lanes` lay values out and read them back
 (with zero probes past the lanes); :func:`pack_coefficients` folds scalar
 ciphertexts into lanes homomorphically, on the host.
+
+A served request uses coefficients the other way round, one *image* per
+polynomial (:class:`ImageLayout`): :func:`write_image` puts pixel ``(i, j)``
+in coefficient ``i*W + j``, a convolution is then one plaintext-polynomial
+product per (filter, channel), and :func:`read_image` picks each conv output
+back out of the coefficient it lands in.  The packed flush stacks ``n //
+(H*W)`` images per polynomial with :func:`pack_coefficients`' ``stride``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +32,128 @@ import numpy as np
 from repro.errors import EncodingError, KeyMismatchError
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.evaluator import Evaluator, PlainOperand
+
+
+@dataclass(frozen=True)
+class ImageLayout:
+    """Where the served request format puts an ``H x W`` image and the
+    outputs of a ``kernel x kernel`` convolution of it.
+
+    Pixel ``(i, j)`` rides coefficient ``i*W + j``; image ``b`` of a packed
+    polynomial is shifted by ``x^(H*W*b)`` (a *block*).  The product with
+    ``K(x) = sum_{u,v} w[u, v] x^((k-1-u)W + (k-1-v))`` leaves output ``(i,
+    j)`` in coefficient ``(i*s + k-1)*W + (j*s + k-1)`` of the image's block
+    and partial sums in the coefficients between.  A block's products reach
+    at most :attr:`spill` coefficients into the next block, exactly up to
+    that block's first output, so packed images never mix; the last block's
+    negacyclic wrap lands below block 0's first output the same way.
+
+    Attributes:
+        height / width: the image side lengths ``H`` / ``W``.
+        kernel / stride: the convolution's ``k`` and ``s``.
+        bound: the largest ``|coefficient|`` an honest conv output holds --
+            at most ``C * k^2`` taps plus the bias, on outputs and partial
+            sums alike -- which the crossing checks every coefficient against.
+    """
+
+    height: int
+    width: int
+    kernel: int
+    stride: int
+    bound: int
+
+    @property
+    def pixels(self) -> int:
+        return self.height * self.width
+
+    @property
+    def spill(self) -> int:
+        """Coefficients one block's conv products reach past its own end."""
+        return (self.kernel - 1) * (self.width + 1)
+
+    @property
+    def out_shape(self) -> tuple[int, int]:
+        k, s = self.kernel, self.stride
+        return (self.height - k) // s + 1, (self.width - k) // s + 1
+
+    def per_ciphertext(self, poly_degree: int) -> int:
+        """Images one polynomial of ``poly_degree`` coefficients carries."""
+        return poly_degree // self.pixels
+
+    def kernel_offsets(self) -> np.ndarray:
+        """``(k, k)`` coefficient of tap ``(u, v)`` in ``K(x)``."""
+        taps = self.kernel - 1 - np.arange(self.kernel)
+        return taps[:, None] * self.width + taps[None, :]
+
+    def output_offsets(self) -> np.ndarray:
+        """``(OH, OW)`` coefficient of each conv output within its block."""
+        oh, ow = self.out_shape
+        last = self.kernel - 1
+        rows = np.arange(oh) * self.stride + last
+        cols = np.arange(ow) * self.stride + last
+        return rows[:, None] * self.width + cols[None, :]
+
+
+def write_image(context: Context, pixels: np.ndarray) -> Plaintext:
+    """``(B, C, H, W)`` integer pixels as a ``(B, C)`` plaintext batch, one
+    polynomial per image channel with pixel ``(i, j)`` in coefficient
+    ``i*W + j``; :class:`EncodingError` when ``H*W`` exceeds the ring."""
+    if pixels.ndim != 4:
+        raise EncodingError(f"images must be (B, C, H, W), got shape {pixels.shape}")
+    b, c, h, w = pixels.shape
+    n = context.poly_degree
+    if h * w > n:
+        raise EncodingError(f"a {h}x{w} image does not fit {n} coefficients")
+    coeffs = np.zeros((b, c, n), dtype=np.int64)
+    coeffs[..., : h * w] = pixels.reshape(b, c, h * w)
+    return Plaintext(context, coeffs)  # reduces mod t
+
+
+def read_image(
+    plain: Plaintext, layout: ImageLayout, batch: int | None = None, per: int = 1
+) -> np.ndarray:
+    """The ``(batch, F, OH, OW)`` conv outputs of a ``(rows, F)`` plaintext
+    batch holding ``per`` images per row -- one on the direct path (``batch``
+    defaults to ``rows``), the flush's :meth:`ImageLayout.per_ciphertext`
+    when packed: image ``b`` in block ``b % per`` of row ``b // per``.
+
+    Raises:
+        EncodingError: ``batch`` does not fill exactly ``rows`` rows; a
+            coefficient beyond ``layout.bound`` (a noise-exhausted output
+            decodes uniformly, so passes with probability ``2 bound / t``);
+            or a non-zero coefficient that no occupied block reaches -- a
+            stray value past an image, or a batch declared smaller than the
+            one folded (unused blocks, valid positions included, are zero).
+    """
+    if len(plain.batch_shape) != 2:
+        raise EncodingError(
+            f"image outputs are (rows, F) polynomials, got batch shape {plain.batch_shape}"
+        )
+    rows = plain.batch_shape[0]
+    batch = rows if batch is None else batch
+    if batch < 1 or -(-batch // per) != rows:
+        raise EncodingError(
+            f"batch must be in [{(rows - 1) * per + 1}, {rows * per}] for {rows} "
+            f"ciphertexts at {per} images each, got {batch}"
+        )
+    values = plain.signed_coeffs()
+    if (np.abs(values) > layout.bound).any():
+        raise EncodingError(
+            f"plaintext is not image-encoded: a coefficient exceeds the conv bound "
+            f"+-{layout.bound}"
+        )
+    occupied = np.minimum(per, batch - per * np.arange(rows))
+    reach = occupied * layout.pixels + layout.spill
+    stray = np.arange(plain.context.poly_degree) >= reach[:, None]
+    if (values * stray[:, None, :]).any():
+        raise EncodingError(
+            f"plaintext is not image-encoded for a batch of {batch}: a coefficient "
+            "no image reaches is not zero"
+        )
+    images = np.arange(batch)
+    at = (images % per)[:, None] * layout.pixels + layout.output_offsets().reshape(1, -1)
+    picked = np.take_along_axis(values[images // per], at[:, None, :], axis=-1)
+    return picked.reshape(batch, values.shape[1], *layout.out_shape)
 
 
 def _monomial_rows(context: Context, count: int) -> np.ndarray:
@@ -34,17 +165,37 @@ def _monomial_rows(context: Context, count: int) -> np.ndarray:
     memo = context._monomial_ntt
     have = 0 if memo is None else memo.shape[0]
     if count > have:
-        fresh = np.zeros((count - have, context.poly_degree), dtype=np.int64)
-        fresh[np.arange(count - have), np.arange(have, count)] = 1
-        rows = context.ring.ntt(context.ring.from_signed_small(fresh))
-        memo = rows if memo is None else np.concatenate([memo, rows])
-        memo.flags.writeable = False  # every fold reads views of it
+        memo = _monomials(context, np.arange(have, count), memo)
         context._monomial_ntt = memo
     return memo[:count]
 
 
+def _monomials(context: Context, powers: np.ndarray, before=None) -> np.ndarray:
+    """Read-only NTT residues of ``x^p`` for each of ``powers``, appended to
+    ``before``'s rows when given."""
+    fresh = np.zeros((len(powers), context.poly_degree), dtype=np.int64)
+    fresh[np.arange(len(powers)), powers] = 1
+    rows = context.ring.ntt(context.ring.from_signed_small(fresh))
+    if before is not None:
+        rows = np.concatenate([before, rows])
+    rows.flags.writeable = False  # every fold reads views of it
+    return rows
+
+
+def stride_monomials(context: Context, stride: int) -> np.ndarray:
+    """NTT residues ``(n // stride, k_rns, n)`` of ``x^(stride * p)``, one row
+    per image block, memoised per stride on the context.  Kept out of the
+    prefix memo, which would otherwise grow to every power below the last
+    block's (1008 rows, 16.5 MB at n = 1024 and 12 x 12 images)."""
+    memo = context._stride_monomials.get(stride)
+    if memo is None:
+        powers = stride * np.arange(context.poly_degree // stride)
+        memo = context._stride_monomials[stride] = _monomials(context, powers)
+    return memo
+
+
 def pack_coefficients(
-    evaluator: Evaluator, ct: Ciphertext | Sequence[Ciphertext]
+    evaluator: Evaluator, ct: Ciphertext | Sequence[Ciphertext], stride: int = 1
 ) -> Ciphertext:
     """Fold leading batch axes into polynomial *coefficients*.
 
@@ -55,20 +206,23 @@ def pack_coefficients(
     ciphertext whose underlying plaintext carries value ``b`` in coefficient
     ``b``.  Pure host-side ``C x P`` / ``C + C`` work: no key material, no
     decryption, and the parts are read where they lie (views, strided and
-    read-only data included) by one :meth:`Evaluator.sum_products`.
+    read-only data included) by :meth:`Evaluator.sum_products`.
 
-    This is the whole scalar->batched conversion of the serving flush: a
-    scalar weight acts on every coefficient alike, so the fold already is a
-    batch-axis ciphertext, request ``b`` in *lane* ``b`` (:func:`lane_operand`,
-    :func:`read_lanes`).  Folded along the class axis instead, it turns the
-    direct path's ``(B, classes)`` logits into the served-result format, one
-    ciphertext per image.  Noise grows by at most ``log2(B)`` bits (monomial
-    coefficients are 1), which a fresh encryption easily absorbs.
+    Folded along the class axis, it turns the direct path's ``(B,
+    classes)`` logits into the served-result format, one ciphertext per
+    image (class ``c`` in *lane* ``c``: :func:`lane_operand`,
+    :func:`read_lanes`).  With ``stride > 1`` it is the packed flush's fold
+    of image-encoded requests (:class:`ImageLayout`, ``stride = H*W``):
+    ``P = n // stride`` images per ciphertext, image ``b`` at ``x^(stride *
+    (b % P))`` of row ``b // P``, a ``(ceil(B / P), *rest)`` ciphertext.
+    Noise grows by at most ``log2(min(B, P))`` bits (monomial coefficients
+    are 1), which a fresh encryption easily absorbs.
 
     Raises:
         EncodingError: no parts; a part (named by its index) with no batch
             axis, of a foreign context, in coefficient domain or with a
-            trailing shape unlike part 0's; or ``B`` beyond the ring degree.
+            trailing shape unlike part 0's; ``B`` beyond the ring degree
+            (stride 1); or a stride wider than the ring.
     """
     parts = [ct] if isinstance(ct, Ciphertext) else list(ct)
     if not parts:
@@ -95,10 +249,19 @@ def pack_coefficients(
                 f"{part.data.shape[1:]}, part 0 has {parts[0].data.shape[1:]}"
             )
         rows.extend(part.data)
-    if len(rows) > context.poly_degree:
-        raise EncodingError(
-            f"batch of {len(rows)} exceeds the ring degree {context.poly_degree}"
-        )
+    n = context.poly_degree
+    if stride > 1:
+        if stride > n:
+            raise EncodingError(f"a stride of {stride} exceeds the ring degree {n}")
+        monomials = stride_monomials(context, stride)
+        per = len(monomials)
+        out = np.empty((-(-len(rows) // per), *rows[0].shape), dtype=np.int64)
+        for j in range(len(out)):
+            group = rows[j * per : (j + 1) * per]
+            out[j] = evaluator.sum_products(group, monomials[: len(group)]).data
+        return Ciphertext(context, out, is_ntt=True)
+    if len(rows) > n:
+        raise EncodingError(f"batch of {len(rows)} exceeds the ring degree {n}")
     # Row b is NTT(x^b), broadcast over the remaining axes and components.
     return evaluator.sum_products(rows, _monomial_rows(context, len(rows)))
 

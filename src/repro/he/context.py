@@ -30,6 +30,9 @@ class Context:
         # NTT rows of x^0, x^1, ... grown on demand (at most poly_degree of
         # them) by :func:`repro.he.batching.pack_coefficients`.
         self._monomial_ntt: np.ndarray | None = None
+        # NTT rows of x^(stride * p), one table per image stride, built by
+        # :func:`repro.he.batching.stride_monomials`.
+        self._stride_monomials: dict[int, np.ndarray] = {}
         # Built by the first ciphertext-ciphertext multiply, never here: the
         # hybrid pipelines do not multiply and must not pay for it.
         self._aux_basis: AuxBasis | None = None

@@ -30,6 +30,7 @@ sets can be validated before spending minutes on an encrypted run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,14 +250,34 @@ class QuantizedCNN:
     # ------------------------------------------------------------------
     # parameter-fit validation
     # ------------------------------------------------------------------
-    def required_plain_modulus(self) -> int:
-        """Worst-case bound on any intermediate: ``t`` must exceed 2x this."""
+    @property
+    def input_shape(self) -> tuple[int, int, int]:
+        """``(C, H, W)`` of the square images the model consumes: the side
+        whose conv -> pool chain yields the fc layer's fan-in."""
+        filters, channels, k, _ = self.conv_weight.shape
+        fan_in = self.dense_weight.shape[0]
+        pooled = math.isqrt(fan_in // filters)
+        if filters * pooled * pooled != fan_in:
+            raise ModelError(
+                f"fc fan-in {fan_in} is not {filters} square pooled feature maps"
+            )
+        side = (pooled * self.pool_window - 1) * self.stride + k
+        return channels, side, side
+
+    @property
+    def conv_bound(self) -> int:
+        """Largest ``|value|`` a conv output (or any partial tap sum of one)
+        takes on images in ``[0, 1]``."""
         k = self.conv_weight.shape[-1]
         conv_terms = k * k * self.conv_weight.shape[1]
-        conv_bound = (
+        return (
             conv_terms * self.input_scale * int(np.abs(self.conv_weight).max())
             + int(np.abs(self.conv_bias).max())
         )
+
+    def required_plain_modulus(self) -> int:
+        """Worst-case bound on any intermediate: ``t`` must exceed 2x this."""
+        conv_bound = self.conv_bound
         if self.activation == "square":
             hidden_bound = conv_bound * conv_bound * self.pool_window**2
         else:

@@ -42,8 +42,10 @@ class InferenceRequest:
 
     Attributes:
         model: a provisioned model name.
-        ciphertext: scalar-encoded ``(B, C, H, W)`` pixel ciphertext from
-            the user's session (``UserSession.encrypt`` or the client SDK).
+        ciphertext: ``(B, C)`` image ciphertexts from the user's session
+            (``UserSession.encrypt`` or the client SDK): one polynomial per
+            image channel, pixel ``(i, j)`` in coefficient ``i*W + j``, the
+            model's own ``(C, H, W)`` (:func:`~repro.he.batching.write_image`).
         pack: route through the lane-packing scheduler (the synchronous
             facade drains the bucket, so the call still returns a result).
         context: optional :class:`~repro.obs.context.TraceContext` naming

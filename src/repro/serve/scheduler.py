@@ -2,11 +2,12 @@
 
 The paper's deployment story (Sections IV + VII) is one SGX edge node
 serving many enrolled users, yet a naive facade pays the full per-pixel HE
-cost once per request.  Packing (Section VIII) is the throughput lever: up
-to ``n`` images share each pixel-position ciphertext.  The model's *scalar*
-weights act on all ``n`` polynomial coefficients alike, so the flush packs
-into coefficients ("lanes"): any plaintext modulus serves, and packing is
-host-side homomorphic work, not an enclave crossing.
+cost once per request.  Packing (Section VIII) is the throughput lever: a
+request is one image per polynomial, and the flush stacks ``n // (H*W)``
+of them per ciphertext, so conv runs once per ciphertext instead of once
+per image.  Packing is host-side homomorphic work, not an enclave crossing,
+and after the activation crossing the batch rides coefficient "lanes"
+(the model's *scalar* fc weights act on all of them alike).
 
 This scheduler turns that lever into a serving discipline:
 
@@ -228,10 +229,11 @@ class RequestScheduler:
 
         Raises:
             UnknownModelError: ``model_name`` was never provisioned.
-            ServeError: the ciphertext is not a non-empty 4-D pixel batch
-                with this model's channel count and an image size its
-                conv -> pool -> fc chain consumes, or was encrypted under
-                different parameters (``malformed``).
+            ServeError: the ciphertext is not a non-empty ``(B, C)`` image
+                batch with this model's channel count, or was encrypted
+                under different parameters (``malformed``).  The image size
+                is the model's own (``UserSession.encrypt`` refuses any
+                other), so nothing here depends on ``H x W``.
             BatchTooLargeError: the request alone exceeds the capacity.
         """
         if model_name not in self.server.models():
@@ -248,35 +250,13 @@ class RequestScheduler:
             raise self._malformed(
                 f"request ciphertext was encrypted under foreign parameters: {exc}"
             ) from exc
-        if len(ct.batch_shape) != 4:
+        # Admitted unchecked, a wrong shape dies mid-flush and isolates its
+        # batch-mates.
+        channels = self.server.model(model_name).conv_weight.shape[1]
+        if len(ct.batch_shape) != 2 or ct.batch_shape[1] != channels:
             raise self._malformed(
-                f"requests must be (B, C, H, W) pixel ciphertexts, got batch "
-                f"shape {ct.batch_shape}"
-            )
-        model = self.server.model(model_name)
-        filters, channels, k, _ = model.conv_weight.shape
-        if ct.batch_shape[1] != channels:
-            raise self._malformed(
-                f"request has {ct.batch_shape[1]} channels, model "
-                f"{model_name!r} expects {channels}"
-            )
-        # The image must walk the whole chain: a conv output of at least
-        # 1x1 that the pool window tiles and the FC layer's fan-in matches.
-        # Admitted unchecked it dies mid-flush and isolates its batch-mates.
-        h, w = ct.batch_shape[2:]
-        oh, ow = (h - k) // model.stride + 1, (w - k) // model.stride + 1
-        win = model.pool_window
-        if (
-            h < k
-            or w < k
-            or oh % win
-            or ow % win
-            or filters * (oh // win) * (ow // win) != model.dense_weight.shape[0]
-        ):
-            raise self._malformed(
-                f"request images are {h}x{w}, which model {model_name!r} "
-                f"(kernel {k}, stride {model.stride}, pool {win}, fc fan-in "
-                f"{model.dense_weight.shape[0]}) cannot consume"
+                f"requests must be (B, {channels}) image ciphertexts for model "
+                f"{model_name!r}, got batch shape {ct.batch_shape}"
             )
         batch = int(ct.batch_shape[0])
         if batch < 1:
@@ -307,8 +287,8 @@ class RequestScheduler:
 
         Args:
             model_name: a provisioned model.
-            ct: scalar-encoded ``(B, C, H, W)`` ciphertext (the same shape
-                :meth:`EdgeServer.infer` takes); usually ``B == 1``.
+            ct: ``(B, C)`` image ciphertexts from ``UserSession.encrypt``
+                (what :meth:`EdgeServer.infer` takes); usually ``B == 1``.
             context: trace context naming the request in the process-wide
                 trace tree; when None a deterministic fallback is derived
                 from the request id, so every flush span is attributable.
@@ -317,8 +297,8 @@ class RequestScheduler:
             UnknownModelError: ``model_name`` was never provisioned.
             BatchTooLargeError: the request alone exceeds the capacity.
             QueueFullError: the bounded queue is at ``max_queue_depth``.
-            ServeError: the ciphertext is not a 4-D pixel batch for this
-                model.
+            ServeError: the ciphertext is not a ``(B, C)`` image batch for
+                this model.
         """
         batch = self.validate_request(model_name, ct)
         # The depth this request actually observed on arrival: captured once
@@ -654,9 +634,9 @@ class RequestScheduler:
         enclave = server.fleet.replica(replica)
         total = sum(r.batch for r in requests)
         # Requests share the enclave's key pair, so their ciphertexts fold as
-        # one scalar-encoded (total, C, H, W) batch -- which is never built:
-        # the fold node reads each request where it lies, so nothing
-        # flush-sized is copied between submit and the fold.
+        # one (total, C) image batch -- which is never built: the fold node
+        # reads each request where it lies, so nothing flush-sized is copied
+        # between submit and the fold.
         parts = [r.ct.to_ntt() for r in requests]
         if flushed_at is None:
             flushed_at = server.platform.clock.now_s

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import heops
 from repro.errors import PipelineError
+from repro.graph import ir
 from repro.he import (
     Context,
     Decryptor,
@@ -17,6 +18,7 @@ from repro.he import (
     ScalarEncoder,
     kernels,
 )
+from repro.he.batching import pack_coefficients, read_image, write_image
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +114,45 @@ class TestHeConv2d:
         )
         with kernels.use(profile), pytest.raises(PipelineError, match="smaller"):
             heops.he_conv2d(rig["evaluator"], rig["encoder"], ct, weights)
+
+
+class TestImageConv:
+    """The served request format's conv: one plaintext-polynomial product
+    per (filter, channel) equals the integer conv, one image per
+    ciphertext or the flush's ``P`` per ciphertext, the bias on occupied
+    blocks only."""
+
+    @pytest.fixture()
+    def image_conv(self, rig, q_sigmoid, hybrid_params):
+        layout = ir.image_layout(q_sigmoid, hybrid_params)
+        return heops.encode_image_conv(rig["evaluator"], q_sigmoid, layout)
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5])
+    def test_matches_integer_conv(self, rig, q_sigmoid, models, image_conv, batch):
+        x = q_sigmoid.quantize_images(models.dataset.test_images[:batch])
+        expected = q_sigmoid.conv_stage(x)
+        ct = rig["encryptor"].encrypt(write_image(rig["context"], x))
+        layout = image_conv.layout
+        rig["counter"].reset()
+        direct = heops.he_conv2d(rig["evaluator"], rig["encoder"], ct, image_conv)
+        assert direct.batch_shape == (batch, q_sigmoid.conv_weight.shape[0])
+        assert rig["counter"].get("ct_plain_mul") == direct.batch_count  # C = 1
+        plain = rig["decryptor"].decrypt(direct)
+        assert np.array_equal(read_image(plain, layout), expected)
+        folded = pack_coefficients(rig["evaluator"], ct, stride=layout.pixels)
+        per = layout.per_ciphertext(rig["context"].poly_degree)  # 2 at n = 256
+        packed = heops.he_conv2d(rig["evaluator"], rig["encoder"], folded, image_conv, batch)
+        assert packed.batch_shape[0] == -(-batch // per)
+        plain = rig["decryptor"].decrypt(packed)
+        assert np.array_equal(read_image(plain, layout, batch, per), expected)
+
+    def test_rejects_what_it_cannot_hold(self, rig, image_conv):
+        zeros = np.zeros((3, 1, 10, 10), dtype=np.int64)
+        ct = rig["encryptor"].encrypt(write_image(rig["context"], zeros))
+        with pytest.raises(PipelineError, match=r"expects \(B, 1\)"):
+            heops.he_conv2d(rig["evaluator"], rig["encoder"], ct[:, :0], image_conv)
+        with pytest.raises(PipelineError, match="cannot hold 7 images at 2 each"):
+            heops.he_conv2d(rig["evaluator"], rig["encoder"], ct, image_conv, 7)
 
 
 class TestHeSquareAndPool:

@@ -166,20 +166,14 @@ PARENT_RECORDING = json.loads(
     Path(__file__).with_name("parent_recording.json").read_text()
 )
 
-#: Kinds whose graph shape ``pack_crossing`` is not provably exact on
-#: (lane-layout crossing, multi-block): refused-with-reason, never applied.
-MUST_REFUSE = {
-    "simd": {"pack_crossing"},
-    "deep": {"pack_crossing"},
-    "packed": {"pack_crossing"},
-}
-
-
 class TestNewGraphKinds:
     """SIMD, deep, ``EdgeServer.infer`` and the packed flush run through
     the executor: ``off`` reproduces the deleted chains byte for byte, and
     every level reproduces ``off`` (logits, result-ciphertext bytes, op
-    tallies, encryptor RNG position, stage names)."""
+    tallies, encryptor RNG position, stage names).  None of the four has a
+    graph shape ``pack_crossing`` is provably exact on (lane- or
+    image-layout crossing, multi-block): it refuses with a reason, never
+    applies."""
 
     @pytest.mark.parametrize("level", optimizer.LEVELS)
     @pytest.mark.parametrize("kind", KINDS)
@@ -192,11 +186,8 @@ class TestNewGraphKinds:
         if level == "off":
             assert report.applied == () and report.refused == ()
             return
-        must_refuse = MUST_REFUSE.get(kind, set())  # served packs its crossing
-        rewrites = set(report.applied) - {"select_parameters"}  # advisory only
-        assert rewrites == {"pack_crossing"} - must_refuse
-        for name in must_refuse:
-            assert report.refusal(name), f"{name} must refuse with a reason on {kind}"
+        assert set(report.applied) <= {"select_parameters"}  # advisory only
+        assert report.refusal("pack_crossing"), f"pack_crossing must refuse on {kind}"
 
     def test_unregistered_op_is_rejected(self, q_hybrid, hybrid_params):
         graph = ir.build_served_graph(q_hybrid, hybrid_params)
@@ -226,9 +217,11 @@ class TestReportSurface:
 
     @pytest.mark.parametrize("level", ["safe", "aggressive"])
     def test_only_a_scalar_layout_crossing_is_rewritten(self, level, q_he, he_params):
-        """Four kinds compile to the graph that was built (the one pass
-        refuses, with a reason); ``hybrid`` and ``served`` differ from it in
-        the crossing's ``packed`` / ``pack_max_batch`` and nothing else."""
+        """Five kinds compile to the graph that was built (the one pass
+        refuses, with a reason: ``served``'s crossing is image-layout, the
+        request format's two conv-output ciphertexts per image); ``hybrid``
+        differs from it in the crossing's ``packed`` / ``pack_max_batch`` and
+        nothing else."""
         from repro.core import parameters_for_pipeline
 
         single, deep = single_block_model(), deep_model()
@@ -250,7 +243,7 @@ class TestReportSurface:
                 if before.signature() != after.signature()
             ]
             assert compiled.node_count == graph.node_count
-            if kind in ("hybrid", "fake", "served"):
+            if kind in ("hybrid", "fake"):
                 assert report.applied[:1] == ("pack_crossing",)
                 ((before, after),) = changed
                 assert before.op == after.op == "crossing"

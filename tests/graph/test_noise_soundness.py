@@ -1,9 +1,10 @@
-"""IR noise estimates against measured budgets on the packed flush, the
-direct path's result and the ``simd`` kind: each fold is a host-side sum,
-not a refresh -- the flush's makes ``conv`` start below fresh, the class
-fold ends ``served`` below ``fc`` -- the ``simd`` kind's lanes are written
-by one fresh encryption, and a model either leaves no budget is refused
-when it is provisioned."""
+"""IR noise estimates against measured budgets on the two serving graphs and
+the ``simd`` kind: after ``conv`` (one plaintext-polynomial product per
+filter on the served request format), after ``fc`` and on the result a
+client receives.  Each fold is a host-side sum, not a refresh -- the flush's
+makes ``conv`` start below fresh, the class fold ends ``served`` below
+``fc`` -- the ``simd`` kind's lanes are written by one fresh encryption,
+and a model that leaves no budget is refused when it is provisioned."""
 
 from __future__ import annotations
 
@@ -20,6 +21,10 @@ from repro.sgx import AttestationVerificationService
 
 from .kinds import single_block_model
 
+#: Batches on both sides of the flush's block boundaries: 8x8 images at
+#: n = 256 fold 4 per ciphertext.
+BATCHES = [1, 2, 7, 8, 16]
+
 
 def test_fold_is_priced_not_a_refresh():
     model = single_block_model()
@@ -27,15 +32,17 @@ def test_fold_is_priced_not_a_refresh():
     fresh = NoiseEstimator(params).fresh_budget()
     served = ir.build_graph("served", model, params)
     assert "fold" not in ir.REFRESH_OPS
-    assert ir.build_graph("packed", model, params).node("fold").attrs["lanes"] == 256
+    assert ir.build_graph("packed", model, params).node("fold").attrs == {
+        "lanes": 256, "stride": 64,
+    }
     for lanes in (1, 2, 16, 256):
         packed = ir.build_graph("packed", model, params, lanes=lanes)
         fold, conv = packed.node("fold"), packed.node("conv")
-        assert fold.noise_cost_bits == pytest.approx(np.log2(lanes))
-        assert fold.budget_bits == pytest.approx(fresh - np.log2(lanes))
-        assert conv.budget_bits == pytest.approx(
-            served.node("conv").budget_bits - np.log2(lanes)
-        )
+        # A ciphertext sums at most P = 256 // 64 images, however many ride.
+        cost = np.log2(min(lanes, 4))
+        assert fold.noise_cost_bits == pytest.approx(cost)
+        assert fold.budget_bits == pytest.approx(fresh - cost)
+        assert conv.budget_bits == pytest.approx(served.node("conv").budget_bits - cost)
         # The crossing refreshes: fc does not pay for the fold.
         assert packed.node("fc").budget_bits == served.node("fc").budget_bits
 
@@ -55,26 +62,40 @@ def _spy_budgets(monkeypatch, decryptor) -> dict:
     return measured
 
 
-def _assert_lower_bounds(graph, measured) -> None:
-    for stage in ("conv", "fc"):
+def _assert_lower_bounds(graph, measured, result_node=None) -> None:
+    stages = {"conv": "conv", "fc": "fc"}
+    if result_node is not None:
+        stages["result"] = result_node
+    for key, stage in stages.items():
         estimated = graph.node(stage).budget_bits
-        assert 0.0 < estimated <= measured[stage], (stage, estimated, measured[stage])
+        assert 0.0 < estimated <= measured[key], (key, estimated, measured[key])
 
 
-@pytest.mark.parametrize("batch", [1, 2, 16, 256])
-def test_ir_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
-    model = single_block_model()
-    params = parameters_for_pipeline(model, 256, batching=True)
-    server = EdgeServer(params, seed=13, serve_config=ServeConfig(max_batch=batch))
+def _deployment(model, params, **config):
+    server = EdgeServer(params, seed=13, serve_config=ServeConfig(**config))
     server.provision_model("m", model)
     verifier = AttestationVerificationService()
     verifier.register_platform(server.quoting)
-    session = server.enroll_user(entropy=b"\x42" * 32, verifier=verifier)
+    return server, server.enroll_user(entropy=b"\x42" * 32, verifier=verifier)
+
+
+@pytest.mark.parametrize("batch", [*BATCHES, 256])
+def test_ir_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
+    """The packed flush: the fold's images, ``P`` per ciphertext, through
+    conv; fc on the crossing's lanes; the ``unpack`` re-encryption."""
+    model = single_block_model()
+    params = parameters_for_pipeline(model, 256, batching=True)
+    server, session = _deployment(model, params, max_batch=batch)
     measured = _spy_budgets(monkeypatch, session.decryptor)
     images = np.random.default_rng(2116).random((batch, 1, 8, 8))
-    response = server.scheduler.submit("m", session.encrypt("m", images))
+    with optimizer.use("off"):
+        response = server.scheduler.submit("m", session.encrypt("m", images))
     assert response.done() and response.result().packed_batch == batch
-    _assert_lower_bounds(ir.build_graph("packed", model, params, lanes=batch), measured)
+    measured["result"] = session.decryptor.invariant_noise_budget(
+        response.result().logits_ct
+    )
+    graph = ir.build_graph("packed", model, params, lanes=batch)
+    _assert_lower_bounds(graph, measured, result_node="unpack")
 
 
 @pytest.mark.parametrize("batch", [1, 2, 16, 256])
@@ -93,18 +114,16 @@ def test_simd_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
     _assert_lower_bounds(graph, measured)
 
 
-@pytest.mark.parametrize("batch", [1, 2])
-def test_class_fold_headroom_lower_bounds_the_result_budget(batch):
-    """The direct path's result is fc's logits folded along the class axis
-    on the host: the fold is priced ``log2(classes)`` and the IR headroom
-    after it lower-bounds what the client's result ciphertext measures."""
+@pytest.mark.parametrize("batch", BATCHES)
+def test_class_fold_headroom_lower_bounds_the_result_budget(batch, monkeypatch):
+    """The direct path: each image's own conv products, fc on the crossing's
+    scalars, and fc's logits folded along the class axis on the host -- the
+    fold priced ``log2(classes)``, its IR headroom a lower bound on what the
+    client's result ciphertext measures."""
     model = single_block_model()
     params = parameters_for_pipeline(model, 256, batching=True)
-    server = EdgeServer(params, seed=13)
-    server.provision_model("m", model)
-    verifier = AttestationVerificationService()
-    verifier.register_platform(server.quoting)
-    session = server.enroll_user(entropy=b"\x42" * 32, verifier=verifier)
+    server, session = _deployment(model, params)
+    measured = _spy_budgets(monkeypatch, session.decryptor)
     images = np.random.default_rng(2117).random((batch, 1, 8, 8))
     request = InferenceRequest(model="m", ciphertext=session.encrypt("m", images))
     with optimizer.use("off"):
@@ -115,8 +134,8 @@ def test_class_fold_headroom_lower_bounds_the_result_budget(batch):
     assert fold.attrs["lanes"] == classes and "fold_classes" not in ir.REFRESH_OPS
     assert fold.noise_cost_bits == pytest.approx(np.log2(classes))
     assert fold.budget_bits == pytest.approx(fc.budget_bits - np.log2(classes))
-    measured = session.decryptor.invariant_noise_budget(result.logits_ct)
-    assert 0.0 < fold.budget_bits <= measured, (fold.budget_bits, measured)
+    measured["result"] = session.decryptor.invariant_noise_budget(result.logits_ct)
+    _assert_lower_bounds(graph, measured, result_node="fold_classes")
 
 
 def test_provisioning_refuses_a_class_fold_with_no_headroom():
@@ -141,7 +160,7 @@ def test_provisioning_refuses_a_flush_with_no_headroom():
     model = single_block_model()
     sized = parameters_for_pipeline(model, 256, batching=True)
     # One 30-bit prime leaves under 3 bits of fresh budget: conv alone
-    # costs 5, and the 256-lane fold 8 more.
+    # costs 5, and the fold of 4 images per ciphertext 2 more.
     tight = EncryptionParams(
         poly_degree=256,
         coeff_primes=sized.coeff_primes[:1],
@@ -153,8 +172,29 @@ def test_provisioning_refuses_a_flush_with_no_headroom():
     server = EdgeServer(sized, seed=13)
     server.provision_model("m", model)
     assert server.models() == ["m"]
-    # The refusal is about the configured capacity: the same model and
-    # parameters pass at 16 lanes and fail at a fold that eats the budget.
-    ir.require_headroom(ir.build_graph("packed", model, sized, lanes=16))
-    with pytest.raises(ParameterError, match="lower max_batch"):
-        ir.require_headroom(ir.build_graph("packed", model, sized, lanes=1 << 30))
+    # The fold's price stops growing at the images one ciphertext holds:
+    # any capacity past P = 4 leaves conv the headroom P leaves it.
+    at_p = ir.build_graph("packed", model, sized, lanes=4).node("conv").budget_bits
+    for lanes in (16, 1 << 30):
+        graph = ir.build_graph("packed", model, sized, lanes=lanes)
+        assert graph.node("conv").budget_bits == at_p
+        ir.require_headroom(graph)
+
+
+def test_an_image_past_the_ring_is_a_parameter_error():
+    """The served request format puts one image in one polynomial: a model
+    whose images have more pixels than the ring has coefficients is refused
+    when its graphs are built, typed."""
+    model = single_block_model()  # 8 x 8 = 64 pixels
+    params = parameters_for_pipeline(model, 256, batching=True)
+    small = EncryptionParams(
+        poly_degree=32,
+        coeff_primes=tuple(modmath.ntt_primes(30, 32, 2)),
+        plain_modulus=params.plain_modulus,
+        name="small",
+    )
+    for kind in ("served", "packed"):
+        with pytest.raises(ParameterError, match=r"8x8 images do not fit the 32"):
+            ir.build_graph(kind, model, small)
+    with pytest.raises(ParameterError, match="do not fit"):
+        EdgeServer(small, seed=13).provision_model("m", model)

@@ -1,4 +1,5 @@
-"""Coefficient lanes: the fold, the lane layout and lane-wise semantics."""
+"""Coefficient lanes: the fold, the lane layout and lane-wise semantics;
+and the served request format, one image per polynomial."""
 
 from __future__ import annotations
 
@@ -8,14 +9,18 @@ import pytest
 from repro.errors import EncodingError
 from repro.he import Ciphertext, Context, Evaluator, modmath
 from repro.he.batching import (
+    ImageLayout,
     lane_operand,
     lane_plain,
     pack_coefficients,
+    read_image,
     read_lanes,
+    write_image,
     write_lanes,
 )
 from repro.he.context import Plaintext
 from repro.he.params import EncryptionParams
+from repro.nn.layers import conv2d_forward
 
 
 class TestCoefficientFold:
@@ -167,3 +172,110 @@ class TestPackingMonomialMemo:
         with pytest.raises(EncodingError, match="exceeds the ring degree"):
             fold(degree + 1)
         assert context._monomial_ntt.shape[0] == degree
+
+
+def _negacyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b mod (x^n + 1)`` over the integers."""
+    n = a.shape[-1]
+    full = np.convolve(a, b)
+    out = full[:n].copy()
+    out[: n - 1] -= full[n:]
+    return out
+
+
+class TestImageLayout:
+    """Pixel ``(i, j)`` in coefficient ``i*W + j``, ``P = n // (H*W)``
+    images per polynomial: the product with ``K(x)`` leaves every conv
+    output alone in its coefficient, a block's spill stops exactly at the
+    next block's first output, and the last block's negacyclic wrap stays
+    below block 0's first output."""
+
+    @pytest.mark.parametrize("side,stride", [(8, 1), (9, 2)])
+    def test_every_output_lands_alone(self, context, side, stride):
+        n = context.poly_degree
+        rng = np.random.default_rng(side)
+        weight = rng.integers(-4, 5, size=(3, 3))
+        bias = -7
+        bound = 9 * 15 * 4 + 7
+        layout = ImageLayout(side, side, 3, stride, bound)
+        per = layout.per_ciphertext(n)
+        assert per * layout.pixels + layout.spill > n  # the last block wraps
+        kernel = np.zeros(n, dtype=np.int64)
+        kernel[layout.kernel_offsets().ravel()] = weight.ravel()
+        for batch in (1, per - 1, per):
+            images = rng.integers(0, 16, size=(batch, 1, side, side))
+            polynomial = np.zeros(n, dtype=np.int64)
+            for b in range(batch):
+                polynomial[b * layout.pixels : (b + 1) * layout.pixels] = images[b].ravel()
+            product = _negacyclic(polynomial, kernel)
+            for b in range(batch):  # the bias, on occupied blocks only
+                product[b * layout.pixels + layout.output_offsets().ravel()] += bias
+            plain = Plaintext(context, product.reshape(1, 1, n))
+            expected = conv2d_forward(images, weight.reshape(1, 1, 3, 3), None, stride)
+            assert np.array_equal(read_image(plain, layout, batch, per), expected + bias)
+
+    def test_read_refuses_what_is_not_image_encoded(self, context):
+        n = context.poly_degree
+        layout = ImageLayout(8, 8, 3, 1, bound=100)
+        per = layout.per_ciphertext(n)  # 4
+        clean = np.zeros((2, 3, n), dtype=np.int64)
+        assert read_image(Plaintext(context, clean), layout, 5, per).shape == (5, 3, 6, 6)
+        # Five images reach block 1 of row 1 and its spill, nothing further:
+        # a value there -- the fold of a sixth image declared as five, or a
+        # stray past the last image -- is refused, as is anything past the
+        # conv bound, partial sums included.
+        reach = layout.pixels + layout.spill  # row 1 holds image 4 alone
+        for row, at, value, match in (
+            (1, reach, 1, "no image reaches"),
+            (1, 2 * layout.pixels + 30, -3, "no image reaches"),
+            (0, 5, 101, "conv bound"),
+            (0, n - 1, -101, "conv bound"),
+        ):
+            tampered = clean.copy()
+            tampered[row, 2, at] = value
+            with pytest.raises(EncodingError, match=match):
+                read_image(Plaintext(context, tampered), layout, 5, per)
+        tampered = clean.copy()
+        tampered[1, 0, reach - 1] = -100  # the spill itself holds partial sums
+        read_image(Plaintext(context, tampered), layout, 5, per)
+        for batch in (0, 4, 9):
+            with pytest.raises(EncodingError, match=r"batch must be in \[5, 8\]"):
+                read_image(Plaintext(context, clean), layout, batch, per)
+        with pytest.raises(EncodingError, match=r"\(rows, F\)"):
+            read_image(Plaintext(context, clean[0, 0]), layout)
+        assert read_image(Plaintext(context, clean), layout).shape == (2, 3, 6, 6)
+
+    def test_write_image_fits_one_image_per_polynomial(self, context, rng):
+        pixels = rng.integers(0, 255, size=(2, 3, 10, 12))
+        plain = write_image(context, pixels)
+        assert plain.batch_shape == (2, 3)
+        assert np.array_equal(plain.coeffs[..., :120].reshape(pixels.shape), pixels)
+        assert not plain.coeffs[..., 120:].any()
+        with pytest.raises(EncodingError, match="17x16 image does not fit 256"):
+            write_image(context, np.zeros((1, 1, 17, 16), dtype=np.int64))
+        with pytest.raises(EncodingError, match=r"\(B, C, H, W\)"):
+            write_image(context, np.zeros((1, 8, 8), dtype=np.int64))
+
+    def test_stride_fold_puts_image_b_in_block_b_mod_p(
+        self, context, encryptor, decryptor, rng
+    ):
+        """The flush's fold: ``ceil(B / P)`` ciphertexts, image ``b`` at
+        ``x^(H*W*(b % P))`` of row ``b // P``, read from a memo of ``P``
+        stride monomials -- the prefix memo is never touched."""
+        fresh = Context(context.params)
+        evaluator = Evaluator(fresh)
+        layout = ImageLayout(9, 9, 3, 1, bound=1)
+        images = [rng.integers(-9, 9, size=(b, 2, 9, 9)) for b in (1, 3, 2, 1)]
+        parts = [encryptor.encrypt(write_image(context, im)) for im in images]
+        folded = pack_coefficients(evaluator, parts, stride=layout.pixels)
+        per = layout.per_ciphertext(fresh.poly_degree)  # 3
+        assert folded.batch_shape == (3, 2)
+        coeffs = decryptor.decrypt(folded).signed_coeffs()
+        for b, image in enumerate(np.concatenate(images)):
+            at = (b % per) * layout.pixels
+            assert np.array_equal(coeffs[b // per, :, at : at + 81], image.reshape(2, 81))
+        assert not coeffs[2, :, 81:].any()  # row 2 holds image 6 alone
+        assert fresh._monomial_ntt is None
+        assert fresh._stride_monomials[81].shape[0] == per
+        with pytest.raises(EncodingError, match="stride of 257 exceeds"):
+            pack_coefficients(evaluator, parts, stride=257)

@@ -1,8 +1,8 @@
 """Serving-layer fixtures: a batching-capable edge deployment.
 
-The scheduler needs a CRT-batching plaintext modulus, so these fixtures
-build their own parameter set (``batching=True``) instead of reusing the
-core fixtures' power-of-two modulus.  Server and session are
+These fixtures build their own parameter set (``batching=True``, a prime
+plaintext modulus) instead of reusing the core fixtures' power-of-two
+modulus; the flush serves either.  Server and session are
 function-scoped: scheduler tests mutate queue state and the simulated
 clock.
 """
@@ -20,6 +20,7 @@ from repro.he import (
     SymmetricEncryptor,
     small_parameter_options,
 )
+from repro.he.batching import write_image
 from repro.sgx import AttestationVerificationService
 
 
@@ -75,11 +76,17 @@ def session_for(verifier_for):
 
 @pytest.fixture()
 def foreign_ct(models):
-    """A right-shaped ``(1, C, H, W)`` pixel ciphertext encrypted under a
+    """A right-shaped ``(1, C)`` image ciphertext encrypted under a
     parameter set (and key) the serving deployment never saw."""
     context = Context(small_parameter_options()[256])
     rng = np.random.default_rng(5)
     keys = KeyGenerator(context, rng).generate()
-    shape = models.dataset.test_images[:1].shape
-    plain = ScalarEncoder(context).encode(np.zeros(shape, dtype=np.int64))
+    plain = write_image(context, np.zeros(models.dataset.test_images[:1].shape, np.int64))
     return SymmetricEncryptor(context, keys.secret, rng).encrypt(plain)
+
+
+def per_pixel_ct(session, quantized, images):
+    """``images`` in the paper's per-pixel encoding, one scalar ciphertext
+    per pixel -- a ``(B, C, H, W)`` batch the serving path does not take."""
+    pixels = quantized.quantize_images(images)
+    return session.encryptor.encrypt(ScalarEncoder(session.context).encode(pixels))

@@ -280,10 +280,14 @@ class TestThreatModelOnTheServingPath:
             ("ecall", "unpack_lanes"),
         ]
         assert first == second  # other images, same shapes: same observation
-        # B moves only what B sizes: the per-request result ciphertexts.
-        assert [event[:3] for event in wider] == [event[:3] for event in first]
-        assert wider[0] == first[0]
-        assert wider[1][3] * 4 == first[1][3] * 5
+        # B moves only what B sizes: the fold's ceil(B / P) rows of F
+        # conv-output ciphertexts (10 x 10 images at n = 256: P = 2, so 5
+        # images take a third row) and the per-request result ciphertexts.
+        filters = server.model("digits").conv_weight.shape[0]
+        row = session.encryptor.encrypt_zero(filters).byte_size()
+        assert [event[:2] for event in wider] == [event[:2] for event in first]
+        assert wider[0][2] - first[0][2] == row and wider[0][3] == first[0][3]
+        assert wider[1][2] == first[1][2] and wider[1][3] * 4 == first[1][3] * 5
 
         secret = bytes(serialize_secret_key(session.decryptor.secret_key))
         assert [name for name, _ in returned] == LANE_ECALLS

@@ -24,6 +24,8 @@ from repro.serve import (
     poisson_trace,
 )
 
+from .conftest import per_pixel_ct
+
 #: Flush model used throughout: 4 ms fixed + 0.5 ms per image.
 MODEL = ServiceTimeModel(base_s=4e-3, per_image_s=5e-4)
 
@@ -242,14 +244,15 @@ class TestAdmissionControl:
     def test_wrong_sized_image_rejected_and_batch_mates_share_one_flush(
         self, batching_params, q_sigmoid, session_for, models
     ):
-        """A wrong-sized image is rejected at admission through the loop
-        too: its ticket resolves typed, and the requests either side of it
-        ride one flush with no isolation re-runs."""
+        """A ciphertext the flush cannot fold (a wrong-sized image, in the
+        per-pixel encoding the client no longer produces) is rejected at
+        admission through the loop too: its ticket resolves typed, and the
+        requests either side of it ride one flush with no isolation re-runs."""
         loop, session = make_loop(batching_params, q_sigmoid, session_for)
         images = models.dataset.test_images[:3]
         cts = [
             session.encrypt("digits", images[:1]),
-            session.encrypt("digits", images[1:2, :, :8, :8]),
+            per_pixel_ct(session, q_sigmoid, images[1:2, :, :8, :8]),
             session.encrypt("digits", images[2:3]),
         ]
         first, bad, last = (

@@ -8,6 +8,7 @@ import pytest
 from repro.core import EdgeServer, PlaintextPipeline, parameters_for_pipeline
 from repro.errors import (
     BatchTooLargeError,
+    EncodingError,
     KeyMismatchError,
     PipelineError,
     QueueFullError,
@@ -17,6 +18,8 @@ from repro.errors import (
 )
 from repro.obs import reconcile
 from repro.serve import PACKED_SCHEME, InferenceRequest, RequestScheduler, ServeConfig
+
+from .conftest import per_pixel_ct
 
 
 def _infer(server, model, ct, **policy):
@@ -112,9 +115,10 @@ class TestPackingCorrectness:
         self, server, session, models, monkeypatch
     ):
         """A 16-request flush hands the pack fold the very arrays the users
-        submitted: between ``submit`` and the fold nothing of even one
-        request's size is allocated, and the fold itself allocates its two
-        output-sized arrays -- never the stacked batch."""
+        submitted: between ``submit`` and the fold nothing batch-sized is
+        allocated, and the fold itself allocates its
+        output and one output row's two working arrays -- never the stacked
+        batch."""
         import tracemalloc
 
         from repro.graph import executor
@@ -126,12 +130,13 @@ class TestPackingCorrectness:
         seen = {}
         fold = executor.pack_coefficients
 
-        def spy(evaluator, parts):
+        def spy(evaluator, parts, **kwargs):
             seen["parts"] = parts
             seen["at_entry"] = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            out = fold(evaluator, parts)
+            out = fold(evaluator, parts, **kwargs)
             seen["fold_peak"] = tracemalloc.get_traced_memory()[1] - seen["at_entry"]
+            seen["rows"] = out.batch_shape[0]
             return out
 
         monkeypatch.setattr(executor, "pack_coefficients", spy)
@@ -145,8 +150,15 @@ class TestPackingCorrectness:
         assert len(seen["parts"]) == 16
         assert all(part.data is ct.data for part, ct in zip(seen["parts"], cts))
         one_request = cts[0].data.nbytes
-        assert seen["at_entry"] - at_submit < one_request
-        assert 2 * one_request <= seen["fold_peak"] < 3 * one_request
+        # One request is a single 8 KiB ciphertext now, so the scheduler's
+        # own bookkeeping is a few of them; the stacked batch would be 16.
+        assert seen["at_entry"] - at_submit < 8 * one_request
+        # 10 x 10 images at n = 256: two per ciphertext, so 8 output rows.
+        # The fold holds the output plus one row's accumulator and product
+        # scratch, never the output plus the stacked requests.
+        rows = seen["rows"]
+        assert rows == 8
+        assert (rows + 2) * one_request <= seen["fold_peak"] < (rows + 16) * one_request
         assert all(r.result().packed_batch == 16 for r in responses)
 
 
@@ -239,13 +251,13 @@ class TestRejectionPaths:
     def test_malformed_request_shape(self, server, session, models):
         ct = session.encrypt("digits", models.dataset.test_images[:1])
         with pytest.raises(ServeError):
-            server.scheduler.submit("digits", ct[0, :, :, :])
+            server.scheduler.submit("digits", ct[0])
 
     def test_foreign_parameter_ciphertext_rejected_typed(self, server, foreign_ct):
         """A right-shaped ciphertext under different parameters is a typed,
         counted ``malformed`` rejection chaining the KeyMismatchError -- not
         a bare ValueError escaping the serve error hierarchy."""
-        assert len(foreign_ct.batch_shape) == 4
+        assert len(foreign_ct.batch_shape) == 2
         with pytest.raises(ServeError) as excinfo:
             server.scheduler.submit("digits", foreign_ct)
         assert isinstance(excinfo.value.__cause__, KeyMismatchError)
@@ -359,9 +371,9 @@ class TestAccountingBugfixes:
         before_stats = server.scheduler.stats.rejected_malformed
         ct = session.encrypt("digits", models.dataset.test_images[:2])
         malformed = [
-            ct[0, :, :, :],  # non-4D
-            ct[:, :0, :, :],  # wrong channel count
-            ct[:0, :, :, :],  # empty batch
+            ct[0],  # not (B, C)
+            ct[:, :0],  # wrong channel count
+            ct[:0],  # empty batch
         ]
         for bad in malformed:
             with pytest.raises(ServeError):
@@ -377,16 +389,19 @@ class TestAccountingBugfixes:
         self, server, session, q_sigmoid, models
     ):
         """An 8x8 image against the 10x10 model used to be admitted, die at
-        ``fc`` mid-flush and force every batch-mate to re-run alone.  It is a
-        ``malformed`` rejection at submit; its neighbours share one flush."""
+        ``fc`` mid-flush and force every batch-mate to re-run alone.  The
+        client refuses to encrypt it, and a ciphertext the flush cannot fold
+        (here the image's per-pixel encoding) is a ``malformed`` rejection
+        at submit; its neighbours share one flush."""
         metric = self._rejected_malformed_metric()
         before_metric = metric.value
         images = models.dataset.test_images[:3]
         first = server.scheduler.submit("digits", session.encrypt("digits", images[:1]))
-        with pytest.raises(ServeError, match="8x8"):
-            server.scheduler.submit(
-                "digits", session.encrypt("digits", images[1:2, :, :8, :8])
-            )
+        small = images[1:2, :, :8, :8]
+        with pytest.raises(EncodingError, match=r"consumes \(B, 1, 10, 10\)"):
+            session.encrypt("digits", small)
+        with pytest.raises(ServeError, match=r"got batch shape \(1, 1, 8, 8\)"):
+            server.scheduler.submit("digits", per_pixel_ct(session, q_sigmoid, small))
         last = server.scheduler.submit("digits", session.encrypt("digits", images[2:3]))
         assert server.scheduler.drain() == 2
         stats = server.scheduler.stats
@@ -398,12 +413,18 @@ class TestAccountingBugfixes:
         assert np.array_equal(session.decrypt_logits(last.result()), expected[2:3])
 
     @pytest.mark.parametrize("side", [2, 9, 12])
-    def test_image_sizes_the_chain_cannot_consume(self, server, session, models, side):
+    def test_image_sizes_the_chain_cannot_consume(
+        self, server, session, q_sigmoid, models, side
+    ):
         """Smaller than the kernel, not tiled by the pool window, and a
-        feature map that misses the FC fan-in: all ``malformed``."""
+        feature map that misses the FC fan-in: the client encrypts only the
+        model's own image size, and the host takes only ``(B, C)`` image
+        ciphertexts -- anything else is ``malformed``."""
         image = np.resize(models.dataset.test_images[:1], (1, 1, side, side))
-        with pytest.raises(ServeError, match="cannot consume"):
-            server.scheduler.submit("digits", session.encrypt("digits", image))
+        with pytest.raises(EncodingError, match="consumes"):
+            session.encrypt("digits", image)
+        with pytest.raises(ServeError, match="image ciphertexts"):
+            server.scheduler.submit("digits", per_pixel_ct(session, q_sigmoid, image))
         assert server.scheduler.stats.rejected_malformed == 1
         assert server.scheduler.queue_depth == 0
 
