@@ -5,9 +5,11 @@ enclave (Section IV-C): convolution and the fully connected layer decompose
 into ciphertext-plaintext multiplications (``C x P``) and ciphertext
 additions (``C + C``).  These helpers operate on *batched* ciphertexts whose
 batch axes mirror the tensor layout ``(B, C, H, W)``, one ciphertext per
-pixel, exactly the paper's non-SIMD encoding -- except the served request
-format's convolution (:func:`encode_image_conv`), whose ``(B, C)``
-ciphertexts carry one image each in their coefficients.
+pixel, exactly the paper's non-SIMD encoding -- except on the direct
+serving path: its convolution (:func:`encode_image_conv`) takes ``(B, C)``
+ciphertexts carrying one image each in their coefficients, and its fc
+(:func:`encode_class_dense`) leaves each image's logits in the coefficients
+of one ciphertext.
 
 Weights are pre-encoded once (Section IV-B / Fig. 3) via
 :func:`encode_model_weights`; the returned operand table is reused across
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import PipelineError
+from repro.errors import ParameterError, PipelineError
 from repro.he import contraction, kernels, parallel
 from repro.he.batching import ImageLayout, lane_operand, lane_plain, stride_monomials
 from repro.he.context import Ciphertext, Context, Plaintext
@@ -143,11 +145,15 @@ def encode_image_conv(
 
 @dataclass(eq=False)
 class EncodedDenseWeights:
-    """NTT-precomputed FC weights + integer bias.
+    """FC weights as the scalar contraction reads them + integer bias.
+
+    A scalar weight's NTT operand is the weight's residue in every slot, so
+    the signed integers are the whole precomputation: the fused kernel
+    multiplies residues by them directly, and only the per-class reference
+    loop encodes and transforms a class's row, per call (``(D, k_rns, n)``
+    words per class, which the weights do not need to pin).
 
     Attributes:
-        operands: list of ``(D,)``-batched :class:`PlainOperand`, one per
-            output class (row-major over the flattened input).
         bias: int64 array ``(O,)`` at logit scale.
         bias_operand: ``(O,)``-batched ``Delta * bias`` operand precomputed
             at encode time.
@@ -157,7 +163,6 @@ class EncodedDenseWeights:
         keep / fold_bias / fused: see :func:`_plan_contraction`.
     """
 
-    operands: list[PlainOperand]
     bias: np.ndarray
     bias_operand: PlainOperand
     weight_matrix: np.ndarray
@@ -166,8 +171,62 @@ class EncodedDenseWeights:
     fused: bool
 
     @property
+    def in_features(self) -> int:
+        return self.weight_matrix.shape[1]
+
+    @property
     def out_features(self) -> int:
-        return len(self.operands)
+        return self.weight_matrix.shape[0]
+
+
+@dataclass(eq=False)
+class ClassDenseWeights:
+    """The served result format's fc operands, encoded once at provisioning:
+    fc and the fold of each image's logits along the class axis are one
+    product-sum, ``sum_j ct_j * W_j(x) + B(x)`` -- class ``c`` lands in
+    coefficient ``c`` of the image's one ciphertext.
+
+    Attributes:
+        operands: ``(D', k_rns, n)`` NTT residues of ``W_j(x) = sum_c w[j, c]
+            x^c``, one row per input ``keep`` names.
+        keep: the flattened inputs with a non-zero weight in some class (an
+            all-zero ``W_j`` contributes exactly nothing).
+        bias: NTT operand of ``B(x) = sum_c Delta * b_c x^c``.
+        in_features / out_features: the layer's ``D`` and class count.
+    """
+
+    operands: np.ndarray
+    keep: tuple[int, ...]
+    bias: PlainOperand
+    in_features: int
+    out_features: int
+
+
+def encode_class_dense(evaluator: Evaluator, quantized) -> ClassDenseWeights:
+    """Encode ``quantized``'s fc layer for the served result format.
+
+    Raises:
+        ParameterError: the model has more classes than the ring has
+            coefficients.
+    """
+    context = evaluator.context
+    n = context.poly_degree
+    weight = np.asarray(quantized.dense_weight, dtype=np.int64)  # (D, classes)
+    d, classes = weight.shape
+    if classes > n:
+        raise ParameterError(f"{classes} classes do not fit {n} coefficients")
+    keep = tuple(int(j) for j in np.flatnonzero(weight.any(axis=1))) or (0,)
+    coeffs = np.zeros((len(keep), n), dtype=np.int64)
+    coeffs[:, :classes] = weight[list(keep)]
+    bias = np.zeros(n, dtype=np.int64)
+    bias[:classes] = np.asarray(quantized.dense_bias, dtype=np.int64)
+    return ClassDenseWeights(
+        evaluator.transform_plain(Plaintext(context, coeffs)).ntt_data,
+        keep,
+        evaluator.transform_plain_delta(Plaintext(context, bias)),
+        d,
+        classes,
+    )
 
 
 @dataclass(eq=False)
@@ -239,16 +298,12 @@ def encode_dense_weights(
     weight: np.ndarray,
     bias: np.ndarray,
 ) -> EncodedDenseWeights:
-    """Encode integer FC weights, one batched operand per output class."""
-    d, o = weight.shape
-    operands = [
-        evaluator.transform_plain(encoder.encode(weight[:, oi])) for oi in range(o)
-    ]
+    """Encode integer FC weights for the scalar contraction."""
     bias = np.asarray(bias, dtype=np.int64)
     bias_operand = evaluator.transform_plain_delta(encoder.encode(bias))
     weight_matrix = np.ascontiguousarray(_signed_weights(encoder, weight).T)
     return EncodedDenseWeights(
-        operands, bias, bias_operand, weight_matrix,
+        bias, bias_operand, weight_matrix,
         *_plan_contraction(weight_matrix, evaluator.context),
     )
 
@@ -464,7 +519,7 @@ def he_dense(
     evaluator: Evaluator,
     encoder: ScalarEncoder,
     ct: Ciphertext,
-    weights: EncodedDenseWeights,
+    weights: EncodedDenseWeights | ClassDenseWeights,
     lanes: int = 1,
 ) -> Ciphertext:
     """Homomorphic fully connected layer over a flattened ciphertext batch.
@@ -472,21 +527,24 @@ def he_dense(
     Produces a ``(B, O)`` ciphertext of scaled logits: for every output
     class the flattened input batch is multiplied element-wise by that class's
     weight vector and folded with a batched C + C reduction (``lanes``: as conv).
+
+    With :class:`ClassDenseWeights` it produces the served result format
+    instead (:func:`_he_dense_classes`), ``(B,)`` ciphertexts.
     """
     b = ct.batch_shape[0]
     flat = ct.reshape(b, -1)
     d = flat.batch_shape[1]
-    for oi, operand in enumerate(weights.operands):
-        if operand.batch_shape != (d,):
-            raise PipelineError(
-                f"dense operand {oi} covers {operand.batch_shape} inputs, "
-                f"ciphertext provides {d}"
-            )
+    if weights.in_features != d:
+        raise PipelineError(
+            f"dense operand covers {weights.in_features} inputs, ciphertext provides {d}"
+        )
+    if isinstance(weights, ClassDenseWeights):
+        return _he_dense_classes(evaluator, flat, weights)
     if _runs_fused(weights):
         return _he_dense_fused(evaluator, flat, weights, lanes)
     outputs: list[Ciphertext] = []
-    for oi, operand in enumerate(weights.operands):
-        products = evaluator.multiply_plain(flat, operand)
+    for oi, row in enumerate(weights.weight_matrix):
+        products = evaluator.multiply_plain(flat, encoder.encode(row))
         summed = evaluator.sum_batch(products, axis=1)
         bias_plain = encoder.encode(np.full((b,), int(weights.bias[oi]), dtype=np.int64))
         outputs.append(evaluator.add_plain(summed, lane_plain(bias_plain, lanes)))
@@ -521,3 +579,25 @@ def _he_dense_fused(
         evaluator.counter.record("ct_add", o * (d - 1) * b)
     out = Ciphertext(flat.context, out, is_ntt=True)
     return _add_bias(evaluator, out, bias_operand, weights.fold_bias)
+
+
+def _he_dense_classes(
+    evaluator: Evaluator, flat: Ciphertext, weights: ClassDenseWeights
+) -> Ciphertext:
+    """fc folded along the class axis: ``out[b] = sum_j flat[b, j] * W_j(x) +
+    B(x)``, one NTT-domain product-sum over the scalar inputs.  Since
+    ``sum_c x^c sum_j w_cj ct_j = sum_j ct_j W_j(x)`` modulo every prime,
+    the bytes are the scalar contraction's folded by
+    :func:`~repro.he.batching.pack_coefficients`.  Tallied as ``D`` C x P
+    products and ``D - 1`` C + C additions per image, skipped inputs
+    included (the reference op structure)."""
+    b, d = flat.batch_shape
+    data = flat.to_ntt().data  # (B, D, size, k_rns, n)
+    out = evaluator.context.ring.pointwise_mul_sum(
+        (data[:, j] for j in weights.keep), weights.operands
+    )
+    if evaluator.counter is not None:
+        evaluator.counter.record("ct_plain_mul", b * d)
+        evaluator.counter.record("ct_add", b * (d - 1))
+    out = Ciphertext(flat.context, out, is_ntt=True)
+    return evaluator.add_plain_operand(out, weights.bias)

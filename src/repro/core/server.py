@@ -214,7 +214,7 @@ class EdgeServer:
         self.evaluator = Evaluator(self.context, self.counter)
         self.encoder = ScalarEncoder(self.context)
         self._models: dict[str, QuantizedCNN] = {}
-        self._resources: dict[str, graph_executor.Resources] = {}
+        self._resources: dict[tuple[str, str], graph_executor.Resources] = {}
         self._plans: dict[tuple[str, str], graph_executor.GraphPlan] = {}
         self._serve_config = serve_config if serve_config is not None else ServeConfig()
         self._scheduler: RequestScheduler | None = None
@@ -269,26 +269,29 @@ class EdgeServer:
             )
         # Requests are one image per polynomial (ParameterError if one does
         # not fit).  A flush folds them P per ciphertext before conv, the
-        # direct path each image's logits after fc: budget both folds.
+        # direct path's fc each image's logits into one: budget both folds.
         layout = graph_ir.image_layout(quantized, self.params)
         lanes = self._serve_config.capacity(self.params.poly_degree)
         packed = graph_ir.build_graph("packed", quantized, self.params, lanes=lanes)
         graph_ir.require_headroom(packed)
         graph_ir.require_headroom(graph_ir.build_graph("served", quantized, self.params))
         self._models[name] = quantized
-        self._resources[name] = graph_executor.Resources(
-            tracer=self.platform.tracer,
-            evaluator=self.evaluator,
-            encoder=self.encoder,
-            weights={
-                "conv": heops.encode_image_conv(self.evaluator, quantized, layout),
-                "fc": heops.encode_dense_weights(
-                    self.evaluator, self.encoder, quantized.dense_weight,
-                    quantized.dense_bias,
-                ),
-            },
-        )
+        # Both kinds share the conv operand; the flush's fc contracts scalar
+        # lanes, the direct path's folds the classes (both encoded here, once).
+        conv = heops.encode_image_conv(self.evaluator, quantized, layout)
+        fc = {
+            "served": heops.encode_class_dense(self.evaluator, quantized),
+            "packed": heops.encode_dense_weights(
+                self.evaluator, self.encoder, quantized.dense_weight, quantized.dense_bias
+            ),
+        }
         for kind, options in (("served", {}), ("packed", {"lanes": lanes})):
+            self._resources[name, kind] = graph_executor.Resources(
+                tracer=self.platform.tracer,
+                evaluator=self.evaluator,
+                encoder=self.encoder,
+                weights={"conv": conv, "fc": fc[kind]},
+            )
             self._plans[name, kind] = graph_executor.GraphPlan(
                 kind, quantized, self.params, **options
             )
@@ -473,7 +476,7 @@ class EdgeServer:
         """
         self._require_model(model_name)
         graph, report = self._plans[model_name, kind].compiled()
-        env = replace(self._resources[model_name], enclave=enclave)
+        env = replace(self._resources[model_name, kind], enclave=enclave)
         batch = graph_executor.leading_batch(ct)
         with obs_context.activate(*contexts), self.platform.tracer.span(
             scheme,

@@ -280,17 +280,6 @@ def _fold(env, node, requests, walk):
         return pack_coefficients(env.evaluator, requests, stride=node.attrs["stride"])
 
 
-def _fold_classes(env, node, logits, walk):
-    with _node_stage(env, node):
-        # Host side, no ECALL: the (B, classes) scalar logits fold along the
-        # class axis into the served-result format, class c in coefficient
-        # c of image b's one ciphertext.
-        by_class = np.moveaxis(logits.data, 1, 0)
-        return pack_coefficients(
-            env.evaluator, Ciphertext(logits.context, by_class, logits.is_ntt)
-        )
-
-
 def _unpack(env, node, value, walk):
     with _node_stage(env, node):
         return env.enclave.ecall("unpack_lanes", value, walk.lanes)
@@ -324,7 +313,6 @@ OPS: dict[str, Callable] = {
     "pool": _pool,
     "fc": _fc,
     "fold": _fold,
-    "fold_classes": _fold_classes,
     "unpack": _unpack,
     "decrypt": _decrypt_with(
         lambda env, ct, walk: decrypt_scalar_values(env.decryptor, env.encoder, ct)

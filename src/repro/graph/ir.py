@@ -3,9 +3,9 @@
 Every HE chain in the repository is a short linear one, so the IR is
 deliberately small: a list of :class:`GraphNode` objects (encrypt, conv,
 enclave crossing, square/relinearize/pool, fc, decrypt, the serving
-flush's fold/unpack and the served result's class fold) plus a ``meta``
-dict holding the model-derived constants the passes need (each
-contraction's integer weight matrix, the plaintext bound).  Edges are implicit — node ``i`` feeds node ``i + 1`` —
+flush's fold/unpack) plus a ``meta`` dict holding the model-derived
+constants the passes need (each contraction's integer weight matrix, the
+plaintext bound).  Edges are implicit — node ``i`` feeds node ``i + 1`` —
 and each node carries the multiplicative level plus noise annotations
 (:func:`annotate`) derived from :class:`repro.he.noise.NoiseEstimator`,
 which is what lets passes reason about headroom (e.g. how many coefficients
@@ -13,14 +13,14 @@ a packed crossing may fold) without touching ciphertexts.
 
 One builder per graph kind (:data:`BUILDERS`): ``hybrid``, ``cryptonets``,
 ``simd``, ``deep``, ``served`` (``EdgeServer.infer``: no encrypt/decrypt
-node; ends in ``fold_classes``, one result ciphertext per image) and
+node; its ``fc`` folds the classes, one result ciphertext per image) and
 ``packed`` (the scheduler flush).  The two serving kinds take the served
 request format, one image per polynomial (:func:`image_layout`); their
 crossings carry that layout as an ``image`` attribute.  Work on coefficients
 (``encrypt_lanes``, ``fold``, ``crossing_image``, ``crossing_lanes``,
-``decrypt_lanes``, ``unpack``, ``fold_classes``) has its own ops, not flags
-on the scalar ones, so the pass that rewrites ``crossing`` simply finds no
-such node on the ``simd`` and serving graphs and refuses.
+``decrypt_lanes``, ``unpack``) has its own ops, not flags on the scalar
+ones, so the pass that rewrites ``crossing`` simply finds no such node on
+the ``simd`` and serving graphs and refuses.
 """
 
 from __future__ import annotations
@@ -141,13 +141,19 @@ def node_noise_cost(node: GraphNode, graph: InferenceGraph, estimator: NoiseEsti
     The per-layer convention ``parameters_for_pipeline`` sizes for: a refresh
     resets the budget to fresh, and a contraction costs one plaintext multiply
     at the layer's weight norm plus the additions over its fan-in -- the terms
-    with a non-zero weight (:func:`repro.core.heops._plan_contraction`).
+    with a non-zero weight (:func:`repro.core.heops._plan_contraction`).  An
+    fc that folds the classes too (``classes``, the ``served`` kind's) adds
+    their sum: ``W_j(x)`` has one weight per class.
     """
     if node.op in CONTRACTION_OPS:
         matrix = graph.meta["layers"][node.stage]
         terms = int(np.count_nonzero(matrix.any(axis=0)))
         norm = float(max(1, np.abs(matrix).max()))
-        return estimator.plain_multiply_cost(norm) + estimator.add_cost(max(1, terms))
+        return (
+            estimator.plain_multiply_cost(norm)
+            + estimator.add_cost(max(1, terms))
+            + estimator.add_cost(node.attrs.get("classes", 1))
+        )
     if node.op == "square":
         return estimator.multiply_cost()
     if node.op == "relinearize":
@@ -157,8 +163,6 @@ def node_noise_cost(node: GraphNode, graph: InferenceGraph, estimator: NoiseEsti
     if node.op == "fold":
         per = graph.params.poly_degree // node.attrs["stride"]
         return estimator.add_cost(min(node.attrs["lanes"], per))
-    if node.op == "fold_classes":
-        return estimator.add_cost(node.attrs["lanes"])
     return 0.0
 
 
@@ -227,14 +231,15 @@ def _graph(kind, quantized, params, nodes, layers, mode="batched") -> InferenceG
     return annotate(InferenceGraph(kind, params, nodes, meta))
 
 
-def _single_block(kind, quantized, params, head, between, tail, mode="batched"):
-    """``head -> conv -> between -> fc -> tail`` over one QuantizedCNN."""
+def _single_block(kind, quantized, params, head, between, tail, mode="batched", fc=None):
+    """``head -> conv -> between -> fc -> tail`` over one QuantizedCNN, the
+    fc node's attrs ``fc``."""
     conv = np.asarray(quantized.conv_weight, dtype=np.int64)
     nodes = [
         *head,
         GraphNode("conv", "conv"),
         *between,
-        GraphNode("fc", "fc"),
+        GraphNode("fc", "fc", dict(fc or {})),
         *tail,
     ]
     layers = {
@@ -321,15 +326,15 @@ def build_served_graph(quantized, params: EncryptionParams) -> InferenceGraph:
     """IR for ``EdgeServer.infer``: the hybrid's server half, on images the
     user already encrypted one per polynomial and a result only the user can
     decrypt -- conv is one plaintext-polynomial product per filter, the
-    crossing re-encrypts scalar values for ``fc``, and the host folds each
-    image's logits into one ciphertext's coefficients, additions that come
-    out of ``fc``'s budget."""
+    crossing re-encrypts scalar values, and ``fc`` contracts them straight
+    into each image's one result ciphertext, class ``c`` in coefficient
+    ``c``: the class fold's additions come out of ``fc``'s budget."""
     classes = int(np.shape(quantized.dense_weight)[1])
     layout = image_layout(quantized, params)
     return _single_block(
         "served", quantized, params, [],
-        [_image_stage("crossing_image", quantized, layout)],
-        [GraphNode("fold_classes", "pack_logits", {"lanes": classes})],
+        [_image_stage("crossing_image", quantized, layout)], [],
+        fc={"classes": classes},
     )
 
 

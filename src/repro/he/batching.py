@@ -208,10 +208,10 @@ def pack_coefficients(
     decryption, and the parts are read where they lie (views, strided and
     read-only data included) by :meth:`Evaluator.sum_products`.
 
-    Folded along the class axis, it turns the direct path's ``(B,
-    classes)`` logits into the served-result format, one ciphertext per
-    image (class ``c`` in *lane* ``c``: :func:`lane_operand`,
-    :func:`read_lanes`).  With ``stride > 1`` it is the packed flush's fold
+    The direct path's fc produces the same fold of its ``(B, classes)``
+    logits without building them (``repro.core.heops.encode_class_dense``):
+    the served-result format, class ``c`` in *lane* ``c`` of one ciphertext
+    per image (:func:`read_lanes`).  With ``stride > 1`` it is the packed flush's fold
     of image-encoded requests (:class:`ImageLayout`, ``stride = H*W``):
     ``P = n // stride`` images per ciphertext, image ``b`` at ``x^(stride *
     (b % P))`` of row ``b // P``, a ``(ceil(B / P), *rest)`` ciphertext.

@@ -105,6 +105,14 @@ class SymmetricEncryptor:
     Produces slightly less noisy ciphertexts than public-key encryption.
     The enclave uses this form when re-encrypting intermediate CNN state,
     since it holds the secret key anyway (paper Section IV-D).
+
+    ``a`` is drawn uniform directly in the NTT domain, as SEAL does: the
+    transform is a bijection of ``Z_p^n`` for each prime, so the draw is
+    just as uniform there, and one forward transform (of ``e + Delta m``)
+    remains per ciphertext instead of two.  The RNG draws are those of a
+    coefficient-domain draw, in the same order, and ``c0 + c1 s = NTT(e +
+    Delta m)`` does not involve ``a``, so every decryption and noise budget
+    equals that form's; only the ciphertext bytes differ.
     """
 
     def __init__(
@@ -123,9 +131,10 @@ class SymmetricEncryptor:
         ring = self.context.ring
         params = self.context.params
         batch = plain.batch_shape
-        uniform = ring.sample_uniform(self.rng, *batch)
+        data = np.empty((*batch, 2, ring.k, ring.n), dtype=np.int64)
+        a = data[..., 1, :, :]
+        a[...] = ring.sample_uniform(self.rng, *batch)  # already NTT residues
         e = ring.sample_noise(self.rng, params.noise_stddev, *batch)
-        a, masked = _transform_sampled(ring, uniform, add_delta_m(self.context, e, plain))
-        body = ring.sub(masked, ring.pointwise_mul(a, self.secret_key.s_ntt))
-        data = np.stack([body, a], axis=-3)
+        masked = ring.ntt(add_delta_m(self.context, e, plain))
+        data[..., 0, :, :] = ring.sub(masked, ring.pointwise_mul(a, self.secret_key.s_ntt))
         return Ciphertext(self.context, data, is_ntt=True)

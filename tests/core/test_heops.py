@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core import heops
-from repro.errors import PipelineError
+from repro.errors import ParameterError, PipelineError
 from repro.graph import ir
 from repro.he import (
+    Ciphertext,
     Context,
     Decryptor,
     Encryptor,
+    EncryptionParams,
     Evaluator,
     KeyGenerator,
     OperationCounter,
     ScalarEncoder,
     kernels,
+    modmath,
 )
-from repro.he.batching import pack_coefficients, read_image, write_image
+from repro.he.batching import pack_coefficients, read_image, read_lanes, write_image
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +217,92 @@ class TestHeDense:
         )
         with pytest.raises(PipelineError):
             heops.he_dense(rig["evaluator"], rig["encoder"], ct, weights)
+
+
+@pytest.fixture(scope="module", params=[(256, 20), (1024, 20), (1024, 30)],
+                ids=["n256", "n1024", "n1024-t30"])
+def class_rig(request):
+    """A 30-bit ``t`` lets weights near ``2^28`` break the scalar fc's int64
+    bound, which sends it to the per-class loop."""
+    degree, plain_bits = request.param
+    context = Context(EncryptionParams(
+        poly_degree=degree,
+        coeff_primes=tuple(modmath.ntt_primes(30, degree, 2)),
+        plain_modulus=1 << plain_bits,
+        name=f"class_dense_{degree}_t{plain_bits}",
+    ))
+    rng = np.random.default_rng(29)
+    keys = KeyGenerator(context, rng).generate()
+    return {
+        "context": context,
+        "wide": plain_bits == 30,
+        "encoder": ScalarEncoder(context),
+        "encryptor": Encryptor(context, keys.public, rng),
+        "decryptor": Decryptor(context, keys.secret),
+    }
+
+
+class TestClassDense:
+    """The direct path's fc contracts the crossing's scalars straight into
+    the served result format: byte for byte the scalar fc followed by
+    ``pack_coefficients`` over the class axis, whatever the weights."""
+
+    @staticmethod
+    def model(rig, zero_columns):
+        rng = np.random.default_rng(31)
+        top = 1 << 28 if rig["wide"] else 9
+        weight = rng.integers(-top, top, size=(64, 5))
+        weight[0, 0] = -top
+        if zero_columns:
+            weight[[0, 7, 63], :] = 0
+        return SimpleNamespace(dense_weight=weight, dense_bias=rng.integers(-50, 50, size=5))
+
+    @staticmethod
+    def oracle(rig, ct, quantized):
+        """The scalar contraction, then the class fold the served graph used
+        to end in."""
+        evaluator = Evaluator(rig["context"])
+        scalar = heops.encode_dense_weights(
+            evaluator, rig["encoder"], quantized.dense_weight, quantized.dense_bias
+        )
+        assert scalar.fused != rig["wide"]  # past the bound: the per-class loop
+        logits = heops.he_dense(evaluator, rig["encoder"], ct, scalar)
+        by_class = np.moveaxis(logits.data, 1, 0)
+        return pack_coefficients(evaluator, Ciphertext(rig["context"], by_class, True))
+
+    @pytest.mark.parametrize("zero_columns", [False, True], ids=["dense", "keep"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_matches_scalar_fc_then_class_fold(self, class_rig, batch, zero_columns):
+        rig = class_rig
+        quantized = self.model(rig, zero_columns)
+        hidden = np.random.default_rng(batch).integers(-20, 20, size=(batch, 4, 4, 4))
+        ct = rig["encryptor"].encrypt(rig["encoder"].encode(hidden))
+        counter = OperationCounter()
+        evaluator = Evaluator(rig["context"], counter)
+        weights = heops.encode_class_dense(evaluator, quantized)
+        assert len(weights.keep) == 64 - 3 * zero_columns
+        out = heops.he_dense(evaluator, rig["encoder"], ct, weights)
+        assert out.batch_shape == (batch,) and out.is_ntt
+        assert out.data.tobytes() == self.oracle(rig, ct, quantized).data.tobytes()
+        assert counter.counts == {
+            "ct_plain_mul": 64 * batch, "ct_add": 63 * batch, "plain_add": batch,
+        }
+        if not rig["wide"]:  # the wide weights exhaust the noise budget
+            plain = rig["decryptor"].decrypt(out.reshape(1, -1))
+            expected = hidden.reshape(batch, -1) @ quantized.dense_weight
+            assert np.array_equal(read_lanes(plain, 5).T, expected + quantized.dense_bias)
+
+    def test_rejects_what_it_cannot_hold(self, class_rig):
+        rig = class_rig
+        evaluator = Evaluator(rig["context"])
+        weights = heops.encode_class_dense(evaluator, self.model(rig, False))
+        ct = rig["encryptor"].encrypt(rig["encoder"].encode(np.zeros((2, 8), dtype=np.int64)))
+        with pytest.raises(PipelineError, match="covers 64 inputs, ciphertext provides 8"):
+            heops.he_dense(evaluator, rig["encoder"], ct, weights)
+        n = rig["context"].poly_degree
+        wide = SimpleNamespace(
+            dense_weight=np.ones((2, n + 1), dtype=np.int64),
+            dense_bias=np.zeros(n + 1, dtype=np.int64),
+        )
+        with pytest.raises(ParameterError, match=f"{n + 1} classes do not fit"):
+            heops.encode_class_dense(evaluator, wide)

@@ -161,7 +161,9 @@ class TestCryptonetsEquivalence:
 #: What the parent commit's hand-written chains produced for the same
 #: seeds (``kinds.py`` run under ``off`` at commit 4765829).  The ``packed``,
 #: ``served`` and ``simd`` rows are re-recorded whenever their result
-#: ciphertexts change layout; their ``logits`` hashes never change.
+#: ciphertexts change layout, and every row's ``ciphertext`` whenever the
+#: enclave's re-encryption draws its bytes differently (``a`` in the NTT
+#: domain); their ``logits`` and ``rng`` hashes never change.
 PARENT_RECORDING = json.loads(
     Path(__file__).with_name("parent_recording.json").read_text()
 )

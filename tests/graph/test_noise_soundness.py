@@ -2,9 +2,10 @@
 the ``simd`` kind: after ``conv`` (one plaintext-polynomial product per
 filter on the served request format), after ``fc`` and on the result a
 client receives.  Each fold is a host-side sum, not a refresh -- the flush's
-makes ``conv`` start below fresh, the class fold ends ``served`` below
-``fc`` -- the ``simd`` kind's lanes are written by one fresh encryption,
-and a model that leaves no budget is refused when it is provisioned."""
+makes ``conv`` start below fresh, the direct path's ``fc`` folds the classes
+and pays for them -- the ``simd`` kind's lanes are written by one fresh
+encryption, and a model that leaves no budget is refused when it is
+provisioned."""
 
 from __future__ import annotations
 
@@ -43,8 +44,11 @@ def test_fold_is_priced_not_a_refresh():
         assert fold.noise_cost_bits == pytest.approx(cost)
         assert fold.budget_bits == pytest.approx(fresh - cost)
         assert conv.budget_bits == pytest.approx(served.node("conv").budget_bits - cost)
-        # The crossing refreshes: fc does not pay for the fold.
-        assert packed.node("fc").budget_bits == served.node("fc").budget_bits
+        # The crossing refreshes: fc does not pay for the fold (the served
+        # fc pays for its own class fold, log2(3) bits).
+        assert packed.node("fc").budget_bits == pytest.approx(
+            served.node("fc").budget_bits + np.log2(3)
+        )
 
 
 def _spy_budgets(monkeypatch, decryptor) -> dict:
@@ -116,10 +120,11 @@ def test_simd_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
 
 @pytest.mark.parametrize("batch", BATCHES)
 def test_class_fold_headroom_lower_bounds_the_result_budget(batch, monkeypatch):
-    """The direct path: each image's own conv products, fc on the crossing's
-    scalars, and fc's logits folded along the class axis on the host -- the
-    fold priced ``log2(classes)``, its IR headroom a lower bound on what the
-    client's result ciphertext measures."""
+    """The direct path: each image's own conv products, then fc on the
+    crossing's scalars folding the logits along the class axis as it
+    contracts -- the fold priced ``log2(classes)`` on top of fc's own cost,
+    fc's IR headroom a lower bound on what the client's result ciphertext
+    measures."""
     model = single_block_model()
     params = parameters_for_pipeline(model, 256, batching=True)
     server, session = _deployment(model, params)
@@ -129,19 +134,23 @@ def test_class_fold_headroom_lower_bounds_the_result_budget(batch, monkeypatch):
     with optimizer.use("off"):
         result = server.infer(request)
     graph = ir.build_graph("served", model, params)
-    fold, fc = graph.node("fold_classes"), graph.node("fc")
+    fc = graph.node("fc")
     classes = model.dense_weight.shape[1]
-    assert fold.attrs["lanes"] == classes and "fold_classes" not in ir.REFRESH_OPS
-    assert fold.noise_cost_bits == pytest.approx(np.log2(classes))
-    assert fold.budget_bits == pytest.approx(fc.budget_bits - np.log2(classes))
+    assert fc.attrs == {"classes": classes} and graph.nodes[-1] is fc
+    scalar_fc = ir.build_graph("packed", model, params).node("fc")
+    assert fc.noise_cost_bits == pytest.approx(
+        scalar_fc.noise_cost_bits + np.log2(classes)
+    )
     measured["result"] = session.decryptor.invariant_noise_budget(result.logits_ct)
-    _assert_lower_bounds(graph, measured, result_node="fold_classes")
+    assert measured["result"] == measured["fc"]
+    _assert_lower_bounds(graph, measured, result_node="fc")
 
 
 def test_provisioning_refuses_a_class_fold_with_no_headroom():
     """Two 17-bit primes leave fc under one bit, which a one-lane flush
-    survives (its enclave re-encrypts after fc) and the direct path's class
-    fold does not: provisioning checks the ``served`` graph too."""
+    survives (its enclave re-encrypts after fc) and the direct path's fc,
+    which also folds the classes, does not: provisioning checks the
+    ``served`` graph too."""
     model = single_block_model()
     sized = parameters_for_pipeline(model, 256, batching=True)
     edge = EncryptionParams(
@@ -151,7 +160,7 @@ def test_provisioning_refuses_a_class_fold_with_no_headroom():
         name="edge",
     )
     ir.require_headroom(ir.build_graph("packed", model, edge, lanes=1))
-    with pytest.raises(ParameterError, match=r"served graph leaves layer 'pack_logits'"):
+    with pytest.raises(ParameterError, match=r"served graph leaves layer 'fc'"):
         server = EdgeServer(edge, seed=13, serve_config=ServeConfig(max_batch=1))
         server.provision_model("m", model)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import KeyMismatchError, NoiseBudgetExhausted, ParameterError
 from repro.he import (
+    Ciphertext,
     Context,
     Decryptor,
     Encryptor,
@@ -91,9 +92,14 @@ def _public_formula(context, keys, rng, plain):
     return np.stack([c0, c1], axis=-3)
 
 
-def _symmetric_formula(context, keys, rng, plain):
+def _symmetric_formula(context, keys, rng, plain, a_domain="ntt"):
+    """``SymmetricEncryptor.encrypt`` written out: ``a`` is drawn as NTT
+    residues (``a_domain="coeff"``: drawn as coefficients and transformed,
+    the form before the draw moved into the NTT domain)."""
     ring, params, batch = context.ring, context.params, plain.batch_shape
-    a = ring.ntt(ring.sample_uniform(rng, *batch))
+    a = ring.sample_uniform(rng, *batch)
+    if a_domain == "coeff":
+        a = ring.ntt(a)
     e = ring.sample_noise(rng, params.noise_stddev, *batch)
     delta_m = ring.mul_scalar(ring.from_int_coeffs(plain.coeffs), params.delta)
     body = ring.sub(ring.ntt(ring.add(delta_m, e)), ring.pointwise_mul(a, keys.secret.s_ntt))
@@ -160,6 +166,38 @@ class TestConstantCoefficientPath:
 
     def test_encrypt_scalar_is_encrypt(self):
         assert vars(Encryptor)["encrypt_scalar"] is vars(Encryptor)["encrypt"]
+
+
+class TestSymmetricDrawsAInTheNttDomain:
+    """Drawing ``a`` as NTT residues changes the ciphertext bytes and
+    nothing a decryption can see: for one seed, the plaintext, the noise
+    ``c0 + c1 s = NTT(e + Delta m)`` and the RNG position equal the
+    coefficient-domain draw's, and ``c1`` is canonical."""
+
+    @pytest.mark.parametrize(
+        "profile", [kernels.FUSED, kernels.REFERENCE], ids=["fused", "reference"]
+    )
+    def test_same_plaintext_noise_and_rng_as_a_transformed_draw(
+        self, context, keypair, encoder, decryptor, profile
+    ):
+        ring = context.ring
+        plain = encoder.encode(np.random.default_rng(4).integers(-900, 900, size=(2, 5)))
+        with kernels.use(profile):
+            parent_rng = np.random.default_rng(77)
+            parent = _symmetric_formula(context, keypair, parent_rng, plain, "coeff")
+            rng = np.random.default_rng(77)
+            ct = SymmetricEncryptor(context, keypair.secret, rng).encrypt(plain)
+        assert rng.bit_generator.state == parent_rng.bit_generator.state
+        assert ct.data.tobytes() != parent.tobytes()
+        s = keypair.secret.s_ntt
+        for data in (ct.data, parent):
+            assert ((0 <= data[..., 1, :, :]) & (data[..., 1, :, :] < ring.primes[:, None])).all()
+        phase = ring.add(ct.data[..., 0, :, :], ring.pointwise_mul(ct.data[..., 1, :, :], s))
+        parent_phase = ring.add(parent[..., 0, :, :], ring.pointwise_mul(parent[..., 1, :, :], s))
+        assert phase.tobytes() == parent_phase.tobytes()
+        parent_ct = Ciphertext(context, parent, is_ntt=True)
+        assert decryptor.decrypt(ct).coeffs.tobytes() == decryptor.decrypt(parent_ct).coeffs.tobytes()
+        assert decryptor.invariant_noise_budget(ct) == decryptor.invariant_noise_budget(parent_ct)
 
 
 class TestNoiseBudget:

@@ -170,7 +170,8 @@ class TestNoiseProfileAccounting:
         params = parameters_for_pipeline(q, 256)
         estimator = NoiseEstimator(params)
         _, norm, additions = q.noise_profile()
-        graph = ir.build_served_graph(q, params)
+        # The hybrid graph: the served one's fc also pays its class fold.
+        graph = ir.build_hybrid_graph(q, params)
         worst = min(graph.node(layer).budget_bits for layer in ("conv", "fc"))
         sized = estimator.budget_after(
             plain_multiplies=1, plain_norm=norm, additions=additions
