@@ -26,7 +26,15 @@ import numpy as np
 
 from repro.core import securechannel
 from repro.errors import EncodingError, PipelineError
-from repro.he.batching import ImageLayout, read_image, read_lanes, write_lanes
+from repro.he.batching import (
+    ClassLayout,
+    ImageLayout,
+    read_classes,
+    read_image,
+    read_lanes,
+    split_features,
+    write_lanes,
+)
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
 from repro.he.encoders import ScalarEncoder
@@ -172,14 +180,23 @@ class InferenceEnclave(Enclave):
         This is the paper's batched ``EncryptSGX`` step: one enclave crossing
         per feature-map batch instead of one per pixel.  ``pool`` may be
         ``mean`` or ``max`` -- max-pooling is only computable here
-        (Section VI-D).  ``ct`` is scalar-encoded ``(B, F, OH, OW)``, or,
-        with ``image``, the served request format's ``(B, F)`` conv outputs,
-        one image per ciphertext (:func:`~repro.he.batching.read_image`);
-        either way one scalar ciphertext per pooled value comes back.
+        (Section VI-D).  ``ct`` is scalar-encoded ``(B, F, OH, OW)``, and one
+        scalar ciphertext per pooled value comes back; or, with ``image``,
+        the served request format's ``(B, F)`` conv outputs, one image per
+        ciphertext (:func:`~repro.he.batching.read_image`), and image ``b``'s
+        flattened pooled values come back in the coefficients of its own
+        ``(B, S)`` feature polynomials
+        (:func:`~repro.he.batching.split_features`).
         """
         values = self._decrypt_values(ct, image=image)
-        return self._encrypt_values(
-            _activate_pool(values, input_scale, output_scale, window, activation, pool)
+        pooled = _activate_pool(values, input_scale, output_scale, window, activation, pool)
+        if image is None:
+            return self._encrypt_values(pooled)
+        features = split_features(
+            pooled.reshape(len(pooled), -1), self._context.poly_degree
+        )
+        return self._encrypt_values(np.moveaxis(features, -1, 0), lanes=True).reshape(
+            *features.shape[:2]
         )
 
     @ecall
@@ -290,12 +307,17 @@ class InferenceEnclave(Enclave):
         )
 
     @ecall
-    def unpack_lanes(self, ct: Ciphertext, batch: int) -> Ciphertext:
+    def unpack_lanes(
+        self, ct: Ciphertext, batch: int, classes: ClassLayout | None = None
+    ) -> Ciphertext:
         """Re-encrypt the flush's lane-packed ``(1, classes)`` logits as
         ``batch`` served results: one ciphertext per request, class ``c`` in
         coefficient ``c`` (the lanes along the class axis), every coefficient
-        past ``classes`` zero."""
-        logits = self._decrypt_values(ct, batch)
+        past ``classes`` zero.  With ``classes``, ``ct`` is the direct path's
+        ``(batch, R)`` fc result (:func:`~repro.he.batching.read_classes`)
+        instead: only the classes are re-encrypted, so the partial products
+        between them never leave the enclave."""
+        logits = self._decrypt_values(ct, batch, classes=classes)
         if logits.ndim != 2:
             raise PipelineError(
                 f"unpack_lanes takes (1, classes) logits, got batch shape {ct.batch_shape}"
@@ -341,13 +363,19 @@ class InferenceEnclave(Enclave):
         self.touch_working_set(self._crypto_state_bytes())
 
     def _decrypt_values(
-        self, ct: Ciphertext, lanes: int | None = None, image: ImageLayout | None = None
+        self,
+        ct: Ciphertext,
+        lanes: int | None = None,
+        image: ImageLayout | None = None,
+        classes: ClassLayout | None = None,
     ) -> np.ndarray:
         """The crossings' one decode: the scalar-encoded values of ``ct``,
-        the ``(lanes, *rest)`` values of a lane-packed ``(1, *rest)`` one, or,
+        the ``(lanes, *rest)`` values of a lane-packed ``(1, *rest)`` one;
         with ``image``, the conv outputs of image-encoded ``(rows, F)``
-        ciphertexts -- one image per row, or ``lanes`` images ``P`` per row.
-        Zero probes checked (and, for images, the conv bound)."""
+        ciphertexts -- one image per row, or ``lanes`` images ``P`` per row;
+        with ``classes``, the ``(lanes, classes)`` logits of a class-strided
+        fc result.  Zero probes checked (and, for images and classes, the
+        layer's bound)."""
         self._load_crypto_state()
         with _typed_read():
             if image is not None:
@@ -356,6 +384,8 @@ class InferenceEnclave(Enclave):
                     return read_image(plain, image)
                 per = image.per_ciphertext(self._context.poly_degree)
                 return read_image(plain, image, lanes, per)
+            if classes is not None:
+                return read_classes(self._decryptor.decrypt(ct), classes, lanes)
             if lanes is not None:
                 return read_lanes(self._decryptor.decrypt(ct), lanes)
             return decrypt_scalar_values(

@@ -8,8 +8,9 @@ batch axes mirror the tensor layout ``(B, C, H, W)``, one ciphertext per
 pixel, exactly the paper's non-SIMD encoding -- except on the direct
 serving path: its convolution (:func:`encode_image_conv`) takes ``(B, C)``
 ciphertexts carrying one image each in their coefficients, and its fc
-(:func:`encode_class_dense`) leaves each image's logits in the coefficients
-of one ciphertext.
+(:func:`encode_class_dense`) takes each image's pooled values in the
+coefficients of one polynomial and leaves its logits in known coefficients
+of another.
 
 Weights are pre-encoded once (Section IV-B / Fig. 3) via
 :func:`encode_model_weights`; the returned operand table is reused across
@@ -32,9 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ParameterError, PipelineError
+from repro.errors import PipelineError
 from repro.he import contraction, kernels, parallel
-from repro.he.batching import ImageLayout, lane_operand, lane_plain, stride_monomials
+from repro.he.batching import (
+    ClassLayout,
+    ImageLayout,
+    lane_operand,
+    lane_plain,
+    stride_monomials,
+)
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.encoders import ScalarEncoder
 from repro.he.evaluator import Evaluator, PlainOperand
@@ -181,51 +188,48 @@ class EncodedDenseWeights:
 
 @dataclass(eq=False)
 class ClassDenseWeights:
-    """The served result format's fc operands, encoded once at provisioning:
-    fc and the fold of each image's logits along the class axis are one
-    product-sum, ``sum_j ct_j * W_j(x) + B(x)`` -- class ``c`` lands in
-    coefficient ``c`` of the image's one ciphertext.
+    """The direct path's fc operands, encoded once at provisioning: each
+    result polynomial is one product-sum over the image's feature
+    polynomials, ``sum_s ct_s * R_{r,s}(x) + B_r(x)``, laid out by
+    :class:`~repro.he.batching.ClassLayout`.
 
     Attributes:
-        operands: ``(D', k_rns, n)`` NTT residues of ``W_j(x) = sum_c w[j, c]
-            x^c``, one row per input ``keep`` names.
-        keep: the flattened inputs with a non-zero weight in some class (an
-            all-zero ``W_j`` contributes exactly nothing).
-        bias: NTT operand of ``B(x) = sum_c Delta * b_c x^c``.
-        in_features / out_features: the layer's ``D`` and class count.
+        layout: where the features and classes sit.
+        operands: ``(R, S, k_rns, n)`` NTT residues of ``R_{r,s}(x)``.
+        bias: ``(R,)`` NTT operand of ``Delta * b_c`` at each class position.
     """
 
+    layout: ClassLayout
     operands: np.ndarray
-    keep: tuple[int, ...]
     bias: PlainOperand
-    in_features: int
-    out_features: int
+
+    @property
+    def out_features(self) -> int:
+        return self.layout.classes
 
 
-def encode_class_dense(evaluator: Evaluator, quantized) -> ClassDenseWeights:
-    """Encode ``quantized``'s fc layer for the served result format.
-
-    Raises:
-        ParameterError: the model has more classes than the ring has
-            coefficients.
-    """
+def encode_class_dense(
+    evaluator: Evaluator, quantized, layout: ClassLayout
+) -> ClassDenseWeights:
+    """Encode ``quantized``'s fc layer for features and classes laid out by
+    ``layout`` (:func:`repro.graph.ir.class_layout`)."""
     context = evaluator.context
     n = context.poly_degree
-    weight = np.asarray(quantized.dense_weight, dtype=np.int64)  # (D, classes)
-    d, classes = weight.shape
-    if classes > n:
-        raise ParameterError(f"{classes} classes do not fit {n} coefficients")
-    keep = tuple(int(j) for j in np.flatnonzero(weight.any(axis=1))) or (0,)
-    coeffs = np.zeros((len(keep), n), dtype=np.int64)
-    coeffs[:, :classes] = weight[list(keep)]
-    bias = np.zeros(n, dtype=np.int64)
-    bias[:classes] = np.asarray(quantized.dense_bias, dtype=np.int64)
+    polys, span = layout.feature_polys, layout.span
+    weight = np.zeros((polys * span, layout.classes), dtype=np.int64)
+    weight[: layout.features] = np.asarray(quantized.dense_weight, dtype=np.int64)
+    weight = weight.reshape(polys, span, layout.classes)
+    coeffs = np.zeros((layout.result_polys, polys, n), dtype=np.int64)
+    bias = np.zeros((layout.result_polys, n), dtype=np.int64)
+    rows, offsets = layout.class_rows(), layout.class_offsets()
+    for c in range(layout.classes):
+        # Feature i times x^(offset - i): the i = j products meet at offset.
+        coeffs[rows[c]][:, offsets[c] - np.arange(span)] = weight[..., c]
+    bias[rows, offsets] = np.asarray(quantized.dense_bias, dtype=np.int64)
     return ClassDenseWeights(
+        layout,
         evaluator.transform_plain(Plaintext(context, coeffs)).ntt_data,
-        keep,
         evaluator.transform_plain_delta(Plaintext(context, bias)),
-        d,
-        classes,
     )
 
 
@@ -528,9 +532,11 @@ def he_dense(
     class the flattened input batch is multiplied element-wise by that class's
     weight vector and folded with a batched C + C reduction (``lanes``: as conv).
 
-    With :class:`ClassDenseWeights` it produces the served result format
-    instead (:func:`_he_dense_classes`), ``(B,)`` ciphertexts.
+    With :class:`ClassDenseWeights` it takes the direct path's ``(B, S)``
+    feature polynomials instead (:func:`_he_dense_classes`).
     """
+    if isinstance(weights, ClassDenseWeights):
+        return _he_dense_classes(evaluator, ct, weights)
     b = ct.batch_shape[0]
     flat = ct.reshape(b, -1)
     d = flat.batch_shape[1]
@@ -538,8 +544,6 @@ def he_dense(
         raise PipelineError(
             f"dense operand covers {weights.in_features} inputs, ciphertext provides {d}"
         )
-    if isinstance(weights, ClassDenseWeights):
-        return _he_dense_classes(evaluator, flat, weights)
     if _runs_fused(weights):
         return _he_dense_fused(evaluator, flat, weights, lanes)
     outputs: list[Ciphertext] = []
@@ -582,22 +586,28 @@ def _he_dense_fused(
 
 
 def _he_dense_classes(
-    evaluator: Evaluator, flat: Ciphertext, weights: ClassDenseWeights
+    evaluator: Evaluator, ct: Ciphertext, weights: ClassDenseWeights
 ) -> Ciphertext:
-    """fc folded along the class axis: ``out[b] = sum_j flat[b, j] * W_j(x) +
-    B(x)``, one NTT-domain product-sum over the scalar inputs.  Since
-    ``sum_c x^c sum_j w_cj ct_j = sum_j ct_j W_j(x)`` modulo every prime,
-    the bytes are the scalar contraction's folded by
-    :func:`~repro.he.batching.pack_coefficients`.  Tallied as ``D`` C x P
-    products and ``D - 1`` C + C additions per image, skipped inputs
-    included (the reference op structure)."""
-    b, d = flat.batch_shape
-    data = flat.to_ntt().data  # (B, D, size, k_rns, n)
+    """fc on feature polynomials: ``out[b, r] = sum_s ct[b, s] * R_{r,s}(x)
+    + B_r(x)``, one NTT-domain product per (result, feature) polynomial --
+    ``(B, R)`` ciphertexts holding each class where
+    :class:`~repro.he.batching.ClassLayout` says and partial products
+    between.  Tallied as ``D`` C x P products and ``D - 1`` C + C additions
+    per image (the reference op structure)."""
+    layout = weights.layout
+    if len(ct.batch_shape) != 2 or ct.batch_shape[1] != layout.feature_polys:
+        raise PipelineError(
+            f"class-strided fc expects (B, {layout.feature_polys}) feature "
+            f"ciphertexts, got {ct.batch_shape}"
+        )
+    b, polys = ct.batch_shape
+    data = ct.to_ntt().data  # (B, S, size, k_rns, n)
     out = evaluator.context.ring.pointwise_mul_sum(
-        (data[:, j] for j in weights.keep), weights.operands
+        (data[:, s, None] for s in range(polys)),
+        (weights.operands[:, s, None] for s in range(polys)),
     )
     if evaluator.counter is not None:
-        evaluator.counter.record("ct_plain_mul", b * d)
-        evaluator.counter.record("ct_add", b * (d - 1))
-    out = Ciphertext(flat.context, out, is_ntt=True)
+        evaluator.counter.record("ct_plain_mul", b * layout.features)
+        evaluator.counter.record("ct_add", b * (layout.features - 1))
+    out = Ciphertext(ct.context, out, is_ntt=True)
     return evaluator.add_plain_operand(out, weights.bias)

@@ -269,18 +269,22 @@ class EdgeServer:
             )
         # Requests are one image per polynomial (ParameterError if one does
         # not fit).  A flush folds them P per ciphertext before conv, the
-        # direct path's fc each image's logits into one: budget both folds.
+        # direct path's fc sums several classes per polynomial: budget both.
         layout = graph_ir.image_layout(quantized, self.params)
         lanes = self._serve_config.capacity(self.params.poly_degree)
         packed = graph_ir.build_graph("packed", quantized, self.params, lanes=lanes)
         graph_ir.require_headroom(packed)
-        graph_ir.require_headroom(graph_ir.build_graph("served", quantized, self.params))
+        served = graph_ir.build_graph("served", quantized, self.params)
+        graph_ir.require_headroom(served)
         self._models[name] = quantized
         # Both kinds share the conv operand; the flush's fc contracts scalar
-        # lanes, the direct path's folds the classes (both encoded here, once).
+        # lanes, the direct path's feature polynomials into class-strided
+        # results (both encoded here, once).
         conv = heops.encode_image_conv(self.evaluator, quantized, layout)
         fc = {
-            "served": heops.encode_class_dense(self.evaluator, quantized),
+            "served": heops.encode_class_dense(
+                self.evaluator, quantized, served.node("unpack").attrs["classes"]
+            ),
             "packed": heops.encode_dense_weights(
                 self.evaluator, self.encoder, quantized.dense_weight, quantized.dense_bias
             ),

@@ -27,6 +27,7 @@ the packing-monomial memo) happens inside the calls below at every level.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
@@ -107,6 +108,13 @@ class _Walk:
     budget: float | None = None
 
 
+@functools.lru_cache(maxsize=1024)
+def _signature_text(signature: tuple) -> str:
+    """One string per node signature, shared by the spans of every walk: a
+    retained trace holds a reference, not its own formatted copy."""
+    return str(signature)
+
+
 @contextmanager
 def _node_stage(env: Resources, node: ir.GraphNode):
     """Open the node's stage span and stamp its graph identity onto it.
@@ -119,7 +127,7 @@ def _node_stage(env: Resources, node: ir.GraphNode):
     here without double-counting the in-enclave compute.
     """
     with env.stage(node.stage) as span:
-        span.attrs["node_signature"] = str(node.signature())
+        span.attrs["node_signature"] = _signature_text(node.signature())
         span.attrs["node_op"] = node.op
         span.attrs["node_level"] = node.level
         span.attrs["node_headroom_bits"] = float(node.budget_bits)
@@ -214,7 +222,8 @@ def _crossing(env, node, conv, walk):
 
 def _crossing_image(env, node, conv, walk):
     with _node_stage(env, node):
-        # One image per conv-output ciphertext; scalar values come back.
+        # One image per conv-output ciphertext; its pooled values come back
+        # in the coefficients of its own feature polynomial(s).
         args = _enclave_args(node)
         return env.enclave.ecall("activation_pool", conv, *args, image=node.attrs["image"])
 
@@ -282,7 +291,10 @@ def _fold(env, node, requests, walk):
 
 def _unpack(env, node, value, walk):
     with _node_stage(env, node):
-        return env.enclave.ecall("unpack_lanes", value, walk.lanes)
+        # The flush's lanes, or the direct path's class-strided fc result.
+        return env.enclave.ecall(
+            "unpack_lanes", value, walk.batch, classes=node.attrs.get("classes")
+        )
 
 
 def _decrypt_with(decode):

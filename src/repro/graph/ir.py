@@ -13,10 +13,12 @@ a packed crossing may fold) without touching ciphertexts.
 
 One builder per graph kind (:data:`BUILDERS`): ``hybrid``, ``cryptonets``,
 ``simd``, ``deep``, ``served`` (``EdgeServer.infer``: no encrypt/decrypt
-node; its ``fc`` folds the classes, one result ciphertext per image) and
-``packed`` (the scheduler flush).  The two serving kinds take the served
-request format, one image per polynomial (:func:`image_layout`); their
-crossings carry that layout as an ``image`` attribute.  Work on coefficients
+node; its ``fc`` leaves the classes in known coefficients and ``unpack``
+re-encrypts them, one result ciphertext per image) and ``packed`` (the
+scheduler flush).  The two serving kinds take the served request format,
+one image per polynomial (:func:`image_layout`); their crossings carry that
+layout as an ``image`` attribute, ``served``'s ``unpack`` the fc result's
+(:func:`class_layout`) as ``classes``.  Work on coefficients
 (``encrypt_lanes``, ``fold``, ``crossing_image``, ``crossing_lanes``,
 ``decrypt_lanes``, ``unpack``) has its own ops, not flags on the scalar
 ones, so the pass that rewrites ``crossing`` simply finds no such node on
@@ -31,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ParameterError, PipelineError
-from repro.he.batching import ImageLayout
+from repro.he.batching import ClassLayout, ImageLayout
 from repro.he.noise import NoiseEstimator
 from repro.he.params import EncryptionParams
 
@@ -142,8 +144,9 @@ def node_noise_cost(node: GraphNode, graph: InferenceGraph, estimator: NoiseEsti
     resets the budget to fresh, and a contraction costs one plaintext multiply
     at the layer's weight norm plus the additions over its fan-in -- the terms
     with a non-zero weight (:func:`repro.core.heops._plan_contraction`).  An
-    fc that folds the classes too (``classes``, the ``served`` kind's) adds
-    their sum: ``W_j(x)`` has one weight per class.
+    fc that sums several classes into one polynomial (``classes``, the
+    ``served`` kind's) adds their sum: its ``R(x)`` has one weight per
+    (feature, class) pair.
     """
     if node.op in CONTRACTION_OPS:
         matrix = graph.meta["layers"][node.stage]
@@ -316,6 +319,24 @@ def image_layout(quantized, params: EncryptionParams) -> ImageLayout:
     )
 
 
+def class_layout(quantized, params: EncryptionParams) -> ClassLayout:
+    """Where the direct path's fc reads ``quantized``'s pooled values and
+    leaves its classes under ``params``.
+
+    Raises:
+        ParameterError: the classes do not fit the ring (a served result
+            holds them in one polynomial's coefficients).
+    """
+    features, classes = np.shape(quantized.dense_weight)
+    if classes > params.poly_degree:
+        raise ParameterError(
+            f"{classes} classes do not fit {params.poly_degree} coefficients"
+        )
+    return ClassLayout(
+        int(features), int(classes), params.poly_degree, int(quantized.fc_bound)
+    )
+
+
 def _image_stage(op: str, quantized, layout: ImageLayout) -> GraphNode:
     node = _enclave_stage(op, quantized)
     node.attrs["image"] = layout
@@ -326,15 +347,16 @@ def build_served_graph(quantized, params: EncryptionParams) -> InferenceGraph:
     """IR for ``EdgeServer.infer``: the hybrid's server half, on images the
     user already encrypted one per polynomial and a result only the user can
     decrypt -- conv is one plaintext-polynomial product per filter, the
-    crossing re-encrypts scalar values, and ``fc`` contracts them straight
-    into each image's one result ciphertext, class ``c`` in coefficient
-    ``c``: the class fold's additions come out of ``fc``'s budget."""
-    classes = int(np.shape(quantized.dense_weight)[1])
-    layout = image_layout(quantized, params)
+    crossing re-encrypts each image's pooled values as one polynomial, ``fc``
+    is one plaintext-polynomial product leaving the classes in known
+    coefficients (their sum comes out of its budget), and ``unpack``
+    re-encrypts only the classes, class ``c`` in coefficient ``c``."""
+    layout = class_layout(quantized, params)
     return _single_block(
         "served", quantized, params, [],
-        [_image_stage("crossing_image", quantized, layout)], [],
-        fc={"classes": classes},
+        [_image_stage("crossing_image", quantized, image_layout(quantized, params))],
+        [GraphNode("unpack", "unpack", {"classes": layout})],
+        fc={"classes": layout.classes},
     )
 
 

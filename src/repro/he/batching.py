@@ -20,6 +20,10 @@ in coefficient ``i*W + j``, a convolution is then one plaintext-polynomial
 product per (filter, channel), and :func:`read_image` picks each conv output
 back out of the coefficient it lands in.  The packed flush stacks ``n //
 (H*W)`` images per polynomial with :func:`pack_coefficients`' ``stride``.
+Past the crossing the direct path keeps one polynomial per image
+(:class:`ClassLayout`): its pooled values ride coefficients, fc is one
+plaintext-polynomial product that leaves each class alone in a known
+coefficient, and :func:`read_classes` picks the classes back out.
 """
 
 from __future__ import annotations
@@ -92,6 +96,118 @@ class ImageLayout:
         rows = np.arange(oh) * self.stride + last
         cols = np.arange(ow) * self.stride + last
         return rows[:, None] * self.width + cols[None, :]
+
+
+def feature_split(features: int, poly_degree: int) -> tuple[int, int]:
+    """``(S, L)``: the ``S`` polynomials of ``L`` coefficients an image's
+    ``features`` pooled values ride on the direct path -- one (``L = D``)
+    unless ``D > n/2``, then as few as leave room for one class per result
+    polynomial (``2L - 1 <= n``), evenly filled."""
+    polys = -(-features // ((poly_degree + 1) // 2))
+    return polys, -(-features // polys)
+
+
+@dataclass(frozen=True)
+class ClassLayout:
+    """Where the direct path puts an image's pooled features and its logits
+    (the *class-strided* layout), worked out from the fc layer's fan-in
+    ``D``, its class count and the ring degree ``n`` alone.
+
+    The crossing writes feature ``j`` into coefficient ``j % L`` of feature
+    polynomial ``j // L`` (:func:`split_features`).  fc multiplies feature
+    polynomial ``s`` by ``R_{r,s}(x) = sum_{c in r} sum_i w[sL + i, c]
+    x^((c mod G)L + L-1-i)``, so class ``c`` lands alone in coefficient
+    ``(c mod G)L + L-1`` of result polynomial ``c // G``
+    (:meth:`class_offsets`); the partial products of every other shift
+    fill the ``2L - 1`` coefficients around it, between class positions,
+    and every coefficient past a row's :meth:`reach` is zero.  ``G =``
+    :attr:`per_result` is the most classes that keep ``(G+1)L - 1 <= n``,
+    so nothing wraps negacyclically.
+
+    Attributes:
+        features / classes: the fc layer's ``D`` and class count.
+        poly_degree: the ring degree ``n``.
+        bound: the largest ``|logit|`` an honest fc output holds, which the
+            result crossing checks every class against.
+    """
+
+    features: int
+    classes: int
+    poly_degree: int
+    bound: int
+
+    @property
+    def feature_polys(self) -> int:
+        return feature_split(self.features, self.poly_degree)[0]
+
+    @property
+    def span(self) -> int:
+        """``L``: features per polynomial, and the stride between classes."""
+        return feature_split(self.features, self.poly_degree)[1]
+
+    @property
+    def per_result(self) -> int:
+        return min(self.classes, (self.poly_degree + 1) // self.span - 1)
+
+    @property
+    def result_polys(self) -> int:
+        return -(-self.classes // self.per_result)
+
+    def class_rows(self) -> np.ndarray:
+        """``(classes,)`` result polynomial of each class."""
+        return np.arange(self.classes) // self.per_result
+
+    def class_offsets(self) -> np.ndarray:
+        """``(classes,)`` coefficient of each class within its row."""
+        return (np.arange(self.classes) % self.per_result) * self.span + self.span - 1
+
+    def reach(self) -> np.ndarray:
+        """``(R,)`` coefficients each result polynomial's products reach."""
+        held = np.minimum(
+            self.per_result, self.classes - self.per_result * np.arange(self.result_polys)
+        )
+        return (held + 1) * self.span - 1
+
+
+def split_features(values: np.ndarray, poly_degree: int) -> np.ndarray:
+    """``(B, D)`` pooled values as the ``(B, S, L)`` coefficients of their
+    feature polynomials (:func:`feature_split`), zero past feature ``D``."""
+    b, d = values.shape
+    polys, span = feature_split(d, poly_degree)
+    rows = np.zeros((b, polys * span), dtype=np.int64)
+    rows[:, :d] = values
+    return rows.reshape(b, polys, span)
+
+
+def read_classes(plain: Plaintext, layout: ClassLayout, batch: int) -> np.ndarray:
+    """The ``(batch, classes)`` logits of a direct-path fc result: ``(batch,
+    R)`` polynomials in the class-strided layout (:class:`ClassLayout`).
+
+    Raises:
+        EncodingError: another batch shape; a non-zero coefficient past a
+            row's reach (a stray value, or a noise-exhausted result, which
+            decodes uniformly); or a class beyond ``layout.bound``.
+    """
+    shape = (batch, layout.result_polys)
+    if plain.batch_shape != shape:
+        raise EncodingError(
+            f"fc result must be {shape} class-strided polynomials, got batch "
+            f"shape {plain.batch_shape}"
+        )
+    values = plain.signed_coeffs()
+    stray = np.arange(plain.context.poly_degree) >= layout.reach()[:, None]
+    if (values * stray).any():
+        raise EncodingError(
+            "plaintext is not class-strided: a coefficient past the fc products' "
+            "reach is not zero"
+        )
+    logits = values[:, layout.class_rows(), layout.class_offsets()]
+    if (np.abs(logits) > layout.bound).any():
+        raise EncodingError(
+            f"plaintext is not class-strided: a class exceeds the fc bound "
+            f"+-{layout.bound}"
+        )
+    return logits
 
 
 def write_image(context: Context, pixels: np.ndarray) -> Plaintext:
@@ -208,10 +324,7 @@ def pack_coefficients(
     decryption, and the parts are read where they lie (views, strided and
     read-only data included) by :meth:`Evaluator.sum_products`.
 
-    The direct path's fc produces the same fold of its ``(B, classes)``
-    logits without building them (``repro.core.heops.encode_class_dense``):
-    the served-result format, class ``c`` in *lane* ``c`` of one ciphertext
-    per image (:func:`read_lanes`).  With ``stride > 1`` it is the packed flush's fold
+    With ``stride > 1`` it is the packed flush's fold
     of image-encoded requests (:class:`ImageLayout`, ``stride = H*W``):
     ``P = n // stride`` images per ciphertext, image ``b`` at ``x^(stride *
     (b % P))`` of row ``b // P``, a ``(ceil(B / P), *rest)`` ciphertext.

@@ -275,19 +275,25 @@ class QuantizedCNN:
             + int(np.abs(self.conv_bias).max())
         )
 
-    def required_plain_modulus(self) -> int:
-        """Worst-case bound on any intermediate: ``t`` must exceed 2x this."""
-        conv_bound = self.conv_bound
+    @property
+    def hidden_bound(self) -> int:
+        """Largest ``|value|`` the fc layer's input takes."""
         if self.activation == "square":
-            hidden_bound = conv_bound * conv_bound * self.pool_window**2
-        else:
-            hidden_bound = self.act_scale
+            return self.conv_bound * self.conv_bound * self.pool_window**2
+        return self.act_scale
+
+    @property
+    def fc_bound(self) -> int:
+        """Largest ``|logit|`` the fc layer outputs."""
         fc_terms = self.dense_weight.shape[0]
-        fc_bound = (
-            fc_terms * hidden_bound * int(np.abs(self.dense_weight).max())
+        return (
+            fc_terms * self.hidden_bound * int(np.abs(self.dense_weight).max())
             + int(np.abs(self.dense_bias).max())
         )
-        return 2 * max(conv_bound, hidden_bound, fc_bound) + 1
+
+    def required_plain_modulus(self) -> int:
+        """Worst-case bound on any intermediate: ``t`` must exceed 2x this."""
+        return 2 * max(self.conv_bound, self.hidden_bound, self.fc_bound) + 1
 
     def fits_plain_modulus(self, plain_modulus: int) -> bool:
         return plain_modulus >= self.required_plain_modulus()

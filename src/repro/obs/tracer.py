@@ -55,7 +55,7 @@ def active_tracer() -> "Tracer | None":
     return _ACTIVE_TRACERS[-1] if _ACTIVE_TRACERS else None
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One traced region: clock/counter/crossing deltas plus children."""
 

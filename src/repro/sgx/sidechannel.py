@@ -9,6 +9,7 @@ trace is a function of public shapes only, never of plaintext values.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -28,17 +29,24 @@ class ObservedEvent:
 
 @dataclass
 class SideChannelLog:
-    """Append-only event log the untrusted host can read."""
+    """Append-only event log the untrusted host can read.
+
+    Every traced span reads :meth:`count` on entry and exit, so it is kept
+    per kind as events arrive rather than recounted over a log that grows
+    with every request.
+    """
 
     events: list[ObservedEvent] = field(default_factory=list)
+    _counts: Counter = field(default_factory=Counter, repr=False, compare=False)
 
     def record(self, kind: str, name: str = "", bytes_in: int = 0, bytes_out: int = 0) -> None:
         self.events.append(
             ObservedEvent(kind=kind, name=name, bytes_in=bytes_in, bytes_out=bytes_out)
         )
+        self._counts[kind] += 1
 
     def count(self, kind: str) -> int:
-        return sum(1 for e in self.events if e.kind == kind)
+        return self._counts[kind]
 
     def total_bytes_crossed(self) -> int:
         return sum(e.bytes_in + e.bytes_out for e in self.events)
@@ -53,3 +61,4 @@ class SideChannelLog:
 
     def reset(self) -> None:
         self.events.clear()
+        self._counts.clear()

@@ -11,7 +11,6 @@ from repro.core import heops
 from repro.errors import ParameterError, PipelineError
 from repro.graph import ir
 from repro.he import (
-    Ciphertext,
     Context,
     Decryptor,
     Encryptor,
@@ -23,7 +22,16 @@ from repro.he import (
     kernels,
     modmath,
 )
-from repro.he.batching import pack_coefficients, read_image, read_lanes, write_image
+from repro.he.batching import (
+    ClassLayout,
+    pack_coefficients,
+    read_classes,
+    read_image,
+    split_features,
+    write_image,
+    write_lanes,
+)
+from repro.he.decryptor import decrypt_scalar_values
 
 
 @pytest.fixture(scope="module")
@@ -223,11 +231,12 @@ class TestHeDense:
                 ids=["n256", "n1024", "n1024-t30"])
 def class_rig(request):
     """A 30-bit ``t`` lets weights near ``2^28`` break the scalar fc's int64
-    bound, which sends it to the per-class loop."""
+    bound, which sends it to the per-class loop; four primes leave both fcs
+    budget to spare at those weights."""
     degree, plain_bits = request.param
     context = Context(EncryptionParams(
         poly_degree=degree,
-        coeff_primes=tuple(modmath.ntt_primes(30, degree, 2)),
+        coeff_primes=tuple(modmath.ntt_primes(30, degree, 4 if plain_bits == 30 else 2)),
         plain_modulus=1 << plain_bits,
         name=f"class_dense_{degree}_t{plain_bits}",
     ))
@@ -243,32 +252,52 @@ def class_rig(request):
 
 
 class TestClassDense:
-    """The direct path's fc contracts the crossing's scalars straight into
-    the served result format: byte for byte the scalar fc followed by
-    ``pack_coefficients`` over the class axis, whatever the weights."""
+    """The direct path's fc is one plaintext-polynomial product per (result,
+    feature) polynomial: the class positions of what it leaves hold the
+    scalar contraction's logits, whatever the weights, and every coefficient
+    past the products' reach is zero."""
 
     @staticmethod
-    def model(rig, zero_columns):
+    def model(rig, zero_columns, features=64):
         rng = np.random.default_rng(31)
         top = 1 << 28 if rig["wide"] else 9
-        weight = rng.integers(-top, top, size=(64, 5))
+        weight = rng.integers(-top, top, size=(features, 5))
         weight[0, 0] = -top
         if zero_columns:
-            weight[[0, 7, 63], :] = 0
+            weight[[0, 7, features - 1], :] = 0
         return SimpleNamespace(dense_weight=weight, dense_bias=rng.integers(-50, 50, size=5))
 
     @staticmethod
-    def oracle(rig, ct, quantized):
-        """The scalar contraction, then the class fold the served graph used
-        to end in."""
+    def oracle(rig, hidden, quantized):
+        """The scalar contraction's decrypted logits."""
         evaluator = Evaluator(rig["context"])
         scalar = heops.encode_dense_weights(
             evaluator, rig["encoder"], quantized.dense_weight, quantized.dense_bias
         )
         assert scalar.fused != rig["wide"]  # past the bound: the per-class loop
+        ct = rig["encryptor"].encrypt(rig["encoder"].encode(hidden))
         logits = heops.he_dense(evaluator, rig["encoder"], ct, scalar)
-        by_class = np.moveaxis(logits.data, 1, 0)
-        return pack_coefficients(evaluator, Ciphertext(rig["context"], by_class, True))
+        return decrypt_scalar_values(rig["decryptor"], rig["encoder"], logits)
+
+    @staticmethod
+    def class_fc(rig, hidden, quantized, counter=None):
+        """``hidden`` as the crossing writes it, through the class-strided
+        fc; the class positions read back (the range probe opened to all of
+        ``t``: the wide weights' logits wrap)."""
+        context = rig["context"]
+        features, classes = quantized.dense_weight.shape
+        layout = ClassLayout(
+            features, classes, context.poly_degree, context.plain_modulus // 2
+        )
+        evaluator = Evaluator(context, counter)
+        weights = heops.encode_class_dense(evaluator, quantized, layout)
+        split = split_features(hidden.reshape(len(hidden), -1), context.poly_degree)
+        ct = rig["encryptor"].encrypt(write_lanes(context, np.moveaxis(split, -1, 0)))
+        out = heops.he_dense(
+            evaluator, rig["encoder"], ct.reshape(*split.shape[:2]), weights
+        )
+        assert out.batch_shape == (len(hidden), layout.result_polys) and out.is_ntt
+        return read_classes(rig["decryptor"].decrypt(out), layout, len(hidden)), layout
 
     @pytest.mark.parametrize("zero_columns", [False, True], ids=["dense", "keep"])
     @pytest.mark.parametrize("batch", [1, 3])
@@ -276,33 +305,43 @@ class TestClassDense:
         rig = class_rig
         quantized = self.model(rig, zero_columns)
         hidden = np.random.default_rng(batch).integers(-20, 20, size=(batch, 4, 4, 4))
-        ct = rig["encryptor"].encrypt(rig["encoder"].encode(hidden))
         counter = OperationCounter()
-        evaluator = Evaluator(rig["context"], counter)
-        weights = heops.encode_class_dense(evaluator, quantized)
-        assert len(weights.keep) == 64 - 3 * zero_columns
-        out = heops.he_dense(evaluator, rig["encoder"], ct, weights)
-        assert out.batch_shape == (batch,) and out.is_ntt
-        assert out.data.tobytes() == self.oracle(rig, ct, quantized).data.tobytes()
+        logits, layout = self.class_fc(rig, hidden, quantized, counter)
+        # 64 features leave room for 3 classes per polynomial at n = 256.
+        assert layout.result_polys == {256: 2, 1024: 1}[rig["context"].poly_degree]
+        assert np.array_equal(logits, self.oracle(rig, hidden, quantized))
         assert counter.counts == {
-            "ct_plain_mul": 64 * batch, "ct_add": 63 * batch, "plain_add": batch,
+            "ct_plain_mul": 64 * batch,
+            "ct_add": 63 * batch,
+            "plain_add": layout.result_polys * batch,
         }
-        if not rig["wide"]:  # the wide weights exhaust the noise budget
-            plain = rig["decryptor"].decrypt(out.reshape(1, -1))
+        if not rig["wide"]:
             expected = hidden.reshape(batch, -1) @ quantized.dense_weight
-            assert np.array_equal(read_lanes(plain, 5).T, expected + quantized.dense_bias)
+            assert np.array_equal(logits, expected + quantized.dense_bias)
+
+    def test_features_past_half_the_ring_split_over_polynomials(self, class_rig):
+        rig = class_rig
+        n = rig["context"].poly_degree
+        quantized = self.model(rig, True, features=n // 2 + 72)
+        hidden = np.random.default_rng(5).integers(-20, 20, size=(2, n // 2 + 72))
+        logits, layout = self.class_fc(rig, hidden, quantized)
+        assert layout.feature_polys == 2
+        assert np.array_equal(logits, self.oracle(rig, hidden, quantized))
+        if not rig["wide"]:
+            expected = hidden @ quantized.dense_weight + quantized.dense_bias
+            assert np.array_equal(logits, expected)
 
     def test_rejects_what_it_cannot_hold(self, class_rig):
         rig = class_rig
-        evaluator = Evaluator(rig["context"])
-        weights = heops.encode_class_dense(evaluator, self.model(rig, False))
+        context = rig["context"]
+        evaluator = Evaluator(context)
+        quantized = self.model(rig, False)
+        layout = ClassLayout(64, 5, context.poly_degree, 1)
+        weights = heops.encode_class_dense(evaluator, quantized, layout)
         ct = rig["encryptor"].encrypt(rig["encoder"].encode(np.zeros((2, 8), dtype=np.int64)))
-        with pytest.raises(PipelineError, match="covers 64 inputs, ciphertext provides 8"):
+        with pytest.raises(PipelineError, match=r"expects \(B, 1\) feature ciphertexts"):
             heops.he_dense(evaluator, rig["encoder"], ct, weights)
-        n = rig["context"].poly_degree
-        wide = SimpleNamespace(
-            dense_weight=np.ones((2, n + 1), dtype=np.int64),
-            dense_bias=np.zeros(n + 1, dtype=np.int64),
-        )
+        n = context.poly_degree
+        wide = SimpleNamespace(dense_weight=np.ones((2, n + 1), dtype=np.int64), fc_bound=1)
         with pytest.raises(ParameterError, match=f"{n + 1} classes do not fit"):
-            heops.encode_class_dense(evaluator, wide)
+            ir.class_layout(wide, context.params)

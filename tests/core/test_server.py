@@ -114,7 +114,7 @@ class TestServing:
     def test_timing_stages_present(self, server, session, models):
         result = _infer(server, "digits", session.encrypt("digits", models.dataset.test_images[:1]))
         names = [s.name for s in result.timing.stages]
-        assert names == ["conv", "sgx_activation_pool", "fc"]
+        assert names == ["conv", "sgx_activation_pool", "fc", "unpack"]
         assert result.timing.stage("sgx_activation_pool").overhead_s > 0
 
     def test_two_users_same_keys_share_service(self, server, verifier_for, models):

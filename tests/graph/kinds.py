@@ -35,7 +35,7 @@ STAGES = {
     "deep": [
         "encrypt", "conv_0", "sgx_block_0", "conv_1", "sgx_block_1", "fc", "decrypt",
     ],
-    "served": ["conv", "sgx_activation_pool", "fc"],
+    "served": ["conv", "sgx_activation_pool", "fc", "unpack"],
     "packed": ["pack", "conv", "sgx_activation_pool", "fc", "unpack"],
 }
 

@@ -163,7 +163,9 @@ class TestCryptonetsEquivalence:
 #: ``served`` and ``simd`` rows are re-recorded whenever their result
 #: ciphertexts change layout, and every row's ``ciphertext`` whenever the
 #: enclave's re-encryption draws its bytes differently (``a`` in the NTT
-#: domain); their ``logits`` and ``rng`` hashes never change.
+#: domain, or ``served``'s classes re-encrypted by a result crossing, whose
+#: ``unpack`` stage the row gained); their ``logits`` and ``rng`` hashes
+#: never change.
 PARENT_RECORDING = json.loads(
     Path(__file__).with_name("parent_recording.json").read_text()
 )

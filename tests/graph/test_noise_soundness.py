@@ -2,10 +2,10 @@
 the ``simd`` kind: after ``conv`` (one plaintext-polynomial product per
 filter on the served request format), after ``fc`` and on the result a
 client receives.  Each fold is a host-side sum, not a refresh -- the flush's
-makes ``conv`` start below fresh, the direct path's ``fc`` folds the classes
-and pays for them -- the ``simd`` kind's lanes are written by one fresh
-encryption, and a model that leaves no budget is refused when it is
-provisioned."""
+makes ``conv`` start below fresh, the direct path's ``fc`` sums its classes
+into one polynomial and pays for them before ``unpack`` refreshes -- the
+``simd`` kind's lanes are written by one fresh encryption, and a model that
+leaves no budget is refused when it is provisioned."""
 
 from __future__ import annotations
 
@@ -121,10 +121,10 @@ def test_simd_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
 @pytest.mark.parametrize("batch", BATCHES)
 def test_class_fold_headroom_lower_bounds_the_result_budget(batch, monkeypatch):
     """The direct path: each image's own conv products, then fc on the
-    crossing's scalars folding the logits along the class axis as it
-    contracts -- the fold priced ``log2(classes)`` on top of fc's own cost,
-    fc's IR headroom a lower bound on what the client's result ciphertext
-    measures."""
+    crossing's feature polynomial summing every class into one result
+    polynomial -- priced ``log2(classes)`` on top of fc's own cost, fc's IR
+    headroom a lower bound on what its output measures before ``unpack``
+    re-encrypts the classes fresh for the client."""
     model = single_block_model()
     params = parameters_for_pipeline(model, 256, batching=True)
     server, session = _deployment(model, params)
@@ -134,16 +134,17 @@ def test_class_fold_headroom_lower_bounds_the_result_budget(batch, monkeypatch):
     with optimizer.use("off"):
         result = server.infer(request)
     graph = ir.build_graph("served", model, params)
-    fc = graph.node("fc")
+    fc, unpack = graph.node("fc"), graph.node("unpack")
     classes = model.dense_weight.shape[1]
-    assert fc.attrs == {"classes": classes} and graph.nodes[-1] is fc
+    assert fc.attrs == {"classes": classes} and graph.nodes[-1] is unpack
+    assert unpack.op in ir.REFRESH_OPS
+    assert unpack.budget_bits == NoiseEstimator(params).fresh_budget()
     scalar_fc = ir.build_graph("packed", model, params).node("fc")
     assert fc.noise_cost_bits == pytest.approx(
         scalar_fc.noise_cost_bits + np.log2(classes)
     )
     measured["result"] = session.decryptor.invariant_noise_budget(result.logits_ct)
-    assert measured["result"] == measured["fc"]
-    _assert_lower_bounds(graph, measured, result_node="fc")
+    _assert_lower_bounds(graph, measured, result_node="unpack")
 
 
 def test_provisioning_refuses_a_class_fold_with_no_headroom():

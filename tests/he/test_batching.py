@@ -1,5 +1,6 @@
 """Coefficient lanes: the fold, the lane layout and lane-wise semantics;
-and the served request format, one image per polynomial."""
+the served request format, one image per polynomial; and the direct path's
+class-strided fc result."""
 
 from __future__ import annotations
 
@@ -9,12 +10,15 @@ import pytest
 from repro.errors import EncodingError
 from repro.he import Ciphertext, Context, Evaluator, modmath
 from repro.he.batching import (
+    ClassLayout,
     ImageLayout,
     lane_operand,
     lane_plain,
     pack_coefficients,
+    read_classes,
     read_image,
     read_lanes,
+    split_features,
     write_image,
     write_lanes,
 )
@@ -279,3 +283,76 @@ class TestImageLayout:
         assert fresh._stride_monomials[81].shape[0] == per
         with pytest.raises(EncodingError, match="stride of 257 exceeds"):
             pack_coefficients(evaluator, parts, stride=257)
+
+
+def _plain_context(n: int) -> Context:
+    return Context(EncryptionParams(
+        poly_degree=n,
+        coeff_primes=tuple(modmath.ntt_primes(30, n, 2)),
+        plain_modulus=1 << 20,
+        name=f"class_layout_{n}",
+    ))
+
+
+class TestClassLayout:
+    """The direct path's feature and result polynomials, from ``(D,
+    classes, n)`` alone: the product of each image's feature polynomials
+    with ``R_{r,s}(x)`` leaves every class alone in its coefficient, partial
+    products between, and nothing past the reach -- no negacyclic wrap."""
+
+    @pytest.mark.parametrize(
+        "features,n,shape",
+        # (S, L, G, R): the workload, the n = 256 fixture, the paper's scale.
+        [(50, 1024, (1, 50, 10, 1)), (32, 256, (1, 32, 7, 2)), (864, 1024, (2, 432, 1, 10))],
+    )
+    def test_every_class_lands_alone(self, features, n, shape):
+        rng = np.random.default_rng(features)
+        layout = ClassLayout(features, 10, n, bound=features * 15 * 9 + 50)
+        assert shape == (
+            layout.feature_polys, layout.span, layout.per_result, layout.result_polys,
+        )
+        assert ((layout.reach() + 1) // layout.span - 1).sum() == 10
+        assert (layout.reach() <= n).all()
+        weight = rng.integers(-9, 10, size=(features, 10))
+        bias = rng.integers(-50, 51, size=10)
+        values = rng.integers(0, 16, size=(3, features))
+        split = split_features(values, n)  # (B, S, L)
+        assert split.shape == (3, *shape[:2])
+        assert np.array_equal(split.reshape(3, -1)[:, :features], values)
+        result = np.zeros((3, layout.result_polys, n), dtype=np.int64)
+        rows, offsets = layout.class_rows(), layout.class_offsets()
+        for s in range(layout.feature_polys):
+            for c in range(10):
+                r = np.zeros(n, dtype=np.int64)
+                chunk = weight[s * layout.span : (s + 1) * layout.span, c]
+                r[offsets[c] - np.arange(len(chunk))] = chunk
+                for b in range(3):
+                    feature = np.zeros(n, dtype=np.int64)
+                    feature[: layout.span] = split[b, s]
+                    result[b, rows[c]] += _negacyclic(feature, r)
+        result[:, rows, offsets] += bias
+        plain = Plaintext(_plain_context(n), result)
+        assert np.array_equal(read_classes(plain, layout, 3), values @ weight + bias)
+
+    def test_read_refuses_what_is_not_class_strided(self):
+        context = _plain_context(256)
+        layout = ClassLayout(32, 10, 256, bound=100)  # 7 + 3 classes
+        assert layout.reach().tolist() == [255, 127]
+        clean = np.zeros((2, 2, 256), dtype=np.int64)
+        assert read_classes(Plaintext(context, clean), layout, 2).shape == (2, 10)
+        for row, at, value, match in (
+            (1, 127, 1, "past the fc products' reach"),
+            (0, 255, -1, "past the fc products' reach"),
+            (1, 2 * 32 + 31, 101, "fc bound"),
+            (0, 31, -101, "fc bound"),
+        ):
+            tampered = clean.copy()
+            tampered[1, row, at] = value
+            with pytest.raises(EncodingError, match=match):
+                read_classes(Plaintext(context, tampered), layout, 2)
+        tampered = clean.copy()
+        tampered[1, 1, 126] = 10**4  # partial products may exceed the bound
+        read_classes(Plaintext(context, tampered), layout, 2)
+        for bad in (clean[:1], clean[:, :1], clean[:, :, None]):
+            with pytest.raises(EncodingError, match=r"must be \(2, 2\) class-strided"):
+                read_classes(Plaintext(context, bad), layout, 2)

@@ -166,7 +166,7 @@ class TestEdgeServer:
         assert_reconciles(
             served.timing, clock, r0, o0, server.enclave.side_channel, before
         )
-        assert served.timing.enclave_crossings == 1
+        assert served.timing.enclave_crossings == 2
 
 
 class TestDeep:

@@ -68,6 +68,9 @@ class TestSpanCapture:
             log.record("page_fault", "x")
             log.record("ecall", "g")
         assert span.crossings == 2
+        assert (log.count("ecall"), log.count("page_fault"), log.count("aex")) == (3, 1, 0)
+        log.reset()
+        assert log.count("ecall") == 0 and log.trace_signature() == ()
 
     def test_per_span_overrides_beat_tracer_defaults(self, clock):
         default = OperationCounter()

@@ -3,7 +3,9 @@ coefficient ``i*W + j``.  Both serving paths equal the plaintext reference
 across the flush's block boundaries at two ring degrees, and whatever
 breaks the layout outside the enclave -- a batch declared smaller than the
 one folded, a noise-exhausted conv output, a stray coefficient past an
-image -- fails typed and resolves every ticket, never wrong logits."""
+image -- fails typed and resolves every ticket, never wrong logits.  The
+direct path's class-strided fc result is held to the same standard at its
+result crossing."""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import pytest
 from repro.core import EdgeServer, PlaintextPipeline, heops, parameters_for_pipeline
 from repro.errors import EncodingError, PipelineError, RequestFailedError
 from repro.faults import EnclaveSupervisor
+from repro.graph import ir
 from repro.he import Evaluator
 from repro.he.context import Ciphertext, Plaintext
 from repro.nn.quantize import QuantizedCNN
@@ -20,15 +23,16 @@ from repro.serve import InferenceRequest
 from repro.sgx import AttestationVerificationService
 
 
-def integer_model(side: int) -> QuantizedCNN:
-    """``side x side x 1`` -> conv3 (2 filters) -> sigmoid + mean-pool 2 ->
-    10 classes, integer weights from a fixed seed (no training)."""
+def integer_model(side: int, filters: int = 2) -> QuantizedCNN:
+    """``side x side x 1`` -> conv3 (``filters`` filters) -> sigmoid +
+    mean-pool 2 -> 10 classes, integer weights from a fixed seed (no
+    training)."""
     rng = np.random.default_rng(side)
     pooled = (side - 2) // 2
     return QuantizedCNN(
-        conv_weight=rng.integers(-4, 5, size=(2, 1, 3, 3)),
-        conv_bias=rng.integers(-3, 4, size=(2,)),
-        dense_weight=rng.integers(-4, 5, size=(2 * pooled * pooled, 10)),
+        conv_weight=rng.integers(-4, 5, size=(filters, 1, 3, 3)),
+        conv_bias=rng.integers(-3, 4, size=(filters,)),
+        dense_weight=rng.integers(-4, 5, size=(filters * pooled * pooled, 10)),
         dense_bias=rng.integers(-3, 4, size=(10,)),
         input_scale=15,
         conv_weight_scale=4.0,
@@ -176,3 +180,90 @@ class TestTypedImageCheck:
         with pytest.raises(RequestFailedError) as excinfo:
             bad.result()
         assert "no image reaches" in str(excinfo.value.__cause__)
+
+
+class TestTypedResultCrossing:
+    """The direct path's fc leaves partial products between its classes;
+    the result crossing re-encrypts only the classes, and whatever breaks
+    the class-strided layout outside the enclave -- a stray coefficient past
+    the products' reach, a class past the model's fc bound, a noise-exhausted
+    fc result, a result of the wrong shape -- fails typed, never a plausible
+    logit.  The n = 256 fixture's 32 features fit 7 classes per result
+    polynomial, so its 10 classes take two."""
+
+    @staticmethod
+    def infer_tampered(server, session, images, tamper, monkeypatch):
+        dense = heops.he_dense
+        monkeypatch.setattr(heops, "he_dense", lambda *args: tamper(dense(*args)))
+        request = InferenceRequest(
+            model="digits", ciphertext=session.encrypt("digits", images)
+        )
+        return server.infer(request)
+
+    @staticmethod
+    def added(session, coeffs):
+        evaluator = Evaluator(session.context)
+        return lambda out: evaluator.add_plain(out, Plaintext(session.context, coeffs))
+
+    def test_layout_of_the_fixture(self, server):
+        graph = ir.build_graph("served", server.model("digits"), server.params)
+        layout = graph.node("unpack").attrs["classes"]
+        assert (layout.feature_polys, layout.per_result, layout.result_polys) == (1, 7, 2)
+        assert layout.reach().tolist() == [255, 127]
+
+    def test_stray_coefficient_past_the_reach(self, server, session, models, monkeypatch):
+        stray = np.zeros((2, 2, session.context.poly_degree), dtype=np.int64)
+        stray[1, 1, 127] = 1  # row 1 holds three classes: 4 * 32 - 1
+        tamper = self.added(session, stray)
+        with pytest.raises(PipelineError, match="past the fc products' reach"):
+            self.infer_tampered(
+                server, session, models.dataset.test_images[:2], tamper, monkeypatch
+            )
+
+    def test_class_past_the_fc_bound(self, server, session, q_sigmoid, models, monkeypatch):
+        images = models.dataset.test_images[:2]
+        logit = PlaintextPipeline(q_sigmoid).infer(images[:1]).logits[0, 9]
+        shift = np.zeros((2, 2, session.context.poly_degree), dtype=np.int64)
+        shift[0, 1, 2 * 32 + 31] = q_sigmoid.fc_bound + 1 - logit  # class 9
+        tamper = self.added(session, shift)
+        with pytest.raises(PipelineError, match="fc bound"):
+            self.infer_tampered(server, session, images, tamper, monkeypatch)
+
+    def test_noise_exhausted_fc_result(self, server, session, models, monkeypatch):
+        def exhaust(out):
+            data = out.data
+            for _ in range(3):  # x 2^60: past any budget of this 60-bit q
+                data = out.context.ring.mul_scalar(data, 1 << 20)
+            assert not session.decryptor.is_decryptable(Ciphertext(out.context, data, True))
+            return Ciphertext(out.context, data, is_ntt=True)
+
+        with pytest.raises(PipelineError, match="not class-strided"):
+            self.infer_tampered(
+                server, session, models.dataset.test_images[:2], exhaust, monkeypatch
+            )
+
+    def test_result_of_the_wrong_shape(self, server, session, models, monkeypatch):
+        for tamper in (lambda out: out[:, :1], lambda out: out.reshape(-1)):
+            with pytest.raises(PipelineError, match=r"must be \(2, 2\) class-strided"):
+                self.infer_tampered(
+                    server, session, models.dataset.test_images[:2], tamper, monkeypatch
+                )
+
+
+def test_features_past_half_the_ring_split_over_two_polynomials():
+    """Four 7 x 7 pooled maps are 196 features, past n / 2 = 128: each
+    image's values ride two feature polynomials and fc sums their products
+    into one class per result polynomial."""
+    model = integer_model(16, filters=4)
+    params = parameters_for_pipeline(model, 256, batching=True)
+    layout = ir.build_graph("served", model, params).node("unpack").attrs["classes"]
+    assert (layout.features, layout.feature_polys, layout.result_polys) == (196, 2, 10)
+    server = EdgeServer(params, seed=13)
+    server.provision_model("m", model)
+    verifier = AttestationVerificationService()
+    verifier.register_platform(server.quoting)
+    session = server.enroll_user(entropy=b"\x42" * 32, verifier=verifier)
+    images = np.random.default_rng(16).random((3, 1, 16, 16))
+    result = server.infer(InferenceRequest(model="m", ciphertext=session.encrypt("m", images)))
+    expected = PlaintextPipeline(model).infer(images).logits
+    assert np.array_equal(session.decrypt_logits(result), expected)

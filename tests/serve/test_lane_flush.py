@@ -248,9 +248,10 @@ class TestResultFormat:
 
 
 class TestThreatModelOnTheServingPath:
-    """DESIGN.md §6 on a packed flush: the host observes exactly two ECALLs
-    whose sizes depend on the public shapes ``(C, H, W, B)`` only, and no
-    ECALL hands plaintext or key material back."""
+    """DESIGN.md §6 on a packed flush and on a direct request: the host
+    observes exactly two ECALLs whose sizes depend on the public shapes
+    ``(C, H, W, B)`` only, and no ECALL hands plaintext or key material
+    back."""
 
     def _flush(self, server, session, images, monkeypatch):
         returned = []
@@ -298,3 +299,65 @@ class TestThreatModelOnTheServingPath:
             c1 = value.data[..., 1, :, :]
             assert c1.reshape(-1, *c1.shape[-2:]).any(axis=(1, 2)).all()
             assert secret[16:48] not in bytes(serialize_ciphertext(value))
+
+    def _direct(self, server, session, images, monkeypatch):
+        returned = []
+        original = EnclaveSupervisor.ecall
+
+        def spy(self, name, *args, **kwargs):
+            returned.append((name, original(self, name, *args, **kwargs)))
+            return returned[-1][1]
+
+        request = InferenceRequest(
+            model="digits", ciphertext=session.encrypt("digits", images)
+        )
+        server.enclave.side_channel.reset()
+        with monkeypatch.context() as patch:
+            patch.setattr(EnclaveSupervisor, "ecall", spy)
+            server.infer(request)
+        return server.enclave.side_channel.trace_signature(), returned
+
+    def test_a_direct_request_is_two_crossings_of_public_size(
+        self, server, session, models, monkeypatch
+    ):
+        """The direct path: the activation crossing and the result crossing,
+        whose sizes do not move with the pixels -- all-black, all-white and
+        real images alike -- and which return only real encryptions: the
+        fc's partial products between the classes never leave the enclave."""
+        images = models.dataset.test_images[:2]
+        first, returned = self._direct(server, session, images, monkeypatch)
+        assert [(kind, name) for kind, name, _, _ in first] == [
+            ("ecall", "activation_pool"),
+            ("ecall", "unpack_lanes"),
+        ]
+        for contrary in (np.zeros_like(images), np.full_like(images, 255)):
+            assert self._direct(server, session, contrary, monkeypatch)[0] == first
+        # Two images: one feature polynomial and one result per image back.
+        one = session.encryptor.encrypt_zero(2).byte_size()
+        assert first[0][3] == first[1][3] == one
+        secret = bytes(serialize_secret_key(session.decryptor.secret_key))
+        assert [name for name, _ in returned] == ["activation_pool", "unpack_lanes"]
+        for _name, value in returned:
+            assert isinstance(value, Ciphertext) and value.batch_count == 2
+            c1 = value.data[..., 1, :, :]
+            assert c1.reshape(-1, *c1.shape[-2:]).any(axis=(1, 2)).all()
+            assert secret[16:48] not in bytes(serialize_ciphertext(value))
+
+    def test_a_result_crossing_crash_recovers_or_fails_typed(
+        self, server, session, q_sigmoid, models
+    ):
+        images = models.dataset.test_images[:2]
+        request = InferenceRequest(
+            model="digits", ciphertext=session.encrypt("digits", images)
+        )
+        expected = PlaintextPipeline(q_sigmoid).infer(images).logits
+        crash = FaultRule(site="sgx.ecall", name="unpack_lanes", max_fires=2)
+        plan = FaultPlan(0, rules=[crash])
+        with faults.armed(plan):
+            result = server.infer(request)
+        assert plan.fires("sgx.ecall") == 2 and server.enclave.restarts == 2
+        assert np.array_equal(session.decrypt_logits(result), expected)
+        endless = dataclasses.replace(crash, max_fires=None)
+        with faults.armed(FaultPlan(0, rules=[endless])):
+            with pytest.raises(RecoveryExhausted, match="unpack_lanes"):
+                server.infer(request)
