@@ -132,9 +132,10 @@ def _time_flush_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
     half_t = params.plain_modulus // 2
     rows = rng.integers(-half_t, half_t + 1, size=FLUSH_SHAPE)
 
-    # decrypt_poly: the full-polynomial decrypt the lane crossings
-    # (activation_pool_lanes / unpack_lanes) and the client's read of a
-    # served result (logits in coefficients) pay.
+    # decrypt_poly: the full-polynomial decrypt every coefficient crossing
+    # (the serving paths' activation_pool / unpack_lanes, the SIMD kind's
+    # activation_pool_lanes) and the client's read of a served result
+    # (logits in coefficients) pay.
     lane_ct = encryptor.encrypt(write_lanes(context, rows))
     with kernels.reference_kernels():
         ref_s, ref_plain = _median_seconds(lambda: decryptor.decrypt(lane_ct), reps)

@@ -25,10 +25,13 @@ one ``BENCH_serving.json``:
   Replicas execute serially in this process: the fleet buys availability,
   not throughput, which the measured ``wall_images_per_s`` shows.
 * ``workers`` -- a fixed identity batch through fresh same-seed deployments
-  at 1, 2 and 4 flush workers: the serialized logits ciphertexts must be
-  byte-identical across widths, also after a worker is SIGKILLed mid-flush
-  and its units replay in-process.  ``wall_images_per_s`` per width is the
-  measured effect of the pool on this host.
+  at 1, 2 and 4 pool workers: the serialized logits ciphertexts must be
+  byte-identical across widths.  No flush reaches the pool
+  (``dispatched_units`` reads 0), so ``wall_images_per_s`` per width is the
+  pool's cost when idle.  The chaos half runs the walk that still
+  dispatches, the in-process hybrid pipeline's scalar contractions, at 2
+  workers with one SIGKILLed mid-contraction: its units replay in-process
+  and its result bytes must equal the 1-worker run's.
 
 Every segment records its host ``wall_s``; ``wall_*`` fields are
 report-only.  Everything else except the ``packing`` segment's
@@ -48,7 +51,14 @@ import numpy as np
 
 from repro import faults
 from repro.client import AttestedClient
-from repro.core import EdgeServer, PipelineSpec, PlaintextPipeline, train_paper_models
+from repro.core import (
+    EdgeServer,
+    HybridPipeline,
+    PipelineSpec,
+    PlaintextPipeline,
+    parameters_for_pipeline,
+    train_paper_models,
+)
 from repro.faults import FaultPlan, FaultRule
 from repro.he import parallel
 from repro.he import serialize as ser
@@ -283,6 +293,14 @@ def _reset_pool():
     parallel.shutdown()
 
 
+def hybrid_identity(quantized, cfg, images):
+    """The in-process hybrid pipeline's serialized result bytes and logits
+    for ``images``: its scalar conv and fc contractions reach the pool."""
+    params = parameters_for_pipeline(quantized, cfg["poly_degree"])
+    result = HybridPipeline(quantized, params, seed=13).infer(images)
+    return ser.serialize_ciphertext(result.logits_ct), result.logits
+
+
 def _logits_match(logits, expected):
     return all(np.array_equal(lg, expected[i : i + 1]) for i, lg in enumerate(logits))
 
@@ -306,17 +324,17 @@ def workers_segment(quantized, cfg, seed, trace, images, expected):
         }
         _reset_pool()
 
-    # Worker 0 SIGKILLed at its second dispatch: the generation retires,
-    # every unit replays in-process, the bytes still match the 1-worker run.
-    server, client = build_deployment(
-        quantized, cfg, max_batch=PACKED_REQUESTS, workers=2
-    )
+    # Worker 0 SIGKILLed at its second dispatch of the hybrid pipeline's
+    # contractions: the generation retires, every unit replays in-process,
+    # the bytes still match the 1-worker run.
+    chaos_images = images[:2]
+    reference_blob, _ = hybrid_identity(quantized, cfg, chaos_images)
     plan = FaultPlan(
         seed, rules=[FaultRule(site="parallel.worker", name="0", after=1, max_fires=1)]
     )
-    with faults.armed(plan):
-        chaos_blobs, chaos_logits = identity_batch(server, client, images)
-    pool = parallel.active_pool()
+    with parallel.use(2), faults.armed(plan):
+        chaos_blob, chaos_logits = hybrid_identity(quantized, cfg, chaos_images)
+        pool = parallel.active_pool()
     chaos = {
         "fired": plan.fires("parallel.worker"),
         "deaths": pool.deaths if pool else 0,
@@ -332,8 +350,8 @@ def workers_segment(quantized, cfg, seed, trace, images, expected):
         "chaos_recovered": chaos["fired"] == 1
         and chaos["deaths"] == 1
         and chaos["replayed_units"] >= 1,
-        "chaos_byte_identical": chaos_blobs == blobs_by_width[1]
-        and _logits_match(chaos_logits, expected),
+        "chaos_byte_identical": chaos_blob == reference_blob
+        and np.array_equal(chaos_logits, expected[: len(chaos_images)]),
     }
 
 

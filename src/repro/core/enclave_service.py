@@ -174,6 +174,7 @@ class InferenceEnclave(Enclave):
         activation: str = "sigmoid",
         pool: str = "mean",
         image: ImageLayout | None = None,
+        batch: int | None = None,
     ) -> Ciphertext:
         """Decrypt, apply the exact activation + pooling, re-encrypt.
 
@@ -183,12 +184,13 @@ class InferenceEnclave(Enclave):
         (Section VI-D).  ``ct`` is scalar-encoded ``(B, F, OH, OW)``, and one
         scalar ciphertext per pooled value comes back; or, with ``image``,
         the served request format's ``(B, F)`` conv outputs, one image per
-        ciphertext (:func:`~repro.he.batching.read_image`), and image ``b``'s
-        flattened pooled values come back in the coefficients of its own
-        ``(B, S)`` feature polynomials
+        ciphertext -- or a flush's folded ``batch``, ``P`` images per
+        ciphertext (:func:`~repro.he.batching.read_image`) -- and image
+        ``b``'s flattened pooled values come back in the coefficients of its
+        own ``(B, S)`` feature polynomials
         (:func:`~repro.he.batching.split_features`).
         """
-        values = self._decrypt_values(ct, image=image)
+        values = self._decrypt_values(ct, batch, image)
         pooled = _activate_pool(values, input_scale, output_scale, window, activation, pool)
         if image is None:
             return self._encrypt_values(pooled)
@@ -290,38 +292,26 @@ class InferenceEnclave(Enclave):
         window: int,
         activation: str = "sigmoid",
         pool: str = "mean",
-        image: ImageLayout | None = None,
     ) -> Ciphertext:
-        """The lane-packed :meth:`activation_pool`: the ``batch`` images come
-        back activated, pooled and re-encrypted as one ``(1, F, PH, PW)``
-        ciphertext with image ``b`` in polynomial coefficient ``b`` (a
-        *lane*).  ``ct`` holds them in lanes already (the SIMD kind), or,
-        with ``image``, as the packed flush's fold left them: ``(ceil(batch
-        / P), F)`` conv outputs, image ``b`` in block ``b % P`` of row ``b //
-        P``.  The enclave is the key authority, so all users' ciphertexts
-        share one key pair and may share a polynomial."""
-        values = self._decrypt_values(ct, batch, image)
+        """The lane-packed :meth:`activation_pool` of the SIMD kind: the
+        ``batch`` images ride the lanes of a ``(1, F, OH, OW)`` ciphertext,
+        image ``b`` in polynomial coefficient ``b``, and come back activated,
+        pooled and re-encrypted in the lanes of one ``(1, F, PH, PW)``."""
+        values = self._decrypt_values(ct, batch)
         return self._encrypt_values(
             _activate_pool(values, input_scale, output_scale, window, activation, pool),
             lanes=True,
         )
 
     @ecall
-    def unpack_lanes(
-        self, ct: Ciphertext, batch: int, classes: ClassLayout | None = None
-    ) -> Ciphertext:
-        """Re-encrypt the flush's lane-packed ``(1, classes)`` logits as
-        ``batch`` served results: one ciphertext per request, class ``c`` in
-        coefficient ``c`` (the lanes along the class axis), every coefficient
-        past ``classes`` zero.  With ``classes``, ``ct`` is the direct path's
-        ``(batch, R)`` fc result (:func:`~repro.he.batching.read_classes`)
-        instead: only the classes are re-encrypted, so the partial products
+    def unpack_lanes(self, ct: Ciphertext, batch: int, classes: ClassLayout) -> Ciphertext:
+        """Re-encrypt the ``(batch, R)`` class-strided fc result
+        (:func:`~repro.he.batching.read_classes`) as ``batch`` served
+        results: one ciphertext per image, class ``c`` in coefficient ``c``
+        (the lanes along the class axis), every coefficient past the classes
+        zero.  Only the classes are re-encrypted, so the partial products
         between them never leave the enclave."""
         logits = self._decrypt_values(ct, batch, classes=classes)
-        if logits.ndim != 2:
-            raise PipelineError(
-                f"unpack_lanes takes (1, classes) logits, got batch shape {ct.batch_shape}"
-            )
         return self._encrypt_values(logits.T, lanes=True).reshape(batch)
 
     # ------------------------------------------------------------------

@@ -5,9 +5,9 @@ enclave (Section IV-C): convolution and the fully connected layer decompose
 into ciphertext-plaintext multiplications (``C x P``) and ciphertext
 additions (``C + C``).  These helpers operate on *batched* ciphertexts whose
 batch axes mirror the tensor layout ``(B, C, H, W)``, one ciphertext per
-pixel, exactly the paper's non-SIMD encoding -- except on the direct
-serving path: its convolution (:func:`encode_image_conv`) takes ``(B, C)``
-ciphertexts carrying one image each in their coefficients, and its fc
+pixel, exactly the paper's non-SIMD encoding -- except on the serving
+paths: their convolution (:func:`encode_image_conv`) takes ``(B, C)``
+ciphertexts carrying one image each in their coefficients, and their fc
 (:func:`encode_class_dense`) takes each image's pooled values in the
 coefficients of one polynomial and leaves its logits in known coefficients
 of another.
@@ -188,7 +188,7 @@ class EncodedDenseWeights:
 
 @dataclass(eq=False)
 class ClassDenseWeights:
-    """The direct path's fc operands, encoded once at provisioning: each
+    """The serving paths' fc operands, encoded once at provisioning: each
     result polynomial is one product-sum over the image's feature
     polynomials, ``sum_s ct_s * R_{r,s}(x) + B_r(x)``, laid out by
     :class:`~repro.he.batching.ClassLayout`.
@@ -237,9 +237,9 @@ def encode_class_dense(
 class EncodedModel:
     """A quantized CNN's full NTT-precomputed operand set.
 
-    One object per provisioned model: the conv and dense operand tables
-    every pipeline (hybrid, SIMD, CryptoNets, the serving scheduler) reuses
-    across inferences.
+    One object per model: the conv and dense operand tables every
+    in-process pipeline (hybrid, SIMD, CryptoNets) reuses across
+    inferences.
     """
 
     conv: EncodedConvWeights
@@ -532,7 +532,7 @@ def he_dense(
     class the flattened input batch is multiplied element-wise by that class's
     weight vector and folded with a batched C + C reduction (``lanes``: as conv).
 
-    With :class:`ClassDenseWeights` it takes the direct path's ``(B, S)``
+    With :class:`ClassDenseWeights` it takes the serving paths' ``(B, S)``
     feature polynomials instead (:func:`_he_dense_classes`).
     """
     if isinstance(weights, ClassDenseWeights):

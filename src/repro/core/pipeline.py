@@ -111,7 +111,7 @@ class PipelineSpec:
         kernel_profile: ``"fused"`` or ``"reference"`` to install that
             hot-path profile at build time; None leaves the process profile
             untouched.
-        workers: flush-execution worker processes to install process-wide
+        workers: pool worker processes to install process-wide
             at build time (``repro.he.parallel``); ``1`` forces the
             in-process path, ``None`` leaves the active setting (the
             ``REPRO_WORKERS`` environment default) untouched.  Results are

@@ -214,7 +214,7 @@ class EdgeServer:
         self.evaluator = Evaluator(self.context, self.counter)
         self.encoder = ScalarEncoder(self.context)
         self._models: dict[str, QuantizedCNN] = {}
-        self._resources: dict[tuple[str, str], graph_executor.Resources] = {}
+        self._resources: dict[str, graph_executor.Resources] = {}
         self._plans: dict[tuple[str, str], graph_executor.GraphPlan] = {}
         self._serve_config = serve_config if serve_config is not None else ServeConfig()
         self._scheduler: RequestScheduler | None = None
@@ -268,40 +268,30 @@ class EdgeServer:
                 f"model {name!r} needs t >= {quantized.required_plain_modulus()}"
             )
         # Requests are one image per polynomial (ParameterError if one does
-        # not fit).  A flush folds them P per ciphertext before conv, the
-        # direct path's fc sums several classes per polynomial: budget both.
-        layout = graph_ir.image_layout(quantized, self.params)
+        # not fit).  The flush is the direct chain behind a fold, so its
+        # graph, whose conv also pays the fold, is the one to budget.
         lanes = self._serve_config.capacity(self.params.poly_degree)
         packed = graph_ir.build_graph("packed", quantized, self.params, lanes=lanes)
         graph_ir.require_headroom(packed)
-        served = graph_ir.build_graph("served", quantized, self.params)
-        graph_ir.require_headroom(served)
         self._models[name] = quantized
-        # Both kinds share the conv operand; the flush's fc contracts scalar
-        # lanes, the direct path's feature polynomials into class-strided
-        # results (both encoded here, once).
-        conv = heops.encode_image_conv(self.evaluator, quantized, layout)
-        fc = {
-            "served": heops.encode_class_dense(
-                self.evaluator, quantized, served.node("unpack").attrs["classes"]
-            ),
-            "packed": heops.encode_dense_weights(
-                self.evaluator, self.encoder, quantized.dense_weight, quantized.dense_bias
-            ),
-        }
+        # Both kinds walk the same operands, encoded here, once.
+        image = packed.node("crossing_image").attrs["image"]
+        classes = packed.node("unpack").attrs["classes"]
+        self._resources[name] = graph_executor.Resources(
+            tracer=self.platform.tracer,
+            evaluator=self.evaluator,
+            encoder=self.encoder,
+            weights={
+                "conv": heops.encode_image_conv(self.evaluator, quantized, image),
+                "fc": heops.encode_class_dense(self.evaluator, quantized, classes),
+            },
+        )
         for kind, options in (("served", {}), ("packed", {"lanes": lanes})):
-            self._resources[name, kind] = graph_executor.Resources(
-                tracer=self.platform.tracer,
-                evaluator=self.evaluator,
-                encoder=self.encoder,
-                weights={"conv": conv, "fc": fc[kind]},
-            )
             self._plans[name, kind] = graph_executor.GraphPlan(
                 kind, quantized, self.params, **options
             )
         self.fleet.register_model(name)
         if metrics.registry().enabled:
-            # The flush's estimate, the tighter one: conv also pays the fold.
             gauge = metrics.family("repro_he_noise_budget_bits")
             for layer in ("conv", "fc"):
                 gauge.labels(model=name, layer=layer).set(packed.node(layer).budget_bits)
@@ -480,7 +470,7 @@ class EdgeServer:
         """
         self._require_model(model_name)
         graph, report = self._plans[model_name, kind].compiled()
-        env = replace(self._resources[model_name, kind], enclave=enclave)
+        env = replace(self._resources[model_name], enclave=enclave)
         batch = graph_executor.leading_batch(ct)
         with obs_context.activate(*contexts), self.platform.tracer.span(
             scheme,

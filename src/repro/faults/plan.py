@@ -52,11 +52,13 @@ Instrumented sites (see DESIGN.md §11 for the recovery semantics):
                            the batch over to a surviving replica (a
                            perturbation -- results unchanged, bit-identical
                            logits from the survivor)
-``parallel.worker``        SIGKILL of one flush-execution worker process at
-                           unit dispatch (``name`` = worker id): the pool
-                           generation is retired and every unacknowledged
-                           work unit replays in-process (a perturbation --
-                           results unchanged, byte-identical output)
+``parallel.worker``        SIGKILL of one pool worker process at unit
+                           dispatch (``name`` = worker id) in an in-process
+                           pipeline's scalar contraction (no serving flush
+                           reaches the pool): the pool generation is retired
+                           and every unacknowledged work unit replays
+                           in-process (a perturbation -- results unchanged,
+                           byte-identical output)
 ``graph.pass``             a graph-optimizer pass raises mid-compile
                            (``name`` = pass name): the compiler discards the
                            partially rewritten graph and degrades to the

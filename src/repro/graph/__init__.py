@@ -31,7 +31,6 @@ from repro.graph.ir import (
     build_deep_graph,
     build_graph,
     build_hybrid_graph,
-    build_packed_graph,
     build_served_graph,
     build_simd_graph,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "build_deep_graph",
     "build_graph",
     "build_hybrid_graph",
-    "build_packed_graph",
     "build_served_graph",
     "build_simd_graph",
     "LEVELS",

@@ -222,20 +222,21 @@ def _crossing(env, node, conv, walk):
 
 def _crossing_image(env, node, conv, walk):
     with _node_stage(env, node):
-        # One image per conv-output ciphertext; its pooled values come back
-        # in the coefficients of its own feature polynomial(s).
-        args = _enclave_args(node)
-        return env.enclave.ecall("activation_pool", conv, *args, image=node.attrs["image"])
+        # One image per conv-output ciphertext, or a fold's batch P per
+        # ciphertext; each image's pooled values come back in the
+        # coefficients of its own feature polynomial(s).
+        folded = walk.lanes if walk.lanes > 1 else None
+        return env.enclave.ecall(
+            "activation_pool", conv, *_enclave_args(node),
+            image=node.attrs["image"], batch=folded,
+        )
 
 
 def _crossing_lanes(env, node, conv, walk):
     with _node_stage(env, node):
-        # The flush's conv output holds its fold's images (``image``), the
-        # simd kind's holds lanes already; both come back as lanes.
+        # The simd kind's batch rides lanes in and comes back as lanes.
         args = _enclave_args(node)
-        return env.enclave.ecall(
-            "activation_pool_lanes", conv, walk.lanes, *args, image=node.attrs.get("image")
-        )
+        return env.enclave.ecall("activation_pool_lanes", conv, walk.lanes, *args)
 
 
 def _crossing_per_pixel(env, node, conv, walk):
@@ -291,9 +292,9 @@ def _fold(env, node, requests, walk):
 
 def _unpack(env, node, value, walk):
     with _node_stage(env, node):
-        # The flush's lanes, or the direct path's class-strided fc result.
+        # The class-strided fc result: one re-encrypted result per image.
         return env.enclave.ecall(
-            "unpack_lanes", value, walk.batch, classes=node.attrs.get("classes")
+            "unpack_lanes", value, walk.batch, classes=node.attrs["classes"]
         )
 
 

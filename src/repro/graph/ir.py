@@ -12,21 +12,24 @@ which is what lets passes reason about headroom (e.g. how many coefficients
 a packed crossing may fold) without touching ciphertexts.
 
 One builder per graph kind (:data:`BUILDERS`): ``hybrid``, ``cryptonets``,
-``simd``, ``deep``, ``served`` (``EdgeServer.infer``: no encrypt/decrypt
-node; its ``fc`` leaves the classes in known coefficients and ``unpack``
-re-encrypts them, one result ciphertext per image) and ``packed`` (the
-scheduler flush).  The two serving kinds take the served request format,
-one image per polynomial (:func:`image_layout`); their crossings carry that
-layout as an ``image`` attribute, ``served``'s ``unpack`` the fc result's
-(:func:`class_layout`) as ``classes``.  Work on coefficients
-(``encrypt_lanes``, ``fold``, ``crossing_image``, ``crossing_lanes``,
-``decrypt_lanes``, ``unpack``) has its own ops, not flags on the scalar
-ones, so the pass that rewrites ``crossing`` simply finds no such node on
-the ``simd`` and serving graphs and refuses.
+``simd``, ``deep`` and the two serving kinds, which one builder makes
+(:func:`build_served_graph`): ``served`` (``EdgeServer.infer``: no
+encrypt/decrypt node; its ``fc`` leaves the classes in known coefficients
+and ``unpack`` re-encrypts them, one result ciphertext per image) and
+``packed`` (the scheduler flush: the same chain behind a ``fold``).  Both
+take the served request format, one image per polynomial
+(:func:`image_layout`); their crossing carries that layout as an ``image``
+attribute, their ``unpack`` the fc result's (:func:`class_layout`) as
+``classes``.  Work on coefficients (``encrypt_lanes``, ``fold``,
+``crossing_image``, ``crossing_lanes``, ``decrypt_lanes``, ``unpack``) has
+its own ops, not flags on the scalar ones, so the pass that rewrites
+``crossing`` simply finds no such node on the ``simd`` and serving graphs
+and refuses.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -145,7 +148,7 @@ def node_noise_cost(node: GraphNode, graph: InferenceGraph, estimator: NoiseEsti
     at the layer's weight norm plus the additions over its fan-in -- the terms
     with a non-zero weight (:func:`repro.core.heops._plan_contraction`).  An
     fc that sums several classes into one polynomial (``classes``, the
-    ``served`` kind's) adds their sum: its ``R(x)`` has one weight per
+    serving kinds') adds their sum: its ``R(x)`` has one weight per
     (feature, class) pair.
     """
     if node.op in CONTRACTION_OPS:
@@ -320,7 +323,7 @@ def image_layout(quantized, params: EncryptionParams) -> ImageLayout:
 
 
 def class_layout(quantized, params: EncryptionParams) -> ClassLayout:
-    """Where the direct path's fc reads ``quantized``'s pooled values and
+    """Where the serving paths' fc reads ``quantized``'s pooled values and
     leaves its classes under ``params``.
 
     Raises:
@@ -337,41 +340,34 @@ def class_layout(quantized, params: EncryptionParams) -> ClassLayout:
     )
 
 
-def _image_stage(op: str, quantized, layout: ImageLayout) -> GraphNode:
-    node = _enclave_stage(op, quantized)
-    node.attrs["image"] = layout
-    return node
-
-
-def build_served_graph(quantized, params: EncryptionParams) -> InferenceGraph:
+def build_served_graph(
+    quantized, params: EncryptionParams, lanes: int | None = None
+) -> InferenceGraph:
     """IR for ``EdgeServer.infer``: the hybrid's server half, on images the
     user already encrypted one per polynomial and a result only the user can
     decrypt -- conv is one plaintext-polynomial product per filter, the
     crossing re-encrypts each image's pooled values as one polynomial, ``fc``
     is one plaintext-polynomial product leaving the classes in known
     coefficients (their sum comes out of its budget), and ``unpack``
-    re-encrypts only the classes, class ``c`` in coefficient ``c``."""
-    layout = class_layout(quantized, params)
-    return _single_block(
-        "served", quantized, params, [],
-        [_image_stage("crossing_image", quantized, image_layout(quantized, params))],
-        [GraphNode("unpack", "unpack", {"classes": layout})],
-        fc={"classes": layout.classes},
-    )
+    re-encrypts only the classes, class ``c`` in coefficient ``c``.
 
-
-def build_packed_graph(quantized, params: EncryptionParams, lanes: int = 0) -> InferenceGraph:
-    """IR for the serving flush: the host folds up to ``lanes`` requests (the
-    scheduler's capacity; 0 = ring degree) ``n // (H*W)`` images per
-    ciphertext -- additions, not a refresh, so they come out of ``conv``'s
-    budget; the enclave splits them into coefficient lanes for ``fc``."""
-    layout = image_layout(quantized, params)
-    fold = {"lanes": int(lanes) or params.poly_degree, "stride": layout.pixels}
+    With ``lanes`` it is the serving flush (kind ``packed``): the same chain
+    behind a ``fold`` of up to ``lanes`` requests (the scheduler's capacity;
+    0 = ring degree), ``n // (H*W)`` images per ciphertext -- additions, not
+    a refresh, so they come out of ``conv``'s budget."""
+    image = image_layout(quantized, params)
+    classes = class_layout(quantized, params)
+    crossing = _enclave_stage("crossing_image", quantized)
+    crossing.attrs["image"] = image
+    head = []
+    if lanes is not None:
+        fold = {"lanes": int(lanes) or params.poly_degree, "stride": image.pixels}
+        head = [GraphNode("fold", "pack", fold)]
     return _single_block(
-        "packed", quantized, params,
-        [GraphNode("fold", "pack", fold)],
-        [_image_stage("crossing_lanes", quantized, layout)],
-        [GraphNode("unpack", "unpack")],
+        "served" if lanes is None else "packed", quantized, params, head,
+        [crossing],
+        [GraphNode("unpack", "unpack", {"classes": classes})],
+        fc={"classes": classes.classes},
     )
 
 
@@ -407,7 +403,7 @@ BUILDERS = {
     "simd": build_simd_graph,
     "deep": build_deep_graph,
     "served": build_served_graph,
-    "packed": build_packed_graph,
+    "packed": functools.partial(build_served_graph, lanes=0),
 }
 
 

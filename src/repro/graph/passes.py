@@ -65,9 +65,9 @@ class PackCrossing(GraphPass):
     shift-and-sum), so the pass caps ``chunk`` at what the conv layer's
     remaining budget can absorb above ``margin_bits`` (and at the ring
     degree) and refuses when even ``chunk = 2`` does not fit.  Also refuses
-    for graphs with no scalar-layout crossing (pure-HE; the ``simd`` and
-    flush graphs' ``crossing_lanes`` and the ``served`` graph's
-    ``crossing_image``, already packed), for the per-pixel negative control
+    for graphs with no scalar-layout crossing (pure-HE; the ``simd``
+    graph's ``crossing_lanes`` and the serving graphs' ``crossing_image``,
+    already packed), for the per-pixel negative control
     (each crossing carries a single value; there is nothing to fold) and
     for multi-block graphs.
     """

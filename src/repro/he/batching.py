@@ -20,7 +20,7 @@ in coefficient ``i*W + j``, a convolution is then one plaintext-polynomial
 product per (filter, channel), and :func:`read_image` picks each conv output
 back out of the coefficient it lands in.  The packed flush stacks ``n //
 (H*W)`` images per polynomial with :func:`pack_coefficients`' ``stride``.
-Past the crossing the direct path keeps one polynomial per image
+Past the crossing both serving paths keep one polynomial per image
 (:class:`ClassLayout`): its pooled values ride coefficients, fc is one
 plaintext-polynomial product that leaves each class alone in a known
 coefficient, and :func:`read_classes` picks the classes back out.
@@ -100,7 +100,7 @@ class ImageLayout:
 
 def feature_split(features: int, poly_degree: int) -> tuple[int, int]:
     """``(S, L)``: the ``S`` polynomials of ``L`` coefficients an image's
-    ``features`` pooled values ride on the direct path -- one (``L = D``)
+    ``features`` pooled values ride on the serving paths -- one (``L = D``)
     unless ``D > n/2``, then as few as leave room for one class per result
     polynomial (``2L - 1 <= n``), evenly filled."""
     polys = -(-features // ((poly_degree + 1) // 2))
@@ -109,7 +109,7 @@ def feature_split(features: int, poly_degree: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ClassLayout:
-    """Where the direct path puts an image's pooled features and its logits
+    """Where a served request puts an image's pooled features and its logits
     (the *class-strided* layout), worked out from the fc layer's fan-in
     ``D``, its class count and the ring degree ``n`` alone.
 
@@ -402,8 +402,8 @@ def read_lanes(plain: Plaintext, lanes: int) -> np.ndarray:
     ``(1, *rest)`` plaintext batch; :class:`EncodingError` unless every
     coefficient past them is zero (the scalar decode's probes, ``n - lanes``).
 
-    Two layouts use it: the packed flush's ``(1, C, H, W)`` ciphertext,
-    request ``b`` in lane ``b``, and a served result -- ``(B,)`` ciphertexts,
+    Two layouts use it: the SIMD kind's ``(1, C, H, W)`` ciphertext, image
+    ``b`` in lane ``b``, and a served result -- ``(B,)`` ciphertexts,
     one per image, whose ``(1, B)`` reshape holds the logits along the class
     axis: class ``c`` of image ``b`` in coefficient ``c``."""
     n = plain.context.poly_degree

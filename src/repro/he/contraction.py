@@ -10,8 +10,8 @@ death-replay in the parent.  Exact int64 adds are associative, so any row
 split of the output is byte-identical to the whole-range run.
 
 Shared arguments: the kernel writes ``rows`` of ``axis`` of the full output
-block ``out`` (``"batch"`` rows, else conv output rows / FC classes for the
-lane-packed ``B == 1`` flush); ``keep`` names the surviving taps (at least
+block ``out`` (``"batch"`` rows, else conv output rows / FC classes for a
+lane-packed ``(1, ...)`` SIMD batch); ``keep`` names the surviving taps (at least
 one) when every dropped weight column is zero, an exactly-zero
 contribution; ``bias`` is the ``(F|O, ..., k_rns, n)`` canonical residues
 of ``Delta * bias``, folded into the still-unreduced accumulator.

@@ -1,4 +1,5 @@
-"""Multicore flush execution: a worker pool over the shared ciphertext arena.
+"""Multicore scalar contractions: a worker pool over the shared ciphertext
+arena (the in-process pipelines'; no serving flush reaches it).
 
 This module owns *distribution* and no arithmetic: it carves a fused conv
 or dense layer's scalar contraction (:mod:`repro.he.contraction`) into work
@@ -7,7 +8,7 @@ units, runs them on a pool of forked worker processes over a shared-memory
 
 **Determinism contract.**  Work units are contiguous index ranges over one
 axis of the output (batch rows when the batch is stacked, conv output rows
-or FC classes for a lane-packed ``B == 1`` flush).  Every unit runs the one
+or FC classes for a lane-packed ``(1, ...)`` SIMD batch).  Every unit runs the one
 row-range kernel of its layer kind (``KERNELS``) -- the same function the
 in-process run calls once over the whole range -- and integer adds are
 associative with every partial bounds-checked against int64 by the caller,
@@ -22,7 +23,7 @@ a killed worker can die holding a queue lock, and a surviving writer from
 a torn-down generation must never touch a reused arena -- then replays
 every unacknowledged unit in the parent through the same kernel
 (bit-identical by the contract above) and respawns fresh workers for the
-next flush.
+next dispatch.
 
 **Configuration.**  ``configure(workers)`` / ``use(workers)`` mirror
 ``repro.he.kernels``; ``REPRO_WORKERS`` is the environment default and

@@ -75,8 +75,7 @@ class InferenceResult:
     coefficient past the model's classes is zero, which the client checks
     when it decrypts (``UserSession.decrypt_logits``).  The format is
     :func:`~repro.he.batching.write_lanes` / ``read_lanes`` along the class
-    axis; the direct path folds it on the host, a packed flush's enclave
-    re-encrypts it.
+    axis; both serving paths' result crossing re-encrypts it.
 
     Requests served through the packing scheduler additionally carry their
     serving metadata: ``request_id``, the total ``packed_batch`` they

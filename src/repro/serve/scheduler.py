@@ -5,9 +5,9 @@ serving many enrolled users, yet a naive facade pays the full per-pixel HE
 cost once per request.  Packing (Section VIII) is the throughput lever: a
 request is one image per polynomial, and the flush stacks ``n // (H*W)``
 of them per ciphertext, so conv runs once per ciphertext instead of once
-per image.  Packing is host-side homomorphic work, not an enclave crossing,
-and after the activation crossing the batch rides coefficient "lanes"
-(the model's *scalar* fc weights act on all of them alike).
+per image.  Packing is host-side homomorphic work, not an enclave crossing;
+from the activation crossing on, a flush is the direct path's chain, one
+polynomial per image.
 
 This scheduler turns that lever into a serving discipline:
 
@@ -24,8 +24,8 @@ This scheduler turns that lever into a serving discipline:
   the same key pair, so their ciphertexts are mutually compatible.  The
   host folds them homomorphically; only the activation crossing and the
   final re-encryption into one result ciphertext per request
-  (:meth:`InferenceEnclave.activation_pool_lanes` / ``unpack_lanes``) see
-  a pixel or logit in the clear, inside the enclave.
+  (:meth:`InferenceEnclave.activation_pool` / ``unpack_lanes``) see a
+  pixel or logit in the clear, inside the enclave.
 * **Backpressure.**  The queue is bounded; a full queue rejects new work
   with :class:`~repro.errors.QueueFullError` instead of buffering without
   limit.  Unknown models and requests larger than the packing capacity are
@@ -58,7 +58,6 @@ from repro.errors import (
     UnknownModelError,
 )
 from repro.faults import run_with_kernel_degradation
-from repro.he import parallel
 # Unused here since the flush runs through repro.graph; stays bound because
 # benchmarks/e2e/spans.py (read-only) wraps this module attribute by name.
 from repro.he.batching import pack_coefficients  # noqa: F401
@@ -681,7 +680,6 @@ class RequestScheduler:
             requests=len(requests),
             lanes=self.server.params.poly_degree,
             replica=enclave.replica,
-            workers=parallel.active_workers(),
             **trace_attrs,
         )
         results = []

@@ -8,6 +8,8 @@ import pytest
 from repro.core import InferenceEnclave
 from repro.errors import EnclaveError, PipelineError
 from repro.he import Ciphertext, Context, Decryptor, Encryptor, Evaluator, ScalarEncoder
+from repro.he.batching import ClassLayout
+from repro.he.context import Plaintext
 from repro.nn.layers import Sigmoid
 from repro.sgx import SgxPlatform
 
@@ -258,11 +260,14 @@ class TestValueGuards:
 
 
 class TestSlotCrossings:
-    """``activation_pool_lanes`` / ``unpack_lanes``: the packed flush's two
-    ECALLs, on a batch riding polynomial coefficients ``0..B-1`` (the class
-    keeps the name it had when the flush crossed in CRT slots)."""
+    """``activation_pool_lanes`` (the SIMD kind's crossing, on a batch riding
+    polynomial coefficients ``0..B-1``) and ``unpack_lanes`` (the serving
+    paths' result crossing, on a class-strided fc result); the class keeps
+    the name it had when the flush crossed in CRT slots."""
 
     IDENTITY = (1.0, 1, 1, "relu", "mean")  # scales, window, activation, pool
+    #: 12 "classes" of 4 requests, two coefficients apart, one result each.
+    LAYOUT = ClassLayout(features=2, classes=12, poly_degree=256, bound=24)
 
     @pytest.fixture()
     def lane_deployment(self, platform, hybrid_params):
@@ -279,36 +284,45 @@ class TestSlotCrossings:
             np.random.default_rng(8),
         )
         rows = np.arange(-24, 24).reshape(4, 3, 2, 2)  # 4 requests of (3, 2, 2)
-        return handle, encryptor.encrypt(write_lanes(context, rows)), rows
+        return handle, encryptor.encrypt(write_lanes(context, rows)), rows, encryptor
 
-    @staticmethod
-    def unpack(handle, folded):
-        """``unpack_lanes`` on the fold's ``(1, 12)`` reshape: 12 "classes"
-        per request, one result ciphertext each, class ``c`` in coefficient
-        ``c`` and nothing past the classes."""
-        results = handle.ecall("unpack_lanes", folded.reshape(1, 12), 4)
+    def strided(self, encryptor, rows):
+        """``rows`` as a class-strided ``(4, 1)`` fc result, a partial
+        product of 99 between every two classes."""
+        coeffs = np.zeros((4, 1, 256), dtype=np.int64)
+        coeffs[:, 0, : 2 * 12 : 2] = 99
+        coeffs[:, 0, self.LAYOUT.class_offsets()] = rows.reshape(4, 12)
+        return encryptor.encrypt(Plaintext(encryptor.context, coeffs))
+
+    def unpack(self, handle, strided):
+        """``unpack_lanes``: one result ciphertext per request, class ``c``
+        in coefficient ``c`` and nothing past the classes."""
+        results = handle.ecall("unpack_lanes", strided, 4, self.LAYOUT)
         assert results.batch_shape == (4,)
         plain = handle._instance._decryptor.decrypt(results)
         assert not plain.coeffs[:, 12:].any()
         return plain.signed_coeffs()[:, :12].reshape(4, 3, 2, 2)
 
     def test_crossing_then_unpack_restores_rows(self, lane_deployment):
-        handle, folded, rows = lane_deployment
+        from repro.he.batching import read_lanes
+
+        handle, folded, rows, _ = lane_deployment
         crossed = handle.ecall("activation_pool_lanes", folded, 4, *self.IDENTITY)
         assert crossed.batch_shape == (1, 3, 2, 2)
-        assert np.array_equal(self.unpack(handle, crossed), np.maximum(rows, 0))
+        plain = handle._instance._decryptor.decrypt(crossed)
+        assert np.array_equal(read_lanes(plain, 4), np.maximum(rows, 0))
 
     def test_pack_then_unpack_restores_rows(self, lane_deployment):
-        handle, folded, rows = lane_deployment
-        assert np.array_equal(self.unpack(handle, folded), rows)
+        handle, _folded, rows, encryptor = lane_deployment
+        assert np.array_equal(self.unpack(handle, self.strided(encryptor, rows)), rows)
 
     def test_unpack_refuses_what_is_not_a_logit_batch(self, lane_deployment):
-        handle, folded, _rows = lane_deployment
-        with pytest.raises(PipelineError, match=r"\(1, classes\) logits"):
-            handle.ecall("unpack_lanes", folded, 4)
+        handle, folded, _rows, _ = lane_deployment
+        with pytest.raises(PipelineError, match=r"must be \(4, 1\) class-strided"):
+            handle.ecall("unpack_lanes", folded, 4, self.LAYOUT)
 
     def test_crossing_activates_and_pools_every_lane(self, lane_deployment):
-        handle, folded, rows = lane_deployment
+        handle, folded, rows, _ = lane_deployment
         crossed = handle.ecall(
             "activation_pool_lanes", folded, 4, 8.0, 100, 2, "sigmoid", "mean"
         )
@@ -318,25 +332,30 @@ class TestSlotCrossings:
         assert np.array_equal(got[0, :, 0, 0, :4].T, np.rint(pooled * 100))
         assert not got[..., 4:].any()
 
+    def call(self, deployment, name, batch):
+        handle, folded, rows, encryptor = deployment
+        if name == "activation_pool_lanes":
+            return handle.ecall(name, folded, batch, *self.IDENTITY)
+        return handle.ecall(name, self.strided(encryptor, rows), batch, self.LAYOUT)
+
     @pytest.mark.parametrize("name", ["activation_pool_lanes", "unpack_lanes"])
     @pytest.mark.parametrize("batch", [0, -1, 257])
     def test_bad_batch_is_a_typed_pipeline_error(self, lane_deployment, name, batch):
-        handle, folded, _rows = lane_deployment
-        args = self.IDENTITY if name == "activation_pool_lanes" else ()
-        with pytest.raises(PipelineError, match=r"batch must be in \[1, 256\]"):
-            handle.ecall(name, folded, batch, *args)
+        match = r"batch must be in \[1, 256\]" if name != "unpack_lanes" else "class-strided"
+        with pytest.raises(PipelineError, match=match):
+            self.call(lane_deployment, name, batch)
 
     @pytest.mark.parametrize("name", ["activation_pool_lanes", "unpack_lanes"])
     def test_too_small_batch_is_a_typed_pipeline_error(self, lane_deployment, name):
         """A host that under-reports the batch leaves non-zero coefficients
-        past the lanes: typed, never a silently truncated flush."""
-        handle, folded, _rows = lane_deployment
-        args = self.IDENTITY if name == "activation_pool_lanes" else ()
-        with pytest.raises(PipelineError, match="not lane-encoded"):
-            handle.ecall(name, folded, 3, *args)
+        past the lanes, or an fc result of another shape: typed, never a
+        silently truncated flush."""
+        match = "not lane-encoded" if name != "unpack_lanes" else "class-strided"
+        with pytest.raises(PipelineError, match=match):
+            self.call(lane_deployment, name, 3)
 
     def test_out_of_range_values_rejected(self, lane_deployment, hybrid_params):
-        handle, folded, _rows = lane_deployment
+        handle, folded, _rows, _ = lane_deployment
         with pytest.raises(PipelineError, match="plaintext range"):
             handle.ecall(
                 "activation_pool_lanes", folded, 4,

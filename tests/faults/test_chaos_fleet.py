@@ -151,7 +151,7 @@ class TestRetryExhaustionFailsOver:
         plan = FaultPlan(
             seed,
             rules=[
-                FaultRule(site="sgx.ecall", name="activation_pool_lanes", max_fires=3)
+                FaultRule(site="sgx.ecall", name="activation_pool", max_fires=3)
             ],
         )
         with faults.armed(plan):

@@ -1,13 +1,16 @@
-"""Chaos against the worker pool: a SIGKILLed flush worker must never
+"""Chaos against the worker pool: a SIGKILLed pool worker must never
 change a single output byte.
 
 The ``parallel.worker`` site (DESIGN.md §15) kills one worker process at
-unit dispatch.  The pool's recovery contract: the whole generation is
+unit dispatch.  No serving flush reaches the pool (its conv and fc are
+plaintext-polynomial products), so the chaos drives the walk that still
+dispatches: the in-process hybrid pipeline's scalar conv and fc
+contractions.  The pool's recovery contract: the whole generation is
 retired (a killed worker can die holding a queue lock), every
 unacknowledged unit replays in-process through the identical unit
-executor, and fresh workers respawn for the next flush -- so the decrypted
-logits stay bit-identical to the plaintext reference and to a fault-free
-single-process run.
+executor, and fresh workers respawn for the next contraction -- so the
+logits stay bit-identical to the plaintext reference and the result bytes
+to a fault-free single-process run.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from repro import faults
 from repro.core import PlaintextPipeline
 from repro.faults import FaultPlan, FaultRule
 from repro.he import parallel
+from repro.he.serialize import serialize_ciphertext
 from repro.obs.metrics import use_registry
 
 from .conftest import chaos_seeds
@@ -34,31 +38,22 @@ def pristine_pool_state():
     parallel.shutdown()
 
 
-def submit_singles(server, session, images):
-    return [
-        server.scheduler.submit("digits", session.encrypt("digits", images[i : i + 1]))
-        for i in range(len(images))
-    ]
-
-
 class TestWorkerKilledMidFlush:
     @pytest.mark.parametrize("seed", chaos_seeds())
-    def test_kill_replays_bit_identically(
-        self, server, session, q_sigmoid, models, seed
-    ):
-        """Kill worker 1 during the packed flush: every unit replays
-        in-process and the logits match plaintext bit-for-bit."""
+    def test_kill_replays_bit_identically(self, make_pipeline, q_sigmoid, models, seed):
+        """Kill worker 1 during the hybrid pipeline's contractions: every
+        unit replays in-process and the logits match plaintext bit-for-bit."""
         images = models.dataset.test_images[:3]
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits
+        pipeline = make_pipeline("batched")
         with use_registry() as reg:
             with parallel.use(3):
-                responses = submit_singles(server, session, images)
                 plan = FaultPlan(
                     seed,
                     rules=[FaultRule(site="parallel.worker", name="1", max_fires=1)],
                 )
                 with faults.armed(plan):
-                    server.scheduler.drain()
+                    result = pipeline.infer(images)
                 pool = parallel.active_pool()
                 assert plan.fires("parallel.worker") == 1
                 assert pool.deaths == 1
@@ -68,45 +63,36 @@ class TestWorkerKilledMidFlush:
             flat = reg.collect().flat()
             assert flat["repro_parallel_worker_deaths_total"] == 1.0
             assert flat["repro_parallel_replayed_units_total"] >= 1.0
-        assert server.scheduler.queue_depth == 0
-        for i, response in enumerate(responses):
-            logits = session.decrypt_logits(response.result())
-            assert np.array_equal(logits[0], expected[i])
+        assert np.array_equal(result.logits, expected)
 
     @pytest.mark.parametrize("seed", chaos_seeds())
-    def test_kill_matches_single_process_run(
-        self, server, session, q_sigmoid, models, seed
-    ):
-        """The fault-free workers=1 flush and the killed workers=3 flush
-        produce identical decrypted logits for the same submissions."""
+    def test_kill_matches_single_process_run(self, make_pipeline, models, seed):
+        """The fault-free workers=1 run and the killed workers=2 run of two
+        same-seed pipelines produce identical logits and result bytes."""
         images = models.dataset.test_images[:2]
-        baseline = submit_singles(server, session, images)
-        server.scheduler.drain()  # workers=1, disarmed: the authority
-        reference = [session.decrypt_logits(r.result()) for r in baseline]
-
+        reference = make_pipeline("batched").infer(images)  # workers=1, disarmed
+        pipeline = make_pipeline("batched")
         with parallel.use(2):
-            responses = submit_singles(server, session, images)
             plan = FaultPlan(
                 seed,
                 rules=[FaultRule(site="parallel.worker", name="0", max_fires=1)],
             )
             with faults.armed(plan):
-                server.scheduler.drain()
+                result = pipeline.infer(images)
             assert plan.fires("parallel.worker") == 1
             assert parallel.active_pool().deaths == 1
-        for response, expected in zip(responses, reference):
-            assert np.array_equal(
-                session.decrypt_logits(response.result()), expected
-            )
+        assert np.array_equal(result.logits, reference.logits)
+        assert serialize_ciphertext(result.logits_ct) == serialize_ciphertext(
+            reference.logits_ct
+        )
 
     @pytest.mark.parametrize("seed", chaos_seeds())
-    def test_pool_survives_repeated_kills(
-        self, server, session, q_sigmoid, models, seed
-    ):
-        """Three kills across successive flushes: each retires a generation,
-        each respawn serves the next flush, results stay exact."""
+    def test_pool_survives_repeated_kills(self, make_pipeline, q_sigmoid, models, seed):
+        """Three kills across successive inferences: each retires a
+        generation, each respawn serves the next one, results stay exact."""
         images = models.dataset.test_images[:2]
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits
+        pipeline = make_pipeline("batched")
         with parallel.use(2):
             plan = FaultPlan(
                 seed,
@@ -114,10 +100,6 @@ class TestWorkerKilledMidFlush:
             )
             with faults.armed(plan):
                 for _ in range(3):
-                    responses = submit_singles(server, session, images)
-                    server.scheduler.drain()
-                    for i, response in enumerate(responses):
-                        logits = session.decrypt_logits(response.result())
-                        assert np.array_equal(logits[0], expected[i])
+                    assert np.array_equal(pipeline.infer(images).logits, expected)
             pool = parallel.active_pool()
             assert pool.deaths == plan.fires("parallel.worker")

@@ -164,8 +164,9 @@ class TestCryptonetsEquivalence:
 #: ciphertexts change layout, and every row's ``ciphertext`` whenever the
 #: enclave's re-encryption draws its bytes differently (``a`` in the NTT
 #: domain, or ``served``'s classes re-encrypted by a result crossing, whose
-#: ``unpack`` stage the row gained); their ``logits`` and ``rng`` hashes
-#: never change.
+#: ``unpack`` stage the row gained), and ``packed``'s ``op_counts`` when its
+#: flush took the direct path's chain behind the fold; their ``logits`` and
+#: ``rng`` hashes never change.
 PARENT_RECORDING = json.loads(
     Path(__file__).with_name("parent_recording.json").read_text()
 )

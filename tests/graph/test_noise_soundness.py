@@ -2,12 +2,15 @@
 the ``simd`` kind: after ``conv`` (one plaintext-polynomial product per
 filter on the served request format), after ``fc`` and on the result a
 client receives.  Each fold is a host-side sum, not a refresh -- the flush's
-makes ``conv`` start below fresh, the direct path's ``fc`` sums its classes
-into one polynomial and pays for them before ``unpack`` refreshes -- the
-``simd`` kind's lanes are written by one fresh encryption, and a model that
-leaves no budget is refused when it is provisioned."""
+makes ``conv`` start below fresh, and both serving paths' ``fc`` sums the
+classes into one polynomial and pays for them before ``unpack`` refreshes --
+the ``simd`` kind's lanes are written by one fresh encryption, and a model
+that leaves no budget is refused when it is provisioned.  The flush is the
+direct chain behind its fold, so its graph alone is budgeted."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -44,11 +47,27 @@ def test_fold_is_priced_not_a_refresh():
         assert fold.noise_cost_bits == pytest.approx(cost)
         assert fold.budget_bits == pytest.approx(fresh - cost)
         assert conv.budget_bits == pytest.approx(served.node("conv").budget_bits - cost)
-        # The crossing refreshes: fc does not pay for the fold (the served
-        # fc pays for its own class fold, log2(3) bits).
-        assert packed.node("fc").budget_bits == pytest.approx(
-            served.node("fc").budget_bits + np.log2(3)
-        )
+        # The crossing refreshes: fc does not pay for the fold, and both
+        # fcs pay for their class fold alike.
+        assert packed.node("fc").budget_bits == served.node("fc").budget_bits
+
+
+def test_the_flush_graph_dominates_the_served_graph():
+    """``packed`` is the ``served`` node list behind a ``fold``, and no node
+    of it keeps more headroom than its ``served`` twin: a flush graph that
+    passes ``require_headroom`` passes it for the direct path too."""
+    model = single_block_model()
+    params = parameters_for_pipeline(model, 256, batching=True)
+    served = ir.build_graph("served", model, params)
+    for lanes in (1, 4, 256):
+        packed = ir.build_graph("packed", model, params, lanes=lanes)
+        assert packed.nodes[0].op == "fold"
+        chain = packed.nodes[1:]
+        assert [(node.op, node.stage, node.attrs) for node in chain] == [
+            (node.op, node.stage, node.attrs) for node in served.nodes
+        ]
+        for flush, direct in zip(chain, served.nodes):
+            assert flush.budget_bits <= direct.budget_bits, flush.stage
 
 
 def _spy_budgets(monkeypatch, decryptor) -> dict:
@@ -86,7 +105,8 @@ def _deployment(model, params, **config):
 @pytest.mark.parametrize("batch", [*BATCHES, 256])
 def test_ir_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
     """The packed flush: the fold's images, ``P`` per ciphertext, through
-    conv; fc on the crossing's lanes; the ``unpack`` re-encryption."""
+    conv; fc on the crossing's feature polynomials; the ``unpack``
+    re-encryption."""
     model = single_block_model()
     params = parameters_for_pipeline(model, 256, batching=True)
     server, session = _deployment(model, params, max_batch=batch)
@@ -120,11 +140,12 @@ def test_simd_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
 
 @pytest.mark.parametrize("batch", BATCHES)
 def test_class_fold_headroom_lower_bounds_the_result_budget(batch, monkeypatch):
-    """The direct path: each image's own conv products, then fc on the
-    crossing's feature polynomial summing every class into one result
-    polynomial -- priced ``log2(classes)`` on top of fc's own cost, fc's IR
-    headroom a lower bound on what its output measures before ``unpack``
-    re-encrypts the classes fresh for the client."""
+    """Both serving paths: conv, then fc on the crossing's feature
+    polynomial summing every class into one result polynomial -- priced
+    ``log2(classes)`` on top of fc's own cost, fc's IR headroom a lower
+    bound on what its output measures before ``unpack`` re-encrypts the
+    classes fresh for the client.  The direct request first, then the same
+    images as one flush."""
     model = single_block_model()
     params = parameters_for_pipeline(model, 256, batching=True)
     server, session = _deployment(model, params)
@@ -139,19 +160,26 @@ def test_class_fold_headroom_lower_bounds_the_result_budget(batch, monkeypatch):
     assert fc.attrs == {"classes": classes} and graph.nodes[-1] is unpack
     assert unpack.op in ir.REFRESH_OPS
     assert unpack.budget_bits == NoiseEstimator(params).fresh_budget()
-    scalar_fc = ir.build_graph("packed", model, params).node("fc")
-    assert fc.noise_cost_bits == pytest.approx(
-        scalar_fc.noise_cost_bits + np.log2(classes)
-    )
+    one_class = ir.node_noise_cost(ir.GraphNode("fc", "fc"), graph, NoiseEstimator(params))
+    assert fc.noise_cost_bits == pytest.approx(one_class + np.log2(classes))
     measured["result"] = session.decryptor.invariant_noise_budget(result.logits_ct)
     _assert_lower_bounds(graph, measured, result_node="unpack")
 
+    measured.clear()
+    with optimizer.use("off"):
+        response = server.infer(dataclasses.replace(request, pack=True))
+    assert response.packed_batch == batch
+    measured["result"] = session.decryptor.invariant_noise_budget(response.logits_ct)
+    lanes = server.scheduler.capacity
+    packed = ir.build_graph("packed", model, params, lanes=lanes)
+    assert packed.node("fc").budget_bits == fc.budget_bits
+    _assert_lower_bounds(packed, measured, result_node="unpack")
+
 
 def test_provisioning_refuses_a_class_fold_with_no_headroom():
-    """Two 17-bit primes leave fc under one bit, which a one-lane flush
-    survives (its enclave re-encrypts after fc) and the direct path's fc,
-    which also folds the classes, does not: provisioning checks the
-    ``served`` graph too."""
+    """Two 17-bit primes leave fc under one bit once it folds the classes,
+    which both serving paths' fc does: provisioning refuses on the flush
+    graph's fc, even at one image per flush, whose conv pays no fold."""
     model = single_block_model()
     sized = parameters_for_pipeline(model, 256, batching=True)
     edge = EncryptionParams(
@@ -160,8 +188,8 @@ def test_provisioning_refuses_a_class_fold_with_no_headroom():
         plain_modulus=sized.plain_modulus,
         name="edge",
     )
-    ir.require_headroom(ir.build_graph("packed", model, edge, lanes=1))
-    with pytest.raises(ParameterError, match=r"served graph leaves layer 'fc'"):
+    assert ir.build_graph("packed", model, edge, lanes=1).node("conv").budget_bits > 0
+    with pytest.raises(ParameterError, match=r"packed graph leaves layer 'fc'"):
         server = EdgeServer(edge, seed=13, serve_config=ServeConfig(max_batch=1))
         server.provision_model("m", model)
 
@@ -170,14 +198,15 @@ def test_provisioning_refuses_a_flush_with_no_headroom():
     model = single_block_model()
     sized = parameters_for_pipeline(model, 256, batching=True)
     # One 30-bit prime leaves under 3 bits of fresh budget: conv alone
-    # costs 5, and the fold of 4 images per ciphertext 2 more.
+    # costs 5, and the fold of 4 images per ciphertext 2 more; fc, with its
+    # class fold, costs more still and binds.
     tight = EncryptionParams(
         poly_degree=256,
         coeff_primes=sized.coeff_primes[:1],
         plain_modulus=sized.plain_modulus,
         name="tight",
     )
-    with pytest.raises(ParameterError, match=r"packed graph leaves layer 'conv'"):
+    with pytest.raises(ParameterError, match=r"packed graph leaves layer 'fc'"):
         EdgeServer(tight, seed=13).provision_model("m", model)
     server = EdgeServer(sized, seed=13)
     server.provision_model("m", model)
@@ -189,6 +218,8 @@ def test_provisioning_refuses_a_flush_with_no_headroom():
         graph = ir.build_graph("packed", model, sized, lanes=lanes)
         assert graph.node("conv").budget_bits == at_p
         ir.require_headroom(graph)
+    graph = ir.build_graph("packed", model, tight, lanes=4)
+    assert graph.node("fc").budget_bits < graph.node("conv").budget_bits < 0
 
 
 def test_an_image_past_the_ring_is_a_parameter_error():

@@ -113,8 +113,8 @@ class TestTypedImageCheck:
         raised = []
 
         def under_report(self, name, *args, **kwargs):
-            if name == "activation_pool_lanes" and args[1] == 7:
-                args = (args[0], 5, *args[2:])
+            if name == "activation_pool" and kwargs.get("batch") == 7:
+                kwargs = {**kwargs, "batch": 5}
             try:
                 return original(self, name, *args, **kwargs)
             except PipelineError as exc:
@@ -219,6 +219,45 @@ class TestTypedResultCrossing:
             self.infer_tampered(
                 server, session, models.dataset.test_images[:2], tamper, monkeypatch
             )
+
+    def test_stray_past_the_reach_of_a_co_packed_image(
+        self, server, session, q_sigmoid, models, monkeypatch
+    ):
+        """A flush's result crossing probes every image's reach, not only the
+        last one's: a stray coefficient in image 0 of a three-image flush
+        fails the flush typed, and the one-image re-runs resolve every
+        ticket with the reference logits."""
+        images = models.dataset.test_images[:3]
+        stray = np.zeros((3, 2, session.context.poly_degree), dtype=np.int64)
+        stray[0, 1, 127] = 1
+        tamper = self.added(session, stray)
+        dense = heops.he_dense
+
+        def tampered(*args):
+            out = dense(*args)
+            return tamper(out) if out.batch_shape[0] == 3 else out
+
+        original = EnclaveSupervisor.ecall
+        raised = []
+
+        def spy(self, name, *args, **kwargs):
+            try:
+                return original(self, name, *args, **kwargs)
+            except PipelineError as exc:
+                raised.append((name, exc))
+                raise
+
+        monkeypatch.setattr(heops, "he_dense", tampered)
+        monkeypatch.setattr(EnclaveSupervisor, "ecall", spy)
+        responses = submit_singles(server, session, images, "digits")
+        server.scheduler.drain()
+        ((name, exc),) = raised
+        assert name == "unpack_lanes" and "past the fc products' reach" in str(exc)
+        stats = server.scheduler.stats
+        assert (stats.isolations, stats.isolated_requests, stats.failed) == (1, 3, 0)
+        expected = PlaintextPipeline(q_sigmoid).infer(images).logits
+        for i, response in enumerate(responses):
+            assert np.array_equal(session.decrypt_logits(response.result()), expected[i : i + 1])
 
     def test_class_past_the_fc_bound(self, server, session, q_sigmoid, models, monkeypatch):
         images = models.dataset.test_images[:2]

@@ -1,5 +1,5 @@
-"""The packed flush rides polynomial coefficients ("lanes") from the host
-fold to the last crossing: typed lane checks, equivalence with the unpacked
+"""The packed flush is the direct path's chain behind a host fold: typed
+layout checks at its two crossings, equivalence with the unpacked
 ``served`` graph across batch sizes / kernel profiles / worker counts /
 recovery, the one-ciphertext-per-image result both paths return, and
 DESIGN.md §6's claims on the serving path."""
@@ -17,10 +17,11 @@ from repro.errors import EncodingError, PipelineError, RecoveryExhausted, Reques
 from repro.faults import EnclaveSupervisor, FaultPlan, FaultRule
 from repro.he import Evaluator, kernels, parallel
 from repro.he.context import Ciphertext, Plaintext
+from repro.he.evaluator import PlainOperand
 from repro.he.serialize import serialize_ciphertext, serialize_secret_key
 from repro.serve import InferenceRequest, ServeConfig
 
-LANE_ECALLS = ["activation_pool_lanes", "unpack_lanes"]
+SERVING_ECALLS = ["activation_pool", "unpack_lanes"]
 
 
 def submit_singles(server, session, images):
@@ -51,37 +52,53 @@ def assert_every_ticket_failed_typed(server, responses, match):
 
 
 class TestTypedLaneCheck:
-    """Coefficients at or past ``batch`` must decrypt to zero in both lane
-    ECALLs: whatever breaks the layout outside the enclave fails the flush
-    typed and resolves every ticket -- never silently wrong logits."""
+    """Coefficients no declared image reaches must decrypt to zero in both
+    of the flush's ECALLs: whatever breaks the layout outside the enclave
+    fails the flush typed and resolves every ticket -- never silently wrong
+    logits."""
 
     def test_host_passing_a_too_small_batch(self, server, session, models, monkeypatch):
         original = EnclaveSupervisor.ecall
+        raised = []
 
         def under_report(self, name, *args, **kwargs):
-            if name in LANE_ECALLS:
+            if name == "activation_pool" and kwargs.get("batch"):
+                kwargs = {**kwargs, "batch": kwargs["batch"] - 1}
+            if name == "unpack_lanes":
                 args = (args[0], args[1] - 1, *args[2:])
-            return original(self, name, *args, **kwargs)
+            try:
+                return original(self, name, *args, **kwargs)
+            except PipelineError as exc:
+                raised.append(exc)
+                raise
 
         monkeypatch.setattr(EnclaveSupervisor, "ecall", under_report)
         responses = submit_singles(server, session, models.dataset.test_images[:3])
         server.scheduler.drain()
-        # The flush dies on the lane check; each B = 1 re-run then reports
-        # batch 0, which is out of range.
-        assert_every_ticket_failed_typed(server, responses, "batch must be in")
+        # The flush dies on the fold's batch check; each B = 1 re-run (one
+        # image per ciphertext, no fold batch) then reports a result batch
+        # of 0, which no fc result has.
+        assert "batch must be in" in str(raised[0])
+        assert all("class-strided" in str(exc) for exc in raised[1:])
+        assert_every_ticket_failed_typed(server, responses, "expected values")
         assert server.scheduler.stats.isolations == 1
 
     def test_bias_spread_past_the_batch(self, server, session, models, monkeypatch):
-        """A host that adds the bias to more lanes than the flush holds
-        (here: always the full capacity) leaves non-zero lanes past it."""
-        spread = heops.lane_operand
-        capacity = server.scheduler.capacity
-        monkeypatch.setattr(
-            heops, "lane_operand", lambda operand, lanes: spread(operand, capacity)
-        )
+        """A host that adds the conv bias to every block of a ciphertext,
+        whatever the flush holds, leaves non-zero coefficients in the blocks
+        past the batch (three images fill one and a half of the n = 256
+        fixture's two-image ciphertexts)."""
+        image_conv = heops._he_conv2d_image
+
+        def spread(evaluator, ct, weights, lanes):
+            rows = weights.bias.ntt_data
+            full = PlainOperand(ct.context, np.repeat(rows[-1:], len(rows), axis=0))
+            return image_conv(evaluator, ct, dataclasses.replace(weights, bias=full), lanes)
+
+        monkeypatch.setattr(heops, "_he_conv2d_image", spread)
         responses = submit_singles(server, session, models.dataset.test_images[:3])
         server.scheduler.drain()
-        assert_every_ticket_failed_typed(server, responses, "not lane-encoded")
+        assert_every_ticket_failed_typed(server, responses, "not image-encoded")
 
     def test_noise_exhausted_ciphertext(self, server, session, models, monkeypatch):
         conv = heops.he_conv2d
@@ -277,21 +294,23 @@ class TestThreatModelOnTheServingPath:
         second, _ = self._flush(server, session, images[4:8], monkeypatch)
         wider, _ = self._flush(server, session, images[:5], monkeypatch)
         assert [(kind, name) for kind, name, _, _ in first] == [
-            ("ecall", "activation_pool_lanes"),
+            ("ecall", "activation_pool"),
             ("ecall", "unpack_lanes"),
         ]
         assert first == second  # other images, same shapes: same observation
         # B moves only what B sizes: the fold's ceil(B / P) rows of F
         # conv-output ciphertexts (10 x 10 images at n = 256: P = 2, so 5
-        # images take a third row) and the per-request result ciphertexts.
+        # images take a third row), and per image a feature polynomial, an
+        # fc result (the fixture's two result polynomials) and a result.
         filters = server.model("digits").conv_weight.shape[0]
         row = session.encryptor.encrypt_zero(filters).byte_size()
+        one, fc = (session.encryptor.encrypt_zero(k).byte_size() for k in (1, 2))
         assert [event[:2] for event in wider] == [event[:2] for event in first]
-        assert wider[0][2] - first[0][2] == row and wider[0][3] == first[0][3]
-        assert wider[1][2] == first[1][2] and wider[1][3] * 4 == first[1][3] * 5
+        assert wider[0][2] - first[0][2] == row and wider[0][3] - first[0][3] == one
+        assert wider[1][2] - first[1][2] == fc and wider[1][3] - first[1][3] == one
 
         secret = bytes(serialize_secret_key(session.decryptor.secret_key))
-        assert [name for name, _ in returned] == LANE_ECALLS
+        assert [name for name, _ in returned] == SERVING_ECALLS
         for _name, value in returned:
             assert isinstance(value, Ciphertext)
             # A real encryption at every position: no transparent (c1 = 0)
