@@ -116,8 +116,9 @@ class PipelineSpec:
             in-process path, ``None`` leaves the active setting (the
             ``REPRO_WORKERS`` environment default) untouched.  Results are
             byte-identical at any width.
-        graph_optimizer: graph-optimizer level (``"off"``, ``"safe"``,
-            ``"aggressive"``) to install process-wide at build time
+        graph_optimizer: graph-optimizer level (``"off"`` or ``"safe"``,
+            which packs a scalar-layout enclave crossing) to install
+            process-wide at build time
             (``repro.graph.optimizer``); ``None`` leaves the active setting
             (the ``REPRO_GRAPH_OPT`` environment default) untouched.
             Optimized execution is bit-identical to ``"off"`` -- same

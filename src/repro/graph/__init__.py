@@ -3,21 +3,19 @@
 ``repro.graph`` compiles every HE chain in the repository (the four
 encrypted pipelines, ``EdgeServer.infer``, the scheduler's packed flush)
 into a small inference-graph IR annotated with multiplicative levels and
-noise budgets from :class:`repro.he.noise.NoiseEstimator`, applies the one
-rewrite that changes the graph -- budget-gated coefficient packing of a
-scalar-layout enclave crossing (plus advisory FV parameter selection at
-``aggressive``) -- and executes the compiled graph bit-identically to the
-unoptimized reference, the same contract the FUSED/REFERENCE kernel split
-enforces.  Exact rewrites that are facts about a single operand are not
+noise budgets from :class:`repro.he.noise.NoiseEstimator`, applies at
+level ``safe`` the one rewrite that changes the graph -- budget-gated
+coefficient packing of a scalar-layout enclave crossing -- and executes the
+compiled graph bit-identically to the unoptimized reference, the same
+contract the FUSED/REFERENCE kernel split enforces.  Exact rewrites that are facts about a single operand are not
 graph passes: they run unconditionally where the operand is built
 (``heops.encode_*_weights``, ``Encryptor.encrypt``, ``Evaluator.square``,
 ``pack_coefficients``).
 
 Modules:
     ir: the :class:`InferenceGraph` IR and one builder per chain kind.
-    passes: ``pack_crossing`` / ``select_parameters`` and their refusal
-        conditions.
-    optimizer: level configuration (off/safe/aggressive, ``REPRO_GRAPH_OPT``),
+    passes: ``pack_crossing``, its noise margin and its refusal conditions.
+    optimizer: level configuration (off/safe, ``REPRO_GRAPH_OPT``),
         the compiler with fault-site degradation, and compile reports.
     executor: walks a compiled graph over an explicit ``Resources`` value
         through one op table.
@@ -36,7 +34,6 @@ from repro.graph.ir import (
 )
 from repro.graph.optimizer import (
     LEVELS,
-    PASS_PORTFOLIO,
     CompileReport,
     active_level,
     compile_graph,
@@ -55,7 +52,6 @@ __all__ = [
     "build_served_graph",
     "build_simd_graph",
     "LEVELS",
-    "PASS_PORTFOLIO",
     "CompileReport",
     "active_level",
     "compile_graph",

@@ -89,6 +89,9 @@ class GraphPlan:
         self.report: optimizer.CompileReport | None = None
 
     def compiled(self) -> tuple[ir.InferenceGraph, optimizer.CompileReport]:
+        """The graph at the active level; republishes the level gauge on
+        every call, as each run republishes the kernel-profile gauge."""
+        optimizer.record_active_level()
         level = optimizer.active_level()
         if self._graph is None or self._level != level:
             self._graph, self.report = optimizer.compile_graph(self._build(), level)

@@ -4,12 +4,13 @@ Every HE chain in the repository is a short linear one, so the IR is
 deliberately small: a list of :class:`GraphNode` objects (encrypt, conv,
 enclave crossing, square/relinearize/pool, fc, decrypt, the serving
 flush's fold/unpack) plus a ``meta`` dict holding the model-derived
-constants the passes need (each contraction's integer weight matrix, the
-plaintext bound).  Edges are implicit — node ``i`` feeds node ``i + 1`` —
-and each node carries the multiplicative level plus noise annotations
-(:func:`annotate`) derived from :class:`repro.he.noise.NoiseEstimator`,
-which is what lets passes reason about headroom (e.g. how many coefficients
-a packed crossing may fold) without touching ciphertexts.
+constants the annotations need (each contraction's integer weight matrix)
+and the crossing mode.  Edges are implicit — node ``i`` feeds node
+``i + 1`` — and each node carries the multiplicative level plus noise
+annotations (:func:`annotate`) derived from
+:class:`repro.he.noise.NoiseEstimator`, which is what lets the one pass
+reason about headroom (how many coefficients a packed crossing may fold)
+without touching ciphertexts.
 
 One builder per graph kind (:data:`BUILDERS`): ``hybrid``, ``cryptonets``,
 ``simd``, ``deep`` and the two serving kinds, which one builder makes
@@ -63,7 +64,7 @@ class GraphNode:
             equal to the pre-IR pipelines so traces stay comparable).
         attrs: the node's own parameters (a crossing's scales, activation
             and pool; a pool's window) plus, on a scalar-layout crossing,
-            ``packed`` / ``pack_max_batch`` -- the one thing a pass rewrites,
+            ``packed`` / ``pack_max_batch`` -- the one thing the pass rewrites,
             defaulting to the unpacked reference behaviour.
         level: multiplicative depth entering the *output* of this node.
         budget_bits: estimated invariant-noise budget after this node.
@@ -131,12 +132,10 @@ class InferenceGraph:
         return float(sum(node.noise_cost_bits for node in self.nodes))
 
     def signature(self) -> tuple:
-        advice = self.meta.get("parameter_advice")
         return (
             self.kind,
             self.params.name,
             tuple(node.signature() for node in self.nodes),
-            advice,
         )
 
 
@@ -224,16 +223,10 @@ def _crossing(op: str, stage: str, input_scale, output_scale, window, activation
     return GraphNode(op, stage, attrs)
 
 
-def _graph(kind, quantized, params, nodes, layers, mode="batched") -> InferenceGraph:
+def _graph(kind, params, nodes, layers, mode="batched") -> InferenceGraph:
     """``layers`` maps each contraction's stage name to its integer weight
     matrix, outputs x fan-in terms (conv: ``(F, C*k*k)``; fc: ``(O, D)``)."""
-    meta = {
-        "layers": layers,
-        "mode": mode,
-        "plain_bound": int(quantized.required_plain_modulus()),
-        "pure_he": getattr(quantized, "activation", None) == "square",
-        "parameter_advice": None,
-    }
+    meta = {"layers": layers, "mode": mode}
     return annotate(InferenceGraph(kind, params, nodes, meta))
 
 
@@ -252,7 +245,7 @@ def _single_block(kind, quantized, params, head, between, tail, mode="batched", 
         "conv": conv.reshape(conv.shape[0], -1),
         "fc": np.asarray(quantized.dense_weight, dtype=np.int64).T,
     }
-    return _graph(kind, quantized, params, nodes, layers, mode)
+    return _graph(kind, params, nodes, layers, mode)
 
 
 def _enclave_stage(op: str, quantized) -> GraphNode:
@@ -393,7 +386,7 @@ def build_deep_graph(quantized, params: EncryptionParams) -> InferenceGraph:
         )
     layers["fc"] = np.asarray(quantized.dense_weight, dtype=np.int64).T
     nodes += [GraphNode("fc", "fc"), GraphNode("decrypt", "decrypt")]
-    return _graph("deep", quantized, params, nodes, layers)
+    return _graph("deep", params, nodes, layers)
 
 
 #: Graph kind -> builder; every HE chain in the repository is one of these.

@@ -1,46 +1,41 @@
 """Graph-optimizer configuration and compiler.
 
 Mirrors the FUSED/REFERENCE switch in :mod:`repro.he.kernels`: a
-process-wide level (``off``/``safe``/``aggressive``), an env override
+process-wide level (``off``/``safe``), an env override
 (``REPRO_GRAPH_OPT``), a ``use()`` context manager for tests, a one-hot
 gauge recording the active level, and — the part the kernel layer does
 not need — graceful degradation: a pass that raises mid-compile (the
 ``graph.pass`` fault site) discards the partially rewritten graph and
 falls back to the unoptimized reference graph, counted by the
 ``repro_graph_degradations_total`` metric.  Execution of a degraded
-compile is bit-identical to the optimized one, because every pass is
+compile is bit-identical to the optimized one, because the rewrite is
 bit-exact by contract.
 
-The level is the whole configuration: it fixes which passes run
-(:data:`PASS_PORTFOLIO`) and their noise margin.  The operand-local exact
-rewrites run at every level, ``off`` included, because the code that builds
-each operand applies them (DESIGN.md §16).
+The level is the whole configuration.  The operand-local exact rewrites
+run at every level, ``off`` included, because the code that builds each
+operand applies them (DESIGN.md §16).
 
 Levels:
-    off: no passes; the compiled graph is the reference graph.
-    safe: pack_crossing, keeping an 8-bit noise margin.
-    aggressive: pack_crossing at a 0-bit margin (folds larger batches)
-        plus advisory select_parameters.
+    off: no rewrite; the compiled graph is the reference graph.
+    safe: ``pack_crossing``, keeping :data:`repro.graph.passes.MARGIN_BITS`
+        of noise budget.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import GraphPassError, PipelineError
 from repro.graph import ir
 from repro.graph import passes as graph_passes
 from repro.obs import recorder
 
-LEVELS: tuple[str, ...] = ("off", "safe", "aggressive")
+LEVELS: tuple[str, ...] = ("off", "safe")
 
-PASS_PORTFOLIO: dict[str, tuple[str, ...]] = {
-    "off": (),
-    "safe": ("pack_crossing",),
-    "aggressive": ("pack_crossing", "select_parameters"),
-}
+#: The one pass ``safe`` runs; also the ``graph.pass`` fault site's ``name``.
+PACK_CROSSING = "pack_crossing"
 
 FAULT_SITE = "graph.pass"
 
@@ -68,10 +63,6 @@ def default_level() -> str:
 
 def active_level() -> str:
     return _active_level if _active_level is not None else default_level()
-
-
-def margin_bits_for(level: str) -> float:
-    return 0.0 if level == "aggressive" else 8.0
 
 
 def configure(level: str | None) -> str | None:
@@ -106,14 +97,6 @@ def record_active_level() -> None:
         gauge.labels(level=level).set(1.0 if level == current else 0.0)
 
 
-def _record_degradation(pass_name: str | None) -> None:
-    from repro.obs import metrics
-
-    metrics.family("repro_graph_degradations_total").labels(
-        graph_pass=pass_name or "unknown"
-    ).inc()
-
-
 @dataclass(frozen=True)
 class CompileReport:
     """What the compiler did to one graph."""
@@ -124,10 +107,6 @@ class CompileReport:
     refused: tuple[tuple[str, str], ...] = ()
     degraded: bool = False
     failure: str | None = None
-    parameter_advice: object = None
-    #: Measured evidence attached after the fact by :meth:`cite` -- not
-    #: part of the compile's identity, hence excluded from comparisons.
-    measured: dict | None = field(default=None, compare=False)
 
     @property
     def label(self) -> str:
@@ -136,83 +115,51 @@ class CompileReport:
     def refusal(self, name: str) -> str | None:
         return dict(self.refused).get(name)
 
-    def cite(self, profile, baseline=None) -> "CompileReport":
-        """Attach measured per-op costs (and savings vs a baseline run).
-
-        ``profile`` is a :class:`repro.obs.profile.ProfileReport` from
-        executions of this compile; ``baseline`` one from the reference
-        (``off``) compile.  The report then quotes *measured* savings
-        instead of the passes' estimated noise-cost arithmetic.  Mutates
-        in place (``object.__setattr__`` -- the report is frozen) and
-        returns ``self`` for chaining.
-        """
-        evidence = {
-            "pipelines": profile.pipelines,
-            "per_op_elapsed_s": {
-                op: agg["elapsed_s"] / profile.pipelines
-                for op, agg in profile.per_op().items()
-            },
-            "coverage": profile.coverage(),
-        }
-        if baseline is not None:
-            evidence["savings_vs_reference_s"] = profile.savings_vs(baseline)
-        object.__setattr__(self, "measured", evidence)
-        return self
-
 
 def compile_graph(
     graph: ir.InferenceGraph, level: str | None = None
 ) -> tuple[ir.InferenceGraph, CompileReport]:
-    """Compile ``graph``: clone, run the level's passes, report.
+    """Compile ``graph``: clone, run ``pack_crossing`` at ``safe``, report.
 
     The input graph is never mutated.  ``level`` defaults to the active
-    one; its passes run in :data:`PASS_PORTFOLIO` order.  Any exception
-    from a pass degrades the compile to the reference graph.
+    one.  Any exception from the pass degrades the compile to the
+    reference graph.
     """
     level = _check_level(active_level() if level is None else level)
-    names = PASS_PORTFOLIO[level]
-    if not names:
+    if level == "off":
         return graph.clone(), CompileReport(level=level, requested=())
 
     from repro import faults
 
-    margin = margin_bits_for(level)
+    requested = (PACK_CROSSING,)
     optimized = graph.clone()
-    applied: list[str] = []
-    refused: list[tuple[str, str]] = []
-    current: str | None = None
     try:
-        for name in names:
-            current = name
-            graph_pass = graph_passes.build(name, margin_bits=margin)
-            faults.inject(FAULT_SITE, GraphPassError, name=name)
-            reason = graph_pass.run(optimized)
-            # A refusal is the normal, static outcome of a pass on a graph
-            # shape it cannot rewrite exactly; it belongs in the report, not
-            # in the flight ring of operational events.
-            if reason is None:
-                applied.append(name)
-            else:
-                refused.append((name, reason))
+        faults.inject(FAULT_SITE, GraphPassError, name=PACK_CROSSING)
+        reason = graph_passes.pack_crossing(optimized)
     except Exception as exc:  # degrade: reference graph, bit-identical
-        _record_degradation(current)
+        from repro.obs import metrics
+
+        metrics.family("repro_graph_degradations_total").labels(
+            graph_pass=PACK_CROSSING
+        ).inc()
         recorder.record(
             "graph.degraded",
             severity="error",
-            graph_pass=current,
+            graph_pass=PACK_CROSSING,
             level=level,
             error=str(exc),
         )
         return graph.clone(), CompileReport(
             level=level,
-            requested=names,
+            requested=requested,
             degraded=True,
-            failure=f"{current}: {exc}",
+            failure=f"{PACK_CROSSING}: {exc}",
         )
-    return optimized, CompileReport(
-        level=level,
-        requested=names,
-        applied=tuple(applied),
-        refused=tuple(refused),
-        parameter_advice=optimized.meta.get("parameter_advice"),
-    )
+    # A refusal is the normal, static outcome of the pass on a graph shape
+    # it cannot rewrite exactly; it belongs in the report, not in the
+    # flight ring of operational events.
+    if reason is not None:
+        return optimized, CompileReport(
+            level=level, requested=requested, refused=((PACK_CROSSING, reason),)
+        )
+    return optimized, CompileReport(level=level, requested=requested, applied=requested)

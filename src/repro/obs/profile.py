@@ -11,9 +11,9 @@ overhead seconds, ECALL count and bytes, and noise-headroom watermarks
 invariant noise budget seen at decrypt).
 
 Reports merge across requests into per-op aggregates --
-``CompileReport.cite`` attaches them so a compile report can quote
-measured, not estimated, savings -- and ``tools/obsctl.py`` renders them
-as a sorted cost table plus per-request trace timelines.
+:meth:`ProfileReport.savings_vs` compares two configurations' measured,
+not estimated, per-op costs -- and ``tools/obsctl.py`` renders them as a
+sorted cost table plus per-request trace timelines.
 
 Reconciliation (same spirit as :func:`repro.obs.tracer.reconcile`): the
 per-node costs attributed by a report must sum to the pipeline spans'

@@ -85,7 +85,6 @@ def _graph_report(speedup_safe=1.8, bit_identical=True):
         "config": {"mode": "smoke"},
         "hybrid": {
             "speedup_safe": speedup_safe,
-            "speedup_aggressive": speedup_safe * 1.05,
             "safe_simulated_s": 0.17 / speedup_safe,
         },
         "invariants": {

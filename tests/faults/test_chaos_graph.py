@@ -43,7 +43,7 @@ class TestGraphPassChaos:
         assert plan.fires("graph.pass") == 1
         report = pipe.graph_report
         assert report.degraded
-        # Fixed sequencing makes the first (faulted) pass deterministic.
+        # The one pass is the one a bare graph.pass rule faults.
         assert report.failure.startswith("pack_crossing")
         assert report.label == "safe:degraded"
         assert res.trace.attrs["graph_opt"] == "safe:degraded"
@@ -74,20 +74,33 @@ class TestGraphPassChaos:
         assert np.array_equal(first.logits, second.logits)
 
     def test_named_rule_targets_one_pass(self, q_sigmoid, hybrid_params, test_images):
-        """A rule named after a later pass lets earlier passes run and
-        still degrades the whole compile (partial rewrites are discarded)."""
+        """A rule named after the one pass fires once and degrades the whole
+        compile: the rewrite it interrupted is discarded, not applied."""
         plan = FaultPlan(
-            11,
-            rules=[FaultRule(site="graph.pass", name="select_parameters", max_fires=1)],
+            11, rules=[FaultRule(site="graph.pass", name="pack_crossing", max_fires=1)]
         )
-        with optimizer.use("aggressive"):
+        with optimizer.use("safe"):
             pipe = HybridPipeline(q_sigmoid, hybrid_params, seed=17)
             with faults.armed(plan):
                 res = pipe.infer(test_images)
         assert plan.fires("graph.pass") == 1
         report = pipe.graph_report
         assert report.degraded
-        assert report.failure.startswith("select_parameters")
-        # Degradation discards everything, including passes that succeeded.
+        assert report.failure.startswith("pack_crossing")
         assert report.applied == ()
-        assert res.trace.attrs["graph_opt"] == "aggressive:degraded"
+        assert res.trace.attrs["graph_opt"] == "safe:degraded"
+
+    def test_rule_naming_no_pass_never_fires(self, q_sigmoid, hybrid_params, test_images):
+        """The site's ``name`` is the pass that runs: a rule naming any other
+        (a retired pass included) never matches, and the compile packs."""
+        plan = FaultPlan(
+            11, rules=[FaultRule(site="graph.pass", name="select_parameters", max_fires=1)]
+        )
+        with optimizer.use("safe"):
+            pipe = HybridPipeline(q_sigmoid, hybrid_params, seed=17)
+            with faults.armed(plan):
+                res = pipe.infer(test_images)
+        assert plan.fires("graph.pass") == 0
+        report = pipe.graph_report
+        assert not report.degraded and report.applied == ("pack_crossing",)
+        assert res.trace.attrs["graph_opt"] == "safe"

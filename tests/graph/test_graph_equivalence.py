@@ -191,7 +191,7 @@ class TestNewGraphKinds:
         if level == "off":
             assert report.applied == () and report.refused == ()
             return
-        assert set(report.applied) <= {"select_parameters"}  # advisory only
+        assert report.applied == ()
         assert report.refusal("pack_crossing"), f"pack_crossing must refuse on {kind}"
 
     def test_unregistered_op_is_rejected(self, q_hybrid, hybrid_params):
@@ -220,8 +220,7 @@ class TestReportSurface:
         assert report.label == "off"
         assert compiled.signature() == graph.signature()
 
-    @pytest.mark.parametrize("level", ["safe", "aggressive"])
-    def test_only_a_scalar_layout_crossing_is_rewritten(self, level, q_he, he_params):
+    def test_only_a_scalar_layout_crossing_is_rewritten(self, q_he, he_params):
         """Five kinds compile to the graph that was built (the one pass
         refuses, with a reason: ``served``'s crossing is image-layout, the
         request format's two conv-output ciphertexts per image); ``hybrid``
@@ -241,7 +240,7 @@ class TestReportSurface:
             "fake": ir.build_graph("hybrid", single, params, mode="fake"),
         }
         for kind, graph in built.items():
-            compiled, report = compile_graph(graph, level=level)
+            compiled, report = compile_graph(graph, level="safe")
             changed = [
                 (before, after)
                 for before, after in zip(graph.nodes, compiled.nodes)
@@ -249,7 +248,7 @@ class TestReportSurface:
             ]
             assert compiled.node_count == graph.node_count
             if kind in ("hybrid", "fake"):
-                assert report.applied[:1] == ("pack_crossing",)
+                assert report.applied == ("pack_crossing",)
                 ((before, after),) = changed
                 assert before.op == after.op == "crossing"
                 assert after.attrs == {
@@ -263,35 +262,56 @@ class TestReportSurface:
     def test_level_is_the_whole_configuration(self):
         import inspect
 
-        from repro.graph import passes
-
-        assert sorted(passes.PASSES) == ["pack_crossing", "select_parameters"]
+        assert optimizer.LEVELS == ("off", "safe")
         for entry in (optimizer.use, optimizer.configure, compile_graph):
             assert "passes" not in inspect.signature(entry).parameters
 
     def test_env_level_is_read_strictly(self, monkeypatch):
         """``REPRO_GRAPH_OPT`` reruns of tier-1 must not go green at ``off``
         on a typo: unset / empty is the default, anything unrecognised is a
-        typed error naming the variable and the accepted values."""
+        typed error naming the variable and the accepted values -- the
+        retired ``aggressive`` too, however it is selected."""
         monkeypatch.delenv("REPRO_GRAPH_OPT", raising=False)
         assert optimizer.default_level() == "off"
         monkeypatch.setenv("REPRO_GRAPH_OPT", " ")
         assert optimizer.default_level() == "off"
         monkeypatch.setenv("REPRO_GRAPH_OPT", " Safe ")
         assert optimizer.default_level() == optimizer.active_level() == "safe"
-        monkeypatch.setenv("REPRO_GRAPH_OPT", "saef")
-        with pytest.raises(PipelineError, match="REPRO_GRAPH_OPT.*'off', 'safe'"):
-            optimizer.default_level()
-        with pytest.raises(PipelineError, match="REPRO_GRAPH_OPT"):
-            optimizer.active_level()
+        for refused in ("saef", "aggressive"):
+            monkeypatch.setenv("REPRO_GRAPH_OPT", refused)
+            with pytest.raises(
+                PipelineError, match=r"REPRO_GRAPH_OPT.*\('off', 'safe'\)"
+            ):
+                optimizer.default_level()
+            with pytest.raises(PipelineError, match="REPRO_GRAPH_OPT"):
+                optimizer.active_level()
+        from repro.core import PipelineSpec
 
-    def test_aggressive_emits_parameter_advice(self, q_hybrid, hybrid_params):
-        graph = ir.build_hybrid_graph(q_hybrid, hybrid_params)
-        _, report = compile_graph(graph, level="aggressive")
-        advice = report.parameter_advice
-        assert advice is not None
-        assert advice.poly_degree <= hybrid_params.poly_degree
-        assert len(advice.coeff_primes) <= len(hybrid_params.coeff_primes)
+        accepted = r"\('off', 'safe'\), got 'aggressive'"
+        with pytest.raises(PipelineError, match=accepted):
+            PipelineSpec(scheme="hybrid", graph_optimizer="aggressive")
+        with pytest.raises(PipelineError, match=accepted), optimizer.use("aggressive"):
+            pass
+
+    @pytest.mark.parametrize("owner", ["hybrid", "served"])
+    def test_a_walk_publishes_the_env_level(
+        self, owner, monkeypatch, q_hybrid, hybrid_params, images
+    ):
+        """With the level left to ``REPRO_GRAPH_OPT`` (no ``configure``
+        call), the walk that reads it publishes the one-hot gauge, as each
+        run publishes the kernel-profile gauge: a ``GraphPipeline``'s and
+        ``EdgeServer.run_graph``'s alike."""
+        from repro.obs.metrics import use_registry
+
+        monkeypatch.setenv("REPRO_GRAPH_OPT", "safe")
+        with use_registry() as registry:
+            if owner == "hybrid":
+                HybridPipeline(q_hybrid, hybrid_params, seed=7).infer(images)
+            else:
+                run_kind("served")
+            flat = registry.collect().flat()
+        assert flat['repro_graph_opt_level{level="safe"}'] == 1.0
+        assert flat['repro_graph_opt_level{level="off"}'] == 0.0
 
     def test_spec_knob_configures_process(self, q_hybrid, hybrid_params, images):
         from repro.core import PipelineSpec, build_pipeline

@@ -125,7 +125,6 @@ BENCHES: dict[str, dict] = {
         "script": "benchmarks/bench_graph_optimizer.py",
         "metrics": (
             MetricSpec("hybrid.speedup_safe", "ratio"),
-            MetricSpec("hybrid.speedup_aggressive", "ratio"),
             MetricSpec("hybrid.safe_simulated_s", "timing"),
             MetricSpec("invariants.bit_identical", "invariant"),
             MetricSpec("invariants.speedup_floor", "invariant"),
