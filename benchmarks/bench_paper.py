@@ -1119,10 +1119,6 @@ EXPERIMENTS = (
         Claim(
             "EncryptSGX(single) > Encrypted",
             lambda m: exceeds(m["per_image"]["EncryptSGX(single)"], m["per_image"]["Encrypted"]),
-            Deviates(
-                "our numpy ct x ct multiply + relinearize is still expensive next to a "
-                "modelled crossing, so 201 crossings cost less than one pure-HE inference"
-            ),
         ),
         Claim(
             "EncryptSGX saves more than 20% of the pure-HE time",

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.he.polyring import _mod_rows
+
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -42,8 +44,7 @@ def _reduce(acc: np.ndarray, bias: np.ndarray | None, primes) -> None:
         acc[..., 0, :, :] += bias.reshape(
             bias.shape[0], *(1,) * (acc.ndim - 4), *bias.shape[-2:]
         )
-    for idx, p in enumerate(primes):
-        acc[..., idx, :] %= int(p)
+    _mod_rows(acc, primes)
 
 
 def conv_rows(

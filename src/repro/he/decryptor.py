@@ -19,7 +19,7 @@ from repro.errors import EncodingError, NoiseBudgetExhausted
 from repro.he import kernels
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.keys import SecretKey
-from repro.he.polyring import SCALE_ROUND_MAX_NUMER
+from repro.he.polyring import SCALE_ROUND_MAX_NUMER, _mod_rows
 
 
 #: Budgets below this many bits count as overflowed (see ``is_decryptable``).
@@ -115,9 +115,8 @@ class Decryptor:
             [ring.stacked.inverse_coeff_weights(i) for i in probes], axis=-2
         )  # (k, len(probes), n)
         prod = acc[..., None, :] * weights  # (..., k, probes, n), < p^2 < 2^62
-        for i, p in enumerate(ring.primes):
-            prod[..., i, :, :] %= int(p)
-        residues = np.add.reduce(prod, axis=-1) % ring.primes[:, None]
+        _mod_rows(prod.reshape(*prod.shape[:-2], -1), ring.primes)
+        residues = _mod_rows(np.add.reduce(prod, axis=-1), ring.primes)
         centered = ring.to_int64_centered(residues)  # (..., len(probes))
         coeffs = self._round_to_plain(centered)
         t = self.context.params.plain_modulus

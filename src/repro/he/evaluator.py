@@ -35,7 +35,7 @@ from repro.errors import KeyMismatchError, ParameterError
 from repro.he import arena, kernels
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.keys import RelinKeys
-from repro.he.polyring import _reduce_planes
+from repro.he.polyring import _mod_rows
 
 #: Coefficients (ciphertexts x n) per chunk of the RNS tensor product: 16
 #: ciphertexts at n = 256, one at n = 4096.  Large enough to amortise the
@@ -413,10 +413,15 @@ def _broadcast_batch(op: str, ct0: Ciphertext, ct1: Ciphertext) -> tuple[int, ..
 def _tensor_product(x: np.ndarray, y: np.ndarray, primes) -> np.ndarray:
     """``(x0 y0, x0 y1 + x1 y0, x1 y1)`` pointwise modulo each prime, for
     NTT-domain pairs of shape ``(C, 2, K, n)``.  Residues are below ``2^31``,
-    so the middle sum of two products stays below ``2^63`` unreduced."""
+    so the middle sum of two products stays below ``2^63`` unreduced; for a
+    square (``y is x``) it is ``2 x0 x1``, one product doubled, and
+    ``2 (2^31 - 1)^2 < 2^63`` as well."""
     out = np.empty((x.shape[0], 3, *x.shape[2:]), dtype=np.int64)
     np.multiply(x[:, 0], y[:, 0], out=out[:, 0])
     np.multiply(x[:, 0], y[:, 1], out=out[:, 1])
-    out[:, 1] += x[:, 1] * y[:, 0]
+    if y is x:
+        out[:, 1] += out[:, 1]
+    else:
+        out[:, 1] += x[:, 1] * y[:, 0]
     np.multiply(x[:, 1], y[:, 1], out=out[:, 2])
-    return _reduce_planes(out, primes)
+    return _mod_rows(out, primes)

@@ -21,7 +21,16 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.he import kernels, modmath
-from repro.he.ntt import NttPlan, StackedNttPlan, negacyclic_convolve_exact
+from repro.he.ntt import _EXACT_LIMIT, NttPlan, StackedNttPlan, negacyclic_convolve_exact
+
+#: Low limb width of a mixed-radix digit in :meth:`MixedRadix.convert_centered`:
+#: a digit below ``2^31`` splits into limbs below ``2^15`` and ``2^16``.
+_DIGIT_LIMB = 15
+
+#: Largest GEMM :meth:`MixedRadix.convert_centered` issues, in multiply-adds:
+#: OpenBLAS keeps those on the calling thread, where one ``2^20`` product was
+#: handed to a second thread and took 8.5-16 ms on a two-vCPU host.
+_GEMM_MAX_MACS = 1 << 18
 
 #: Exclusive numerator bound of :meth:`PolyContext.scale_round_int64`: below
 #: it the float64 quotient estimate is provably within one of the true value.
@@ -35,8 +44,8 @@ def _residue_column(value: int, primes: Sequence[int]) -> np.ndarray:
 
 def _products_per_pass(top: int, value_bound: int) -> int:
     """How many unreduced products an int64 multiply-accumulate may add
-    between two ``%`` passes (a ``%`` costs several multiply-adds, so the
-    sum is normalised once per run of products, not once per product).
+    between two reductions (a reduction costs about two multiply-adds, so
+    the sum is normalised once per run of products, not once per product).
 
     One factor of each product lies in ``[0, value_bound)``, the other in
     ``[0, top)``, and the accumulator enters a run reduced, i.e. below
@@ -47,31 +56,76 @@ def _products_per_pass(top: int, value_bound: int) -> int:
     return ((1 << 63) - 1 - top) // ((value_bound - 1) * (top - 1))
 
 
-def _reduce_planes(data: np.ndarray, primes) -> np.ndarray:
-    """Reduce a ``(..., k, n)`` int64 tensor modulo its per-plane primes, in
-    place: one scalar-modulus ``%=`` per plane, measurably faster than one
-    broadcast array ``%``.  Same values either way."""
-    for i, p in enumerate(primes):
-        data[..., i, :] %= int(p)
+#: Elements per block of :func:`_mod_rows`: one int64 quotient scratch of
+#: this size is reused by every block, so the reduction's transient is
+#: 256 KiB whatever the tensor (the transform's block, for the same reason).
+_MOD_BLOCK_ELEMS = 1 << 15
+
+#: Fewest elements per modulus for which :func:`_mod_rows` divides by
+#: multiply-shift: below it its ``m + 2`` numpy calls per block cost more
+#: than the hardware divides they save (measured even with ``%=`` at 1 024
+#: elements per modulus, 10 % faster at 2 048).
+_MOD_MIN_ELEMS = 1 << 11
+
+
+def _mod_rows(data: np.ndarray, moduli) -> np.ndarray:
+    """Reduce each row ``data[..., j, :]`` of a ``(..., m, n)`` int64 tensor
+    modulo the scalar ``moduli[j]``, in place, and return it.
+
+    The remainder is formed as ``x - (x // p) * p``: numpy divides by a
+    scalar with a multiply-shift (about 1 ns per element) where ``%`` pays a
+    hardware divide (about 4 ns).  Floor division puts the result in ``[0,
+    p)`` for either sign -- the integers of ``np.remainder`` -- for every
+    int64 ``x``: the quotient is exact, and where ``(x // p) * p`` leaves
+    int64 (``x`` within ``p`` of ``-2^63``) numpy's wrapping multiply and
+    subtract still return the true remainder, which fits.  The quotients go
+    through one reused :data:`_MOD_BLOCK_ELEMS` scratch.  A tensor that
+    cannot be viewed as ``(-1, m, n)``, or has fewer than
+    :data:`_MOD_MIN_ELEMS` elements per modulus, takes one scalar ``%=`` per
+    row instead.
+
+    Raises:
+        ParameterError: ``data`` is not ``(..., len(moduli), n)``.
+    """
+    m, n = len(moduli), data.shape[-1]
+    if data.shape[-2:-1] != (m,):
+        raise ParameterError(f"{m} moduli reduce (..., {m}, n) rows, got shape {data.shape}")
+    rows = data.reshape(-1, m, n) if data.size >= m * _MOD_MIN_ELEMS else None
+    # reshape copies a tensor it cannot view; the copy shares no memory
+    if rows is None or not np.may_share_memory(rows, data):
+        for j, p in enumerate(moduli):
+            data[..., j, :] %= int(p)
+        return data
+    count = rows.shape[0]
+    step = max(1, _MOD_BLOCK_ELEMS // (m * n))
+    scratch = np.empty((min(step, count), m, n), dtype=np.int64)
+    column = np.array(moduli, dtype=np.int64).reshape(m, 1)
+    moduli = [int(p) for p in moduli]
+    for lo in range(0, count, step):
+        x = rows[lo : lo + step]
+        q = scratch[: x.shape[0]]
+        for j, p in enumerate(moduli):
+            np.floor_divide(x[:, j], p, out=q[:, j])
+        q *= column
+        x -= q
     return data
 
 
-def _dot_mod(values, weights, modulus, value_bound: int) -> np.ndarray:
-    """``sum_i values[i] * weights[i] mod modulus`` under the
+def _dot_mod(values, weights, moduli, value_bound: int) -> np.ndarray:
+    """``sum_i values[i] * weights[i]``, row ``j`` reduced modulo
+    ``moduli[j]`` (see :func:`_mod_rows`), under the
     :func:`_products_per_pass` rule.
 
-    ``values[i]`` lie in ``[0, value_bound)`` and ``weights[i]`` in ``[0,
-    modulus)`` elementwise; ``modulus`` is a scalar or a column of primes.
+    ``values[i]`` are ``(..., m, n)`` in ``[0, value_bound)`` and
+    ``weights[i]`` in ``[0, moduli[j])`` elementwise.
     """
-    top = modulus if isinstance(modulus, int) else int(modulus.max())
-    per_pass = _products_per_pass(top, value_bound)
+    per_pass = _products_per_pass(max(moduli), value_bound)
     acc = values[0] * weights[0]
     for i in range(1, len(values)):
         if i % per_pass == 0:
-            acc %= modulus
+            _mod_rows(acc, moduli)
         acc += values[i] * weights[i]
-    acc %= modulus
-    return acc
+    return _mod_rows(acc, moduli)
 
 
 class MixedRadix:
@@ -86,10 +140,25 @@ class MixedRadix:
     prime is below ``2^31``, so a product of two residues is below ``2^62``
     and :func:`_dot_mod` keeps every sum of them inside int64.
 
+    The target evaluation is one exact float64 GEMM per residue row: digit
+    ``d_i`` enters as the limbs ``d_i & (2^15 - 1)`` and ``d_i >> 15`` (below
+    ``2^16``), weighted by ``[place_i]_b`` and ``[2^15 place_i]_b``, and the
+    ``-(P-1)/2`` offset as a constant-1 input weighted by ``[-(P-1)/2]_b``.
+    Every partial sum is then a non-negative integer below ``k (2^15 + 2^16)
+    b_max + b_max``; the constructor checks once that this is below ``2^53``,
+    so float64 adds it exactly in any order, on any BLAS thread count (the
+    argument of :class:`~repro.he.ntt.StackedNttPlan`), and one
+    :func:`_mod_rows` per target finishes it.
+
     Arrays are ``(..., k, n)`` like every RNS tensor of this package.
     """
 
     def __init__(self, primes: Sequence[int], targets: Sequence[int] = ()) -> None:
+        """Garner weights for ``primes`` and GEMM weights for ``targets``.
+
+        Raises:
+            ParameterError: the target evaluation's sums could reach ``2^53``.
+        """
         self.primes = [int(p) for p in primes]
         self.k = len(self.primes)
         self.half = (modmath.product(self.primes) - 1) // 2
@@ -104,17 +173,33 @@ class MixedRadix:
         for j, p in enumerate(self.primes):
             inv = modmath.invert_mod(places[j], p)
             self._garner.append([inv] + [-places[i] * inv % p for i in range(j)])
-        self._targets = np.array(targets, dtype=np.int64).reshape(-1, 1)
-        self._place_cols = [_residue_column(place, targets) for place in places]
-        self._half_target = _residue_column(self.half, targets)
+        self.targets = [int(b) for b in targets]
+        if self.targets:
+            b_max = max(self.targets)
+            worst = self.k * ((1 << _DIGIT_LIMB) + (1 << 16)) * b_max + b_max
+            if worst >= _EXACT_LIMIT:
+                raise ParameterError(
+                    f"base conversion from {self.k} primes to targets up to {b_max} "
+                    f"sums to 2^{worst.bit_length()}: past the float64 GEMM's exact 2^53"
+                )
+        self._weights = np.array(
+            [
+                [place % b for place in places]
+                + [(place << _DIGIT_LIMB) % b for place in places]
+                + [-self.half % b]
+                for b in self.targets
+            ],
+            dtype=np.float64,
+        ).reshape(len(self.targets), 2 * self.k + 1)
+        self._gemm_cols = max(1, _GEMM_MAX_MACS // max(1, self._weights.size))
 
     def digits(self, residues: np.ndarray) -> np.ndarray:
         """Mixed-radix digits ``(..., k, n)`` of reduced residues ``(..., k, n)``."""
         x = np.empty(residues.shape, dtype=np.int64)
         x[..., 0, :] = residues[..., 0, :]
         for j in range(1, self.k):
-            rows = [residues[..., j, :]] + [x[..., i, :] for i in range(j)]
-            x[..., j, :] = _dot_mod(rows, self._garner[j], self.primes[j], self._bound)
+            rows = [residues[..., j : j + 1, :]] + [x[..., i : i + 1, :] for i in range(j)]
+            x[..., j : j + 1, :] = _dot_mod(rows, self._garner[j], [self.primes[j]], self._bound)
         return x
 
     def convert_centered(self, residues: np.ndarray) -> np.ndarray:
@@ -123,22 +208,26 @@ class MixedRadix:
         with the given residues.
 
         ``[x + (P-1)/2]_P`` lies in ``[0, P)``, converts exactly, and the
-        offset is subtracted again on the target side -- no comparison
-        against ``P/2`` is needed.
+        offset is subtracted again on the target side, inside the GEMM (see
+        the class docstring) -- no comparison against ``P/2`` is needed.
+        GEMMs are chunked along ``n`` to at most :data:`_GEMM_MAX_MACS`
+        multiply-adds each.
         """
         shifted = residues + self._half_col
         shifted -= self._p_col
         shifted += (shifted >> 63) & self._p_col
-        digits = self.digits(shifted)
-        out = _dot_mod(
-            [digits[..., i : i + 1, :] for i in range(self.k)],
-            self._place_cols,
-            self._targets,
-            self._bound,
-        )
-        out -= self._half_target
-        out += (out >> 63) & self._targets
-        return out
+        k, t, n = self.k, len(self.targets), residues.shape[-1]
+        digits = self.digits(shifted).reshape(-1, k, n)
+        limbs = np.empty((digits.shape[0], 2 * k + 1, n))
+        np.bitwise_and(digits, (1 << _DIGIT_LIMB) - 1, out=limbs[:, :k], casting="unsafe")
+        np.right_shift(digits, _DIGIT_LIMB, out=limbs[:, k:-1], casting="unsafe")
+        limbs[:, -1] = 1.0
+        sums = np.empty((digits.shape[0], t, n))
+        cols = self._gemm_cols
+        for lo in range(0, n, cols):
+            np.matmul(self._weights, limbs[..., lo : lo + cols], out=sums[..., lo : lo + cols])
+        out = _mod_rows(sums.astype(np.int64), self.targets)
+        return out.reshape(*residues.shape[:-2], t, n)
 
     def limb_widths(self, bits: int) -> list[int]:
         """Widths the limb arithmetic splits one ``bits``-wide digit into.
@@ -253,7 +342,7 @@ class AuxBasis:
         rho = self._to_aux.convert_centered(
             self.ring._reduce_product(d_ring * self._t_ring)
         )
-        r = _dot_mod([d_aux, self._col - rho], self._divide, self._col, max(self.primes) + 1)
+        r = _dot_mod([d_aux, self._col - rho], self._divide, self.primes, max(self.primes) + 1)
         back = self._to_ring.convert_centered(r[..., :-1, :])
         if not np.array_equal(back[..., -1, :], r[..., -1, :]):
             raise ParameterError(
@@ -420,12 +509,12 @@ class PolyContext:
     def _reduce_product(self, prod: np.ndarray) -> np.ndarray:
         """Reduce a freshly materialized ``(..., k, n)`` product in place.
 
-        Under lazy-reduction kernels :func:`_reduce_planes` does it; the
+        Under lazy-reduction kernels :func:`_mod_rows` does it; the
         reference profile keeps the broadcast form.  Same values either
         way."""
         if not kernels.active().lazy_reduction:
             return prod % self._p_col
-        return _reduce_planes(prod, self._prime_list)
+        return _mod_rows(prod, self._prime_list)
 
     def reduce_sum(self, a: np.ndarray, axis: int) -> np.ndarray:
         """Sum a batch of ring elements along one leading (batch) axis.
@@ -446,7 +535,7 @@ class PolyContext:
                 f"deferred reduction overflow: summing {a.shape[axis]} residues "
                 f"< {self._p_max} exceeds int64 (max {self.max_sum_terms} terms)"
             )
-        return _reduce_planes(np.add.reduce(a, axis=axis), self._prime_list)
+        return _mod_rows(np.add.reduce(a, axis=axis), self._prime_list)
 
     def pointwise_mul_sum(self, a, b) -> np.ndarray:
         """``sum_i a[i] * b[i]`` modulo each prime, as one exact
@@ -471,7 +560,7 @@ class PolyContext:
         acc = prod = None
         for i, (x, y) in enumerate(zip(a, b, strict=True)):
             if i and i % self._per_pass == 0:
-                _reduce_planes(acc, self._prime_list)
+                _mod_rows(acc, self._prime_list)
             if i == 1:
                 prod = np.empty_like(acc)
             try:
@@ -495,7 +584,7 @@ class PolyContext:
                 )
         if acc is None:
             raise ParameterError("pointwise_mul_sum needs at least one term")
-        return _reduce_planes(acc, self._prime_list)
+        return _mod_rows(acc, self._prime_list)
 
     # ------------------------------------------------------------------
     # domain conversion

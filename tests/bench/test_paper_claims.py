@@ -140,7 +140,7 @@ class TestRealTable:
             for claim in row.claims
             if claim.expected != paper.HOLDS
         ]
-        assert len(deviations) >= 3  # Table V, Fig. 8's inversion and its saving
+        assert len(deviations) >= 3  # Table V, Fig. 5, Fig. 6 and Fig. 8's saving
         for claim in deviations:
             assert isinstance(claim.expected, paper.Deviates), claim.statement
             assert len(claim.expected.reason.strip()) > 20, claim.statement

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -28,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EncodingError, ParameterError
-from repro.he import kernels, modmath
+from repro.he import kernels, modmath, polyring
 from repro.he.batching import pack_coefficients
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
@@ -218,21 +219,27 @@ class TestStackedNttProperty:
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         """Exact sums have one value: a one-thread BLAS in a fresh process
-        hashes ``forward`` to the same bytes as this process's default."""
+        hashes ``forward`` and the base-conversion GEMM to the same bytes as
+        this process's default."""
         primes = modmath.ntt_primes(30, 1024, 2)
+        targets = modmath.ntt_primes(30, 1024, 10)[2:]
         x = np.random.default_rng(7).integers(
             0, np.array(primes)[:, None], size=(40, 2, 1024)
         )
         here = hashlib.sha256(StackedNttPlan(1024, primes).forward(x).tobytes())
+        here.update(MixedRadix(primes, targets).convert_centered(x).tobytes())
         script = (
             "import hashlib, numpy as np\n"
             "from repro.he import modmath\n"
             "from repro.he.ntt import StackedNttPlan\n"
+            "from repro.he.polyring import MixedRadix\n"
             "primes = modmath.ntt_primes(30, 1024, 2)\n"
+            "targets = modmath.ntt_primes(30, 1024, 10)[2:]\n"
             "x = np.random.default_rng(7).integers(\n"
             "    0, np.array(primes)[:, None], size=(40, 2, 1024))\n"
-            "out = StackedNttPlan(1024, primes).forward(x)\n"
-            "print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+            "out = hashlib.sha256(StackedNttPlan(1024, primes).forward(x).tobytes())\n"
+            "out.update(MixedRadix(primes, targets).convert_centered(x).tobytes())\n"
+            "print(out.hexdigest())\n"
         )
         env = dict(
             os.environ,
@@ -1228,3 +1235,100 @@ class TestRnsMultiply:
             tracemalloc.stop()
         assert relined.batch_shape == (1, 2, 8, 8)
         assert peak < 24 * 2**20
+
+
+class TestModRows:
+    """``_mod_rows`` (remainder by multiply-shift floor division) returns the
+    integers of ``np.remainder``, in place, on every layout it is handed and
+    over the whole int64 range: callers hand it products of two residues,
+    unreduced product sums and signed weight contractions up to ``2^63 - 1``
+    in magnitude."""
+
+    #: Views of a ``(2, count, m, n)`` base: one the helper reshapes as it
+    #: is, a strided one it views, one it cannot view (``count > 1``).
+    LAYOUTS = {
+        "contiguous": lambda base: base[1],
+        "strided": lambda base: base[:1, ::2],
+        "unviewable": lambda base: base.transpose(1, 0, 2, 3),
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_np_remainder(self, data):
+        m = data.draw(st.integers(1, 5), label="m")
+        n = data.draw(st.sampled_from([1, 3, 256, 1024]), label="n")
+        step = max(1, polyring._MOD_BLOCK_ELEMS // (m * n))  # rows per block
+        count = data.draw(
+            st.sampled_from(sorted({1, max(1, step - 1), step, step + 1, 2 * step + 1})),
+            label="count",
+        )
+        moduli = data.draw(
+            st.lists(st.integers(2, (1 << 31) - 1), min_size=m, max_size=m), label="moduli"
+        )
+        layout = data.draw(st.sampled_from(sorted(self.LAYOUTS)), label="layout")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        gen = np.random.default_rng(seed)
+        low, top = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        base = gen.integers(low, top, size=(2, count, m, n), endpoint=True)
+        base[..., ::7] //= 1 << 33  # small magnitudes next to extreme ones
+        edges = np.array([low, top, low + 1, 0, 1, -1, moduli[0], -moduli[0], moduli[0] - 1])
+        base.reshape(-1)[: min(base.size, edges.size)] = edges[: base.size]
+        view = self.LAYOUTS[layout]
+        column = np.array(moduli, dtype=np.int64)[:, None]
+        expected = base.copy()
+        view(expected)[...] = np.remainder(view(base), column)
+        target = view(base)
+        assert polyring._mod_rows(target, moduli) is target
+        assert np.array_equal(base, expected)
+
+    def test_rejects_rows_that_are_not_one_per_modulus(self):
+        with pytest.raises(ParameterError, match="2 moduli reduce"):
+            polyring._mod_rows(np.zeros((3, 4), dtype=np.int64), [5, 7])
+        with pytest.raises(ParameterError, match="1 moduli reduce"):
+            polyring._mod_rows(np.zeros(4, dtype=np.int64), [5])
+
+
+class TestBaseConversionGemm:
+    """``MixedRadix.convert_centered``'s float64 GEMM against the Python-int
+    centered lift, on every converter the RNS multiply builds."""
+
+    @staticmethod
+    def _converters(params):
+        basis = Context(params).aux_basis
+        # ``lift`` (operands) and ``rho`` (t d mod q) share the q -> aux
+        # converter; ``back`` returns the rounded result to q and the check prime.
+        return {"lift_rho": basis._to_aux, "back": basis._to_ring}
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("name", ["lift_rho", "back"])
+    @pytest.mark.parametrize("params", RNS_PARAMS, ids=lambda p: p.name)
+    def test_matches_python_int_lift(self, params, name, chunked, rng):
+        radix = self._converters(params)[name]
+        if chunked:
+            radix._gemm_cols = 7  # ragged column chunks
+        primes, targets, half = radix.primes, radix.targets, radix.half
+        n = params.poly_degree
+        draw = random.Random(n * len(primes))
+        values = [half, -half, 0, 1, -1]
+        values += [draw.randint(-half, half) for _ in range(2 * n - len(values))]
+        values = np.array(values, dtype=object).reshape(2, n)
+        residues = np.stack([(values % p).astype(np.int64) for p in primes], axis=1)
+        residues[1, :, -1] = np.array(primes) - 1  # all-(p-1) residues: the value -1
+        values[1, -1] = -1
+        got = radix.convert_centered(residues)
+        expected = np.stack([(values % b).astype(np.int64) for b in targets], axis=1)
+        assert got.shape == (2, len(targets), n) and got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    def test_past_the_2_53_bound_is_refused(self):
+        """``k (2^15 + 2^16) b_max + b_max < 2^53`` is checked once, in the
+        constructor: 42 31-bit primes fit under a 31-bit target, 43 do not."""
+        pool = modmath.ntt_primes(31, 64, 44)
+        target = pool.pop()
+        fits = 42
+        assert fits * 3 * (1 << 15) * target + target < 1 << 53
+        assert (fits + 1) * 3 * (1 << 15) * target + target >= 1 << 53
+        MixedRadix(pool[:fits], [target])
+        with pytest.raises(ParameterError, match="2\\^53"):
+            MixedRadix(pool[: fits + 1], [target])
+        MixedRadix(pool)  # no targets, no GEMM: digits and limbs only
