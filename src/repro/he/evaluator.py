@@ -372,16 +372,19 @@ class Evaluator:
         ring = self.context.ring
         coeff = ct.to_coeff().data
         # The digit x key inner product is one multiply-accumulate over both
-        # key components.  The digits are transformed one at a time as it
-        # consumes them: stacking the transforms is no faster and multiplies
-        # the transient by their count.
-        keys = np.stack([relin_keys.key0_ntt, relin_keys.key1_ntt], axis=1)
-        digits = (
-            ring.ntt(ring.from_signed_small(d))[..., None, :, :]
-            for d in self._relin_digits(coeff[..., 2, :, :])
+        # key components, started from the transformed (c0, c1).  The digits
+        # are transformed one at a time as it consumes them: stacking the
+        # transforms is no faster and multiplies the transient by their
+        # count.  A digit is the same small integers under every prime, so
+        # the stacked transform takes it as one (..., 1, n) row.
+        c2_digits = self._relin_digits(coeff[..., 2, :, :])
+        if kernels.active().stacked_ntt:
+            digits = (ring.ntt(d[..., None, None, :]) for d in c2_digits)
+        else:
+            digits = (ring.ntt(ring.from_signed_small(d))[..., None, :, :] for d in c2_digits)
+        data = ring.pointwise_mul_sum(
+            digits, relin_keys.stacked_ntt, start=ring.ntt(coeff[..., :2, :, :])
         )
-        data = ring.pointwise_mul_sum(digits, keys)
-        data = ring.add(data, ring.ntt(coeff[..., :2, :, :]))
         result = Ciphertext(self.context, data, is_ntt=True)
         self._record("relinearize", result)
         return result

@@ -50,12 +50,18 @@ class RelinKeys:
 
     ``key0[i], key1[i]`` hold the pair for digit position ``i`` of the
     base-``w`` decomposition, both in NTT domain with shape ``(L, k, n)``.
+    Both are views of ``stacked_ntt``, ``(L, 2, k, n)``: row ``i`` is the
+    pair the relinearization's digit ``i`` multiplies, stacked once here.
     """
 
     context: Context
     key0_ntt: np.ndarray
     key1_ntt: np.ndarray
     decomposition_bits: int
+
+    def __post_init__(self) -> None:
+        self.stacked_ntt = np.stack([self.key0_ntt, self.key1_ntt], axis=1)
+        self.key0_ntt, self.key1_ntt = self.stacked_ntt[:, 0], self.stacked_ntt[:, 1]
 
     @property
     def count(self) -> int:

@@ -151,19 +151,22 @@ def _index_split(n: int) -> tuple[int, int]:
     return n1, n // n1
 
 
-def _limb_split(n1: int, p_max: int) -> tuple[int, int]:
+def _limb_split(n1: int, p_max: int, bound: int | None = None) -> tuple[int, int]:
     """Fewest limbs ``(count, width)`` of the matrix entries for which every
     GEMM sum and every recombined value of :class:`StackedNttPlan` stays
-    below 2^53 (the bound is derived in the class docstring).
+    below 2^53 (the bound is derived in the class docstring), for GEMM
+    inputs in ``[0, bound)`` -- by default ``[0, 2 p_max)``, the lazily
+    reduced residues the second step is fed.
 
     Raises:
         ParameterError: if no split does -- nothing inexact is ever returned.
     """
     bits = p_max.bit_length()
-    lazy = 2 * p_max - 1  # largest value a GEMM is fed: residues in [0, 2p)
+    lazy = 2 * p_max - 1  # largest value a recombination carries: [0, 2p)
+    x_max = lazy if bound is None else bound - 1
     for count in range(1, bits + 1):
         width = -(-bits // count)
-        worst = n1 * lazy * ((1 << width) - 1)
+        worst = n1 * x_max * ((1 << width) - 1)
         if count > 1:
             worst += lazy << width
         if worst < _EXACT_LIMIT:
@@ -174,16 +177,35 @@ def _limb_split(n1: int, p_max: int) -> tuple[int, int]:
     )
 
 
+def _weighted_limbs(matrix: np.ndarray, limbs: int, width: int) -> np.ndarray:
+    """``(limbs, *matrix.shape)`` float64, C order whatever the int64
+    ``matrix``'s was; limb ``l`` keeps its weight ``2^(l*width)``, so the
+    limbs of an entry sum to it."""
+    shifts = (width * np.arange(limbs)).reshape(-1, *(1,) * matrix.ndim)
+    return (matrix & (((1 << width) - 1) << shifts)).astype(np.float64, order="C")
+
+
 class _PrimeTables:
     """One prime's weighted-limb float64 matrices for one direction: ``lead``
     of shape ``(limbs, 1, n1, n1)`` and ``tail`` of shape ``(limbs, n1, n0,
-    n0)`` (see :class:`StackedNttPlan`)."""
+    n0)`` (see :class:`StackedNttPlan`), plus the forward ``lead`` re-split
+    for bounded rows, built on first use and keyed by ``(limbs, width)``."""
 
-    __slots__ = ("lead", "tail", "__weakref__")
+    __slots__ = ("lead", "tail", "row_leads", "__weakref__")
 
     def __init__(self, lead: np.ndarray, tail: np.ndarray) -> None:
         self.lead = lead
         self.tail = tail
+        self.row_leads: dict[tuple[int, int], np.ndarray] = {}
+
+    def row_lead(self, limbs: int, width: int) -> np.ndarray:
+        """``lead`` split into ``limbs`` limbs of ``width`` bits: the sum of
+        the weighted limbs is the matrix itself, entries below ``p``."""
+        split = self.row_leads.get((limbs, width))
+        if split is None:
+            matrix = self.lead.sum(axis=0).astype(np.int64)
+            split = self.row_leads[limbs, width] = _weighted_limbs(matrix, limbs, width)
+        return split
 
 
 #: Tables are a pure function of their key, so plans over the same primes --
@@ -223,14 +245,9 @@ def _prime_tables(n: int, p: int, limbs: int, width: int, inverse: bool) -> _Pri
         lead = lead * modmath.invert_mod(n, p) % p
     tail = powers[tail_exp % (2 * n)]
 
-    def weighted_limbs(matrix: np.ndarray) -> np.ndarray:
-        """``(limbs, *matrix.shape)`` float64, C order whatever the
-        exponents' was; limb ``l`` keeps its weight ``2^(l*width)``, so the
-        limbs of an entry sum to it."""
-        shifts = (width * np.arange(limbs)).reshape(-1, *(1,) * matrix.ndim)
-        return (matrix & (((1 << width) - 1) << shifts)).astype(np.float64, order="C")
-
-    tables = _PrimeTables(weighted_limbs(lead[None]), weighted_limbs(tail))
+    tables = _PrimeTables(
+        _weighted_limbs(lead[None], limbs, width), _weighted_limbs(tail, limbs, width)
+    )
     _SHARED_TABLES[key] = tables
     return tables
 
@@ -242,6 +259,18 @@ def _reduce(x: np.ndarray, q: np.ndarray, p: float, inv: float, out: np.ndarray)
     np.floor(q, out=q)
     np.multiply(q, p, out=q)
     np.subtract(x, q, out=out)
+
+
+def _fold(sums, width: int, q, out, p: float, inv: float) -> None:
+    """Recombine weighted limb sums ``(limbs, ...)`` of ``width``-bit limbs
+    into ``out``, the value mod ``p`` in ``[0, 2p)``; ``sums`` is consumed."""
+    acc = sums[-1]
+    for l in range(len(sums) - 2, -1, -1):
+        weight = float(1 << ((l + 1) * width))
+        _reduce(acc, q, p * weight, inv / weight, out=acc)
+        np.add(sums[l], acc, out=sums[l])
+        acc = sums[l]
+    _reduce(acc, q, p, inv, out=out)
 
 
 class StackedNttPlan:
@@ -278,10 +307,11 @@ class StackedNttPlan:
     ``n = 1024``, 4 MiB at ``n = 4096`` with two limbs.
 
     Exactness (``P`` = largest prime, all primes < 2^31).  Inputs are
-    canonical residues ``[0, p)`` -- every caller's are.  A matrix entry
-    ``m`` in ``[0, p)`` is split into ``limbs`` limbs of ``w`` bits, each
-    stored *with* its weight, ``m = sum_l T_l``, ``T_l = 2^(l*w) * m_l``,
-    and each limb gets its own GEMM.  Then:
+    canonical residues ``[0, p)`` -- every caller's are -- or a bounded row
+    (see :meth:`forward`).  A matrix entry ``m`` in ``[0, p)`` is split into
+    ``limbs`` limbs of ``w`` bits, each stored *with* its weight, ``m =
+    sum_l T_l``, ``T_l = 2^(l*w) * m_l``, and each limb gets its own GEMM.
+    Then:
 
     * a limb sum is ``2^(l*w) * U`` with ``U <= terms * x_max * (2^w - 1)``
       an integer, ``terms <= n1`` and ``x_max <= 2P - 1`` (the second step
@@ -299,7 +329,9 @@ class StackedNttPlan:
       ``paper_1024`` (24-bit primes), 2^51.0 at the 30-bit ``n = 1024``
       pipeline presets, 2^52.0 at ``functional_2048`` / ``functional_4096``,
       all with two limbs; 31-bit primes take three limbs from ``n = 512`` up
-      (2^50.0 at ``n = 8192``);
+      (2^50.0 at ``n = 8192``).  A bounded row's first step is fed values
+      below ``B``, so there ``x_max = B - 1`` and its limbs are split for
+      that bound, per call;
     * the reduction is ``V - floor(V * inv) * p`` with ``inv = fl(1/p)``
       scaled *down* by ``1 - 2^-50``: the computed quotient is never above
       ``V / p`` and short of it by less than ``V/p * 2^-48 < 1``, so the
@@ -331,30 +363,38 @@ class StackedNttPlan:
         self.primes = np.array([plan.prime for plan in plans], dtype=np.int64)
         self._prime_list = [plan.prime for plan in plans]
         self._n1, self._n0 = _index_split(n)
-        self._limbs, self._limb_bits = _limb_split(self._n1, max(self._prime_list))
+        self._p_min, self._p_max = min(self._prime_list), max(self._prime_list)
+        self._limbs, self._limb_bits = _limb_split(self._n1, self._p_max)
         self._n_inv = [plan._n_inv for plan in plans]
         self._tables: dict[bool, list[_PrimeTables]] = {}
         self._coeff_weight_cache: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
-    def _fold(self, sums, q, out, p: float, inv: float) -> None:
-        """Recombine weighted limb sums ``(limbs, ...)`` into ``out``, the
-        value mod ``p`` in ``[0, 2p)``; ``sums`` is consumed."""
-        acc = sums[-1]
-        for l in range(self._limbs - 2, -1, -1):
-            weight = float(1 << ((l + 1) * self._limb_bits))
-            _reduce(acc, q, p * weight, inv / weight, out=acc)
-            np.add(sums[l], acc, out=sums[l])
-            acc = sums[l]
-        _reduce(acc, q, p, inv, out=out)
+    def _row_split(self, values: np.ndarray) -> tuple[int, int]:
+        """First-step limbs ``(count, width)`` for a ``(..., 1, n)`` row,
+        sized by its largest value.
+
+        Raises:
+            ParameterError: a value outside ``[0, min prime)``, where the row
+                is not the same residues under every prime.
+        """
+        low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+        if low < 0 or high >= self._p_min:
+            raise ParameterError(
+                f"a (..., 1, {self.n}) row holds the same integers under every "
+                f"prime: values must lie in [0, {self._p_min}), got [{low}, {high}]"
+            )
+        return _limb_split(self._n1, self._p_max, high + 1)
 
     def _transform(self, values: np.ndarray, inverse: bool) -> np.ndarray:
         values = np.asarray(values)
         k, n, n1, n0 = self.k, self.n, self._n1, self._n0
-        if values.ndim < 2 or values.shape[-2:] != (k, n):
+        row = not inverse and k > 1 and values.shape[-2:] == (1, n)
+        if values.ndim < 2 or (values.shape[-2:] != (k, n) and not row):
             raise ParameterError(
                 f"expected trailing shape (k={k}, n={n}), got {values.shape}"
             )
+        lead_limbs, lead_bits = self._row_split(values) if row else (self._limbs, self._limb_bits)
         # Tables before the result: what outlives the call sits below what
         # does not.
         tables = self._tables.get(inverse)
@@ -363,9 +403,9 @@ class StackedNttPlan:
                 _prime_tables(n, p, self._limbs, self._limb_bits, inverse)
                 for p in self._prime_list
             ]
-        out = np.empty(values.shape, dtype=np.int64)
+        out = np.empty((*values.shape[:-2], k, n), dtype=np.int64)
         batch = out.size // (k * n)
-        src = values.reshape(batch, k, n1, n0)
+        src = values.reshape(batch, values.shape[-2], n1, n0)
         dst = out.reshape(batch, k, n1, n0)
         block = max(1, _BLOCK_ELEMS // n)
         scratch = np.empty((self._limbs + 2, min(block, batch), n1, n0))
@@ -373,22 +413,24 @@ class StackedNttPlan:
             p = float(prime)
             inv_down = 1.0 / p * (1.0 - 2.0**-50)
             inv_up = 1.0 / p * (1.0 + 2.0**-50)
-            lead, tail = tables[i].lead, tables[i].tail
+            lead = tables[i].row_lead(lead_limbs, lead_bits) if row else tables[i].lead
+            tail = tables[i].tail
             for start in range(0, batch, block):
                 stop = min(start + block, batch)
                 rows = scratch[:, : stop - start]
                 a, q, sums = rows[0], rows[1], rows[2:]
                 by_j1 = sums.transpose(0, 2, 1, 3)  # (limbs, n1, rows, n0)
-                np.copyto(a, src[start:stop, i], casting="unsafe")
+                # a row is the same integers under every prime
+                np.copyto(a, src[start:stop, 0 if row else i], casting="unsafe")
                 if inverse:
                     np.matmul(a.transpose(1, 0, 2), tail, out=by_j1)
-                    self._fold(sums, q, a, p, inv_down)
+                    _fold(sums, self._limb_bits, q, a, p, inv_down)
                     np.matmul(lead, a, out=sums)
                 else:
-                    np.matmul(lead, a, out=sums)
-                    self._fold(sums, q, a, p, inv_down)
+                    np.matmul(lead, a, out=sums[:lead_limbs])
+                    _fold(sums[:lead_limbs], lead_bits, q, a, p, inv_down)
                     np.matmul(a.transpose(1, 0, 2), tail, out=by_j1)
-                self._fold(sums, q, a, p, inv_down)
+                _fold(sums, self._limb_bits, q, a, p, inv_down)
                 _reduce(a, q, p, inv_up, out=a)
                 np.copyto(dst[start:stop, i], a, casting="unsafe")
         return out
@@ -396,7 +438,18 @@ class StackedNttPlan:
     # ------------------------------------------------------------------
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Negacyclic NTT of every residue row of a ``(..., k, n)`` tensor of
-        canonical residues; bit-identical to ``NttPlan.forward`` per prime."""
+        canonical residues; bit-identical to ``NttPlan.forward`` per prime.
+
+        A ``(..., 1, n)`` row (``k > 1``) holds integers in ``[0, min
+        prime)``, the same under every prime: its ``(..., k, n)`` transform
+        is that of the broadcast residues, with the first step's limbs sized
+        by the row's largest value (one limb for 16-bit digits up to ``n =
+        4096``) instead of by ``2p``.
+
+        Raises:
+            ParameterError: a trailing shape other than ``(k, n)`` or ``(1,
+                n)``, or a row value outside ``[0, min prime)``.
+        """
         return self._transform(values, inverse=False)
 
     def inverse(self, values: np.ndarray) -> np.ndarray:

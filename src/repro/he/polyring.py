@@ -37,11 +37,6 @@ _GEMM_MAX_MACS = 1 << 18
 SCALE_ROUND_MAX_NUMER = 1 << 50
 
 
-def _residue_column(value: int, primes: Sequence[int]) -> np.ndarray:
-    """``value`` modulo each prime, as a ``(len(primes), 1)`` int64 column."""
-    return np.array([value % int(p) for p in primes], dtype=np.int64).reshape(-1, 1)
-
-
 def _products_per_pass(top: int, value_bound: int) -> int:
     """How many unreduced products an int64 multiply-accumulate may add
     between two reductions (a reduction costs about two multiply-adds, so
@@ -111,16 +106,19 @@ def _mod_rows(data: np.ndarray, moduli) -> np.ndarray:
     return data
 
 
-def _dot_mod(values, weights, moduli, value_bound: int) -> np.ndarray:
-    """``sum_i values[i] * weights[i]``, row ``j`` reduced modulo
+def _dot_mod(values, weights, moduli, value_bound: int, offset=0) -> np.ndarray:
+    """``offset + sum_i values[i] * weights[i]``, row ``j`` reduced modulo
     ``moduli[j]`` (see :func:`_mod_rows`), under the
     :func:`_products_per_pass` rule.
 
-    ``values[i]`` are ``(..., m, n)`` in ``[0, value_bound)`` and
-    ``weights[i]`` in ``[0, moduli[j])`` elementwise.
+    ``values[i]`` are ``(..., m, n)`` in ``[0, value_bound)``, and
+    ``weights[i]`` and ``offset`` in ``[0, moduli[j])`` elementwise: the
+    offset is the reduced accumulator the first run of products enters.
     """
     per_pass = _products_per_pass(max(moduli), value_bound)
     acc = values[0] * weights[0]
+    if offset:
+        acc += offset
     for i in range(1, len(values)):
         if i % per_pass == 0:
             _mod_rows(acc, moduli)
@@ -139,6 +137,14 @@ class MixedRadix:
     ``targets`` primes, :meth:`limbs` yields base-``2^w`` digits.  Every
     prime is below ``2^31``, so a product of two residues is below ``2^62``
     and :func:`_dot_mod` keeps every sum of them inside int64.
+
+    :meth:`convert_centered` converts the centered value of ``s x`` for a
+    scale ``s`` (1 for a lift, ``t`` for the multiply's ``[t d]_q``) by
+    digits of ``[s x + (P-1)/2]_P``, which lies in ``[0, P)``; the scale and
+    the offset are Garner weights, so neither ``s x`` nor the shifted value
+    is ever formed.  Digit ``j``'s dot product weighs ``r_j`` by ``[inv_j
+    s]_{p_j}`` and starts from the constant ``[inv_j (P-1)/2]_{p_j}``, with
+    ``inv_j = place_j^-1 mod p_j`` (row 0: ``[s r_0 + (P-1)/2]_{p_0}``).
 
     The target evaluation is one exact float64 GEMM per residue row: digit
     ``d_i`` enters as the limbs ``d_i & (2^15 - 1)`` and ``d_i >> 15`` (below
@@ -163,8 +169,6 @@ class MixedRadix:
         self.k = len(self.primes)
         self.half = (modmath.product(self.primes) - 1) // 2
         self._bound = max(self.primes)
-        self._p_col = np.array(self.primes, dtype=np.int64).reshape(self.k, 1)
-        self._half_col = _residue_column(self.half, self.primes)
         # Place values 1, p_0, p_0 p_1, ...
         self.places = places = [modmath.product(self.primes[:j]) for j in range(self.k)]
         # d_j = (r_j - sum_{i<j} d_i place_i) / place_j mod p_j, written as one
@@ -173,6 +177,8 @@ class MixedRadix:
         for j, p in enumerate(self.primes):
             inv = modmath.invert_mod(places[j], p)
             self._garner.append([inv] + [-places[i] * inv % p for i in range(j)])
+        # Per scale s: (weights, offset) of digit j of [s x + (P-1)/2]_P.
+        self._scaled: dict[int, list[tuple[list[int], int]]] = {}
         self.targets = [int(b) for b in targets]
         if self.targets:
             b_max = max(self.targets)
@@ -193,31 +199,48 @@ class MixedRadix:
         ).reshape(len(self.targets), 2 * self.k + 1)
         self._gemm_cols = max(1, _GEMM_MAX_MACS // max(1, self._weights.size))
 
-    def digits(self, residues: np.ndarray) -> np.ndarray:
-        """Mixed-radix digits ``(..., k, n)`` of reduced residues ``(..., k, n)``."""
+    def digits(self, residues: np.ndarray, scale: int | None = None) -> np.ndarray:
+        """Mixed-radix digits ``(..., k, n)`` of reduced residues ``(..., k, n)``
+        -- of the value ``x`` they give or, with a ``scale`` ``s``, of ``[s x
+        + (P-1)/2]_P`` (see the class docstring)."""
+        if scale is None:
+            rows = [(weights, 0) for weights in self._garner]
+        else:
+            rows = self._scaled_garner(scale)
         x = np.empty(residues.shape, dtype=np.int64)
-        x[..., 0, :] = residues[..., 0, :]
-        for j in range(1, self.k):
-            rows = [residues[..., j : j + 1, :]] + [x[..., i : i + 1, :] for i in range(j)]
-            x[..., j : j + 1, :] = _dot_mod(rows, self._garner[j], [self.primes[j]], self._bound)
+        for j, (weights, offset) in enumerate(rows):
+            if j == 0 and scale is None:  # weight 1, no offset: the residue
+                x[..., 0, :] = residues[..., 0, :]
+                continue
+            terms = [residues[..., j : j + 1, :]] + [x[..., i : i + 1, :] for i in range(j)]
+            x[..., j : j + 1, :] = _dot_mod(
+                terms, weights, [self.primes[j]], self._bound, offset
+            )
         return x
 
-    def convert_centered(self, residues: np.ndarray) -> np.ndarray:
-        """Residues modulo the ``targets`` primes, ``(..., T, n)``, of the
-        *centered* representative in ``[-(P-1)/2, (P-1)/2]`` of the value
-        with the given residues.
+    def _scaled_garner(self, scale: int) -> list[tuple[list[int], int]]:
+        """Digit ``j``'s weights and offset for ``[scale x + (P-1)/2]_P``."""
+        rows = self._scaled.get(scale)
+        if rows is None:
+            rows = self._scaled[scale] = [
+                ([weights[0] * scale % p, *weights[1:]], weights[0] * self.half % p)
+                for weights, p in zip(self._garner, self.primes)
+            ]
+        return rows
 
-        ``[x + (P-1)/2]_P`` lies in ``[0, P)``, converts exactly, and the
-        offset is subtracted again on the target side, inside the GEMM (see
-        the class docstring) -- no comparison against ``P/2`` is needed.
-        GEMMs are chunked along ``n`` to at most :data:`_GEMM_MAX_MACS`
-        multiply-adds each.
+    def convert_centered(self, residues: np.ndarray, scale: int = 1) -> np.ndarray:
+        """Residues modulo the ``targets`` primes, ``(..., T, n)``, of the
+        *centered* representative in ``[-(P-1)/2, (P-1)/2]`` of ``scale``
+        times the value with the given residues.
+
+        The digits are those of ``[scale x + (P-1)/2]_P``, in ``[0, P)``;
+        the offset is subtracted again on the target side, inside the GEMM
+        (see the class docstring) -- no comparison against ``P/2`` is
+        needed.  GEMMs are chunked along ``n`` to at most
+        :data:`_GEMM_MAX_MACS` multiply-adds each.
         """
-        shifted = residues + self._half_col
-        shifted -= self._p_col
-        shifted += (shifted >> 63) & self._p_col
         k, t, n = self.k, len(self.targets), residues.shape[-1]
-        digits = self.digits(shifted).reshape(-1, k, n)
+        digits = self.digits(residues, scale).reshape(-1, k, n)
         limbs = np.empty((digits.shape[0], 2 * k + 1, n))
         np.bitwise_and(digits, (1 << _DIGIT_LIMB) - 1, out=limbs[:, :k], casting="unsafe")
         np.right_shift(digits, _DIGIT_LIMB, out=limbs[:, k:-1], casting="unsafe")
@@ -300,6 +323,8 @@ class AuxBasis:
     :meth:`scale_round` divides: with ``rho`` the centered remainder of
     ``t d`` modulo ``q``, ``r = (t d - rho) / q`` is an exact division, so it
     can be done modulo every auxiliary prime by multiplying with ``q^-1``.
+    ``rho`` comes off the ring residues of ``d`` with ``t`` as the
+    conversion's scale, and enters the division with the weight ``[-q^-1]_b``.
     ``q`` is odd, hence ``t d / q`` is never half-way between two integers
     and ``|rho| < q/2`` makes ``r`` the nearest one for either sign -- the
     integer :meth:`PolyContext.scale_and_round` (nearest, halves away from
@@ -310,18 +335,14 @@ class AuxBasis:
         self.ring = ring
         self.primes = [int(p) for p in primes]
         self.plan = StackedNttPlan(ring.n, self.primes)
-        self._col = np.array(self.primes, dtype=np.int64).reshape(-1, 1)
         self._to_aux = MixedRadix(ring.primes, self.primes)
         self._to_ring = MixedRadix(self.primes[:-1], [*ring.primes, self.primes[-1]])
-        self._t_ring = ring.scalar_residues(plain_modulus)
-        # r = (t d - rho) / q as a dot product of (d, p - rho) with (t/q, 1/q).
+        self._t = plain_modulus
+        # r = (t d - rho) / q as a dot product of (d, rho) with (t/q, -1/q).
         q_inv = [modmath.invert_mod(ring.q, p) for p in self.primes]
         self._divide = [
-            np.array(
-                [plain_modulus * inv % p for inv, p in zip(q_inv, self.primes)],
-                dtype=np.int64,
-            ).reshape(-1, 1),
-            np.array(q_inv, dtype=np.int64).reshape(-1, 1),
+            np.array([scale * inv % p for inv, p in zip(q_inv, self.primes)]).reshape(-1, 1)
+            for scale in (plain_modulus, -1)
         ]
 
     def lift(self, coeff: np.ndarray) -> np.ndarray:
@@ -339,10 +360,8 @@ class AuxBasis:
                 where it was carried exactly all along; any disagreement
                 means ``|r| > (prod B - 1)/2`` and no coefficient is returned.
         """
-        rho = self._to_aux.convert_centered(
-            self.ring._reduce_product(d_ring * self._t_ring)
-        )
-        r = _dot_mod([d_aux, self._col - rho], self._divide, self.primes, max(self.primes) + 1)
+        rho = self._to_aux.convert_centered(d_ring, scale=self._t)
+        r = _dot_mod([d_aux, rho], self._divide, self.primes, max(self.primes))
         back = self._to_ring.convert_centered(r[..., :-1, :])
         if not np.array_equal(back[..., -1, :], r[..., -1, :]):
             raise ParameterError(
@@ -537,8 +556,8 @@ class PolyContext:
             )
         return _mod_rows(np.add.reduce(a, axis=axis), self._prime_list)
 
-    def pointwise_mul_sum(self, a, b) -> np.ndarray:
-        """``sum_i a[i] * b[i]`` modulo each prime, as one exact
+    def pointwise_mul_sum(self, a, b, start: np.ndarray | None = None) -> np.ndarray:
+        """``start + sum_i a[i] * b[i]`` modulo each prime, as one exact
         multiply-accumulate with deferred reduction.
 
         ``a`` and ``b`` yield the terms pairwise: any two iterables of
@@ -552,27 +571,33 @@ class PolyContext:
         :meth:`pointwise_mul`.  This is the serving flush's coefficient
         fold and the relinearization's digit x key inner product.
 
+        ``start``, if given, is an array of canonical residues of the
+        output shape that the caller hands over: the sum accumulates into
+        it in place (canonical residues are the reduced accumulator a run
+        of products may enter) and it is returned.
+
         Raises:
-            ParameterError: no terms, terms that are not ``(..., k, n)`` ring
-                elements, or a product that does not broadcast into the
-                first one's shape.
+            ParameterError: no terms and no ``start``, terms that are not
+                ``(..., k, n)`` ring elements, or a product that does not
+                broadcast into the first one's (or ``start``'s) shape.
         """
-        acc = prod = None
+        acc = start
+        prod = None if start is None else np.empty_like(start)
         for i, (x, y) in enumerate(zip(a, b, strict=True)):
             if i and i % self._per_pass == 0:
                 _mod_rows(acc, self._prime_list)
-            if i == 1:
+            if prod is None and i == 1:
                 prod = np.empty_like(acc)
             try:
-                # out=None (the first term) allocates, so the accumulator
-                # never aliases an operand.
+                # out=None (the first term without a start) allocates, so the
+                # accumulator never aliases an operand.
                 term = np.multiply(x, y, out=prod)
             except ValueError:
                 raise ParameterError(
                     f"pointwise_mul_sum term {i}: {np.shape(x)} x {np.shape(y)} does "
                     f"not broadcast into {None if acc is None else acc.shape}"
                 ) from None
-            if i:
+            if acc is not None:
                 acc += term
             elif term.shape[-2:] == (self.k, self.n):
                 acc = term
@@ -590,6 +615,8 @@ class PolyContext:
     # domain conversion
     # ------------------------------------------------------------------
     def ntt(self, a: np.ndarray) -> np.ndarray:
+        """Forward NTT of ``(..., k, n)`` residues; under ``stacked_ntt`` also
+        of a bounded ``(..., 1, n)`` row (:meth:`StackedNttPlan.forward`)."""
         if kernels.active().stacked_ntt:
             return self.stacked.forward(a)
         out = np.empty_like(a)

@@ -20,6 +20,7 @@ def _hotpath_report(speedup=3.0, fused_s=0.2, bit_identical=True, ntt_s=0.012):
         "decrypt_poly": {"speedup": 4.0},
         "pack_fold": {"peak_ratio": 1.7, "fused_s": 0.03},
         "ct_multiply": {"speedup": 3.5, "fused_s": 0.2},
+        "relinearize": {"speedup": 3.0, "fused_s": 0.05},
         "fused": {"simulated_s": fused_s},
         "speedup": speedup,
         "bit_identical": {

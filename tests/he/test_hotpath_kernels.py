@@ -184,6 +184,28 @@ def _stacked_cases(draw):
     return n, primes, batch, fill, sliced, seed
 
 
+@st.composite
+def _row_cases(draw):
+    n = draw(st.sampled_from([64, 256, 1024, 4096, 8192]))
+    pool = [p for bits in (30, 31) for p in modmath.ntt_primes(bits, n, 3)]
+    primes = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4, unique=True))
+    bound = draw(st.sampled_from([2, 1 << 16]))
+    block = max(1, ntt_module._BLOCK_ELEMS // n)
+    batch = draw(st.sampled_from([(block - 1,), (block,), (block + 1,)]))
+    fill = draw(st.sampled_from(["zero", "top", "random"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, primes, bound, batch, fill, seed
+
+
+def _assert_row_matches_per_prime(plan: StackedNttPlan, row: np.ndarray) -> None:
+    """``forward`` of a ``(..., 1, n)`` row equals ``NttPlan.forward`` of the
+    row's residues under each prime (the row is below every prime)."""
+    got = plan.forward(row)
+    assert got.shape == (*row.shape[:-2], plan.k, plan.n) and got.dtype == np.int64
+    for i, p in enumerate(plan.primes):
+        assert np.array_equal(got[..., i, :], NttPlan(plan.n, int(p)).forward(row[..., 0, :]))
+
+
 class TestStackedNttProperty:
     """The GEMM transform against the butterfly oracle across sizes, prime
     widths, limb counts, block edges and memory layouts."""
@@ -206,6 +228,47 @@ class TestStackedNttProperty:
             assert not x.flags.c_contiguous or x.size == 0
         _assert_matches_per_prime(StackedNttPlan(n, primes), x)
 
+    @settings(max_examples=40, deadline=None)
+    @given(_row_cases())
+    def test_bounded_row_matches_ntt_plan(self, case):
+        """A ``(..., 1, n)`` row of integers in ``[0, B)`` -- relinearize's
+        base-2^16 digits -- transforms to the per-prime oracle of its
+        broadcast residues, whatever its first step's limb count."""
+        n, primes, bound, batch, fill, seed = case
+        shape = (*batch, 1, n)
+        if fill == "random":
+            row = np.random.default_rng(seed).integers(0, bound, size=shape)
+        else:
+            row = np.full(shape, 0 if fill == "zero" else bound - 1, dtype=np.int64)
+        _assert_row_matches_per_prime(StackedNttPlan(n, primes), row)
+
+    def test_bounded_row_two_limb_case(self, rng):
+        """31-bit primes at n = 8192: one limb of a 16-bit row would sum past
+        2^53, so the first step takes two -- and stays exact -- while the
+        second keeps the plan's three."""
+        n = 8192
+        plan = StackedNttPlan(n, modmath.ntt_primes(31, n, 2))
+        row = rng.integers(0, 1 << 16, size=(3, 1, n))
+        row[0] = (1 << 16) - 1
+        assert plan._row_split(row) == (2, 16) and plan._limbs == 3
+        _assert_row_matches_per_prime(plan, row)
+
+    def test_bounded_row_outside_every_prime_is_refused(self):
+        """A row is the same integers under every prime only inside ``[0,
+        min prime)``: a negative value, or one at or above the smallest
+        prime, raises instead of transforming different residues."""
+        small, large = modmath.ntt_primes(30, N, 1)[0], modmath.ntt_primes(31, N, 1)[0]
+        plan = StackedNttPlan(N, [large, small])
+        row = np.zeros((2, 1, N), dtype=np.int64)
+        row[1, 0, 5] = small - 1
+        _assert_row_matches_per_prime(plan, row)
+        for bad in (-1, small, large - 1):
+            row[1, 0, 5] = bad
+            with pytest.raises(ParameterError, match="same integers under every prime"):
+                plan.forward(row)
+        with pytest.raises(ParameterError, match="trailing shape"):
+            plan.inverse(row)  # the inverse takes residues only
+
     def test_cryptonets_auxiliary_basis(self, square_model, rng):
         """The widest stack a workload transforms: the eight 30-bit auxiliary
         primes of the pure-HE pipeline at n = 256."""
@@ -219,8 +282,8 @@ class TestStackedNttProperty:
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         """Exact sums have one value: a one-thread BLAS in a fresh process
-        hashes ``forward`` and the base-conversion GEMM to the same bytes as
-        this process's default."""
+        hashes ``forward`` (of residues and of a bounded row) and the
+        base-conversion GEMM to the same bytes as this process's default."""
         primes = modmath.ntt_primes(30, 1024, 2)
         targets = modmath.ntt_primes(30, 1024, 10)[2:]
         x = np.random.default_rng(7).integers(
@@ -228,6 +291,7 @@ class TestStackedNttProperty:
         )
         here = hashlib.sha256(StackedNttPlan(1024, primes).forward(x).tobytes())
         here.update(MixedRadix(primes, targets).convert_centered(x).tobytes())
+        here.update(StackedNttPlan(1024, primes).forward(x[:, :1] >> 14).tobytes())
         script = (
             "import hashlib, numpy as np\n"
             "from repro.he import modmath\n"
@@ -239,6 +303,7 @@ class TestStackedNttProperty:
             "    0, np.array(primes)[:, None], size=(40, 2, 1024))\n"
             "out = hashlib.sha256(StackedNttPlan(1024, primes).forward(x).tobytes())\n"
             "out.update(MixedRadix(primes, targets).convert_centered(x).tobytes())\n"
+            "out.update(StackedNttPlan(1024, primes).forward(x[:, :1] >> 14).tobytes())\n"
             "print(out.hexdigest())\n"
         )
         env = dict(
@@ -335,22 +400,29 @@ class TestOverflowBounds:
             StackedNttPlan(1024, [too_wide.prime], plans=[too_wide])
 
     @pytest.mark.parametrize(
-        "n1, p_max, expected",
+        "n1, p_max, expected, bound",
         [
-            (32, 520193, (1, 19)),  # a 20-bit prime: one GEMM per step
-            (32, (1 << 30) - 1, (2, 15)),  # the pipeline presets
-            (64, (1 << 30) - 1, (2, 15)),  # functional_2048 / functional_4096
-            (32, (1 << 31) - 1, (3, 11)),  # 31-bit: two limbs overrun at n=1024
-            (128, (1 << 31) - 1, (3, 11)),  # the largest supported config
+            (32, 520193, (1, 19), None),  # a 20-bit prime: one GEMM per step
+            (32, (1 << 30) - 1, (2, 15), None),  # the pipeline presets
+            (64, (1 << 30) - 1, (2, 15), None),  # functional_2048 / functional_4096
+            (32, (1 << 31) - 1, (3, 11), None),  # 31-bit: two limbs overrun at n=1024
+            (128, (1 << 31) - 1, (3, 11), None),  # the largest supported config
+            # Input-bound rows: relinearize's 16-bit digits, and a bit row.
+            (16, (1 << 30) - 1, (1, 30), 1 << 16),  # the workload, n = 256: 2^50
+            (32, (1 << 31) - 1, (1, 31), 1 << 16),  # n = 1024: 2^52
+            (64, (1 << 31) - 1, (1, 31), 1 << 16),  # n = 4096: just below 2^53
+            (128, (1 << 31) - 1, (2, 16), 1 << 16),  # n = 8192: two limbs
+            (128, (1 << 31) - 1, (1, 31), 2),
         ],
     )
-    def test_limb_split_is_the_fewest_limbs_below_2_53(self, n1, p_max, expected):
-        count, width = _limb_split(n1, p_max)
+    def test_limb_split_is_the_fewest_limbs_below_2_53(self, n1, p_max, expected, bound):
+        count, width = _limb_split(n1, p_max, bound)
         assert (count, width) == expected
         lazy = 2 * p_max - 1
+        x_max = lazy if bound is None else bound - 1
 
         def worst(count, width):
-            return n1 * lazy * ((1 << width) - 1) + (lazy << width if count > 1 else 0)
+            return n1 * x_max * ((1 << width) - 1) + (lazy << width if count > 1 else 0)
 
         assert worst(count, width) < 1 << 53
         if count > 1:
@@ -486,6 +558,25 @@ class TestPointwiseMulSum:
         out = wide.pointwise_mul_sum(a, b)
         assert np.array_equal(out, self._composed(wide, a, b))
         assert out.min() >= 0 and (out < wide.primes.reshape(-1, 1)).all()
+
+    @pytest.mark.parametrize("bits", [30, 31])
+    @pytest.mark.parametrize("terms", [1, 2, 8, 9, 17])
+    def test_start_enters_the_first_run(self, rng, bits, terms):
+        """A canonical ``start`` is the reduced accumulator a run of
+        products may enter: the sum accumulates into it in place, equal to
+        ``add(start, composed)`` across every pass boundary, worst-case
+        residues included."""
+        wide = PolyContext(N, modmath.ntt_primes(bits, N, 2))
+        a = wide.sample_uniform(rng, terms, 3)
+        b = wide.sample_uniform(rng, terms, 1)
+        a[0], b[0] = wide.primes[:, None] - 1, wide.primes[:, None] - 1
+        start = wide.sample_uniform(rng, 3)
+        start[0] = wide.primes[:, None] - 1
+        expected = wide.add(start, self._composed(wide, a, np.broadcast_to(b, a.shape)))
+        out = wide.pointwise_mul_sum(a, b, start=start)
+        assert out is start and np.array_equal(out, expected)
+        with pytest.raises(ParameterError, match="term 0.*does not broadcast"):
+            wide.pointwise_mul_sum(a, b, start=start[:2].copy())
 
     def test_reads_rows_where_they_lie(self, ring, rng):
         """Separately allocated, strided, broadcast and read-only rows, and
@@ -1295,19 +1386,18 @@ class TestBaseConversionGemm:
     @staticmethod
     def _converters(params):
         basis = Context(params).aux_basis
-        # ``lift`` (operands) and ``rho`` (t d mod q) share the q -> aux
-        # converter; ``back`` returns the rounded result to q and the check prime.
+        # ``lift`` (operands, scale 1) and ``rho`` (t d mod q, scale t) share
+        # the q -> aux converter; ``back`` returns the rounded result to q and
+        # the check prime.
         return {"lift_rho": basis._to_aux, "back": basis._to_ring}
 
-    @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
-    @pytest.mark.parametrize("name", ["lift_rho", "back"])
-    @pytest.mark.parametrize("params", RNS_PARAMS, ids=lambda p: p.name)
-    def test_matches_python_int_lift(self, params, name, chunked, rng):
-        radix = self._converters(params)[name]
+    @staticmethod
+    def _edge_values(radix, n: int, chunked: bool):
+        """Centered values ``(2, n)`` -- ``±(P-1)/2``, 0, ±1, random, and the
+        all-``(p-1)`` residues of -1 -- and their residues ``(2, k, n)``."""
         if chunked:
             radix._gemm_cols = 7  # ragged column chunks
-        primes, targets, half = radix.primes, radix.targets, radix.half
-        n = params.poly_degree
+        primes, half = radix.primes, radix.half
         draw = random.Random(n * len(primes))
         values = [half, -half, 0, 1, -1]
         values += [draw.randint(-half, half) for _ in range(2 * n - len(values))]
@@ -1315,10 +1405,66 @@ class TestBaseConversionGemm:
         residues = np.stack([(values % p).astype(np.int64) for p in primes], axis=1)
         residues[1, :, -1] = np.array(primes) - 1  # all-(p-1) residues: the value -1
         values[1, -1] = -1
+        return values, residues
+
+    @staticmethod
+    def _evaluated(values, targets):
+        return np.stack([(values % b).astype(np.int64) for b in targets], axis=1)
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("name", ["lift_rho", "back"])
+    @pytest.mark.parametrize("params", RNS_PARAMS, ids=lambda p: p.name)
+    def test_matches_python_int_lift(self, params, name, chunked, rng):
+        radix = self._converters(params)[name]
+        n = params.poly_degree
+        values, residues = self._edge_values(radix, n, chunked)
         got = radix.convert_centered(residues)
-        expected = np.stack([(values % b).astype(np.int64) for b in targets], axis=1)
-        assert got.shape == (2, len(targets), n) and got.dtype == np.int64
-        assert np.array_equal(got, expected)
+        assert got.shape == (2, len(radix.targets), n) and got.dtype == np.int64
+        assert np.array_equal(got, self._evaluated(values, radix.targets))
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("params", RNS_PARAMS, ids=lambda p: p.name)
+    def test_scaled_rho_matches_python_ints(self, params, chunked):
+        """``rho``'s form: with the preset's ``t`` as the scale -- a Garner
+        weight, ``t x`` is never formed -- the conversion is the centered
+        ``[t x]_q`` evaluated modulo each target."""
+        radix = self._converters(params)["lift_rho"]
+        t, q, half = params.plain_modulus, modmath.product(radix.primes), radix.half
+        values, residues = self._edge_values(radix, params.poly_degree, chunked)
+        scaled = (values * t) % q
+        centered = np.where(scaled > half, scaled - q, scaled)
+        got = radix.convert_centered(residues, scale=t)
+        assert np.array_equal(got, self._evaluated(centered, radix.targets))
+
+    @pytest.mark.parametrize("params", RNS_PARAMS, ids=lambda p: p.name)
+    def test_scale_round_matches_scale_and_round(self, params):
+        """``AuxBasis.scale_round`` -- ``rho`` off the scaled conversion,
+        divided with the weight ``[-q^-1]_b`` -- against the Python-int
+        rounding on random tensor coefficients up to the worst case."""
+        context = Context(params)
+        ring, basis = context.ring, context.aux_basis
+        t, q, n = params.plain_modulus, ring.q, ring.n
+        largest = 2 * n * (q // 2) ** 2
+        draw = random.Random(n * ring.k)
+        d = [largest, -largest, 0, 1, -1]
+        d += [draw.randint(-largest, largest) for _ in range(2 * n - len(d))]
+        d = np.array(d, dtype=object).reshape(2, n)
+        d_aux = np.stack([(d % p).astype(np.int64) for p in basis.primes], axis=-2)
+        got = basis.scale_round(ring.from_int_coeffs(d), d_aux)
+        assert np.array_equal(got, ring.scale_and_round(d, t, q))
+
+    def test_scale_round_refuses_a_result_past_the_base(self):
+        """A coefficient whose rounded value is about the base's product
+        wraps modulo the base; its check-prime residue does not, and
+        ``scale_round`` raises instead of returning it."""
+        context = Context(small_parameter_options()[256])
+        ring, basis = context.ring, context.aux_basis
+        *base, _ = basis.primes
+        past = modmath.product(base) * ring.q // context.plain_modulus
+        d = np.array([past, -past] * (ring.n // 2), dtype=object).reshape(1, ring.n)
+        d_aux = np.stack([(d % p).astype(np.int64) for p in basis.primes], axis=-2)
+        with pytest.raises(ParameterError, match="check-prime"):
+            basis.scale_round(ring.from_int_coeffs(d), d_aux)
 
     def test_past_the_2_53_bound_is_refused(self):
         """``k (2^15 + 2^16) b_max + b_max < 2^53`` is checked once, in the

@@ -77,10 +77,12 @@ BENCHES: dict[str, dict] = {
             MetricSpec("decrypt_poly.speedup", "ratio"),
             MetricSpec("pack_fold.peak_ratio", "ratio"),
             MetricSpec("ct_multiply.speedup", "ratio"),
+            MetricSpec("relinearize.speedup", "ratio"),
             MetricSpec("fused.simulated_s", "timing"),
             MetricSpec("ntt.fused_forward_s", "timing"),
             MetricSpec("pack_fold.fused_s", "timing"),
             MetricSpec("ct_multiply.fused_s", "timing"),
+            MetricSpec("relinearize.fused_s", "timing"),
             MetricSpec("bit_identical.logits", "invariant"),
             MetricSpec("bit_identical.encrypted_input", "invariant"),
             MetricSpec("bit_identical.op_tallies", "invariant"),
