@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Fused hot-path kernels vs the reference kernels, in one process.
+"""Fused hot-path kernels vs the reference formulas, in one process.
 
-The kernel layer (:mod:`repro.he.kernels`) routes every pipeline through
-prime-stacked GEMM NTTs, lazy/deferred reduction, tap-batched conv/dense
-contractions and the probe-based constant decrypt.  This benchmark records
-the *pre-change* behaviour by running the same deployment under the
-reference profile (per-prime ``NttPlan`` loops, full ``%`` everywhere,
-per-tap Python loops), then under the fused profile, and reports:
+The library computes with prime-stacked GEMM NTTs, lazy/deferred
+reduction, tap-batched conv/dense contractions and the probe-based constant
+decrypt.  This benchmark records the *pre-change* behaviour by running the
+same deployment over the oracle context (:mod:`repro.he.oracle`: per-prime
+``NttPlan`` loops, full ``%`` everywhere, per-tap Python loops), then over
+the production context, and reports:
 
 * an NTT microbenchmark (the stacked GEMM transform vs per-prime butterfly
   transforms, both domains, with the ``tracemalloc`` peak of each) on this
@@ -48,9 +48,9 @@ import tracemalloc
 import numpy as np
 
 from repro.core import HybridPipeline, heops, parameters_for_pipeline, train_paper_models
-from repro.he import kernels, modmath
+from repro.he import modmath, oracle
 from repro.he.batching import pack_coefficients, read_lanes, write_lanes
-from repro.he.context import Context, Plaintext
+from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.decryptor import Decryptor
 from repro.he.encoders import ScalarEncoder
 from repro.he.encryptor import Encryptor, SymmetricEncryptor
@@ -74,21 +74,22 @@ AUX_BATCH = (16, 2)
 
 def _time_ntt(ring, batch: tuple[int, ...], reps: int, rng) -> dict:
     """Median seconds and ``tracemalloc`` peak per forward/inverse transform
-    of a ``(*batch, k, n)`` residue tensor, both kernel modes."""
+    of a ``(*batch, k, n)`` residue tensor, by the oracle's ring and by
+    ``ring``."""
     x = ring.sample_uniform(rng, *batch)
     out: dict = {"batch": list(batch), "shape": list(x.shape)}
-    for name, profile in (("reference", kernels.REFERENCE), ("fused", kernels.FUSED)):
-        with kernels.use(profile):
-            ring.intt(ring.ntt(x))  # warm: both directions' tables
-            fwd, inv = [], []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                y = ring.ntt(x)
-                fwd.append(time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                ring.intt(y)
-                inv.append(time.perf_counter() - t0)
-            peak = _peak_mib(lambda: ring.ntt(x))
+    reference = oracle.Ring(ring.n, ring.primes.tolist())
+    for name, each in (("reference", reference), ("fused", ring)):
+        each.intt(each.ntt(x))  # warm: both directions' tables
+        fwd, inv = [], []
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            y = each.ntt(x)
+            fwd.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            each.intt(y)
+            inv.append(time.perf_counter() - t0)
+        peak = _peak_mib(lambda: each.ntt(x))
         out[name] = {
             "forward_s": float(np.median(fwd)),
             "inverse_s": float(np.median(inv)),
@@ -137,11 +138,10 @@ def _time_flush_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
     # activation_pool_lanes) and the client's read of a served result
     # (logits in coefficients) pay.
     lane_ct = encryptor.encrypt(write_lanes(context, rows))
-    with kernels.reference_kernels():
-        ref_s, ref_plain = _median_seconds(lambda: decryptor.decrypt(lane_ct), reps)
-    with kernels.fused_kernels():
-        fus_s, fus_plain = _median_seconds(lambda: decryptor.decrypt(lane_ct), reps)
-        decoded = read_lanes(fus_plain, FLUSH_SHAPE[0])
+    reference = Decryptor(oracle.Context(params), keys.secret)
+    ref_s, ref_plain = _median_seconds(lambda: reference.decrypt(lane_ct), reps)
+    fus_s, fus_plain = _median_seconds(lambda: decryptor.decrypt(lane_ct), reps)
+    decoded = read_lanes(fus_plain, FLUSH_SHAPE[0])
     decrypt_row = {
         "shape": [1, FLUSH_SHAPE[1]],
         "reference_s": ref_s,
@@ -188,16 +188,22 @@ def _time_flush_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
     return decrypt_row, fold_row, identity
 
 
+def _on(context, ct):
+    """``ct`` carried into ``context`` unchanged, so its domain conversions
+    run on that context's ring."""
+    return Ciphertext(context, ct.data, ct.is_ntt)
+
+
 def _reference_vs_fused(context, fn, reps: int) -> tuple[dict, dict, dict]:
-    """Time and ``tracemalloc`` ``fn(evaluator)`` under both profiles; returns
-    the row, the last result per profile and the op tallies per profile."""
+    """Time and ``tracemalloc`` ``fn(evaluator)`` over the oracle context and
+    over ``context``; returns the row, the last result per side and the op
+    tallies per side."""
     row: dict = {"shape": list(ACTIVATION_SHAPE)}
     results, tallies = {}, {}
-    for name, profile in (("reference", kernels.REFERENCE), ("fused", kernels.FUSED)):
-        evaluator = Evaluator(context, OperationCounter())
-        with kernels.use(profile):
-            row[f"{name}_s"], results[name] = _median_seconds(lambda: fn(evaluator), reps)
-            row[f"{name}_peak_mib"] = _peak_mib(lambda: fn(evaluator))
+    for name, each in (("reference", oracle.Context(context.params)), ("fused", context)):
+        evaluator = Evaluator(each, OperationCounter())
+        row[f"{name}_s"], results[name] = _median_seconds(lambda: fn(evaluator), reps)
+        row[f"{name}_peak_mib"] = _peak_mib(lambda: fn(evaluator))
         tallies[name] = dict(evaluator.counter.counts)
     row["speedup"] = row["reference_s"] / row["fused_s"]
     return row, results, tallies
@@ -216,10 +222,14 @@ def _time_ct_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
     values = rng.integers(-1000, 1000, size=ACTIVATION_SHAPE)
     ct = Encryptor(context, keys.public, rng).encrypt(ScalarEncoder(context).encode(values))
     multiply_row, products, multiply_tallies = _reference_vs_fused(
-        context, lambda evaluator: evaluator.square(ct), reps
+        context, lambda evaluator: evaluator.square(_on(evaluator.context, ct)), reps
     )
     relin_row, relined, relin_tallies = _reference_vs_fused(
-        context, lambda evaluator: evaluator.relinearize(products["fused"], relin_keys), reps
+        context,
+        lambda evaluator: evaluator.relinearize(
+            _on(evaluator.context, products["fused"]), relin_keys
+        ),
+        reps,
     )
     identity = {
         "ct_multiply": products["reference"].data.tobytes() == products["fused"].data.tobytes(),
@@ -232,33 +242,30 @@ def _time_ct_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
     return multiply_row, relin_row, identity
 
 
-def _run_pipeline(profile, quantized, params, images, reps: int):
-    """Fig8-style hybrid inference under one kernel profile.
+def _run_pipeline(context_type, quantized, params, images, reps: int):
+    """Fig8-style hybrid inference over one context type (its enclave's
+    decrypt and re-encrypt included).
 
     Returns the median simulated-clock latency plus every intermediate the
     bit-identity audit compares.
     """
-    prev = kernels.configure(profile)
-    try:
-        pipe = HybridPipeline(quantized, params, seed=13)
-        pipe.infer(images)  # warm: first run pays lazy caches
-        results = [pipe.infer(images) for _ in range(reps)]
-        elapsed = sorted(r.total_elapsed_s for r in results)
-        median = elapsed[len(elapsed) // 2]
-        result = results[-1]
-        ct = pipe.encrypt_images(images)
-        conv = heops.he_conv2d(pipe.evaluator, pipe.encoder, ct, pipe.conv_weights)
-        return {
-            "pipe": pipe,
-            "result": result,
-            "median_s": median,
-            "stage_s": {s.name: s.elapsed_s for s in result.stages},
-            "input_ct": ct,
-            "conv_ct": conv.to_ntt(),
-            "counts": dict(pipe.counter.counts),
-        }
-    finally:
-        kernels.configure(prev)
+    pipe = HybridPipeline(quantized, params, seed=13, context_type=context_type)
+    pipe.infer(images)  # warm: first run pays lazy caches
+    results = [pipe.infer(images) for _ in range(reps)]
+    elapsed = sorted(r.total_elapsed_s for r in results)
+    median = elapsed[len(elapsed) // 2]
+    result = results[-1]
+    ct = pipe.encrypt_images(images)
+    conv = heops.he_conv2d(pipe.evaluator, pipe.encoder, ct, pipe.conv_weights)
+    return {
+        "pipe": pipe,
+        "result": result,
+        "median_s": median,
+        "stage_s": {s.name: s.elapsed_s for s in result.stages},
+        "input_ct": ct,
+        "conv_ct": conv.to_ntt(),
+        "counts": dict(pipe.counter.counts),
+    }
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -326,9 +333,9 @@ def run(argv: list[str] | None = None) -> int:
     )
 
     print("end-to-end hybrid inference, reference kernels (pre-change baseline)...")
-    ref = _run_pipeline(kernels.REFERENCE, quantized, params, images, args.reps)
+    ref = _run_pipeline(oracle.Context, quantized, params, images, args.reps)
     print("end-to-end hybrid inference, fused kernels...")
-    fus = _run_pipeline(kernels.FUSED, quantized, params, images, args.reps)
+    fus = _run_pipeline(Context, quantized, params, images, args.reps)
 
     identity = {
         "logits": bool(np.array_equal(ref["result"].logits, fus["result"].logits)),

@@ -47,7 +47,6 @@ from repro.core.keyflow import (
     establish_user_keys,
 )
 from repro.core.pipeline import (
-    KERNEL_PROFILES,
     SCHEME_ALIASES,
     InferencePipeline,
     PipelineSpec,
@@ -88,7 +87,6 @@ __all__ = [
     "InferenceEnclave",
     "InferencePipeline",
     "InferenceResult",
-    "KERNEL_PROFILES",
     "MODES",
     "PipelineSpec",
     "SCHEME_ALIASES",

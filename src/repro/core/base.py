@@ -19,9 +19,8 @@ from repro.core.enclave_service import InferenceEnclave
 from repro.core.keyflow import establish_user_keys
 from repro.core.results import InferenceResult, stages_from_trace
 from repro.errors import PipelineError
-from repro.faults import EnclaveSupervisor, run_with_kernel_degradation
+from repro.faults import EnclaveSupervisor
 from repro.graph import executor as graph_executor
-from repro.he import kernels
 from repro.he.context import Ciphertext, Context
 from repro.he.decryptor import Decryptor
 from repro.he.encoders import ScalarEncoder
@@ -83,13 +82,7 @@ class GraphPipeline:
         return self.encryptor.encrypt(self.encoder.encode(pixels))
 
     def infer(self, images: np.ndarray) -> InferenceResult:
-        """One inference; degrades FUSED -> REFERENCE kernels and retries
-        once if the runtime equivalence guard trips (identical logits)."""
-        return run_with_kernel_degradation(
-            self.tracer, self.scheme, lambda: self._infer_once(images)
-        )
-
-    def _infer_once(self, images: np.ndarray) -> InferenceResult:
+        """One inference: a walk of the compiled graph."""
         graph, self.graph_report = self._plan.compiled()
         with self.tracer.span(
             self.scheme,
@@ -97,7 +90,6 @@ class GraphPipeline:
             counter=self.counter,
             side_channel=getattr(self.resources.enclave, "side_channel", None),
             **self.span_attrs,
-            kernel_mode=kernels.active().mode_name,
             graph_opt=self.graph_report.label,
             batch=int(images.shape[0]),
         ) as trace:
@@ -127,6 +119,9 @@ class EnclavePipeline(GraphPipeline):
         seed: reproducible randomness.
         trusted: False runs the same code (and the same recovery path)
             outside any enclave -- the paper's ``EncryptFakeSGX``.
+        context_type: the :class:`~repro.he.context.Context` class of the
+            pipeline's and its enclave's HE endpoints;
+            :class:`repro.he.oracle.Context` runs the reference formulas.
         **graph_options: forwarded to the scheme's graph builder.
     """
 
@@ -138,6 +133,7 @@ class EnclavePipeline(GraphPipeline):
         seed: int | None = None,
         *,
         trusted: bool = True,
+        context_type: type[Context] = Context,
         **graph_options,
     ) -> None:
         if not quantized.fits_plain_modulus(params.plain_modulus):
@@ -150,11 +146,12 @@ class EnclavePipeline(GraphPipeline):
         self.platform = platform if platform is not None else SgxPlatform()
         self.clock = self.platform.clock
         self.tracer = self.platform.tracer
-        self.context = Context(params)
+        self.context = context_type(params)
 
         # Load the trusted service under crash supervision.
         self.enclave = EnclaveSupervisor(
-            self.platform, InferenceEnclave, params, seed, trusted=trusted
+            self.platform, InferenceEnclave, params, seed, trusted=trusted,
+            context_type=context_type,
         )
         self.enclave.ecall("generate_keys")
 

@@ -46,6 +46,9 @@ class CryptonetsPipeline(GraphPipeline):
         params: FV parameters; must fit ``quantized.required_plain_modulus()``.
         seed: reproducible key/encryption randomness.
         clock: shared simulated clock (a fresh one by default).
+        context_type: the :class:`~repro.he.context.Context` class of the
+            pipeline's HE endpoints (:class:`repro.he.oracle.Context`: the
+            reference formulas).
     """
 
     scheme = "Encrypted"
@@ -60,6 +63,8 @@ class CryptonetsPipeline(GraphPipeline):
         params: EncryptionParams,
         seed: int | None = None,
         clock: SimClock | None = None,
+        *,
+        context_type: type[Context] = Context,
     ) -> None:
         if quantized.activation != "square":
             raise PipelineError(
@@ -73,7 +78,7 @@ class CryptonetsPipeline(GraphPipeline):
                 f"intermediates (need >= {quantized.required_plain_modulus()})"
             )
         self.quantized = quantized
-        self.context = Context(params)
+        self.context = context_type(params)
         self.clock = clock if clock is not None else SimClock()
         rng = np.random.default_rng(seed)
         keygen = KeyGenerator(self.context, rng)

@@ -67,11 +67,20 @@ class InferenceEnclave(Enclave):
     Args:
         params: FV parameter set the service operates under.
         seed: deterministic randomness for reproducible benchmarks.
+        context_type: the :class:`~repro.he.context.Context` class the
+            trusted decrypt and re-encrypt compute with
+            (:class:`repro.he.oracle.Context`: the reference formulas).
     """
 
-    def __init__(self, params: EncryptionParams, seed: int | None = None) -> None:
+    def __init__(
+        self,
+        params: EncryptionParams,
+        seed: int | None = None,
+        *,
+        context_type: type[Context] = Context,
+    ) -> None:
         super().__init__()
-        self._context = Context(params)
+        self._context = context_type(params)
         self._rng = np.random.default_rng(seed)
         self._keygen = KeyGenerator(self._context, self._rng)
         self._keys = None

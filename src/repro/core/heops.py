@@ -22,9 +22,9 @@ accumulator instead of a separate pass).  Both ride on the encoded weights
 into the one scalar-contraction kernel (:mod:`repro.he.contraction`), so
 they apply wherever it runs -- in-process, on the worker pool, in
 death-replay.  A layer that runs the per-tap reference loop instead
-(``REFERENCE`` profile, or weights past the int64 bound) produces the same
-bytes without them, and recorded op tallies always reflect the *reference*
-op structure (full tap counts).
+(weights encoded by the oracle context, :mod:`repro.he.oracle`, or past the
+int64 bound) produces the same bytes without them, and recorded op tallies
+always reflect the *reference* op structure (full tap counts).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.he import contraction, kernels, parallel
+from repro.he import contraction, parallel
 from repro.he.batching import (
     ClassLayout,
     ImageLayout,
@@ -323,21 +323,16 @@ def _plan_contraction(
     the int64 accumulator room for one more canonical residue term, so the
     kernel adds the bias before its single mod-p pass -- exact because
     ``(acc + bias) mod p == (acc mod p + bias) mod p``.  ``fused``: the
-    surviving weights keep the contraction inside int64 at all; otherwise
-    the layer runs the per-tap reference loop.
+    surviving weights keep the contraction inside the ring's deferred-sum
+    budget at all; otherwise (always, under the oracle's ring, which defers
+    no sum) the layer runs the per-tap reference loop.
     """
     nonzero = np.flatnonzero(values.any(axis=0))
     keep = None if nonzero.size == values.shape[1] else tuple(int(t) for t in nonzero)
     surviving = values[:, nonzero]
-    p_max = int(context.ring.primes.max())
-    fold_bias = contraction.bound_ok(surviving, p_max, slack=1)
-    return keep, fold_bias, fold_bias or contraction.bound_ok(surviving, p_max)
-
-
-def _runs_fused(weights: EncodedConvWeights | EncodedDenseWeights) -> bool:
-    """Whether a layer takes the fused kernel: the active profile asks for
-    it and the weights fit it.  Otherwise the per-tap reference loop runs."""
-    return kernels.active().fused_layers and weights.fused
+    budget = context.ring.max_sum_terms
+    fold_bias = contraction.bound_ok(surviving, budget, slack=1)
+    return keep, fold_bias, fold_bias or contraction.bound_ok(surviving, budget)
 
 
 def _add_bias(
@@ -389,7 +384,7 @@ def he_conv2d(
         raise PipelineError(f"{h}x{w} input is smaller than the {k}x{k} kernel")
     oh = (h - k) // s + 1
     ow = (w - k) // s + 1
-    if _runs_fused(weights):
+    if weights.fused:
         return _he_conv2d_fused(evaluator, ct, weights, oh, ow, lanes)
     per_channel: list[Ciphertext] = []
     for fi in range(weights.out_channels):
@@ -498,25 +493,9 @@ def he_scaled_mean_pool(
         raise PipelineError(f"pooling window must be >= 1, got {window}")
     if h % window or w % window:
         raise PipelineError(f"feature map {h}x{w} not divisible by window {window}")
-    if kernels.active().fused_layers:
-        pieces = [
-            ct[:, :, i::window, j::window].to_ntt().data
-            for i in range(window)
-            for j in range(window)
-        ]
-        summed = ct.context.ring.reduce_sum(np.stack(pieces), axis=0)
-        result = Ciphertext(ct.context, summed, is_ntt=True)
-        if evaluator.counter is not None:
-            evaluator.counter.record(
-                "ct_add", (window * window - 1) * max(1, result.batch_count)
-            )
-        return result
-    acc: Ciphertext | None = None
-    for i in range(window):
-        for j in range(window):
-            piece = ct[:, :, i::window, j::window]
-            acc = piece if acc is None else evaluator.add(acc, piece)
-    return acc
+    return evaluator.add_many(
+        [ct[:, :, i::window, j::window] for i in range(window) for j in range(window)]
+    )
 
 
 def he_dense(
@@ -544,7 +523,7 @@ def he_dense(
         raise PipelineError(
             f"dense operand covers {weights.in_features} inputs, ciphertext provides {d}"
         )
-    if _runs_fused(weights):
+    if weights.fused:
         return _he_dense_fused(evaluator, flat, weights, lanes)
     outputs: list[Ciphertext] = []
     for oi, row in enumerate(weights.weight_matrix):

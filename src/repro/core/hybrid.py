@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from repro.core.base import EnclavePipeline
 from repro.errors import PipelineError
+from repro.he.context import Context
 from repro.he.params import EncryptionParams
 from repro.nn.quantize import QuantizedCNN
 from repro.sgx.enclave import SgxPlatform
@@ -49,6 +50,7 @@ class HybridPipeline(EnclavePipeline):
         platform: the simulated SGX machine (fresh one by default).
         mode: ``batched`` | ``per_pixel`` | ``fake`` (see module docstring).
         seed: reproducible randomness.
+        context_type: see :class:`~repro.core.base.EnclavePipeline`.
     """
 
     graph_kind = "hybrid"
@@ -60,6 +62,8 @@ class HybridPipeline(EnclavePipeline):
         platform: SgxPlatform | None = None,
         mode: str = "batched",
         seed: int | None = None,
+        *,
+        context_type: type[Context] = Context,
     ) -> None:
         if mode not in MODES:
             raise PipelineError(f"mode must be one of {MODES}, got {mode!r}")
@@ -81,6 +85,7 @@ class HybridPipeline(EnclavePipeline):
         # "fake" runs the same code (and the same recovery path) with no
         # enclave.
         super().__init__(
-            quantized, params, platform, seed, trusted=(mode != "fake"), mode=mode
+            quantized, params, platform, seed, trusted=(mode != "fake"),
+            context_type=context_type, mode=mode,
         )
         self.span_attrs = {"mode": mode}

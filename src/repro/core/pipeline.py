@@ -84,10 +84,6 @@ def resolve_scheme(scheme: str) -> str:
     return canonical
 
 
-#: Kernel profile names a :class:`PipelineSpec` accepts.
-KERNEL_PROFILES = ("fused", "reference")
-
-
 @dataclass(frozen=True)
 class PipelineSpec:
     """Declarative description of a pipeline / serving deployment.
@@ -95,9 +91,9 @@ class PipelineSpec:
     One frozen value captures everything :func:`build_pipeline`,
     ``EdgeServer.from_spec`` and the benchmarks previously spread over
     positional arguments and ad-hoc keywords: the scheme, how to size (or
-    which exact) FV parameters, the hot-path kernel profile, the enclave
-    fleet size, and the serving queue bounds.  Being frozen, a spec can sit
-    in a bench baseline or a CLI flag table and be reused without aliasing.
+    which exact) FV parameters, the enclave fleet size, and the serving
+    queue bounds.  Being frozen, a spec can sit in a bench baseline or a CLI
+    flag table and be reused without aliasing.
 
     Attributes:
         scheme: canonical name or alias from :data:`SCHEME_ALIASES`
@@ -108,9 +104,6 @@ class PipelineSpec:
         batching: auto-size a prime plaintext modulus (``batching=True`` of
             :func:`~repro.core.config.parameters_for_pipeline`) instead of a
             power of two.  Lanes pack under either.
-        kernel_profile: ``"fused"`` or ``"reference"`` to install that
-            hot-path profile at build time; None leaves the process profile
-            untouched.
         workers: pool worker processes to install process-wide
             at build time (``repro.he.parallel``); ``1`` forces the
             in-process path, ``None`` leaves the active setting (the
@@ -136,7 +129,6 @@ class PipelineSpec:
     params: "EncryptionParams | None" = None
     poly_degree: int = 1024
     batching: bool = False
-    kernel_profile: str | None = None
     workers: int | None = None
     graph_optimizer: str | None = None
     fleet_size: int = 1
@@ -148,11 +140,6 @@ class PipelineSpec:
         object.__setattr__(self, "scheme", resolve_scheme(self.scheme))
         if self.poly_degree < 2:
             raise PipelineError("poly_degree must be >= 2")
-        if self.kernel_profile is not None and self.kernel_profile not in KERNEL_PROFILES:
-            raise PipelineError(
-                f"kernel_profile must be one of {KERNEL_PROFILES}, "
-                f"got {self.kernel_profile!r}"
-            )
         if self.workers is not None and self.workers < 1:
             raise PipelineError("workers must be >= 1 (or None to inherit)")
         if self.graph_optimizer is not None:
@@ -181,16 +168,6 @@ class PipelineSpec:
             )
         return parameters_for_pipeline(
             quantized, self.poly_degree, batching=self.batching
-        )
-
-    def apply_kernel_profile(self) -> None:
-        """Install the spec's kernel profile process-wide (no-op when None)."""
-        if self.kernel_profile is None:
-            return
-        from repro.he import kernels
-
-        kernels.configure(
-            kernels.FUSED if self.kernel_profile == "fused" else kernels.REFERENCE
         )
 
     def apply_workers(self) -> None:
@@ -244,8 +221,8 @@ def build_pipeline(
             :data:`SCHEME_ALIASES` -- ``plaintext``, ``cryptonets`` /
             ``encrypted``, ``hybrid`` / ``encryptsgx``, ``simd``, ``deep``
             -- or a declarative :class:`PipelineSpec`, whose parameters,
-            kernel profile, ``batching`` choice and stored ``options`` all
-            apply (explicit ``params`` / ``**opts`` here still win).
+            ``batching`` choice and stored ``options`` all apply (explicit
+            ``params`` / ``**opts`` here still win).
         quantized: the integer model (a
             :class:`~repro.nn.quantize.QuantizedCNN`, or a
             :class:`~repro.nn.deep.DeepQuantizedCNN` for ``deep``).
@@ -266,7 +243,6 @@ def build_pipeline(
     """
     if isinstance(scheme, PipelineSpec):
         spec = scheme
-        spec.apply_kernel_profile()
         spec.apply_workers()
         spec.apply_graph_optimizer()
         canonical = spec.scheme

@@ -45,7 +45,7 @@ from repro.core.enclave_service import InferenceEnclave
 from repro.core.keyflow import SgxKeyDistribution, UserClient
 from repro.core.results import InferenceResult, stages_from_trace
 from repro.errors import EncodingError, PipelineError, UnknownModelError
-from repro.faults import EnclaveSupervisor, FleetManager, run_with_kernel_degradation
+from repro.faults import EnclaveSupervisor, FleetManager
 from repro.graph import executor as graph_executor
 from repro.graph import ir as graph_ir
 from repro.he import serialize as he_serialize
@@ -190,6 +190,9 @@ class EdgeServer:
             historical single-enclave server).  Replica 0 generates the key
             pair; the rest join via quote-verified sealed-key migration, so
             every replica decrypts and refreshes with the same keys.
+        context_type: the :class:`~repro.he.context.Context` class of the
+            server's evaluator and of every replica's enclave
+            (:class:`repro.he.oracle.Context`: the reference formulas).
     """
 
     def __init__(
@@ -200,12 +203,14 @@ class EdgeServer:
         serve_config: ServeConfig | None = None,
         *,
         fleet_size: int = 1,
+        context_type: type[Context] = Context,
     ) -> None:
         self.params = params
         self.platform = platform if platform is not None else SgxPlatform()
-        self.context = Context(params)
+        self.context = context_type(params)
         self.fleet = FleetManager(
-            self.platform, InferenceEnclave, params, seed, replicas=fleet_size
+            self.platform, InferenceEnclave, params, seed, replicas=fleet_size,
+            context_type=context_type,
         )
         self.fleet.generate_keys()
         self.quoting = QuotingService(self.platform)
@@ -229,10 +234,8 @@ class EdgeServer:
     ) -> "EdgeServer":
         """Build a server from a declarative :class:`~repro.core.pipeline.
         PipelineSpec`: parameters (exact, or auto-sized against
-        ``sizing_model``), kernel profile, flush worker count, graph
-        optimizer level, fleet size and queue bounds all come from the
-        spec."""
-        spec.apply_kernel_profile()
+        ``sizing_model``), flush worker count, graph optimizer level, fleet
+        size and queue bounds all come from the spec."""
         spec.apply_workers()
         spec.apply_graph_optimizer()
         return cls(
@@ -421,11 +424,6 @@ class EdgeServer:
             if not response.done():
                 self.scheduler.drain(request.model)
             return response.result()
-        return run_with_kernel_degradation(
-            self.platform.tracer, SERVED_SCHEME, lambda: self._serve(request)
-        )
-
-    def _serve(self, request: InferenceRequest) -> ServedResult:
         enclave = self.enclave
         # The request's context is ambient while the pipeline span opens,
         # so the tracer stamps trace_id / trace_parent on it.

@@ -32,14 +32,6 @@ class SerializationError(ParameterError):
     """
 
 
-class KernelGuardError(ReproError, RuntimeError):
-    """The runtime kernel-equivalence guard tripped for the FUSED profile.
-
-    Recovery is graceful degradation: the serving stack switches to the
-    REFERENCE kernel profile and retries (see ``repro.he.kernels.degrade``).
-    """
-
-
 class GraphPassError(ReproError, RuntimeError):
     """A graph-optimizer pass failed mid-compile.
 

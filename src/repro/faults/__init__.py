@@ -31,7 +31,6 @@ from repro.faults.recovery import (
     EnclaveSupervisor,
     FleetManager,
     RetryPolicy,
-    run_with_kernel_degradation,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "inject",
     "is_armed",
     "poll",
-    "run_with_kernel_degradation",
 ]

@@ -39,7 +39,6 @@ Instrumented sites (see DESIGN.md §11 for the recovery semantics):
 ``he.serialize.deserialize`` wire bytes are corrupted before parsing
                            (bit flip or truncation, per ``rule.action``)
 ``he.noise.decrypt``       the noise budget is exhausted at decrypt time
-``he.kernels.guard``       the FUSED/REFERENCE equivalence guard trips
 ``serve.loop.timer``       timer storm: the serving loop's deadline timer is
                            duplicated many times over; dispatch must stay
                            idempotent (a perturbation -- results unchanged)

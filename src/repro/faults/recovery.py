@@ -72,37 +72,6 @@ class RetryPolicy:
         return self.backoff_s * self.backoff_factor ** (restart - 1)
 
 
-def run_with_kernel_degradation(tracer, scheme: str, fn):
-    """Run one inference with graceful FUSED -> REFERENCE degradation.
-
-    ``fn`` is the pipeline's single-shot inference; the kernel equivalence
-    guard (:func:`repro.he.kernels.guard`) is consulted first.  If it trips
-    -- :class:`~repro.errors.KernelGuardError`, only reachable through an
-    armed fault plan -- the library permanently falls back to the reference
-    profile, records a ``recovery/kernel_degrade`` span, and retries once.
-    Both profiles are bit-identical by construction, so the caller observes
-    the same logits either way; what changes is the performance profile,
-    which the trace records.
-    """
-    from repro.errors import KernelGuardError
-    from repro.he import kernels
-    from repro.obs import metrics
-
-    kernels.record_active_profile()
-    try:
-        kernels.guard(scheme)
-        return fn()
-    except KernelGuardError as trip:
-        with tracer.span(
-            "recovery/kernel_degrade", kind="span", scheme=scheme, error=str(trip)
-        ):
-            kernels.degrade_to_reference()
-            metrics.family("repro_recovery_kernel_degradations_total").labels(
-                scheme=scheme
-            ).inc()
-        return fn()
-
-
 class EnclaveSupervisor:
     """A crash-aware drop-in for :class:`~repro.sgx.enclave.EnclaveHandle`.
 

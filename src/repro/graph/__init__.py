@@ -7,7 +7,7 @@ noise budgets from :class:`repro.he.noise.NoiseEstimator`, applies at
 level ``safe`` the one rewrite that changes the graph -- budget-gated
 coefficient packing of a scalar-layout enclave crossing -- and executes the
 compiled graph bit-identically to the unoptimized reference, the same
-contract the FUSED/REFERENCE kernel split enforces.  Exact rewrites that are facts about a single operand are not
+contract the kernels keep with the oracle (:mod:`repro.he.oracle`).  Exact rewrites that are facts about a single operand are not
 graph passes: they run unconditionally where the operand is built
 (``heops.encode_*_weights``, ``Encryptor.encrypt``, ``Evaluator.square``,
 ``pack_coefficients``).

@@ -1,10 +1,8 @@
 """Graph-optimizer configuration and compiler.
 
-Mirrors the FUSED/REFERENCE switch in :mod:`repro.he.kernels`: a
-process-wide level (``off``/``safe``), an env override
+A process-wide level (``off``/``safe``), an env override
 (``REPRO_GRAPH_OPT``), a ``use()`` context manager for tests, a one-hot
-gauge recording the active level, and — the part the kernel layer does
-not need — graceful degradation: a pass that raises mid-compile (the
+gauge recording the active level, and graceful degradation: a pass that raises mid-compile (the
 ``graph.pass`` fault site) discards the partially rewritten graph and
 falls back to the unoptimized reference graph, counted by the
 ``repro_graph_degradations_total`` metric.  Execution of a degraded

@@ -29,13 +29,6 @@ from repro.he.decryptor import Decryptor, decrypt_scalar_values
 from repro.he.encoders import FractionalEncoder, IntegerEncoder, ScalarEncoder
 from repro.he.encryptor import Encryptor, SymmetricEncryptor
 from repro.he.evaluator import Evaluator, OperationCounter, PlainOperand
-from repro.he.kernels import (
-    FUSED,
-    REFERENCE,
-    KernelProfile,
-    fused_kernels,
-    reference_kernels,
-)
 from repro.he.keys import KeyGenerator, KeyPair, PublicKey, RelinKeys, SecretKey
 from repro.he.noise import NoiseEstimator
 from repro.he.parallel import WorkerPool, active_workers, default_workers
@@ -56,10 +49,8 @@ __all__ = [
     "EncryptionParams",
     "Encryptor",
     "Evaluator",
-    "FUSED",
     "FractionalEncoder",
     "IntegerEncoder",
-    "KernelProfile",
     "KeyGenerator",
     "KeyPair",
     "NoiseEstimator",
@@ -67,7 +58,6 @@ __all__ = [
     "PlainOperand",
     "Plaintext",
     "PublicKey",
-    "REFERENCE",
     "RelinKeys",
     "ScalarEncoder",
     "SecretKey",
@@ -79,8 +69,6 @@ __all__ = [
     "default_workers",
     "stacked_view",
     "functional_parameters",
-    "fused_kernels",
     "paper_parameters",
-    "reference_kernels",
     "small_parameter_options",
 ]

@@ -12,21 +12,36 @@ is what makes the pure-Python pipelines fast enough to run end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import KeyMismatchError, ParameterError
 from repro.he.params import EncryptionParams
-from repro.he.polyring import AuxBasis, PolyContext, aux_primes
+from repro.he.polyring import AuxBasis, PolyContext, _mod_rows, aux_primes
+
+#: Coefficients (ciphertexts x n) per chunk of the RNS tensor product: 16
+#: ciphertexts at n = 256, one at n = 4096.  Large enough to amortise the
+#: numpy calls, small enough that a layer-sized batch leaves no heap behind.
+_TENSOR_CHUNK_COEFFS = 1 << 12
 
 
 class Context:
-    """Runtime companion of an :class:`EncryptionParams` instance."""
+    """Runtime companion of an :class:`EncryptionParams` instance.
+
+    Its ring and its two ciphertext-multiply kernels (:meth:`tensor_product`,
+    :meth:`relin_digits`) are the library's one kernel set;
+    :class:`repro.he.oracle.Context` is the same interface over the
+    reference formulas.
+    """
+
+    #: The RNS arithmetic this context computes with.
+    ring_type: type[PolyContext] = PolyContext
 
     def __init__(self, params: EncryptionParams) -> None:
         self.params = params
-        self.ring = PolyContext(params.poly_degree, params.coeff_primes)
+        self.ring = self.ring_type(params.poly_degree, params.coeff_primes)
         # NTT rows of x^0, x^1, ... grown on demand (at most poly_degree of
         # them) by :func:`repro.he.batching.pack_coefficients`.
         self._monomial_ntt: np.ndarray | None = None
@@ -65,11 +80,61 @@ class Context:
         return f"Context({self.params.describe()})"
 
     def check_same(self, other: "Context") -> None:
+        """Objects of two contexts mix iff their parameters are equal, so a
+        ciphertext crosses between a context and its oracle unchanged."""
         if other is not self and other.params != self.params:
             raise KeyMismatchError(
                 "objects belong to different encryption contexts: "
                 f"{self.params.name} vs {other.params.name}"
             )
+
+    def tensor_product(
+        self, ct0: "Ciphertext", ct1: "Ciphertext", batch: tuple[int, ...]
+    ) -> np.ndarray:
+        """Coefficient-domain ``(*batch, 3, k, n)`` residues of the FV tensor
+        product ``round(t/q * ct0 x ct1)``, in int64: the product runs
+        pointwise per prime over q's primes and the auxiliary basis, and
+        :meth:`AuxBasis.scale_round` divides there (DESIGN.md section 10).
+
+        The flattened batch is processed ``_TENSOR_CHUNK_COEFFS`` coefficients
+        at a time, so the transient is a few MiB whatever the batch; an
+        operand is inverse-transformed and lifted once per chunk, and once in
+        all when both factors are the same ciphertext.
+        """
+        ring = self.ring
+        basis = self.aux_basis
+        tail = (2, ring.k, ring.n)
+        count = math.prod(batch)
+        a = np.broadcast_to(ct0.data, (*batch, *tail)).reshape(count, *tail)
+        b = np.broadcast_to(ct1.data, (*batch, *tail)).reshape(count, *tail)
+        out = np.empty((count, 3, ring.k, ring.n), dtype=np.int64)
+        step = max(1, _TENSOR_CHUNK_COEFFS // ring.n)
+
+        def both_bases(data: np.ndarray, is_ntt: bool) -> tuple[np.ndarray, np.ndarray]:
+            coeff = ring.intt(data) if is_ntt else data
+            in_ring = data if is_ntt else ring.ntt(data)
+            return in_ring, basis.plan.forward(basis.lift(coeff))
+
+        for lo in range(0, count, step):
+            x_ring, x_aux = both_bases(a[lo : lo + step], ct0.is_ntt)
+            if ct1 is ct0:
+                y_ring, y_aux = x_ring, x_aux
+            else:
+                y_ring, y_aux = both_bases(b[lo : lo + step], ct1.is_ntt)
+            out[lo : lo + step] = basis.scale_round(
+                ring.intt(_tensor_product(x_ring, y_ring, ring.primes)),
+                basis.plan.inverse(_tensor_product(x_aux, y_aux, basis.primes)),
+            )
+        return out.reshape(*batch, 3, ring.k, ring.n)
+
+    def relin_digits(self, c2: np.ndarray):
+        """Base-``w`` digits of the ``[0, q)`` lift of ``c2``, low to high,
+        by limb arithmetic on its mixed-radix form."""
+        params = self.params
+        radix = self.ring.radix
+        yield from radix.limbs(
+            radix.digits(c2), params.decomposition_bits, params.decomposition_count
+        )
 
 
 @dataclass
@@ -179,3 +244,20 @@ class Ciphertext:
 
     def byte_size(self) -> int:
         return self.data.nbytes
+
+
+def _tensor_product(x: np.ndarray, y: np.ndarray, primes) -> np.ndarray:
+    """``(x0 y0, x0 y1 + x1 y0, x1 y1)`` pointwise modulo each prime, for
+    NTT-domain pairs of shape ``(C, 2, K, n)``.  Residues are below ``2^31``,
+    so the middle sum of two products stays below ``2^63`` unreduced; for a
+    square (``y is x``) it is ``2 x0 x1``, one product doubled, and
+    ``2 (2^31 - 1)^2 < 2^63`` as well."""
+    out = np.empty((x.shape[0], 3, *x.shape[2:]), dtype=np.int64)
+    np.multiply(x[:, 0], y[:, 0], out=out[:, 0])
+    np.multiply(x[:, 0], y[:, 1], out=out[:, 1])
+    if y is x:
+        out[:, 1] += out[:, 1]
+    else:
+        out[:, 1] += x[:, 1] * y[:, 0]
+    np.multiply(x[:, 1], y[:, 1], out=out[:, 2])
+    return _mod_rows(out, primes)

@@ -23,18 +23,19 @@ import numpy as np
 
 from repro.he.polyring import _mod_rows
 
-_INT64_MAX = (1 << 63) - 1
 
-
-def bound_ok(values: np.ndarray, p_max: int, slack: int = 0) -> bool:
+def bound_ok(values: np.ndarray, max_terms: int, slack: int = 0) -> bool:
     """True when ``sum_j(w_j * x_j)`` over one row of ``values``, with
-    ``|w_j| <= max|values|`` and ``0 <= x_j < p_max``, cannot overflow int64
-    -- the kernels' deferred single-reduction contract.  ``slack`` budgets
-    extra weight-1 residue terms (a folded bias adds one)."""
+    ``|w_j| <= max|values|`` and canonical residues ``x_j``, is at most
+    ``max_terms`` residues deep (a ring's
+    :attr:`~repro.he.polyring.PolyContext.max_sum_terms`), so it cannot
+    overflow int64 -- the kernels' deferred single-reduction contract.
+    ``slack`` budgets extra weight-1 residue terms (a folded bias adds
+    one)."""
     if values.size == 0:
         return False
     w_max = int(np.abs(values).max())
-    return (values.shape[-1] * w_max + slack) * (p_max - 1) <= _INT64_MAX
+    return values.shape[-1] * w_max + slack <= max_terms
 
 
 def _reduce(acc: np.ndarray, bias: np.ndarray | None, primes) -> None:

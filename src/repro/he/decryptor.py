@@ -16,7 +16,6 @@ import numpy as np
 
 from repro import faults
 from repro.errors import EncodingError, NoiseBudgetExhausted
-from repro.he import kernels
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.keys import SecretKey
 from repro.he.polyring import SCALE_ROUND_MAX_NUMER, _mod_rows
@@ -53,12 +52,12 @@ class Decryptor:
         return acc
 
     def _use_int64(self) -> bool:
-        """Whether decrypt arithmetic stays in machine words: fused profile,
-        ``q < 2^62`` (Garner lift) and ``t < 2^50`` (rounding kernel)."""
+        """Whether decrypt arithmetic stays in machine words: the ring's
+        int64 lift (``q < 2^62``, not the oracle's) and ``t < 2^50``
+        (rounding kernel)."""
         params = self.context.params
         return (
-            kernels.active().fast_decrypt
-            and self.context.ring.q_fits_int64
+            self.context.ring.int64_lift
             and params.plain_modulus < SCALE_ROUND_MAX_NUMER
         )
 
@@ -199,17 +198,19 @@ class Decryptor:
 
 
 def decrypt_scalar_values(decryptor: Decryptor, encoder, ct: Ciphertext) -> np.ndarray:
-    """Decrypt + decode a scalar-encoded ciphertext under the active kernels.
+    """Decrypt + decode a scalar-encoded ciphertext.
 
-    Under the fused profile (and an int64-liftable ``q``) this takes the
-    O(n)-per-value :meth:`Decryptor.decrypt_constants` shortcut; otherwise it
-    runs the reference ``encoder.decode(decryptor.decrypt(ct))`` path.  Both
-    return the same centered int64 values (and raise
-    :class:`~repro.errors.EncodingError` for a non-constant plaintext) --
-    the pipelines' decrypt stages and the enclave's trusted decrypt both
+    On a ring with the int64 lift this takes the O(n)-per-value
+    :meth:`Decryptor.decrypt_constants` shortcut; otherwise (a wide ``q``, or
+    the oracle's ring) it runs ``encoder.decode(decryptor.decrypt(ct))``.
+    For a scalar-encoded plaintext both return the same centered int64
+    values.  They differ on a non-constant one: the full decode raises
+    :class:`~repro.errors.EncodingError` for any non-constant coefficient,
+    the shortcut only when probe coefficient ``1`` or ``n/2`` is nonzero --
+    the one documented divergence between the oracle and production.  The
+    pipelines' decrypt stages and the enclave's trusted decrypt both
     dispatch here, so the choice is made once.
     """
-    ring = decryptor.context.ring
-    if kernels.active().fast_decrypt and ring.q_fits_int64:
+    if decryptor.context.ring.int64_lift:
         return decryptor.decrypt_constants(ct)
     return encoder.decode(decryptor.decrypt(ct))

@@ -13,18 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.he import kernels
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.keys import PublicKey, SecretKey
-
-
-def _transform_sampled(ring, *polys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Forward-transform freshly sampled polynomials: one stacked transform
-    under the stacked-NTT profile instead of one each -- same values, fuller
-    row blocks."""
-    if kernels.active().stacked_ntt:
-        return tuple(ring.ntt(np.stack(polys)))
-    return tuple(ring.ntt(poly) for poly in polys)
 
 
 def add_delta_m(context: Context, noise: np.ndarray, plain: Plaintext) -> np.ndarray:
@@ -36,7 +26,7 @@ def add_delta_m(context: Context, noise: np.ndarray, plain: Plaintext) -> np.nda
     product is never built; every other column of ``noise`` would have zero
     added, which leaves canonical residues untouched.  Any plaintext with a
     higher coefficient set takes the full-array formula.  Same bytes either
-    way, under both kernel profiles.
+    way.
     """
     ring = context.ring
     delta = context.params.delta
@@ -78,9 +68,9 @@ class Encryptor:
         ternary = ring.sample_ternary(self.rng, *batch)
         e1 = ring.sample_noise(self.rng, params.noise_stddev, *batch)
         e2 = ring.sample_noise(self.rng, params.noise_stddev, *batch)
-        u, t1, t2 = _transform_sampled(
-            ring, ternary, add_delta_m(self.context, e1, plain), e2
-        )
+        # One stacked transform instead of one each: same values, fuller
+        # row blocks.
+        u, t1, t2 = ring.ntt(np.stack([ternary, add_delta_m(self.context, e1, plain), e2]))
         c0 = ring.add(ring.pointwise_mul(self.public_key.p0_ntt, u), t1)
         c1 = ring.add(ring.pointwise_mul(self.public_key.p1_ntt, u), t2)
         data = np.stack([c0, c1], axis=-3)

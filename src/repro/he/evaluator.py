@@ -5,16 +5,19 @@ Implements the paper's Section II-B evaluation algorithms:
 * ``Add(ct0, ct1)``: component-wise sum.
 * ``Multiply(ct0, ct1)``: FV tensor product -- the three cross products are
   *exact* integer negacyclic convolutions, scaled by ``t/q`` with true
-  rounding, yielding a size-3 ciphertext.  Under the fused kernel profile
-  they never leave int64: the product runs pointwise per prime over ``q``'s
-  primes and the context's auxiliary basis (:class:`~repro.he.polyring.AuxBasis`)
-  and the division is an exact RNS base conversion with a checked
-  post-condition.  Under ``REFERENCE`` the same integers are Python ints
-  (auxiliary-prime CRT, ``scale_and_round``) -- the oracle.
+  rounding, yielding a size-3 ciphertext.  They never leave int64: the
+  product runs pointwise per prime over ``q``'s primes and the context's
+  auxiliary basis (:class:`~repro.he.polyring.AuxBasis`) and the division is
+  an exact RNS base conversion with a checked post-condition.  The oracle
+  context (:mod:`repro.he.oracle`) computes the same integers in Python ints
+  (auxiliary-prime CRT, ``scale_and_round``).
 * ``relinearize``: base-``w`` digit decomposition of ``c2`` against the
   evaluation keys, shrinking size 3 back to 2.  The digits come off the
-  mixed-radix form of ``c2`` by limb arithmetic (fused) or off its Python-int
-  lift by shifts (reference).
+  mixed-radix form of ``c2`` by limb arithmetic (the oracle: off its
+  Python-int lift by shifts).
+
+Every formula that differs between the two is a method of the evaluator's
+context or its ring, so the evaluator itself has one code path.
 
 All operations accept batched ciphertexts (leading axes) and most are pure
 pointwise numpy work because ciphertexts rest in NTT domain.
@@ -26,21 +29,14 @@ The evaluator optionally records operation counts in an
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import KeyMismatchError, ParameterError
-from repro.he import arena, kernels
+from repro.he import arena
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.keys import RelinKeys
-from repro.he.polyring import _mod_rows
-
-#: Coefficients (ciphertexts x n) per chunk of the RNS tensor product: 16
-#: ciphertexts at n = 256, one at n = 4096.  Large enough to amortise the
-#: numpy calls, small enough that a layer-sized batch leaves no heap behind.
-_TENSOR_CHUNK_COEFFS = 1 << 12
 
 
 @dataclass
@@ -184,7 +180,7 @@ class Evaluator:
             ct.size == first.size and ct.batch_shape == first.batch_shape
             for ct in cts[1:]
         )
-        if uniform and kernels.active().fused_layers:
+        if uniform:
             # One stacked reduction (and one trailing %) instead of a
             # sequential O(len) fold of add() allocations; the op tally
             # matches the fold exactly.  Arena-backed siblings (adjacent
@@ -277,7 +273,8 @@ class Evaluator:
         return result
 
     def multiply(self, ct0: Ciphertext, ct1: Ciphertext) -> Ciphertext:
-        """``Multiply(ct0, ct1)``: exact FV tensor product, size 2x2 -> 3."""
+        """``Multiply(ct0, ct1)``: exact FV tensor product, size 2x2 -> 3
+        (:meth:`Context.tensor_product`)."""
         self._check(ct0, ct1)
         if ct0.size != 2 or ct1.size != 2:
             raise ParameterError(
@@ -285,68 +282,10 @@ class Evaluator:
                 f"(got sizes {ct0.size} and {ct1.size})"
             )
         batch = _broadcast_batch("multiply", ct0, ct1)
-        if kernels.active().fused_layers:
-            data = self._tensor_rns(ct0, ct1, batch)
-        else:
-            data = self._tensor_bigint(ct0, ct1)
+        data = self.context.tensor_product(ct0, ct1, batch)
         result = Ciphertext(self.context, data, is_ntt=False)
         self._record("ct_mul", result)
         return result
-
-    def _tensor_bigint(self, ct0: Ciphertext, ct1: Ciphertext) -> np.ndarray:
-        """The oracle: Python-int tensor product, ``round(t c / q)`` on it."""
-        ring = self.context.ring
-        params = self.context.params
-        a = ct0.to_coeff().data
-        b = a if ct1 is ct0 else ct1.to_coeff().data
-        a0 = ring.to_bigint_centered(a[..., 0, :, :])
-        a1 = ring.to_bigint_centered(a[..., 1, :, :])
-        b0 = ring.to_bigint_centered(b[..., 0, :, :])
-        b1 = ring.to_bigint_centered(b[..., 1, :, :])
-        c0 = ring.convolve_exact(a0, b0)
-        c1 = ring.convolve_exact(a0, b1) + ring.convolve_exact(a1, b0)
-        c2 = ring.convolve_exact(a1, b1)
-        t, q = params.plain_modulus, params.coeff_modulus
-        parts = [ring.scale_and_round(c, t, q) for c in (c0, c1, c2)]
-        return np.stack(parts, axis=-3)
-
-    def _tensor_rns(
-        self, ct0: Ciphertext, ct1: Ciphertext, batch: tuple[int, ...]
-    ) -> np.ndarray:
-        """The same integers in int64: the product runs pointwise per prime
-        over q's primes and the context's auxiliary basis, and
-        :meth:`AuxBasis.scale_round` divides there (DESIGN.md section 10).
-
-        The flattened batch is processed ``_TENSOR_CHUNK_COEFFS`` coefficients
-        at a time, so the transient is a few MiB whatever the batch; an
-        operand is inverse-transformed and lifted once per chunk, and once in
-        all when both factors are the same ciphertext.
-        """
-        ring = self.context.ring
-        basis = self.context.aux_basis
-        tail = (2, ring.k, ring.n)
-        count = math.prod(batch)
-        a = np.broadcast_to(ct0.data, (*batch, *tail)).reshape(count, *tail)
-        b = np.broadcast_to(ct1.data, (*batch, *tail)).reshape(count, *tail)
-        out = np.empty((count, 3, ring.k, ring.n), dtype=np.int64)
-        step = max(1, _TENSOR_CHUNK_COEFFS // ring.n)
-
-        def both_bases(data: np.ndarray, is_ntt: bool) -> tuple[np.ndarray, np.ndarray]:
-            coeff = ring.intt(data) if is_ntt else data
-            in_ring = data if is_ntt else ring.ntt(data)
-            return in_ring, basis.plan.forward(basis.lift(coeff))
-
-        for lo in range(0, count, step):
-            x_ring, x_aux = both_bases(a[lo : lo + step], ct0.is_ntt)
-            if ct1 is ct0:
-                y_ring, y_aux = x_ring, x_aux
-            else:
-                y_ring, y_aux = both_bases(b[lo : lo + step], ct1.is_ntt)
-            out[lo : lo + step] = basis.scale_round(
-                ring.intt(_tensor_product(x_ring, y_ring, ring.primes)),
-                basis.plan.inverse(_tensor_product(x_aux, y_aux, basis.primes)),
-            )
-        return out.reshape(*batch, 3, ring.k, ring.n)
 
     def square(self, ct: Ciphertext) -> Ciphertext:
         """Homomorphic squaring (CryptoNets' activation substitute):
@@ -376,31 +315,17 @@ class Evaluator:
         # are transformed one at a time as it consumes them: stacking the
         # transforms is no faster and multiplies the transient by their
         # count.  A digit is the same small integers under every prime, so
-        # the stacked transform takes it as one (..., 1, n) row.
-        c2_digits = self._relin_digits(coeff[..., 2, :, :])
-        if kernels.active().stacked_ntt:
-            digits = (ring.ntt(d[..., None, None, :]) for d in c2_digits)
-        else:
-            digits = (ring.ntt(ring.from_signed_small(d))[..., None, :, :] for d in c2_digits)
+        # the transform takes it as one (..., 1, n) row.
+        digits = (
+            ring.ntt(d[..., None, None, :])
+            for d in self.context.relin_digits(coeff[..., 2, :, :])
+        )
         data = ring.pointwise_mul_sum(
             digits, relin_keys.stacked_ntt, start=ring.ntt(coeff[..., :2, :, :])
         )
         result = Ciphertext(self.context, data, is_ntt=True)
         self._record("relinearize", result)
         return result
-
-    def _relin_digits(self, c2: np.ndarray):
-        """Base-``w`` digits of the ``[0, q)`` lift of ``c2``, low to high."""
-        ring = self.context.ring
-        params = self.context.params
-        bits, count = params.decomposition_bits, params.decomposition_count
-        if kernels.active().fused_layers:
-            yield from ring.radix.limbs(ring.radix.digits(c2), bits, count)
-            return
-        c2_big = ring.to_bigint(c2)  # the oracle: shifts of the Python-int lift
-        mask = params.decomposition_base - 1
-        for i in range(count):
-            yield ((c2_big >> (bits * i)) & mask).astype(np.int64)
 
 
 def _broadcast_batch(op: str, ct0: Ciphertext, ct1: Ciphertext) -> tuple[int, ...]:
@@ -411,20 +336,3 @@ def _broadcast_batch(op: str, ct0: Ciphertext, ct1: Ciphertext) -> tuple[int, ..
         raise ParameterError(
             f"{op}: batch shapes {ct0.batch_shape} and {ct1.batch_shape} do not broadcast"
         ) from None
-
-
-def _tensor_product(x: np.ndarray, y: np.ndarray, primes) -> np.ndarray:
-    """``(x0 y0, x0 y1 + x1 y0, x1 y1)`` pointwise modulo each prime, for
-    NTT-domain pairs of shape ``(C, 2, K, n)``.  Residues are below ``2^31``,
-    so the middle sum of two products stays below ``2^63`` unreduced; for a
-    square (``y is x``) it is ``2 x0 x1``, one product doubled, and
-    ``2 (2^31 - 1)^2 < 2^63`` as well."""
-    out = np.empty((x.shape[0], 3, *x.shape[2:]), dtype=np.int64)
-    np.multiply(x[:, 0], y[:, 0], out=out[:, 0])
-    np.multiply(x[:, 0], y[:, 1], out=out[:, 1])
-    if y is x:
-        out[:, 1] += out[:, 1]
-    else:
-        out[:, 1] += x[:, 1] * y[:, 0]
-    np.multiply(x[:, 1], y[:, 1], out=out[:, 2])
-    return _mod_rows(out, primes)

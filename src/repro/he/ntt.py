@@ -11,8 +11,8 @@ array of shape ``(..., n)`` is transformed along its last axis in one call.
 Primes are restricted to < 2^31 so every intermediate product fits in int64.
 
 :class:`NttPlan` is that butterfly loop for one prime: the single-prime
-oracle and the engine of the reference profile.  :class:`StackedNttPlan`
-computes the same transform of a whole ``(..., k, n)`` residue tensor as a
+oracle and the engine of the oracle ring (:mod:`repro.he.oracle`).
+:class:`StackedNttPlan` computes the same transform of a whole ``(..., k, n)`` residue tensor as a
 four-step factorisation whose two steps are exact float64 matrix products
 (limb-split so every GEMM sum stays below 2^53), and is the engine of every
 timed transform: the ring's own primes and the auxiliary basis of the RNS
@@ -20,8 +20,8 @@ ciphertext multiply
 (:class:`repro.he.polyring.AuxBasis`).
 :func:`negacyclic_convolve_exact` -- object-dtype inputs, one
 :class:`NttPlan` per auxiliary prime, a Python-int CRT sum -- is the
-reference-profile tensor product, kept as the oracle the RNS kernel is held
-to; nothing under the fused profile calls it.
+oracle's tensor product, the reference the RNS kernel is held to; nothing
+in production calls it.
 """
 
 from __future__ import annotations

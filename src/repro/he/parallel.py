@@ -25,8 +25,8 @@ every unacknowledged unit in the parent through the same kernel
 (bit-identical by the contract above) and respawns fresh workers for the
 next dispatch.
 
-**Configuration.**  ``configure(workers)`` / ``use(workers)`` mirror
-``repro.he.kernels``; ``REPRO_WORKERS`` is the environment default and
+**Configuration.**  ``configure(workers)`` / ``use(workers)`` set a
+process-wide width; ``REPRO_WORKERS`` is the environment default and
 ``PipelineSpec(workers=...)`` / ``build_pipeline(...)`` route here.  With
 ``workers <= 1`` (or a layer with nothing to split) no pool is involved and
 :func:`dispatch_conv` / :func:`dispatch_dense` run one whole-range unit in
@@ -67,7 +67,7 @@ _ENV_WORKERS = "REPRO_WORKERS"
 
 
 # ----------------------------------------------------------------------
-# configuration (mirrors repro.he.kernels)
+# configuration
 # ----------------------------------------------------------------------
 _configured: int | None = None
 _pool: "WorkerPool | None" = None

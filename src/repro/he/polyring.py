@@ -8,9 +8,10 @@ calls.  Elements exist in either *coefficient* or *NTT (evaluation)* domain;
 the domain is tracked by the caller (see :class:`repro.he.context.Ciphertext`).
 
 :class:`MixedRadix` and :class:`AuxBasis` are the exact int64 base
-conversion behind the fused ciphertext multiply and relinearize; the
+conversion behind the ciphertext multiply and relinearize; the
 ``to_bigint*`` / ``convolve_exact`` / ``scale_and_round`` bridge to Python
-ints remains for the reference profile and for decrypting at ``q >= 2^62``.
+ints remains for the oracle (:mod:`repro.he.oracle`) and for decrypting at
+``q >= 2^62``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.he import kernels, modmath
+from repro.he import modmath
 from repro.he.ntt import _EXACT_LIMIT, NttPlan, StackedNttPlan, negacyclic_convolve_exact
 
 #: Low limb width of a mixed-radix digit in :meth:`MixedRadix.convert_centered`:
@@ -411,7 +412,8 @@ class PolyContext:
         )
         # Mixed-radix digits of a value below q are machine words at any
         # width of q; their int64 sum (to_int64_centered) needs q < 2^62.
-        self.q_fits_int64 = self.q < (1 << 62)
+        # False selects the Python-int lift and rounding instead.
+        self.int64_lift = self.q < (1 << 62)
         self.radix = MixedRadix(self._prime_list)
 
     # ------------------------------------------------------------------
@@ -481,8 +483,6 @@ class PolyContext:
     def from_signed_small(self, coeffs: np.ndarray) -> np.ndarray:
         """RNS form of small signed int64 coefficients (|c| < min prime)."""
         coeffs = np.asarray(coeffs, dtype=np.int64)
-        if not kernels.active().lazy_reduction:
-            return coeffs[..., None, :] % self._p_col
         # |c| < p, so one branch-free conditional add replaces the division:
         # (c >> 63) is an all-ones mask exactly for negative coefficients.
         out = np.empty((*coeffs.shape[:-1], self.k, self.n), dtype=np.int64)
@@ -495,8 +495,6 @@ class PolyContext:
     # ring operations (domain-agnostic: valid in both coeff and NTT form)
     # ------------------------------------------------------------------
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if not kernels.active().lazy_reduction:
-            return (a + b) % self._p_col
         # Conditional subtract: inputs are reduced residues in [0, p), so the
         # sum is in [0, 2p) and one subtract-and-fixup replaces the division
         # of a full ``%``.  (s >> 63) is an all-ones mask exactly when the
@@ -507,8 +505,6 @@ class PolyContext:
         return s
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if not kernels.active().lazy_reduction:
-            return (a - b) % self._p_col
         d = a - b  # in (-p, p); one conditional add restores [0, p)
         d += (d >> 63) & self._p_col
         return d
@@ -526,13 +522,7 @@ class PolyContext:
         return self._reduce_product(a * b)
 
     def _reduce_product(self, prod: np.ndarray) -> np.ndarray:
-        """Reduce a freshly materialized ``(..., k, n)`` product in place.
-
-        Under lazy-reduction kernels :func:`_mod_rows` does it; the
-        reference profile keeps the broadcast form.  Same values either
-        way."""
-        if not kernels.active().lazy_reduction:
-            return prod % self._p_col
+        """Reduce a freshly materialized ``(..., k, n)`` product in place."""
         return _mod_rows(prod, self._prime_list)
 
     def reduce_sum(self, a: np.ndarray, axis: int) -> np.ndarray:
@@ -615,29 +605,19 @@ class PolyContext:
     # domain conversion
     # ------------------------------------------------------------------
     def ntt(self, a: np.ndarray) -> np.ndarray:
-        """Forward NTT of ``(..., k, n)`` residues; under ``stacked_ntt`` also
-        of a bounded ``(..., 1, n)`` row (:meth:`StackedNttPlan.forward`)."""
-        if kernels.active().stacked_ntt:
-            return self.stacked.forward(a)
-        out = np.empty_like(a)
-        for i, plan in enumerate(self.plans):
-            out[..., i, :] = plan.forward(a[..., i, :])
-        return out
+        """Forward NTT of ``(..., k, n)`` residues, or of a bounded ``(...,
+        1, n)`` row (:meth:`StackedNttPlan.forward`)."""
+        return self.stacked.forward(a)
 
     def intt(self, a: np.ndarray) -> np.ndarray:
-        if kernels.active().stacked_ntt:
-            return self.stacked.inverse(a)
-        out = np.empty_like(a)
-        for i, plan in enumerate(self.plans):
-            out[..., i, :] = plan.inverse(a[..., i, :])
-        return out
+        return self.stacked.inverse(a)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Full ring multiplication of coefficient-domain operands."""
         return self.intt(self.pointwise_mul(self.ntt(a), self.ntt(b)))
 
     # ------------------------------------------------------------------
-    # big-integer bridge (wide-q decrypt; the reference tensor product and
+    # big-integer bridge (wide-q decrypt; the oracle's tensor product and
     # relinearization digits)
     # ------------------------------------------------------------------
     def to_bigint(self, a: np.ndarray) -> np.ndarray:
@@ -663,7 +643,7 @@ class PolyContext:
         lift runs in int64 -- no object-dtype arithmetic.  Bit-identical
         (after ``astype(object)``) to :meth:`to_bigint_centered`.
         """
-        if not self.q_fits_int64:
+        if not self.int64_lift:
             raise ParameterError(
                 f"q has {self.q.bit_length()} bits; the int64 CRT lift "
                 "requires q < 2^62 (use to_bigint_centered)"
@@ -700,7 +680,7 @@ class PolyContext:
             ParameterError: ``q >= 2^62``, ``numer`` outside ``[1, 2^50)``,
                 a coefficient beyond ``q/2``, or a failed remainder check.
         """
-        if not self.q_fits_int64:
+        if not self.int64_lift:
             raise ParameterError(
                 f"q has {self.q.bit_length()} bits; int64 rounding requires "
                 "q < 2^62 (use scale_and_round)"

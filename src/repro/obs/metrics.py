@@ -10,7 +10,7 @@ layer have.  This module is the aggregate half of observability:
 * :class:`Counter` -- monotone accumulations (requests, ecalls, fault
   fires, EPC evictions);
 * :class:`Gauge` -- last-written values (queue depth, noise-budget bits,
-  active kernel profile);
+  active graph-optimizer level);
 * :class:`Histogram` -- fixed-bucket distributions with Prometheus
   ``_bucket``/``_sum``/``_count`` exposition and quantile estimation;
   latency histograms share the log-scaled :data:`LATENCY_BUCKETS`.
@@ -643,9 +643,6 @@ FAMILIES: dict[str, tuple[str, tuple[str, ...], tuple[float, ...] | None, str]] 
     "repro_client_transitions_total": (
         "counter", ("state",), None,
         "Client session state-machine transitions, by destination state."),
-    "repro_recovery_kernel_degradations_total": (
-        "counter", ("scheme",), None,
-        "FUSED -> REFERENCE kernel profile degradations."),
     "repro_recovery_enclave_restarts_total": (
         "counter", ("ecall", "replica"), None,
         "Enclave restarts performed by the supervisor, by failed "
@@ -690,9 +687,6 @@ FAMILIES: dict[str, tuple[str, tuple[str, ...], tuple[float, ...] | None, str]] 
         "counter", ("graph_pass",), None,
         "Graph compilations degraded to the unoptimized reference graph "
         "after a pass failure."),
-    "repro_he_kernel_profile": (
-        "gauge", ("mode",), None,
-        "Active hot-path kernel profile (one-hot over modes)."),
     "repro_he_noise_budget_bits": (
         "gauge", ("layer", "model"), None,
         "Estimated remaining invariant-noise budget per encrypted "

@@ -10,10 +10,9 @@ overhead seconds, ECALL count and bytes, and noise-headroom watermarks
 (the minimum static headroom annotation and the minimum *measured*
 invariant noise budget seen at decrypt).
 
-Reports merge across requests into per-op aggregates --
-:meth:`ProfileReport.savings_vs` compares two configurations' measured,
-not estimated, per-op costs -- and ``tools/obsctl.py`` renders them as a
-sorted cost table plus per-request trace timelines.
+Reports merge across requests into per-op aggregates, and
+``tools/obsctl.py`` renders them as a sorted cost table plus per-request
+trace timelines.
 
 Reconciliation (same spirit as :func:`repro.obs.tracer.reconcile`): the
 per-node costs attributed by a report must sum to the pipeline spans'
@@ -238,23 +237,6 @@ class ProfileReport:
             agg["ecalls"] += node.ecalls
             agg["ecall_bytes"] += node.ecall_bytes
         return ops
-
-    def savings_vs(self, baseline: "ProfileReport") -> dict[str, float]:
-        """Measured per-op elapsed seconds saved vs ``baseline``.
-
-        Both reports are normalized per pipeline so different request
-        counts compare; positive values mean this report is cheaper.
-        """
-        if not self.pipelines or not baseline.pipelines:
-            raise ReproError("savings_vs needs at least one pipeline on each side")
-        mine = self.per_op()
-        theirs = baseline.per_op()
-        savings: dict[str, float] = {}
-        for op in sorted(set(mine) | set(theirs)):
-            ours = mine.get(op, {}).get("elapsed_s", 0.0) / self.pipelines
-            base = theirs.get(op, {}).get("elapsed_s", 0.0) / baseline.pipelines
-            savings[op] = base - ours
-        return savings
 
     def to_dict(self) -> dict:
         return {

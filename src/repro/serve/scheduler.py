@@ -57,7 +57,6 @@ from repro.errors import (
     ServeError,
     UnknownModelError,
 )
-from repro.faults import run_with_kernel_degradation
 # Unused here since the flush runs through repro.graph; stays bound because
 # benchmarks/e2e/spans.py (read-only) wraps this module attribute by name.
 from repro.he.batching import pack_coefficients  # noqa: F401
@@ -439,13 +438,9 @@ class RequestScheduler:
                     fleet.kill_replica(replica)
                 fleet.note_dispatch(replica, model_name, images)
             try:
-                results = run_with_kernel_degradation(
-                    tracer,
-                    PACKED_SCHEME,
-                    lambda: self._run_packed(
-                        model_name, requests, flushed_at=flushed_at,
-                        replica=replica, generation=generation,
-                    ),
+                results = self._run_packed(
+                    model_name, requests, flushed_at=flushed_at,
+                    replica=replica, generation=generation,
                 )
                 break
             except (EnclaveNotInitialized, RecoveryExhausted) as exc:

@@ -19,8 +19,8 @@ from repro.he import (
     KeyGenerator,
     OperationCounter,
     ScalarEncoder,
-    kernels,
     modmath,
+    oracle,
 )
 from repro.he.batching import (
     ClassLayout,
@@ -114,19 +114,22 @@ class TestHeConv2d:
             heops.he_conv2d(rig["evaluator"], rig["encoder"], ct, weights)
 
 
-    @pytest.mark.parametrize("profile", [kernels.FUSED, kernels.REFERENCE])
-    def test_rejects_input_smaller_than_kernel(self, rig, profile):
+    @pytest.mark.parametrize(
+        "context_type", [Context, oracle.Context], ids=["profile0", "profile1"]
+    )
+    def test_rejects_input_smaller_than_kernel(self, rig, context_type):
         """A 2x2 input under a 3x3 kernel used to come back as a 0x0
-        feature map under both kernel profiles."""
+        feature map with fused and with oracle-encoded weights."""
         ct = rig["encryptor"].encrypt(
             rig["encoder"].encode(np.zeros((1, 1, 2, 2), dtype=np.int64))
         )
+        evaluator = Evaluator(context_type(rig["evaluator"].context.params))
         weights = heops.encode_conv_weights(
-            rig["evaluator"], rig["encoder"],
+            evaluator, rig["encoder"],
             np.ones((1, 1, 3, 3), dtype=np.int64), np.zeros(1, dtype=np.int64),
         )
-        with kernels.use(profile), pytest.raises(PipelineError, match="smaller"):
-            heops.he_conv2d(rig["evaluator"], rig["encoder"], ct, weights)
+        with pytest.raises(PipelineError, match="smaller"):
+            heops.he_conv2d(evaluator, rig["encoder"], ct, weights)
 
 
 class TestImageConv:

@@ -1,10 +1,11 @@
-"""Fused vs reference kernels: end-to-end bit-identity regression.
+"""Production kernels vs the oracle: end-to-end bit-identity regression.
 
 The acceptance bar for the hot-path kernel layer is not "same argmax" but
 *bit-identical ciphertext bytes* at every pipeline boundary: encryption,
 the homomorphic conv, the FC logits, and the decrypted values, plus
-identical :class:`OperationCounter` tallies.  Any divergence means a fused
-kernel silently changed the arithmetic.
+identical :class:`OperationCounter` tallies.  The reference side is the
+same pipeline built over :class:`repro.he.oracle.Context`; any divergence
+means a fused kernel silently changed the arithmetic.
 """
 
 from __future__ import annotations
@@ -13,26 +14,22 @@ import numpy as np
 import pytest
 
 from repro.core import CryptonetsPipeline, HybridPipeline, heops
-from repro.he import kernels
+from repro.he import Ciphertext, Context, Evaluator, oracle
 
 
-def _run_hybrid(profile, quantized, params, images):
-    prev = kernels.configure(profile)
-    try:
-        pipe = HybridPipeline(quantized, params, seed=7)
-        result = pipe.infer(images)
-        ct = pipe.encrypt_images(images)
-        conv = heops.he_conv2d(pipe.evaluator, pipe.encoder, ct, pipe.conv_weights)
-        return pipe, result, ct, conv
-    finally:
-        kernels.configure(prev)
+def _run_hybrid(context_type, quantized, params, images):
+    pipe = HybridPipeline(quantized, params, seed=7, context_type=context_type)
+    result = pipe.infer(images)
+    ct = pipe.encrypt_images(images)
+    conv = heops.he_conv2d(pipe.evaluator, pipe.encoder, ct, pipe.conv_weights)
+    return pipe, result, ct, conv
 
 
 class TestHybridEquivalence:
     @pytest.fixture(scope="class")
     def runs(self, q_sigmoid, hybrid_params, test_images):
-        ref = _run_hybrid(kernels.REFERENCE, q_sigmoid, hybrid_params, test_images)
-        fus = _run_hybrid(kernels.FUSED, q_sigmoid, hybrid_params, test_images)
+        ref = _run_hybrid(oracle.Context, q_sigmoid, hybrid_params, test_images)
+        fus = _run_hybrid(Context, q_sigmoid, hybrid_params, test_images)
         return ref, fus
 
     def test_logits_bit_identical(self, runs):
@@ -52,38 +49,31 @@ class TestHybridEquivalence:
         (ref_pipe, _, _, _), (fus_pipe, _, _, _) = runs
         assert dict(ref_pipe.counter.counts) == dict(fus_pipe.counter.counts)
 
-    def test_kernel_mode_recorded_in_trace(self, runs):
-        (_, ref, _, _), (_, fus, _, _) = runs
-        assert ref.trace.attrs["kernel_mode"] == "reference"
-        assert fus.trace.attrs["kernel_mode"] == "fused"
 
 
 class TestDenseAndPoolEquivalence:
     def test_dense_bit_identical(self, q_sigmoid, hybrid_params, test_images):
         ref_pipe, _, ref_ct, ref_conv = _run_hybrid(
-            kernels.REFERENCE, q_sigmoid, hybrid_params, test_images
+            oracle.Context, q_sigmoid, hybrid_params, test_images
         )
-        with kernels.use(kernels.REFERENCE):
-            pooled = heops.he_scaled_mean_pool(
-                ref_pipe.evaluator, ref_conv, q_sigmoid.pool_window
-            )
-            ref_dense = heops.he_dense(
-                ref_pipe.evaluator, ref_pipe.encoder, pooled, ref_pipe.dense_weights
-            )
-        with kernels.use(kernels.FUSED):
-            pooled_f = heops.he_scaled_mean_pool(
-                ref_pipe.evaluator, ref_conv, q_sigmoid.pool_window
-            )
-            fus_dense = heops.he_dense(
-                ref_pipe.evaluator, ref_pipe.encoder, pooled_f, ref_pipe.dense_weights
-            )
+        fus_pipe, _, _, _ = _run_hybrid(Context, q_sigmoid, hybrid_params, test_images)
+        pooled = heops.he_scaled_mean_pool(
+            ref_pipe.evaluator, ref_conv, q_sigmoid.pool_window
+        )
+        ref_dense = heops.he_dense(
+            ref_pipe.evaluator, ref_pipe.encoder, pooled, ref_pipe.dense_weights
+        )
+        pooled_f = heops.he_scaled_mean_pool(
+            fus_pipe.evaluator, ref_conv, q_sigmoid.pool_window
+        )
+        fus_dense = heops.he_dense(
+            fus_pipe.evaluator, fus_pipe.encoder, pooled_f, fus_pipe.dense_weights
+        )
         assert np.array_equal(pooled.to_ntt().data, pooled_f.to_ntt().data)
         assert np.array_equal(ref_dense.to_ntt().data, fus_dense.to_ntt().data)
 
     def test_conv_scalar_kernel_recovered(self, q_sigmoid, hybrid_params, test_images):
-        pipe, _, _, _ = _run_hybrid(
-            kernels.FUSED, q_sigmoid, hybrid_params, test_images
-        )
+        pipe, _, _, _ = _run_hybrid(Context, q_sigmoid, hybrid_params, test_images)
         # Quantized CNN weights are scalar encodings, so the fused layers
         # must have recovered the signed integer fast path.
         assert pipe.conv_weights.weight_taps is not None
@@ -95,16 +85,27 @@ class TestDenseAndPoolEquivalence:
 class TestCryptonetsEquivalence:
     def test_logits_and_tallies_match(self, q_square, pure_he_params, test_images):
         outs = {}
-        for name, profile in (
-            ("reference", kernels.REFERENCE),
-            ("fused", kernels.FUSED),
-        ):
-            prev = kernels.configure(profile)
-            try:
-                pipe = CryptonetsPipeline(q_square, pure_he_params, seed=21)
-                outs[name] = (pipe.infer(test_images), dict(pipe.counter.counts))
-            finally:
-                kernels.configure(prev)
+        for name, context_type in (("reference", oracle.Context), ("fused", Context)):
+            pipe = CryptonetsPipeline(
+                q_square, pure_he_params, seed=21, context_type=context_type
+            )
+            outs[name] = (pipe.infer(test_images), dict(pipe.counter.counts))
         ref, fus = outs["reference"], outs["fused"]
         assert np.array_equal(ref[0].logits, fus[0].logits)
         assert ref[1] == fus[1]
+
+
+class TestMixed:
+    def test_square_then_oracle_relinearize_keeps_the_bytes(
+        self, q_square, pure_he_params, test_images
+    ):
+        """The activation's two halves on different sides: a production
+        (int64 RNS) square followed by an oracle (Python-int) relinearize of
+        the same ciphertext equals the oracle-only bytes."""
+        pipe = CryptonetsPipeline(q_square, pure_he_params, seed=21)
+        ct = pipe.encrypt_images(test_images[:1])[:, :, :2, :2]
+        reference = Evaluator(oracle.Context(pure_he_params))
+        mixed = reference.relinearize(pipe.evaluator.square(ct), pipe._relin_keys)
+        alone = Ciphertext(reference.context, ct.data, ct.is_ntt)
+        expected = reference.relinearize(reference.square(alone), pipe._relin_keys)
+        assert mixed.data.tobytes() == expected.data.tobytes()

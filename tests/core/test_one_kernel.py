@@ -6,7 +6,9 @@ execute it.  The two exact facts about a weight operand -- its all-zero
 columns and whether the bias fits the accumulator's slack -- are worked out
 once at encode time and ride on the encoded weights, so they apply on every
 path at every optimizer level; the encoded weights keep the integers they
-were built from, and the per-tap ``REFERENCE`` loop is the only fallback.
+were built from, and the per-tap reference loop is the only fallback.  The
+oracle context (:mod:`repro.he.oracle`) encodes weights that never fuse, so
+its layers run that loop: the byte-level reference of every test here.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from repro.he import (
     OperationCounter,
     ScalarEncoder,
     contraction,
-    kernels,
     modmath,
+    oracle,
     parallel,
 )
 from repro.he.params import EncryptionParams
@@ -57,9 +59,10 @@ def make_rig(plain_bits: int) -> dict:
     keys = KeyGenerator(context, rng).generate()
     return {
         "context": context,
+        "oracle": oracle.Context(params),
         "encoder": ScalarEncoder(context),
         "encryptor": Encryptor(context, keys.public, rng),
-        "p_max": int(context.ring.primes.max()),
+        "max_terms": context.ring.max_sum_terms,
     }
 
 
@@ -78,27 +81,39 @@ def encrypt(rig, values):
     return rig["encryptor"].encrypt(rig["encoder"].encode(values))
 
 
-def run_layer(rig, layer, ct, weights):
+def run_layer(rig, layer, ct, weights, context=None):
     """One layer call on a fresh counter: (ciphertext bytes, op tallies)."""
+    context = rig["context"] if context is None else context
     counter = OperationCounter()
-    out = layer(Evaluator(rig["context"], counter), rig["encoder"], ct, weights)
+    out = layer(Evaluator(context, counter), ScalarEncoder(context), ct, weights)
     assert out.is_ntt
     return out.data.tobytes(), dict(counter.counts)
 
 
+def oracle_run(rig, layer, ct, weight, bias, stride=1):
+    """``run_layer`` over the oracle context, which encodes the weights
+    unfused: the per-tap reference loop."""
+    context = rig["oracle"]
+    evaluator, encoder = Evaluator(context), ScalarEncoder(context)
+    if layer is heops.he_conv2d:
+        weights = heops.encode_conv_weights(evaluator, encoder, weight, bias, stride)
+    else:
+        weights = heops.encode_dense_weights(evaluator, encoder, weight, bias)
+    assert not weights.fused
+    return run_layer(rig, layer, ct, weights, context)
+
+
 def planted_conv(rig, rng):
-    """Conv weights whose taps 1, 4 and 13 are zero in every filter, and
-    the taps that survive."""
+    """Conv weights whose taps 1, 4 and 13 are zero in every filter, the
+    taps that survive, and the integers ``(weight, bias)``."""
     w = rng.integers(-9, 10, size=(3, 2, 3, 3))
     w[w == 0] = 1
     flat = w.reshape(3, -1)
     flat[:, [1, 4, 13]] = 0
     keep = tuple(i for i in range(flat.shape[1]) if i not in (1, 4, 13))
-    evaluator = Evaluator(rig["context"])
-    weights = heops.encode_conv_weights(
-        evaluator, rig["encoder"], w, rng.integers(-50, 50, size=3), 1
-    )
-    return weights, keep
+    bias = rng.integers(-50, 50, size=3)
+    weights = heops.encode_conv_weights(Evaluator(rig["context"]), rig["encoder"], w, bias, 1)
+    return weights, keep, (w, bias)
 
 
 def planted_dense(rig, rng):
@@ -106,10 +121,9 @@ def planted_dense(rig, rng):
     w[w == 0] = 1
     w[[0, 7], :] = 0
     keep = tuple(i for i in range(12) if i not in (0, 7))
-    weights = heops.encode_dense_weights(
-        Evaluator(rig["context"]), rig["encoder"], w, rng.integers(-50, 50, size=5)
-    )
-    return weights, keep
+    bias = rng.integers(-50, 50, size=5)
+    weights = heops.encode_dense_weights(Evaluator(rig["context"]), rig["encoder"], w, bias)
+    return weights, keep, (w, bias)
 
 
 @pytest.fixture()
@@ -172,11 +186,10 @@ class TestRewritesReachEveryPath:
         self, rig, bias_passes, kernel_runs, pool_tasks, layer, planted, image, batch
     ):
         rng = np.random.default_rng(batch)
-        weights, keep = planted(rig, rng)
+        weights, keep, raw = planted(rig, rng)
         assert (weights.keep, weights.fold_bias, weights.fused) == (keep, True, True)
         ct = encrypt(rig, rng.integers(-20, 20, size=(batch, *image)))
-        with kernels.use(kernels.REFERENCE):
-            expected = run_layer(rig, layer, ct, weights)
+        expected = oracle_run(rig, layer, ct, *raw)
         assert kernel_runs == []
         with parallel.use(1):
             assert run_layer(rig, layer, ct, weights) == expected
@@ -234,32 +247,29 @@ class TestRewritesReachEveryPath:
         term does not: the layer still runs fused, with the bias as its own
         pass, byte-identical to the oracle."""
         rng = np.random.default_rng(10)
-        p_max = wide_rig["p_max"]
+        max_terms = wide_rig["max_terms"]
         terms = 32
-        w_max, left = divmod(((1 << 63) - 1) // (p_max - 1), terms)
+        w_max, left = divmod(max_terms, terms)
         assert left == 0 and w_max <= wide_rig["context"].plain_modulus // 2
         evaluator = Evaluator(wide_rig["context"])
         if kind == "conv":
             w = rng.integers(1, 1 << 20, size=(2, 2, 4, 4))
             w[1, 0, 2, 3] = -w_max
-            weights = heops.encode_conv_weights(
-                evaluator, wide_rig["encoder"], w, np.array([5, -7]), 1
-            )
+            bias = np.array([5, -7])
+            weights = heops.encode_conv_weights(evaluator, wide_rig["encoder"], w, bias, 1)
             values, layer = weights.weight_taps, heops.he_conv2d
             ct = encrypt(wide_rig, rng.integers(-20, 20, size=(2, 2, 5, 5)))
         else:
             w = rng.integers(1, 1 << 20, size=(terms, 3))
             w[4, 1] = w_max
-            weights = heops.encode_dense_weights(
-                evaluator, wide_rig["encoder"], w, np.array([1, 2, 3])
-            )
+            bias = np.array([1, 2, 3])
+            weights = heops.encode_dense_weights(evaluator, wide_rig["encoder"], w, bias)
             values, layer = weights.weight_matrix, heops.he_dense
             ct = encrypt(wide_rig, rng.integers(-20, 20, size=(2, terms)))
-        assert contraction.bound_ok(values, p_max)
-        assert not contraction.bound_ok(values, p_max, slack=1)
+        assert contraction.bound_ok(values, max_terms)
+        assert not contraction.bound_ok(values, max_terms, slack=1)
         assert (weights.keep, weights.fold_bias, weights.fused) == (None, False, True)
-        with kernels.use(kernels.REFERENCE):
-            reference = run_layer(wide_rig, layer, ct, weights)
+        reference = oracle_run(wide_rig, layer, ct, w, bias)
         with parallel.use(1):  # the spy sees the in-process unit
             assert run_layer(wide_rig, layer, ct, weights) == reference
         assert [(k, f) for _, _, k, f in kernel_runs] == [(None, False)]
@@ -275,7 +285,7 @@ class TestOneKernelEverywhere:
         in-process layer call and a killed flush's replay go through that
         table in the parent."""
         rng = np.random.default_rng(2)
-        weights, _ = planted_conv(rig, rng)
+        weights, _, _ = planted_conv(rig, rng)
         ct = encrypt(rig, rng.integers(-20, 20, size=(4, 2, 6, 6)))
         with parallel.use(1):
             expected = run_layer(rig, heops.he_conv2d, ct, weights)
@@ -301,9 +311,8 @@ class TestOneKernelEverywhere:
         rng = np.random.default_rng(5)
         w = rng.integers(-9, 10, size=(3, 2, 3, 3))
         w[w == 0] = 1
-        weights = heops.encode_conv_weights(
-            Evaluator(rig["context"]), rig["encoder"], w, rng.integers(-50, 50, size=3), 1
-        )
+        bias = rng.integers(-50, 50, size=3)
+        weights = heops.encode_conv_weights(Evaluator(rig["context"]), rig["encoder"], w, bias, 1)
         assert weights.keep is None and weights.weight_taps.shape[1] == 18
         ct = encrypt(rig, rng.integers(-20, 20, size=(2, 2, 6, 6)))
         lanes = 2 * 4 * 4
@@ -317,8 +326,7 @@ class TestOneKernelEverywhere:
             "conv",
             lambda *a, **kw: (chunks.append(kw["chunk"]), conv_rows(*a, **kw))[1],
         )
-        with kernels.use(kernels.REFERENCE):
-            reference = run_layer(rig, heops.he_conv2d, ct, weights)
+        reference = oracle_run(rig, heops.he_conv2d, ct, w, bias)
         with parallel.use(1):  # the spy sees the in-process unit
             assert run_layer(rig, heops.he_conv2d, ct, weights) == reference
         assert chunks == [taps_per_chunk]
@@ -332,6 +340,35 @@ class TestOneKernelEverywhere:
             source = path.read_text()
             assert "from repro.core" not in source, path.name
             assert "import repro.core" not in source, path.name
+
+    def test_the_oracle_stays_out_of_the_hot_path(self):
+        """The reference formulas are a value a caller builds: no module but
+        the oracle's own imports it, no kernel profile module exists, and no
+        source reads a process-wide kernel setting."""
+        import ast
+        import importlib
+        import pathlib
+
+        import repro
+
+        def imports_oracle(node):
+            if isinstance(node, ast.Import):
+                return any(alias.name == "repro.he.oracle" for alias in node.names)
+            if isinstance(node, ast.ImportFrom):
+                return node.module == "repro.he.oracle" or (
+                    node.module == "repro.he"
+                    and any(alias.name == "oracle" for alias in node.names)
+                )
+            return False
+
+        oracle_path = pathlib.Path(oracle.__file__)
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            source = path.read_text()
+            assert "kernels.active" not in source, path
+            if path != oracle_path:
+                assert not any(map(imports_oracle, ast.walk(ast.parse(source)))), path
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.he.kernels")
 
 
 class TestWeightsKeepTheirIntegers:
@@ -349,7 +386,8 @@ class TestWeightsKeepTheirIntegers:
 
     def test_edge_value_encodes_like_the_reference_operand(self, rig):
         """``-t/2`` is stored as the ``+t/2`` the encoder's constant lifts
-        to, so FUSED stays byte-identical to REFERENCE even there."""
+        to, so the fused kernel stays byte-identical to the oracle even
+        there."""
         half = rig["context"].plain_modulus // 2
         w = np.array([[[[-half, 3], [-2, half]]]], dtype=np.int64)
         weights = heops.encode_conv_weights(
@@ -357,14 +395,13 @@ class TestWeightsKeepTheirIntegers:
         )
         assert weights.weight_taps.tolist() == [[half, 3, -2, half]]
         ct = encrypt(rig, np.arange(9).reshape(1, 1, 3, 3))
-        with kernels.use(kernels.REFERENCE):
-            reference = run_layer(rig, heops.he_conv2d, ct, weights)
+        reference = oracle_run(rig, heops.he_conv2d, ct, w, np.array([1]))
         assert run_layer(rig, heops.he_conv2d, ct, weights) == reference
 
 
 class TestPastTheBoundRunsTheReferenceLoop:
-    """``T * max|w| * (p_max - 1) > 2^63 - 1``: the fused profile has no
-    generic path left, the layer runs the per-tap oracle itself."""
+    """``T * max|w| * (p_max - 1) > 2^63 - 1``: the production kernels have
+    no generic path left, the layer runs the per-tap loop itself."""
 
     @pytest.fixture()
     def no_kernel(self, monkeypatch):
@@ -378,14 +415,14 @@ class TestPastTheBoundRunsTheReferenceLoop:
         rng = np.random.default_rng(8)
         w = rng.integers(-(1 << 28), 1 << 28, size=(2, 4, 4, 4))
         w[0, 0, 0, 0] = 1 << 28
+        bias = np.array([5, -7])
         weights = heops.encode_conv_weights(
-            Evaluator(wide_rig["context"]), wide_rig["encoder"], w, np.array([5, -7]), 1
+            Evaluator(wide_rig["context"]), wide_rig["encoder"], w, bias, 1
         )
         assert weights.weight_taps.shape == (2, 64)
-        assert not contraction.bound_ok(weights.weight_taps, wide_rig["p_max"])
+        assert not contraction.bound_ok(weights.weight_taps, wide_rig["max_terms"])
         ct = encrypt(wide_rig, rng.integers(-20, 20, size=(2, 4, 5, 5)))
-        with kernels.use(kernels.REFERENCE):
-            reference = run_layer(wide_rig, heops.he_conv2d, ct, weights)
+        reference = oracle_run(wide_rig, heops.he_conv2d, ct, w, bias)
         assert not weights.fused and not weights.fold_bias
         with parallel.use(2):
             assert run_layer(wide_rig, heops.he_conv2d, ct, weights) == reference
@@ -394,11 +431,11 @@ class TestPastTheBoundRunsTheReferenceLoop:
         rng = np.random.default_rng(9)
         w = rng.integers(-(1 << 28), 1 << 28, size=(64, 3))
         w[0, 0] = -(1 << 28)
+        bias = np.array([1, 2, 3])
         weights = heops.encode_dense_weights(
-            Evaluator(wide_rig["context"]), wide_rig["encoder"], w, np.array([1, 2, 3])
+            Evaluator(wide_rig["context"]), wide_rig["encoder"], w, bias
         )
-        assert not contraction.bound_ok(weights.weight_matrix, wide_rig["p_max"])
+        assert not contraction.bound_ok(weights.weight_matrix, wide_rig["max_terms"])
         ct = encrypt(wide_rig, rng.integers(-20, 20, size=(2, 64)))
-        with kernels.use(kernels.REFERENCE):
-            reference = run_layer(wide_rig, heops.he_dense, ct, weights)
+        reference = oracle_run(wide_rig, heops.he_dense, ct, w, bias)
         assert run_layer(wide_rig, heops.he_dense, ct, weights) == reference

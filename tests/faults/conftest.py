@@ -1,7 +1,7 @@
 """Chaos-suite fixtures: deterministic fault plans against real pipelines.
 
 Every test here runs with the fault layer *disarmed* on entry and leaves it
-disarmed (and the kernel profile restored to FUSED) on exit, so chaos tests
+disarmed (and the graph optimizer reset) on exit, so chaos tests
 cannot leak injected state into the rest of the suite.  Seeds come from
 :data:`CHAOS_SEEDS`, overridable with the ``REPRO_CHAOS_SEED`` environment
 variable so CI can sweep seeds in separate jobs.
@@ -22,7 +22,6 @@ from repro.core import (
     train_paper_models,
 )
 from repro.graph import optimizer as graph_optimizer
-from repro.he import kernels
 from repro.sgx import AttestationVerificationService
 
 #: The fixed seed sweep CI runs (one chaos-tests job per seed).
@@ -36,13 +35,11 @@ def chaos_seeds() -> tuple[int, ...]:
 
 @pytest.fixture(autouse=True)
 def pristine_fault_state():
-    """Disarm + reset kernels + graph optimizer around every test here."""
+    """Disarm + reset the graph optimizer around every test here."""
     faults.disarm()
-    kernels.configure(kernels.FUSED)
     graph_optimizer.configure(None)
     yield
     faults.disarm()
-    kernels.configure(kernels.FUSED)
     graph_optimizer.configure(None)
 
 
@@ -105,8 +102,7 @@ def make_pipeline(q_sigmoid, q_square, hybrid_params, pure_he_params):
 
 @pytest.fixture(scope="session")
 def baseline_logits(make_pipeline, test_images):
-    """Fault-free logits per scheme, computed once (always under FUSED,
-    always disarmed -- the cache is only filled from inside tests, which
+    """Fault-free logits per scheme, computed once (always disarmed -- the cache is only filled from inside tests, which
     start pristine and ask for the baseline before arming anything)."""
     cache: dict[str, object] = {}
 

@@ -2,8 +2,8 @@
 
 The contract under test (DESIGN.md §11):
 
-* **recoverable** plans -- bounded crash rules, EPC eviction storms, kernel
-  guard trips -- converge to logits *bit-identical* to the fault-free run;
+* **recoverable** plans -- bounded crash rules, EPC eviction storms --
+  converge to logits *bit-identical* to the fault-free run;
 * **unrecoverable** plans -- unbounded crashes, failing key provisioning --
   surface typed :class:`~repro.errors.ReproError` subclasses;
 * nothing ever hangs: all timing is simulated, every test terminates.
@@ -22,7 +22,6 @@ from repro.errors import (
     ReproError,
 )
 from repro.faults import FaultPlan, FaultRule
-from repro.he import kernels
 
 from .conftest import PIPELINE_KINDS, chaos_seeds
 
@@ -85,38 +84,6 @@ class TestRecoverableChaos:
         names = all_span_names(pipeline.platform.tracer)
         assert names.count("fault/sgx.ecall") == plan.fires("sgx.ecall") == 1
         assert names.count("recovery/enclave_restart") == 1
-
-    @pytest.mark.parametrize("seed", chaos_seeds())
-    @pytest.mark.parametrize("kind", PIPELINE_KINDS)
-    def test_kernel_guard_trip_degrades_and_converges(
-        self, make_pipeline, baseline_logits, test_images, kind, seed
-    ):
-        """A tripped equivalence guard falls back FUSED -> REFERENCE and
-        retries; both profiles are bit-identical, so logits match."""
-        expected = baseline_logits(kind)
-        pipeline = make_pipeline(kind)
-        plan = FaultPlan(seed, rules=[FaultRule(site="he.kernels.guard", max_fires=1)])
-        with faults.armed(plan):
-            result = pipeline.infer(test_images)
-        assert np.array_equal(result.logits, expected)
-        assert plan.fires("he.kernels.guard") == 1
-        assert kernels.active().mode_name == "reference"
-        assert "recovery/kernel_degrade" in all_span_names(pipeline.tracer)
-
-    def test_degrading_between_multiply_and_relinearize_keeps_the_bytes(
-        self, make_pipeline, test_images
-    ):
-        """A guard trip can land between the two halves of the activation: a
-        FUSED (int64 RNS) multiply followed by a REFERENCE (Python-int)
-        relinearize of the same ciphertext equals the all-REFERENCE bytes."""
-        pipeline = make_pipeline("encrypted")
-        ct = pipeline.encrypt_images(test_images[:1])[:, :, :2, :2]
-        evaluator, relin_keys = pipeline.evaluator, pipeline._relin_keys
-        fused_product = evaluator.square(ct)
-        kernels.degrade_to_reference()
-        mixed = evaluator.relinearize(fused_product, relin_keys)
-        reference = evaluator.relinearize(evaluator.square(ct), relin_keys)
-        assert mixed.data.tobytes() == reference.data.tobytes()
 
     @pytest.mark.parametrize("seed", chaos_seeds())
     def test_eviction_storm_only_costs_time(

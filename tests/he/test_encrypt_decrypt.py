@@ -17,7 +17,7 @@ from repro.he import (
     Plaintext,
     ScalarEncoder,
     SymmetricEncryptor,
-    kernels,
+    oracle,
     small_parameter_options,
 )
 from repro.he.polyring import PolyContext
@@ -134,11 +134,11 @@ class TestConstantCoefficientPath:
         return calls
 
     @pytest.mark.parametrize(
-        "profile", [kernels.FUSED, kernels.REFERENCE], ids=["fused", "reference"]
+        "context_type", [Context, oracle.Context], ids=["fused", "reference"]
     )
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_matches_the_full_array_formula(
-        self, context, keypair, encoder, full_products, scheme, profile
+        self, context, keypair, encoder, full_products, scheme, context_type
     ):
         build, formula = SCHEMES[scheme]
         values = np.random.default_rng(3).integers(-500, 500, size=(3, 4))
@@ -146,16 +146,16 @@ class TestConstantCoefficientPath:
         assert not scalar.coeffs[..., 1:].any()
         general = Plaintext(context, scalar.coeffs.copy())
         general.coeffs[1, 2, 5] = 7
-        with kernels.use(profile):
-            for plain, lifted in ((scalar, []), (general, [(3, 4)])):
-                expected_rng = np.random.default_rng(99)
-                expected = formula(context, keypair, expected_rng, plain)
-                del full_products[:]
-                rng = np.random.default_rng(99)
-                ct = build(context, keypair, rng).encrypt(plain)
-                assert full_products == lifted
-                assert ct.is_ntt and ct.data.tobytes() == expected.tobytes()
-                assert rng.bit_generator.state == expected_rng.bit_generator.state
+        each = context_type(context.params)
+        for plain, lifted in ((scalar, []), (general, [(3, 4)])):
+            expected_rng = np.random.default_rng(99)
+            expected = formula(each, keypair, expected_rng, plain)
+            del full_products[:]
+            rng = np.random.default_rng(99)
+            ct = build(each, keypair, rng).encrypt(plain)
+            assert full_products == lifted
+            assert ct.is_ntt and ct.data.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == expected_rng.bit_generator.state
 
     def test_unbatched_plaintext(self, context, keypair, encoder, decryptor, full_products):
         ct = Encryptor(context, keypair.public, np.random.default_rng(5)).encrypt(
@@ -175,18 +175,18 @@ class TestSymmetricDrawsAInTheNttDomain:
     coefficient-domain draw's, and ``c1`` is canonical."""
 
     @pytest.mark.parametrize(
-        "profile", [kernels.FUSED, kernels.REFERENCE], ids=["fused", "reference"]
+        "context_type", [Context, oracle.Context], ids=["fused", "reference"]
     )
     def test_same_plaintext_noise_and_rng_as_a_transformed_draw(
-        self, context, keypair, encoder, decryptor, profile
+        self, context, keypair, encoder, decryptor, context_type
     ):
         ring = context.ring
         plain = encoder.encode(np.random.default_rng(4).integers(-900, 900, size=(2, 5)))
-        with kernels.use(profile):
-            parent_rng = np.random.default_rng(77)
-            parent = _symmetric_formula(context, keypair, parent_rng, plain, "coeff")
-            rng = np.random.default_rng(77)
-            ct = SymmetricEncryptor(context, keypair.secret, rng).encrypt(plain)
+        each = context_type(context.params)
+        parent_rng = np.random.default_rng(77)
+        parent = _symmetric_formula(each, keypair, parent_rng, plain, "coeff")
+        rng = np.random.default_rng(77)
+        ct = SymmetricEncryptor(each, keypair.secret, rng).encrypt(plain)
         assert rng.bit_generator.state == parent_rng.bit_generator.state
         assert ct.data.tobytes() != parent.tobytes()
         s = keypair.secret.s_ntt

@@ -16,14 +16,20 @@ from repro.he import (
     KeyGenerator,
     OperationCounter,
     ScalarEncoder,
-    kernels,
+    oracle,
     small_parameter_options,
 )
+from repro.he.context import Ciphertext
 from repro.he.keys import RelinKeys
 
 PROFILES = pytest.mark.parametrize(
-    "profile", [kernels.FUSED, kernels.REFERENCE], ids=lambda p: p.mode_name
+    "context_type", [Context, oracle.Context], ids=["fused", "reference"]
 )
+
+
+def _on(context, *cts):
+    """The ciphertexts, carried into ``context`` unchanged."""
+    return [Ciphertext(context, ct.data, ct.is_ntt) for ct in cts]
 
 small_ints = st.integers(min_value=-100, max_value=100)
 
@@ -159,20 +165,25 @@ class TestMultiplicative:
         assert lifts == [operand_shape]
         assert not squared.is_ntt and squared.data.tobytes() == product.data.tobytes()
         del inverse_transforms[:]
-        with kernels.use(kernels.REFERENCE):  # the oracle: one transform in all
-            assert evaluator.square(ct).data.tobytes() == product.data.tobytes()
+        reference = oracle.Context(context.params)  # one transform in all
+        oracle_intt = reference.ring.intt
+        monkeypatch.setattr(
+            reference.ring, "intt", lambda a: inverse_transforms.append(a.shape) or oracle_intt(a)
+        )
+        squared = Evaluator(reference).square(*_on(reference, ct))
+        assert squared.data.tobytes() == product.data.tobytes()
         assert inverse_transforms == [ct.data.shape]
 
     @PROFILES
     def test_mismatched_batches_are_a_typed_error(
-        self, encryptor, encoder, evaluator, profile
+        self, context, encryptor, encoder, context_type
     ):
         five = encryptor.encrypt(encoder.encode(np.arange(5)))
         three = encryptor.encrypt(encoder.encode(np.arange(3)))
-        with kernels.use(profile):
-            for op in (evaluator.multiply, evaluator.add):
-                with pytest.raises(ParameterError, match=r"\(5,\) and \(3,\)"):
-                    op(five, three)
+        evaluator = Evaluator(context_type(context.params))
+        for op in (evaluator.multiply, evaluator.add):
+            with pytest.raises(ParameterError, match=r"\(5,\) and \(3,\)"):
+                op(five, three)
 
     def test_broadcast_batch_multiplies_under_both_profiles(
         self, encryptor, decryptor, encoder, evaluator, relin_keys, rng
@@ -181,12 +192,16 @@ class TestMultiplicative:
         many = encryptor.encrypt(encoder.encode(values))
         one = encryptor.encrypt(encoder.encode(-7))
         outputs = {}
-        for profile in (kernels.FUSED, kernels.REFERENCE):
-            with kernels.use(profile):
-                relined = evaluator.relinearize(evaluator.multiply(many, one), relin_keys)
+        for mode, each in (
+            ("fused", evaluator),
+            ("reference", Evaluator(oracle.Context(evaluator.context.params))),
+        ):
+            relined = each.relinearize(
+                each.multiply(*_on(each.context, many, one)), relin_keys
+            )
             assert relined.batch_shape == (5,)
             assert np.array_equal(encoder.decode(decryptor.decrypt(relined)), values * -7)
-            outputs[profile.mode_name] = relined.data.tobytes()
+            outputs[mode] = relined.data.tobytes()
         assert outputs["fused"] == outputs["reference"]
 
     def test_multiply_batched(self, encryptor, decryptor, encoder, evaluator, rng):
@@ -266,7 +281,7 @@ class TestRelinearization:
 
     @PROFILES
     def test_truncated_keys_are_rejected(
-        self, context, encryptor, encoder, evaluator, relin_keys, profile
+        self, context, encryptor, encoder, evaluator, relin_keys, context_type
     ):
         """Keys for 2 of the 4 digit positions used to be accepted and the
         result decrypted to garbage."""
@@ -278,16 +293,15 @@ class TestRelinearization:
             relin_keys.decomposition_bits,
         )
         ct = evaluator.square(encryptor.encrypt(encoder.encode(15)))
-        with kernels.use(profile):
-            with pytest.raises(KeyMismatchError, match="2 digit positions"):
-                evaluator.relinearize(ct, truncated)
+        with pytest.raises(KeyMismatchError, match="2 digit positions"):
+            Evaluator(context_type(context.params)).relinearize(ct, truncated)
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_inner_product_matches_the_per_digit_fold(self, k):
         """The digit x key inner product is one multiply-accumulate; per
         digit ``pointwise_mul`` + ``add`` on Python-int digits is the oracle.
         k = 5 (ten digits, 30-bit primes) crosses a reduction boundary."""
-        from repro.he import Ciphertext, modmath
+        from repro.he import modmath
         from repro.he.params import EncryptionParams
 
         params = EncryptionParams(
@@ -312,10 +326,9 @@ class TestRelinearization:
                 acc[j] = ring.add(acc[j], ring.pointwise_mul(key[i], d_ntt))
         expected = np.stack(acc, axis=-3).tobytes()
 
-        for profile in (kernels.FUSED, kernels.REFERENCE):
+        for each in (context, oracle.Context(params)):
             counter = OperationCounter()
-            with kernels.use(profile):
-                relined = Evaluator(context, counter).relinearize(ct, relin_keys)
+            relined = Evaluator(each, counter).relinearize(*_on(each, ct), relin_keys)
             assert relined.is_ntt and relined.data.tobytes() == expected
             assert counter.counts == {"relinearize": 3}
 

@@ -1,7 +1,7 @@
 """Property and regression tests for the fused hot-path kernel layer.
 
-Everything the fused profile changes must be *bit-identical* to the
-reference kernels: the stacked NTT against per-prime :class:`NttPlan`, the
+Every production kernel must be *bit-identical* to the reference formulas
+(:mod:`repro.he.oracle`, or the primitive a kernel composes): the stacked NTT against per-prime :class:`NttPlan`, the
 lazy conditional-subtract arithmetic against full ``%``, the Garner int64
 CRT lift against the object-dtype sum, the int64 FV rounding against the
 object-dtype formula, the probe-based constant decrypt against full decrypt +
@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EncodingError, ParameterError
-from repro.he import kernels, modmath, polyring
+from repro.he import modmath, oracle, polyring
 from repro.he.batching import pack_coefficients
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
@@ -60,42 +60,14 @@ def rng():
     return np.random.default_rng(42)
 
 
-@pytest.fixture()
-def fused():
-    prev = kernels.configure(kernels.FUSED)
-    yield
-    kernels.configure(prev)
+@pytest.fixture(scope="module")
+def oracle_ring():
+    return oracle.Ring(N, PRIMES)
 
 
-@pytest.fixture()
-def reference():
-    prev = kernels.configure(kernels.REFERENCE)
-    yield
-    kernels.configure(prev)
-
-
-class TestKernelProfile:
-    def test_default_is_fused(self):
-        assert kernels.FUSED.mode_name == "fused"
-        assert kernels.REFERENCE.mode_name == "reference"
-
-    def test_configure_returns_previous(self):
-        prev = kernels.configure(kernels.REFERENCE)
-        try:
-            assert kernels.active() is kernels.REFERENCE
-        finally:
-            kernels.configure(prev)
-        assert kernels.active() is prev
-
-    def test_use_context_manager_restores(self):
-        before = kernels.active()
-        with kernels.use(kernels.REFERENCE):
-            assert not kernels.active().stacked_ntt
-        assert kernels.active() is before
-
-    def test_custom_profile_name(self):
-        mixed = kernels.KernelProfile(stacked_ntt=False)
-        assert mixed.mode_name == "custom"
+def _on(context, *cts):
+    """The ciphertexts, carried into ``context`` unchanged."""
+    return [Ciphertext(context, ct.data, ct.is_ntt) for ct in cts]
 
 
 class TestStackedNttEquivalence:
@@ -123,14 +95,12 @@ class TestStackedNttEquivalence:
         x = ring.sample_uniform(rng, 7)
         assert np.array_equal(ring.stacked.inverse(ring.stacked.forward(x)), x)
 
-    def test_ring_dispatch_matches_both_modes(self, ring, rng):
+    def test_ring_dispatch_matches_both_modes(self, ring, oracle_ring, rng):
         x = ring.sample_uniform(rng, 3)
-        with kernels.use(kernels.FUSED):
-            fast = ring.ntt(x)
-            fast_inv = ring.intt(fast)
-        with kernels.use(kernels.REFERENCE):
-            slow = ring.ntt(x)
-            slow_inv = ring.intt(slow)
+        fast = ring.ntt(x)
+        fast_inv = ring.intt(fast)
+        slow = oracle_ring.ntt(x)
+        slow_inv = oracle_ring.intt(slow)
         assert np.array_equal(fast, slow)
         assert np.array_equal(fast_inv, slow_inv)
 
@@ -466,49 +436,42 @@ class TestOverflowBounds:
 class TestLazyArithmetic:
     """Conditional-subtract add/sub and scalarized products == full ``%``."""
 
-    def test_add_matches_reference(self, ring, rng):
+    def test_add_matches_reference(self, ring, oracle_ring, rng):
         a = ring.sample_uniform(rng, 6)
         b = ring.sample_uniform(rng, 6)
-        with kernels.use(kernels.FUSED):
-            fast = ring.add(a, b)
-        with kernels.use(kernels.REFERENCE):
-            slow = ring.add(a, b)
+        fast = ring.add(a, b)
+        slow = oracle_ring.add(a, b)
         assert np.array_equal(fast, slow)
         assert fast.max() < ring.primes.max()
 
-    def test_sub_matches_reference(self, ring, rng):
+    def test_sub_matches_reference(self, ring, oracle_ring, rng):
         a = ring.sample_uniform(rng, 6)
         b = ring.sample_uniform(rng, 6)
-        with kernels.use(kernels.FUSED):
-            fast = ring.sub(a, b)
-        with kernels.use(kernels.REFERENCE):
-            slow = ring.sub(a, b)
+        fast = ring.sub(a, b)
+        slow = oracle_ring.sub(a, b)
         assert np.array_equal(fast, slow)
         assert fast.min() >= 0
 
-    def test_pointwise_mul_matches_reference(self, ring, rng):
+    def test_pointwise_mul_matches_reference(self, ring, oracle_ring, rng):
         a = ring.sample_uniform(rng, 6)
         b = ring.sample_uniform(rng, 6)
-        with kernels.use(kernels.FUSED):
-            fast = ring.pointwise_mul(a, b)
-        with kernels.use(kernels.REFERENCE):
-            slow = ring.pointwise_mul(a, b)
+        fast = ring.pointwise_mul(a, b)
+        slow = oracle_ring.pointwise_mul(a, b)
         assert np.array_equal(fast, slow)
 
-    def test_from_signed_small_matches_reference(self, ring, rng):
+    def test_from_signed_small_matches_reference(self, ring, oracle_ring, rng):
         raw = rng.integers(-1000, 1000, size=(5, ring.n))
-        with kernels.use(kernels.FUSED):
-            fast = ring.from_signed_small(raw)
-        with kernels.use(kernels.REFERENCE):
-            slow = ring.from_signed_small(raw)
+        fast = ring.from_signed_small(raw)
+        slow = oracle_ring.from_signed_small(raw)
         assert np.array_equal(fast, slow)
 
-    def test_reduce_sum_matches_folded_add(self, ring, rng):
+    def test_reduce_sum_matches_folded_add(self, ring, oracle_ring, rng):
         stack = ring.sample_uniform(rng, 500)
         folded = stack[0]
         for i in range(1, stack.shape[0]):
             folded = ring.add(folded, stack[i])
         assert np.array_equal(ring.reduce_sum(stack, axis=0), folded)
+        assert np.array_equal(oracle_ring.reduce_sum(stack, axis=0), folded)
 
 
 class TestScalarCache:
@@ -522,12 +485,10 @@ class TestScalarCache:
         assert not cached.flags.writeable
         assert np.array_equal(first, ring.mul_scalar(a, 12345))
 
-    def test_mul_scalar_matches_reference(self, ring, rng):
+    def test_mul_scalar_matches_reference(self, ring, oracle_ring, rng):
         a = ring.sample_uniform(rng, 3)
-        with kernels.use(kernels.FUSED):
-            fast = ring.mul_scalar(a, -77)
-        with kernels.use(kernels.REFERENCE):
-            slow = ring.mul_scalar(a, -77)
+        fast = ring.mul_scalar(a, -77)
+        slow = oracle_ring.mul_scalar(a, -77)
         assert np.array_equal(fast, slow)
 
 
@@ -725,7 +686,7 @@ class TestGarnerLift:
         n = 64
         primes = modmath.ntt_primes(31, n, 3)  # 93-bit q
         wide = PolyContext(n, primes)
-        assert not wide.q_fits_int64
+        assert not wide.int64_lift
         with pytest.raises(ParameterError, match="int64 CRT lift"):
             wide.to_int64_centered(wide.zeros(1))
 
@@ -845,6 +806,7 @@ class TestFastDecrypt:
             "encoder": ScalarEncoder(context),
             "encryptor": Encryptor(context, keys.public, np.random.default_rng(5)),
             "decryptor": Decryptor(context, keys.secret),
+            "oracle": Decryptor(oracle.Context(params), keys.secret),
         }
 
     def test_decrypt_constants_matches_decode(self, deployment):
@@ -860,34 +822,44 @@ class TestFastDecrypt:
         enc = deployment["encoder"]
         values = np.array([7, -3, 11])
         ct = deployment["encryptor"].encrypt(enc.encode(values))
-        with kernels.use(kernels.FUSED):
-            fast = decrypt_scalar_values(deployment["decryptor"], enc, ct)
-        with kernels.use(kernels.REFERENCE):
-            slow = decrypt_scalar_values(deployment["decryptor"], enc, ct)
+        fast = decrypt_scalar_values(deployment["decryptor"], enc, ct)
+        slow = decrypt_scalar_values(deployment["oracle"], enc, ct)
         assert np.array_equal(fast, slow)
         assert np.array_equal(fast, values)
 
     def test_decrypt_constants_rejects_non_scalar_plaintext(self, deployment):
-        context = deployment["context"]
-        coeffs = np.zeros((context.poly_degree,), dtype=np.int64)
-        coeffs[0], coeffs[1] = 5, 9  # non-constant polynomial
+        """A nonzero probe coefficient (``1`` or ``n/2``) is refused by both
+        decrypts.  Elsewhere only the oracle's full decode refuses it: the
+        probe decrypt returns the constants -- the one documented divergence
+        between the oracle and production."""
+        context, enc = deployment["context"], deployment["encoder"]
+        n = context.poly_degree
+        for probe in (1, n // 2):
+            coeffs = np.zeros((3, n), dtype=np.int64)
+            coeffs[:, 0] = [1, -2, 3]
+            coeffs[1, probe] = 9
+            ct = deployment["encryptor"].encrypt(Plaintext(context, coeffs))
+            for decryptor in (deployment["decryptor"], deployment["oracle"]):
+                with pytest.raises(EncodingError, match="non-constant"):
+                    decrypt_scalar_values(decryptor, enc, ct)
+        coeffs[1, probe] = 0
+        coeffs[1, 5] = 7  # a stray at an unprobed position
         ct = deployment["encryptor"].encrypt(Plaintext(context, coeffs))
         with pytest.raises(EncodingError, match="non-constant"):
-            deployment["decryptor"].decrypt_constants(ct)
+            decrypt_scalar_values(deployment["oracle"], enc, ct)
+        assert decrypt_scalar_values(deployment["decryptor"], enc, ct).tolist() == [1, -2, 3]
 
     def test_noise_budget_matches_reference(self, deployment):
         enc = deployment["encoder"]
         ct = deployment["encryptor"].encrypt(enc.encode(np.arange(5)))
-        with kernels.use(kernels.FUSED):
-            fast = deployment["decryptor"].invariant_noise_budget(ct)
-        with kernels.use(kernels.REFERENCE):
-            slow = deployment["decryptor"].invariant_noise_budget(ct)
+        fast = deployment["decryptor"].invariant_noise_budget(ct)
+        slow = deployment["oracle"].invariant_noise_budget(ct)
         assert fast == slow
 
 
 class TestFullDecryptBitIdentity:
     """``Decryptor.decrypt`` of full polynomials: int64 lift + int64 rounding
-    under the fused profile, Python ints under the reference one."""
+    in production, Python ints under the oracle."""
 
     @staticmethod
     def _deploy(params, seed):
@@ -897,13 +869,16 @@ class TestFullDecryptBitIdentity:
         return context, encryptor, Decryptor(context, keys.secret)
 
     @staticmethod
-    def _both_profiles(decryptor, ct):
-        with kernels.fused_kernels():
-            fast = decryptor.decrypt(ct)
-            fast_budget = decryptor.invariant_noise_budget(ct)
-        with kernels.reference_kernels():
-            slow = decryptor.decrypt(ct)
-            slow_budget = decryptor.invariant_noise_budget(ct)
+    def _oracle_of(decryptor):
+        return Decryptor(oracle.Context(decryptor.context.params), decryptor.secret_key)
+
+    @classmethod
+    def _both_profiles(cls, decryptor, ct):
+        fast = decryptor.decrypt(ct)
+        fast_budget = decryptor.invariant_noise_budget(ct)
+        reference = cls._oracle_of(decryptor)
+        slow = reference.decrypt(ct)
+        slow_budget = reference.invariant_noise_budget(ct)
         assert fast.coeffs.dtype == slow.coeffs.dtype == np.int64
         assert np.array_equal(fast.coeffs, slow.coeffs)
         assert fast_budget == slow_budget
@@ -934,7 +909,7 @@ class TestFullDecryptBitIdentity:
             plain_modulus=257,
         )
         context, encryptor, decryptor = self._deploy(params, 27)
-        assert not context.ring.q_fits_int64
+        assert not context.ring.int64_lift
 
         def refuse(*_args):
             raise AssertionError("int64 rounding must not run for q >= 2^62")
@@ -949,17 +924,15 @@ class TestFullDecryptBitIdentity:
         context, encryptor, decryptor = self._deploy(params, 29)
         coeffs = rng.integers(0, params.plain_modulus, size=(2, params.poly_degree))
         ct = encryptor.encrypt(Plaintext(context, coeffs))
-        calls = []
-        dot_ntt = decryptor._dot_ntt
-        monkeypatch.setattr(
-            decryptor, "_dot_ntt", lambda c: calls.append(1) or dot_ntt(c)
-        )
-        for profile in (kernels.FUSED, kernels.REFERENCE):
-            with kernels.use(profile):
-                calls.clear()
-                checked = decryptor.decrypt(ct, check_noise=True)
-                assert len(calls) == 1
-                assert np.array_equal(checked.coeffs, coeffs)
+        for each in (decryptor, self._oracle_of(decryptor)):
+            calls = []
+            dot_ntt = each._dot_ntt
+            monkeypatch.setattr(
+                each, "_dot_ntt", lambda c, dot_ntt=dot_ntt, calls=calls: calls.append(1) or dot_ntt(c)
+            )
+            checked = each.decrypt(ct, check_noise=True)
+            assert len(calls) == 1
+            assert np.array_equal(checked.coeffs, coeffs)
 
 
 class TestEncryptorBitIdentity:
@@ -976,24 +949,20 @@ class TestEncryptorBitIdentity:
         context, keys = setup
         enc = ScalarEncoder(context)
         plain = enc.encode(np.arange(10))
-        with kernels.use(kernels.FUSED):
-            fast = Encryptor(context, keys.public, np.random.default_rng(9)).encrypt(plain)
-        with kernels.use(kernels.REFERENCE):
-            slow = Encryptor(context, keys.public, np.random.default_rng(9)).encrypt(plain)
+        fast = Encryptor(context, keys.public, np.random.default_rng(9)).encrypt(plain)
+        slow = Encryptor(
+            oracle.Context(context.params), keys.public, np.random.default_rng(9)
+        ).encrypt(plain)
         assert np.array_equal(fast.data, slow.data)
 
     def test_symmetric_encrypt_matches(self, setup):
         context, keys = setup
         enc = ScalarEncoder(context)
         plain = enc.encode(np.arange(6))
-        with kernels.use(kernels.FUSED):
-            fast = SymmetricEncryptor(
-                context, keys.secret, np.random.default_rng(9)
-            ).encrypt(plain)
-        with kernels.use(kernels.REFERENCE):
-            slow = SymmetricEncryptor(
-                context, keys.secret, np.random.default_rng(9)
-            ).encrypt(plain)
+        fast = SymmetricEncryptor(context, keys.secret, np.random.default_rng(9)).encrypt(plain)
+        slow = SymmetricEncryptor(
+            oracle.Context(context.params), keys.secret, np.random.default_rng(9)
+        ).encrypt(plain)
         assert np.array_equal(fast.data, slow.data)
 
 
@@ -1011,10 +980,8 @@ class TestEvaluatorAddMany:
     def test_uniform_operands_sum_matches_reference(self, setup):
         context, encoder, encryptor, decryptor = setup
         cts = [encryptor.encrypt(encoder.encode(np.full((3,), v))) for v in (1, 2, 3, 4)]
-        with kernels.use(kernels.FUSED):
-            fast = Evaluator(context).add_many(cts)
-        with kernels.use(kernels.REFERENCE):
-            slow = Evaluator(context).add_many(cts)
+        fast = Evaluator(context).add_many(cts)
+        slow = Evaluator(oracle.Context(context.params)).add_many(cts)
         assert np.array_equal(fast.data, slow.data)
         assert np.array_equal(encoder.decode(decryptor.decrypt(fast)), np.full((3,), 10))
 
@@ -1052,8 +1019,8 @@ def square_model():
 
 
 class TestRnsMultiply:
-    """``multiply`` / ``square`` / ``relinearize`` under FUSED (int64 RNS)
-    return the REFERENCE (Python-int) bytes and tallies."""
+    """``multiply`` / ``square`` / ``relinearize`` in production (int64 RNS)
+    return the oracle's (Python-int) bytes and tallies."""
 
     @staticmethod
     def _uniform_ct(context, rng, *batch):
@@ -1062,16 +1029,16 @@ class TestRnsMultiply:
         return Ciphertext(context, context.ring.sample_uniform(rng, *batch, 2), is_ntt=True)
 
     @staticmethod
-    def _both(fn):
-        """``fn(counter)`` -> ciphertexts, under each profile; returns
-        ``{mode: [(is_ntt, bytes)]}`` and ``{mode: tallies}``."""
+    def _both(context, fn):
+        """``fn(context, counter)`` -> ciphertexts, over ``context`` and over
+        its oracle; returns ``{mode: [(is_ntt, bytes)]}`` and ``{mode:
+        tallies}``."""
         outputs, tallies = {}, {}
-        for profile in (kernels.FUSED, kernels.REFERENCE):
+        for mode, each in (("fused", context), ("reference", oracle.Context(context.params))):
             counter = OperationCounter()
-            with kernels.use(profile):
-                cts = fn(counter)
-            outputs[profile.mode_name] = [(ct.is_ntt, ct.data.tobytes()) for ct in cts]
-            tallies[profile.mode_name] = dict(counter.counts)
+            cts = fn(each, counter)
+            outputs[mode] = [(ct.is_ntt, ct.data.tobytes()) for ct in cts]
+            tallies[mode] = dict(counter.counts)
         return outputs, tallies
 
     @pytest.mark.parametrize("params", RNS_PARAMS, ids=lambda p: p.name)
@@ -1085,17 +1052,18 @@ class TestRnsMultiply:
         batch = (3,) if params.poly_degree <= 1024 else (1,)
         a, b = self._uniform_ct(context, rng, *batch), self._uniform_ct(context, rng, *batch)
 
-        def run(counter):
-            evaluator = Evaluator(context, counter)
-            product = evaluator.multiply(a, b)
-            mixed = evaluator.multiply(a.to_coeff(), b)
-            squared = evaluator.square(a)
-            squared_coeff = evaluator.square(a.to_coeff())
+        def run(each, counter):
+            evaluator = Evaluator(each, counter)
+            x, y = _on(each, a, b)
+            product = evaluator.multiply(x, y)
+            mixed = evaluator.multiply(x.to_coeff(), y)
+            squared = evaluator.square(x)
+            squared_coeff = evaluator.square(x.to_coeff())
             relined = evaluator.relinearize(product, relin_keys)
-            second = evaluator.relinearize(evaluator.multiply(relined, b), relin_keys)
+            second = evaluator.relinearize(evaluator.multiply(relined, y), relin_keys)
             return product, mixed, squared, squared_coeff, relined, second
 
-        outputs, tallies = self._both(run)
+        outputs, tallies = self._both(context, run)
         assert outputs["fused"] == outputs["reference"]
         assert tallies["fused"] == tallies["reference"]
         assert tallies["fused"] == {"ct_mul": 5 * batch[0], "relinearize": 2 * batch[0]}
@@ -1113,15 +1081,14 @@ class TestRnsMultiply:
         values = rng.integers(-1000, 1000, size=(2, 3))
         ct = Encryptor(context, keys.public, rng).encrypt(encoder.encode(values))
 
-        def run(counter):
-            evaluator = Evaluator(context, counter)
-            return [evaluator.relinearize(evaluator.square(ct), relin_keys)]
+        def run(each, counter):
+            evaluator = Evaluator(each, counter)
+            return [evaluator.relinearize(evaluator.square(*_on(each, ct)), relin_keys)]
 
-        outputs, tallies = self._both(run)
+        outputs, tallies = self._both(context, run)
         assert outputs["fused"] == outputs["reference"]
         assert tallies["fused"] == tallies["reference"]
-        with kernels.use(kernels.FUSED):
-            relined = Evaluator(context).relinearize(Evaluator(context).square(ct), relin_keys)
+        relined = Evaluator(context).relinearize(Evaluator(context).square(ct), relin_keys)
         decoded = encoder.decode(Decryptor(context, keys.secret).decrypt(relined))
         assert np.array_equal(decoded, values**2)
 
@@ -1132,10 +1099,11 @@ class TestRnsMultiply:
         context = Context(small_parameter_options()[256])
         a, b = self._uniform_ct(context, rng, count), self._uniform_ct(context, rng, count)
         outputs, _ = self._both(
-            lambda counter: [
-                Evaluator(context, counter).multiply(a, b),
-                Evaluator(context, counter).square(a.reshape(count, 1)),
-            ]
+            context,
+            lambda each, counter: [
+                Evaluator(each, counter).multiply(*_on(each, a, b)),
+                Evaluator(each, counter).square(*_on(each, a.reshape(count, 1))),
+            ],
         )
         assert outputs["fused"] == outputs["reference"]
 
@@ -1194,8 +1162,8 @@ class TestRnsMultiply:
             )
             for _ in range(2)
         )
-        with kernels.use(kernels.REFERENCE):
-            expected = Evaluator(context).multiply(a, b).data
+        reference = oracle.Context(context.params)
+        expected = Evaluator(reference).multiply(*_on(reference, a, b)).data
         assert expected.any()
         context._aux_basis = AuxBasis(ring, context.plain_modulus, [*base[:-1], check])
         assert np.array_equal(Evaluator(context).multiply(a, b).data, expected)
@@ -1250,15 +1218,17 @@ class TestRnsMultiply:
             assert np.array_equal(limb, (big >> (bits * i)) & ((1 << bits) - 1))
 
     def test_fused_inference_never_touches_python_ints(self, square_model, monkeypatch):
-        """A ``CryptonetsPipeline.infer`` under FUSED calls none of the oracle's
+        """A production ``CryptonetsPipeline.infer`` calls none of the oracle's
         bridges and leaves no object-dtype array in any frame of
         ``multiply`` / ``square`` / ``relinearize``."""
         from repro.core import CryptonetsPipeline, parameters_for_pipeline
 
         square, _, images = square_model
-        pipeline = CryptonetsPipeline(square, parameters_for_pipeline(square, 256), seed=5)
-        with kernels.use(kernels.REFERENCE):
-            expected = pipeline.infer(images[:1]).logits
+        params = parameters_for_pipeline(square, 256)
+        pipeline = CryptonetsPipeline(square, params, seed=5)
+        expected = CryptonetsPipeline(
+            square, params, seed=5, context_type=oracle.Context
+        ).infer(images[:1]).logits
 
         bridge_calls, object_arrays, watched = [], [], []
 
@@ -1301,8 +1271,7 @@ class TestRnsMultiply:
             bridge(name)
         for name in ("multiply", "square", "relinearize"):
             watch(name)
-        with kernels.use(kernels.FUSED):
-            logits = pipeline.infer(images[:1]).logits
+        logits = pipeline.infer(images[:1]).logits
         assert np.array_equal(logits, expected)
         assert {"square", "multiply", "relinearize"} <= set(watched)
         assert bridge_calls == [] and object_arrays == []

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ReproError
 from repro.obs import (
-    ProfileReport,
     Span,
     profile_from_trace,
     profile_from_traces,
@@ -126,17 +125,6 @@ class TestMergeAndViews:
         ops = profile_from_trace(_pipeline()).per_op()
         assert set(ops) == {"conv", "crossing", "decrypt"}
         assert ops["crossing"]["ecalls"] == 1
-
-    def test_savings_vs_normalizes_per_pipeline(self):
-        fast = profile_from_traces([_pipeline(scale=0.5)] * 2)
-        slow = profile_from_trace(_pipeline(scale=1.0))
-        savings = fast.savings_vs(slow)
-        assert savings["conv"] == pytest.approx(0.3)  # 0.6 - 0.3 per pipeline
-        assert all(s > 0 for s in savings.values())
-
-    def test_savings_needs_pipelines(self):
-        with pytest.raises(ReproError):
-            ProfileReport().savings_vs(profile_from_trace(_pipeline()))
 
     def test_fold_key_mismatch_rejected(self):
         a = profile_from_trace(_pipeline()).nodes["('conv', 'conv', 1)"]

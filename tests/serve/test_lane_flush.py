@@ -1,6 +1,6 @@
 """The packed flush is the direct path's chain behind a host fold: typed
 layout checks at its two crossings, equivalence with the unpacked
-``served`` graph across batch sizes / kernel profiles / worker counts /
+``served`` graph across batch sizes / the oracle context / worker counts /
 recovery, the one-ciphertext-per-image result both paths return, and
 DESIGN.md §6's claims on the serving path."""
 
@@ -15,8 +15,8 @@ from repro import faults
 from repro.core import EdgeServer, PlaintextPipeline, heops
 from repro.errors import EncodingError, PipelineError, RecoveryExhausted, RequestFailedError
 from repro.faults import EnclaveSupervisor, FaultPlan, FaultRule
-from repro.he import Evaluator, kernels, parallel
-from repro.he.context import Ciphertext, Plaintext
+from repro.he import Evaluator, oracle, parallel
+from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.evaluator import PlainOperand
 from repro.he.serialize import serialize_ciphertext, serialize_secret_key
 from repro.serve import InferenceRequest, ServeConfig
@@ -31,8 +31,10 @@ def submit_singles(server, session, images):
     ]
 
 
-def fresh_deployment(params, model, session_for, **config):
-    srv = EdgeServer(params, seed=13, serve_config=ServeConfig(**config))
+def fresh_deployment(params, model, session_for, context_type=Context, **config):
+    srv = EdgeServer(
+        params, seed=13, serve_config=ServeConfig(**config), context_type=context_type
+    )
     srv.provision_model("digits", model)
     session = session_for(srv)
     session.encryptor.rng = np.random.default_rng(5)  # pin client HE noise
@@ -134,9 +136,11 @@ class TestFlushEquivalence:
             )
             assert response.result().packed_batch == batch
 
-    def _result_bytes(self, params, model, images, session_for):
+    def _result_bytes(self, params, model, images, session_for, context_type=Context):
         """A flush's per-request results, then one direct two-image result."""
-        srv, session = fresh_deployment(params, model, session_for, max_batch=8)
+        srv, session = fresh_deployment(
+            params, model, session_for, context_type=context_type, max_batch=8
+        )
         responses = submit_singles(srv, session, images)
         srv.scheduler.drain()
         results = [r.result() for r in responses]
@@ -149,10 +153,9 @@ class TestFlushEquivalence:
     ):
         images = models.dataset.test_images[:5]
         reference = self._result_bytes(batching_params, q_sigmoid, images, session_for)
-        with kernels.reference_kernels():
-            assert reference == self._result_bytes(
-                batching_params, q_sigmoid, images, session_for
-            )
+        assert reference == self._result_bytes(
+            batching_params, q_sigmoid, images, session_for, oracle.Context
+        )
         for workers in (1, 2):
             with parallel.use(workers):
                 assert reference == self._result_bytes(

@@ -74,4 +74,3 @@ class TestServeInstrumentation:
         assert flat['repro_sgx_ecall_total{ecall="activation_pool"}'] == 1.0
         assert flat['repro_he_noise_budget_bits{layer="conv",model="digits"}'] > 0.0
         assert flat['repro_he_noise_budget_bits{layer="fc",model="digits"}'] > 0.0
-        assert flat['repro_he_kernel_profile{mode="fused"}'] == 1.0
