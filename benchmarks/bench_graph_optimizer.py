@@ -36,32 +36,31 @@ import time
 import numpy as np
 
 from repro.core import HybridPipeline, parameters_for_pipeline, train_paper_models
-from repro.graph import optimizer
+from repro.graph import LEVELS
 from repro.he import serialize as ser
 
 
 def run_level(factory, level, images, reps):
     """Run one untimed warm-up rep (so cold caches don't skew the first
-    level measured) and ``reps`` timed inferences at ``level`` on one fresh
-    pipeline; returns (min simulated seconds, mean host wall seconds per
-    timed rep, per-rep fingerprints, applied passes).  The warm-up's
-    fingerprint is compared too."""
-    with optimizer.use(level):
-        pipe = factory()
-        runs = [(pipe.infer(images), dict(pipe.counter.counts))]
-        times = []
-        start = time.perf_counter()
-        for _ in range(reps):
-            t0 = pipe.clock.now_s
-            res = pipe.infer(images)
-            times.append(pipe.clock.now_s - t0)
-            runs.append((res, dict(pipe.counter.counts)))
-        wall_s = (time.perf_counter() - start) / reps
-        fingerprints = [
-            (res.logits.tolist(), ser.serialize_ciphertext(res.logits_ct), counts)
-            for res, counts in runs
-        ]
-        return min(times), wall_s, fingerprints, list(pipe.graph_report.applied)
+    level measured) and ``reps`` timed inferences on one fresh pipeline
+    built by ``factory(level)``; returns (min simulated seconds, mean host
+    wall seconds per timed rep, per-rep fingerprints, applied passes).  The
+    warm-up's fingerprint is compared too."""
+    pipe = factory(level)
+    runs = [(pipe.infer(images), dict(pipe.counter.counts))]
+    times = []
+    start = time.perf_counter()
+    for _ in range(reps):
+        t0 = pipe.clock.now_s
+        res = pipe.infer(images)
+        times.append(pipe.clock.now_s - t0)
+        runs.append((res, dict(pipe.counter.counts)))
+    wall_s = (time.perf_counter() - start) / reps
+    fingerprints = [
+        (res.logits.tolist(), ser.serialize_ciphertext(res.logits_ct), counts)
+        for res, counts in runs
+    ]
+    return min(times), wall_s, fingerprints, list(pipe.graph_report.applied)
 
 
 def bench_scheme(factory, levels, images, reps):
@@ -112,8 +111,10 @@ def main(argv=None) -> int:
     images = models.dataset.test_images[:batch]
 
     hybrid_rows, bit_identical = bench_scheme(
-        lambda: HybridPipeline(q_sigmoid, hybrid_params, seed=args.seed),
-        optimizer.LEVELS,
+        lambda level: HybridPipeline(
+            q_sigmoid, hybrid_params, seed=args.seed, graph_optimizer=level
+        ),
+        LEVELS,
         images,
         reps,
     )

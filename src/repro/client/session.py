@@ -1,9 +1,8 @@
 """The attested client session: a state machine, not a pile of calls.
 
-User enrollment grew organically -- ``EdgeServer.enroll_user`` runs the
-whole Fig. 2 exchange in one opaque step, and every example hand-rolled its
-own verifier wiring around it.  The SDK makes the trust establishment
-explicit and *inspectable*: one :class:`AttestedClient` walks
+The one way a user enrolls with an edge server.  The SDK makes the trust
+establishment of the Fig. 2 exchange explicit and *inspectable*: one
+:class:`AttestedClient` walks
 
     CREATED -> CONNECT -> VERIFY_QUOTE -> SESSION_PINNED -> READY
 

@@ -241,13 +241,6 @@ class InferenceEnclave(Enclave):
         return self._encrypt_values(pooled)
 
     @ecall
-    def max_pool(self, ct: Ciphertext, window: int) -> Ciphertext:
-        """Max pooling -- impossible under HE, trivial in the enclave
-        (Section VI-D: "we obviously can only use SGX to perform
-        max-pooling in our scenario")."""
-        return self._encrypt_values(_max_pool(self._decrypt_values(ct), window))
-
-    @ecall
     def activation_pool_packed(
         self,
         ct: Ciphertext,

@@ -13,14 +13,16 @@ This is the API a downstream integrator would embed::
 
     server = EdgeServer(params, seed=7, fleet_size=2)
     server.provision_model("digits", quantized)
-    session = server.enroll_user(entropy=os.urandom(32), verifier=verifier)
+    session = AttestedClient(server, verifier, os.urandom(32)).establish().session
     request = InferenceRequest(model="digits", ciphertext=session.encrypt("digits", images))
     response = server.infer(request)
     predictions = session.decrypt(response)
 
 A request is one frozen :class:`~repro.serve.api.InferenceRequest`; both
-the direct and the packed path execute as walks of the model's compiled
-inference graph (:mod:`repro.graph`, kinds ``served`` and ``packed``).
+the direct and the packed path execute as walks of the model's inference
+graph (:mod:`repro.graph`, kinds ``served`` and ``packed``), each built
+once at provisioning.  The optimizer's one rewrite refuses both (their
+crossing is image-layout), so the server has no optimizer level.
 ``fleet_size > 1`` runs N enclave replicas behind one facade (see
 :class:`~repro.faults.FleetManager`): replica 0 generates the HE key pair,
 the rest join via quote-verified sealed-key migration, and packed flushes
@@ -42,7 +44,7 @@ import numpy as np
 
 from repro.core import heops
 from repro.core.enclave_service import InferenceEnclave
-from repro.core.keyflow import SgxKeyDistribution, UserClient
+from repro.core.keyflow import SgxKeyDistribution
 from repro.core.results import InferenceResult, stages_from_trace
 from repro.errors import EncodingError, PipelineError, UnknownModelError
 from repro.faults import EnclaveSupervisor, FleetManager
@@ -63,7 +65,7 @@ from repro.obs.context import TraceContext
 from repro.serve.api import InferenceRequest
 from repro.serve.api import InferenceResult as _ServeResult
 from repro.serve.scheduler import RequestScheduler, ServeConfig
-from repro.sgx.attestation import AttestationVerificationService, QuotingService
+from repro.sgx.attestation import QuotingService
 from repro.sgx.enclave import SgxPlatform
 from repro.sgx.sealing import SealedBlob
 
@@ -220,7 +222,7 @@ class EdgeServer:
         self.encoder = ScalarEncoder(self.context)
         self._models: dict[str, QuantizedCNN] = {}
         self._resources: dict[str, graph_executor.Resources] = {}
-        self._plans: dict[tuple[str, str], graph_executor.GraphPlan] = {}
+        self._graphs: dict[tuple[str, str], graph_ir.InferenceGraph] = {}
         self._serve_config = serve_config if serve_config is not None else ServeConfig()
         self._scheduler: RequestScheduler | None = None
 
@@ -234,10 +236,19 @@ class EdgeServer:
     ) -> "EdgeServer":
         """Build a server from a declarative :class:`~repro.core.pipeline.
         PipelineSpec`: parameters (exact, or auto-sized against
-        ``sizing_model``), flush worker count, graph optimizer level, fleet
-        size and queue bounds all come from the spec."""
+        ``sizing_model``), flush worker count, fleet size and queue bounds
+        all come from the spec.
+
+        Raises:
+            PipelineError: the spec asks for the ``safe`` optimizer level,
+                which has no rewrite on the serving graphs.
+        """
+        if spec.graph_optimizer not in (None, "off"):
+            raise PipelineError(
+                f"graph_optimizer={spec.graph_optimizer!r}: the serving graphs "
+                "have no rewrite, so an EdgeServer takes None or 'off'"
+            )
         spec.apply_workers()
-        spec.apply_graph_optimizer()
         return cls(
             spec.resolve_params(sizing_model),
             platform=platform,
@@ -294,10 +305,10 @@ class EdgeServer:
                 "fc": fc,
             },
         )
-        for kind, options in (("served", {}), ("packed", {"lanes": lanes})):
-            self._plans[name, kind] = graph_executor.GraphPlan(
-                kind, quantized, self.params, **options
-            )
+        self._graphs[name, "served"] = graph_ir.build_graph(
+            "served", quantized, self.params
+        )
+        self._graphs[name, "packed"] = packed
         self.fleet.register_model(name)
         if metrics.registry().enabled:
             metrics.family("repro_he_noise_budget_bits").labels(
@@ -373,29 +384,6 @@ class EdgeServer:
         with obs_context.activate(exchange_context):
             return distribution.serve_exchange(user_dh_public)
 
-    def enroll_user(
-        self, entropy: bytes, verifier: AttestationVerificationService
-    ) -> UserSession:
-        """Run the attested key exchange for one user and hand back their
-        session (the user-side object; in a real deployment this happens on
-        the user's device -- the :mod:`repro.client` SDK is that device-side
-        flow with an explicit state machine)."""
-        client = UserClient(
-            params=self.params,
-            verifier=verifier,
-            expected_mrenclave=self.enclave.measurement.mrenclave,
-            entropy=entropy,
-        )
-        quote, sealed = self.serve_key_exchange(client.begin_exchange())
-        keys = client.complete_exchange(quote, sealed)
-        context = Context(self.params)
-        return UserSession(
-            context=context,
-            encryptor=Encryptor(context, keys.public),
-            decryptor=Decryptor(context, keys.secret),
-            quantized_by_model=dict(self._models),
-        )
-
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
@@ -460,7 +448,7 @@ class EdgeServer:
         before_close=None,
         **span_attrs,
     ) -> tuple[Ciphertext, InferenceResult]:
-        """Walk ``model_name``'s compiled ``kind`` graph over ``ct`` (for
+        """Walk ``model_name``'s ``kind`` graph over ``ct`` (for
         ``packed``, the flush's request ciphertexts un-stacked) on
         ``enclave`` under one ``scheme`` pipeline span.
 
@@ -472,7 +460,7 @@ class EdgeServer:
         zeroed: only the user can decrypt).
         """
         quantized = self._require_model(model_name)
-        graph, report = self._plans[model_name, kind].compiled()
+        graph = self._graphs[model_name, kind]
         env = replace(self._resources[model_name], enclave=enclave)
         batch = graph_executor.leading_batch(ct)
         with obs_context.activate(*contexts), self.platform.tracer.span(
@@ -482,7 +470,6 @@ class EdgeServer:
             side_channel=enclave.side_channel,
             model=model_name,
             batch=batch,
-            graph_opt=report.label,
             **span_attrs,
         ) as trace:
             _, _, logits_ct = graph_executor.run(graph, env, ciphertext=ct)
@@ -497,12 +484,6 @@ class EdgeServer:
             trace=trace,
         )
         return logits_ct, timing
-
-    def graph_report(self, model_name: str, kind: str):
-        """The :class:`~repro.graph.CompileReport` of ``model_name``'s last
-        ``kind`` (``served`` / ``packed``) compile; None before first use."""
-        self._require_model(model_name)
-        return self._plans[model_name, kind].report
 
     def _require_model(self, name: str) -> QuantizedCNN:
         quantized = self._models.get(name)

@@ -15,8 +15,8 @@ graph passes: they run unconditionally where the operand is built
 Modules:
     ir: the :class:`InferenceGraph` IR and one builder per chain kind.
     passes: ``pack_crossing``, its noise margin and its refusal conditions.
-    optimizer: level configuration (off/safe, ``REPRO_GRAPH_OPT``),
-        the compiler with fault-site degradation, and compile reports.
+    optimizer: the compiler -- one graph at one level (off/safe) --
+        with fault-site degradation, and compile reports.
     executor: walks a compiled graph over an explicit ``Resources`` value
         through one op table.
 """
@@ -32,14 +32,7 @@ from repro.graph.ir import (
     build_served_graph,
     build_simd_graph,
 )
-from repro.graph.optimizer import (
-    LEVELS,
-    CompileReport,
-    active_level,
-    compile_graph,
-    configure,
-    use,
-)
+from repro.graph.optimizer import LEVELS, CompileReport, compile_graph
 
 __all__ = [
     "BUILDERS",
@@ -53,8 +46,5 @@ __all__ = [
     "build_simd_graph",
     "LEVELS",
     "CompileReport",
-    "active_level",
     "compile_graph",
-    "configure",
-    "use",
 ]

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core import heops
 from repro.errors import PipelineError
-from repro.graph import ir, optimizer
+from repro.graph import ir
 from repro.he.batching import pack_coefficients, read_lanes, write_lanes
 from repro.he.context import Ciphertext
 from repro.he.decryptor import decrypt_scalar_values
@@ -77,27 +77,6 @@ class Resources:
             counter=self.evaluator.counter,
             side_channel=getattr(self.enclave, "side_channel", None),
         )
-
-
-class GraphPlan:
-    """One owner's graph of one kind, compiled on first use and again
-    whenever the optimizer level changes."""
-
-    def __init__(self, kind: str, quantized, params, **options) -> None:
-        self._build = lambda: ir.build_graph(kind, quantized, params, **options)
-        self._level: str | None = None
-        self._graph: ir.InferenceGraph | None = None
-        self.report: optimizer.CompileReport | None = None
-
-    def compiled(self) -> tuple[ir.InferenceGraph, optimizer.CompileReport]:
-        """The graph at the active level; republishes the level gauge on
-        every call."""
-        optimizer.record_active_level()
-        level = optimizer.active_level()
-        if self._graph is None or self._level != level:
-            self._graph, self.report = optimizer.compile_graph(self._build(), level)
-            self._level = level
-        return self._graph, self.report
 
 
 @dataclass

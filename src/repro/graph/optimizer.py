@@ -1,10 +1,10 @@
-"""Graph-optimizer configuration and compiler.
+"""The graph-optimizer compiler.
 
-A process-wide level (``off``/``safe``), an env override
-(``REPRO_GRAPH_OPT``), a ``use()`` context manager for tests, a one-hot
-gauge recording the active level, and graceful degradation: a pass that raises mid-compile (the
-``graph.pass`` fault site) discards the partially rewritten graph and
-falls back to the unoptimized reference graph, counted by the
+A level (``off``/``safe``) is an argument of one compile: each pipeline
+compiles its graph once, at construction, at the level it was built with
+(DESIGN.md §16).  A pass that raises mid-compile (the ``graph.pass`` fault
+site) discards the partially rewritten graph and falls back to the
+unoptimized reference graph, counted by the
 ``repro_graph_degradations_total`` metric.  Execution of a degraded
 compile is bit-identical to the optimized one, because the rewrite is
 bit-exact by contract.
@@ -21,8 +21,6 @@ Levels:
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.errors import GraphPassError, PipelineError
@@ -37,62 +35,12 @@ PACK_CROSSING = "pack_crossing"
 
 FAULT_SITE = "graph.pass"
 
-_ENV_LEVEL = "REPRO_GRAPH_OPT"
 
-_active_level: str | None = None
-
-
-def _check_level(level: str, source: str = "graph optimizer level") -> str:
+def check_level(level: str) -> str:
+    """``level`` itself, or :class:`PipelineError` naming :data:`LEVELS`."""
     if level not in LEVELS:
-        raise PipelineError(f"{source} must be one of {LEVELS}, got {level!r}")
+        raise PipelineError(f"graph_optimizer must be one of {LEVELS}, got {level!r}")
     return level
-
-
-def default_level() -> str:
-    """Level named by ``REPRO_GRAPH_OPT`` (``off`` when unset or empty).
-
-    Raises:
-        PipelineError: the variable holds anything else -- a mistyped CI
-            switch must not silently test the default configuration.
-    """
-    raw = os.environ.get(_ENV_LEVEL, "").strip().lower()
-    return _check_level(raw, _ENV_LEVEL) if raw else "off"
-
-
-def active_level() -> str:
-    return _active_level if _active_level is not None else default_level()
-
-
-def configure(level: str | None) -> str | None:
-    """Install a level process-wide; ``None`` restores the env-derived
-    default.  Returns the previous setting for restoring."""
-    global _active_level
-    if level is not None:
-        _check_level(level)
-    previous = _active_level
-    _active_level = level
-    record_active_level()
-    return previous
-
-
-@contextmanager
-def use(level: str | None):
-    """Temporarily install a level (tests, benches)."""
-    previous = configure(level)
-    try:
-        yield
-    finally:
-        configure(previous)
-
-
-def record_active_level() -> None:
-    """One-hot gauge of the active level (``repro_graph_opt_level``)."""
-    from repro.obs import metrics
-
-    gauge = metrics.family("repro_graph_opt_level")
-    current = active_level()
-    for level in LEVELS:
-        gauge.labels(level=level).set(1.0 if level == current else 0.0)
 
 
 @dataclass(frozen=True)
@@ -115,15 +63,14 @@ class CompileReport:
 
 
 def compile_graph(
-    graph: ir.InferenceGraph, level: str | None = None
+    graph: ir.InferenceGraph, level: str
 ) -> tuple[ir.InferenceGraph, CompileReport]:
     """Compile ``graph``: clone, run ``pack_crossing`` at ``safe``, report.
 
-    The input graph is never mutated.  ``level`` defaults to the active
-    one.  Any exception from the pass degrades the compile to the
-    reference graph.
+    The input graph is never mutated.  Any exception from the pass
+    degrades the compile to the reference graph.
     """
-    level = _check_level(active_level() if level is None else level)
+    level = check_level(level)
     if level == "off":
         return graph.clone(), CompileReport(level=level, requested=())
 

@@ -680,9 +680,6 @@ FAMILIES: dict[str, tuple[str, tuple[str, ...], tuple[float, ...] | None, str]] 
     "repro_sgx_epc_faults_total": (
         "counter", (), None,
         "EPC page faults observed by the untrusted OS."),
-    "repro_graph_opt_level": (
-        "gauge", ("level",), None,
-        "Active graph-optimizer level (one-hot)."),
     "repro_graph_degradations_total": (
         "counter", ("graph_pass",), None,
         "Graph compilations degraded to the unoptimized reference graph "

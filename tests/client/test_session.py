@@ -167,15 +167,3 @@ class TestCrashRecovery:
         assert np.array_equal(
             client.predict("digits", images), expected.argmax(axis=1)
         )
-
-    def test_sdk_session_matches_enroll_user(self, make_server, verifier_for, models):
-        """The SDK's READY session and the legacy enroll_user session hold
-        the same fleet key pair: ciphertexts decrypt interchangeably."""
-        server = make_server()
-        client = make_client(server, verifier_for).establish()
-        legacy = server.enroll_user(entropy=b"\x07" * 32, verifier=verifier_for(server))
-        images = models.dataset.test_images[:1]
-        result = server.infer(client.request("digits", images))
-        assert np.array_equal(
-            legacy.decrypt_logits(result), client.decrypt_logits(result)
-        )

@@ -19,7 +19,6 @@ import pytest
 from repro import faults
 from repro.core import HybridPipeline, heops, parameters_for_pipeline
 from repro.faults import FaultPlan, FaultRule
-from repro.graph import optimizer
 from repro.he import (
     Context,
     Encryptor,
@@ -218,7 +217,7 @@ class TestRewritesReachEveryPath:
         }
         assert 0 not in keeps["conv"] and not {0, 1} & set(keeps["dense"])
         images = images_for("served")[:3]
-        with optimizer.use("off"), parallel.use(workers):
+        with parallel.use(workers):
             pipe = HybridPipeline(model, parameters_for_pipeline(model, 256), seed=7)
             healthy = pipe.infer(images).logits
             assert pipe.graph_report.applied == ()

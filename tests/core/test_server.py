@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.client import AttestedClient
 from repro.core import EdgeServer, PlaintextPipeline
 from repro.errors import PipelineError, SealingError
 from repro.serve import InferenceRequest
@@ -34,7 +35,7 @@ def server(hybrid_params, q_sigmoid):
 
 @pytest.fixture()
 def session(server, verifier_for):
-    return server.enroll_user(entropy=b"\x42" * 32, verifier=verifier_for(server))
+    return AttestedClient(server, verifier_for(server), b"\x42" * 32).establish().session
 
 
 class TestProvisioning:
@@ -120,8 +121,8 @@ class TestServing:
     def test_two_users_same_keys_share_service(self, server, verifier_for, models):
         """Every enrolled user of this edge node shares the service key pair
         (the enclave is the single key authority)."""
-        a = server.enroll_user(entropy=b"\x01" * 32, verifier=verifier_for(server))
-        b = server.enroll_user(entropy=b"\x02" * 32, verifier=verifier_for(server))
+        a = AttestedClient(server, verifier_for(server), b"\x01" * 32).establish().session
+        b = AttestedClient(server, verifier_for(server), b"\x02" * 32).establish().session
         images = models.dataset.test_images[:1]
         result = _infer(server, "digits", a.encrypt("digits", images))
         # User B can decrypt user A's result under this deployment model.

@@ -1,8 +1,8 @@
 """Chaos-suite fixtures: deterministic fault plans against real pipelines.
 
 Every test here runs with the fault layer *disarmed* on entry and leaves it
-disarmed (and the graph optimizer reset) on exit, so chaos tests
-cannot leak injected state into the rest of the suite.  Seeds come from
+disarmed on exit, so chaos tests cannot leak injected state into the rest
+of the suite.  Seeds come from
 :data:`CHAOS_SEEDS`, overridable with the ``REPRO_CHAOS_SEED`` environment
 variable so CI can sweep seeds in separate jobs.
 """
@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro import faults
+from repro.client import AttestedClient
 from repro.core import (
     CryptonetsPipeline,
     EdgeServer,
@@ -21,7 +22,6 @@ from repro.core import (
     parameters_for_pipeline,
     train_paper_models,
 )
-from repro.graph import optimizer as graph_optimizer
 from repro.sgx import AttestationVerificationService
 
 #: The fixed seed sweep CI runs (one chaos-tests job per seed).
@@ -35,12 +35,10 @@ def chaos_seeds() -> tuple[int, ...]:
 
 @pytest.fixture(autouse=True)
 def pristine_fault_state():
-    """Disarm + reset the graph optimizer around every test here."""
+    """Disarm the fault layer around every test here."""
     faults.disarm()
-    graph_optimizer.configure(None)
     yield
     faults.disarm()
-    graph_optimizer.configure(None)
 
 
 @pytest.fixture(scope="session")
@@ -126,4 +124,4 @@ def server(batching_params, q_sigmoid):
 def session(server):
     verifier = AttestationVerificationService()
     verifier.register_platform(server.quoting)
-    return server.enroll_user(entropy=b"\x42" * 32, verifier=verifier)
+    return AttestedClient(server, verifier, b"\x42" * 32).establish().session

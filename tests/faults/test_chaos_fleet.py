@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.client import AttestedClient
 from repro import faults
 from repro.core import EdgeServer, PlaintextPipeline
 from repro.faults import FaultPlan, FaultRule
@@ -34,7 +35,7 @@ def make_fleet_loop(batching_params, q_sigmoid, *, fleet_size=2, max_batch=4, **
     srv.provision_model("digits", q_sigmoid)
     verifier = AttestationVerificationService()
     verifier.register_platform(srv.quoting)
-    session = srv.enroll_user(entropy=b"\x42" * 32, verifier=verifier)
+    session = AttestedClient(srv, verifier, b"\x42" * 32).establish().session
     cfg.setdefault("window_s", 0.005)
     return ServingLoop(srv, LoopConfig(**cfg)), session
 
@@ -135,7 +136,7 @@ class TestRetryExhaustionFailsOver:
         srv.provision_model("digits", q_sigmoid)
         verifier = AttestationVerificationService()
         verifier.register_platform(srv.quoting)
-        session = srv.enroll_user(entropy=b"\x42" * 32, verifier=verifier)
+        session = AttestedClient(srv, verifier, b"\x42" * 32).establish().session
         loop = ServingLoop(srv, LoopConfig(window_s=0.005))
         images = models.dataset.test_images[:2]
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits

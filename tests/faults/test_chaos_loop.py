@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.client import AttestedClient
 from repro import faults
 from repro.core import EdgeServer, PlaintextPipeline
 from repro.errors import NoiseBudgetExhausted, RequestFailedError
@@ -32,7 +33,7 @@ def make_loop(batching_params, q_sigmoid, *, max_batch=4, **cfg):
     srv.provision_model("digits", q_sigmoid)
     verifier = AttestationVerificationService()
     verifier.register_platform(srv.quoting)
-    session = srv.enroll_user(entropy=b"\x42" * 32, verifier=verifier)
+    session = AttestedClient(srv, verifier, b"\x42" * 32).establish().session
     cfg.setdefault("window_s", 0.005)
     return ServingLoop(srv, LoopConfig(**cfg)), session
 

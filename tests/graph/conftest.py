@@ -3,8 +3,9 @@
 The trained tiny models are shared session-wide; each gets a planted
 all-zero conv tap column and a few all-zero FC input rows so the
 encode-time zero-column skip has something real to drop (the stock trained
-weights are dense).  Every test starts and ends with the process-wide
-optimizer configuration restored to the environment default.
+weights are dense).  The optimizer level is each pipeline's own constructor
+value (the suite-wide ``graph_optimizer`` fixture sweeps it), so there is no
+process-wide configuration to restore between tests.
 """
 
 from __future__ import annotations
@@ -15,15 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core import parameters_for_pipeline, train_paper_models
-from repro.graph import optimizer as graph_optimizer
-
-
-@pytest.fixture(autouse=True)
-def pristine_optimizer():
-    """Restore the env-default optimizer level around every test here."""
-    graph_optimizer.configure(None)
-    yield
-    graph_optimizer.configure(None)
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.client import AttestedClient
 from repro.core import (
     EdgeServer,
     HybridPipeline,
@@ -110,7 +111,7 @@ def _deployment(model, params, **config):
     server.provision_model("m", model)
     verifier = AttestationVerificationService()
     verifier.register_platform(server.quoting)
-    return server, server.enroll_user(entropy=b"\x42" * 32, verifier=verifier)
+    return server, AttestedClient(server, verifier, b"\x42" * 32).establish().session
 
 
 @pytest.mark.parametrize("batch", [*BATCHES, 256])
@@ -122,8 +123,7 @@ def test_ir_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
     server, session = _deployment(model, params, max_batch=batch)
     measured = _spy_budgets(monkeypatch, session.decryptor)
     images = np.random.default_rng(2116).random((batch, 1, 8, 8))
-    with optimizer.use("off"):
-        response = server.scheduler.submit("m", session.encrypt("m", images))
+    response = server.scheduler.submit("m", session.encrypt("m", images))
     assert response.done() and response.result().packed_batch == batch
     measured["result"] = session.decryptor.invariant_noise_budget(
         response.result().logits_ct
@@ -142,8 +142,7 @@ def test_simd_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
     pipeline = SimdHybridPipeline(model, params, seed=7)
     measured = _spy_budgets(monkeypatch, pipeline.decryptor)
     images = np.random.default_rng(2118).random((batch, 1, 8, 8))
-    with optimizer.use("off"):
-        pipeline.infer(images)
+    pipeline.infer(images)
     graph = ir.build_graph("simd", model, params)
     assert graph.node("encrypt_lanes").op in ir.REFRESH_OPS
     _assert_lower_bounds(graph, measured)
@@ -159,8 +158,7 @@ def test_served_headroom_lower_bounds_the_result_budget(batch, monkeypatch):
     measured = _spy_budgets(monkeypatch, session.decryptor)
     images = np.random.default_rng(2117).random((batch, 1, 8, 8))
     request = InferenceRequest(model="m", ciphertext=session.encrypt("m", images))
-    with optimizer.use("off"):
-        result = server.infer(request)
+    result = server.infer(request)
     graph = ir.build_graph("served", model, params)
     crossing = graph.node("crossing_image")
     assert graph.nodes[-1] is crossing and crossing.op in ir.REFRESH_OPS
@@ -203,7 +201,7 @@ def test_packed_crossing_keeps_its_margin(prime_bits, mode, batch, monkeypatch):
     assert report.applied == ("pack_crossing",)
     cap = graph.node("crossing").attrs["pack_max_batch"]
     assert cap == (256 if prime_bits is None else 26)
-    pipeline = HybridPipeline(model, params, mode=mode, seed=7)
+    pipeline = HybridPipeline(model, params, mode=mode, seed=7, graph_optimizer="safe")
     pack = executor.pack_coefficients
     folds = []
 
@@ -214,8 +212,7 @@ def test_packed_crossing_keeps_its_margin(prime_bits, mode, batch, monkeypatch):
 
     monkeypatch.setattr(executor, "pack_coefficients", spy)
     images = np.random.default_rng(2119).random((batch, 1, 8, 8))
-    with optimizer.use("safe"):
-        pipeline.infer(images)
+    pipeline.infer(images)
     chunk = min(cap, batch * 72)
     tail = batch * 72 % chunk
     assert [folded for folded, _ in folds] == [chunk] + [tail] * (tail > 0)

@@ -14,6 +14,7 @@ import hashlib
 
 import numpy as np
 
+from repro.client import AttestedClient
 from repro.core import EdgeServer
 from repro.he.serialize import serialize_ciphertext
 from repro.obs.recorder import use_recorder
@@ -43,7 +44,7 @@ def _serve_once(monkeypatch, batching_params, q_sigmoid, image):
     srv.provision_model("digits", q_sigmoid)
     verifier = AttestationVerificationService()
     verifier.register_platform(srv.quoting)
-    session = srv.enroll_user(entropy=b"\x42" * 32, verifier=verifier)
+    session = AttestedClient(srv, verifier, b"\x42" * 32).establish().session
     session.encryptor.rng = np.random.default_rng(7)  # pin client HE noise
     ct = session.encrypt("digits", image)
     loop = ServingLoop(srv, LoopConfig(window_s=0.005))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.client import AttestedClient
 from repro.core import EdgeServer, parameters_for_pipeline, train_paper_models
 from repro.he import (
     Context,
@@ -60,7 +61,7 @@ def verifier_for():
 
 @pytest.fixture()
 def session(server, verifier_for):
-    return server.enroll_user(entropy=b"\x42" * 32, verifier=verifier_for(server))
+    return AttestedClient(server, verifier_for(server), b"\x42" * 32).establish().session
 
 
 @pytest.fixture()
@@ -69,7 +70,7 @@ def session_for(verifier_for):
     ServeConfig build their own EdgeServer)."""
 
     def make(srv):
-        return srv.enroll_user(entropy=b"\x42" * 32, verifier=verifier_for(srv))
+        return AttestedClient(srv, verifier_for(srv), b"\x42" * 32).establish().session
 
     return make
 

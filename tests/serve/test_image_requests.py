@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.client import AttestedClient
 from repro.core import EdgeServer, PlaintextPipeline, heops, parameters_for_pipeline
 from repro.errors import EncodingError, PipelineError, RequestFailedError
 from repro.faults import EnclaveSupervisor
@@ -58,7 +59,7 @@ def deployment():
             server.provision_model("m", model)
             verifier = AttestationVerificationService()
             verifier.register_platform(server.quoting)
-            session = server.enroll_user(entropy=b"\x42" * 32, verifier=verifier)
+            session = AttestedClient(server, verifier, b"\x42" * 32).establish().session
             images = np.random.default_rng(n).random((16, 1, SIDES[n], SIDES[n]))
             expected = PlaintextPipeline(model).infer(images).logits
             built[n] = server, session, images, expected

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.client import AttestedClient
 from repro.core import EdgeServer
 from repro.errors import UnknownModelError
 from repro.obs.metrics import use_registry
@@ -16,7 +17,7 @@ def instrumented(batching_params, q_sigmoid, verifier_for):
     with use_registry() as reg:
         srv = EdgeServer(batching_params, seed=13)
         srv.provision_model("digits", q_sigmoid)
-        session = srv.enroll_user(entropy=b"\x42" * 32, verifier=verifier_for(srv))
+        session = AttestedClient(srv, verifier_for(srv), b"\x42" * 32).establish().session
         yield reg, srv, session
 
 
