@@ -17,6 +17,7 @@ from repro.errors import (
     NoiseBudgetExhausted,
     PipelineError,
 )
+from repro.graph import LEVELS
 from repro.he import Context, Decryptor, Encryptor, KeyGenerator, ScalarEncoder
 from repro.sgx import SgxPlatform
 
@@ -24,6 +25,33 @@ from repro.sgx import SgxPlatform
 @pytest.fixture()
 def pipeline(q_sigmoid, hybrid_params):
     return HybridPipeline(q_sigmoid, hybrid_params, seed=17)
+
+
+@pytest.fixture()
+def pipelines(q_sigmoid, hybrid_params):
+    """One hybrid per graph-optimizer level: ``safe`` sends the conv output
+    across as a coefficient-packed payload, and each failure below must
+    be caught on that crossing too."""
+    return [
+        HybridPipeline(q_sigmoid, hybrid_params, seed=17, graph_optimizer=level)
+        for level in LEVELS
+    ]
+
+
+def corrupt_encryptions(monkeypatch, pipeline, seed):
+    """From now on each ciphertext ``pipeline``'s user encrypts arrives
+    with a uniformly random body."""
+    encrypt = pipeline.encryptor.encrypt
+    rng = np.random.default_rng(seed)
+
+    def corrupted(plaintext):
+        ct = encrypt(plaintext)
+        ct.data[..., 0, :, :] = pipeline.context.ring.sample_uniform(
+            rng, *ct.batch_shape
+        )
+        return ct
+
+    monkeypatch.setattr(pipeline.encryptor, "encrypt", corrupted)
 
 
 class TestCorruptedCiphertexts:
@@ -49,22 +77,13 @@ class TestCorruptedCiphertexts:
         with pytest.raises(EncodingError):
             encoder.decode(Decryptor(context, keys.secret).decrypt(ct))
 
-    def test_enclave_rejects_corrupted_input(self, pipeline, q_sigmoid, models):
+    def test_enclave_rejects_corrupted_input(self, pipelines, models, monkeypatch):
         """Corruption *before* the enclave crossing is caught inside it."""
-        conv_int = q_sigmoid.conv_stage(
-            q_sigmoid.quantize_images(models.dataset.test_images[:1])
-        )
-        ct = pipeline.encryptor.encrypt(pipeline.encoder.encode(conv_int))
-        rng = np.random.default_rng(2)
-        ct.data[..., 0, :, :] = pipeline.context.ring.sample_uniform(
-            rng, *ct.batch_shape
-        )
-        with pytest.raises(PipelineError):
-            pipeline.enclave.ecall(
-                "activation_pool", ct,
-                q_sigmoid.conv_output_scale, q_sigmoid.act_scale,
-                q_sigmoid.pool_window, "sigmoid", "mean",
-            )
+        for pipeline in pipelines:
+            corrupt_encryptions(monkeypatch, pipeline, seed=2)
+            # The enclave's own decode check names the fault.
+            with pytest.raises(PipelineError, match="does not hold the expected"):
+                pipeline.infer(models.dataset.test_images[:1])
 
 
 class TestKeyFailures:
@@ -82,51 +101,44 @@ class TestKeyFailures:
 
 
 class TestEnclaveLifecycleFailures:
-    def test_destroyed_enclave_stops_serving(self, pipeline, models):
-        pipeline.enclave.destroy()
+    def test_destroyed_enclave_stops_serving(self, pipelines, models):
         from repro.errors import EnclaveNotInitialized
 
-        with pytest.raises(EnclaveNotInitialized):
-            pipeline.infer(models.dataset.test_images[:1])
+        for pipeline in pipelines:
+            pipeline.enclave.destroy()
+            with pytest.raises(EnclaveNotInitialized):
+                pipeline.infer(models.dataset.test_images[:1])
 
     def test_undecorated_method_not_reachable(self, pipeline):
         with pytest.raises(EnclaveError):
             pipeline.enclave.ecall("_load_crypto_state")
 
-    def test_overflow_guard_on_reencryption(self, pipeline, q_sigmoid, models):
+    def test_overflow_guard_on_reencryption(self, pipelines, models):
         """If the host lies about scales, the enclave's range guard fires
         instead of silently wrapping values mod t."""
-        conv_int = q_sigmoid.conv_stage(
-            q_sigmoid.quantize_images(models.dataset.test_images[:1])
-        )
-        ct = pipeline.encryptor.encrypt(pipeline.encoder.encode(conv_int))
-        huge_scale = pipeline.params.plain_modulus * 10
-        with pytest.raises(PipelineError):
-            pipeline.enclave.ecall(
-                "activation_pool", ct,
-                q_sigmoid.conv_output_scale, huge_scale,
-                q_sigmoid.pool_window, "sigmoid", "mean",
-            )
+        for pipeline in pipelines:
+            (crossing,) = (n for n in pipeline.graph.nodes if n.op == "crossing")
+            crossing.attrs["output_scale"] = pipeline.params.plain_modulus * 10
+            with pytest.raises(PipelineError, match="exceed the plaintext range"):
+                pipeline.infer(models.dataset.test_images[:1])
 
 
 class TestRecovery:
-    def test_pipeline_survives_failed_request(self, q_sigmoid, hybrid_params, models):
+    def test_pipeline_survives_failed_request(
+        self, q_sigmoid, hybrid_params, models, monkeypatch
+    ):
         """A rejected request must not poison later requests."""
-        pipeline = HybridPipeline(q_sigmoid, hybrid_params, seed=18)
-        images = models.dataset.test_images[:1]
-        conv_int = q_sigmoid.conv_stage(q_sigmoid.quantize_images(images))
-        bad_ct = pipeline.encryptor.encrypt(pipeline.encoder.encode(conv_int))
-        bad_ct.data[..., 0, :, :] = pipeline.context.ring.sample_uniform(
-            np.random.default_rng(5), *bad_ct.batch_shape
-        )
-        with pytest.raises(PipelineError):
-            pipeline.enclave.ecall(
-                "activation_pool", bad_ct,
-                q_sigmoid.conv_output_scale, q_sigmoid.act_scale,
-                q_sigmoid.pool_window, "sigmoid", "mean",
-            )
         from repro.core import PlaintextPipeline
 
-        good = pipeline.infer(images)
+        images = models.dataset.test_images[:1]
         expected = PlaintextPipeline(q_sigmoid).infer(images)
-        assert np.array_equal(good.logits, expected.logits)
+        for level in LEVELS:
+            pipeline = HybridPipeline(
+                q_sigmoid, hybrid_params, seed=18, graph_optimizer=level
+            )
+            with monkeypatch.context() as patch:
+                corrupt_encryptions(patch, pipeline, seed=5)
+                with pytest.raises(PipelineError):
+                    pipeline.infer(images)
+            good = pipeline.infer(images)
+            assert np.array_equal(good.logits, expected.logits)
