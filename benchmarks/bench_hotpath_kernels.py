@@ -60,7 +60,9 @@ from repro.he.polyring import PolyContext
 
 #: Requests x tensor positions of one full serving flush (``packed_waves``).
 FLUSH_SHAPE = (16, 288)
-#: The conv output ``cryptonets_direct`` squares and relinearizes per image.
+#: The conv output ``cryptonets_direct`` squares per image: the relinearize
+#: kernel's micro-bench shape.  The workload itself relinearizes its
+#: ``(1, 10)`` logits, after pool and fc (``ir.build_cryptonets_graph``).
 ACTIVATION_SHAPE = (1, 2, 8, 8)
 #: ``direct_closed``'s client encrypt: ``u``, ``e1 + Delta*m``, ``e2`` of a
 #: 12 x 12 image stacked into one transform at n = 1024 over two 30-bit primes.
@@ -155,7 +157,7 @@ def _time_flush_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
     composed_eval = Evaluator(context, OperationCounter())
     fused_eval = Evaluator(context, OperationCounter())
     monomials = np.eye(FLUSH_SHAPE[0], context.poly_degree, dtype=np.int64)
-    x_powers = composed_eval.transform_plain(Plaintext(context, monomials)).ntt_data
+    x_powers = composed_eval.transform_plain(Plaintext(context, monomials)).data
 
     def fused():
         return pack_coefficients(fused_eval, requests)  # as the flush does

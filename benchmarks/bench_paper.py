@@ -1028,7 +1028,7 @@ EXPERIMENTS = (
             Deviates(
                 "since PR 19 only the relinearize side lost its Python ints and since PR 21 "
                 "it is the more transform-bound side; the refresh still pays a bigint CRT "
-                "lift at this 150-bit q (ROADMAP item 3) plus the modelled crossing"
+                "lift at this 150-bit q (ROADMAP item 11) plus the modelled crossing"
             ),
         ),
         Claim(
@@ -1129,7 +1129,7 @@ EXPERIMENTS = (
             lambda m: abs(m["saving"] - 0.396) < 0.15,
             Deviates(
                 "overshoots (92.6% after PR 19, ~89% since PR 21): the pure-HE side is bounded "
-                "by transform count (ROADMAP item 2), the hybrid's conv and fc are single "
+                "by transform count (ROADMAP item 12), the hybrid's conv and fc are single "
                 "int64 matmuls and its one crossing is modelled"
             ),
         ),

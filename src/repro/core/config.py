@@ -2,7 +2,7 @@
 
 Sizing logic: the hybrid pipeline only needs noise headroom for *one* linear
 layer (the enclave refresh resets noise at every activation), whereas the
-pure-HE baseline must survive conv -> square -> relinearize -> pool -> FC in
+pure-HE baseline must survive conv -> square -> pool -> FC -> relinearize in
 one encrypted breath -- which is why its coefficient modulus (and latency)
 balloons.  ``parameters_for_pipeline`` makes that asymmetry concrete and
 validated.

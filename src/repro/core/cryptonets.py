@@ -5,8 +5,12 @@ Section III-A / CryptoNets):
 
 * convolution and FC: C x P multiplications + C + C additions;
 * activation: the Square polynomial substitute (a real ciphertext-ciphertext
-  multiplication), followed by relinearization with TTP-issued keys;
+  multiplication, leaving size-3 ciphertexts);
 * pooling: the division-free scaled mean-pool (window sum);
+* relinearization with TTP-issued keys, once per logit: everything after
+  the square is linear, so pool and FC run on the size-3 squares (in the
+  coefficient domain the multiply returns) and the chain is
+  ``encrypt -> conv -> square -> pool -> fc -> relinearize -> decrypt``;
 * nothing is ever decrypted server-side.
 
 Accuracy consequence: the model must have been *trained* with these

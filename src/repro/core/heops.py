@@ -130,7 +130,7 @@ def encode_image_conv(
     # Block 0's bias shifted onto each block by the fold's own monomials
     # (built here, at provisioning, not by a request), then prefix-summed.
     ring = context.ring
-    first = evaluator.transform_plain_delta(Plaintext(context, block)).ntt_data
+    first = evaluator.transform_plain_delta(Plaintext(context, block)).data
     shifted = ring.pointwise_mul(first, stride_monomials(context, layout.pixels)[:, None])
     rows = [shifted[0]]
     for term in shifted[1:]:
@@ -156,6 +156,9 @@ class EncodedDenseWeights:
         bias: int64 array ``(O,)`` at logit scale.
         bias_operand: ``(O,)``-batched ``Delta * bias`` operand precomputed
             at encode time.
+        bias_coeff: the same operand in the coefficient domain --
+            ``Delta * bias mod p`` at coefficient 0 -- for an input that
+            arrives there (the pure-HE chain's unrelinearized squares).
         weight_matrix: int64 array ``(O, D)`` of the signed integer weights
             kept from encode time -- the fused kernel computes all classes
             in one pass over it.
@@ -164,6 +167,7 @@ class EncodedDenseWeights:
 
     bias: np.ndarray
     bias_operand: PlainOperand
+    bias_coeff: PlainOperand
     weight_matrix: np.ndarray
     keep: tuple[int, ...] | None
     fold_bias: bool
@@ -250,9 +254,12 @@ def encode_dense_weights(
     """Encode integer FC weights for the scalar contraction."""
     bias = np.asarray(bias, dtype=np.int64)
     bias_operand = evaluator.transform_plain_delta(encoder.encode(bias))
+    bias_coeff = PlainOperand(
+        evaluator.context, evaluator.context.ring.intt(bias_operand.data), is_ntt=False
+    )
     weight_matrix = np.ascontiguousarray(_signed_weights(encoder, weight).T)
     return EncodedDenseWeights(
-        bias, bias_operand, weight_matrix,
+        bias, bias_operand, bias_coeff, weight_matrix,
         *_plan_contraction(weight_matrix, evaluator.context),
     )
 
@@ -379,7 +386,7 @@ def _he_conv2d_fused(
         primes=[int(p) for p in ct.context.ring.primes],
         chunk=max(1, _TAP_CHUNK_ELEMS // max(1, outputs * int(np.prod(data.shape[-3:])))),
         keep=weights.keep,
-        bias=bias_operand.ntt_data if weights.fold_bias else None,
+        bias=bias_operand.data if weights.fold_bias else None,
     )
     if evaluator.counter is not None:
         evaluator.counter.record("ct_plain_mul", f * t * outputs)
@@ -398,7 +405,7 @@ def _he_conv2d_image(
     between them) where :class:`ImageLayout` says.  Each row holds one image
     (``lanes == 1``: the direct path, or a one-image flush) or the flush's
     ``lanes`` images ``P`` per row; the bias lands on occupied blocks only."""
-    operands = weights.kernels.ntt_data  # (F, C, k_rns, n)
+    operands = weights.kernels.data  # (F, C, k_rns, n)
     if len(ct.batch_shape) != 2 or ct.batch_shape[1] != operands.shape[1]:
         raise PipelineError(
             f"image conv expects (B, {operands.shape[1]}) ciphertexts, got "
@@ -418,7 +425,7 @@ def _he_conv2d_image(
         [data[:, c, None] for c in range(operands.shape[1])],
         [operands[:, c, None] for c in range(operands.shape[1])],
     )
-    bias = PlainOperand(ct.context, weights.bias.ntt_data[occupied - 1])
+    bias = PlainOperand(ct.context, weights.bias.data[occupied - 1])
     return evaluator.add_plain_operand(out, bias)
 
 
@@ -465,6 +472,7 @@ def he_dense(
         )
     if weights.fused:
         return _he_dense_fused(evaluator, flat, weights, lanes)
+    flat = flat.to_ntt()  # once, not per class
     outputs: list[Ciphertext] = []
     for oi, row in enumerate(weights.weight_matrix):
         products = evaluator.multiply_plain(flat, encoder.encode(row))
@@ -485,20 +493,26 @@ def _he_dense_fused(
     integer weights computes every output class at once, one mod-p pass
     after the whole contraction -- :func:`repro.he.contraction.dense_rows`,
     in-process or over the pool's units; bit-identical to the per-class
-    loop, with matching op tallies."""
-    flat = flat.to_ntt()
+    loop (up to the domain), with matching op tallies.
+
+    A contraction by integers is the same residues in either domain, so it
+    runs in the input's: the pure-HE chain's size-3 squares arrive in the
+    coefficient domain, and the bias is added there as ``Delta * b`` at
+    coefficient 0 (coefficients ``0..lanes-1``)."""
     b, d = flat.batch_shape
     o = weights.out_features
-    bias_operand = lane_operand(weights.bias_operand, lanes)
+    bias_operand = lane_operand(
+        weights.bias_operand if flat.is_ntt else weights.bias_coeff, lanes
+    )
     out = parallel.dispatch_dense(
         flat.data,
         weights.weight_matrix,
         primes=[int(p) for p in flat.context.ring.primes],
         keep=weights.keep,
-        bias=bias_operand.ntt_data if weights.fold_bias else None,
+        bias=bias_operand.data if weights.fold_bias else None,
     )
     if evaluator.counter is not None:
         evaluator.counter.record("ct_plain_mul", o * b * d)
         evaluator.counter.record("ct_add", o * (d - 1) * b)
-    out = Ciphertext(flat.context, out, is_ntt=True)
+    out = Ciphertext(flat.context, out, is_ntt=flat.is_ntt)
     return _add_bias(evaluator, out, bias_operand, weights.fold_bias)

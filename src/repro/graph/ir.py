@@ -2,7 +2,7 @@
 
 Every HE chain in the repository is a short linear one, so the IR is
 deliberately small: a list of :class:`GraphNode` objects (encrypt, conv,
-enclave crossing, square/relinearize/pool, fc, decrypt, the serving
+enclave crossing, square/pool, fc, relinearize, decrypt, the serving
 flush's fold) plus a ``meta`` dict holding the model-derived
 constants the annotations need (each contraction's integer weight matrix)
 and the crossing mode.  Edges are implicit — node ``i`` feeds node
@@ -258,15 +258,19 @@ def build_hybrid_graph(quantized, params: EncryptionParams, mode: str = "batched
 
 
 def build_cryptonets_graph(quantized, params: EncryptionParams) -> InferenceGraph:
-    """IR for the pure-HE CryptoNets pipeline (square activation)."""
+    """IR for the pure-HE CryptoNets pipeline (square activation).
+
+    Everything after ``square`` is linear, and relinearization commutes with
+    sums and plaintext products up to noise, so pool and fc run on the
+    size-3 squares and ``relinearize`` runs once per logit, not once per
+    conv output."""
     between = [
         GraphNode("square", "square"),
-        GraphNode("relinearize", "relinearize"),
         GraphNode("pool", "pool", {"window": int(quantized.pool_window)}),
     ]
+    tail = [GraphNode("relinearize", "relinearize"), GraphNode("decrypt", "decrypt")]
     return _single_block(
-        "cryptonets", quantized, params,
-        [GraphNode("encrypt", "encrypt")], between, [GraphNode("decrypt", "decrypt")],
+        "cryptonets", quantized, params, [GraphNode("encrypt", "encrypt")], between, tail,
     )
 
 

@@ -271,9 +271,13 @@ def lane_operand(operand: PlainOperand, lanes: int) -> PlainOperand:
     coefficients ``0..lanes-1``; the coefficients past them stay zero."""
     if lanes == 1:  # scalar encoding
         return operand
+    if not operand.is_ntt:  # Delta * b sits at coefficient 0: copy it along
+        data = operand.data.copy()
+        data[..., :lanes] = data[..., :1]
+        return PlainOperand(operand.context, data, is_ntt=False)
     ring = operand.context.ring
     ones = ring.reduce_sum(_monomial_rows(operand.context, lanes), axis=0)
-    return PlainOperand(operand.context, ring.pointwise_mul(operand.ntt_data, ones))
+    return PlainOperand(operand.context, ring.pointwise_mul(operand.data, ones))
 
 
 def lane_plain(plain: Plaintext, lanes: int) -> Plaintext:

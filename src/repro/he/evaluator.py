@@ -61,15 +61,18 @@ class PlainOperand:
 
     The CNN pipelines encode model weights once (paper Section IV-B) and
     multiply them into many ciphertexts; caching the NTT form makes each
-    reuse a single pointwise product.
+    reuse a single pointwise product.  A ``Delta * m`` operand may rest in the
+    coefficient domain instead (``is_ntt=False``), for adding into
+    ciphertexts that arrive there (:meth:`Evaluator.add_plain_operand`).
     """
 
     context: Context
-    ntt_data: np.ndarray  # shape (..., k, n)
+    data: np.ndarray  # shape (..., k, n)
+    is_ntt: bool = True
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
-        return self.ntt_data.shape[:-2]
+        return self.data.shape[:-2]
 
 
 class Evaluator:
@@ -160,24 +163,29 @@ class Evaluator:
 
     def add_plain_operand(self, ct: Ciphertext, operand: PlainOperand) -> Ciphertext:
         """Add a precomputed ``Delta * m`` operand (broadcast over the batch)
-        into the ciphertext body; see :meth:`transform_plain_delta`."""
+        into the ciphertext body, in the operand's domain; see
+        :meth:`transform_plain_delta`."""
         self._check(ct, operand)
         ring = self.context.ring
-        ct = ct.to_ntt()
+        ct = ct.to_ntt() if operand.is_ntt else ct.to_coeff()
         data = ct.data.copy()
-        data[..., 0, :, :] = ring.add(data[..., 0, :, :], operand.ntt_data)
-        result = Ciphertext(self.context, data, is_ntt=True)
+        data[..., 0, :, :] = ring.add(data[..., 0, :, :], operand.data)
+        result = Ciphertext(self.context, data, operand.is_ntt)
         self._record("plain_add", result)
         return result
 
     def add_many(self, cts: list[Ciphertext]) -> Ciphertext:
+        """The sum of ``cts``, in their domain when they share one (a sum is
+        the same residues either side of the transform), else in NTT."""
         if not cts:
             raise ParameterError("add_many requires at least one ciphertext")
         if len(cts) == 1:
             return cts[0]
         first = cts[0]
         uniform = all(
-            ct.size == first.size and ct.batch_shape == first.batch_shape
+            ct.size == first.size
+            and ct.batch_shape == first.batch_shape
+            and ct.is_ntt == first.is_ntt
             for ct in cts[1:]
         )
         if uniform:
@@ -187,12 +195,12 @@ class Evaluator:
             # blocks, or rows of one ciphertext) stack as a strided view --
             # no materialized intermediate at all.
             self._check(*cts)
-            parts = [ct.to_ntt().data for ct in cts]
+            parts = [ct.data for ct in cts]
             stacked = arena.stacked_view(parts)
             if stacked is None:
                 stacked = np.stack(parts)
             result = Ciphertext(
-                self.context, self.context.ring.reduce_sum(stacked, axis=0), is_ntt=True
+                self.context, self.context.ring.reduce_sum(stacked, axis=0), first.is_ntt
             )
             if self.counter is not None:
                 self.counter.record("ct_add", (len(cts) - 1) * max(1, result.batch_count))
@@ -230,7 +238,7 @@ class Evaluator:
         self._check(ct, plain)
         ring = self.context.ring
         ct = ct.to_ntt()
-        operand = plain.ntt_data
+        operand = plain.data
         if plain.batch_shape:
             operand = operand[..., None, :, :]  # broadcast over ct components
         result = Ciphertext(self.context, ring.pointwise_mul(ct.data, operand), is_ntt=True)

@@ -152,9 +152,9 @@ class TestCryptonetsEquivalence:
             "encrypt",
             "conv",
             "square",
-            "relinearize",
             "pool",
             "fc",
+            "relinearize",
             "decrypt",
         ]
 

@@ -80,8 +80,8 @@ class TestLanes:
         assert not spread.coeffs[..., lanes:].any()
         operand = evaluator.transform_plain_delta(plain)
         assert np.array_equal(
-            lane_operand(operand, lanes).ntt_data,
-            evaluator.transform_plain_delta(spread).ntt_data,
+            lane_operand(operand, lanes).data,
+            evaluator.transform_plain_delta(spread).data,
         )
         if lanes == 1:  # scalar encoding: nothing is built
             assert lane_operand(operand, 1) is operand

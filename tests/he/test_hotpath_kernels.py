@@ -585,8 +585,8 @@ class TestPackFold:
         coeffs = np.zeros((count, context.poly_degree), dtype=np.int64)
         coeffs[np.arange(count), np.arange(count)] = 1
         operand = evaluator.transform_plain(Plaintext(context, coeffs))
-        shape = (count, *([1] * rest_ndim), *operand.ntt_data.shape[-2:])
-        return PlainOperand(context, operand.ntt_data.reshape(shape))
+        shape = (count, *([1] * rest_ndim), *operand.data.shape[-2:])
+        return PlainOperand(context, operand.data.reshape(shape))
 
     @pytest.mark.parametrize("batch", [(5,), (16, 9), (3, 2, 4)])
     def test_fused_matches_composed_data_and_tallies(self, rng, batch):

@@ -91,7 +91,7 @@ class TestTypedLaneCheck:
         image_conv = heops._he_conv2d_image
 
         def spread(evaluator, ct, weights, lanes):
-            rows = weights.bias.ntt_data
+            rows = weights.bias.data
             full = PlainOperand(ct.context, np.repeat(rows[-1:], len(rows), axis=0))
             return image_conv(evaluator, ct, dataclasses.replace(weights, bias=full), lanes)
 
