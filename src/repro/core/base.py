@@ -1,6 +1,6 @@
 """What the HE pipelines share: one graph walk, one enclave bring-up.
 
-Every encrypted pipeline is the same three steps -- compile the scheme's
+Every encrypted pipeline is the same three steps -- build the scheme's
 inference graph (:mod:`repro.graph`), walk it under one ``pipeline`` span,
 wrap the outcome in an :class:`~repro.core.results.InferenceResult` -- so
 :class:`GraphPipeline` does them once and a concrete pipeline is just its
@@ -21,7 +21,7 @@ from repro.core.results import InferenceResult, stages_from_trace
 from repro.errors import PipelineError
 from repro.faults import EnclaveSupervisor
 from repro.graph import executor as graph_executor
-from repro.graph import ir, optimizer
+from repro.graph import ir
 from repro.he.context import Ciphertext, Context
 from repro.he.decryptor import Decryptor
 from repro.he.encoders import ScalarEncoder
@@ -34,20 +34,18 @@ from repro.sgx.enclave import SgxPlatform
 
 class GraphPipeline:
     """An :class:`~repro.core.pipeline.InferencePipeline` whose ``infer`` is
-    a walk of its compiled graph.
+    a walk of its graph.
 
     A subclass sets ``scheme`` and ``graph_kind``, builds its HE endpoints
     (``quantized``, ``context``, ``tracer``, ``counter``, ``evaluator``,
     ``encoder``, ``encryptor``, ``decryptor``) and calls :meth:`_bind`,
-    which compiles the graph once at the pipeline's optimizer level.
+    which builds the graph once.
     """
 
     scheme = ""
     graph_kind = ""
 
-    def _bind(
-        self, graph_optimizer: str, *, enclave=None, relin_keys=None, **graph_options
-    ) -> None:
+    def _bind(self, *, enclave=None, relin_keys=None, **graph_options) -> None:
         self.resources = graph_executor.Resources(
             tracer=self.tracer,
             evaluator=self.evaluator,
@@ -59,11 +57,8 @@ class GraphPipeline:
             quantize=self.quantized.quantize_images,
             relin_keys=relin_keys,
         )
-        self.graph, self.graph_report = optimizer.compile_graph(
-            ir.build_graph(
-                self.graph_kind, self.quantized, self.context.params, **graph_options
-            ),
-            graph_optimizer,
+        self.graph = ir.build_graph(
+            self.graph_kind, self.quantized, self.context.params, **graph_options
         )
         #: Extra attrs the scheme stamps on its pipeline span.
         self.span_attrs: dict = {}
@@ -87,14 +82,13 @@ class GraphPipeline:
         return self.encryptor.encrypt(self.encoder.encode(pixels))
 
     def infer(self, images: np.ndarray) -> InferenceResult:
-        """One inference: a walk of the compiled graph."""
+        """One inference: a walk of the graph."""
         with self.tracer.span(
             self.scheme,
             kind="pipeline",
             counter=self.counter,
             side_channel=getattr(self.resources.enclave, "side_channel", None),
             **self.span_attrs,
-            graph_opt=self.graph_report.label,
             batch=int(images.shape[0]),
         ) as trace:
             logits, budget, logits_ct = graph_executor.run(
@@ -126,8 +120,6 @@ class EnclavePipeline(GraphPipeline):
         context_type: the :class:`~repro.he.context.Context` class of the
             pipeline's and its enclave's HE endpoints;
             :class:`repro.he.oracle.Context` runs the reference formulas.
-        graph_optimizer: the level (:data:`repro.graph.LEVELS`) the graph
-            is compiled at, once, here; every level runs bit-identically.
         **graph_options: forwarded to the scheme's graph builder.
     """
 
@@ -140,10 +132,8 @@ class EnclavePipeline(GraphPipeline):
         *,
         trusted: bool = True,
         context_type: type[Context] = Context,
-        graph_optimizer: str = "off",
         **graph_options,
     ) -> None:
-        optimizer.check_level(graph_optimizer)  # before any bring-up cost
         if not quantized.fits_plain_modulus(params.plain_modulus):
             raise PipelineError(
                 f"plain_modulus {params.plain_modulus} cannot hold the model's "
@@ -180,4 +170,4 @@ class EnclavePipeline(GraphPipeline):
             self.context, user_keys.public, np.random.default_rng(seed)
         )
         self.decryptor = Decryptor(self.context, user_keys.secret)
-        self._bind(graph_optimizer, enclave=self.enclave, **graph_options)
+        self._bind(enclave=self.enclave, **graph_options)

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.base import GraphPipeline
 from repro.errors import PipelineError
-from repro.graph import optimizer
 from repro.he.context import Context
 from repro.he.decryptor import Decryptor
 from repro.he.encoders import ScalarEncoder
@@ -54,8 +53,6 @@ class CryptonetsPipeline(GraphPipeline):
         context_type: the :class:`~repro.he.context.Context` class of the
             pipeline's HE endpoints (:class:`repro.he.oracle.Context`: the
             reference formulas).
-        graph_optimizer: the level the graph is compiled at; ``safe``
-            refuses its one rewrite here (pure-HE never crosses).
     """
 
     scheme = "Encrypted"
@@ -72,9 +69,7 @@ class CryptonetsPipeline(GraphPipeline):
         clock: SimClock | None = None,
         *,
         context_type: type[Context] = Context,
-        graph_optimizer: str = "off",
     ) -> None:
-        optimizer.check_level(graph_optimizer)  # before key generation
         if quantized.activation != "square":
             raise PipelineError(
                 "the pure-HE baseline cannot evaluate a non-polynomial "
@@ -99,4 +94,4 @@ class CryptonetsPipeline(GraphPipeline):
         self.encoder = ScalarEncoder(self.context)
         self.encryptor = Encryptor(self.context, self._keys.public, rng)
         self.decryptor = Decryptor(self.context, self._keys.secret)
-        self._bind(graph_optimizer, relin_keys=self._relin_keys)
+        self._bind(relin_keys=self._relin_keys)

@@ -241,54 +241,6 @@ class InferenceEnclave(Enclave):
         return self._encrypt_values(pooled)
 
     @ecall
-    def activation_pool_packed(
-        self,
-        ct: Ciphertext,
-        shape: tuple,
-        chunk: int,
-        input_scale: float,
-        output_scale: int,
-        window: int,
-        activation: str = "sigmoid",
-        pool: str = "mean",
-    ) -> Ciphertext:
-        """Coefficient-packed variant of :meth:`activation_pool`.
-
-        The host flattens the whole ``shape``-d feature-map tensor and
-        folds runs of ``chunk`` values into the *coefficients* of single
-        ciphertexts (:func:`~repro.he.batching.pack_coefficients`), so this
-        call marshals and decrypts ``ceil(N / chunk)`` ciphertexts instead
-        of ``N``: ciphertext ``j`` carries flat values ``j * chunk ..`` in
-        its lanes (the tail one may use fewer).  The trusted side restores
-        ``shape`` and re-encrypts one scalar ciphertext per element through
-        the same :meth:`_encrypt_values` RNG draws as the unpacked crossing,
-        so the output bytes are identical.  The payload decodes as the
-        ``chunk`` lanes of its ``(1, runs)`` reshape, so every coefficient
-        past a run must decrypt to zero, and so must the tail's unused lanes:
-        a payload folded at another ``chunk``, or one whose noise overflowed,
-        is a :class:`PipelineError`.
-        """
-        flat = self._decrypt_values(ct.reshape(1, -1), chunk).T.reshape(-1)
-        total = int(np.prod(shape))
-        runs, expected = flat.size // chunk, -(-total // chunk)
-        if runs != expected:
-            raise PipelineError(
-                f"packed payload carries {runs} ciphertexts; "
-                f"shape {tuple(shape)} at chunk {chunk} needs {expected}"
-            )
-        if flat[total:].any():
-            raise PipelineError(
-                f"packed payload is not lane-encoded as {total} values at chunk "
-                f"{chunk}: its tail lanes past them are not zero"
-            )
-        return self._encrypt_values(
-            _activate_pool(
-                flat[:total].reshape(shape),
-                input_scale, output_scale, window, activation, pool,
-            )
-        )
-
-    @ecall
     def activation_pool_lanes(
         self,
         ct: Ciphertext,

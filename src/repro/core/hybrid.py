@@ -50,8 +50,7 @@ class HybridPipeline(EnclavePipeline):
         platform: the simulated SGX machine (fresh one by default).
         mode: ``batched`` | ``per_pixel`` | ``fake`` (see module docstring).
         seed: reproducible randomness.
-        context_type, graph_optimizer: see
-            :class:`~repro.core.base.EnclavePipeline`.
+        context_type: see :class:`~repro.core.base.EnclavePipeline`.
     """
 
     graph_kind = "hybrid"
@@ -65,7 +64,6 @@ class HybridPipeline(EnclavePipeline):
         seed: int | None = None,
         *,
         context_type: type[Context] = Context,
-        graph_optimizer: str = "off",
     ) -> None:
         if mode not in MODES:
             raise PipelineError(f"mode must be one of {MODES}, got {mode!r}")
@@ -88,6 +86,6 @@ class HybridPipeline(EnclavePipeline):
         # enclave.
         super().__init__(
             quantized, params, platform, seed, trusted=(mode != "fake"),
-            context_type=context_type, graph_optimizer=graph_optimizer, mode=mode,
+            context_type=context_type, mode=mode,
         )
         self.span_attrs = {"mode": mode}

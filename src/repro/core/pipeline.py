@@ -66,11 +66,28 @@ SCHEME_ALIASES = {
 #: Keyword options each scheme's constructor understands.
 _SCHEME_OPTS = {
     "plaintext": {"clock"},
-    "cryptonets": {"seed", "clock", "graph_optimizer"},
-    "hybrid": {"platform", "mode", "seed", "graph_optimizer"},
+    "cryptonets": {"seed", "clock"},
+    "hybrid": {"platform", "mode", "seed"},
     "simd": {"platform", "seed"},
     "deep": {"platform", "seed"},
 }
+
+
+def _check_graph_optimizer(value: str | None) -> None:
+    """Accept the one value left of the retired ``graph_optimizer`` keyword.
+
+    Every graph runs as built, so ``"off"`` (or ``None``) configures
+    nothing; it is still accepted, from a :class:`PipelineSpec` and from
+    :func:`build_pipeline` alike, because existing callers pass it.
+
+    Raises:
+        PipelineError: any other value.
+    """
+    if value not in (None, "off"):
+        raise PipelineError(
+            f"graph_optimizer={value!r}: every graph runs as built, so the "
+            "one accepted value is 'off'"
+        )
 
 
 def resolve_scheme(scheme: str) -> str:
@@ -109,16 +126,9 @@ class PipelineSpec:
             in-process path, ``None`` leaves the active setting (the
             ``REPRO_WORKERS`` environment default) untouched.  Results are
             byte-identical at any width.
-        graph_optimizer: graph-optimizer level (``"off"`` or ``"safe"``,
-            which packs a scalar-layout enclave crossing) a built hybrid
-            or cryptonets pipeline compiles its graph at, once, at
-            construction (``repro.graph.optimizer``); ``None`` leaves the
-            pipeline's default, ``"off"``.  It configures that pipeline
-            only, never the process.  Optimized execution is
-            bit-identical to ``"off"`` -- same logits, same serialized
-            ciphertext bytes, same op tallies.  The simd and deep schemes
-            take no level, and ``EdgeServer.from_spec`` takes ``None`` or
-            ``"off"``: none of their graphs has a rewrite.
+        graph_optimizer: ``None`` or ``"off"``, which configure nothing
+            (every graph runs as built); any other value is a
+            :class:`PipelineError` at construction.
         fleet_size: enclave replicas for ``EdgeServer.from_spec`` (>= 1).
         max_queue_depth / max_batch: scheduler queue bounds; any
             set value flows into the server's
@@ -145,10 +155,7 @@ class PipelineSpec:
             raise PipelineError("poly_degree must be >= 2")
         if self.workers is not None and self.workers < 1:
             raise PipelineError("workers must be >= 1 (or None to inherit)")
-        if self.graph_optimizer is not None:
-            from repro.graph import optimizer
-
-            optimizer.check_level(self.graph_optimizer)
+        _check_graph_optimizer(self.graph_optimizer)
         if self.fleet_size < 1:
             raise PipelineError("fleet_size must be >= 1")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
@@ -211,9 +218,8 @@ def build_pipeline(
             :data:`SCHEME_ALIASES` -- ``plaintext``, ``cryptonets`` /
             ``encrypted``, ``hybrid`` / ``encryptsgx``, ``simd``, ``deep``
             -- or a declarative :class:`PipelineSpec`, whose parameters,
-            ``batching`` choice, ``graph_optimizer`` level and stored
-            ``options`` all apply (explicit ``params`` / ``**opts`` here
-            still win).
+            ``batching`` choice and stored ``options`` all apply
+            (explicit ``params`` / ``**opts`` here still win).
         quantized: the integer model (a
             :class:`~repro.nn.quantize.QuantizedCNN`, or a
             :class:`~repro.nn.deep.DeepQuantizedCNN` for ``deep``).
@@ -223,15 +229,15 @@ def build_pipeline(
         poly_degree: degree used for auto-sizing (ignored when ``params`` is
             given).
         **opts: scheme-specific options -- ``mode`` (hybrid), ``platform``
-            (hybrid/simd/deep), ``seed``, ``clock`` (plaintext/cryptonets),
-            ``graph_optimizer`` (hybrid/cryptonets: the level the
-            pipeline compiles its graph at) -- plus the process-wide knob
-            ``workers``, applied exactly as :attr:`PipelineSpec.workers`
-            would be.
+            (hybrid/simd/deep), ``seed``, ``clock`` (plaintext/cryptonets)
+            -- plus the process-wide knob ``workers``, applied exactly as
+            :attr:`PipelineSpec.workers` would be, and ``graph_optimizer``,
+            which any scheme takes as ``"off"`` and nothing else.
 
     Raises:
         PipelineError: unknown scheme, an option the scheme does not take,
-            or a model/parameter mismatch surfaced by the pipeline itself.
+            a ``graph_optimizer`` other than ``"off"``, or a model/parameter
+            mismatch surfaced by the pipeline itself.
     """
     if isinstance(scheme, PipelineSpec):
         spec = scheme
@@ -241,14 +247,11 @@ def build_pipeline(
         poly_degree = spec.poly_degree
         if params is None:
             params = spec.params
-        merged = dict(spec.options)
-        if spec.graph_optimizer is not None:
-            merged["graph_optimizer"] = spec.graph_optimizer
-        merged.update(opts)
-        opts = merged
+        opts = {**spec.options, **opts}
     else:
         canonical = resolve_scheme(scheme)
         batching = False
+    _check_graph_optimizer(opts.pop("graph_optimizer", None))
     workers = opts.pop("workers", None)
     if workers is not None:
         # Route the process-wide knob through a throwaway spec so the

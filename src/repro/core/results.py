@@ -52,8 +52,8 @@ class InferenceResult:
             pipeline traced it; ``stages`` are its direct stage children.
         logits_ct: the encrypted logits prior to decryption (None for
             plaintext pipelines); the differential equivalence harness
-            serializes it for byte-level comparisons across optimizer
-            levels.
+            serializes it for byte-level comparisons against the oracle
+            context and the recorded hand-written chains.
     """
 
     logits: np.ndarray

@@ -21,8 +21,7 @@ This is the API a downstream integrator would embed::
 A request is one frozen :class:`~repro.serve.api.InferenceRequest`; both
 the direct and the packed path execute as walks of the model's inference
 graph (:mod:`repro.graph`, kinds ``served`` and ``packed``), each built
-once at provisioning.  The optimizer's one rewrite refuses both (their
-crossing is image-layout), so the server has no optimizer level.
+once at provisioning and walked as built.
 ``fleet_size > 1`` runs N enclave replicas behind one facade (see
 :class:`~repro.faults.FleetManager`): replica 0 generates the HE key pair,
 the rest join via quote-verified sealed-key migration, and packed flushes
@@ -238,16 +237,7 @@ class EdgeServer:
         PipelineSpec`: parameters (exact, or auto-sized against
         ``sizing_model``), flush worker count, fleet size and queue bounds
         all come from the spec.
-
-        Raises:
-            PipelineError: the spec asks for the ``safe`` optimizer level,
-                which has no rewrite on the serving graphs.
         """
-        if spec.graph_optimizer not in (None, "off"):
-            raise PipelineError(
-                f"graph_optimizer={spec.graph_optimizer!r}: the serving graphs "
-                "have no rewrite, so an EdgeServer takes None or 'off'"
-            )
         spec.apply_workers()
         return cls(
             spec.resolve_params(sizing_model),

@@ -32,16 +32,6 @@ class SerializationError(ParameterError):
     """
 
 
-class GraphPassError(ReproError, RuntimeError):
-    """A graph-optimizer pass failed mid-compile.
-
-    Recovery is graceful degradation: the compiler discards the partially
-    rewritten graph and executes the unoptimized reference graph instead
-    (see ``repro.graph.optimizer.compile_graph``), counted by the
-    ``repro_graph_degradations_total`` metric.
-    """
-
-
 class MetricsError(ReproError, ValueError):
     """A metrics-registry family or sample was misused (negative counter
     increment, label mismatch, conflicting re-registration)."""

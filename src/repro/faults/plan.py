@@ -58,13 +58,6 @@ Instrumented sites (see DESIGN.md §11 for the recovery semantics):
                            and every unacknowledged work unit replays
                            in-process (a perturbation -- results unchanged,
                            byte-identical output)
-``graph.pass``             the graph-optimizer pass raises mid-compile
-                           (``name`` = ``pack_crossing``): the compiler
-                           discards the partially rewritten graph and
-                           degrades to the unoptimized reference graph
-                           (a perturbation -- results unchanged,
-                           bit-identical ciphertext bytes, counted by
-                           ``repro_graph_degradations_total``)
 ========================== ====================================================
 """
 

@@ -1,23 +1,18 @@
-"""The one executor, and the graph-level HE optimizer in front of it.
+"""The one executor and the inference-graph IR it walks.
 
-``repro.graph`` compiles every HE chain in the repository (the four
+``repro.graph`` builds every HE chain in the repository (the four
 encrypted pipelines, ``EdgeServer.infer``, the scheduler's packed flush)
-into a small inference-graph IR annotated with multiplicative levels and
-noise budgets from :class:`repro.he.noise.NoiseEstimator`, applies at
-level ``safe`` the one rewrite that changes the graph -- budget-gated
-coefficient packing of a scalar-layout enclave crossing -- and executes the
-compiled graph bit-identically to the unoptimized reference, the same
-contract the kernels keep with the oracle (:mod:`repro.he.oracle`).  Exact rewrites that are facts about a single operand are not
-graph passes: they run unconditionally where the operand is built
-(``heops.encode_*_weights``, ``Encryptor.encrypt``, ``Evaluator.square``,
-``pack_coefficients``).
+as a small inference-graph IR annotated with multiplicative levels and
+noise budgets from :class:`repro.he.noise.NoiseEstimator`, and executes
+each graph as built, performing the HE ops, ECALLs and RNG draws of the
+hand-written chain it replaced.  Exact rewrites that are facts about a
+single operand are not graph rewrites: they run unconditionally where the
+operand is built (``heops.encode_*_weights``, ``Encryptor.encrypt``,
+``Evaluator.square``, ``pack_coefficients``).
 
 Modules:
     ir: the :class:`InferenceGraph` IR and one builder per chain kind.
-    passes: ``pack_crossing``, its noise margin and its refusal conditions.
-    optimizer: the compiler -- one graph at one level (off/safe) --
-        with fault-site degradation, and compile reports.
-    executor: walks a compiled graph over an explicit ``Resources`` value
+    executor: walks a graph over an explicit ``Resources`` value
         through one op table.
 """
 
@@ -32,7 +27,6 @@ from repro.graph.ir import (
     build_served_graph,
     build_simd_graph,
 )
-from repro.graph.optimizer import LEVELS, CompileReport, compile_graph
 
 __all__ = [
     "BUILDERS",
@@ -44,7 +38,4 @@ __all__ = [
     "build_hybrid_graph",
     "build_served_graph",
     "build_simd_graph",
-    "LEVELS",
-    "CompileReport",
-    "compile_graph",
 ]

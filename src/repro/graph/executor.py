@@ -1,28 +1,26 @@
-"""Execute a compiled inference graph: the one place an HE chain runs.
+"""Execute an inference graph: the one place an HE chain runs.
 
 Every pipeline (hybrid, CryptoNets, SIMD, deep), ``EdgeServer.infer`` and
-the scheduler's packed flush hand :func:`run` a compiled graph plus a
+the scheduler's packed flush hand :func:`run` a graph plus a
 :class:`Resources` value naming exactly what the walk may touch, and get
 back the result ciphertext (and, when the graph ends in a decrypt node,
 the logits and the measured noise budget).  The walk looks each node's
 opcode up in :data:`OPS` and emits the node's stage span stamped with its
 graph identity, so traces, metrics, op tallies and the node profiler see
-every chain the same way.  The reference (``off``) walk of each graph kind
-performs the HE ops, ECALLs and RNG draws of the hand-written chain it
-replaced, in the same order — that is what makes the differential
-equivalence suite meaningful.
+every chain the same way.  The walk of each graph kind performs the HE
+ops, ECALLs and RNG draws of the hand-written chain it replaced, in the
+same order — that is what makes the differential equivalence suite
+meaningful.
 
 Handlers reach ``heops.he_conv2d`` / ``heops.he_dense`` through the module
 and ``pack_coefficients`` through this module's global at call time, never
 through a reference captured in the table, so tooling that wraps those
 names (``benchmarks/e2e/spans.py``) sees every call.
 
-The one graph rewrite the walk honours is a ``packed`` crossing
-(:func:`_packed_payload` + one ``activation_pool_packed`` ECALL, whose
-post-crossing ciphertext bytes equal the unpacked ECALL's).  Everything
-else that is exact and operand-local (zero-column skip and bias fold in
-``heops``, the encryptor's constant-coefficient path, ``Evaluator.square``,
-the packing-monomial memo) happens inside the calls below at every level.
+The walk rewrites nothing: every graph runs as built.  The exact
+operand-local rewrites (zero-column skip and bias fold in ``heops``, the
+encryptor's constant-coefficient path, ``Evaluator.square``, the
+packing-monomial memo) happen inside the calls below.
 """
 
 from __future__ import annotations
@@ -104,8 +102,8 @@ def _node_stage(env: Resources, node: ir.GraphNode):
 
     The stamped attrs are what :mod:`repro.obs.profile` keys measured
     costs by: the full node signature (op + stage + level + noise
-    annotations + attrs), so two optimizer configurations of the
-    same stage profile as distinct nodes.  The stage span measures host
+    annotations + attrs), so two nodes that share a stage name but not
+    their attrs profile as distinct nodes.  The stage span measures host
     wall time *exclusively*, so slicing/reassembly around ECALLs is charged
     here without double-counting the in-enclave compute.
     """
@@ -158,49 +156,9 @@ def _fc(env, node, value, walk):
         )
 
 
-def _packed_payload(node, conv: Ciphertext, total: int) -> tuple[Ciphertext, int]:
-    """Flatten the whole feature-map tensor and fold runs of ``chunk``
-    values into single ciphertexts' coefficients: ciphertext ``j`` carries
-    flat values ``j * chunk ..`` (tail ciphertext shorter)."""
-    # Physical packing work is accounted by the simulated clock, not the
-    # logical op tally (same convention as the serving flush's packing).
-    pack_evaluator = Evaluator(conv.context)
-    tail = conv.data.shape[-3:]
-    flat = conv.data.reshape(total, *tail)
-    chunk = min(int(node.attrs["pack_max_batch"]), conv.context.poly_degree, total)
-    full, remainder = divmod(total, chunk)
-    parts = []
-    if full:
-        # The fold reads its rows where they lie: run j of every chunk is a
-        # strided view, never a payload-sized copy.
-        main = np.moveaxis(flat[: full * chunk].reshape(full, chunk, *tail), 1, 0)
-        packed = pack_coefficients(
-            pack_evaluator, Ciphertext(conv.context, main, is_ntt=True)
-        )
-        parts.append(packed.data)
-    if remainder:
-        packed = pack_coefficients(
-            pack_evaluator, Ciphertext(conv.context, flat[full * chunk :], is_ntt=True)
-        )
-        parts.append(packed.data.reshape(1, *tail))
-    data = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-    return Ciphertext(conv.context, data, is_ntt=True), chunk
-
-
 def _crossing(env, node, conv, walk):
     with _node_stage(env, node):
-        shape = conv.batch_shape
-        total = int(np.prod(shape)) if shape else 0
-        if not node.attrs["packed"] or node.attrs["pack_max_batch"] < 2 or total < 2:
-            return env.enclave.ecall("activation_pool", conv, *_enclave_args(node))
-        payload, chunk = _packed_payload(node, conv, total)
-        return env.enclave.ecall(
-            "activation_pool_packed",
-            payload,
-            tuple(int(s) for s in shape),
-            chunk,
-            *_enclave_args(node),
-        )
+        return env.enclave.ecall("activation_pool", conv, *_enclave_args(node))
 
 
 def _crossing_image(env, node, conv, walk):

@@ -8,9 +8,9 @@ constants the annotations need (each contraction's integer weight matrix)
 and the crossing mode.  Edges are implicit — node ``i`` feeds node
 ``i + 1`` — and each node carries the multiplicative level plus noise
 annotations (:func:`annotate`) derived from
-:class:`repro.he.noise.NoiseEstimator`, which is what lets the one pass
-reason about headroom (how many coefficients a packed crossing may fold)
-without touching ciphertexts.
+:class:`repro.he.noise.NoiseEstimator`, which is what lets provisioning
+check a graph's headroom (:func:`require_headroom`) without touching
+ciphertexts.
 
 One builder per graph kind (:data:`BUILDERS`): ``hybrid``, ``cryptonets``,
 ``simd``, ``deep`` and the two serving kinds, which one builder makes
@@ -21,8 +21,7 @@ behind a ``fold``).  Both take the served request format, one image per
 polynomial (:func:`image_layout`); their crossing carries that layout as an
 ``image`` attribute.  Work on coefficients (``encrypt_lanes``, ``fold``,
 ``crossing_image``, ``crossing_lanes``, ``decrypt_lanes``) has its own ops,
-not flags on the scalar ones, so the pass that rewrites ``crossing`` simply
-finds no such node on the ``simd`` and serving graphs and refuses.
+not flags on the scalar ones.
 """
 
 from __future__ import annotations
@@ -60,9 +59,7 @@ class GraphNode:
         stage: trace stage name the executor emits for this node (kept
             equal to the pre-IR pipelines so traces stay comparable).
         attrs: the node's own parameters (a crossing's scales, activation
-            and pool; a pool's window) plus, on a scalar-layout crossing,
-            ``packed`` / ``pack_max_batch`` -- the one thing the pass rewrites,
-            defaulting to the unpacked reference behaviour.
+            and pool; a pool's window; a fold's lanes and stride).
         level: multiplicative depth entering the *output* of this node.
         budget_bits: estimated invariant-noise budget after this node.
         noise_cost_bits: estimated budget this node consumes.
@@ -75,18 +72,8 @@ class GraphNode:
     budget_bits: float = 0.0
     noise_cost_bits: float = 0.0
 
-    def clone(self) -> "GraphNode":
-        return GraphNode(
-            self.op,
-            self.stage,
-            dict(self.attrs),
-            self.level,
-            self.budget_bits,
-            self.noise_cost_bits,
-        )
-
     def signature(self) -> tuple:
-        """Hashable fingerprint used by the idempotence property tests."""
+        """Hashable fingerprint the profiler keys measured costs by."""
         return (
             self.op,
             self.stage,
@@ -106,34 +93,12 @@ class InferenceGraph:
     nodes: list[GraphNode]
     meta: dict[str, Any]
 
-    def clone(self) -> "InferenceGraph":
-        return InferenceGraph(
-            self.kind,
-            self.params,
-            [node.clone() for node in self.nodes],
-            dict(self.meta),
-        )
-
     def node(self, op: str) -> GraphNode:
         for node in self.nodes:
             if node.op == op:
                 return node
         raise PipelineError(f"graph has no {op!r} node")
 
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    def he_noise_consumption(self) -> float:
-        """Total estimated budget (bits) the HE compute nodes consume."""
-        return float(sum(node.noise_cost_bits for node in self.nodes))
-
-    def signature(self) -> tuple:
-        return (
-            self.kind,
-            self.params.name,
-            tuple(node.signature() for node in self.nodes),
-        )
 
 
 def node_noise_cost(node: GraphNode, graph: InferenceGraph, estimator: NoiseEstimator) -> float:
@@ -208,8 +173,6 @@ def _crossing(op: str, stage: str, input_scale, output_scale, window, activation
         "activation": activation,
         "pool": pool,
     }
-    if op == "crossing":
-        attrs.update(packed=False, pack_max_batch=0)
     return GraphNode(op, stage, attrs)
 
 

@@ -9,8 +9,7 @@ layer have.  This module is the aggregate half of observability:
 
 * :class:`Counter` -- monotone accumulations (requests, ecalls, fault
   fires, EPC evictions);
-* :class:`Gauge` -- last-written values (queue depth, noise-budget bits,
-  active graph-optimizer level);
+* :class:`Gauge` -- last-written values (queue depth, noise-budget bits);
 * :class:`Histogram` -- fixed-bucket distributions with Prometheus
   ``_bucket``/``_sum``/``_count`` exposition and quantile estimation;
   latency histograms share the log-scaled :data:`LATENCY_BUCKETS`.
@@ -680,10 +679,6 @@ FAMILIES: dict[str, tuple[str, tuple[str, ...], tuple[float, ...] | None, str]] 
     "repro_sgx_epc_faults_total": (
         "counter", (), None,
         "EPC page faults observed by the untrusted OS."),
-    "repro_graph_degradations_total": (
-        "counter", ("graph_pass",), None,
-        "Graph compilations degraded to the unoptimized reference graph "
-        "after a pass failure."),
     "repro_he_noise_budget_bits": (
         "gauge", ("layer", "model"), None,
         "Estimated remaining invariant-noise budget per encrypted "

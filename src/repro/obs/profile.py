@@ -1,7 +1,7 @@
 """Graph-attributed cost profiler: per-node measured cost from traces.
 
-PR 9's optimizer justifies rewrites with *estimated* noise costs; this
-module closes the loop with *measured* ones.  The graph executor stamps
+The inference-graph IR annotates each node with *estimated* noise costs;
+this module closes the loop with *measured* ones.  The graph executor stamps
 each stage span with the :class:`~repro.graph.ir.GraphNode` signature it
 executed (plus the node's op, level and noise annotations), and
 :func:`profile_from_trace` folds a finished pipeline trace into a

@@ -3,9 +3,9 @@
 Metrics aggregate and traces nest, but neither answers "what exactly
 happened, in order, in the seconds before this request died".  The
 :class:`FlightRecorder` is a bounded ring buffer of structured events --
-admission, flush start/done, fault fires, failovers, optimizer
-degradations, worker deaths and replays -- each with a severity, a monotone sequence
-number and a caller-supplied deterministic timestamp (the serving loop's
+admission, flush start/done, fault fires, failovers, worker deaths and
+replays -- each with a severity, a monotone sequence number and a
+caller-supplied deterministic timestamp (the serving loop's
 virtual ``now_s`` or the platform's ``SimClock``; the recorder itself
 never reads a wall clock, so chaos tests can pin exact event sequences).
 

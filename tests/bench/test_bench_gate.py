@@ -81,29 +81,10 @@ def _serving_report(speedup=2.0, mode="smoke", overrides=None):
     return report
 
 
-def _graph_report(speedup_safe=1.8, bit_identical=True):
-    return {
-        "config": {"mode": "smoke"},
-        "hybrid": {
-            "speedup_safe": speedup_safe,
-            "safe_simulated_s": 0.17 / speedup_safe,
-        },
-        "invariants": {
-            "bit_identical": bit_identical,
-            "speedup_floor": speedup_safe >= 1.3,
-        },
-    }
-
-
-def _write_pair(
-    directory: Path, hotpath: dict, serving: dict, graph: dict | None = None
-) -> None:
+def _write_pair(directory: Path, hotpath: dict, serving: dict) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "BENCH_hotpath.json").write_text(json.dumps(hotpath))
     (directory / "BENCH_serving.json").write_text(json.dumps(serving))
-    (directory / "BENCH_graph.json").write_text(
-        json.dumps(graph if graph is not None else _graph_report())
-    )
 
 
 def _gate(baseline_dir: Path, current_dir: Path, *extra: str):
@@ -194,7 +175,7 @@ class TestBenchGate:
         _gate(tmp_path / "base", tmp_path / "cur", "--report", str(report))
         doc = json.loads(report.read_text())
         assert doc["ok"] is True
-        assert set(doc["benches"]) == {"hotpath", "serving", "graph"}
+        assert set(doc["benches"]) == {"hotpath", "serving"}
 
     def test_slo_invariant_violation_fails(self, tmp_path):
         self._assert_serving_violation(tmp_path, "loop.slo.p99_bounded")
@@ -246,41 +227,16 @@ class TestBenchGate:
         assert proc.returncode == 1
         assert "FAIL loop.occupancy_mean" in proc.stdout
 
-    def test_graph_bit_identity_violation_fails(self, tmp_path):
-        _write_pair(tmp_path / "base", _hotpath_report(), _serving_report())
-        _write_pair(
-            tmp_path / "cur", _hotpath_report(), _serving_report(),
-            graph=_graph_report(bit_identical=False),
-        )
-        proc = _gate(tmp_path / "base", tmp_path / "cur")
-        assert proc.returncode == 1
-        assert "invariants.bit_identical" in proc.stdout
-
-    def test_graph_speedup_floor_violation_fails(self, tmp_path):
-        """The 1.3x hybrid-safe floor is a hard invariant: a current run
-        below it fails even when the ratio drop is inside --tolerance."""
-        _write_pair(tmp_path / "base", _hotpath_report(), _serving_report())
-        _write_pair(
-            tmp_path / "cur", _hotpath_report(), _serving_report(),
-            graph=_graph_report(speedup_safe=1.2),
-        )
-        proc = _gate(tmp_path / "base", tmp_path / "cur")
-        assert proc.returncode == 1
-        assert "invariants.speedup_floor" in proc.stdout
-
     def test_bench_selection_scopes_the_gate(self, tmp_path):
         """--bench gates only the named benches: a broken serving report is
-        invisible to a hotpath+graph-scoped run and fatal to a
-        serving-scoped one."""
+        invisible to a hotpath-scoped run and fatal to a serving-scoped
+        one."""
         _write_pair(tmp_path / "base", _hotpath_report(), _serving_report())
         _write_pair(
             tmp_path / "cur", _hotpath_report(),
             _serving_report(overrides={"loop.slo.shed_rate_bounded": False}),
         )
-        scoped = _gate(
-            tmp_path / "base", tmp_path / "cur",
-            "--bench", "hotpath", "--bench", "graph",
-        )
+        scoped = _gate(tmp_path / "base", tmp_path / "cur", "--bench", "hotpath")
         assert scoped.returncode == 0, scoped.stdout + scoped.stderr
         serving_only = _gate(tmp_path / "base", tmp_path / "cur", "--bench", "serving")
         assert serving_only.returncode == 1

@@ -19,14 +19,20 @@ import pytest
 
 from repro.client import AttestedClient
 from repro.core import (
+    CryptonetsPipeline,
+    DeepHybridPipeline,
     EdgeServer,
+    HybridPipeline,
     PipelineSpec,
     PlaintextPipeline,
+    SimdHybridPipeline,
+    build_pipeline,
     parameters_for_pipeline,
     train_paper_models,
 )
+from repro.errors import PipelineError
 from repro.serve import LoopConfig, RequestScheduler, ServingLoop, poisson_trace
-from repro.sgx import AttestationVerificationService
+from repro.sgx import AttestationVerificationService, SgxPlatform
 
 MODEL = "digits"
 
@@ -35,15 +41,54 @@ def _binds(callable_, *args, **kwargs) -> None:
     inspect.signature(callable_).bind(*args, **kwargs)
 
 
+@pytest.fixture(scope="module")
+def models():
+    return train_paper_models(
+        train_size=200, test_size=40, epochs=2, image_size=10, channels=2, kernel_size=3
+    )
+
+
 class TestSignatures:
     """Keyword-for-keyword the calls the benchmark makes; binding only, so
-    the process-wide knobs a real ``PipelineSpec`` build installs stay put."""
+    the process-wide knobs a real ``PipelineSpec`` build installs stay put
+    (``build_pipeline`` takes any keyword, so its one call is made)."""
 
     def test_pipeline_spec(self):
         _binds(
             PipelineSpec, scheme="hybrid", poly_degree=1024, batching=True,
             max_batch=16, fleet_size=2, workers=2, graph_optimizer="off",
         )
+
+    def test_build_pipeline(self, models):
+        pipeline = build_pipeline(
+            "cryptonets", models.quantized_square(), poly_degree=256, seed=7,
+            graph_optimizer="off",
+        )
+        assert isinstance(pipeline, CryptonetsPipeline)
+
+    @pytest.mark.parametrize("value", ["safe", "saef"])
+    def test_graph_optimizer_takes_off_only(self, value):
+        """``"off"`` is the retired keyword's one value, in both forms;
+        anything else is refused before a model is read or an enclave
+        loaded."""
+        with pytest.raises(PipelineError, match="graph_optimizer"):
+            PipelineSpec(scheme="hybrid", graph_optimizer=value)
+        with pytest.raises(PipelineError, match="graph_optimizer"):
+            build_pipeline(
+                "cryptonets", object(), poly_degree=256, seed=7, graph_optimizer=value
+            )
+        platform = SgxPlatform()
+        with pytest.raises(PipelineError, match="graph_optimizer"):
+            build_pipeline("hybrid", object(), platform=platform, graph_optimizer=value)
+        assert platform.clock.real_s == 0.0 and platform.tracer.traces == []
+
+    def test_no_pipeline_takes_graph_optimizer(self):
+        owners = (
+            CryptonetsPipeline, HybridPipeline, SimdHybridPipeline,
+            DeepHybridPipeline, EdgeServer, EdgeServer.from_spec,
+        )
+        for owner in owners:
+            assert "graph_optimizer" not in inspect.signature(owner).parameters
 
     def test_loop_config(self):
         _binds(LoopConfig, window_s=0.010, max_queue_depth=64, admit_wait_slo_s=0.030)
@@ -62,10 +107,7 @@ class TestSignatures:
 
 
 @pytest.fixture(scope="module")
-def deployment():
-    models = train_paper_models(
-        train_size=200, test_size=40, epochs=2, image_size=10, channels=2, kernel_size=3
-    )
+def deployment(models):
     quantized = models.quantized_sigmoid()
     server = EdgeServer(parameters_for_pipeline(quantized, 256, batching=True), seed=7)
     server.provision_model(MODEL, quantized)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph import LEVELS
 from repro.he import (
     Context,
     Decryptor,
@@ -75,10 +74,3 @@ def decryptor(context, keypair):
 @pytest.fixture()
 def evaluator(context):
     return Evaluator(context)
-
-
-@pytest.fixture(params=LEVELS)
-def graph_optimizer(request) -> str:
-    """Each graph-optimizer level in turn, for a test that builds a pipeline
-    with ``graph_optimizer=``: every level must run bit-identically."""
-    return request.param

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import InferenceEnclave
 from repro.errors import EnclaveError, PipelineError
-from repro.he import Ciphertext, Context, Decryptor, Encryptor, Evaluator, ScalarEncoder
+from repro.he import Context, Decryptor, Encryptor, Evaluator, ScalarEncoder
 from repro.he.batching import ImageLayout, write_image
 from repro.nn.layers import Sigmoid
 from repro.sgx import SgxPlatform
@@ -206,61 +206,6 @@ class TestPoolingEcalls:
         ct = encrypt_values(userland, np.zeros((1, 1, 4, 4), dtype=np.int64))
         with pytest.raises(PipelineError, match="window must be >= 1"):
             enclave.ecall(entry, ct, window=window, **args)
-
-
-class TestPackedCrossingProbes:
-    """``activation_pool_packed`` (the optimizer's scalar-crossing fold)
-    reads runs of ``chunk`` coefficients: everything past a run must
-    decrypt to zero, or the ECALL fails typed instead of activating the
-    wrong values."""
-
-    ARGS = (1.0, 1, 1, "relu", "mean")  # scales, window, activation, pool
-
-    @pytest.fixture()
-    def values(self):
-        return np.arange(-8, 8, dtype=np.int64).reshape(1, 1, 4, 4)
-
-    def folded_at_8(self, userland, values):
-        """Two ciphertexts, run ``j`` of 8 flat values in the lanes of ``j``."""
-        from repro.he.batching import write_lanes
-
-        runs = write_lanes(userland["context"], values.reshape(2, 8).T)
-        return userland["encryptor"].encrypt(runs)
-
-    def test_payload_read_at_its_chunk(self, enclave, userland, values):
-        payload = self.folded_at_8(userland, values)
-        out = enclave.ecall("activation_pool_packed", payload, values.shape, 8, *self.ARGS)
-        got = decrypt_with_enclave(enclave, userland, out)
-        assert np.array_equal(got, np.maximum(values, 0))
-
-    def test_payload_declared_at_a_smaller_chunk_is_typed(self, enclave, userland, values):
-        """Folded at 8, declared as 4 over a shape that needs the same two
-        ciphertexts: coefficients 4..7 of each are not zero."""
-        payload = self.folded_at_8(userland, values)
-        with pytest.raises(PipelineError, match="not lane-encoded"):
-            enclave.ecall("activation_pool_packed", payload, (1, 1, 2, 4), 4, *self.ARGS)
-
-    def test_payload_with_live_tail_lanes_is_typed(self, enclave, userland, values):
-        """Declared as 12 values at chunk 8: the same two ciphertexts, but
-        lanes 4..7 of the tail one must then be zero."""
-        payload = self.folded_at_8(userland, values)
-        with pytest.raises(PipelineError, match="tail lanes past them are not zero"):
-            enclave.ecall("activation_pool_packed", payload, (1, 1, 3, 4), 8, *self.ARGS)
-
-    def test_payload_with_the_wrong_ciphertext_count_is_typed(self, enclave, userland, values):
-        payload = self.folded_at_8(userland, values)
-        with pytest.raises(PipelineError, match="carries 2 ciphertexts.* needs 1"):
-            enclave.ecall("activation_pool_packed", payload, (1, 1, 2, 4), 8, *self.ARGS)
-
-    def test_noise_exhausted_payload_is_typed(self, enclave, userland, values):
-        payload = self.folded_at_8(userland, values)
-        data = payload.data
-        for _ in range(3):  # x 2^60: past any budget of this 60-bit q
-            data = payload.context.ring.mul_scalar(data, 1 << 20)
-        exhausted = Ciphertext(payload.context, data, is_ntt=True)
-        assert not enclave._instance._decryptor.is_decryptable(exhausted)
-        with pytest.raises(PipelineError, match="overflowed"):
-            enclave.ecall("activation_pool_packed", exhausted, values.shape, 8, *self.ARGS)
 
 
 class TestRefresh:

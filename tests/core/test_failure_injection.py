@@ -17,7 +17,6 @@ from repro.errors import (
     NoiseBudgetExhausted,
     PipelineError,
 )
-from repro.graph import LEVELS
 from repro.he import Context, Decryptor, Encryptor, KeyGenerator, ScalarEncoder
 from repro.sgx import SgxPlatform
 
@@ -25,17 +24,6 @@ from repro.sgx import SgxPlatform
 @pytest.fixture()
 def pipeline(q_sigmoid, hybrid_params):
     return HybridPipeline(q_sigmoid, hybrid_params, seed=17)
-
-
-@pytest.fixture()
-def pipelines(q_sigmoid, hybrid_params):
-    """One hybrid per graph-optimizer level: ``safe`` sends the conv output
-    across as a coefficient-packed payload, and each failure below must
-    be caught on that crossing too."""
-    return [
-        HybridPipeline(q_sigmoid, hybrid_params, seed=17, graph_optimizer=level)
-        for level in LEVELS
-    ]
 
 
 def corrupt_encryptions(monkeypatch, pipeline, seed):
@@ -77,13 +65,12 @@ class TestCorruptedCiphertexts:
         with pytest.raises(EncodingError):
             encoder.decode(Decryptor(context, keys.secret).decrypt(ct))
 
-    def test_enclave_rejects_corrupted_input(self, pipelines, models, monkeypatch):
+    def test_enclave_rejects_corrupted_input(self, pipeline, models, monkeypatch):
         """Corruption *before* the enclave crossing is caught inside it."""
-        for pipeline in pipelines:
-            corrupt_encryptions(monkeypatch, pipeline, seed=2)
-            # The enclave's own decode check names the fault.
-            with pytest.raises(PipelineError, match="does not hold the expected"):
-                pipeline.infer(models.dataset.test_images[:1])
+        corrupt_encryptions(monkeypatch, pipeline, seed=2)
+        # The enclave's own decode check names the fault.
+        with pytest.raises(PipelineError, match="does not hold the expected"):
+            pipeline.infer(models.dataset.test_images[:1])
 
 
 class TestKeyFailures:
@@ -101,26 +88,24 @@ class TestKeyFailures:
 
 
 class TestEnclaveLifecycleFailures:
-    def test_destroyed_enclave_stops_serving(self, pipelines, models):
+    def test_destroyed_enclave_stops_serving(self, pipeline, models):
         from repro.errors import EnclaveNotInitialized
 
-        for pipeline in pipelines:
-            pipeline.enclave.destroy()
-            with pytest.raises(EnclaveNotInitialized):
-                pipeline.infer(models.dataset.test_images[:1])
+        pipeline.enclave.destroy()
+        with pytest.raises(EnclaveNotInitialized):
+            pipeline.infer(models.dataset.test_images[:1])
 
     def test_undecorated_method_not_reachable(self, pipeline):
         with pytest.raises(EnclaveError):
             pipeline.enclave.ecall("_load_crypto_state")
 
-    def test_overflow_guard_on_reencryption(self, pipelines, models):
+    def test_overflow_guard_on_reencryption(self, pipeline, models):
         """If the host lies about scales, the enclave's range guard fires
         instead of silently wrapping values mod t."""
-        for pipeline in pipelines:
-            (crossing,) = (n for n in pipeline.graph.nodes if n.op == "crossing")
-            crossing.attrs["output_scale"] = pipeline.params.plain_modulus * 10
-            with pytest.raises(PipelineError, match="exceed the plaintext range"):
-                pipeline.infer(models.dataset.test_images[:1])
+        (crossing,) = (n for n in pipeline.graph.nodes if n.op == "crossing")
+        crossing.attrs["output_scale"] = pipeline.params.plain_modulus * 10
+        with pytest.raises(PipelineError, match="exceed the plaintext range"):
+            pipeline.infer(models.dataset.test_images[:1])
 
 
 class TestRecovery:
@@ -132,13 +117,10 @@ class TestRecovery:
 
         images = models.dataset.test_images[:1]
         expected = PlaintextPipeline(q_sigmoid).infer(images)
-        for level in LEVELS:
-            pipeline = HybridPipeline(
-                q_sigmoid, hybrid_params, seed=18, graph_optimizer=level
-            )
-            with monkeypatch.context() as patch:
-                corrupt_encryptions(patch, pipeline, seed=5)
-                with pytest.raises(PipelineError):
-                    pipeline.infer(images)
-            good = pipeline.infer(images)
-            assert np.array_equal(good.logits, expected.logits)
+        pipeline = HybridPipeline(q_sigmoid, hybrid_params, seed=18)
+        with monkeypatch.context() as patch:
+            corrupt_encryptions(patch, pipeline, seed=5)
+            with pytest.raises(PipelineError):
+                pipeline.infer(images)
+        good = pipeline.infer(images)
+        assert np.array_equal(good.logits, expected.logits)

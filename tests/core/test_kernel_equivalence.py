@@ -17,11 +17,8 @@ from repro.core import CryptonetsPipeline, HybridPipeline, heops
 from repro.he import Ciphertext, Context, Evaluator, oracle
 
 
-def _run_hybrid(context_type, quantized, params, images, graph_optimizer="off"):
-    pipe = HybridPipeline(
-        quantized, params, seed=7, context_type=context_type,
-        graph_optimizer=graph_optimizer,
-    )
+def _run_hybrid(context_type, quantized, params, images):
+    pipe = HybridPipeline(quantized, params, seed=7, context_type=context_type)
     result = pipe.infer(images)
     ct = pipe.encrypt_images(images)
     conv = heops.he_conv2d(pipe.evaluator, pipe.encoder, ct, pipe.conv_weights)
@@ -52,19 +49,9 @@ class TestHybridEquivalence:
         (ref_pipe, _, _, _), (fus_pipe, _, _, _) = runs
         assert dict(ref_pipe.counter.counts) == dict(fus_pipe.counter.counts)
 
-    def test_every_level_matches_the_oracle(
-        self, graph_optimizer, q_sigmoid, hybrid_params, test_images
-    ):
-        """``safe`` packs the crossing: the packed payload and its refresh
-        keep the oracle's logits, result bytes and tallies too."""
-        (ref_pipe, ref, _, _), (fus_pipe, fus, _, _) = (
-            _run_hybrid(context, q_sigmoid, hybrid_params, test_images, graph_optimizer)
-            for context in (oracle.Context, Context)
-        )
-        assert fus_pipe.graph_report.label == graph_optimizer
-        assert np.array_equal(ref.logits, fus.logits)
+    def test_result_ciphertext_bit_identical(self, runs):
+        (_, ref, _, _), (_, fus, _, _) = runs
         assert np.array_equal(ref.logits_ct.data, fus.logits_ct.data)
-        assert dict(ref_pipe.counter.counts) == dict(fus_pipe.counter.counts)
 
 
 

@@ -18,7 +18,6 @@ from repro.core import (
     PlaintextPipeline,
 )
 from repro.errors import PipelineError
-from repro.graph import LEVELS
 from repro.sgx import SgxPlatform
 
 
@@ -28,15 +27,8 @@ def plain_result(q_sigmoid, test_images):
 
 
 @pytest.fixture(scope="module")
-def hybrid_results(q_sigmoid, hybrid_params, test_images):
-    """The batched hybrid's result at each graph-optimizer level: what holds
-    of the hybrid must hold at every level."""
-    return [
-        HybridPipeline(q_sigmoid, hybrid_params, seed=2, graph_optimizer=level).infer(
-            test_images
-        )
-        for level in LEVELS
-    ]
+def hybrid_result(q_sigmoid, hybrid_params, test_images):
+    return HybridPipeline(q_sigmoid, hybrid_params, seed=2).infer(test_images)
 
 
 class TestPlaintextPipelines:
@@ -54,33 +46,27 @@ class TestPlaintextPipelines:
 
 
 class TestHybridPipeline:
-    def test_matches_plaintext_exactly(self, hybrid_results, plain_result):
+    def test_matches_plaintext_exactly(self, hybrid_result, plain_result):
         """The paper's accuracy claim: no approximation, bit-exact logits."""
-        for result in hybrid_results:
-            assert np.array_equal(result.logits, plain_result.logits)
+        assert np.array_equal(hybrid_result.logits, plain_result.logits)
 
-    def test_single_enclave_crossing(self, hybrid_results):
-        for result in hybrid_results:
-            assert result.enclave_crossings == 1
+    def test_single_enclave_crossing(self, hybrid_result):
+        assert hybrid_result.enclave_crossings == 1
 
-    def test_positive_noise_budget_at_decrypt(self, hybrid_results):
-        for result in hybrid_results:
-            assert result.noise_budget_bits > 0
+    def test_positive_noise_budget_at_decrypt(self, hybrid_result):
+        assert hybrid_result.noise_budget_bits > 0
 
-    def test_sgx_overhead_charged(self, hybrid_results):
-        for result in hybrid_results:
-            assert result.stage("sgx_activation_pool").overhead_s > 0
+    def test_sgx_overhead_charged(self, hybrid_result):
+        assert hybrid_result.stage("sgx_activation_pool").overhead_s > 0
 
-    def test_linear_stages_have_no_sgx_overhead(self, hybrid_results):
-        for result in hybrid_results:
-            assert result.stage("conv").overhead_s == 0.0
-            assert result.stage("fc").overhead_s == 0.0
+    def test_linear_stages_have_no_sgx_overhead(self, hybrid_result):
+        assert hybrid_result.stage("conv").overhead_s == 0.0
+        assert hybrid_result.stage("fc").overhead_s == 0.0
 
-    def test_op_counts_recorded(self, hybrid_results):
-        for result in hybrid_results:
-            assert result.op_counts["ct_plain_mul"] > 0
-            assert result.op_counts["ct_add"] > 0
-            assert "ct_mul" not in result.op_counts  # no square, ever
+    def test_op_counts_recorded(self, hybrid_result):
+        assert hybrid_result.op_counts["ct_plain_mul"] > 0
+        assert hybrid_result.op_counts["ct_add"] > 0
+        assert "ct_mul" not in hybrid_result.op_counts  # no square, ever
 
     def test_rejects_square_model(self, q_square, pure_he_params):
         with pytest.raises(PipelineError):
@@ -98,20 +84,15 @@ class TestHybridPipeline:
             HybridPipeline(q_sigmoid, hybrid_params, mode="warp")
 
 
-class TestHybridAtEveryLevel:
+class TestHybridModes:
     @pytest.mark.parametrize("mode", ["batched", "fake"])
     def test_matches_plaintext_in_one_crossing(
-        self, graph_optimizer, mode, q_sigmoid, hybrid_params, test_images, plain_result
+        self, mode, q_sigmoid, hybrid_params, test_images, plain_result
     ):
-        """The level is the pipeline's own: ``safe`` packs the crossing of
-        both modes, and neither level changes what the user decrypts."""
-        pipe = HybridPipeline(
-            q_sigmoid, hybrid_params, mode=mode, seed=2, graph_optimizer=graph_optimizer
-        )
-        result = pipe.infer(test_images)
-        assert pipe.graph_report.label == graph_optimizer
-        assert (pipe.graph_report.applied == ("pack_crossing",)) == (
-            graph_optimizer == "safe"
+        """With or without an enclave, the batch crosses once and the user
+        decrypts the plaintext model's logits."""
+        result = HybridPipeline(q_sigmoid, hybrid_params, mode=mode, seed=2).infer(
+            test_images
         )
         assert np.array_equal(result.logits, plain_result.logits)
         assert result.enclave_crossings == 1
@@ -119,22 +100,16 @@ class TestHybridAtEveryLevel:
 
 class TestFakeSgxMode:
     def test_same_logits_no_overhead(self, q_sigmoid, hybrid_params, test_images, plain_result):
-        for level in LEVELS:
-            fake = HybridPipeline(
-                q_sigmoid, hybrid_params, mode="fake", seed=2, graph_optimizer=level
-            )
-            result = fake.infer(test_images)
-            assert np.array_equal(result.logits, plain_result.logits)
-            assert result.stage("sgx_activation_pool").overhead_s == 0.0
-            assert result.scheme == "EncryptFakeSGX"
+        fake = HybridPipeline(q_sigmoid, hybrid_params, mode="fake", seed=2)
+        result = fake.infer(test_images)
+        assert np.array_equal(result.logits, plain_result.logits)
+        assert result.stage("sgx_activation_pool").overhead_s == 0.0
+        assert result.scheme == "EncryptFakeSGX"
 
-    def test_faster_than_trusted(self, hybrid_results, q_sigmoid, hybrid_params, test_images):
-        for level, trusted in zip(LEVELS, hybrid_results):
-            fake = HybridPipeline(
-                q_sigmoid, hybrid_params, mode="fake", seed=2, graph_optimizer=level
-            )
-            fake_result = fake.infer(test_images)
-            assert fake_result.total_overhead_s < trusted.total_overhead_s
+    def test_faster_than_trusted(self, hybrid_result, q_sigmoid, hybrid_params, test_images):
+        fake = HybridPipeline(q_sigmoid, hybrid_params, mode="fake", seed=2)
+        fake_result = fake.infer(test_images)
+        assert fake_result.total_overhead_s < hybrid_result.total_overhead_s
 
 
 class TestPerPixelMode:
@@ -158,12 +133,11 @@ class TestPerPixelMode:
         scale = max(1, int(np.abs(plain.logits).max()))
         assert np.abs(result.logits - plain.logits).max() <= 0.1 * scale
 
-    def test_massive_overhead(self, q_sigmoid, hybrid_params, models, hybrid_results):
+    def test_massive_overhead(self, q_sigmoid, hybrid_params, models, hybrid_result):
         """The paper's negative control: per-pixel crossings dwarf batched."""
         single = HybridPipeline(q_sigmoid, hybrid_params, mode="per_pixel", seed=2)
         result = single.infer(models.dataset.test_images[:1])
-        for batched in hybrid_results:
-            assert result.total_overhead_s > batched.total_overhead_s
+        assert result.total_overhead_s > hybrid_result.total_overhead_s
 
 
 class TestCryptonetsPipeline:
@@ -214,19 +188,15 @@ class TestHeadlineComparison:
         """Fig. 8's shape: EncryptSGX total time < Encrypted total time."""
         cn = CryptonetsPipeline(q_square, pure_he_params, seed=4)
         cn_time = cn.infer(test_images).total_elapsed_s
-        for level in LEVELS:
-            hybrid = HybridPipeline(
-                q_sigmoid, hybrid_params, seed=4, graph_optimizer=level
-            )
-            assert hybrid.infer(test_images).total_elapsed_s < cn_time
+        hybrid = HybridPipeline(q_sigmoid, hybrid_params, seed=4)
+        assert hybrid.infer(test_images).total_elapsed_s < cn_time
 
     def test_prediction_agreement_across_pipelines(
-        self, hybrid_results, plain_result, models, test_images
+        self, hybrid_result, plain_result, models, test_images
     ):
         from repro.nn import agreement_rate
 
-        for result in hybrid_results:
-            assert agreement_rate(result.predictions, plain_result.predictions) == 1.0
+        assert agreement_rate(hybrid_result.predictions, plain_result.predictions) == 1.0
 
 
 class TestDiverseActivations:
@@ -250,11 +220,9 @@ class TestDiverseActivations:
     def test_tanh_max_hybrid_matches_plaintext(self, tanh_max_setup, test_images):
         quantized, params = tanh_max_setup
         plain = PlaintextPipeline(quantized).infer(test_images)
-        for level in LEVELS:
-            hybrid = HybridPipeline(quantized, params, seed=9, graph_optimizer=level)
-            result = hybrid.infer(test_images)
-            assert result.scheme == "EncryptSGX"
-            assert np.array_equal(result.logits, plain.logits)
+        result = HybridPipeline(quantized, params, seed=9).infer(test_images)
+        assert result.scheme == "EncryptSGX"
+        assert np.array_equal(result.logits, plain.logits)
 
     def test_per_pixel_mode_restricted_to_paper_config(self, tanh_max_setup):
         quantized, params = tanh_max_setup
@@ -269,21 +237,19 @@ class TestDiverseActivations:
 
 class TestSideChannelShape:
     def test_trace_independent_of_plaintext(self, q_sigmoid, hybrid_params, models):
-        """The observable enclave trace must depend on shapes, not values,
-        whether the crossing is packed or not."""
+        """The observable enclave trace must depend on shapes, not values."""
         img_a = models.dataset.test_images[:1]
         img_b = 255 - img_a  # same shape, completely different content
-        for level in LEVELS:
-            a, b = (
-                HybridPipeline(
-                    q_sigmoid, hybrid_params, seed=3, graph_optimizer=level,
-                    platform=SgxPlatform(platform_secret=b"\x21" * 32),
-                )
-                for _ in range(2)
+        a, b = (
+            HybridPipeline(
+                q_sigmoid, hybrid_params, seed=3,
+                platform=SgxPlatform(platform_secret=b"\x21" * 32),
             )
-            a.infer(img_a)
-            b.infer(img_b)
-            assert (
-                a.enclave.side_channel.trace_signature()
-                == b.enclave.side_channel.trace_signature()
-            )
+            for _ in range(2)
+        )
+        a.infer(img_a)
+        b.infer(img_b)
+        assert (
+            a.enclave.side_channel.trace_signature()
+            == b.enclave.side_channel.trace_signature()
+        )

@@ -1,11 +1,9 @@
-"""Graph-optimizer suite fixtures.
+"""Graph-executor suite fixtures.
 
 The trained tiny models are shared session-wide; each gets a planted
 all-zero conv tap column and a few all-zero FC input rows so the
 encode-time zero-column skip has something real to drop (the stock trained
-weights are dense).  The optimizer level is each pipeline's own constructor
-value (the suite-wide ``graph_optimizer`` fixture sweeps it), so there is no
-process-wide configuration to restore between tests.
+weights are dense).
 """
 
 from __future__ import annotations

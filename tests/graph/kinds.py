@@ -21,17 +21,16 @@ from repro.core import (
     SimdHybridPipeline,
     parameters_for_pipeline,
 )
-from repro.graph import ir, optimizer
 from repro.he.serialize import serialize_ciphertext
 from repro.nn import DeepQuantizedCNN
 from repro.nn.deep import QuantizedConvBlock
 from repro.nn.quantize import QuantizedCNN
-from repro.serve import InferenceRequest, ServeConfig
+from repro.serve import InferenceRequest
 from repro.sgx import AttestationVerificationService
 
 KINDS = ("simd", "deep", "served", "packed")
 
-#: Stage-name sequence every run of a kind must emit, at every level.
+#: Stage-name sequence every run of a kind must emit.
 STAGES = {
     "simd": ["encrypt", "conv", "sgx_activation_pool", "fc", "decrypt"],
     "deep": [
@@ -173,26 +172,15 @@ def _run_packed(images):
     )
 
 
-def run_kind(kind: str, level: str = "off") -> tuple[dict, object]:
-    """Execute ``kind``; returns the run set's fingerprint and the
-    :class:`CompileReport` of its graph at ``level``.  None of these kinds
-    has a level of its own (the one rewrite refuses all their graphs), so
-    each runs as built and reports what ``level`` would do to that graph."""
+def run_kind(kind: str) -> dict:
+    """Execute ``kind``; returns the run set's fingerprint."""
     images = images_for(kind)
-    options = {}
     if kind == "simd":
         model = single_block_model()
         params = parameters_for_pipeline(model, 256, batching=True)
-        fingerprint = _run_pipeline(SimdHybridPipeline(model, params, seed=7), images)
-    elif kind == "deep":
+        return _run_pipeline(SimdHybridPipeline(model, params, seed=7), images)
+    if kind == "deep":
         model = deep_model()
         params = parameters_for_pipeline(model, 256)
-        fingerprint = _run_pipeline(DeepHybridPipeline(model, params, seed=7), images)
-    else:
-        fingerprint = _run_served(images) if kind == "served" else _run_packed(images)
-        model = single_block_model()
-        params = parameters_for_pipeline(model, 256, batching=True)
-        if kind == "packed":
-            options = {"lanes": ServeConfig().capacity(params.poly_degree)}
-    graph = ir.build_graph(kind, model, params, **options)
-    return fingerprint, optimizer.compile_graph(graph, level)[1]
+        return _run_pipeline(DeepHybridPipeline(model, params, seed=7), images)
+    return _run_served(images) if kind == "served" else _run_packed(images)

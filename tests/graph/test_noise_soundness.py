@@ -1,10 +1,8 @@
 """IR noise estimates against measured budgets on the two serving graphs, the
 ``simd`` kind and the pure-HE ``cryptonets`` kind: after ``conv`` (one
 plaintext-polynomial product per filter on the served request format), after
-the ``simd`` kind's ``fc`` and on the result a client receives; and on the
-hybrid's packed crossing, the optimizer's one rewrite, against the margin it
-keeps.  Each fold is a
-host-side sum, not a refresh -- the flush's makes ``conv`` start below
+the ``simd`` kind's ``fc`` and on the result a client receives.  Each fold
+is a host-side sum, not a refresh -- the flush's makes ``conv`` start below
 fresh, and the serving paths' one crossing computes fc on plaintext and
 refreshes -- the ``simd`` kind's lanes are written by one fresh encryption,
 and a model that leaves no budget is refused when it is provisioned.  The
@@ -22,14 +20,12 @@ from repro.client import AttestedClient
 from repro.core import (
     CryptonetsPipeline,
     EdgeServer,
-    HybridPipeline,
     SimdHybridPipeline,
     heops,
     parameters_for_pipeline,
 )
 from repro.errors import ParameterError
-from repro.graph import executor, ir, optimizer
-from repro.graph.passes import MARGIN_BITS
+from repro.graph import ir
 from repro.he import EncryptionParams, modmath
 from repro.he.noise import NoiseEstimator
 from repro.serve import InferenceRequest, ServeConfig
@@ -207,70 +203,6 @@ def test_cryptonets_headroom_lower_bounds_conv_and_square(stage, models, monkeyp
     pipeline.infer(models.dataset.test_images[:2])
     estimated = ir.build_graph("cryptonets", quantized, params).node(stage).budget_bits
     assert estimated <= measured[stage], (stage, estimated, measured[stage])
-
-
-def _hybrid_params(model, prime_bits):
-    """The model's auto-sized parameters (two 30-bit primes: the ring caps
-    the fold at 256 values), or two ``prime_bits``-bit primes."""
-    sized = parameters_for_pipeline(model, 256)
-    if prime_bits is None:
-        return sized
-    return EncryptionParams(
-        poly_degree=256,
-        coeff_primes=tuple(modmath.ntt_primes(prime_bits, 256, 2)),
-        plain_modulus=sized.plain_modulus,
-        name=f"primes_{prime_bits}",
-    )
-
-
-@pytest.mark.parametrize("batch", [1, 4])
-@pytest.mark.parametrize("mode", ["batched", "fake"])
-@pytest.mark.parametrize("prime_bits", [None, 22], ids=["ring_capped", "margin_capped"])
-def test_packed_crossing_keeps_its_margin(prime_bits, mode, batch, monkeypatch):
-    """``pack_crossing`` at ``safe``, the one graph rewrite: each ciphertext
-    the hybrid folds for the enclave crossing measures at least conv's IR
-    headroom less ``log2`` of the values it folds, and that estimate keeps
-    the 8-bit margin.  An image is 72 conv outputs: one image folds into a
-    single ciphertext under the ring's 256-value cap and four spill a
-    32-value tail; under 2 x 22-bit primes the margin caps the fold at 26,
-    so both batches leave a short tail."""
-    model = single_block_model()
-    params = _hybrid_params(model, prime_bits)
-    graph, report = optimizer.compile_graph(
-        ir.build_graph("hybrid", model, params, mode=mode), "safe"
-    )
-    assert report.applied == ("pack_crossing",)
-    cap = graph.node("crossing").attrs["pack_max_batch"]
-    assert cap == (256 if prime_bits is None else 26)
-    pipeline = HybridPipeline(model, params, mode=mode, seed=7, graph_optimizer="safe")
-    pack = executor.pack_coefficients
-    folds = []
-
-    def spy(evaluator, ct, *args, **kwargs):
-        out = pack(evaluator, ct, *args, **kwargs)
-        folds.append((ct.batch_shape[0], pipeline.decryptor.invariant_noise_budget(out)))
-        return out
-
-    monkeypatch.setattr(executor, "pack_coefficients", spy)
-    images = np.random.default_rng(2119).random((batch, 1, 8, 8))
-    pipeline.infer(images)
-    chunk = min(cap, batch * 72)
-    tail = batch * 72 % chunk
-    assert [folded for folded, _ in folds] == [chunk] + [tail] * (tail > 0)
-    conv = graph.node("conv").budget_bits
-    for folded, measured in folds:
-        estimated = conv - np.log2(folded)
-        assert MARGIN_BITS <= estimated <= measured, (folded, estimated, measured)
-
-
-def test_pack_crossing_refuses_below_the_margin():
-    """Under 2 x 20-bit primes conv leaves 8.7 bits: not even a fold of two
-    clears the 8-bit margin, so ``safe`` compiles the reference graph."""
-    model = single_block_model()
-    graph = ir.build_graph("hybrid", model, _hybrid_params(model, 20))
-    compiled, report = optimizer.compile_graph(graph, "safe")
-    assert report.applied == () and "8.0-bit margin" in report.refusal("pack_crossing")
-    assert compiled.signature() == graph.signature()
 
 
 def test_provisioning_refuses_a_flush_with_no_headroom():

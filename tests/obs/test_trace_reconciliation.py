@@ -28,7 +28,6 @@ from repro.core import (
     PlaintextPipeline,
     SimdHybridPipeline,
 )
-from repro.graph import LEVELS
 from repro.obs import reconcile
 
 REL = 1e-6
@@ -79,37 +78,27 @@ class TestEncrypted:
 
 @pytest.mark.parametrize("mode", ["batched", "fake"])
 class TestHybridModes:
-    """At every graph-optimizer level: ``safe``'s packed crossing charges
-    its spans like ``off``'s."""
-
     def test_reconciles(self, q_sigmoid, hybrid_params, test_images, mode):
-        for level in LEVELS:
-            pipe = HybridPipeline(
-                q_sigmoid, hybrid_params, mode=mode, seed=5, graph_optimizer=level
-            )
-            r0, o0 = pipe.clock.real_s, pipe.clock.overhead_s
-            before = pipe.enclave.side_channel.count("ecall")
-            result = pipe.infer(test_images)
-            assert result.trace.attrs["graph_opt"] == level
-            assert_reconciles(
-                result, pipe.clock, r0, o0, pipe.enclave.side_channel, before
-            )
-            assert result.enclave_crossings == 1
+        pipe = HybridPipeline(q_sigmoid, hybrid_params, mode=mode, seed=5)
+        r0, o0 = pipe.clock.real_s, pipe.clock.overhead_s
+        before = pipe.enclave.side_channel.count("ecall")
+        result = pipe.infer(test_images)
+        assert_reconciles(
+            result, pipe.clock, r0, o0, pipe.enclave.side_channel, before
+        )
+        assert result.enclave_crossings == 1
 
     def test_repeated_inference_still_reconciles(
         self, q_sigmoid, hybrid_params, test_images, mode
     ):
-        for level in LEVELS:
-            pipe = HybridPipeline(
-                q_sigmoid, hybrid_params, mode=mode, seed=5, graph_optimizer=level
+        pipe = HybridPipeline(q_sigmoid, hybrid_params, mode=mode, seed=5)
+        for _ in range(2):
+            r0, o0 = pipe.clock.real_s, pipe.clock.overhead_s
+            before = pipe.enclave.side_channel.count("ecall")
+            result = pipe.infer(test_images)
+            assert_reconciles(
+                result, pipe.clock, r0, o0, pipe.enclave.side_channel, before
             )
-            for _ in range(2):
-                r0, o0 = pipe.clock.real_s, pipe.clock.overhead_s
-                before = pipe.enclave.side_channel.count("ecall")
-                result = pipe.infer(test_images)
-                assert_reconciles(
-                    result, pipe.clock, r0, o0, pipe.enclave.side_channel, before
-                )
 
 
 class TestPerPixel:

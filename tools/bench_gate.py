@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Benchmark regression gate: compare fresh bench runs against baselines.
 
-Three benchmark scripts emit JSON reports (``bench_hotpath_kernels``,
-``bench_serving``, ``bench_graph_optimizer``; selected with
-``--bench hotpath|serving|graph``); this tool compares fresh reports against
-the checked-in ones under ``benchmarks/baselines/`` and exits non-zero when
-a gated metric regressed beyond tolerance.  Because the reports mix *ratio*
+Two benchmark scripts emit JSON reports (``bench_hotpath_kernels``,
+``bench_serving``; selected with ``--bench hotpath|serving``); this tool
+compares fresh reports against the checked-in ones under
+``benchmarks/baselines/`` and exits non-zero when a gated metric regressed
+beyond tolerance.  Because the reports mix *ratio*
 metrics (speedups -- stable across machines, the real regression signal)
 with *timing* metrics (absolute seconds -- machine-dependent), the two
 classes carry separate tolerances:
@@ -36,8 +36,6 @@ Refreshing baselines (after an intentional performance change)::
         --out benchmarks/baselines/BENCH_hotpath.json
     python benchmarks/bench_serving.py --smoke --min-speedup 1.0 \
         --out benchmarks/baselines/BENCH_serving.json
-    python benchmarks/bench_graph_optimizer.py --smoke --min-speedup 1.0 \
-        --out benchmarks/baselines/BENCH_graph.json
 """
 
 from __future__ import annotations
@@ -120,16 +118,6 @@ BENCHES: dict[str, dict] = {
             MetricSpec("workers.all_tickets_resolved", "invariant"),
             MetricSpec("workers.chaos_recovered", "invariant"),
             MetricSpec("workers.chaos_byte_identical", "invariant"),
-        ),
-    },
-    "graph": {
-        "file": "BENCH_graph.json",
-        "script": "benchmarks/bench_graph_optimizer.py",
-        "metrics": (
-            MetricSpec("hybrid.speedup_safe", "ratio"),
-            MetricSpec("hybrid.safe_simulated_s", "timing"),
-            MetricSpec("invariants.bit_identical", "invariant"),
-            MetricSpec("invariants.speedup_floor", "invariant"),
         ),
     },
 }
