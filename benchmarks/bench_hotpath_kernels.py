@@ -135,10 +135,9 @@ def _time_flush_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
     half_t = params.plain_modulus // 2
     rows = rng.integers(-half_t, half_t + 1, size=FLUSH_SHAPE)
 
-    # decrypt_poly: the full-polynomial decrypt every coefficient crossing
-    # (the serving paths' activation_pool, the SIMD kind's
-    # activation_pool_lanes) and the client's read of a served result
-    # (logits in coefficients) pay.
+    # decrypt_poly: the full-polynomial decrypt the coefficient crossing
+    # (activation_pool on the served request format) and the client's read
+    # of a served result (logits in coefficients) pay.
     lane_ct = encryptor.encrypt(write_lanes(context, rows))
     reference = Decryptor(oracle.Context(params), keys.secret)
     ref_s, ref_plain = _median_seconds(lambda: reference.decrypt(lane_ct), reps)
@@ -151,7 +150,7 @@ def _time_flush_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
         "speedup": ref_s / fus_s,
     }
 
-    # pack_fold: the host-side fold of the flush's requests into coefficients.
+    # pack_fold: the host-side stride-1 fold of scalar requests into coefficients.
     stacked = encryptor.encrypt(ScalarEncoder(context).encode(rows))
     requests = [stacked[b : b + 1].copy() for b in range(FLUSH_SHAPE[0])]
     composed_eval = Evaluator(context, OperationCounter())
@@ -160,7 +159,9 @@ def _time_flush_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
     x_powers = composed_eval.transform_plain(Plaintext(context, monomials)).data
 
     def fused():
-        return pack_coefficients(fused_eval, requests)  # as the flush does
+        # Stride 1, one request per coefficient; the flush folds with
+        # stride H*W instead, P = n // (H*W) images per ciphertext.
+        return pack_coefficients(fused_eval, requests)
 
     def composed():
         # The same x^b operand the fused fold reads, as the old two calls.

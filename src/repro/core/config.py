@@ -42,7 +42,7 @@ def parameters_for_pipeline(
 
     The plaintext modulus is the next power of two above the model's
     worst-case intermediate (or, with ``batching=True``, the smallest NTT
-    prime above it: lanes pack under either, and the serving deployments
+    prime above it: images pack under either, and the serving deployments
     keep the prime their recorded numbers use); coefficient primes are added
     until the noise estimator clears the pipeline's circuit with
     ``margin_bits`` to spare.

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core import securechannel
 from repro.errors import EncodingError, PipelineError
-from repro.he.batching import ImageLayout, read_image, read_lanes, write_lanes
+from repro.he.batching import ImageLayout, read_image, write_lanes
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
 from repro.he.encoders import ScalarEncoder
@@ -240,27 +240,6 @@ class InferenceEnclave(Enclave):
         pooled = np.rint(_mean_pool(values.astype(np.float64), window)).astype(np.int64)
         return self._encrypt_values(pooled)
 
-    @ecall
-    def activation_pool_lanes(
-        self,
-        ct: Ciphertext,
-        batch: int,
-        input_scale: float,
-        output_scale: int,
-        window: int,
-        activation: str = "sigmoid",
-        pool: str = "mean",
-    ) -> Ciphertext:
-        """The lane-packed :meth:`activation_pool` of the SIMD kind: the
-        ``batch`` images ride the lanes of a ``(1, F, OH, OW)`` ciphertext,
-        image ``b`` in polynomial coefficient ``b``, and come back activated,
-        pooled and re-encrypted in the lanes of one ``(1, F, PH, PW)``."""
-        values = self._decrypt_values(ct, batch)
-        return self._encrypt_values(
-            _activate_pool(values, input_scale, output_scale, window, activation, pool),
-            lanes=True,
-        )
-
     # ------------------------------------------------------------------
     # noise refresh (Section IV-E)
     # ------------------------------------------------------------------
@@ -302,30 +281,28 @@ class InferenceEnclave(Enclave):
     def _decrypt_values(
         self,
         ct: Ciphertext,
-        lanes: int | None = None,
+        batch: int | None = None,
         image: ImageLayout | None = None,
     ) -> np.ndarray:
-        """The crossings' one decode: the scalar-encoded values of ``ct``,
-        the ``(lanes, *rest)`` values of a lane-packed ``(1, *rest)`` one;
+        """The crossings' one decode: the scalar-encoded values of ``ct``;
         with ``image``, the conv outputs of image-encoded ``(rows, F)``
-        ciphertexts -- one image per row, or ``lanes`` images ``P`` per row.
-        Zero probes checked (and, for images, the conv bound)."""
+        ciphertexts -- one image per row, or a fold's ``batch`` images ``P``
+        per row.  Zero probes checked (and, for images, the conv bound)."""
         self._load_crypto_state()
         with _typed_read():
             if image is not None:
                 plain = self._decryptor.decrypt(ct)
-                if lanes is None:
+                if batch is None:
                     return read_image(plain, image)
                 per = image.per_ciphertext(self._context.poly_degree)
-                return read_image(plain, image, lanes, per)
-            if lanes is not None:
-                return read_lanes(self._decryptor.decrypt(ct), lanes)
+                return read_image(plain, image, batch, per)
             return decrypt_scalar_values(
                 self._decryptor, ScalarEncoder(self._context), ct
             )
 
     def _encrypt_values(self, values: np.ndarray, lanes: bool = False) -> Ciphertext:
-        """One scalar ciphertext per value, or axis 0 in the lanes of a ``(1, ...)`` one."""
+        """One scalar ciphertext per value, or row ``b`` of ``values`` in
+        coefficient ``b`` of a ``(1, ...)`` one (a served result's classes)."""
         t = self._context.plain_modulus
         limit = t // 2
         if (np.abs(values) > limit).any():
@@ -380,7 +357,7 @@ def _activate_pool(
     pool: str,
 ) -> np.ndarray:
     """Dequantize, exact activation, ``mean``/``max`` pooling, requantize:
-    the plaintext step every ``activation_pool*`` crossing shares."""
+    the plaintext step of every ``activation_pool`` crossing."""
     fn = ACTIVATIONS.get(activation)
     if fn is None:
         raise PipelineError(

@@ -6,9 +6,11 @@ into ciphertext-plaintext multiplications (``C x P``) and ciphertext
 additions (``C + C``).  These helpers operate on *batched* ciphertexts whose
 batch axes mirror the tensor layout ``(B, C, H, W)``, one ciphertext per
 pixel, exactly the paper's non-SIMD encoding -- except on the serving
-paths: their convolution (:func:`encode_image_conv`) takes ``(B, C)``
-ciphertexts carrying one image each in their coefficients, and their fc
-runs inside the enclave's activation crossing, on plaintext.
+paths and the SIMD pipeline, which walks the serving flush's chain: their
+convolution (:func:`encode_image_conv`) takes ``(B, C)`` ciphertexts
+carrying one image each in their coefficients, and their fc runs inside
+the enclave's activation crossing, on plaintext
+(:func:`encode_served_weights`).
 
 Weights are pre-encoded once (Section IV-B / Fig. 3) via
 :func:`encode_model_weights`; the returned operand table is reused across
@@ -33,7 +35,7 @@ import numpy as np
 
 from repro.errors import PipelineError
 from repro.he import contraction, parallel
-from repro.he.batching import ImageLayout, lane_operand, lane_plain, stride_monomials
+from repro.he.batching import ImageLayout, stride_monomials
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.encoders import ScalarEncoder
 from repro.he.evaluator import Evaluator, PlainOperand
@@ -142,6 +144,16 @@ def encode_image_conv(
     )
 
 
+def encode_served_weights(evaluator: Evaluator, quantized, layout: ImageLayout) -> dict:
+    """The weights of the image-encoded chain, by stage: conv's
+    :func:`encode_image_conv` operands and fc's public integer ``(D, O)``
+    weight and ``(O,)`` bias, which the crossing takes per call."""
+    fc = tuple(
+        np.asarray(a, dtype=np.int64) for a in (quantized.dense_weight, quantized.dense_bias)
+    )
+    return {"conv": encode_image_conv(evaluator, quantized, layout), "fc": fc}
+
+
 @dataclass(eq=False)
 class EncodedDenseWeights:
     """FC weights as the scalar contraction reads them + integer bias.
@@ -186,9 +198,8 @@ class EncodedDenseWeights:
 class EncodedModel:
     """A quantized CNN's full NTT-precomputed operand set.
 
-    One object per model: the conv and dense operand tables every
-    in-process pipeline (hybrid, SIMD, CryptoNets) reuses across
-    inferences.
+    One object per model: the conv and dense operand tables the scalar
+    in-process pipelines (hybrid, CryptoNets) reuse across inferences.
     """
 
     conv: EncodedConvWeights
@@ -304,23 +315,21 @@ def he_conv2d(
     encoder: ScalarEncoder,
     ct: Ciphertext,
     weights: EncodedConvWeights | ImageConvWeights,
-    lanes: int = 1,
+    folded: int = 1,
 ) -> Ciphertext:
     """Homomorphic convolution over a ``(B, C, H, W)`` ciphertext batch.
 
     For each kernel tap the input window slice (a strided view over the
     batch axes) is multiplied by the encoded scalar weight and accumulated,
     i.e. ``k*k*C`` C x P and C + C operations per output map -- the exact op
-    structure Fig. 4 measures.  A scalar weight acts on every coefficient
-    alike, so values riding coefficients ``0..lanes-1`` (the SIMD kind's
-    lanes) take the same contraction, the bias spread over the lanes.
+    structure Fig. 4 measures.
 
     With :class:`ImageConvWeights` the input is the served request format
-    instead (:func:`_he_conv2d_image`), ``lanes`` the images of a packed
+    instead (:func:`_he_conv2d_image`), ``folded`` the images of a packed
     flush's fold.
     """
     if isinstance(weights, ImageConvWeights):
-        return _he_conv2d_image(evaluator, ct, weights, lanes)
+        return _he_conv2d_image(evaluator, ct, weights, folded)
     if len(ct.batch_shape) != 4:
         raise PipelineError(
             f"he_conv2d expects a (B, C, H, W) ciphertext batch, got {ct.batch_shape}"
@@ -337,7 +346,7 @@ def he_conv2d(
     oh = (h - k) // s + 1
     ow = (w - k) // s + 1
     if weights.fused:
-        return _he_conv2d_fused(evaluator, ct, weights, oh, ow, lanes)
+        return _he_conv2d_fused(evaluator, ct, weights, oh, ow)
     per_channel: list[Ciphertext] = []
     for fi in range(weights.out_channels):
         acc: Ciphertext | None = None
@@ -350,7 +359,7 @@ def he_conv2d(
         bias_plain = encoder.encode(
             np.full((b, oh, ow), int(weights.bias[fi]), dtype=np.int64)
         )
-        per_channel.append(evaluator.add_plain(acc, lane_plain(bias_plain, lanes)))
+        per_channel.append(evaluator.add_plain(acc, bias_plain))
     data = np.stack([m.data for m in per_channel], axis=1)
     return Ciphertext(ct.context, data, is_ntt=per_channel[0].is_ntt)
 
@@ -361,7 +370,6 @@ def _he_conv2d_fused(
     weights: EncodedConvWeights,
     oh: int,
     ow: int,
-    lanes: int,
 ) -> Ciphertext:
     """Tap-batched convolution: the whole ``F * C * k * k`` tap sum is one
     signed int64 matmul over the raw weights (:func:`_plan_contraction`
@@ -375,7 +383,6 @@ def _he_conv2d_fused(
     data = ct.data  # (B, C, H, W, size, k_rns, n)
     f, t = weights.weight_taps.shape
     outputs = data.shape[0] * oh * ow
-    bias_operand = lane_operand(weights.bias_operand, lanes)
     out = parallel.dispatch_conv(
         data,
         weights.weight_taps,
@@ -386,25 +393,25 @@ def _he_conv2d_fused(
         primes=[int(p) for p in ct.context.ring.primes],
         chunk=max(1, _TAP_CHUNK_ELEMS // max(1, outputs * int(np.prod(data.shape[-3:])))),
         keep=weights.keep,
-        bias=bias_operand.data if weights.fold_bias else None,
+        bias=weights.bias_operand.data if weights.fold_bias else None,
     )
     if evaluator.counter is not None:
         evaluator.counter.record("ct_plain_mul", f * t * outputs)
         if t > 1:  # the reference loop issues no add() for a single tap
             evaluator.counter.record("ct_add", f * (t - 1) * outputs)
     out = Ciphertext(ct.context, out, is_ntt=True)
-    return _add_bias(evaluator, out, bias_operand, weights.fold_bias)
+    return _add_bias(evaluator, out, weights.bias_operand, weights.fold_bias)
 
 
 def _he_conv2d_image(
-    evaluator: Evaluator, ct: Ciphertext, weights: ImageConvWeights, lanes: int
+    evaluator: Evaluator, ct: Ciphertext, weights: ImageConvWeights, folded: int
 ) -> Ciphertext:
     """Convolution of image-encoded ``(rows, C)`` ciphertexts: ``out[r, f] =
     sum_c ct[r, c] * K_{f,c}``, one NTT-domain product per (filter, channel)
     -- ``(rows, F)`` ciphertexts holding every output (and partial sums
     between them) where :class:`ImageLayout` says.  Each row holds one image
-    (``lanes == 1``: the direct path, or a one-image flush) or the flush's
-    ``lanes`` images ``P`` per row; the bias lands on occupied blocks only."""
+    (``folded == 1``: the direct path, or a one-image flush) or the flush's
+    ``folded`` images ``P`` per row; the bias lands on occupied blocks only."""
     operands = weights.kernels.data  # (F, C, k_rns, n)
     if len(ct.batch_shape) != 2 or ct.batch_shape[1] != operands.shape[1]:
         raise PipelineError(
@@ -413,13 +420,13 @@ def _he_conv2d_image(
         )
     rows = ct.batch_shape[0]
     occupied = np.ones(rows, dtype=np.int64)
-    if lanes > 1:
+    if folded > 1:
         per = weights.layout.per_ciphertext(ct.context.poly_degree)
-        if -(-lanes // per) != rows:
+        if -(-folded // per) != rows:
             raise PipelineError(
-                f"{rows} ciphertexts cannot hold {lanes} images at {per} each"
+                f"{rows} ciphertexts cannot hold {folded} images at {per} each"
             )
-        occupied = np.minimum(per, lanes - per * np.arange(rows))
+        occupied = np.minimum(per, folded - per * np.arange(rows))
     data = ct.to_ntt().data  # (rows, C, size, k_rns, n)
     out = evaluator.sum_products(
         [data[:, c, None] for c in range(operands.shape[1])],
@@ -455,13 +462,12 @@ def he_dense(
     encoder: ScalarEncoder,
     ct: Ciphertext,
     weights: EncodedDenseWeights,
-    lanes: int = 1,
 ) -> Ciphertext:
     """Homomorphic fully connected layer over a flattened ciphertext batch.
 
     Produces a ``(B, O)`` ciphertext of scaled logits: for every output
     class the flattened input batch is multiplied element-wise by that class's
-    weight vector and folded with a batched C + C reduction (``lanes``: as conv).
+    weight vector and folded with a batched C + C reduction.
     """
     b = ct.batch_shape[0]
     flat = ct.reshape(b, -1)
@@ -471,14 +477,14 @@ def he_dense(
             f"dense operand covers {weights.in_features} inputs, ciphertext provides {d}"
         )
     if weights.fused:
-        return _he_dense_fused(evaluator, flat, weights, lanes)
+        return _he_dense_fused(evaluator, flat, weights)
     flat = flat.to_ntt()  # once, not per class
     outputs: list[Ciphertext] = []
     for oi, row in enumerate(weights.weight_matrix):
         products = evaluator.multiply_plain(flat, encoder.encode(row))
         summed = evaluator.sum_batch(products, axis=1)
         bias_plain = encoder.encode(np.full((b,), int(weights.bias[oi]), dtype=np.int64))
-        outputs.append(evaluator.add_plain(summed, lane_plain(bias_plain, lanes)))
+        outputs.append(evaluator.add_plain(summed, bias_plain))
     data = np.stack([o.data for o in outputs], axis=1)
     return Ciphertext(ct.context, data, is_ntt=outputs[0].is_ntt)
 
@@ -487,7 +493,6 @@ def _he_dense_fused(
     evaluator: Evaluator,
     flat: Ciphertext,
     weights: EncodedDenseWeights,
-    lanes: int,
 ) -> Ciphertext:
     """All-classes FC kernel: one signed int64 matmul over the ``(O, D)``
     integer weights computes every output class at once, one mod-p pass
@@ -498,12 +503,10 @@ def _he_dense_fused(
     A contraction by integers is the same residues in either domain, so it
     runs in the input's: the pure-HE chain's size-3 squares arrive in the
     coefficient domain, and the bias is added there as ``Delta * b`` at
-    coefficient 0 (coefficients ``0..lanes-1``)."""
+    coefficient 0."""
     b, d = flat.batch_shape
     o = weights.out_features
-    bias_operand = lane_operand(
-        weights.bias_operand if flat.is_ntt else weights.bias_coeff, lanes
-    )
+    bias_operand = weights.bias_operand if flat.is_ntt else weights.bias_coeff
     out = parallel.dispatch_dense(
         flat.data,
         weights.weight_matrix,

@@ -1,7 +1,7 @@
 """The unified pipeline API: one protocol, one factory.
 
 The five inference pipelines (plaintext reference, pure-HE CryptoNets
-baseline, hybrid HE+SGX, lane-packed SIMD hybrid, multi-block deep hybrid)
+baseline, hybrid HE+SGX, packed SIMD hybrid, multi-block deep hybrid)
 grew the same surface by convention -- a ``scheme`` label, ``infer(images)``
 returning an :class:`~repro.core.results.InferenceResult`, and
 ``encrypt_images``.  :class:`InferencePipeline` makes that contract explicit
@@ -120,7 +120,7 @@ class PipelineSpec:
         poly_degree: degree for auto-sizing (ignored when ``params`` given).
         batching: auto-size a prime plaintext modulus (``batching=True`` of
             :func:`~repro.core.config.parameters_for_pipeline`) instead of a
-            power of two.  Lanes pack under either.
+            power of two.  Images pack under either.
         workers: pool worker processes to install process-wide
             at build time (``repro.he.parallel``); ``1`` forces the
             in-process path, ``None`` leaves the active setting (the

@@ -282,18 +282,11 @@ class EdgeServer:
         # integer weight and bias ride each crossing (the enclave keeps no
         # model state to re-provision after a restart or failover).
         image = packed.node("crossing_image").attrs["image"]
-        fc = tuple(
-            np.asarray(a, dtype=np.int64)
-            for a in (quantized.dense_weight, quantized.dense_bias)
-        )
         self._resources[name] = graph_executor.Resources(
             tracer=self.platform.tracer,
             evaluator=self.evaluator,
             encoder=self.encoder,
-            weights={
-                "conv": heops.encode_image_conv(self.evaluator, quantized, image),
-                "fc": fc,
-            },
+            weights=heops.encode_served_weights(self.evaluator, quantized, image),
         )
         self._graphs[name, "served"] = graph_ir.build_graph(
             "served", quantized, self.params

@@ -1,26 +1,31 @@
-"""Lane-packed hybrid inference -- the paper's Section VIII extension.
+"""Packed hybrid inference -- the paper's Section VIII extension.
 
 The paper encodes one value per ciphertext and predicts that packing would
-buy "1024 times the throughput".  This module implements that extension for
-the hybrid framework on the serving flush's layout: up to ``n`` user images
-ride the polynomial coefficients (*lanes*) of each pixel-position
-ciphertext (:func:`~repro.he.batching.write_lanes`), so the whole encrypted
-CNN costs one ciphertext operation per pixel *position* -- independent of
-how many users share the batch.  Every layer multiplies by scalar weights,
-which act on all lanes alike, so any plaintext modulus serves.
+buy up to ``n`` times the throughput.  This module realises that extension
+in-process on the one packed layout the repository has: the serving flush's.
+The user encrypts each image in the served request format, one image per
+polynomial (:func:`~repro.he.batching.write_image`); the host folds ``P = n
+// (H*W)`` images into each ciphertext, so conv costs one
+plaintext-polynomial product per (filter, channel) per ``P`` images; and one
+enclave crossing activates, pools, computes fc and re-encrypts one result
+per image, class ``c`` in coefficient ``c``.  The graph's nodes between the
+user's encrypt and decrypt are the ``packed`` graph's
+(:func:`~repro.graph.ir.build_simd_graph`).
 
-All lane traffic is still end-to-end encrypted: the enclave reads the lanes
-only after decrypting inside trusted code
-(:meth:`InferenceEnclave.activation_pool_lanes`).
+All traffic is still end-to-end encrypted: the enclave reads the packed
+images only after decrypting inside trusted code
+(:meth:`InferenceEnclave.activation_pool`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import heops
 from repro.core.base import EnclavePipeline
 from repro.errors import PipelineError
-from repro.he.batching import write_lanes
+from repro.graph import ir
+from repro.he.batching import write_image
 from repro.he.context import Ciphertext
 from repro.he.params import EncryptionParams
 from repro.nn.quantize import QuantizedCNN
@@ -28,12 +33,15 @@ from repro.sgx.enclave import SgxPlatform
 
 
 class SimdHybridPipeline(EnclavePipeline):
-    """Hybrid HE+SGX inference with lane-packed user batches.
+    """Hybrid HE+SGX inference with packed user batches.
 
     Functionally identical to :class:`~repro.core.hybrid.HybridPipeline` in
-    ``batched`` mode -- same partition, same enclave, bit-exact against the
-    plaintext reference -- but an entire user batch shares each ciphertext,
-    collapsing the per-image cost by up to the ring degree.
+    ``batched`` mode -- same enclave, bit-exact against the plaintext
+    reference -- but ``n // (H*W)`` images share each ciphertext, and fc
+    runs inside the one crossing, as on the serving paths.
+
+    Raises:
+        ParameterError: an image of the model does not fit the ring.
     """
 
     scheme = "EncryptSGX-SIMD"
@@ -50,7 +58,12 @@ class SimdHybridPipeline(EnclavePipeline):
             raise PipelineError("the SIMD hybrid serves exact-activation models only")
         super().__init__(quantized, params, platform, seed)
 
+    def _encode_weights(self) -> dict:
+        """As ``EdgeServer.provision_model`` encodes them."""
+        layout = ir.image_layout(self.quantized, self.params)
+        return heops.encode_served_weights(self.evaluator, self.quantized, layout)
+
     def encrypt_images(self, images: np.ndarray) -> Ciphertext:
-        """User side: image ``b`` in lane ``b`` of one ``(1, C, H, W)`` batch."""
+        """User side: the served request format, ``(B, C)`` ciphertexts."""
         pixels = self.quantized.quantize_images(images)
-        return self.encryptor.encrypt(write_lanes(self.context, pixels))
+        return self.encryptor.encrypt(write_image(self.context, pixels))

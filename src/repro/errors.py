@@ -127,7 +127,7 @@ class QueueFullError(ServeError):
 
 
 class BatchTooLargeError(ServeError):
-    """A single request exceeds the scheduler's lane-packing capacity."""
+    """A single request exceeds the scheduler's packing capacity."""
 
 
 class ResponseNotReady(ServeError):

@@ -10,7 +10,8 @@ graph identity, so traces, metrics, op tallies and the node profiler see
 every chain the same way.  The walk of each graph kind performs the HE
 ops, ECALLs and RNG draws of the hand-written chain it replaced, in the
 same order — that is what makes the differential equivalence suite
-meaningful.
+meaningful — except SIMD's, which walks the packed flush's own nodes
+between the user's encrypt and decrypt instead.
 
 Handlers reach ``heops.he_conv2d`` / ``heops.he_dense`` through the module
 and ``pack_coefficients`` through this module's global at call time, never
@@ -35,7 +36,7 @@ import numpy as np
 from repro.core import heops
 from repro.errors import PipelineError
 from repro.graph import ir
-from repro.he.batching import pack_coefficients, read_lanes, write_lanes
+from repro.he.batching import pack_coefficients, read_lanes, write_image
 from repro.he.context import Ciphertext
 from repro.he.decryptor import decrypt_scalar_values
 from repro.he.evaluator import Evaluator
@@ -80,11 +81,11 @@ class Resources:
 @dataclass
 class _Walk:
     """Per-run state the handlers share: how many images (or stacked
-    requests) ride this walk, the coefficient lanes they occupy (1 = scalar
-    encoding, the batch after a ``fold``), and what a decrypt node produced."""
+    requests) ride this walk, how many of them a ``fold`` packed (1 = none),
+    and what a decrypt node produced."""
 
     batch: int
-    lanes: int = 1
+    folded: int = 1
     logits: np.ndarray | None = None
     budget: float | None = None
 
@@ -134,26 +135,29 @@ def _encrypt(env, node, images, walk):
         return env.encryptor.encrypt(env.encoder.encode(env.quantize(images)))
 
 
-def _encrypt_lanes(env, node, images, walk):
+def _encrypt_image(env, node, images, walk):
+    """The served request format, as ``UserSession.encrypt`` writes it."""
+    shape = node.attrs["shape"]
+    if np.ndim(images) != 4 or tuple(images.shape[1:]) != shape:
+        raise PipelineError(
+            f"the graph takes (B, C, H, W) = (B, {', '.join(map(str, shape))}) "
+            f"images, got shape {np.shape(images)}"
+        )
     with _node_stage(env, node):
-        # Image b rides lane b of one (1, C, H, W) ciphertext.
-        pixels = write_lanes(env.evaluator.context, env.quantize(images))
-        walk.lanes = walk.batch
+        pixels = write_image(env.evaluator.context, env.quantize(images))
         return env.encryptor.encrypt(pixels)
 
 
 def _conv(env, node, value, walk):
     with _node_stage(env, node):
         return heops.he_conv2d(
-            env.evaluator, env.encoder, value, env.weights[node.stage], walk.lanes
+            env.evaluator, env.encoder, value, env.weights[node.stage], walk.folded
         )
 
 
 def _fc(env, node, value, walk):
     with _node_stage(env, node):
-        return heops.he_dense(
-            env.evaluator, env.encoder, value, env.weights[node.stage], walk.lanes
-        )
+        return heops.he_dense(env.evaluator, env.encoder, value, env.weights[node.stage])
 
 
 def _crossing(env, node, conv, walk):
@@ -166,18 +170,11 @@ def _crossing_image(env, node, conv, walk):
         # One image per conv-output ciphertext, or a fold's batch P per
         # ciphertext; fc runs inside too, and each image's logits come back
         # as its own result ciphertext.
-        folded = walk.lanes if walk.lanes > 1 else None
+        folded = walk.folded if walk.folded > 1 else None
         return env.enclave.ecall(
             "activation_pool", conv, *_enclave_args(node),
             image=node.attrs["image"], batch=folded, fc=env.weights["fc"],
         )
-
-
-def _crossing_lanes(env, node, conv, walk):
-    with _node_stage(env, node):
-        # The simd kind's batch rides lanes in and comes back as lanes.
-        args = _enclave_args(node)
-        return env.enclave.ecall("activation_pool_lanes", conv, walk.lanes, *args)
 
 
 def _crossing_per_pixel(env, node, conv, walk):
@@ -227,7 +224,7 @@ def _fold(env, node, requests, walk):
         # Host side, no ECALL: fold the B image-encoded requests (one
         # ciphertext, or the flush's request ciphertexts un-stacked) into
         # ceil(B / P) ciphertexts, image b in block b % P of row b // P.
-        walk.lanes = walk.batch
+        walk.folded = walk.batch
         return pack_coefficients(env.evaluator, requests, stride=node.attrs["stride"])
 
 
@@ -238,7 +235,7 @@ def _decrypt_with(decode):
         walk.budget = env.decryptor.invariant_noise_budget(value)
         with _node_stage(env, node) as span:
             span.attrs["noise_budget_bits"] = float(walk.budget)
-            walk.logits = decode(env, value, walk)
+            walk.logits = decode(env, node, value)
         return value
 
     return handler
@@ -248,11 +245,10 @@ def _decrypt_with(decode):
 #: opcode is rejected by :func:`run`.
 OPS: dict[str, Callable] = {
     "encrypt": _encrypt,
-    "encrypt_lanes": _encrypt_lanes,
+    "encrypt_image": _encrypt_image,
     "conv": _conv,
     "crossing": _crossing,
     "crossing_image": _crossing_image,
-    "crossing_lanes": _crossing_lanes,
     "crossing_per_pixel": _crossing_per_pixel,
     "square": _square,
     "relinearize": _relinearize,
@@ -260,10 +256,14 @@ OPS: dict[str, Callable] = {
     "fc": _fc,
     "fold": _fold,
     "decrypt": _decrypt_with(
-        lambda env, ct, walk: decrypt_scalar_values(env.decryptor, env.encoder, ct)
+        lambda env, node, ct: decrypt_scalar_values(env.decryptor, env.encoder, ct)
     ),
-    "decrypt_lanes": _decrypt_with(
-        lambda env, ct, walk: read_lanes(env.decryptor.decrypt(ct), walk.lanes)
+    # One result per image, class c in coefficient c: the user's read of a
+    # served result (``UserSession.decrypt_logits``).
+    "decrypt_result": _decrypt_with(
+        lambda env, node, ct: read_lanes(
+            env.decryptor.decrypt(ct.reshape(1, -1)), node.attrs["classes"]
+        ).T
     ),
 }
 

@@ -13,15 +13,16 @@ check a graph's headroom (:func:`require_headroom`) without touching
 ciphertexts.
 
 One builder per graph kind (:data:`BUILDERS`): ``hybrid``, ``cryptonets``,
-``simd``, ``deep`` and the two serving kinds, which one builder makes
+``deep``, the two serving kinds, which one builder makes
 (:func:`build_served_graph`): ``served`` (``EdgeServer.infer``: conv, then
 one crossing that also computes fc and re-encrypts the logits, one result
 ciphertext per image) and ``packed`` (the scheduler flush: the same chain
-behind a ``fold``).  Both take the served request format, one image per
+behind a ``fold``), and ``simd``, the ``packed`` chain between the user's
+encrypt and decrypt.  They take the served request format, one image per
 polynomial (:func:`image_layout`); their crossing carries that layout as an
-``image`` attribute.  Work on coefficients (``encrypt_lanes``, ``fold``,
-``crossing_image``, ``crossing_lanes``, ``decrypt_lanes``) has its own ops,
-not flags on the scalar ones.
+``image`` attribute.  Work on coefficients (``encrypt_image``, ``fold``,
+``crossing_image``, ``decrypt_result``) has its own ops, not flags on the
+scalar ones.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from repro.he.params import EncryptionParams
 #: Ops whose output is a fresh encryption (the user's, or the enclave's
 #: re-encrypt on the trusted side of a crossing): the noise budget resets.
 REFRESH_OPS = frozenset(
-    {"encrypt", "encrypt_lanes", "crossing", "crossing_image", "crossing_lanes",
-     "crossing_per_pixel"}
+    {"encrypt", "encrypt_image", "crossing", "crossing_image", "crossing_per_pixel"}
 )
 
 #: Ops that contract against a weight matrix in ``meta["layers"]``.
@@ -237,18 +237,6 @@ def build_cryptonets_graph(quantized, params: EncryptionParams) -> InferenceGrap
     )
 
 
-def build_simd_graph(quantized, params: EncryptionParams) -> InferenceGraph:
-    """IR for the lane-packed hybrid: the user batch rides the coefficient
-    lanes of one ``(1, C, H, W)`` ciphertext, as a flush's fold leaves it,
-    through the same three middle stages (the flush's lane crossing)."""
-    return _single_block(
-        "simd", quantized, params,
-        [GraphNode("encrypt_lanes", "encrypt")],
-        [_enclave_stage("crossing_lanes", quantized)],
-        [GraphNode("decrypt_lanes", "decrypt")],
-    )
-
-
 def image_layout(quantized, params: EncryptionParams) -> ImageLayout:
     """The served request format of ``quantized`` under ``params``: its
     geometry is the model's (:attr:`QuantizedCNN.input_shape`), one image
@@ -303,6 +291,21 @@ def build_served_graph(
         [*head, GraphNode("conv", "conv"), crossing],
         {"conv": _conv_matrix(quantized)},
     )
+
+
+def build_simd_graph(quantized, params: EncryptionParams) -> InferenceGraph:
+    """IR for the in-process packed hybrid: the user encrypts the batch in
+    the served request format, the nodes of the serving flush (kind
+    ``packed``) run as they are, and the user decrypts one result per image,
+    class ``c`` in coefficient ``c``."""
+    flush = build_served_graph(quantized, params, lanes=0)
+    classes = int(np.shape(quantized.dense_weight)[1])
+    nodes = [
+        GraphNode("encrypt_image", "encrypt", {"shape": tuple(quantized.input_shape)}),
+        *flush.nodes,
+        GraphNode("decrypt_result", "decrypt", {"classes": classes}),
+    ]
+    return _graph("simd", params, nodes, flush.meta["layers"])
 
 
 def build_deep_graph(quantized, params: EncryptionParams) -> InferenceGraph:

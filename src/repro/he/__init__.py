@@ -4,7 +4,7 @@ The HE substrate of the reproduction: RNS polynomial arithmetic over
 NTT-friendly primes, the seven algorithms of the paper's Section II-B
 (SecretKeyGen, PublicKeyGen, Encrypt, Decrypt, Add, Multiply,
 EvaluationKeyGen + relinearization), SEAL-style encoders, and coefficient
-lanes (:mod:`repro.he.batching`).
+packing (:mod:`repro.he.batching`).
 
 Typical usage::
 

@@ -1,27 +1,24 @@
 """Polynomial coefficients as the one packing layout (the paper's Section
-VIII): lanes, and the served request format's images.
+VIII): the served request format's images, and lanes.
 
 The paper predicts that packing ``n`` values per ciphertext buys up to
-``n``x the throughput.  Every HE layer here multiplies by *scalar* plaintexts
-(weights shared across users), and a scalar acts on all ``n`` polynomial
-coefficients alike, so value ``b`` of a batch rides coefficient ``b`` -- a
-*lane* -- under any plaintext modulus: no CRT slot transform, no batching
-prime.  The ``ablation_simd`` rows of ``benchmarks/bench_paper.py`` measure
-that throughput.  What lanes drop is a per-lane *distinct* multiplier (and
-with it a lane-wise ciphertext product); no inference layer uses one.
+``n``x the throughput.  Packing here uses polynomial coefficients under any
+plaintext modulus: no CRT slot transform, no batching prime.
 
-:func:`write_lanes` / :func:`read_lanes` lay values out and read them back
-(with zero probes past the lanes); :func:`pack_coefficients` folds scalar
-ciphertexts into lanes homomorphically, on the host.
+A served request is one *image* per polynomial (:class:`ImageLayout`):
+:func:`write_image` puts pixel ``(i, j)`` in coefficient ``i*W + j``, a
+convolution is then one plaintext-polynomial product per (filter, channel),
+and :func:`read_image` picks each conv output back out of the coefficient it
+lands in.  The packed flush (and the in-process SIMD pipeline, which walks
+its chain) stacks ``n // (H*W)`` images per polynomial with
+:func:`pack_coefficients`' ``stride``.
 
-A served request uses coefficients the other way round, one *image* per
-polynomial (:class:`ImageLayout`): :func:`write_image` puts pixel ``(i, j)``
-in coefficient ``i*W + j``, a convolution is then one plaintext-polynomial
-product per (filter, channel), and :func:`read_image` picks each conv output
-back out of the coefficient it lands in.  The packed flush stacks ``n //
-(H*W)`` images per polynomial with :func:`pack_coefficients`' ``stride``.
-A served result is lanes again: one polynomial per image, class ``c`` in
-coefficient ``c`` (:func:`read_lanes`).
+A served result is *lanes*: one polynomial per image, class ``c`` in
+coefficient ``c``.  :func:`write_lanes` / :func:`read_lanes` lay values out
+along coefficients ``0..B-1`` and read them back (with zero probes past the
+lanes); a scalar acts on every lane alike, which the ``ablation_simd`` row of
+``benchmarks/bench_paper.py`` measures.  :func:`pack_coefficients` with
+stride 1 folds scalar ciphertexts into lanes homomorphically.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import numpy as np
 
 from repro.errors import EncodingError, KeyMismatchError
 from repro.he.context import Ciphertext, Context, Plaintext
-from repro.he.evaluator import Evaluator, PlainOperand
+from repro.he.evaluator import Evaluator
 
 
 @dataclass(frozen=True)
@@ -265,37 +262,14 @@ def pack_coefficients(
     return evaluator.sum_products(rows, _monomial_rows(context, len(rows)))
 
 
-def lane_operand(operand: PlainOperand, lanes: int) -> PlainOperand:
-    """``Delta * b * (1 + x + ... + x^(lanes-1))`` from a layer bias' scalar
-    ``Delta * b`` operand: the bias of a ciphertext whose batch rides
-    coefficients ``0..lanes-1``; the coefficients past them stay zero."""
-    if lanes == 1:  # scalar encoding
-        return operand
-    if not operand.is_ntt:  # Delta * b sits at coefficient 0: copy it along
-        data = operand.data.copy()
-        data[..., :lanes] = data[..., :1]
-        return PlainOperand(operand.context, data, is_ntt=False)
-    ring = operand.context.ring
-    ones = ring.reduce_sum(_monomial_rows(operand.context, lanes), axis=0)
-    return PlainOperand(operand.context, ring.pointwise_mul(operand.data, ones))
-
-
-def lane_plain(plain: Plaintext, lanes: int) -> Plaintext:
-    """:func:`lane_operand` for the per-tap reference loop's bias plaintext."""
-    coeffs = plain.coeffs.copy()
-    coeffs[..., :lanes] = coeffs[..., :1]
-    return Plaintext(plain.context, coeffs)
-
-
 def read_lanes(plain: Plaintext, lanes: int) -> np.ndarray:
     """Signed values ``(lanes, *rest)`` from coefficients ``0..lanes-1`` of a
     ``(1, *rest)`` plaintext batch; :class:`EncodingError` unless every
     coefficient past them is zero (the scalar decode's probes, ``n - lanes``).
 
-    Two layouts use it: the SIMD kind's ``(1, C, H, W)`` ciphertext, image
-    ``b`` in lane ``b``, and a served result -- ``(B,)`` ciphertexts,
-    one per image, whose ``(1, B)`` reshape holds the logits along the class
-    axis: class ``c`` of image ``b`` in coefficient ``c``."""
+    A served result is read this way: ``(B,)`` ciphertexts, one per image,
+    whose ``(1, B)`` reshape holds the logits along the class axis: class
+    ``c`` of image ``b`` in coefficient ``c``."""
     n = plain.context.poly_degree
     if not 1 <= lanes <= n:
         raise EncodingError(f"batch must be in [1, {n}], got {lanes}")

@@ -8,7 +8,7 @@ units, runs them on a pool of forked worker processes over a shared-memory
 
 **Determinism contract.**  Work units are contiguous index ranges over one
 axis of the output (batch rows when the batch is stacked, conv output rows
-or FC classes for a lane-packed ``(1, ...)`` SIMD batch).  Every unit runs the one
+or FC classes for a one-image ``(1, ...)`` batch).  Every unit runs the one
 row-range kernel of its layer kind (``KERNELS``) -- the same function the
 in-process run calls once over the whole range -- and integer adds are
 associative with every partial bounds-checked against int64 by the caller,

@@ -4,7 +4,7 @@ The serving surface is two types:
 
 * :class:`InferenceRequest` -- a frozen, validated description of one
   encrypted inference: which model, which ciphertext, whether to ride the
-  lane-packing scheduler, and the trace context naming it.  Frozen so a
+  packing scheduler, and the trace context naming it.  Frozen so a
   request can be routed, retried across replicas, or re-dispatched after a
   failover without aliasing surprises.  Time-based policy (coalescing
   window, priority class, hard SLO deadline) belongs to the
@@ -46,7 +46,7 @@ class InferenceRequest:
             (``UserSession.encrypt`` or the client SDK): one polynomial per
             image channel, pixel ``(i, j)`` in coefficient ``i*W + j``, the
             model's own ``(C, H, W)`` (:func:`~repro.he.batching.write_image`).
-        pack: route through the lane-packing scheduler (the synchronous
+        pack: route through the packing scheduler (the synchronous
             facade drains the bucket, so the call still returns a result).
         context: optional :class:`~repro.obs.context.TraceContext` naming
             this request in the process-wide trace tree (the client SDK

@@ -13,7 +13,7 @@ This scheduler turns that lever into a serving discipline:
 
 * **Coalescing.**  Concurrent requests for the same model accumulate in a
   per-model bucket and are flushed as ONE packed pipeline pass when the
-  bucket reaches lane capacity or on explicit
+  bucket reaches the packing capacity or on explicit
   :meth:`~RequestScheduler.drain`.  This synchronous intake is
   capacity-only: *time-based* coalescing (windows, priorities, SLO
   deadlines) is owned by :class:`~repro.serve.loop.ServingLoop`, which
@@ -80,8 +80,9 @@ class ServeConfig:
         max_queue_depth: bound on queued (unflushed) requests across all
             models; submissions beyond it raise
             :class:`~repro.errors.QueueFullError`.
-        max_batch: images per packed flush; ``None`` means the full lane
-            capacity (the parameter set's polynomial degree).
+        max_batch: images per packed flush; ``None`` means the ring
+            degree (the parameter set's polynomial degree).  A flush folds
+            its images ``n // (H*W)`` per ciphertext.
     """
 
     max_queue_depth: int = 64
@@ -91,11 +92,11 @@ class ServeConfig:
         if self.max_queue_depth < 1:
             raise ServeError("max_queue_depth must be >= 1")
         if self.max_batch is not None and self.max_batch < 1:
-            raise ServeError("max_batch must be >= 1 (or None for lane capacity)")
+            raise ServeError("max_batch must be >= 1 (or None for the ring degree)")
 
-    def capacity(self, lanes: int) -> int:
-        """Images per flush on a ring of ``lanes`` coefficients."""
-        return min(self.max_batch or lanes, lanes)
+    def capacity(self, poly_degree: int) -> int:
+        """Images per flush on a ring of ``poly_degree`` coefficients."""
+        return min(self.max_batch or poly_degree, poly_degree)
 
 
 @dataclass

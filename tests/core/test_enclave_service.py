@@ -9,6 +9,7 @@ from repro.core import InferenceEnclave
 from repro.errors import EnclaveError, PipelineError
 from repro.he import Context, Decryptor, Encryptor, Evaluator, ScalarEncoder
 from repro.he.batching import ImageLayout, write_image
+from repro.he.context import Plaintext
 from repro.nn.layers import Sigmoid
 from repro.sgx import SgxPlatform
 
@@ -244,71 +245,51 @@ class TestValueGuards:
             enclave.ecall("divide", ct, 2)
 
 
-class TestSlotCrossings:
-    """``activation_pool_lanes``: the SIMD kind's crossing, on a batch riding
-    polynomial coefficients ``0..B-1``; the class keeps the name it had when
-    the flush crossed in CRT slots."""
+class TestFoldedCrossing:
+    """``activation_pool(image=..., batch=...)`` on a flush's fold: four
+    8 x 16 images, two per n = 256 polynomial, image ``b`` in block ``b % 2``
+    of row ``b // 2``.  A 1 x 1 kernel leaves conv output ``(i, j)`` at pixel
+    ``(i, j)``, so encrypted images stand in for conv outputs."""
 
+    LAYOUT = ImageLayout(height=8, width=16, kernel=1, stride=1, bound=50)
     IDENTITY = (1.0, 1, 1, "relu", "mean")  # scales, window, activation, pool
 
     @pytest.fixture()
-    def lane_deployment(self, platform, hybrid_params):
-        from repro.he.batching import write_lanes
-        from repro.he.keys import PublicKey
+    def fold(self, userland):
+        context = userland["context"]
+        values = np.arange(-256, 256).reshape(4, 1, 8, 16) // 8  # (B, F, H, W)
+        coeffs = values.reshape(2, 2, 1, 128).transpose(0, 2, 1, 3).reshape(2, 1, 256)
+        ct = userland["encryptor"].encrypt(Plaintext(context, coeffs))
+        rng = np.random.default_rng(3)
+        fc = (rng.integers(-4, 5, size=(128, 3)), rng.integers(-9, 10, size=3))
+        return ct, values, fc
 
-        handle = platform.load_enclave(InferenceEnclave, hybrid_params, 5)
-        handle.ecall("generate_keys")
-        context = Context(hybrid_params)
-        public = handle.ecall("get_public_key")
-        encryptor = Encryptor(
-            context,
-            PublicKey(context, public.p0_ntt, public.p1_ntt),
-            np.random.default_rng(8),
+    def call(self, enclave, fold, batch, scales=IDENTITY):
+        ct, _values, fc = fold
+        return enclave.ecall(
+            "activation_pool", ct, *scales, image=self.LAYOUT, batch=batch, fc=fc
         )
-        rows = np.arange(-24, 24).reshape(4, 3, 2, 2)  # 4 requests of (3, 2, 2)
-        return handle, encryptor.encrypt(write_lanes(context, rows)), rows, encryptor
 
-    def test_crossing_then_unpack_restores_rows(self, lane_deployment):
-        from repro.he.batching import read_lanes
+    def test_crossing_activates_and_pools_every_image(self, enclave, fold):
+        _ct, values, (weight, bias) = fold
+        out = self.call(enclave, fold, 4)
+        assert out.batch_shape == (4,)
+        coeffs = enclave._instance._decryptor.decrypt(out).signed_coeffs()
+        assert np.array_equal(coeffs[:, :3], np.maximum(values, 0).reshape(4, -1) @ weight + bias)
+        assert not coeffs[:, 3:].any()
 
-        handle, folded, rows, _ = lane_deployment
-        crossed = handle.ecall("activation_pool_lanes", folded, 4, *self.IDENTITY)
-        assert crossed.batch_shape == (1, 3, 2, 2)
-        plain = handle._instance._decryptor.decrypt(crossed)
-        assert np.array_equal(read_lanes(plain, 4), np.maximum(rows, 0))
+    @pytest.mark.parametrize("batch", [0, -1, 5])
+    def test_bad_batch_is_a_typed_pipeline_error(self, enclave, fold, batch):
+        with pytest.raises(PipelineError, match=r"batch must be in \[3, 4\]"):
+            self.call(enclave, fold, batch)
 
-    def test_crossing_activates_and_pools_every_lane(self, lane_deployment):
-        handle, folded, rows, _ = lane_deployment
-        crossed = handle.ecall(
-            "activation_pool_lanes", folded, 4, 8.0, 100, 2, "sigmoid", "mean"
-        )
-        assert crossed.batch_shape == (1, 3, 1, 1)
-        pooled = Sigmoid.apply(rows / 8.0).reshape(4, 3, -1).mean(axis=-1)
-        got = handle._instance._decryptor.decrypt(crossed).signed_coeffs()
-        assert np.array_equal(got[0, :, 0, 0, :4].T, np.rint(pooled * 100))
-        assert not got[..., 4:].any()
+    def test_too_small_batch_is_a_typed_pipeline_error(self, enclave, fold):
+        """A host that under-reports the batch leaves a non-zero block past
+        the images: typed, never a silently truncated flush."""
+        with pytest.raises(PipelineError, match="not image-encoded for a batch of 3"):
+            self.call(enclave, fold, 3)
 
-    def call(self, deployment, name, batch):
-        handle, folded, _rows, _encryptor = deployment
-        return handle.ecall(name, folded, batch, *self.IDENTITY)
-
-    @pytest.mark.parametrize("name", ["activation_pool_lanes"])
-    @pytest.mark.parametrize("batch", [0, -1, 257])
-    def test_bad_batch_is_a_typed_pipeline_error(self, lane_deployment, name, batch):
-        with pytest.raises(PipelineError, match=r"batch must be in \[1, 256\]"):
-            self.call(lane_deployment, name, batch)
-
-    @pytest.mark.parametrize("name", ["activation_pool_lanes"])
-    def test_too_small_batch_is_a_typed_pipeline_error(self, lane_deployment, name):
-        """A host that under-reports the batch leaves non-zero coefficients
-        past the lanes: typed, never a silently truncated flush."""
-        with pytest.raises(PipelineError, match="not lane-encoded"):
-            self.call(lane_deployment, name, 3)
-
-    def test_out_of_range_values_rejected(self, lane_deployment, hybrid_params):
-        handle, folded, _rows, _ = lane_deployment
+    def test_out_of_range_values_rejected(self, enclave, fold, hybrid_params):
+        scales = (1.0, hybrid_params.plain_modulus, 1, "relu", "mean")
         with pytest.raises(PipelineError, match="plaintext range"):
-            handle.ecall(
-                "activation_pool_lanes", folded, 4,
-                1.0, hybrid_params.plain_modulus, 1, "relu", "mean",
-            )
+            self.call(enclave, fold, 4, scales)

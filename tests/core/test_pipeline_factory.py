@@ -69,13 +69,13 @@ class TestFactory:
         assert isinstance(pipeline, CryptonetsPipeline)
 
     def test_simd_auto_params_support_batching(self, q_sigmoid, models):
-        """Lanes batch under the default power-of-two modulus: the factory
+        """Images pack under the default power-of-two modulus: the factory
         sizes the SIMD pipeline like any other, no batching prime."""
         pipeline = build_pipeline("simd", q_sigmoid, poly_degree=256, seed=7)
         assert isinstance(pipeline, SimdHybridPipeline)
         assert pipeline.params == parameters_for_pipeline(q_sigmoid, 256)
         images = models.dataset.test_images[:3]
-        assert pipeline.encrypt_images(images).batch_shape == (1, *images.shape[1:])
+        assert pipeline.encrypt_images(images).batch_shape == images.shape[:2]
 
     def test_hybrid_auto_params(self, q_sigmoid):
         pipeline = build_pipeline("hybrid", q_sigmoid, poly_degree=256, seed=7)

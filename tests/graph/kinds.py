@@ -32,7 +32,7 @@ KINDS = ("simd", "deep", "served", "packed")
 
 #: Stage-name sequence every run of a kind must emit.
 STAGES = {
-    "simd": ["encrypt", "conv", "sgx_activation_pool", "fc", "decrypt"],
+    "simd": ["encrypt", "pack", "conv", "sgx_activation_pool", "decrypt"],
     "deep": [
         "encrypt", "conv_0", "sgx_block_0", "conv_1", "sgx_block_1", "fc", "decrypt",
     ],

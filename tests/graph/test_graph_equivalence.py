@@ -155,7 +155,11 @@ class TestCryptonetsEquivalence:
 #: moved into the activation crossing: their ``fc`` and ``unpack`` stages
 #: and fc's op tallies left, and the enclave now draws one re-encryption per
 #: image instead of two, so their ciphertext bytes changed.  Their ``logits``
-#: and ``rng`` hashes never change.
+#: and ``rng`` hashes never change.  The ``simd`` row moved when that kind
+#: took the flush's chain (encrypt in the served request format, fold, conv,
+#: one crossing that computes fc, decrypt the results): its stages, op
+#: tallies and ciphertext changed, and so did its ``rng``, because the user
+#: encrypts one polynomial per image channel; its ``logits`` did not.
 PARENT_RECORDING = json.loads(
     Path(__file__).with_name("parent_recording.json").read_text()
 )

@@ -1,13 +1,12 @@
 """IR noise estimates against measured budgets on the two serving graphs, the
 ``simd`` kind and the pure-HE ``cryptonets`` kind: after ``conv`` (one
-plaintext-polynomial product per filter on the served request format), after
-the ``simd`` kind's ``fc`` and on the result a client receives.  Each fold
-is a host-side sum, not a refresh -- the flush's makes ``conv`` start below
-fresh, and the serving paths' one crossing computes fc on plaintext and
-refreshes -- the ``simd`` kind's lanes are written by one fresh encryption,
-and a model that leaves no budget is refused when it is provisioned.  The
-flush is the direct chain behind its fold, so its graph alone is
-budgeted."""
+plaintext-polynomial product per filter on the served request format) and
+on the result a client receives.  The fold is a host-side sum, not a
+refresh -- it makes ``conv`` start below fresh, and the one crossing
+computes fc on plaintext and refreshes -- and a model that leaves no budget
+is refused when it is provisioned.  The flush is the direct chain behind
+its fold, so its graph alone is budgeted; the ``simd`` kind walks the same
+nodes."""
 
 from __future__ import annotations
 
@@ -136,17 +135,18 @@ def test_ir_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
 
 @pytest.mark.parametrize("batch", [1, 2, 16, 256])
 def test_simd_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
-    """The ``simd`` kind writes its ``batch`` lanes in one fresh encryption,
-    so, unlike the flush, no fold is priced before ``conv``."""
+    """The ``simd`` kind: the user's fresh encryption, then the flush's fold,
+    conv and crossing; the result is the one the decrypt node reads."""
     model = single_block_model()
     params = parameters_for_pipeline(model, 256, batching=True)
     pipeline = SimdHybridPipeline(model, params, seed=7)
     measured = _spy_budgets(monkeypatch, pipeline.decryptor)
     images = np.random.default_rng(2118).random((batch, 1, 8, 8))
-    pipeline.infer(images)
+    measured["result"] = pipeline.infer(images).noise_budget_bits
     graph = ir.build_graph("simd", model, params)
-    assert graph.node("encrypt_lanes").op in ir.REFRESH_OPS
-    _assert_lower_bounds(graph, measured)
+    assert graph.node("encrypt_image").op in ir.REFRESH_OPS
+    assert "fc" not in measured  # fc runs inside the crossing
+    _assert_lower_bounds(graph, measured, result_node="crossing_image")
 
 
 @pytest.mark.parametrize("batch", BATCHES)

@@ -10,8 +10,6 @@ from repro.errors import EncodingError
 from repro.he import Ciphertext, Context, Evaluator, modmath
 from repro.he.batching import (
     ImageLayout,
-    lane_operand,
-    lane_plain,
     pack_coefficients,
     read_image,
     read_lanes,
@@ -54,8 +52,8 @@ class TestCoefficientFold:
 
 class TestLanes:
     """The folded ciphertext *is* the batch-axis ciphertext: scalar layers
-    act lane-wise, a bias is spread over the lanes, values are read from and
-    written to coefficients ``0..B-1``."""
+    act lane-wise, values are read from and written to coefficients
+    ``0..B-1``."""
 
     def test_scalar_layer_on_the_fold_is_the_layer_on_every_request(
         self, context, encoder, encryptor, decryptor, evaluator, rng
@@ -63,29 +61,12 @@ class TestLanes:
         values = rng.integers(-20, 20, size=(5, 3))
         folded = pack_coefficients(evaluator, encryptor.encrypt(encoder.encode(values)))
         weight = evaluator.transform_plain(encoder.encode(-7))
-        bias = evaluator.transform_plain_delta(encoder.encode(np.array([4, -9, 0])))
-        out = evaluator.add_plain_operand(
-            evaluator.multiply_plain(folded, weight), lane_operand(bias, 5)
-        )
+        # The bias of every request: the same row in each of lanes 0..4.
+        spread = write_lanes(context, np.tile([4, -9, 0], (5, 1)))
+        bias = evaluator.transform_plain_delta(spread)
+        out = evaluator.add_plain_operand(evaluator.multiply_plain(folded, weight), bias)
         lanes = read_lanes(decryptor.decrypt(out.reshape(1, 3)), 5)
         assert np.array_equal(lanes, values * -7 + np.array([4, -9, 0]))
-
-    @pytest.mark.parametrize("lanes", [1, 2, 7])
-    def test_lane_operand_is_the_transformed_lane_plaintext(
-        self, context, encoder, evaluator, lanes
-    ):
-        plain = encoder.encode(np.array([[3], [-5]]))
-        spread = lane_plain(plain, lanes)
-        assert np.array_equal(spread.signed_coeffs()[..., :lanes], [[[3] * lanes], [[-5] * lanes]])
-        assert not spread.coeffs[..., lanes:].any()
-        operand = evaluator.transform_plain_delta(plain)
-        assert np.array_equal(
-            lane_operand(operand, lanes).data,
-            evaluator.transform_plain_delta(spread).data,
-        )
-        if lanes == 1:  # scalar encoding: nothing is built
-            assert lane_operand(operand, 1) is operand
-            assert np.array_equal(spread.coeffs, plain.coeffs)
 
     def test_write_then_read_round_trips_signed_values(self, context, rng):
         t = context.plain_modulus

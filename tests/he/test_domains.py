@@ -81,14 +81,13 @@ class TestDenseDomain:
         weight[:2] = 0  # two zero input rows for the kernel to skip
         return weight, rng.integers(-9, 10, size=CLASSES)
 
-    @pytest.mark.parametrize("lanes", [1, 3])
     @pytest.mark.parametrize(
         "context_type, fold_bias",
         [(Context, True), (Context, False), (oracle.Context, None)],
         ids=["folded", "unfolded", "oracle"],
     )
     def test_coefficient_input_matches_ntt_input(
-        self, context_type, fold_bias, lanes, params, squares, layer
+        self, context_type, fold_bias, params, squares, layer
     ):
         evaluator, encoder, weights = _dense(context_type, params, *layer)
         if fold_bias is None:
@@ -97,10 +96,10 @@ class TestDenseDomain:
             assert weights.fused and weights.fold_bias
             weights = dataclasses.replace(weights, fold_bias=fold_bias)
         coeff_in = _on(evaluator.context, squares)
-        out = heops.he_dense(evaluator, encoder, coeff_in, weights, lanes)
+        out = heops.he_dense(evaluator, encoder, coeff_in, weights)
         coeff_tally = dict(evaluator.counter.counts)
         evaluator.counter.reset()
-        reference = heops.he_dense(evaluator, encoder, coeff_in.to_ntt(), weights, lanes)
+        reference = heops.he_dense(evaluator, encoder, coeff_in.to_ntt(), weights)
         assert out.is_ntt == (fold_bias is None) and reference.is_ntt
         assert out.size == 3 and out.batch_shape == (BATCH, CLASSES)
         assert out.to_ntt().data.tobytes() == reference.data.tobytes()

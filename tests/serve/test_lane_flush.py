@@ -90,10 +90,10 @@ class TestTypedLaneCheck:
         fixture's two-image ciphertexts)."""
         image_conv = heops._he_conv2d_image
 
-        def spread(evaluator, ct, weights, lanes):
+        def spread(evaluator, ct, weights, folded):
             rows = weights.bias.data
             full = PlainOperand(ct.context, np.repeat(rows[-1:], len(rows), axis=0))
-            return image_conv(evaluator, ct, dataclasses.replace(weights, bias=full), lanes)
+            return image_conv(evaluator, ct, dataclasses.replace(weights, bias=full), folded)
 
         monkeypatch.setattr(heops, "_he_conv2d_image", spread)
         responses = submit_singles(server, session, models.dataset.test_images[:3])
@@ -104,8 +104,8 @@ class TestTypedLaneCheck:
         conv = heops.he_conv2d
         seen = []
 
-        def exhaust(evaluator, encoder, ct, weights, lanes=1):
-            out = conv(evaluator, encoder, ct, weights, lanes)
+        def exhaust(evaluator, encoder, ct, weights, folded=1):
+            out = conv(evaluator, encoder, ct, weights, folded)
             data = out.data
             for _ in range(3):  # x 2^60: past any budget of this 60-bit q
                 data = out.context.ring.mul_scalar(data, 1 << 20)
