@@ -22,8 +22,11 @@ one ``BENCH_serving.json``:
   replica 0 destroyed at its fourth dispatch.  Replicas share one migrated
   key pair, so every served request must decrypt to the plaintext reference
   bit for bit, and the failover must resolve every ticket on the survivor.
-  Replicas execute serially in this process: the fleet buys availability,
-  not throughput, which the measured ``wall_images_per_s`` shows.
+  Replicas execute serially in this process, so the fleet buys
+  availability, not throughput.  ``wall_images_per_s`` cannot show that
+  either way: the sizes run in one order (1, 2, 4) in one process, so the
+  row confounds warm-up with replica count (the checked-in baseline reads
+  1360 / 1709 / 1840).
 * ``workers`` -- a fixed identity batch through fresh same-seed deployments
   at 1, 2 and 4 pool workers: the serialized logits ciphertexts must be
   byte-identical across widths.  No flush reaches the pool

@@ -7,10 +7,13 @@ Section III-A / CryptoNets):
 * activation: the Square polynomial substitute (a real ciphertext-ciphertext
   multiplication, leaving size-3 ciphertexts);
 * pooling: the division-free scaled mean-pool (window sum);
-* relinearization with TTP-issued keys, once per logit: everything after
-  the square is linear, so pool and FC run on the size-3 squares (in the
-  coefficient domain the multiply returns) and the chain is
-  ``encrypt -> conv -> square -> pool -> fc -> relinearize -> decrypt``;
+* rescaling and relinearization (with TTP-issued keys), once per logit:
+  everything after the square is an integer linear map, so the square stays
+  the exact, unscaled tensor product ``d``, pool sums it and FC contracts it
+  by the integer weights, and FC's stage then rounds ``t/q * sum L d`` once
+  per logit and adds ``Delta * b`` -- FV's own rounding of one product, not
+  ``||L||_1`` of them.  The chain is ``encrypt -> conv -> square -> pool ->
+  fc -> relinearize -> decrypt``;
 * nothing is ever decrypted server-side.
 
 Accuracy consequence: the model must have been *trained* with these
@@ -95,3 +98,9 @@ class CryptonetsPipeline(GraphPipeline):
         self.encryptor = Encryptor(self.context, self._keys.public, rng)
         self.decryptor = Decryptor(self.context, self._keys.secret)
         self._bind(relin_keys=self._relin_keys)
+        # The squares stay unscaled through pool and fc, which round once per
+        # logit: the auxiliary basis holds ||L||_1 = window^2 * max_o
+        # sum_d |W_od| of that integer map (DESIGN.md section 10).
+        fc = np.abs(self.graph.meta["layers"]["fc"])
+        window = self.graph.node("pool").attrs["window"]
+        self.context.hold_product_sums(window**2 * int(fc.sum(axis=1).max()))

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import PipelineError
+from repro.errors import ParameterError, PipelineError
 from repro.he import contraction, parallel
 from repro.he.batching import ImageLayout, stride_monomials
-from repro.he.context import Ciphertext, Context, Plaintext
+from repro.he.context import Ciphertext, Context, Plaintext, TensorProduct
 from repro.he.encoders import ScalarEncoder
 from repro.he.evaluator import Evaluator, PlainOperand
 
@@ -170,7 +170,7 @@ class EncodedDenseWeights:
             at encode time.
         bias_coeff: the same operand in the coefficient domain --
             ``Delta * bias mod p`` at coefficient 0 -- for an input that
-            arrives there (the pure-HE chain's unrelinearized squares).
+            arrives there (the pure-HE chain's rescaled logits).
         weight_matrix: int64 array ``(O, D)`` of the signed integer weights
             kept from encode time -- the fused kernel computes all classes
             in one pass over it.
@@ -436,15 +436,19 @@ def _he_conv2d_image(
     return evaluator.add_plain_operand(out, bias)
 
 
-def he_square(evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
-    """CryptoNets activation: homomorphic elementwise square (size 2 -> 3)."""
-    return evaluator.square(ct)
+def he_square(evaluator: Evaluator, ct: Ciphertext) -> TensorProduct:
+    """CryptoNets activation: the homomorphic elementwise square, left
+    unscaled (:meth:`Evaluator.tensor_product`) -- pool and fc are integer
+    linear maps, so they run on the exact products and :func:`he_dense`
+    rounds once per logit (DESIGN.md section 10)."""
+    return evaluator.tensor_product(ct, ct)
 
 
 def he_scaled_mean_pool(
-    evaluator: Evaluator, ct: Ciphertext, window: int
-) -> Ciphertext:
-    """Division-free pooling: homomorphic window sum (``EncryptedSum``)."""
+    evaluator: Evaluator, ct: Ciphertext | TensorProduct, window: int
+) -> Ciphertext | TensorProduct:
+    """Division-free pooling: homomorphic window sum (``EncryptedSum``), of
+    ciphertexts or of unscaled squares."""
     if len(ct.batch_shape) != 4:
         raise PipelineError("he_scaled_mean_pool expects a (B, C, H, W) batch")
     _, _, h, w = ct.batch_shape
@@ -460,14 +464,16 @@ def he_scaled_mean_pool(
 def he_dense(
     evaluator: Evaluator,
     encoder: ScalarEncoder,
-    ct: Ciphertext,
+    ct: Ciphertext | TensorProduct,
     weights: EncodedDenseWeights,
 ) -> Ciphertext:
     """Homomorphic fully connected layer over a flattened ciphertext batch.
 
     Produces a ``(B, O)`` ciphertext of scaled logits: for every output
     class the flattened input batch is multiplied element-wise by that class's
-    weight vector and folded with a batched C + C reduction.
+    weight vector and folded with a batched C + C reduction.  Unscaled
+    squares (the pure-HE chain) are contracted and then rescaled, once per
+    logit (:func:`_he_dense_rescaled`).
     """
     b = ct.batch_shape[0]
     flat = ct.reshape(b, -1)
@@ -476,6 +482,8 @@ def he_dense(
         raise PipelineError(
             f"dense operand covers {weights.in_features} inputs, ciphertext provides {d}"
         )
+    if isinstance(flat, TensorProduct):
+        return _he_dense_rescaled(evaluator, flat, weights)
     if weights.fused:
         return _he_dense_fused(evaluator, flat, weights)
     flat = flat.to_ntt()  # once, not per class
@@ -501,8 +509,8 @@ def _he_dense_fused(
     loop (up to the domain), with matching op tallies.
 
     A contraction by integers is the same residues in either domain, so it
-    runs in the input's: the pure-HE chain's size-3 squares arrive in the
-    coefficient domain, and the bias is added there as ``Delta * b`` at
+    runs in the input's: a product :meth:`Evaluator.multiply` returns is in
+    the coefficient domain, and the bias is added there as ``Delta * b`` at
     coefficient 0."""
     b, d = flat.batch_shape
     o = weights.out_features
@@ -519,3 +527,32 @@ def _he_dense_fused(
         evaluator.counter.record("ct_add", o * (d - 1) * b)
     out = Ciphertext(flat.context, out, is_ntt=flat.is_ntt)
     return _add_bias(evaluator, out, bias_operand, weights.fold_bias)
+
+
+def _he_dense_rescaled(
+    evaluator: Evaluator, flat: TensorProduct, weights: EncodedDenseWeights
+) -> Ciphertext:
+    """FC on unscaled squares: the integer contraction of
+    :func:`repro.he.contraction.dense_rows` runs on the products ``d``
+    themselves, modulo q's primes and the auxiliary basis, then
+    :meth:`Evaluator.rescale` rounds each logit once and ``Delta * b`` is
+    added in the coefficient domain the rescale returns.  One rounding per
+    logit where rescaling every square first made ``||L||_1`` of them, so
+    the ciphertext is FV's own ``round(t/q * sum L d)``; the op tallies are
+    :func:`_he_dense_fused`'s."""
+    context = flat.context
+    primes = context.product_primes
+    if not contraction.bound_ok(weights.weight_matrix, ((1 << 63) - 1) // (max(primes) - 1)):
+        raise ParameterError(
+            "fc weights are too wide for the int64 contraction of unscaled squares"
+        )
+    b, d = flat.batch_shape
+    o = weights.out_features
+    out = parallel.dispatch_dense(
+        flat.data, weights.weight_matrix, primes=primes, keep=weights.keep
+    )
+    if evaluator.counter is not None:
+        evaluator.counter.record("ct_plain_mul", o * b * d)
+        evaluator.counter.record("ct_add", o * (d - 1) * b)
+    logits = evaluator.rescale(TensorProduct(context, out, flat.is_ntt))
+    return evaluator.add_plain_operand(logits, weights.bias_coeff)

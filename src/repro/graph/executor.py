@@ -20,8 +20,10 @@ names (``benchmarks/e2e/spans.py``) sees every call.
 
 The walk rewrites nothing: every graph runs as built.  The exact
 operand-local rewrites (zero-column skip and bias fold in ``heops``, the
-encryptor's constant-coefficient path, ``Evaluator.square``, the
-packing-monomial memo) happen inside the calls below.
+encryptor's constant-coefficient path, the square's one transform and
+lift of its single factor, the packing-monomial memo) happen inside the
+calls below, and so does the pure-HE chain's deferred rescale: ``square``
+hands pool and fc the unscaled product, and fc rounds once per logit.
 """
 
 from __future__ import annotations

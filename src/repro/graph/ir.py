@@ -223,10 +223,11 @@ def build_hybrid_graph(quantized, params: EncryptionParams, mode: str = "batched
 def build_cryptonets_graph(quantized, params: EncryptionParams) -> InferenceGraph:
     """IR for the pure-HE CryptoNets pipeline (square activation).
 
-    Everything after ``square`` is linear, and relinearization commutes with
-    sums and plaintext products up to noise, so pool and fc run on the
-    size-3 squares and ``relinearize`` runs once per logit, not once per
-    conv output."""
+    Everything after ``square`` is an integer linear map, so pool and fc
+    run on the exact, unscaled squares; fc's stage rounds them once per
+    logit, and ``relinearize`` (which commutes with sums and plaintext
+    products up to noise) runs once per logit too, not once per conv
+    output."""
     between = [
         GraphNode("square", "square"),
         GraphNode("pool", "pool", {"window": int(quantized.pool_window)}),

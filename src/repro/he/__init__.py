@@ -24,7 +24,7 @@ Typical usage::
 """
 
 from repro.he.arena import Arena, ArenaView, stacked_view
-from repro.he.context import Ciphertext, Context, Plaintext
+from repro.he.context import Ciphertext, Context, Plaintext, TensorProduct
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
 from repro.he.encoders import FractionalEncoder, IntegerEncoder, ScalarEncoder
 from repro.he.encryptor import Encryptor, SymmetricEncryptor
@@ -62,6 +62,7 @@ __all__ = [
     "ScalarEncoder",
     "SecretKey",
     "SymmetricEncryptor",
+    "TensorProduct",
     "WorkerPool",
     "active_workers",
     "decrypt_scalar_values",

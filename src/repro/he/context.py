@@ -30,9 +30,9 @@ _TENSOR_CHUNK_COEFFS = 1 << 12
 class Context:
     """Runtime companion of an :class:`EncryptionParams` instance.
 
-    Its ring and its two ciphertext-multiply kernels (:meth:`tensor_product`,
-    :meth:`relin_digits`) are the library's one kernel set;
-    :class:`repro.he.oracle.Context` is the same interface over the
+    Its ring and its ciphertext-multiply kernels (:meth:`tensor_product`,
+    :meth:`scale_round`, :meth:`relin_digits`) are the library's one kernel
+    set; :class:`repro.he.oracle.Context` is the same interface over the
     reference formulas.
     """
 
@@ -51,6 +51,9 @@ class Context:
         # Built by the first ciphertext-ciphertext multiply, never here: the
         # hybrid pipelines do not multiply and must not pay for it.
         self._aux_basis: AuxBasis | None = None
+        # ||L||_1 of the widest integer combination of tensor products one
+        # rescale takes (1: a single product); see :meth:`hold_product_sums`.
+        self._product_terms = 1
 
     @property
     def aux_basis(self) -> AuxBasis:
@@ -60,9 +63,29 @@ class Context:
             self._aux_basis = AuxBasis(
                 self.ring,
                 params.plain_modulus,
-                aux_primes(params.poly_degree, params.coeff_primes, params.plain_modulus),
+                aux_primes(
+                    params.poly_degree,
+                    params.coeff_primes,
+                    params.plain_modulus,
+                    self._product_terms,
+                ),
             )
         return self._aux_basis
+
+    def hold_product_sums(self, terms: int) -> None:
+        """Size the auxiliary basis for :meth:`scale_round` of any integer
+        combination ``sum L_i d_i`` of tensor products with ``||L||_1 <=
+        terms`` (DESIGN.md section 10).  The basis only grows; a wider one
+        rescales a single product to the same bytes."""
+        if terms > self._product_terms:
+            self._product_terms = int(terms)
+            self._aux_basis = None
+
+    @property
+    def product_primes(self) -> list[int]:
+        """The primes a :class:`TensorProduct` has residues for: q's, then
+        the auxiliary basis's."""
+        return [*map(int, self.ring.primes), *self.aux_basis.primes]
 
     @property
     def poly_degree(self) -> int:
@@ -90,16 +113,15 @@ class Context:
 
     def tensor_product(
         self, ct0: "Ciphertext", ct1: "Ciphertext", batch: tuple[int, ...]
-    ) -> np.ndarray:
-        """Coefficient-domain ``(*batch, 3, k, n)`` residues of the FV tensor
-        product ``round(t/q * ct0 x ct1)``, in int64: the product runs
-        pointwise per prime over q's primes and the auxiliary basis, and
-        :meth:`AuxBasis.scale_round` divides there (DESIGN.md section 10).
+    ) -> "TensorProduct":
+        """The unscaled FV tensor product ``ct0 x ct1`` over ``batch``: its
+        NTT-domain residues modulo q's primes and the auxiliary basis's,
+        pointwise per prime (DESIGN.md section 10).
 
         The flattened batch is processed ``_TENSOR_CHUNK_COEFFS`` coefficients
-        at a time, so the transient is a few MiB whatever the batch; an
-        operand is inverse-transformed and lifted once per chunk, and once in
-        all when both factors are the same ciphertext.
+        at a time into one preallocated output, so the transient is a few MiB
+        whatever the batch; an operand is inverse-transformed and lifted once
+        per chunk, and once in all when both factors are the same ciphertext.
         """
         ring = self.ring
         basis = self.aux_basis
@@ -107,7 +129,7 @@ class Context:
         count = math.prod(batch)
         a = np.broadcast_to(ct0.data, (*batch, *tail)).reshape(count, *tail)
         b = np.broadcast_to(ct1.data, (*batch, *tail)).reshape(count, *tail)
-        out = np.empty((count, 3, ring.k, ring.n), dtype=np.int64)
+        out = np.empty((count, 3, ring.k + len(basis.primes), ring.n), dtype=np.int64)
         step = max(1, _TENSOR_CHUNK_COEFFS // ring.n)
 
         def both_bases(data: np.ndarray, is_ntt: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -121,11 +143,29 @@ class Context:
                 y_ring, y_aux = x_ring, x_aux
             else:
                 y_ring, y_aux = both_bases(b[lo : lo + step], ct1.is_ntt)
-            out[lo : lo + step] = basis.scale_round(
-                ring.intt(_tensor_product(x_ring, y_ring, ring.primes)),
-                basis.plan.inverse(_tensor_product(x_aux, y_aux, basis.primes)),
-            )
-        return out.reshape(*batch, 3, ring.k, ring.n)
+            out[lo : lo + step, :, : ring.k] = _tensor_product(x_ring, y_ring, ring.primes)
+            out[lo : lo + step, :, ring.k :] = _tensor_product(x_aux, y_aux, basis.primes)
+        return TensorProduct(self, out.reshape(*batch, *out.shape[1:]), is_ntt=True)
+
+    def scale_round(self, product: "TensorProduct") -> np.ndarray:
+        """Coefficient-domain ``(*batch, 3, k, n)`` residues of ``round(t d /
+        q)`` for the integers ``d`` of ``product``, chunked as
+        :meth:`tensor_product`: inverse transforms over all its primes, then
+        :meth:`AuxBasis.scale_round`, whose check prime refuses a ``d``
+        outside the basis."""
+        ring = self.ring
+        basis = self.aux_basis
+        k, rows, n = ring.k, product.data.shape[-2], ring.n
+        count = product.batch_count
+        d = product.data.reshape(count, 3, rows, n)
+        out = np.empty((count, 3, k, n), dtype=np.int64)
+        step = max(1, _TENSOR_CHUNK_COEFFS // n)
+        for lo in range(0, count, step):
+            d_ring, d_aux = d[lo : lo + step, :, :k], d[lo : lo + step, :, k:]
+            if product.is_ntt:
+                d_ring, d_aux = ring.intt(d_ring), basis.plan.inverse(d_aux)
+            out[lo : lo + step] = basis.scale_round(d_ring, d_aux)
+        return out.reshape(*product.batch_shape, 3, k, n)
 
     def relin_digits(self, c2: np.ndarray):
         """Base-``w`` digits of the ``[0, q)`` lift of ``c2``, low to high,
@@ -244,6 +284,46 @@ class Ciphertext:
 
     def byte_size(self) -> int:
         return self.data.nbytes
+
+
+@dataclass
+class TensorProduct:
+    """A batch of unscaled FV tensor products ``d = ct0 x ct1``: the three
+    exact integer polynomials before FV's ``round(t/q * .)``.
+
+    Integer sums and integer-weighted contractions of products are products
+    again (exact modulo every prime), so a linear map can run on ``d``
+    itself and round once, after it (:meth:`Evaluator.rescale`); the context
+    sizes its auxiliary basis for that map (:meth:`Context.hold_product_sums`).
+
+    Attributes:
+        context: owning context.
+        data: int64 residues ``(..., 3, rows, n)`` modulo
+            :attr:`Context.product_primes`, q's primes first.
+        is_ntt: True when the residues are in evaluation (NTT) domain.
+    """
+
+    context: Context
+    data: np.ndarray
+    is_ntt: bool = True
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.data.shape[:-3]
+
+    @property
+    def batch_count(self) -> int:
+        return math.prod(self.batch_shape)
+
+    def reshape(self, *batch_shape: int) -> "TensorProduct":
+        tail = self.data.shape[-3:]
+        return TensorProduct(self.context, self.data.reshape(*batch_shape, *tail), self.is_ntt)
+
+    def __getitem__(self, index) -> "TensorProduct":
+        """Slice along the batch axes."""
+        if not self.batch_shape:
+            raise IndexError("cannot index a scalar tensor product")
+        return TensorProduct(self.context, self.data[index], self.is_ntt)
 
 
 def _tensor_product(x: np.ndarray, y: np.ndarray, primes) -> np.ndarray:

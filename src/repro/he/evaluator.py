@@ -5,12 +5,16 @@ Implements the paper's Section II-B evaluation algorithms:
 * ``Add(ct0, ct1)``: component-wise sum.
 * ``Multiply(ct0, ct1)``: FV tensor product -- the three cross products are
   *exact* integer negacyclic convolutions, scaled by ``t/q`` with true
-  rounding, yielding a size-3 ciphertext.  They never leave int64: the
-  product runs pointwise per prime over ``q``'s primes and the context's
-  auxiliary basis (:class:`~repro.he.polyring.AuxBasis`) and the division is
-  an exact RNS base conversion with a checked post-condition.  The oracle
-  context (:mod:`repro.he.oracle`) computes the same integers in Python ints
-  (auxiliary-prime CRT, ``scale_and_round``).
+  rounding, yielding a size-3 ciphertext.  It is two exact halves,
+  :meth:`Evaluator.tensor_product` (the unscaled product ``d``) and
+  :meth:`Evaluator.rescale` (``round(t d / q)``), so a caller can run an
+  integer linear map on ``d`` between them and round once.  They never
+  leave int64: the product runs pointwise per prime over ``q``'s primes and
+  the context's auxiliary basis (:class:`~repro.he.polyring.AuxBasis`) and
+  the division is an exact RNS base conversion with a checked
+  post-condition.  The oracle context (:mod:`repro.he.oracle`) computes the
+  same integers in Python ints (``convolve_exact``, CRT,
+  ``scale_and_round``).
 * ``relinearize``: base-``w`` digit decomposition of ``c2`` against the
   evaluation keys, shrinking size 3 back to 2.  The digits come off the
   mixed-radix form of ``c2`` by limb arithmetic (the oracle: off its
@@ -35,8 +39,9 @@ import numpy as np
 
 from repro.errors import KeyMismatchError, ParameterError
 from repro.he import arena
-from repro.he.context import Ciphertext, Context, Plaintext
+from repro.he.context import Ciphertext, Context, Plaintext, TensorProduct
 from repro.he.keys import RelinKeys
+from repro.he.polyring import _mod_rows
 
 
 @dataclass
@@ -176,12 +181,15 @@ class Evaluator:
 
     def add_many(self, cts: list[Ciphertext]) -> Ciphertext:
         """The sum of ``cts``, in their domain when they share one (a sum is
-        the same residues either side of the transform), else in NTT."""
+        the same residues either side of the transform), else in NTT; a
+        list of :class:`TensorProduct` sums to a product."""
         if not cts:
             raise ParameterError("add_many requires at least one ciphertext")
         if len(cts) == 1:
             return cts[0]
         first = cts[0]
+        if isinstance(first, TensorProduct):
+            return self._add_products(cts)
         uniform = all(
             ct.size == first.size
             and ct.batch_shape == first.batch_shape
@@ -209,6 +217,29 @@ class Evaluator:
         for ct in cts[1:]:
             acc = self.add(acc, ct)
         return acc
+
+    def _add_products(self, products: list[TensorProduct]) -> TensorProduct:
+        """:meth:`add_many` of same-shape, same-domain unscaled products,
+        accumulated term by term (no stacked copy of the terms) and reduced
+        once: a residue is below ``2^31``, so any list that fits in memory
+        sums exactly in int64."""
+        self._check(*products)
+        first = products[0]
+        for product in products[1:]:
+            if product.data.shape != first.data.shape or product.is_ntt != first.is_ntt:
+                raise ParameterError(
+                    "add_many sums tensor products of one shape and domain, got "
+                    f"{first.data.shape} and {product.data.shape}"
+                )
+        acc = first.data + products[1].data
+        for product in products[2:]:
+            acc += product.data
+        result = TensorProduct(
+            self.context, _mod_rows(acc, self.context.product_primes), first.is_ntt
+        )
+        if self.counter is not None:
+            self.counter.record("ct_add", (len(products) - 1) * max(1, result.batch_count))
+        return result
 
     def sum_batch(self, ct: Ciphertext, axis: int = 0) -> Ciphertext:
         """Sum a batched ciphertext along one batch axis (C + C reduction).
@@ -281,8 +312,20 @@ class Evaluator:
         return result
 
     def multiply(self, ct0: Ciphertext, ct1: Ciphertext) -> Ciphertext:
-        """``Multiply(ct0, ct1)``: exact FV tensor product, size 2x2 -> 3
-        (:meth:`Context.tensor_product`)."""
+        """``Multiply(ct0, ct1)``: exact FV tensor product, size 2x2 -> 3 --
+        :meth:`rescale` of :meth:`tensor_product`."""
+        return self.rescale(self.tensor_product(ct0, ct1))
+
+    def square(self, ct: Ciphertext) -> Ciphertext:
+        """Homomorphic squaring (CryptoNets' activation substitute):
+        :meth:`multiply` with both factors the same ciphertext, which it
+        inverse-transforms (and, in the RNS kernel, lifts) once."""
+        return self.multiply(ct, ct)
+
+    def tensor_product(self, ct0: Ciphertext, ct1: Ciphertext) -> TensorProduct:
+        """The unscaled half of :meth:`multiply`: the exact products ``d =
+        ct0 x ct1`` (:meth:`Context.tensor_product`), tallied as its
+        ``ct_mul``."""
         self._check(ct0, ct1)
         if ct0.size != 2 or ct1.size != 2:
             raise ParameterError(
@@ -290,16 +333,29 @@ class Evaluator:
                 f"(got sizes {ct0.size} and {ct1.size})"
             )
         batch = _broadcast_batch("multiply", ct0, ct1)
-        data = self.context.tensor_product(ct0, ct1, batch)
-        result = Ciphertext(self.context, data, is_ntt=False)
-        self._record("ct_mul", result)
-        return result
+        product = self.context.tensor_product(ct0, ct1, batch)
+        self._record("ct_mul", product)
+        return product
 
-    def square(self, ct: Ciphertext) -> Ciphertext:
-        """Homomorphic squaring (CryptoNets' activation substitute):
-        :meth:`multiply` with both factors the same ciphertext, which it
-        inverse-transforms (and, in the RNS kernel, lifts) once."""
-        return self.multiply(ct, ct)
+    def rescale(self, product: TensorProduct) -> Ciphertext:
+        """The rounding half of :meth:`multiply`: the size-3,
+        coefficient-domain ciphertext ``round(t d / q)``
+        (:meth:`Context.scale_round`) of a product, or of an integer
+        combination of products the context's basis was sized for.
+
+        Raises:
+            ParameterError: the product's residues are not over the
+                context's :attr:`~Context.product_primes`, or ``d`` left the
+                auxiliary basis (its check prime disagrees).
+        """
+        self._check(product)
+        rows = len(self.context.product_primes)
+        if product.data.shape[-3:-1] != (3, rows):
+            raise ParameterError(
+                f"rescale takes (..., 3, {rows}, n) product residues, got "
+                f"{product.data.shape}"
+            )
+        return Ciphertext(self.context, self.context.scale_round(product), is_ntt=False)
 
     def relinearize(self, ct: Ciphertext, relin_keys: RelinKeys) -> Ciphertext:
         """Reduce a size-3 ciphertext back to size 2 using evaluation keys."""

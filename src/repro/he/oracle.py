@@ -10,8 +10,8 @@ statement of its arithmetic:
   n)`` row first becomes residues through :meth:`Ring.from_signed_small`);
 * ``%``-reduced ``add``, ``sub``, products and small-coefficient lifts, and a
   ``reduce_sum`` that folds ``add``;
-* the Python-int tensor product and the relinearization digits as shifts of
-  the Python-int lift of ``c2``;
+* the Python-int tensor product, ``scale_and_round`` of its CRT lift, and
+  the relinearization digits as shifts of the Python-int lift of ``c2``;
 * the object-dtype CRT decrypt (:attr:`Ring.int64_lift` is False).
 
 It is a value, not a mode: build ``oracle.Context(params)`` and hand it to
@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.he import context as _context
+from repro.he import modmath
 from repro.he.polyring import PolyContext
 
 
@@ -99,10 +100,10 @@ class Context(_context.Context):
 
     def tensor_product(
         self, ct0: _context.Ciphertext, ct1: _context.Ciphertext, batch: tuple[int, ...]
-    ) -> np.ndarray:
-        """Python-int tensor product, ``round(t c / q)`` on it."""
+    ) -> _context.TensorProduct:
+        """Python-int tensor product, reduced modulo every product prime in
+        the coefficient domain."""
         ring = self.ring
-        params = self.params
         a = ct0.to_coeff().data
         b = a if ct1 is ct0 else ct1.to_coeff().data
         a0 = ring.to_bigint_centered(a[..., 0, :, :])
@@ -112,9 +113,31 @@ class Context(_context.Context):
         c0 = ring.convolve_exact(a0, b0)
         c1 = ring.convolve_exact(a0, b1) + ring.convolve_exact(a1, b0)
         c2 = ring.convolve_exact(a1, b1)
-        t, q = params.plain_modulus, params.coeff_modulus
-        parts = [ring.scale_and_round(c, t, q) for c in (c0, c1, c2)]
-        return np.stack(parts, axis=-3)
+        d = np.broadcast_to(np.stack([c0, c1, c2], axis=-2), (*batch, 3, ring.n))
+        residues = [(d % p).astype(np.int64) for p in self.product_primes]
+        return _context.TensorProduct(self, np.stack(residues, axis=-2), is_ntt=False)
+
+    def scale_round(self, product: _context.TensorProduct) -> np.ndarray:
+        """``round(t d / q)`` of the centered Python-int CRT lift of ``d``
+        over every product prime."""
+        ring = self.ring
+        data = product.data
+        if product.is_ntt:
+            k = ring.k
+            data = np.concatenate(
+                [ring.intt(data[..., :k, :]), self.aux_basis.plan.inverse(data[..., k:, :])],
+                axis=-2,
+            )
+        primes = self.product_primes
+        modulus = modmath.product(primes)
+        lifted = np.zeros(data.shape[:-2] + data.shape[-1:], dtype=object)
+        for i, p in enumerate(primes):
+            rest = modulus // p
+            lifted = lifted + data[..., i, :].astype(object) * (rest * modmath.invert_mod(rest, p))
+        lifted %= modulus
+        d = np.where(lifted > modulus // 2, lifted - modulus, lifted)
+        params = self.params
+        return ring.scale_and_round(d, params.plain_modulus, params.coeff_modulus)
 
     def relin_digits(self, c2: np.ndarray):
         """Base-``w`` digits as shifts of the Python-int lift of ``c2``."""

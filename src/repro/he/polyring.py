@@ -290,19 +290,22 @@ class MixedRadix:
             yield out
 
 
-def aux_primes(n: int, coeff_primes: Sequence[int], plain_modulus: int) -> list[int]:
+def aux_primes(
+    n: int, coeff_primes: Sequence[int], plain_modulus: int, terms: int = 1
+) -> list[int]:
     """Auxiliary NTT primes for the RNS tensor product of ``(n, q, t)``.
 
     30-bit NTT-friendly primes for degree ``n``, **disjoint from q's** (a
     base conversion between overlapping bases is not a conversion), whose
-    product exceeds ``t * n * q + 3``, followed by one redundant check prime.
-    The bound is the worst case for *any* centered operands, well formed or
-    not: a tensor coefficient is at most ``2 n ((q-1)/2)^2`` in magnitude, so
-    ``|round(t d / q)| <= t n q / 2 + 1`` and a centered lift from the base
-    is exact.
+    product exceeds ``terms * t * n * q + 3``, followed by one redundant
+    check prime.  The bound is the worst case for *any* centered operands,
+    well formed or not: a tensor coefficient is at most ``2 n ((q-1)/2)^2``
+    in magnitude, an integer combination ``sum L_i d_i`` of products with
+    ``||L||_1 <= terms`` at most ``terms`` times that, so ``|round(t d / q)|
+    <= terms t n q / 2 + 1`` and a centered lift from the base is exact.
     """
     taken = {int(p) for p in coeff_primes}
-    floor = plain_modulus * n * modmath.product(taken) + 4
+    floor = terms * plain_modulus * n * modmath.product(taken) + 4
     # Every 30-bit prime exceeds 2^29, so this many cover the bound, the
     # check prime and every candidate that q already uses.
     count = floor.bit_length() // 29 + 2 + len(taken)
@@ -353,7 +356,9 @@ class AuxBasis:
 
     def scale_round(self, d_ring: np.ndarray, d_aux: np.ndarray) -> np.ndarray:
         """Ring residues of ``round(t d / q)`` for integers ``d`` known
-        modulo q's primes (``d_ring``) and the auxiliary primes (``d_aux``).
+        modulo q's primes (``d_ring``) and the auxiliary primes (``d_aux``):
+        one tensor product, or an integer combination of many whose norm the
+        basis was sized for (:func:`aux_primes`' ``terms``).
 
         Raises:
             ParameterError: the result does not fit the base.  The lift back

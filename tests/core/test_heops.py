@@ -163,7 +163,7 @@ class TestHeSquareAndPool:
         values = np.arange(-4, 4, dtype=np.int64).reshape(1, 1, 2, 4)
         ct = rig["encryptor"].encrypt(rig["encoder"].encode(values))
         out = heops.he_square(rig["evaluator"], ct)
-        assert np.array_equal(roundtrip(rig, out), values * values)
+        assert np.array_equal(roundtrip(rig, rig["evaluator"].rescale(out)), values * values)
 
     def test_scaled_pool_matches(self, rig, q_sigmoid):
         values = np.arange(32, dtype=np.int64).reshape(1, 2, 4, 4)

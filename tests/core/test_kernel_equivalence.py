@@ -13,8 +13,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CryptonetsPipeline, HybridPipeline, heops
+from repro.core import (
+    CryptonetsPipeline,
+    HybridPipeline,
+    PlaintextPipeline,
+    heops,
+    parameters_for_pipeline,
+)
+from repro.errors import ParameterError
 from repro.he import Ciphertext, Context, Evaluator, oracle
+from repro.he.polyring import AuxBasis, aux_primes
+from repro.nn.quantize import QuantizedCNN
 
 
 def _run_hybrid(context_type, quantized, params, images):
@@ -86,7 +95,58 @@ class TestDenseAndPoolEquivalence:
         assert pipe.conv_weights.weight_taps.shape == (f, c * kh * kw)
 
 
+def _square_model_with_wide_fc():
+    """A 4 x 4 square model whose one fc weight of 2^28 makes ``||L||_1 =
+    2^30``: past what a basis sized for one product holds."""
+    rng = np.random.default_rng(5)
+    return QuantizedCNN(
+        conv_weight=rng.integers(-2, 3, size=(1, 1, 3, 3)),
+        conv_bias=np.array([1]),
+        dense_weight=np.array([[1 << 28, -3]]),
+        dense_bias=np.array([2, -1]),
+        input_scale=15,
+        conv_weight_scale=4.0,
+        dense_weight_scale=4.0,
+        act_scale=15,
+        activation="square",
+        pool="scaled_mean",
+        pool_window=2,
+    )
+
+
 class TestCryptonetsEquivalence:
+    """The pure-HE chain keeps its squares unscaled through pool and fc and
+    rounds once per logit; the oracle does the same in Python ints."""
+
+    @pytest.fixture(scope="class", params=[1, 3], ids=["batch1", "batch3"])
+    def runs(self, request, models, q_square, pure_he_params):
+        images = models.dataset.test_images[: request.param]
+        outs = {}
+        for name, context_type in (("reference", oracle.Context), ("fused", Context)):
+            pipe = CryptonetsPipeline(
+                q_square, pure_he_params, seed=21, context_type=context_type
+            )
+            outs[name] = (pipe.infer(images), dict(pipe.counter.counts))
+        expected = PlaintextPipeline(q_square).infer(images).logits
+        return request.param, outs, expected
+
+    def test_result_ciphertext_bit_identical(self, runs):
+        _, outs, _ = runs
+        ref, fus = outs["reference"][0], outs["fused"][0]
+        assert ref.logits_ct.is_ntt == fus.logits_ct.is_ntt
+        assert ref.logits_ct.data.tobytes() == fus.logits_ct.data.tobytes()
+
+    def test_logits_equal_plaintext_and_tallies(self, runs, q_square):
+        batch, outs, expected = runs
+        f, _, k, _ = q_square.conv_weight.shape
+        _, h, w = q_square.input_shape
+        outputs = ((h - k) // q_square.stride + 1) * ((w - k) // q_square.stride + 1)
+        for result, counts in outs.values():
+            assert np.array_equal(result.logits, expected)
+            assert counts["ct_mul"] == batch * f * outputs
+            assert counts["relinearize"] == batch * expected.shape[1]
+        assert outs["reference"][1] == outs["fused"][1]
+
     def test_logits_and_tallies_match(self, q_square, pure_he_params, test_images):
         outs = {}
         for name, context_type in (("reference", oracle.Context), ("fused", Context)):
@@ -113,3 +173,52 @@ class TestMixed:
         alone = Ciphertext(reference.context, ct.data, ct.is_ntt)
         expected = reference.relinearize(reference.square(alone), pipe._relin_keys)
         assert mixed.data.tobytes() == expected.data.tobytes()
+
+
+class TestDeferredRescaleBound:
+    """The auxiliary basis is sized from the graph's public fc weights when
+    the pipeline binds; a product outside it is refused, never rounded."""
+
+    def test_a_wide_fc_sizes_the_basis(self):
+        quantized = _square_model_with_wide_fc()
+        params = parameters_for_pipeline(quantized, 256)
+        images = np.random.default_rng(6).random((2, 1, 4, 4))
+        unsized = aux_primes(256, params.coeff_primes, params.plain_modulus)
+        results = {}
+        for context_type in (oracle.Context, Context):
+            pipe = CryptonetsPipeline(quantized, params, seed=3, context_type=context_type)
+            assert len(pipe.context.aux_basis.primes) > len(unsized)
+            results[context_type] = pipe.infer(images)
+        expected = PlaintextPipeline(quantized).infer(images).logits
+        ref, fus = results[oracle.Context], results[Context]
+        assert np.array_equal(fus.logits, expected)
+        assert np.array_equal(ref.logits, expected)
+        assert fus.logits_ct.data.tobytes() == ref.logits_ct.data.tobytes()
+
+    def test_a_basis_sized_for_one_product_refuses(self):
+        quantized = _square_model_with_wide_fc()
+        params = parameters_for_pipeline(quantized, 256)
+        pipe = CryptonetsPipeline(quantized, params, seed=3)
+        pipe.context._aux_basis = AuxBasis(
+            pipe.context.ring,
+            params.plain_modulus,
+            aux_primes(256, params.coeff_primes, params.plain_modulus),
+        )
+        with pytest.raises(ParameterError, match="left the auxiliary basis"):
+            pipe.infer(np.random.default_rng(6).random((2, 1, 4, 4)))
+
+    def test_a_corrupted_product_is_refused(
+        self, monkeypatch, q_square, pure_he_params, test_images
+    ):
+        pipe = CryptonetsPipeline(q_square, pure_he_params, seed=21)
+        square = heops.he_square
+        k = pipe.context.ring.k
+
+        def corrupt(evaluator, ct):
+            product = square(evaluator, ct)
+            product.data[..., k, :] += 1  # one auxiliary residue off by one
+            return product
+
+        monkeypatch.setattr(heops, "he_square", corrupt)
+        with pytest.raises(ParameterError, match="left the auxiliary basis"):
+            pipe.infer(test_images[:1])

@@ -1,11 +1,13 @@
 """Linear work on ciphertexts in the domain they arrive in.
 
-``Evaluator.multiply`` returns the coefficient domain, and the pure-HE chain
-pools and contracts its size-3 squares there before its one relinearization
-per logit.  A sum and a product by integers are the same residues on either
-side of the (exact, mod p) transform, so the window sum and fc computed in
-the coefficient domain must equal, byte for byte after one transform, the
-same layer run on the NTT-domain input -- with the same op tallies.
+``Evaluator.multiply`` returns the coefficient domain, and pool and fc take
+its size-3 products there without a transform.  (The pure-HE chain itself
+pools and contracts the unscaled products before rescaling, see
+``tests/core/test_kernel_equivalence.py``.)  A sum and a product by integers
+are the same residues on either side of the (exact, mod p) transform, so
+the window sum and fc computed in the coefficient domain must equal, byte
+for byte after one transform, the same layer run on the NTT-domain input --
+with the same op tallies.
 """
 
 from __future__ import annotations

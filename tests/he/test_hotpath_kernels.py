@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro.errors import EncodingError, ParameterError
 from repro.he import modmath, oracle, polyring
 from repro.he.batching import pack_coefficients
-from repro.he.context import Ciphertext, Context, Plaintext
+from repro.he.context import Ciphertext, Context, Plaintext, TensorProduct
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
 from repro.he.encoders import ScalarEncoder
 from repro.he.encryptor import Encryptor, SymmetricEncryptor
@@ -1134,6 +1134,47 @@ class TestRnsMultiply:
         assert got.dtype == np.int64
         assert np.array_equal(got, ring.scale_and_round(d, t, q))
 
+    def test_a_product_combination_rounds_once_like_the_oracle(self, rng):
+        """``round(t/q * sum L_i d_i)`` of uniform products with ``||L||_1 =
+        2^41 + 9``: a context holding that norm returns the oracle's bytes,
+        and one sized for a single product refuses instead of wrapping."""
+        params = _custom_params(30, 5, 1 << 31, name="workload_shape")
+        weights = [3, -(1 << 40), 5, 1 << 40, 1]
+        a, b = (self._uniform_ct(Context(params), rng, len(weights)) for _ in range(2))
+
+        def combined(each):
+            product = Evaluator(each).tensor_product(*_on(each, a, b))
+            col = np.array(each.product_primes)[:, None]
+            acc = np.zeros_like(product.data[0])
+            for w, term in zip(weights, product.data):
+                acc = (acc + (w % col) * term) % col
+            return TensorProduct(each, acc[None], product.is_ntt)
+
+        outputs = []
+        for each in (Context(params), oracle.Context(params)):
+            each.hold_product_sums(sum(map(abs, weights)))
+            outputs.append(Evaluator(each).rescale(combined(each)).data.tobytes())
+        assert outputs[0] == outputs[1]
+        unsized = Context(params)
+        with pytest.raises(ParameterError, match="left the auxiliary basis"):
+            Evaluator(unsized).rescale(combined(unsized))
+
+    def test_a_wider_basis_keeps_multiply_and_refuses_stale_products(self, rng):
+        """Holding a wider combination rebuilds the basis: a single product
+        rescales to the same bytes, and a product computed over the old basis
+        is refused by shape."""
+        context = Context(small_parameter_options()[256])
+        evaluator = Evaluator(context)
+        a, b = self._uniform_ct(context, rng, 3), self._uniform_ct(context, rng, 3)
+        before = evaluator.multiply(a, b).data
+        stale = evaluator.tensor_product(a, b)
+        narrow = len(context.aux_basis.primes)
+        context.hold_product_sums(1 << 62)
+        assert len(context.aux_basis.primes) > narrow
+        assert np.array_equal(evaluator.multiply(a, b).data, before)
+        with pytest.raises(ParameterError, match="rescale takes"):
+            evaluator.rescale(stale)
+
     def test_truncated_basis_trips_the_check_prime(self, rng):
         """Two base primes short of the bound, the rounded coefficient wraps
         modulo the base; its check-prime residue does not, and no wrong
@@ -1219,8 +1260,9 @@ class TestRnsMultiply:
 
     def test_fused_inference_never_touches_python_ints(self, square_model, monkeypatch):
         """A production ``CryptonetsPipeline.infer`` calls none of the oracle's
-        bridges and leaves no object-dtype array in any frame of
-        ``multiply`` / ``square`` / ``relinearize``."""
+        bridges and leaves no object-dtype array in any frame of the
+        multiply's two halves (``tensor_product`` / ``rescale``) or
+        ``relinearize``."""
         from repro.core import CryptonetsPipeline, parameters_for_pipeline
 
         square, _, images = square_model
@@ -1269,17 +1311,19 @@ class TestRnsMultiply:
 
         for name in ("to_bigint", "to_bigint_centered", "convolve_exact", "scale_and_round"):
             bridge(name)
-        for name in ("multiply", "square", "relinearize"):
+        for name in ("tensor_product", "rescale", "relinearize"):
             watch(name)
         logits = pipeline.infer(images[:1]).logits
         assert np.array_equal(logits, expected)
-        assert {"square", "multiply", "relinearize"} <= set(watched)
+        assert {"tensor_product", "rescale", "relinearize"} <= set(watched)
         assert bridge_calls == [] and object_arrays == []
 
     def test_workload_batch_stays_bounded(self, rng):
         """The pure-HE workload squares and relinearizes a (1, 2, 8, 8) batch
-        at five primes, a 3.75 MiB result: 14 MiB at the peak in 16-ciphertext
-        chunks, 54 MiB with the 13-prime product of the whole batch in flight."""
+        at five primes, a 3.75 MiB result: 20 MiB at the peak, of which the
+        13-prime unscaled product between the multiply's two halves is 10 MiB,
+        with both halves run in 16-ciphertext chunks; 54 MiB when the
+        product's transients were not chunked."""
         context = Context(_custom_params(30, 5, 1 << 31))
         relin_keys = KeyGenerator(context, rng).relin_keys(
             KeyGenerator(context, rng).secret_key()
