@@ -18,7 +18,8 @@ the production context, and reports:
   CRT lift + rounding vs the int64 Garner lift + int64 rounding) and
   ``pack_fold`` (``multiply_plain`` + ``sum_batch`` over the stacked batch
   vs ``pack_coefficients``' deferred-reduction multiply-accumulate over the
-  16 un-stacked requests, with the ``tracemalloc`` peak of each);
+  16 un-stacked requests, four per ciphertext at the image stride ``n //
+  4``, with the ``tracemalloc`` peak of each);
 * the pure-HE activation on the ``cryptonets_direct`` workload's own
   ``(1, 2, 8, 8)`` batch: ``ct_multiply`` (``Evaluator.square``: Python-int
   tensor product vs the int64 RNS kernel) and ``relinearize`` (digits off the
@@ -60,6 +61,9 @@ from repro.he.polyring import PolyContext
 
 #: Requests x tensor positions of one full serving flush (``packed_waves``).
 FLUSH_SHAPE = (16, 288)
+#: Requests the ``pack_fold`` row's fold packs per ciphertext (12 x 12
+#: images at n = 1024 pack 7).
+FOLD_PER = 4
 #: The conv output ``cryptonets_direct`` squares per image: the relinearize
 #: kernel's micro-bench shape.  The workload itself relinearizes its
 #: ``(1, 10)`` logits, after pool and fc (``ir.build_cryptonets_graph``).
@@ -150,23 +154,28 @@ def _time_flush_kernels(params, reps: int, rng) -> tuple[dict, dict, dict]:
         "speedup": ref_s / fus_s,
     }
 
-    # pack_fold: the host-side stride-1 fold of scalar requests into coefficients.
+    # pack_fold: the flush's host-side fold of its requests, FOLD_PER per
+    # ciphertext at stride n // FOLD_PER (the image stride H*W).
     stacked = encryptor.encrypt(ScalarEncoder(context).encode(rows))
     requests = [stacked[b : b + 1].copy() for b in range(FLUSH_SHAPE[0])]
     composed_eval = Evaluator(context, OperationCounter())
     fused_eval = Evaluator(context, OperationCounter())
-    monomials = np.eye(FLUSH_SHAPE[0], context.poly_degree, dtype=np.int64)
+    stride = context.poly_degree // FOLD_PER
+    monomials = np.zeros((FLUSH_SHAPE[0], context.poly_degree), dtype=np.int64)
+    blocks = np.arange(FLUSH_SHAPE[0]) % FOLD_PER
+    monomials[np.arange(FLUSH_SHAPE[0]), stride * blocks] = 1
     x_powers = composed_eval.transform_plain(Plaintext(context, monomials)).data
 
     def fused():
-        # Stride 1, one request per coefficient; the flush folds with
-        # stride H*W instead, P = n // (H*W) images per ciphertext.
-        return pack_coefficients(fused_eval, requests)
+        return pack_coefficients(fused_eval, requests, stride)
 
     def composed():
-        # The same x^b operand the fused fold reads, as the old two calls.
+        # The same x^(stride * (b % P)) operand the fused fold reads, as the
+        # old two calls: multiply every request, then sum each row's P.
         operand = PlainOperand(context, x_powers[:, None])
-        return composed_eval.sum_batch(composed_eval.multiply_plain(stacked, operand), axis=0)
+        products = composed_eval.multiply_plain(stacked, operand)
+        per_row = products.reshape(FLUSH_SHAPE[0] // FOLD_PER, FOLD_PER, FLUSH_SHAPE[1])
+        return composed_eval.sum_batch(per_row, axis=1)
 
     fused_s, fused_ct = _median_seconds(fused, reps)
     composed_s, composed_ct = _median_seconds(composed, reps)

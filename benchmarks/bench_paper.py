@@ -934,33 +934,35 @@ def deep_model(depth: int, seed: int):
 
 
 DEPTH_COLUMNS = (
-    "hybrid_time_s", "crossings", "hybrid_log2q", "pure_he_log2q_needed", "budget_bits",
+    "hybrid_time_s", "hybrid_wall_s", "crossings", "hybrid_log2q", "pure_he_log2q_needed",
+    "budget_bits",
 )
 
 
 def measure_depth(rig: Rig, scale: BenchScale) -> dict:
     depths = [1, 2, 3]
+    # Images are encrypted one per polynomial: depth 3's 22 x 22 needs n >= 484.
+    n = max(scale.poly_degree, 512)
     series = {key: [] for key in DEPTH_COLUMNS}
     matches = []
     for depth in depths:
         quantized, images = deep_model(depth, seed=80 + depth)
-        params = parameters_for_pipeline(quantized, scale.poly_degree)
+        params = parameters_for_pipeline(quantized, n)
         pipeline = DeepHybridPipeline(quantized, params, seed=80 + depth)
         batch = images[:2]
         series["hybrid_time_s"].append(
             best(lambda: pipeline.infer(batch), 2, pipeline.platform.clock)
         )
+        series["hybrid_wall_s"].append(best(lambda: pipeline.infer(batch), 2))
         result = pipeline.infer(batch)
         matches.append(np.array_equal(result.logits, quantized.forward_int(batch)))
         series["crossings"].append(result.enclave_crossings)
         series["hybrid_log2q"].append(params.coeff_modulus.bit_length())
         series["pure_he_log2q_needed"].append(
-            pure_he_modulus_bits_for_depth(
-                depth, params.plain_modulus.bit_length(), scale.poly_degree
-            )
+            pure_he_modulus_bits_for_depth(depth, params.plain_modulus.bit_length(), n)
         )
         series["budget_bits"].append(result.noise_budget_bits)
-    return {"n": scale.poly_degree, "depths": depths, "all_exact": all(matches), **series}
+    return {"n": n, "depths": depths, "all_exact": all(matches), **series}
 
 
 def render_depth(m: dict) -> str:
@@ -970,8 +972,10 @@ def render_depth(m: dict) -> str:
         {key: m[key] for key in DEPTH_COLUMNS},
         title=(
             f"Depth ablation: multi-block hybrid inference under a fixed-size modulus, "
-            f"n={m['n']}, scale={m['scale']} (pure_he_log2q_needed: analytic modulus "
-            f"requirement at that depth; budget_bits: final noise budget)"
+            f"n={m['n']}, scale={m['scale']} (hybrid_time_s: simulated seconds per "
+            f"2-image batch; hybrid_wall_s: host wall seconds of the same; "
+            f"pure_he_log2q_needed: analytic modulus requirement at that depth; "
+            f"budget_bits: final noise budget)"
         ),
     ) + f"\nlogits == integer reference at every depth: {m['all_exact']}"
 

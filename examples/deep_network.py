@@ -6,7 +6,9 @@ expensive (Section VIII).  The hybrid framework does not: the enclave
 re-encrypts at every activation, so a 2-block network runs under the same
 modest FV parameters as a 1-block one -- this example shows it live,
 including the per-block stage breakdown and the depth-independent noise
-budget.
+budget.  Images are encrypted one per polynomial (18 x 18 pixels fit n =
+1024), and each block's enclave crossing writes the next block's images.
+Exits nonzero if the encrypted logits differ from the integer reference.
 
 Run:
     python examples/deep_network.py
@@ -61,6 +63,8 @@ def main() -> None:
     print(f"   bit-exact vs integer reference: {exact}")
     print(f"   labels:      {data.test_labels[:3].tolist()}")
     print(f"   predictions: {result.predictions.tolist()}")
+    if not exact:
+        raise SystemExit("BUG: the deep hybrid pipeline must be bit-exact")
 
 
 if __name__ == "__main__":

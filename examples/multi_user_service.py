@@ -23,6 +23,9 @@ Puts the whole reproduction together the way an integrator would:
    reconnects against its pinned fingerprint, and the survivor's logits
    are bit-identical.
 
+Exits nonzero if the failed-over logits or the SIMD pipeline's logits are
+not bit-identical to their references.
+
 Run:
     python examples/multi_user_service.py
 """
@@ -122,10 +125,12 @@ def main() -> None:
     server.fleet.retire(authority, "host crash")
     victim.reconnect()
     after = victim.infer("digits", image)
+    survived = np.array_equal(victim.decrypt_logits(after), before)
     print(f"   replica {authority} lost; client reconnected "
           f"({victim.state.value}, pin unchanged)")
-    print(f"   survivor replica {after.replica} logits bit-identical: "
-          f"{np.array_equal(victim.decrypt_logits(after), before)}")
+    print(f"   survivor replica {after.replica} logits bit-identical: {survived}")
+    if not survived:
+        raise SystemExit("BUG: failover must keep the logits bit-identical")
 
     print("\n== Telemetry: the failed-over request's trace timeline ==")
     # The client SDK injected a deterministic TraceContext into the request;
@@ -147,7 +152,10 @@ def main() -> None:
     plain8 = reference.infer(batch)
     print(f"   8 images: {packed.total_elapsed_s:.2f}s simulated "
           f"({packed.total_elapsed_s / 8:.2f}s per image)")
-    print(f"   bit-exact vs plaintext: {np.array_equal(packed.logits, plain8.logits)}")
+    exact = np.array_equal(packed.logits, plain8.logits)
+    print(f"   bit-exact vs plaintext: {exact}")
+    if not exact:
+        raise SystemExit("BUG: the SIMD pipeline must be bit-exact")
 
 
 if __name__ == "__main__":

@@ -46,6 +46,9 @@ class GraphPipeline:
     graph_kind = ""
 
     def _bind(self, *, enclave=None, relin_keys=None, **graph_options) -> None:
+        self.graph = ir.build_graph(
+            self.graph_kind, self.quantized, self.context.params, **graph_options
+        )
         self.resources = graph_executor.Resources(
             tracer=self.tracer,
             evaluator=self.evaluator,
@@ -56,9 +59,6 @@ class GraphPipeline:
             decryptor=self.decryptor,
             quantize=self.quantized.quantize_images,
             relin_keys=relin_keys,
-        )
-        self.graph = ir.build_graph(
-            self.graph_kind, self.quantized, self.context.params, **graph_options
         )
         #: Extra attrs the scheme stamps on its pipeline span.
         self.span_attrs: dict = {}

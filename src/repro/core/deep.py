@@ -6,35 +6,40 @@ coefficient modulus and the runtime.  The hybrid framework does not have
 that problem: the enclave re-encrypts at every activation, so homomorphic
 noise never accumulates across blocks and *one* modest parameter set serves
 any depth.  :class:`DeepHybridPipeline` demonstrates it by running
-multi-block CNNs (see :mod:`repro.nn.deep`) block by block:
+multi-block CNNs (see :mod:`repro.nn.deep`) on the SIMD pipeline's image
+chain, one block after another:
 
-    HE conv (outside) -> enclave activation+pool -> HE conv -> ... -> HE FC
+    fold -> HE conv_0 (outside) -> enclave activation+pool -> HE conv_1 ->
+    ... -> enclave activation+pool+fc
 
-The ``ablation_depth`` row of ``benchmarks/bench_paper.py`` quantifies the
-asymmetry against a hypothetical pure-HE evaluation of the same depth.
+Each inner crossing re-encrypts its pooled maps as the next block's images,
+``n // (H*W)`` per ciphertext, so only the first block folds on the host;
+the last computes fc and writes the result format.  The ``ablation_depth``
+row of ``benchmarks/bench_paper.py`` quantifies the asymmetry against a
+hypothetical pure-HE evaluation of the same depth.
 """
 
 from __future__ import annotations
 
-from repro.core import heops
-from repro.core.base import EnclavePipeline
+from repro.core.simd import SimdHybridPipeline
 from repro.he.params import EncryptionParams
 from repro.nn.deep import DeepQuantizedCNN
 from repro.sgx.enclave import SgxPlatform
 
 
-class DeepHybridPipeline(EnclavePipeline):
-    """Hybrid HE+SGX inference over multi-block quantized CNNs.
+class DeepHybridPipeline(SimdHybridPipeline):
+    """Hybrid HE+SGX inference over multi-block quantized CNNs: a SIMD graph
+    with one conv and one enclave crossing per block.
 
     Args:
         quantized: a :class:`~repro.nn.deep.DeepQuantizedCNN`.
-        params: FV parameters sized for ONE linear layer (depth-independent).
+        params: FV parameters sized for ONE linear layer (depth-independent);
+            an image of the model must fit ``n`` coefficients.
         platform: simulated SGX machine.
         seed: reproducible randomness.
     """
 
     scheme = "DeepEncryptSGX"
-    graph_kind = "deep"
 
     def __init__(
         self,
@@ -45,21 +50,6 @@ class DeepHybridPipeline(EnclavePipeline):
     ) -> None:
         super().__init__(quantized, params, platform, seed)
         self.span_attrs = {"blocks": len(quantized.blocks)}
-
-    def _encode_weights(self) -> dict:
-        weights = {
-            f"conv_{i}": heops.encode_conv_weights(
-                self.evaluator, self.encoder, block.weight, block.bias, block.stride
-            )
-            for i, block in enumerate(self.quantized.blocks)
-        }
-        weights["fc"] = heops.encode_dense_weights(
-            self.evaluator,
-            self.encoder,
-            self.quantized.dense_weight,
-            self.quantized.dense_bias,
-        )
-        return weights
 
 
 def pure_he_modulus_bits_for_depth(

@@ -21,6 +21,7 @@ key-exchange payload; a test asserts this boundary.
 
 from __future__ import annotations
 
+import functools
 import struct
 from contextlib import contextmanager
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from repro.core import securechannel
 from repro.errors import EncodingError, PipelineError
-from repro.he.batching import ImageLayout, read_image, write_lanes
+from repro.he.batching import ImageLayout, read_image, write_image, write_lanes
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
 from repro.he.encoders import ScalarEncoder
@@ -196,14 +197,19 @@ class InferenceEnclave(Enclave):
         public integer ``(D, O)`` weight and ``(O,)`` bias, passed per call
         so the enclave holds no model state.  Image ``b``'s logits come back
         as served result ``b``: one ciphertext per image, class ``c`` in
-        coefficient ``c``, every other coefficient zero.
+        coefficient ``c``, every other coefficient zero.  Without ``fc`` it
+        is an inner block's crossing of a multi-block model: the pooled maps
+        come back as the next block's images, ``n // (H*W)`` per ciphertext
+        (:func:`~repro.he.batching.write_image`), folded as that block's conv
+        reads them.
         """
         values = self._decrypt_values(ct, batch, image)
         pooled = _activate_pool(values, input_scale, output_scale, window, activation, pool)
         if image is None:
             return self._encrypt_values(pooled)
         if fc is None:
-            raise PipelineError("the served crossing takes fc's weight and bias")
+            per = self._context.poly_degree // (pooled.shape[2] * pooled.shape[3])
+            return self._encrypt_values(pooled, functools.partial(write_image, per=per))
         weight, bias = fc
         features = pooled.reshape(len(pooled), -1)
         if weight.shape[0] != features.shape[1]:
@@ -212,7 +218,7 @@ class InferenceEnclave(Enclave):
                 f"{features.shape[1]}"
             )
         logits = features @ weight + bias
-        return self._encrypt_values(logits.T, lanes=True).reshape(len(pooled))
+        return self._encrypt_values(logits.T, write_lanes).reshape(len(pooled))
 
     @ecall
     def sigmoid(self, ct: Ciphertext, input_scale: float, output_scale: int) -> Ciphertext:
@@ -291,26 +297,24 @@ class InferenceEnclave(Enclave):
         self._load_crypto_state()
         with _typed_read():
             if image is not None:
-                plain = self._decryptor.decrypt(ct)
-                if batch is None:
-                    return read_image(plain, image)
-                per = image.per_ciphertext(self._context.poly_degree)
-                return read_image(plain, image, batch, per)
+                per = 1 if batch is None else image.per_ciphertext(self._context.poly_degree)
+                return read_image(self._decryptor.decrypt(ct), image, batch, per)
             return decrypt_scalar_values(
                 self._decryptor, ScalarEncoder(self._context), ct
             )
 
-    def _encrypt_values(self, values: np.ndarray, lanes: bool = False) -> Ciphertext:
-        """One scalar ciphertext per value, or row ``b`` of ``values`` in
-        coefficient ``b`` of a ``(1, ...)`` one (a served result's classes)."""
+    def _encrypt_values(self, values: np.ndarray, write=None) -> Ciphertext:
+        """One scalar ciphertext per value, or the plaintext ``write(context,
+        values)`` lays out (a served result's classes, the next block's
+        images)."""
         t = self._context.plain_modulus
         limit = t // 2
         if (np.abs(values) > limit).any():
             raise PipelineError(
                 f"re-encryption values exceed the plaintext range +-{limit}"
             )
-        if lanes:
-            return self._encryptor.encrypt(write_lanes(self._context, values))
+        if write is not None:
+            return self._encryptor.encrypt(write(self._context, values))
         coeffs = np.zeros((*values.shape, self._context.poly_degree), dtype=np.int64)
         coeffs[..., 0] = values % t
         return self._encryptor.encrypt(Plaintext(self._context, coeffs))

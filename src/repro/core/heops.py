@@ -6,10 +6,10 @@ into ciphertext-plaintext multiplications (``C x P``) and ciphertext
 additions (``C + C``).  These helpers operate on *batched* ciphertexts whose
 batch axes mirror the tensor layout ``(B, C, H, W)``, one ciphertext per
 pixel, exactly the paper's non-SIMD encoding -- except on the serving
-paths and the SIMD pipeline, which walks the serving flush's chain: their
-convolution (:func:`encode_image_conv`) takes ``(B, C)`` ciphertexts
-carrying one image each in their coefficients, and their fc runs inside
-the enclave's activation crossing, on plaintext
+paths and the SIMD pipeline (at any depth), which walk the serving flush's
+chain: their convolution (:func:`encode_image_conv`, one per block) takes
+``(B, C)`` ciphertexts carrying one image each in their coefficients, and
+their fc runs inside the enclave's last activation crossing, on plaintext
 (:func:`encode_served_weights`).
 
 Weights are pre-encoded once (Section IV-B / Fig. 3) via
@@ -117,22 +117,22 @@ class ImageConvWeights:
 
 
 def encode_image_conv(
-    evaluator: Evaluator, quantized, layout: ImageLayout
+    evaluator: Evaluator, block, layout: ImageLayout
 ) -> ImageConvWeights:
-    """Encode ``quantized``'s conv layer for images laid out by ``layout``
-    (:func:`repro.graph.ir.image_layout`)."""
+    """Encode one conv block (:class:`~repro.nn.quantize.QuantizedConvBlock`)
+    for images laid out by ``layout`` (a ``crossing_image`` node's ``image``)."""
     context = evaluator.context
     n = context.poly_degree
-    weight = np.asarray(quantized.conv_weight, dtype=np.int64)
+    weight = np.asarray(block.weight, dtype=np.int64)
     f, c, k, _ = weight.shape
     taps = np.zeros((f, c, n), dtype=np.int64)
     taps[..., layout.kernel_offsets().ravel()] = weight.reshape(f, c, k * k)
-    block = np.zeros((f, n), dtype=np.int64)
-    block[:, layout.output_offsets().ravel()] = np.asarray(quantized.conv_bias)[:, None]
+    bias = np.zeros((f, n), dtype=np.int64)
+    bias[:, layout.output_offsets().ravel()] = np.asarray(block.bias)[:, None]
     # Block 0's bias shifted onto each block by the fold's own monomials
     # (built here, at provisioning, not by a request), then prefix-summed.
     ring = context.ring
-    first = evaluator.transform_plain_delta(Plaintext(context, block)).data
+    first = evaluator.transform_plain_delta(Plaintext(context, bias)).data
     shifted = ring.pointwise_mul(first, stride_monomials(context, layout.pixels)[:, None])
     rows = [shifted[0]]
     for term in shifted[1:]:
@@ -144,14 +144,21 @@ def encode_image_conv(
     )
 
 
-def encode_served_weights(evaluator: Evaluator, quantized, layout: ImageLayout) -> dict:
-    """The weights of the image-encoded chain, by stage: conv's
-    :func:`encode_image_conv` operands and fc's public integer ``(D, O)``
-    weight and ``(O,)`` bias, which the crossing takes per call."""
-    fc = tuple(
+def encode_served_weights(evaluator: Evaluator, quantized, graph) -> dict:
+    """The weights of ``graph``'s image chain, by stage: each block's
+    :func:`encode_image_conv` operands at the layout its crossing reads, and
+    fc's public integer ``(D, O)`` weight and ``(O,)`` bias, which the last
+    crossing takes per call."""
+    convs = [node.stage for node in graph.nodes if node.op == "conv"]
+    layouts = [node.attrs["image"] for node in graph.nodes if node.op == "crossing_image"]
+    weights = {
+        stage: encode_image_conv(evaluator, block, layout)
+        for stage, block, layout in zip(convs, quantized.blocks, layouts, strict=True)
+    }
+    weights["fc"] = tuple(
         np.asarray(a, dtype=np.int64) for a in (quantized.dense_weight, quantized.dense_bias)
     )
-    return {"conv": encode_image_conv(evaluator, quantized, layout), "fc": fc}
+    return weights
 
 
 @dataclass(eq=False)

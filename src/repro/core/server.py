@@ -281,12 +281,11 @@ class EdgeServer:
         # Both kinds walk the same operands, encoded here, once; fc's public
         # integer weight and bias ride each crossing (the enclave keeps no
         # model state to re-provision after a restart or failover).
-        image = packed.node("crossing_image").attrs["image"]
         self._resources[name] = graph_executor.Resources(
             tracer=self.platform.tracer,
             evaluator=self.evaluator,
             encoder=self.encoder,
-            weights=heops.encode_served_weights(self.evaluator, quantized, image),
+            weights=heops.encode_served_weights(self.evaluator, quantized, packed),
         )
         self._graphs[name, "served"] = graph_ir.build_graph(
             "served", quantized, self.params

@@ -7,10 +7,15 @@ The user encrypts each image in the served request format, one image per
 polynomial (:func:`~repro.he.batching.write_image`); the host folds ``P = n
 // (H*W)`` images into each ciphertext, so conv costs one
 plaintext-polynomial product per (filter, channel) per ``P`` images; and one
-enclave crossing activates, pools, computes fc and re-encrypts one result
-per image, class ``c`` in coefficient ``c``.  The graph's nodes between the
-user's encrypt and decrypt are the ``packed`` graph's
-(:func:`~repro.graph.ir.build_simd_graph`).
+enclave crossing per block activates, pools and re-encrypts.  The last
+block's crossing also computes fc and writes one result per image, class
+``c`` in coefficient ``c``; an inner block's writes its pooled maps as the
+next block's images, already folded.  The graph's nodes between the user's
+encrypt and decrypt are the ``packed`` graph's
+(:func:`~repro.graph.ir.build_simd_graph`), so a
+:class:`~repro.nn.quantize.QuantizedCNN` is one block and a
+:class:`~repro.nn.deep.DeepQuantizedCNN` several
+(:class:`~repro.core.deep.DeepHybridPipeline`).
 
 All traffic is still end-to-end encrypted: the enclave reads the packed
 images only after decrypting inside trusted code
@@ -24,7 +29,6 @@ import numpy as np
 from repro.core import heops
 from repro.core.base import EnclavePipeline
 from repro.errors import PipelineError
-from repro.graph import ir
 from repro.he.batching import write_image
 from repro.he.context import Ciphertext
 from repro.he.params import EncryptionParams
@@ -38,7 +42,7 @@ class SimdHybridPipeline(EnclavePipeline):
     Functionally identical to :class:`~repro.core.hybrid.HybridPipeline` in
     ``batched`` mode -- same enclave, bit-exact against the plaintext
     reference -- but ``n // (H*W)`` images share each ciphertext, and fc
-    runs inside the one crossing, as on the serving paths.
+    runs inside the last crossing, as on the serving paths.
 
     Raises:
         ParameterError: an image of the model does not fit the ring.
@@ -54,14 +58,13 @@ class SimdHybridPipeline(EnclavePipeline):
         platform: SgxPlatform | None = None,
         seed: int | None = None,
     ) -> None:
-        if quantized.activation == "square":
+        if any(block.activation == "square" for block in quantized.blocks):
             raise PipelineError("the SIMD hybrid serves exact-activation models only")
         super().__init__(quantized, params, platform, seed)
 
     def _encode_weights(self) -> dict:
         """As ``EdgeServer.provision_model`` encodes them."""
-        layout = ir.image_layout(self.quantized, self.params)
-        return heops.encode_served_weights(self.evaluator, self.quantized, layout)
+        return heops.encode_served_weights(self.evaluator, self.quantized, self.graph)
 
     def encrypt_images(self, images: np.ndarray) -> Ciphertext:
         """User side: the served request format, ``(B, C)`` ciphertexts."""

@@ -21,7 +21,6 @@ from repro.graph.ir import (
     GraphNode,
     InferenceGraph,
     build_cryptonets_graph,
-    build_deep_graph,
     build_graph,
     build_hybrid_graph,
     build_served_graph,
@@ -33,7 +32,6 @@ __all__ = [
     "GraphNode",
     "InferenceGraph",
     "build_cryptonets_graph",
-    "build_deep_graph",
     "build_graph",
     "build_hybrid_graph",
     "build_served_graph",

@@ -1,7 +1,7 @@
 """Execute an inference graph: the one place an HE chain runs.
 
-Every pipeline (hybrid, CryptoNets, SIMD, deep), ``EdgeServer.infer`` and
-the scheduler's packed flush hand :func:`run` a graph plus a
+Every pipeline (hybrid, CryptoNets, SIMD at any depth), ``EdgeServer.infer``
+and the scheduler's packed flush hand :func:`run` a graph plus a
 :class:`Resources` value naming exactly what the walk may touch, and get
 back the result ciphertext (and, when the graph ends in a decrypt node,
 the logits and the measured noise budget).  The walk looks each node's
@@ -10,8 +10,9 @@ graph identity, so traces, metrics, op tallies and the node profiler see
 every chain the same way.  The walk of each graph kind performs the HE
 ops, ECALLs and RNG draws of the hand-written chain it replaced, in the
 same order — that is what makes the differential equivalence suite
-meaningful — except SIMD's, which walks the packed flush's own nodes
-between the user's encrypt and decrypt instead.
+meaningful — except SIMD's (and the deep hybrid's, a SIMD graph of several
+blocks), which walks the packed flush's own nodes between the user's
+encrypt and decrypt instead.
 
 Handlers reach ``heops.he_conv2d`` / ``heops.he_dense`` through the module
 and ``pack_coefficients`` through this module's global at call time, never
@@ -54,8 +55,8 @@ class Resources:
             crossing deltas).
         evaluator / encoder: the untrusted side's HE endpoints.
         weights: encoded weights by contraction stage name (``conv``,
-            ``fc``, ``conv_0`` ...); on the serving kinds ``fc`` is the
-            public integer ``(weight, bias)`` pair their crossing takes.
+            ``fc``, ``conv_0`` ...); on the image chain ``fc`` is the
+            public integer ``(weight, bias)`` pair its last crossing takes.
         enclave: handle the crossing nodes ECALL into.
         encryptor / decryptor / quantize: the user role, for graphs that
             start at raw images and end at logits.
@@ -170,12 +171,15 @@ def _crossing(env, node, conv, walk):
 def _crossing_image(env, node, conv, walk):
     with _node_stage(env, node):
         # One image per conv-output ciphertext, or a fold's batch P per
-        # ciphertext; fc runs inside too, and each image's logits come back
-        # as its own result ciphertext.
+        # ciphertext.  The last crossing runs fc too, and each image's
+        # logits come back as its own result ciphertext; any other writes
+        # its pooled maps as the next block's images, folded as that
+        # block's conv reads them.
         folded = walk.folded if walk.folded > 1 else None
+        fc = None if node.attrs.get("next_image") else env.weights["fc"]
         return env.enclave.ecall(
             "activation_pool", conv, *_enclave_args(node),
-            image=node.attrs["image"], batch=folded, fc=env.weights["fc"],
+            image=node.attrs["image"], batch=folded, fc=fc,
         )
 
 

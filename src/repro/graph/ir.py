@@ -13,16 +13,17 @@ check a graph's headroom (:func:`require_headroom`) without touching
 ciphertexts.
 
 One builder per graph kind (:data:`BUILDERS`): ``hybrid``, ``cryptonets``,
-``deep``, the two serving kinds, which one builder makes
-(:func:`build_served_graph`): ``served`` (``EdgeServer.infer``: conv, then
-one crossing that also computes fc and re-encrypts the logits, one result
-ciphertext per image) and ``packed`` (the scheduler flush: the same chain
-behind a ``fold``), and ``simd``, the ``packed`` chain between the user's
-encrypt and decrypt.  They take the served request format, one image per
-polynomial (:func:`image_layout`); their crossing carries that layout as an
-``image`` attribute.  Work on coefficients (``encrypt_image``, ``fold``,
-``crossing_image``, ``decrypt_result``) has its own ops, not flags on the
-scalar ones.
+the two serving kinds, which one builder makes (:func:`build_served_graph`):
+``served`` (``EdgeServer.infer``: conv, then one crossing that also computes
+fc and re-encrypts the logits, one result ciphertext per image) and
+``packed`` (the scheduler flush: the same chain behind a ``fold``), and
+``simd``, the ``packed`` chain between the user's encrypt and decrypt.
+Those three walk one chain over the model's blocks (:func:`_image_chain`),
+so a multi-block model is a ``simd`` graph too.  They take the served
+request format, one image per polynomial; every crossing carries its
+block's layout as an ``image`` attribute.  Work on coefficients
+(``encrypt_image``, ``fold``, ``crossing_image``, ``decrypt_result``) has
+its own ops, not flags on the scalar ones.
 """
 
 from __future__ import annotations
@@ -163,15 +164,15 @@ def require_headroom(graph: InferenceGraph) -> None:
         )
 
 
-def _crossing(op: str, stage: str, input_scale, output_scale, window, activation, pool):
-    """An enclave activation + pool node carrying its own scales, so one
-    handler serves the single-block models and every deep block alike."""
+def _crossing(op: str, stage: str, block, input_scale) -> GraphNode:
+    """An enclave activation + pool node carrying its block's own scales, so
+    one handler serves every block of every model."""
     attrs = {
-        "input_scale": input_scale,
-        "output_scale": output_scale,
-        "window": window,
-        "activation": activation,
-        "pool": pool,
+        "input_scale": input_scale * block.weight_scale,
+        "output_scale": block.act_scale,
+        "window": block.pool_window,
+        "activation": block.activation,
+        "pool": block.pool,
     }
     return GraphNode(op, stage, attrs)
 
@@ -187,35 +188,24 @@ def _single_block(kind, quantized, params, head, between, tail, mode="batched"):
     """``head -> conv -> between -> fc -> tail`` over one QuantizedCNN."""
     nodes = [*head, GraphNode("conv", "conv"), *between, GraphNode("fc", "fc"), *tail]
     layers = {
-        "conv": _conv_matrix(quantized),
+        "conv": _conv_matrix(quantized.blocks[0]),
         "fc": np.asarray(quantized.dense_weight, dtype=np.int64).T,
     }
     return _graph(kind, params, nodes, layers, mode)
 
 
-def _conv_matrix(quantized) -> np.ndarray:
-    conv = np.asarray(quantized.conv_weight, dtype=np.int64)
+def _conv_matrix(block) -> np.ndarray:
+    conv = np.asarray(block.weight, dtype=np.int64)
     return conv.reshape(conv.shape[0], -1)
-
-
-def _enclave_stage(op: str, quantized) -> GraphNode:
-    return _crossing(
-        op,
-        "sgx_activation_pool",
-        quantized.conv_output_scale,
-        quantized.act_scale,
-        quantized.pool_window,
-        quantized.activation,
-        quantized.pool,
-    )
 
 
 def build_hybrid_graph(quantized, params: EncryptionParams, mode: str = "batched") -> InferenceGraph:
     """IR for the paper's EncryptSGX pipeline (conv -> enclave -> fc)."""
-    crossing = "crossing_per_pixel" if mode == "per_pixel" else "crossing"
+    op = "crossing_per_pixel" if mode == "per_pixel" else "crossing"
+    crossing = _crossing(op, "sgx_activation_pool", quantized.blocks[0], quantized.input_scale)
     return _single_block(
         "hybrid", quantized, params,
-        [GraphNode("encrypt", "encrypt")], [_enclave_stage(crossing, quantized)],
+        [GraphNode("encrypt", "encrypt")], [crossing],
         [GraphNode("decrypt", "decrypt")], mode,
     )
 
@@ -238,13 +228,19 @@ def build_cryptonets_graph(quantized, params: EncryptionParams) -> InferenceGrap
     )
 
 
-def image_layout(quantized, params: EncryptionParams) -> ImageLayout:
-    """The served request format of ``quantized`` under ``params``: its
-    geometry is the model's (:attr:`QuantizedCNN.input_shape`), one image
-    per ``n``-coefficient polynomial.
+def _image_chain(quantized, params: EncryptionParams) -> tuple[list[GraphNode], dict]:
+    """``(conv_i -> crossing_image_i)*`` over the blocks of ``quantized`` on
+    the served request format, one image per ``n``-coefficient polynomial,
+    and each conv's matrix by stage.  One block's stages are ``conv`` and
+    ``sgx_activation_pool``; block ``i`` of several has ``conv_i`` and
+    ``sgx_block_i``.  Every crossing carries its block's :class:`ImageLayout`
+    as ``image``: block 0 reads the model's images, block ``i + 1`` the
+    pooled maps of block ``i``, each bounded by its input scale.  All but the
+    last crossing re-encrypt their pooled maps as the next block's images
+    (``next_image``); the last computes fc and writes the result format.
 
     Raises:
-        ParameterError: an image of the model does not fit the ring.
+        ParameterError: an image, or the classes, do not fit the ring.
     """
     _, height, width = quantized.input_shape
     if height * width > params.poly_degree:
@@ -252,10 +248,30 @@ def image_layout(quantized, params: EncryptionParams) -> ImageLayout:
             f"the model's {height}x{width} images do not fit the "
             f"{params.poly_degree} coefficients of {params.name!r}"
         )
-    return ImageLayout(
-        height, width, int(np.shape(quantized.conv_weight)[-1]), int(quantized.stride),
-        int(quantized.conv_bound),
-    )
+    classes = np.shape(quantized.dense_weight)[1]
+    if classes > params.poly_degree:
+        raise ParameterError(
+            f"{classes} classes do not fit {params.poly_degree} coefficients"
+        )
+    blocks = quantized.blocks
+    nodes, layers = [], {}
+    for i, block in enumerate(blocks):
+        conv, stage = ("conv", "sgx_activation_pool") if len(blocks) == 1 else (
+            f"conv_{i}", f"sgx_block_{i}"
+        )
+        layers[conv] = _conv_matrix(block)
+        scale = quantized.block_input_scale(i)
+        crossing = _crossing("crossing_image", stage, block, scale)
+        layout = ImageLayout(
+            height, width, int(np.shape(block.weight)[-1]), int(block.stride),
+            block.conv_bound(scale),
+        )
+        crossing.attrs["image"] = layout
+        if i + 1 < len(blocks):
+            crossing.attrs["next_image"] = True
+        nodes += [GraphNode("conv", conv), crossing]
+        height, width = (side // block.pool_window for side in layout.out_shape)
+    return nodes, layers
 
 
 def build_served_graph(
@@ -266,39 +282,35 @@ def build_served_graph(
     decrypt -- conv is one plaintext-polynomial product per filter, and the
     one crossing activates, pools and computes fc on plaintext, re-encrypting
     each image's logits as one polynomial, class ``c`` in coefficient ``c``.
+    A multi-block model is the same chain, a conv and a crossing per block.
 
     With ``lanes`` it is the serving flush (kind ``packed``): the same chain
     behind a ``fold`` of up to ``lanes`` requests (the scheduler's capacity;
     0 = ring degree), ``n // (H*W)`` images per ciphertext -- additions, not
-    a refresh, so they come out of ``conv``'s budget.
+    a refresh, so they come out of the first conv's budget.
 
     Raises:
         ParameterError: an image, or the classes, do not fit the ring.
     """
-    image = image_layout(quantized, params)
-    classes = np.shape(quantized.dense_weight)[1]
-    if classes > params.poly_degree:
-        raise ParameterError(
-            f"{classes} classes do not fit {params.poly_degree} coefficients"
-        )
-    crossing = _enclave_stage("crossing_image", quantized)
-    crossing.attrs["image"] = image
+    chain, layers = _image_chain(quantized, params)
     head = []
     if lanes is not None:
-        fold = {"lanes": int(lanes) or params.poly_degree, "stride": image.pixels}
+        stride = chain[1].attrs["image"].pixels
+        fold = {"lanes": int(lanes) or params.poly_degree, "stride": stride}
         head = [GraphNode("fold", "pack", fold)]
-    return _graph(
-        "served" if lanes is None else "packed", params,
-        [*head, GraphNode("conv", "conv"), crossing],
-        {"conv": _conv_matrix(quantized)},
-    )
+    kind = "served" if lanes is None else "packed"
+    return _graph(kind, params, [*head, *chain], layers)
 
 
 def build_simd_graph(quantized, params: EncryptionParams) -> InferenceGraph:
-    """IR for the in-process packed hybrid: the user encrypts the batch in
-    the served request format, the nodes of the serving flush (kind
-    ``packed``) run as they are, and the user decrypts one result per image,
-    class ``c`` in coefficient ``c``."""
+    """IR for the in-process packed hybrid at any depth: the user encrypts
+    the batch in the served request format, the nodes of the serving flush
+    (kind ``packed``: ``fold -> (conv_i -> crossing_image_i)*``) run as they
+    are, and the user decrypts one result per image, class ``c`` in
+    coefficient ``c``.  A :class:`QuantizedCNN` is one block; each block of
+    a :class:`DeepQuantizedCNN` crosses once, its crossing writing the next
+    block's images already folded, so only the first block folds on the
+    host."""
     flush = build_served_graph(quantized, params, lanes=0)
     classes = int(np.shape(quantized.dense_weight)[1])
     nodes = [
@@ -309,37 +321,11 @@ def build_simd_graph(quantized, params: EncryptionParams) -> InferenceGraph:
     return _graph("simd", params, nodes, flush.meta["layers"])
 
 
-def build_deep_graph(quantized, params: EncryptionParams) -> InferenceGraph:
-    """IR for a multi-block model: one ``conv_i -> sgx_block_i`` pair per
-    block, each crossing re-encrypting at its own block's scales."""
-    nodes = [GraphNode("encrypt", "encrypt")]
-    layers = {}
-    for i, block in enumerate(quantized.blocks):
-        weight = np.asarray(block.weight, dtype=np.int64)
-        layers[f"conv_{i}"] = weight.reshape(weight.shape[0], -1)
-        nodes.append(GraphNode("conv", f"conv_{i}"))
-        nodes.append(
-            _crossing(
-                "crossing",
-                f"sgx_block_{i}",
-                quantized.block_input_scale(i) * block.weight_scale,
-                block.act_scale,
-                block.pool_window,
-                block.activation,
-                block.pool,
-            )
-        )
-    layers["fc"] = np.asarray(quantized.dense_weight, dtype=np.int64).T
-    nodes += [GraphNode("fc", "fc"), GraphNode("decrypt", "decrypt")]
-    return _graph("deep", params, nodes, layers)
-
-
 #: Graph kind -> builder; every HE chain in the repository is one of these.
 BUILDERS = {
     "hybrid": build_hybrid_graph,
     "cryptonets": build_cryptonets_graph,
     "simd": build_simd_graph,
-    "deep": build_deep_graph,
     "served": build_served_graph,
     "packed": functools.partial(build_served_graph, lanes=0),
 }

@@ -11,14 +11,14 @@ convolution is then one plaintext-polynomial product per (filter, channel),
 and :func:`read_image` picks each conv output back out of the coefficient it
 lands in.  The packed flush (and the in-process SIMD pipeline, which walks
 its chain) stacks ``n // (H*W)`` images per polynomial with
-:func:`pack_coefficients`' ``stride``.
+:func:`pack_coefficients`; an inner block's enclave crossing writes the next
+block's images that way directly (:func:`write_image`'s ``per``).
 
 A served result is *lanes*: one polynomial per image, class ``c`` in
 coefficient ``c``.  :func:`write_lanes` / :func:`read_lanes` lay values out
 along coefficients ``0..B-1`` and read them back (with zero probes past the
 lanes); a scalar acts on every lane alike, which the ``ablation_simd`` row of
-``benchmarks/bench_paper.py`` measures.  :func:`pack_coefficients` with
-stride 1 folds scalar ciphertexts into lanes homomorphically.
+``benchmarks/bench_paper.py`` measures.
 """
 
 from __future__ import annotations
@@ -93,18 +93,27 @@ class ImageLayout:
         return rows[:, None] * self.width + cols[None, :]
 
 
-def write_image(context: Context, pixels: np.ndarray) -> Plaintext:
-    """``(B, C, H, W)`` integer pixels as a ``(B, C)`` plaintext batch, one
-    polynomial per image channel with pixel ``(i, j)`` in coefficient
-    ``i*W + j``; :class:`EncodingError` when ``H*W`` exceeds the ring."""
+def write_image(context: Context, pixels: np.ndarray, per: int = 1) -> Plaintext:
+    """``(B, C, H, W)`` integer pixels as a ``(ceil(B / per), C)`` plaintext
+    batch holding ``per`` images per row, as :func:`read_image` reads them:
+    pixel ``(i, j)`` of image ``b`` in coefficient ``(b % per)*H*W + i*W + j``
+    of row ``b // per`` -- one image per polynomial (a served request) by
+    default, the fold's layout with :meth:`ImageLayout.per_ciphertext`.
+    :class:`EncodingError` when ``per`` images exceed the ring."""
     if pixels.ndim != 4:
         raise EncodingError(f"images must be (B, C, H, W), got shape {pixels.shape}")
     b, c, h, w = pixels.shape
     n = context.poly_degree
-    if h * w > n:
-        raise EncodingError(f"a {h}x{w} image does not fit {n} coefficients")
-    coeffs = np.zeros((b, c, n), dtype=np.int64)
-    coeffs[..., : h * w] = pixels.reshape(b, c, h * w)
+    if per * h * w > n:
+        times = f" {per} times" if per > 1 else ""
+        raise EncodingError(f"a {h}x{w} image does not fit {n} coefficients{times}")
+    rows = -(-b // per)
+    images = np.zeros((rows * per, c, h * w), dtype=np.int64)
+    images[:b] = pixels.reshape(b, c, h * w)
+    coeffs = np.zeros((rows, c, n), dtype=np.int64)
+    coeffs[..., : per * h * w] = (
+        images.reshape(rows, per, c, h * w).swapaxes(1, 2).reshape(rows, c, per * h * w)
+    )
     return Plaintext(context, coeffs)  # reduces mod t
 
 
@@ -155,70 +164,46 @@ def read_image(
     return picked.reshape(batch, values.shape[1], *layout.out_shape)
 
 
-def _monomial_rows(context: Context, count: int) -> np.ndarray:
-    """NTT residues ``(count, k_rns, n)`` of ``x^0 .. x^(count-1)``, read from
-    the context's prefix memo: row ``b`` is ``NTT(x^b)`` whatever ``count``
-    is, so the memo only ever grows to the largest ``count`` seen -- at most
-    ``n`` rows, ``pack_coefficients``' own limit -- and a repeat or smaller
-    request transforms nothing."""
-    memo = context._monomial_ntt
-    have = 0 if memo is None else memo.shape[0]
-    if count > have:
-        memo = _monomials(context, np.arange(have, count), memo)
-        context._monomial_ntt = memo
-    return memo[:count]
-
-
-def _monomials(context: Context, powers: np.ndarray, before=None) -> np.ndarray:
-    """Read-only NTT residues of ``x^p`` for each of ``powers``, appended to
-    ``before``'s rows when given."""
-    fresh = np.zeros((len(powers), context.poly_degree), dtype=np.int64)
-    fresh[np.arange(len(powers)), powers] = 1
-    rows = context.ring.ntt(context.ring.from_signed_small(fresh))
-    if before is not None:
-        rows = np.concatenate([before, rows])
-    rows.flags.writeable = False  # every fold reads views of it
-    return rows
-
-
 def stride_monomials(context: Context, stride: int) -> np.ndarray:
-    """NTT residues ``(n // stride, k_rns, n)`` of ``x^(stride * p)``, one row
-    per image block, memoised per stride on the context.  Kept out of the
-    prefix memo, which would otherwise grow to every power below the last
-    block's (1008 rows, 16.5 MB at n = 1024 and 12 x 12 images)."""
+    """Read-only NTT residues ``(n // stride, k_rns, n)`` of ``x^(stride *
+    p)``, one row per image block, memoised per stride on the context: a
+    fold reads views of them, and only the powers it uses are built (not
+    every power below the last block's: 1008 rows, 16.5 MB at n = 1024 and
+    12 x 12 images)."""
     memo = context._stride_monomials.get(stride)
     if memo is None:
-        powers = stride * np.arange(context.poly_degree // stride)
-        memo = context._stride_monomials[stride] = _monomials(context, powers)
+        count = context.poly_degree // stride
+        fresh = np.zeros((count, context.poly_degree), dtype=np.int64)
+        fresh[np.arange(count), stride * np.arange(count)] = 1
+        memo = context.ring.ntt(context.ring.from_signed_small(fresh))
+        memo.flags.writeable = False
+        context._stride_monomials[stride] = memo
     return memo
 
 
 def pack_coefficients(
-    evaluator: Evaluator, ct: Ciphertext | Sequence[Ciphertext], stride: int = 1
+    evaluator: Evaluator, ct: Ciphertext | Sequence[Ciphertext], stride: int
 ) -> Ciphertext:
-    """Fold leading batch axes into polynomial *coefficients*.
+    """The packed flush's fold of image-encoded requests
+    (:class:`ImageLayout`, ``stride = H*W``).
 
-    Given scalar-encoded ciphertexts ``(B, *rest)`` (value in the constant
-    coefficient) -- one ciphertext, or a sequence of parts ``(B_i, *rest)``
-    standing for their concatenation along axis 0, which is never built --
-    homomorphically computes ``sum_b ct[b] * x^b``: a ``(*rest,)``
-    ciphertext whose underlying plaintext carries value ``b`` in coefficient
-    ``b``.  Pure host-side ``C x P`` / ``C + C`` work: no key material, no
-    decryption, and the parts are read where they lie (views, strided and
-    read-only data included) by :meth:`Evaluator.sum_products`.
-
-    With ``stride > 1`` it is the packed flush's fold
-    of image-encoded requests (:class:`ImageLayout`, ``stride = H*W``):
-    ``P = n // stride`` images per ciphertext, image ``b`` at ``x^(stride *
-    (b % P))`` of row ``b // P``, a ``(ceil(B / P), *rest)`` ciphertext.
-    Noise grows by at most ``log2(min(B, P))`` bits (monomial coefficients
-    are 1), which a fresh encryption easily absorbs.
+    Given ``(B, *rest)`` ciphertexts holding one image each in their first
+    ``stride`` coefficients -- one ciphertext, or a sequence of parts
+    ``(B_i, *rest)`` standing for their concatenation along axis 0, which is
+    never built -- homomorphically computes a ``(ceil(B / P), *rest)``
+    ciphertext, ``P = n // stride`` images per row: image ``b`` times
+    ``x^(stride * (b % P))`` summed into row ``b // P``, the layout
+    :func:`write_image` writes with ``per = P``.  Pure host-side ``C x P`` /
+    ``C + C`` work: no key material, no decryption, and the parts are read
+    where they lie (views, strided and read-only data included) by
+    :meth:`Evaluator.sum_products`.  Noise grows by at most
+    ``log2(min(B, P))`` bits (monomial coefficients are 1), which a fresh
+    encryption easily absorbs.
 
     Raises:
         EncodingError: no parts; a part (named by its index) with no batch
             axis, of a foreign context, in coefficient domain or with a
-            trailing shape unlike part 0's; ``B`` beyond the ring degree
-            (stride 1); or a stride wider than the ring.
+            trailing shape unlike part 0's; or a stride wider than the ring.
     """
     parts = [ct] if isinstance(ct, Ciphertext) else list(ct)
     if not parts:
@@ -246,20 +231,15 @@ def pack_coefficients(
             )
         rows.extend(part.data)
     n = context.poly_degree
-    if stride > 1:
-        if stride > n:
-            raise EncodingError(f"a stride of {stride} exceeds the ring degree {n}")
-        monomials = stride_monomials(context, stride)
-        per = len(monomials)
-        out = np.empty((-(-len(rows) // per), *rows[0].shape), dtype=np.int64)
-        for j in range(len(out)):
-            group = rows[j * per : (j + 1) * per]
-            out[j] = evaluator.sum_products(group, monomials[: len(group)]).data
-        return Ciphertext(context, out, is_ntt=True)
-    if len(rows) > n:
-        raise EncodingError(f"batch of {len(rows)} exceeds the ring degree {n}")
-    # Row b is NTT(x^b), broadcast over the remaining axes and components.
-    return evaluator.sum_products(rows, _monomial_rows(context, len(rows)))
+    if stride > n:
+        raise EncodingError(f"a stride of {stride} exceeds the ring degree {n}")
+    monomials = stride_monomials(context, stride)
+    per = len(monomials)
+    out = np.empty((-(-len(rows) // per), *rows[0].shape), dtype=np.int64)
+    for j in range(len(out)):
+        group = rows[j * per : (j + 1) * per]
+        out[j] = evaluator.sum_products(group, monomials[: len(group)]).data
+    return Ciphertext(context, out, is_ntt=True)
 
 
 def read_lanes(plain: Plaintext, lanes: int) -> np.ndarray:

@@ -42,9 +42,6 @@ class Context:
     def __init__(self, params: EncryptionParams) -> None:
         self.params = params
         self.ring = self.ring_type(params.poly_degree, params.coeff_primes)
-        # NTT rows of x^0, x^1, ... grown on demand (at most poly_degree of
-        # them) by :func:`repro.he.batching.pack_coefficients`.
-        self._monomial_ntt: np.ndarray | None = None
         # NTT rows of x^(stride * p), one table per image stride, built by
         # :func:`repro.he.batching.stride_monomials`.
         self._stride_monomials: dict[int, np.ndarray] = {}

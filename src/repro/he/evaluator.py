@@ -33,13 +33,14 @@ The evaluator optionally records operation counts in an
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import KeyMismatchError, ParameterError
 from repro.he import arena
-from repro.he.context import Ciphertext, Context, Plaintext, TensorProduct
+from repro.he.context import _TENSOR_CHUNK_COEFFS, Ciphertext, Context, Plaintext, TensorProduct
 from repro.he.keys import RelinKeys
 from repro.he.polyring import _mod_rows
 
@@ -313,8 +314,22 @@ class Evaluator:
 
     def multiply(self, ct0: Ciphertext, ct1: Ciphertext) -> Ciphertext:
         """``Multiply(ct0, ct1)``: exact FV tensor product, size 2x2 -> 3 --
-        :meth:`rescale` of :meth:`tensor_product`."""
-        return self.rescale(self.tensor_product(ct0, ct1))
+        :meth:`rescale` of :meth:`tensor_product`, composed a chunk of the
+        batch at a time (the context's own chunk), so only one chunk's
+        unscaled product, which also spans the auxiliary basis, is alive."""
+        batch = self._product_batch(ct0, ct1)
+        context, count, tail = self.context, math.prod(batch), ct0.data.shape[-3:]
+        a, b = (np.broadcast_to(c.data, (*batch, *tail)).reshape(count, *tail) for c in (ct0, ct1))
+        out = np.empty((count, 3, *tail[1:]), dtype=np.int64)
+        step = max(1, _TENSOR_CHUNK_COEFFS // context.poly_degree)
+        for lo in range(0, count, step):
+            x = Ciphertext(context, a[lo : lo + step], ct0.is_ntt)
+            y = x if ct1 is ct0 else Ciphertext(context, b[lo : lo + step], ct1.is_ntt)
+            product = context.tensor_product(x, y, x.batch_shape)
+            out[lo : lo + step] = context.scale_round(product)
+        result = Ciphertext(context, out.reshape(*batch, *out.shape[1:]), is_ntt=False)
+        self._record("ct_mul", result)
+        return result
 
     def square(self, ct: Ciphertext) -> Ciphertext:
         """Homomorphic squaring (CryptoNets' activation substitute):
@@ -326,16 +341,19 @@ class Evaluator:
         """The unscaled half of :meth:`multiply`: the exact products ``d =
         ct0 x ct1`` (:meth:`Context.tensor_product`), tallied as its
         ``ct_mul``."""
+        product = self.context.tensor_product(ct0, ct1, self._product_batch(ct0, ct1))
+        self._record("ct_mul", product)
+        return product
+
+    def _product_batch(self, ct0: Ciphertext, ct1: Ciphertext) -> tuple[int, ...]:
+        """The batch a ciphertext product covers, after the operand checks."""
         self._check(ct0, ct1)
         if ct0.size != 2 or ct1.size != 2:
             raise ParameterError(
                 "multiply expects size-2 operands; relinearize first "
                 f"(got sizes {ct0.size} and {ct1.size})"
             )
-        batch = _broadcast_batch("multiply", ct0, ct1)
-        product = self.context.tensor_product(ct0, ct1, batch)
-        self._record("ct_mul", product)
-        return product
+        return _broadcast_batch("multiply", ct0, ct1)
 
     def rescale(self, product: TensorProduct) -> Ciphertext:
         """The rounding half of :meth:`multiply`: the size-3,

@@ -6,70 +6,22 @@ of the hybrid design is that it *removes* the depth barrier: every enclave
 activation re-encrypts fresh ciphertexts, so the homomorphic noise
 requirement is one linear layer deep no matter how many blocks the network
 stacks.  This module generalizes :class:`repro.nn.quantize.QuantizedCNN` to
-arbitrarily many ``conv -> activation -> pool`` blocks, letting
+arbitrarily many ``conv -> activation -> pool`` blocks
+(:class:`~repro.nn.quantize.QuantizedConvBlock`, the unit a
+:class:`~repro.nn.quantize.QuantizedCNN` is one of), letting
 :class:`repro.core.deep.DeepHybridPipeline` demonstrate exactly that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ModelError
-from repro.nn.layers import (
-    Conv2D,
-    Dense,
-    MaxPool2D,
-    MeanPool2D,
-    Sigmoid,
-    Tanh,
-    conv2d_forward,
-)
+from repro.nn.layers import Conv2D, Dense, MaxPool2D, MeanPool2D, Sigmoid, Tanh
 from repro.nn.model import Sequential
-from repro.nn.quantize import _enclave_stage, _quantize_array
-
-
-@dataclass
-class QuantizedConvBlock:
-    """One integer conv -> exact activation -> pool block.
-
-    Attributes:
-        weight / bias: integer conv parameters (bias at conv-output scale).
-        weight_scale: quantization scale of the weights.
-        stride: conv stride.
-        activation: "sigmoid" or "tanh" (enclave-exact, bounded).
-        pool: "mean" or "max".
-        pool_window: pooling window side.
-        act_scale: requantization levels of the block output.
-    """
-
-    weight: np.ndarray
-    bias: np.ndarray
-    weight_scale: float
-    stride: int
-    activation: str
-    pool: str
-    pool_window: int
-    act_scale: int
-
-    def conv_stage(self, x_int: np.ndarray) -> np.ndarray:
-        out = conv2d_forward(x_int, self.weight, None, self.stride)
-        return out + self.bias.reshape(1, -1, 1, 1)
-
-    def enclave_stage(self, conv_int: np.ndarray, input_scale: float) -> np.ndarray:
-        """Exact activation + pool + requantize (trusted side of the block)."""
-        return _enclave_stage(
-            conv_int, input_scale * self.weight_scale, self.activation, self.pool,
-            self.pool_window, self.act_scale,
-        )
-
-    def conv_bound(self, input_bound: int) -> int:
-        """Worst-case magnitude of the block's conv output."""
-        taps = self.weight.shape[1] * self.weight.shape[-1] ** 2
-        return taps * input_bound * int(np.abs(self.weight).max()) + int(
-            np.abs(self.bias).max()
-        )
+from repro.nn.quantize import QuantizedCNN, QuantizedConvBlock, _quantize_array
 
 
 @dataclass
@@ -88,7 +40,6 @@ class DeepQuantizedCNN:
     dense_bias: np.ndarray
     dense_weight_scale: float
     input_scale: int
-    _block_list: list = field(default_factory=list, repr=False)
 
     @property
     def depth(self) -> int:
@@ -156,19 +107,17 @@ class DeepQuantizedCNN:
         )
 
     # ------------------------------------------------------------------
-    def quantize_images(self, images: np.ndarray) -> np.ndarray:
-        if images.dtype == np.uint8:
-            scaled = images.astype(np.float64) / 255.0
-        else:
-            scaled = np.asarray(images, dtype=np.float64)
-        return np.rint(scaled * self.input_scale).astype(np.int64)
+    # As the single-block model computes them, from the same attributes: the
+    # image side whose chain of blocks yields fc's fan-in, the pixel
+    # quantization, fc, and the plaintext-modulus fit.
+    input_shape = QuantizedCNN.input_shape
+    quantize_images = QuantizedCNN.quantize_images
+    fc_stage = QuantizedCNN.fc_stage
+    predict = QuantizedCNN.predict
+    fits_plain_modulus = QuantizedCNN.fits_plain_modulus
 
     def block_input_scale(self, index: int) -> int:
         return self.input_scale if index == 0 else self.blocks[index - 1].act_scale
-
-    def fc_stage(self, x_int: np.ndarray) -> np.ndarray:
-        flat = x_int.reshape(x_int.shape[0], -1)
-        return flat @ self.dense_weight + self.dense_bias
 
     def forward_int(self, images: np.ndarray) -> np.ndarray:
         """Exact integer logits -- the deep hybrid pipeline must match this."""
@@ -177,9 +126,6 @@ class DeepQuantizedCNN:
             conv = block.conv_stage(x)
             x = block.enclave_stage(conv, self.block_input_scale(i))
         return self.fc_stage(x)
-
-    def predict(self, images: np.ndarray) -> np.ndarray:
-        return self.forward_int(images).argmax(axis=1)
 
     def required_plain_modulus(self) -> int:
         """Depth-*independent* bound: the max over per-block conv outputs and
@@ -194,9 +140,6 @@ class DeepQuantizedCNN:
             + int(np.abs(self.dense_bias).max())
         )
         return 2 * max(worst, fc_bound) + 1
-
-    def fits_plain_modulus(self, plain_modulus: int) -> bool:
-        return plain_modulus >= self.required_plain_modulus()
 
     def noise_profile(self) -> tuple[bool, float, int]:
         """``(pure_he, plain_norm, additions)`` for parameter sizing.

@@ -45,6 +45,7 @@ from repro.nn.layers import (
     Sigmoid,
     Square,
     Tanh,
+    conv2d_forward,
 )
 from repro.nn.model import Sequential
 
@@ -76,6 +77,53 @@ def _enclave_stage(
     windows = activated.reshape(b, c, h // window, window, w // window, window)
     pooled = windows.max(axis=(3, 5)) if pool == "max" else windows.mean(axis=(3, 5))
     return np.rint(pooled * act_scale).astype(np.int64)
+
+
+@dataclass
+class QuantizedConvBlock:
+    """One integer conv -> exact activation -> pool block: the unit the
+    image chain (``repro.graph.ir.build_simd_graph``) walks, one per block
+    of a :class:`repro.nn.deep.DeepQuantizedCNN` and the one of a
+    :class:`QuantizedCNN` (:attr:`QuantizedCNN.blocks`).
+
+    Attributes:
+        weight / bias: integer conv parameters (bias at conv-output scale).
+        weight_scale: quantization scale of the weights.
+        stride: conv stride.
+        activation: "sigmoid" or "tanh" (enclave-exact, bounded); a
+            CryptoNets model's one block says "square".
+        pool: "mean" or "max" ("scaled_mean" for the square).
+        pool_window: pooling window side.
+        act_scale: requantization levels of the block output.
+    """
+
+    weight: np.ndarray
+    bias: np.ndarray
+    weight_scale: float
+    stride: int
+    activation: str
+    pool: str
+    pool_window: int
+    act_scale: int
+
+    def conv_stage(self, x_int: np.ndarray) -> np.ndarray:
+        out = conv2d_forward(x_int, self.weight, None, self.stride)
+        return out + self.bias.reshape(1, -1, 1, 1)
+
+    def enclave_stage(self, conv_int: np.ndarray, input_scale: float) -> np.ndarray:
+        """Exact activation + pool + requantize (trusted side of the block)."""
+        return _enclave_stage(
+            conv_int, input_scale * self.weight_scale, self.activation, self.pool,
+            self.pool_window, self.act_scale,
+        )
+
+    def conv_bound(self, input_bound: int) -> int:
+        """Largest ``|value|`` a conv output (or any partial tap sum of one)
+        takes on inputs bounded by ``input_bound``."""
+        taps = self.weight.shape[1] * self.weight.shape[-1] ** 2
+        return int(
+            taps * input_bound * int(np.abs(self.weight).max()) + int(np.abs(self.bias).max())
+        )
 
 
 @dataclass
@@ -191,12 +239,22 @@ class QuantizedCNN:
             scaled = np.asarray(images, dtype=np.float64)
         return np.rint(scaled * self.input_scale).astype(np.int64)
 
+    @property
+    def blocks(self) -> list[QuantizedConvBlock]:
+        """The model as the one-block list the image chain walks."""
+        return [
+            QuantizedConvBlock(
+                self.conv_weight, self.conv_bias, self.conv_weight_scale, self.stride,
+                self.activation, self.pool, self.pool_window, self.act_scale,
+            )
+        ]
+
+    def block_input_scale(self, index: int) -> int:
+        return self.input_scale
+
     def conv_stage(self, x_int: np.ndarray) -> np.ndarray:
         """Integer convolution: the homomorphic pipelines replicate this."""
-        from repro.nn.layers import conv2d_forward
-
-        out = conv2d_forward(x_int, self.conv_weight, None, self.stride)
-        return out + self.conv_bias.reshape(1, -1, 1, 1)
+        return self.blocks[0].conv_stage(x_int)
 
     @property
     def conv_output_scale(self) -> float:
@@ -211,10 +269,7 @@ class QuantizedCNN:
         """
         if self.activation == "square":
             raise ModelError("enclave_stage belongs to the exact-activation pipelines")
-        return _enclave_stage(
-            conv_int, self.conv_output_scale, self.activation, self.pool,
-            self.pool_window, self.act_scale,
-        )
+        return self.blocks[0].enclave_stage(conv_int, self.input_scale)
 
     def square_stage(self, conv_int: np.ndarray) -> np.ndarray:
         """CryptoNets activation: elementwise integer square."""
@@ -253,27 +308,22 @@ class QuantizedCNN:
     @property
     def input_shape(self) -> tuple[int, int, int]:
         """``(C, H, W)`` of the square images the model consumes: the side
-        whose conv -> pool chain yields the fc layer's fan-in."""
-        filters, channels, k, _ = self.conv_weight.shape
-        fan_in = self.dense_weight.shape[0]
-        pooled = math.isqrt(fan_in // filters)
-        if filters * pooled * pooled != fan_in:
-            raise ModelError(
-                f"fc fan-in {fan_in} is not {filters} square pooled feature maps"
-            )
-        side = (pooled * self.pool_window - 1) * self.stride + k
-        return channels, side, side
+        whose conv -> pool chain through :attr:`blocks` yields the fc
+        layer's fan-in."""
+        blocks, fan_in = self.blocks, self.dense_weight.shape[0]
+        filters = blocks[-1].weight.shape[0]
+        side = math.isqrt(fan_in // filters)
+        if filters * side * side != fan_in:
+            raise ModelError(f"fc fan-in {fan_in} is not {filters} square pooled feature maps")
+        for block in reversed(blocks):
+            side = (side * block.pool_window - 1) * block.stride + block.weight.shape[-1]
+        return blocks[0].weight.shape[1], side, side
 
     @property
     def conv_bound(self) -> int:
         """Largest ``|value|`` a conv output (or any partial tap sum of one)
         takes on images in ``[0, 1]``."""
-        k = self.conv_weight.shape[-1]
-        conv_terms = k * k * self.conv_weight.shape[1]
-        return (
-            conv_terms * self.input_scale * int(np.abs(self.conv_weight).max())
-            + int(np.abs(self.conv_bias).max())
-        )
+        return self.blocks[0].conv_bound(self.input_scale)
 
     @property
     def hidden_bound(self) -> int:

@@ -1,4 +1,7 @@
-"""Deep (multi-block) hybrid pipeline: depth scalability of the framework."""
+"""Deep (multi-block) hybrid pipeline: depth scalability of the framework.
+
+The deep hybrid is a SIMD graph of several blocks: images are encrypted one
+per polynomial, so an 18 x 18 model needs n >= 324 (n = 512 here)."""
 
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ def deep_setup(models):
     train(model, images.astype(np.float64) / 255.0, full.train_labels,
           epochs=2, learning_rate=0.1, seed=31)
     quantized = DeepQuantizedCNN.from_float(model)
-    params = parameters_for_pipeline(quantized, 256)
+    params = parameters_for_pipeline(quantized, 512)
     return model, quantized, params, test_images
 
 
@@ -98,20 +101,47 @@ class TestDeepHybridPipeline:
         assert np.array_equal(result.logits, quantized.forward_int(images))
 
     def test_encoded_weights_keep_their_integers(self, pipeline, deep_setup):
-        """Every block's fused operand is the integer array handed to the
-        encoder (negatives included), not a value recovered from residues."""
+        """Every block's kernel polynomial holds the block's integer weights
+        (negatives included) at its layout's tap offsets, and the crossing
+        takes fc's integers as they are."""
         _, quantized, _, _ = deep_setup
         weights = pipeline.resources.weights
+        ring = pipeline.context.ring
+        p = int(ring.primes[0])
         for i, block in enumerate(quantized.blocks):
             assert (block.weight < 0).any()
-            taps = weights[f"conv_{i}"].weight_taps
-            assert np.array_equal(taps, block.weight.reshape(len(block.weight), -1))
-        assert np.array_equal(weights["fc"].weight_matrix, quantized.dense_weight.T)
+            conv = weights[f"conv_{i}"]
+            residues = ring.intt(conv.kernels.data)[..., 0, :]
+            signed = np.where(residues > p // 2, residues - p, residues)
+            taps = signed[..., conv.layout.kernel_offsets().ravel()]
+            f, c = block.weight.shape[:2]
+            assert np.array_equal(taps, block.weight.reshape(f, c, -1))
+        fc_weight, fc_bias = weights["fc"]
+        assert np.array_equal(fc_weight, quantized.dense_weight)
+        assert np.array_equal(fc_bias, quantized.dense_bias)
 
-    def test_one_crossing_per_block(self, pipeline, deep_setup):
+    def test_one_crossing_per_block(self, pipeline, deep_setup, monkeypatch):
+        """One ``activation_pool`` ECALL per block and no other, whatever
+        the batch; each inner crossing writes the next block's images and
+        only the last takes fc."""
         _, quantized, _, test_images = deep_setup
-        result = pipeline.infer(test_images[:1])
-        assert result.enclave_crossings == quantized.depth
+        enclave = pipeline.enclave
+        takes_fc = []
+        ecall = enclave.ecall
+
+        def spy(name, *args, **kwargs):
+            takes_fc.append(kwargs.get("fc") is not None)
+            return ecall(name, *args, **kwargs)
+
+        monkeypatch.setattr(enclave, "ecall", spy)
+        for batch in (1, 3):
+            takes_fc.clear()
+            enclave.side_channel.reset()
+            result = pipeline.infer(test_images[:batch])
+            assert result.enclave_crossings == quantized.depth
+            ecalls = [e[1] for e in enclave.side_channel.trace_signature() if e[0] == "ecall"]
+            assert ecalls == ["activation_pool"] * quantized.depth
+            assert takes_fc == [False] * (quantized.depth - 1) + [True]
 
     def test_noise_budget_positive_at_any_depth(self, pipeline, deep_setup):
         _, _, _, test_images = deep_setup

@@ -8,7 +8,7 @@ import pytest
 from repro.core import InferenceEnclave
 from repro.errors import EnclaveError, PipelineError
 from repro.he import Context, Decryptor, Encryptor, Evaluator, ScalarEncoder
-from repro.he.batching import ImageLayout, write_image
+from repro.he.batching import ImageLayout, read_image, write_image
 from repro.he.context import Plaintext
 from repro.nn.layers import Sigmoid
 from repro.sgx import SgxPlatform
@@ -104,7 +104,9 @@ class TestActivationPool:
     ):
         """With ``image`` the crossing also runs fc on the pooled plaintext:
         image ``b``'s logits come back in result ``b``, class ``c`` in
-        coefficient ``c`` and zero past the classes.  A 1 x 1 kernel leaves
+        coefficient ``c`` and zero past the classes.  Without fc it is an
+        inner block's crossing: the pooled maps come back as the next
+        block's images, ``n // (H*W)`` per ciphertext.  A 1 x 1 kernel leaves
         conv output ``(i, j)`` in coefficient ``i*W + j``, so encrypted
         images stand in for conv outputs."""
         context = userland["context"]
@@ -122,8 +124,14 @@ class TestActivationPool:
         coeffs = enclave._instance._decryptor.decrypt(out).signed_coeffs()
         assert np.array_equal(coeffs[:, :5], pooled.reshape(3, -1) @ fc[0] + fc[1])
         assert not coeffs[:, 5:].any()
-        with pytest.raises(PipelineError, match="takes fc's weight"):
-            enclave.ecall(*args, image=layout)
+        # The next image: three pooled 2 x 2 maps per filter, all 64 of a
+        # 256-coefficient polynomial's blocks free, so one row holds them.
+        maps = enclave.ecall(*args, image=layout)
+        assert maps.batch_shape == (1, 2)
+        plain = enclave._instance._decryptor.decrypt(maps)
+        nxt = ImageLayout(height=2, width=2, kernel=1, stride=1, bound=50)
+        assert np.array_equal(read_image(plain, nxt, 3, 64), pooled)
+        assert np.array_equal(plain.coeffs, write_image(context, pooled, per=64).coeffs)
         with pytest.raises(PipelineError, match="fc takes 7 features"):
             enclave.ecall(*args, image=layout, fc=(fc[0][:7], fc[1]))
 

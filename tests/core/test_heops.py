@@ -127,8 +127,10 @@ class TestImageConv:
 
     @pytest.fixture()
     def image_conv(self, rig, q_sigmoid, hybrid_params):
-        layout = ir.image_layout(q_sigmoid, hybrid_params)
-        return heops.encode_image_conv(rig["evaluator"], q_sigmoid, layout)
+        layout = ir.build_graph("served", q_sigmoid, hybrid_params).node(
+            "crossing_image"
+        ).attrs["image"]
+        return heops.encode_image_conv(rig["evaluator"], q_sigmoid.blocks[0], layout)
 
     @pytest.mark.parametrize("batch", [1, 2, 3, 5])
     def test_matches_integer_conv(self, rig, q_sigmoid, models, image_conv, batch):

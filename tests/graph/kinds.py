@@ -1,4 +1,4 @@
-"""Seeded runs of the four graph kinds the executor gained in PR 13.
+"""Seeded runs of the graph kinds the differential suite pins across commits.
 
 Shared by the equivalence suite and by the one-off script that froze the
 parent commit's output (``parent_recording.json``): integer models and
@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.client import AttestedClient
 from repro.core import (
+    CryptonetsPipeline,
     DeepHybridPipeline,
     EdgeServer,
     SimdHybridPipeline,
@@ -28,16 +29,17 @@ from repro.nn.quantize import QuantizedCNN
 from repro.serve import InferenceRequest
 from repro.sgx import AttestationVerificationService
 
-KINDS = ("simd", "deep", "served", "packed")
+KINDS = ("simd", "deep", "served", "packed", "cryptonets")
 
 #: Stage-name sequence every run of a kind must emit.
 STAGES = {
     "simd": ["encrypt", "pack", "conv", "sgx_activation_pool", "decrypt"],
     "deep": [
-        "encrypt", "conv_0", "sgx_block_0", "conv_1", "sgx_block_1", "fc", "decrypt",
+        "encrypt", "pack", "conv_0", "sgx_block_0", "conv_1", "sgx_block_1", "decrypt",
     ],
     "served": ["conv", "sgx_activation_pool"],
     "packed": ["pack", "conv", "sgx_activation_pool"],
+    "cryptonets": ["encrypt", "conv", "square", "pool", "fc", "relinearize", "decrypt"],
 }
 
 
@@ -60,6 +62,30 @@ def single_block_model() -> QuantizedCNN:
         act_scale=15,
         activation="sigmoid",
         pool="mean",
+        pool_window=2,
+    )
+
+
+def square_model() -> QuantizedCNN:
+    """8x8x1 -> conv3 (2 filters) -> square + scaled mean-pool 2 -> 3
+    classes: the pure-HE chain, with the same planted zeros as
+    :func:`single_block_model`."""
+    rng = np.random.default_rng(2116)
+    conv = rng.integers(-3, 4, size=(2, 1, 3, 3))
+    conv[:, 0, 0, 0] = 0
+    dense = rng.integers(-3, 4, size=(18, 3))
+    dense[:2, :] = 0
+    return QuantizedCNN(
+        conv_weight=conv,
+        conv_bias=rng.integers(-3, 4, size=(2,)),
+        dense_weight=dense,
+        dense_bias=rng.integers(-3, 4, size=(3,)),
+        input_scale=7,
+        conv_weight_scale=3.0,
+        dense_weight_scale=3.0,
+        act_scale=1,
+        activation="square",
+        pool="scaled_mean",
         pool_window=2,
     )
 
@@ -179,6 +205,10 @@ def run_kind(kind: str) -> dict:
         model = single_block_model()
         params = parameters_for_pipeline(model, 256, batching=True)
         return _run_pipeline(SimdHybridPipeline(model, params, seed=7), images)
+    if kind == "cryptonets":
+        model = square_model()
+        params = parameters_for_pipeline(model, 256)
+        return _run_pipeline(CryptonetsPipeline(model, params, seed=7), images)
     if kind == "deep":
         model = deep_model()
         params = parameters_for_pipeline(model, 256)

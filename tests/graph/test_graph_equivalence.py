@@ -18,15 +18,20 @@ import pytest
 
 from repro.core import (
     CryptonetsPipeline,
+    DeepHybridPipeline,
     HybridPipeline,
     PipelineSpec,
     build_pipeline,
+    heops,
+    parameters_for_pipeline,
 )
 from repro.errors import PipelineError
 from repro.graph import executor, ir
+from repro.he.context import Plaintext
 from repro.he.serialize import serialize_ciphertext
+from repro.nn import DeepQuantizedCNN, deep_cnn
 
-from .kinds import KINDS, STAGES, run_kind
+from .kinds import KINDS, STAGES, deep_model, images_for, run_kind
 
 
 def _run(factory, images):
@@ -159,17 +164,21 @@ class TestCryptonetsEquivalence:
 #: took the flush's chain (encrypt in the served request format, fold, conv,
 #: one crossing that computes fc, decrypt the results): its stages, op
 #: tallies and ciphertext changed, and so did its ``rng``, because the user
-#: encrypts one polynomial per image channel; its ``logits`` did not.
+#: encrypts one polynomial per image channel; its ``logits`` did not.  The
+#: ``deep`` row moved the same way when the deep hybrid took that chain
+#: (one ``simd`` graph over its blocks): stages, op tallies, ciphertext and
+#: ``rng``, never ``logits``.  The ``cryptonets`` row was recorded at the
+#: parent of that change, before any of its edits.
 PARENT_RECORDING = json.loads(
     Path(__file__).with_name("parent_recording.json").read_text()
 )
 
 
 class TestNewGraphKinds:
-    """SIMD, deep, ``EdgeServer.infer`` and the packed flush run through
-    the executor and reproduce the deleted chains byte for byte (logits,
-    result-ciphertext bytes, op tallies, encryptor RNG position, stage
-    names)."""
+    """SIMD, deep, ``EdgeServer.infer``, the packed flush and the pure-HE
+    chain run through the executor and reproduce their recorded runs byte
+    for byte (logits, result-ciphertext bytes, op tallies, encryptor RNG
+    position, stage names)."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_bit_identical_to_parent_chain(self, kind):
@@ -238,3 +247,87 @@ class TestReportSurface:
         monkeypatch.setattr(cryptonets, "KeyGenerator", no_keys)
         with pytest.raises(PipelineError, match="graph_optimizer"):
             build_pipeline("cryptonets", q_he, he_params, graph_optimizer="saef")
+
+
+class TestDeepImageChain:
+    """The deep hybrid is a ``simd`` graph over several blocks: its logits
+    are the integer reference's, and every block's crossing, inner or last,
+    keeps the image decode's zero and range probes."""
+
+    @pytest.fixture(scope="class")
+    def pipeline(self):
+        model = deep_model()
+        return DeepHybridPipeline(model, parameters_for_pipeline(model, 256), seed=7)
+
+    def test_graph_is_the_simd_chain_over_the_blocks(self, pipeline):
+        graph = pipeline.graph
+        assert graph.kind == "simd"
+        assert [(node.op, node.stage) for node in graph.nodes] == [
+            ("encrypt_image", "encrypt"), ("fold", "pack"),
+            ("conv", "conv_0"), ("crossing_image", "sgx_block_0"),
+            ("conv", "conv_1"), ("crossing_image", "sgx_block_1"),
+            ("decrypt_result", "decrypt"),
+        ]
+        inner, last = (node for node in graph.nodes if node.op == "crossing_image")
+        assert inner.attrs["next_image"] and "next_image" not in last.attrs
+        # Block 1 reads block 0's pooled maps: 14 -> conv 12 -> pool 6.
+        assert (last.attrs["image"].height, last.attrs["image"].width) == (6, 6)
+
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_logits_equal_the_integer_reference(self, pipeline, batch):
+        images = images_for("deep")[:batch]
+        result = pipeline.infer(images)
+        assert np.array_equal(result.logits, pipeline.quantized.forward_int(images))
+        assert result.enclave_crossings == 2
+
+    def test_logits_equal_the_integer_reference_at_paper_geometry(self):
+        """28 x 28 images, 5 x 5 kernels, two blocks, n = 1024: block 0 holds
+        one image per polynomial, block 1's 12 x 12 maps seven."""
+        model = deep_cnn(
+            image_size=28, block_channels=(3, 4), kernel_size=5, activation="tanh",
+            pool="max", rng=np.random.default_rng(2120),
+        )
+        quantized = DeepQuantizedCNN.from_float(model)
+        assert quantized.input_shape == (1, 28, 28)
+        pipeline = DeepHybridPipeline(
+            quantized, parameters_for_pipeline(quantized, 1024), seed=7
+        )
+        images = np.random.default_rng(2121).random((9, 1, 28, 28))
+        result = pipeline.infer(images)
+        assert np.array_equal(result.logits, quantized.forward_int(images))
+
+    @pytest.mark.parametrize("block", [0, 1])
+    @pytest.mark.parametrize("probe", ["stray", "range"])
+    def test_tampered_block_output_is_a_typed_pipeline_error(
+        self, pipeline, block, probe, monkeypatch
+    ):
+        """A non-zero coefficient past what block ``block``'s images reach,
+        or a conv output one past its bound, is refused by that block's own
+        crossing -- the inner one writes the next block's images, so it
+        decodes as strictly as the last."""
+        conv = heops.he_conv2d
+        seen = []
+
+        def tamper(evaluator, encoder, ct, weights, folded=1):
+            out = conv(evaluator, encoder, ct, weights, folded)
+            if len(seen) == block:
+                layout = weights.layout
+                per = layout.per_ciphertext(out.context.poly_degree)
+                occupied = min(folded, per)
+                if probe == "stray":
+                    at, value = occupied * layout.pixels + layout.spill, 1
+                else:
+                    at = int(layout.output_offsets()[0, 0])
+                    now = pipeline.decryptor.decrypt(out).signed_coeffs()[0, 0, at]
+                    value = layout.bound + 1 - now
+                coeffs = np.zeros((*out.batch_shape, out.context.poly_degree), np.int64)
+                coeffs[0, 0, at] = value
+                out = evaluator.add_plain(out, Plaintext(out.context, coeffs))
+            seen.append(block)
+            return out
+
+        monkeypatch.setattr(heops, "he_conv2d", tamper)
+        message = "a coefficient no image reaches" if probe == "stray" else "conv bound"
+        with pytest.raises(PipelineError, match=message):
+            pipeline.infer(images_for("deep")[:3])
+        assert len(seen) == block + 1

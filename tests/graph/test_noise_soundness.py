@@ -1,5 +1,6 @@
 """IR noise estimates against measured budgets on the two serving graphs, the
-``simd`` kind and the pure-HE ``cryptonets`` kind: after ``conv`` (one
+``simd`` kind (one block, and the deep hybrid's several) and the pure-HE
+``cryptonets`` kind: after ``conv`` (one
 plaintext-polynomial product per filter on the served request format) and
 on the result a client receives.  The fold is a host-side sum, not a
 refresh -- it makes ``conv`` start below fresh, and the one crossing
@@ -18,6 +19,7 @@ import pytest
 from repro.client import AttestedClient
 from repro.core import (
     CryptonetsPipeline,
+    DeepHybridPipeline,
     EdgeServer,
     SimdHybridPipeline,
     heops,
@@ -30,7 +32,7 @@ from repro.he.noise import NoiseEstimator
 from repro.serve import InferenceRequest, ServeConfig
 from repro.sgx import AttestationVerificationService
 
-from .kinds import single_block_model
+from .kinds import deep_model, single_block_model
 
 #: Batches on both sides of the flush's block boundaries: 8x8 images at
 #: n = 256 fold 4 per ciphertext.
@@ -147,6 +149,36 @@ def test_simd_headroom_lower_bounds_the_measured_budget(batch, monkeypatch):
     assert graph.node("encrypt_image").op in ir.REFRESH_OPS
     assert "fc" not in measured  # fc runs inside the crossing
     _assert_lower_bounds(graph, measured, result_node="crossing_image")
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, 8])
+def test_deep_headroom_lower_bounds_every_block(batch, monkeypatch):
+    """The deep hybrid's ``simd`` graph over two blocks: block 0's conv pays
+    the user's fold; the inner crossing re-encrypts block 1's images fresh
+    and already folded (7 of 6 x 6 per ciphertext at n = 256), so block 1's
+    conv starts from a refresh.  The IR's headroom lower-bounds the measured
+    budget at every block's conv and on the result."""
+    model = deep_model()
+    params = parameters_for_pipeline(model, 256)
+    pipeline = DeepHybridPipeline(model, params, seed=7)
+    budgets = []
+    conv = heops.he_conv2d
+
+    def spy(*args):
+        out = conv(*args)
+        budgets.append(pipeline.decryptor.invariant_noise_budget(out))
+        return out
+
+    monkeypatch.setattr(heops, "he_conv2d", spy)
+    images = np.random.default_rng(2119).random((batch, 1, 14, 14))
+    result = pipeline.infer(images)
+    measured = dict(zip(("conv_0", "conv_1"), budgets, strict=True))
+    measured["sgx_block_1"] = result.noise_budget_bits
+    stages = {node.stage: node for node in pipeline.graph.nodes}
+    assert stages["sgx_block_0"].op in ir.REFRESH_OPS
+    for stage, value in measured.items():
+        estimated = stages[stage].budget_bits
+        assert 0.0 < estimated <= value, (stage, estimated, value)
 
 
 @pytest.mark.parametrize("batch", BATCHES)

@@ -23,21 +23,25 @@ from repro.nn.layers import conv2d_forward
 
 class TestCoefficientFold:
     """``pack_coefficients`` over a flush's requests, un-stacked: request
-    image ``b`` lands in coefficient ``b`` of every tensor position."""
+    image ``b`` lands at ``x^(stride * (b % P))`` of row ``b // P``, ``P = n
+    // stride``."""
 
     def test_unstacked_requests_land_in_their_coefficients(
         self, context, encoder, encryptor, decryptor, evaluator, rng
     ):
         values = [rng.integers(-50, 50, size=(b, 4)) for b in (1, 3, 2, 1)]
         parts = [encryptor.encrypt(encoder.encode(v)) for v in values]
-        folded = pack_coefficients(evaluator, parts)
-        assert folded.batch_shape == (4,)
+        stride = context.poly_degree // 4  # four requests per row
+        folded = pack_coefficients(evaluator, parts, stride=stride)
+        assert folded.batch_shape == (2, 4)
         coeffs = decryptor.decrypt(folded).signed_coeffs()
-        assert np.array_equal(coeffs[:, :7].T, np.concatenate(values))
-        assert not coeffs[:, 7:].any()
+        blocks = coeffs.reshape(2, 4, 4, stride)  # (row, tensor position, block, offset)
+        landed = blocks[..., 0].transpose(0, 2, 1).reshape(8, 4)
+        assert np.array_equal(landed[:7], np.concatenate(values))
+        assert not landed[7].any() and not blocks[..., 1:].any()
         whole = encryptor.encrypt(encoder.encode(np.concatenate(values)))
-        stacked = decryptor.decrypt(pack_coefficients(evaluator, whole)).signed_coeffs()
-        assert np.array_equal(stacked, coeffs)
+        stacked = decryptor.decrypt(pack_coefficients(evaluator, whole, stride=stride))
+        assert np.array_equal(stacked.signed_coeffs(), coeffs)
 
     def test_a_bad_part_is_an_encoding_error_not_a_broadcast_error(
         self, context, encoder, encryptor, evaluator
@@ -45,9 +49,9 @@ class TestCoefficientFold:
         good = encryptor.encrypt(encoder.encode(np.zeros((2, 4), dtype=np.int64)))
         odd = encryptor.encrypt(encoder.encode(np.zeros((2, 5), dtype=np.int64)))
         with pytest.raises(EncodingError, match="part 1 has trailing shape"):
-            pack_coefficients(evaluator, [good, odd])
+            pack_coefficients(evaluator, [good, odd], stride=16)
         with pytest.raises(EncodingError, match="part 1 is in coefficient domain"):
-            pack_coefficients(evaluator, [good, good.to_coeff()])
+            pack_coefficients(evaluator, [good, good.to_coeff()], stride=16)
 
 
 class TestLanes:
@@ -59,7 +63,7 @@ class TestLanes:
         self, context, encoder, encryptor, decryptor, evaluator, rng
     ):
         values = rng.integers(-20, 20, size=(5, 3))
-        folded = pack_coefficients(evaluator, encryptor.encrypt(encoder.encode(values)))
+        folded = encryptor.encrypt(write_lanes(context, values)).reshape(3)
         weight = evaluator.transform_plain(encoder.encode(-7))
         # The bias of every request: the same row in each of lanes 0..4.
         spread = write_lanes(context, np.tile([4, -9, 0], (5, 1)))
@@ -111,9 +115,10 @@ class TestLanes:
 
 
 class TestPackingMonomialMemo:
-    """``pack_coefficients`` reads ``NTT(x^b)`` from a prefix memo on the
-    context: a repeat or smaller ``B`` transforms nothing, and the memo never
-    outgrows the ring degree."""
+    """``pack_coefficients`` reads ``NTT(x^(stride * p))`` from a memo per
+    stride on the context: a repeat, smaller or larger fold at a known
+    stride transforms nothing, and a stride's memo holds ``n // stride``
+    rows, never more."""
 
     def test_repeat_and_smaller_batches_transform_nothing(self, monkeypatch):
         degree = 16
@@ -132,27 +137,33 @@ class TestPackingMonomialMemo:
             context.ring, "ntt", lambda a: forward.append(a.shape[0]) or original(a)
         )
 
-        def fold(batch):
+        def fold(batch, stride):
             data = context.ring.sample_uniform(rng, batch, 3, 2)
-            return pack_coefficients(evaluator, Ciphertext(context, data, is_ntt=True))
+            ct = Ciphertext(context, data, is_ntt=True)
+            return pack_coefficients(evaluator, ct, stride=stride)
 
         stacked = Ciphertext(context, context.ring.sample_uniform(rng, 6, 3, 2), is_ntt=True)
-        first = pack_coefficients(evaluator, stacked)
-        assert forward == [6]  # rows x^0 .. x^5, once
-        again = pack_coefficients(evaluator, stacked)
+        first = pack_coefficients(evaluator, stacked, stride=2)
+        assert forward == [8]  # rows x^0, x^2, ..., x^14, once
+        again = pack_coefficients(evaluator, stacked, stride=2)
         assert again.data.tobytes() == first.data.tobytes()
-        fold(4)
-        assert forward == [6]
-        fold(9)
-        assert forward == [6, 3]  # only the rows it lacked
-        for batch in (*range(1, degree + 1), *range(degree, 0, -1)):
-            fold(batch)
-        assert sum(forward) == degree == context._monomial_ntt.shape[0]
-        eye = np.eye(degree, dtype=np.int64)
-        assert np.array_equal(context._monomial_ntt, original(context.ring.from_signed_small(eye)))
-        with pytest.raises(EncodingError, match="exceeds the ring degree"):
-            fold(degree + 1)
-        assert context._monomial_ntt.shape[0] == degree
+        fold(4, 2)
+        fold(9, 2)
+        assert forward == [8]
+        fold(3, 4)
+        assert forward == [8, 4]  # a new stride builds its own rows only
+        for batch in (*range(1, 2 * degree + 1), *range(2 * degree, 0, -1)):
+            fold(batch, 2)
+            fold(batch, 4)
+        assert forward == [8, 4]
+        powers = np.zeros((8, degree), dtype=np.int64)
+        powers[np.arange(8), 2 * np.arange(8)] = 1
+        memo = context._stride_monomials[2]
+        assert np.array_equal(memo, original(context.ring.from_signed_small(powers)))
+        assert sorted(context._stride_monomials) == [2, 4]
+        with pytest.raises(EncodingError, match="stride of 17 exceeds the ring degree 16"):
+            fold(1, degree + 1)
+        assert sorted(context._stride_monomials) == [2, 4]
 
 
 def _negacyclic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -234,6 +245,8 @@ class TestImageLayout:
         assert not plain.coeffs[..., 120:].any()
         with pytest.raises(EncodingError, match="17x16 image does not fit 256"):
             write_image(context, np.zeros((1, 1, 17, 16), dtype=np.int64))
+        with pytest.raises(EncodingError, match="10x12 image does not fit 256 coefficients 3 times"):
+            write_image(context, pixels, per=3)
         with pytest.raises(EncodingError, match=r"\(B, C, H, W\)"):
             write_image(context, np.zeros((1, 8, 8), dtype=np.int64))
 
@@ -242,7 +255,7 @@ class TestImageLayout:
     ):
         """The flush's fold: ``ceil(B / P)`` ciphertexts, image ``b`` at
         ``x^(H*W*(b % P))`` of row ``b // P``, read from a memo of ``P``
-        stride monomials -- the prefix memo is never touched."""
+        stride monomials -- the layout ``write_image(..., per=P)`` writes."""
         fresh = Context(context.params)
         evaluator = Evaluator(fresh)
         layout = ImageLayout(9, 9, 3, 1, bound=1)
@@ -256,8 +269,12 @@ class TestImageLayout:
             at = (b % per) * layout.pixels
             assert np.array_equal(coeffs[b // per, :, at : at + 81], image.reshape(2, 81))
         assert not coeffs[2, :, 81:].any()  # row 2 holds image 6 alone
-        assert fresh._monomial_ntt is None
+        assert list(fresh._stride_monomials) == [81]
         assert fresh._stride_monomials[81].shape[0] == per
+        # The enclave writes the same layout directly (an inner block's
+        # crossing): write_image with per = P is the fold's plaintext.
+        written = write_image(context, np.concatenate(images), per=per)
+        assert np.array_equal(written.coeffs, decryptor.decrypt(folded).coeffs)
         with pytest.raises(EncodingError, match="stride of 257 exceeds"):
             pack_coefficients(evaluator, parts, stride=257)
 

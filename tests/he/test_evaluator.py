@@ -172,7 +172,7 @@ class TestMultiplicative:
         )
         squared = Evaluator(reference).square(*_on(reference, ct))
         assert squared.data.tobytes() == product.data.tobytes()
-        assert inverse_transforms == [ct.data.shape]
+        assert inverse_transforms == [operand_shape]  # the batch is one chunk
 
     @PROFILES
     def test_mismatched_batches_are_a_typed_error(

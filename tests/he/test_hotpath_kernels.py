@@ -572,8 +572,13 @@ class TestPointwiseMulSum:
 
 
 class TestPackFold:
-    """``pack_coefficients`` runs one fused multiply-and-fold; it must equal
-    the composed ``multiply_plain`` + ``sum_batch`` in data and tallies."""
+    """``pack_coefficients`` runs one fused multiply-and-fold per row; it
+    must equal the composed ``multiply_plain`` + ``sum_batch`` of each row's
+    images in data and tallies."""
+
+    #: ``P = 256 // 64 = 4`` images per row: batches of 5 and 16 fill more
+    #: than one row, a batch of 3 part of one.
+    STRIDE = 64
 
     @staticmethod
     def _random_ct(context, rng, *batch):
@@ -581,9 +586,9 @@ class TestPackFold:
         return Ciphertext(context, data, is_ntt=True)
 
     @staticmethod
-    def _monomials(evaluator, context, count, rest_ndim):
+    def _monomials(evaluator, context, count, rest_ndim, stride):
         coeffs = np.zeros((count, context.poly_degree), dtype=np.int64)
-        coeffs[np.arange(count), np.arange(count)] = 1
+        coeffs[np.arange(count), stride * np.arange(count)] = 1
         operand = evaluator.transform_plain(Plaintext(context, coeffs))
         shape = (count, *([1] * rest_ndim), *operand.data.shape[-2:])
         return PlainOperand(context, operand.data.reshape(shape))
@@ -593,17 +598,22 @@ class TestPackFold:
         context = Context(small_parameter_options()[256])
         ct = self._random_ct(context, rng, *batch)
         fused_counter, composed_counter = OperationCounter(), OperationCounter()
-        fused_out = pack_coefficients(Evaluator(context, fused_counter), ct)
+        fused_out = pack_coefficients(Evaluator(context, fused_counter), ct, self.STRIDE)
         composed = Evaluator(context, composed_counter)
-        operand = self._monomials(composed, context, batch[0], len(batch) - 1)
-        composed_out = composed.sum_batch(composed.multiply_plain(ct, operand), axis=0)
-        assert fused_out.is_ntt and fused_out.batch_shape == batch[1:]
-        assert np.array_equal(fused_out.data, composed_out.data)
+        per = context.poly_degree // self.STRIDE
+        rows = -(-batch[0] // per)
+        for j in range(rows):
+            group = ct[j * per : (j + 1) * per]
+            count = group.batch_shape[0]
+            operand = self._monomials(composed, context, count, len(batch) - 1, self.STRIDE)
+            row = composed.sum_batch(composed.multiply_plain(group, operand), axis=0)
+            assert np.array_equal(fused_out.data[j], row.data)
+        assert fused_out.is_ntt and fused_out.batch_shape == (rows, *batch[1:])
         assert fused_counter.counts == composed_counter.counts
         lanes = int(np.prod(batch[1:], dtype=np.int64))
         assert fused_counter.counts == {
             "ct_plain_mul": batch[0] * lanes,
-            "ct_add": (batch[0] - 1) * lanes,
+            "ct_add": (batch[0] - rows) * lanes,
         }
 
     @pytest.mark.parametrize("rest", [(), (3,), (2, 4)])
@@ -620,16 +630,17 @@ class TestPackFold:
         before = [d.copy() for d in datas]
         parts = [Ciphertext(context, d, is_ntt=True) for d in datas]
         stacked_counter, parts_counter = OperationCounter(), OperationCounter()
-        stacked_out = pack_coefficients(Evaluator(context, stacked_counter), whole)
-        parts_out = pack_coefficients(Evaluator(context, parts_counter), parts)
-        assert parts_out.batch_shape == rest
+        stacked_out = pack_coefficients(Evaluator(context, stacked_counter), whole, self.STRIDE)
+        parts_out = pack_coefficients(Evaluator(context, parts_counter), parts, self.STRIDE)
+        assert parts_out.batch_shape == (2, *rest)
         assert parts_out.data.tobytes() == stacked_out.data.tobytes()
         assert parts_counter.counts == stacked_counter.counts
         assert all(np.array_equal(d, b) for d, b in zip(datas, before))
         assert not any(np.shares_memory(parts_out.data, d) for d in datas)
         # The single-request flush runs the same body and copies nothing in.
-        alone = pack_coefficients(Evaluator(context), [parts[2]])
-        assert alone.data.tobytes() == pack_coefficients(Evaluator(context), parts[2]).data.tobytes()
+        alone = pack_coefficients(Evaluator(context), [parts[2]], self.STRIDE)
+        single = pack_coefficients(Evaluator(context), parts[2], self.STRIDE)
+        assert alone.data.tobytes() == single.data.tobytes()
         assert not np.shares_memory(alone.data, datas[2])
 
     def test_bad_parts_are_named(self, rng):
@@ -638,23 +649,26 @@ class TestPackFold:
         good = self._random_ct(context, rng, 2, 3)
         foreign = Context(small_parameter_options()[512])
         cases = {
-            "at least one": [],
-            "part 1 has none": [good, self._random_ct(context, rng)],
-            "part 1 has trailing shape": [good, self._random_ct(context, rng, 2, 4)],
-            "part 2: objects belong to different": [
-                good, good, self._random_ct(foreign, rng, 2, 3)
-            ],
-            "part 1 is in coefficient domain": [good, good.to_coeff()],
-            "batch of 258 exceeds the ring degree 256": [good] * 129,
+            "at least one": ([], self.STRIDE),
+            "part 1 has none": ([good, self._random_ct(context, rng)], self.STRIDE),
+            "part 1 has trailing shape": (
+                [good, self._random_ct(context, rng, 2, 4)], self.STRIDE
+            ),
+            "part 2: objects belong to different": (
+                [good, good, self._random_ct(foreign, rng, 2, 3)], self.STRIDE
+            ),
+            "part 1 is in coefficient domain": ([good, good.to_coeff()], self.STRIDE),
+            "stride of 257 exceeds the ring degree 256": ([good] * 129, 257),
         }
-        for message, parts in cases.items():
+        for message, (parts, stride) in cases.items():
             with pytest.raises(EncodingError, match=message):
-                pack_coefficients(evaluator, parts)
+                pack_coefficients(evaluator, parts, stride)
 
     def test_flush_sized_fold_stays_bounded(self, rng):
         """The serving flush folds 16 requests of 288 ciphertexts at n =
-        1024, k = 2 (151 MB together); the fold allocates its accumulator
-        and one product scratch, each of *output* size, and nothing else."""
+        1024, k = 2 (151 MB together), 7 of 12 x 12 images per row: the fold
+        allocates its 3-row output and, per row, one accumulator and one
+        product scratch of a row's size, and nothing else."""
         params = EncryptionParams(
             poly_degree=1024,
             coeff_primes=tuple(modmath.ntt_primes(30, 1024, 2)),
@@ -662,17 +676,19 @@ class TestPackFold:
         )
         context = Context(params)
         evaluator = Evaluator(context)
-        pack_coefficients(evaluator, self._random_ct(context, rng, 16, 1))  # warm the x^b memo
+        stride = 144
+        pack_coefficients(evaluator, self._random_ct(context, rng, 16, 1), stride)  # warm the memo
         parts = [self._random_ct(context, rng, 1, 288) for _ in range(16)]
         tracemalloc.start()
         try:
-            out = pack_coefficients(evaluator, parts)
+            out = pack_coefficients(evaluator, parts, stride)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.batch_shape == (288,)
-        assert out.data.nbytes == 288 * 4 * 1024 * 8  # 9 MiB
-        assert 2 * out.data.nbytes <= peak < 2.25 * out.data.nbytes
+        assert out.batch_shape == (3, 288)
+        row = out.data[0].nbytes
+        assert row == 288 * 4 * 1024 * 8  # 9 MiB
+        assert out.data.nbytes + 2 * row <= peak < out.data.nbytes + 2.25 * row
 
 
 class TestGarnerLift:
@@ -1320,10 +1336,10 @@ class TestRnsMultiply:
 
     def test_workload_batch_stays_bounded(self, rng):
         """The pure-HE workload squares and relinearizes a (1, 2, 8, 8) batch
-        at five primes, a 3.75 MiB result: 20 MiB at the peak, of which the
-        13-prime unscaled product between the multiply's two halves is 10 MiB,
-        with both halves run in 16-ciphertext chunks; 54 MiB when the
-        product's transients were not chunked."""
+        at five primes, a 3.75 MiB result: 15.3 MiB at the peak, the
+        relinearization's; 20 MiB when the multiply held the 13-prime
+        unscaled product of the whole batch between its two halves, 54 MiB
+        when the product's transients were not chunked."""
         context = Context(_custom_params(30, 5, 1 << 31))
         relin_keys = KeyGenerator(context, rng).relin_keys(
             KeyGenerator(context, rng).secret_key()
@@ -1339,6 +1355,25 @@ class TestRnsMultiply:
             tracemalloc.stop()
         assert relined.batch_shape == (1, 2, 8, 8)
         assert peak < 24 * 2**20
+
+    def test_multiply_holds_one_chunk_of_the_unscaled_product(self, rng):
+        """``Evaluator.multiply`` rescales each 16-ciphertext chunk of the
+        tensor product as it is made: squaring the workload's (1, 2, 8, 8)
+        batch peaks at 11.7 MiB, the 3.75 MiB result included -- not at the
+        19.7 MiB of the whole batch's 13-prime product held between the
+        halves."""
+        context = Context(_custom_params(30, 5, 1 << 31))
+        ct = self._uniform_ct(context, rng, 1, 2, 8, 8)
+        evaluator = Evaluator(context)
+        evaluator.square(ct[:, :1, :1, :1])  # build the basis outside the measurement
+        tracemalloc.start()
+        try:
+            squared = evaluator.square(ct)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert squared.batch_shape == (1, 2, 8, 8)
+        assert peak < 13 * 2**20
 
 
 class TestModRows:

@@ -176,11 +176,12 @@ class TestDeep:
         from repro.nn.deep import DeepQuantizedCNN, deep_cnn
 
         # 18x18 survives two (k=3, pool 2) blocks; weights need no training
-        # for a timing-reconciliation check.
+        # for a timing-reconciliation check.  One image per polynomial needs
+        # n >= 324.
         model = deep_cnn(image_size=18, block_channels=(2, 3), kernel_size=3,
                          rng=np.random.default_rng(5))
         quantized = DeepQuantizedCNN.from_float(model)
-        params = parameters_for_pipeline(quantized, 256)
+        params = parameters_for_pipeline(quantized, 512)
         pipe = DeepHybridPipeline(quantized, params, seed=5)
         r0, o0 = pipe.clock.real_s, pipe.clock.overhead_s
         before = pipe.enclave.side_channel.count("ecall")
