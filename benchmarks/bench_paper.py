@@ -49,7 +49,6 @@ from repro.bench import (
 )
 from repro.core import (
     CryptonetsPipeline,
-    DeepHybridPipeline,
     HybridPipeline,
     InferenceEnclave,
     PlaintextPipeline,
@@ -69,7 +68,7 @@ from repro.errors import ReproError
 from repro.he import Encryptor, Evaluator, OperationCounter, ScalarEncoder
 from repro.he.batching import read_lanes, write_lanes
 from repro.nn import (
-    DeepQuantizedCNN,
+    QuantizedCNN,
     accuracy,
     accuracy_score,
     agreement_rate,
@@ -930,7 +929,7 @@ def deep_model(depth: int, seed: int):
 
     train(model, crop(data.train_images).astype(np.float64) / 255.0, data.train_labels,
           epochs=1, learning_rate=0.1, seed=seed)
-    return DeepQuantizedCNN.from_float(model), crop(data.test_images)
+    return QuantizedCNN.from_float(model, weight_bits=6, act_scale=63), crop(data.test_images)
 
 
 DEPTH_COLUMNS = (
@@ -948,7 +947,7 @@ def measure_depth(rig: Rig, scale: BenchScale) -> dict:
     for depth in depths:
         quantized, images = deep_model(depth, seed=80 + depth)
         params = parameters_for_pipeline(quantized, n)
-        pipeline = DeepHybridPipeline(quantized, params, seed=80 + depth)
+        pipeline = SimdHybridPipeline(quantized, params, seed=80 + depth)
         batch = images[:2]
         series["hybrid_time_s"].append(
             best(lambda: pipeline.infer(batch), 2, pipeline.platform.clock)

@@ -7,7 +7,8 @@ re-encrypts at every activation, so a 2-block network runs under the same
 modest FV parameters as a 1-block one -- this example shows it live,
 including the per-block stage breakdown and the depth-independent noise
 budget.  Images are encrypted one per polynomial (18 x 18 pixels fit n =
-1024), and each block's enclave crossing writes the next block's images.
+1024), and each block's enclave crossing writes the next block's images:
+the ``simd`` pipeline runs a model of any depth.
 Exits nonzero if the encrypted logits differ from the integer reference.
 
 Run:
@@ -18,12 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import (
-    DeepHybridPipeline,
-    parameters_for_pipeline,
-    pure_he_modulus_bits_for_depth,
-)
-from repro.nn import DeepQuantizedCNN, deep_cnn, synthetic_mnist, train
+from repro.core import build_pipeline, parameters_for_pipeline, pure_he_modulus_bits_for_depth
+from repro.nn import QuantizedCNN, deep_cnn, synthetic_mnist, train
 
 
 def main() -> None:
@@ -43,17 +40,17 @@ def main() -> None:
     print(f"   test accuracy after training: {report.final_accuracy:.2f}")
 
     print("\n== Quantize and size parameters (depth-independent!) ==")
-    quantized = DeepQuantizedCNN.from_float(model)
+    quantized = QuantizedCNN.from_float(model, weight_bits=6, act_scale=63)
     params = parameters_for_pipeline(quantized, 1024)
     print(f"   {params.describe()}")
     pure_need = pure_he_modulus_bits_for_depth(
-        quantized.depth, params.plain_modulus.bit_length(), params.poly_degree
+        len(quantized.blocks), params.plain_modulus.bit_length(), params.poly_degree
     )
     print(f"   hybrid needs log2(q) = {params.coeff_modulus.bit_length()}; a "
           f"pure-HE evaluation of the same depth would need ~{pure_need:.0f} bits")
 
     print("\n== Encrypted inference, block by block ==")
-    pipeline = DeepHybridPipeline(quantized, params, seed=2)
+    pipeline = build_pipeline("simd", quantized, params, seed=2)
     batch = test_images[:3]
     result = pipeline.infer(batch)
     print(result.describe())

@@ -20,11 +20,11 @@ Public surface:
 from repro.core.config import (
     TrainedModels,
     parameters_for_pipeline,
+    pure_he_modulus_bits_for_depth,
     required_budget_bits,
     train_paper_models,
 )
 from repro.core.cryptonets import CryptonetsPipeline
-from repro.core.deep import DeepHybridPipeline, pure_he_modulus_bits_for_depth
 from repro.core.enclave_service import ACTIVATIONS, InferenceEnclave
 from repro.core.heops import (
     EncodedConvWeights,
@@ -76,7 +76,6 @@ from repro.core.simd import SimdHybridPipeline
 __all__ = [
     "ACTIVATIONS",
     "CryptonetsPipeline",
-    "DeepHybridPipeline",
     "DeliveredKeys",
     "EdgeServer",
     "EncodedConvWeights",

@@ -5,9 +5,9 @@ inference graph (:mod:`repro.graph`), walk it under one ``pipeline`` span,
 wrap the outcome in an :class:`~repro.core.results.InferenceResult` -- so
 :class:`GraphPipeline` does them once and a concrete pipeline is just its
 validation plus which graph kind it builds.  :class:`EnclavePipeline` adds
-the other thing the hybrid, SIMD and deep pipelines repeated line for
-line: loading the supervised inference enclave and running the paper's
-full Fig. 2 key delivery for the simulated user.
+the other thing the hybrid and SIMD pipelines repeated line for line:
+loading the supervised inference enclave and running the paper's full
+Fig. 2 key delivery for the simulated user.
 """
 
 from __future__ import annotations

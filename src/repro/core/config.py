@@ -10,6 +10,7 @@ validated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,22 @@ def parameters_for_pipeline(
         f"no parameter set at degree {poly_degree} fits t={t} with the "
         f"required noise budget; reduce quantization scales"
     )
+
+
+def pure_he_modulus_bits_for_depth(
+    depth: int, plain_bits: float, poly_degree: int, margin_bits: float = 8.0
+) -> float:
+    """Estimate the log2(q) a *pure-HE* evaluation of ``depth`` multiplicative
+    levels would need (no enclave refresh, CryptoNets-style squares).
+
+    Uses the :class:`~repro.he.noise.NoiseEstimator` cost model: each level
+    costs about ``log2(t) + log2(n) + c`` bits of budget.  The hybrid never
+    needs more than one level, whatever its depth -- this function is the
+    analytic half of the depth ablation.
+    """
+    fresh_overhead = plain_bits + math.log2(2 * 6.0 * 3.2 * (2 * poly_degree + 1))
+    per_level = plain_bits + math.log2(poly_degree) + 3.0
+    return fresh_overhead + depth * per_level + margin_bits
 
 
 @dataclass

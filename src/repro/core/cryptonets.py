@@ -49,7 +49,7 @@ class CryptonetsPipeline(GraphPipeline):
     baseline structurally needs the TTP for its relinearization keys.
 
     Args:
-        quantized: integer model with ``activation="square"``.
+        quantized: integer model of one ``activation="square"`` block.
         params: FV parameters; must fit ``quantized.required_plain_modulus()``.
         seed: reproducible key/encryption randomness.
         clock: shared simulated clock (a fresh one by default).
@@ -73,7 +73,7 @@ class CryptonetsPipeline(GraphPipeline):
         *,
         context_type: type[Context] = Context,
     ) -> None:
-        if quantized.activation != "square":
+        if quantized.blocks[0].activation != "square":
             raise PipelineError(
                 "the pure-HE baseline cannot evaluate a non-polynomial "
                 "activation; quantize a cryptonets_cnn model (Square + "

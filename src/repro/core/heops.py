@@ -216,16 +216,13 @@ class EncodedModel:
 def encode_model_weights(
     evaluator: Evaluator, encoder: ScalarEncoder, quantized
 ) -> EncodedModel:
-    """Encode a quantized model's conv + FC weights once (Section IV-B).
-
-    ``quantized`` is any object with ``conv_weight`` / ``conv_bias`` /
-    ``stride`` / ``dense_weight`` / ``dense_bias`` (a
+    """Encode a one-block quantized model's conv + FC weights once (Section
+    IV-B): ``quantized.blocks[0]``'s ``weight`` / ``bias`` / ``stride`` and
+    ``quantized.dense_weight`` / ``dense_bias`` (a
     :class:`~repro.nn.quantize.QuantizedCNN`).
     """
-    conv = encode_conv_weights(
-        evaluator, encoder, quantized.conv_weight, quantized.conv_bias,
-        quantized.stride,
-    )
+    block = quantized.blocks[0]
+    conv = encode_conv_weights(evaluator, encoder, block.weight, block.bias, block.stride)
     dense = encode_dense_weights(
         evaluator, encoder, quantized.dense_weight, quantized.dense_bias
     )

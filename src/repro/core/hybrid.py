@@ -43,8 +43,9 @@ class HybridPipeline(EnclavePipeline):
     """Hybrid privacy-preserving inference on one simulated edge server.
 
     Args:
-        quantized: integer model with ``activation="sigmoid"`` (or any
-            activation in :data:`repro.core.enclave_service.ACTIVATIONS`).
+        quantized: integer model of one block (the graph refuses more) with
+            ``activation="sigmoid"`` (or any activation in
+            :data:`repro.core.enclave_service.ACTIVATIONS`).
         params: FV parameters; only one linear layer of noise headroom is
             needed thanks to the enclave refresh.
         platform: the simulated SGX machine (fresh one by default).
@@ -67,21 +68,19 @@ class HybridPipeline(EnclavePipeline):
     ) -> None:
         if mode not in MODES:
             raise PipelineError(f"mode must be one of {MODES}, got {mode!r}")
-        if quantized.activation == "square":
+        block = quantized.blocks[0]
+        if block.activation == "square":
             raise PipelineError(
                 "the hybrid pipeline expects an exact-activation model "
                 "(quantize a paper_cnn, not a cryptonets_cnn)"
             )
-        if mode == "per_pixel" and (
-            quantized.activation != "sigmoid" or quantized.pool != "mean"
-        ):
+        if mode == "per_pixel" and (block.activation != "sigmoid" or block.pool != "mean"):
             raise PipelineError(
                 "the per-pixel control reproduces the paper's sigmoid + "
                 "mean-pool configuration only"
             )
         self.mode = mode
         self.scheme = _SCHEME_NAMES[mode]
-        self.activation = quantized.activation
         # "fake" runs the same code (and the same recovery path) with no
         # enclave.
         super().__init__(

@@ -1,8 +1,7 @@
 """The unified pipeline API: one protocol, one factory.
 
-The five inference pipelines (plaintext reference, pure-HE CryptoNets
-baseline, hybrid HE+SGX, packed SIMD hybrid, multi-block deep hybrid)
-grew the same surface by convention -- a ``scheme`` label, ``infer(images)``
+The four inference pipelines (plaintext reference, pure-HE CryptoNets
+baseline, hybrid HE+SGX, packed SIMD hybrid at any depth) grew the same surface by convention -- a ``scheme`` label, ``infer(images)``
 returning an :class:`~repro.core.results.InferenceResult`, and
 ``encrypt_images``.  :class:`InferencePipeline` makes that contract explicit
 (FHEON-style: a configurable, uniform API is what lets optimizations like the
@@ -20,7 +19,6 @@ import numpy as np
 
 from repro.core.config import parameters_for_pipeline
 from repro.core.cryptonets import CryptonetsPipeline
-from repro.core.deep import DeepHybridPipeline
 from repro.core.hybrid import HybridPipeline
 from repro.core.plaintext import PlaintextPipeline
 from repro.core.results import InferenceResult
@@ -60,7 +58,6 @@ SCHEME_ALIASES = {
     "encryptsgx": "hybrid",
     "simd": "simd",
     "encryptsgx-simd": "simd",
-    "deep": "deep",
 }
 
 #: Keyword options each scheme's constructor understands.
@@ -69,7 +66,6 @@ _SCHEME_OPTS = {
     "cryptonets": {"seed", "clock"},
     "hybrid": {"platform", "mode", "seed"},
     "simd": {"platform", "seed"},
-    "deep": {"platform", "seed"},
 }
 
 
@@ -216,20 +212,19 @@ def build_pipeline(
     Args:
         scheme: either a canonical name / alias (case-insensitive) from
             :data:`SCHEME_ALIASES` -- ``plaintext``, ``cryptonets`` /
-            ``encrypted``, ``hybrid`` / ``encryptsgx``, ``simd``, ``deep``
-            -- or a declarative :class:`PipelineSpec`, whose parameters,
+            ``encrypted``, ``hybrid`` / ``encryptsgx``, ``simd`` -- or a declarative :class:`PipelineSpec`, whose parameters,
             ``batching`` choice and stored ``options`` all apply
             (explicit ``params`` / ``**opts`` here still win).
-        quantized: the integer model (a
-            :class:`~repro.nn.quantize.QuantizedCNN`, or a
-            :class:`~repro.nn.deep.DeepQuantizedCNN` for ``deep``).
+        quantized: the integer model, a
+            :class:`~repro.nn.quantize.QuantizedCNN` (of several blocks for
+            ``simd`` and ``plaintext`` only).
         params: FV parameters; when omitted, auto-sized with
             :func:`~repro.core.config.parameters_for_pipeline` at
             ``poly_degree``.
         poly_degree: degree used for auto-sizing (ignored when ``params`` is
             given).
         **opts: scheme-specific options -- ``mode`` (hybrid), ``platform``
-            (hybrid/simd/deep), ``seed``, ``clock`` (plaintext/cryptonets)
+            (hybrid/simd), ``seed``, ``clock`` (plaintext/cryptonets)
             -- plus the process-wide knob ``workers``, applied exactly as
             :attr:`PipelineSpec.workers` would be, and ``graph_optimizer``,
             which any scheme takes as ``"off"`` and nothing else.
@@ -272,6 +267,4 @@ def build_pipeline(
         return CryptonetsPipeline(quantized, params, **opts)
     if canonical == "hybrid":
         return HybridPipeline(quantized, params, **opts)
-    if canonical == "simd":
-        return SimdHybridPipeline(quantized, params, **opts)
-    return DeepHybridPipeline(quantized, params, **opts)
+    return SimdHybridPipeline(quantized, params, **opts)

@@ -41,25 +41,25 @@ class PlaintextPipeline:
         return self.quantized.quantize_images(images)
 
     def infer(self, images: np.ndarray) -> InferenceResult:
+        """Quantize, then each block's conv and activation + pool, then fc:
+        one stage each (``conv_i`` / ``activation_pool_i`` for block ``i`` of
+        several)."""
+        quantized = self.quantized
         with self.tracer.span(
             self.scheme, kind="pipeline", batch=int(images.shape[0])
         ) as trace:
             with self.tracer.stage("quantize"):
-                x = self.quantized.quantize_images(images)
+                x = quantized.quantize_images(images)
 
-            with self.tracer.stage("conv"):
-                conv = self.quantized.conv_stage(x)
-
-            with self.tracer.stage("activation_pool"):
-                if self.quantized.activation == "square":
-                    hidden = self.quantized.scaled_pool_stage(
-                        self.quantized.square_stage(conv)
-                    )
-                else:
-                    hidden = self.quantized.enclave_stage(conv)
+            for i, block in enumerate(quantized.blocks):
+                suffix = f"_{i}" if len(quantized.blocks) > 1 else ""
+                with self.tracer.stage("conv" + suffix):
+                    conv = block.conv_stage(x)
+                with self.tracer.stage("activation_pool" + suffix):
+                    x = block.activation_pool_stage(conv, quantized.block_input_scale(i))
 
             with self.tracer.stage("fc"):
-                logits = self.quantized.fc_stage(hidden)
+                logits = quantized.fc_stage(x)
 
         return InferenceResult(
             logits=logits,

@@ -57,7 +57,7 @@ from repro.he.encoders import ScalarEncoder
 from repro.he.encryptor import Encryptor
 from repro.he.evaluator import Evaluator, OperationCounter
 from repro.he.params import EncryptionParams
-from repro.nn.quantize import QuantizedCNN
+from repro.nn.quantize import QuantizedCNN, QuantizedConvBlock
 from repro.obs import metrics
 from repro.obs import context as obs_context
 from repro.obs.context import TraceContext
@@ -130,50 +130,47 @@ SERVED_SCHEME = "EdgeServer/EncryptSGX"
 
 
 def _pack_model_payload(name: str, quantized: QuantizedCNN) -> bytes:
-    """Serialize a named model pickle-free: JSON metadata header (scalars)
-    plus the library's int64 wire format for the weight arrays, so that
+    """Serialize a named model pickle-free: a JSON metadata header (the
+    scalars, one object per block) plus the library's int64 wire format for
+    the weight arrays -- each block's weight and bias, then fc's -- so that
     nothing executable ever round-trips through sealed storage."""
     meta = json.dumps(
         {
             "name": name,
             "input_scale": int(quantized.input_scale),
-            "conv_weight_scale": float(quantized.conv_weight_scale),
             "dense_weight_scale": float(quantized.dense_weight_scale),
-            "act_scale": int(quantized.act_scale),
-            "activation": quantized.activation,
-            "pool": quantized.pool,
-            "pool_window": int(quantized.pool_window),
-            "stride": int(quantized.stride),
+            "blocks": [
+                {
+                    "weight_scale": float(block.weight_scale),
+                    "stride": int(block.stride),
+                    "activation": block.activation,
+                    "pool": block.pool,
+                    "pool_window": int(block.pool_window),
+                    "act_scale": int(block.act_scale),
+                }
+                for block in quantized.blocks
+            ],
         }
     ).encode("utf-8")
-    arrays = he_serialize.serialize_int64_arrays(
-        [
-            quantized.conv_weight,
-            quantized.conv_bias,
-            quantized.dense_weight,
-            quantized.dense_bias,
-        ]
-    )
-    return struct.pack("<I", len(meta)) + meta + arrays
+    arrays = [a for block in quantized.blocks for a in (block.weight, block.bias)]
+    arrays += [quantized.dense_weight, quantized.dense_bias]
+    return struct.pack("<I", len(meta)) + meta + he_serialize.serialize_int64_arrays(arrays)
 
 
 def _unpack_model_payload(payload: bytes) -> tuple[str, QuantizedCNN]:
     (meta_len,) = struct.unpack_from("<I", payload, 0)
     meta = json.loads(payload[4 : 4 + meta_len].decode("utf-8"))
     arrays, _ = he_serialize.deserialize_int64_arrays(payload[4 + meta_len :])
+    blocks = [
+        QuantizedConvBlock(weight=arrays[2 * i], bias=arrays[2 * i + 1], **block)
+        for i, block in enumerate(meta["blocks"])
+    ]
     quantized = QuantizedCNN(
-        conv_weight=arrays[0],
-        conv_bias=arrays[1],
-        dense_weight=arrays[2],
-        dense_bias=arrays[3],
-        input_scale=meta["input_scale"],
-        conv_weight_scale=meta["conv_weight_scale"],
+        blocks=blocks,
+        dense_weight=arrays[-2],
+        dense_bias=arrays[-1],
         dense_weight_scale=meta["dense_weight_scale"],
-        act_scale=meta["act_scale"],
-        activation=meta["activation"],
-        pool=meta["pool"],
-        pool_window=meta["pool_window"],
-        stride=meta["stride"],
+        input_scale=meta["input_scale"],
     )
     return meta["name"], quantized
 
@@ -261,8 +258,19 @@ class EdgeServer:
     # model provisioning
     # ------------------------------------------------------------------
     def provision_model(self, name: str, quantized: QuantizedCNN) -> None:
-        """Install a quantized model and pre-encode its weights (§IV-B)."""
-        if quantized.activation == "square":
+        """Install a quantized model and pre-encode its weights (§IV-B).
+
+        Raises:
+            PipelineError: a model of more than one block (the serving paths
+                take the paper's one), a square-activation model, or one
+                whose intermediates do not fit the plaintext modulus.
+        """
+        if len(quantized.blocks) > 1:
+            raise PipelineError(
+                f"model {name!r} has {len(quantized.blocks)} conv blocks; the edge "
+                "server serves one-block models (run deeper ones on 'simd')"
+            )
+        if quantized.blocks[0].activation == "square":
             raise PipelineError(
                 "the edge server runs the hybrid framework; square-activation "
                 "models belong to the pure-HE baseline"

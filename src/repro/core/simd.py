@@ -12,10 +12,10 @@ block's crossing also computes fc and writes one result per image, class
 ``c`` in coefficient ``c``; an inner block's writes its pooled maps as the
 next block's images, already folded.  The graph's nodes between the user's
 encrypt and decrypt are the ``packed`` graph's
-(:func:`~repro.graph.ir.build_simd_graph`), so a
-:class:`~repro.nn.quantize.QuantizedCNN` is one block and a
-:class:`~repro.nn.deep.DeepQuantizedCNN` several
-(:class:`~repro.core.deep.DeepHybridPipeline`).
+(:func:`~repro.graph.ir.build_simd_graph`), one conv and one crossing per
+block of the :class:`~repro.nn.quantize.QuantizedCNN`, at any depth: the
+refresh keeps the noise one linear layer deep however many blocks there
+are.
 
 All traffic is still end-to-end encrypted: the enclave reads the packed
 images only after decrypting inside trusted code

@@ -10,8 +10,8 @@ graph identity, so traces, metrics, op tallies and the node profiler see
 every chain the same way.  The walk of each graph kind performs the HE
 ops, ECALLs and RNG draws of the hand-written chain it replaced, in the
 same order — that is what makes the differential equivalence suite
-meaningful — except SIMD's (and the deep hybrid's, a SIMD graph of several
-blocks), which walks the packed flush's own nodes between the user's
+meaningful — except SIMD's (at any depth: one conv and one crossing per
+block), which walks the packed flush's own nodes between the user's
 encrypt and decrypt instead.
 
 Handlers reach ``heops.he_conv2d`` / ``heops.he_dense`` through the module

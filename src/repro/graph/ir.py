@@ -185,7 +185,16 @@ def _graph(kind, params, nodes, layers, mode="batched") -> InferenceGraph:
 
 
 def _single_block(kind, quantized, params, head, between, tail, mode="batched"):
-    """``head -> conv -> between -> fc -> tail`` over one QuantizedCNN."""
+    """``head -> conv -> between -> fc -> tail`` over a one-block QuantizedCNN.
+
+    Raises:
+        PipelineError: the model has more than one block.
+    """
+    if len(quantized.blocks) > 1:
+        raise PipelineError(
+            f"a {kind} graph is one conv block deep, the model has "
+            f"{len(quantized.blocks)}: run it on 'simd'"
+        )
     nodes = [*head, GraphNode("conv", "conv"), *between, GraphNode("fc", "fc"), *tail]
     layers = {
         "conv": _conv_matrix(quantized.blocks[0]),
@@ -220,7 +229,7 @@ def build_cryptonets_graph(quantized, params: EncryptionParams) -> InferenceGrap
     output."""
     between = [
         GraphNode("square", "square"),
-        GraphNode("pool", "pool", {"window": int(quantized.pool_window)}),
+        GraphNode("pool", "pool", {"window": int(quantized.blocks[0].pool_window)}),
     ]
     tail = [GraphNode("relinearize", "relinearize"), GraphNode("decrypt", "decrypt")]
     return _single_block(
@@ -307,10 +316,9 @@ def build_simd_graph(quantized, params: EncryptionParams) -> InferenceGraph:
     the batch in the served request format, the nodes of the serving flush
     (kind ``packed``: ``fold -> (conv_i -> crossing_image_i)*``) run as they
     are, and the user decrypts one result per image, class ``c`` in
-    coefficient ``c``.  A :class:`QuantizedCNN` is one block; each block of
-    a :class:`DeepQuantizedCNN` crosses once, its crossing writing the next
-    block's images already folded, so only the first block folds on the
-    host."""
+    coefficient ``c``.  Each block of the :class:`QuantizedCNN` crosses
+    once; an inner block's crossing writes the next block's images already
+    folded, so only the first block folds on the host."""
     flush = build_served_graph(quantized, params, lanes=0)
     classes = int(np.shape(quantized.dense_weight)[1])
     nodes = [

@@ -235,10 +235,11 @@ def pack_coefficients(
         raise EncodingError(f"a stride of {stride} exceeds the ring degree {n}")
     monomials = stride_monomials(context, stride)
     per = len(monomials)
-    out = np.empty((-(-len(rows) // per), *rows[0].shape), dtype=np.int64)
+    # Each row accumulates in place in its zeroed slot of the output.
+    out = np.zeros((-(-len(rows) // per), *rows[0].shape), dtype=np.int64)
     for j in range(len(out)):
         group = rows[j * per : (j + 1) * per]
-        out[j] = evaluator.sum_products(group, monomials[: len(group)]).data
+        evaluator.sum_products(group, monomials[: len(group)], out=out[j])
     return Ciphertext(context, out, is_ntt=True)
 
 

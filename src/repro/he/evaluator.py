@@ -277,13 +277,14 @@ class Evaluator:
         self._record("ct_plain_mul", result)
         return result
 
-    def sum_products(self, rows, operands) -> Ciphertext:
+    def sum_products(self, rows, operands, out: np.ndarray | None = None) -> Ciphertext:
         """``sum_i rows[i] x operands[i]``: NTT-domain ciphertext data rows
         times NTT-domain plaintext rows, folded by
         :meth:`PolyContext.pointwise_mul_sum` where the rows lie (they need
         not share a buffer) and tallied as the ``C x P`` products and
-        ``C + C`` additions it replaces."""
-        data = self.context.ring.pointwise_mul_sum(rows, operands)
+        ``C + C`` additions it replaces.  ``out``, a zeroed array of the
+        result's shape, receives the sum in place (its ``start``)."""
+        data = self.context.ring.pointwise_mul_sum(rows, operands, start=out)
         result = Ciphertext(self.context, data, is_ntt=True)
         if self.counter is not None:
             lanes = max(1, result.batch_count)

@@ -7,7 +7,6 @@ a trained float model into the integer form FV evaluates.
 """
 
 from repro.nn.data import IMAGE_SIZE, NUM_CLASSES, Dataset, render_digit, synthetic_mnist
-from repro.nn.deep import DeepQuantizedCNN, QuantizedConvBlock, deep_cnn
 from repro.nn.layers import (
     Activation,
     Conv2D,
@@ -25,15 +24,14 @@ from repro.nn.layers import (
     conv2d_forward,
 )
 from repro.nn.metrics import accuracy_score, agreement_rate, confusion_matrix
-from repro.nn.model import Sequential, cryptonets_cnn, paper_cnn, scaled_cnn
-from repro.nn.quantize import QuantizedCNN
+from repro.nn.model import Sequential, cryptonets_cnn, deep_cnn, paper_cnn, scaled_cnn
+from repro.nn.quantize import QuantizedCNN, QuantizedConvBlock
 from repro.nn.train import SGD, TrainReport, accuracy, cross_entropy, softmax, train
 
 __all__ = [
     "Activation",
     "Conv2D",
     "Dataset",
-    "DeepQuantizedCNN",
     "Dense",
     "Flatten",
     "IMAGE_SIZE",

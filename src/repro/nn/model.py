@@ -17,6 +17,10 @@ from repro.nn.layers import (
     Tanh,
 )
 
+#: Layer class of each activation / pool name a quantized block can carry.
+ACTIVATION_LAYERS = {"sigmoid": Sigmoid, "tanh": Tanh, "square": Square}
+POOL_LAYERS = {"mean": MeanPool2D, "max": MaxPool2D, "scaled_mean": ScaledMeanPool2D}
+
 
 class Sequential:
     """An ordered stack of layers with shape checking.
@@ -149,18 +153,54 @@ def scaled_cnn(
     pooled = conv_out // pool_window
     activation = activation or ("square" if cryptonets else "sigmoid")
     pool = pool or ("scaled_mean" if cryptonets else "mean")
-    activations = {"sigmoid": Sigmoid, "tanh": Tanh, "square": Square}
-    pools = {"mean": MeanPool2D, "max": MaxPool2D, "scaled_mean": ScaledMeanPool2D}
-    if activation not in activations:
+    if activation not in ACTIVATION_LAYERS:
         raise ModelError(f"unknown activation {activation!r}")
-    if pool not in pools:
+    if pool not in POOL_LAYERS:
         raise ModelError(f"unknown pool {pool!r}")
     return Sequential(
         [
             Conv2D(1, channels, kernel_size=kernel_size, stride=1, rng=rng),
-            activations[activation](),
-            pools[pool](pool_window),
+            ACTIVATION_LAYERS[activation](),
+            POOL_LAYERS[pool](pool_window),
             Dense(channels * pooled * pooled, 10, rng=rng),
         ],
         input_shape=(1, image_size, image_size),
     )
+
+
+def deep_cnn(
+    image_size: int,
+    block_channels: tuple[int, ...] = (4, 8),
+    kernel_size: int = 3,
+    pool_window: int = 2,
+    activation: str = "sigmoid",
+    pool: str = "mean",
+    rng: np.random.Generator | None = None,
+) -> Sequential:
+    """A multi-block CNN factory: ``[conv -> act -> pool]*k -> dense``, the
+    hybrid's past the paper's single block (exact activations only).
+
+    Raises:
+        ModelError: an activation or pool the enclave does not compute, or
+            spatial dimensions that do not survive every block.
+    """
+    rng = rng if rng is not None else np.random.default_rng()
+    if activation not in ("sigmoid", "tanh") or pool not in ("mean", "max"):
+        raise ModelError(f"unsupported activation/pool: {activation}/{pool}")
+    layers = []
+    channels = 1
+    size = image_size
+    for out_channels in block_channels:
+        conv_out = size - kernel_size + 1
+        if conv_out < pool_window or conv_out % pool_window:
+            raise ModelError(
+                f"spatial size collapses at {size} -> {conv_out} with pool "
+                f"{pool_window}; adjust image_size/kernel/blocks"
+            )
+        layers.append(Conv2D(channels, out_channels, kernel_size, rng=rng))
+        layers.append(ACTIVATION_LAYERS[activation]())
+        layers.append(POOL_LAYERS[pool](pool_window))
+        channels = out_channels
+        size = conv_out // pool_window
+    layers.append(Dense(channels * size * size, 10, rng=rng))
+    return Sequential(layers, input_shape=(1, image_size, image_size))

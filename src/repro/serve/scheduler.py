@@ -251,7 +251,7 @@ class RequestScheduler:
             ) from exc
         # Admitted unchecked, a wrong shape dies mid-flush and isolates its
         # batch-mates.
-        channels = self.server.model(model_name).conv_weight.shape[1]
+        channels = self.server.model(model_name).input_shape[0]
         if len(ct.batch_shape) != 2 or ct.batch_shape[1] != channels:
             raise self._malformed(
                 f"requests must be (B, {channels}) image ciphertexts for model "

@@ -20,7 +20,6 @@ import pytest
 from repro.client import AttestedClient
 from repro.core import (
     CryptonetsPipeline,
-    DeepHybridPipeline,
     EdgeServer,
     HybridPipeline,
     PipelineSpec,
@@ -85,7 +84,7 @@ class TestSignatures:
     def test_no_pipeline_takes_graph_optimizer(self):
         owners = (
             CryptonetsPipeline, HybridPipeline, SimdHybridPipeline,
-            DeepHybridPipeline, EdgeServer, EdgeServer.from_spec,
+            EdgeServer, EdgeServer.from_spec,
         )
         for owner in owners:
             assert "graph_optimizer" not in inspect.signature(owner).parameters

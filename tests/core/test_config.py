@@ -61,10 +61,10 @@ class TestTrainPaperModels:
 
     def test_quantized_accessors(self, models):
         q = models.quantized_sigmoid(weight_bits=5, act_scale=31)
-        assert abs(q.conv_weight).max() <= 15
-        assert q.act_scale == 31
+        assert abs(q.blocks[0].weight).max() <= 15
+        assert q.blocks[0].act_scale == 31
         q2 = models.quantized_square(weight_bits=3, input_scale=7)
-        assert abs(q2.conv_weight).max() <= 3
+        assert abs(q2.blocks[0].weight).max() <= 3
         assert q2.input_scale == 7
 
     def test_full_size_paper_model(self):

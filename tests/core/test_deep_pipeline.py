@@ -1,7 +1,9 @@
-"""Deep (multi-block) hybrid pipeline: depth scalability of the framework.
+"""Deep (multi-block) hybrid inference: depth scalability of the framework.
 
-The deep hybrid is a SIMD graph of several blocks: images are encrypted one
-per polynomial, so an 18 x 18 model needs n >= 324 (n = 512 here)."""
+A ``QuantizedCNN`` of several blocks runs on the SIMD pipeline, one conv and
+one crossing per block: images are encrypted one per polynomial, so an
+18 x 18 model needs n >= 324 (n = 512 here).  The scalar chains (hybrid,
+CryptoNets) and the edge server take one block only."""
 
 from __future__ import annotations
 
@@ -9,12 +11,15 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    DeepHybridPipeline,
+    CryptonetsPipeline,
+    HybridPipeline,
+    SimdHybridPipeline,
     parameters_for_pipeline,
     pure_he_modulus_bits_for_depth,
 )
 from repro.errors import ModelError, PipelineError
-from repro.nn import DeepQuantizedCNN, deep_cnn, train
+from repro.graph import ir
+from repro.nn import QuantizedCNN, deep_cnn, train
 from repro.nn.layers import Dense, ReLU, Sigmoid
 from repro.nn.model import Sequential
 
@@ -33,7 +38,7 @@ def deep_setup(models):
     test_images = full.test_images[:, :, lo : lo + 18, lo : lo + 18]
     train(model, images.astype(np.float64) / 255.0, full.train_labels,
           epochs=2, learning_rate=0.1, seed=31)
-    quantized = DeepQuantizedCNN.from_float(model)
+    quantized = QuantizedCNN.from_float(model, weight_bits=6, act_scale=63)
     params = parameters_for_pipeline(quantized, 512)
     return model, quantized, params, test_images
 
@@ -41,7 +46,7 @@ def deep_setup(models):
 class TestDeepQuantizedCNN:
     def test_depth(self, deep_setup):
         _, quantized, _, _ = deep_setup
-        assert quantized.depth == 2
+        assert len(quantized.blocks) == 2
 
     def test_forward_int_shape(self, deep_setup):
         _, quantized, _, test_images = deep_setup
@@ -59,7 +64,7 @@ class TestDeepQuantizedCNN:
         _, quantized, _, _ = deep_setup
         single = deep_cnn(image_size=18, block_channels=(3,), kernel_size=3,
                           rng=np.random.default_rng(32))
-        q_single = DeepQuantizedCNN.from_float(single)
+        q_single = QuantizedCNN.from_float(single, weight_bits=6, act_scale=63)
         ratio = quantized.required_plain_modulus() / q_single.required_plain_modulus()
         assert ratio < 8  # same ballpark, NOT the squaring a pure-HE level costs
 
@@ -70,18 +75,28 @@ class TestDeepQuantizedCNN:
             *deep_cnn(image_size=18, block_channels=(2,)).layers[2:],
         ])
         with pytest.raises(ModelError):
-            DeepQuantizedCNN.from_float(model)
+            QuantizedCNN.from_float(model)
 
     def test_rejects_headless_model(self):
         layers = deep_cnn(image_size=18, block_channels=(2,)).layers[:-1]
         with pytest.raises(ModelError):
-            DeepQuantizedCNN.from_float(Sequential(layers))
+            QuantizedCNN.from_float(Sequential(layers))
 
     def test_rejects_ragged_body(self):
         good = deep_cnn(image_size=18, block_channels=(2,))
         ragged = Sequential(good.layers[:2] + [good.layers[-1]])
         with pytest.raises(ModelError):
-            DeepQuantizedCNN.from_float(ragged)
+            QuantizedCNN.from_float(ragged)
+
+    def test_plaintext_pipeline_walks_the_blocks(self, deep_setup):
+        from repro.core import PlaintextPipeline
+
+        _, quantized, _, test_images = deep_setup
+        result = PlaintextPipeline(quantized).infer(test_images[:3])
+        assert np.array_equal(result.logits, quantized.forward_int(test_images[:3]))
+        assert [s.name for s in result.stages] == [
+            "quantize", "conv_0", "activation_pool_0", "conv_1", "activation_pool_1", "fc",
+        ]
 
     def test_factory_rejects_collapsing_dims(self):
         with pytest.raises(ModelError):
@@ -92,7 +107,7 @@ class TestDeepHybridPipeline:
     @pytest.fixture(scope="class")
     def pipeline(self, deep_setup):
         _, quantized, params, _ = deep_setup
-        return DeepHybridPipeline(quantized, params, seed=33)
+        return SimdHybridPipeline(quantized, params, seed=33)
 
     def test_matches_integer_reference(self, pipeline, deep_setup):
         _, quantized, _, test_images = deep_setup
@@ -138,10 +153,11 @@ class TestDeepHybridPipeline:
             takes_fc.clear()
             enclave.side_channel.reset()
             result = pipeline.infer(test_images[:batch])
-            assert result.enclave_crossings == quantized.depth
+            depth = len(quantized.blocks)
+            assert result.enclave_crossings == depth
             ecalls = [e[1] for e in enclave.side_channel.trace_signature() if e[0] == "ecall"]
-            assert ecalls == ["activation_pool"] * quantized.depth
-            assert takes_fc == [False] * (quantized.depth - 1) + [True]
+            assert ecalls == ["activation_pool"] * depth
+            assert takes_fc == [False] * (depth - 1) + [True]
 
     def test_noise_budget_positive_at_any_depth(self, pipeline, deep_setup):
         _, _, _, test_images = deep_setup
@@ -152,7 +168,7 @@ class TestDeepHybridPipeline:
         _, quantized, _, test_images = deep_setup
         result = pipeline.infer(test_images[:1])
         names = [s.name for s in result.stages]
-        for i in range(quantized.depth):
+        for i in range(len(quantized.blocks)):
             assert f"conv_{i}" in names
             assert f"sgx_block_{i}" in names
 
@@ -162,7 +178,21 @@ class TestDeepHybridPipeline:
         _, quantized, params, _ = deep_setup
         tiny = dataclasses.replace(params, plain_modulus=64, name="tiny")
         with pytest.raises(PipelineError):
-            DeepHybridPipeline(quantized, tiny)
+            SimdHybridPipeline(quantized, tiny)
+
+    @pytest.mark.parametrize(
+        "pipeline_type, kind",
+        [(HybridPipeline, "hybrid"), (CryptonetsPipeline, "cryptonets")],
+    )
+    def test_scalar_chains_refuse_two_blocks(self, deep_setup, pipeline_type, kind):
+        """The hybrid and CryptoNets graphs are one conv block deep: a deeper
+        model is a typed refusal, from the graph builder and so from the
+        pipeline at build (CryptoNets' already for its activations)."""
+        _, quantized, params, _ = deep_setup
+        with pytest.raises(PipelineError, match="one conv block deep"):
+            ir.build_graph(kind, quantized, params)
+        with pytest.raises(PipelineError):
+            pipeline_type(quantized, params)
 
 
 class TestDepthAsymmetry:
@@ -179,6 +209,6 @@ class TestDepthAsymmetry:
         # family (log2 q ~ 60-90), far below the pure-HE requirement at the
         # same depth.
         pure_bits = pure_he_modulus_bits_for_depth(
-            quantized.depth, params.plain_modulus.bit_length(), params.poly_degree
+            len(quantized.blocks), params.plain_modulus.bit_length(), params.poly_degree
         )
         assert params.coeff_modulus.bit_length() < pure_bits

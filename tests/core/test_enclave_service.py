@@ -74,15 +74,15 @@ class TestKeyAuthority:
 class TestActivationPool:
     def test_matches_quantized_stage(self, enclave, userland, q_sigmoid, models):
         images = models.dataset.test_images[:2]
-        conv_int = q_sigmoid.conv_stage(q_sigmoid.quantize_images(images))
-        expected = q_sigmoid.enclave_stage(conv_int)
+        conv_int = q_sigmoid.blocks[0].conv_stage(q_sigmoid.quantize_images(images))
+        expected = q_sigmoid.blocks[0].enclave_stage(conv_int, q_sigmoid.input_scale)
         ct = encrypt_values(userland, conv_int)
         out = enclave.ecall(
             "activation_pool",
             ct,
-            q_sigmoid.conv_output_scale,
-            q_sigmoid.act_scale,
-            q_sigmoid.pool_window,
+            q_sigmoid.input_scale * q_sigmoid.blocks[0].weight_scale,
+            q_sigmoid.blocks[0].act_scale,
+            q_sigmoid.blocks[0].pool_window,
             "sigmoid",
         )
         assert np.array_equal(decrypt_with_enclave(enclave, userland, out), expected)

@@ -45,10 +45,10 @@ class TestHeConv2d:
     def test_matches_integer_conv(self, rig, q_sigmoid, models):
         images = models.dataset.test_images[:2]
         x = q_sigmoid.quantize_images(images)
-        expected = q_sigmoid.conv_stage(x)
+        expected = q_sigmoid.blocks[0].conv_stage(x)
         weights = heops.encode_conv_weights(
-            rig["evaluator"], rig["encoder"], q_sigmoid.conv_weight,
-            q_sigmoid.conv_bias, q_sigmoid.stride,
+            rig["evaluator"], rig["encoder"], q_sigmoid.blocks[0].weight,
+            q_sigmoid.blocks[0].bias, q_sigmoid.blocks[0].stride,
         )
         ct = rig["encryptor"].encrypt(rig["encoder"].encode(x))
         out = heops.he_conv2d(rig["evaluator"], rig["encoder"], ct, weights)
@@ -135,12 +135,12 @@ class TestImageConv:
     @pytest.mark.parametrize("batch", [1, 2, 3, 5])
     def test_matches_integer_conv(self, rig, q_sigmoid, models, image_conv, batch):
         x = q_sigmoid.quantize_images(models.dataset.test_images[:batch])
-        expected = q_sigmoid.conv_stage(x)
+        expected = q_sigmoid.blocks[0].conv_stage(x)
         ct = rig["encryptor"].encrypt(write_image(rig["context"], x))
         layout = image_conv.layout
         rig["counter"].reset()
         direct = heops.he_conv2d(rig["evaluator"], rig["encoder"], ct, image_conv)
-        assert direct.batch_shape == (batch, q_sigmoid.conv_weight.shape[0])
+        assert direct.batch_shape == (batch, q_sigmoid.blocks[0].weight.shape[0])
         assert rig["counter"].get("ct_plain_mul") == direct.batch_count  # C = 1
         plain = rig["decryptor"].decrypt(direct)
         assert np.array_equal(read_image(plain, layout), expected)
@@ -169,7 +169,7 @@ class TestHeSquareAndPool:
 
     def test_scaled_pool_matches(self, rig, q_sigmoid):
         values = np.arange(32, dtype=np.int64).reshape(1, 2, 4, 4)
-        expected = q_sigmoid.scaled_pool_stage(values)
+        expected = q_sigmoid.blocks[0].scaled_pool_stage(values)
         ct = rig["encryptor"].encrypt(rig["encoder"].encode(values))
         out = heops.he_scaled_mean_pool(rig["evaluator"], ct, 2)
         assert np.array_equal(roundtrip(rig, out), expected)
@@ -197,8 +197,8 @@ class TestHeSquareAndPool:
 class TestHeDense:
     def test_matches_integer_fc(self, rig, q_sigmoid, models):
         images = models.dataset.test_images[:2]
-        conv = q_sigmoid.conv_stage(q_sigmoid.quantize_images(images))
-        hidden = q_sigmoid.enclave_stage(conv)
+        conv = q_sigmoid.blocks[0].conv_stage(q_sigmoid.quantize_images(images))
+        hidden = q_sigmoid.blocks[0].enclave_stage(conv, q_sigmoid.input_scale)
         expected = q_sigmoid.fc_stage(hidden)
         weights = heops.encode_dense_weights(
             rig["evaluator"], rig["encoder"], q_sigmoid.dense_weight, q_sigmoid.dense_bias

@@ -23,7 +23,7 @@ from repro.core import (
 from repro.errors import ParameterError
 from repro.he import Ciphertext, Context, Evaluator, oracle
 from repro.he.polyring import AuxBasis, aux_primes
-from repro.nn.quantize import QuantizedCNN
+from repro.nn.quantize import QuantizedCNN, QuantizedConvBlock
 
 
 def _run_hybrid(context_type, quantized, params, images):
@@ -71,13 +71,13 @@ class TestDenseAndPoolEquivalence:
         )
         fus_pipe, _, _, _ = _run_hybrid(Context, q_sigmoid, hybrid_params, test_images)
         pooled = heops.he_scaled_mean_pool(
-            ref_pipe.evaluator, ref_conv, q_sigmoid.pool_window
+            ref_pipe.evaluator, ref_conv, q_sigmoid.blocks[0].pool_window
         )
         ref_dense = heops.he_dense(
             ref_pipe.evaluator, ref_pipe.encoder, pooled, ref_pipe.dense_weights
         )
         pooled_f = heops.he_scaled_mean_pool(
-            fus_pipe.evaluator, ref_conv, q_sigmoid.pool_window
+            fus_pipe.evaluator, ref_conv, q_sigmoid.blocks[0].pool_window
         )
         fus_dense = heops.he_dense(
             fus_pipe.evaluator, fus_pipe.encoder, pooled_f, fus_pipe.dense_weights
@@ -91,7 +91,7 @@ class TestDenseAndPoolEquivalence:
         # must have recovered the signed integer fast path.
         assert pipe.conv_weights.weight_taps is not None
         assert pipe.dense_weights.weight_matrix is not None
-        f, c, kh, kw = q_sigmoid.conv_weight.shape
+        f, c, kh, kw = q_sigmoid.blocks[0].weight.shape
         assert pipe.conv_weights.weight_taps.shape == (f, c * kh * kw)
 
 
@@ -99,18 +99,22 @@ def _square_model_with_wide_fc():
     """A 4 x 4 square model whose one fc weight of 2^28 makes ``||L||_1 =
     2^30``: past what a basis sized for one product holds."""
     rng = np.random.default_rng(5)
-    return QuantizedCNN(
-        conv_weight=rng.integers(-2, 3, size=(1, 1, 3, 3)),
-        conv_bias=np.array([1]),
-        dense_weight=np.array([[1 << 28, -3]]),
-        dense_bias=np.array([2, -1]),
-        input_scale=15,
-        conv_weight_scale=4.0,
-        dense_weight_scale=4.0,
-        act_scale=15,
+    block = QuantizedConvBlock(
+        weight=rng.integers(-2, 3, size=(1, 1, 3, 3)),
+        bias=np.array([1]),
+        weight_scale=4.0,
+        stride=1,
         activation="square",
         pool="scaled_mean",
         pool_window=2,
+        act_scale=15,
+    )
+    return QuantizedCNN(
+        blocks=[block],
+        dense_weight=np.array([[1 << 28, -3]]),
+        dense_bias=np.array([2, -1]),
+        dense_weight_scale=4.0,
+        input_scale=15,
     )
 
 
@@ -138,9 +142,10 @@ class TestCryptonetsEquivalence:
 
     def test_logits_equal_plaintext_and_tallies(self, runs, q_square):
         batch, outs, expected = runs
-        f, _, k, _ = q_square.conv_weight.shape
+        f, _, k, _ = q_square.blocks[0].weight.shape
         _, h, w = q_square.input_shape
-        outputs = ((h - k) // q_square.stride + 1) * ((w - k) // q_square.stride + 1)
+        s = q_square.blocks[0].stride
+        outputs = ((h - k) // s + 1) * ((w - k) // s + 1)
         for result, counts in outs.values():
             assert np.array_equal(result.logits, expected)
             assert counts["ct_mul"] == batch * f * outputs

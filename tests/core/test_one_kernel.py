@@ -208,9 +208,9 @@ class TestRewritesReachEveryPath:
         with the bias folded -- in-process, on the pool, and when the
         flush's worker is killed and its units replay here."""
         model = single_block_model()
-        assert not model.conv_weight[:, 0, 0, 0].any()
+        assert not model.blocks[0].weight[:, 0, 0, 0].any()
         assert not model.dense_weight[:2].any()
-        conv = model.conv_weight.reshape(model.conv_weight.shape[0], -1)
+        conv = model.blocks[0].weight.reshape(model.blocks[0].weight.shape[0], -1)
         keeps = {
             "conv": tuple(np.flatnonzero(conv.any(axis=0))),
             "dense": tuple(np.flatnonzero(model.dense_weight.any(axis=1))),
@@ -374,11 +374,11 @@ class TestWeightsKeepTheirIntegers:
         encoded = heops.encode_model_weights(
             Evaluator(rig["context"]), rig["encoder"], q_sigmoid
         )
-        f = q_sigmoid.conv_weight.shape[0]
-        assert (q_sigmoid.conv_weight < 0).any() and (q_sigmoid.dense_weight < 0).any()
+        f = q_sigmoid.blocks[0].weight.shape[0]
+        assert (q_sigmoid.blocks[0].weight < 0).any() and (q_sigmoid.dense_weight < 0).any()
         assert encoded.conv.weight_taps.dtype == np.int64
         assert np.array_equal(
-            encoded.conv.weight_taps, q_sigmoid.conv_weight.reshape(f, -1)
+            encoded.conv.weight_taps, q_sigmoid.blocks[0].weight.reshape(f, -1)
         )
         assert np.array_equal(encoded.dense.weight_matrix, q_sigmoid.dense_weight.T)
 

@@ -31,7 +31,6 @@ class TestSchemeResolution:
             ("EncryptSGX", "hybrid"),
             ("simd", "simd"),
             ("  SIMD  ", "simd"),
-            ("deep", "deep"),
         ],
     )
     def test_aliases(self, alias, canonical):

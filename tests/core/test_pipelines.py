@@ -117,7 +117,7 @@ class TestPerPixelMode:
         single = HybridPipeline(q_sigmoid, hybrid_params, mode="per_pixel", seed=2)
         image = models.dataset.test_images[:1]
         result = single.infer(image)
-        conv_shape = (1, q_sigmoid.conv_weight.shape[0], 8, 8)  # 10-3+1=8
+        conv_shape = (1, q_sigmoid.blocks[0].weight.shape[0], 8, 8)  # 10-3+1=8
         expected_crossings = int(np.prod(conv_shape)) + 1  # sigmoids + final pool
         assert result.enclave_crossings == expected_crossings
         assert result.scheme == "EncryptSGX(single)"
@@ -162,8 +162,9 @@ class TestCryptonetsPipeline:
         """One square per conv output, one relinearization per logit: pool
         and fc run on the size-3 squares."""
         b, _, h, w = test_images.shape
-        f, _, k, _ = np.shape(q_square.conv_weight)
-        oh, ow = (h - k) // q_square.stride + 1, (w - k) // q_square.stride + 1
+        f, _, k, _ = np.shape(q_square.blocks[0].weight)
+        s = q_square.blocks[0].stride
+        oh, ow = (h - k) // s + 1, (w - k) // s + 1
         classes = np.shape(q_square.dense_weight)[1]
         assert cn_result.op_counts["ct_mul"] == b * f * oh * ow
         assert cn_result.op_counts["relinearize"] == b * classes

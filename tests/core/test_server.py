@@ -7,9 +7,17 @@ import pytest
 
 from repro.client import AttestedClient
 from repro.core import EdgeServer, PlaintextPipeline
+from repro.core.server import _pack_model_payload, _unpack_model_payload
 from repro.errors import PipelineError, SealingError
+from repro.nn import QuantizedCNN, deep_cnn
 from repro.serve import InferenceRequest
 from repro.sgx import AttestationVerificationService, SgxPlatform
+
+
+def _two_block_model() -> QuantizedCNN:
+    model = deep_cnn(image_size=14, block_channels=(2, 3), activation="tanh",
+                     pool="max", rng=np.random.default_rng(41))
+    return QuantizedCNN.from_float(model, weight_bits=6, act_scale=63)
 
 
 def _infer(server, model, ct, **policy):
@@ -47,6 +55,12 @@ class TestProvisioning:
         with pytest.raises(PipelineError):
             srv.provision_model("cn", q_square)
 
+    def test_rejects_two_block_model(self, hybrid_params):
+        srv = EdgeServer(hybrid_params, seed=13)
+        with pytest.raises(PipelineError, match="2 conv blocks"):
+            srv.provision_model("deep", _two_block_model())
+        assert srv.models() == []
+
     def test_rejects_oversized_model(self, q_sigmoid):
         import dataclasses
 
@@ -79,6 +93,24 @@ class TestSealedModels:
         other = EdgeServer(hybrid_params, platform=SgxPlatform(), seed=15)
         with pytest.raises(SealingError):
             other.restore_model(blob)
+
+    def test_payload_carries_every_block(self):
+        quantized = _two_block_model()
+        name, restored = _unpack_model_payload(_pack_model_payload("deep", quantized))
+        assert name == "deep"
+        assert len(restored.blocks) == 2
+        for got, want in zip(restored.blocks, quantized.blocks, strict=True):
+            assert np.array_equal(got.weight, want.weight)
+            assert np.array_equal(got.bias, want.bias)
+            for field in ("weight_scale", "stride", "activation", "pool",
+                          "pool_window", "act_scale"):
+                assert getattr(got, field) == getattr(want, field)
+        assert np.array_equal(restored.dense_weight, quantized.dense_weight)
+        assert np.array_equal(restored.dense_bias, quantized.dense_bias)
+        assert restored.dense_weight_scale == quantized.dense_weight_scale
+        assert restored.input_scale == quantized.input_scale
+        images = np.random.default_rng(42).random((3, 1, 14, 14))
+        assert np.array_equal(restored.forward_int(images), quantized.forward_int(images))
 
     def test_tampered_blob_rejected(self, server):
         import dataclasses

@@ -123,7 +123,7 @@ class TestSimdHybrid:
         every batch, and conv's ``C x P`` tally follows ``ceil(B / P)``, not
         ``B``."""
         per = _per_ciphertext(simd_pipeline)
-        filters, channels = simd_pipeline.quantized.conv_weight.shape[:2]
+        filters, channels = simd_pipeline.quantized.blocks[0].weight.shape[:2]
         for batch in (1, 2, 3, 8):
             result = simd_pipeline.infer(models.dataset.test_images[:batch])
             assert result.enclave_crossings == 1

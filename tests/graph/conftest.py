@@ -25,11 +25,14 @@ def models():
 
 def _plant_zeros(quantized):
     """Zero one conv tap column (all filters) and four FC input rows."""
-    conv = np.array(quantized.conv_weight)
+    block = quantized.blocks[0]
+    conv = np.array(block.weight)
     conv[:, 0, 0, 0] = 0
     dense = np.array(quantized.dense_weight)
     dense[:4, :] = 0
-    return dataclasses.replace(quantized, conv_weight=conv, dense_weight=dense)
+    return dataclasses.replace(
+        quantized, blocks=[dataclasses.replace(block, weight=conv)], dense_weight=dense
+    )
 
 
 @pytest.fixture(scope="session")

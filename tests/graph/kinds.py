@@ -17,15 +17,12 @@ import numpy as np
 from repro.client import AttestedClient
 from repro.core import (
     CryptonetsPipeline,
-    DeepHybridPipeline,
     EdgeServer,
     SimdHybridPipeline,
     parameters_for_pipeline,
 )
 from repro.he.serialize import serialize_ciphertext
-from repro.nn import DeepQuantizedCNN
-from repro.nn.deep import QuantizedConvBlock
-from repro.nn.quantize import QuantizedCNN
+from repro.nn.quantize import QuantizedCNN, QuantizedConvBlock
 from repro.serve import InferenceRequest
 from repro.sgx import AttestationVerificationService
 
@@ -51,18 +48,22 @@ def single_block_model() -> QuantizedCNN:
     conv[:, 0, 0, 0] = 0
     dense = rng.integers(-4, 5, size=(18, 3))
     dense[:2, :] = 0
-    return QuantizedCNN(
-        conv_weight=conv,
-        conv_bias=rng.integers(-3, 4, size=(2,)),
-        dense_weight=dense,
-        dense_bias=rng.integers(-3, 4, size=(3,)),
-        input_scale=15,
-        conv_weight_scale=4.0,
-        dense_weight_scale=4.0,
-        act_scale=15,
+    block = QuantizedConvBlock(
+        weight=conv,
+        bias=rng.integers(-3, 4, size=(2,)),
+        weight_scale=4.0,
+        stride=1,
         activation="sigmoid",
         pool="mean",
         pool_window=2,
+        act_scale=15,
+    )
+    return QuantizedCNN(
+        blocks=[block],
+        dense_weight=dense,
+        dense_bias=rng.integers(-3, 4, size=(3,)),
+        dense_weight_scale=4.0,
+        input_scale=15,
     )
 
 
@@ -75,22 +76,26 @@ def square_model() -> QuantizedCNN:
     conv[:, 0, 0, 0] = 0
     dense = rng.integers(-3, 4, size=(18, 3))
     dense[:2, :] = 0
-    return QuantizedCNN(
-        conv_weight=conv,
-        conv_bias=rng.integers(-3, 4, size=(2,)),
-        dense_weight=dense,
-        dense_bias=rng.integers(-3, 4, size=(3,)),
-        input_scale=7,
-        conv_weight_scale=3.0,
-        dense_weight_scale=3.0,
-        act_scale=1,
+    block = QuantizedConvBlock(
+        weight=conv,
+        bias=rng.integers(-3, 4, size=(2,)),
+        weight_scale=3.0,
+        stride=1,
         activation="square",
         pool="scaled_mean",
         pool_window=2,
+        act_scale=1,
+    )
+    return QuantizedCNN(
+        blocks=[block],
+        dense_weight=dense,
+        dense_bias=rng.integers(-3, 4, size=(3,)),
+        dense_weight_scale=3.0,
+        input_scale=7,
     )
 
 
-def deep_model() -> DeepQuantizedCNN:
+def deep_model() -> QuantizedCNN:
     """14x14x1 -> two (conv3, act, pool 2) blocks -> 3 classes; the second
     block uses tanh + max-pool so per-block scales and ops differ."""
     rng = np.random.default_rng(2114)
@@ -109,7 +114,7 @@ def deep_model() -> DeepQuantizedCNN:
             act_scale=15,
         )
 
-    return DeepQuantizedCNN(
+    return QuantizedCNN(
         blocks=[block(1, "sigmoid", "mean"), block(2, "tanh", "max")],
         dense_weight=rng.integers(-4, 5, size=(8, 3)),
         dense_bias=rng.integers(-3, 4, size=(3,)),
@@ -212,5 +217,5 @@ def run_kind(kind: str) -> dict:
     if kind == "deep":
         model = deep_model()
         params = parameters_for_pipeline(model, 256)
-        return _run_pipeline(DeepHybridPipeline(model, params, seed=7), images)
+        return _run_pipeline(SimdHybridPipeline(model, params, seed=7), images)
     return _run_served(images) if kind == "served" else _run_packed(images)

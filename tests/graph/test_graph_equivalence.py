@@ -18,9 +18,9 @@ import pytest
 
 from repro.core import (
     CryptonetsPipeline,
-    DeepHybridPipeline,
     HybridPipeline,
     PipelineSpec,
+    SimdHybridPipeline,
     build_pipeline,
     heops,
     parameters_for_pipeline,
@@ -29,7 +29,7 @@ from repro.errors import PipelineError
 from repro.graph import executor, ir
 from repro.he.context import Plaintext
 from repro.he.serialize import serialize_ciphertext
-from repro.nn import DeepQuantizedCNN, deep_cnn
+from repro.nn import QuantizedCNN, deep_cnn
 
 from .kinds import KINDS, STAGES, deep_model, images_for, run_kind
 
@@ -257,7 +257,7 @@ class TestDeepImageChain:
     @pytest.fixture(scope="class")
     def pipeline(self):
         model = deep_model()
-        return DeepHybridPipeline(model, parameters_for_pipeline(model, 256), seed=7)
+        return SimdHybridPipeline(model, parameters_for_pipeline(model, 256), seed=7)
 
     def test_graph_is_the_simd_chain_over_the_blocks(self, pipeline):
         graph = pipeline.graph
@@ -287,9 +287,9 @@ class TestDeepImageChain:
             image_size=28, block_channels=(3, 4), kernel_size=5, activation="tanh",
             pool="max", rng=np.random.default_rng(2120),
         )
-        quantized = DeepQuantizedCNN.from_float(model)
+        quantized = QuantizedCNN.from_float(model, weight_bits=6, act_scale=63)
         assert quantized.input_shape == (1, 28, 28)
-        pipeline = DeepHybridPipeline(
+        pipeline = SimdHybridPipeline(
             quantized, parameters_for_pipeline(quantized, 1024), seed=7
         )
         images = np.random.default_rng(2121).random((9, 1, 28, 28))

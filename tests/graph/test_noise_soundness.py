@@ -19,7 +19,6 @@ import pytest
 from repro.client import AttestedClient
 from repro.core import (
     CryptonetsPipeline,
-    DeepHybridPipeline,
     EdgeServer,
     SimdHybridPipeline,
     heops,
@@ -160,7 +159,7 @@ def test_deep_headroom_lower_bounds_every_block(batch, monkeypatch):
     budget at every block's conv and on the result."""
     model = deep_model()
     params = parameters_for_pipeline(model, 256)
-    pipeline = DeepHybridPipeline(model, params, seed=7)
+    pipeline = SimdHybridPipeline(model, params, seed=7)
     budgets = []
     conv = heops.he_conv2d
 

@@ -113,24 +113,28 @@ class TestRefreshFreeDepthLimit:
 
 
 def _toy_model(activation: str) -> "QuantizedCNN":
-    from repro.nn.quantize import QuantizedCNN
+    from repro.nn.quantize import QuantizedCNN, QuantizedConvBlock
 
     rng = np.random.default_rng(99)
     conv = rng.integers(-5, 6, size=(2, 2, 3, 3))
     dense = rng.integers(-7, 8, size=(32, 3))
     dense[0, 0] = 7  # pin the norm to the dense layer
-    return QuantizedCNN(
-        conv_weight=conv,
-        conv_bias=np.zeros(2, dtype=np.int64),
-        dense_weight=dense,
-        dense_bias=np.zeros(3, dtype=np.int64),
-        input_scale=15,
-        conv_weight_scale=5.0,
-        dense_weight_scale=7.0,
-        act_scale=15,
+    block = QuantizedConvBlock(
+        weight=conv,
+        bias=np.zeros(2, dtype=np.int64),
+        weight_scale=5.0,
+        stride=1,
         activation=activation,
         pool="scaled_mean" if activation == "square" else "mean",
         pool_window=2,
+        act_scale=15,
+    )
+    return QuantizedCNN(
+        blocks=[block],
+        dense_weight=dense,
+        dense_bias=np.zeros(3, dtype=np.int64),
+        dense_weight_scale=7.0,
+        input_scale=15,
     )
 
 
@@ -189,12 +193,12 @@ class TestNoiseProfileAccounting:
         # Each refresh resets to fresh; a layer pays one plain multiply at
         # its weight norm plus log-additive growth over its fan-in.
         estimator = NoiseEstimator(params)
-        k = q.conv_weight.shape[-1]
+        k = q.blocks[0].weight.shape[-1]
         headroom = {
             "conv": estimator.budget_after(
                 plain_multiplies=1,
-                plain_norm=float(np.abs(q.conv_weight).max()),
-                additions=k * k * q.conv_weight.shape[1],
+                plain_norm=float(np.abs(q.blocks[0].weight).max()),
+                additions=k * k * q.blocks[0].weight.shape[1],
             ),
             "fc": estimator.budget_after(
                 plain_multiplies=1,

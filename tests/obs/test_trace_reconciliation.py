@@ -172,17 +172,17 @@ class TestEdgeServer:
 
 class TestDeep:
     def test_reconciles(self):
-        from repro.core import DeepHybridPipeline, parameters_for_pipeline
-        from repro.nn.deep import DeepQuantizedCNN, deep_cnn
+        from repro.core import SimdHybridPipeline, parameters_for_pipeline
+        from repro.nn import QuantizedCNN, deep_cnn
 
         # 18x18 survives two (k=3, pool 2) blocks; weights need no training
         # for a timing-reconciliation check.  One image per polynomial needs
         # n >= 324.
         model = deep_cnn(image_size=18, block_channels=(2, 3), kernel_size=3,
                          rng=np.random.default_rng(5))
-        quantized = DeepQuantizedCNN.from_float(model)
+        quantized = QuantizedCNN.from_float(model, weight_bits=6, act_scale=63)
         params = parameters_for_pipeline(quantized, 512)
-        pipe = DeepHybridPipeline(quantized, params, seed=5)
+        pipe = SimdHybridPipeline(quantized, params, seed=5)
         r0, o0 = pipe.clock.real_s, pipe.clock.overhead_s
         before = pipe.enclave.side_channel.count("ecall")
         images = np.zeros((1, 1, 18, 18), dtype=np.uint8)
@@ -190,7 +190,7 @@ class TestDeep:
         assert_reconciles(
             result, pipe.clock, r0, o0, pipe.enclave.side_channel, before
         )
-        assert result.enclave_crossings == quantized.depth
+        assert result.enclave_crossings == len(quantized.blocks)
 
 
 class TestSharedPlatformTraces:

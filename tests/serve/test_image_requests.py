@@ -17,7 +17,7 @@ from repro.errors import EncodingError, PipelineError, RequestFailedError
 from repro.faults import EnclaveSupervisor
 from repro.he import Evaluator
 from repro.he.context import Ciphertext, Plaintext
-from repro.nn.quantize import QuantizedCNN
+from repro.nn.quantize import QuantizedCNN, QuantizedConvBlock
 from repro.serve import InferenceRequest
 from repro.sgx import AttestationVerificationService
 
@@ -28,18 +28,22 @@ def integer_model(side: int, filters: int = 2) -> QuantizedCNN:
     training)."""
     rng = np.random.default_rng(side)
     pooled = (side - 2) // 2
-    return QuantizedCNN(
-        conv_weight=rng.integers(-4, 5, size=(filters, 1, 3, 3)),
-        conv_bias=rng.integers(-3, 4, size=(filters,)),
-        dense_weight=rng.integers(-4, 5, size=(filters * pooled * pooled, 10)),
-        dense_bias=rng.integers(-3, 4, size=(10,)),
-        input_scale=15,
-        conv_weight_scale=4.0,
-        dense_weight_scale=4.0,
-        act_scale=15,
+    block = QuantizedConvBlock(
+        weight=rng.integers(-4, 5, size=(filters, 1, 3, 3)),
+        bias=rng.integers(-3, 4, size=(filters,)),
+        weight_scale=4.0,
+        stride=1,
         activation="sigmoid",
         pool="mean",
         pool_window=2,
+        act_scale=15,
+    )
+    return QuantizedCNN(
+        blocks=[block],
+        dense_weight=rng.integers(-4, 5, size=(filters * pooled * pooled, 10)),
+        dense_bias=rng.integers(-3, 4, size=(10,)),
+        dense_weight_scale=4.0,
+        input_scale=15,
     )
 
 

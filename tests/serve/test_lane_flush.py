@@ -317,7 +317,7 @@ class TestThreatModelOnTheServingPath:
 
     def _conv_row(self, server, session):
         """What one more conv-output row weighs: ``F`` ciphertexts."""
-        filters = server.model("digits").conv_weight.shape[0]
+        filters = server.model("digits").blocks[0].weight.shape[0]
         return session.encryptor.encrypt_zero(filters).byte_size()
 
     def test_one_crossing_of_public_size_and_ciphertext_only_returns(
