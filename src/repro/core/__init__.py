@@ -9,8 +9,8 @@ Public surface:
 * :class:`InferenceEnclave` -- the trusted co-processor + key authority.
 * Key distribution: :class:`TrustedThirdParty` (Fig. 1 baseline) vs the
   attested flow (:func:`establish_user_keys`, :class:`UserClient`).
-* Policies: :class:`PoolingPlacementPolicy` (Fig. 6 crossover) and
-  :class:`RefreshPolicy` (Table V relinearization-vs-refresh choice).
+* :class:`PoolingPlacementPolicy` (Fig. 6 crossover) and the Table V noise
+  refresh routes (:func:`relinearize_refresh`, :func:`sgx_refresh`).
 * :func:`parameters_for_pipeline` / :func:`train_paper_models` -- sizing and
   model factories.
 * The unified pipeline API: :class:`InferencePipeline` (the protocol every
@@ -21,7 +21,6 @@ from repro.core.config import (
     TrainedModels,
     parameters_for_pipeline,
     pure_he_modulus_bits_for_depth,
-    required_budget_bits,
     train_paper_models,
 )
 from repro.core.cryptonets import CryptonetsPipeline
@@ -63,8 +62,6 @@ from repro.core.placement import (
 from repro.core.plaintext import FloatPipeline, PlaintextPipeline
 from repro.core.refresh import (
     RefreshOutcome,
-    RefreshPolicy,
-    refresh,
     relinearize_refresh,
     sgx_refresh,
     sgx_refresh_one_by_one,
@@ -94,7 +91,6 @@ __all__ = [
     "PoolStrategy",
     "PoolingPlacementPolicy",
     "RefreshOutcome",
-    "RefreshPolicy",
     "ServedResult",
     "SgxKeyDistribution",
     "UserSession",
@@ -116,9 +112,7 @@ __all__ = [
     "parameters_for_pipeline",
     "pool_with_strategy",
     "pure_he_modulus_bits_for_depth",
-    "refresh",
     "relinearize_refresh",
-    "required_budget_bits",
     "resolve_scheme",
     "sgx_refresh",
     "sgx_refresh_one_by_one",

@@ -199,10 +199,3 @@ def _crop_dataset(data: Dataset, size: int) -> Dataset:
         test_labels=data.test_labels,
     )
 
-
-def required_budget_bits(params: EncryptionParams, pure_he: bool) -> float:
-    """Informational: estimated budget the pipeline consumes under ``params``."""
-    estimator = NoiseEstimator(params)
-    return estimator.fresh_budget() - estimator.budget_after(
-        multiplies=1 if pure_he else 0, plain_multiplies=2, additions=1000
-    )

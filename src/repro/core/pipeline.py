@@ -194,9 +194,6 @@ class PipelineSpec:
             kwargs["max_batch"] = self.max_batch
         return ServeConfig(**kwargs)
 
-    def build(self, quantized, **opts) -> InferencePipeline:
-        """Shorthand for ``build_pipeline(self, quantized, **opts)``."""
-        return build_pipeline(self, quantized, **opts)
 
 
 def build_pipeline(

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import PipelineError
 from repro.he.context import Ciphertext
 from repro.he.evaluator import Evaluator
 from repro.he.keys import RelinKeys
@@ -88,60 +87,3 @@ def sgx_refresh_one_by_one(
                      is_ntt=pieces[0].is_ntt)
     return _outcome(out, "sgx_refresh_single", clock.now_s - start, ct)
 
-
-@dataclass(frozen=True)
-class RefreshPolicy:
-    """Decides the refresh route for a given batch size.
-
-    With the paper's cost model, relinearization wins for lone ciphertexts
-    while batched SGX refresh wins once the crossing is amortized over
-    ``min_batch_for_sgx`` or more ciphertexts *and* the circuit benefits
-    from the noise reset.  ``prefer_no_keys=True`` forces the SGX route
-    regardless (the framework's no-TTP deployment mode).
-    """
-
-    min_batch_for_sgx: int = 4
-    prefer_no_keys: bool = True
-
-    def choose(self, batch_count: int, relin_keys_available: bool) -> str:
-        if not relin_keys_available:
-            return "sgx_refresh"
-        if self.prefer_no_keys:
-            return "sgx_refresh"
-        if batch_count >= self.min_batch_for_sgx:
-            return "sgx_refresh"
-        return "relinearization"
-
-
-def refresh(
-    evaluator: Evaluator,
-    ct: Ciphertext,
-    enclave: EnclaveHandle | None = None,
-    relin_keys: RelinKeys | None = None,
-    policy: RefreshPolicy | None = None,
-) -> RefreshOutcome:
-    """Policy-driven refresh: route to the enclave or to relinearization.
-
-    Raises:
-        PipelineError: neither an enclave nor relinearization keys supplied.
-    """
-    policy = policy if policy is not None else RefreshPolicy()
-    if enclave is None and relin_keys is None:
-        raise PipelineError("refresh needs an enclave or relinearization keys")
-    if enclave is None:
-        choice = "relinearization"
-    elif relin_keys is None:
-        choice = "sgx_refresh"
-    else:
-        choice = policy.choose(ct.batch_count, relin_keys_available=True)
-    if choice == "relinearization":
-        return relinearize_refresh(evaluator, ct, relin_keys, _clock_of(enclave))
-    return sgx_refresh(enclave, ct)
-
-
-def _clock_of(enclave: EnclaveHandle | None):
-    from repro.sgx.clock import SimClock
-
-    if enclave is not None:
-        return enclave.platform.clock
-    return SimClock()

@@ -3,8 +3,8 @@
 The HE substrate of the reproduction: RNS polynomial arithmetic over
 NTT-friendly primes, the seven algorithms of the paper's Section II-B
 (SecretKeyGen, PublicKeyGen, Encrypt, Decrypt, Add, Multiply,
-EvaluationKeyGen + relinearization), SEAL-style encoders, and coefficient
-packing (:mod:`repro.he.batching`).
+EvaluationKeyGen + relinearization), a constant-coefficient encoder, and
+coefficient packing (:mod:`repro.he.batching`).
 
 Typical usage::
 
@@ -26,7 +26,7 @@ Typical usage::
 from repro.he.arena import Arena, ArenaView, stacked_view
 from repro.he.context import Ciphertext, Context, Plaintext, TensorProduct
 from repro.he.decryptor import Decryptor, decrypt_scalar_values
-from repro.he.encoders import FractionalEncoder, IntegerEncoder, ScalarEncoder
+from repro.he.encoders import ScalarEncoder
 from repro.he.encryptor import Encryptor, SymmetricEncryptor
 from repro.he.evaluator import Evaluator, OperationCounter, PlainOperand
 from repro.he.keys import KeyGenerator, KeyPair, PublicKey, RelinKeys, SecretKey
@@ -35,7 +35,6 @@ from repro.he.parallel import WorkerPool, active_workers, default_workers
 from repro.he.params import (
     EncryptionParams,
     default_parameter_options,
-    functional_parameters,
     paper_parameters,
     small_parameter_options,
 )
@@ -49,8 +48,6 @@ __all__ = [
     "EncryptionParams",
     "Encryptor",
     "Evaluator",
-    "FractionalEncoder",
-    "IntegerEncoder",
     "KeyGenerator",
     "KeyPair",
     "NoiseEstimator",
@@ -69,7 +66,6 @@ __all__ = [
     "default_parameter_options",
     "default_workers",
     "stacked_view",
-    "functional_parameters",
     "paper_parameters",
     "small_parameter_options",
 ]

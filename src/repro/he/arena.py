@@ -18,12 +18,14 @@ layout:
   output rows, FC classes) are ``(offset, shape, rows)`` descriptors a
   ``repro.he.parallel`` worker re-derives views from by segment *name* --
   nothing but a small dict crosses the process boundary.
-* **Compaction keeps headers valid.**  Views re-derive their array from
-  the current header on every ``.array`` access, so :meth:`Arena.compact`
-  may slide live blocks down without invalidating handles.  The aliasing
-  rule is the converse: a raw ``numpy`` array captured from ``.array``
-  *before* a ``compact()``/``grow`` is a stale alias afterwards -- re-read
-  ``view.array`` (property-tested in ``tests/he/test_arena.py``).
+* **Growth keeps headers valid.**  Views re-derive their array from the
+  current header on every ``.array`` access, so :meth:`Arena.grow` may
+  replace the buffer without invalidating handles.  The aliasing rule is
+  the converse: a raw ``numpy`` array captured from ``.array`` *before* a
+  ``grow`` is a stale alias afterwards -- re-read ``view.array``
+  (property-tested in ``tests/he/test_arena.py``).  Blocks are never freed
+  one by one: :meth:`Arena.reset` drops them all, and a view of a dropped
+  block refuses access.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ class ArenaView:
     """Header handle for one block: ``(arena, offset, shape)``.
 
     The array is re-derived from the header on each access, so the handle
-    survives arena compaction and growth; only raw arrays captured earlier
-    go stale.
+    survives arena growth; only raw arrays captured earlier go stale.
     """
 
     __slots__ = ("_arena", "_block")
@@ -65,10 +66,6 @@ class ArenaView:
     @property
     def words(self) -> int:
         return self._block.words
-
-    @property
-    def live(self) -> bool:
-        return self._block.live
 
     @property
     def array(self) -> np.ndarray:
@@ -99,7 +96,7 @@ class _Block:
 
 
 class Arena:
-    """One contiguous int64 buffer with a bump allocator and compaction.
+    """One contiguous int64 buffer with a bump allocator.
 
     Args:
         capacity_words: initial buffer size in int64 slots.
@@ -166,15 +163,6 @@ class Arena:
     def capacity_words(self) -> int:
         return int(self._buffer.size)
 
-    @property
-    def live_words(self) -> int:
-        return sum(b.words for b in self._blocks if b.live)
-
-    @property
-    def fragmentation_words(self) -> int:
-        """Dead words below the cursor that :meth:`compact` would reclaim."""
-        return self._cursor - self.live_words
-
     def grow(self, min_capacity_words: int) -> None:
         """Replace the buffer with a larger one, preserving live content."""
         new_capacity = max(min_capacity_words, 2 * self.capacity_words)
@@ -192,15 +180,12 @@ class Arena:
             raise ArenaError(f"negative dimension in shape {shape}")
         needed = _words(shape)
         if self._cursor + needed > self.capacity_words:
-            if self.fragmentation_words >= needed:
-                self.compact()
-            if self._cursor + needed > self.capacity_words:
-                if not self.auto_grow:
-                    raise ArenaError(
-                        f"arena exhausted: {needed} words requested, "
-                        f"{self.capacity_words - self._cursor} free"
-                    )
-                self.grow(self._cursor + needed)
+            if not self.auto_grow:
+                raise ArenaError(
+                    f"arena exhausted: {needed} words requested, "
+                    f"{self.capacity_words - self._cursor} free"
+                )
+            self.grow(self._cursor + needed)
         block = _Block(self._cursor, shape)
         self._cursor += needed
         self._blocks.append(block)
@@ -213,43 +198,12 @@ class Arena:
         np.copyto(view.array, array)
         return view
 
-    def free(self, view: ArenaView) -> None:
-        """Mark a view's block dead (reclaimed by :meth:`compact`)."""
-        if view._arena is not self:
-            raise ArenaError("view belongs to a different arena")
-        if not view._block.live:
-            raise ArenaError("double free of an arena block")
-        view._block.live = False
-
     def reset(self) -> None:
         """Drop every block and rewind the cursor (scratch-arena reuse)."""
         for block in self._blocks:
             block.live = False
         self._blocks.clear()
         self._cursor = 0
-
-    def compact(self) -> int:
-        """Slide live blocks toward offset 0 (allocation order preserved);
-        returns the number of words reclaimed.  Headers stay valid; raw
-        arrays captured before the call are stale aliases."""
-        buffer = self._buffer
-        cursor = 0
-        survivors: list[_Block] = []
-        for block in self._blocks:
-            if not block.live:
-                continue
-            if block.offset != cursor:
-                src = buffer[block.offset : block.offset + block.words]
-                if cursor + block.words > block.offset:  # overlapping slide
-                    src = src.copy()
-                buffer[cursor : cursor + block.words] = src
-                block.offset = cursor
-            cursor += block.words
-            survivors.append(block)
-        reclaimed = self._cursor - cursor
-        self._blocks = survivors
-        self._cursor = cursor
-        return reclaimed
 
     def close(self) -> None:
         """Release the shared-memory segment (no-op for private arenas)."""

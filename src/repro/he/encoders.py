@@ -1,21 +1,10 @@
-"""Plaintext encoders (SEAL-2.1-style).
+"""The plaintext encoder.
 
-Three encoders bridge application values and the plaintext ring ``R_t``:
-
-* :class:`ScalarEncoder` -- a value is stored in the constant coefficient.
-  This is the encoding the CNN pipelines use for pixels and quantized
-  weights: additions and multiplications of ciphertexts then mirror integer
-  arithmetic mod ``t`` exactly.
-* :class:`IntegerEncoder` -- SEAL's base-``b`` expansion (binary or balanced
-  ternary): an integer becomes a low-degree polynomial with digit
-  coefficients, so values far larger than ``t`` survive as long as
-  coefficient growth stays below ``t``.
-* :class:`FractionalEncoder` -- SEAL's fixed-point encoding: the integer part
-  occupies low-degree coefficients, the fraction occupies negated top
-  coefficients of the ring.
-
-All encoders are batched: array inputs encode to plaintexts with matching
-leading axes.
+:class:`ScalarEncoder` stores a value in the constant coefficient of the
+plaintext ring ``R_t``.  This is the encoding every pipeline uses for pixels
+and quantized weights: additions and multiplications of ciphertexts then
+mirror integer arithmetic mod ``t`` exactly.  It is batched: array inputs
+encode to plaintexts with matching leading axes.
 """
 
 from __future__ import annotations
@@ -59,127 +48,3 @@ class ScalarEncoder:
             )
         return plain.signed_coeffs()[..., 0].copy()
 
-
-class IntegerEncoder:
-    """Base-``b`` digit encoding of signed integers into polynomials.
-
-    ``base=3`` uses balanced digits in {-1, 0, 1} (SEAL's default), which
-    minimizes coefficient magnitude and therefore multiplication-induced
-    coefficient growth.  ``base=2`` uses signed binary digits in {-1, 0, 1}
-    via the non-adjacent form of negative numbers' absolute value.
-    """
-
-    def __init__(self, context: Context, base: int = 3) -> None:
-        if base not in (2, 3):
-            raise EncodingError(f"IntegerEncoder supports base 2 or 3, got {base}")
-        self.context = context
-        self.base = base
-
-    def encode(self, value: int) -> Plaintext:
-        value = int(value)
-        n = self.context.poly_degree
-        digits = self._digits(abs(value))
-        if len(digits) > n:
-            raise EncodingError(f"{value} needs {len(digits)} digits > degree {n}")
-        coeffs = np.zeros(n, dtype=np.int64)
-        sign = -1 if value < 0 else 1
-        t = self.context.plain_modulus
-        for i, d in enumerate(digits):
-            coeffs[i] = (sign * d) % t
-        return Plaintext(self.context, coeffs)
-
-    def _digits(self, value: int) -> list[int]:
-        digits = []
-        if self.base == 2:
-            while value:
-                digits.append(value & 1)
-                value >>= 1
-        else:  # balanced ternary: digits in {-1, 0, 1}
-            while value:
-                r = value % 3
-                if r == 2:
-                    r = -1
-                digits.append(r)
-                value = (value - r) // 3
-        return digits
-
-    def decode(self, plain: Plaintext) -> int:
-        """Evaluate the polynomial at ``base`` using centered coefficients.
-
-        Raises:
-            EncodingError: if any centered coefficient's magnitude reached
-                ``t/2`` -- the tell-tale of digit overflow during homomorphic
-                arithmetic, after which the value is unrecoverable.
-        """
-        self.context.check_same(plain.context)
-        t = self.context.plain_modulus
-        signed = plain.signed_coeffs()
-        if (np.abs(signed) >= t // 2).any():
-            raise EncodingError("coefficient overflow: |digit| reached t/2")
-        value = 0
-        for c in signed[::-1]:
-            value = value * self.base + int(c)
-        return value
-
-
-class FractionalEncoder:
-    """SEAL-style fixed-point fractional encoding.
-
-    The integer part of ``x`` occupies coefficients ``0..integer_coeffs-1``
-    (base-``b`` digits), while ``fraction_coeffs`` fractional digits occupy
-    the *top* coefficients with flipped sign, exploiting ``x^n = -1``.
-    """
-
-    def __init__(
-        self,
-        context: Context,
-        integer_coeffs: int = 64,
-        fraction_coeffs: int = 32,
-        base: int = 3,
-    ) -> None:
-        n = context.poly_degree
-        if integer_coeffs + fraction_coeffs > n:
-            raise EncodingError(
-                f"integer_coeffs + fraction_coeffs must be <= degree {n}"
-            )
-        self.context = context
-        self.integer_coeffs = integer_coeffs
-        self.fraction_coeffs = fraction_coeffs
-        self.base = base
-        self._int_encoder = IntegerEncoder(context, base=3 if base == 3 else 2)
-
-    def encode(self, value: float) -> Plaintext:
-        n = self.context.poly_degree
-        t = self.context.plain_modulus
-        int_part = int(np.floor(value))
-        frac = value - int_part
-        int_plain = self._int_encoder.encode(int_part)
-        if np.count_nonzero(int_plain.coeffs[self.integer_coeffs :]):
-            raise EncodingError(
-                f"integer part {int_part} does not fit in {self.integer_coeffs} digits"
-            )
-        coeffs = int_plain.coeffs.copy()
-        # Fractional digits: greedy base-b expansion, stored negated at the top.
-        for i in range(self.fraction_coeffs):
-            frac *= self.base
-            digit = int(np.floor(frac))
-            frac -= digit
-            if digit:
-                coeffs[n - 1 - i] = (-digit) % t
-        return Plaintext(self.context, coeffs)
-
-    def decode(self, plain: Plaintext) -> float:
-        self.context.check_same(plain.context)
-        n = self.context.poly_degree
-        signed = plain.signed_coeffs().astype(np.float64)
-        value = 0.0
-        for i in range(min(n, self.integer_coeffs + 8) - 1, -1, -1):
-            value = value * self.base + signed[i]
-        scale = 1.0 / self.base
-        for i in range(self.fraction_coeffs + 8):
-            idx = n - 1 - i
-            if idx < self.integer_coeffs:
-                break
-            value += -signed[idx] * scale
-            scale /= self.base
-        return value

@@ -292,27 +292,6 @@ class Evaluator:
             self.counter.record("ct_add", (len(rows) - 1) * lanes)
         return result
 
-    def multiply_scalar(self, ct: Ciphertext, value: int) -> Ciphertext:
-        """Multiply by a small integer constant (no noise-polynomial growth
-        beyond the scalar factor).
-
-        The scalar is reduced to its *centered* representative in
-        ``(-t/2, t/2]`` so that, e.g., multiplying by ``t - 1`` costs the
-        noise of ``x(-1)``, not ``x(t-1)``.
-        """
-        self._check(ct)
-        t = self.context.plain_modulus
-        value %= t
-        if value > t // 2:
-            value -= t
-        result = Ciphertext(
-            self.context,
-            self.context.ring.mul_scalar(ct.data, value),
-            ct.is_ntt,
-        )
-        self._record("ct_plain_mul", result)
-        return result
-
     def multiply(self, ct0: Ciphertext, ct1: Ciphertext) -> Ciphertext:
         """``Multiply(ct0, ct1)``: exact FV tensor product, size 2x2 -> 3 --
         :meth:`rescale` of :meth:`tensor_product`, composed a chunk of the

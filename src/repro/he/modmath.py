@@ -1,14 +1,14 @@
 """Number-theoretic helpers for the FV implementation.
 
 Primality testing, NTT-friendly prime generation, primitive roots of unity,
-modular inverses and Chinese-remainder reconstruction.  Everything here works
+modular inverses and centered residues.  Everything here works
 on plain Python integers; the vectorized hot paths live in
 :mod:`repro.he.ntt` and :mod:`repro.he.polyring`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import ParameterError
 
@@ -110,21 +110,6 @@ def invert_mod(a: int, modulus: int) -> int:
     if g != 1:
         raise ParameterError(f"{a} is not invertible mod {modulus}")
     return x % modulus
-
-
-def crt_reconstruct(residues: Sequence[int], moduli: Sequence[int]) -> int:
-    """Combine residues under pairwise-coprime moduli into the unique value
-    in ``[0, prod(moduli))``."""
-    if len(residues) != len(moduli):
-        raise ParameterError("residues and moduli must have equal length")
-    total = 0
-    product = 1
-    for m in moduli:
-        product *= m
-    for r, m in zip(residues, moduli):
-        partial = product // m
-        total += r * partial * invert_mod(partial, m)
-    return total % product
 
 
 def centered(value: int, modulus: int) -> int:

@@ -97,17 +97,3 @@ class NoiseEstimator:
         if additions:
             budget -= self.add_cost(additions)
         return budget
-
-    def supports_circuit(
-        self,
-        multiplies: int = 0,
-        plain_multiplies: int = 0,
-        plain_norm: float = 1.0,
-        additions: int = 0,
-        margin_bits: float = 5.0,
-    ) -> bool:
-        """True when the parameter set should evaluate the circuit safely."""
-        return (
-            self.budget_after(multiplies, plain_multiplies, plain_norm, additions)
-            >= margin_bits
-        )

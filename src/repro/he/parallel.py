@@ -463,13 +463,9 @@ class WorkerPool:
                 "host_elapsed_s": elapsed,
             },
         )
-        header = task.get("trace") or []
-        if len(header) == 1:
-            span.attrs["trace_id"] = header[0]["trace_id"]
-            if header[0].get("parent_id"):
-                span.attrs["trace_parent"] = header[0]["parent_id"]
-        elif header:
-            span.attrs["trace_ids"] = [h["trace_id"] for h in header]
+        header = [obs_context.TraceContext.from_wire(h) for h in task["trace"]]
+        with obs_context.activate(*header):
+            obs_context.stamp(span.attrs)
         parent.children.append(span)
 
     def _poll_results(self, timeout: float) -> bool:

@@ -160,19 +160,3 @@ def small_parameter_options() -> dict[int, EncryptionParams]:
 def paper_parameters() -> EncryptionParams:
     """The paper's quoted SEAL 2.1 configuration (Section V-A)."""
     return default_parameter_options()[1024]
-
-
-def functional_parameters(plain_bits: int = 20) -> EncryptionParams:
-    """Parameters sized for end-to-end CNN inference.
-
-    Picks the smallest functional preset whose plaintext modulus spans at
-    least ``plain_bits`` bits (quantized CNN values must fit in ``t``).
-    """
-    for degree in (2048, 4096):
-        preset = default_parameter_options()[degree]
-        if preset.plain_modulus.bit_length() >= plain_bits:
-            return preset
-    raise ParameterError(
-        f"no functional preset offers a {plain_bits}-bit plaintext modulus; "
-        "construct EncryptionParams explicitly"
-    )

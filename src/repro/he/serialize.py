@@ -33,7 +33,6 @@ _KIND_PUBLIC = 2
 _KIND_RELIN = 3
 _KIND_CIPHER = 4
 _KIND_ARRAYS = 5
-_KIND_CIPHER_BATCH = 6
 
 # magic | crc32(rest) | kind, count, extra
 _CRC_OFFSET = len(_MAGIC)
@@ -196,33 +195,6 @@ def deserialize_int64_arrays(data: bytes) -> tuple[list[np.ndarray], int]:
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
     return _pack(_KIND_CIPHER, [ct.data], extra=1 if ct.is_ntt else 0)
-
-
-def serialize_ciphertext_batch(cts: "list[Ciphertext]") -> bytes:
-    """Pack many same-domain ciphertexts as one payload.
-
-    With arena-backed ciphertexts this is the arena's serialization story
-    made concrete: one header walk (shape per ciphertext) plus one
-    zero-copy buffer slice per view -- no ``tobytes`` copies, no per-object
-    framing overhead.  All members must share the NTT/coefficient domain
-    (stacked flush batches always do).
-    """
-    if not cts:
-        raise SerializationError("ciphertext batch must be non-empty")
-    is_ntt = cts[0].is_ntt
-    if any(ct.is_ntt != is_ntt for ct in cts):
-        raise SerializationError(
-            "ciphertext batch mixes NTT and coefficient domains"
-        )
-    return _pack(_KIND_CIPHER_BATCH, [ct.data for ct in cts], extra=1 if is_ntt else 0)
-
-
-def deserialize_ciphertext_batch(data: bytes, context: Context) -> "list[Ciphertext]":
-    """Inverse of :func:`serialize_ciphertext_batch`."""
-    arrays, extra = _load(data, _KIND_CIPHER_BATCH, "ciphertext_batch")
-    if not arrays:
-        raise SerializationError("ciphertext batch payload holds no arrays")
-    return [Ciphertext(context, arr, is_ntt=bool(extra)) for arr in arrays]
 
 
 def deserialize_ciphertext(data: bytes, context: Context) -> Ciphertext:

@@ -23,7 +23,7 @@ from repro.nn.layers import (
     Tanh,
     conv2d_forward,
 )
-from repro.nn.metrics import accuracy_score, agreement_rate, confusion_matrix
+from repro.nn.metrics import accuracy_score, agreement_rate
 from repro.nn.model import Sequential, cryptonets_cnn, deep_cnn, paper_cnn, scaled_cnn
 from repro.nn.quantize import QuantizedCNN, QuantizedConvBlock
 from repro.nn.train import SGD, TrainReport, accuracy, cross_entropy, softmax, train
@@ -53,7 +53,6 @@ __all__ = [
     "accuracy",
     "accuracy_score",
     "agreement_rate",
-    "confusion_matrix",
     "conv2d_forward",
     "cross_entropy",
     "cryptonets_cnn",

@@ -82,10 +82,6 @@ class Dataset:
     test_images: np.ndarray
     test_labels: np.ndarray
 
-    @property
-    def num_classes(self) -> int:
-        return NUM_CLASSES
-
     def train_float(self) -> np.ndarray:
         """Training images normalized to [0, 1] float64."""
         return self.train_images.astype(np.float64) / 255.0

@@ -18,16 +18,6 @@ def accuracy_score(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float((predictions == labels).mean())
 
 
-def confusion_matrix(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int = 10
-) -> np.ndarray:
-    """``matrix[true, predicted]`` counts."""
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for true, pred in zip(np.asarray(labels), np.asarray(predictions)):
-        matrix[int(true), int(pred)] += 1
-    return matrix
-
-
 def agreement_rate(a: np.ndarray, b: np.ndarray) -> float:
     """Fraction of samples on which two pipelines predict the same class.
 

@@ -89,10 +89,6 @@ class TrafficTrace:
         return len({a.user_id for a in self.arrivals})
 
     @property
-    def images(self) -> int:
-        return sum(a.images for a in self.arrivals)
-
-    @property
     def rate_rps(self) -> float:
         """Realized arrival rate (requests per trace second)."""
         if self.duration_s <= 0:

@@ -85,10 +85,6 @@ class EpcManager:
         self._published = current
 
     @property
-    def capacity_bytes(self) -> int:
-        return self._capacity_pages * PAGE_SIZE
-
-    @property
     def resident_bytes(self) -> int:
         return len(self._resident) * PAGE_SIZE
 

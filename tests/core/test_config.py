@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import parameters_for_pipeline, required_budget_bits, train_paper_models
+from repro.core import parameters_for_pipeline, train_paper_models
 from repro.errors import ParameterError
 from repro.he import NoiseEstimator
 
@@ -35,12 +35,6 @@ class TestParametersForPipeline:
     def test_name_override(self, q_sigmoid):
         params = parameters_for_pipeline(q_sigmoid, 256, name="bench")
         assert params.name == "bench"
-
-    def test_required_budget_positive_for_pure_he(self, q_square):
-        params = parameters_for_pipeline(q_square, 256)
-        assert required_budget_bits(params, pure_he=True) > required_budget_bits(
-            params, pure_he=False
-        )
 
 
 class TestTrainPaperModels:

@@ -245,10 +245,10 @@ class TestValueGuards:
             enclave.ecall("sigmoid", ct, 0.0001, huge * 10)
 
     def test_non_scalar_ciphertext_rejected(self, enclave, userland):
-        from repro.he import IntegerEncoder
-
-        encoder = IntegerEncoder(userland["context"], base=3)
-        ct = userland["encryptor"].encrypt(encoder.encode(12345))
+        context = userland["context"]
+        coeffs = np.zeros(context.poly_degree, dtype=np.int64)
+        coeffs[:2] = (12, 345)  # a second non-zero coefficient: not a scalar
+        ct = userland["encryptor"].encrypt(Plaintext(context, coeffs))
         with pytest.raises(PipelineError):
             enclave.ecall("divide", ct, 2)
 

@@ -1,4 +1,4 @@
-"""Pooling placement (Fig. 6) and noise-refresh policy (Table V) tests."""
+"""Pooling placement (Fig. 6) and noise-refresh route (Table V) tests."""
 
 from __future__ import annotations
 
@@ -10,10 +10,8 @@ from repro.core import (
     MeasuredChoice,
     PoolStrategy,
     PoolingPlacementPolicy,
-    RefreshPolicy,
     measure_placement,
     pool_with_strategy,
-    refresh,
     relinearize_refresh,
     sgx_refresh,
     sgx_refresh_one_by_one,
@@ -143,25 +141,3 @@ class TestRefresh:
         assert np.array_equal(
             decode(rig, single.ciphertext), decode(rig, batched.ciphertext)
         )
-
-    def test_policy_prefers_no_keys(self):
-        policy = RefreshPolicy()
-        assert policy.choose(1, relin_keys_available=True) == "sgx_refresh"
-
-    def test_policy_relin_for_lone_ct(self):
-        policy = RefreshPolicy(prefer_no_keys=False)
-        assert policy.choose(1, relin_keys_available=True) == "relinearization"
-        assert policy.choose(100, relin_keys_available=True) == "sgx_refresh"
-
-    def test_policy_no_keys_forces_sgx(self):
-        policy = RefreshPolicy(prefer_no_keys=False)
-        assert policy.choose(1, relin_keys_available=False) == "sgx_refresh"
-
-    def test_refresh_dispatch(self, rig):
-        squared = self._squared(rig)
-        outcome = refresh(rig["evaluator"], squared, enclave=rig["enclave"])
-        assert outcome.method == "sgx_refresh"
-
-    def test_refresh_requires_some_route(self, rig):
-        with pytest.raises(PipelineError):
-            refresh(rig["evaluator"], self._squared(rig))

@@ -1,18 +1,14 @@
-"""Encoder round-trips and overflow detection."""
+"""ScalarEncoder round-trips and range checks."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import EncodingError
-from repro.he import (
-    FractionalEncoder,
-    IntegerEncoder,
-    ScalarEncoder,
-)
+from repro.he import ScalarEncoder
 
 
 class TestScalarEncoder:
@@ -43,101 +39,3 @@ class TestScalarEncoder:
         encoder = ScalarEncoder(context)
         assert encoder.decode(encoder.encode(v)) == v
 
-
-class TestIntegerEncoder:
-    @pytest.mark.parametrize("base", [2, 3])
-    def test_roundtrip(self, context, base):
-        encoder = IntegerEncoder(context, base=base)
-        for v in (0, 1, -1, 255, -255, 123456789, -987654321):
-            assert encoder.decode(encoder.encode(v)) == v
-
-    def test_rejects_bad_base(self, context):
-        with pytest.raises(EncodingError):
-            IntegerEncoder(context, base=10)
-
-    def test_balanced_ternary_digits_are_small(self, context):
-        encoder = IntegerEncoder(context, base=3)
-        plain = encoder.encode(10**12)
-        assert set(plain.signed_coeffs().tolist()) <= {-1, 0, 1}
-
-    def test_values_beyond_t_survive(self, context):
-        # The whole point of digit encoding: values >> t are representable.
-        encoder = IntegerEncoder(context, base=3)
-        big = context.plain_modulus * 1000 + 17
-        assert encoder.decode(encoder.encode(big)) == big
-
-    def test_overflow_detection(self, context):
-        encoder = IntegerEncoder(context, base=3)
-        plain = encoder.encode(7)
-        t = context.plain_modulus
-        plain.coeffs[0] = t // 2  # forged saturated digit
-        with pytest.raises(EncodingError):
-            encoder.decode(plain)
-
-    @settings(max_examples=50)
-    @given(st.integers(min_value=-(10**15), max_value=10**15), st.sampled_from([2, 3]))
-    def test_roundtrip_property(self, context, v, base):
-        encoder = IntegerEncoder(context, base=base)
-        assert encoder.decode(encoder.encode(v)) == v
-
-    def test_additive_structure(self, context):
-        # encode(a) + encode(b) decodes to a + b while digits stay small.
-        encoder = IntegerEncoder(context, base=3)
-        a, b = 1234, 5678
-        pa, pb = encoder.encode(a), encoder.encode(b)
-        summed = type(pa)(context, (pa.coeffs + pb.coeffs) % context.plain_modulus)
-        assert encoder.decode(summed) == a + b
-
-
-class TestFractionalEncoder:
-    def test_roundtrip_close(self, context):
-        encoder = FractionalEncoder(context, integer_coeffs=32, fraction_coeffs=32)
-        for v in (0.0, 1.0, -1.0, 3.14159, -2.71828, 1234.5678):
-            assert encoder.decode(encoder.encode(v)) == pytest.approx(v, abs=1e-6)
-
-    def test_rejects_oversized_layout(self, context):
-        n = context.poly_degree
-        with pytest.raises(EncodingError):
-            FractionalEncoder(context, integer_coeffs=n, fraction_coeffs=1)
-
-    def test_rejects_huge_integer_part(self, context):
-        encoder = FractionalEncoder(context, integer_coeffs=4, fraction_coeffs=4)
-        with pytest.raises(EncodingError):
-            encoder.encode(3.0**10)
-
-    @settings(max_examples=40)
-    @given(st.floats(min_value=-1000, max_value=1000, allow_nan=False))
-    def test_roundtrip_property(self, context, v):
-        encoder = FractionalEncoder(context, integer_coeffs=32, fraction_coeffs=48)
-        assert encoder.decode(encoder.encode(v)) == pytest.approx(v, abs=1e-4)
-
-
-class TestEncodersThroughEncryption:
-    def test_integer_encoder_homomorphic_add(
-        self, context, encryptor, decryptor, evaluator
-    ):
-        encoder = IntegerEncoder(context, base=3)
-        ct = evaluator.add(
-            encryptor.encrypt(encoder.encode(1200)),
-            encryptor.encrypt(encoder.encode(34)),
-        )
-        assert encoder.decode(decryptor.decrypt(ct)) == 1234
-
-    def test_integer_encoder_homomorphic_multiply(
-        self, context, encryptor, decryptor, evaluator
-    ):
-        encoder = IntegerEncoder(context, base=3)
-        ct = evaluator.multiply(
-            encryptor.encrypt(encoder.encode(56)), encryptor.encrypt(encoder.encode(-78))
-        )
-        assert encoder.decode(decryptor.decrypt(ct)) == -4368
-
-    def test_fractional_encoder_homomorphic_add(
-        self, context, encryptor, decryptor, evaluator
-    ):
-        encoder = FractionalEncoder(context, integer_coeffs=32, fraction_coeffs=32)
-        ct = evaluator.add(
-            encryptor.encrypt(encoder.encode(1.5)),
-            encryptor.encrypt(encoder.encode(2.25)),
-        )
-        assert encoder.decode(decryptor.decrypt(ct)) == pytest.approx(3.75, abs=1e-6)

@@ -129,10 +129,6 @@ class TestMultiplicative:
             encoder.decode(decryptor.decrypt(ct)), values * weights
         )
 
-    def test_multiply_scalar(self, encryptor, decryptor, encoder, evaluator):
-        ct = evaluator.multiply_scalar(encryptor.encrypt(encoder.encode(-21)), 2)
-        assert encoder.decode(decryptor.decrypt(ct)) == -42
-
     def test_multiply(self, encryptor, decryptor, encoder, evaluator):
         ct = evaluator.multiply(
             encryptor.encrypt(encoder.encode(21)), encryptor.encrypt(encoder.encode(-2))

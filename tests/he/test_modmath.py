@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
@@ -85,22 +85,6 @@ class TestInvertMod:
     def test_non_invertible_raises(self):
         with pytest.raises(ParameterError):
             modmath.invert_mod(6, 12)
-
-
-class TestCrt:
-    def test_known_value(self):
-        assert modmath.crt_reconstruct([2, 3], [3, 5]) == 8
-
-    @settings(max_examples=50)
-    @given(st.integers(min_value=0, max_value=3 * 5 * 7 * 11 - 1))
-    def test_roundtrip(self, x):
-        moduli = [3, 5, 7, 11]
-        residues = [x % m for m in moduli]
-        assert modmath.crt_reconstruct(residues, moduli) == x
-
-    def test_length_mismatch(self):
-        with pytest.raises(ParameterError):
-            modmath.crt_reconstruct([1], [3, 5])
 
 
 class TestCentered:

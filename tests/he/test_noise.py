@@ -48,7 +48,7 @@ class TestCircuitPlanning:
         assert estimator.budget_after(multiplies=1) > estimator.budget_after(multiplies=2)
 
     def test_supports_shallow_circuit(self, estimator):
-        assert estimator.supports_circuit(plain_multiplies=1, plain_norm=16.0, additions=25)
+        assert estimator.budget_after(plain_multiplies=1, plain_norm=16.0, additions=25) >= 5.0
 
     def test_rejects_absurd_depth(self, estimator):
-        assert not estimator.supports_circuit(multiplies=50)
+        assert estimator.budget_after(multiplies=50) < 5.0

@@ -9,7 +9,6 @@ from repro.he import modmath
 from repro.he.params import (
     EncryptionParams,
     default_parameter_options,
-    functional_parameters,
     paper_parameters,
     small_parameter_options,
 )
@@ -99,14 +98,6 @@ class TestPresets:
         options = default_parameter_options()
         for degree, preset in options.items():
             assert preset.poly_degree == degree
-
-    def test_functional_parameters_picks_wide_enough_t(self):
-        params = functional_parameters(plain_bits=18)
-        assert params.plain_modulus.bit_length() >= 18
-
-    def test_functional_parameters_impossible_request(self):
-        with pytest.raises(ParameterError):
-            functional_parameters(plain_bits=40)
 
     def test_small_presets_are_fast_but_valid(self):
         for preset in small_parameter_options().values():

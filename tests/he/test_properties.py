@@ -1,7 +1,7 @@
 """Property-based tests: FV must be a homomorphism on random circuits.
 
-A random arithmetic circuit (adds, plain-multiplies, scalar multiplies,
-negations, one optional square) is evaluated both over the integers and
+A random arithmetic circuit (adds, plain-multiplies, negations, one
+optional square) is evaluated both over the integers and
 homomorphically; the results must agree exactly whenever the integer result
 fits the plaintext space -- the defining property everything else in this
 repository builds on.
@@ -39,7 +39,7 @@ _EVALUATOR = Evaluator(_CONTEXT)
 _LIMIT = _PARAMS.plain_modulus // 2
 
 operations = st.lists(
-    st.sampled_from(["add", "sub", "neg", "plain_mul", "scalar_mul"]),
+    st.sampled_from(["add", "sub", "neg", "plain_mul"]),
     min_size=0,
     max_size=6,
 )
@@ -66,8 +66,6 @@ def _apply(op, ct, value, operand):
             _EVALUATOR.multiply_plain(ct, _ENCODER.encode(operand)),
             value * operand,
         )
-    if op == "scalar_mul":
-        return _EVALUATOR.multiply_scalar(ct, operand), value * operand
     raise AssertionError(op)
 
 
@@ -78,7 +76,7 @@ class TestCircuitHomomorphism:
         ct = _ENCRYPTOR.encrypt(_ENCODER.encode(start))
         value = start
         for op, operand in zip(ops, operands):
-            if op in ("plain_mul", "scalar_mul") and abs(value * operand) > _LIMIT:
+            if op == "plain_mul" and abs(value * operand) > _LIMIT:
                 return  # circuit would overflow the plaintext space
             if op in ("add", "sub") and abs(value) + abs(operand) > _LIMIT:
                 return

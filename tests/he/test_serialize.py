@@ -100,39 +100,6 @@ class TestZeroCopyPayload:
         )
 
 
-class TestCiphertextBatch:
-    def test_round_trip(self, context, encryptor, decryptor, encoder):
-        cts = [encryptor.encrypt(encoder.encode(v)).to_ntt() for v in (3, -8, 21)]
-        blob = ser.serialize_ciphertext_batch(cts)
-        restored = ser.deserialize_ciphertext_batch(blob, context)
-        assert len(restored) == 3
-        for original, back, value in zip(cts, restored, (3, -8, 21)):
-            assert back.is_ntt
-            assert np.array_equal(back.data, original.data)
-            assert encoder.decode(decryptor.decrypt(back)) == value
-
-    def test_empty_batch_rejected(self):
-        from repro.errors import SerializationError
-
-        with pytest.raises(SerializationError):
-            ser.serialize_ciphertext_batch([])
-
-    def test_mixed_domains_rejected(self, context, encryptor, encoder):
-        from repro.errors import SerializationError
-
-        ct = encryptor.encrypt(encoder.encode(1))
-        with pytest.raises(SerializationError):
-            ser.serialize_ciphertext_batch([ct.to_ntt(), ct.to_coeff()])
-
-    def test_batch_bytes_walk_the_headers_only(self, context, encryptor, encoder):
-        """The batch blob is the per-ciphertext (ndim, shape, payload)
-        frames under one header -- payload bytes appear verbatim."""
-        cts = [encryptor.encrypt(encoder.encode(v)).to_ntt() for v in (7, 9)]
-        blob = ser.serialize_ciphertext_batch(cts)
-        for ct in cts:
-            assert ct.data.tobytes() in blob
-
-
 class TestFormatSafety:
     def test_bad_magic_rejected(self, context):
         with pytest.raises(ParameterError):

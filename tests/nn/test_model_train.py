@@ -11,7 +11,6 @@ from repro.nn import (
     Sequential,
     accuracy_score,
     agreement_rate,
-    confusion_matrix,
     cross_entropy,
     cryptonets_cnn,
     paper_cnn,
@@ -200,12 +199,6 @@ class TestMetrics:
     def test_accuracy_rejects_shape_mismatch(self):
         with pytest.raises(ModelError):
             accuracy_score(np.array([1]), np.array([1, 2]))
-
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix(np.array([0, 1, 1]), np.array([0, 1, 0]), num_classes=2)
-        assert matrix[0, 0] == 1  # true 0, predicted 0
-        assert matrix[0, 1] == 1  # true 0, predicted 1
-        assert matrix[1, 1] == 1
 
     def test_agreement_rate_perfect(self):
         assert agreement_rate(np.array([1, 2]), np.array([1, 2])) == 1.0

@@ -97,12 +97,20 @@ class TestPackageSurface:
         assert repro.__version__
 
     def test_public_api_importable(self):
-        # Everything advertised in __all__ must resolve.
-        import repro.core
-        import repro.he
-        import repro.nn
-        import repro.sgx
+        # Everything a package advertises in __all__ must resolve.
+        import importlib
+        import pkgutil
 
-        for module in (repro.he, repro.sgx, repro.nn, repro.core):
-            for name in module.__all__:
+        import repro
+
+        packages = [
+            importlib.import_module(f"repro.{info.name}")
+            for info in pkgutil.iter_modules(repro.__path__)
+            if info.ispkg
+        ]
+        exporting = {m.__name__ for m in packages if hasattr(m, "__all__")}
+        names = ("he", "sgx", "nn", "core", "obs", "serve", "graph", "client", "faults", "bench")
+        assert exporting >= {f"repro.{name}" for name in names}
+        for module in packages:
+            for name in getattr(module, "__all__", ()):
                 assert getattr(module, name) is not None, f"{module.__name__}.{name}"
