@@ -1031,9 +1031,9 @@ EXPERIMENTS = (
             "batched SGX refresh is competitive: s_batched < 2 * s_relin (paper: 0.36x)",
             lambda m: exceeds(2 * min(m["relin"]), min(m["batched"])),
             Deviates(
-                "since PR 19 only the relinearize side lost its Python ints and since PR 21 "
-                "it is the more transform-bound side; the refresh still pays a bigint CRT "
-                "lift at this 150-bit q (ROADMAP item 11) plus the modelled crossing"
+                "the refresh's own decrypt and re-encrypt, all RNS at this 150-bit q, now "
+                "take less real time than relinearize; what keeps it past 2x is the "
+                "modelled in-enclave slowdown and crossing, about 4/5 of it (ROADMAP item 3)"
             ),
         ),
         Claim(

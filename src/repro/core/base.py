@@ -28,6 +28,8 @@ from repro.he.encoders import ScalarEncoder
 from repro.he.encryptor import Encryptor
 from repro.he.evaluator import Evaluator, OperationCounter
 from repro.he.params import EncryptionParams
+from repro.obs import context as obs_context
+from repro.obs.context import TraceContext
 from repro.sgx.attestation import AttestationVerificationService, QuotingService
 from repro.sgx.enclave import SgxPlatform
 
@@ -44,6 +46,8 @@ class GraphPipeline:
 
     scheme = ""
     graph_kind = ""
+    #: Inferences run so far: the counter of each one's derived trace id.
+    _inferences = 0
 
     def _bind(self, *, enclave=None, relin_keys=None, **graph_options) -> None:
         self.graph = ir.build_graph(
@@ -82,8 +86,14 @@ class GraphPipeline:
         return self.encryptor.encrypt(self.encoder.encode(pixels))
 
     def infer(self, images: np.ndarray) -> InferenceResult:
-        """One inference: a walk of the graph."""
-        with self.tracer.span(
+        """One inference: a walk of the graph, under a trace context derived
+        from the scheme and its count unless one is ambient, so every span
+        it opens resolves a trace id."""
+        self._inferences += 1
+        own = TraceContext.derive(
+            f"pipeline:{self.scheme}", self._inferences, f"{self.scheme}/infer-{self._inferences}"
+        )
+        with obs_context.activate(None if obs_context.current() else own), self.tracer.span(
             self.scheme,
             kind="pipeline",
             counter=self.counter,

@@ -18,8 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import KeyMismatchError, ParameterError
+from repro.he import modmath
 from repro.he.params import EncryptionParams
 from repro.he.polyring import AuxBasis, PolyContext, _mod_rows, aux_primes
+
+#: Exclusive bound on the plaintext modulus: decrypt's arithmetic modulo
+#: ``t`` (:func:`_mul_mod`) stays inside int64 below it.
+_PLAIN_LIMIT = 1 << 61
 
 #: Coefficients (ciphertexts x n) per chunk of the RNS tensor product: 16
 #: ciphertexts at n = 256, one at n = 4096.  Large enough to amortise the
@@ -30,10 +35,11 @@ _TENSOR_CHUNK_COEFFS = 1 << 12
 class Context:
     """Runtime companion of an :class:`EncryptionParams` instance.
 
-    Its ring and its ciphertext-multiply kernels (:meth:`tensor_product`,
-    :meth:`scale_round`, :meth:`relin_digits`) are the library's one kernel
-    set; :class:`repro.he.oracle.Context` is the same interface over the
-    reference formulas.
+    Its ring, its ciphertext-multiply kernels (:meth:`tensor_product`,
+    :meth:`scale_round`, :meth:`relin_digits`) and its decrypt kernels
+    (:meth:`round_to_plain`, :meth:`decrypt_at`, :meth:`noise_max`) are the
+    library's one kernel set; :class:`repro.he.oracle.Context` is the same
+    interface over the reference formulas.
     """
 
     #: The RNS arithmetic this context computes with.
@@ -42,6 +48,14 @@ class Context:
     def __init__(self, params: EncryptionParams) -> None:
         self.params = params
         self.ring = self.ring_type(params.poly_degree, params.coeff_primes)
+        t = params.plain_modulus
+        if t >= _PLAIN_LIMIT:
+            raise ParameterError(
+                f"plain_modulus {t} reaches 2^61: decrypt computes modulo t in int64"
+            )
+        # round_to_plain's constants: [(q-1)/2]_t and [-q^-1]_t.
+        self._half_t = self.ring.radix.half % t
+        self._neg_q_inv = -modmath.invert_mod(self.ring.q, t) % t
         # NTT rows of x^(stride * p), one table per image stride, built by
         # :func:`repro.he.batching.stride_monomials`.
         self._stride_monomials: dict[int, np.ndarray] = {}
@@ -172,6 +186,55 @@ class Context:
         yield from radix.limbs(
             radix.digits(c2), params.decomposition_bits, params.decomposition_count
         )
+
+    def round_to_plain(self, residues: np.ndarray) -> np.ndarray:
+        """FV's rounding ``[round(t/q * x)]_t`` of ring residues ``(..., k,
+        m)``, as int64 ``(..., m)`` in ``[0, t)``.
+
+        With ``rho`` the centered ``[t x]_q``, ``round(t x / q) = (t x -
+        rho) / q`` exactly (``q`` is odd: no ties), so modulo ``t`` it is
+        ``[-rho q^-1]_t`` (``gcd(q, t) = 1``).  ``rho = y - (q-1)/2`` for
+        ``y = [t x + (q-1)/2]_q``, whose mixed-radix digits are machine
+        words (:meth:`~repro.he.polyring.MixedRadix.digits`); ``[y]_t`` is
+        their Horner sum modulo ``t``.  No value is lifted.
+        """
+        t = self.params.plain_modulus
+        radix = self.ring.radix
+        digits = radix.digits(residues, scale=t)
+        y = digits[..., -1, :] % t
+        for i in range(radix.k - 2, -1, -1):
+            y = (_mul_mod(y, radix.primes[i], t) + digits[..., i, :]) % t
+        return _mul_mod((y - self._half_t) % t, self._neg_q_inv, t)
+
+    def decrypt_at(self, acc: np.ndarray, indices: list[int]) -> np.ndarray:
+        """Coefficients ``indices`` of the rounded plaintext of NTT-domain
+        ``acc = ct(s)``, as :meth:`round_to_plain` returns them, computed
+        at those coefficients alone (:meth:`PolyContext.intt_at`)."""
+        return self.round_to_plain(self.ring.intt_at(acc, indices))
+
+    def noise_max(self, residues: np.ndarray) -> int:
+        """``max |[t x]_q|`` over ring residues ``(..., k, m)``, exactly.
+
+        ``[t x]_q = y - (q-1)/2`` for ``y = [t x + (q-1)/2]_q`` in ``[0,
+        q)``, so the extremes of ``|.|`` are at the largest and the smallest
+        ``y``: the lexicographically extreme mixed-radix digit columns, top
+        digit first, compared two digits at a time (``d_i p_{i-1} + d_{i-1}
+        < 2^62``).  Only those two values are formed as Python ints.
+        """
+        radix = self.ring.radix
+        digits = radix.digits(residues, scale=self.params.plain_modulus)
+        digits = np.moveaxis(digits, -2, 0).reshape(radix.k, -1)
+        if not digits.shape[1]:
+            return 0
+        keys = [
+            digits[i] * radix.primes[i - 1] + digits[i - 1] if i else digits[0]
+            for i in range(radix.k - 1, -1, -2)
+        ]
+        top, bottom = (
+            sum(int(d) * place for d, place in zip(digits[:, _extreme(keys, pick)], radix.places))
+            for pick in (np.max, np.min)
+        )
+        return max(top - radix.half, radix.half - bottom)
 
 
 @dataclass
@@ -321,6 +384,33 @@ class TensorProduct:
         if not self.batch_shape:
             raise IndexError("cannot index a scalar tensor product")
         return TensorProduct(self.context, self.data[index], self.is_ntt)
+
+
+def _mul_mod(x: np.ndarray, c: int, m: int) -> np.ndarray:
+    """``[x c]_m`` for int64 ``x`` in ``[0, m)``, ``c >= 0`` and ``m <
+    2^61``: ``c`` enters in ``s``-bit chunks, high first, with ``s = 62 -
+    bits(m)``, so no product or sum reaches ``2^63`` (one chunk whenever
+    ``c`` has fewer than ``s`` bits)."""
+    s = 62 - m.bit_length()
+    out = 0
+    for shift in range(c.bit_length() // s * s, -1, -s):
+        out = (out << s) + x * (c >> shift & (1 << s) - 1)
+        out %= m
+    return out
+
+
+def _extreme(keys: list[np.ndarray], pick) -> int:
+    """Column holding the largest (``pick=np.max``) or smallest (``np.min``)
+    value whose mixed-radix digits are the ``(N,)`` rows ``keys``, top
+    first: the lexicographic extreme."""
+    cols = None
+    for row in keys:
+        values = row if cols is None else row[cols]
+        hits = np.flatnonzero(values == pick(values))
+        cols = hits if cols is None else cols[hits]
+        if cols.size == 1:
+            break
+    return int(cols[0])
 
 
 def _tensor_product(x: np.ndarray, y: np.ndarray, primes) -> np.ndarray:

@@ -17,11 +17,9 @@ four-step factorisation whose two steps are exact float64 matrix products
 (limb-split so every GEMM sum stays below 2^53), and is the engine of every
 timed transform: the ring's own primes and the auxiliary basis of the RNS
 ciphertext multiply
-(:class:`repro.he.polyring.AuxBasis`).
-:func:`negacyclic_convolve_exact` -- object-dtype inputs, one
-:class:`NttPlan` per auxiliary prime, a Python-int CRT sum -- is the
-oracle's tensor product, the reference the RNS kernel is held to; nothing
-in production calls it.
+(:class:`repro.he.polyring.AuxBasis`).  The oracle's exact convolution of
+Python-int polynomials, the reference the RNS tensor product is held to,
+lives in :mod:`repro.he.oracle`.
 """
 
 from __future__ import annotations
@@ -485,53 +483,3 @@ class StackedNttPlan:
         out.flags.writeable = False
         self._coeff_weight_cache[index] = out
         return out
-
-
-def negacyclic_convolve_exact(
-    a: np.ndarray, b: np.ndarray, n: int, bound: int
-) -> np.ndarray:
-    """Exact integer negacyclic convolution of big-integer polynomials.
-
-    Used for the FV tensor product, whose coefficients (up to ``n * (q/2)^2``)
-    overflow int64.  The inputs are object arrays of Python ints with absolute
-    values below ``bound``; the product is assembled by CRT over enough
-    word-size NTT primes to cover the worst-case coefficient.
-
-    Args:
-        a, b: object arrays with shape ``(..., n)`` holding Python ints.
-        n: polynomial degree (power of two).
-        bound: strict bound on ``abs`` of every input coefficient.
-
-    Returns:
-        An object array of exact (signed) product coefficients.
-    """
-    max_coeff = 2 * n * bound * bound  # symmetric range plus safety factor
-    plans = _aux_plans(n, max_coeff)
-    primes = [plan.prime for plan in plans]
-    residues = []
-    for plan in plans:
-        ra = (a % plan.prime).astype(np.int64)
-        rb = (b % plan.prime).astype(np.int64)
-        residues.append(plan.multiply(ra, rb))
-    modulus = modmath.product(primes)
-    lifted = np.zeros(residues[0].shape, dtype=object)
-    for res, prime in zip(residues, primes):
-        partial = modulus // prime
-        weight = partial * modmath.invert_mod(partial, prime)
-        lifted = lifted + res.astype(object) * weight
-    lifted %= modulus
-    return np.where(lifted > modulus // 2, lifted - modulus, lifted)
-
-
-_AUX_PLAN_CACHE: dict[tuple[int, int], list[NttPlan]] = {}
-
-
-def _aux_plans(n: int, max_coeff: int) -> list[NttPlan]:
-    """NTT plans whose prime product exceeds ``2 * max_coeff``."""
-    needed_bits = max_coeff.bit_length() + 1
-    count = needed_bits // 29 + 1
-    key = (n, count)
-    if key not in _AUX_PLAN_CACHE:
-        primes = modmath.ntt_primes(30, n, count)
-        _AUX_PLAN_CACHE[key] = [NttPlan(n, p) for p in primes]
-    return _AUX_PLAN_CACHE[key]

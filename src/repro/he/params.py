@@ -14,6 +14,7 @@ activations, so the end-to-end pipelines use the ``functional_*`` presets
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -73,6 +74,11 @@ class EncryptionParams:
             raise ParameterError("plain_modulus must be >= 2")
         if self.plain_modulus >= self.coeff_modulus:
             raise ParameterError("plain_modulus must be smaller than coeff modulus")
+        if math.gcd(self.plain_modulus, self.coeff_modulus) != 1:
+            # Decrypt rounds through q^-1 modulo t (Context.round_to_plain).
+            raise ParameterError(
+                f"plain_modulus {self.plain_modulus} shares a factor with the coeff modulus"
+            )
         if self.noise_stddev <= 0:
             raise ParameterError("noise_stddev must be positive")
         if not 1 <= self.decomposition_bits <= 30:

@@ -8,10 +8,10 @@ calls.  Elements exist in either *coefficient* or *NTT (evaluation)* domain;
 the domain is tracked by the caller (see :class:`repro.he.context.Ciphertext`).
 
 :class:`MixedRadix` and :class:`AuxBasis` are the exact int64 base
-conversion behind the ciphertext multiply and relinearize; the
-``to_bigint*`` / ``convolve_exact`` / ``scale_and_round`` bridge to Python
-ints remains for the oracle (:mod:`repro.he.oracle`) and for decrypting at
-``q >= 2^62``.
+conversion behind the ciphertext multiply, the relinearize digits and the
+decrypt's rounding, at every width of ``q``: nothing here lifts a residue
+to a Python int.  The Python-int formulas they are held to live in
+:mod:`repro.he.oracle`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.he import modmath
-from repro.he.ntt import _EXACT_LIMIT, NttPlan, StackedNttPlan, negacyclic_convolve_exact
+from repro.he.ntt import _EXACT_LIMIT, NttPlan, StackedNttPlan
 
 #: Low limb width of a mixed-radix digit in :meth:`MixedRadix.convert_centered`:
 #: a digit below ``2^31`` splits into limbs below ``2^15`` and ``2^16``.
@@ -32,10 +32,6 @@ _DIGIT_LIMB = 15
 #: OpenBLAS keeps those on the calling thread, where one ``2^20`` product was
 #: handed to a second thread and took 8.5-16 ms on a two-vCPU host.
 _GEMM_MAX_MACS = 1 << 18
-
-#: Exclusive numerator bound of :meth:`PolyContext.scale_round_int64`: below
-#: it the float64 quotient estimate is provably within one of the true value.
-SCALE_ROUND_MAX_NUMER = 1 << 50
 
 
 def _products_per_pass(top: int, value_bound: int) -> int:
@@ -133,15 +129,17 @@ class MixedRadix:
     An integer ``x`` in ``[0, P)``, ``P = p_0 ... p_{k-1}``, given by its
     residues has unique mixed-radix digits ``x = d_0 + d_1 p_0 + d_2 p_0 p_1
     + ...`` with ``0 <= d_i < p_i`` (Garner).  The digits are machine words
-    however wide ``P`` is, and both consumers read ``x`` off them without
+    however wide ``P`` is, and every consumer reads ``x`` off them without
     ever forming it: :meth:`convert_centered` evaluates them modulo the
-    ``targets`` primes, :meth:`limbs` yields base-``2^w`` digits.  Every
+    ``targets`` moduli, :meth:`limbs` yields base-``2^w`` digits, and the
+    decrypt's noise measurement compares them lexicographically.  Every
     prime is below ``2^31``, so a product of two residues is below ``2^62``
     and :func:`_dot_mod` keeps every sum of them inside int64.
 
     :meth:`convert_centered` converts the centered value of ``s x`` for a
-    scale ``s`` (1 for a lift, ``t`` for the multiply's ``[t d]_q``) by
-    digits of ``[s x + (P-1)/2]_P``, which lies in ``[0, P)``; the scale and
+    scale ``s`` (1 for a lift, ``t`` for the multiply's ``[t d]_q``) by the
+    digits of ``[s x + (P-1)/2]_P`` (:meth:`digits` with ``scale=s``, which
+    the decrypt reads too), a value in ``[0, P)``; the scale and
     the offset are Garner weights, so neither ``s x`` nor the shifted value
     is ever formed.  Digit ``j``'s dot product weighs ``r_j`` by ``[inv_j
     s]_{p_j}`` and starts from the constant ``[inv_j (P-1)/2]_{p_j}``, with
@@ -230,7 +228,7 @@ class MixedRadix:
         return rows
 
     def convert_centered(self, residues: np.ndarray, scale: int = 1) -> np.ndarray:
-        """Residues modulo the ``targets`` primes, ``(..., T, n)``, of the
+        """Residues modulo the ``targets``, ``(..., T, n)``, of the
         *centered* representative in ``[-(P-1)/2, (P-1)/2]`` of ``scale``
         times the value with the given residues.
 
@@ -331,8 +329,8 @@ class AuxBasis:
     conversion's scale, and enters the division with the weight ``[-q^-1]_b``.
     ``q`` is odd, hence ``t d / q`` is never half-way between two integers
     and ``|rho| < q/2`` makes ``r`` the nearest one for either sign -- the
-    integer :meth:`PolyContext.scale_and_round` (nearest, halves away from
-    zero) returns.
+    integer :meth:`repro.he.oracle.Ring.scale_and_round` (nearest, halves
+    away from zero) returns.
     """
 
     def __init__(self, ring: "PolyContext", plain_modulus: int, primes: Sequence[int]) -> None:
@@ -392,11 +390,11 @@ class PolyContext:
         self.n = n
         self.primes = np.array(sorted(primes), dtype=np.int64)
         self.k = len(primes)
-        self.q = modmath.product(primes)
-        self.plans = [NttPlan(n, int(p)) for p in self.primes]
+        self._prime_list = [int(p) for p in self.primes]
+        self.q = modmath.product(self._prime_list)
+        self.plans = [NttPlan(n, p) for p in self._prime_list]
         self.stacked = StackedNttPlan(n, self.primes, plans=self.plans)
         self._p_col = self.primes.reshape(self.k, 1)
-        self._prime_list = [int(p) for p in self.primes]
         self._p_max = max(self._prime_list)
         # Deferred-reduction overflow bound: a sum of fully reduced residues
         # (each < p_max < 2^31) stays int64-exact for up to this many terms;
@@ -406,19 +404,6 @@ class PolyContext:
         # Per-value scalar residue cache (mul_scalar / from_scalar): weights,
         # Delta and bias constants recur across every inference.
         self._scalar_cache: dict[int, np.ndarray] = {}
-        # CRT lift weights: w_i = (q / p_i) * inv(q / p_i, p_i), so that
-        # value = sum(r_i * w_i) mod q.
-        self._crt_weights = np.array(
-            [
-                (self.q // int(p)) * modmath.invert_mod(self.q // int(p), int(p))
-                for p in self.primes
-            ],
-            dtype=object,
-        )
-        # Mixed-radix digits of a value below q are machine words at any
-        # width of q; their int64 sum (to_int64_centered) needs q < 2^62.
-        # False selects the Python-int lift and rounding instead.
-        self.int64_lift = self.q < (1 << 62)
         self.radix = MixedRadix(self._prime_list)
 
     # ------------------------------------------------------------------
@@ -429,19 +414,14 @@ class PolyContext:
         return np.zeros((*leading, self.k, self.n), dtype=np.int64)
 
     def from_int_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Reduce integer coefficients (shape ``(..., n)``, possibly signed
-        Python bigints) into RNS residues of shape ``(..., k, n)``."""
-        coeffs = np.asarray(coeffs)
+        """Reduce signed int64 coefficients (shape ``(..., n)``) into RNS
+        residues of shape ``(..., k, n)``."""
+        coeffs = np.asarray(coeffs, dtype=np.int64)
         if coeffs.shape[-1] != self.n:
             raise ParameterError(f"expected degree {self.n}, got {coeffs.shape[-1]}")
         out = np.empty((*coeffs.shape[:-1], self.k, self.n), dtype=np.int64)
-        if coeffs.dtype == object:
-            for i, p in enumerate(self.primes):
-                out[..., i, :] = (coeffs % int(p)).astype(np.int64)
-        else:
-            coeffs = coeffs.astype(np.int64)
-            for i, p in enumerate(self.primes):
-                out[..., i, :] = coeffs % int(p)
+        for i, p in enumerate(self._prime_list):
+            out[..., i, :] = coeffs % p
         return out
 
     def scalar_residues(self, value: int) -> np.ndarray:
@@ -617,119 +597,15 @@ class PolyContext:
     def intt(self, a: np.ndarray) -> np.ndarray:
         return self.stacked.inverse(a)
 
+    def intt_at(self, a: np.ndarray, indices: Sequence[int]) -> np.ndarray:
+        """Coefficients ``indices`` of ``intt(a)``, ``(..., k,
+        len(indices))``: one weighted reduction over the NTT slots each
+        (:meth:`StackedNttPlan.inverse_coeff_weights`), O(n) per value."""
+        weights = np.stack([self.stacked.inverse_coeff_weights(i) for i in indices], axis=-2)
+        prod = a[..., None, :] * weights  # (..., k, len(indices), n), < p^2 < 2^62
+        _mod_rows(prod.reshape(*prod.shape[:-2], -1), self._prime_list)
+        return _mod_rows(np.add.reduce(prod, axis=-1), self._prime_list)
+
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Full ring multiplication of coefficient-domain operands."""
         return self.intt(self.pointwise_mul(self.ntt(a), self.ntt(b)))
-
-    # ------------------------------------------------------------------
-    # big-integer bridge (wide-q decrypt; the oracle's tensor product and
-    # relinearization digits)
-    # ------------------------------------------------------------------
-    def to_bigint(self, a: np.ndarray) -> np.ndarray:
-        """CRT-lift RNS residues to object-array coefficients in ``[0, q)``.
-
-        Input shape ``(..., k, n)`` -> output shape ``(..., n)``.
-        """
-        acc = np.zeros((*a.shape[:-2], self.n), dtype=object)
-        for i in range(self.k):
-            acc = acc + a[..., i, :].astype(object) * self._crt_weights[i]
-        return acc % self.q
-
-    def to_bigint_centered(self, a: np.ndarray) -> np.ndarray:
-        """Like :meth:`to_bigint` but mapped into ``(-q/2, q/2]``."""
-        lifted = self.to_bigint(a)
-        return np.where(lifted > self.q // 2, lifted - self.q, lifted)
-
-    def to_int64_centered(self, a: np.ndarray) -> np.ndarray:
-        """Exact centered CRT lift as int64 (requires ``q < 2^62``).
-
-        The sum of :class:`MixedRadix` digits times their place values:
-        every partial sum stays below ``q``, so for ``q < 2^62`` the whole
-        lift runs in int64 -- no object-dtype arithmetic.  Bit-identical
-        (after ``astype(object)``) to :meth:`to_bigint_centered`.
-        """
-        if not self.int64_lift:
-            raise ParameterError(
-                f"q has {self.q.bit_length()} bits; the int64 CRT lift "
-                "requires q < 2^62 (use to_bigint_centered)"
-            )
-        digits = self.radix.digits(a)
-        acc = digits[..., 0, :]
-        for i in range(1, self.k):
-            acc += self.radix.places[i] * digits[..., i, :]
-        return np.where(acc > self.q // 2, acc - self.q, acc)
-
-    def scale_round_int64(self, centered: np.ndarray, numer: int) -> np.ndarray:
-        """Exact ``round(numer * v / q)`` of centered int64 coefficients,
-        without leaving machine words.
-
-        Same integers as :meth:`scale_and_round`'s rule (nearest, halves away
-        from zero) for ``|v| <= q/2``.  ``numer * |v|`` overflows int64, so
-        the quotient is *estimated* in float64 and then made exact: the
-        remainder ``|v| * numer + q//2 - est * q`` is evaluated in wrapping
-        64-bit arithmetic, which yields its true value whenever the estimate
-        is within one of the quotient (the true remainder then lies in
-        ``[-q, 2q)``, inside int64 for ``q < 2^62``), and one conditional
-        step moves it into ``[0, q)``.
-
-        Bound argument: four float64 roundings enter the estimate (the
-        conversion of ``|v|``, the correctly rounded ``numer / q``, their
-        product, the ``+ 0.5``), each relative ``2^-53`` on a value of at
-        most ``numer/2 + 1``; for ``numer < 2^50`` the estimate is therefore
-        within ``1/4`` of the real quotient and its floor within one of the
-        true one.  The post-condition ``0 <= rem < q`` is nevertheless
-        *checked*: an input outside the proven range raises instead of
-        yielding a wrong coefficient.
-
-        Raises:
-            ParameterError: ``q >= 2^62``, ``numer`` outside ``[1, 2^50)``,
-                a coefficient beyond ``q/2``, or a failed remainder check.
-        """
-        if not self.int64_lift:
-            raise ParameterError(
-                f"q has {self.q.bit_length()} bits; int64 rounding requires "
-                "q < 2^62 (use scale_and_round)"
-            )
-        if not 0 < numer < SCALE_ROUND_MAX_NUMER:
-            raise ParameterError(
-                f"int64 rounding requires 0 < numer < 2^50, got {numer}"
-            )
-        centered = np.asarray(centered, dtype=np.int64)
-        negative = centered.ravel() < 0
-        # uint64 views of 1-d arrays: products wrap silently mod 2^64, and one
-        # unsigned compare checks both ends of a signed range.
-        q, half = np.uint64(self.q), np.uint64(self.q // 2)
-        mag = np.abs(centered).ravel().view(np.uint64)
-        if (mag > half).any():
-            raise ParameterError("int64 rounding expects coefficients in [-q/2, q/2]")
-        est = np.floor(mag * (numer / self.q) + 0.5).astype(np.int64)
-        rem = (mag * np.uint64(numer) + half - est.view(np.uint64) * q).view(np.int64)
-        step = (rem >= self.q).astype(np.int64)
-        step -= rem < 0
-        est += step
-        step *= self.q
-        rem -= step
-        if (rem.view(np.uint64) >= q).any():
-            raise ParameterError(
-                "int64 rounding remainder left [0, q): quotient estimate off "
-                "by more than one"
-            )
-        np.negative(est, out=est, where=negative)
-        return est.reshape(centered.shape)
-
-    def convolve_exact(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact signed negacyclic convolution of centered bigint coefficient
-        arrays (used by the FV tensor product)."""
-        return negacyclic_convolve_exact(a, b, self.n, self.q // 2 + 1)
-
-    def scale_and_round(self, coeffs: np.ndarray, numer: int, denom: int) -> np.ndarray:
-        """Round ``coeffs * numer / denom`` to nearest integer and reduce to RNS.
-
-        Implements FV's ``round(t/q * .)`` step on exact integer coefficients.
-        """
-        scaled = coeffs * numer
-        half = denom // 2
-        rounded = np.where(
-            scaled >= 0, (scaled + half) // denom, -((-scaled + half) // denom)
-        )
-        return self.from_int_coeffs(rounded)

@@ -44,8 +44,8 @@ discrete-event serving loop over the full request lifecycle:
 The loop queues the scheduler's own ``_QueuedRequest`` record and hands the
 selected slot group straight to the shared
 :meth:`~repro.serve.scheduler.RequestScheduler.run_batch` flush path, so
-everything the chaos suite proves about packed flushes -- per-request
-isolation, kernel degradation, typed failure of poisoned requests -- holds
+everything the chaos suite proves about packed flushes -- replica
+failover, per-request isolation, typed failure of poisoned requests -- holds
 unchanged under the loop, and predictions stay bit-identical to the
 synchronous scheduler and the plaintext reference.
 """

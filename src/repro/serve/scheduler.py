@@ -393,8 +393,8 @@ class RequestScheduler:
 
         The execution half of :meth:`_flush_model`, shared with the
         event-driven :class:`~repro.serve.loop.ServingLoop`: runs the packed
-        pass under kernel degradation, falls back to per-request isolation
-        when the pass dies, and records the flush/latency/occupancy stats
+        pass, fails it over to a surviving replica or falls back to
+        per-request isolation when it dies, and records the flush/latency/occupancy stats
         and metrics -- but touches no queue state and resolves no response.
         Each request comes back paired with either its
         :class:`~repro.core.server.ServedResult` or the typed

@@ -314,7 +314,7 @@ class TestRelinearization:
         ct = Ciphertext(context, ring.sample_uniform(rng, 3, 3), is_ntt=False)
 
         acc = [ring.ntt(ct.data[:, 0]), ring.ntt(ct.data[:, 1])]
-        c2 = ring.to_bigint(ct.data[:, 2])
+        c2 = oracle.Ring(ring.n, ring.primes).to_bigint(ct.data[:, 2])
         for i in range(relin_keys.count):
             digit = (c2 >> (params.decomposition_bits * i)) & (params.decomposition_base - 1)
             d_ntt = ring.ntt(ring.from_signed_small(digit.astype(np.int64)))

@@ -2,10 +2,10 @@
 
 Every production kernel must be *bit-identical* to the reference formulas
 (:mod:`repro.he.oracle`, or the primitive a kernel composes): the stacked NTT against per-prime :class:`NttPlan`, the
-lazy conditional-subtract arithmetic against full ``%``, the Garner int64
-CRT lift against the object-dtype sum, the int64 FV rounding against the
-object-dtype formula, the probe-based constant decrypt against full decrypt +
-decode, the fused multiply-reduce (and the coefficient fold built on it)
+lazy conditional-subtract arithmetic against full ``%``, the RNS decrypt's
+rounding and noise measurement against the object-dtype formulas, the
+probe-based constant decrypt against full decrypt + decode, the fused
+multiply-reduce (and the coefficient fold built on it)
 against the composed primitives, and the RNS ciphertext multiply / relinearize against the
 Python-int tensor product and digit code.  The overflow-bound regressions
 pin the two exactness margins -- the GEMM transform's ``< 2^53`` limb split
@@ -16,6 +16,7 @@ configuration.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -44,7 +45,7 @@ from repro.he.params import (
     default_parameter_options,
     small_parameter_options,
 )
-from repro.he.polyring import SCALE_ROUND_MAX_NUMER, AuxBasis, MixedRadix, PolyContext
+from repro.he.polyring import AuxBasis, MixedRadix, PolyContext
 
 N = 64
 PRIMES = modmath.ntt_primes(28, N, 2)
@@ -692,124 +693,88 @@ class TestPackFold:
         assert out.data.nbytes + row <= peak < out.data.nbytes + 1.25 * row
 
 
-class TestGarnerLift:
-    def test_matches_bigint_centered(self, ring, rng):
-        a = ring.sample_uniform(rng, 8)
-        fast = ring.to_int64_centered(a)
-        slow = ring.to_bigint_centered(a)
-        assert np.array_equal(fast.astype(object), slow)
-
-    def test_rejects_wide_modulus(self):
-        n = 64
-        primes = modmath.ntt_primes(31, n, 3)  # 93-bit q
-        wide = PolyContext(n, primes)
-        assert not wide.int64_lift
-        with pytest.raises(ParameterError, match="int64 CRT lift"):
-            wide.to_int64_centered(wide.zeros(1))
-
-
-def _round_oracle(values: np.ndarray, numer: int, denom: int) -> np.ndarray:
-    """The object-dtype FV rounding formula (nearest, halves away from zero)."""
-    scaled = values.astype(object) * numer
-    half = denom // 2
-    return np.where(
-        scaled >= 0, (scaled + half) // denom, -((-scaled + half) // denom)
+def _custom_params(prime_bits, count, plain_modulus, degree=256, **kwargs):
+    return EncryptionParams(
+        poly_degree=degree,
+        coeff_primes=tuple(modmath.ntt_primes(prime_bits, degree, count)),
+        plain_modulus=plain_modulus,
+        **kwargs,
     )
 
 
-#: Every preset whose q the int64 Garner lift accepts (q < 2^62).
-INT64_PRESETS = [
-    params
-    for params in (
-        *small_parameter_options().values(),
-        *default_parameter_options().values(),
-    )
-    if params.coeff_modulus < 1 << 62
+#: Parameter sets the decrypt is held to the oracle on: every preset
+#: (``functional_2048``'s 90-bit and ``functional_4096``'s 120-bit ``q``
+#: included), the hybrid workload's auto-sized set (n = 1024, 60-bit ``q``)
+#: and the pure-HE sets (n = 256 and 1024, 150-bit ``q``, t = 2^31).
+DECRYPT_PARAMS = [
+    *small_parameter_options().values(),
+    *default_parameter_options().values(),
+    _custom_params(30, 2, 65537, degree=1024, name="hybrid_1024"),
+    _custom_params(30, 5, 1 << 31, name="pure_he_256"),
+    _custom_params(30, 5, 1 << 31, degree=1024, name="pure_he_1024"),
 ]
 
 
-class TestScaleRoundInt64:
-    """int64 ``round(t * v / q)`` == the object-dtype formula, exactly."""
+class TestRnsDecryptLaw:
+    """``Context.round_to_plain`` / ``noise_max`` == the oracle's Python-int
+    formulas, on any ``n``, ``k`` in ``[1, 12]`` and ``t`` coprime to ``q``
+    -- up to ``2^31``, the pipelines' widest, and up to the ``2^61`` the
+    context admits."""
 
-    @pytest.fixture(params=INT64_PRESETS, ids=lambda params: params.name)
-    def preset(self, request):
-        params = request.param
-        return PolyContext(params.poly_degree, params.coeff_primes), params.plain_modulus
-
-    def test_presets_cover_every_liftable_q(self):
-        assert {p.name for p in INT64_PRESETS} == {"test_256", "test_512", "paper_1024"}
-
-    def test_random_centered_values(self, preset, rng):
-        ring, t = preset
-        half = ring.q // 2
-        values = rng.integers(-half, half + 1, size=(7, 512))
-        got = ring.scale_round_int64(values, t)
-        assert got.dtype == np.int64 and got.shape == values.shape
-        assert np.array_equal(got.astype(object), _round_oracle(values, t, ring.q))
-
-    @pytest.mark.parametrize("numer", ["t", SCALE_ROUND_MAX_NUMER - 1])
-    def test_half_way_points_both_signs(self, preset, rng, numer):
-        """``v = ((2j+1) q) / (2 numer) + {-1, 0, 1}`` straddles every rounding
-        boundary -- where a quotient estimate off by one would show."""
-        ring, t = preset
-        numer = t if numer == "t" else numer
-        q, half = ring.q, ring.q // 2
-        js = np.unique(
-            np.concatenate(
-                [np.arange(min(numer // 2, 512)), rng.integers(0, numer // 2, size=512)]
-            )
-        )
-        points = [0, 1, -1, half, -half]
-        for j in js:
-            boundary = (2 * int(j) + 1) * q // (2 * numer)
-            points += [
+    @staticmethod
+    @st.composite
+    def _cases(draw):
+        n = 1 << draw(st.integers(3, 6))
+        k = draw(st.integers(1, 12))
+        primes = modmath.ntt_primes(draw(st.sampled_from([20, 28, 31])), n, k)
+        q = modmath.product(primes)
+        widest = draw(st.sampled_from([1 << 31, (1 << 61) - 1]))
+        t = draw(st.integers(2, min(widest, q - 1)).filter(lambda t: math.gcd(t, q) == 1))
+        half = q // 2
+        values = draw(st.lists(st.integers(-half, half), min_size=1, max_size=n))
+        # (2j+1) q / (2t) + {-1, 0, 1}, both signs: every rounding boundary.
+        for j in draw(st.lists(st.integers(0, (t - 1) // 2), max_size=6)):
+            boundary = (2 * j + 1) * q // (2 * t)
+            values += [
                 sign * (boundary + delta)
                 for delta in (-1, 0, 1)
                 for sign in (1, -1)
                 if boundary + delta <= half
             ]
-        values = np.array(points, dtype=np.int64)
-        got = ring.scale_round_int64(values, numer)
-        assert np.array_equal(got.astype(object), _round_oracle(values, numer, q))
+        return EncryptionParams(n, tuple(primes), t), values
 
-    def test_rejects_wide_modulus(self):
-        wide = PolyContext(64, modmath.ntt_primes(31, 64, 3))  # 93-bit q
-        assert wide.q >= 1 << 62
-        with pytest.raises(ParameterError, match="q < 2\\^62"):
-            wide.scale_round_int64(np.zeros(4, dtype=np.int64), 17)
+    @settings(max_examples=60, deadline=None)
+    @given(case=_cases())
+    def test_matches_the_oracle(self, case):
+        params, values = case
+        ring = Context(params).ring
+        residues = np.array([[v % int(p) for v in values] for p in ring.primes], dtype=np.int64)
+        fast, reference = Context(params), oracle.Context(params)
+        rounded = fast.round_to_plain(residues)
+        assert rounded.dtype == np.int64 and rounded.shape == (len(values),)
+        assert np.array_equal(rounded, reference.round_to_plain(residues))
+        assert fast.noise_max(residues) == reference.noise_max(residues)
 
-    def test_rejects_out_of_range_inputs(self, ring):
-        half = ring.q // 2
-        for numer in (0, -3, SCALE_ROUND_MAX_NUMER):
-            with pytest.raises(ParameterError, match="numer"):
-                ring.scale_round_int64(np.zeros(4, dtype=np.int64), numer)
-        for bad in (half + 1, -half - 1, np.iinfo(np.int64).min):
-            with pytest.raises(ParameterError, match="coefficients in"):
-                ring.scale_round_int64(np.array([0, bad]), 17)
+    def test_batched_shapes_and_an_empty_batch(self, rng):
+        params = _custom_params(30, 5, 1 << 31, name="pure_he_256")
+        fast, reference = Context(params), oracle.Context(params)
+        for batch in ((2, 3), (0,)):
+            x = fast.ring.sample_uniform(rng, *batch)
+            assert np.array_equal(fast.round_to_plain(x), reference.round_to_plain(x))
+            assert fast.noise_max(x) == reference.noise_max(x)
 
-    def test_postcondition_raises_rather_than_returning_wrong_values(
-        self, ring, rng, monkeypatch
-    ):
-        """With the numerator precondition lifted the float estimate drifts
-        past one; the checked remainder must then raise, never mis-round."""
-        import repro.he.polyring as polyring_mod
-
-        monkeypatch.setattr(polyring_mod, "SCALE_ROUND_MAX_NUMER", 1 << 62)
-        half = ring.q // 2
-        values = rng.integers(-half, half + 1, size=4096)
-        tripped = False
-        for bits in range(50, 60):
-            numer = (1 << bits) + 12345
-            try:
-                got = ring.scale_round_int64(values, numer)
-            except ParameterError as exc:
-                assert "remainder" in str(exc)
-                tripped = True
-            else:
-                assert np.array_equal(
-                    got.astype(object), _round_oracle(values, numer, ring.q)
-                )
-        assert tripped
+    def test_wide_plain_moduli_decrypt_and_2_61_is_refused(self, rng):
+        """``t = 2^41 - 21`` (the multiply's wide-``t`` set) and ``2^60 + 1``
+        round like the oracle; from ``2^61`` the int64 arithmetic modulo
+        ``t`` could overflow, and the context refuses the set."""
+        for t in ((1 << 41) - 21, (1 << 60) + 1):
+            params = _custom_params(31, 3, t)
+            fast, reference = Context(params), oracle.Context(params)
+            x = fast.ring.sample_uniform(rng, 2)
+            assert np.array_equal(fast.round_to_plain(x), reference.round_to_plain(x))
+            assert fast.noise_max(x) == reference.noise_max(x)
+        with pytest.raises(ParameterError, match="2\\^61"):
+            Context(_custom_params(31, 3, (1 << 61) + 1))
 
 
 class TestFastDecrypt:
@@ -845,10 +810,10 @@ class TestFastDecrypt:
         assert np.array_equal(fast, values)
 
     def test_decrypt_constants_rejects_non_scalar_plaintext(self, deployment):
-        """A nonzero probe coefficient (``1`` or ``n/2``) is refused by both
-        decrypts.  Elsewhere only the oracle's full decode refuses it: the
-        probe decrypt returns the constants -- the one documented divergence
-        between the oracle and production."""
+        """A nonzero probe coefficient (``1`` or ``n/2``) is refused by the
+        probe decrypt under both contexts.  A stray elsewhere is refused by
+        the full decode alone: the probe decrypt checks two coefficients,
+        not all ``n - 1``, and returns the constants."""
         context, enc = deployment["context"], deployment["encoder"]
         n = context.poly_degree
         for probe in (1, n // 2):
@@ -863,8 +828,31 @@ class TestFastDecrypt:
         coeffs[1, 5] = 7  # a stray at an unprobed position
         ct = deployment["encryptor"].encrypt(Plaintext(context, coeffs))
         with pytest.raises(EncodingError, match="non-constant"):
-            decrypt_scalar_values(deployment["oracle"], enc, ct)
-        assert decrypt_scalar_values(deployment["decryptor"], enc, ct).tolist() == [1, -2, 3]
+            enc.decode(deployment["oracle"].decrypt(ct))
+        for decryptor in (deployment["decryptor"], deployment["oracle"]):
+            assert decrypt_scalar_values(decryptor, enc, ct).tolist() == [1, -2, 3]
+
+    @pytest.mark.parametrize("oracle_side", [False, True], ids=["fused", "oracle"])
+    def test_probe_decrypt_refuses_an_overflowed_wide_ciphertext(self, rng, oracle_side):
+        """At the pure-HE 150-bit ``q`` the pipelines decrypt by probes too:
+        a ciphertext squared past its noise budget is refused with a typed
+        :class:`EncodingError`, never returned as values."""
+        params = _custom_params(30, 5, 1 << 31, name="pure_he_256")
+        context = oracle.Context(params) if oracle_side else Context(params)
+        keygen = KeyGenerator(context, np.random.default_rng(31))
+        keys = keygen.generate()
+        relin_keys = keygen.relin_keys(keys.secret)
+        encoder, evaluator = ScalarEncoder(context), Evaluator(context)
+        decryptor = Decryptor(context, keys.secret)
+        ct = Encryptor(context, keys.public, np.random.default_rng(37)).encrypt(
+            encoder.encode(np.array([3, -5, 7]))
+        )
+        assert decrypt_scalar_values(decryptor, encoder, ct).tolist() == [3, -5, 7]
+        for _ in range(3):
+            ct = evaluator.relinearize(evaluator.square(ct), relin_keys)
+        assert not decryptor.is_decryptable(ct)
+        with pytest.raises(EncodingError, match="non-constant"):
+            decrypt_scalar_values(decryptor, encoder, ct)
 
     def test_noise_budget_matches_reference(self, deployment):
         enc = deployment["encoder"]
@@ -875,8 +863,9 @@ class TestFastDecrypt:
 
 
 class TestFullDecryptBitIdentity:
-    """``Decryptor.decrypt`` of full polynomials: int64 lift + int64 rounding
-    in production, Python ints under the oracle."""
+    """``Decryptor.decrypt`` and ``invariant_noise_budget`` of full
+    polynomials: the RNS rounding and noise measurement in production, Python
+    ints under the oracle, on every width of ``q``."""
 
     @staticmethod
     def _deploy(params, seed):
@@ -901,7 +890,7 @@ class TestFullDecryptBitIdentity:
         assert fast_budget == slow_budget
         return fast
 
-    @pytest.mark.parametrize("params", INT64_PRESETS, ids=lambda params: params.name)
+    @pytest.mark.parametrize("params", DECRYPT_PARAMS, ids=lambda params: params.name)
     def test_size_2(self, params, rng):
         context, encryptor, decryptor = self._deploy(params, 21)
         coeffs = rng.integers(0, params.plain_modulus, size=(3, params.poly_degree))
@@ -909,32 +898,18 @@ class TestFullDecryptBitIdentity:
         assert np.array_equal(plain.coeffs, coeffs)
 
     def test_size_3(self, rng):
-        params = small_parameter_options()[256]
-        context, encryptor, decryptor = self._deploy(params, 23)
-        encoder = ScalarEncoder(context)
-        a = encryptor.encrypt(encoder.encode(np.array([3, -7, 11])))
-        b = encryptor.encrypt(encoder.encode(np.array([5, 9, -4])))
-        product = Evaluator(context).multiply(a, b)
-        assert product.size == 3
-        plain = self._both_profiles(decryptor, product)
-        assert np.array_equal(encoder.decode(plain), [15, -63, -44])
-
-    def test_wide_q_falls_back_to_object_path(self, rng, monkeypatch):
-        params = EncryptionParams(
-            poly_degree=64,
-            coeff_primes=tuple(modmath.ntt_primes(31, 64, 3)),  # 93-bit q
-            plain_modulus=257,
-        )
-        context, encryptor, decryptor = self._deploy(params, 27)
-        assert not context.ring.int64_lift
-
-        def refuse(*_args):
-            raise AssertionError("int64 rounding must not run for q >= 2^62")
-
-        monkeypatch.setattr(PolyContext, "scale_round_int64", refuse)
-        coeffs = rng.integers(0, 257, size=(2, 64))
-        plain = self._both_profiles(decryptor, encryptor.encrypt(Plaintext(context, coeffs)))
-        assert np.array_equal(plain.coeffs, coeffs)
+        """Unrelinearized products on every set of :data:`DECRYPT_PARAMS`."""
+        for params in DECRYPT_PARAMS:
+            context, encryptor, decryptor = self._deploy(params, 23)
+            encoder = ScalarEncoder(context)
+            bound = math.isqrt(params.plain_modulus // 2 - 1)
+            a, b = (rng.integers(-bound, bound + 1, size=3) for _ in range(2))
+            product = Evaluator(context).multiply(
+                encryptor.encrypt(encoder.encode(a)), encryptor.encrypt(encoder.encode(b))
+            )
+            assert product.size == 3
+            plain = self._both_profiles(decryptor, product)
+            assert np.array_equal(encoder.decode(plain), a * b), params.name
 
     def test_check_noise_evaluates_ct_of_s_once(self, rng, monkeypatch):
         params = small_parameter_options()[256]
@@ -1001,15 +976,6 @@ class TestEvaluatorAddMany:
         slow = Evaluator(oracle.Context(context.params)).add_many(cts)
         assert np.array_equal(fast.data, slow.data)
         assert np.array_equal(encoder.decode(decryptor.decrypt(fast)), np.full((3,), 10))
-
-
-def _custom_params(prime_bits, count, plain_modulus, degree=256, **kwargs):
-    return EncryptionParams(
-        poly_degree=degree,
-        coeff_primes=tuple(modmath.ntt_primes(prime_bits, degree, count)),
-        plain_modulus=plain_modulus,
-        **kwargs,
-    )
 
 
 #: Parameter sets the RNS kernel is held to the oracle on: every preset, the
@@ -1147,9 +1113,10 @@ class TestRnsMultiply:
         points += [0] * (-len(points) % n)
         d = np.array(points, dtype=object).reshape(-1, n)
         d_aux = np.stack([(d % p).astype(np.int64) for p in basis.primes], axis=-2)
-        got = basis.scale_round(ring.from_int_coeffs(d), d_aux)
+        reference = oracle.Context(params).ring
+        got = basis.scale_round(reference.from_bigint(d), d_aux)
         assert got.dtype == np.int64
-        assert np.array_equal(got, ring.scale_and_round(d, t, q))
+        assert np.array_equal(got, reference.scale_and_round(d, t, q))
 
     def test_a_product_combination_rounds_once_like_the_oracle(self, rng):
         """``round(t/q * sum L_i d_i)`` of uniform products with ``||L||_1 =
@@ -1267,7 +1234,7 @@ class TestRnsMultiply:
     def test_limbs_match_bigint_shifts(self, rng, k, bits):
         ring = PolyContext(N, modmath.ntt_primes(31, N, k))
         x = ring.sample_uniform(rng, 3)
-        big = ring.to_bigint(x)
+        big = oracle.Ring(N, ring.primes).to_bigint(x)
         count = -(-ring.q.bit_length() // bits)
         limbs = list(ring.radix.limbs(ring.radix.digits(x), bits, count))
         assert len(limbs) == count
@@ -1276,32 +1243,30 @@ class TestRnsMultiply:
             assert np.array_equal(limb, (big >> (bits * i)) & ((1 << bits) - 1))
 
     def test_fused_inference_never_touches_python_ints(self, square_model, monkeypatch):
-        """A production ``CryptonetsPipeline.infer`` calls none of the oracle's
-        bridges and leaves no object-dtype array in any frame of the
-        multiply's two halves (``tensor_product`` / ``rescale``) or
-        ``relinearize``."""
+        """A whole production ``CryptonetsPipeline.infer`` at the pure-HE
+        150-bit ``q`` -- encrypt, multiply, relinearize, rescale, decrypt and
+        noise budget -- calls none of the oracle's Python-int bridges and
+        leaves no object-dtype array in any ``repro/he`` frame."""
         from repro.core import CryptonetsPipeline, parameters_for_pipeline
 
         square, _, images = square_model
         params = parameters_for_pipeline(square, 256)
+        assert params.coeff_modulus.bit_length() == 150
         pipeline = CryptonetsPipeline(square, params, seed=5)
         expected = CryptonetsPipeline(
             square, params, seed=5, context_type=oracle.Context
         ).infer(images[:1]).logits
 
-        bridge_calls, object_arrays, watched = [], [], []
+        bridge_calls, object_arrays, seen = [], [], set()
 
-        def bridge(name):
-            # The wide-q decrypt still lifts to Python ints, outside the
-            # watched calls; only a call from inside one is recorded.
-            original = getattr(PolyContext, name)
+        def bridge(owner, name):
+            original = getattr(owner, name)
 
-            def wrapper(self, *args, **kwargs):
-                if sys.getprofile() is profiler:
-                    bridge_calls.append(name)
-                return original(self, *args, **kwargs)
+            def wrapper(*args, **kwargs):
+                bridge_calls.append(name)
+                return original(*args, **kwargs)
 
-            monkeypatch.setattr(PolyContext, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
         def is_object_array(value):
             return isinstance(value, np.ndarray) and value.dtype == object
@@ -1309,30 +1274,30 @@ class TestRnsMultiply:
         def profiler(frame, event, arg):
             if event != "return" or "/repro/he/" not in frame.f_code.co_filename:
                 return
+            seen.add(frame.f_code.co_qualname)
             if is_object_array(arg) or any(map(is_object_array, frame.f_locals.values())):
                 object_arrays.append(frame.f_code.co_qualname)
 
-        def watch(name):
-            original = getattr(Evaluator, name)
-
-            def wrapper(self, *args, **kwargs):
-                watched.append(name)
-                previous = sys.getprofile()
-                sys.setprofile(profiler)
-                try:
-                    return original(self, *args, **kwargs)
-                finally:
-                    sys.setprofile(previous)
-
-            monkeypatch.setattr(Evaluator, name, wrapper)
-
-        for name in ("to_bigint", "to_bigint_centered", "convolve_exact", "scale_and_round"):
-            bridge(name)
-        for name in ("tensor_product", "rescale", "relinearize"):
-            watch(name)
-        logits = pipeline.infer(images[:1]).logits
+        for name in ("from_bigint", "to_bigint", "to_bigint_centered", "convolve_exact", "scale_and_round"):
+            bridge(oracle.Ring, name)
+        for name in ("negacyclic_convolve_exact", "_crt_lift"):
+            bridge(oracle, name)
+        previous = sys.getprofile()
+        sys.setprofile(profiler)
+        try:
+            logits = pipeline.infer(images[:1]).logits
+        finally:
+            sys.setprofile(previous)
         assert np.array_equal(logits, expected)
-        assert {"tensor_product", "rescale", "relinearize"} <= set(watched)
+        assert {
+            "Context.tensor_product",
+            "Evaluator.rescale",
+            "Evaluator.relinearize",
+            "Decryptor.decrypt_constants",
+            "Context.round_to_plain",
+            "Decryptor.invariant_noise_budget",
+            "Context.noise_max",
+        } <= seen
         assert bridge_calls == [] and object_arrays == []
 
     def test_workload_batch_stays_bounded(self, rng):
@@ -1499,8 +1464,9 @@ class TestBaseConversionGemm:
         d += [draw.randint(-largest, largest) for _ in range(2 * n - len(d))]
         d = np.array(d, dtype=object).reshape(2, n)
         d_aux = np.stack([(d % p).astype(np.int64) for p in basis.primes], axis=-2)
-        got = basis.scale_round(ring.from_int_coeffs(d), d_aux)
-        assert np.array_equal(got, ring.scale_and_round(d, t, q))
+        reference = oracle.Context(params).ring
+        got = basis.scale_round(reference.from_bigint(d), d_aux)
+        assert np.array_equal(got, reference.scale_and_round(d, t, q))
 
     def test_scale_round_refuses_a_result_past_the_base(self):
         """A coefficient whose rounded value is about the base's product
@@ -1512,8 +1478,9 @@ class TestBaseConversionGemm:
         past = modmath.product(base) * ring.q // context.plain_modulus
         d = np.array([past, -past] * (ring.n // 2), dtype=object).reshape(1, ring.n)
         d_aux = np.stack([(d % p).astype(np.int64) for p in basis.primes], axis=-2)
+        reference = oracle.Context(context.params).ring
         with pytest.raises(ParameterError, match="check-prime"):
-            basis.scale_round(ring.from_int_coeffs(d), d_aux)
+            basis.scale_round(reference.from_bigint(d), d_aux)
 
     def test_past_the_2_53_bound_is_refused(self):
         """``k (2^15 + 2^16) b_max + b_max < 2^53`` is checked once, in the

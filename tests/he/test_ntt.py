@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.he import modmath
-from repro.he.ntt import NttPlan, bit_reverse_indices, negacyclic_convolve_exact
+from repro.he.ntt import NttPlan, bit_reverse_indices
+from repro.he.oracle import negacyclic_convolve_exact
 
 N = 64
 PRIME = modmath.ntt_primes(28, N, 1)[0]

@@ -63,6 +63,14 @@ class TestValidation:
         with pytest.raises(ParameterError):
             make(plain_modulus=GOOD_PRIMES[0] * GOOD_PRIMES[1])
 
+    def test_rejects_plain_sharing_a_factor_with_coeff(self):
+        """Decrypt rounds through ``q^-1`` modulo ``t``: a ``t`` that one of
+        q's primes divides has none."""
+        for t in (GOOD_PRIMES[0], 3 * GOOD_PRIMES[1]):
+            with pytest.raises(ParameterError, match="shares a factor"):
+                make(plain_modulus=t)
+        make(plain_modulus=GOOD_PRIMES[0] - 1)
+
     def test_rejects_bad_stddev(self):
         with pytest.raises(ParameterError):
             make(noise_stddev=0.0)

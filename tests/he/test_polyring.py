@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.he import modmath
+from repro.he import modmath, oracle
 from repro.he.polyring import PolyContext
 
 N = 64
@@ -18,6 +18,12 @@ PRIMES = modmath.ntt_primes(28, N, 2)
 @pytest.fixture(scope="module")
 def ring():
     return PolyContext(N, PRIMES)
+
+
+@pytest.fixture(scope="module")
+def lift():
+    """The oracle's Python-int bridge over the same primes."""
+    return oracle.Ring(N, PRIMES)
 
 
 @pytest.fixture(scope="module")
@@ -42,24 +48,24 @@ class TestConstruction:
 
 
 class TestBigintBridge:
-    def test_roundtrip(self, ring, rng):
+    def test_roundtrip(self, lift, rng):
         values = np.array([int(v) for v in rng.integers(0, 1 << 50, size=N)], dtype=object)
-        values %= ring.q
-        back = ring.to_bigint(ring.from_int_coeffs(values))
+        values %= lift.q
+        back = lift.to_bigint(lift.from_bigint(values))
         assert np.array_equal(back, values)
 
-    def test_centered_range(self, ring, rng):
+    def test_centered_range(self, ring, lift, rng):
         a = ring.sample_uniform(rng)
-        centered = ring.to_bigint_centered(a)
+        centered = lift.to_bigint_centered(a)
         assert all(-ring.q // 2 <= int(c) <= ring.q // 2 for c in centered)
 
-    def test_from_scalar(self, ring):
-        lifted = ring.to_bigint(ring.from_scalar(12345))
+    def test_from_scalar(self, ring, lift):
+        lifted = lift.to_bigint(ring.from_scalar(12345))
         assert lifted[0] == 12345
         assert not lifted[1:].any()
 
-    def test_negative_scalar(self, ring):
-        lifted = ring.to_bigint_centered(ring.from_scalar(-5))
+    def test_negative_scalar(self, ring, lift):
+        lifted = lift.to_bigint_centered(ring.from_scalar(-5))
         assert lifted[0] == -5
 
 
@@ -74,10 +80,10 @@ class TestRingOps:
         zero = ring.add(a, ring.neg(a))
         assert not zero.any()
 
-    def test_mul_scalar_matches_bigint(self, ring, rng):
+    def test_mul_scalar_matches_bigint(self, ring, lift, rng):
         a = ring.sample_uniform(rng)
-        scaled = ring.to_bigint(ring.mul_scalar(a, 12345))
-        expected = (ring.to_bigint(a) * 12345) % ring.q
+        scaled = lift.to_bigint(ring.mul_scalar(a, 12345))
+        expected = (lift.to_bigint(a) * 12345) % ring.q
         assert np.array_equal(scaled, expected)
 
     def test_mul_commutative(self, ring, rng):
@@ -90,12 +96,12 @@ class TestRingOps:
         one = ring.from_scalar(1)
         assert np.array_equal(ring.mul(a, one), a)
 
-    def test_mul_matches_exact_convolution(self, ring, rng):
+    def test_mul_matches_exact_convolution(self, ring, lift, rng):
         a = ring.sample_uniform(rng)
         b = ring.sample_uniform(rng)
-        got = ring.to_bigint(ring.mul(a, b))
-        exact = ring.convolve_exact(
-            ring.to_bigint_centered(a), ring.to_bigint_centered(b)
+        got = lift.to_bigint(ring.mul(a, b))
+        exact = lift.convolve_exact(
+            lift.to_bigint_centered(a), lift.to_bigint_centered(b)
         )
         assert np.array_equal(got, exact % ring.q)
 
@@ -130,13 +136,13 @@ class TestRingOps:
 
 
 class TestSampling:
-    def test_ternary_values(self, ring, rng):
-        raw = ring.to_bigint_centered(ring.sample_ternary(rng, 10))
+    def test_ternary_values(self, ring, lift, rng):
+        raw = lift.to_bigint_centered(ring.sample_ternary(rng, 10))
         assert set(int(v) for v in raw.ravel()) <= {-1, 0, 1}
 
-    def test_noise_is_bounded(self, ring, rng):
+    def test_noise_is_bounded(self, ring, lift, rng):
         stddev = 3.2
-        raw = ring.to_bigint_centered(ring.sample_noise(rng, stddev, 20))
+        raw = lift.to_bigint_centered(ring.sample_noise(rng, stddev, 20))
         bound = int(6 * stddev)
         assert all(abs(int(v)) <= bound for v in raw.ravel())
 
@@ -150,10 +156,10 @@ class TestScaleAndRound:
     @settings(max_examples=30)
     @given(st.integers(min_value=-(10**9), max_value=10**9))
     def test_matches_true_rounding(self, value):
-        ring = PolyContext(N, PRIMES)
+        lift = oracle.Ring(N, PRIMES)
         coeffs = np.zeros(N, dtype=object)
         coeffs[0] = value
-        out = ring.to_bigint_centered(ring.scale_and_round(coeffs, 7, 13))
+        out = lift.to_bigint_centered(lift.scale_and_round(coeffs, 7, 13))
         # Nearest integer to value*7/13; ties are impossible for odd 13.
         scaled = value * 7
         expected = (2 * abs(scaled) + 13) // 26

@@ -127,3 +127,34 @@ class TestResolution:
     def test_unannotated_tree_flagged(self):
         root = Span("pipe", kind="pipeline", children=[Span("stage", kind="stage")])
         assert len(spans_without_context(root)) == 2
+
+
+class TestDirectPipelineTraces:
+    """A direct ``infer`` (no request context ambient) derives its own, so
+    every span of its trace resolves a trace id -- what ``obsctl check``
+    asserts of the ``python -m repro --trace-json`` output."""
+
+    def test_cryptonets_trace_resolves(self, q_square, pure_he_params, test_images):
+        from repro.core import CryptonetsPipeline
+
+        result = CryptonetsPipeline(q_square, pure_he_params, seed=5).infer(test_images)
+        assert spans_without_context(result.trace) == []
+
+    def test_hybrid_trace_resolves_one_id_per_inference(
+        self, q_sigmoid, hybrid_params, test_images
+    ):
+        from repro.core import HybridPipeline
+
+        pipe = HybridPipeline(q_sigmoid, hybrid_params, seed=5)
+        first, second = (pipe.infer(test_images).trace for _ in range(2))
+        assert spans_without_context(first) == spans_without_context(second) == []
+        assert first.ecalls() and first.attrs["trace_id"] != second.attrs["trace_id"]
+
+    def test_an_ambient_context_is_kept(self, q_sigmoid, hybrid_params, test_images):
+        from repro.core import HybridPipeline
+
+        pipe = HybridPipeline(q_sigmoid, hybrid_params, seed=5)
+        ctx = TraceContext.derive(b"client", 7)
+        with obs_context.activate(ctx):
+            trace = pipe.infer(test_images).trace
+        assert trace.attrs["trace_id"] == ctx.trace_id
