@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Serving on the simulated timeline: one deployment recipe, four segments.
+"""Serving on the simulated timeline: one deployment recipe, three segments.
 
 The paper's Section VIII predicts that packing multiplies throughput;
 :mod:`repro.serve` turns that into a serving stack (packed flushes, an
-event-driven admission loop, an enclave fleet, a flush worker pool).  This
-bench trains one model and drives that stack through four segments, writing
+event-driven admission loop, an enclave fleet).  This bench trains one
+model and drives that stack through three segments, writing
 one ``BENCH_serving.json``:
 
 * ``packing`` -- 16 single-image requests served one pipeline pass each,
@@ -27,14 +27,6 @@ one ``BENCH_serving.json``:
   either way: the sizes run in one order (1, 2, 4) in one process, so the
   row confounds warm-up with replica count (the checked-in baseline reads
   1360 / 1709 / 1840).
-* ``workers`` -- a fixed identity batch through fresh same-seed deployments
-  at 1, 2 and 4 pool workers: the serialized logits ciphertexts must be
-  byte-identical across widths.  No flush reaches the pool
-  (``dispatched_units`` reads 0), so ``wall_images_per_s`` per width is the
-  pool's cost when idle.  The chaos half runs the walk that still
-  dispatches, the in-process hybrid pipeline's scalar contractions, at 2
-  workers with one SIGKILLed mid-contraction: its units replay in-process
-  and its result bytes must equal the 1-worker run's.
 
 Every segment records its host ``wall_s``; ``wall_*`` fields are
 report-only.  Everything else except the ``packing`` segment's
@@ -56,15 +48,11 @@ from repro import faults
 from repro.client import AttestedClient
 from repro.core import (
     EdgeServer,
-    HybridPipeline,
     PipelineSpec,
     PlaintextPipeline,
-    parameters_for_pipeline,
     train_paper_models,
 )
 from repro.faults import FaultPlan, FaultRule
-from repro.he import parallel
-from repro.he import serialize as ser
 from repro.serve import (
     InferenceRequest,
     LoopConfig,
@@ -86,11 +74,6 @@ INVARIANTS = (
     "fleet.all_tickets_resolved",
     "fleet.failover_resolved",
     "fleet.failover_bit_identical",
-    "workers.byte_identical",
-    "workers.bit_identical",
-    "workers.all_tickets_resolved",
-    "workers.chaos_recovered",
-    "workers.chaos_byte_identical",
 )
 
 SIZES = (1, 2, 4)
@@ -114,13 +97,13 @@ FULL = dict(
 )
 
 #: The loop segment's policy under test: a 30 ms admission SLO on a 64-deep
-#: queue.  The fleet and workers segments replay a closed bolus instead (no
-#: shedding), so every size serves the identical request set.
+#: queue.  The fleet segment replays a closed bolus instead (no shedding), so
+#: every size serves the identical request set.
 SLO_CONFIG = LoopConfig(window_s=0.010, max_queue_depth=64, admit_wait_slo_s=0.030)
 BOLUS_CONFIG = LoopConfig(window_s=0.010, max_queue_depth=4096, admit_wait_slo_s=30.0)
 
 
-def build_deployment(quantized, cfg, *, max_batch, fleet_size=1, workers=None):
+def build_deployment(quantized, cfg, *, max_batch, fleet_size=1):
     """One deployment plus its attested client session, built declaratively
     so ``PipelineSpec`` is the configuration path under test."""
     spec = PipelineSpec(
@@ -129,7 +112,6 @@ def build_deployment(quantized, cfg, *, max_batch, fleet_size=1, workers=None):
         batching=True,
         max_batch=max_batch,
         fleet_size=fleet_size,
-        workers=workers,
     )
     server = EdgeServer.from_spec(spec, seed=13, sizing_model=quantized)
     server.provision_model("digits", quantized)
@@ -171,15 +153,6 @@ def replay(server, client, trace, images, expected, config):
         if t.served
     )
     return loop, report, exact
-
-
-def identity_batch(server, client, images):
-    """One scheduler drain of a fixed batch: the per-request serialized
-    logits-ciphertext bytes and decrypted logits."""
-    responses = [server.scheduler.submit("digits", ct) for ct in encrypt_each(client, images)]
-    server.scheduler.drain()
-    blobs = [ser.serialize_ciphertext(r.result().logits_ct) for r in responses]
-    return blobs, [client.decrypt_logits(r.result()) for r in responses]
 
 
 def packing_segment(quantized, cfg, images):
@@ -290,74 +263,6 @@ def fleet_segment(quantized, cfg, seed, trace, images, expected):
     }
 
 
-def _reset_pool():
-    """Return the process to the in-process default between widths."""
-    parallel.configure(None)
-    parallel.shutdown()
-
-
-def hybrid_identity(quantized, cfg, images):
-    """The in-process hybrid pipeline's serialized result bytes and logits
-    for ``images``: its scalar conv and fc contractions reach the pool."""
-    params = parameters_for_pipeline(quantized, cfg["poly_degree"])
-    result = HybridPipeline(quantized, params, seed=13).infer(images)
-    return ser.serialize_ciphertext(result.logits_ct), result.logits
-
-
-def _logits_match(logits, expected):
-    return all(np.array_equal(lg, expected[i : i + 1]) for i, lg in enumerate(logits))
-
-
-def workers_segment(quantized, cfg, seed, trace, images, expected):
-    sizes, blobs_by_width, exact, resolved = {}, {}, True, True
-    for workers in SIZES:
-        server, client = build_deployment(
-            quantized, cfg, max_batch=PACKED_REQUESTS, workers=workers
-        )
-        # Identity batch first: fixed composition, one drain -- the
-        # serialized bytes must not know the worker count.
-        blobs_by_width[workers], logits = identity_batch(server, client, images)
-        _, report, ok = replay(server, client, trace, images, expected, BOLUS_CONFIG)
-        exact = exact and ok and _logits_match(logits, expected)
-        resolved = resolved and report["all_tickets_resolved"]
-        pool = parallel.active_pool()
-        sizes[str(workers)] = {
-            **_size_row(report),
-            "dispatched_units": pool.dispatched_units if pool else 0,
-        }
-        _reset_pool()
-
-    # Worker 0 SIGKILLed at its second dispatch of the hybrid pipeline's
-    # contractions: the generation retires, every unit replays in-process,
-    # the bytes still match the 1-worker run.
-    chaos_images = images[:2]
-    reference_blob, _ = hybrid_identity(quantized, cfg, chaos_images)
-    plan = FaultPlan(
-        seed, rules=[FaultRule(site="parallel.worker", name="0", after=1, max_fires=1)]
-    )
-    with parallel.use(2), faults.armed(plan):
-        chaos_blob, chaos_logits = hybrid_identity(quantized, cfg, chaos_images)
-        pool = parallel.active_pool()
-    chaos = {
-        "fired": plan.fires("parallel.worker"),
-        "deaths": pool.deaths if pool else 0,
-        "replayed_units": pool.replayed_units if pool else 0,
-    }
-    _reset_pool()
-    return {
-        "sizes": sizes,
-        "chaos": chaos,
-        "byte_identical": all(blobs_by_width[w] == blobs_by_width[1] for w in SIZES),
-        "bit_identical": exact,
-        "all_tickets_resolved": resolved,
-        "chaos_recovered": chaos["fired"] == 1
-        and chaos["deaths"] == 1
-        and chaos["replayed_units"] >= 1,
-        "chaos_byte_identical": chaos_blob == reference_blob
-        and np.array_equal(chaos_logits, expected[: len(chaos_images)]),
-    }
-
-
 def _lookup(report, dotted):
     for part in dotted.split("."):
         report = report[part]
@@ -406,9 +311,6 @@ def run(argv: list[str] | None = None) -> int:
         ),
         "loop": timed("loop", loop_segment, args.seed, images, expected),
         "fleet": timed("fleet", fleet_segment, args.seed, saturating, images, expected),
-        "workers": timed(
-            "workers", workers_segment, args.seed, saturating, images, expected
-        ),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -425,12 +327,11 @@ def run(argv: list[str] | None = None) -> int:
         f"(paying {loop['p99_queue_wait_paying_s'] * 1e3:.1f} ms), "
         f"shed rate {loop['shed_rate']:.2%}"
     )
-    for name in ("fleet", "workers"):
-        walls = ", ".join(
-            f"{size}: {row['wall_images_per_s']:.1f}"
-            for size, row in report[name]["sizes"].items()
-        )
-        print(f"{name}: measured wall images/s by size -- {walls}")
+    walls = ", ".join(
+        f"{size}: {row['wall_images_per_s']:.1f}"
+        for size, row in report["fleet"]["sizes"].items()
+    )
+    print(f"fleet: measured wall images/s by size -- {walls}")
     print(f"wrote {args.out}")
 
     failures = [f"invariant {path} violated" for path in INVARIANTS if not _lookup(report, path)]

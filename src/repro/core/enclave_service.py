@@ -31,8 +31,7 @@ from repro.core import securechannel
 from repro.errors import EncodingError, PipelineError
 from repro.he.batching import ImageLayout, read_image, write_image, write_lanes
 from repro.he.context import Ciphertext, Context, Plaintext
-from repro.he.decryptor import Decryptor, decrypt_scalar_values
-from repro.he.encoders import ScalarEncoder
+from repro.he.decryptor import Decryptor
 from repro.he.encryptor import SymmetricEncryptor
 from repro.he.keys import KeyGenerator, KeyPair, PublicKey, RelinKeys
 from repro.he.params import EncryptionParams
@@ -299,9 +298,7 @@ class InferenceEnclave(Enclave):
             if image is not None:
                 per = 1 if batch is None else image.per_ciphertext(self._context.poly_degree)
                 return read_image(self._decryptor.decrypt(ct), image, batch, per)
-            return decrypt_scalar_values(
-                self._decryptor, ScalarEncoder(self._context), ct
-            )
+            return self._decryptor.decrypt_constants(ct)
 
     def _encrypt_values(self, values: np.ndarray, write=None) -> Ciphertext:
         """One scalar ciphertext per value, or the plaintext ``write(context,

@@ -19,12 +19,12 @@ operand are worked out, once (:func:`_plan_contraction`): which fan-in terms
 are zero in every output (skipped -- an exactly-zero contribution) and
 whether the bias fits the fused kernel's int64 slack (folded into the
 accumulator instead of a separate pass).  Both ride on the encoded weights
-into the one scalar-contraction kernel (:mod:`repro.he.contraction`), so
-they apply wherever it runs -- in-process, on the worker pool, in
-death-replay.  A layer that runs the per-tap reference loop instead
-(weights encoded by the oracle context, :mod:`repro.he.oracle`, or past the
-int64 bound) produces the same bytes without them, and recorded op tallies
-always reflect the *reference* op structure (full tap counts).
+into the one scalar-contraction kernel (:mod:`repro.he.contraction`), which
+every fused layer calls once, in the calling process.  A layer that runs
+the per-tap reference loop instead (weights encoded by the oracle context,
+:mod:`repro.he.oracle`, or past the int64 bound) produces the same bytes
+without them, and recorded op tallies always reflect the *reference* op
+structure (full tap counts).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ParameterError, PipelineError
-from repro.he import contraction, parallel
+from repro.he import contraction
 from repro.he.batching import ImageLayout, stride_monomials
 from repro.he.context import Ciphertext, Context, Plaintext, TensorProduct
 from repro.he.encoders import ScalarEncoder
@@ -378,16 +378,15 @@ def _he_conv2d_fused(
     """Tap-batched convolution: the whole ``F * C * k * k`` tap sum is one
     signed int64 matmul over the raw weights (:func:`_plan_contraction`
     checked ``sum |w| * p`` against int64) followed by a single mod-p pass --
-    :func:`repro.he.contraction.conv_rows`, run over the whole output
-    in-process or over the worker pool's units.  Bit-identical to the
-    per-tap reference loop (mod-p sums are associative and every partial
-    stays exact), with the reference loop's op tallies.
+    :func:`repro.he.contraction.conv`.  Bit-identical to the per-tap
+    reference loop (mod-p sums are associative and every partial stays
+    exact), with the reference loop's op tallies.
     """
     ct = ct.to_ntt()
     data = ct.data  # (B, C, H, W, size, k_rns, n)
     f, t = weights.weight_taps.shape
     outputs = data.shape[0] * oh * ow
-    out = parallel.dispatch_conv(
+    out = contraction.conv(
         data,
         weights.weight_taps,
         k=weights.kernel_size,
@@ -508,9 +507,9 @@ def _he_dense_fused(
 ) -> Ciphertext:
     """All-classes FC kernel: one signed int64 matmul over the ``(O, D)``
     integer weights computes every output class at once, one mod-p pass
-    after the whole contraction -- :func:`repro.he.contraction.dense_rows`,
-    in-process or over the pool's units; bit-identical to the per-class
-    loop (up to the domain), with matching op tallies.
+    after the whole contraction -- :func:`repro.he.contraction.dense`;
+    bit-identical to the per-class loop (up to the domain), with matching
+    op tallies.
 
     A contraction by integers is the same residues in either domain, so it
     runs in the input's: a product :meth:`Evaluator.multiply` returns is in
@@ -519,7 +518,7 @@ def _he_dense_fused(
     b, d = flat.batch_shape
     o = weights.out_features
     bias_operand = weights.bias_operand if flat.is_ntt else weights.bias_coeff
-    out = parallel.dispatch_dense(
+    out = contraction.dense(
         flat.data,
         weights.weight_matrix,
         primes=[int(p) for p in flat.context.ring.primes],
@@ -537,7 +536,7 @@ def _he_dense_rescaled(
     evaluator: Evaluator, flat: TensorProduct, weights: EncodedDenseWeights
 ) -> Ciphertext:
     """FC on unscaled squares: the integer contraction of
-    :func:`repro.he.contraction.dense_rows` runs on the products ``d``
+    :func:`repro.he.contraction.dense` runs on the products ``d``
     themselves, modulo q's primes and the auxiliary basis, then
     :meth:`Evaluator.rescale` rounds each logit once and ``Delta * b`` is
     added in the coefficient domain the rescale returns.  One rounding per
@@ -552,7 +551,7 @@ def _he_dense_rescaled(
         )
     b, d = flat.batch_shape
     o = weights.out_features
-    out = parallel.dispatch_dense(
+    out = contraction.dense(
         flat.data, weights.weight_matrix, primes=primes, keep=weights.keep
     )
     if evaluator.counter is not None:

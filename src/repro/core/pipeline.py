@@ -117,11 +117,8 @@ class PipelineSpec:
         batching: auto-size a prime plaintext modulus (``batching=True`` of
             :func:`~repro.core.config.parameters_for_pipeline`) instead of a
             power of two.  Images pack under either.
-        workers: pool worker processes to install process-wide
-            at build time (``repro.he.parallel``); ``1`` forces the
-            in-process path, ``None`` leaves the active setting (the
-            ``REPRO_WORKERS`` environment default) untouched.  Results are
-            byte-identical at any width.
+        workers: ``None`` or an integer >= 1, which configures nothing:
+            every contraction runs in the calling process (DESIGN.md §15).
         graph_optimizer: ``None`` or ``"off"``, which configure nothing
             (every graph runs as built); any other value is a
             :class:`PipelineError` at construction.
@@ -150,7 +147,7 @@ class PipelineSpec:
         if self.poly_degree < 2:
             raise PipelineError("poly_degree must be >= 2")
         if self.workers is not None and self.workers < 1:
-            raise PipelineError("workers must be >= 1 (or None to inherit)")
+            raise PipelineError("workers must be >= 1 (or None)")
         _check_graph_optimizer(self.graph_optimizer)
         if self.fleet_size < 1:
             raise PipelineError("fleet_size must be >= 1")
@@ -171,14 +168,6 @@ class PipelineSpec:
         return parameters_for_pipeline(
             quantized, self.poly_degree, batching=self.batching
         )
-
-    def apply_workers(self) -> None:
-        """Install the spec's worker count process-wide (no-op when None)."""
-        if self.workers is None:
-            return
-        from repro.he import parallel
-
-        parallel.configure(self.workers)
 
     def serve_config(self) -> "ServeConfig | None":
         """A :class:`~repro.serve.ServeConfig` from the spec's queue bounds
@@ -222,9 +211,8 @@ def build_pipeline(
             given).
         **opts: scheme-specific options -- ``mode`` (hybrid), ``platform``
             (hybrid/simd), ``seed``, ``clock`` (plaintext/cryptonets)
-            -- plus the process-wide knob ``workers``, applied exactly as
-            :attr:`PipelineSpec.workers` would be, and ``graph_optimizer``,
-            which any scheme takes as ``"off"`` and nothing else.
+            -- plus ``graph_optimizer``, which any scheme takes as
+            ``"off"`` and nothing else.
 
     Raises:
         PipelineError: unknown scheme, an option the scheme does not take,
@@ -233,7 +221,6 @@ def build_pipeline(
     """
     if isinstance(scheme, PipelineSpec):
         spec = scheme
-        spec.apply_workers()
         canonical = spec.scheme
         batching = spec.batching
         poly_degree = spec.poly_degree
@@ -244,11 +231,6 @@ def build_pipeline(
         canonical = resolve_scheme(scheme)
         batching = False
     _check_graph_optimizer(opts.pop("graph_optimizer", None))
-    workers = opts.pop("workers", None)
-    if workers is not None:
-        # Route the process-wide knob through a throwaway spec so the
-        # kwarg form shares PipelineSpec's validation and application.
-        PipelineSpec(scheme=canonical, workers=workers).apply_workers()
     allowed = _SCHEME_OPTS[canonical]
     unknown = set(opts) - allowed
     if unknown:

@@ -232,10 +232,9 @@ class EdgeServer:
     ) -> "EdgeServer":
         """Build a server from a declarative :class:`~repro.core.pipeline.
         PipelineSpec`: parameters (exact, or auto-sized against
-        ``sizing_model``), flush worker count, fleet size and queue bounds
-        all come from the spec.
+        ``sizing_model``), fleet size and queue bounds all come from the
+        spec.
         """
-        spec.apply_workers()
         return cls(
             spec.resolve_params(sizing_model),
             platform=platform,

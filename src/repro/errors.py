@@ -90,15 +90,6 @@ class SealingError(EnclaveError):
     """Sealed-blob integrity check failed or the blob belongs to another enclave."""
 
 
-class ArenaError(ReproError, ValueError):
-    """Ciphertext arena misuse: exhausted capacity, foreign or freed views."""
-
-
-class ParallelError(ReproError, RuntimeError):
-    """The shared-memory worker pool failed (stalled units, dead workers
-    past recovery, or a misconfigured worker count)."""
-
-
 class ModelError(ReproError, ValueError):
     """Neural-network model construction or shape inference failed."""
 

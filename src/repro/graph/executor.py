@@ -41,7 +41,6 @@ from repro.errors import PipelineError
 from repro.graph import ir
 from repro.he.batching import pack_coefficients, read_lanes, write_image
 from repro.he.context import Ciphertext
-from repro.he.decryptor import decrypt_scalar_values
 from repro.he.evaluator import Evaluator
 
 
@@ -261,9 +260,7 @@ OPS: dict[str, Callable] = {
     "pool": _pool,
     "fc": _fc,
     "fold": _fold,
-    "decrypt": _decrypt_with(
-        lambda env, node, ct: decrypt_scalar_values(env.decryptor, env.encoder, ct)
-    ),
+    "decrypt": _decrypt_with(lambda env, node, ct: env.decryptor.decrypt_constants(ct)),
     # One result per image, class c in coefficient c: the user's read of a
     # served result (``UserSession.decrypt_logits``).
     "decrypt_result": _decrypt_with(

@@ -23,15 +23,13 @@ Typical usage::
     assert encoder.decode(decryptor.decrypt(ct2)) == 42
 """
 
-from repro.he.arena import Arena, ArenaView, stacked_view
 from repro.he.context import Ciphertext, Context, Plaintext, TensorProduct
-from repro.he.decryptor import Decryptor, decrypt_scalar_values
+from repro.he.decryptor import Decryptor
 from repro.he.encoders import ScalarEncoder
 from repro.he.encryptor import Encryptor, SymmetricEncryptor
 from repro.he.evaluator import Evaluator, OperationCounter, PlainOperand
 from repro.he.keys import KeyGenerator, KeyPair, PublicKey, RelinKeys, SecretKey
 from repro.he.noise import NoiseEstimator
-from repro.he.parallel import WorkerPool, active_workers, default_workers
 from repro.he.params import (
     EncryptionParams,
     default_parameter_options,
@@ -40,8 +38,6 @@ from repro.he.params import (
 )
 
 __all__ = [
-    "Arena",
-    "ArenaView",
     "Ciphertext",
     "Context",
     "Decryptor",
@@ -60,12 +56,7 @@ __all__ = [
     "SecretKey",
     "SymmetricEncryptor",
     "TensorProduct",
-    "WorkerPool",
-    "active_workers",
-    "decrypt_scalar_values",
     "default_parameter_options",
-    "default_workers",
-    "stacked_view",
     "paper_parameters",
     "small_parameter_options",
 ]

@@ -1,20 +1,16 @@
-"""The fused scalar contraction: one row-range kernel per layer kind.
+"""The fused scalar contraction: one kernel per layer kind.
 
 Every model weight is a ``ScalarEncoder`` constant, so a ``C x P`` product
 multiplies NTT residues by one signed integer and a whole conv or FC layer
 is a signed int64 matmul over the raw weights plus a single mod-p pass
 (:func:`bound_ok` is the precondition).  The two kernels below are the only
-definitions of that arithmetic: ``heops`` runs them over a layer's whole
-range in-process, ``parallel``'s workers over their unit's range, and
-death-replay in the parent.  Exact int64 adds are associative, so any row
-split of the output is byte-identical to the whole-range run.
+definitions of that arithmetic; ``heops`` calls each once per layer, in the
+calling process, and each returns its whole output.
 
-Shared arguments: the kernel writes ``rows`` of ``axis`` of the full output
-block ``out`` (``"batch"`` rows, else conv output rows / FC classes for a
-one-image ``(1, ...)`` batch); ``keep`` names the surviving taps (at least
-one) when every dropped weight column is zero, an exactly-zero
-contribution; ``bias`` is the ``(F|O, ..., k_rns, n)`` canonical residues
-of ``Delta * bias``, folded into the still-unreduced accumulator.
+Shared arguments: ``keep`` names the surviving taps (at least one) when
+every dropped weight column is zero, an exactly-zero contribution; ``bias``
+is the ``(F|O, ..., k_rns, n)`` canonical residues of ``Delta * bias``,
+folded into the still-unreduced accumulator.
 """
 
 from __future__ import annotations
@@ -48,13 +44,10 @@ def _reduce(acc: np.ndarray, bias: np.ndarray | None, primes) -> None:
     _mod_rows(acc, primes)
 
 
-def conv_rows(
+def conv(
     data: np.ndarray,
     wtaps: np.ndarray,
-    out: np.ndarray,
     *,
-    axis: str,
-    rows: tuple[int, int],
     k: int,
     s: int,
     oh: int,
@@ -63,56 +56,44 @@ def conv_rows(
     chunk: int,
     keep=None,
     bias: np.ndarray | None = None,
-) -> None:
+) -> np.ndarray:
     """Conv tap contraction of ``data`` ``(B, C, H, W, size, k_rns, n)`` with
-    ``wtaps`` ``(F, C*k*k)`` (row-major over ``(C, i, j)``) into ``rows`` of
-    ``out`` ``(B, F, OH, OW, size, k_rns, n)``.  The window gather runs
-    ``chunk`` taps at a time so the stacked intermediate stays bounded."""
-    r0, r1 = rows
-    if axis == "batch":
-        data, target, (oh0, oh1) = data[r0:r1], out[r0:r1], (0, oh)
-    else:
-        target, (oh0, oh1) = out[:, :, r0:r1], rows
-    channels = data.shape[1]
+    ``wtaps`` ``(F, C*k*k)`` (row-major over ``(C, i, j)``): the output
+    ``(B, F, OH, OW, size, k_rns, n)``.  The window gather runs ``chunk``
+    taps at a time so the stacked intermediate stays bounded."""
+    b, channels = data.shape[:2]
+    out = np.empty((b, wtaps.shape[0], oh, ow, *data.shape[-3:]), dtype=np.int64)
     taps = [(ci, i, j) for ci in range(channels) for i in range(k) for j in range(k)]
     if keep is not None:
         taps, wtaps = [taps[x] for x in keep], wtaps[:, list(keep)]
-    acc = np.moveaxis(target, 1, 0)  # (F, b, rows, OW, ...): accumulate in place
+    acc = np.moveaxis(out, 1, 0)  # (F, B, OH, OW, ...): accumulate in place
     for start in range(0, len(taps), chunk):
         block = taps[start : start + chunk]
         win = np.empty((len(block), *acc.shape[1:]), dtype=np.int64)
         for off, (ci, i, j) in enumerate(block):
-            win[off] = data[:, ci, i + oh0 * s : i + oh1 * s : s, j : j + ow * s : s]
+            win[off] = data[:, ci, i : i + oh * s : s, j : j + ow * s : s]
         part = wtaps[:, start : start + chunk] @ win.reshape(len(block), -1)
         if start:
             acc += part.reshape(acc.shape)
         else:
             acc[...] = part.reshape(acc.shape)
     _reduce(acc, bias, primes)
+    return out
 
 
-def dense_rows(
+def dense(
     fd: np.ndarray,
     wmat: np.ndarray,
-    out: np.ndarray,
     *,
-    axis: str,
-    rows: tuple[int, int],
     primes,
     keep=None,
     bias: np.ndarray | None = None,
-) -> None:
+) -> np.ndarray:
     """All-classes FC matmul of ``fd`` ``(B, D, size, k_rns, n)`` with
-    ``wmat`` ``(O, D)`` into ``rows`` of ``out`` ``(B, O, size, k_rns, n)``."""
-    r0, r1 = rows
-    if axis == "batch":
-        fd, target = fd[r0:r1], out[r0:r1]
-    else:
-        wmat, target = wmat[r0:r1], out[:, r0:r1]
-        bias = None if bias is None else bias[r0:r1]
+    ``wmat`` ``(O, D)``: the output ``(B, O, size, k_rns, n)``."""
     if keep is not None:
         fd, wmat = fd[:, list(keep)], wmat[:, list(keep)]
     moved = np.ascontiguousarray(np.moveaxis(fd, 1, 0)).reshape(fd.shape[1], -1)
     acc = (wmat @ moved).reshape(wmat.shape[0], fd.shape[0], *fd.shape[2:])
     _reduce(acc, bias, primes)
-    target[...] = np.moveaxis(acc, 0, 1)
+    return np.ascontiguousarray(np.moveaxis(acc, 0, 1))

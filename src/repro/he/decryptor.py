@@ -139,8 +139,3 @@ class Decryptor:
         """
         return self._noise_budget(self.context.ring.intt(self._dot_ntt(ct)))
 
-
-def decrypt_scalar_values(decryptor: Decryptor, encoder, ct: Ciphertext) -> np.ndarray:
-    """The values of ``encoder.decode(decryptor.decrypt(ct))`` by the probe
-    decrypt (:meth:`Decryptor.decrypt_constants`), at every ``q``."""
-    return decryptor.decrypt_constants(ct)

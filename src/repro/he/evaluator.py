@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import KeyMismatchError, ParameterError
-from repro.he import arena
 from repro.he.context import _TENSOR_CHUNK_COEFFS, Ciphertext, Context, Plaintext, TensorProduct
 from repro.he.keys import RelinKeys
 from repro.he.polyring import _mod_rows
@@ -200,14 +199,9 @@ class Evaluator:
         if uniform:
             # One stacked reduction (and one trailing %) instead of a
             # sequential O(len) fold of add() allocations; the op tally
-            # matches the fold exactly.  Arena-backed siblings (adjacent
-            # blocks, or rows of one ciphertext) stack as a strided view --
-            # no materialized intermediate at all.
+            # matches the fold exactly.
             self._check(*cts)
-            parts = [ct.data for ct in cts]
-            stacked = arena.stacked_view(parts)
-            if stacked is None:
-                stacked = np.stack(parts)
+            stacked = np.stack([ct.data for ct in cts])
             result = Ciphertext(
                 self.context, self.context.ring.reduce_sum(stacked, axis=0), first.is_ntt
             )

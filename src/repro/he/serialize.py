@@ -49,8 +49,8 @@ _NATIVE_IS_WIRE = sys.byteorder == "little"
 
 def _array_payload(arr: np.ndarray) -> "bytes | memoryview":
     """The array's wire bytes -- a zero-copy ``memoryview`` when the array
-    is already a contiguous little-endian int64 block (arena views, any
-    freshly-built ciphertext data), else the converting copy."""
+    is already a contiguous little-endian int64 block (any freshly-built
+    ciphertext data), else the converting copy."""
     if (
         _NATIVE_IS_WIRE
         and isinstance(arr, np.ndarray)

@@ -61,7 +61,7 @@ from repro.obs.profile import (
 # ``repro.obs.recorder`` submodule attribute that instrumented layers import
 # (``from repro.obs import recorder``).  Use the submodule directly.
 from repro.obs.recorder import FlightEvent, FlightRecorder, use_recorder
-from repro.obs.tracer import SPAN_KINDS, Span, Tracer, active_tracer, reconcile
+from repro.obs.tracer import SPAN_KINDS, Span, Tracer, reconcile
 
 __all__ = [
     "LATENCY_BUCKETS",
@@ -79,7 +79,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "activate",
-    "active_tracer",
     "current",
     "current_trace_ids",
     "derive_trace_id",

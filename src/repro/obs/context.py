@@ -7,9 +7,9 @@ randomness -- the same workload always produces the same ids), plus the
 ``parent_id`` of the span that issued it.  The context rides on
 :class:`repro.serve.api.InferenceRequest` / ``InferenceResult``, is
 injected by :class:`repro.client.AttestedClient`, threaded through the
-serving loop, fleet routing, batch failover, ECALL boundaries and the
-parallel worker pool's work-unit headers -- so every span in a trace can
-be attributed to the request, replica and generation that produced it.
+serving loop, fleet routing, batch failover and ECALL boundaries -- so
+every span in a trace can be attributed to the request, replica and
+generation that produced it.
 
 Propagation rules (DESIGN.md §17):
 
@@ -22,11 +22,10 @@ Propagation rules (DESIGN.md §17):
   (:func:`resolve_trace_ids` / :func:`spans_without_context`).
 
 The active-context stack (:func:`activate` / :func:`current`) is how
-layers that never see the request object (``EnclaveHandle.ecall``, the
-worker pool) pick up the ambient contexts.  With nothing active the stack
-is empty and every hook is a cheap no-op -- context propagation adds
-attrs only and never touches ciphertext bytes, RNG draws or dispatch
-order.
+layers that never see the request object (``EnclaveHandle.ecall``) pick
+up the ambient contexts.  With nothing active the stack is empty and every
+hook is a cheap no-op -- context propagation adds attrs only and never
+touches ciphertext bytes, RNG draws or dispatch order.
 """
 
 from __future__ import annotations
@@ -100,25 +99,6 @@ class TraceContext:
         """Same trace, re-parented under ``parent_id`` (a span name)."""
         return replace(self, parent_id=parent_id)
 
-    def to_wire(self) -> dict:
-        """JSON-ready form for work-unit headers and result metadata."""
-        return {"trace_id": self.trace_id, "parent_id": self.parent_id}
-
-    @classmethod
-    def from_wire(cls, doc) -> "TraceContext":
-        """Parse a wire dict, rejecting malformed input as
-        :class:`~repro.errors.TraceFormatError`."""
-        if not isinstance(doc, dict):
-            raise TraceFormatError(
-                f"trace context must be a mapping, got {type(doc).__name__}"
-            )
-        unknown = set(doc) - {"trace_id", "parent_id"}
-        if unknown:
-            raise TraceFormatError(f"unknown trace context fields {sorted(unknown)}")
-        if "trace_id" not in doc:
-            raise TraceFormatError("trace context missing required field 'trace_id'")
-        return cls(trace_id=doc["trace_id"], parent_id=doc.get("parent_id", ""))
-
 
 # ----------------------------------------------------------------------
 # ambient context stack
@@ -131,8 +111,8 @@ def activate(*contexts: "TraceContext | None"):
     """Make ``contexts`` ambient for the block (``None`` entries dropped).
 
     A packed flush activates every member request's context at once;
-    ECALL spans and parallel work units opened inside pick them up via
-    :func:`current`.  With no non-None context the block is a no-op.
+    ECALL spans opened inside pick them up via :func:`current`.  With no
+    non-None context the block is a no-op.
     """
     group = tuple(c for c in contexts if c is not None)
     if not group:
@@ -153,11 +133,6 @@ def current() -> tuple[TraceContext, ...]:
 def current_trace_ids() -> tuple[str, ...]:
     """Trace ids of the innermost active group, in activation order."""
     return tuple(c.trace_id for c in current())
-
-
-def wire_current() -> list[dict]:
-    """The active group as wire dicts (for work-unit headers)."""
-    return [c.to_wire() for c in current()]
 
 
 def stamp(attrs: dict) -> None:
@@ -224,5 +199,4 @@ __all__ = [
     "resolve_trace_ids",
     "spans_without_context",
     "stamp",
-    "wire_current",
 ]

@@ -617,28 +617,6 @@ FAMILIES: dict[str, tuple[str, tuple[str, ...], tuple[float, ...] | None, str]] 
     "repro_serve_queue_wait_estimate_seconds": (
         "histogram", ("model",), None,
         "Admission-control queue-wait estimate at each arrival."),
-    "repro_parallel_units_total": (
-        "counter", ("kind",), None,
-        "Work units dispatched to the shared-memory worker pool."),
-    "repro_parallel_steals_total": (
-        "counter", (), None,
-        "Units completed by a worker other than the dispatch-preferred one."),
-    "repro_parallel_worker_deaths_total": (
-        "counter", (), None,
-        "Workers found dead mid-flush (pool retired and respawned)."),
-    "repro_parallel_replayed_units_total": (
-        "counter", (), None,
-        "Units replayed in-process after a worker death (bit-identical)."),
-    "repro_parallel_unit_seconds": (
-        "histogram", ("kind",), None,
-        "Per-unit real execution latency inside pool workers."),
-    "repro_parallel_worker_busy_seconds_total": (
-        "counter", ("worker",), None,
-        "Real seconds each worker spent executing units (utilization "
-        "numerator; flush wall time is the denominator)."),
-    "repro_parallel_workers": (
-        "gauge", (), None,
-        "Configured worker count (1 = in-process fallback)."),
     "repro_client_transitions_total": (
         "counter", ("state",), None,
         "Client session state-machine transitions, by destination state."),

@@ -44,17 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Span kinds the schema defines (``attrs`` may extend, kinds may not).
 SPAN_KINDS = ("pipeline", "stage", "ecall", "span")
 
-#: Tracers with at least one open span, innermost last.  Lets layers with
-#: no tracer in reach (the parallel worker pool's ack loop) attach
-#: annotation spans to whatever span is currently open process-wide.
-_ACTIVE_TRACERS: list["Tracer"] = []
-
-
-def active_tracer() -> "Tracer | None":
-    """The tracer owning the innermost open span, if any."""
-    return _ACTIVE_TRACERS[-1] if _ACTIVE_TRACERS else None
-
-
 @dataclass(slots=True)
 class Span:
     """One traced region: clock/counter/crossing deltas plus children."""
@@ -184,11 +173,9 @@ class Tracer:
             side_channel.count("ecall") if side_channel is not None else None
         )
         self._stack.append(span)
-        _ACTIVE_TRACERS.append(self)
         try:
             yield span
         finally:
-            _ACTIVE_TRACERS.pop()
             popped = self._stack.pop()
             assert popped is span, "span stack corrupted"
             span.real_s = self.clock.real_s - start_real

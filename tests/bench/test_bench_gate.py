@@ -64,13 +64,6 @@ def _serving_report(speedup=2.0, mode="smoke", overrides=None):
             "failover_resolved": True,
             "failover_bit_identical": True,
         },
-        "workers": {
-            "byte_identical": True,
-            "bit_identical": True,
-            "all_tickets_resolved": True,
-            "chaos_recovered": True,
-            "chaos_byte_identical": True,
-        },
     }
     for path, value in (overrides or {}).items():
         *parents, leaf = path.split(".")
@@ -183,9 +176,6 @@ class TestBenchGate:
     def test_fleet_invariant_violation_fails(self, tmp_path):
         self._assert_serving_violation(tmp_path, "fleet.bit_identical")
 
-    def test_parallel_byte_identity_violation_fails(self, tmp_path):
-        self._assert_serving_violation(tmp_path, "workers.byte_identical")
-
     @pytest.mark.parametrize(
         "path",
         [
@@ -196,10 +186,6 @@ class TestBenchGate:
             "fleet.all_tickets_resolved",
             "fleet.failover_resolved",
             "fleet.failover_bit_identical",
-            "workers.bit_identical",
-            "workers.all_tickets_resolved",
-            "workers.chaos_recovered",
-            "workers.chaos_byte_identical",
         ],
     )
     def test_serving_invariant_violation_fails(self, tmp_path, path):

@@ -1,24 +1,31 @@
 """One scalar-contraction kernel for conv and fc (DESIGN.md §10, §15).
 
 ``repro.he.contraction`` holds the only definition of the fused int64
-contraction; the in-process run, the pool's workers and death-replay all
-execute it.  The two exact facts about a weight operand -- its all-zero
-columns and whether the bias fits the accumulator's slack -- are worked out
-once at encode time and ride on the encoded weights, so they apply on every
-path; the encoded weights keep the integers they
-were built from, and the per-tap reference loop is the only fallback.  The
+contraction, and every fused layer calls it once, in the calling process.
+The two exact facts about a weight operand -- its all-zero columns and
+whether the bias fits the accumulator's slack -- are worked out once at
+encode time and ride on the encoded weights into that call; the encoded
+weights keep the integers they were built from, and the per-tap reference
+loop is the only fallback.  The
 oracle context (:mod:`repro.he.oracle`) encodes weights that never fuse, so
 its layers run that loop: the byte-level reference of every test here.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from repro import faults
-from repro.core import HybridPipeline, heops, parameters_for_pipeline
-from repro.faults import FaultPlan, FaultRule
+from repro.core import (
+    HybridPipeline,
+    PipelineSpec,
+    build_pipeline,
+    heops,
+    parameters_for_pipeline,
+)
+from repro.errors import PipelineError
 from repro.he import (
     Context,
     Encryptor,
@@ -32,18 +39,10 @@ from repro.he import (
     parallel,
 )
 from repro.he.params import EncryptionParams
+from repro.he.serialize import serialize_ciphertext
 from tests.graph.kinds import images_for, single_block_model
 
 DEGREE = 64
-
-
-@pytest.fixture(autouse=True)
-def pristine_parallel_state():
-    parallel.configure(None)
-    parallel.shutdown()
-    yield
-    parallel.configure(None)
-    parallel.shutdown()
 
 
 def make_rig(plain_bits: int) -> dict:
@@ -141,32 +140,17 @@ def bias_passes(monkeypatch):
 
 @pytest.fixture()
 def kernel_runs(monkeypatch):
-    """``(kind, rows, keep, bias folded)`` of every kernel run in this
-    process: the in-process whole-range unit and death-replay."""
+    """``(kind, keep, bias folded)`` of every fused contraction run."""
     ran = []
-    for kind, kernel in list(parallel.KERNELS.items()):
-        assert kernel is getattr(contraction, f"{kind}_rows")
+    for kind in ("conv", "dense"):
+        kernel = getattr(contraction, kind)
 
         def spy(*args, _kind=kind, _kernel=kernel, **kwargs):
-            ran.append((_kind, kwargs["rows"], kwargs["keep"], kwargs["bias"] is not None))
+            ran.append((_kind, kwargs["keep"], kwargs["bias"] is not None))
             return _kernel(*args, **kwargs)
 
-        monkeypatch.setitem(parallel.KERNELS, kind, spy)
+        monkeypatch.setattr(contraction, kind, spy)
     return ran
-
-
-@pytest.fixture()
-def pool_tasks(monkeypatch):
-    """``(kind, keep, bias folded)`` of every unit handed to the pool."""
-    sent = []
-    original = parallel.WorkerPool._run_units
-
-    def spy(self, tasks):
-        sent.extend((t["kind"], t["keep"], "bias_off" in t) for t in tasks)
-        return original(self, tasks)
-
-    monkeypatch.setattr(parallel.WorkerPool, "_run_units", spy)
-    return sent
 
 
 class TestRewritesReachEveryPath:
@@ -181,8 +165,8 @@ class TestRewritesReachEveryPath:
         [(heops.he_conv2d, planted_conv, (2, 6, 6)), (heops.he_dense, planted_dense, (3, 2, 2))],
         ids=["conv", "dense"],
     )
-    def test_plan_on_the_pool(
-        self, rig, bias_passes, kernel_runs, pool_tasks, layer, planted, image, batch
+    def test_plan_reaches_the_kernel(
+        self, rig, bias_passes, kernel_runs, layer, planted, image, batch
     ):
         rng = np.random.default_rng(batch)
         weights, keep, raw = planted(rig, rng)
@@ -190,23 +174,16 @@ class TestRewritesReachEveryPath:
         ct = encrypt(rig, rng.integers(-20, 20, size=(batch, *image)))
         expected = oracle_run(rig, layer, ct, *raw)
         assert kernel_runs == []
-        with parallel.use(1):
-            assert run_layer(rig, layer, ct, weights) == expected
-        assert [(k, f) for _, _, k, f in kernel_runs] == [(keep, True)]
-        with parallel.use(2):
-            assert run_layer(rig, layer, ct, weights) == expected
-            assert parallel.active_pool().dispatched_units == len(pool_tasks) > 0
-        assert {(k, f) for _, k, f in pool_tasks} == {(keep, True)}
+        assert run_layer(rig, layer, ct, weights) == expected
+        assert [(k, f) for _, k, f in kernel_runs] == [(keep, True)]
         assert bias_passes == []
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_optimizer_off_still_skips_and_folds(
-        self, bias_passes, kernel_runs, pool_tasks, workers
-    ):
+    def test_optimizer_off_still_skips_and_folds(self, bias_passes, kernel_runs, workers):
         """The benchmark's setting, the graph as built, on the planted-zero
-        model runs conv and fc without their zero columns and
-        with the bias folded -- in-process, on the pool, and when the
-        flush's worker is killed and its units replay here."""
+        model runs conv and fc once each, in this process, without their
+        zero columns and with the bias folded -- whatever width
+        ``parallel.use`` asks for."""
         model = single_block_model()
         assert not model.blocks[0].weight[:, 0, 0, 0].any()
         assert not model.dense_weight[:2].any()
@@ -219,22 +196,8 @@ class TestRewritesReachEveryPath:
         images = images_for("served")[:3]
         with parallel.use(workers):
             pipe = HybridPipeline(model, parameters_for_pipeline(model, 256), seed=7)
-            healthy = pipe.infer(images).logits
-            if workers == 1:
-                seen = [(kind, k, f) for kind, _, k, f in kernel_runs]
-            else:
-                assert kernel_runs == []
-                seen = pool_tasks
-            assert set(seen) == {(kind, keep, True) for kind, keep in keeps.items()}
-            if workers == 2:
-                kill = FaultPlan(3, rules=[FaultRule(site="parallel.worker", name="0")])
-                with faults.armed(kill):
-                    replayed = pipe.infer(images).logits
-                assert parallel.active_pool().deaths == 1
-                assert np.array_equal(replayed, healthy)
-                assert kernel_runs and all(
-                    (k, f) == (keeps[kind], True) for kind, _, k, f in kernel_runs
-                )
+            pipe.infer(images)
+        assert kernel_runs == [(kind, keep, True) for kind, keep in keeps.items()]
         assert bias_passes == []
 
     @pytest.mark.parametrize("kind", ["conv", "dense"])
@@ -268,36 +231,32 @@ class TestRewritesReachEveryPath:
         assert not contraction.bound_ok(values, max_terms, slack=1)
         assert (weights.keep, weights.fold_bias, weights.fused) == (None, False, True)
         reference = oracle_run(wide_rig, layer, ct, w, bias)
-        with parallel.use(1):  # the spy sees the in-process unit
-            assert run_layer(wide_rig, layer, ct, weights) == reference
-        assert [(k, f) for _, _, k, f in kernel_runs] == [(None, False)]
+        assert run_layer(wide_rig, layer, ct, weights) == reference
+        assert [(k, f) for _, k, f in kernel_runs] == [(None, False)]
         assert len(bias_passes) == 1
 
 
 class TestOneKernelEverywhere:
-    def test_workers_replay_and_in_process_run_the_same_function(
-        self, rig, kernel_runs
-    ):
-        """The pool's kernel table holds ``contraction``'s two functions
-        (``kernel_runs`` checks identity before wrapping them), and both the
-        in-process layer call and a killed flush's replay go through that
-        table in the parent."""
-        rng = np.random.default_rng(2)
-        weights, _, _ = planted_conv(rig, rng)
-        ct = encrypt(rig, rng.integers(-20, 20, size=(4, 2, 6, 6)))
-        with parallel.use(1):
-            expected = run_layer(rig, heops.he_conv2d, ct, weights)
-        assert [(kind, rows) for kind, rows, _, _ in kernel_runs] == [("conv", (0, 4))]
+    def test_a_worker_count_starts_no_process(self):
+        """``PipelineSpec.workers`` and ``parallel.use`` configure nothing:
+        an in-process hybrid batch under both starts no child process and
+        returns the default run's logits, result bytes and op tallies."""
+        model = single_block_model()
+        params = parameters_for_pipeline(model, 256)
+        images = images_for("served")[:3]
 
-        del kernel_runs[:]
-        kill = FaultPlan(3, rules=[FaultRule(site="parallel.worker", name="0")])
+        def run(spec):
+            result = build_pipeline(spec, model, seed=7).infer(images)
+            return result.logits, serialize_ciphertext(result.logits_ct), result.op_counts
+
+        default = run(PipelineSpec(scheme="hybrid", params=params))
         with parallel.use(2):
-            with faults.armed(kill):
-                replayed = run_layer(rig, heops.he_conv2d, ct, weights)
-            assert parallel.active_pool().deaths == 1
-        assert replayed == expected
-        # Worker 0 dies at the first dispatch: every unit replays here.
-        assert [rows for _, rows, _, _ in kernel_runs] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+            wide = run(PipelineSpec(scheme="hybrid", params=params, workers=2))
+            assert multiprocessing.active_children() == []
+        assert np.array_equal(wide[0], default[0])
+        assert wide[1:] == default[1:]
+        with pytest.raises(PipelineError, match="workers"):
+            PipelineSpec(scheme="hybrid", workers=0)
 
     @pytest.mark.parametrize("taps_per_chunk", [6, 4], ids=["multiple", "ragged"])
     def test_tap_chunking_keeps_the_reference_bytes(
@@ -318,15 +277,14 @@ class TestOneKernelEverywhere:
             heops, "_TAP_CHUNK_ELEMS", taps_per_chunk * lanes * ct.data[0, 0, 0, 0].size
         )
         chunks = []
-        conv_rows = parallel.KERNELS["conv"]
-        monkeypatch.setitem(
-            parallel.KERNELS,
+        conv = contraction.conv
+        monkeypatch.setattr(
+            contraction,
             "conv",
-            lambda *a, **kw: (chunks.append(kw["chunk"]), conv_rows(*a, **kw))[1],
+            lambda *a, **kw: (chunks.append(kw["chunk"]), conv(*a, **kw))[1],
         )
         reference = oracle_run(rig, heops.he_conv2d, ct, w, bias)
-        with parallel.use(1):  # the spy sees the in-process unit
-            assert run_layer(rig, heops.he_conv2d, ct, weights) == reference
+        assert run_layer(rig, heops.he_conv2d, ct, weights) == reference
         assert chunks == [taps_per_chunk]
 
     def test_he_substrate_does_not_import_core(self):
@@ -406,8 +364,8 @@ class TestPastTheBoundRunsTheReferenceLoop:
         def fail(*args, **kwargs):
             raise AssertionError("the scalar kernel ran past its int64 bound")
 
-        monkeypatch.setattr(parallel, "dispatch_conv", fail)
-        monkeypatch.setattr(parallel, "dispatch_dense", fail)
+        monkeypatch.setattr(contraction, "conv", fail)
+        monkeypatch.setattr(contraction, "dense", fail)
 
     def test_conv(self, wide_rig, no_kernel):
         rng = np.random.default_rng(8)
@@ -422,8 +380,7 @@ class TestPastTheBoundRunsTheReferenceLoop:
         ct = encrypt(wide_rig, rng.integers(-20, 20, size=(2, 4, 5, 5)))
         reference = oracle_run(wide_rig, heops.he_conv2d, ct, w, bias)
         assert not weights.fused and not weights.fold_bias
-        with parallel.use(2):
-            assert run_layer(wide_rig, heops.he_conv2d, ct, weights) == reference
+        assert run_layer(wide_rig, heops.he_conv2d, ct, weights) == reference
 
     def test_dense(self, wide_rig, no_kernel):
         rng = np.random.default_rng(9)

@@ -33,7 +33,7 @@ from repro.errors import EncodingError, ParameterError
 from repro.he import modmath, oracle, polyring
 from repro.he.batching import pack_coefficients
 from repro.he.context import Ciphertext, Context, Plaintext, TensorProduct
-from repro.he.decryptor import Decryptor, decrypt_scalar_values
+from repro.he.decryptor import Decryptor
 from repro.he.encoders import ScalarEncoder
 from repro.he.encryptor import Encryptor, SymmetricEncryptor
 from repro.he.evaluator import Evaluator, OperationCounter, PlainOperand
@@ -800,12 +800,12 @@ class TestFastDecrypt:
         assert np.array_equal(fast, slow)
         assert np.array_equal(fast, values)
 
-    def test_decrypt_scalar_values_dispatches_both_modes(self, deployment):
+    def test_decrypt_constants_matches_the_oracle(self, deployment):
         enc = deployment["encoder"]
         values = np.array([7, -3, 11])
         ct = deployment["encryptor"].encrypt(enc.encode(values))
-        fast = decrypt_scalar_values(deployment["decryptor"], enc, ct)
-        slow = decrypt_scalar_values(deployment["oracle"], enc, ct)
+        fast = deployment["decryptor"].decrypt_constants(ct)
+        slow = deployment["oracle"].decrypt_constants(ct)
         assert np.array_equal(fast, slow)
         assert np.array_equal(fast, values)
 
@@ -823,14 +823,14 @@ class TestFastDecrypt:
             ct = deployment["encryptor"].encrypt(Plaintext(context, coeffs))
             for decryptor in (deployment["decryptor"], deployment["oracle"]):
                 with pytest.raises(EncodingError, match="non-constant"):
-                    decrypt_scalar_values(decryptor, enc, ct)
+                    decryptor.decrypt_constants(ct)
         coeffs[1, probe] = 0
         coeffs[1, 5] = 7  # a stray at an unprobed position
         ct = deployment["encryptor"].encrypt(Plaintext(context, coeffs))
         with pytest.raises(EncodingError, match="non-constant"):
             enc.decode(deployment["oracle"].decrypt(ct))
         for decryptor in (deployment["decryptor"], deployment["oracle"]):
-            assert decrypt_scalar_values(decryptor, enc, ct).tolist() == [1, -2, 3]
+            assert decryptor.decrypt_constants(ct).tolist() == [1, -2, 3]
 
     @pytest.mark.parametrize("oracle_side", [False, True], ids=["fused", "oracle"])
     def test_probe_decrypt_refuses_an_overflowed_wide_ciphertext(self, rng, oracle_side):
@@ -847,12 +847,12 @@ class TestFastDecrypt:
         ct = Encryptor(context, keys.public, np.random.default_rng(37)).encrypt(
             encoder.encode(np.array([3, -5, 7]))
         )
-        assert decrypt_scalar_values(decryptor, encoder, ct).tolist() == [3, -5, 7]
+        assert decryptor.decrypt_constants(ct).tolist() == [3, -5, 7]
         for _ in range(3):
             ct = evaluator.relinearize(evaluator.square(ct), relin_keys)
         assert not decryptor.is_decryptable(ct)
         with pytest.raises(EncodingError, match="non-constant"):
-            decrypt_scalar_values(decryptor, encoder, ct)
+            decryptor.decrypt_constants(ct)
 
     def test_noise_budget_matches_reference(self, deployment):
         enc = deployment["encoder"]

@@ -55,8 +55,8 @@ class TestCiphertextRoundTrip:
 
 
 class TestZeroCopyPayload:
-    """The arena's serialization dividend: contiguous int64 arrays go to
-    the wire as buffer slices, never through ``ascontiguousarray``."""
+    """Contiguous int64 arrays go to the wire as buffer slices, never
+    through ``ascontiguousarray``."""
 
     def test_contiguous_array_payload_is_a_memoryview(self, rng):
         arr = rng.integers(-(1 << 40), 1 << 40, size=(3, 4, 5)).astype(np.int64)

@@ -12,7 +12,6 @@ from repro.errors import TraceFormatError
 from repro.obs import (
     SPAN_KINDS,
     Span,
-    TraceContext,
     trace_from_dict,
     trace_from_json,
     trace_to_dict,
@@ -115,20 +114,6 @@ class TestRoundTripProperty:
 
 
 class TestMalformedContext:
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            [],
-            {"trace_id": "zz" * 8},
-            {"trace_id": "abc"},
-            {"trace_id": "ab" * 8, "junk": 1},
-            {"parent_id": "orphan"},
-        ],
-    )
-    def test_from_wire_rejects_typed(self, payload):
-        with pytest.raises(TraceFormatError):
-            TraceContext.from_wire(payload)
-
     def test_trace_format_error_on_bad_trace_doc(self):
         with pytest.raises(TraceFormatError):
             trace_from_dict({"name": "x", "kind": "nope", "real_s": 0, "overhead_s": 0})

@@ -1,7 +1,6 @@
 """The packed flush is the direct path's chain behind a host fold: typed
 layout checks at its one crossing, equivalence with the unpacked
-``served`` graph across batch sizes / the oracle context / worker counts /
-recovery, the one-ciphertext-per-image result both paths return, and
+``served`` graph across batch sizes / the oracle context / recovery, the one-ciphertext-per-image result both paths return, and
 DESIGN.md §6's claims on the serving path."""
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from repro import faults
 from repro.core import EdgeServer, PlaintextPipeline, heops
 from repro.errors import EncodingError, PipelineError, RecoveryExhausted, RequestFailedError
 from repro.faults import EnclaveSupervisor, FaultPlan, FaultRule
-from repro.he import Evaluator, oracle, parallel
+from repro.he import Evaluator, oracle
 from repro.he.context import Ciphertext, Context, Plaintext
 from repro.he.evaluator import PlainOperand
 from repro.he.serialize import serialize_ciphertext, serialize_secret_key
@@ -146,7 +145,7 @@ class TestFlushEquivalence:
         results.append(srv.infer(InferenceRequest(model="digits", ciphertext=direct)))
         return [bytes(serialize_ciphertext(r.logits_ct)) for r in results]
 
-    def test_result_bytes_identical_across_profiles_and_workers(
+    def test_result_bytes_identical_across_profiles(
         self, batching_params, q_sigmoid, models, session_for
     ):
         images = models.dataset.test_images[:5]
@@ -154,11 +153,6 @@ class TestFlushEquivalence:
         assert reference == self._result_bytes(
             batching_params, q_sigmoid, images, session_for, oracle.Context
         )
-        for workers in (1, 2):
-            with parallel.use(workers):
-                assert reference == self._result_bytes(
-                    batching_params, q_sigmoid, images, session_for
-                )
 
     def test_isolation_rerun_resolves_survivors_bit_identically(
         self, batching_params, q_sigmoid, models, session_for

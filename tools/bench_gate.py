@@ -113,11 +113,6 @@ BENCHES: dict[str, dict] = {
             MetricSpec("fleet.all_tickets_resolved", "invariant"),
             MetricSpec("fleet.failover_resolved", "invariant"),
             MetricSpec("fleet.failover_bit_identical", "invariant"),
-            MetricSpec("workers.byte_identical", "invariant"),
-            MetricSpec("workers.bit_identical", "invariant"),
-            MetricSpec("workers.all_tickets_resolved", "invariant"),
-            MetricSpec("workers.chaos_recovered", "invariant"),
-            MetricSpec("workers.chaos_byte_identical", "invariant"),
         ),
     },
 }
